@@ -1,120 +1,39 @@
 //! Table 3: model processing throughput (packets/s and connections/s) of
-//! CLAP vs Baseline #2 (Kitsune), single-threaded as in the paper's
-//! one-logical-core setup (§4.4) — plus the fused-vs-unfused inference
-//! engine comparison for this reproduction.
+//! CLAP vs Baseline #1 and Baseline #2 (Kitsune), single-threaded as in
+//! the paper's one-logical-core setup (§4.4).
 //!
 //! ```text
 //! cargo run -p bench --release --bin exp_throughput -- [--preset quick|ci|paper|scale]
-//!     [--threads N] [--shards N] [--quant int8] [--microbatch N] [--json PATH]
-//!     [--check-against REFERENCE.json] [--max-regress 0.20]
-//!     [--max-regress-speedup 0.30] [--max-regress-sharded 0.35]
-//!     [--max-regress-quant 0.30] [--min-quant-speedup X]
-//!     [--max-regress-microbatch 0.30] [--min-shard-scaling X]
-//!     [--churn-flows N] [--churn-packets N] [--resident f32|int8]
-//!     [--max-regress-scale 0.35] [--max-grow-bytes-per-flow 0.25]
-//!     [--max-bytes-per-flow BYTES] [--max-telemetry-overhead X]
-//!     [--overload-policy block|drop-newest|degrade[:K]] [--fault-plan SPEC]
-//!     [--require-no-shed]
+//!     [--threads N] [--shards N] [--json PATH]
+//!     [--min-quant-speedup X] [--min-shard-scaling X]
+//!     [--max-telemetry-overhead X] [--max-bytes-per-flow BYTES]
 //! ```
 //!
-//! The run also measures the **telemetry tax**: the per-packet streaming
-//! engine with live counter cells and stage histograms attached versus
-//! detached (the median over many alternating attached/detached pairs),
-//! recorded as `telemetry_overhead` = 1 − attached ÷ detached pps.
-//! Counters are always compiled in; building with
-//! `--features telemetry` additionally pays the 1-in-32 sampled stage
-//! clocks, and that build is the one CI gates with
-//! `--max-telemetry-overhead` (absolute budget, no reference record
-//! needed — both numbers come from one process so machine speed cancels
-//! out). The measured sharded run's per-shard counter deltas and stage
-//! latency summaries land in the JSON as `shard_telemetry`.
+//! One adversarial corpus is scored by the fused f32 engine, the fused
+//! int8 engine, the streaming per-flow engine (the corpus flattened into
+//! one timestamp-ordered stream through a single `StreamScorer`), the
+//! RSS-sharded streaming engine (`--shards` workers plus the dispatcher,
+//! deliberately not pinned by `--threads`) and both baselines.
+//! `--preset scale` adds the churn phase: `traffic_gen::churn`'s
+//! elephant/mice workload at a plateau of one million concurrent flows,
+//! int8 weights and int8 resident state, reporting sustained pkt/s, peak
+//! flows and heap bytes per flow. `--json PATH` writes the record; without
+//! it no file is written.
 //!
-//! `--preset scale` (or an explicit `--churn-flows N`) additionally runs
-//! the **churn phase**: `traffic_gen::churn`'s elephant/mice workload —
-//! heavy-tailed flow sizes, high arrival rate, a plateau of `--churn-flows`
-//! (default 1M) concurrent flows — streamed through one `StreamScorer`
-//! whose per-flow state is held in the int8 resident form (`--resident`
-//! overrides). The phase records `flows_peak`, sustained `scale_pps`,
-//! measured heap `bytes_per_flow` and the eviction counters in the JSON
-//! report. Gates: `scale_pps` is machine-relative and gated like the other
-//! throughput numbers (`--max-regress-scale` vs the reference record);
-//! `bytes_per_flow` is pure data-structure layout, gated both relative to
-//! the reference (`--max-grow-bytes-per-flow`) and against the absolute
-//! design-budget ceiling (`--max-bytes-per-flow`).
-//!
-//! `--quant int8` additionally measures the int8 quantized fused engine
-//! (`neural::quant`: per-row int8 weights, on-the-fly 7-bit activation
-//! quantization, i32-accumulating maddubs/vpdpbusd kernels) on the same
-//! corpus and records `clap_quant_pps` / `quant_speedup` (int8 ÷ f32
-//! fused pps — machine-independent, like `fusion_speedup`). When the
-//! reference records a `quant_speedup`, the gate enforces it under
-//! `--max-regress-quant` (and requires `--quant int8` on the measuring
-//! run — a reference with a quant record can't be "passed" by simply not
-//! measuring).
-//!
-//! `--microbatch N` (N ≥ 2) additionally measures **cross-flow
-//! micro-batched streaming**: the same timestamp-ordered stream pushed
-//! through one `StreamScorer` whose pending GRU steps and AE windows are
-//! flushed as N-row batches through the GEMM kernels, at the run's
-//! precision (int8 under `--quant int8`, f32 otherwise) — against a
-//! freshly measured per-packet streaming baseline *at that same
-//! precision*. The two runs must produce **byte-identical** rendered
-//! verdict tables (micro-batching is a pure scheduling change); the run
-//! records `microbatch_pps`, `microbatch_speedup` (batched ÷ per-packet
-//! — machine-independent, like `quant_speedup`) and the flush-occupancy
-//! histogram. When the reference records a `microbatch_speedup` *and*
-//! this run passed `--microbatch`, the gate enforces it under
-//! `--max-regress-microbatch`; a run without `--microbatch` skips the
-//! gate with a notice (like the churn-phase gates — the reference file
-//! is shared with jobs that measure other phases).
-//!
-//! `--min-shard-scaling X` additionally fails the run when the sharded ÷
-//! single-thread streaming factor falls below `X` — the only check that
-//! catches "sharding silently serialized". It is core-count-dependent
-//! (≤ ~1 on one core, ≥ 2.5 expected with 4 shards on 4+ cores), so it is
-//! off by default; enable it in CI together with a multi-core-recorded
-//! reference.
-//!
-//! The sharded measurement runs the supervised engine: `--overload-policy`
-//! selects the ring-full behaviour (default `block`), `--fault-plan`
-//! injects a deterministic fault schedule (see `exp_stream_pcap`), and the
-//! per-shard supervision counters (dropped / quarantined / restarts /
-//! degraded windows) land in the JSON report. `--require-no-shed` turns
-//! those counters into a CI gate: the run exits non-zero when the sharded
-//! measurement dropped or quarantined any packet — under the default
-//! `block` policy on a healthy engine this must be zero.
-//!
-//! Writes a machine-readable `BENCH_throughput.json` (override with
-//! `--json`) so the performance trajectory is tracked across PRs. Also
-//! measures the **streaming** per-flow engine (`exp_stream_throughput`
-//! mode): the whole corpus is flattened into one timestamp-ordered packet
-//! stream and pushed through a single `StreamScorer` flow table, the
-//! arrival order a line-rate tap would see.
-//!
-//! With `--check-against`, the run doubles as the CI throughput-regression
-//! gate: it exits non-zero when fused packets/second — or, when the
-//! reference records one, the machine-independent `fusion_speedup` ratio —
-//! drop more than `--max-regress` (default 0.20 = 20%) below the
-//! reference record. The ratio gate is the second line of defense: CI
-//! runner speed drift cancels out of fused ÷ unfused, so a kernel
-//! regression cannot hide behind a faster machine. Both gates are still
-//! ISA-sensitive (an AVX2-only runner fuses less than an AVX-512 one), so
-//! the checked-in `BENCH_reference.json` is recorded with
-//! `NEURAL_KERNELS=avx2` — the lowest-common CI ISA — and the ratio gets
-//! its own budget (`--max-regress-speedup`, default 0.30) sized so an
-//! AVX2 runner passes comfortably while a silent fall-back to the scalar
-//! kernels (ratio ≈ 3.1 vs the ≈ 5.3 AVX2 reference) still fails.
+//! The four gate options are `bench::GATES`: figures whose two sides come
+//! from this one process (int8 ÷ f32, sharded ÷ single stream, telemetry
+//! attached vs detached — the median of alternating pairs; build with
+//! `--features telemetry` to include the sampled stage clocks) or that are
+//! pure layout (bytes/flow, churn phase only). A missed bound exits
+//! non-zero. Whether a number moved since an earlier commit is judged by
+//! `benchmark/run.sh`, never here.
 
 use bench::{
-    arg_value, check_bytes_per_flow, check_memory_regression, check_microbatch_regression,
-    check_quant_floor, check_quant_regression, check_scale_regression, check_shard_scaling_floor,
-    check_sharded_regression, check_speedup_regression, check_telemetry_overhead,
-    check_throughput_regression, evaluate_extended_families, render_table, train_all,
-    ExtendedFamilyRow, Preset, ThroughputReference,
+    arg_value, evaluate_extended_families, render_table, train_all, ExtendedFamilyRow, Preset,
+    GATES,
 };
 use clap_core::{
-    FaultPlan, OverloadPolicy, QuantMode, ResidentMode, ShardConfig, ShardHealth, Stage,
-    StageHists, StreamCells, StreamConfig,
+    QuantMode, ResidentMode, ShardConfig, ShardHealth, Stage, StageHists, StreamCells, StreamConfig,
 };
 use serde::Serialize;
 use std::sync::Arc;
@@ -130,10 +49,6 @@ struct ThroughputReport {
     packets: usize,
     /// Packets/second of the fused allocation-free CLAP engine.
     clap_fused_pps: f64,
-    /// Packets/second of the unfused reference CLAP path.
-    clap_unfused_pps: f64,
-    /// Fused ÷ unfused.
-    fusion_speedup: f64,
     /// Packets/second of the streaming per-flow engine (one flow table,
     /// interleaved timestamp-ordered stream).
     clap_stream_pps: f64,
@@ -149,37 +64,10 @@ struct ThroughputReport {
     /// Sharded ÷ single-threaded streaming (the multi-core scaling
     /// factor; bounded by the machine's core count).
     shard_scaling: f64,
-    /// Pending-set capacity of the micro-batched streaming measurement
-    /// (`--microbatch N`); `0` when the run did not measure it.
-    microbatch: usize,
-    /// Packets/second of the micro-batched streaming engine at the run's
-    /// precision; `0.0` when not measured.
-    microbatch_pps: f64,
-    /// Micro-batched ÷ per-packet streaming packets/second at the same
-    /// precision; `0.0` when not measured. Machine-independent like
-    /// `quant_speedup` (back-to-back runs on one machine), and gated the
-    /// same way: a reference that records it demands a measuring run.
-    microbatch_speedup: f64,
-    /// Flush-occupancy histogram of the micro-batched run: entry `i`
-    /// counts flushes that carried `i + 1` rows. Empty when not measured.
-    microbatch_occupancy: Vec<u64>,
-    /// Packets/second of the int8 quantized fused engine (`--quant
-    /// int8`); `0.0` when the run did not measure it.
+    /// Packets/second of the int8 quantized fused engine.
     clap_quant_pps: f64,
-    /// Int8 ÷ f32 fused packets/second; `0.0` when not measured. (A
-    /// record without a real measurement is rejected as a reference —
-    /// the gate hard-errors on non-positive values — so an unmeasured
-    /// report can never silently weaken the gate.)
+    /// Int8 ÷ f32 fused packets/second.
     quant_speedup: f64,
-    /// Packets shed by the sharded run's overload policy (0 under the
-    /// default `block` on a healthy engine; `--require-no-shed` pins it).
-    sharded_dropped: u64,
-    /// Packets quarantined by shard supervision (panic isolation).
-    sharded_quarantined: u64,
-    /// Shard restarts performed by the supervisor.
-    sharded_restarts: u64,
-    /// Saturation windows entered under `degrade` overload handling.
-    sharded_degraded_windows: u64,
     /// 1 − (telemetry-attached ÷ detached) single-stream pps: the
     /// measured fractional hot-path cost of the live telemetry plane.
     /// Slightly negative under run-to-run noise. Gated by
@@ -190,15 +78,14 @@ struct ThroughputReport {
     shard_telemetry: Vec<ShardTelemetryRow>,
     baseline1_pps: f64,
     kitsune_pps: f64,
-    /// Peak concurrently tracked flows of the churn phase; `0` when the
-    /// run did not measure it (same convention as `clap_quant_pps`).
+    /// Peak concurrently tracked flows of the churn phase; `0` (like the
+    /// other churn fields) when the run did not measure it.
     flows_peak: u64,
     /// Packets/second sustained by the churn phase; `0.0` when not
     /// measured.
     scale_pps: f64,
     /// Measured flow-table heap bytes per peak live flow; `0.0` when not
-    /// measured. (Non-positive values are rejected as references, so an
-    /// unmeasured report can never weaken the memory gate.)
+    /// measured. Gated by `--max-bytes-per-flow`.
     bytes_per_flow: f64,
     /// Churn-phase packets pushed.
     scale_packets: u64,
@@ -263,34 +150,7 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(4)
         .max(1);
-    let measure_quant = match arg_value(&args, "--quant").as_deref() {
-        None => false,
-        Some("int8") => true,
-        Some(other) => {
-            eprintln!("invalid --quant value `{other}` (expected `int8`)");
-            std::process::exit(1);
-        }
-    };
-    let microbatch: usize = match arg_value(&args, "--microbatch") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 2 => n,
-            _ => {
-                eprintln!("invalid --microbatch value `{v}` (expected an integer ≥ 2)");
-                std::process::exit(1);
-            }
-        },
-        None => 0,
-    };
-    let json_path =
-        arg_value(&args, "--json").unwrap_or_else(|| "BENCH_throughput.json".to_string());
-    let policy = match arg_value(&args, "--overload-policy") {
-        Some(spec) => OverloadPolicy::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-        None => OverloadPolicy::Block,
-    };
-    let require_no_shed = args.iter().any(|a| a == "--require-no-shed");
+    let json_path = arg_value(&args, "--json");
 
     // The paper constrains both pipelines to one logical core; a local
     // rayon pool pins our parallelism the same way.
@@ -344,27 +204,7 @@ fn main() {
         corpus.iter().flat_map(|c| c.packets.iter()).collect();
     stream.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
 
-    let plan = match arg_value(&args, "--fault-plan") {
-        Some(spec) => FaultPlan::parse(&spec, stream.len() as u64).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-        None => FaultPlan::none(),
-    };
-    if !plan.is_empty() {
-        clap_core::shard::fault::silence_injected_panics();
-        eprintln!(
-            "[{}] injecting faults into the sharded run: {:?}",
-            preset.name,
-            plan.faults()
-        );
-    }
-    // Only a fault-free Block run guarantees the sharded measurement
-    // scores every packet; otherwise the accounting invariant replaces
-    // the exact count assert.
-    let lossless = plan.is_empty() && policy == OverloadPolicy::Block;
-
-    let (fused, quant, unfused, streaming, micro, telem, b1, kitsune) = pool.install(|| {
+    let (fused, quant, streaming, telem, b1, kitsune) = pool.install(|| {
         // Warm-up pass so one-time costs (page faults, lazy init) don't
         // skew the first measurement. Engine precisions are pinned
         // explicitly so a NEURAL_QUANT override in the environment can't
@@ -376,35 +216,20 @@ fn main() {
         let fused = t.elapsed();
 
         // The int8 quantized fused engine, same corpus, same sharding.
-        let quant = measure_quant.then(|| {
+        let quant = {
             let warm_q = models.clap.score_connections_with(&corpus, QuantMode::Int8);
             let t = Instant::now();
             let s_quant = models.clap.score_connections_with(&corpus, QuantMode::Int8);
             let quant = t.elapsed();
             assert_eq!(s_quant.len(), s_fused.len());
             assert_eq!(warm_q.len(), s_quant.len());
-            // Wiring sanity only — int8 must be the same detector, not a
-            // different function. The bound is deliberately loose: on
-            // adversarial corpora a corrupted field can put an outlier in
-            // a profile row, coarsening that row's activation grid and
-            // drifting the (far-above-threshold) score by >10%. The
-            // calibrated drift and verdict-flip bounds live in the parity
-            // test suites, on controlled inputs.
-            for (q, f) in s_quant.iter().zip(&s_fused) {
-                let rel = (q.score - f.score).abs() / f.score.abs().max(1e-3);
-                assert!(
-                    rel < 0.25,
-                    "int8/f32 divergence: {} vs {} ({:.1}%)",
-                    q.score,
-                    f.score,
-                    rel * 100.0
-                );
-            }
-            // A genuinely quantized engine never reproduces f32 bitwise
-            // over a whole corpus; identical scores mean the int8 path
-            // silently degraded to f32 — which the relative-ratio gate
-            // below could never catch (ratio ≈ 1.0 is inside any sane
-            // noise budget).
+            // Wiring sanity only: a genuinely quantized engine never
+            // reproduces f32 bitwise over a whole corpus; identical scores
+            // mean the int8 path silently degraded to f32 — which the
+            // quant floor gate could never catch (ratio ≈ 1.0 is inside
+            // any sane noise budget). How far int8 may drift is bounded by
+            // the parity test suites on controlled inputs, not here: the
+            // small `quick` model's near-zero scores move severalfold.
             assert!(
                 s_quant
                     .iter()
@@ -413,11 +238,7 @@ fn main() {
                 "int8 scores are bitwise identical to f32 — quantization is disabled"
             );
             quant
-        });
-
-        let t = Instant::now();
-        let s_unfused = models.clap.score_connections_unfused(&corpus);
-        let unfused = t.elapsed();
+        };
 
         let t = Instant::now();
         let mut scorer = models.clap.stream_scorer_with(StreamConfig {
@@ -513,64 +334,6 @@ fn main() {
         overheads.sort_by(f64::total_cmp);
         let telem = (telem_off, telem_on, overheads[overheads.len() / 2]);
 
-        // Cross-flow micro-batched streaming vs a per-packet baseline at
-        // the same precision (int8 under --quant int8). Byte-identical
-        // rendered verdict tables are asserted, not assumed: batching is
-        // a scheduling change, never a numeric one.
-        let micro = (microbatch >= 2).then(|| {
-            let mode = if measure_quant {
-                QuantMode::Int8
-            } else {
-                QuantMode::Off
-            };
-            let run_stream = |cap: usize| {
-                let mut scorer = models.clap.stream_scorer_with(StreamConfig {
-                    quant: mode,
-                    microbatch: cap,
-                    ..StreamConfig::default()
-                });
-                let t = Instant::now();
-                for p in &stream {
-                    scorer.push(p);
-                }
-                let mut closed = scorer.drain_closed();
-                closed.extend(scorer.finish());
-                let elapsed = t.elapsed();
-                let occupancy = scorer.batch_occupancy().to_vec();
-                (
-                    elapsed,
-                    bench::verdict_table(&closed, usize::MAX),
-                    occupancy,
-                )
-            };
-            let _ = run_stream(0); // warm-up
-            let _ = run_stream(microbatch); // warm-up
-
-            // The speedup is a ratio of two one-second-scale wall-clock
-            // measurements, and a loaded box's run-to-run variance swamps
-            // a single pair. Alternate the two modes and keep the best of
-            // each: min-of-N discards interference spikes, and
-            // alternation keeps slow frequency/thermal drift from
-            // biasing one side.
-            let mut base_elapsed = Duration::MAX;
-            let mut mb_elapsed = Duration::MAX;
-            let mut occupancy = Vec::new();
-            for rep in 0..5 {
-                let (base, base_table, _) = run_stream(0);
-                let (mb, mb_table, occ) = run_stream(microbatch);
-                base_elapsed = base_elapsed.min(base);
-                mb_elapsed = mb_elapsed.min(mb);
-                if rep == 0 {
-                    assert_eq!(
-                        base_table, mb_table,
-                        "micro-batched streaming must render a byte-identical verdict table"
-                    );
-                    occupancy = occ;
-                }
-            }
-            (base_elapsed, mb_elapsed, occupancy)
-        });
-
         let t = Instant::now();
         let s_b1 = models.baseline1.score_connections(&corpus);
         let b1 = t.elapsed();
@@ -580,19 +343,8 @@ fn main() {
         let kitsune = t.elapsed();
 
         assert_eq!(warm.len(), s_fused.len());
-        assert_eq!(s_fused.len(), s_unfused.len());
         assert_eq!(s_b1.len(), s_k.len());
-        // The two engines must agree, not just run: scoring is only "fast"
-        // if it is still computing the same thing.
-        for (a, b) in s_fused.iter().zip(&s_unfused) {
-            assert!(
-                (a.score - b.score).abs() < 1e-5,
-                "fused/unfused divergence: {} vs {}",
-                a.score,
-                b.score
-            );
-        }
-        (fused, quant, unfused, streaming, micro, telem, b1, kitsune)
+        (fused, quant, streaming, telem, b1, kitsune)
     });
 
     // The RSS-sharded streaming engine runs outside the pinned pool: its
@@ -607,45 +359,32 @@ fn main() {
             microbatch: 0,
             ..StreamConfig::default()
         },
-        overload: policy,
-        faults: plan.clone(),
         ..ShardConfig::default()
     });
-    let supervised_run = || match sharded_scorer.try_score_stream(stream.iter().copied()) {
-        Ok(run) => run,
-        Err(e) => {
-            // Dead or stuck shards degrade the measurement; the partial
-            // run still carries the survivors' verdicts and exact stats.
-            eprintln!("[{}] DEGRADED SHARDED RUN: {e}", preset.name);
-            e.partial
-        }
-    };
     // Warm-up: first run pays thread spawn + page faults.
-    let warm = supervised_run();
+    let warm = sharded_scorer.score_stream(stream.iter().copied());
     // The hub is lifetime-cumulative; snapshotting around the timed run
     // confines the reported counters to the measured pass.
     let hub = sharded_scorer.telemetry();
     let tel_base = hub.snapshot();
     let t = Instant::now();
-    let run = supervised_run();
+    let run = sharded_scorer.score_stream(stream.iter().copied());
     let sharded = t.elapsed();
     let tel_end = hub.snapshot();
     ShardHealth::check_accounting(&run.stats).expect("per-shard accounting invariant");
-    let health = ShardHealth::of(&run.stats);
-    if lossless {
-        let sharded_packets: usize = run.verdicts.iter().map(|v| v.flow.packets).sum();
-        assert_eq!(
-            sharded_packets, packets,
-            "sharded streaming must account for every packet"
-        );
-        assert_eq!(warm.verdicts.len(), run.verdicts.len());
-    }
+    // The default `block` policy with no injected faults sheds nothing,
+    // so every packet must come back inside a verdict.
+    let sharded_packets: usize = run.verdicts.iter().map(|v| v.flow.packets).sum();
+    assert_eq!(
+        sharded_packets, packets,
+        "sharded streaming must account for every packet"
+    );
+    assert_eq!(warm.verdicts.len(), run.verdicts.len());
     let stalls: u64 = run.stats.iter().map(|s| s.full_waits).sum();
     eprintln!(
-        "[{}] sharded run: {} shards ({} policy), {} flows, {} backpressure stalls",
+        "[{}] sharded run: {} shards, {} flows, {} backpressure stalls",
         preset.name,
         shards,
-        policy,
         run.verdicts.len(),
         stalls
     );
@@ -707,51 +446,14 @@ fn main() {
             )
         );
     }
-    if require_no_shed && health.shed() > 0 {
-        eprintln!(
-            "SHED GATE FAILED: sharded run dropped {} and quarantined {} packet(s) \
-             (policy {policy}); --require-no-shed demands zero",
-            health.dropped, health.quarantined
-        );
-        std::process::exit(1);
-    }
-    if require_no_shed {
-        eprintln!(
-            "shed gate OK: 0 dropped / 0 quarantined across {} pushed packets",
-            health.pushed
-        );
-    }
-
     // The churn phase: a high-arrival-rate elephant/mice workload against
     // a million-flow table, measuring sustained pps and per-flow memory.
-    // Runs for `--preset scale` (1M flows unless overridden) or whenever
-    // `--churn-flows` is passed explicitly.
-    let churn_flows: usize = match arg_value(&args, "--churn-flows") {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("invalid --churn-flows value `{v}`");
-            std::process::exit(2);
-        }),
-        None if preset.name == "scale" => 1_000_000,
-        None => 0,
-    };
-    let scale = (churn_flows > 0).then(|| {
-        let churn_packets: usize = match arg_value(&args, "--churn-packets") {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("invalid --churn-packets value `{v}`");
-                std::process::exit(2);
-            }),
-            // Ramp (one SYN per packet) plus enough steady-state churn to
-            // cycle the mice several times over.
-            None => churn_flows.saturating_mul(6),
-        };
-        let resident = match arg_value(&args, "--resident").as_deref() {
-            None | Some("int8") => ResidentMode::Int8,
-            Some("f32") => ResidentMode::F32,
-            Some(other) => {
-                eprintln!("invalid --resident value `{other}` (expected `f32` or `int8`)");
-                std::process::exit(2);
-            }
-        };
+    // Runs for `--preset scale` only.
+    let scale = (preset.name == "scale").then(|| {
+        let churn_flows: usize = 1_000_000;
+        // Ramp (one SYN per packet) plus enough steady-state churn to
+        // cycle the mice several times over.
+        let churn_packets = churn_flows * 6;
         let churn_cfg = ChurnConfig {
             // High arrival rate: at the plateau, live flows see a mean
             // inter-packet gap of concurrent/pps seconds — well inside
@@ -761,12 +463,8 @@ fn main() {
             ..ChurnConfig::new(preset.seed ^ 0x5ca1e, churn_flows, churn_packets)
         };
         let mut scorer = models.clap.stream_scorer_with(StreamConfig {
-            quant: if measure_quant {
-                QuantMode::Int8
-            } else {
-                QuantMode::Off
-            },
-            resident,
+            quant: QuantMode::Int8,
+            resident: ResidentMode::Int8,
             idle_timeout: 30.0,
             // ~3% headroom above the plateau for abandoned (FIN-less)
             // flows awaiting idle expiry; sized so the slab's capacity
@@ -775,11 +473,10 @@ fn main() {
             ..StreamConfig::default()
         });
         eprintln!(
-            "[{}] churn phase: {} packets toward a {}-flow plateau ({:?} resident, {:?} weights)…",
+            "[{}] churn phase: {} packets toward a {}-flow plateau (int8 resident, {:?} weights)…",
             preset.name,
             churn_packets,
             churn_flows,
-            resident,
             scorer.quant_mode()
         );
         let mut gen = traffic_gen::churn(&churn_cfg);
@@ -851,16 +548,16 @@ fn main() {
     println!("\n== Table 3: model processing throughput ({threads} thread(s)) ==");
     println!("   (paper, 1 core: CLAP 2,162.2 pkt/s / 97.0 conn/s; Kitsune 1,444.5 / 64.8 —");
     println!("    absolute numbers differ by implementation; the shape is CLAP > Kitsune)");
-    let mut table = vec![
+    let table = vec![
         vec![
             "CLAP (fused engine)".to_string(),
             format!("{:.1}", pps(fused)),
             format!("{:.1}", cps(fused)),
         ],
         vec![
-            "CLAP (unfused reference)".to_string(),
-            format!("{:.1}", pps(unfused)),
-            format!("{:.1}", cps(unfused)),
+            "CLAP (fused, int8 quantized)".to_string(),
+            format!("{:.1}", pps(quant)),
+            format!("{:.1}", cps(quant)),
         ],
         vec![
             "CLAP (streaming per-flow)".to_string(),
@@ -883,38 +580,9 @@ fn main() {
             format!("{:.1}", cps(kitsune)),
         ],
     ];
-    if let Some(q) = quant {
-        table.insert(
-            1,
-            vec![
-                "CLAP (fused, int8 quantized)".to_string(),
-                format!("{:.1}", pps(q)),
-                format!("{:.1}", cps(q)),
-            ],
-        );
-    }
-    if let Some((base, batched, _)) = &micro {
-        let precision = if measure_quant { "int8" } else { "f32" };
-        table.push(vec![
-            format!("CLAP (streaming per-packet, {precision})"),
-            format!("{:.1}", pps(*base)),
-            format!("{:.1}", cps(*base)),
-        ]);
-        table.push(vec![
-            format!("CLAP (streaming micro-batched ≤{microbatch}, {precision})"),
-            format!("{:.1}", pps(*batched)),
-            format!("{:.1}", cps(*batched)),
-        ]);
-    }
     println!(
         "{}",
         render_table(&["Model", "Packets/Second", "Connections/Second"], &table)
-    );
-    println!(
-        "fusion speedup: {:.2}x (fused {:.1} pkt/s vs unfused {:.1} pkt/s)",
-        pps(fused) / pps(unfused),
-        pps(fused),
-        pps(unfused)
     );
     println!(
         "streaming vs batch: {:.2}x (streaming {:.1} pkt/s vs fused batch {:.1} pkt/s)",
@@ -929,39 +597,12 @@ fn main() {
         pps(sharded),
         pps(streaming)
     );
-    if let Some(q) = quant {
-        println!(
-            "quant speedup: {:.2}x (int8 {:.1} pkt/s vs f32 fused {:.1} pkt/s)",
-            pps(q) / pps(fused),
-            pps(q),
-            pps(fused)
-        );
-    }
-    if let Some((base, batched, occupancy)) = &micro {
-        println!(
-            "microbatch speedup: {:.2}x (≤{}-row batches {:.1} pkt/s vs per-packet {:.1} pkt/s, {})",
-            pps(*batched) / pps(*base),
-            microbatch,
-            pps(*batched),
-            pps(*base),
-            if measure_quant { "int8" } else { "f32" }
-        );
-        let flushes: u64 = occupancy.iter().sum();
-        let rows: u64 = occupancy
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (i as u64 + 1) * n)
-            .sum();
-        if flushes > 0 {
-            println!(
-                "microbatch occupancy: {:.1} rows/flush mean over {} flushes \
-                 (full-batch share {:.0}%)",
-                rows as f64 / flushes as f64,
-                flushes,
-                *occupancy.last().unwrap_or(&0) as f64 / flushes as f64 * 100.0
-            );
-        }
-    }
+    println!(
+        "quant speedup: {:.2}x (int8 {:.1} pkt/s vs f32 fused {:.1} pkt/s)",
+        pps(quant) / pps(fused),
+        pps(quant),
+        pps(fused)
+    );
 
     // overhead = 1 − pps_on/pps_off = 1 − elapsed_off/elapsed_on per
     // pair; the reported number is the median pair (computed above).
@@ -982,25 +623,13 @@ fn main() {
         connections: corpus.len(),
         packets,
         clap_fused_pps: pps(fused),
-        clap_unfused_pps: pps(unfused),
-        fusion_speedup: pps(fused) / pps(unfused),
         clap_stream_pps: pps(streaming),
         stream_over_batch: pps(streaming) / pps(fused),
         shards,
         clap_sharded_pps: pps(sharded),
         shard_scaling: pps(sharded) / pps(streaming),
-        microbatch: if micro.is_some() { microbatch } else { 0 },
-        microbatch_pps: micro.as_ref().map_or(0.0, |(_, b, _)| pps(*b)),
-        microbatch_speedup: micro
-            .as_ref()
-            .map_or(0.0, |(base, b, _)| pps(*b) / pps(*base)),
-        microbatch_occupancy: micro.as_ref().map_or_else(Vec::new, |(_, _, o)| o.clone()),
-        clap_quant_pps: quant.map_or(0.0, pps),
-        quant_speedup: quant.map_or(0.0, |q| pps(q) / pps(fused)),
-        sharded_dropped: health.dropped,
-        sharded_quarantined: health.quarantined,
-        sharded_restarts: health.restarts,
-        sharded_degraded_windows: health.degraded_windows,
+        clap_quant_pps: pps(quant),
+        quant_speedup: pps(quant) / pps(fused),
         telemetry_overhead,
         shard_telemetry,
         baseline1_pps: pps(b1),
@@ -1015,379 +644,39 @@ fn main() {
         scale_drained: scale.as_ref().map_or(0, |(_, _, s, _)| s.drained),
         extended_detection,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&json_path, json).expect("write throughput json");
-    eprintln!("wrote {json_path}");
-
-    // CI regression gate: compare fused pps against a checked-in
-    // reference record and fail the run past the budget.
-    if let Some(ref_path) = arg_value(&args, "--check-against") {
-        // An unparseable budget must fail the gate, not silently fall
-        // back to the default and enforce the wrong threshold.
-        let max_regress: f64 = match arg_value(&args, "--max-regress") {
-            Some(v) => match v.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    eprintln!("regression gate error: invalid --max-regress value `{v}`");
-                    std::process::exit(1);
-                }
-            },
-            None => 0.20,
-        };
-        let reference = match ThroughputReference::load(&ref_path) {
-            Ok(r) => r,
-            Err(msg) => {
-                eprintln!("regression gate error: {msg}");
-                std::process::exit(1);
-            }
-        };
-        match check_throughput_regression(
-            report.clap_fused_pps,
-            reference.clap_fused_pps,
-            max_regress,
-        ) {
-            Ok(change) => eprintln!(
-                "regression gate OK: fused {:.1} pkt/s vs reference {:.1} pkt/s \
-                 ({:+.1}% change, budget -{:.0}%)",
-                report.clap_fused_pps,
-                reference.clap_fused_pps,
-                change * 100.0,
-                max_regress * 100.0
-            ),
-            Err(msg) => {
-                eprintln!("THROUGHPUT REGRESSION: {msg}");
-                std::process::exit(1);
-            }
-        }
-        // Second, machine-independent gate: the fused ÷ unfused ratio.
-        // Runner speed drift shifts both engines equally, so only a
-        // kernel regression — or a narrower dispatched ISA — can move
-        // this ratio down; the wider default budget absorbs the latter.
-        let max_regress_speedup: f64 = match arg_value(&args, "--max-regress-speedup") {
-            Some(v) => match v.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    eprintln!("regression gate error: invalid --max-regress-speedup value `{v}`");
-                    std::process::exit(1);
-                }
-            },
-            None => 0.30,
-        };
-        if let Some(ref_speedup) = reference.fusion_speedup {
-            match check_speedup_regression(report.fusion_speedup, ref_speedup, max_regress_speedup)
-            {
-                Ok(change) => eprintln!(
-                    "speedup gate OK: fusion {:.2}x vs reference {:.2}x \
-                     ({:+.1}% change, budget -{:.0}%)",
-                    report.fusion_speedup,
-                    ref_speedup,
-                    change * 100.0,
-                    max_regress_speedup * 100.0
-                ),
-                Err(msg) => {
-                    eprintln!("THROUGHPUT REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            eprintln!("speedup gate skipped: reference records no fusion_speedup");
-        }
-        // Third gate: the RSS-sharded streaming path. Core count and
-        // clock both shift this metric, so the checked-in reference is
-        // recorded on the smallest supported machine and the budget is
-        // wide; what it reliably catches is the sharded path collapsing
-        // (serialization, livelock, duplicated work).
-        let max_regress_sharded: f64 = match arg_value(&args, "--max-regress-sharded") {
-            Some(v) => match v.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    eprintln!("regression gate error: invalid --max-regress-sharded value `{v}`");
-                    std::process::exit(1);
-                }
-            },
-            None => 0.35,
-        };
-        if let Some(ref_sharded) = reference.clap_sharded_pps {
-            match check_sharded_regression(
-                report.clap_sharded_pps,
-                ref_sharded,
-                max_regress_sharded,
-            ) {
-                Ok(change) => eprintln!(
-                    "sharded gate OK: {:.1} pkt/s vs reference {:.1} pkt/s \
-                     ({:+.1}% change, budget -{:.0}%)",
-                    report.clap_sharded_pps,
-                    ref_sharded,
-                    change * 100.0,
-                    max_regress_sharded * 100.0
-                ),
-                Err(msg) => {
-                    eprintln!("THROUGHPUT REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            eprintln!("sharded gate skipped: reference records no clap_sharded_pps");
-        }
-        // Fourth gate: the int8 quantized engine, on the machine-neutral
-        // int8 ÷ f32 ratio. A reference that records quantization numbers
-        // demands a measuring run — skipping `--quant int8` must fail the
-        // gate, not quietly bypass it.
-        let max_regress_quant: f64 = match arg_value(&args, "--max-regress-quant") {
-            Some(v) => match v.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    eprintln!("regression gate error: invalid --max-regress-quant value `{v}`");
-                    std::process::exit(1);
-                }
-            },
-            None => 0.30,
-        };
-        if let Some(ref_quant) = reference.quant_speedup {
-            if !measure_quant {
-                eprintln!(
-                    "regression gate error: reference records quant_speedup {ref_quant:.2} \
-                     but this run did not pass --quant int8"
-                );
-                std::process::exit(1);
-            }
-            match check_quant_regression(report.quant_speedup, ref_quant, max_regress_quant) {
-                Ok(change) => eprintln!(
-                    "quant gate OK: int8 {:.2}x vs reference {:.2}x \
-                     ({:+.1}% change, budget -{:.0}%)",
-                    report.quant_speedup,
-                    ref_quant,
-                    change * 100.0,
-                    max_regress_quant * 100.0
-                ),
-                Err(msg) => {
-                    eprintln!("THROUGHPUT REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            eprintln!("quant gate skipped: reference records no quant_speedup");
-        }
-        // Fifth gate: cross-flow micro-batching, on the machine-neutral
-        // batched ÷ per-packet streaming ratio. Same contract as the
-        // churn-phase gates, not quant: the gate engages only when this
-        // run measured micro-batching (`--microbatch`), because the
-        // reference file is shared with jobs that never do (the
-        // memory-scale job measures the churn phase instead). The
-        // throughput CI job always passes `--microbatch`, so the gate
-        // cannot silently lapse where it matters.
-        let max_regress_microbatch: f64 = match arg_value(&args, "--max-regress-microbatch") {
-            Some(v) => match v.parse() {
-                Ok(m) => m,
-                Err(_) => {
-                    eprintln!(
-                        "regression gate error: invalid --max-regress-microbatch value `{v}`"
-                    );
-                    std::process::exit(1);
-                }
-            },
-            None => 0.30,
-        };
-        if let (Some(ref_microbatch), true) = (reference.microbatch_speedup, micro.is_some()) {
-            match check_microbatch_regression(
-                report.microbatch_speedup,
-                ref_microbatch,
-                max_regress_microbatch,
-            ) {
-                Ok(change) => eprintln!(
-                    "microbatch gate OK: {:.2}x vs reference {:.2}x \
-                     ({:+.1}% change, budget -{:.0}%)",
-                    report.microbatch_speedup,
-                    ref_microbatch,
-                    change * 100.0,
-                    max_regress_microbatch * 100.0
-                ),
-                Err(msg) => {
-                    eprintln!("THROUGHPUT REGRESSION: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        } else if micro.is_none() && reference.microbatch_speedup.is_some() {
-            eprintln!(
-                "microbatch gate skipped: reference records a microbatch_speedup \
-                 but this run did not pass --microbatch"
-            );
-        } else {
-            eprintln!("microbatch gate skipped: reference records no microbatch_speedup");
-        }
-        // Sixth gate pair: the churn phase. Engaged only when this run
-        // measured it — unlike quant, a reference with scale numbers must
-        // not fail the plain `ci` throughput job, which shares the
-        // reference file but never runs the (minutes-long) churn phase.
-        if let Some((scale_pps, bytes_per_flow, _, _)) = scale {
-            let max_regress_scale: f64 = match arg_value(&args, "--max-regress-scale") {
-                Some(v) => match v.parse() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        eprintln!("regression gate error: invalid --max-regress-scale value `{v}`");
-                        std::process::exit(1);
-                    }
-                },
-                None => 0.35,
-            };
-            if let Some(ref_scale) = reference.scale_pps {
-                match check_scale_regression(scale_pps, ref_scale, max_regress_scale) {
-                    Ok(change) => eprintln!(
-                        "scale gate OK: {:.1} pkt/s vs reference {:.1} pkt/s \
-                         ({:+.1}% change, budget -{:.0}%)",
-                        scale_pps,
-                        ref_scale,
-                        change * 100.0,
-                        max_regress_scale * 100.0
-                    ),
-                    Err(msg) => {
-                        eprintln!("THROUGHPUT REGRESSION: {msg}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                eprintln!("scale gate skipped: reference records no scale_pps");
-            }
-            let max_grow: f64 = match arg_value(&args, "--max-grow-bytes-per-flow") {
-                Some(v) => match v.parse() {
-                    Ok(m) => m,
-                    Err(_) => {
-                        eprintln!(
-                            "regression gate error: invalid --max-grow-bytes-per-flow value `{v}`"
-                        );
-                        std::process::exit(1);
-                    }
-                },
-                None => 0.25,
-            };
-            if let Some(ref_bpf) = reference.bytes_per_flow {
-                match check_memory_regression(bytes_per_flow, ref_bpf, max_grow) {
-                    Ok(change) => eprintln!(
-                        "memory gate OK: {:.0} bytes/flow vs reference {:.0} \
-                         ({:+.1}% change, budget +{:.0}%)",
-                        bytes_per_flow,
-                        ref_bpf,
-                        change * 100.0,
-                        max_grow * 100.0
-                    ),
-                    Err(msg) => {
-                        eprintln!("THROUGHPUT REGRESSION: {msg}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                eprintln!("memory gate skipped: reference records no bytes_per_flow");
-            }
-        } else if reference.scale_pps.is_some() || reference.bytes_per_flow.is_some() {
-            eprintln!(
-                "scale gates skipped: reference records scale numbers but this run \
-                 did not measure the churn phase (use --preset scale or --churn-flows)"
-            );
-        }
+    if let Some(path) = json_path {
+        let json = serde_json::to_string_pretty(&report).expect("serialize report");
+        std::fs::write(&path, json).expect("write throughput json");
+        eprintln!("wrote {path}");
     }
 
-    // Optional absolute quant floor — independent of any reference
-    // record. The relative quant gate runs against the AVX2-recorded
-    // reference (~1.11x), whose 30% budget bottoms out below 1.0, so
-    // "int8 slower than f32" needs this absolute check; CI passes 1.0.
-    if let Some(v) = arg_value(&args, "--min-quant-speedup") {
-        let floor: f64 = match v.parse() {
-            Ok(f) => f,
-            Err(_) => {
-                eprintln!("regression gate error: invalid --min-quant-speedup value `{v}`");
-                std::process::exit(1);
-            }
+    // Measured figures in `GATES` order; bytes/flow is NaN without the
+    // churn phase, which its gate rejects. An unparseable bound must fail
+    // the gate, never skip it.
+    let measured = [
+        report.quant_speedup,
+        report.shard_scaling,
+        report.telemetry_overhead,
+        scale.as_ref().map_or(f64::NAN, |(_, b, _, _)| *b),
+    ];
+    let mut failed = false;
+    for (gate, measured) in GATES.iter().zip(measured) {
+        let Some(v) = arg_value(&args, gate.flag) else {
+            continue;
         };
-        if !measure_quant {
-            eprintln!("regression gate error: --min-quant-speedup requires --quant int8");
-            std::process::exit(1);
-        }
-        match check_quant_floor(report.quant_speedup, floor) {
-            Ok(()) => eprintln!(
-                "quant floor gate OK: {:.2}x over f32 fused (floor {:.2}x)",
-                report.quant_speedup, floor
-            ),
+        let verdict = match v.parse::<f64>() {
+            Ok(bound) => gate.check(measured, bound),
+            Err(_) => Err(format!("invalid {} value `{v}`", gate.flag)),
+        };
+        match verdict {
+            Ok(()) => eprintln!("gate OK: {} {measured:.4} ({} {v})", gate.metric, gate.flag),
             Err(msg) => {
-                eprintln!("THROUGHPUT REGRESSION: {msg}");
-                std::process::exit(1);
+                eprintln!("GATE FAILED: {msg}");
+                failed = true;
             }
         }
     }
-
-    // Optional absolute telemetry-tax ceiling — independent of any
-    // reference record: attached and detached runs come from one process
-    // back to back, so machine speed cancels out of the ratio and an
-    // absolute budget is meaningful everywhere.
-    if let Some(v) = arg_value(&args, "--max-telemetry-overhead") {
-        let budget: f64 = match v.parse() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("regression gate error: invalid --max-telemetry-overhead value `{v}`");
-                std::process::exit(1);
-            }
-        };
-        match check_telemetry_overhead(report.telemetry_overhead, budget) {
-            Ok(()) => eprintln!(
-                "telemetry overhead gate OK: {:+.2}% within the {:.0}% budget",
-                report.telemetry_overhead * 100.0,
-                budget * 100.0
-            ),
-            Err(msg) => {
-                eprintln!("THROUGHPUT REGRESSION: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // Optional absolute per-flow memory ceiling — independent of any
-    // reference record: the per-flow byte budget is a design property of
-    // the slab + resident-int8 layout, so CI pins the absolute number.
-    if let Some(v) = arg_value(&args, "--max-bytes-per-flow") {
-        let ceiling: f64 = match v.parse() {
-            Ok(c) => c,
-            Err(_) => {
-                eprintln!("regression gate error: invalid --max-bytes-per-flow value `{v}`");
-                std::process::exit(1);
-            }
-        };
-        let Some((_, bytes_per_flow, _, _)) = scale else {
-            eprintln!(
-                "regression gate error: --max-bytes-per-flow requires the churn phase \
-                 (use --preset scale or --churn-flows)"
-            );
-            std::process::exit(1);
-        };
-        match check_bytes_per_flow(bytes_per_flow, ceiling) {
-            Ok(()) => eprintln!(
-                "bytes/flow gate OK: {bytes_per_flow:.0} within the {ceiling:.0}-byte ceiling"
-            ),
-            Err(msg) => {
-                eprintln!("THROUGHPUT REGRESSION: {msg}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // Optional absolute scaling floor — independent of any reference
-    // record, and the only check that catches a silently serialized
-    // sharded path (see the module docs for why it ships disabled).
-    if let Some(v) = arg_value(&args, "--min-shard-scaling") {
-        let floor: f64 = match v.parse() {
-            Ok(f) => f,
-            Err(_) => {
-                eprintln!("regression gate error: invalid --min-shard-scaling value `{v}`");
-                std::process::exit(1);
-            }
-        };
-        match check_shard_scaling_floor(report.shard_scaling, floor) {
-            Ok(()) => eprintln!(
-                "shard scaling gate OK: {:.2}x over 1-thread streaming (floor {:.2}x)",
-                report.shard_scaling, floor
-            ),
-            Err(msg) => {
-                eprintln!("THROUGHPUT REGRESSION: {msg}");
-                std::process::exit(1);
-            }
-        }
+    if failed {
+        std::process::exit(1);
     }
 }

@@ -95,415 +95,92 @@ impl Preset {
     }
 }
 
-/// The subset of a `BENCH_throughput.json` record the CI regression gate
-/// reads. Extra fields in the file are ignored, so references recorded by
-/// older report formats keep working as the report grows fields.
-#[derive(Debug, Clone)]
-pub struct ThroughputReference {
-    /// Packets/second of the fused CLAP engine when the reference was
-    /// recorded.
-    pub clap_fused_pps: f64,
-    /// Fused ÷ unfused packets/second when the reference was recorded.
-    /// Unlike absolute pps this ratio is machine-independent (both
-    /// engines run on the same hardware), so gating on it catches kernel
-    /// regressions that a faster CI runner would otherwise mask. `None`
-    /// for references recorded before the field existed — those gate on
-    /// pps alone.
-    pub fusion_speedup: Option<f64>,
-    /// Packets/second of the RSS-sharded multi-queue streaming engine
-    /// when the reference was recorded. `None` for references recorded
-    /// before sharding existed — those skip the sharded gate.
-    pub clap_sharded_pps: Option<f64>,
-    /// Int8 ÷ f32 fused packets/second when the reference was recorded
-    /// (`exp_throughput --quant int8`). Machine-independent like
-    /// `fusion_speedup` (both engines share the hardware), so gating on
-    /// it catches an int8 kernel regression — or quantization silently
-    /// falling back to f32 — regardless of runner speed. `None` for
-    /// references recorded before quantization existed.
-    pub quant_speedup: Option<f64>,
-    /// Packets/second of the million-flow churn phase (`--preset scale`)
-    /// when the reference was recorded. `None` for references recorded
-    /// before the scale phase existed — those skip the scale gate.
-    pub scale_pps: Option<f64>,
-    /// Heap bytes per peak live flow measured by the churn phase when the
-    /// reference was recorded. Machine-independent (pure data-structure
-    /// layout), so its growth budget can be tight. `None` for references
-    /// recorded before the scale phase existed.
-    pub bytes_per_flow: Option<f64>,
-    /// Micro-batched ÷ per-packet streaming packets/second when the
-    /// reference was recorded (`exp_throughput --microbatch N`). Both
-    /// runs share the corpus, precision and hardware, so the ratio is
-    /// machine-independent like `quant_speedup`; a drop past the budget
-    /// means cross-flow batching stopped paying for itself (a flush
-    /// policy regression, a gather/scatter cost creep, or the batched
-    /// kernels silently degrading to per-row calls). `None` for
-    /// references recorded before micro-batching existed.
-    pub microbatch_speedup: Option<f64>,
+/// Which side of its bound a gated figure must stay on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// A floor: the gate fails when the figure is below the bound.
+    AtLeast,
+    /// A ceiling: the gate fails when the figure is above the bound.
+    AtMost,
 }
 
-/// Deserialization targets for the reference generations (the vendored
-/// serde derive has no `#[serde(default)]`, so optional fields are each
-/// parsed through their own single-field struct, engaged only when the
-/// record mentions the key).
-#[derive(Deserialize)]
-struct ReferencePpsOnly {
-    clap_fused_pps: f64,
+/// One reference-free gate of `exp_throughput`: a figure whose two sides
+/// are measured back to back in one process (so machine speed cancels) or
+/// that is pure data-structure layout, compared with a bound given on the
+/// command line. Judging a number against an earlier commit is the job of
+/// `benchmark/`, not of these.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    /// The option that enables the gate and carries its bound.
+    pub flag: &'static str,
+    /// Name of the gated figure in the report.
+    pub metric: &'static str,
+    pub direction: Direction,
 }
 
-#[derive(Deserialize)]
-struct ReferenceSpeedupField {
-    fusion_speedup: f64,
-}
+/// Every gate `exp_throughput` knows, in the order it checks them.
+pub const GATES: [Gate; 4] = [
+    // Int8 ÷ f32 fused packets/second. At 1.0 it asserts the quantized
+    // engine is never slower than f32 on the measuring machine.
+    Gate {
+        flag: "--min-quant-speedup",
+        metric: "quant_speedup",
+        direction: Direction::AtLeast,
+    },
+    // Sharded ÷ single-thread streaming packets/second: the only check
+    // that catches a sharded path that silently serialized. It depends on
+    // core count (about 0.9 is the ceiling on one core, 4 shards on 4
+    // cores should clear 2.5), so set it only where the cores exist.
+    Gate {
+        flag: "--min-shard-scaling",
+        metric: "shard_scaling",
+        direction: Direction::AtLeast,
+    },
+    // 1 − attached ÷ detached streaming packets/second, the median over
+    // alternating pairs. Noise pushes it below zero whenever the attached
+    // run happens to be faster; that is a pass.
+    Gate {
+        flag: "--max-telemetry-overhead",
+        metric: "telemetry_overhead",
+        direction: Direction::AtMost,
+    },
+    // Flow-table heap bytes per peak live flow of the churn phase: a
+    // property of the slab + resident-int8 layout, not of machine speed,
+    // so the ceiling is absolute. Unmeasured (no churn phase) is NaN.
+    Gate {
+        flag: "--max-bytes-per-flow",
+        metric: "bytes_per_flow",
+        direction: Direction::AtMost,
+    },
+];
 
-#[derive(Deserialize)]
-struct ReferenceShardedField {
-    clap_sharded_pps: f64,
-}
-
-#[derive(Deserialize)]
-struct ReferenceQuantField {
-    quant_speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct ReferenceScalePpsField {
-    scale_pps: f64,
-}
-
-#[derive(Deserialize)]
-struct ReferenceBytesPerFlowField {
-    bytes_per_flow: f64,
-}
-
-#[derive(Deserialize)]
-struct ReferenceMicrobatchField {
-    microbatch_speedup: f64,
-}
-
-/// Parses an optional reference field: absent key → `None`, present but
-/// unparseable or non-finite → hard error. Silently downgrading a broken
-/// field to "absent" would disable its gate exactly when the file is
-/// broken, so that path does not exist.
-fn optional_metric<T: Deserialize>(
-    json: &str,
-    key: &str,
-    value: impl Fn(T) -> f64,
-) -> Result<Option<f64>, String> {
-    if !json.contains(&format!("\"{key}\"")) {
-        return Ok(None);
+impl Gate {
+    /// Passes when `measured` is on the allowed side of `bound`, the bound
+    /// itself included. A non-finite measurement or bound fails — a NaN
+    /// (how an unmeasured figure arrives) must not sail through a
+    /// comparison.
+    pub fn check(&self, measured: f64, bound: f64) -> Result<(), String> {
+        let Gate { flag, metric, .. } = *self;
+        if !bound.is_finite() {
+            return Err(format!("{flag} bound {bound} is not a finite number"));
+        }
+        if !measured.is_finite() {
+            return Err(format!(
+                "measured {metric} is {measured}, not a number (was it measured?)"
+            ));
+        }
+        let (ok, side) = match self.direction {
+            Direction::AtLeast => (measured >= bound, "below the floor"),
+            Direction::AtMost => (measured <= bound, "above the ceiling"),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "{metric} {measured:.4} is {side} {bound:.4} ({flag})"
+            ))
+        }
     }
-    let parsed = serde_json::from_str::<T>(json)
-        .map_err(|e| format!("cannot parse reference {key}: {e:?}"))?;
-    let v = value(parsed);
-    // The vendored JSON parser maps type mismatches to NaN rather than
-    // failing; treat that as the parse error it is.
-    if !v.is_finite() {
-        return Err(format!("reference {key} is not a finite number ({v})"));
-    }
-    Ok(Some(v))
-}
-
-impl ThroughputReference {
-    /// Parses a reference record, accepting every recorded generation:
-    /// pps-only (PR 2), pps + `fusion_speedup` (PR 3), pps + speedup +
-    /// `clap_sharded_pps` (PR 4), + `quant_speedup` (PR 5), and +
-    /// `microbatch_speedup` (PR 8). A record
-    /// that *mentions* an optional field but fails to parse it is a hard
-    /// error — silently downgrading would disable that gate exactly when
-    /// the file is broken.
-    pub fn from_json(json: &str) -> Result<ThroughputReference, String> {
-        let base = serde_json::from_str::<ReferencePpsOnly>(json)
-            .map_err(|e| format!("cannot parse reference: {e:?}"))?;
-        Ok(ThroughputReference {
-            clap_fused_pps: base.clap_fused_pps,
-            fusion_speedup: optional_metric(json, "fusion_speedup", |r: ReferenceSpeedupField| {
-                r.fusion_speedup
-            })?,
-            clap_sharded_pps: optional_metric(
-                json,
-                "clap_sharded_pps",
-                |r: ReferenceShardedField| r.clap_sharded_pps,
-            )?,
-            quant_speedup: optional_metric(json, "quant_speedup", |r: ReferenceQuantField| {
-                r.quant_speedup
-            })?,
-            scale_pps: optional_metric(json, "scale_pps", |r: ReferenceScalePpsField| r.scale_pps)?,
-            bytes_per_flow: optional_metric(
-                json,
-                "bytes_per_flow",
-                |r: ReferenceBytesPerFlowField| r.bytes_per_flow,
-            )?,
-            microbatch_speedup: optional_metric(
-                json,
-                "microbatch_speedup",
-                |r: ReferenceMicrobatchField| r.microbatch_speedup,
-            )?,
-        })
-    }
-
-    /// Loads a reference record from a JSON file (e.g. the checked-in
-    /// `BENCH_reference.json`).
-    pub fn load(path: &str) -> Result<ThroughputReference, String> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read reference {path}: {e}"))?;
-        Self::from_json(&json).map_err(|e| format!("{e} ({path})"))
-    }
-}
-
-/// Generic relative-regression gate: fails when `current` has lost more
-/// than `max_regress` (a fraction, e.g. `0.20` = 20%) of `reference`.
-/// Returns the relative change (`+0.05` = 5% better, `-0.25` = 25% worse)
-/// on success so callers can report the margin. `metric` names the
-/// quantity in error messages.
-///
-/// Non-finite or non-positive measurements and references are rejected
-/// outright — a NaN must fail the gate, not sail through a comparison.
-pub fn check_metric_regression(
-    metric: &str,
-    current: f64,
-    reference: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    if !reference.is_finite() || reference <= 0.0 {
-        return Err(format!(
-            "reference {metric} {reference} is not a positive number"
-        ));
-    }
-    if !current.is_finite() || current <= 0.0 {
-        return Err(format!(
-            "measured {metric} {current} is not a positive number"
-        ));
-    }
-    let change = current / reference - 1.0;
-    let floor = reference * (1.0 - max_regress);
-    if current < floor {
-        return Err(format!(
-            "{metric} regressed {:.1}% (measured {current:.2} vs reference {reference:.2}, \
-             budget {:.0}%)",
-            -change * 100.0,
-            max_regress * 100.0,
-        ));
-    }
-    Ok(change)
-}
-
-/// The CI throughput-regression gate on absolute fused packets/second.
-/// Machine-relative: a slower or faster CI runner shifts both sides, so
-/// pair it with [`check_speedup_regression`].
-pub fn check_throughput_regression(
-    current_pps: f64,
-    reference_pps: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    check_metric_regression("fused throughput", current_pps, reference_pps, max_regress)
-}
-
-/// The machine-independent second line of defense: gates the fused ÷
-/// unfused `fusion_speedup` ratio. Runner speed drift cancels out of the
-/// ratio, so a kernel regression cannot hide behind a faster machine.
-pub fn check_speedup_regression(
-    current_speedup: f64,
-    reference_speedup: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    check_metric_regression(
-        "fusion speedup",
-        current_speedup,
-        reference_speedup,
-        max_regress,
-    )
-}
-
-/// The sharded-streaming throughput gate. Machine-relative like the
-/// fused-pps gate (core count *and* clock shift it), so the checked-in
-/// reference is recorded on the smallest supported machine and the budget
-/// is sized generously; what this gate reliably catches is the sharded
-/// path collapsing — a serialization bug, a livelocked queue, a
-/// mis-hashed partition doing duplicate work.
-pub fn check_sharded_regression(
-    current_pps: f64,
-    reference_pps: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    check_metric_regression(
-        "sharded throughput",
-        current_pps,
-        reference_pps,
-        max_regress,
-    )
-}
-
-/// The int8 quantization gate: int8 ÷ f32 fused packets/second. Machine
-/// speed cancels out of the ratio (both engines run back to back on the
-/// same corpus and hardware), so a drop past the budget means the int8
-/// kernels regressed or the dispatcher stopped picking them up — a faster
-/// runner cannot mask it. Note the *relative* budget, applied to an
-/// AVX2-recorded reference (~1.11×), leaves a floor below 1.0; pair with
-/// [`check_quant_floor`] to assert "int8 is never slower than f32"
-/// absolutely.
-pub fn check_quant_regression(
-    current_speedup: f64,
-    reference_speedup: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    check_metric_regression(
-        "quant speedup",
-        current_speedup,
-        reference_speedup,
-        max_regress,
-    )
-}
-
-/// Absolute floor on the int8 ÷ f32 fused ratio (`exp_throughput
-/// --min-quant-speedup`). Independent of any reference record: with the
-/// floor at `1.0` it asserts the quantized engine is never slower than
-/// f32 on the measuring runner — the case the relative gate cannot catch
-/// when its reference was recorded on a weaker-int8 ISA.
-pub fn check_quant_floor(speedup: f64, floor: f64) -> Result<(), String> {
-    if !speedup.is_finite() || speedup <= 0.0 {
-        return Err(format!(
-            "measured quant_speedup {speedup} is not a positive number"
-        ));
-    }
-    if speedup < floor {
-        return Err(format!(
-            "quant speedup {speedup:.2}x is below the required floor {floor:.2}x \
-             (the int8 engine is not paying for itself)"
-        ));
-    }
-    Ok(())
-}
-
-/// Absolute floor on the sharded ÷ single-thread streaming scaling factor
-/// (`exp_throughput --min-shard-scaling`). This is the only gate that can
-/// catch "sharding silently adds nothing" (e.g. an accidental global
-/// lock): the relative pps gates pass a fully serialized sharded path
-/// whenever the runner is faster than the reference machine. The floor is
-/// core-count-dependent — ~0.9 is the ceiling on a single-core box, while
-/// a 4-core runner should clear 2.5 — so it ships disabled by default and
-/// is meant to be enabled in CI alongside a multi-core-recorded
-/// `BENCH_reference.json`.
-pub fn check_shard_scaling_floor(scaling: f64, floor: f64) -> Result<(), String> {
-    if !scaling.is_finite() || scaling <= 0.0 {
-        return Err(format!(
-            "measured shard_scaling {scaling} is not a positive number"
-        ));
-    }
-    if scaling < floor {
-        return Err(format!(
-            "shard scaling {scaling:.2}x is below the required floor {floor:.2}x \
-             (the sharded path is not using its cores)"
-        ));
-    }
-    Ok(())
-}
-
-/// The cross-flow micro-batching gate: micro-batched ÷ per-packet
-/// streaming packets/second (`exp_throughput --microbatch N`). Machine
-/// speed cancels out of the ratio (both streaming runs share corpus,
-/// precision and hardware back to back), so a drop past the budget means
-/// the batching layer itself regressed — a faster runner cannot mask it.
-pub fn check_microbatch_regression(
-    current_speedup: f64,
-    reference_speedup: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    check_metric_regression(
-        "microbatch speedup",
-        current_speedup,
-        reference_speedup,
-        max_regress,
-    )
-}
-
-/// The churn-phase throughput gate (`--preset scale`): packets/second
-/// sustained against a million-flow table. Machine-relative like the
-/// fused-pps gate, so the budget is sized generously; what it reliably
-/// catches is the flow-table substrate collapsing — a scan creeping back
-/// into the hot path, an O(n) eviction, a map rebuild storm.
-pub fn check_scale_regression(
-    current_pps: f64,
-    reference_pps: f64,
-    max_regress: f64,
-) -> Result<f64, String> {
-    check_metric_regression("scale throughput", current_pps, reference_pps, max_regress)
-}
-
-/// The per-flow memory gate, relative form: fails when the churn phase's
-/// measured bytes/flow has *grown* more than `max_growth` (a fraction)
-/// over the reference record. Unlike the throughput gates this one is
-/// machine-independent — bytes/flow is pure data-structure layout — so
-/// the budget can be tight. Returns the relative change (`+0.10` = 10%
-/// fatter) on success.
-pub fn check_memory_regression(
-    current: f64,
-    reference: f64,
-    max_growth: f64,
-) -> Result<f64, String> {
-    if !reference.is_finite() || reference <= 0.0 {
-        return Err(format!(
-            "reference bytes_per_flow {reference} is not a positive number"
-        ));
-    }
-    if !current.is_finite() || current <= 0.0 {
-        return Err(format!(
-            "measured bytes_per_flow {current} is not a positive number"
-        ));
-    }
-    let change = current / reference - 1.0;
-    let ceiling = reference * (1.0 + max_growth);
-    if current > ceiling {
-        return Err(format!(
-            "bytes_per_flow grew {:.1}% (measured {current:.0} vs reference {reference:.0}, \
-             budget +{:.0}%)",
-            change * 100.0,
-            max_growth * 100.0,
-        ));
-    }
-    Ok(change)
-}
-
-/// Absolute ceiling on the churn phase's bytes/flow (`exp_throughput
-/// --max-bytes-per-flow`). Independent of any reference record: the
-/// per-flow budget is a design property of the slab + resident-int8
-/// layout (see `clap_core::stream` docs), so CI pins the absolute number
-/// rather than only its drift.
-pub fn check_bytes_per_flow(bytes_per_flow: f64, ceiling: f64) -> Result<(), String> {
-    if !bytes_per_flow.is_finite() || bytes_per_flow <= 0.0 {
-        return Err(format!(
-            "measured bytes_per_flow {bytes_per_flow} is not a positive number"
-        ));
-    }
-    if bytes_per_flow > ceiling {
-        return Err(format!(
-            "bytes_per_flow {bytes_per_flow:.0} exceeds the ceiling {ceiling:.0} \
-             (the flow table no longer fits its per-flow budget)"
-        ));
-    }
-    Ok(())
-}
-
-/// Absolute ceiling on the telemetry tax (`exp_throughput
-/// --max-telemetry-overhead`): the fractional single-stream pps cost of
-/// running with live counters + stage clocks attached versus detached,
-/// measured back to back in one process (machine speed cancels out).
-/// Negative overhead (telemetry-on measuring faster, i.e. noise) passes;
-/// a non-finite measurement or a cost past the budget fails.
-pub fn check_telemetry_overhead(overhead: f64, budget: f64) -> Result<(), String> {
-    if !overhead.is_finite() {
-        return Err(format!(
-            "measured telemetry_overhead {overhead} is not a number"
-        ));
-    }
-    if overhead > budget {
-        return Err(format!(
-            "telemetry overhead {:.2}% exceeds the {:.2}% budget \
-             (the observability plane is taxing the hot path)",
-            overhead * 100.0,
-            budget * 100.0,
-        ));
-    }
-    Ok(())
 }
 
 /// Renders the deterministic per-flow verdict table of a streaming replay:
@@ -956,319 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn regression_gate_passes_within_budget() {
-        // Faster than reference: positive change.
-        let change = check_throughput_regression(1200.0, 1000.0, 0.20).unwrap();
-        assert!((change - 0.2).abs() < 1e-9);
-        // 10% slower is inside a 20% budget.
-        let change = check_throughput_regression(900.0, 1000.0, 0.20).unwrap();
-        assert!((change + 0.1).abs() < 1e-9);
-        // Exactly on the floor passes (the gate fires strictly below it).
-        assert!(check_throughput_regression(800.0, 1000.0, 0.20).is_ok());
-    }
-
-    #[test]
-    fn regression_gate_fails_past_budget() {
-        let err = check_throughput_regression(799.0, 1000.0, 0.20).unwrap_err();
-        assert!(err.contains("regressed"), "unexpected message: {err}");
-        assert!(check_throughput_regression(500.0, 1000.0, 0.20).is_err());
-    }
-
-    #[test]
-    fn regression_gate_rejects_garbage_inputs() {
-        assert!(check_throughput_regression(f64::NAN, 1000.0, 0.20).is_err());
-        assert!(check_throughput_regression(1000.0, f64::NAN, 0.20).is_err());
-        assert!(check_throughput_regression(1000.0, 0.0, 0.20).is_err());
-        assert!(check_throughput_regression(-5.0, 1000.0, 0.20).is_err());
-        assert!(check_throughput_regression(1000.0, f64::INFINITY, 0.20).is_err());
-    }
-
-    #[test]
-    fn reference_parsing_ignores_extra_fields() {
-        // A full report record (with fields the gate does not read) must
-        // parse as a reference.
-        let json = r#"{
-            "preset": "ci",
-            "threads": 1,
-            "clap_fused_pps": 27767.36,
-            "clap_unfused_pps": 8982.54,
-            "fusion_speedup": 3.09
-        }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert!((reference.clap_fused_pps - 27767.36).abs() < 1e-9);
-        assert!((reference.fusion_speedup.unwrap() - 3.09).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reference_without_speedup_field_still_parses() {
-        // Pre-ratio-gate references carry only pps; the speedup gate must
-        // be skippable, not a parse failure.
-        let json = r#"{ "clap_fused_pps": 1000.0 }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert_eq!(reference.fusion_speedup, None);
-        assert!(ThroughputReference::from_json("{}").is_err());
-    }
-
-    #[test]
-    fn malformed_speedup_field_is_a_hard_error() {
-        // A present-but-broken fusion_speedup must NOT silently downgrade
-        // to a pps-only reference (that would disable the ratio gate).
-        for bad in [
-            r#"{ "clap_fused_pps": 1000.0, "fusion_speedup": "3.1" }"#,
-            r#"{ "clap_fused_pps": 1000.0, "fusion_speedup": null }"#,
-        ] {
-            let err = ThroughputReference::from_json(bad).unwrap_err();
-            assert!(err.contains("fusion_speedup"), "unexpected message: {err}");
-        }
-    }
-
-    #[test]
-    fn speedup_gate_is_machine_independent_defense() {
-        // Within budget: a small ratio dip passes.
-        let change = check_speedup_regression(2.9, 3.0, 0.20).unwrap();
-        assert!(change < 0.0 && change > -0.20);
-        // A halved speedup — e.g. SIMD dispatch silently falling back to
-        // scalar — fails even if absolute pps grew on a faster runner.
-        let err = check_speedup_regression(1.5, 3.1, 0.20).unwrap_err();
-        assert!(
-            err.contains("fusion speedup regressed"),
-            "unexpected message: {err}"
-        );
-        // Garbage ratios are rejected like garbage throughputs.
-        assert!(check_speedup_regression(f64::NAN, 3.0, 0.20).is_err());
-        assert!(check_speedup_regression(3.0, 0.0, 0.20).is_err());
-    }
-
-    #[test]
-    fn reference_with_sharded_pps_parses() {
-        let json = r#"{
-            "preset": "ci",
-            "clap_fused_pps": 27767.36,
-            "fusion_speedup": 3.09,
-            "clap_sharded_pps": 91234.5
-        }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert!((reference.clap_sharded_pps.unwrap() - 91234.5).abs() < 1e-9);
-        assert!((reference.fusion_speedup.unwrap() - 3.09).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reference_without_sharded_pps_skips_that_gate() {
-        let json = r#"{ "clap_fused_pps": 1000.0, "fusion_speedup": 3.0 }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert_eq!(reference.clap_sharded_pps, None);
-    }
-
-    #[test]
-    fn malformed_sharded_pps_is_a_hard_error() {
-        for bad in [
-            r#"{ "clap_fused_pps": 1000.0, "clap_sharded_pps": "fast" }"#,
-            r#"{ "clap_fused_pps": 1000.0, "clap_sharded_pps": null }"#,
-        ] {
-            let err = ThroughputReference::from_json(bad).unwrap_err();
-            assert!(
-                err.contains("clap_sharded_pps"),
-                "unexpected message: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_gate_behaves_like_the_others() {
-        assert!(check_sharded_regression(100_000.0, 90_000.0, 0.35).is_ok());
-        let err = check_sharded_regression(40_000.0, 90_000.0, 0.35).unwrap_err();
-        assert!(
-            err.contains("sharded throughput regressed"),
-            "unexpected message: {err}"
-        );
-        assert!(check_sharded_regression(f64::NAN, 90_000.0, 0.35).is_err());
-    }
-
-    #[test]
-    fn reference_with_quant_speedup_parses() {
-        let json = r#"{
-            "clap_fused_pps": 27767.36,
-            "fusion_speedup": 3.09,
-            "clap_sharded_pps": 91234.5,
-            "quant_speedup": 1.8
-        }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert!((reference.quant_speedup.unwrap() - 1.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reference_without_quant_speedup_skips_that_gate() {
-        let json = r#"{ "clap_fused_pps": 1000.0 }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert_eq!(reference.quant_speedup, None);
-    }
-
-    #[test]
-    fn malformed_quant_speedup_is_a_hard_error() {
-        for bad in [
-            r#"{ "clap_fused_pps": 1000.0, "quant_speedup": "2x" }"#,
-            r#"{ "clap_fused_pps": 1000.0, "quant_speedup": null }"#,
-        ] {
-            let err = ThroughputReference::from_json(bad).unwrap_err();
-            assert!(err.contains("quant_speedup"), "unexpected message: {err}");
-        }
-    }
-
-    #[test]
-    fn quant_gate_behaves_like_the_others() {
-        assert!(check_quant_regression(1.7, 1.8, 0.30).is_ok());
-        // Int8 degrading to f32 speed (ratio ~1.0) fails against a VNNI
-        // reference outright…
-        let err = check_quant_regression(1.0, 1.8, 0.30).unwrap_err();
-        assert!(
-            err.contains("quant speedup regressed"),
-            "unexpected message: {err}"
-        );
-        // …but slips through the relative budget against the AVX2
-        // reference (1.11 × 0.70 < 1.0) — which is exactly what the
-        // absolute floor exists to catch.
-        assert!(check_quant_regression(1.0, 1.11, 0.30).is_ok());
-        assert!(check_quant_floor(1.0, 1.0).is_ok());
-        let err = check_quant_floor(0.93, 1.0).unwrap_err();
-        assert!(
-            err.contains("below the required floor"),
-            "unexpected message: {err}"
-        );
-        assert!(check_quant_floor(f64::NAN, 1.0).is_err());
-        assert!(check_quant_floor(-1.0, 1.0).is_err());
-        assert!(check_quant_regression(f64::NAN, 1.8, 0.30).is_err());
-        assert!(check_quant_regression(1.8, 0.0, 0.30).is_err());
-    }
-
-    #[test]
-    fn reference_with_microbatch_speedup_parses() {
-        let json = r#"{
-            "clap_fused_pps": 27767.36,
-            "quant_speedup": 1.8,
-            "microbatch_speedup": 1.45
-        }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert!((reference.microbatch_speedup.unwrap() - 1.45).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reference_without_microbatch_speedup_skips_that_gate() {
-        let json = r#"{ "clap_fused_pps": 1000.0 }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert_eq!(reference.microbatch_speedup, None);
-    }
-
-    #[test]
-    fn malformed_microbatch_speedup_is_a_hard_error() {
-        for bad in [
-            r#"{ "clap_fused_pps": 1000.0, "microbatch_speedup": "2x" }"#,
-            r#"{ "clap_fused_pps": 1000.0, "microbatch_speedup": null }"#,
-        ] {
-            let err = ThroughputReference::from_json(bad).unwrap_err();
-            assert!(
-                err.contains("microbatch_speedup"),
-                "unexpected message: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn microbatch_gate_behaves_like_the_others() {
-        assert!(check_microbatch_regression(1.4, 1.5, 0.30).is_ok());
-        let err = check_microbatch_regression(0.9, 1.5, 0.30).unwrap_err();
-        assert!(
-            err.contains("microbatch speedup regressed"),
-            "unexpected message: {err}"
-        );
-        assert!(check_microbatch_regression(f64::NAN, 1.5, 0.30).is_err());
-        assert!(check_microbatch_regression(1.5, 0.0, 0.30).is_err());
-    }
-
-    #[test]
-    fn reference_with_scale_fields_parses() {
-        let json = r#"{
-            "clap_fused_pps": 27767.36,
-            "scale_pps": 48000.5,
-            "bytes_per_flow": 540.0
-        }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert!((reference.scale_pps.unwrap() - 48000.5).abs() < 1e-9);
-        assert!((reference.bytes_per_flow.unwrap() - 540.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reference_without_scale_fields_skips_those_gates() {
-        let json = r#"{ "clap_fused_pps": 1000.0 }"#;
-        let reference = ThroughputReference::from_json(json).unwrap();
-        assert_eq!(reference.scale_pps, None);
-        assert_eq!(reference.bytes_per_flow, None);
-    }
-
-    #[test]
-    fn malformed_scale_fields_are_hard_errors() {
-        for (bad, key) in [
-            (
-                r#"{ "clap_fused_pps": 1000.0, "scale_pps": "fast" }"#,
-                "scale_pps",
-            ),
-            (
-                r#"{ "clap_fused_pps": 1000.0, "bytes_per_flow": null }"#,
-                "bytes_per_flow",
-            ),
-        ] {
-            let err = ThroughputReference::from_json(bad).unwrap_err();
-            assert!(err.contains(key), "unexpected message: {err}");
-        }
-    }
-
-    #[test]
-    fn scale_gate_behaves_like_the_others() {
-        assert!(check_scale_regression(45_000.0, 48_000.0, 0.35).is_ok());
-        let err = check_scale_regression(20_000.0, 48_000.0, 0.35).unwrap_err();
-        assert!(
-            err.contains("scale throughput regressed"),
-            "unexpected message: {err}"
-        );
-        assert!(check_scale_regression(f64::NAN, 48_000.0, 0.35).is_err());
-    }
-
-    #[test]
-    fn memory_gate_fails_on_growth_not_shrinkage() {
-        // Memory regressions point the other way: shrinking is always
-        // fine, growing past the budget fails.
-        let change = check_memory_regression(500.0, 540.0, 0.10).unwrap();
-        assert!(change < 0.0);
-        assert!(check_memory_regression(590.0, 540.0, 0.10).is_ok());
-        let err = check_memory_regression(700.0, 540.0, 0.10).unwrap_err();
-        assert!(err.contains("bytes_per_flow grew"), "unexpected: {err}");
-        assert!(check_memory_regression(f64::NAN, 540.0, 0.10).is_err());
-        assert!(check_memory_regression(540.0, 0.0, 0.10).is_err());
-    }
-
-    #[test]
-    fn bytes_per_flow_ceiling_gate() {
-        assert!(check_bytes_per_flow(540.0, 700.0).is_ok());
-        assert!(check_bytes_per_flow(700.0, 700.0).is_ok());
-        let err = check_bytes_per_flow(701.0, 700.0).unwrap_err();
-        assert!(err.contains("exceeds the ceiling"), "unexpected: {err}");
-        assert!(check_bytes_per_flow(f64::NAN, 700.0).is_err());
-        assert!(check_bytes_per_flow(-5.0, 700.0).is_err());
-    }
-
-    #[test]
-    fn telemetry_overhead_gate() {
-        assert!(check_telemetry_overhead(0.01, 0.02).is_ok());
-        assert!(check_telemetry_overhead(0.02, 0.02).is_ok());
-        // Noise can make the telemetry-on run the faster one; a negative
-        // overhead is a pass, never an error.
-        assert!(check_telemetry_overhead(-0.05, 0.02).is_ok());
-        let err = check_telemetry_overhead(0.08, 0.02).unwrap_err();
-        assert!(err.contains("exceeds the"), "unexpected message: {err}");
-        assert!(check_telemetry_overhead(f64::NAN, 0.02).is_err());
-        assert!(check_telemetry_overhead(f64::INFINITY, 0.02).is_err());
-    }
-
-    #[test]
     fn scale_preset_rides_on_ci_models() {
         let s = Preset::scale();
         let ci = Preset::ci();
@@ -1282,15 +646,45 @@ mod tests {
     }
 
     #[test]
-    fn shard_scaling_floor_gate() {
-        assert!(check_shard_scaling_floor(2.8, 2.5).is_ok());
-        let err = check_shard_scaling_floor(1.02, 2.5).unwrap_err();
-        assert!(
-            err.contains("below the required floor"),
-            "unexpected message: {err}"
-        );
-        assert!(check_shard_scaling_floor(f64::NAN, 2.5).is_err());
-        assert!(check_shard_scaling_floor(-1.0, 2.5).is_err());
+    fn every_gate_holds_at_its_bound_and_fails_past_it() {
+        let mut flags: Vec<&str> = GATES.iter().map(|g| g.flag).collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert_eq!(flags.len(), GATES.len(), "gate flags must be distinct");
+        for gate in GATES {
+            let bound = 2.5;
+            let (inside, past) = match gate.direction {
+                Direction::AtLeast => (bound + 0.5, bound - 0.01),
+                Direction::AtMost => (bound - 0.5, bound + 0.01),
+            };
+            assert!(gate.check(bound, bound).is_ok(), "{} at bound", gate.flag);
+            assert!(gate.check(inside, bound).is_ok(), "{} inside", gate.flag);
+            let err = gate.check(past, bound).unwrap_err();
+            assert!(
+                err.contains(gate.metric) && err.contains(gate.flag),
+                "{err}"
+            );
+            for garbage in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                assert!(
+                    gate.check(garbage, bound).is_err(),
+                    "{} {garbage}",
+                    gate.flag
+                );
+                assert!(gate.check(1.0, garbage).is_err(), "{} bound", gate.flag);
+            }
+            // A zero or negative ratio misses any positive floor. Under a
+            // ceiling it passes: a negative telemetry overhead is noise,
+            // and an unmeasured size arrives as NaN, not as zero.
+            for reading in [0.0, -5.0] {
+                let passed = gate.check(reading, bound).is_ok();
+                assert_eq!(
+                    passed,
+                    gate.direction == Direction::AtMost,
+                    "{} {reading}",
+                    gate.flag
+                );
+            }
+        }
     }
 
     #[test]
@@ -1325,11 +719,5 @@ mod tests {
         let top = verdict_table(&closed, 1);
         assert!(top.contains("0.750000"), "top-1 keeps the highest score");
         assert!(!top.contains("0.500000"));
-    }
-
-    #[test]
-    fn reference_load_reports_missing_file() {
-        let err = ThroughputReference::load("/nonexistent/BENCH_reference.json").unwrap_err();
-        assert!(err.contains("cannot read"), "unexpected message: {err}");
     }
 }

@@ -75,19 +75,19 @@
 //! * **Feature detection.** [`simd::KernelSet::active`] probes the CPU
 //!   with `is_x86_feature_detected!` and picks the widest supported set:
 //!   `avx512vnni` (AVX-512F+BW+VNNI — adds `vpdpbusd` int8 dots) →
-//!   `avx512` (AVX-512F, 16-lane) → `avxvnni` (AVX2 + 256-bit
-//!   `vpdpbusd`, for AVX2-class client CPUs with AVX-VNNI) → `avx2`
-//!   (AVX2+FMA, 8-lane) → `scalar`. The SIMD sets are explicit `std::arch::x86_64` intrinsic
+//!   `avx512` (AVX-512F, 16-lane) → `avx2` (AVX2+FMA, 8-lane) →
+//!   `scalar`. The SIMD sets are explicit `std::arch::x86_64` intrinsic
 //!   kernels, so vectorized builds no longer depend on
 //!   `-C target-cpu=native`; non-x86 targets always get the scalar set.
 //! * **Override.** Setting the `NEURAL_FORCE_SCALAR` environment variable
 //!   (to anything but `0`/empty/`false`) pins the scalar reference set —
 //!   CI runs the whole suite that way.
-//!   `NEURAL_KERNELS=scalar|avx2|avxvnni|avx512|avx512vnni` requests a specific
-//!   set (best effort: unsupported requests fall back to the ladder),
-//!   e.g. to benchmark the AVX2 path on an AVX-512 machine. Tests can also fetch a specific set
-//!   ([`simd::KernelSet::scalar`], `avx2()`, `avx512()`) and call its
-//!   kernels directly without affecting the process-wide choice.
+//!   `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific
+//!   set (best effort: unsupported or unknown requests fall back to the
+//!   ladder), e.g. to benchmark the AVX2 path on an AVX-512 machine.
+//!   Tests can also fetch a specific set ([`simd::KernelSet::scalar`],
+//!   `avx2()`, `avx512()`, `avx512vnni()`) and call its kernels directly
+//!   without affecting the process-wide choice.
 //! * **Adding an ISA.** Implement the eleven kernel functions (dot, dot4,
 //!   axpy, bias_act, gru_gates, sum_abs_diff, plus the int8 kernels
 //!   dot_i8, dot4_i8, act_range, act_encode and the fused
@@ -136,15 +136,13 @@
 //!   code instead of coarsening the entire row's grid — shrinking the
 //!   int8-vs-f32 drift tail on corrupted traffic (still bounded by the
 //!   clap-core calibration harness).
-//! * **The vnni ladder.** Int8 dot kernels live in the same dispatched
+//! * **The int8 ladder.** Int8 dot kernels live in the same dispatched
 //!   [`KernelSet`]: `avx512vnni` (`vpdpbusd`, u8×i8 quads straight into
-//!   i32 lanes) → `avx512` (256-bit `maddubs` + `madd`) → `avxvnni`
-//!   (256-bit `vpdpbusd` — lifts the ≈1.1× maddubs ceiling on
-//!   AVX2-class client CPUs) → `avx2` → scalar.
-//!   `NEURAL_KERNELS=avx512vnni|avxvnni` join the existing override
-//!   values. The recurrent matvec's activation re-quantization is fused
-//!   into the first 4-row dot quad (`encode_dot4_i8`), eliminating one
-//!   full pass over each freshly-encoded activation row.
+//!   i32 lanes) → `avx512` and `avx2` (both the 256-bit `maddubs` +
+//!   `madd` kernels) → scalar. The recurrent matvec's activation
+//!   re-quantization is fused into the first 4-row dot quad
+//!   (`encode_dot4_i8`), eliminating one full pass over each
+//!   freshly-encoded activation row.
 //!   Measured on the ci preset (single core): int8 fused scoring is
 //!   ≈1.75× f32 under the vnni tier and ≈1.11× under pure AVX2.
 //! * **Engine selection.** `NEURAL_QUANT=int8` makes every

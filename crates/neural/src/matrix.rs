@@ -329,8 +329,8 @@ impl Matrix {
 /// The seed-era kernels, frozen verbatim. These are the **pre-fusion
 /// baseline**: sequential-sum inner loops whose loop-carried dependency
 /// blocks vectorization. They exist so equivalence tests have an
-/// independent oracle and so `exp_throughput` can measure the fused
-/// engine against exactly what this PR replaced. Not used in production.
+/// independent oracle and the criterion bench a baseline. Not used in
+/// production.
 pub mod naive {
     use super::Matrix;
 

@@ -62,8 +62,7 @@
 //! environment variable once per process — `int8` selects the quantized
 //! engines wherever a scorer is built with the default mode, anything else
 //! (including unset) keeps f32. The int8 kernels themselves live in the
-//! [`KernelSet`] ladder (`avx512vnni → avx512 → avxvnni → avx2 →
-//! scalar`), so
+//! [`KernelSet`] ladder (`avx512vnni → avx512 → avx2 → scalar`), so
 //! `NEURAL_KERNELS`/`NEURAL_FORCE_SCALAR` pin their ISA exactly as for the
 //! f32 kernels.
 

@@ -5,36 +5,34 @@
 //! behind the training GEMMs, the fused GRU gate block of
 //! [`PackedGru::run`]/[`PackedGru::step`], the dense layer's bias +
 //! activation epilogue and the autoencoder's L1 error reduction — is a
-//! function pointer in a [`KernelSet`]. Three sets exist:
+//! function pointer in a [`KernelSet`]. Four sets exist:
 //!
 //! * **scalar** — safe reference implementations written with plain
 //!   multiply/add (no `mul_add`, so they never lower to a slow `fmaf` libm
 //!   call on builds without FMA codegen) and `std` `exp`/`tanh`. This is
 //!   the ground truth the SIMD sets are property-tested against.
 //! * **avx2** — explicit `std::arch::x86_64` AVX2+FMA intrinsics: 8-lane
-//!   FMA dot kernels with register blocking, and a polynomial `exp`
+//!   FMA dot kernels with register blocking, a polynomial `exp`
 //!   (Cephes `expf` constants, ≈2 ulp) powering vectorized
-//!   sigmoid/tanh for the gate block and dense activations.
-//! * **avx512** — the same kernels widened to 16 lanes with masked tails,
-//!   used where AVX-512F is available.
-//!
-//! Two int8-oriented tiers ride on top: **avxvnni** (256-bit `vpdpbusd`
-//! int8 dots over the avx2 f32 kernels, for AVX2-class CPUs without
-//! AVX-512) and **avx512vnni** (512-bit `vpdpbusd` over the avx512 f32
-//! kernels).
+//!   sigmoid/tanh for the gate block and dense activations, and 256-bit
+//!   `maddubs` int8 dots.
+//! * **avx512** — the f32 kernels widened to 16 lanes with masked tails,
+//!   used where AVX-512F is available; int8 dots stay on the avx2
+//!   `maddubs` kernels (AVX-512F has no byte-granular multiply).
+//! * **avx512vnni** — the avx512 f32 kernels plus 512-bit `vpdpbusd` int8
+//!   dots (u8×i8 quads accumulated straight into i32 lanes).
 //!
 //! Selection happens **once per process** via
 //! [`is_x86_feature_detected!`]: [`KernelSet::active`] picks the widest
-//! supported set (avx512vnni → avx512 → avxvnni → avx2 → scalar) and
-//! caches it. Setting the
-//! environment variable `NEURAL_FORCE_SCALAR` (to anything but `0`, the
-//! empty string, or `false`) pins the scalar set — CI runs the whole test
-//! suite that way to keep the reference path exercised — and
-//! `NEURAL_KERNELS=scalar|avx2|avxvnni|avx512|avx512vnni` requests a
-//! specific set, falling
-//! back to the ladder when the CPU lacks it. Tests can also grab a
-//! specific set directly ([`KernelSet::scalar`], [`KernelSet::avx2`],
-//! [`KernelSet::avx512`]) without touching the process-wide choice.
+//! supported set (avx512vnni → avx512 → avx2 → scalar) and caches it.
+//! Setting the environment variable `NEURAL_FORCE_SCALAR` (to anything but
+//! `0`, the empty string, or `false`) pins the scalar set — CI runs the
+//! whole test suite that way to keep the reference path exercised — and
+//! `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific set,
+//! falling back to the ladder when the CPU lacks it or the name is
+//! unknown. Tests can also grab a specific set directly
+//! ([`KernelSet::scalar`], [`KernelSet::avx2`], [`KernelSet::avx512`],
+//! [`KernelSet::avx512vnni`]) without touching the process-wide choice.
 //!
 //! SIMD results differ from scalar only by float reassociation and the
 //! polynomial `exp` (both bounded to 1e-6 by the property tests); within
@@ -66,8 +64,8 @@ type EncodeDot4I8Fn = fn(&[f32], f32, f32, &mut [u8], &[i8], &[i8], &[i8], &[i8]
 /// constructor verified the required CPU features.
 #[derive(Clone, Copy)]
 pub struct KernelSet {
-    /// Kernel family name: `"scalar"`, `"avx2"`, `"avxvnni"`, `"avx512"`
-    /// or `"avx512vnni"`.
+    /// Kernel family name: `"scalar"`, `"avx2"`, `"avx512"` or
+    /// `"avx512vnni"`.
     pub name: &'static str,
     dot: fn(&[f32], &[f32]) -> f32,
     dot4: Dot4Fn,
@@ -268,25 +266,6 @@ impl KernelSet {
         None
     }
 
-    /// The 256-bit AVX-VNNI set, if this CPU supports it: f32 kernels
-    /// identical to [`avx2`](Self::avx2), plus `vpdpbusd` int8 dot kernels
-    /// on 256-bit vectors (u8×i8 quads accumulated straight into i32
-    /// lanes, no `maddubs` i16 stage). This is the fast int8 tier for
-    /// AVX2-class CPUs without AVX-512 (Alder Lake and newer client
-    /// parts). Requires AVX2+FMA+AVX-VNNI.
-    pub fn avxvnni() -> Option<&'static KernelSet> {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2")
-                && is_x86_feature_detected!("fma")
-                && is_x86_feature_detected!("avxvnni")
-            {
-                return Some(&x86::AVXVNNI);
-            }
-        }
-        None
-    }
-
     /// The AVX-512F set, if this CPU supports it. Also requires AVX2+FMA
     /// (true of every AVX-512 CPU shipped): the set's int8 kernels are the
     /// 256-bit `maddubs` path — AVX-512F alone has no byte-granular
@@ -327,7 +306,6 @@ impl KernelSet {
     pub fn available() -> Vec<&'static KernelSet> {
         let mut sets = vec![Self::scalar()];
         sets.extend(Self::avx2());
-        sets.extend(Self::avxvnni());
         sets.extend(Self::avx512());
         sets.extend(Self::avx512vnni());
         sets
@@ -335,9 +313,8 @@ impl KernelSet {
 
     /// The process-wide dispatched set: the widest ISA the CPU supports,
     /// unless `NEURAL_FORCE_SCALAR` pins the scalar reference or
-    /// `NEURAL_KERNELS=scalar|avx2|avxvnni|avx512|avx512vnni` requests a
-    /// specific set (best
-    /// effort — an unsupported or unknown request falls back to the
+    /// `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific
+    /// set (best effort — an unsupported or unknown request falls back to the
     /// normal ladder, so `NEURAL_KERNELS=avx2` on an AVX-512 machine
     /// reproduces what an AVX2-only host would dispatch, e.g. to record a
     /// comparable benchmark reference). Selected on first call, cached
@@ -377,11 +354,6 @@ fn select(force_scalar: bool, requested: Option<&str>) -> &'static KernelSet {
                 return ks;
             }
         }
-        Some("avxvnni") => {
-            if let Some(ks) = KernelSet::avxvnni() {
-                return ks;
-            }
-        }
         Some("avx512") => {
             if let Some(ks) = KernelSet::avx512() {
                 return ks;
@@ -396,7 +368,6 @@ fn select(force_scalar: bool, requested: Option<&str>) -> &'static KernelSet {
     }
     KernelSet::avx512vnni()
         .or_else(KernelSet::avx512)
-        .or_else(KernelSet::avxvnni)
         .or_else(KernelSet::avx2)
         .unwrap_or_else(KernelSet::scalar)
 }
@@ -631,25 +602,6 @@ mod x86 {
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
         encode_dot4_i8: encode_dot4_i8_avx2,
-    };
-
-    /// The 256-bit AVX-VNNI tier: f32 kernels identical to [`AVX2`], int8
-    /// kernels on the VEX-encoded `vpdpbusd` (`_mm256_dpbusd_avx_epi32`)
-    /// — same 256-bit shape as the maddubs kernels but one µop per 32
-    /// products and no i16 stage. For AVX2-class CPUs without AVX-512.
-    pub(super) static AVXVNNI: KernelSet = KernelSet {
-        name: "avxvnni",
-        dot: dot_avx2,
-        dot4: dot4_avx2,
-        axpy: axpy_avx2,
-        bias_act: bias_act_avx2,
-        gru_gates: gru_gates_avx2,
-        sum_abs_diff: sum_abs_diff_avx2,
-        dot_i8: dot_i8_avxvnni,
-        dot4_i8: dot4_i8_avxvnni,
-        act_range: act_range_avx2,
-        act_encode: act_encode_avx2,
-        encode_dot4_i8: encode_dot4_i8_avxvnni,
     };
 
     pub(super) static AVX512: KernelSet = KernelSet {
@@ -1697,100 +1649,6 @@ mod x86 {
         unsafe { act_encode_avx2_impl(x, min, inv, out) }
     }
 
-    // ---------------- 256-bit AVX-VNNI int8 dots ----------------
-
-    /// # Safety
-    /// Requires AVX2+AVX-VNNI.
-    #[target_feature(enable = "avx2,avxvnni")]
-    unsafe fn dot_i8_avxvnni_impl(a: &[u8], b: &[i8]) -> i32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 64 <= n {
-            acc0 = _mm256_dpbusd_avx_epi32(
-                acc0,
-                _mm256_loadu_si256(pa.add(i) as *const __m256i),
-                _mm256_loadu_si256(pb.add(i) as *const __m256i),
-            );
-            acc1 = _mm256_dpbusd_avx_epi32(
-                acc1,
-                _mm256_loadu_si256(pa.add(i + 32) as *const __m256i),
-                _mm256_loadu_si256(pb.add(i + 32) as *const __m256i),
-            );
-            i += 64;
-        }
-        if i + 32 <= n {
-            acc0 = _mm256_dpbusd_avx_epi32(
-                acc0,
-                _mm256_loadu_si256(pa.add(i) as *const __m256i),
-                _mm256_loadu_si256(pb.add(i) as *const __m256i),
-            );
-            i += 32;
-        }
-        let mut sum = hsum256_epi32(_mm256_add_epi32(acc0, acc1));
-        while i < n {
-            sum += i32::from(a[i]) * i32::from(b[i]);
-            i += 1;
-        }
-        sum
-    }
-
-    fn dot_i8_avxvnni(a: &[u8], b: &[i8]) -> i32 {
-        // SAFETY: reachable only through the detected AVX-VNNI set.
-        unsafe { dot_i8_avxvnni_impl(a, b) }
-    }
-
-    /// # Safety
-    /// Requires AVX2+AVX-VNNI.
-    #[target_feature(enable = "avx2,avxvnni")]
-    unsafe fn dot4_i8_avxvnni_impl(
-        a: &[u8],
-        b0: &[i8],
-        b1: &[i8],
-        b2: &[i8],
-        b3: &[i8],
-    ) -> [i32; 4] {
-        let n = a.len();
-        let pa = a.as_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let mut a0 = _mm256_setzero_si256();
-        let mut a1 = _mm256_setzero_si256();
-        let mut a2 = _mm256_setzero_si256();
-        let mut a3 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 32 <= n {
-            let va = _mm256_loadu_si256(pa.add(i) as *const __m256i);
-            a0 = _mm256_dpbusd_avx_epi32(a0, va, _mm256_loadu_si256(p0.add(i) as *const __m256i));
-            a1 = _mm256_dpbusd_avx_epi32(a1, va, _mm256_loadu_si256(p1.add(i) as *const __m256i));
-            a2 = _mm256_dpbusd_avx_epi32(a2, va, _mm256_loadu_si256(p2.add(i) as *const __m256i));
-            a3 = _mm256_dpbusd_avx_epi32(a3, va, _mm256_loadu_si256(p3.add(i) as *const __m256i));
-            i += 32;
-        }
-        let mut out = [
-            hsum256_epi32(a0),
-            hsum256_epi32(a1),
-            hsum256_epi32(a2),
-            hsum256_epi32(a3),
-        ];
-        while i < n {
-            let av = i32::from(a[i]);
-            out[0] += av * i32::from(b0[i]);
-            out[1] += av * i32::from(b1[i]);
-            out[2] += av * i32::from(b2[i]);
-            out[3] += av * i32::from(b3[i]);
-            i += 1;
-        }
-        out
-    }
-
-    fn dot4_i8_avxvnni(a: &[u8], b0: &[i8], b1: &[i8], b2: &[i8], b3: &[i8]) -> [i32; 4] {
-        // SAFETY: reachable only through the detected AVX-VNNI set.
-        unsafe { dot4_i8_avxvnni_impl(a, b0, b1, b2, b3) }
-    }
-
     // ---------------- fused encode + dot4 ----------------
 
     /// Encodes 16 floats at `p` to 16 contiguous u8 codes in one __m128i.
@@ -1831,8 +1689,8 @@ mod x86 {
         )
     }
 
-    /// Shared scalar tail of the fused kernels: encode + accumulate one
-    /// element at a time from `i`.
+    /// Scalar tail of the fused kernel: encode + accumulate one element at
+    /// a time from `i`.
     #[allow(clippy::too_many_arguments)]
     fn encode_dot4_tail(
         i: usize,
@@ -1925,69 +1783,6 @@ mod x86 {
         // SAFETY: reachable only through AVX2-verified KernelSets.
         unsafe { encode_dot4_i8_avx2_impl(x, min, inv, qa, b0, b1, b2, b3) }
     }
-
-    /// # Safety
-    /// Requires AVX2+AVX-VNNI.
-    #[target_feature(enable = "avx2,avxvnni")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn encode_dot4_i8_avxvnni_impl(
-        x: &[f32],
-        min: f32,
-        inv: f32,
-        qa: &mut [u8],
-        b0: &[i8],
-        b1: &[i8],
-        b2: &[i8],
-        b3: &[i8],
-    ) -> [i32; 4] {
-        let n = x.len();
-        let p = x.as_ptr();
-        let pq = qa.as_mut_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let vmin = _mm256_set1_ps(min);
-        let vinv = _mm256_set1_ps(inv);
-        let half = _mm256_set1_ps(0.5);
-        let cap = _mm256_set1_ps(127.0);
-        let mut a0 = _mm256_setzero_si256();
-        let mut a1 = _mm256_setzero_si256();
-        let mut a2 = _mm256_setzero_si256();
-        let mut a3 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 32 <= n {
-            let c0 = encode16(p.add(i), vmin, vinv, half, cap);
-            let c1 = encode16(p.add(i + 16), vmin, vinv, half, cap);
-            let va = _mm256_set_m128i(c1, c0);
-            _mm256_storeu_si256(pq.add(i) as *mut __m256i, va);
-            a0 = _mm256_dpbusd_avx_epi32(a0, va, _mm256_loadu_si256(p0.add(i) as *const __m256i));
-            a1 = _mm256_dpbusd_avx_epi32(a1, va, _mm256_loadu_si256(p1.add(i) as *const __m256i));
-            a2 = _mm256_dpbusd_avx_epi32(a2, va, _mm256_loadu_si256(p2.add(i) as *const __m256i));
-            a3 = _mm256_dpbusd_avx_epi32(a3, va, _mm256_loadu_si256(p3.add(i) as *const __m256i));
-            i += 32;
-        }
-        let mut out = [
-            hsum256_epi32(a0),
-            hsum256_epi32(a1),
-            hsum256_epi32(a2),
-            hsum256_epi32(a3),
-        ];
-        encode_dot4_tail(i, x, min, inv, qa, b0, b1, b2, b3, &mut out);
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn encode_dot4_i8_avxvnni(
-        x: &[f32],
-        min: f32,
-        inv: f32,
-        qa: &mut [u8],
-        b0: &[i8],
-        b1: &[i8],
-        b2: &[i8],
-        b3: &[i8],
-    ) -> [i32; 4] {
-        // SAFETY: reachable only through the detected AVX-VNNI set.
-        unsafe { encode_dot4_i8_avxvnni_impl(x, min, inv, qa, b0, b1, b2, b3) }
-    }
 }
 
 #[cfg(test)]
@@ -2039,8 +1834,6 @@ mod tests {
             assert_eq!(best.name, "avx512vnni");
         } else if KernelSet::avx512().is_some() {
             assert_eq!(best.name, "avx512");
-        } else if KernelSet::avxvnni().is_some() {
-            assert_eq!(best.name, "avxvnni");
         } else if KernelSet::avx2().is_some() {
             assert_eq!(best.name, "avx2");
         } else {
@@ -2054,18 +1847,17 @@ mod tests {
         if let Some(avx2) = KernelSet::avx2() {
             assert_eq!(select(false, Some("avx2")).name, avx2.name);
         }
-        if let Some(avxvnni) = KernelSet::avxvnni() {
-            assert_eq!(select(false, Some("avxvnni")).name, avxvnni.name);
-        }
         if let Some(avx512) = KernelSet::avx512() {
             assert_eq!(select(false, Some("avx512")).name, avx512.name);
         }
         if let Some(vnni) = KernelSet::avx512vnni() {
             assert_eq!(select(false, Some("avx512vnni")).name, vnni.name);
         }
-        // Unknown requests fall back to the normal ladder, never crash.
-        let fallback = select(false, Some("neon"));
-        assert_eq!(fallback.name, select(false, None).name);
+        // Unknown requests, and the name of the retired 256-bit VNNI tier,
+        // fall back to the normal ladder, never crash.
+        for name in ["neon", "", "avxvnni"] {
+            assert_eq!(select(false, Some(name)).name, select(false, None).name);
+        }
     }
 
     #[test]
@@ -2087,7 +1879,11 @@ mod tests {
     fn available_always_includes_scalar() {
         let sets = KernelSet::available();
         assert_eq!(sets[0].name, "scalar");
-        assert!(sets.len() <= 5);
+        assert!(sets.len() <= 4);
+        let mut names: Vec<&str> = sets.iter().map(|ks| ks.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), sets.len(), "set names must be distinct");
     }
 
     /// Int8 dots are exact integer arithmetic, so every available set must
