@@ -74,25 +74,26 @@
 //!
 //! * **Feature detection.** [`simd::KernelSet::active`] probes the CPU
 //!   with `is_x86_feature_detected!` and picks the widest supported set:
-//!   `avx512vnni` (AVX-512F+BW+VNNI — adds `vpdpbusd` int8 dots) →
+//!   `avx512vnni` (AVX-512F+BW+VNNI — adds the `vpdpbusd` int8 GEMV) →
 //!   `avx512` (AVX-512F, 16-lane) → `avx2` (AVX2+FMA, 8-lane) →
 //!   `scalar`. The SIMD sets are explicit `std::arch::x86_64` intrinsic
 //!   kernels, so vectorized builds no longer depend on
 //!   `-C target-cpu=native`; non-x86 targets always get the scalar set.
 //! * **Override.** Setting the `NEURAL_FORCE_SCALAR` environment variable
-//!   (to anything but `0`/empty/`false`) pins the scalar reference set —
-//!   CI runs the whole suite that way.
+//!   (to anything but `0`/empty/`false`) pins the scalar reference set.
 //!   `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific
 //!   set (best effort: unsupported or unknown requests fall back to the
-//!   ladder), e.g. to benchmark the AVX2 path on an AVX-512 machine.
+//!   ladder), e.g. to benchmark the AVX2 path on an AVX-512 machine; CI
+//!   runs the whole suite once under `scalar` and once under `avx2`.
 //!   Tests can also fetch a specific set ([`simd::KernelSet::scalar`],
 //!   `avx2()`, `avx512()`, `avx512vnni()`) and call its kernels directly
 //!   without affecting the process-wide choice.
-//! * **Adding an ISA.** Implement the eleven kernel functions (dot, dot4,
+//! * **Adding an ISA.** Implement the ten kernel functions (dot, dot4,
 //!   axpy, bias_act, gru_gates, sum_abs_diff, plus the int8 kernels
-//!   dot_i8, dot4_i8, act_range, act_encode and the fused
-//!   encode_dot4_i8) for the new instruction
-//!   set, add a `static` `KernelSet` naming them, and extend the
+//!   panel_gemv_i8, act_range, act_encode and act_decode) for the new
+//!   instruction set — the int8 weight panels are one layout for every
+//!   set, so a new panel GEMV reads the bytes the others read — add a
+//!   `static` `KernelSet` naming them, and extend the
 //!   `select()` ladder in `simd.rs` behind the right
 //!   `is_x86_feature_detected!`/`cfg` guard. The property tests in
 //!   `tests/proptests.rs` automatically cover any set reported by
@@ -136,15 +137,16 @@
 //!   code instead of coarsening the entire row's grid — shrinking the
 //!   int8-vs-f32 drift tail on corrupted traffic (still bounded by the
 //!   clap-core calibration harness).
-//! * **The int8 ladder.** Int8 dot kernels live in the same dispatched
-//!   [`KernelSet`]: `avx512vnni` (`vpdpbusd`, u8×i8 quads straight into
-//!   i32 lanes) → `avx512` and `avx2` (both the 256-bit `maddubs` +
-//!   `madd` kernels) → scalar. The recurrent matvec's activation
-//!   re-quantization is fused into the first 4-row dot quad
-//!   (`encode_dot4_i8`), eliminating one full pass over each
-//!   freshly-encoded activation row.
-//!   Measured on the ci preset (single core): int8 fused scoring is
-//!   ≈1.75× f32 under the vnni tier and ≈1.11× under pure AVX2.
+//! * **The int8 ladder.** One kernel sits under every quantized matvec
+//!   — the panel GEMV, in the same dispatched [`KernelSet`]:
+//!   `avx512vnni` (`vpdpbusd`, u8×i8 quads straight into i32 lanes) →
+//!   `avx512` and `avx2` (both the 256-bit `maddubs` + `madd` kernel) →
+//!   scalar. [`QuantMatrix`] stores its codes as output-stationary
+//!   panels (`[row block][k-quad][output lane][4 consecutive k]`), so a
+//!   matvec is plan → encode → one GEMV in which every output lane owns
+//!   an i32 accumulator: no horizontal reduction, no k-tail, one
+//!   sequential weight stream. `benchmark/` is the record of what that
+//!   is worth end to end (CHANGES.md, PR 13).
 //! * **Engine selection.** `NEURAL_QUANT=int8` makes every
 //!   default-constructed scorer quantized ([`QuantMode::active`]);
 //!   `QuantMode::Off`/`Int8` can be pinned per scorer. Int8 streaming is

@@ -10,7 +10,14 @@
 //!   `q[r][k] = round(w[r][k] / s_r)` with `s_r = max_k |w[r][k]| / 127`,
 //!   so every row uses the full `-127..=127` range regardless of the other
 //!   rows' magnitudes. The per-row sums `Σ_k q[r][k]` are precomputed for
-//!   the zero-point correction below.
+//!   the zero-point correction below. The codes are stored as
+//!   *output-stationary panels* — `[row block][k-quad][output lane][4
+//!   consecutive k]`, 16 lanes to a block, zero-padded — packed once in
+//!   [`QuantMatrix::quantize`]. One layout serves every kernel tier: a
+//!   k-quad broadcasts four activation bytes against a block, so each
+//!   output lane owns one i32 accumulator; there is no horizontal
+//!   reduction, no k-tail, and the weights are read as one sequential
+//!   stream.
 //! * **Activations**: quantized **on the fly, one row per GEMM call**, to
 //!   7-bit unsigned over the row's *actual* range (asymmetric):
 //!   `qa[k] = clamp(round((x[k] − m) / s_a), 0, 127)` with
@@ -22,7 +29,7 @@
 //!   and confining them to `0..=127` bounds every i16 pair-sum by
 //!   2·127·127 = 32258 < 32767 — saturation is *unreachable by
 //!   construction*, so all kernel tiers (scalar, AVX2 `maddubs`+`madd`,
-//!   256-bit and 512-bit `vpdpbusd`) produce the bit-identical i32.
+//!   512-bit `vpdpbusd`) produce the bit-identical i32.
 //!   For rows of at least [`CLIP_MIN_LEN`] elements the scan range is
 //!   *outlier-clipped*: a 128-bin histogram pass finds the highest bin
 //!   whose upper tail holds at most ~1/64 of the samples, and if that
@@ -36,9 +43,11 @@
 //!   perturbs the streaming == batch equivalences below.
 //! * **Dequantization**: with `R_r = Σ_k q[r][k]` precomputed,
 //!   `y[r] = s_r · (s_a · acc[r] + m · R_r)` — the per-row zero-point
-//!   correction folds the activation offset back in exactly. The result
-//!   feeds the existing f32 epilogues (bias+activation, GRU gates), which
-//!   stay on the dispatched f32 [`KernelSet`].
+//!   correction folds the activation offset back in exactly, as the
+//!   epilogue of the panel GEMV (two multiplies, an add, a multiply, never
+//!   an FMA, so it too is bit-identical across tiers). The result feeds
+//!   the existing f32 epilogues (bias+activation, GRU gates), which stay
+//!   on the dispatched f32 [`KernelSet`].
 //!
 //! Because each activation row is quantized independently, a 1-row GEMM is
 //! bitwise identical to a matvec — the same invariant the f32 engine has —
@@ -61,7 +70,8 @@
 //! Engine selection: [`QuantMode::active`] reads the `NEURAL_QUANT`
 //! environment variable once per process — `int8` selects the quantized
 //! engines wherever a scorer is built with the default mode, anything else
-//! (including unset) keeps f32. The int8 kernels themselves live in the
+//! (including unset) keeps f32. The int8 kernels themselves — the panel
+//! GEMV and the activation scan, encode and decode — live in the
 //! [`KernelSet`] ladder (`avx512vnni → avx512 → avx2 → scalar`), so
 //! `NEURAL_KERNELS`/`NEURAL_FORCE_SCALAR` pin their ISA exactly as for the
 //! f32 kernels.
@@ -70,7 +80,7 @@ use crate::autoencoder::{AeWorkspace, Autoencoder};
 use crate::dense::{Activation, Dense};
 use crate::gru::{GruBatchScratch, GruStepScratch, GruWorkspace, PackedGru};
 use crate::matrix::Matrix;
-use crate::simd::KernelSet;
+use crate::simd::{KernelSet, PanelQuad, Panels, PANEL_K, PANEL_LANES};
 use std::sync::OnceLock;
 
 /// Activation quantization levels: codes span the 7-bit unsigned range
@@ -286,43 +296,38 @@ pub fn quantize_activations(x: &[f32], qa: &mut Vec<u8>) -> ActQuant {
 /// Decodes a row quantized by [`quantize_activations`] back to f32:
 /// `out[k] = min + scale · codes[k]`. This is the read path for *resident*
 /// quantized state — per-flow vectors a streaming engine keeps in int8
-/// form between packets (quantize on store, dequantize on use). Plain
-/// scalar arithmetic, so the decoded values are identical on every kernel
-/// tier.
+/// form between packets (quantize on store, dequantize on use). One fused
+/// multiply-add per element on the dispatched [`KernelSet`], bit-identical
+/// on every kernel tier.
 pub fn dequantize_activations_into(codes: &[u8], q: ActQuant, out: &mut [f32]) {
-    debug_assert_eq!(codes.len(), out.len());
-    for (o, &c) in out.iter_mut().zip(codes) {
-        *o = q.scale.mul_add(f32::from(c), q.min);
-    }
+    KernelSet::active().act_decode(codes, q, out)
 }
 
-/// Dequantizes one i32 accumulator: the activation offset re-enters
-/// through the precomputed weight-row sum (`Σ w ≈ s_r · R_r`), then the
-/// combined scales apply.
-#[inline]
-fn dequantize(acc: i32, row_sum: i32, act: ActQuant, row_scale: f32) -> f32 {
-    row_scale * (act.scale * acc as f32 + act.min * row_sum as f32)
-}
-
-/// A row-major matrix quantized to int8 with per-output-row symmetric
-/// scales — the weight format of the int8 inference engine. Built once
-/// per scorer from a trained f32 [`Matrix`]; the f32 model stays the
-/// source of truth (quantized weights are never serialized).
+/// A matrix quantized to int8 with per-output-row symmetric scales — the
+/// weight format of the int8 inference engine, stored as
+/// output-stationary [`Panels`]: `[row block][k-quad][output lane][4
+/// consecutive k]`, rows zero-padded to whole [`PANEL_LANES`] blocks and
+/// columns to whole [`PANEL_K`] quads. Packed once per scorer from a
+/// trained f32 [`Matrix`]; the f32 model stays the source of truth
+/// (quantized weights are never serialized).
 #[derive(Debug, Clone)]
 pub struct QuantMatrix {
     pub rows: usize,
     pub cols: usize,
-    q: Vec<i8>,
+    q: Vec<PanelQuad>,
+    kq: usize,
     scales: Vec<f32>,
-    row_sums: Vec<i32>,
+    row_sums: Vec<f32>,
 }
 
 impl QuantMatrix {
-    /// Per-row symmetric int8 quantization of `m`.
+    /// Per-row symmetric int8 quantization of `m`, packed into panels.
     pub fn quantize(m: &Matrix) -> QuantMatrix {
-        let mut q = Vec::with_capacity(m.rows * m.cols);
-        let mut scales = Vec::with_capacity(m.rows);
-        let mut row_sums = Vec::with_capacity(m.rows);
+        let kq = m.cols.div_ceil(PANEL_K);
+        let blocks = m.rows.div_ceil(PANEL_LANES);
+        let mut q = vec![PanelQuad([[0; PANEL_K]; PANEL_LANES]); blocks * kq];
+        let mut scales = vec![0.0f32; blocks * PANEL_LANES];
+        let mut row_sums = vec![0.0f32; blocks * PANEL_LANES];
         for r in 0..m.rows {
             let row = m.row(r);
             let mut max = 0.0f32;
@@ -334,52 +339,61 @@ impl QuantMatrix {
             } else {
                 (max / WEIGHT_LEVELS, WEIGHT_LEVELS / max)
             };
+            let block = &mut q[r / PANEL_LANES * kq..][..kq];
             let mut sum = 0i32;
-            for &v in row {
+            for (k, &v) in row.iter().enumerate() {
                 let qv = ((v * inv).round() as i32).clamp(-127, 127);
                 sum += qv;
-                q.push(qv as i8);
+                block[k / PANEL_K].0[r % PANEL_LANES][k % PANEL_K] = qv as i8;
             }
-            scales.push(scale);
-            row_sums.push(sum);
+            scales[r] = scale;
+            row_sums[r] = sum as f32;
         }
         QuantMatrix {
             rows: m.rows,
             cols: m.cols,
             q,
+            kq,
             scales,
             row_sums,
         }
     }
 
-    /// Int8 row view.
-    #[inline]
-    pub fn row(&self, r: usize) -> &[i8] {
-        &self.q[r * self.cols..(r + 1) * self.cols]
+    /// The panels as the GEMV kernel consumes them.
+    pub fn panels(&self) -> Panels<'_> {
+        Panels {
+            q: &self.q,
+            kq: self.kq,
+            scales: &self.scales,
+            row_sums: &self.row_sums,
+        }
     }
 
-    /// The scale of row `r` (f32 weight ≈ `scale(r) · q[r][k]`).
+    /// The int8 code of weight `(r, c)`, unpacked from its panel.
+    #[inline]
+    pub fn code(&self, r: usize, c: usize) -> i8 {
+        assert!(r < self.rows && c < self.cols, "weight index out of range");
+        self.q[r / PANEL_LANES * self.kq + c / PANEL_K].0[r % PANEL_LANES][c % PANEL_K]
+    }
+
+    /// The scale of row `r` (f32 weight ≈ `scale(r) · code(r, k)`).
     #[inline]
     pub fn scale(&self, r: usize) -> f32 {
         self.scales[r]
     }
 
     /// Reconstructs the f32 matrix the quantized weights represent —
-    /// the oracle for quantization-error tests.
+    /// the oracle for quantization-error tests, and for the packing.
     pub fn dequantize(&self) -> Matrix {
         Matrix::from_fn(self.rows, self.cols, |r, c| {
-            self.scales[r] * f32::from(self.q[r * self.cols + c])
+            self.scales[r] * f32::from(self.code(r, c))
         })
     }
 
-    /// `y = self · x`: quantizes `x` into `qa` and runs the int8 GEMM
-    /// inner loops on the dispatched kernel set. The encode pass of the
-    /// activation quantization is fused into the first 4-row dot quad
-    /// (`encode_dot4_i8`) so the freshly encoded chunk is consumed while
-    /// register-resident; remaining rows reuse the encoded `qa`. The
-    /// range scan cannot fuse — the grid depends on the full row's
-    /// min/max — and the fusion is bitwise-neutral (pinned by the kernel
-    /// tests), so results are identical to the unfused composition.
+    /// `y = self · x`: quantizes `x` into `qa` and runs the int8 panel
+    /// GEMV on the dispatched kernel set. `qa` grows to the padded `K`
+    /// once and is then reused; bytes past `cols` are whatever an earlier
+    /// call left there, and meet only zero weights.
     pub fn matvec_into(&self, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
         self.score_row(KernelSet::active(), x, qa, y)
     }
@@ -388,11 +402,7 @@ impl QuantMatrix {
     /// the very same per-row path as [`matvec_into`](Self::matvec_into) —
     /// which makes every row of the GEMM bitwise identical to its matvec,
     /// the invariant behind int8 streaming == int8 batch (and micro-batched
-    /// == per-packet streaming). A weight-blocked loop nest (outer over
-    /// weight quads, inner over activation rows) was measured here and
-    /// *lost* ~15% on the ci-preset models: their weight matrices fit in
-    /// L2, so the per-row pass already streams them cache-resident, and
-    /// blocking only bought strided writes into `C`.
+    /// == per-packet streaming).
     pub fn matmul_nt_into(&self, a: &Matrix, qa: &mut Vec<u8>, c: &mut Matrix) {
         assert_eq!(a.cols, self.cols, "quant nt shape mismatch");
         c.resize(a.rows, self.rows);
@@ -402,78 +412,27 @@ impl QuantMatrix {
         }
     }
 
-    /// Quantize one activation row and produce one output row — the
-    /// shared body of [`matvec_into`](Self::matvec_into) and each
+    /// Plan, encode, one panel GEMV — the shared body of
+    /// [`matvec_into`](Self::matvec_into) and each
     /// [`matmul_nt_into`](Self::matmul_nt_into) row.
     fn score_row(&self, ks: &KernelSet, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.cols);
-        debug_assert_eq!(y.len(), self.rows);
-        match act_plan(ks, x) {
+        assert_eq!(x.len(), self.cols, "quant matvec input length mismatch");
+        assert_eq!(y.len(), self.rows, "quant matvec output length mismatch");
+        if qa.len() < self.kq * PANEL_K {
+            qa.resize(self.kq * PANEL_K, 0);
+        }
+        let codes = &mut qa[..self.cols];
+        let act = match act_plan(ks, x) {
             ActPlan::Degenerate(act) => {
-                qa.clear();
-                qa.resize(x.len(), 0);
-                self.qnt_rows_from(ks, qa, act, y, 0);
+                codes.fill(0);
+                act
             }
             ActPlan::Encode { min, inv, scale } => {
-                let act = ActQuant { scale, min };
-                qa.resize(x.len(), 0);
-                if self.rows >= 4 {
-                    let acc = ks.encode_dot4_i8(
-                        x,
-                        min,
-                        inv,
-                        qa,
-                        self.row(0),
-                        self.row(1),
-                        self.row(2),
-                        self.row(3),
-                    );
-                    for (k, &a) in acc.iter().enumerate() {
-                        y[k] = dequantize(a, self.row_sums[k], act, self.scales[k]);
-                    }
-                    self.qnt_rows_from(ks, qa, act, y, 4);
-                } else {
-                    ks.act_encode(x, min, inv, qa);
-                    self.qnt_rows_from(ks, qa, act, y, 0);
-                }
+                ks.act_encode(x, min, inv, codes);
+                ActQuant { scale, min }
             }
-        }
-    }
-
-    /// Output rows `start..` of the int8 GEMM over an already-encoded
-    /// activation row: 4-way register-blocked int8 dots, then the
-    /// dequantizing epilogue.
-    fn qnt_rows_from(
-        &self,
-        ks: &KernelSet,
-        qa: &[u8],
-        act: ActQuant,
-        crow: &mut [f32],
-        start: usize,
-    ) {
-        let mut j = start;
-        while j + 4 <= self.rows {
-            let acc = ks.dot4_i8(
-                qa,
-                self.row(j),
-                self.row(j + 1),
-                self.row(j + 2),
-                self.row(j + 3),
-            );
-            for (k, &a) in acc.iter().enumerate() {
-                crow[j + k] = dequantize(a, self.row_sums[j + k], act, self.scales[j + k]);
-            }
-            j += 4;
-        }
-        let done = j;
-        for (j, cv) in crow.iter_mut().enumerate().skip(done) {
-            *cv = dequantize(
-                ks.dot_i8(qa, self.row(j)),
-                self.row_sums[j],
-                act,
-                self.scales[j],
-            );
-        }
+        };
+        ks.panel_gemv_i8(&self.panels(), qa, act, y);
     }
 }
 
@@ -940,7 +899,7 @@ mod tests {
             let mut exact = 0.0f64;
             for (k, &code) in qa.iter().enumerate() {
                 let xa = f64::from(act.min) + f64::from(code) * f64::from(act.scale);
-                let w = f64::from(q.scale(r)) * f64::from(q.row(r)[k]);
+                let w = f64::from(q.scale(r)) * f64::from(q.code(r, k));
                 exact += xa * w;
             }
             assert!(
@@ -948,6 +907,146 @@ mod tests {
                 "row {r}: {} vs {exact}",
                 yr
             );
+        }
+    }
+
+    /// The eight hot shapes (`rows × cols`): the six autoencoder layers at
+    /// the paper's Table-6 sizes, then the GRU's input and recurrent
+    /// projections.
+    const HOT_SHAPES: [(usize, usize); 8] = [
+        (192, 345),
+        (96, 192),
+        (40, 96),
+        (96, 40),
+        (192, 96),
+        (345, 192),
+        (96, 37),
+        (96, 32),
+    ];
+
+    fn wavy(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            ((r * cols + c) as f32 * 0.173 + 0.5).sin() * 0.9
+        })
+    }
+
+    /// Packing is a pure relayout: unpacking the panels gives back the
+    /// row-major per-row symmetric quantization bit for bit, and every pad
+    /// weight, scale and row sum is zero.
+    #[test]
+    fn packing_round_trips_the_row_major_quantization() {
+        for (rows, cols) in [
+            (1, 1),
+            (7, 13),
+            (17, 5),
+            (16, 4),
+            (33, 64),
+            (96, 37),
+            (40, 96),
+        ] {
+            let m = wavy(rows, cols);
+            let q = QuantMatrix::quantize(&m);
+            let want = Matrix::from_fn(rows, cols, |r, c| {
+                let max = m.row(r).iter().fold(0.0f32, |a, v| a.max(v.abs()));
+                let code = (m.get(r, c) * (WEIGHT_LEVELS / max))
+                    .round()
+                    .clamp(-127.0, 127.0);
+                max / WEIGHT_LEVELS * code
+            });
+            assert_eq!(q.dequantize(), want, "{rows}x{cols}");
+            let p = q.panels();
+            assert_eq!(
+                p.q.len(),
+                rows.div_ceil(PANEL_LANES) * cols.div_ceil(PANEL_K)
+            );
+            let live: i32 =
+                p.q.iter()
+                    .flat_map(|quad| quad.0.as_flattened())
+                    .map(|&v| i32::from(v).abs())
+                    .sum();
+            let codes: i32 = (0..rows)
+                .flat_map(|r| (0..cols).map(move |c| (r, c)))
+                .map(|(r, c)| i32::from(q.code(r, c)).abs())
+                .sum();
+            assert_eq!(live, codes, "{rows}x{cols}: a pad weight is non-zero");
+            assert!(p.scales[rows..]
+                .iter()
+                .chain(&p.row_sums[rows..])
+                .all(|&v| v == 0.0));
+        }
+    }
+
+    /// Top code × extreme weights over the longest hot row: a saturating
+    /// `maddubs` pair-sum would diverge here. Unit dequantization params
+    /// make `y` the i32 accumulator itself (345·127·127 < 2²⁴, so exact),
+    /// and pad activation bytes at the top code prove pad weights are zero.
+    #[test]
+    fn panel_gemv_is_exact_at_contract_extremes() {
+        let (rows, cols) = (40, 345);
+        let m = Matrix::from_fn(rows, cols, |r, c| match r % 3 {
+            0 => 127.0,
+            1 => -127.0,
+            _ => [127.0, -127.0][(r + c) % 2],
+        });
+        let q = QuantMatrix::quantize(&m);
+        let qa = vec![127u8; cols.div_ceil(PANEL_K) * PANEL_K];
+        let unit = ActQuant {
+            scale: 1.0,
+            min: 0.0,
+        };
+        for ks in KernelSet::available() {
+            let mut y = vec![f32::NAN; rows];
+            ks.panel_gemv_i8(&q.panels(), &qa, unit, &mut y);
+            for (r, &got) in y.iter().enumerate() {
+                assert_eq!(q.scale(r), 1.0);
+                let want: i32 = (0..cols).map(|c| 127 * i32::from(q.code(r, c))).sum();
+                assert_eq!(got, want as f32, "{} row {r}", ks.name);
+            }
+        }
+    }
+
+    /// The seed's row-major algorithm, kept as the oracle: encode the row,
+    /// take `Σ_k qa[k]·q[r][k]` one output at a time, dequantize.
+    fn matvec_reference(q: &QuantMatrix, x: &[f32]) -> Vec<f32> {
+        let mut qa = Vec::new();
+        let act = quantize_activations(x, &mut qa);
+        (0..q.rows)
+            .map(|r| {
+                let (mut acc, mut row_sum) = (0i32, 0i32);
+                for (c, &a) in qa.iter().enumerate() {
+                    acc += i32::from(a) * i32::from(q.code(r, c));
+                    row_sum += i32::from(q.code(r, c));
+                }
+                crate::simd::dequantize(acc, row_sum as f32, act, q.scale(r))
+            })
+            .collect()
+    }
+
+    /// Every tier's panel matvec is **bitwise** the row-major reference
+    /// at the eight hot shapes — on an ordinary row, a constant
+    /// (degenerate) row, and a row holding NaN and +inf — through one
+    /// scratch reused across shapes, so stale pad bytes are exercised.
+    #[test]
+    fn panel_matvec_is_bitwise_the_row_major_reference() {
+        let mut qa = Vec::new();
+        for (rows, cols) in HOT_SHAPES {
+            let q = QuantMatrix::quantize(&wavy(rows, cols));
+            let ordinary: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.61).cos() * 1.7).collect();
+            let mut malformed = ordinary.clone();
+            malformed[1] = f32::NAN;
+            malformed[cols / 2] = f32::INFINITY;
+            for x in [ordinary, vec![0.75; cols], malformed] {
+                let want: Vec<u32> = matvec_reference(&q, &x)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                for ks in KernelSet::available() {
+                    let mut y = vec![f32::NAN; rows];
+                    q.score_row(ks, &x, &mut qa, &mut y);
+                    let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{} {rows}x{cols}", ks.name);
+                }
+            }
         }
     }
 

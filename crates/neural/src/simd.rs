@@ -4,31 +4,36 @@
 //! [`Matrix::matvec_into`]/[`Matrix::matmul_nt_into`], the axpy update
 //! behind the training GEMMs, the fused GRU gate block of
 //! [`PackedGru::run`]/[`PackedGru::step`], the dense layer's bias +
-//! activation epilogue and the autoencoder's L1 error reduction — is a
+//! activation epilogue, the autoencoder's L1 error reduction, and the
+//! int8 engine's panel GEMV and activation scan/encode/decode — is a
 //! function pointer in a [`KernelSet`]. Four sets exist:
 //!
 //! * **scalar** — safe reference implementations written with plain
 //!   multiply/add (no `mul_add`, so they never lower to a slow `fmaf` libm
 //!   call on builds without FMA codegen) and `std` `exp`/`tanh`. This is
-//!   the ground truth the SIMD sets are property-tested against.
+//!   the ground truth the SIMD sets are property-tested against. The one
+//!   exception is `act_decode`, whose contract *is* a single-rounding
+//!   fused multiply-add: it keeps `mul_add` so that it stays bit-identical
+//!   to the SIMD sets' hardware `vfmadd`.
 //! * **avx2** — explicit `std::arch::x86_64` AVX2+FMA intrinsics: 8-lane
 //!   FMA dot kernels with register blocking, a polynomial `exp`
 //!   (Cephes `expf` constants, ≈2 ulp) powering vectorized
-//!   sigmoid/tanh for the gate block and dense activations, and 256-bit
-//!   `maddubs` int8 dots.
+//!   sigmoid/tanh for the gate block and dense activations, and the
+//!   256-bit `maddubs`+`madd` int8 panel GEMV.
 //! * **avx512** — the f32 kernels widened to 16 lanes with masked tails,
-//!   used where AVX-512F is available; int8 dots stay on the avx2
-//!   `maddubs` kernels (AVX-512F has no byte-granular multiply).
-//! * **avx512vnni** — the avx512 f32 kernels plus 512-bit `vpdpbusd` int8
-//!   dots (u8×i8 quads accumulated straight into i32 lanes).
+//!   used where AVX-512F is available; the int8 panel GEMV stays on the
+//!   avx2 `maddubs` kernel (AVX-512F has no byte-granular multiply).
+//! * **avx512vnni** — the avx512 f32 kernels plus the 512-bit `vpdpbusd`
+//!   int8 panel GEMV (u8×i8 quads accumulated straight into i32 lanes).
 //!
 //! Selection happens **once per process** via
 //! [`is_x86_feature_detected!`]: [`KernelSet::active`] picks the widest
 //! supported set (avx512vnni → avx512 → avx2 → scalar) and caches it.
 //! Setting the environment variable `NEURAL_FORCE_SCALAR` (to anything but
-//! `0`, the empty string, or `false`) pins the scalar set — CI runs the
-//! whole test suite that way to keep the reference path exercised — and
-//! `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific set,
+//! `0`, the empty string, or `false`) pins the scalar set, and
+//! `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific set
+//! (CI runs the whole test suite under `scalar` and under `avx2`, to keep
+//! the reference path and the middle of the ladder exercised),
 //! falling back to the ladder when the CPU lacks it or the name is
 //! unknown. Tests can also grab a specific set directly
 //! ([`KernelSet::scalar`], [`KernelSet::avx2`], [`KernelSet::avx512`],
@@ -45,18 +50,49 @@
 //! [`PackedGru::step`]: crate::PackedGru::step
 
 use crate::dense::Activation;
+use crate::quant::ActQuant;
 use std::sync::OnceLock;
 
 /// `dot4(a, b0, b1, b2, b3)` — four dot products sharing one `a`.
 type Dot4Fn = fn(&[f32], &[f32], &[f32], &[f32], &[f32]) -> [f32; 4];
 /// `gru_gates(xp, up, h, z, r)` — the fused gate block over a 3H slab.
 type GruGatesFn = fn(&[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
-/// `dot4_i8(a, b0, b1, b2, b3)` — four int8 dot products sharing one
-/// quantized activation row `a`.
-type Dot4I8Fn = fn(&[u8], &[i8], &[i8], &[i8], &[i8]) -> [i32; 4];
-/// `encode_dot4_i8(x, min, inv, qa, b0, b1, b2, b3)` — encodes one
-/// activation row to 7-bit codes while accumulating four int8 dots.
-type EncodeDot4I8Fn = fn(&[f32], f32, f32, &mut [u8], &[i8], &[i8], &[i8], &[i8]) -> [i32; 4];
+/// `panel_gemv_i8(w, qa, act, y)` — the int8 panel GEMV with its
+/// dequantizing epilogue.
+type PanelGemvI8Fn = fn(&Panels<'_>, &[u8], ActQuant, &mut [f32]);
+
+/// Output lanes per weight panel block. The layout is defined in lanes,
+/// not registers: a block's i32 accumulators are one zmm, two ymm or a
+/// 16-element array, and every tier reads the same bytes.
+pub const PANEL_LANES: usize = 16;
+/// Consecutive `k` (activation bytes) each lane holds per k-quad — what
+/// one `vpdpbusd` i32 lane, or one `maddubs`+`madd` i32 lane, consumes.
+pub const PANEL_K: usize = 4;
+
+/// One k-quad of one panel block: `[output lane][4 consecutive k]`, 64
+/// bytes on a cache-line boundary so a 512-bit load never splits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+pub struct PanelQuad(pub [[i8; PANEL_K]; PANEL_LANES]);
+
+/// Borrowed int8 weight panels of a `rows × cols` matrix, as
+/// [`KernelSet::panel_gemv_i8`] consumes them (built by
+/// [`crate::quant::QuantMatrix`]). Output row `r` lives in lane
+/// `r % PANEL_LANES` of block `r / PANEL_LANES`; rows are padded to whole
+/// blocks and `cols` to whole k-quads, and every pad weight, scale and
+/// row sum is zero so pad lanes and pad bytes contribute nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Panels<'a> {
+    /// `[block][k-quad]`, `blocks · kq` entries.
+    pub q: &'a [PanelQuad],
+    /// k-quads per block: `cols.div_ceil(PANEL_K)`.
+    pub kq: usize,
+    /// Per-lane weight scale `s_r`, `blocks · PANEL_LANES` entries.
+    pub scales: &'a [f32],
+    /// Per-lane `Σ_k q[r][k]` (as the f32 the epilogue multiplies), same
+    /// length as `scales`.
+    pub row_sums: &'a [f32],
+}
 
 /// A coherent set of hot-path kernels, selected once at startup. All
 /// function pointers are plain safe `fn`s; the SIMD variants wrap their
@@ -73,11 +109,10 @@ pub struct KernelSet {
     bias_act: fn(&mut [f32], &[f32], Activation),
     gru_gates: GruGatesFn,
     sum_abs_diff: fn(&[f32], &[f32]) -> f32,
-    dot_i8: fn(&[u8], &[i8]) -> i32,
-    dot4_i8: Dot4I8Fn,
+    panel_gemv_i8: PanelGemvI8Fn,
     act_range: fn(&[f32]) -> (f32, f32),
     act_encode: fn(&[f32], f32, f32, &mut [u8]),
-    encode_dot4_i8: EncodeDot4I8Fn,
+    act_decode: fn(&[u8], ActQuant, &mut [f32]),
 }
 
 impl std::fmt::Debug for KernelSet {
@@ -158,40 +193,43 @@ impl KernelSet {
         (self.sum_abs_diff)(a, b)
     }
 
-    /// Int8 dot product `Σ a[k]·b[k]` with exact i32 accumulation — the
-    /// inner loop of the quantized GEMM ([`crate::quant::QuantMatrix`]).
+    /// Int8 panel GEMV with the dequantizing epilogue — the one kernel
+    /// under every quantized matvec ([`crate::quant::QuantMatrix`]):
     ///
-    /// `a` holds quantized activations, which the quantizer confines to
-    /// the 7-bit unsigned range `0..=127`; `b` holds int8 weights in
-    /// `-127..=127`. Under that contract every pair product
-    /// fits the AVX2 `maddubs` i16 pair-sum without saturation, so all
-    /// kernel sets return the **bit-identical** i32 (integer addition is
-    /// associative — no SIMD reassociation drift exists on this path).
+    /// ```text
+    /// acc[r] = Σ_k qa[k] · q[r][k]                        (exact, i32)
+    /// y[r]   = s_r · (act.scale · acc[r] + act.min · R_r)
+    /// ```
+    ///
+    /// Each k-quad broadcasts four activation bytes against a whole block
+    /// of output lanes, so every lane owns one i32 accumulator: there is
+    /// no horizontal reduction and no k-tail, and the weights are read as
+    /// one sequential stream.
+    ///
+    /// `qa` holds quantized activations, which the quantizer confines to
+    /// the 7-bit unsigned range `0..=127`; weights lie in `-127..=127`.
+    /// Under that contract every pair product fits the AVX2 `maddubs` i16
+    /// pair-sum without saturation, so all kernel sets form the
+    /// **bit-identical** i32 (integer addition is associative — no SIMD
+    /// reassociation drift exists on this path), and the epilogue is the
+    /// same mul, mul, add, mul (never an FMA) everywhere, so `y` is
+    /// bit-identical too. `qa` may be longer than `cols`: bytes past it
+    /// up to `4·kq` are read but meet only zero weights.
     #[inline]
-    pub fn dot_i8(&self, a: &[u8], b: &[i8]) -> i32 {
-        assert_eq!(a.len(), b.len(), "dot_i8 length mismatch");
-        debug_assert!(
-            a.iter().all(|&x| x <= 127),
-            "quantized activations exceed the 7-bit contract"
-        );
-        (self.dot_i8)(a, b)
-    }
-
-    /// Four simultaneous int8 dot products of `a` against `b0..b3` — the
-    /// register-blocked quantized GEMM inner loop. Same contract and
-    /// exactness guarantee as [`dot_i8`](Self::dot_i8).
-    #[inline]
-    pub fn dot4_i8(&self, a: &[u8], b0: &[i8], b1: &[i8], b2: &[i8], b3: &[i8]) -> [i32; 4] {
-        let n = a.len();
+    pub fn panel_gemv_i8(&self, w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32]) {
+        let lanes = y.len().div_ceil(PANEL_LANES) * PANEL_LANES;
         assert!(
-            b0.len() == n && b1.len() == n && b2.len() == n && b3.len() == n,
-            "dot4_i8 length mismatch"
+            w.q.len() == lanes / PANEL_LANES * w.kq
+                && w.scales.len() == lanes
+                && w.row_sums.len() == lanes,
+            "panel shape mismatch"
         );
+        assert!(qa.len() >= w.kq * PANEL_K, "panel activation row too short");
         debug_assert!(
-            a.iter().all(|&x| x <= 127),
+            qa[..w.kq * PANEL_K].iter().all(|&x| x <= 127),
             "quantized activations exceed the 7-bit contract"
         );
-        (self.dot4_i8)(a, b0, b1, b2, b3)
+        (self.panel_gemv_i8)(w, qa, act, y)
     }
 
     /// `(min, max)` of an activation row — the range scan behind
@@ -216,37 +254,15 @@ impl KernelSet {
         (self.act_encode)(x, min, inv, out)
     }
 
-    /// Fused quantize-encode + four int8 dot products: writes the 7-bit
-    /// codes of `x` into `qa` (bit-identical to
-    /// [`act_encode`](Self::act_encode)) while accumulating `qa·b0..qa·b3`
-    /// in the same pass, so each encoded activation chunk is consumed by
-    /// the GEMM inner loop while still register-resident instead of making
-    /// a separate encode round trip through memory. Because the dots are
-    /// exact integer arithmetic, the result is **bit-identical** to
-    /// `act_encode` followed by [`dot4_i8`](Self::dot4_i8) on every set.
-    ///
-    /// This is the inner kernel of the recurrent int8 matvec's per-step
-    /// activation re-quantization (the range scan cannot fuse — the encode
-    /// scale depends on the full row's min/max — but the encode pass can).
+    /// Decodes 7-bit codes back to f32: `out[k] = fma(act.scale,
+    /// codes[k], act.min)` — the read path of resident int8 state. A
+    /// single-rounding fused multiply-add on every set (hardware `vfmadd`
+    /// in the SIMD sets, `f32::mul_add` in the scalar one), so the decoded
+    /// values are bit-identical across sets.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn encode_dot4_i8(
-        &self,
-        x: &[f32],
-        min: f32,
-        inv: f32,
-        qa: &mut [u8],
-        b0: &[i8],
-        b1: &[i8],
-        b2: &[i8],
-        b3: &[i8],
-    ) -> [i32; 4] {
-        let n = x.len();
-        assert!(
-            qa.len() == n && b0.len() == n && b1.len() == n && b2.len() == n && b3.len() == n,
-            "encode_dot4_i8 length mismatch"
-        );
-        (self.encode_dot4_i8)(x, min, inv, qa, b0, b1, b2, b3)
+    pub fn act_decode(&self, codes: &[u8], act: ActQuant, out: &mut [f32]) {
+        assert_eq!(codes.len(), out.len(), "act_decode length mismatch");
+        (self.act_decode)(codes, act, out)
     }
 
     /// The safe scalar reference set. Always available; forced
@@ -284,15 +300,19 @@ impl KernelSet {
     }
 
     /// The AVX-512 VNNI set, if this CPU supports it: identical f32
-    /// kernels to [`avx512`](Self::avx512), plus `vpdpbusd` int8 dot
-    /// kernels (u8×i8 quads accumulated straight into i32 lanes, no
-    /// intermediate i16 stage). Requires AVX-512F+BW+VNNI.
+    /// kernels to [`avx512`](Self::avx512), plus the `vpdpbusd` int8 panel
+    /// GEMV (u8×i8 quads accumulated straight into i32 lanes, no
+    /// intermediate i16 stage). Requires AVX-512F+BW+VNNI, and AVX2+FMA
+    /// for the activation scan/encode/decode kernels it shares with the
+    /// narrower sets.
     pub fn avx512vnni() -> Option<&'static KernelSet> {
         #[cfg(target_arch = "x86_64")]
         {
             if is_x86_feature_detected!("avx512f")
                 && is_x86_feature_detected!("avx512bw")
                 && is_x86_feature_detected!("avx512vnni")
+                && is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("fma")
             {
                 return Some(&x86::AVX512VNNI);
             }
@@ -388,31 +408,11 @@ static SCALAR: KernelSet = KernelSet {
     bias_act: bias_act_scalar,
     gru_gates: gru_gates_scalar,
     sum_abs_diff: sum_abs_diff_scalar,
-    dot_i8: dot_i8_scalar,
-    dot4_i8: dot4_i8_scalar,
+    panel_gemv_i8: panel_gemv_i8_scalar,
     act_range: act_range_scalar,
     act_encode: act_encode_scalar,
-    encode_dot4_i8: encode_dot4_i8_scalar,
+    act_decode: act_decode_scalar,
 };
-
-/// Reference fused encode+dot: the unfused composition *is* the spec —
-/// encode the whole row, then take the four integer dots. The SIMD
-/// variants interleave the two per 32-element chunk but compute the exact
-/// same codes and (associative) integer sums, so they stay bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn encode_dot4_i8_scalar(
-    x: &[f32],
-    min: f32,
-    inv: f32,
-    qa: &mut [u8],
-    b0: &[i8],
-    b1: &[i8],
-    b2: &[i8],
-    b3: &[i8],
-) -> [i32; 4] {
-    act_encode_scalar(x, min, inv, qa);
-    dot4_i8_scalar(qa, b0, b1, b2, b3)
-}
 
 fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -499,25 +499,34 @@ fn gru_gates_scalar(xp: &[f32], up: &[f32], h: &mut [f32], z: &mut [f32], r: &mu
     }
 }
 
-/// Reference int8 dot. Integer accumulation is exact and associative, so
-/// this is not merely "close to" the SIMD kernels — it is bit-identical,
-/// which is what lets the proptests pin `==` instead of a tolerance.
-fn dot_i8_scalar(a: &[u8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = 0i32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += i32::from(x) * i32::from(y);
-    }
-    acc
+/// Dequantizes one i32 accumulator: the activation offset re-enters
+/// through the precomputed weight-row sum (`Σ w ≈ s_r · R_r`), then the
+/// combined scales apply. Two multiplies, an add, a multiply — the SIMD
+/// epilogues spell out the same four ops, so none may contract to an FMA.
+#[inline]
+pub(crate) fn dequantize(acc: i32, row_sum: f32, act: ActQuant, row_scale: f32) -> f32 {
+    row_scale * (act.scale * acc as f32 + act.min * row_sum)
 }
 
-fn dot4_i8_scalar(a: &[u8], b0: &[i8], b1: &[i8], b2: &[i8], b3: &[i8]) -> [i32; 4] {
-    [
-        dot_i8_scalar(a, b0),
-        dot_i8_scalar(a, b1),
-        dot_i8_scalar(a, b2),
-        dot_i8_scalar(a, b3),
-    ]
+/// Reference panel GEMV. Integer accumulation is exact and associative,
+/// so this is not merely "close to" the SIMD kernels — it is bit-identical,
+/// which is what lets the proptests pin `==` instead of a tolerance.
+fn panel_gemv_i8_scalar(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32]) {
+    for (b, yb) in y.chunks_mut(PANEL_LANES).enumerate() {
+        let mut acc = [0i32; PANEL_LANES];
+        let block = &w.q[b * w.kq..(b + 1) * w.kq];
+        for (quad, a) in block.iter().zip(qa.chunks_exact(PANEL_K)) {
+            for (lane, wq) in acc.iter_mut().zip(&quad.0) {
+                for (&av, &wv) in a.iter().zip(wq) {
+                    *lane += i32::from(av) * i32::from(wv);
+                }
+            }
+        }
+        let r0 = b * PANEL_LANES;
+        for (l, out) in yb.iter_mut().enumerate() {
+            *out = dequantize(acc[l], w.row_sums[r0 + l], act, w.scales[r0 + l]);
+        }
+    }
 }
 
 /// Lane-blocked select-form min/max scan. A NaN comparison is false, so a
@@ -559,6 +568,20 @@ fn act_encode_scalar(x: &[f32], min: f32, inv: f32, out: &mut [u8]) {
     }
 }
 
+/// The decode loop, inlined into each set's entry point so it compiles
+/// under that set's target features: `mul_add` is a libm `fmaf` call on
+/// the SSE2 baseline and one `vfmadd` lane once FMA codegen is enabled.
+#[inline(always)]
+fn act_decode_loop(codes: &[u8], act: ActQuant, out: &mut [f32]) {
+    for (o, &c) in out.iter_mut().zip(codes) {
+        *o = act.scale.mul_add(f32::from(c), act.min);
+    }
+}
+
+fn act_decode_scalar(codes: &[u8], act: ActQuant, out: &mut [f32]) {
+    act_decode_loop(codes, act, out)
+}
+
 fn sum_abs_diff_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut lanes = [0.0f32; LANES];
@@ -586,7 +609,7 @@ fn sum_abs_diff_scalar(a: &[f32], b: &[f32]) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Activation, KernelSet};
+    use super::{ActQuant, Activation, KernelSet, Panels, PANEL_LANES};
     use std::arch::x86_64::*;
 
     pub(super) static AVX2: KernelSet = KernelSet {
@@ -597,11 +620,10 @@ mod x86 {
         bias_act: bias_act_avx2,
         gru_gates: gru_gates_avx2,
         sum_abs_diff: sum_abs_diff_avx2,
-        dot_i8: dot_i8_avx2,
-        dot4_i8: dot4_i8_avx2,
+        panel_gemv_i8: panel_gemv_i8_avx2,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
-        encode_dot4_i8: encode_dot4_i8_avx2,
+        act_decode: act_decode_avx2,
     };
 
     pub(super) static AVX512: KernelSet = KernelSet {
@@ -615,17 +637,15 @@ mod x86 {
         // AVX-512F has no byte-granular multiply; without VNNI the best
         // int8 path on these CPUs is the 256-bit maddubs kernel (the set's
         // constructor also verifies AVX2).
-        dot_i8: dot_i8_avx2,
-        dot4_i8: dot4_i8_avx2,
+        panel_gemv_i8: panel_gemv_i8_avx2,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
-        encode_dot4_i8: encode_dot4_i8_avx2,
+        act_decode: act_decode_avx2,
     };
 
-    /// The VNNI tier: f32 kernels identical to [`AVX512`], int8 kernels on
-    /// `vpdpbusd` (u8×i8 quads accumulated directly into i32 lanes). The
-    /// fused encode+dot stays on the 256-bit maddubs body (its encode
-    /// stage is 256-bit; it only runs on one row-quad per matvec).
+    /// The VNNI tier: f32 kernels identical to [`AVX512`], the int8 panel
+    /// GEMV on `vpdpbusd` (u8×i8 quads accumulated directly into i32
+    /// lanes).
     pub(super) static AVX512VNNI: KernelSet = KernelSet {
         name: "avx512vnni",
         dot: dot_avx512,
@@ -634,11 +654,10 @@ mod x86 {
         bias_act: bias_act_avx512,
         gru_gates: gru_gates_avx512,
         sum_abs_diff: sum_abs_diff_avx512,
-        dot_i8: dot_i8_vnni,
-        dot4_i8: dot4_i8_vnni,
+        panel_gemv_i8: panel_gemv_i8_vnni,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
-        encode_dot4_i8: encode_dot4_i8_avx2,
+        act_decode: act_decode_avx2,
     };
 
     // Cephes-style polynomial `expf` constants (same as avx_mathfun /
@@ -1338,213 +1357,132 @@ mod x86 {
 
     // ---------------- int8 (AVX2 maddubs + AVX-512 VNNI) ----------------
     //
-    // All int8 kernels compute Σ a[k]·b[k] with a: u8 (quantized
-    // activations, ≤127 by the quantizer's contract) and b: i8 weights,
-    // exactly, in i32. `vpmaddubsw` forms pairwise u8×i8 products and
-    // saturates their i16 sum — with a ≤ 127 the pair sum is bounded by
-    // 2·127·127 = 32258 < 32767, so saturation is unreachable and the
-    // result is the exact integer the scalar reference computes.
-    // `vpdpbusd` accumulates u8×i8 quads straight into i32 lanes
-    // (no i16 stage at all; VPDPBUSD does not saturate — only the
-    // explicit VPDPBUSDS variant does). Integer addition is associative,
-    // so every lane split/reorder below preserves bit-exact equality.
-
-    /// Sums the 8 i32 lanes of a 256-bit register.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum256_epi32(v: __m256i) -> i32 {
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256::<1>(v);
-        let s = _mm_add_epi32(lo, hi);
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0x4e>(s));
-        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0xb1>(s));
-        _mm_cvtsi128_si32(s)
-    }
-
-    /// One 32-byte maddubs+madd step: Σ of 32 u8×i8 products as 8 i32s.
-    ///
-    /// # Safety
-    /// Requires AVX2; 32 readable bytes at both pointers.
-    #[target_feature(enable = "avx2")]
-    unsafe fn madd32(pa: *const u8, pb: *const i8) -> __m256i {
-        let m = _mm256_maddubs_epi16(
-            _mm256_loadu_si256(pa as *const __m256i),
-            _mm256_loadu_si256(pb as *const __m256i),
-        );
-        _mm256_madd_epi16(m, _mm256_set1_epi16(1))
-    }
+    // Both panel kernels compute acc[r] = Σ qa[k]·q[r][k] with qa: u8
+    // (quantized activations, ≤127 by the quantizer's contract) and q: i8
+    // weights, exactly, in one i32 per output lane: each k-quad broadcasts
+    // four activation bytes to every lane of a 16-lane block. `vpmaddubsw`
+    // forms pairwise u8×i8 products and saturates their i16 sum — with
+    // qa ≤ 127 the pair sum is bounded by 2·127·127 = 32258 < 32767, so
+    // saturation is unreachable and the result is the exact integer the
+    // scalar reference computes. `vpdpbusd` accumulates u8×i8 quads
+    // straight into i32 lanes (no i16 stage at all; VPDPBUSD does not
+    // saturate — only the explicit VPDPBUSDS variant does). Integer
+    // addition is associative, so splitting the k-quads over several
+    // accumulators preserves bit-exact equality. The epilogue is the
+    // scalar `dequantize` spelled per lane: mul, mul, add, mul.
 
     /// # Safety
-    /// Requires AVX2.
+    /// Requires AVX2. `w.q` must hold `y.len().div_ceil(16) · w.kq` quads,
+    /// `w.scales`/`w.row_sums` `y.len().div_ceil(16) · 16` lanes and `qa`
+    /// at least `4 · w.kq` bytes.
     #[target_feature(enable = "avx2")]
-    unsafe fn dot_i8_avx2_impl(a: &[u8], b: &[i8]) -> i32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm256_setzero_si256();
-        let mut acc1 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 64 <= n {
-            acc0 = _mm256_add_epi32(acc0, madd32(pa.add(i), pb.add(i)));
-            acc1 = _mm256_add_epi32(acc1, madd32(pa.add(i + 32), pb.add(i + 32)));
-            i += 64;
-        }
-        if i + 32 <= n {
-            acc0 = _mm256_add_epi32(acc0, madd32(pa.add(i), pb.add(i)));
-            i += 32;
-        }
-        let mut sum = hsum256_epi32(_mm256_add_epi32(acc0, acc1));
-        while i < n {
-            sum += i32::from(a[i]) * i32::from(b[i]);
-            i += 1;
-        }
-        sum
-    }
-
-    fn dot_i8_avx2(a: &[u8], b: &[i8]) -> i32 {
-        // SAFETY: reachable only through KernelSets whose constructors
-        // verified AVX2 (the avx2 and avx512 sets).
-        unsafe { dot_i8_avx2_impl(a, b) }
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot4_i8_avx2_impl(a: &[u8], b0: &[i8], b1: &[i8], b2: &[i8], b3: &[i8]) -> [i32; 4] {
-        let n = a.len();
-        let pa = a.as_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
+    unsafe fn panel_gemv_i8_avx2_impl(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32]) {
         let ones = _mm256_set1_epi16(1);
-        let mut a0 = _mm256_setzero_si256();
-        let mut a1 = _mm256_setzero_si256();
-        let mut a2 = _mm256_setzero_si256();
-        let mut a3 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 32 <= n {
-            // Each loaded activation chunk is reused against four weight
-            // rows — the register-blocked GEMM inner loop.
-            let va = _mm256_loadu_si256(pa.add(i) as *const __m256i);
-            let m0 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p0.add(i) as *const __m256i));
-            let m1 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p1.add(i) as *const __m256i));
-            let m2 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p2.add(i) as *const __m256i));
-            let m3 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p3.add(i) as *const __m256i));
-            a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(m0, ones));
-            a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(m1, ones));
-            a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(m2, ones));
-            a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(m3, ones));
-            i += 32;
+        let (vs, vm) = (_mm256_set1_ps(act.scale), _mm256_set1_ps(act.min));
+        let pa = qa.as_ptr() as *const i32;
+        let mut pw = w.q.as_ptr() as *const __m256i;
+        let (mut ps, mut pr) = (w.scales.as_ptr(), w.row_sums.as_ptr());
+        for yb in y.chunks_mut(PANEL_LANES) {
+            let mut lo = _mm256_setzero_si256();
+            let mut hi = _mm256_setzero_si256();
+            for k in 0..w.kq {
+                let a = _mm256_set1_epi32(pa.add(k).read_unaligned());
+                let m0 = _mm256_maddubs_epi16(a, _mm256_loadu_si256(pw));
+                let m1 = _mm256_maddubs_epi16(a, _mm256_loadu_si256(pw.add(1)));
+                lo = _mm256_add_epi32(lo, _mm256_madd_epi16(m0, ones));
+                hi = _mm256_add_epi32(hi, _mm256_madd_epi16(m1, ones));
+                pw = pw.add(2);
+            }
+            // Only `rows` outputs exist: a ragged last block lands in
+            // `tail` and its pad lanes stay there.
+            let mut tail = [0.0f32; PANEL_LANES];
+            let full = yb.len() == PANEL_LANES;
+            let po = if full {
+                yb.as_mut_ptr()
+            } else {
+                tail.as_mut_ptr()
+            };
+            for (half, acc) in [lo, hi].into_iter().enumerate() {
+                let t = _mm256_add_ps(
+                    _mm256_mul_ps(vs, _mm256_cvtepi32_ps(acc)),
+                    _mm256_mul_ps(vm, _mm256_loadu_ps(pr.add(8 * half))),
+                );
+                let v = _mm256_mul_ps(_mm256_loadu_ps(ps.add(8 * half)), t);
+                _mm256_storeu_ps(po.add(8 * half), v);
+            }
+            if !full {
+                yb.copy_from_slice(&tail[..yb.len()]);
+            }
+            (ps, pr) = (ps.add(PANEL_LANES), pr.add(PANEL_LANES));
         }
-        let mut out = [
-            hsum256_epi32(a0),
-            hsum256_epi32(a1),
-            hsum256_epi32(a2),
-            hsum256_epi32(a3),
-        ];
-        while i < n {
-            let av = i32::from(a[i]);
-            out[0] += av * i32::from(b0[i]);
-            out[1] += av * i32::from(b1[i]);
-            out[2] += av * i32::from(b2[i]);
-            out[3] += av * i32::from(b3[i]);
-            i += 1;
-        }
-        out
     }
 
-    fn dot4_i8_avx2(a: &[u8], b0: &[i8], b1: &[i8], b2: &[i8], b3: &[i8]) -> [i32; 4] {
+    fn panel_gemv_i8_avx2(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32]) {
         // SAFETY: reachable only through KernelSets whose constructors
-        // verified AVX2 (the avx2 and avx512 sets).
-        unsafe { dot4_i8_avx2_impl(a, b0, b1, b2, b3) }
+        // verified AVX2 (the avx2 and avx512 sets), and only through
+        // `KernelSet::panel_gemv_i8`, whose "panel shape mismatch" and
+        // "panel activation row too short" asserts are the length
+        // requirements above.
+        unsafe { panel_gemv_i8_avx2_impl(w, qa, act, y) }
     }
 
     /// # Safety
-    /// Requires AVX-512F+BW+VNNI.
+    /// Requires AVX-512F+BW+VNNI; same length requirements as
+    /// [`panel_gemv_i8_avx2_impl`].
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    unsafe fn dot_i8_vnni_impl(a: &[u8], b: &[i8]) -> i32 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc0 = _mm512_setzero_si512();
-        let mut acc1 = _mm512_setzero_si512();
-        let mut i = 0;
-        while i + 128 <= n {
-            acc0 = _mm512_dpbusd_epi32(
-                acc0,
-                _mm512_loadu_si512(pa.add(i) as *const _),
-                _mm512_loadu_si512(pb.add(i) as *const _),
+    unsafe fn panel_gemv_i8_vnni_impl(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32]) {
+        let (vs, vm) = (_mm512_set1_ps(act.scale), _mm512_set1_ps(act.min));
+        let pa = qa.as_ptr() as *const i32;
+        let mut pw = w.q.as_ptr() as *const __m512i;
+        let (mut ps, mut pr) = (w.scales.as_ptr(), w.row_sums.as_ptr());
+        for yb in y.chunks_mut(PANEL_LANES) {
+            // Four independent accumulator chains cover the vpdpbusd
+            // latency on the GRU's 8- and 10-quad panels.
+            let mut acc = [_mm512_setzero_si512(); 4];
+            let mut k = 0;
+            while k + 4 <= w.kq {
+                for (j, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_dpbusd_epi32(
+                        *a,
+                        _mm512_set1_epi32(pa.add(k + j).read_unaligned()),
+                        _mm512_loadu_si512(pw.add(j)),
+                    );
+                }
+                pw = pw.add(4);
+                k += 4;
+            }
+            while k < w.kq {
+                acc[0] = _mm512_dpbusd_epi32(
+                    acc[0],
+                    _mm512_set1_epi32(pa.add(k).read_unaligned()),
+                    _mm512_loadu_si512(pw),
+                );
+                pw = pw.add(1);
+                k += 1;
+            }
+            let sum = _mm512_add_epi32(
+                _mm512_add_epi32(acc[0], acc[1]),
+                _mm512_add_epi32(acc[2], acc[3]),
             );
-            acc1 = _mm512_dpbusd_epi32(
-                acc1,
-                _mm512_loadu_si512(pa.add(i + 64) as *const _),
-                _mm512_loadu_si512(pb.add(i + 64) as *const _),
+            let t = _mm512_add_ps(
+                _mm512_mul_ps(vs, _mm512_cvtepi32_ps(sum)),
+                _mm512_mul_ps(vm, _mm512_loadu_ps(pr)),
             );
-            i += 128;
+            let v = _mm512_mul_ps(_mm512_loadu_ps(ps), t);
+            // Only `rows` outputs exist: the last block's pad lanes are
+            // masked out of the store.
+            let mask = ((1u32 << yb.len()) - 1) as __mmask16;
+            _mm512_mask_storeu_ps(yb.as_mut_ptr(), mask, v);
+            (ps, pr) = (ps.add(PANEL_LANES), pr.add(PANEL_LANES));
         }
-        if i + 64 <= n {
-            acc0 = _mm512_dpbusd_epi32(
-                acc0,
-                _mm512_loadu_si512(pa.add(i) as *const _),
-                _mm512_loadu_si512(pb.add(i) as *const _),
-            );
-            i += 64;
-        }
-        if i < n {
-            let m: __mmask64 = (1u64 << (n - i)) - 1;
-            acc1 = _mm512_dpbusd_epi32(
-                acc1,
-                _mm512_maskz_loadu_epi8(m, pa.add(i) as *const i8),
-                _mm512_maskz_loadu_epi8(m, pb.add(i)),
-            );
-        }
-        _mm512_reduce_add_epi32(_mm512_add_epi32(acc0, acc1))
     }
 
-    fn dot_i8_vnni(a: &[u8], b: &[i8]) -> i32 {
-        // SAFETY: reachable only through the detected AVX-512 VNNI set.
-        unsafe { dot_i8_vnni_impl(a, b) }
-    }
-
-    /// # Safety
-    /// Requires AVX-512F+BW+VNNI.
-    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    unsafe fn dot4_i8_vnni_impl(a: &[u8], b0: &[i8], b1: &[i8], b2: &[i8], b3: &[i8]) -> [i32; 4] {
-        let n = a.len();
-        let pa = a.as_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let mut a0 = _mm512_setzero_si512();
-        let mut a1 = _mm512_setzero_si512();
-        let mut a2 = _mm512_setzero_si512();
-        let mut a3 = _mm512_setzero_si512();
-        let mut i = 0;
-        while i + 64 <= n {
-            let va = _mm512_loadu_si512(pa.add(i) as *const _);
-            a0 = _mm512_dpbusd_epi32(a0, va, _mm512_loadu_si512(p0.add(i) as *const _));
-            a1 = _mm512_dpbusd_epi32(a1, va, _mm512_loadu_si512(p1.add(i) as *const _));
-            a2 = _mm512_dpbusd_epi32(a2, va, _mm512_loadu_si512(p2.add(i) as *const _));
-            a3 = _mm512_dpbusd_epi32(a3, va, _mm512_loadu_si512(p3.add(i) as *const _));
-            i += 64;
-        }
-        if i < n {
-            let m: __mmask64 = (1u64 << (n - i)) - 1;
-            let va = _mm512_maskz_loadu_epi8(m, pa.add(i) as *const i8);
-            a0 = _mm512_dpbusd_epi32(a0, va, _mm512_maskz_loadu_epi8(m, p0.add(i)));
-            a1 = _mm512_dpbusd_epi32(a1, va, _mm512_maskz_loadu_epi8(m, p1.add(i)));
-            a2 = _mm512_dpbusd_epi32(a2, va, _mm512_maskz_loadu_epi8(m, p2.add(i)));
-            a3 = _mm512_dpbusd_epi32(a3, va, _mm512_maskz_loadu_epi8(m, p3.add(i)));
-        }
-        [
-            _mm512_reduce_add_epi32(a0),
-            _mm512_reduce_add_epi32(a1),
-            _mm512_reduce_add_epi32(a2),
-            _mm512_reduce_add_epi32(a3),
-        ]
-    }
-
-    fn dot4_i8_vnni(a: &[u8], b0: &[i8], b1: &[i8], b2: &[i8], b3: &[i8]) -> [i32; 4] {
-        // SAFETY: reachable only through the detected AVX-512 VNNI set.
-        unsafe { dot4_i8_vnni_impl(a, b0, b1, b2, b3) }
+    fn panel_gemv_i8_vnni(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32]) {
+        // SAFETY: reachable only through the detected AVX-512 VNNI set,
+        // and only through `KernelSet::panel_gemv_i8`, whose "panel shape
+        // mismatch" and "panel activation row too short" asserts are the
+        // kernel's length requirements.
+        unsafe { panel_gemv_i8_vnni_impl(w, qa, act, y) }
     }
 
     // ---------------- activation quantization ----------------
@@ -1649,139 +1587,17 @@ mod x86 {
         unsafe { act_encode_avx2_impl(x, min, inv, out) }
     }
 
-    // ---------------- fused encode + dot4 ----------------
-
-    /// Encodes 16 floats at `p` to 16 contiguous u8 codes in one __m128i.
-    /// Exactly the op sequence of `act_encode_avx2_impl` (sub, mul, add —
-    /// no FMA; ordered `>` keeps NaN; truncating cvt; saturating packs
-    /// send NaN's 0x8000_0000 to code 0), so codes are bit-identical to
-    /// every other encode path.
-    ///
     /// # Safety
-    /// Requires AVX2; 16 readable floats at `p`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn encode16(
-        p: *const f32,
-        vmin: __m256,
-        vinv: __m256,
-        half: __m256,
-        cap: __m256,
-    ) -> __m128i {
-        let mut t0 = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(p), vmin), vinv),
-            half,
-        );
-        let mut t1 = _mm256_add_ps(
-            _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(p.add(8)), vmin), vinv),
-            half,
-        );
-        let m0 = _mm256_cmp_ps::<_CMP_GT_OQ>(t0, cap);
-        let m1 = _mm256_cmp_ps::<_CMP_GT_OQ>(t1, cap);
-        t0 = _mm256_blendv_ps(t0, cap, m0);
-        t1 = _mm256_blendv_ps(t1, cap, m1);
-        let i0 = _mm256_cvttps_epi32(t0);
-        let i1 = _mm256_cvttps_epi32(t1);
-        let packed16 = _mm256_permute4x64_epi64::<0b11011000>(_mm256_packs_epi32(i0, i1));
-        let packed8 = _mm256_packus_epi16(packed16, packed16);
-        _mm_unpacklo_epi64(
-            _mm256_castsi256_si128(packed8),
-            _mm256_extracti128_si256::<1>(packed8),
-        )
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn act_decode_avx2_impl(codes: &[u8], act: ActQuant, out: &mut [f32]) {
+        super::act_decode_loop(codes, act, out)
     }
 
-    /// Scalar tail of the fused kernel: encode + accumulate one element at
-    /// a time from `i`.
-    #[allow(clippy::too_many_arguments)]
-    fn encode_dot4_tail(
-        i: usize,
-        x: &[f32],
-        min: f32,
-        inv: f32,
-        qa: &mut [u8],
-        b0: &[i8],
-        b1: &[i8],
-        b2: &[i8],
-        b3: &[i8],
-        out: &mut [i32; 4],
-    ) {
-        for k in i..x.len() {
-            let t = (x[k] - min) * inv + 0.5;
-            let q = if t > 127.0 { 127.0 } else { t } as u8;
-            qa[k] = q;
-            let av = i32::from(q);
-            out[0] += av * i32::from(b0[k]);
-            out[1] += av * i32::from(b1[k]);
-            out[2] += av * i32::from(b2[k]);
-            out[3] += av * i32::from(b3[k]);
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn encode_dot4_i8_avx2_impl(
-        x: &[f32],
-        min: f32,
-        inv: f32,
-        qa: &mut [u8],
-        b0: &[i8],
-        b1: &[i8],
-        b2: &[i8],
-        b3: &[i8],
-    ) -> [i32; 4] {
-        let n = x.len();
-        let p = x.as_ptr();
-        let pq = qa.as_mut_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let vmin = _mm256_set1_ps(min);
-        let vinv = _mm256_set1_ps(inv);
-        let half = _mm256_set1_ps(0.5);
-        let cap = _mm256_set1_ps(127.0);
-        let ones = _mm256_set1_epi16(1);
-        let mut a0 = _mm256_setzero_si256();
-        let mut a1 = _mm256_setzero_si256();
-        let mut a2 = _mm256_setzero_si256();
-        let mut a3 = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 32 <= n {
-            let c0 = encode16(p.add(i), vmin, vinv, half, cap);
-            let c1 = encode16(p.add(i + 16), vmin, vinv, half, cap);
-            let va = _mm256_set_m128i(c1, c0);
-            _mm256_storeu_si256(pq.add(i) as *mut __m256i, va);
-            let m0 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p0.add(i) as *const __m256i));
-            let m1 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p1.add(i) as *const __m256i));
-            let m2 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p2.add(i) as *const __m256i));
-            let m3 = _mm256_maddubs_epi16(va, _mm256_loadu_si256(p3.add(i) as *const __m256i));
-            a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(m0, ones));
-            a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(m1, ones));
-            a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(m2, ones));
-            a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(m3, ones));
-            i += 32;
-        }
-        let mut out = [
-            hsum256_epi32(a0),
-            hsum256_epi32(a1),
-            hsum256_epi32(a2),
-            hsum256_epi32(a3),
-        ];
-        encode_dot4_tail(i, x, min, inv, qa, b0, b1, b2, b3, &mut out);
-        out
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn encode_dot4_i8_avx2(
-        x: &[f32],
-        min: f32,
-        inv: f32,
-        qa: &mut [u8],
-        b0: &[i8],
-        b1: &[i8],
-        b2: &[i8],
-        b3: &[i8],
-    ) -> [i32; 4] {
-        // SAFETY: reachable only through AVX2-verified KernelSets.
-        unsafe { encode_dot4_i8_avx2_impl(x, min, inv, qa, b0, b1, b2, b3) }
+    fn act_decode_avx2(codes: &[u8], act: ActQuant, out: &mut [f32]) {
+        // SAFETY: every SIMD KernelSet constructor verifies AVX2+FMA. The
+        // body is safe code.
+        unsafe { act_decode_avx2_impl(codes, act, out) }
     }
 }
 
@@ -1886,79 +1702,38 @@ mod tests {
         assert_eq!(names.len(), sets.len(), "set names must be distinct");
     }
 
-    /// Int8 dots are exact integer arithmetic, so every available set must
-    /// agree with the scalar reference **bit for bit** — including the
-    /// extremes of the quantization contract (a = 127, b = ±127) where a
-    /// saturating maddubs implementation would diverge.
-    #[test]
-    fn int8_kernels_are_exact_at_contract_extremes() {
-        for n in [0usize, 1, 7, 31, 32, 33, 63, 64, 65, 127, 128, 130] {
-            let a: Vec<u8> = (0..n)
-                .map(|i| if i % 3 == 0 { 127 } else { (i % 128) as u8 })
-                .collect();
-            let mk = |s: usize| -> Vec<i8> {
-                (0..n)
-                    .map(|i| match (i + s) % 4 {
-                        0 => 127,
-                        1 => -127,
-                        2 => ((i * 37 + s) % 255) as i8,
-                        _ => -(((i * 13 + s) % 128) as i8),
-                    })
-                    .collect()
-            };
-            let (b0, b1, b2, b3) = (mk(0), mk(1), mk(2), mk(3));
-            let scalar = KernelSet::scalar();
-            let want = scalar.dot_i8(&a, &b0);
-            let want4 = scalar.dot4_i8(&a, &b0, &b1, &b2, &b3);
-            for ks in KernelSet::available() {
-                assert_eq!(ks.dot_i8(&a, &b0), want, "{} dot_i8 n={n}", ks.name);
-                assert_eq!(
-                    ks.dot4_i8(&a, &b0, &b1, &b2, &b3),
-                    want4,
-                    "{} dot4_i8 n={n}",
-                    ks.name
-                );
-            }
-        }
+    /// One 16-lane block of two k-quads (8 activation bytes) through the
+    /// active set, with `qa_len` activation bytes and `rows` outputs.
+    fn one_block_gemv(qa_len: usize, rows: usize) {
+        let q = [PanelQuad([[1; PANEL_K]; PANEL_LANES]); 2];
+        let lanes = [1.0f32; PANEL_LANES];
+        let w = Panels {
+            q: &q,
+            kq: 2,
+            scales: &lanes,
+            row_sums: &lanes,
+        };
+        let act = ActQuant {
+            scale: 1.0,
+            min: 0.0,
+        };
+        KernelSet::active().panel_gemv_i8(&w, &vec![1; qa_len], act, &mut vec![0.0; rows]);
     }
 
     #[test]
-    #[should_panic(expected = "dot_i8 length mismatch")]
-    fn mismatched_i8_lengths_panic_not_ub() {
-        let _ = KernelSet::active().dot_i8(&[1u8; 16], &[1i8; 8]);
+    #[should_panic(expected = "panel activation row too short")]
+    fn short_panel_activations_panic_not_ub() {
+        // The SIMD bodies read 4·kq activation bytes through a raw
+        // pointer; the public wrapper must reject a shorter row in
+        // release builds too.
+        one_block_gemv(7, 3);
     }
 
-    /// The fused encode+dot kernel must be bit-identical to its unfused
-    /// composition (`act_encode` then `dot4_i8`) on every set — codes and
-    /// dots both — including NaN elements (code 0), values past the cap
-    /// (code 127) and every tail length.
     #[test]
-    fn fused_encode_dot4_matches_unfused_composition() {
-        for n in [0usize, 1, 5, 16, 31, 32, 33, 37, 63, 64, 65, 96, 130] {
-            let mut x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 2.0).collect();
-            if n > 5 {
-                x[5] = f32::NAN;
-            }
-            if n > 7 {
-                x[7] = 10.0; // past the cap once scaled
-            }
-            let mk = |s: usize| -> Vec<i8> {
-                (0..n)
-                    .map(|i| (((i * 37 + s * 13) % 255) as i16 - 127) as i8)
-                    .collect()
-            };
-            let (b0, b1, b2, b3) = (mk(0), mk(1), mk(2), mk(3));
-            let (min, inv) = (-1.0f32, 50.0f32);
-            let mut want_qa = vec![0u8; n];
-            KernelSet::scalar().act_encode(&x, min, inv, &mut want_qa);
-            let want = KernelSet::scalar().dot4_i8(&want_qa, &b0, &b1, &b2, &b3);
-            for ks in KernelSet::available() {
-                let mut qa = vec![0xffu8; n];
-                let got = ks.encode_dot4_i8(&x, min, inv, &mut qa, &b0, &b1, &b2, &b3);
-                assert_eq!(qa, want_qa, "{} codes n={n}", ks.name);
-                assert_eq!(got, want, "{} dots n={n}", ks.name);
-            }
-        }
+    #[should_panic(expected = "panel shape mismatch")]
+    fn mismatched_panel_shapes_panic_not_ub() {
+        // 17 outputs need two blocks of weights, scales and row sums.
+        one_block_gemv(8, 17);
     }
 
     /// Every set's range scan must agree with scalar — including rows

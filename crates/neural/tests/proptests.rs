@@ -1,7 +1,7 @@
 //! Property-based tests for the neural substrate.
 
 use neural::dense::Activation;
-use neural::quant::{self, QuantMatrix, QuantPackedGru};
+use neural::quant::{self, ActQuant, QuantMatrix, QuantPackedGru};
 use neural::{
     softmax_cross_entropy, softmax_inplace, Autoencoder, GruCell, GruWorkspace, KernelSet, Matrix,
     PackedGru,
@@ -313,39 +313,84 @@ proptest! {
         }
     }
 
-    /// Every available int8 kernel set equals the scalar int8 reference
+    /// Every available panel GEMV equals the scalar panel kernel
     /// **exactly** (i32 accumulation is associative integer math — there
-    /// is no reassociation drift to tolerate), across remainder-lane
-    /// lengths spanning every SIMD tail path (AVX2 32/64-byte blocks,
-    /// VNNI 64/128-byte blocks and masked tails) and the full contract
-    /// ranges (activations 0..=127, weights −127..=127).
+    /// is no reassociation drift to tolerate) over ragged shapes: K below
+    /// and off the 4-byte quad, N below and off the 16-lane block, across
+    /// the full contract ranges (activations 0..=127, weights −127..=127).
+    /// Integer-valued weights with a ±127 in every row quantize to
+    /// themselves at scale 1, so under unit dequantization `y` *is* the
+    /// i32 accumulator, checked against a naive row-major sum; a second
+    /// pass with an arbitrary grid pins the f32 epilogue bitwise too.
     #[test]
-    fn int8_kernels_match_scalar_exactly(
-        len in 0usize..300,
+    fn panel_gemv_matches_scalar_exactly(
+        rows in 1usize..400,
+        cols in 1usize..400,
         seed in 0u64..1000,
+        scale in 1e-4f32..10.0,
+        min in -5.0f32..5.0,
     ) {
-        let a: Vec<u8> = (0..len)
+        let m = Matrix::from_fn(rows, cols, |r, c| {
+            if c == r % cols {
+                if (r as u64 ^ seed) & 1 == 0 { 127.0 } else { -127.0 }
+            } else {
+                let v = ((r * cols + c) as u64).wrapping_mul(17) ^ seed.wrapping_mul(40503);
+                (v % 255) as f32 - 127.0
+            }
+        });
+        let q = QuantMatrix::quantize(&m);
+        // Pad bytes past `cols` are live codes too: they must meet zero
+        // weights.
+        let qa: Vec<u8> = (0..cols.div_ceil(4) * 4)
             .map(|i| (((i as u64).wrapping_mul(31) ^ seed.wrapping_mul(2654435761)) % 128) as u8)
             .collect();
-        let row = |s: u64| -> Vec<i8> {
-            (0..len)
-                .map(|i| {
-                    let v = ((i as u64).wrapping_mul(17) ^ s.wrapping_mul(40503)) % 255;
-                    (v as i32 - 127) as i8
-                })
-                .collect()
-        };
-        let (b0, b1, b2, b3) = (row(seed), row(seed ^ 1), row(seed ^ 2), row(seed ^ 3));
         let scalar = KernelSet::scalar();
-        let want = scalar.dot_i8(&a, &b0);
-        let want4 = scalar.dot4_i8(&a, &b0, &b1, &b2, &b3);
+        for act in [ActQuant { scale: 1.0, min: 0.0 }, ActQuant { scale, min }] {
+            let mut want = vec![f32::NAN; rows];
+            scalar.panel_gemv_i8(&q.panels(), &qa, act, &mut want);
+            if act.scale == 1.0 && act.min == 0.0 {
+                for (r, &y) in want.iter().enumerate() {
+                    let acc: i32 = (0..cols)
+                        .map(|c| i32::from(qa[c]) * i32::from(q.code(r, c)))
+                        .sum();
+                    prop_assert_eq!(q.code(r, r % cols).unsigned_abs(), 127);
+                    prop_assert_eq!(y, acc as f32, "scalar row {} of {}x{}", r, rows, cols);
+                }
+            }
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            for ks in KernelSet::available() {
+                let mut got = vec![f32::NAN; rows];
+                ks.panel_gemv_i8(&q.panels(), &qa, act, &mut got);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&got, &want, "{} {}x{}", ks.name, rows, cols);
+            }
+        }
+    }
+
+    /// Resident-state decode is one fused multiply-add per element on
+    /// every set — hardware `vfmadd` in the SIMD sets, `f32::mul_add` in
+    /// the scalar one — so all sets decode to the bit-identical f32, for
+    /// any length (vector body and tail) and any grid.
+    #[test]
+    fn act_decode_is_bit_identical_across_sets(
+        len in 0usize..400,
+        seed in 0u64..1000,
+        scale in 0.0f32..3.0,
+        min in -100.0f32..100.0,
+    ) {
+        let codes: Vec<u8> = (0..len)
+            .map(|i| (((i as u64).wrapping_mul(131) ^ seed.wrapping_mul(2654435761)) % 128) as u8)
+            .collect();
+        let act = ActQuant { scale, min };
+        let want: Vec<u32> = codes
+            .iter()
+            .map(|&c| scale.mul_add(f32::from(c), min).to_bits())
+            .collect();
         for ks in KernelSet::available() {
-            prop_assert_eq!(ks.dot_i8(&a, &b0), want, "{} dot_i8 len={}", ks.name, len);
-            prop_assert_eq!(
-                ks.dot4_i8(&a, &b0, &b1, &b2, &b3),
-                want4,
-                "{} dot4_i8 len={}", ks.name, len
-            );
+            let mut got = vec![f32::NAN; len];
+            ks.act_decode(&codes, act, &mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "{} len={}", ks.name, len);
         }
     }
 

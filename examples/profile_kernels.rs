@@ -1,4 +1,7 @@
-//! Raw kernel throughput: f32 vs int8 dot products at hot-path lengths.
+//! Raw kernel throughput at the eight hot matvec shapes (the six
+//! autoencoder layers and the GRU's two projections): the f32 matvec, the
+//! int8 matvec (plan + encode + panel GEMV) and the bare panel GEMV with
+//! the weight bytes it streams per nanosecond.
 //!
 //! ```text
 //! cargo run --release --example profile_kernels
@@ -6,60 +9,51 @@
 
 use neural::quant::{self, QuantMatrix};
 use neural::{KernelSet, Matrix};
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Mean nanoseconds per call of `f` over `iters` calls.
+fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t.elapsed().as_secs_f64() * 1e9 / f64::from(iters)
+}
 
 fn main() {
     let ks = KernelSet::active();
     println!("kernel set: {}", ks.name);
-    for &len in &[345usize, 192, 96, 40] {
-        let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
-        let rows: Vec<Vec<f32>> = (0..4)
-            .map(|r| (0..len).map(|i| ((i + r) as f32 * 0.51).cos()).collect())
-            .collect();
-        let qa: Vec<u8> = (0..len).map(|i| (i % 128) as u8).collect();
-        let qrows: Vec<Vec<i8>> = (0..4)
-            .map(|r| {
-                (0..len)
-                    .map(|i| (((i * 7 + r) % 255) as i32 - 127) as i8)
-                    .collect()
-            })
-            .collect();
-        let iters = 2_000_000u64 / len as u64;
+    println!("rows x cols | f32 matvec | int8 matvec | panel GEMV | weight bytes streamed");
+    for (rows, cols) in [
+        (192usize, 345usize),
+        (96, 192),
+        (40, 96),
+        (96, 40),
+        (192, 96),
+        (345, 192),
+        (96, 37),
+        (96, 32),
+    ] {
+        let w = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.29).cos());
+        let qw = QuantMatrix::quantize(&w);
+        let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut y = vec![0.0f32; rows];
+        let mut qa = Vec::new();
+        let iters = (400_000_000 / (rows * cols)) as u32;
 
-        let t = Instant::now();
-        let mut acc = 0.0f32;
-        for _ in 0..iters {
-            let o = ks.dot4(
-                std::hint::black_box(&a),
-                &rows[0],
-                &rows[1],
-                &rows[2],
-                &rows[3],
-            );
-            acc += o[0];
-        }
-        let f32_t = t.elapsed();
-
-        let t = Instant::now();
-        let mut iacc = 0i32;
-        for _ in 0..iters {
-            let o = ks.dot4_i8(
-                std::hint::black_box(&qa),
-                &qrows[0],
-                &qrows[1],
-                &qrows[2],
-                &qrows[3],
-            );
-            iacc = iacc.wrapping_add(o[0]);
-        }
-        let i8_t = t.elapsed();
-
-        let macs = iters as f64 * len as f64 * 4.0;
+        let f32_ns = ns_per_call(iters, || w.matvec_into(black_box(&x), &mut y));
+        let i8_ns = ns_per_call(iters, || qw.matvec_into(black_box(&x), &mut qa, &mut y));
+        // `qa` now holds this row's codes, padded to whole k-quads.
+        let act = quant::quantize_activations(&x, &mut Vec::new());
+        let panels = qw.panels();
+        let gemv_ns = ns_per_call(iters, || {
+            ks.panel_gemv_i8(&panels, black_box(&qa), act, &mut y)
+        });
+        let bytes = std::mem::size_of_val(panels.q);
         println!(
-            "len {len:>4}: f32 dot4 {:>7.2} GMAC/s | int8 dot4 {:>7.2} GMAC/s | ratio {:.2}x  ({acc:.1} {iacc})",
-            macs / f32_t.as_secs_f64() / 1e9,
-            macs / i8_t.as_secs_f64() / 1e9,
-            f32_t.as_secs_f64() / i8_t.as_secs_f64(),
+            "{rows:>4} x {cols:<4} | {f32_ns:>7.0} ns | {i8_ns:>8.0} ns | {gemv_ns:>7.0} ns | {bytes:>6} B, {:>5.1} B/ns",
+            bytes as f64 / gemv_ns,
         );
     }
 
