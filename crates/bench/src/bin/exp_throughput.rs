@@ -22,9 +22,12 @@
 //!
 //! The four gate options are `bench::GATES`: figures whose two sides come
 //! from this one process (int8 ÷ f32, sharded ÷ single stream, telemetry
-//! attached vs detached — the median of alternating pairs; build with
-//! `--features telemetry` to include the sampled stage clocks) or that are
-//! pure layout (bytes/flow, churn phase only). A missed bound exits
+//! attached vs detached — the median of alternating pairs, the attached
+//! side carrying the counter cells and the 1-in-32 sampled stage clocks)
+//! or that are pure layout (bytes/flow, churn phase only). There is one
+//! build and no environment variable steers the engines: every scorer
+//! below runs what the `QuantMode`/`StreamConfig` at its call site says
+//! (only `NEURAL_KERNELS` can pin the ISA tier). A missed bound exits
 //! non-zero. Whether a number moved since an earlier commit is judged by
 //! `benchmark/run.sh`, never here.
 
@@ -110,8 +113,7 @@ struct ThroughputReport {
 /// would otherwise double every number), plus per-stage latency
 /// summaries. The histograms cannot be delta'd — percentiles aren't
 /// subtractive — but warm-up and measured pass are the identical
-/// workload, so the cumulative distribution is the measured one. Stage
-/// rows carry zero samples unless built with `--features telemetry`.
+/// workload, so the cumulative distribution is the measured one.
 #[derive(Debug, Serialize)]
 struct ShardTelemetryRow {
     shard: usize,
@@ -206,9 +208,7 @@ fn main() {
 
     let (fused, quant, streaming, telem, b1, kitsune) = pool.install(|| {
         // Warm-up pass so one-time costs (page faults, lazy init) don't
-        // skew the first measurement. Engine precisions are pinned
-        // explicitly so a NEURAL_QUANT override in the environment can't
-        // silently turn the f32 baseline into a second int8 run.
+        // skew the first measurement.
         let warm = models.clap.score_connections_with(&corpus, QuantMode::Off);
 
         let t = Instant::now();
@@ -241,13 +241,7 @@ fn main() {
         };
 
         let t = Instant::now();
-        let mut scorer = models.clap.stream_scorer_with(StreamConfig {
-            quant: QuantMode::Off,
-            // Pinned off so a CLAP_MICROBATCH override in the environment
-            // can't silently batch the per-packet baseline.
-            microbatch: 0,
-            ..StreamConfig::default()
-        });
+        let mut scorer = models.clap.stream_scorer();
         for p in &stream {
             scorer.push(p);
         }
@@ -263,8 +257,8 @@ fn main() {
         // per-packet streaming run with live counter cells + stage
         // histograms attached vs detached, interleaved as TELEM_PAIRS
         // attached/detached pairs whose per-pair ratios feed a median.
-        // (Counters are always compiled; the `telemetry` feature adds
-        // the 1-in-32 sampled clock reads to the attached run.)
+        // (The attached run pays the counter stores and the 1-in-32
+        // sampled clock reads; the detached one pays neither.)
         //
         // Each timed run replays the corpus TELEM_PASSES times
         // (timestamps shifted to keep the stream clock monotone).
@@ -281,11 +275,7 @@ fn main() {
                 .collect()
         };
         let run_telemetry = |attach: bool| {
-            let mut scorer = models.clap.stream_scorer_with(StreamConfig {
-                quant: QuantMode::Off,
-                microbatch: 0,
-                ..StreamConfig::default()
-            });
+            let mut scorer = models.clap.stream_scorer();
             if attach {
                 scorer.attach_telemetry(Arc::new(StreamCells::default()));
                 scorer.attach_stages(Arc::new(StageHists::default()));
@@ -354,11 +344,6 @@ fn main() {
     let sharded_scorer = models.clap.sharded_scorer_with(ShardConfig {
         shards,
         queue_capacity: 1024,
-        stream: StreamConfig {
-            quant: QuantMode::Off,
-            microbatch: 0,
-            ..StreamConfig::default()
-        },
         ..ShardConfig::default()
     });
     // Warm-up: first run pays thread spawn + page faults.
@@ -416,36 +401,32 @@ fn main() {
                 .collect(),
         })
         .collect();
-    // Stage histograms carry samples only under `--features telemetry`;
-    // the table appears exactly when there is something to show.
-    if shard_telemetry
+    // Sharded workers always attach stage histograms, so this is the
+    // measured pass's latency profile; stages nothing sampled (`parse`:
+    // the corpus arrives pre-parsed) are left out.
+    let rows: Vec<Vec<String>> = shard_telemetry
         .iter()
-        .any(|r| r.stages.iter().any(|s| s.samples > 0))
-    {
-        let rows: Vec<Vec<String>> = shard_telemetry
-            .iter()
-            .flat_map(|r| {
-                r.stages.iter().filter(|s| s.samples > 0).map(|s| {
-                    vec![
-                        r.shard.to_string(),
-                        s.stage.to_string(),
-                        s.samples.to_string(),
-                        s.p50_ns.to_string(),
-                        s.p99_ns.to_string(),
-                        s.max_ns.to_string(),
-                    ]
-                })
+        .flat_map(|r| {
+            r.stages.iter().filter(|s| s.samples > 0).map(|s| {
+                vec![
+                    r.shard.to_string(),
+                    s.stage.to_string(),
+                    s.samples.to_string(),
+                    s.p50_ns.to_string(),
+                    s.p99_ns.to_string(),
+                    s.max_ns.to_string(),
+                ]
             })
-            .collect();
-        println!("\n== Per-stage latency (sampled log2 histograms, bucket floors) ==");
-        println!(
-            "{}",
-            render_table(
-                &["Shard", "Stage", "Samples", "p50 (ns)", "p99 (ns)", "max (ns)"],
-                &rows
-            )
-        );
-    }
+        })
+        .collect();
+    println!("\n== Per-stage latency (sampled log2 histograms, bucket floors) ==");
+    println!(
+        "{}",
+        render_table(
+            &["Shard", "Stage", "Samples", "p50 (ns)", "p99 (ns)", "max (ns)"],
+            &rows
+        )
+    );
     // The churn phase: a high-arrival-rate elephant/mice workload against
     // a million-flow table, measuring sustained pps and per-flow memory.
     // Runs for `--preset scale` only.

@@ -156,11 +156,10 @@ impl Clap {
     /// worker thread; scoring through it is allocation-free in steady
     /// state (aside from the returned results).
     ///
-    /// The engine precision follows the process default
-    /// ([`QuantMode::active`], i.e. the `NEURAL_QUANT` environment
-    /// variable); use [`scorer_with`](Self::scorer_with) to pin it.
+    /// Scores on the f32 engine ([`QuantMode::Off`]);
+    /// [`scorer_with`](Self::scorer_with) takes the precision.
     pub fn scorer(&self) -> ClapScorer<'_> {
-        self.scorer_with(QuantMode::active())
+        self.scorer_with(QuantMode::Off)
     }
 
     /// [`scorer`](Self::scorer) with an explicit engine precision:
@@ -230,9 +229,9 @@ impl Clap {
     /// Scores a batch of connections, sharding them across rayon workers.
     /// Each worker owns one [`ClapScorer`] arena set and pushes its whole
     /// shard through the autoencoder in per-shard batched GEMM chains.
-    /// Engine precision follows [`QuantMode::active`].
+    /// Scores on the f32 engine ([`QuantMode::Off`]).
     pub fn score_connections(&self, conns: &[Connection]) -> Vec<ScoredConnection> {
-        self.score_connections_with(conns, QuantMode::active())
+        self.score_connections_with(conns, QuantMode::Off)
     }
 
     /// [`score_connections`](Self::score_connections) at an explicit
@@ -277,12 +276,12 @@ impl Clap {
     }
 
     /// Suggests a detection threshold as a quantile of benign scores
-    /// (e.g. `0.95` → ≈5% false-positive budget). Engine precision
-    /// follows [`QuantMode::active`]; thresholds should be calibrated at
+    /// (e.g. `0.95` → ≈5% false-positive budget), scored on the f32
+    /// engine ([`QuantMode::Off`]); thresholds should be calibrated at
     /// the precision that will score production traffic
     /// ([`threshold_from_benign_with`](Self::threshold_from_benign_with)).
     pub fn threshold_from_benign(&self, benign: &[Connection], quantile: f64) -> f32 {
-        self.threshold_from_benign_with(benign, quantile, QuantMode::active())
+        self.threshold_from_benign_with(benign, quantile, QuantMode::Off)
     }
 
     /// [`threshold_from_benign`](Self::threshold_from_benign) at an
@@ -524,11 +523,9 @@ mod tests {
     /// The headline equivalence guarantee: the fused engine (packed GRU,
     /// workspace arenas, batched AE) scores every connection identically
     /// (≤1e-6) to the unfused reference path, via both the single and the
-    /// sharded batch entry points. Pinned to the f32 engine explicitly:
-    /// the unfused reference is f32 by construction, so this test must
-    /// keep meaning "fusion changes nothing" even when the suite runs
-    /// under `NEURAL_QUANT=int8` (int8-vs-f32 drift is bounded separately
-    /// by the quantization parity tests).
+    /// sharded batch entry points. On the f32 engine: the unfused
+    /// reference is f32 by construction (int8-vs-f32 drift is bounded
+    /// separately by the quantization parity tests).
     #[test]
     fn fused_engine_matches_unfused_reference() {
         let benign = traffic_gen::dataset(26, 25);

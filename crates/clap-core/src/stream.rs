@@ -233,7 +233,6 @@ use neural::{
     GruBatchScratch, GruEngine, GruStepScratch, Matrix, QuantMode,
 };
 use std::collections::HashMap;
-use std::sync::OnceLock;
 use tcp_state::{FlowTracker, TcpState};
 
 /// How idle (and TIME_WAIT-linger) expiry walks the flow table.
@@ -299,7 +298,7 @@ pub struct StreamConfig {
     pub orient_buffer: usize,
     /// Engine precision for this scorer's GRU and autoencoder
     /// ([`QuantMode::Int8`] runs the int8 quantized kernels). Defaults to
-    /// the process-wide [`QuantMode::active`] selection.
+    /// [`QuantMode::Off`], exact f32.
     pub quant: QuantMode,
     /// Expiry mechanism — wheel by default, full-scan sweep as the
     /// equivalence-test reference.
@@ -312,26 +311,13 @@ pub struct StreamConfig {
     /// Cross-flow micro-batch capacity (see the module docs' design
     /// note): collect up to this many ready per-packet work items
     /// across flows and flush them through one batched GEMM. `0` or
-    /// `1` scores every packet immediately — the historical per-packet
-    /// path. Defaults to the `CLAP_MICROBATCH` environment variable
-    /// (unset or unparsable = off), read once per process.
+    /// `1` scores every packet immediately — the per-packet path, and
+    /// the default (`0`).
     pub microbatch: usize,
     /// Latency budget: flush a non-empty micro-batch after this many
     /// subsequent stream packets even if it never fills. Ignored when
     /// [`microbatch`](StreamConfig::microbatch) is off.
     pub microbatch_wait: usize,
-}
-
-/// Process-wide `CLAP_MICROBATCH` default for
-/// [`StreamConfig::microbatch`], parsed once.
-fn microbatch_env_default() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("CLAP_MICROBATCH")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0)
-    })
 }
 
 impl Default for StreamConfig {
@@ -344,10 +330,10 @@ impl Default for StreamConfig {
             max_packets_per_flow: 1 << 20,
             sweep_interval: 4096,
             orient_buffer: 3,
-            quant: QuantMode::active(),
+            quant: QuantMode::Off,
             eviction: EvictionMode::default(),
             resident: ResidentMode::default(),
-            microbatch: microbatch_env_default(),
+            microbatch: 0,
             microbatch_wait: 64,
         }
     }
@@ -945,7 +931,7 @@ pub struct StreamScorer<'a> {
     /// standalone owns a private set.
     cells: std::sync::Arc<StreamCells>,
     /// Per-stage latency clocks (inert unless a [`StageHists`] sink is
-    /// attached *and* the `telemetry` feature is on).
+    /// attached).
     stages: StageRecorder,
     // --- shared scratch (flow-independent) ---
     gru_scratch: GruStepScratch,
@@ -976,8 +962,8 @@ pub struct StreamScorer<'a> {
 }
 
 impl Clap {
-    /// Builds a streaming per-flow scorer with default table policy (and
-    /// the process-default engine precision, see [`QuantMode::active`]).
+    /// Builds a streaming per-flow scorer with the default table policy
+    /// ([`StreamConfig::default`]: f32 engines, per-packet scoring).
     pub fn stream_scorer(&self) -> StreamScorer<'_> {
         self.stream_scorer_with(StreamConfig::default())
     }
@@ -1632,8 +1618,10 @@ impl StreamScorer<'_> {
             .flow_opened(self.flows.len() as u64, self.slab.len() as u64);
     }
 
-    /// Routes per-stage latency samples into caller-owned histograms
-    /// (no-op timing-wise unless the `telemetry` feature is on).
+    /// Routes per-stage latency samples into caller-owned histograms:
+    /// from here on one packet in `clap_telemetry::hist::SAMPLE_EVERY`
+    /// reads the clock at each stage boundary. A scorer that never calls
+    /// this reads no clock.
     pub fn attach_stages(&mut self, hists: std::sync::Arc<StageHists>) {
         self.stages.attach(hists);
     }
@@ -1726,11 +1714,7 @@ impl StreamScorer<'_> {
             let h = self.free_head;
             let slot = &mut self.slab[h as usize];
             self.free_head = slot.wheel_next;
-            *slot = Slot {
-                // Reuse the error log's allocation across occupants.
-                window_errors: std::mem::take(&mut slot.window_errors),
-                ..Slot::new(key, now, arrival)
-            };
+            *slot = Slot::new(key, now, arrival);
             self.resident.clear_slot(h as usize, hidden);
             h
         } else {
@@ -1755,14 +1739,12 @@ impl StreamScorer<'_> {
         h
     }
 
-    /// Returns a finalized slot to the free list, keeping its error-log
-    /// allocation for the next occupant.
+    /// Returns a finalized slot to the free list.
     fn free_slot(&mut self, h: u32) {
         let slot = &mut self.slab[h as usize];
         debug_assert_eq!(slot.wheel_pos, NIL_POS, "freed slot must be unarmed");
         slot.flags = 0;
         slot.pending = None;
-        slot.window_errors.clear();
         slot.wheel_prev = NIL;
         slot.wheel_next = self.free_head;
         self.free_head = h;
@@ -1985,6 +1967,19 @@ mod tests {
             teardown_on_close: false,
             ..StreamConfig::default()
         }
+    }
+
+    /// The default is a constant of the source, not of the process: f32
+    /// engines, per-packet scoring. A caller that wants int8 or batching
+    /// writes it in the config it builds.
+    #[test]
+    fn default_config_is_f32_per_packet() {
+        let cfg = StreamConfig::default();
+        assert_eq!(cfg.quant, QuantMode::Off);
+        assert_eq!(cfg.microbatch, 0);
+        let scorer = model().stream_scorer();
+        assert_eq!(scorer.quant_mode(), QuantMode::Off);
+        assert_eq!(model().scorer().quant_mode(), QuantMode::Off);
     }
 
     fn assert_scored_eq(stream: &ScoredConnection, batch: &ScoredConnection) {

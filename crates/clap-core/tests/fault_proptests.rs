@@ -4,8 +4,8 @@
 //! supervision work.
 
 use clap_core::{
-    Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, ShardConfig, ShardHealth, ShardedRun,
-    StreamConfig,
+    Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, ShardHealth,
+    ShardedRun, StreamConfig,
 };
 use net_packet::CanonicalKey;
 use proptest::prelude::*;
@@ -35,12 +35,25 @@ fn stream_for(seed: u64) -> Vec<net_packet::Packet> {
     stream
 }
 
-fn config(shards: usize, queue_capacity: usize) -> ShardConfig {
+/// Engine precision × cross-flow micro-batch capacity, drawn per case:
+/// the properties below must hold in every engine mode, not only in the
+/// one `StreamConfig::default()` names.
+fn engine_modes() -> impl Strategy<Value = (QuantMode, usize)> {
+    (
+        prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)],
+        prop_oneof![Just(0usize), Just(16usize)],
+    )
+}
+
+fn config(shards: usize, queue_capacity: usize, engine: (QuantMode, usize)) -> ShardConfig {
+    let (quant, microbatch) = engine;
     ShardConfig {
         shards,
         queue_capacity,
         stream: StreamConfig {
             teardown_on_close: false,
+            quant,
+            microbatch,
             ..StreamConfig::default()
         },
         ..ShardConfig::default()
@@ -84,10 +97,11 @@ proptest! {
             Just(OverloadPolicy::DropNewest),
             Just(OverloadPolicy::Degrade { keep_one_in: 3 }),
         ],
+        engine in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(shards, queue_capacity);
+        let mut cfg = config(shards, queue_capacity, engine);
         cfg.overload = policy;
         cfg.faults = FaultPlan::randomized(seed, stream.len() as u64);
         let run = clap
@@ -119,6 +133,7 @@ proptest! {
         seed in 0u64..10_000,
         arrival_pick in 0usize..1_000,
         queue_capacity in 1usize..16,
+        engine in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
@@ -127,10 +142,10 @@ proptest! {
         let victim = CanonicalKey::of(&stream[arrival as usize]).shard_of(shards);
 
         let clean = clap
-            .sharded_scorer_with(config(shards, queue_capacity))
+            .sharded_scorer_with(config(shards, queue_capacity, engine))
             .try_score_stream(stream.iter())
             .expect("fault-free run succeeds");
-        let mut cfg = config(shards, queue_capacity);
+        let mut cfg = config(shards, queue_capacity, engine);
         cfg.faults = FaultPlan::none().with(Fault::PanicAt { arrival });
         let faulted = clap
             .sharded_scorer_with(cfg)
@@ -168,10 +183,11 @@ proptest! {
             Just(OverloadPolicy::DropNewest),
             Just(OverloadPolicy::Degrade { keep_one_in: 2 }),
         ],
+        engine in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(4, stream.len().max(1));
+        let mut cfg = config(4, stream.len().max(1), engine);
         cfg.overload = policy;
         cfg.faults = FaultPlan::randomized(seed, stream.len() as u64);
         let run = |c: ShardConfig| {

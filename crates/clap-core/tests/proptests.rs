@@ -44,6 +44,16 @@ fn f32_threshold() -> f32 {
     })
 }
 
+/// Engine precision × cross-flow micro-batch capacity, drawn per case by
+/// the equivalence properties below: each must hold in every engine mode,
+/// not only in the one `StreamConfig::default()` names.
+fn engine_modes() -> impl Strategy<Value = (QuantMode, usize)> {
+    (
+        prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)],
+        prop_oneof![Just(0usize), Just(16usize)],
+    )
+}
+
 proptest! {
     /// Feature extraction is total and well-shaped on arbitrary generated
     /// traffic, and every base feature stays within sane bounds.
@@ -149,10 +159,16 @@ proptest! {
     /// packets one at a time — with flows interleaved through one shared
     /// scorer — yields scores within 1e-6 of the offline batch path, on
     /// arbitrary generated traffic with and without injected adversarial
-    /// packets (the paper's Bad-Checksum-RST).
+    /// packets (the paper's Bad-Checksum-RST), at either engine precision
+    /// and with or without cross-flow micro-batching.
     #[test]
-    fn streaming_scores_match_batch(seed in 0u64..10_000, corrupt in any::<bool>()) {
+    fn streaming_scores_match_batch(
+        seed in 0u64..10_000,
+        corrupt in any::<bool>(),
+        engine in engine_modes(),
+    ) {
         let clap = model();
+        let (quant, microbatch) = engine;
         let mut conns = traffic_gen::dataset(seed ^ 0x57ab, 2);
         if corrupt {
             for conn in &mut conns {
@@ -171,6 +187,8 @@ proptest! {
         let mut scorer = clap.stream_scorer_with(StreamConfig {
             // Score past teardown, like batch scoring of a full capture.
             teardown_on_close: false,
+            quant,
+            microbatch,
             ..StreamConfig::default()
         });
         let longest = conns.iter().map(Connection::len).max().unwrap();
@@ -183,12 +201,13 @@ proptest! {
         }
         let closed = scorer.finish();
         prop_assert_eq!(closed.len(), conns.len(), "one flow per connection");
+        let mut batch_scorer = clap.scorer_with(quant);
         for conn in &conns {
             let flow = closed
                 .iter()
                 .find(|c| c.key == conn.key)
                 .expect("flow key matches connection key");
-            let batch = clap.score_connection(conn);
+            let batch = batch_scorer.score_connection(conn);
             prop_assert!(
                 (flow.scored.score - batch.score).abs() < 1e-6,
                 "score drift: stream {} vs batch {}", flow.scored.score, batch.score
@@ -214,8 +233,10 @@ proptest! {
     fn late_syn_streaming_matches_reassembled_batch(
         seed in 0u64..5_000,
         lead in 1usize..4,
+        engine in engine_modes(),
     ) {
         let clap = model();
+        let (quant, microbatch) = engine;
         let conn = &traffic_gen::dataset(seed ^ 0x0a1e, 1)[0];
         // Move up to `lead` server→client packets in front of the SYN,
         // simulating a capture that starts mid-connection.
@@ -242,10 +263,12 @@ proptest! {
             offline[0].key.client, conn.key.client,
             "offline reassembly re-orients on the late pure SYN"
         );
-        let batch = clap.score_connection(&offline[0]);
+        let batch = clap.scorer_with(quant).score_connection(&offline[0]);
 
         let mut scorer = clap.stream_scorer_with(StreamConfig {
             teardown_on_close: false,
+            quant,
+            microbatch,
             ..StreamConfig::default()
         });
         for p in &stream_pkts {
@@ -387,8 +410,10 @@ proptest! {
         sweep_interval in prop_oneof![Just(1usize), Just(7usize), Just(4096usize)],
         teardown in any::<bool>(),
         corrupt in any::<bool>(),
+        engine in engine_modes(),
     ) {
         let clap = model();
+        let (quant, microbatch) = engine;
         let mut conns = traffic_gen::dataset(seed ^ 0x5a4d, 6);
         if corrupt {
             // Inject a bad-checksum RST (the paper's flagship evasion)
@@ -413,6 +438,8 @@ proptest! {
         let stream_cfg = StreamConfig {
             teardown_on_close: teardown,
             sweep_interval,
+            quant,
+            microbatch,
             ..StreamConfig::default()
         };
 
@@ -652,8 +679,10 @@ proptest! {
         teardown in any::<bool>(),
         time_wait in prop_oneof![Just(0.0f64), Just(3.0)],
         gap_seed in 0u64..1_000,
+        engine in engine_modes(),
     ) {
         let clap = model();
+        let (quant, microbatch) = engine;
         let conns = traffic_gen::dataset(seed ^ 0x37ee, 5);
         let mut pkts: Vec<net_packet::Packet> = conns
             .iter()
@@ -684,6 +713,8 @@ proptest! {
                 sweep_interval,
                 teardown_on_close: teardown,
                 time_wait,
+                quant,
+                microbatch,
                 ..StreamConfig::default()
             });
             for p in &pkts {

@@ -7,7 +7,8 @@
 //! with the run's own [`ShardStats`].
 
 use clap_core::{
-    Clap, ClapConfig, FaultPlan, OverloadPolicy, ShardConfig, StreamConfig, TelemetrySnapshot,
+    Clap, ClapConfig, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, StreamConfig,
+    TelemetrySnapshot,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,12 +38,25 @@ fn stream_for(seed: u64) -> Vec<net_packet::Packet> {
     stream
 }
 
-fn config(shards: usize, queue_capacity: usize) -> ShardConfig {
+/// Engine precision × cross-flow micro-batch capacity, drawn per case:
+/// the properties below must hold in every engine mode, not only in the
+/// one `StreamConfig::default()` names.
+fn engine_modes() -> impl Strategy<Value = (QuantMode, usize)> {
+    (
+        prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)],
+        prop_oneof![Just(0usize), Just(16usize)],
+    )
+}
+
+fn config(shards: usize, queue_capacity: usize, engine: (QuantMode, usize)) -> ShardConfig {
+    let (quant, microbatch) = engine;
     ShardConfig {
         shards,
         queue_capacity,
         stream: StreamConfig {
             teardown_on_close: false,
+            quant,
+            microbatch,
             ..StreamConfig::default()
         },
         ..ShardConfig::default()
@@ -66,10 +80,11 @@ proptest! {
             Just(OverloadPolicy::DropNewest),
             Just(OverloadPolicy::Degrade { keep_one_in: 3 }),
         ],
+        engine in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(shards, queue_capacity);
+        let mut cfg = config(shards, queue_capacity, engine);
         cfg.overload = policy;
         cfg.faults = FaultPlan::randomized(seed, stream.len() as u64);
         let scorer = clap.sharded_scorer_with(cfg);
@@ -80,7 +95,9 @@ proptest! {
             let sampler = s.spawn(|| {
                 let mut taken = 0u64;
                 let mut prev: Option<TelemetrySnapshot> = None;
-                while !stop.load(Ordering::Relaxed) {
+                // Snapshot, then test `stop`: a run that finishes before
+                // this thread is first scheduled still gets one sample.
+                loop {
                     let snap = hub.snapshot();
                     snap.check_invariants()?;
                     if let Some(p) = &prev {
@@ -88,8 +105,10 @@ proptest! {
                     }
                     prev = Some(snap);
                     taken += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        return Ok::<u64, String>(taken);
+                    }
                 }
-                Ok::<u64, String>(taken)
             });
             let run = scorer
                 .try_score_stream(stream.iter())
@@ -129,10 +148,11 @@ proptest! {
     fn telemetry_flow_dump_is_consistent(
         seed in 0u64..10_000,
         shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
+        engine in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(shards, stream.len().max(1));
+        let mut cfg = config(shards, stream.len().max(1), engine);
         cfg.dump_flows = true;
         // Keep flows alive to the end so the dump is non-trivial.
         cfg.stream.idle_timeout = 1e9;

@@ -93,8 +93,7 @@
 //! worker's counters live on distinct cache lines with no false sharing.
 //! An event is two relaxed stores to the (exclusively owned, cached)
 //! sequence word plus one or two relaxed counter stores — a few ns, and
-//! wait-free by construction. See `hist` for the latency-clock scheme
-//! and the `timing` feature gate.
+//! wait-free by construction. See `hist` for the latency-clock scheme.
 
 pub mod hist;
 pub mod render;

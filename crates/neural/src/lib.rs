@@ -79,15 +79,16 @@
 //!   `scalar`. The SIMD sets are explicit `std::arch::x86_64` intrinsic
 //!   kernels, so vectorized builds no longer depend on
 //!   `-C target-cpu=native`; non-x86 targets always get the scalar set.
-//! * **Override.** Setting the `NEURAL_FORCE_SCALAR` environment variable
-//!   (to anything but `0`/empty/`false`) pins the scalar reference set.
-//!   `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific
-//!   set (best effort: unsupported or unknown requests fall back to the
-//!   ladder), e.g. to benchmark the AVX2 path on an AVX-512 machine; CI
-//!   runs the whole suite once under `scalar` and once under `avx2`.
-//!   Tests can also fetch a specific set ([`simd::KernelSet::scalar`],
-//!   `avx2()`, `avx512()`, `avx512vnni()`) and call its kernels directly
-//!   without affecting the process-wide choice.
+//! * **Override.** `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` pins a
+//!   specific set — the only environment variable this workspace's
+//!   libraries read. A set the CPU lacks falls back to the ladder (so
+//!   the AVX2 path can be run on an AVX-512 machine and the same CI leg
+//!   on any runner); any other value panics on first dispatch, naming
+//!   the four. CI runs the whole suite once under `scalar` and once
+//!   under `avx2`. Tests can also fetch a specific set
+//!   ([`simd::KernelSet::scalar`], `avx2()`, `avx512()`,
+//!   `avx512vnni()`) and call its kernels directly without affecting
+//!   the process-wide choice.
 //! * **Adding an ISA.** Implement the ten kernel functions (dot, dot4,
 //!   axpy, bias_act, gru_gates, sum_abs_diff, plus the int8 kernels
 //!   panel_gemv_i8, act_range, act_encode and act_decode) for the new
@@ -147,12 +148,12 @@
 //!   an i32 accumulator: no horizontal reduction, no k-tail, one
 //!   sequential weight stream. `benchmark/` is the record of what that
 //!   is worth end to end (CHANGES.md, PR 13).
-//! * **Engine selection.** `NEURAL_QUANT=int8` makes every
-//!   default-constructed scorer quantized ([`QuantMode::active`]);
-//!   `QuantMode::Off`/`Int8` can be pinned per scorer. Int8 streaming is
-//!   bitwise identical to int8 batch (per-row activation quantization
-//!   keeps 1-row GEMMs == matvecs), so the streaming/sharded equivalence
-//!   guarantees hold at either precision.
+//! * **Engine selection.** Every default is f32 ([`QuantMode::Off`]); a
+//!   scorer runs int8 when the caller that builds it passes
+//!   [`QuantMode::Int8`]. Int8 streaming is bitwise identical to int8
+//!   batch (per-row activation quantization keeps 1-row GEMMs ==
+//!   matvecs), so the streaming/sharded equivalence guarantees hold at
+//!   either precision.
 
 pub mod adam;
 pub mod autoencoder;

@@ -67,21 +67,18 @@
 //! NaN/inf through every downstream value — the int8 engine degrades a
 //! malformed element to the nearest representable neighbor instead.
 //!
-//! Engine selection: [`QuantMode::active`] reads the `NEURAL_QUANT`
-//! environment variable once per process — `int8` selects the quantized
-//! engines wherever a scorer is built with the default mode, anything else
-//! (including unset) keeps f32. The int8 kernels themselves — the panel
-//! GEMV and the activation scan, encode and decode — live in the
-//! [`KernelSet`] ladder (`avx512vnni → avx512 → avx2 → scalar`), so
-//! `NEURAL_KERNELS`/`NEURAL_FORCE_SCALAR` pin their ISA exactly as for the
-//! f32 kernels.
+//! Engine selection: a caller asks for the quantized engines by passing
+//! [`QuantMode::Int8`] where it builds a scorer; nothing ambient does.
+//! The int8 kernels themselves — the panel GEMV and the activation scan,
+//! encode and decode — live in the [`KernelSet`] ladder
+//! (`avx512vnni → avx512 → avx2 → scalar`), so `NEURAL_KERNELS` pins their
+//! ISA exactly as for the f32 kernels.
 
 use crate::autoencoder::{AeWorkspace, Autoencoder};
 use crate::dense::{Activation, Dense};
 use crate::gru::{GruBatchScratch, GruStepScratch, GruWorkspace, PackedGru};
 use crate::matrix::Matrix;
 use crate::simd::{KernelSet, PanelQuad, Panels, PANEL_K, PANEL_LANES};
-use std::sync::OnceLock;
 
 /// Activation quantization levels: codes span the 7-bit unsigned range
 /// `0..=127` over the row's empirical `[min, max]`.
@@ -110,32 +107,13 @@ pub struct ActQuant {
     pub min: f32,
 }
 
-/// Whether default-constructed scorers run the f32 or the int8 engines.
+/// Whether a scorer runs the f32 or the int8 engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantMode {
-    /// Full-precision f32 inference (the default).
+    /// Full-precision f32 inference (what every default means).
     Off,
     /// Int8 weights + on-the-fly activation quantization, i32 accumulate.
     Int8,
-}
-
-impl QuantMode {
-    /// The process-wide default mode: `NEURAL_QUANT=int8` (case
-    /// insensitive) selects [`QuantMode::Int8`]; anything else — unset,
-    /// empty, `off`, unknown — keeps [`QuantMode::Off`]. Read once,
-    /// cached forever (same contract as [`KernelSet::active`]).
-    pub fn active() -> QuantMode {
-        static ACTIVE: OnceLock<QuantMode> = OnceLock::new();
-        *ACTIVE.get_or_init(|| parse_quant_mode(std::env::var("NEURAL_QUANT").ok().as_deref()))
-    }
-}
-
-/// `NEURAL_QUANT` parsing, factored out for tests.
-fn parse_quant_mode(value: Option<&str>) -> QuantMode {
-    match value {
-        Some(v) if v.eq_ignore_ascii_case("int8") => QuantMode::Int8,
-        _ => QuantMode::Off,
-    }
 }
 
 /// How one activation row quantizes: either it degrades to an exact
@@ -777,16 +755,6 @@ mod tests {
     use crate::gru::GruCell;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn quant_mode_env_parsing() {
-        assert_eq!(parse_quant_mode(None), QuantMode::Off);
-        assert_eq!(parse_quant_mode(Some("")), QuantMode::Off);
-        assert_eq!(parse_quant_mode(Some("off")), QuantMode::Off);
-        assert_eq!(parse_quant_mode(Some("f32")), QuantMode::Off);
-        assert_eq!(parse_quant_mode(Some("int8")), QuantMode::Int8);
-        assert_eq!(parse_quant_mode(Some("INT8")), QuantMode::Int8);
-    }
 
     #[test]
     fn activation_quantization_round_trips_within_half_step() {

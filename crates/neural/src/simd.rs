@@ -29,13 +29,14 @@
 //! Selection happens **once per process** via
 //! [`is_x86_feature_detected!`]: [`KernelSet::active`] picks the widest
 //! supported set (avx512vnni → avx512 → avx2 → scalar) and caches it.
-//! Setting the environment variable `NEURAL_FORCE_SCALAR` (to anything but
-//! `0`, the empty string, or `false`) pins the scalar set, and
-//! `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific set
-//! (CI runs the whole test suite under `scalar` and under `avx2`, to keep
-//! the reference path and the middle of the ladder exercised),
-//! falling back to the ladder when the CPU lacks it or the name is
-//! unknown. Tests can also grab a specific set directly
+//! The environment variable `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni`
+//! pins a specific set instead — the one process-wide switch this
+//! workspace's libraries read, kept because a libtest binary has no other
+//! edge at which to take a value (CI runs the whole test suite under
+//! `scalar` and under `avx2`, to keep the reference path and the middle of
+//! the ladder exercised). A set the CPU lacks falls back to the ladder; a
+//! name that is not one of the four panics, so a typo cannot pass for a
+//! pin. Tests can also grab a specific set directly
 //! ([`KernelSet::scalar`], [`KernelSet::avx2`], [`KernelSet::avx512`],
 //! [`KernelSet::avx512vnni`]) without touching the process-wide choice.
 //!
@@ -265,8 +266,8 @@ impl KernelSet {
         (self.act_decode)(codes, act, out)
     }
 
-    /// The safe scalar reference set. Always available; forced
-    /// process-wide by `NEURAL_FORCE_SCALAR`.
+    /// The safe scalar reference set. Always available; pinned
+    /// process-wide by `NEURAL_KERNELS=scalar`.
     pub fn scalar() -> &'static KernelSet {
         &SCALAR
     }
@@ -332,64 +333,48 @@ impl KernelSet {
     }
 
     /// The process-wide dispatched set: the widest ISA the CPU supports,
-    /// unless `NEURAL_FORCE_SCALAR` pins the scalar reference or
-    /// `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` requests a specific
-    /// set (best effort — an unsupported or unknown request falls back to the
-    /// normal ladder, so `NEURAL_KERNELS=avx2` on an AVX-512 machine
-    /// reproduces what an AVX2-only host would dispatch, e.g. to record a
-    /// comparable benchmark reference). Selected on first call, cached
-    /// forever.
+    /// unless `NEURAL_KERNELS=scalar|avx2|avx512|avx512vnni` pins a
+    /// specific set. A pinned set the CPU lacks falls back to the normal
+    /// ladder, so `NEURAL_KERNELS=avx2` on an AVX-512 machine reproduces
+    /// what an AVX2-only host would dispatch and the same CI leg runs on
+    /// any runner. Selected on first call, cached forever.
+    ///
+    /// # Panics
+    /// On the first call, if `NEURAL_KERNELS` is set to anything but one
+    /// of the four set names.
     pub fn active() -> &'static KernelSet {
         static ACTIVE: OnceLock<&'static KernelSet> = OnceLock::new();
         ACTIVE.get_or_init(|| {
-            select(
-                env_forces_scalar(std::env::var("NEURAL_FORCE_SCALAR").ok().as_deref()),
-                std::env::var("NEURAL_KERNELS").ok().as_deref(),
-            )
+            let requested =
+                std::env::var_os("NEURAL_KERNELS").map(|v| v.to_string_lossy().into_owned());
+            select(requested.as_deref())
         })
-    }
-}
-
-/// Whether a `NEURAL_FORCE_SCALAR` value requests the scalar override.
-/// Unset, empty, `0` and `false` mean "no"; anything else means "yes".
-fn env_forces_scalar(value: Option<&str>) -> bool {
-    match value {
-        None => false,
-        Some(v) => !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"),
     }
 }
 
 /// The dispatch policy, factored out of [`KernelSet::active`] so it can be
 /// unit-tested without mutating process environment. `requested` is the
-/// `NEURAL_KERNELS` value: a supported set name pins that set; anything
-/// unsupported or unrecognized falls through to the widest-ISA ladder.
-fn select(force_scalar: bool, requested: Option<&str>) -> &'static KernelSet {
-    if force_scalar {
-        return KernelSet::scalar();
-    }
-    match requested {
-        Some("scalar") => return KernelSet::scalar(),
-        Some("avx2") => {
-            if let Some(ks) = KernelSet::avx2() {
-                return ks;
-            }
-        }
-        Some("avx512") => {
-            if let Some(ks) = KernelSet::avx512() {
-                return ks;
-            }
-        }
-        Some("avx512vnni") => {
-            if let Some(ks) = KernelSet::avx512vnni() {
-                return ks;
-            }
-        }
-        _ => {}
-    }
-    KernelSet::avx512vnni()
-        .or_else(KernelSet::avx512)
-        .or_else(KernelSet::avx2)
-        .unwrap_or_else(KernelSet::scalar)
+/// `NEURAL_KERNELS` value: a supported set name pins that set, a known
+/// name the CPU lacks falls through to the widest-ISA ladder, and any
+/// other value panics.
+fn select(requested: Option<&str>) -> &'static KernelSet {
+    let pinned = match requested {
+        None => None,
+        Some("scalar") => Some(KernelSet::scalar()),
+        Some("avx2") => KernelSet::avx2(),
+        Some("avx512") => KernelSet::avx512(),
+        Some("avx512vnni") => KernelSet::avx512vnni(),
+        Some(other) => panic!(
+            "NEURAL_KERNELS={other:?} names no kernel set; \
+             accepted values: scalar, avx2, avx512, avx512vnni"
+        ),
+    };
+    pinned.unwrap_or_else(|| {
+        KernelSet::avx512vnni()
+            .or_else(KernelSet::avx512)
+            .or_else(KernelSet::avx2)
+            .unwrap_or_else(KernelSet::scalar)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1626,26 +1611,8 @@ mod tests {
     }
 
     #[test]
-    fn force_scalar_env_parsing() {
-        assert!(!env_forces_scalar(None));
-        assert!(!env_forces_scalar(Some("")));
-        assert!(!env_forces_scalar(Some("0")));
-        assert!(!env_forces_scalar(Some("false")));
-        assert!(!env_forces_scalar(Some("FALSE")));
-        assert!(env_forces_scalar(Some("1")));
-        assert!(env_forces_scalar(Some("true")));
-        assert!(env_forces_scalar(Some("yes")));
-    }
-
-    #[test]
-    fn selection_honors_scalar_override() {
-        assert_eq!(
-            select(true, None).name,
-            "scalar",
-            "override must force scalar"
-        );
-        assert_eq!(select(true, Some("avx512")).name, "scalar");
-        let best = select(false, None);
+    fn selection_defaults_to_the_widest_supported_set() {
+        let best = select(None);
         if KernelSet::avx512vnni().is_some() {
             assert_eq!(best.name, "avx512vnni");
         } else if KernelSet::avx512().is_some() {
@@ -1659,20 +1626,34 @@ mod tests {
 
     #[test]
     fn selection_honors_requested_set() {
-        assert_eq!(select(false, Some("scalar")).name, "scalar");
-        if let Some(avx2) = KernelSet::avx2() {
-            assert_eq!(select(false, Some("avx2")).name, avx2.name);
+        assert_eq!(select(Some("scalar")).name, "scalar");
+        // A known set pins itself where the CPU has it and falls back to
+        // the ladder where it does not — never a panic.
+        for (name, set) in [
+            ("avx2", KernelSet::avx2()),
+            ("avx512", KernelSet::avx512()),
+            ("avx512vnni", KernelSet::avx512vnni()),
+        ] {
+            let expect = set.unwrap_or_else(|| select(None));
+            assert_eq!(select(Some(name)).name, expect.name);
         }
-        if let Some(avx512) = KernelSet::avx512() {
-            assert_eq!(select(false, Some("avx512")).name, avx512.name);
-        }
-        if let Some(vnni) = KernelSet::avx512vnni() {
-            assert_eq!(select(false, Some("avx512vnni")).name, vnni.name);
-        }
-        // Unknown requests, and the name of the retired 256-bit VNNI tier,
-        // fall back to the normal ladder, never crash.
-        for name in ["neon", "", "avxvnni"] {
-            assert_eq!(select(false, Some(name)).name, select(false, None).name);
+    }
+
+    #[test]
+    fn selection_rejects_unknown_names() {
+        // A typo, the empty string, a wrong case and the name of the
+        // retired 256-bit VNNI tier all panic, naming the accepted values,
+        // instead of silently running the ladder under a leg that believes
+        // it pinned something.
+        for name in ["sclar", "", "AVX2", "neon", "avxvnni"] {
+            let err = std::panic::catch_unwind(|| select(Some(name)))
+                .expect_err("an unknown NEURAL_KERNELS value must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                msg.contains(&format!("{name:?}"))
+                    && msg.contains("scalar, avx2, avx512, avx512vnni"),
+                "unhelpful message: {msg}"
+            );
         }
     }
 
