@@ -9,6 +9,11 @@
 //! reconcile (criterion's are cache-hot and so the lower bound). A sample
 //! is [`CALLS`] back-to-back calls — one 200 ns call is below what a clock
 //! read per sample resolves — so a sample's µs read as ns per call.
+//! `ae_window_16row_{f32,int8}` push the same window through the engine
+//! sixteen rows at a call and annotate the sample with its window count,
+//! so `thrpt` is windows per second there too: both engines score a batch
+//! row by row and reuse no weight across rows, so it should read the 1-row
+//! rate, not a multiple of it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use neural::quant::{AeEngine, GruEngine, QuantMode};
@@ -73,10 +78,14 @@ fn bench_models(c: &mut Criterion) {
 
 /// Calls per sample of the `streaming_layers` benches.
 const CALLS: u64 = 1000;
+/// Rows per call, and calls per sample, of the `ae_window_16row_*` benches.
+const BATCH_ROWS: u64 = 16;
+const BATCH_CALLS: u64 = CALLS / BATCH_ROWS;
 
 fn bench_streaming_layers(c: &mut Criterion) {
     let ae = Autoencoder::new(&[345, 192, 96, 40, 96, 192, 345], 2);
     let window = Matrix::from_fn(1, 345, |_, c| (c % 17) as f32 / 17.0);
+    let batch = Matrix::from_fn(BATCH_ROWS as usize, 345, |_, c| (c % 17) as f32 / 17.0);
     let cell = GruCell::new(37, 32, &mut StdRng::seed_from_u64(3));
     let x: Vec<f32> = (0..37).map(|i| (i as f32 * 0.37).sin()).collect();
 
@@ -96,6 +105,17 @@ fn bench_streaming_layers(c: &mut Criterion) {
                 errs[0]
             })
         });
+        group.throughput(Throughput::Elements(BATCH_CALLS * BATCH_ROWS));
+        group.bench_function(format!("ae_window_16row_{name}"), |b| {
+            b.iter(|| {
+                for _ in 0..BATCH_CALLS {
+                    errs.clear();
+                    engine.reconstruction_errors_into(black_box(&batch), &mut ws, &mut errs);
+                }
+                errs[0]
+            })
+        });
+        group.throughput(Throughput::Elements(CALLS));
 
         let gru = GruEngine::from_packed(PackedGru::pack(&cell), mode);
         let mut scratch = GruStepScratch::new();

@@ -33,8 +33,9 @@ fn main() {
         .find_map(|c| strategy.apply(c, &mut rng).map(|r| (c.clone(), r)))
         .expect("no applicable connection found");
 
-    let benign_scored = models.clap.score_connection(&conn);
-    let adv_scored = models.clap.score_connection(&attacked.connection);
+    let mut scorer = models.clap.scorer();
+    let benign_scored = scorer.score_connection(&conn);
+    let adv_scored = scorer.score_connection(&attacked.connection);
 
     println!(
         "\n== Figure 6: reconstruction-error trend ({}) ==",

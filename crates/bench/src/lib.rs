@@ -516,8 +516,9 @@ pub fn evaluate_localization(
 ) -> LocalizationRow {
     let adv = adversarial_set(strategy, preset);
     let mut hits = [0usize; 3];
+    let mut scorer = models.clap.scorer();
     for r in &adv {
-        let scored = models.clap.score_connection(&r.connection);
+        let scored = scorer.score_connection(&r.connection);
         let identified = scored.peak_packet;
         for (slot, n) in [(0, 1usize), (1, 3), (2, 5)] {
             hits[slot] += usize::from(top_n_hit(identified, &r.adversarial_indices, n));

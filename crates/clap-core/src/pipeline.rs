@@ -151,10 +151,11 @@ impl Clap {
         (clap, summary)
     }
 
-    /// Builds a reusable scoring session holding the packed GRU weights
-    /// and every scratch arena the fused hot path needs. One scorer per
-    /// worker thread; scoring through it is allocation-free in steady
-    /// state (aside from the returned results).
+    /// Builds a reusable scoring session holding the packed GRU and
+    /// autoencoder weights (packed here, once — see
+    /// [`AeEngine::from_model`]) and every scratch arena the fused hot
+    /// path needs. One scorer per worker thread; scoring through it is
+    /// allocation-free in steady state (aside from the returned results).
     ///
     /// Scores on the f32 engine ([`QuantMode::Off`]);
     /// [`scorer_with`](Self::scorer_with) takes the precision.
@@ -174,8 +175,9 @@ impl Clap {
     }
 
     /// Assembles a scorer around already-built engines, so batch entry
-    /// points can pay weight (re)quantization once and hand each worker a
-    /// clone (a memcpy) instead of re-deriving the engines per chunk.
+    /// points can pay weight packing (and quantization) once and hand each
+    /// worker a clone (a memcpy) instead of re-deriving the engines per
+    /// chunk.
     fn scorer_from_engines<'a>(&'a self, gru: GruEngine, ae: AeEngine<'a>) -> ClapScorer<'a> {
         ClapScorer {
             clap: self,
@@ -192,8 +194,10 @@ impl Clap {
     /// Stage (d): scores one unseen connection. Higher = more likely to
     /// contain adversarial packets.
     ///
-    /// Convenience wrapper that builds a fresh [`ClapScorer`]; loops should
-    /// create one scorer via [`Clap::scorer`] and reuse it.
+    /// Convenience wrapper that builds a fresh [`ClapScorer`], which packs
+    /// the model's weights (≈700 kB at the paper's sizes) before it scores
+    /// anything. Loops should create one scorer via [`Clap::scorer`] and
+    /// reuse it.
     pub fn score_connection(&self, conn: &Connection) -> ScoredConnection {
         self.scorer().score_connection(conn)
     }
@@ -250,8 +254,8 @@ impl Clap {
         // single-thread pool gets 4 large batches, not one per core.
         let workers = rayon::current_num_threads().max(1);
         let shard = conns.len().div_ceil(workers * 4).max(1);
-        // Pack (and at Int8, quantize) the engines once; per-chunk scorers
-        // clone the finished engines rather than re-deriving them.
+        // Pack (at Int8, quantize) the engines once; per-chunk scorers
+        // clone the finished panels rather than re-deriving them.
         let gru = GruEngine::from_packed(self.rnn.packed(), mode);
         let ae = AeEngine::from_model(&self.ae, mode);
         let nested: Vec<Vec<ScoredConnection>> = conns

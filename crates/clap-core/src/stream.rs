@@ -20,8 +20,8 @@
 //!   time yields the same window errors and final score as the offline
 //!   path: the resumable GRU step is bitwise identical to the batched run,
 //!   feature extraction shares one code path, and a 1-row autoencoder pass
-//!   computes the same dot products as a batched one. The property tests
-//!   pin streaming-vs-batch to ≤1e-6.
+//!   runs each layer through the same panel-GEMV call a batched one makes
+//!   per row. The property tests pin streaming-vs-batch bitwise.
 //! * **Bounded memory.** Flows are evicted on TCP teardown (RST, or an
 //!   orderly close reaching TIME_WAIT), on idle timeout (a hierarchical
 //!   timing wheel, see below), on a per-flow packet cap, and —
@@ -86,10 +86,10 @@
 //! its predecessor's ring row, so the ring is exactly "as of packet
 //! `t − 1`" when packet `t`'s window forms and each flow's
 //! window-error log fills in packet order. Every batched row runs
-//! through the same per-row kernels as the per-packet path (1-row GEMM
-//! == matvec; per-row activation quantization at int8; hidden states
-//! round-trip through the resident arena between chained steps exactly
-//! as they do between per-packet steps), making micro-batched
+//! through the same per-row kernels as the per-packet path (a batch is
+//! one panel GEMV per row; per-row activation quantization at int8;
+//! hidden states round-trip through the resident arena between chained
+//! steps exactly as they do between per-packet steps), making micro-batched
 //! streaming **bitwise identical** to per-packet streaming at both
 //! precisions — pinned by proptests and a pcap regression test. The
 //! one observable difference: [`push`] returns `None` for a packet

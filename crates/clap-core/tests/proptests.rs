@@ -157,10 +157,12 @@ proptest! {
 
     /// The streaming engine's headline guarantee: feeding a connection's
     /// packets one at a time — with flows interleaved through one shared
-    /// scorer — yields scores within 1e-6 of the offline batch path, on
+    /// scorer — yields **bitwise** the scores of the offline batch path, on
     /// arbitrary generated traffic with and without injected adversarial
     /// packets (the paper's Bad-Checksum-RST), at either engine precision
-    /// and with or without cross-flow micro-batching.
+    /// and with or without cross-flow micro-batching: every engine scores a
+    /// row through one kernel call that never sees its neighbours, so how
+    /// rows are grouped cannot move a bit.
     #[test]
     fn streaming_scores_match_batch(
         seed in 0u64..10_000,
@@ -208,19 +210,13 @@ proptest! {
                 .find(|c| c.key == conn.key)
                 .expect("flow key matches connection key");
             let batch = batch_scorer.score_connection(conn);
-            prop_assert!(
-                (flow.scored.score - batch.score).abs() < 1e-6,
+            prop_assert_eq!(
+                flow.scored.score.to_bits(), batch.score.to_bits(),
                 "score drift: stream {} vs batch {}", flow.scored.score, batch.score
             );
             prop_assert_eq!(flow.scored.peak_window, batch.peak_window);
             prop_assert_eq!(flow.scored.peak_packet, batch.peak_packet);
-            prop_assert_eq!(
-                flow.scored.window_errors.len(),
-                batch.window_errors.len()
-            );
-            for (s, b) in flow.scored.window_errors.iter().zip(&batch.window_errors) {
-                prop_assert!((s - b).abs() < 1e-6, "window error drift: {} vs {}", s, b);
-            }
+            prop_assert_eq!(error_bits(&flow.scored.window_errors), error_bits(&batch.window_errors));
         }
     }
 
@@ -278,18 +274,15 @@ proptest! {
         prop_assert_eq!(closed.len(), 1);
         prop_assert_eq!(closed[0].key, offline[0].key, "streaming re-orients too");
         prop_assert_eq!(closed[0].packets, stream_pkts.len());
-        prop_assert!(
-            (closed[0].scored.score - batch.score).abs() < 1e-6,
+        prop_assert_eq!(
+            closed[0].scored.score.to_bits(), batch.score.to_bits(),
             "score drift: stream {} vs batch {}", closed[0].scored.score, batch.score
         );
         prop_assert_eq!(closed[0].scored.peak_window, batch.peak_window);
         prop_assert_eq!(
-            closed[0].scored.window_errors.len(),
-            batch.window_errors.len()
+            error_bits(&closed[0].scored.window_errors),
+            error_bits(&batch.window_errors)
         );
-        for (s, b) in closed[0].scored.window_errors.iter().zip(&batch.window_errors) {
-            prop_assert!((s - b).abs() < 1e-6, "window error drift: {} vs {}", s, b);
-        }
     }
 
     /// The int8 quantization calibration harness, end to end: over
@@ -393,7 +386,7 @@ proptest! {
     /// The sharded front end's headline guarantee: for random interleaved
     /// corrupted+benign traffic, `ShardedStreamScorer` with N ∈ {1, 2, 4,
     /// 7} shards produces the identical per-flow verdict set (scores
-    /// ≤1e-6, same close reasons, same localization) as the
+    /// bitwise, same close reasons, same localization) as the
     /// single-threaded `StreamScorer` — regardless of queue capacity,
     /// sweep cadence and flush timing, with teardown both on and off.
     /// (Idle-timeout evictions never fire here: generated captures are
@@ -468,8 +461,8 @@ proptest! {
                 prop_assert_eq!(g.1, e.1, "packet count at {} shards", shards);
                 prop_assert_eq!(g.2, e.2, "close reason at {} shards", shards);
                 prop_assert_eq!(g.3, e.3, "peak packet at {} shards", shards);
-                prop_assert!(
-                    (g.4 - e.4).abs() < 1e-6,
+                prop_assert_eq!(
+                    g.4.to_bits(), e.4.to_bits(),
                     "score drift at {} shards: {} vs {}", shards, g.4, e.4
                 );
             }
@@ -481,8 +474,7 @@ proptest! {
     /// (capacity and packet-count age), the micro-batched engine closes
     /// the same flows in the same order with the same reasons and
     /// arrival tags as the per-packet engine — bitwise-identical errors
-    /// and scores at int8 (and in practice at f32 too; the asserted f32
-    /// floor is the suite-wide 1e-6) — and the sharded front end's
+    /// and scores at either precision — and the sharded front end's
     /// verdict table is byte-identical with batching on vs off at a
     /// random shard count.
     #[test]
@@ -550,27 +542,14 @@ proptest! {
             prop_assert_eq!(a.scored.peak_window, b.scored.peak_window);
             prop_assert_eq!(a.scored.peak_packet, b.scored.peak_packet);
             prop_assert_eq!(
-                a.scored.window_errors.len(),
-                b.scored.window_errors.len()
+                a.scored.score.to_bits(),
+                b.scored.score.to_bits(),
+                "micro-batching must be bitwise"
             );
-            if quant == QuantMode::Int8 {
-                prop_assert_eq!(
-                    a.scored.score.to_bits(),
-                    b.scored.score.to_bits(),
-                    "int8 micro-batching must be bitwise"
-                );
-                for (x, y) in a.scored.window_errors.iter().zip(&b.scored.window_errors) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits(), "int8 window error bits");
-                }
-            } else {
-                prop_assert!(
-                    (a.scored.score - b.scored.score).abs() < 1e-6,
-                    "f32 score drift: {} vs {}", a.scored.score, b.scored.score
-                );
-                for (x, y) in a.scored.window_errors.iter().zip(&b.scored.window_errors) {
-                    prop_assert!((x - y).abs() < 1e-6, "f32 window error drift");
-                }
-            }
+            prop_assert_eq!(
+                error_bits(&a.scored.window_errors),
+                error_bits(&b.scored.window_errors)
+            );
         }
 
         // Sharded front end: verdict-for-verdict byte identity.
@@ -872,6 +851,11 @@ proptest! {
 /// Canonicalizes a verdict list into a deterministic, comparable set:
 /// sorted by (canonical flow identity, packets), carrying close reason,
 /// localization and score.
+/// Window errors as bit patterns, for the bitwise stream == batch pins.
+fn error_bits(errors: &[f32]) -> Vec<u32> {
+    errors.iter().map(|e| e.to_bits()).collect()
+}
+
 fn verdict_set<'a>(
     flows: impl Iterator<Item = &'a clap_core::ClosedFlow>,
 ) -> Vec<(

@@ -1,6 +1,8 @@
 //! Dense autoencoder trained with L1 reconstruction loss (paper Eq. 3).
 
 use crate::dense::{Activation, Dense, DenseGrads, DenseTrace};
+use crate::panel::PanelMatrix;
+use crate::simd::KernelSet;
 use crate::{Adam, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -53,9 +55,9 @@ pub struct Autoencoder {
 
 /// Ping-pong activation buffers for [`Autoencoder::forward_into`]. Reuse
 /// one per scoring session; buffers grow to the largest batch seen. The
-/// same workspace also serves the int8 engine
-/// ([`crate::quant::QuantAutoencoder`]), which additionally uses the
-/// quantized-activation scratch row.
+/// same workspace serves both inference engines — [`PackedAutoencoder`]
+/// and the int8 [`crate::quant::QuantAutoencoder`], which additionally
+/// uses the quantized-activation scratch row.
 #[derive(Debug, Clone, Default)]
 pub struct AeWorkspace {
     pub(crate) bufs: [Matrix; 2],
@@ -141,7 +143,7 @@ impl Autoencoder {
     /// error per row of `x` to `out`.
     pub fn reconstruction_errors_into(&self, x: &Matrix, ws: &mut AeWorkspace, out: &mut Vec<f32>) {
         let y = self.forward_into(x, ws);
-        let ks = crate::simd::KernelSet::active();
+        let ks = KernelSet::active();
         out.reserve(x.rows);
         for r in 0..x.rows {
             let err = ks.sum_abs_diff(x.row(r), y.row(r));
@@ -253,6 +255,59 @@ impl Autoencoder {
             grad_in = dx;
         }
         (loss, grads.into_iter().map(Option::unwrap).collect())
+    }
+}
+
+/// The f32 inference form of an [`Autoencoder`]: every layer's weights
+/// packed once into output-stationary [`PanelMatrix`] panels, biases and
+/// activations still read from the borrowed model. Built per scorer
+/// ([`crate::AeEngine::from_model`]) — never cached in the trainable
+/// model, where it could go stale under [`Autoencoder::train`].
+///
+/// A batch is scored one row at a time, each row through all layers (one
+/// panel GEMV plus the dispatched bias + activation epilogue per layer)
+/// before the next row starts: the activations of a row never leave L1,
+/// the weights stream from L2 either way, and a batched pass is bitwise
+/// the same rows scored alone.
+#[derive(Debug, Clone)]
+pub struct PackedAutoencoder<'a> {
+    model: &'a Autoencoder,
+    w: Vec<PanelMatrix>,
+}
+
+impl<'a> PackedAutoencoder<'a> {
+    pub fn pack(model: &'a Autoencoder) -> Self {
+        PackedAutoencoder {
+            model,
+            w: model
+                .layers
+                .iter()
+                .map(|l| PanelMatrix::pack(&l.w))
+                .collect(),
+        }
+    }
+
+    /// Mean absolute reconstruction error per row of `x`, appended to
+    /// `out` — the engine behind [`crate::AeEngine::F32`]. Allocation-free
+    /// once `ws` has grown to the widest layer.
+    pub fn reconstruction_errors_into(&self, x: &Matrix, ws: &mut AeWorkspace, out: &mut Vec<f32>) {
+        let ks = KernelSet::active();
+        let [a, b] = &mut ws.bufs;
+        let layer = |i: usize, src: &[f32], dst: &mut Matrix| {
+            let dense = &self.model.layers[i];
+            dst.resize(1, self.w[i].rows);
+            self.w[i].matvec_into(src, &mut dst.data);
+            ks.bias_act(&mut dst.data, &dense.b, dense.activation);
+        };
+        out.reserve(x.rows);
+        for r in 0..x.rows {
+            layer(0, x.row(r), a);
+            for i in 1..self.w.len() {
+                layer(i, &a.data, b);
+                std::mem::swap(a, b);
+            }
+            out.push(ks.sum_abs_diff(x.row(r), &a.data) / x.cols as f32);
+        }
     }
 }
 

@@ -90,9 +90,8 @@ impl Dense {
     }
 
     /// Batched forward pass into a caller-owned output matrix (reused
-    /// allocation); the inference engine's building block. The bias +
-    /// activation epilogue runs on the dispatched kernel set (vectorized
-    /// tanh/sigmoid on SIMD-capable CPUs).
+    /// allocation). The bias + activation epilogue runs on the dispatched
+    /// kernel set (vectorized tanh/sigmoid on SIMD-capable CPUs).
     pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
         Matrix::matmul_nt_into(x, &self.w, y);
         let ks = crate::simd::KernelSet::active();

@@ -15,6 +15,7 @@
 //! Table 7). [`GruTrace`] therefore exposes them directly.
 
 use crate::matrix::vecops;
+use crate::panel::PanelMatrix;
 use crate::{sigmoid, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -354,16 +355,18 @@ impl GruCell {
 ///
 /// The three input projections `Wz/Wr/Wn` are stacked into one `3H×I`
 /// matrix and the recurrent projections `Uz/Ur/Un` into one `3H×H` matrix,
-/// so a whole sequence's input side is a single GEMM (`X · Wᵀ`) and each
-/// step's recurrent side is one fused matvec instead of three. Built from a
-/// [`GruCell`] on demand (typically once per scoring session); not
-/// serialized — the cell remains the source of truth.
+/// so each step's input side and recurrent side are one fused matvec each
+/// instead of three. Both are stored as output-stationary
+/// [`PanelMatrix`] panels, and every product — a step, a row of a
+/// sequence, a row of a cross-flow batch — is one call of the same panel
+/// GEMV. Built from a [`GruCell`] on demand (typically once per scoring
+/// session); not serialized — the cell remains the source of truth.
 #[derive(Debug, Clone)]
 pub struct PackedGru {
     /// `[Wz; Wr; Wn]` stacked row-wise: `3H×I`.
-    pub(crate) w: Matrix,
+    pub(crate) w: PanelMatrix,
     /// `[Uz; Ur; Un]` stacked row-wise: `3H×H`.
-    pub(crate) u: Matrix,
+    pub(crate) u: PanelMatrix,
     /// `[bz; br; bn]`: `3H`.
     pub(crate) b: Vec<f32>,
     pub(crate) hidden: usize,
@@ -472,7 +475,12 @@ impl PackedGru {
             u.data[lo * hidden..(lo + hidden) * hidden].copy_from_slice(&usrc.data);
             b[lo..lo + hidden].copy_from_slice(bsrc);
         }
-        PackedGru { w, u, b, hidden }
+        PackedGru {
+            w: PanelMatrix::pack(&w),
+            u: PanelMatrix::pack(&u),
+            b,
+            hidden,
+        }
     }
 
     pub fn hidden_size(&self) -> usize {
@@ -495,8 +503,8 @@ impl PackedGru {
         let steps = xs.rows;
         debug_assert_eq!(xs.cols, self.input_size());
 
-        // Whole-sequence input projections in one GEMM, bias folded in.
-        Matrix::matmul_nt_into(xs, &self.w, &mut ws.xp);
+        // Whole-sequence input projections, bias folded in.
+        self.w.matmul_nt_into(xs, &mut ws.xp);
         for r in 0..steps {
             let row = ws.xp.row_mut(r);
             for (v, &bv) in row.iter_mut().zip(&self.b) {
@@ -542,9 +550,9 @@ impl PackedGru {
     /// Feeding a sequence through `step` one packet at a time produces
     /// **bitwise identical** trajectories to one [`run`](Self::run) over
     /// the whole sequence: both sides compute the input projection row
-    /// with the same `dot`/`dot4` kernels (`matmul_nt_into` degenerates to
-    /// `matvec_into` row-for-row) and share the elementwise tail. The test
-    /// suite pins this.
+    /// with the same panel GEMV call ([`PanelMatrix::matmul_nt_into`] is
+    /// [`PanelMatrix::matvec_into`] row for row) and share the elementwise
+    /// tail. The test suite pins this.
     pub fn step(
         &self,
         x: &[f32],
@@ -583,10 +591,10 @@ impl PackedGru {
     /// every matrix belongs to the same flow throughout.
     ///
     /// **Bitwise identical** to `B` separate [`step`](Self::step) calls:
-    /// `matmul_nt_into` computes each row with the same `dot`/`dot4`
-    /// kernels as `matvec_into` (the 1-row==matvec guarantee), the bias
-    /// add is the same per-row scalar loop, and the gate block runs the
-    /// same dispatched kernel per row. The test suite pins this.
+    /// [`PanelMatrix::matmul_nt_into`] runs each row through the same
+    /// panel GEMV call as `matvec_into`, the bias add is the same per-row
+    /// scalar loop, and the gate block runs the same dispatched kernel per
+    /// row. The test suite pins this.
     pub fn step_batch(
         &self,
         xs: &Matrix,
@@ -601,14 +609,14 @@ impl PackedGru {
         debug_assert_eq!(hs.rows, b);
         debug_assert_eq!(hs.cols, hidden);
 
-        Matrix::matmul_nt_into(xs, &self.w, &mut scratch.xp);
+        self.w.matmul_nt_into(xs, &mut scratch.xp);
         for r in 0..b {
             let row = scratch.xp.row_mut(r);
             for (v, &bv) in row.iter_mut().zip(&self.b) {
                 *v += bv;
             }
         }
-        Matrix::matmul_nt_into(hs, &self.u, &mut scratch.up);
+        self.u.matmul_nt_into(hs, &mut scratch.up);
 
         zs.resize(b, hidden);
         rs.resize(b, hidden);

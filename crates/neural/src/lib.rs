@@ -8,6 +8,8 @@
 //!
 //! * [`Matrix`] — row-major `f32` matrices with the three GEMM variants the
 //!   backward passes require, parallelized with rayon where it pays;
+//! * [`PanelMatrix`] — the same weights packed as output-stationary panels
+//!   for the f32 inference engines;
 //! * [`GruCell`] / [`GruClassifier`] — a gated recurrent unit with full
 //!   backpropagation through time, exposing per-timestep **update and reset
 //!   gate activations** (CLAP's inter-packet context features);
@@ -27,21 +29,35 @@
 //! equivalent in the test suite:
 //!
 //! * **Reference path** — [`GruCell::forward`] / [`Autoencoder::forward`]:
-//!   readable, one allocation per intermediate, used by training and as the
-//!   oracle in equivalence tests.
-//! * **Fused path** — the inference engine, built from three pieces:
+//!   readable, row-major [`Matrix`] GEMMs, used by training, by the small
+//!   baseline autoencoders and as the oracle in equivalence tests.
+//! * **Fused path** — the inference engines ([`GruEngine`], [`AeEngine`];
+//!   f32 by default, int8 on request), built from these pieces:
 //!   * *Packed gates* ([`PackedGru`]): `Wz/Wr/Wn` stacked into one `3H×I`
-//!     matrix and `Uz/Ur/Un` into one `3H×H` matrix, so a sequence's whole
-//!     input side is a single `X·Wᵀ` GEMM and each step's recurrent side is
-//!     one fused matvec instead of three.
+//!     matrix and `Uz/Ur/Un` into one `3H×H` matrix, so each step's input
+//!     side and recurrent side are one fused matvec each instead of three.
+//!   * *Weight panels* ([`PanelMatrix`], in [`PackedGru`] and
+//!     [`PackedAutoencoder`]): every f32 inference weight matrix is
+//!     repacked once per scorer as `[row block of 16][k][output lane]` —
+//!     64-byte-aligned lines, rows zero-padded to whole blocks — and
+//!     **one kernel, the panel GEMV** ([`KernelSet::panel_gemv_f32`]),
+//!     sits under every f32 inference matvec: it broadcasts one
+//!     activation per `k` against a block of outputs, so each output lane
+//!     owns one accumulator, with no horizontal reduction, no k-tail and
+//!     one sequential aligned weight stream per block. The packing is
+//!     never cached inside a trainable model (it could go stale under
+//!     `train`); the row-major [`Matrix`] stays the source of truth.
 //!   * *Workspaces* ([`GruWorkspace`], [`AeWorkspace`]): grow-only scratch
 //!     arenas threaded through the hot path; steady-state inference
-//!     performs zero heap allocation. The `*_into` kernels on [`Matrix`],
-//!     [`Dense`] and [`Autoencoder`] write into these caller-owned buffers.
-//!   * *Batching*: autoencoder scoring takes whole `rows×width` batches
-//!     through one ping-ponged GEMM chain ([`Autoencoder::forward_into`]);
+//!     performs zero heap allocation.
+//!   * *Batching*: autoencoder scoring takes whole `rows×width` batches;
 //!     `clap-core` shards connections across rayon workers, each worker
-//!     owning one set of arenas.
+//!     owning one set of arenas. A batch is scored **row by row** through
+//!     the same GEMV call (the f32 autoencoder takes each row through all
+//!     its layers before the next, so a row's activations stay in L1) —
+//!     no weight is reused across rows, so a batch costs rows × the 1-row
+//!     price, and in exchange a row's result never depends on what it was
+//!     batched with.
 //!   * *Resumable stepping* ([`PackedGru::step`] + [`GruStepScratch`]):
 //!     one timestep at a time with the hidden state carried by the caller,
 //!     so a streaming scorer can persist an `H`-float state per live flow
@@ -56,8 +72,8 @@
 //!     wherever it lives — `clap-core` copies f32 slab rows directly and
 //!     dequantizes int8-resident rows first); the step updates the hidden
 //!     rows in place and fills `B×H` gate matrices, and the caller
-//!     scatters row `i` back to flow `i`'s slot. Because the batched GEMM
-//!     processes each row through the exact per-row path of the matvec
+//!     scatters row `i` back to flow `i`'s slot. Because a batch goes
+//!     through the panel GEMV one row at a time, exactly as a matvec does
 //!     (and each activation row quantizes independently at int8), **row
 //!     `i` is bitwise identical to a separate `step` call for that
 //!     flow** — at both precisions — which is what lets a streaming
@@ -66,7 +82,8 @@
 //!
 //! # Kernel dispatch
 //!
-//! The engine's dense inner loops — the dot products behind
+//! The dense inner loops — the f32 and int8 panel GEMVs of the inference
+//! engines, the dot products behind the training-side
 //! [`Matrix::matvec_into`]/`matmul_nt_into`, the axpy updates behind the
 //! training GEMMs, the fused GRU gate block, the dense bias+activation
 //! epilogue and the autoencoder's L1 error reduction — are function
@@ -89,11 +106,12 @@
 //!   ([`simd::KernelSet::scalar`], `avx2()`, `avx512()`,
 //!   `avx512vnni()`) and call its kernels directly without affecting
 //!   the process-wide choice.
-//! * **Adding an ISA.** Implement the ten kernel functions (dot, dot4,
-//!   axpy, bias_act, gru_gates, sum_abs_diff, plus the int8 kernels
-//!   panel_gemv_i8, act_range, act_encode and act_decode) for the new
-//!   instruction set — the int8 weight panels are one layout for every
-//!   set, so a new panel GEMV reads the bytes the others read — add a
+//! * **Adding an ISA.** Implement the eleven kernel functions (dot, dot4,
+//!   axpy, bias_act, gru_gates, sum_abs_diff, panel_gemv_f32, plus the
+//!   int8 kernels panel_gemv_i8, act_range, act_encode and act_decode) for
+//!   the new instruction set — the f32 and int8 weight panels are each one
+//!   layout for every set, so a new panel GEMV reads the bytes the others
+//!   read — add a
 //!   `static` `KernelSet` naming them, and extend the
 //!   `select()` ladder in `simd.rs` behind the right
 //!   `is_x86_feature_detected!`/`cfg` guard. The property tests in
@@ -103,11 +121,13 @@
 //!   shapes.
 //!
 //! SIMD results may differ from the scalar reference by float
-//! reassociation and by the polynomial `exp` used for vectorized
-//! sigmoid/tanh; both are bounded to 1e-6 by the test suite. Within one
-//! kernel set results are deterministic, and one-row GEMMs are bitwise
-//! identical to matvecs — which is what keeps streaming (step-at-a-time)
-//! scoring exactly equal to batched scoring.
+//! reassociation, fused multiply-adds and the polynomial `exp` used for
+//! vectorized sigmoid/tanh; all are bounded to 1e-6 by the test suite (the
+//! f32 panel GEMV runs the same per-lane FMA chain on avx2 and avx512, so
+//! those two agree bitwise). Within one kernel set results are
+//! deterministic, and a row of a batch is bitwise its matvec — which is
+//! what keeps streaming (step-at-a-time) scoring exactly equal to batched
+//! scoring.
 //!
 //! # Int8 quantized inference (`quant`)
 //!
@@ -161,15 +181,17 @@ pub mod classifier;
 pub mod dense;
 pub mod gru;
 pub mod matrix;
+pub mod panel;
 pub mod quant;
 pub mod simd;
 
 pub use adam::Adam;
-pub use autoencoder::{AeWorkspace, Autoencoder, AutoencoderConfig};
+pub use autoencoder::{AeWorkspace, Autoencoder, AutoencoderConfig, PackedAutoencoder};
 pub use classifier::{GruClassifier, GruClassifierConfig, TrainReport};
 pub use dense::Dense;
 pub use gru::{GruBatchScratch, GruCell, GruStepScratch, GruTrace, GruWorkspace, PackedGru};
 pub use matrix::Matrix;
+pub use panel::PanelMatrix;
 pub use quant::{
     dequantize_activations_into, quantize_activations, ActQuant, AeEngine, GruEngine,
     QuantAutoencoder, QuantMatrix, QuantMode, QuantPackedGru,

@@ -1,13 +1,23 @@
-//! Row-major `f32` matrices with the GEMM variants backprop needs, plus
-//! the allocation-free `*_into` kernels the inference engine runs on.
+//! Row-major `f32` matrices with the GEMM variants training needs, in
+//! allocating and allocation-free `*_into` forms.
 //!
-//! The hot inner loops (the dot products behind [`Matrix::matvec_into`] /
+//! This is the trainable, serialized weight format and the forward /
+//! backward path of training (and of the small Kitsune / Baseline #1
+//! autoencoders). The scoring engines do **not** run on it: they repack
+//! their weights as [`crate::PanelMatrix`] panels and go through the panel
+//! GEMV, which is about twice as fast per row as [`Matrix::matvec_into`]
+//! at the paper's layer sizes.
+//!
+//! The inner loops (the dot products behind [`Matrix::matvec_into`] /
 //! [`Matrix::matmul_nt_into`], the axpy updates behind the nn/tn GEMMs)
 //! all route through the runtime-dispatched [`KernelSet`]: explicit
 //! AVX2+FMA / AVX-512 intrinsic kernels where the CPU supports them, a
 //! safe scalar reference otherwise — no `-C target-cpu=native` required.
 //! The 4-row register block in the nt-GEMM reuses each loaded slice of
-//! `A` against four rows of `B`.
+//! `A` against four rows of `B`; it reuses no loaded weight across rows of
+//! `A` (measured: a batch costs as much per row as one row alone), and the
+//! L2 tiling below only matters once `B` outgrows L2 — not at the ≈700 kB
+//! of the CLAP model.
 
 use crate::simd::KernelSet;
 use rand::Rng;
@@ -17,11 +27,7 @@ use serde::{Deserialize, Serialize};
 /// Minimum number of output elements before a GEMM is worth parallelizing.
 /// A sub-millisecond kernel call cannot amortize fan-out (the stand-in
 /// pool spawns scoped threads per call, and even a real pool allocates
-/// job state), and the streaming scorer's micro-batch flushes — tens of
-/// rows against the CLAP layer widths, a few thousand output elements —
-/// must stay on the serial path to keep the flush allocation-free at
-/// steady state (pinned by `clap-core/tests/alloc.rs`). Training and
-/// full-capture batch scoring run thousands of rows and clear this
+/// job state). Training batches run thousands of rows and clear this
 /// threshold by orders of magnitude.
 const PAR_THRESHOLD: usize = 256 * 256;
 
@@ -32,7 +38,8 @@ const NT_TILE_BYTES: usize = 128 * 1024;
 
 /// Rows of `A` (and `C`) one nt-GEMM task owns. Small enough that the
 /// block's `A` rows stay cached alongside the `B` tile; large enough that
-/// each `B` tile loaded from memory is reused many times.
+/// each `B` tile loaded from memory serves several rows before it is
+/// evicted.
 const NT_ROW_BLOCK: usize = 16;
 
 /// Rows of `B` per L2 tile for a given row width. Always a multiple of 4:
@@ -53,8 +60,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// One output row of `C = A · Bᵀ`: `crow[j] = arow · b.row(j)`, blocked
 /// four rows of `B` at a time. Shared by [`Matrix::matvec_into`] and
 /// [`Matrix::matmul_nt_into`] so a one-row GEMM is bitwise identical to a
-/// matvec — the invariant that keeps streaming (step-at-a-time) scoring
-/// exactly equal to batched runs.
+/// matvec.
 #[inline]
 fn nt_row(ks: &KernelSet, arow: &[f32], b: &Matrix, crow: &mut [f32]) {
     nt_row_span(ks, arow, b, 0, crow);
@@ -176,7 +182,7 @@ impl Matrix {
     }
 
     /// In-place matrix–vector product `y = self · x` (self: m×n, x: n,
-    /// y: m). The inference engine's workhorse: no allocation.
+    /// y: m); no allocation.
     pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         debug_assert_eq!(x.len(), self.cols);
         debug_assert_eq!(y.len(), self.rows);
@@ -468,8 +474,7 @@ mod tests {
 
     /// The L2-tiled nt-GEMM must be **bitwise** identical to the per-row
     /// matvec order (the untiled formulation), on shapes whose `B` spans
-    /// several tiles — that identity is what keeps streaming GRU steps
-    /// equal to batched runs.
+    /// several tiles.
     #[test]
     fn tiled_nt_gemm_is_bitwise_per_row_matvec() {
         let cols = 345; // tile = 92 rows: a 210-row B crosses 3 tiles

@@ -74,7 +74,7 @@
 //! (`avx512vnni → avx512 → avx2 → scalar`), so `NEURAL_KERNELS` pins their
 //! ISA exactly as for the f32 kernels.
 
-use crate::autoencoder::{AeWorkspace, Autoencoder};
+use crate::autoencoder::{AeWorkspace, Autoencoder, PackedAutoencoder};
 use crate::dense::{Activation, Dense};
 use crate::gru::{GruBatchScratch, GruStepScratch, GruWorkspace, PackedGru};
 use crate::matrix::Matrix;
@@ -514,11 +514,13 @@ pub struct QuantPackedGru {
 }
 
 impl QuantPackedGru {
-    /// Quantizes a gate-packed cell's projection matrices.
+    /// Quantizes a gate-packed cell's projection matrices — from their
+    /// row-major values, which the f32 panels hold bit for bit, so the
+    /// codes do not depend on the f32 layout.
     pub fn quantize(p: &PackedGru) -> QuantPackedGru {
         QuantPackedGru {
-            w: QuantMatrix::quantize(&p.w),
-            u: QuantMatrix::quantize(&p.u),
+            w: QuantMatrix::quantize(&p.w.unpack()),
+            u: QuantMatrix::quantize(&p.u.unpack()),
             b: p.b.clone(),
             hidden: p.hidden,
         }
@@ -715,20 +717,23 @@ impl GruEngine {
     }
 }
 
-/// An autoencoder inference engine at either precision. The f32 variant
-/// borrows the trained model (it is the source of truth); the int8
-/// variant owns its quantized copy.
+/// An autoencoder inference engine at either precision. Both variants own
+/// a packed copy of the weights built once in
+/// [`from_model`](Self::from_model) — f32 panels (≈700 kB at the paper's
+/// sizes) or int8 panels — so build one engine per scorer, not per
+/// connection; the f32 variant still borrows biases and activations from
+/// the trained model, which stays the source of truth.
 #[derive(Debug, Clone)]
 pub enum AeEngine<'a> {
-    F32(&'a Autoencoder),
+    F32(PackedAutoencoder<'a>),
     Int8(QuantAutoencoder),
 }
 
 impl<'a> AeEngine<'a> {
-    /// Wraps the trained autoencoder at the requested precision.
+    /// Packs the trained autoencoder at the requested precision.
     pub fn from_model(ae: &'a Autoencoder, mode: QuantMode) -> AeEngine<'a> {
         match mode {
-            QuantMode::Off => AeEngine::F32(ae),
+            QuantMode::Off => AeEngine::F32(PackedAutoencoder::pack(ae)),
             QuantMode::Int8 => AeEngine::Int8(QuantAutoencoder::quantize(ae)),
         }
     }

@@ -4,9 +4,10 @@
 //! [`Matrix::matvec_into`]/[`Matrix::matmul_nt_into`], the axpy update
 //! behind the training GEMMs, the fused GRU gate block of
 //! [`PackedGru::run`]/[`PackedGru::step`], the dense layer's bias +
-//! activation epilogue, the autoencoder's L1 error reduction, and the
-//! int8 engine's panel GEMV and activation scan/encode/decode — is a
-//! function pointer in a [`KernelSet`]. Four sets exist:
+//! activation epilogue, the autoencoder's L1 error reduction, the f32
+//! engines' panel GEMV, and the int8 engine's panel GEMV and activation
+//! scan/encode/decode — is a function pointer in a [`KernelSet`]. Four sets
+//! exist:
 //!
 //! * **scalar** — safe reference implementations written with plain
 //!   multiply/add (no `mul_add`, so they never lower to a slow `fmaf` libm
@@ -16,10 +17,10 @@
 //!   fused multiply-add: it keeps `mul_add` so that it stays bit-identical
 //!   to the SIMD sets' hardware `vfmadd`.
 //! * **avx2** — explicit `std::arch::x86_64` AVX2+FMA intrinsics: 8-lane
-//!   FMA dot kernels with register blocking, a polynomial `exp`
-//!   (Cephes `expf` constants, ≈2 ulp) powering vectorized
-//!   sigmoid/tanh for the gate block and dense activations, and the
-//!   256-bit `maddubs`+`madd` int8 panel GEMV.
+//!   FMA dot kernels with register blocking, the f32 panel GEMV, a
+//!   polynomial `exp` (Cephes `expf` constants, ≈2 ulp) powering
+//!   vectorized sigmoid/tanh for the gate block and dense activations,
+//!   and the 256-bit `maddubs`+`madd` int8 panel GEMV.
 //! * **avx512** — the f32 kernels widened to 16 lanes with masked tails,
 //!   used where AVX-512F is available; the int8 panel GEMV stays on the
 //!   avx2 `maddubs` kernel (AVX-512F has no byte-granular multiply).
@@ -40,10 +41,10 @@
 //! ([`KernelSet::scalar`], [`KernelSet::avx2`], [`KernelSet::avx512`],
 //! [`KernelSet::avx512vnni`]) without touching the process-wide choice.
 //!
-//! SIMD results differ from scalar only by float reassociation and the
-//! polynomial `exp` (both bounded to 1e-6 by the property tests); within
-//! one set the kernels are deterministic, which is what keeps
-//! step-by-step streaming bitwise identical to batched runs.
+//! SIMD results differ from scalar only by float reassociation, fused
+//! multiply-adds and the polynomial `exp` (all bounded to 1e-6 by the
+//! property tests); within one set the kernels are deterministic, which is
+//! what keeps step-by-step streaming bitwise identical to batched runs.
 //!
 //! [`Matrix::matvec_into`]: crate::Matrix::matvec_into
 //! [`Matrix::matmul_nt_into`]: crate::Matrix::matmul_nt_into
@@ -61,6 +62,8 @@ type GruGatesFn = fn(&[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
 /// `panel_gemv_i8(w, qa, act, y)` — the int8 panel GEMV with its
 /// dequantizing epilogue.
 type PanelGemvI8Fn = fn(&Panels<'_>, &[u8], ActQuant, &mut [f32]);
+/// `panel_gemv_f32(w, cols, x, y)` — the f32 panel GEMV.
+type PanelGemvF32Fn = fn(&[PanelLine], usize, &[f32], &mut [f32]);
 
 /// Output lanes per weight panel block. The layout is defined in lanes,
 /// not registers: a block's i32 accumulators are one zmm, two ymm or a
@@ -75,6 +78,16 @@ pub const PANEL_K: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C, align(64))]
 pub struct PanelQuad(pub [[i8; PANEL_K]; PANEL_LANES]);
+
+/// One `k` of one f32 panel block: the weight of each of the block's
+/// [`PANEL_LANES`] output rows at that `k` — 64 bytes on a cache-line
+/// boundary, so a 512-bit load is aligned and never splits. An f32 panel
+/// matrix ([`crate::PanelMatrix`]) is `[row block][k]` of these: output row
+/// `r` is lane `r % PANEL_LANES` of block `r / PANEL_LANES`, rows are
+/// zero-padded to whole blocks and `k` is not padded.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+pub struct PanelLine(pub [f32; PANEL_LANES]);
 
 /// Borrowed int8 weight panels of a `rows × cols` matrix, as
 /// [`KernelSet::panel_gemv_i8`] consumes them (built by
@@ -111,6 +124,7 @@ pub struct KernelSet {
     gru_gates: GruGatesFn,
     sum_abs_diff: fn(&[f32], &[f32]) -> f32,
     panel_gemv_i8: PanelGemvI8Fn,
+    panel_gemv_f32: PanelGemvF32Fn,
     act_range: fn(&[f32]) -> (f32, f32),
     act_encode: fn(&[f32], f32, f32, &mut [u8]),
     act_decode: fn(&[u8], ActQuant, &mut [f32]),
@@ -231,6 +245,34 @@ impl KernelSet {
             "quantized activations exceed the 7-bit contract"
         );
         (self.panel_gemv_i8)(w, qa, act, y)
+    }
+
+    /// F32 panel GEMV — the one kernel under every f32 inference matvec
+    /// ([`crate::PanelMatrix`]): `y[r] = Σ_k x[k] · w[r][k]` over
+    /// `y.len()` output rows and `cols` inputs, with `w` the
+    /// `[row block][k]` [`PanelLine`]s of the matrix.
+    ///
+    /// Each `k` broadcasts one activation against a whole block of output
+    /// lanes, so every lane owns one accumulator and runs the single chain
+    /// `acc = x[k]·w[k][lane] + acc`, `k` ascending from zero: there is no
+    /// horizontal reduction and no k-tail, and each block's weights are
+    /// read as one sequential aligned stream. The SIMD sets fuse the
+    /// multiply-add and differ only in how many lanes share a register, so
+    /// avx2 and avx512 return **bit-identical** rows; the scalar set
+    /// rounds the product first (no `mul_add`, see the module docs) and is
+    /// within the usual reassociation tolerance. An output row never
+    /// depends on how many rows a caller batches, which keeps a batch of
+    /// rows bitwise equal to the same rows one at a time.
+    ///
+    /// `x` may be longer than `cols`; the excess is not read.
+    #[inline]
+    pub fn panel_gemv_f32(&self, w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+        assert!(
+            y.len().div_ceil(PANEL_LANES).checked_mul(cols) == Some(w.len()),
+            "panel shape mismatch"
+        );
+        assert!(x.len() >= cols, "panel activation row too short");
+        (self.panel_gemv_f32)(w, cols, x, y)
     }
 
     /// `(min, max)` of an activation row — the range scan behind
@@ -394,6 +436,7 @@ static SCALAR: KernelSet = KernelSet {
     gru_gates: gru_gates_scalar,
     sum_abs_diff: sum_abs_diff_scalar,
     panel_gemv_i8: panel_gemv_i8_scalar,
+    panel_gemv_f32: panel_gemv_f32_scalar,
     act_range: act_range_scalar,
     act_encode: act_encode_scalar,
     act_decode: act_decode_scalar,
@@ -514,6 +557,20 @@ fn panel_gemv_i8_scalar(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32])
     }
 }
 
+/// Reference f32 panel GEMV: one block at a time, sixteen accumulators,
+/// multiply then add.
+fn panel_gemv_f32_scalar(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+    for (b, yb) in y.chunks_mut(PANEL_LANES).enumerate() {
+        let mut acc = [0.0f32; PANEL_LANES];
+        for (line, &xv) in w[b * cols..(b + 1) * cols].iter().zip(x) {
+            for (a, &wv) in acc.iter_mut().zip(&line.0) {
+                *a += xv * wv;
+            }
+        }
+        yb.copy_from_slice(&acc[..yb.len()]);
+    }
+}
+
 /// Lane-blocked select-form min/max scan. A NaN comparison is false, so a
 /// NaN element never replaces a lane bound; ±inf propagates into the
 /// result, where the quantizer's finiteness check catches it.
@@ -594,7 +651,7 @@ fn sum_abs_diff_scalar(a: &[f32], b: &[f32]) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{ActQuant, Activation, KernelSet, Panels, PANEL_LANES};
+    use super::{ActQuant, Activation, KernelSet, PanelLine, Panels, PANEL_LANES};
     use std::arch::x86_64::*;
 
     pub(super) static AVX2: KernelSet = KernelSet {
@@ -606,6 +663,7 @@ mod x86 {
         gru_gates: gru_gates_avx2,
         sum_abs_diff: sum_abs_diff_avx2,
         panel_gemv_i8: panel_gemv_i8_avx2,
+        panel_gemv_f32: panel_gemv_f32_avx2,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
         act_decode: act_decode_avx2,
@@ -623,6 +681,7 @@ mod x86 {
         // int8 path on these CPUs is the 256-bit maddubs kernel (the set's
         // constructor also verifies AVX2).
         panel_gemv_i8: panel_gemv_i8_avx2,
+        panel_gemv_f32: panel_gemv_f32_avx512,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
         act_decode: act_decode_avx2,
@@ -640,6 +699,7 @@ mod x86 {
         gru_gates: gru_gates_avx512,
         sum_abs_diff: sum_abs_diff_avx512,
         panel_gemv_i8: panel_gemv_i8_vnni,
+        panel_gemv_f32: panel_gemv_f32_avx512,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
         act_decode: act_decode_avx2,
@@ -1340,6 +1400,156 @@ mod x86 {
         unsafe { sum_abs_diff_avx512_impl(a, b) }
     }
 
+    // ---------------- f32 panel GEMV ----------------
+    //
+    // Both kernels walk the row blocks in groups and keep one accumulator
+    // register per block (AVX-512) or two (AVX2) for the whole of `k`: per
+    // `k`, one broadcast of `x[k]` and one aligned 64-byte weight line per
+    // block, fused into the block's accumulators. A lane therefore runs
+    // the chain `acc = fma(x[k], w[k][lane], acc)`, `k` ascending from a
+    // zero accumulator, whatever the register width and however the
+    // blocks are grouped — which is why the two kernels agree bit for bit.
+    // The blocks of a group are independent chains; enough of them in
+    // flight cover the FMA latency.
+
+    /// Row blocks per group of the AVX-512 kernel: eight zmm chains cover a
+    /// 4-cycle FMA at two issues a cycle.
+    const BLOCKS_AVX512: usize = 8;
+    /// Row blocks per group of the AVX2 kernel: eight ymm chains again,
+    /// two to a block, and what sixteen registers hold without spilling.
+    const BLOCKS_AVX2: usize = 4;
+
+    /// `NB` row blocks of the AVX2 f32 panel GEMV: `w` holds the blocks'
+    /// `NB · cols` lines and `yb` their outputs (the last block may be
+    /// ragged).
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA, `w.len() == NB · cols`, `x.len() >= cols` and
+    /// `yb.len() <= NB · 16`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn panel_blocks_f32_avx2<const NB: usize>(
+        w: &[PanelLine],
+        cols: usize,
+        x: &[f32],
+        yb: &mut [f32],
+    ) {
+        let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
+        let mut lo = [_mm256_setzero_ps(); NB];
+        let mut hi = [_mm256_setzero_ps(); NB];
+        for k in 0..cols {
+            let xv = _mm256_set1_ps(*px.add(k));
+            for j in 0..NB {
+                let line = pw.add((j * cols + k) * PANEL_LANES);
+                lo[j] = _mm256_fmadd_ps(xv, _mm256_load_ps(line), lo[j]);
+                hi[j] = _mm256_fmadd_ps(xv, _mm256_load_ps(line.add(8)), hi[j]);
+            }
+        }
+        // Only `yb.len()` outputs exist: the pad lanes of a ragged last
+        // block stay in `out`.
+        let mut out = [[0.0f32; PANEL_LANES]; NB];
+        for j in 0..NB {
+            _mm256_storeu_ps(out[j].as_mut_ptr(), lo[j]);
+            _mm256_storeu_ps(out[j].as_mut_ptr().add(8), hi[j]);
+        }
+        yb.copy_from_slice(&out.as_flattened()[..yb.len()]);
+    }
+
+    /// # Safety
+    /// Requires AVX2+FMA, `w.len() == y.len().div_ceil(16) · cols` and
+    /// `x.len() >= cols`.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn panel_gemv_f32_avx2_impl(mut w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+        for yb in y.chunks_mut(BLOCKS_AVX2 * PANEL_LANES) {
+            let nb = yb.len().div_ceil(PANEL_LANES);
+            let (group, rest) = w.split_at(nb * cols);
+            w = rest;
+            match nb {
+                1 => panel_blocks_f32_avx2::<1>(group, cols, x, yb),
+                2 => panel_blocks_f32_avx2::<2>(group, cols, x, yb),
+                3 => panel_blocks_f32_avx2::<3>(group, cols, x, yb),
+                _ => panel_blocks_f32_avx2::<BLOCKS_AVX2>(group, cols, x, yb),
+            }
+        }
+    }
+
+    fn panel_gemv_f32_avx2(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+        // SAFETY: reachable only through the detected AVX2 KernelSet, and
+        // only through `KernelSet::panel_gemv_f32`, whose "panel shape
+        // mismatch" and "panel activation row too short" asserts are the
+        // kernel's length requirements.
+        unsafe { panel_gemv_f32_avx2_impl(w, cols, x, y) }
+    }
+
+    /// `NB` row blocks of the AVX-512 f32 panel GEMV: `w` holds the
+    /// blocks' `NB · cols` lines and `yb` their outputs (the last block
+    /// may be ragged).
+    ///
+    /// # Safety
+    /// Requires AVX-512F, `w.len() == NB · cols`, `x.len() >= cols` and
+    /// `(NB − 1) · 16 < yb.len() <= NB · 16`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn panel_blocks_f32_avx512<const NB: usize>(
+        w: &[PanelLine],
+        cols: usize,
+        x: &[f32],
+        yb: &mut [f32],
+    ) {
+        let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
+        let mut acc = [_mm512_setzero_ps(); NB];
+        for k in 0..cols {
+            let xv = _mm512_set1_ps(*px.add(k));
+            for (j, a) in acc.iter_mut().enumerate() {
+                let line = pw.add((j * cols + k) * PANEL_LANES);
+                *a = _mm512_fmadd_ps(xv, _mm512_load_ps(line), *a);
+            }
+        }
+        // Only `yb.len()` outputs exist: the pad lanes of a ragged last
+        // block are masked out of the store.
+        let py = yb.as_mut_ptr();
+        for (j, a) in acc.into_iter().enumerate() {
+            let live = (yb.len() - j * PANEL_LANES).min(PANEL_LANES);
+            let mask = ((1u32 << live) - 1) as __mmask16;
+            _mm512_mask_storeu_ps(py.add(j * PANEL_LANES), mask, a);
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F, `w.len() == y.len().div_ceil(16) · cols` and
+    /// `x.len() >= cols`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn panel_gemv_f32_avx512_impl(
+        mut w: &[PanelLine],
+        cols: usize,
+        x: &[f32],
+        y: &mut [f32],
+    ) {
+        for yb in y.chunks_mut(BLOCKS_AVX512 * PANEL_LANES) {
+            let nb = yb.len().div_ceil(PANEL_LANES);
+            let (group, rest) = w.split_at(nb * cols);
+            w = rest;
+            match nb {
+                1 => panel_blocks_f32_avx512::<1>(group, cols, x, yb),
+                2 => panel_blocks_f32_avx512::<2>(group, cols, x, yb),
+                3 => panel_blocks_f32_avx512::<3>(group, cols, x, yb),
+                4 => panel_blocks_f32_avx512::<4>(group, cols, x, yb),
+                5 => panel_blocks_f32_avx512::<5>(group, cols, x, yb),
+                6 => panel_blocks_f32_avx512::<6>(group, cols, x, yb),
+                7 => panel_blocks_f32_avx512::<7>(group, cols, x, yb),
+                _ => panel_blocks_f32_avx512::<BLOCKS_AVX512>(group, cols, x, yb),
+            }
+        }
+    }
+
+    fn panel_gemv_f32_avx512(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+        // SAFETY: reachable only through the detected AVX-512 KernelSets,
+        // and only through `KernelSet::panel_gemv_f32`, whose "panel shape
+        // mismatch" and "panel activation row too short" asserts are the
+        // kernel's length requirements.
+        unsafe { panel_gemv_f32_avx512_impl(w, cols, x, y) }
+    }
+
     // ---------------- int8 (AVX2 maddubs + AVX-512 VNNI) ----------------
     //
     // Both panel kernels compute acc[r] = Σ qa[k]·q[r][k] with qa: u8
@@ -1715,6 +1925,29 @@ mod tests {
     fn mismatched_panel_shapes_panic_not_ub() {
         // 17 outputs need two blocks of weights, scales and row sums.
         one_block_gemv(8, 17);
+    }
+
+    /// One 16-lane f32 block of 8 inputs through the active set, with
+    /// `x_len` activations and `rows` outputs.
+    fn one_block_gemv_f32(x_len: usize, rows: usize) {
+        let w = [PanelLine([1.0; PANEL_LANES]); 8];
+        KernelSet::active().panel_gemv_f32(&w, 8, &vec![1.0; x_len], &mut vec![0.0; rows]);
+    }
+
+    #[test]
+    #[should_panic(expected = "panel activation row too short")]
+    fn short_f32_panel_activations_panic_not_ub() {
+        // The SIMD bodies read `cols` activations through a raw pointer;
+        // the public wrapper must reject a shorter row in release builds
+        // too.
+        one_block_gemv_f32(7, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "panel shape mismatch")]
+    fn mismatched_f32_panel_shapes_panic_not_ub() {
+        // 17 outputs need two blocks of weight lines.
+        one_block_gemv_f32(8, 17);
     }
 
     /// Every set's range scan must agree with scalar — including rows

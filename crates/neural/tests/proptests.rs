@@ -4,7 +4,7 @@ use neural::dense::Activation;
 use neural::quant::{self, ActQuant, QuantMatrix, QuantPackedGru};
 use neural::{
     softmax_cross_entropy, softmax_inplace, Autoencoder, GruCell, GruWorkspace, KernelSet, Matrix,
-    PackedGru,
+    PackedGru, PanelMatrix,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -367,6 +367,50 @@ proptest! {
         }
     }
 
+    /// The f32 panel GEMV against a naive row-major sum accumulated in
+    /// f64, on every kernel set and any shape — non-multiples of the
+    /// 16-lane block included. A k-ascending f32 chain of `cols` terms is
+    /// within `cols · ε · Σ|x·w|` of the exact sum, fused or not. The SIMD
+    /// sets run the same per-lane FMA chain whatever their register width,
+    /// so avx2 and avx512 must agree **bitwise**.
+    #[test]
+    fn panel_gemv_f32_matches_row_major_sum(
+        rows in 1usize..400,
+        cols in 1usize..400,
+        seed in 0u64..1000,
+        scale in 1e-3f32..100.0,
+    ) {
+        let m = Matrix::from_fn(rows, cols, |r, c| {
+            ((r * cols + c) as f32 * 0.2713 + seed as f32 * 0.071).sin() * scale
+        });
+        let x = kernel_input(cols, seed, 3.0);
+        let p = PanelMatrix::pack(&m);
+        let mut simd_rows: Vec<(&str, Vec<u32>)> = Vec::new();
+        for ks in KernelSet::available() {
+            let mut y = vec![f32::NAN; rows];
+            ks.panel_gemv_f32(p.lines(), cols, &x, &mut y);
+            for (r, &got) in y.iter().enumerate() {
+                let (mut exact, mut sum_abs) = (0.0f64, 0.0f64);
+                for (&xv, &wv) in x.iter().zip(m.row(r)) {
+                    let term = f64::from(xv) * f64::from(wv);
+                    exact += term;
+                    sum_abs += term.abs();
+                }
+                let tol = cols as f64 * f64::from(f32::EPSILON) * sum_abs + 1e-30;
+                prop_assert!(
+                    (f64::from(got) - exact).abs() <= tol,
+                    "{} {}x{} row {}: {} vs {} (tol {})", ks.name, rows, cols, r, got, exact, tol
+                );
+            }
+            if ks.name != "scalar" {
+                simd_rows.push((ks.name, y.iter().map(|v| v.to_bits()).collect()));
+            }
+        }
+        for pair in simd_rows.windows(2) {
+            prop_assert_eq!(&pair[0].1, &pair[1].1, "{} != {}", pair[0].0, pair[1].0);
+        }
+    }
+
     /// Resident-state decode is one fused multiply-add per element on
     /// every set — hardware `vfmadd` in the SIMD sets, `f32::mul_add` in
     /// the scalar one — so all sets decode to the bit-identical f32, for
@@ -465,8 +509,8 @@ proptest! {
 
     /// The L2-tiled nt-GEMM is bitwise identical to row-by-row matvec for
     /// any shape — including `B` tall enough to span multiple tiles and
-    /// `A` blocks with ragged remainders — so tiling can never perturb
-    /// the streaming == batch equivalence chain.
+    /// `A` blocks with ragged remainders — so tiling never changes a
+    /// result.
     #[test]
     fn tiled_nt_gemm_matches_matvec_bitwise(
         arows in 1usize..36,

@@ -41,6 +41,7 @@ fn main() {
     let mut detected = 0;
     let mut localized = 0;
     let mut applicable = 0;
+    let mut scorer = clap.scorer();
     for conn in &victims {
         let Some((attacked, truth)) = inject_bad_checksum_rst(conn) else {
             continue;
@@ -62,7 +63,7 @@ fn main() {
             "connection must survive"
         );
 
-        let s = clap.score_connection(&attacked);
+        let s = scorer.score_connection(&attacked);
         if s.score > threshold {
             detected += 1;
         }

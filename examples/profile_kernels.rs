@@ -1,14 +1,15 @@
 //! Raw kernel throughput at the eight hot matvec shapes (the six
-//! autoencoder layers and the GRU's two projections): the f32 matvec, the
-//! int8 matvec (plan + encode + panel GEMV) and the bare panel GEMV with
-//! the weight bytes it streams per nanosecond.
+//! autoencoder layers and the GRU's two projections): the row-major f32
+//! matvec training runs on, the f32 panel GEMV the inference engines run on
+//! and the int8 matvec (plan + encode + panel GEMV) with its bare panel
+//! GEMV — each panel GEMV with the weight bytes it streams per nanosecond.
 //!
 //! ```text
 //! cargo run --release --example profile_kernels
 //! ```
 
 use neural::quant::{self, QuantMatrix};
-use neural::{KernelSet, Matrix};
+use neural::{KernelSet, Matrix, PanelMatrix};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -24,7 +25,11 @@ fn ns_per_call(iters: u32, mut f: impl FnMut()) -> f64 {
 fn main() {
     let ks = KernelSet::active();
     println!("kernel set: {}", ks.name);
-    println!("rows x cols | f32 matvec | int8 matvec | panel GEMV | weight bytes streamed");
+    println!(
+        "rows x cols | f32 row-major | f32 panel GEMV, weight bytes streamed | \
+         int8 matvec | int8 panel GEMV, weight bytes streamed"
+    );
+    let (mut row_major_total, mut panel_total) = (0.0, 0.0);
     for (rows, cols) in [
         (192usize, 345usize),
         (96, 192),
@@ -36,6 +41,7 @@ fn main() {
         (96, 32),
     ] {
         let w = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.29).cos());
+        let pw = PanelMatrix::pack(&w);
         let qw = QuantMatrix::quantize(&w);
         let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.37).sin()).collect();
         let mut y = vec![0.0f32; rows];
@@ -43,6 +49,12 @@ fn main() {
         let iters = (400_000_000 / (rows * cols)) as u32;
 
         let f32_ns = ns_per_call(iters, || w.matvec_into(black_box(&x), &mut y));
+        let panel_ns = ns_per_call(iters, || {
+            ks.panel_gemv_f32(pw.lines(), cols, black_box(&x), &mut y)
+        });
+        let panel_bytes = std::mem::size_of_val(pw.lines());
+        row_major_total += f32_ns;
+        panel_total += panel_ns;
         let i8_ns = ns_per_call(iters, || qw.matvec_into(black_box(&x), &mut qa, &mut y));
         // `qa` now holds this row's codes, padded to whole k-quads.
         let act = quant::quantize_activations(&x, &mut Vec::new());
@@ -52,15 +64,22 @@ fn main() {
         });
         let bytes = std::mem::size_of_val(panels.q);
         println!(
-            "{rows:>4} x {cols:<4} | {f32_ns:>7.0} ns | {i8_ns:>8.0} ns | {gemv_ns:>7.0} ns | {bytes:>6} B, {:>5.1} B/ns",
+            "{rows:>4} x {cols:<4} | {f32_ns:>7.0} ns | {panel_ns:>7.0} ns, {panel_bytes:>6} B, {:>5.1} B/ns | \
+             {i8_ns:>6.0} ns | {gemv_ns:>6.0} ns, {bytes:>6} B, {:>5.1} B/ns",
+            panel_bytes as f64 / panel_ns,
             bytes as f64 / gemv_ns,
         );
     }
+    println!(
+        "all eight shapes: f32 row-major {row_major_total:.0} ns, f32 panel {panel_total:.0} ns"
+    );
 
-    // The full quantized GEMM (quantize-activations included) vs f32, at
-    // the AE layer-1 shape.
+    // The engines' batched products — both go row by row through their
+    // panel GEMV (int8: quantize-activations included) — at the AE layer-1
+    // shape.
     let a = Matrix::from_fn(26, 345, |r, c| ((r * 345 + c) as f32 * 0.13).sin());
     let w = Matrix::from_fn(192, 345, |r, c| ((r * 345 + c) as f32 * 0.29).cos());
+    let pw = PanelMatrix::pack(&w);
     let qw = QuantMatrix::quantize(&w);
     let mut c = Matrix::default();
     let mut qa = Vec::new();
@@ -68,7 +87,7 @@ fn main() {
 
     let t = Instant::now();
     for _ in 0..iters {
-        Matrix::matmul_nt_into(std::hint::black_box(&a), &w, &mut c);
+        pw.matmul_nt_into(std::hint::black_box(&a), &mut c);
     }
     let f32_t = t.elapsed();
     let t = Instant::now();
@@ -92,12 +111,13 @@ fn main() {
     ] {
         let a = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.13).sin());
         let w = Matrix::from_fn(outs, cols, |r, c| ((r * cols + c) as f32 * 0.29).cos());
+        let pw = PanelMatrix::pack(&w);
         let qw = QuantMatrix::quantize(&w);
         let mut c = Matrix::default();
         let iters = 3;
         let t = Instant::now();
         for _ in 0..iters {
-            Matrix::matmul_nt_into(std::hint::black_box(&a), &w, &mut c);
+            pw.matmul_nt_into(std::hint::black_box(&a), &mut c);
         }
         let f32_t = t.elapsed();
         let t = Instant::now();

@@ -35,9 +35,10 @@ fn main() {
     // Load in a "fresh deployment" and compare behaviour.
     let loaded = Clap::from_json(&std::fs::read_to_string(&path).expect("read")).expect("parse");
     let probe = traffic_gen::dataset(5151, 10);
+    let (mut trained, mut reloaded) = (clap.scorer(), loaded.scorer());
     for conn in &probe {
-        let a = clap.score_connection(conn);
-        let b = loaded.score_connection(conn);
+        let a = trained.score_connection(conn);
+        let b = reloaded.score_connection(conn);
         assert_eq!(a.score, b.score);
         assert_eq!(a.peak_packet, b.peak_packet);
     }

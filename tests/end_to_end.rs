@@ -2,7 +2,7 @@
 //! localize loop, exercised exactly as a downstream user would.
 
 use clap_repro::baselines::{KitsuneConfig, KitsuneLite};
-use clap_repro::clap_core::{auc_roc, Clap, ClapConfig};
+use clap_repro::clap_core::{auc_roc, Clap, ClapConfig, StreamConfig};
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
 use clap_repro::traffic_gen;
 
@@ -26,6 +26,7 @@ fn trained() -> (Clap, Vec<net_packet::Connection>, Vec<f32>) {
 #[test]
 fn clap_separates_attacks_from_benign() {
     let (clap, held_out, benign_scores) = trained();
+    let mut scorer = clap.scorer();
     // One representative strategy per source paper.
     for id in [
         "symtcp-snort-rst-pure",
@@ -37,7 +38,7 @@ fn clap_separates_attacks_from_benign() {
         assert!(!attacked.is_empty());
         let adv_scores: Vec<f32> = attacked
             .iter()
-            .map(|r| clap.score_connection(&r.connection).score)
+            .map(|r| scorer.score_connection(&r.connection).score)
             .collect();
         let auc = auc_roc(&benign_scores, &adv_scores);
         // CI-budget bound: the quick/paper presets score well above this
@@ -65,9 +66,10 @@ fn clap_beats_kitsune_on_dpi_evasion() {
 
     let strategy = dpi_attacks::strategy_by_id("symtcp-zeek-data-bad-seq").unwrap();
     let attacked = dpi_attacks::build_adversarial_set(strategy, &held_out, 5);
+    let mut scorer = clap.scorer();
     let clap_adv: Vec<f32> = attacked
         .iter()
-        .map(|r| clap.score_connection(&r.connection).score)
+        .map(|r| scorer.score_connection(&r.connection).score)
         .collect();
     let kit_adv: Vec<f32> = attacked
         .iter()
@@ -87,8 +89,9 @@ fn localization_finds_injected_packets() {
     let strategy = dpi_attacks::strategy_by_id("geneva-rst-bad-chksum").unwrap();
     let attacked = dpi_attacks::build_adversarial_set(strategy, &held_out, 5);
     let mut top5_hits = 0;
+    let mut scorer = clap.scorer();
     for r in &attacked {
-        let s = clap.score_connection(&r.connection);
+        let s = scorer.score_connection(&r.connection);
         if r.adversarial_indices
             .iter()
             .any(|&t| s.peak_packet.abs_diff(t) <= 2)
@@ -103,14 +106,63 @@ fn localization_finds_injected_packets() {
     );
 }
 
+/// The default (f32) engines three ways, on the quickstart model: packets
+/// pushed one at a time through a `StreamScorer`, whole connections through
+/// a `ClapScorer`, and the seed-era unfused reference. Stream and batch
+/// send every row alone through the same panel-GEMV call, so they agree
+/// bitwise; both stay within 1e-6 of the reference.
+#[test]
+fn f32_streaming_equals_batch_and_tracks_the_unfused_reference() {
+    let benign = traffic_gen::dataset(42, 120);
+    let (clap, _) = Clap::train(&benign, &ClapConfig::ci());
+    let unseen = traffic_gen::dataset(44, 5);
+    let strategy = dpi_attacks::strategy_by_id("geneva-rst-bad-chksum").unwrap();
+    let attacked: Vec<_> = dpi_attacks::build_adversarial_set(strategy, &unseen, 7)
+        .into_iter()
+        .map(|r| r.connection)
+        .collect();
+    assert!(!attacked.is_empty());
+
+    let mut batch = clap.scorer();
+    // An attacked connection keeps its victim's 4-tuple: one table each.
+    for conns in [&unseen, &attacked] {
+        let mut stream = clap.stream_scorer_with(StreamConfig {
+            // Score past teardown, like batch scoring of a full capture.
+            teardown_on_close: false,
+            ..StreamConfig::default()
+        });
+        for packet in conns.iter().flat_map(|c| &c.packets) {
+            stream.push(packet);
+        }
+        let closed = stream.finish();
+        assert_eq!(closed.len(), conns.len(), "one flow per connection");
+        for conn in conns {
+            let streamed = &closed.iter().find(|f| f.key == conn.key).unwrap().scored;
+            let batched = batch.score_connection(conn);
+            let bits = |errors: &[f32]| errors.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&streamed.window_errors), bits(&batched.window_errors));
+            assert_eq!(streamed.score.to_bits(), batched.score.to_bits());
+            assert_eq!(streamed.peak_packet, batched.peak_packet);
+
+            let unfused = clap.score_connection_unfused(conn);
+            assert_eq!(batched.window_errors.len(), unfused.window_errors.len());
+            for (b, u) in batched.window_errors.iter().zip(&unfused.window_errors) {
+                assert!((b - u).abs() <= 1e-6, "fused {b} vs unfused {u}");
+            }
+            assert!((batched.score - unfused.score).abs() <= 1e-6);
+        }
+    }
+}
+
 #[test]
 fn every_strategy_produces_scoreable_traces() {
     let (clap, held_out, _) = trained();
     let subset = &held_out[..4];
+    let mut scorer = clap.scorer();
     for strategy in registry() {
         let attacked = dpi_attacks::build_adversarial_set(strategy, subset, 11);
         for r in &attacked {
-            let s = clap.score_connection(&r.connection);
+            let s = scorer.score_connection(&r.connection);
             assert!(s.score.is_finite() && s.score >= 0.0, "{}", strategy.id);
             assert!(s.peak_packet < r.connection.len(), "{}", strategy.id);
         }

@@ -24,6 +24,7 @@ fn scores_survive_pcap_round_trip() {
     let attacked = dpi_attacks::build_adversarial_set(strategy, &victims, 2);
     assert!(!attacked.is_empty());
 
+    let mut scorer = clap.scorer();
     for r in &attacked {
         let mut buf = Vec::new();
         pcap::write_pcap(&mut buf, &r.connection.packets).unwrap();
@@ -34,8 +35,8 @@ fn scores_survive_pcap_round_trip() {
             packets,
         };
 
-        let a = clap.score_connection(&r.connection);
-        let b = clap.score_connection(&reread);
+        let a = scorer.score_connection(&r.connection);
+        let b = scorer.score_connection(&reread);
         // Timestamps survive at microsecond precision; scores must agree
         // to float tolerance.
         assert!(
