@@ -16,10 +16,9 @@
 //! rate, not a multiple of it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use neural::quant::{AeEngine, GruEngine, QuantMode};
 use neural::{
-    AeWorkspace, Autoencoder, GruCell, GruClassifier, GruClassifierConfig, GruStepScratch, Matrix,
-    PackedGru,
+    AeEngine, AeWorkspace, Autoencoder, GruCell, GruClassifier, GruClassifierConfig, GruEngine,
+    GruStepScratch, Matrix, PackedGru, QuantMode,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -55,7 +55,9 @@ struct ThroughputReport {
     /// Packets/second of the streaming per-flow engine (one flow table,
     /// interleaved timestamp-ordered stream).
     clap_stream_pps: f64,
-    /// Streaming ÷ fused batch (the price of online per-packet delivery).
+    /// Streaming ÷ fused batch. Both loop the same per-packet scoring core,
+    /// so this is the price of the flow table around it (key hash, index
+    /// probe, tracker, timers, close policy), not of a second engine.
     stream_over_batch: f64,
     /// Worker shards of the RSS-sharded streaming measurement.
     shards: usize,

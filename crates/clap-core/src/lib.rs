@@ -6,7 +6,7 @@
 //! middleboxes. It trains on benign traffic only, in four stages (paper
 //! §3.3):
 //!
-//! 1. **Inter-packet context** ([`rnn`] via [`features`] + `tcp-state`): a
+//! 1. **Inter-packet context** ([`Clap::rnn`] via [`features`] + `tcp-state`): a
 //!    GRU is trained to predict, per packet, the reference TCP-stack state
 //!    (22 classes). The trained gates encode how packets relate across a
 //!    connection.
@@ -21,15 +21,18 @@
 //!    score; thresholding yields detection, the error peak yields
 //!    localization.
 //!
-//! Scoring runs in three modes: **offline batch** over reassembled
-//! connections ([`Clap::score_connections`], sharded across rayon workers
-//! on the fused engine), **online streaming** over an interleaved packet
-//! stream ([`stream`]: per-flow incremental state, bounded flow table,
-//! scores emitted as packets arrive — equivalent to the batch path within
-//! 1e-6), and **sharded streaming** ([`shard`]: the streaming engine
-//! fanned out across worker threads by a symmetric RSS hash of the
-//! 4-tuple, with bounded SPSC ingest queues and a deterministic merged
-//! verdict order — equivalent to the single-threaded stream within 1e-6).
+//! Scoring runs in three modes, all through one per-packet core (extract
+//! → GRU step → stacked window → autoencoder error): **offline batch**
+//! over reassembled connections ([`Clap::score_connections`], sharded
+//! across rayon workers, each looping the core over its connections),
+//! **online streaming** over an interleaved packet stream ([`stream`]:
+//! per-flow incremental state, bounded flow table, scores emitted as
+//! packets arrive — bitwise the batch path's wherever the flow table sees
+//! the same connections), and **sharded streaming** ([`shard`]: the
+//! streaming engine fanned out across worker threads by a symmetric RSS
+//! hash of the 4-tuple, with bounded SPSC ingest queues and a
+//! deterministic merged verdict order — equivalent to the single-threaded
+//! stream within 1e-6).
 //!
 //! # Quick start
 //!
@@ -51,7 +54,9 @@ pub mod features;
 pub mod metrics;
 pub mod pipeline;
 pub mod profile;
+pub(crate) mod resident;
 pub mod score;
+pub(crate) mod scorer;
 pub mod shard;
 pub mod stream;
 
@@ -61,7 +66,7 @@ pub use features::{
 pub use metrics::{auc_roc, equal_error_rate, roc_curve, top_n_hit, RocPoint, ShardHealth};
 pub use neural::QuantMode;
 pub use pipeline::{Clap, ClapConfig, ClapScorer, TrainSummary};
-pub use profile::{ProfileBuilder, ProfileWorkspace, GATE_FEATURES, PROFILE_LEN};
+pub use profile::{ProfileBuilder, GATE_FEATURES, PROFILE_LEN};
 pub use score::{score_errors, ScoredConnection};
 pub use shard::fault::{Fault, FaultPlan};
 pub use shard::supervise::{Quarantined, ShardFailure, ShardFailureKind, ShardRunError};

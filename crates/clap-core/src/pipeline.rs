@@ -1,12 +1,14 @@
 //! The end-to-end CLAP pipeline: training (Figure 2) and testing (Figure 3).
 
-use crate::features::{extract_connection, FeatureVector, RangeModel, NUM_BASE};
-use crate::profile::{ProfileBuilder, ProfileWorkspace};
+use crate::features::{extract_connection, FeatureExtractor, FeatureVector, RangeModel, NUM_BASE};
+use crate::profile::ProfileBuilder;
+use crate::resident::{ResidentArena, ResidentMode};
 use crate::score::{score_errors, ScoredConnection};
+use crate::scorer::{Flow, Scorer};
 use net_packet::Connection;
 use neural::{
-    AeEngine, AeWorkspace, Autoencoder, AutoencoderConfig, GruClassifier, GruClassifierConfig,
-    GruEngine, GruWorkspace, Matrix, QuantMode, TrainReport,
+    AeEngine, Autoencoder, AutoencoderConfig, GruClassifier, GruClassifierConfig, GruEngine,
+    Matrix, QuantMode, TrainReport,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -153,9 +155,10 @@ impl Clap {
 
     /// Builds a reusable scoring session holding the packed GRU and
     /// autoencoder weights (packed here, once — see
-    /// [`AeEngine::from_model`]) and every scratch arena the fused hot
-    /// path needs. One scorer per worker thread; scoring through it is
-    /// allocation-free in steady state (aside from the returned results).
+    /// [`AeEngine::from_model`]), every scratch buffer the scoring core
+    /// needs and the one flow's worth of resident state a connection is
+    /// scored on. One scorer per worker thread; scoring through it
+    /// allocates nothing but the returned results.
     ///
     /// Scores on the f32 engine ([`QuantMode::Off`]);
     /// [`scorer_with`](Self::scorer_with) takes the precision.
@@ -166,7 +169,7 @@ impl Clap {
     /// [`scorer`](Self::scorer) with an explicit engine precision:
     /// [`QuantMode::Off`] scores on the f32 engine, [`QuantMode::Int8`]
     /// quantizes the autoencoder and packed-GRU weights once per scorer
-    /// and runs the int8 GEMM kernels.
+    /// and runs the int8 GEMV kernels.
     pub fn scorer_with(&self, mode: QuantMode) -> ClapScorer<'_> {
         self.scorer_from_engines(
             GruEngine::from_packed(self.rnn.packed(), mode),
@@ -179,15 +182,12 @@ impl Clap {
     /// worker a clone (a memcpy) instead of re-deriving the engines per
     /// chunk.
     fn scorer_from_engines<'a>(&'a self, gru: GruEngine, ae: AeEngine<'a>) -> ClapScorer<'a> {
+        let mut resident =
+            ResidentArena::new(ResidentMode::F32, gru.hidden_size(), self.config.stack);
+        resident.push_slot();
         ClapScorer {
-            clap: self,
-            builder: ProfileBuilder::new(self.config.stack),
-            gru,
-            ae,
-            profiles: ProfileWorkspace::new(),
-            ae_ws: AeWorkspace::new(),
-            batch: Matrix::default(),
-            errors: Vec::new(),
+            scorer: Scorer::new(self, gru, ae),
+            resident,
         }
     }
 
@@ -230,10 +230,9 @@ impl Clap {
             .collect()
     }
 
-    /// Scores a batch of connections, sharding them across rayon workers.
-    /// Each worker owns one [`ClapScorer`] arena set and pushes its whole
-    /// shard through the autoencoder in per-shard batched GEMM chains.
-    /// Scores on the f32 engine ([`QuantMode::Off`]).
+    /// Scores a batch of connections, sharding them across rayon workers,
+    /// each of which scores its shard through one [`ClapScorer`]. Scores
+    /// on the f32 engine ([`QuantMode::Off`]).
     pub fn score_connections(&self, conns: &[Connection]) -> Vec<ScoredConnection> {
         self.score_connections_with(conns, QuantMode::Off)
     }
@@ -249,9 +248,8 @@ impl Clap {
             return Vec::new();
         }
         // ~4 shards per worker keeps the pool busy despite uneven
-        // connection lengths, while each shard is still large enough to
-        // batch well. Sized from the executing rayon pool, so a pinned
-        // single-thread pool gets 4 large batches, not one per core.
+        // connection lengths. Sized from the executing rayon pool, so a
+        // pinned single-thread pool gets 4 large shards, not one per core.
         let workers = rayon::current_num_threads().max(1);
         let shard = conns.len().div_ceil(workers * 4).max(1);
         // Pack (at Int8, quantize) the engines once; per-chunk scorers
@@ -261,8 +259,8 @@ impl Clap {
         let nested: Vec<Vec<ScoredConnection>> = conns
             .par_chunks(shard)
             .map(|chunk| {
-                self.scorer_from_engines(gru.clone(), ae.clone())
-                    .score_batch(chunk)
+                let mut scorer = self.scorer_from_engines(gru.clone(), ae.clone());
+                chunk.iter().map(|c| scorer.score_connection(c)).collect()
             })
             .collect();
         nested.into_iter().flatten().collect()
@@ -313,24 +311,14 @@ impl Clap {
     }
 
     /// Per-label `(correct, total)` state-prediction counts on a labelled
-    /// corpus — the data behind the paper's Table 5. Runs on the fused
-    /// engine with one reused arena: no per-packet clones.
+    /// corpus — the data behind the paper's Table 5, predicted by the
+    /// reference forward pass the classifier was trained through.
     pub fn rnn_confusion(&self, conns: &[Connection]) -> Vec<(usize, usize)> {
-        let packed = self.rnn.packed();
-        let mut ws = GruWorkspace::new();
-        let mut x = Matrix::default();
-        let mut logits = vec![0.0f32; self.rnn.num_classes()];
-        let mut preds = Vec::new();
         let mut counts = vec![(0usize, 0usize); NUM_CLASSES];
         for conn in conns {
             let fvs = extract_connection(conn);
-            x.resize(fvs.len(), NUM_BASE);
-            for (t, fv) in fvs.iter().enumerate() {
-                x.row_mut(t).copy_from_slice(&fv.base);
-            }
-            self.rnn
-                .predict_packed_into(&packed, &x, &mut ws, &mut logits, &mut preds);
-            for (label, &pred) in label_connection(conn).iter().zip(&preds) {
+            let xs: Vec<&[f32]> = fvs.iter().map(|fv| fv.base.as_slice()).collect();
+            for (label, pred) in label_connection(conn).iter().zip(self.rnn.predict(&xs)) {
                 let idx = label.class_index();
                 counts[idx].1 += 1;
                 counts[idx].0 += usize::from(pred == idx);
@@ -350,91 +338,50 @@ impl Clap {
     }
 }
 
-/// A scoring session: the gate-packed GRU and autoencoder engines (f32 or
-/// int8, see [`Clap::scorer_with`]) plus every scratch arena the fused hot
-/// path threads through ([`ProfileWorkspace`], [`AeWorkspace`], the shard
-/// batch matrix and the error buffer). Create one per worker via
-/// [`Clap::scorer`] and feed it connections; steady state performs no heap
-/// allocation beyond the returned results.
+/// A scoring session for whole connections: the scoring core (the
+/// gate-packed GRU and autoencoder engines, f32 or int8 — see
+/// [`Clap::scorer_with`] — and their scratch) plus one flow's worth of
+/// resident state. Create one per worker via [`Clap::scorer`] and feed it
+/// connections.
 pub struct ClapScorer<'a> {
-    clap: &'a Clap,
-    builder: ProfileBuilder,
-    gru: GruEngine,
-    ae: AeEngine<'a>,
-    profiles: ProfileWorkspace,
-    ae_ws: AeWorkspace,
-    /// Concatenated stacked profiles of one shard (AE batch input).
-    batch: Matrix,
-    errors: Vec<f32>,
+    scorer: Scorer<'a>,
+    /// One f32 slot: the hidden vector and profile ring of the connection
+    /// being scored.
+    resident: ResidentArena,
 }
 
 impl ClapScorer<'_> {
     /// The engine precision this scorer runs at.
     pub fn quant_mode(&self) -> QuantMode {
-        self.gru.mode()
+        self.scorer.gru.mode()
     }
 
-    /// Scores one connection through the fused engine.
+    /// Scores one connection: its packets, in capture order, through the
+    /// per-packet core a [`StreamScorer`](crate::StreamScorer) runs — so
+    /// the two agree bitwise — then the padded window if it was shorter
+    /// than the stack. Allocates the returned `window_errors` and nothing
+    /// else.
     pub fn score_connection(&mut self, conn: &Connection) -> ScoredConnection {
-        let fvs = extract_connection(conn);
-        self.builder
-            .stacked_profiles_into(&self.clap.ranges, &self.gru, &fvs, &mut self.profiles);
-        self.errors.clear();
-        self.ae.reconstruction_errors_into(
-            &self.profiles.stacked,
-            &mut self.ae_ws,
-            &mut self.errors,
-        );
-        let (peak_window, score) = score_errors(&self.errors, self.clap.config.score_window);
-        ScoredConnection {
-            peak_packet: self.builder.window_center(peak_window, conn.len()),
-            peak_window,
-            window_errors: self.errors.clone(),
-            score,
+        let stack = self.scorer.builder.stack;
+        self.resident.clear_slot(0);
+        let mut extractor = FeatureExtractor::new();
+        let mut packets = 0u32;
+        let windows = match conn.len() {
+            0 => 0,
+            n => n.max(stack) + 1 - stack,
+        };
+        let mut window_errors = Vec::with_capacity(windows);
+        for (i, p) in conn.packets.iter().enumerate() {
+            let flow = Flow {
+                extractor: &mut extractor,
+                packets: &mut packets,
+                resident: &mut self.resident,
+                slot: 0,
+            };
+            window_errors.extend(self.scorer.advance(flow, p, conn.direction(i), &mut None));
         }
-    }
-
-    /// Scores a shard of connections, pushing **all** their stacked
-    /// windows through the autoencoder in one batched GEMM chain instead
-    /// of one chain per connection.
-    pub fn score_batch(&mut self, conns: &[Connection]) -> Vec<ScoredConnection> {
-        let width = self.builder.stacked_len();
-        self.batch.data.clear();
-        self.batch.cols = width;
-        let mut rows_per_conn = Vec::with_capacity(conns.len());
-        for conn in conns {
-            let fvs = extract_connection(conn);
-            self.builder.stacked_profiles_into(
-                &self.clap.ranges,
-                &self.gru,
-                &fvs,
-                &mut self.profiles,
-            );
-            self.batch
-                .data
-                .extend_from_slice(&self.profiles.stacked.data);
-            rows_per_conn.push(self.profiles.stacked.rows);
-        }
-        self.batch.rows = rows_per_conn.iter().sum();
-
-        self.errors.clear();
-        self.ae
-            .reconstruction_errors_into(&self.batch, &mut self.ae_ws, &mut self.errors);
-
-        let mut out = Vec::with_capacity(conns.len());
-        let mut offset = 0;
-        for (conn, &rows) in conns.iter().zip(&rows_per_conn) {
-            let window_errors = self.errors[offset..offset + rows].to_vec();
-            offset += rows;
-            let (peak_window, score) = score_errors(&window_errors, self.clap.config.score_window);
-            out.push(ScoredConnection {
-                peak_packet: self.builder.window_center(peak_window, conn.len()),
-                peak_window,
-                window_errors,
-                score,
-            });
-        }
-        out
+        window_errors.extend(self.scorer.pad(&self.resident, 0, conn.len()));
+        self.scorer.verdict(window_errors, conn.len())
     }
 }
 
@@ -524,12 +471,13 @@ mod tests {
         assert_eq!(a.peak_packet, b.peak_packet);
     }
 
-    /// The headline equivalence guarantee: the fused engine (packed GRU,
-    /// workspace arenas, batched AE) scores every connection identically
-    /// (≤1e-6) to the unfused reference path, via both the single and the
-    /// sharded batch entry points. On the f32 engine: the unfused
-    /// reference is f32 by construction (int8-vs-f32 drift is bounded
-    /// separately by the quantization parity tests).
+    /// The headline equivalence guarantee: the fused engine (packed GRU
+    /// and autoencoder panels, one packet at a time through the scoring
+    /// core) scores every connection identically (≤1e-6) to the unfused
+    /// reference path, via both the single and the sharded batch entry
+    /// points. On the f32 engine: the unfused reference is f32 by
+    /// construction (int8-vs-f32 drift is bounded separately by the
+    /// quantization parity tests).
     #[test]
     fn fused_engine_matches_unfused_reference() {
         let benign = traffic_gen::dataset(26, 25);
@@ -559,21 +507,56 @@ mod tests {
         }
     }
 
-    /// Scorer arenas are reused across connections of wildly different
-    /// lengths; reuse must never change results versus a fresh scorer.
+    /// A reused scorer carries one flow's state — hidden vector, profile
+    /// ring — from connection to connection, and none of it may reach the
+    /// next score: long → shorter than the stack (the pad must read only
+    /// rows the short one wrote) → empty → long again, then connections of
+    /// wildly different lengths, are each bitwise what a fresh scorer
+    /// gives, at both precisions.
     #[test]
     fn scorer_reuse_across_connection_sizes() {
         let benign = traffic_gen::dataset(27, 20);
         let (clap, _) = Clap::train(&benign, &tiny_cfg());
         let corpus = traffic_gen::dataset(888, 12);
-        let mut reused = clap.scorer();
-        // Interleave: big/small connections through one scorer.
-        for _ in 0..2 {
-            for conn in &corpus {
-                let a = reused.score_connection(conn);
-                let b = clap.scorer().score_connection(conn);
-                assert_eq!(a.score, b.score, "arena reuse changed a score");
-                assert_eq!(a.window_errors, b.window_errors);
+        let long = &corpus[0];
+        assert!(long.len() > clap.config.stack);
+        let truncated = |n: usize| {
+            let mut conn = Connection::new(long.key);
+            conn.packets = long.packets[..n].to_vec();
+            conn
+        };
+        let mut sequence = vec![long.clone()];
+        sequence.extend((1..clap.config.stack).map(truncated));
+        sequence.extend([truncated(0), long.clone()]);
+        sequence.extend(corpus.iter().cloned());
+        let bits = |errors: &[f32]| errors.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for mode in [QuantMode::Off, QuantMode::Int8] {
+            let mut reused = clap.scorer_with(mode);
+            for _ in 0..2 {
+                for conn in &sequence {
+                    let a = reused.score_connection(conn);
+                    let b = clap.scorer_with(mode).score_connection(conn);
+                    assert_eq!(
+                        bits(&a.window_errors),
+                        bits(&b.window_errors),
+                        "{mode:?}: scorer reuse changed the window errors of a {}-packet connection",
+                        conn.len()
+                    );
+                    assert_eq!(a.score.to_bits(), b.score.to_bits());
+                    assert_eq!(
+                        (a.peak_window, a.peak_packet),
+                        (b.peak_window, b.peak_packet)
+                    );
+                    if conn.is_empty() {
+                        assert!(a.window_errors.is_empty());
+                        assert_eq!((a.peak_window, a.score), (0, 0.0));
+                    } else {
+                        assert_eq!(
+                            a.window_errors.len(),
+                            conn.len().max(clap.config.stack) + 1 - clap.config.stack
+                        );
+                    }
+                }
             }
         }
     }

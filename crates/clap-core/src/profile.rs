@@ -7,30 +7,8 @@
 //! temporal neighbourhood explicitly — the chain-graph view of Figure 5.
 
 use crate::features::{FeatureVector, RangeModel, NUM_PACKET};
-use neural::{GruClassifier, GruEngine, GruWorkspace, Matrix};
+use neural::{GruClassifier, Matrix};
 use serde::{Deserialize, Serialize};
-
-/// Per-worker scratch arena for fused profile construction: the RNN input
-/// matrix, the GRU workspace and the single/stacked profile matrices are
-/// all reused across connections, so steady-state profile building
-/// allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct ProfileWorkspace {
-    /// `T×NUM_BASE` RNN inputs, copied straight from feature vectors.
-    x: Matrix,
-    /// Gate trajectories from the packed GRU run.
-    pub gru: GruWorkspace,
-    /// `T_padded×PROFILE_LEN` single-packet profiles.
-    singles: Matrix,
-    /// `rows×stacked_len()` stacked windows — the autoencoder input.
-    pub stacked: Matrix,
-}
-
-impl ProfileWorkspace {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// Gate features appended per packet: update + reset gates, `hidden` each.
 pub const GATE_FEATURES: usize = 64;
@@ -140,60 +118,6 @@ impl ProfileBuilder {
             }
         }
         m
-    }
-
-    /// Fused, allocation-free equivalent of
-    /// [`stacked_profiles`](Self::stacked_profiles): runs the packed GRU
-    /// engine — f32 or int8 ([`GruEngine`]) — over the whole sequence (one
-    /// GEMM for the input side), writes features and gate activations
-    /// straight into reused matrix rows, and leaves the stacked windows in
-    /// `ws.stacked`.
-    ///
-    /// Equivalence with the naive path is pinned to 1e-6 by the test suite
-    /// (for the f32 engine; the int8 engine is pinned by the quantization
-    /// parity harness instead).
-    pub fn stacked_profiles_into(
-        &self,
-        ranges: &RangeModel,
-        gru: &GruEngine,
-        fvs: &[FeatureVector],
-        ws: &mut ProfileWorkspace,
-    ) {
-        let steps = fvs.len();
-        if steps == 0 {
-            ws.stacked.resize(0, self.stacked_len());
-            return;
-        }
-        ws.x.resize(steps, gru.input_size());
-        for (t, fv) in fvs.iter().enumerate() {
-            ws.x.row_mut(t).copy_from_slice(&fv.base);
-        }
-        gru.run(&ws.x, &mut ws.gru);
-        let hidden = gru.hidden_size();
-        debug_assert_eq!(2 * hidden, GATE_FEATURES);
-
-        // Single-packet profiles, padded by repeating the last row so every
-        // connection yields at least one stacked window.
-        let padded = steps.max(self.stack);
-        ws.singles.resize(padded, PROFILE_LEN);
-        for (t, fv) in fvs.iter().enumerate() {
-            let row = ws.singles.row_mut(t);
-            ranges.write_packet_features(fv, &mut row[..NUM_PACKET]);
-            row[NUM_PACKET..NUM_PACKET + hidden].copy_from_slice(ws.gru.zs.row(t));
-            row[NUM_PACKET + hidden..].copy_from_slice(ws.gru.rs.row(t));
-        }
-        for t in steps..padded {
-            let (done, todo) = ws.singles.data.split_at_mut(t * PROFILE_LEN);
-            todo[..PROFILE_LEN]
-                .copy_from_slice(&done[(steps - 1) * PROFILE_LEN..steps * PROFILE_LEN]);
-        }
-
-        let rows = padded - self.stack + 1;
-        ws.stacked.resize(rows, self.stacked_len());
-        for r in 0..rows {
-            let src = &ws.singles.data[r * PROFILE_LEN..(r + self.stack) * PROFILE_LEN];
-            ws.stacked.row_mut(r).copy_from_slice(src);
-        }
     }
 
     /// Maps a stacked-window index to the packet index CLAP reports when

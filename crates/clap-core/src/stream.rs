@@ -6,22 +6,29 @@
 //! one interleaved packet stream over millions of concurrent flows and must
 //! emit verdicts as packets arrive. [`StreamScorer`] is that mode:
 //!
-//! * **Per-flow state, shared arenas.** Each live flow persists only what
+//! * **A thin composition.** `StreamScorer` is a flow table (this
+//!   module: key index, slab, timing wheel, close policy) around the
+//!   crate's one per-packet scoring core (`scorer`: extract → GRU step →
+//!   window → autoencoder) and the arena that holds each flow's neural
+//!   state (`resident`).
+//! * **Per-flow state, shared scratch.** Each live flow persists only what
 //!   the model mathematically needs: the incremental feature-extraction
 //!   anchors ([`FeatureExtractor`]), a [`FlowTracker`] for teardown
 //!   detection, the GRU hidden state (`H` floats, advanced by
 //!   [`PackedGru::step`]), the last `stack − 1` single-packet profiles,
 //!   and the flow's window-error log. Everything else — GRU step scratch,
 //!   the 1×345 window matrix, the autoencoder workspace, the current
-//!   packet's profile row — is scorer-level and shared across all flows,
-//!   so steady-state scoring performs **no per-packet heap allocation**
-//!   (the only growth is each flow's error log, amortized).
+//!   packet's profile row — belongs to the scoring core and is shared
+//!   across all flows, so steady-state scoring performs **no per-packet
+//!   heap allocation** (the only growth is each flow's error log,
+//!   amortized).
 //! * **Exact batch equivalence.** Feeding a connection's packets one at a
 //!   time yields the same window errors and final score as the offline
-//!   path: the resumable GRU step is bitwise identical to the batched run,
-//!   feature extraction shares one code path, and a 1-row autoencoder pass
-//!   runs each layer through the same panel-GEMV call a batched one makes
-//!   per row. The property tests pin streaming-vs-batch bitwise.
+//!   path, bitwise, because the offline path *is* this one:
+//!   [`ClapScorer::score_connection`] loops the same core over the
+//!   connection's packets on a one-slot arena. What the streaming-vs-batch
+//!   property tests pin is therefore the flow table — orientation,
+//!   teardown, padding, eviction.
 //! * **Bounded memory.** Flows are evicted on TCP teardown (RST, or an
 //!   orderly close reaching TIME_WAIT), on idle timeout (a hierarchical
 //!   timing wheel, see below), on a per-flow packet cap, and —
@@ -35,10 +42,10 @@
 //!   surviving orient-buffer replays and same-push restarts. The
 //!   RSS-sharded front end merges per-shard verdicts on exactly this tag,
 //!   with no bookkeeping of its own.
-//! * **Engine precision.** [`StreamConfig::quant`] selects the f32 or the
-//!   int8 quantized inference engines (`neural::quant`); both advance
-//!   flows through identical code, and within either precision streaming
-//!   remains exactly equal to batch scoring at that precision.
+//! * **Engine precision.** [`StreamConfig::quant`] packs the engines'
+//!   weights as f32 or as int8 (`neural::quant`); the engines, and so the
+//!   code that advances a flow, are the same either way, and within
+//!   either precision streaming equals batch scoring at that precision.
 //!
 //! # Cross-flow micro-batching
 //!
@@ -73,8 +80,7 @@
 //! via [`flush_pending`] (the sharded engine calls it when a shard
 //! goes idle). Chaining means a same-flow *collision never forces a
 //! flush*: back-to-back packets of one flow — over a third of the ci
-//! corpus — used to drain the whole set as undersized batches; now
-//! they queue behind each other and the set keeps filling to
+//! corpus — queue behind each other and the set keeps filling to
 //! capacity.
 //!
 //! **Ordering / finalization invariants.** Tracker state, packet
@@ -95,16 +101,6 @@
 //! one observable difference: [`push`] returns `None` for a packet
 //! whose window error is still pending (the error surfaces in the
 //! flow's [`ClosedFlow`] log instead).
-//!
-//! **Measured reality check.** Because exactness pins every batched
-//! row to the per-packet kernels, batching can only amortize per-call
-//! overhead — and with CLAP-sized models resident in L2, that
-//! overhead is already small: on a single core at the ci preset the
-//! measured speedup is ≈1.07× (avx512vnni) and ≈1.0× (avx2) at 12.8
-//! rows/flush mean occupancy. The win this layer is built for arrives
-//! when model weights outgrow cache and each flush streams them once
-//! per *batch* instead of once per *packet*; see ROADMAP for the full
-//! numbers and the variants that measured slower.
 //!
 //! [`finish`]: StreamScorer::finish
 //! [`flush_pending`]: StreamScorer::flush_pending
@@ -153,8 +149,7 @@
 //! makes wheel and sweep evict bitwise-identical flow sets (pinned by
 //! proptest): both fire at the same boundaries, both apply the same
 //! predicate, and a flow that outlives an early fire is re-armed, never
-//! dropped. The old rotating key-copy sweep (`sweep_keys` clear+extend —
-//! a multi-MB copy per sweep at 1M flows) is gone entirely.
+//! dropped.
 //!
 //! **Resident int8 state.** [`ResidentMode::Int8`] stores each flow's GRU
 //! hidden vector and its profile ring in the 7-bit activation format of
@@ -220,18 +215,19 @@
 //! ```
 //!
 //! [`PackedGru::step`]: neural::PackedGru::step
+//! [`ClapScorer::score_connection`]: crate::ClapScorer::score_connection
 
-use crate::features::{FeatureExtractor, FeatureVector, NUM_PACKET};
+use crate::features::{FeatureExtractor, NUM_PACKET};
 use crate::pipeline::Clap;
-use crate::profile::{ProfileBuilder, PROFILE_LEN};
+use crate::profile::PROFILE_LEN;
+use crate::resident::ResidentArena;
+pub use crate::resident::ResidentMode;
 use crate::score::{score_errors, ScoredConnection};
+use crate::scorer::{Flow, Scorer};
 use clap_telemetry::hist::Stage;
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Direction, Endpoint, FlowKey, Packet, TcpFlags};
-use neural::{
-    dequantize_activations_into, quantize_activations, ActQuant, AeEngine, AeWorkspace,
-    GruBatchScratch, GruEngine, GruStepScratch, Matrix, QuantMode,
-};
+use neural::{AeEngine, GruBatchScratch, GruEngine, Matrix, QuantMode};
 use std::collections::HashMap;
 use tcp_state::{FlowTracker, TcpState};
 
@@ -246,19 +242,6 @@ pub enum EvictionMode {
     /// the reference implementation the wheel is proptest-pinned against,
     /// kept for that harness and for debugging, not for production use.
     Sweep,
-}
-
-/// In-table representation of each flow's GRU hidden vector and profile
-/// ring (see the module docs' *Resident int8 state* note).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResidentMode {
-    /// Exact f32 resident state — preserves every batch-equivalence
-    /// guarantee bit for bit.
-    #[default]
-    F32,
-    /// 7-bit quantized resident state (~4× smaller). Scores drift within
-    /// the calibrated resident-quantization bound.
-    Int8,
 }
 
 /// Flow-table policy for a [`StreamScorer`].
@@ -518,159 +501,6 @@ impl Slot {
     }
 }
 
-/// Dense per-flow neural state, parallel to the slab: flow `h` owns
-/// `hidden` elements of the hidden-state arena and `stack − 1` rows of
-/// the profile-ring arena. One enum for the whole table (not per flow) so
-/// the f32 path stays branch-free per row and the int8 path adds no
-/// per-flow discriminant.
-#[derive(Debug)]
-enum ResidentArena {
-    F32 {
-        h: Vec<f32>,
-        ring: Vec<f32>,
-    },
-    Int8 {
-        h: Vec<u8>,
-        hq: Vec<ActQuant>,
-        ring: Vec<u8>,
-        ringq: Vec<ActQuant>,
-    },
-}
-
-/// Quant pair of an all-zero row (`scale` 0 dequantizes every code to
-/// `min` = 0), the state of a fresh flow's hidden vector.
-const ZERO_Q: ActQuant = ActQuant {
-    scale: 0.0,
-    min: 0.0,
-};
-
-impl ResidentArena {
-    fn new(mode: ResidentMode) -> ResidentArena {
-        match mode {
-            ResidentMode::F32 => ResidentArena::F32 {
-                h: Vec::new(),
-                ring: Vec::new(),
-            },
-            ResidentMode::Int8 => ResidentArena::Int8 {
-                h: Vec::new(),
-                hq: Vec::new(),
-                ring: Vec::new(),
-                ringq: Vec::new(),
-            },
-        }
-    }
-
-    /// Appends one zeroed slot's worth of state.
-    fn push_slot(&mut self, hidden: usize, ring_rows: usize) {
-        match self {
-            ResidentArena::F32 { h, ring } => {
-                h.resize(h.len() + hidden, 0.0);
-                ring.resize(ring.len() + ring_rows * PROFILE_LEN, 0.0);
-            }
-            ResidentArena::Int8 { h, hq, ring, ringq } => {
-                h.resize(h.len() + hidden, 0);
-                hq.push(ZERO_Q);
-                ring.resize(ring.len() + ring_rows * PROFILE_LEN, 0);
-                ringq.resize(ringq.len() + ring_rows, ZERO_Q);
-            }
-        }
-    }
-
-    /// Zeroes a recycled slot's hidden state. Ring rows need no clearing:
-    /// row `j` of a flow is written before any window reads it, so stale
-    /// rows of the previous occupant are unreachable (pinned by the slab
-    /// recycling test).
-    fn clear_slot(&mut self, hi: usize, hidden: usize) {
-        match self {
-            ResidentArena::F32 { h, .. } => h[hi * hidden..(hi + 1) * hidden].fill(0.0),
-            ResidentArena::Int8 { h, hq, .. } => {
-                h[hi * hidden..(hi + 1) * hidden].fill(0);
-                hq[hi] = ZERO_Q;
-            }
-        }
-    }
-
-    /// Copies (f32) or dequantizes (int8) ring row `r` into `out`.
-    fn read_ring_row(&self, r: usize, out: &mut [f32]) {
-        match self {
-            ResidentArena::F32 { ring, .. } => {
-                out.copy_from_slice(&ring[r * PROFILE_LEN..(r + 1) * PROFILE_LEN]);
-            }
-            ResidentArena::Int8 { ring, ringq, .. } => {
-                dequantize_activations_into(
-                    &ring[r * PROFILE_LEN..(r + 1) * PROFILE_LEN],
-                    ringq[r],
-                    out,
-                );
-            }
-        }
-    }
-
-    /// Stores `row` as ring row `r` (quantizing through `codes` scratch
-    /// in int8 mode).
-    fn store_ring_row(&mut self, r: usize, row: &[f32], codes: &mut Vec<u8>) {
-        match self {
-            ResidentArena::F32 { ring, .. } => {
-                ring[r * PROFILE_LEN..(r + 1) * PROFILE_LEN].copy_from_slice(row);
-            }
-            ResidentArena::Int8 { ring, ringq, .. } => {
-                let q = quantize_activations(row, codes);
-                ring[r * PROFILE_LEN..(r + 1) * PROFILE_LEN].copy_from_slice(codes);
-                ringq[r] = q;
-            }
-        }
-    }
-
-    /// Mirrors the slab's exact-growth policy so arena capacity tracks
-    /// `target_slots`, not Vec doubling.
-    fn reserve_slots(&mut self, target_slots: usize, hidden: usize, ring_rows: usize) {
-        fn up_to<T>(v: &mut Vec<T>, target: usize) {
-            if target > v.capacity() {
-                v.reserve_exact(target - v.len());
-            }
-        }
-        match self {
-            ResidentArena::F32 { h, ring } => {
-                up_to(h, target_slots * hidden);
-                up_to(ring, target_slots * ring_rows * PROFILE_LEN);
-            }
-            ResidentArena::Int8 { h, hq, ring, ringq } => {
-                up_to(h, target_slots * hidden);
-                up_to(hq, target_slots);
-                up_to(ring, target_slots * ring_rows * PROFILE_LEN);
-                up_to(ringq, target_slots * ring_rows);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            ResidentArena::F32 { h, ring } => {
-                h.clear();
-                ring.clear();
-            }
-            ResidentArena::Int8 { h, hq, ring, ringq } => {
-                h.clear();
-                hq.clear();
-                ring.clear();
-                ringq.clear();
-            }
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match self {
-            ResidentArena::F32 { h, ring } => (h.capacity() + ring.capacity()) * size_of::<f32>(),
-            ResidentArena::Int8 { h, hq, ring, ringq } => {
-                h.capacity()
-                    + ring.capacity()
-                    + (hq.capacity() + ringq.capacity()) * size_of::<ActQuant>()
-            }
-        }
-    }
-}
-
 /// Hierarchical timing wheel over the slab (see the module docs' design
 /// note). Owns only the slot heads and the cursor; the list links live in
 /// the slab slots themselves.
@@ -908,11 +738,9 @@ impl MicroBatcher {
 /// [`Clap::stream_scorer_with`] for a custom [`StreamConfig`]); one
 /// scorer per ingest thread.
 pub struct StreamScorer<'a> {
-    clap: &'a Clap,
     config: StreamConfig,
-    builder: ProfileBuilder,
-    gru: GruEngine,
-    ae: AeEngine<'a>,
+    /// The per-packet scoring core: engines and flow-independent scratch.
+    scorer: Scorer<'a>,
     /// `CanonicalKey → slab handle`.
     flows: HashMap<CanonicalKey, u32>,
     slab: Vec<Slot>,
@@ -933,20 +761,6 @@ pub struct StreamScorer<'a> {
     /// Per-stage latency clocks (inert unless a [`StageHists`] sink is
     /// attached).
     stages: StageRecorder,
-    // --- shared scratch (flow-independent) ---
-    gru_scratch: GruStepScratch,
-    ae_ws: AeWorkspace,
-    fv: FeatureVector,
-    /// 1×stacked_len window staged for the autoencoder.
-    window: Matrix,
-    err_scratch: Vec<f32>,
-    /// The current packet's profile row (features ‖ z ‖ r), built here
-    /// and copied into the flow's ring after the window uses it.
-    row: Vec<f32>,
-    /// Dequantized hidden state staging for [`ResidentMode::Int8`].
-    h_scratch: Vec<f32>,
-    /// Activation-code staging for resident-int8 stores.
-    code_scratch: Vec<u8>,
     /// Cross-flow micro-batch staging (inert when
     /// [`StreamConfig::microbatch`] < 2).
     mb: MicroBatcher,
@@ -978,12 +792,10 @@ impl Clap {
         }
         let granularity = (shortest / 512.0).clamp(1e-3, 60.0);
         let mb = MicroBatcher::new(config.microbatch, config.microbatch_wait);
+        let gru = GruEngine::from_packed(self.rnn.packed(), config.quant);
         StreamScorer {
-            clap: self,
-            builder: ProfileBuilder::new(self.config.stack),
-            gru: GruEngine::from_packed(self.rnn.packed(), config.quant),
-            ae: AeEngine::from_model(&self.ae, config.quant),
-            resident: ResidentArena::new(config.resident),
+            resident: ResidentArena::new(config.resident, gru.hidden_size(), self.config.stack),
+            scorer: Scorer::new(self, gru, AeEngine::from_model(&self.ae, config.quant)),
             config,
             flows: HashMap::new(),
             slab: Vec::new(),
@@ -993,18 +805,6 @@ impl Clap {
             closed: Vec::new(),
             cells: std::sync::Arc::new(StreamCells::default()),
             stages: StageRecorder::new(),
-            gru_scratch: GruStepScratch::new(),
-            ae_ws: AeWorkspace::new(),
-            fv: FeatureVector {
-                base: Vec::new(),
-                raw: Vec::new(),
-                equiv_ok: false,
-            },
-            window: Matrix::default(),
-            err_scratch: Vec::new(),
-            row: Vec::new(),
-            h_scratch: Vec::new(),
-            code_scratch: Vec::new(),
             mb,
             fired: Vec::new(),
             clock: 0.0,
@@ -1209,35 +1009,11 @@ impl StreamScorer<'_> {
         emitted
     }
 
-    /// Advances one oriented flow by one packet: TCP tracking,
-    /// incremental feature extraction, the resumable GRU step, the
-    /// sliding-window reconstruction error (once a full stack exists) and
-    /// the profile-ring store.
+    /// Advances one oriented flow by one packet: TCP tracking and byte
+    /// accounting here, everything neural in [`Scorer::advance`].
     fn advance_one(&mut self, hi: usize, p: &Packet) -> Option<f32> {
-        let Self {
-            clap,
-            builder,
-            gru,
-            ae,
-            slab,
-            resident,
-            gru_scratch,
-            ae_ws,
-            fv,
-            window,
-            err_scratch,
-            row,
-            h_scratch,
-            code_scratch,
-            stages,
-            ..
-        } = self;
-        let mut clock = stages.sample();
-        let stack = builder.stack;
-        let hidden = gru.hidden_size();
-        let ring_rows = stack - 1;
-
-        let slot = &mut slab[hi];
+        let mut clock = self.stages.sample();
+        let slot = &mut self.slab[hi];
         // Same fallback as `Connection::direction`: packets matching
         // neither orientation count as client→server.
         let dir = slot
@@ -1245,70 +1021,15 @@ impl StreamScorer<'_> {
             .direction_of(p)
             .unwrap_or(Direction::ClientToServer);
         slot.tracker.process(p, dir);
-        slot.extractor.push_into(p, dir, fv);
-        let t = slot.packets as usize;
-        slot.packets += 1;
         slot.bytes += p.wire_len() as u64;
-        let packets = t + 1;
-
-        // Packet `t`'s single-packet context profile, built in scorer
-        // scratch: packet features ‖ update gates ‖ reset gates.
-        row.resize(PROFILE_LEN, 0.0);
-        let (feat, gates) = row.split_at_mut(NUM_PACKET);
-        clap.ranges.write_packet_features(fv, feat);
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::Extract);
-        }
-        let (z, r) = gates.split_at_mut(hidden);
-        match resident {
-            ResidentArena::F32 { h, .. } => {
-                gru.step(
-                    &fv.base,
-                    &mut h[hi * hidden..(hi + 1) * hidden],
-                    gru_scratch,
-                    z,
-                    r,
-                );
-            }
-            ResidentArena::Int8 { h, hq, .. } => {
-                h_scratch.resize(hidden, 0.0);
-                dequantize_activations_into(&h[hi * hidden..(hi + 1) * hidden], hq[hi], h_scratch);
-                gru.step(&fv.base, h_scratch, gru_scratch, z, r);
-                hq[hi] = quantize_activations(h_scratch, code_scratch);
-                h[hi * hidden..(hi + 1) * hidden].copy_from_slice(code_scratch);
-            }
-        }
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::Gru);
-        }
-
-        // A full stack of profiles completes one sliding window: the
-        // previous `stack − 1` rows from the flow's ring, packet `t`'s
-        // from scratch.
-        let mut emitted = None;
-        if packets >= stack {
-            window.resize(1, stack * PROFILE_LEN);
-            let dst = window.row_mut(0);
-            for j in 0..ring_rows {
-                let rj = (packets - stack + j) % ring_rows;
-                resident.read_ring_row(
-                    hi * ring_rows + rj,
-                    &mut dst[j * PROFILE_LEN..(j + 1) * PROFILE_LEN],
-                );
-            }
-            dst[ring_rows * PROFILE_LEN..].copy_from_slice(row);
-            err_scratch.clear();
-            ae.reconstruction_errors_into(window, ae_ws, err_scratch);
-            let err = err_scratch[0];
-            slab[hi].window_errors.push(err);
-            emitted = Some(err);
-            if let Some(c) = clock.as_mut() {
-                c.lap(Stage::AeWindow);
-            }
-        }
-        if ring_rows > 0 {
-            resident.store_ring_row(hi * ring_rows + t % ring_rows, row, code_scratch);
-        }
+        let flow = Flow {
+            extractor: &mut slot.extractor,
+            packets: &mut slot.packets,
+            resident: &mut self.resident,
+            slot: hi,
+        };
+        let emitted = self.scorer.advance(flow, p, dir, &mut clock);
+        slot.window_errors.extend(emitted);
         emitted
     }
 
@@ -1316,16 +1037,21 @@ impl StreamScorer<'_> {
     /// micro-batch: TCP tracking and feature extraction run now (so
     /// teardown and eviction decisions stay packet-exact); the GRU step
     /// and the window's autoencoder pass run at the next flush. Mirrors
-    /// the pre-step half of [`advance_one`](Self::advance_one). A flow
+    /// [`advance_one`](Self::advance_one) and the part of
+    /// [`Scorer::advance`] before the step. A flow
     /// that already has staged packets chains behind them (the scan for
     /// its chain depth is bounded by the batch capacity).
     fn enqueue_one(&mut self, hi: usize, p: &Packet) {
         let Self {
-            clap,
-            builder,
-            gru,
+            scorer:
+                Scorer {
+                    clap,
+                    builder,
+                    gru,
+                    fv,
+                    ..
+                },
             slab,
-            fv,
             mb,
             stages,
             ..
@@ -1382,14 +1108,18 @@ impl StreamScorer<'_> {
             return;
         }
         let Self {
-            gru,
-            ae,
-            builder,
+            scorer:
+                Scorer {
+                    gru,
+                    ae,
+                    builder,
+                    ae_ws,
+                    err_scratch,
+                    code_scratch,
+                    ..
+                },
             slab,
             resident,
-            ae_ws,
-            err_scratch,
-            code_scratch,
             mb,
             stages,
             ..
@@ -1399,7 +1129,6 @@ impl StreamScorer<'_> {
         let mut clock = stages.start();
         let stack = builder.stack;
         let hidden = gru.hidden_size();
-        let ring_rows = stack - 1;
         let MicroBatcher {
             age,
             items,
@@ -1435,16 +1164,7 @@ impl StreamScorer<'_> {
                 }
                 let hi = item.handle as usize;
                 rxs.row_mut(k).copy_from_slice(xs.row(i));
-                match resident {
-                    ResidentArena::F32 { h, .. } => hs
-                        .row_mut(k)
-                        .copy_from_slice(&h[hi * hidden..(hi + 1) * hidden]),
-                    ResidentArena::Int8 { h, hq, .. } => dequantize_activations_into(
-                        &h[hi * hidden..(hi + 1) * hidden],
-                        hq[hi],
-                        hs.row_mut(k),
-                    ),
-                }
+                resident.read_hidden(hi, hs.row_mut(k));
                 k += 1;
             }
 
@@ -1456,15 +1176,7 @@ impl StreamScorer<'_> {
                     continue;
                 }
                 let hi = item.handle as usize;
-                match resident {
-                    ResidentArena::F32 { h, .. } => {
-                        h[hi * hidden..(hi + 1) * hidden].copy_from_slice(hs.row(k));
-                    }
-                    ResidentArena::Int8 { h, hq, .. } => {
-                        hq[hi] = quantize_activations(hs.row(k), code_scratch);
-                        h[hi * hidden..(hi + 1) * hidden].copy_from_slice(code_scratch);
-                    }
-                }
+                resident.store_hidden(hi, hs.row(k), code_scratch);
                 let row = rows.row_mut(i);
                 let (_, gates) = row.split_at_mut(NUM_PACKET);
                 let (z, r) = gates.split_at_mut(hidden);
@@ -1479,24 +1191,11 @@ impl StreamScorer<'_> {
                     let w = windows.rows;
                     windows.resize(w + 1, stack * PROFILE_LEN);
                     let dst = windows.row_mut(w);
-                    let packets = t + 1;
-                    for j in 0..ring_rows {
-                        let rj = (packets - stack + j) % ring_rows;
-                        resident.read_ring_row(
-                            hi * ring_rows + rj,
-                            &mut dst[j * PROFILE_LEN..(j + 1) * PROFILE_LEN],
-                        );
-                    }
-                    dst[ring_rows * PROFILE_LEN..].copy_from_slice(rows.row(i));
+                    resident.read_window_head(hi, t, dst);
+                    dst[(stack - 1) * PROFILE_LEN..].copy_from_slice(rows.row(i));
                     win_flows.push(item.handle);
                 }
-                if ring_rows > 0 {
-                    resident.store_ring_row(
-                        hi * ring_rows + t % ring_rows,
-                        rows.row(i),
-                        code_scratch,
-                    );
-                }
+                resident.store_profile(hi, t, rows.row(i), code_scratch);
                 k += 1;
             }
             remaining -= b;
@@ -1567,7 +1266,7 @@ impl StreamScorer<'_> {
 
     fn flow_entry_at(&self, h: u32) -> FlowEntry {
         let slot = &self.slab[h as usize];
-        let (_, score) = score_errors(&slot.window_errors, self.clap.config.score_window);
+        let (_, score) = score_errors(&slot.window_errors, self.scorer.clap.config.score_window);
         FlowEntry {
             key: slot.key,
             state: slot.tracker.tcp_state(),
@@ -1583,7 +1282,7 @@ impl StreamScorer<'_> {
 
     /// The engine precision this scorer runs at.
     pub fn quant_mode(&self) -> QuantMode {
-        self.gru.mode()
+        self.scorer.gru.mode()
     }
 
     /// Lifetime flow-table counters (a point-in-time read of the
@@ -1708,17 +1407,15 @@ impl StreamScorer<'_> {
     /// Allocates a slab slot (recycling the free list first) for a new
     /// flow and tracks the peak.
     fn alloc_slot(&mut self, key: FlowKey, arrival: u64) -> u32 {
-        let hidden = self.gru.hidden_size();
         let now = self.clock;
         let h = if self.free_head != NIL {
             let h = self.free_head;
             let slot = &mut self.slab[h as usize];
             self.free_head = slot.wheel_next;
             *slot = Slot::new(key, now, arrival);
-            self.resident.clear_slot(h as usize, hidden);
+            self.resident.clear_slot(h as usize);
             h
         } else {
-            let ring_rows = self.builder.stack - 1;
             if self.slab.len() == self.slab.capacity() {
                 // Exact doubling clamped to the table cap, so slab (and
                 // arena) capacity never overshoots `max_flows`.
@@ -1726,11 +1423,11 @@ impl StreamScorer<'_> {
                     .clamp(64, self.config.max_flows.max(64))
                     .max(self.slab.len() + 1);
                 self.slab.reserve_exact(target - self.slab.len());
-                self.resident.reserve_slots(target, hidden, ring_rows);
+                self.resident.reserve_slots(target);
             }
             let h = self.slab.len() as u32;
             self.slab.push(Slot::new(key, now, arrival));
-            self.resident.push_slot(hidden, ring_rows);
+            self.resident.push_slot();
             h
         };
         // The peak gauge advances in `ingest` (flow_opened), after the
@@ -1881,43 +1578,13 @@ impl StreamScorer<'_> {
                 self.advance_one(hi, q);
             }
         }
-        let stack = self.builder.stack;
-        let packets = self.slab[hi].packets as usize;
-        if packets > 0 && packets < stack {
-            // Fewer packets than the stack depth: ring rows 0..packets-1
-            // are packets 0..packets-1 (all within the `stack − 1`-row
-            // ring); pad by repeating the last one.
-            let last = packets - 1;
-            let ring_rows = stack - 1;
-            let Self {
-                ae,
-                resident,
-                ae_ws,
-                window,
-                err_scratch,
-                ..
-            } = self;
-            window.resize(1, stack * PROFILE_LEN);
-            let dst = window.row_mut(0);
-            for j in 0..stack {
-                resident.read_ring_row(
-                    hi * ring_rows + j.min(last),
-                    &mut dst[j * PROFILE_LEN..(j + 1) * PROFILE_LEN],
-                );
-            }
-            err_scratch.clear();
-            ae.reconstruction_errors_into(window, ae_ws, err_scratch);
-            let err = err_scratch[0];
-            self.slab[hi].window_errors.push(err);
-        }
         let slot = &mut self.slab[hi];
-        let (peak_window, score) = score_errors(&slot.window_errors, self.clap.config.score_window);
-        let scored = ScoredConnection {
-            peak_packet: self.builder.window_center(peak_window, packets),
-            peak_window,
-            window_errors: std::mem::take(&mut slot.window_errors),
-            score,
-        };
+        let packets = slot.packets as usize;
+        slot.window_errors
+            .extend(self.scorer.pad(&self.resident, hi, packets));
+        let scored = self
+            .scorer
+            .verdict(std::mem::take(&mut slot.window_errors), packets);
         self.closed.push(ClosedFlow {
             key: slot.key,
             packets,

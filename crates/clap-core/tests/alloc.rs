@@ -1,15 +1,20 @@
-//! Steady-state allocation discipline for the streaming flow table.
+//! Steady-state allocation discipline for the streaming flow table and
+//! the offline scorer.
 //!
-//! At a churn plateau the scorer recycles slab slots, resident-arena rows
-//! and the canonical-key map in place, so the per-packet hot path must not
-//! allocate. The only inherent allocation is per flow *retirement*: a
-//! [`ClosedFlow`] takes ownership of the flow's score log (`mem::take` of
-//! `window_errors`), so the recycled slot regrows a small vector for its
-//! next occupant. This test pins both facts with a counting global
-//! allocator: allocations across a measured window scale with flows
-//! closed, not with packets pushed.
+//! At a churn plateau the stream scorer recycles slab slots,
+//! resident-arena rows and the canonical-key map in place, so the
+//! per-packet hot path must not allocate. The only inherent allocation is
+//! per flow *retirement*: a [`ClosedFlow`] takes ownership of the flow's
+//! score log (`mem::take` of `window_errors`), so the recycled slot
+//! regrows a small vector for its next occupant. Offline, a warmed-up
+//! [`ClapScorer`] allocates exactly the `window_errors` it returns. This
+//! test pins those facts with a counting global allocator: allocations
+//! scale with flows closed or connections scored, not with packets.
 //!
 //! The whole file is one `#[test]` because the counter is process-global.
+//!
+//! [`ClosedFlow`]: clap_core::ClosedFlow
+//! [`ClapScorer`]: clap_core::ClapScorer
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,12 +59,16 @@ const WINDOW_PACKETS: usize = 40_000;
 const PLATEAU_FLOWS: usize = 96;
 
 #[test]
-fn steady_state_pushes_do_not_allocate_per_packet() {
+fn hot_paths_do_not_allocate_per_packet() {
     let benign = traffic_gen::dataset(77, 20);
     let mut cfg = ClapConfig::ci();
     cfg.ae.epochs = 8;
     let clap = Clap::train(&benign, &cfg).0;
+    steady_state_pushes_do_not_allocate_per_packet(&clap);
+    offline_scoring_allocates_only_its_results(&clap, &benign);
+}
 
+fn steady_state_pushes_do_not_allocate_per_packet(clap: &Clap) {
     // Pre-materialize the whole stream so generator allocations (packet
     // buffers, RNG state) stay outside the measured window.
     let churn = ChurnConfig::new(0xa110c, PLATEAU_FLOWS, WARMUP_PACKETS + WINDOW_PACKETS);
@@ -122,4 +131,32 @@ fn steady_state_pushes_do_not_allocate_per_packet() {
         "{allocs} allocations across {WINDOW_PACKETS} packets — \
          allocation is scaling with packets, not flow turnover"
     );
+}
+
+/// A reused `ClapScorer` owns every buffer its per-packet core needs; once
+/// one connection has been through them, scoring costs one allocation per
+/// connection — the exact-capacity `window_errors` it hands back — at
+/// either precision, however many packets the connection has.
+fn offline_scoring_allocates_only_its_results(clap: &Clap, conns: &[net_packet::Connection]) {
+    let packets: usize = conns.iter().map(net_packet::Connection::len).sum();
+    assert!(
+        packets > 20 * conns.len(),
+        "connections are many packets long"
+    );
+    for mode in [QuantMode::Off, QuantMode::Int8] {
+        let mut scorer = clap.scorer_with(mode);
+        scorer.score_connection(&conns[0]);
+        let allocs_before = ALLOCS.load(Ordering::Relaxed);
+        for conn in conns {
+            let scored = scorer.score_connection(conn);
+            assert_eq!(scored.window_errors.len(), scored.window_errors.capacity());
+        }
+        let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+        assert_eq!(
+            allocs,
+            conns.len() as u64,
+            "{mode:?}: {allocs} allocations for {} connections / {packets} packets",
+            conns.len()
+        );
+    }
 }

@@ -10,13 +10,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AttackSource {
     /// SymTCP (Wang et al., NDSS '20) — symbolic-execution-discovered
-    /// discrepancies against Zeek, Snort and the GFW; paper reference [23].
+    /// discrepancies against Zeek, Snort and the GFW; paper reference \[23\].
     SymTcp,
     /// Liberate (Li et al., IMC '17) — evasion of traffic classifiers;
-    /// paper reference [10], with `(Min)`/`(Max)` matching-packet variants.
+    /// paper reference \[10\], with `(Min)`/`(Max)` matching-packet variants.
     Liberate,
     /// Geneva (Bock et al., CCS '19) — genetically evolved strategies with
-    /// up to two stacked modifications; paper reference [4].
+    /// up to two stacked modifications; paper reference \[4\].
     Geneva,
     /// Protocol-diversity families added by this reproduction, beyond the
     /// paper's IPv4/TCP catalogue: IPv6 extension-header corruption, UDP

@@ -1,7 +1,7 @@
 //! Dense autoencoder trained with L1 reconstruction loss (paper Eq. 3).
 
 use crate::dense::{Activation, Dense, DenseGrads, DenseTrace};
-use crate::panel::PanelMatrix;
+use crate::quant::{PackedWeights, QuantMode};
 use crate::simd::KernelSet;
 use crate::{Adam, Matrix};
 use rand::rngs::StdRng;
@@ -53,16 +53,15 @@ pub struct Autoencoder {
     pub(crate) layers: Vec<Dense>,
 }
 
-/// Ping-pong activation buffers for [`Autoencoder::forward_into`]. Reuse
-/// one per scoring session; buffers grow to the largest batch seen. The
-/// same workspace serves both inference engines — [`PackedAutoencoder`]
-/// and the int8 [`crate::quant::QuantAutoencoder`], which additionally
-/// uses the quantized-activation scratch row.
+/// Ping-pong activation buffers for [`Autoencoder::forward_into`] and
+/// [`PackedAutoencoder`]. Reuse one per scoring session; buffers grow to
+/// the largest batch (or, for the packed engine, the widest layer) seen.
 #[derive(Debug, Clone, Default)]
 pub struct AeWorkspace {
-    pub(crate) bufs: [Matrix; 2],
-    /// Quantized-activation scratch for the int8 engine; unused on f32.
-    pub(crate) qa: Vec<u8>,
+    bufs: [Matrix; 2],
+    /// Activation codes of the row being multiplied; stays empty on an
+    /// f32 engine.
+    qa: Vec<u8>,
 }
 
 impl AeWorkspace {
@@ -258,55 +257,76 @@ impl Autoencoder {
     }
 }
 
-/// The f32 inference form of an [`Autoencoder`]: every layer's weights
-/// packed once into output-stationary [`PanelMatrix`] panels, biases and
-/// activations still read from the borrowed model. Built per scorer
-/// ([`crate::AeEngine::from_model`]) — never cached in the trainable
-/// model, where it could go stale under [`Autoencoder::train`].
+/// The inference form of an [`Autoencoder`], at either precision: every
+/// layer's weights packed once into output-stationary panels — f32
+/// ([`crate::PanelMatrix`]) or int8 ([`crate::QuantMatrix`]), as
+/// [`from_model`](Self::from_model) is told — biases and activations still
+/// read from the borrowed model. Built per scorer, so build one engine per
+/// scorer rather than per connection (≈700 kB of f32 panels at the paper's
+/// sizes), and never cached in the trainable model, where it could go
+/// stale under [`Autoencoder::train`].
 ///
 /// A batch is scored one row at a time, each row through all layers (one
-/// panel GEMV plus the dispatched bias + activation epilogue per layer)
-/// before the next row starts: the activations of a row never leave L1,
-/// the weights stream from L2 either way, and a batched pass is bitwise
-/// the same rows scored alone.
+/// panel GEMV plus the dispatched bias + activation epilogue per layer;
+/// at int8 each layer's f32 output row is re-quantized on its own grid, so
+/// depth does not compound the activation error) before the next row
+/// starts: the activations of a row never leave L1, the weights stream
+/// from L2 either way, and a batched pass is bitwise the same rows scored
+/// alone.
 #[derive(Debug, Clone)]
 pub struct PackedAutoencoder<'a> {
     model: &'a Autoencoder,
-    w: Vec<PanelMatrix>,
+    w: Vec<PackedWeights>,
 }
 
+/// The autoencoder inference engine of a scorer: a [`PackedAutoencoder`]
+/// at the precision [`from_model`](PackedAutoencoder::from_model) was
+/// given.
+pub type AeEngine<'a> = PackedAutoencoder<'a>;
+
 impl<'a> PackedAutoencoder<'a> {
-    pub fn pack(model: &'a Autoencoder) -> Self {
+    /// Packs the trained autoencoder at the requested precision.
+    pub fn from_model(model: &'a Autoencoder, mode: QuantMode) -> Self {
         PackedAutoencoder {
             model,
             w: model
                 .layers
                 .iter()
-                .map(|l| PanelMatrix::pack(&l.w))
+                .map(|l| PackedWeights::pack(&l.w, mode))
                 .collect(),
         }
     }
 
+    pub fn mode(&self) -> QuantMode {
+        self.w[0].mode()
+    }
+
     /// Mean absolute reconstruction error per row of `x`, appended to
-    /// `out` — the engine behind [`crate::AeEngine::F32`]. Allocation-free
-    /// once `ws` has grown to the widest layer.
+    /// `out`. The comparison against the input and the L1 reduction are
+    /// f32 at either precision (the error is measured against the real
+    /// input, not its quantized image). Allocation-free once `ws` has
+    /// grown to the widest layer.
     pub fn reconstruction_errors_into(&self, x: &Matrix, ws: &mut AeWorkspace, out: &mut Vec<f32>) {
         let ks = KernelSet::active();
-        let [a, b] = &mut ws.bufs;
-        let layer = |i: usize, src: &[f32], dst: &mut Matrix| {
+        let AeWorkspace { bufs: [a, b], qa } = ws;
+        let mut layer = |i: usize, src: &[f32], dst: &mut Matrix| {
             let dense = &self.model.layers[i];
-            dst.resize(1, self.w[i].rows);
-            self.w[i].matvec_into(src, &mut dst.data);
+            dst.resize(1, self.w[i].rows());
+            self.w[i].matvec_into(src, qa, &mut dst.data);
             ks.bias_act(&mut dst.data, &dense.b, dense.activation);
         };
         out.reserve(x.rows);
         for r in 0..x.rows {
-            layer(0, x.row(r), a);
+            // The references trade places, not the buffers: each buffer
+            // serves the same layers row after row, so both are at their
+            // final size after the first.
+            let (mut cur, mut next) = (&mut *a, &mut *b);
+            layer(0, x.row(r), cur);
             for i in 1..self.w.len() {
-                layer(i, &a.data, b);
-                std::mem::swap(a, b);
+                layer(i, &cur.data, next);
+                std::mem::swap(&mut cur, &mut next);
             }
-            out.push(ks.sum_abs_diff(x.row(r), &a.data) / x.cols as f32);
+            out.push(ks.sum_abs_diff(x.row(r), &cur.data) / x.cols as f32);
         }
     }
 }
@@ -409,6 +429,49 @@ mod tests {
         let back: Autoencoder = serde_json::from_str(&json).unwrap();
         let x = vec![0.3f32; 8];
         assert_eq!(ae.reconstruction_error(&x), back.reconstruction_error(&x));
+    }
+
+    /// A row's error never depends on what it was batched with, at either
+    /// precision (at int8 each row quantizes on its own grid).
+    #[test]
+    fn packed_single_rows_match_batch_bitwise() {
+        let ae = Autoencoder::new(&[12, 7, 4, 7, 12], 3);
+        let x = Matrix::from_fn(5, 12, |r, c| ((r * 12 + c) as f32 * 0.23).sin());
+        for mode in [QuantMode::Off, QuantMode::Int8] {
+            let engine = AeEngine::from_model(&ae, mode);
+            assert_eq!(engine.mode(), mode);
+            let mut ws = AeWorkspace::new();
+            let mut batch = Vec::new();
+            engine.reconstruction_errors_into(&x, &mut ws, &mut batch);
+            assert_eq!(batch.len(), 5);
+            for (r, &expected) in batch.iter().enumerate() {
+                let row = Matrix::from_vec(1, 12, x.row(r).to_vec());
+                let mut single = Vec::new();
+                engine.reconstruction_errors_into(&row, &mut ws, &mut single);
+                assert_eq!(
+                    single[0], expected,
+                    "{mode:?} row {r}: 1-row pass != batched"
+                );
+            }
+        }
+    }
+
+    /// The packed engine is the trained network, not a different function:
+    /// f32 panels within float reassociation of the row-major reference,
+    /// int8 within quantization noise of it.
+    #[test]
+    fn packed_tracks_reference_reconstruction() {
+        let ae = Autoencoder::new(&[16, 8, 16], 7);
+        let x = Matrix::from_fn(6, 16, |r, c| ((r * 16 + c) as f32 * 0.31).cos() * 0.9);
+        let reference = ae.reconstruction_errors(&x);
+        for (mode, tol) in [(QuantMode::Off, 1e-6), (QuantMode::Int8, 0.02)] {
+            let mut ws = AeWorkspace::new();
+            let mut packed = Vec::new();
+            AeEngine::from_model(&ae, mode).reconstruction_errors_into(&x, &mut ws, &mut packed);
+            for (a, b) in reference.iter().zip(&packed) {
+                assert!((a - b).abs() < tol, "{mode:?}: reference {a} vs packed {b}");
+            }
+        }
     }
 
     #[test]

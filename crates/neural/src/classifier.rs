@@ -5,7 +5,7 @@
 //! only a *training vehicle* — what CLAP actually consumes downstream are
 //! the gate activations in the [`GruTrace`].
 
-use crate::gru::{GruWorkspace, PackedGru};
+use crate::gru::PackedGru;
 use crate::matrix::vecops;
 use crate::{softmax_cross_entropy, softmax_inplace, Adam, GruCell, GruTrace, Matrix};
 use rand::rngs::StdRng;
@@ -118,28 +118,6 @@ impl GruClassifier {
                 argmax(&l)
             })
             .collect()
-    }
-
-    /// Fused, allocation-free prediction: runs the packed engine over a
-    /// `T×I` input matrix (reusing `ws`) and writes one class per timestep
-    /// into `out`. `logits` is a `classes`-wide scratch slice.
-    pub fn predict_packed_into(
-        &self,
-        packed: &PackedGru,
-        xs: &Matrix,
-        ws: &mut GruWorkspace,
-        logits: &mut [f32],
-        out: &mut Vec<usize>,
-    ) {
-        debug_assert_eq!(logits.len(), self.num_classes());
-        packed.run(xs, ws);
-        out.clear();
-        for t in 0..ws.len() {
-            self.wo.matvec_into(ws.hs.row(t), logits);
-            vecops::add_assign(logits, &self.bo);
-            // Softmax is monotone; argmax over logits is the prediction.
-            out.push(argmax(logits));
-        }
     }
 
     /// Mean loss + gradient contribution of one sequence.

@@ -15,7 +15,7 @@
 //! Table 7). [`GruTrace`] therefore exposes them directly.
 
 use crate::matrix::vecops;
-use crate::panel::PanelMatrix;
+use crate::quant::{PackedWeights, QuantMode};
 use crate::{sigmoid, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -201,7 +201,7 @@ impl GruCell {
     /// The seed-era forward pass, frozen verbatim on the [`naive`] kernels:
     /// six separate matvecs and ~10 fresh `Vec`s per step. This is the
     /// pre-fusion baseline the fused engine is measured against; production
-    /// inference uses [`PackedGru::run`], training uses [`forward`].
+    /// inference uses [`PackedGru::step`], training uses [`forward`].
     ///
     /// [`naive`]: crate::matrix::naive
     /// [`forward`]: Self::forward
@@ -351,64 +351,33 @@ impl GruCell {
 // Fused inference engine
 // ---------------------------------------------------------------------------
 
-/// Gate-packed GRU weights for inference.
+/// Gate-packed GRU weights for inference, at either precision.
 ///
 /// The three input projections `Wz/Wr/Wn` are stacked into one `3H×I`
 /// matrix and the recurrent projections `Uz/Ur/Un` into one `3H×H` matrix,
 /// so each step's input side and recurrent side are one fused matvec each
-/// instead of three. Both are stored as output-stationary
-/// [`PanelMatrix`] panels, and every product — a step, a row of a
-/// sequence, a row of a cross-flow batch — is one call of the same panel
-/// GEMV. Built from a [`GruCell`] on demand (typically once per scoring
-/// session); not serialized — the cell remains the source of truth.
+/// instead of three. Both are stored as output-stationary panels — f32
+/// ([`crate::PanelMatrix`]) from [`pack`](Self::pack), int8
+/// ([`crate::QuantMatrix`]) after [`from_packed`](Self::from_packed) with
+/// [`QuantMode::Int8`] — and every product, a step or a row of a
+/// cross-flow batch, is one call of the same panel GEMV; biases, gate
+/// sigmoids and the hidden-state update are f32 either way. Built from a
+/// [`GruCell`] on demand (typically once per scoring session); not
+/// serialized — the cell remains the source of truth.
 #[derive(Debug, Clone)]
 pub struct PackedGru {
     /// `[Wz; Wr; Wn]` stacked row-wise: `3H×I`.
-    pub(crate) w: PanelMatrix,
+    w: PackedWeights,
     /// `[Uz; Ur; Un]` stacked row-wise: `3H×H`.
-    pub(crate) u: PanelMatrix,
+    u: PackedWeights,
     /// `[bz; br; bn]`: `3H`.
-    pub(crate) b: Vec<f32>,
-    pub(crate) hidden: usize,
+    b: Vec<f32>,
+    hidden: usize,
 }
 
-/// Reusable scratch arena for [`PackedGru::run`]. All buffers grow to the
-/// longest sequence seen and are then reused, so steady-state inference
-/// performs **zero heap allocation**. Outputs (`hs`, `zs`, `rs`) are flat
-/// `T×H` matrices — one contiguous row per timestep.
-#[derive(Debug, Clone, Default)]
-pub struct GruWorkspace {
-    /// `T×3H` input-side projections `X·Wᵀ + b`.
-    pub(crate) xp: Matrix,
-    /// Current step's recurrent projections `U·h_{t-1}` (`3H`).
-    pub(crate) up: Vec<f32>,
-    /// Hidden states, one row per step (`T×H`).
-    pub hs: Matrix,
-    /// Update-gate activations per step (`T×H`).
-    pub zs: Matrix,
-    /// Reset-gate activations per step (`T×H`).
-    pub rs: Matrix,
-    /// Running hidden state (`H`).
-    pub(crate) h: Vec<f32>,
-    /// Quantized-activation scratch for the int8 engine
-    /// ([`crate::quant::QuantPackedGru`]); unused on the f32 path.
-    pub(crate) qa: Vec<u8>,
-}
-
-impl GruWorkspace {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Steps recorded by the last [`PackedGru::run`].
-    pub fn len(&self) -> usize {
-        self.hs.rows
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.hs.rows == 0
-    }
-}
+/// The GRU inference engine of a scorer: a [`PackedGru`] at the precision
+/// [`from_packed`](PackedGru::from_packed) was given.
+pub type GruEngine = PackedGru;
 
 /// Scratch buffers for the resumable [`PackedGru::step`] API: the input
 /// and recurrent projections of the *current* step only. One scratch set
@@ -418,12 +387,12 @@ impl GruWorkspace {
 #[derive(Debug, Clone, Default)]
 pub struct GruStepScratch {
     /// Current step's input-side projections `W·x + b` (`3H`).
-    pub(crate) xp: Vec<f32>,
+    xp: Vec<f32>,
     /// Current step's recurrent projections `U·h_{t-1}` (`3H`).
-    pub(crate) up: Vec<f32>,
-    /// Quantized-activation scratch for the int8 engine
-    /// ([`crate::quant::QuantPackedGru`]); unused on the f32 path.
-    pub(crate) qa: Vec<u8>,
+    up: Vec<f32>,
+    /// Activation codes of the row being multiplied; stays empty on an
+    /// f32 engine.
+    qa: Vec<u8>,
 }
 
 impl GruStepScratch {
@@ -440,12 +409,12 @@ impl GruStepScratch {
 #[derive(Debug, Clone, Default)]
 pub struct GruBatchScratch {
     /// Input-side projections `X·Wᵀ + b`, one row per flow (`B×3H`).
-    pub(crate) xp: Matrix,
+    xp: Matrix,
     /// Recurrent projections `H·Uᵀ`, one row per flow (`B×3H`).
-    pub(crate) up: Matrix,
-    /// Quantized-activation scratch for the int8 engine
-    /// ([`crate::quant::QuantPackedGru`]); unused on the f32 path.
-    pub(crate) qa: Vec<u8>,
+    up: Matrix,
+    /// Activation codes of the row being multiplied; stays empty on an
+    /// f32 engine.
+    qa: Vec<u8>,
 }
 
 impl GruBatchScratch {
@@ -455,7 +424,7 @@ impl GruBatchScratch {
 }
 
 impl PackedGru {
-    /// Packs a cell's nine parameter tensors into the fused layout.
+    /// Packs a cell's nine parameter tensors into the fused f32 layout.
     pub fn pack(cell: &GruCell) -> PackedGru {
         let hidden = cell.hidden_size();
         let input = cell.input_size();
@@ -476,11 +445,26 @@ impl PackedGru {
             b[lo..lo + hidden].copy_from_slice(bsrc);
         }
         PackedGru {
-            w: PanelMatrix::pack(&w),
-            u: PanelMatrix::pack(&u),
+            w: PackedWeights::pack(&w, QuantMode::Off),
+            u: PackedWeights::pack(&u, QuantMode::Off),
             b,
             hidden,
         }
+    }
+
+    /// An engine over `packed`'s weights at `mode`: as they are if that is
+    /// their precision already, otherwise converted — f32 → int8 quantizes
+    /// per output row; int8 → f32 recovers only the dequantized values.
+    pub fn from_packed(packed: PackedGru, mode: QuantMode) -> PackedGru {
+        PackedGru {
+            w: packed.w.at(mode),
+            u: packed.u.at(mode),
+            ..packed
+        }
+    }
+
+    pub fn mode(&self) -> QuantMode {
+        self.w.mode()
     }
 
     pub fn hidden_size(&self) -> usize {
@@ -488,58 +472,11 @@ impl PackedGru {
     }
 
     pub fn input_size(&self) -> usize {
-        self.w.cols
-    }
-
-    /// Runs the cell over a sequence laid out as a `T×I` matrix, filling
-    /// the workspace's `hs`/`zs`/`rs`. Allocation-free once `ws` has grown
-    /// to the sequence size.
-    ///
-    /// Produces the same gate/hidden trajectories as [`GruCell::forward`]
-    /// up to floating-point reassociation (the equivalence tests pin this
-    /// to ≤1e-6).
-    pub fn run(&self, xs: &Matrix, ws: &mut GruWorkspace) {
-        let hidden = self.hidden;
-        let steps = xs.rows;
-        debug_assert_eq!(xs.cols, self.input_size());
-
-        // Whole-sequence input projections, bias folded in.
-        self.w.matmul_nt_into(xs, &mut ws.xp);
-        for r in 0..steps {
-            let row = ws.xp.row_mut(r);
-            for (v, &bv) in row.iter_mut().zip(&self.b) {
-                *v += bv;
-            }
-        }
-
-        ws.hs.resize(steps, hidden);
-        ws.zs.resize(steps, hidden);
-        ws.rs.resize(steps, hidden);
-        ws.up.resize(3 * hidden, 0.0);
-        ws.h.clear();
-        ws.h.resize(hidden, 0.0);
-
-        let ks = crate::simd::KernelSet::active();
-        for t in 0..steps {
-            // One fused matvec covers Uz·h, Ur·h and Un·h.
-            self.u.matvec_into(&ws.h, &mut ws.up);
-            // The dispatched gate kernel computes z/r and the new hidden
-            // state over the packed 3H slab (vectorized sigmoid/tanh on
-            // SIMD sets); `ws.h` keeps the running copy, the trajectory
-            // row gets a copy.
-            ks.gru_gates(
-                ws.xp.row(t),
-                &ws.up,
-                &mut ws.h,
-                ws.zs.row_mut(t),
-                ws.rs.row_mut(t),
-            );
-            ws.hs.row_mut(t).copy_from_slice(&ws.h);
-        }
+        self.w.cols()
     }
 
     /// Advances the cell by **one** timestep, carrying the hidden state
-    /// across calls — the resumable core of streaming per-flow scoring.
+    /// across calls — the resumable core of per-flow scoring.
     ///
     /// `h` is the caller-owned running hidden state (`H` floats, zeroed
     /// before the first packet of a flow); it is updated in place. The
@@ -547,12 +484,9 @@ impl PackedGru {
     /// each), which may alias rows of a caller's profile matrix. `scratch`
     /// is flow-independent and reusable across flows.
     ///
-    /// Feeding a sequence through `step` one packet at a time produces
-    /// **bitwise identical** trajectories to one [`run`](Self::run) over
-    /// the whole sequence: both sides compute the input projection row
-    /// with the same panel GEMV call ([`PanelMatrix::matmul_nt_into`] is
-    /// [`PanelMatrix::matvec_into`] row for row) and share the elementwise
-    /// tail. The test suite pins this.
+    /// Up to floating-point reassociation a sequence of steps produces the
+    /// gate/hidden trajectories of [`GruCell::forward`] (on f32 weights;
+    /// the equivalence tests pin this to ≤1e-6).
     pub fn step(
         &self,
         x: &[f32],
@@ -569,14 +503,15 @@ impl PackedGru {
         scratch.xp.resize(3 * hidden, 0.0);
         scratch.up.resize(3 * hidden, 0.0);
 
-        self.w.matvec_into(x, &mut scratch.xp);
+        self.w.matvec_into(x, &mut scratch.qa, &mut scratch.xp);
         for (v, &bv) in scratch.xp.iter_mut().zip(&self.b) {
             *v += bv;
         }
-        self.u.matvec_into(h, &mut scratch.up);
+        self.u.matvec_into(h, &mut scratch.qa, &mut scratch.up);
 
-        // Same dispatched gate kernel as `run`, which is what keeps the
-        // two paths bitwise identical.
+        // The dispatched gate kernel computes z/r and the new hidden
+        // state over the packed 3H slab (vectorized sigmoid/tanh on SIMD
+        // sets).
         crate::simd::KernelSet::active().gru_gates(&scratch.xp, &scratch.up, h, z, r);
     }
 
@@ -590,11 +525,11 @@ impl PackedGru {
     /// the gate activations row-for-row. Flows never interact: row `i` of
     /// every matrix belongs to the same flow throughout.
     ///
-    /// **Bitwise identical** to `B` separate [`step`](Self::step) calls:
-    /// [`PanelMatrix::matmul_nt_into`] runs each row through the same
-    /// panel GEMV call as `matvec_into`, the bias add is the same per-row
-    /// scalar loop, and the gate block runs the same dispatched kernel per
-    /// row. The test suite pins this.
+    /// **Bitwise identical** to `B` separate [`step`](Self::step) calls at
+    /// either precision: a batched product runs each row through the same
+    /// panel GEMV call as the matvec (quantizing it on its own at int8),
+    /// the bias add is the same per-row scalar loop, and the gate block
+    /// runs the same dispatched kernel per row. The test suite pins this.
     pub fn step_batch(
         &self,
         xs: &Matrix,
@@ -609,14 +544,14 @@ impl PackedGru {
         debug_assert_eq!(hs.rows, b);
         debug_assert_eq!(hs.cols, hidden);
 
-        self.w.matmul_nt_into(xs, &mut scratch.xp);
+        self.w.matmul_nt_into(xs, &mut scratch.qa, &mut scratch.xp);
         for r in 0..b {
             let row = scratch.xp.row_mut(r);
             for (v, &bv) in row.iter_mut().zip(&self.b) {
                 *v += bv;
             }
         }
-        self.u.matmul_nt_into(hs, &mut scratch.up);
+        self.u.matmul_nt_into(hs, &mut scratch.qa, &mut scratch.up);
 
         zs.resize(b, hidden);
         rs.resize(b, hidden);
@@ -757,13 +692,34 @@ mod tests {
         }
     }
 
-    fn as_matrix(xs: &[Vec<f32>]) -> Matrix {
-        let cols = xs.first().map_or(0, Vec::len);
-        let mut m = Matrix::zeros(xs.len(), cols);
-        for (r, x) in xs.iter().enumerate() {
-            m.row_mut(r).copy_from_slice(x);
+    const MODES: [QuantMode; 2] = [QuantMode::Off, QuantMode::Int8];
+
+    /// A sequence stepped alone through a fresh scratch: the per-step
+    /// `(h, z, r)` every sharing test compares against.
+    fn step_alone(gru: &PackedGru, xs: &[Vec<f32>]) -> Vec<[Vec<f32>; 3]> {
+        let hidden = gru.hidden_size();
+        let mut scratch = GruStepScratch::new();
+        let (mut h, mut z, mut r) = (vec![0.0; hidden], vec![0.0; hidden], vec![0.0; hidden]);
+        xs.iter()
+            .map(|x| {
+                gru.step(x, &mut h, &mut scratch, &mut z, &mut r);
+                [h.clone(), z.clone(), r.clone()]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_packed_sets_the_precision_and_keeps_the_shape() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let packed = PackedGru::pack(&GruCell::new(3, 4, &mut rng));
+        assert_eq!(packed.mode(), QuantMode::Off);
+        for mode in MODES {
+            let engine = GruEngine::from_packed(packed.clone(), mode);
+            assert_eq!(engine.mode(), mode);
+            assert_eq!((engine.input_size(), engine.hidden_size()), (3, 4));
+            let back = GruEngine::from_packed(engine, QuantMode::Off);
+            assert_eq!(back.mode(), QuantMode::Off);
         }
-        m
     }
 
     /// The packed inference engine must reproduce the reference forward
@@ -773,66 +729,90 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let cell = GruCell::new(7, 12, &mut rng);
         let packed = PackedGru::pack(&cell);
-        let mut ws = GruWorkspace::new();
         for seq in [1usize, 2, 5, 33] {
             let xs = toy_inputs(seq, 7);
             let trace = cell.forward(&xs);
-            packed.run(&as_matrix(&xs), &mut ws);
-            assert_eq!(ws.len(), seq);
-            for t in 0..seq {
+            let stepped = step_alone(&packed, &xs);
+            assert_eq!(stepped.len(), seq);
+            for (t, [h, z, r]) in stepped.iter().enumerate() {
                 for i in 0..12 {
-                    assert!((trace.hs[t][i] - ws.hs.get(t, i)).abs() < 1e-6);
-                    assert!((trace.zs[t][i] - ws.zs.get(t, i)).abs() < 1e-6);
-                    assert!((trace.rs[t][i] - ws.rs.get(t, i)).abs() < 1e-6);
+                    assert!((trace.hs[t][i] - h[i]).abs() < 1e-6);
+                    assert!((trace.zs[t][i] - z[i]).abs() < 1e-6);
+                    assert!((trace.rs[t][i] - r[i]).abs() < 1e-6);
                 }
             }
         }
     }
 
-    /// Workspace reuse across differently-sized sequences must not leak
-    /// state between runs: re-running a sequence after longer/shorter ones
-    /// gives bitwise-identical trajectories.
+    /// A scratch carries nothing from one engine or sequence to the next:
+    /// after serving a wider engine (longer projections, and at int8 stale
+    /// activation codes past this engine's `K`), a sequence steps to
+    /// bitwise the trajectory it has through a fresh scratch.
     #[test]
-    fn workspace_reuse_is_stateless() {
+    fn scratch_reuse_is_stateless() {
         let mut rng = StdRng::seed_from_u64(23);
-        let cell = GruCell::new(4, 9, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        let xs = as_matrix(&toy_inputs(6, 4));
+        let small = PackedGru::pack(&GruCell::new(4, 9, &mut rng));
+        let wide = PackedGru::pack(&GruCell::new(13, 21, &mut rng));
+        for mode in MODES {
+            let small = GruEngine::from_packed(small.clone(), mode);
+            let wide = GruEngine::from_packed(wide.clone(), mode);
+            let xs = toy_inputs(6, 4);
+            let expect = step_alone(&small, &xs);
 
-        let mut fresh = GruWorkspace::new();
-        packed.run(&xs, &mut fresh);
-        let expect = fresh.hs.clone();
-
-        let mut reused = GruWorkspace::new();
-        for other_len in [31usize, 1, 17, 2] {
-            packed.run(&as_matrix(&toy_inputs(other_len, 4)), &mut reused);
-            packed.run(&xs, &mut reused);
-            assert_eq!(reused.hs, expect, "after interleaving len {other_len}");
+            let mut reused = GruStepScratch::new();
+            for other_len in [31usize, 1, 17, 2] {
+                let (mut h, mut z, mut r) = (vec![0.0; 21], vec![0.0; 21], vec![0.0; 21]);
+                for x in toy_inputs(other_len, 13) {
+                    wide.step(&x, &mut h, &mut reused, &mut z, &mut r);
+                }
+                let (mut h, mut z, mut r) = (vec![0.0; 9], vec![0.0; 9], vec![0.0; 9]);
+                for (t, x) in xs.iter().enumerate() {
+                    small.step(x, &mut h, &mut reused, &mut z, &mut r);
+                    assert_eq!(
+                        [&h, &z, &r],
+                        expect[t].each_ref(),
+                        "{mode:?} t={t} after interleaving len {other_len}"
+                    );
+                }
+            }
         }
     }
 
-    /// Streaming invariant: advancing packet-by-packet through `step`
-    /// (carrying the hidden state across calls) reproduces the batched
-    /// `run` trajectories bitwise — the foundation of per-flow scoring.
+    /// Streaming invariant: `B` flows advanced together, one `step_batch`
+    /// round per timestep with the hidden rows carried between rounds, get
+    /// bitwise the trajectories each has stepping alone — the foundation
+    /// of micro-batched per-flow scoring.
     #[test]
-    fn step_matches_batched_run_bitwise() {
+    fn step_matches_batched_rounds_bitwise() {
         let mut rng = StdRng::seed_from_u64(31);
-        let cell = GruCell::new(6, 10, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        let mut ws = GruWorkspace::new();
-        let mut scratch = GruStepScratch::new();
-        for seq in [1usize, 3, 9, 40] {
-            let xs = toy_inputs(seq, 6);
-            packed.run(&as_matrix(&xs), &mut ws);
+        let packed = PackedGru::pack(&GruCell::new(6, 10, &mut rng));
+        for mode in MODES {
+            let gru = GruEngine::from_packed(packed.clone(), mode);
+            let flows: Vec<Vec<Vec<f32>>> = (0..5)
+                .map(|f| {
+                    toy_inputs(9, 6)
+                        .into_iter()
+                        .map(|x| x.into_iter().map(|v| v * (1.0 - 0.3 * f as f32)).collect())
+                        .collect()
+                })
+                .collect();
+            let alone: Vec<_> = flows.iter().map(|xs| step_alone(&gru, xs)).collect();
 
-            let mut h = vec![0.0f32; 10];
-            let mut z = vec![0.0f32; 10];
-            let mut r = vec![0.0f32; 10];
-            for (t, x) in xs.iter().enumerate() {
-                packed.step(x, &mut h, &mut scratch, &mut z, &mut r);
-                assert_eq!(h.as_slice(), ws.hs.row(t), "h diverged at t={t}");
-                assert_eq!(z.as_slice(), ws.zs.row(t), "z diverged at t={t}");
-                assert_eq!(r.as_slice(), ws.rs.row(t), "r diverged at t={t}");
+            let mut scratch = GruBatchScratch::new();
+            let mut hs = Matrix::zeros(flows.len(), 10);
+            let (mut zs, mut rs) = (Matrix::default(), Matrix::default());
+            for t in 0..9 {
+                let mut xs = Matrix::zeros(flows.len(), 6);
+                for (f, flow) in flows.iter().enumerate() {
+                    xs.row_mut(f).copy_from_slice(&flow[t]);
+                }
+                gru.step_batch(&xs, &mut hs, &mut scratch, &mut zs, &mut rs);
+                for (f, want) in alone.iter().enumerate() {
+                    let [h, z, r] = &want[t];
+                    assert_eq!(hs.row(f), h.as_slice(), "{mode:?} h, flow {f} t={t}");
+                    assert_eq!(zs.row(f), z.as_slice(), "{mode:?} z, flow {f} t={t}");
+                    assert_eq!(rs.row(f), r.as_slice(), "{mode:?} r, flow {f} t={t}");
+                }
             }
         }
     }
@@ -842,96 +822,72 @@ mod tests {
     #[test]
     fn step_scratch_shared_across_flows() {
         let mut rng = StdRng::seed_from_u64(37);
-        let cell = GruCell::new(4, 8, &mut rng);
-        let packed = PackedGru::pack(&cell);
+        let packed = PackedGru::pack(&GruCell::new(4, 8, &mut rng));
         let xs_a = toy_inputs(7, 4);
         let xs_b: Vec<Vec<f32>> = toy_inputs(7, 4)
             .into_iter()
             .map(|row| row.into_iter().map(|v| -v).collect())
             .collect();
+        for mode in MODES {
+            let gru = GruEngine::from_packed(packed.clone(), mode);
+            // Reference: each flow alone.
+            let expect_a = step_alone(&gru, &xs_a);
+            let expect_b = step_alone(&gru, &xs_b);
 
-        // Reference: each flow alone.
-        let mut ws = GruWorkspace::new();
-        packed.run(&as_matrix(&xs_a), &mut ws);
-        let expect_a = ws.hs.clone();
-        packed.run(&as_matrix(&xs_b), &mut ws);
-        let expect_b = ws.hs.clone();
-
-        // Interleaved through one scratch.
-        let mut scratch = GruStepScratch::new();
-        let (mut ha, mut hb) = (vec![0.0f32; 8], vec![0.0f32; 8]);
-        let (mut z, mut r) = (vec![0.0f32; 8], vec![0.0f32; 8]);
-        for t in 0..7 {
-            packed.step(&xs_a[t], &mut ha, &mut scratch, &mut z, &mut r);
-            assert_eq!(ha.as_slice(), expect_a.row(t));
-            packed.step(&xs_b[t], &mut hb, &mut scratch, &mut z, &mut r);
-            assert_eq!(hb.as_slice(), expect_b.row(t));
+            // Interleaved through one scratch.
+            let mut scratch = GruStepScratch::new();
+            let (mut ha, mut hb) = (vec![0.0f32; 8], vec![0.0f32; 8]);
+            let (mut z, mut r) = (vec![0.0f32; 8], vec![0.0f32; 8]);
+            for t in 0..7 {
+                gru.step(&xs_a[t], &mut ha, &mut scratch, &mut z, &mut r);
+                assert_eq!(ha, expect_a[t][0], "{mode:?}");
+                gru.step(&xs_b[t], &mut hb, &mut scratch, &mut z, &mut r);
+                assert_eq!(hb, expect_b[t][0], "{mode:?}");
+            }
         }
     }
 
     /// Cross-flow batching invariant: one `step_batch` over B independent
     /// flows reproduces B separate `step` calls bitwise — hidden states
-    /// and both gate rows — for every batch size including 0 and 1.
+    /// and both gate rows — for every batch size including 0 and 1, at
+    /// both precisions.
     #[test]
     fn step_batch_matches_per_flow_step_bitwise() {
         let mut rng = StdRng::seed_from_u64(41);
-        let cell = GruCell::new(6, 10, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        let mut scratch = GruStepScratch::new();
-        let mut batch_scratch = GruBatchScratch::new();
-        for b in [0usize, 1, 3, 4, 7, 16] {
-            // Distinct mid-flow hidden states per flow.
-            let mut hs_ref: Vec<Vec<f32>> = (0..b)
-                .map(|f| {
-                    (0..10)
-                        .map(|i| ((f * 10 + i) as f32 * 0.13).sin() * 0.8)
-                        .collect()
-                })
-                .collect();
-            let xs_rows: Vec<Vec<f32>> = (0..b)
-                .map(|f| (0..6).map(|i| ((f * 6 + i) as f32 * 0.29).cos()).collect())
-                .collect();
+        let packed = PackedGru::pack(&GruCell::new(6, 10, &mut rng));
+        for mode in MODES {
+            let gru = GruEngine::from_packed(packed.clone(), mode);
+            let mut scratch = GruStepScratch::new();
+            let mut batch_scratch = GruBatchScratch::new();
+            for b in [0usize, 1, 3, 4, 7, 16] {
+                // Distinct mid-flow hidden states per flow.
+                let xs = Matrix::from_fn(b, 6, |f, i| ((f * 6 + i) as f32 * 0.29).cos());
+                let mut hs =
+                    Matrix::from_fn(b, 10, |f, i| ((f * 10 + i) as f32 * 0.13).sin() * 0.8);
 
-            // Reference: per-flow steps.
-            let mut zs_ref = vec![vec![0.0f32; 10]; b];
-            let mut rs_ref = vec![vec![0.0f32; 10]; b];
-            for f in 0..b {
-                packed.step(
-                    &xs_rows[f],
-                    &mut hs_ref[f],
-                    &mut scratch,
-                    &mut zs_ref[f],
-                    &mut rs_ref[f],
-                );
-            }
+                // Reference: per-flow steps.
+                let mut hs_ref: Vec<Vec<f32>> = (0..b).map(|f| hs.row(f).to_vec()).collect();
+                let mut zs_ref = vec![vec![0.0f32; 10]; b];
+                let mut rs_ref = vec![vec![0.0f32; 10]; b];
+                for f in 0..b {
+                    gru.step(
+                        xs.row(f),
+                        &mut hs_ref[f],
+                        &mut scratch,
+                        &mut zs_ref[f],
+                        &mut rs_ref[f],
+                    );
+                }
 
-            // Batched.
-            let mut xs = Matrix::zeros(b, 6);
-            let mut hs = Matrix::zeros(b, 10);
-            for (f, xrow) in xs_rows.iter().enumerate() {
-                xs.row_mut(f).copy_from_slice(xrow);
-                for i in 0..10 {
-                    hs.row_mut(f)[i] = ((f * 10 + i) as f32 * 0.13).sin() * 0.8;
+                let (mut zs, mut rs) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                gru.step_batch(&xs, &mut hs, &mut batch_scratch, &mut zs, &mut rs);
+                for f in 0..b {
+                    assert_eq!(hs.row(f), hs_ref[f].as_slice(), "{mode:?} h, b={b} f={f}");
+                    assert_eq!(zs.row(f), zs_ref[f].as_slice(), "{mode:?} z, b={b} f={f}");
+                    assert_eq!(rs.row(f), rs_ref[f].as_slice(), "{mode:?} r, b={b} f={f}");
                 }
             }
-            let (mut zs, mut rs) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-            packed.step_batch(&xs, &mut hs, &mut batch_scratch, &mut zs, &mut rs);
-            for f in 0..b {
-                assert_eq!(hs.row(f), hs_ref[f].as_slice(), "h diverged, b={b} f={f}");
-                assert_eq!(zs.row(f), zs_ref[f].as_slice(), "z diverged, b={b} f={f}");
-                assert_eq!(rs.row(f), rs_ref[f].as_slice(), "r diverged, b={b} f={f}");
-            }
         }
-    }
-
-    #[test]
-    fn empty_sequence_through_packed_path() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let cell = GruCell::new(3, 5, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        let mut ws = GruWorkspace::new();
-        packed.run(&Matrix::zeros(0, 3), &mut ws);
-        assert!(ws.is_empty());
     }
 
     #[test]

@@ -31,47 +31,54 @@
 //! * **Reference path** — [`GruCell::forward`] / [`Autoencoder::forward`]:
 //!   readable, row-major [`Matrix`] GEMMs, used by training, by the small
 //!   baseline autoencoders and as the oracle in equivalence tests.
-//! * **Fused path** — the inference engines ([`GruEngine`], [`AeEngine`];
-//!   f32 by default, int8 on request), built from these pieces:
+//! * **Fused path** — the inference engines, [`PackedGru`] (alias
+//!   [`GruEngine`]) and [`PackedAutoencoder`] (alias [`AeEngine`]). Each
+//!   is **one body for both precisions**: precision is a property of the
+//!   packed weight matrix (f32 [`PanelMatrix`] or int8 [`QuantMatrix`]),
+//!   fixed by the [`QuantMode`] the engine is built with — f32 unless the
+//!   caller asks for int8 — and everything around the matvec (biases,
+//!   gates, activations, the error reduction) is f32 either way. The
+//!   pieces:
 //!   * *Packed gates* ([`PackedGru`]): `Wz/Wr/Wn` stacked into one `3H×I`
 //!     matrix and `Uz/Ur/Un` into one `3H×H` matrix, so each step's input
 //!     side and recurrent side are one fused matvec each instead of three.
-//!   * *Weight panels* ([`PanelMatrix`], in [`PackedGru`] and
-//!     [`PackedAutoencoder`]): every f32 inference weight matrix is
-//!     repacked once per scorer as `[row block of 16][k][output lane]` —
-//!     64-byte-aligned lines, rows zero-padded to whole blocks — and
-//!     **one kernel, the panel GEMV** ([`KernelSet::panel_gemv_f32`]),
-//!     sits under every f32 inference matvec: it broadcasts one
-//!     activation per `k` against a block of outputs, so each output lane
-//!     owns one accumulator, with no horizontal reduction, no k-tail and
-//!     one sequential aligned weight stream per block. The packing is
-//!     never cached inside a trainable model (it could go stale under
-//!     `train`); the row-major [`Matrix`] stays the source of truth.
-//!   * *Workspaces* ([`GruWorkspace`], [`AeWorkspace`]): grow-only scratch
-//!     arenas threaded through the hot path; steady-state inference
-//!     performs zero heap allocation.
-//!   * *Batching*: autoencoder scoring takes whole `rows×width` batches;
-//!     `clap-core` shards connections across rayon workers, each worker
-//!     owning one set of arenas. A batch is scored **row by row** through
-//!     the same GEMV call (the f32 autoencoder takes each row through all
-//!     its layers before the next, so a row's activations stay in L1) —
-//!     no weight is reused across rows, so a batch costs rows × the 1-row
-//!     price, and in exchange a row's result never depends on what it was
-//!     batched with.
+//!   * *Weight panels* ([`PanelMatrix`], [`QuantMatrix`]): every inference
+//!     weight matrix is repacked once per scorer into output-stationary
+//!     panels — at f32 `[row block of 16][k][output lane]`, 64-byte-aligned
+//!     lines, rows zero-padded to whole blocks — and **one kernel per
+//!     precision, the panel GEMV** ([`KernelSet::panel_gemv_f32`],
+//!     [`KernelSet::panel_gemv_i8`]), sits under every inference matvec: it
+//!     broadcasts one activation (four, at int8) per `k` against a block
+//!     of outputs, so each output lane owns one accumulator, with no
+//!     horizontal reduction, no k-tail and one sequential aligned weight
+//!     stream per block. The packing is never cached inside a trainable
+//!     model (it could go stale under `train`); the row-major [`Matrix`]
+//!     stays the source of truth.
 //!   * *Resumable stepping* ([`PackedGru::step`] + [`GruStepScratch`]):
 //!     one timestep at a time with the hidden state carried by the caller,
-//!     so a streaming scorer can persist an `H`-float state per live flow
-//!     and advance it as packets arrive. Step-by-step trajectories are
-//!     bitwise identical to a batched [`PackedGru::run`] (pinned in tests),
-//!     which is what makes online scores match offline ones exactly.
+//!     so a scorer persists an `H`-float state per live flow and advances
+//!     it as packets arrive. This is the only way a sequence runs — an
+//!     offline scorer loops it over a connection — which is what makes
+//!     online scores match offline ones exactly.
+//!   * *One row at a time* ([`PackedAutoencoder`] + [`AeWorkspace`]): the
+//!     autoencoder takes each row of a batch through all its layers
+//!     before the next, so a row's activations stay in L1 while the
+//!     weights stream from L2. No weight is reused across rows — a batch
+//!     costs rows × the 1-row price — and in exchange a row's result never
+//!     depends on what it was batched with.
+//!   * *Scratch* ([`GruStepScratch`], [`GruBatchScratch`],
+//!     [`AeWorkspace`]): grow-only, flow-independent buffers threaded
+//!     through the hot path (the projections of the current step, the
+//!     activations of the current row and, at int8, its activation
+//!     codes); steady-state inference performs zero heap allocation.
 //!   * *Cross-flow batched stepping* ([`PackedGru::step_batch`] +
 //!     [`GruBatchScratch`]): one timestep for `B` *independent* flows at
 //!     once. **Gather layout:** the caller packs row `i` of the `B×I`
 //!     input matrix with flow `i`'s feature vector and row `i` of the
 //!     `B×H` hidden matrix with flow `i`'s resident state (gathered from
-//!     wherever it lives — `clap-core` copies f32 slab rows directly and
-//!     dequantizes int8-resident rows first); the step updates the hidden
-//!     rows in place and fills `B×H` gate matrices, and the caller
+//!     wherever it lives — `clap-core` copies f32 resident rows directly
+//!     and dequantizes int8-resident rows first); the step updates the
+//!     hidden rows in place and fills `B×H` gate matrices, and the caller
 //!     scatters row `i` back to flow `i`'s slot. Because a batch goes
 //!     through the panel GEMV one row at a time, exactly as a matvec does
 //!     (and each activation row quantizes independently at int8), **row
@@ -170,10 +177,10 @@
 //!   is worth end to end (CHANGES.md, PR 13).
 //! * **Engine selection.** Every default is f32 ([`QuantMode::Off`]); a
 //!   scorer runs int8 when the caller that builds it passes
-//!   [`QuantMode::Int8`]. Int8 streaming is bitwise identical to int8
-//!   batch (per-row activation quantization keeps 1-row GEMMs ==
-//!   matvecs), so the streaming/sharded equivalence guarantees hold at
-//!   either precision.
+//!   [`QuantMode::Int8`], which packs the very same engines over
+//!   [`QuantMatrix`] weights. Per-row activation quantization keeps a row
+//!   of a batch bitwise its matvec, so the micro-batched/sharded
+//!   equivalence guarantees hold at either precision.
 
 pub mod adam;
 pub mod autoencoder;
@@ -186,15 +193,14 @@ pub mod quant;
 pub mod simd;
 
 pub use adam::Adam;
-pub use autoencoder::{AeWorkspace, Autoencoder, AutoencoderConfig, PackedAutoencoder};
+pub use autoencoder::{AeEngine, AeWorkspace, Autoencoder, AutoencoderConfig, PackedAutoencoder};
 pub use classifier::{GruClassifier, GruClassifierConfig, TrainReport};
 pub use dense::Dense;
-pub use gru::{GruBatchScratch, GruCell, GruStepScratch, GruTrace, GruWorkspace, PackedGru};
+pub use gru::{GruBatchScratch, GruCell, GruEngine, GruStepScratch, GruTrace, PackedGru};
 pub use matrix::Matrix;
 pub use panel::PanelMatrix;
 pub use quant::{
-    dequantize_activations_into, quantize_activations, ActQuant, AeEngine, GruEngine,
-    QuantAutoencoder, QuantMatrix, QuantMode, QuantPackedGru,
+    dequantize_activations_into, quantize_activations, ActQuant, QuantMatrix, QuantMode,
 };
 pub use simd::KernelSet;
 

@@ -258,8 +258,8 @@ impl Matrix {
 
     /// In-place `C = A · Bᵀ`, reusing `c`'s allocation. Register-blocked
     /// (each loaded slice of `A` feeds four rows of `B`) and **L2-tiled**:
-    /// `B` is walked in [`nt_tile_rows`]-row tiles with all rows of an
-    /// [`NT_ROW_BLOCK`]-row `A` block driven through each tile before the
+    /// `B` is walked in `nt_tile_rows()`-row tiles with all rows of an
+    /// `NT_ROW_BLOCK`-row `A` block driven through each tile before the
     /// next is touched, so a `B` larger than L2 is streamed from memory
     /// once per block instead of once per row of `A`. Tiles are multiples
     /// of 4 rows, which makes the tiled result bitwise identical to the

@@ -30,7 +30,7 @@
 //!   2·127·127 = 32258 < 32767 — saturation is *unreachable by
 //!   construction*, so all kernel tiers (scalar, AVX2 `maddubs`+`madd`,
 //!   512-bit `vpdpbusd`) produce the bit-identical i32.
-//!   For rows of at least [`CLIP_MIN_LEN`] elements the scan range is
+//!   For rows of at least `CLIP_MIN_LEN` (48) elements the scan range is
 //!   *outlier-clipped*: a 128-bin histogram pass finds the highest bin
 //!   whose upper tail holds at most ~1/64 of the samples, and if that
 //!   cut is separated from the raw maximum by a clear gap (≥25% of the
@@ -49,12 +49,12 @@
 //!   the existing f32 epilogues (bias+activation, GRU gates), which stay
 //!   on the dispatched f32 [`KernelSet`].
 //!
-//! Because each activation row is quantized independently, a 1-row GEMM is
-//! bitwise identical to a matvec — the same invariant the f32 engine has —
-//! so int8 **streaming scoring equals int8 batch scoring exactly**, and
-//! the int8-vs-f32 drift is pure quantization error (bounded by the
-//! property tests; end-to-end score drift and verdict-flip rate are pinned
-//! by the clap-core calibration harness).
+//! Because each activation row is quantized independently, a row of a
+//! GEMM is bitwise identical to its matvec — the same invariant the f32
+//! panels have — so a row's int8 score never depends on what it was
+//! batched with, and the int8-vs-f32 drift is pure quantization error
+//! (bounded by the property tests; end-to-end score drift and verdict-flip
+//! rate are pinned by the clap-core calibration harness).
 //!
 //! Saturation behavior: weights are clamped to `-127..=127` (−128 is never
 //! emitted) and activations to `0..=127`; values beyond the row maximum
@@ -67,17 +67,17 @@
 //! NaN/inf through every downstream value — the int8 engine degrades a
 //! malformed element to the nearest representable neighbor instead.
 //!
-//! Engine selection: a caller asks for the quantized engines by passing
-//! [`QuantMode::Int8`] where it builds a scorer; nothing ambient does.
+//! Engine selection: the engines ([`crate::PackedGru`],
+//! [`crate::PackedAutoencoder`]) are one body over either weight format; a
+//! caller gets them over [`QuantMatrix`] by passing [`QuantMode::Int8`]
+//! where it builds a scorer, and nothing ambient does.
 //! The int8 kernels themselves — the panel GEMV and the activation scan,
 //! encode and decode — live in the [`KernelSet`] ladder
 //! (`avx512vnni → avx512 → avx2 → scalar`), so `NEURAL_KERNELS` pins their
 //! ISA exactly as for the f32 kernels.
 
-use crate::autoencoder::{AeWorkspace, Autoencoder, PackedAutoencoder};
-use crate::dense::{Activation, Dense};
-use crate::gru::{GruBatchScratch, GruStepScratch, GruWorkspace, PackedGru};
 use crate::matrix::Matrix;
+use crate::panel::PanelMatrix;
 use crate::simd::{KernelSet, PanelQuad, Panels, PANEL_K, PANEL_LANES};
 
 /// Activation quantization levels: codes span the 7-bit unsigned range
@@ -252,9 +252,9 @@ fn act_plan(ks: &KernelSet, x: &[f32]) -> ActPlan {
 /// constant or empty row — including all-zero — gets scale `0.0` and
 /// all-zero codes, dequantizing to exactly `min` everywhere; non-finite
 /// values are excluded from the range and clamp to its nearest edge.
-/// Rows of [`CLIP_MIN_LEN`] or more elements get outlier-aware
+/// Rows of `CLIP_MIN_LEN` (48) or more elements get outlier-aware
 /// calibration: an isolated high tail saturates to code 127 instead of
-/// stretching the grid (see [`clip_upper`]).
+/// stretching the grid (see the module docs).
 pub fn quantize_activations(x: &[f32], qa: &mut Vec<u8>) -> ActQuant {
     let ks = KernelSet::active();
     match act_plan(ks, x) {
@@ -414,342 +414,74 @@ impl QuantMatrix {
     }
 }
 
-/// Int8 counterpart of [`Dense`]: quantized weights, f32 bias and the
-/// shared bias+activation epilogue kernel.
+/// One inference weight matrix at the precision its engine was built for:
+/// f32 panels or int8 panels behind one `matvec_into`, so [`PackedGru`] and
+/// [`PackedAutoencoder`] each have one body for both. [`QuantMode`] picks
+/// the variant when the engine is built; nothing switches it afterwards.
+///
+/// [`PackedGru`]: crate::PackedGru
+/// [`PackedAutoencoder`]: crate::PackedAutoencoder
 #[derive(Debug, Clone)]
-pub struct QuantDense {
-    pub w: QuantMatrix,
-    pub b: Vec<f32>,
-    pub activation: Activation,
+pub(crate) enum PackedWeights {
+    F32(PanelMatrix),
+    Int8(QuantMatrix),
 }
 
-impl QuantDense {
-    pub fn quantize(d: &Dense) -> QuantDense {
-        QuantDense {
-            w: QuantMatrix::quantize(&d.w),
-            b: d.b.clone(),
-            activation: d.activation,
-        }
-    }
-
-    /// Batched forward pass into a caller-owned matrix, mirroring
-    /// [`Dense::forward_into`] with the int8 GEMM.
-    pub fn forward_into(&self, x: &Matrix, qa: &mut Vec<u8>, y: &mut Matrix) {
-        self.w.matmul_nt_into(x, qa, y);
-        let ks = KernelSet::active();
-        for r in 0..y.rows {
-            ks.bias_act(y.row_mut(r), &self.b, self.activation);
-        }
-    }
-}
-
-/// Int8 counterpart of [`Autoencoder`]: every layer's weights quantized
-/// per output row, activations re-quantized between layers (each layer's
-/// f32 output row gets its own scale, so depth does not compound the
-/// activation grid error).
-#[derive(Debug, Clone)]
-pub struct QuantAutoencoder {
-    layers: Vec<QuantDense>,
-}
-
-impl QuantAutoencoder {
-    pub fn quantize(ae: &Autoencoder) -> QuantAutoencoder {
-        QuantAutoencoder {
-            layers: ae.layers.iter().map(QuantDense::quantize).collect(),
-        }
-    }
-
-    pub fn input_size(&self) -> usize {
-        self.layers[0].w.cols
-    }
-
-    /// Batched reconstruction through the same ping-ponged [`AeWorkspace`]
-    /// as the f32 engine (plus its quantized-activation scratch row).
-    pub fn forward_into<'w>(&self, x: &Matrix, ws: &'w mut AeWorkspace) -> &'w Matrix {
-        debug_assert!(!self.layers.is_empty());
-        let AeWorkspace { bufs: [a, b], qa } = ws;
-        self.layers[0].forward_into(x, qa, a);
-        let mut flip = false; // output currently in `a`
-        for layer in &self.layers[1..] {
-            let (src, dst) = if flip { (&*b, &mut *a) } else { (&*a, &mut *b) };
-            layer.forward_into(src, qa, dst);
-            flip = !flip;
-        }
-        if flip {
-            &ws.bufs[1]
-        } else {
-            &ws.bufs[0]
-        }
-    }
-
-    /// Mean absolute reconstruction error per row of `x`, appended to
-    /// `out` — the int8 twin of
-    /// [`Autoencoder::reconstruction_errors_into`]. The input comparison
-    /// and L1 reduction stay f32 (the error is measured against the real
-    /// input, not its quantized image).
-    pub fn reconstruction_errors_into(&self, x: &Matrix, ws: &mut AeWorkspace, out: &mut Vec<f32>) {
-        let y = self.forward_into(x, ws);
-        let ks = KernelSet::active();
-        out.reserve(x.rows);
-        for r in 0..x.rows {
-            let err = ks.sum_abs_diff(x.row(r), y.row(r));
-            out.push(err / x.cols as f32);
-        }
-    }
-}
-
-/// Int8 counterpart of [`PackedGru`]: the `3H×I` input and `3H×H`
-/// recurrent projections run on the int8 GEMM; biases, gate sigmoids and
-/// the hidden-state update stay on the f32 gate kernel. Feeding packets
-/// one at a time through [`step`](Self::step) is bitwise identical to one
-/// [`run`](Self::run) over the whole sequence, exactly like the f32
-/// engine (both quantize each activation row independently and share the
-/// dot kernels).
-#[derive(Debug, Clone)]
-pub struct QuantPackedGru {
-    w: QuantMatrix,
-    u: QuantMatrix,
-    b: Vec<f32>,
-    hidden: usize,
-}
-
-impl QuantPackedGru {
-    /// Quantizes a gate-packed cell's projection matrices — from their
-    /// row-major values, which the f32 panels hold bit for bit, so the
-    /// codes do not depend on the f32 layout.
-    pub fn quantize(p: &PackedGru) -> QuantPackedGru {
-        QuantPackedGru {
-            w: QuantMatrix::quantize(&p.w.unpack()),
-            u: QuantMatrix::quantize(&p.u.unpack()),
-            b: p.b.clone(),
-            hidden: p.hidden,
-        }
-    }
-
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
-    }
-
-    pub fn input_size(&self) -> usize {
-        self.w.cols
-    }
-
-    /// Int8 twin of [`PackedGru::run`] over the same [`GruWorkspace`].
-    pub fn run(&self, xs: &Matrix, ws: &mut GruWorkspace) {
-        let hidden = self.hidden;
-        let steps = xs.rows;
-        debug_assert_eq!(xs.cols, self.input_size());
-
-        self.w.matmul_nt_into(xs, &mut ws.qa, &mut ws.xp);
-        for r in 0..steps {
-            let row = ws.xp.row_mut(r);
-            for (v, &bv) in row.iter_mut().zip(&self.b) {
-                *v += bv;
-            }
-        }
-
-        ws.hs.resize(steps, hidden);
-        ws.zs.resize(steps, hidden);
-        ws.rs.resize(steps, hidden);
-        ws.up.resize(3 * hidden, 0.0);
-        ws.h.clear();
-        ws.h.resize(hidden, 0.0);
-
-        let ks = KernelSet::active();
-        for t in 0..steps {
-            self.u.matvec_into(&ws.h, &mut ws.qa, &mut ws.up);
-            ks.gru_gates(
-                ws.xp.row(t),
-                &ws.up,
-                &mut ws.h,
-                ws.zs.row_mut(t),
-                ws.rs.row_mut(t),
-            );
-            ws.hs.row_mut(t).copy_from_slice(&ws.h);
-        }
-    }
-
-    /// Int8 twin of [`PackedGru::step`] over the same [`GruStepScratch`].
-    pub fn step(
-        &self,
-        x: &[f32],
-        h: &mut [f32],
-        scratch: &mut GruStepScratch,
-        z: &mut [f32],
-        r: &mut [f32],
-    ) {
-        let hidden = self.hidden;
-        debug_assert_eq!(x.len(), self.input_size());
-        debug_assert_eq!(h.len(), hidden);
-        scratch.xp.resize(3 * hidden, 0.0);
-        scratch.up.resize(3 * hidden, 0.0);
-
-        self.w.matvec_into(x, &mut scratch.qa, &mut scratch.xp);
-        for (v, &bv) in scratch.xp.iter_mut().zip(&self.b) {
-            *v += bv;
-        }
-        self.u.matvec_into(h, &mut scratch.qa, &mut scratch.up);
-        KernelSet::active().gru_gates(&scratch.xp, &scratch.up, h, z, r);
-    }
-
-    /// Int8 twin of [`PackedGru::step_batch`]: one GRU step for `B`
-    /// independent flows at once. Because the int8 GEMM quantizes each
-    /// activation row independently and scores it through the exact
-    /// per-row path of [`QuantMatrix::matvec_into`], every row of the
-    /// batch is bitwise identical to a separate [`step`](Self::step)
-    /// call with that flow's `x`/`h` — the invariant the micro-batched
-    /// streaming path relies on.
-    pub fn step_batch(
-        &self,
-        xs: &Matrix,
-        hs: &mut Matrix,
-        scratch: &mut GruBatchScratch,
-        zs: &mut Matrix,
-        rs: &mut Matrix,
-    ) {
-        let hidden = self.hidden;
-        let b = xs.rows;
-        debug_assert_eq!(xs.cols, self.input_size());
-        debug_assert_eq!(hs.rows, b);
-        debug_assert_eq!(hs.cols, hidden);
-
-        self.w.matmul_nt_into(xs, &mut scratch.qa, &mut scratch.xp);
-        for i in 0..b {
-            let row = scratch.xp.row_mut(i);
-            for (v, &bv) in row.iter_mut().zip(&self.b) {
-                *v += bv;
-            }
-        }
-        self.u.matmul_nt_into(hs, &mut scratch.qa, &mut scratch.up);
-
-        zs.resize(b, hidden);
-        rs.resize(b, hidden);
-        let ks = KernelSet::active();
-        for i in 0..b {
-            ks.gru_gates(
-                scratch.xp.row(i),
-                scratch.up.row(i),
-                hs.row_mut(i),
-                zs.row_mut(i),
-                rs.row_mut(i),
-            );
-        }
-    }
-}
-
-/// A GRU inference engine at either precision, so the scoring paths hold
-/// one value and stay agnostic of the mode. Both variants share
-/// [`GruWorkspace`]/[`GruStepScratch`] and the step == run bitwise
-/// guarantee.
-#[derive(Debug, Clone)]
-pub enum GruEngine {
-    F32(PackedGru),
-    Int8(QuantPackedGru),
-}
-
-impl GruEngine {
-    /// Wraps packed weights at the requested precision (quantizing for
-    /// [`QuantMode::Int8`]).
-    pub fn from_packed(packed: PackedGru, mode: QuantMode) -> GruEngine {
+impl PackedWeights {
+    pub(crate) fn pack(m: &Matrix, mode: QuantMode) -> PackedWeights {
         match mode {
-            QuantMode::Off => GruEngine::F32(packed),
-            QuantMode::Int8 => GruEngine::Int8(QuantPackedGru::quantize(&packed)),
+            QuantMode::Off => PackedWeights::F32(PanelMatrix::pack(m)),
+            QuantMode::Int8 => PackedWeights::Int8(QuantMatrix::quantize(m)),
         }
     }
 
-    pub fn mode(&self) -> QuantMode {
+    /// The same weights at `mode`. Quantizing reads the row-major values
+    /// the f32 panels hold bit for bit, so the codes do not depend on the
+    /// f32 layout; the way back is the (lossy) dequantized matrix.
+    pub(crate) fn at(self, mode: QuantMode) -> PackedWeights {
+        match (self, mode) {
+            (PackedWeights::F32(p), QuantMode::Int8) => PackedWeights::pack(&p.unpack(), mode),
+            (PackedWeights::Int8(q), QuantMode::Off) => PackedWeights::pack(&q.dequantize(), mode),
+            (same, _) => same,
+        }
+    }
+
+    pub(crate) fn mode(&self) -> QuantMode {
         match self {
-            GruEngine::F32(_) => QuantMode::Off,
-            GruEngine::Int8(_) => QuantMode::Int8,
+            PackedWeights::F32(_) => QuantMode::Off,
+            PackedWeights::Int8(_) => QuantMode::Int8,
         }
     }
 
-    pub fn hidden_size(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         match self {
-            GruEngine::F32(p) => p.hidden_size(),
-            GruEngine::Int8(q) => q.hidden_size(),
+            PackedWeights::F32(p) => p.rows,
+            PackedWeights::Int8(q) => q.rows,
         }
     }
 
-    pub fn input_size(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         match self {
-            GruEngine::F32(p) => p.input_size(),
-            GruEngine::Int8(q) => q.input_size(),
+            PackedWeights::F32(p) => p.cols,
+            PackedWeights::Int8(q) => q.cols,
         }
     }
 
-    pub fn run(&self, xs: &Matrix, ws: &mut GruWorkspace) {
+    /// `y = self · x`. `qa` holds the activation codes at int8 (see
+    /// [`QuantMatrix::matvec_into`]) and is left alone at f32.
+    pub(crate) fn matvec_into(&self, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
         match self {
-            GruEngine::F32(p) => p.run(xs, ws),
-            GruEngine::Int8(q) => q.run(xs, ws),
+            PackedWeights::F32(p) => p.matvec_into(x, y),
+            PackedWeights::Int8(q) => q.matvec_into(x, qa, y),
         }
     }
 
-    pub fn step(
-        &self,
-        x: &[f32],
-        h: &mut [f32],
-        scratch: &mut GruStepScratch,
-        z: &mut [f32],
-        r: &mut [f32],
-    ) {
+    /// `C = A · selfᵀ`, each row of `A` through the call
+    /// [`matvec_into`](Self::matvec_into) makes for it alone.
+    pub(crate) fn matmul_nt_into(&self, a: &Matrix, qa: &mut Vec<u8>, c: &mut Matrix) {
         match self {
-            GruEngine::F32(p) => p.step(x, h, scratch, z, r),
-            GruEngine::Int8(q) => q.step(x, h, scratch, z, r),
-        }
-    }
-
-    /// One GRU step for `B` independent flows at once (row `i` of
-    /// `xs`/`hs`/`zs`/`rs` belongs to flow `i`). At both precisions each
-    /// row is bitwise identical to a separate [`step`](Self::step) call.
-    pub fn step_batch(
-        &self,
-        xs: &Matrix,
-        hs: &mut Matrix,
-        scratch: &mut GruBatchScratch,
-        zs: &mut Matrix,
-        rs: &mut Matrix,
-    ) {
-        match self {
-            GruEngine::F32(p) => p.step_batch(xs, hs, scratch, zs, rs),
-            GruEngine::Int8(q) => q.step_batch(xs, hs, scratch, zs, rs),
-        }
-    }
-}
-
-/// An autoencoder inference engine at either precision. Both variants own
-/// a packed copy of the weights built once in
-/// [`from_model`](Self::from_model) — f32 panels (≈700 kB at the paper's
-/// sizes) or int8 panels — so build one engine per scorer, not per
-/// connection; the f32 variant still borrows biases and activations from
-/// the trained model, which stays the source of truth.
-#[derive(Debug, Clone)]
-pub enum AeEngine<'a> {
-    F32(PackedAutoencoder<'a>),
-    Int8(QuantAutoencoder),
-}
-
-impl<'a> AeEngine<'a> {
-    /// Packs the trained autoencoder at the requested precision.
-    pub fn from_model(ae: &'a Autoencoder, mode: QuantMode) -> AeEngine<'a> {
-        match mode {
-            QuantMode::Off => AeEngine::F32(PackedAutoencoder::pack(ae)),
-            QuantMode::Int8 => AeEngine::Int8(QuantAutoencoder::quantize(ae)),
-        }
-    }
-
-    pub fn mode(&self) -> QuantMode {
-        match self {
-            AeEngine::F32(_) => QuantMode::Off,
-            AeEngine::Int8(_) => QuantMode::Int8,
-        }
-    }
-
-    /// Per-row mean absolute reconstruction error, appended to `out`.
-    pub fn reconstruction_errors_into(&self, x: &Matrix, ws: &mut AeWorkspace, out: &mut Vec<f32>) {
-        match self {
-            AeEngine::F32(ae) => ae.reconstruction_errors_into(x, ws, out),
-            AeEngine::Int8(q) => q.reconstruction_errors_into(x, ws, out),
+            PackedWeights::F32(p) => p.matmul_nt_into(a, c),
+            PackedWeights::Int8(q) => q.matmul_nt_into(a, qa, c),
         }
     }
 }
@@ -757,9 +489,6 @@ impl<'a> AeEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gru::GruCell;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn activation_quantization_round_trips_within_half_step() {
@@ -1036,68 +765,6 @@ mod tests {
         assert_eq!(c.row(0), y.as_slice());
     }
 
-    #[test]
-    fn quant_gru_step_matches_run_bitwise() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let cell = GruCell::new(6, 10, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        let q = QuantPackedGru::quantize(&packed);
-        let mut ws = GruWorkspace::new();
-        let mut scratch = GruStepScratch::new();
-        for seq in [1usize, 3, 9, 40] {
-            let mut xs = Matrix::zeros(seq, 6);
-            for t in 0..seq {
-                for i in 0..6 {
-                    xs.set(t, i, ((t * 6 + i) as f32 * 0.37).sin() * 0.5);
-                }
-            }
-            q.run(&xs, &mut ws);
-            let mut h = vec![0.0f32; 10];
-            let mut z = vec![0.0f32; 10];
-            let mut r = vec![0.0f32; 10];
-            for t in 0..seq {
-                q.step(xs.row(t), &mut h, &mut scratch, &mut z, &mut r);
-                assert_eq!(h.as_slice(), ws.hs.row(t), "h diverged at t={t}");
-                assert_eq!(z.as_slice(), ws.zs.row(t), "z diverged at t={t}");
-                assert_eq!(r.as_slice(), ws.rs.row(t), "r diverged at t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn quant_ae_single_rows_match_batch_bitwise() {
-        let ae = Autoencoder::new(&[12, 7, 4, 7, 12], 3);
-        let q = QuantAutoencoder::quantize(&ae);
-        let x = Matrix::from_fn(5, 12, |r, c| ((r * 12 + c) as f32 * 0.23).sin());
-        let mut ws = AeWorkspace::new();
-        let mut batch = Vec::new();
-        q.reconstruction_errors_into(&x, &mut ws, &mut batch);
-        assert_eq!(batch.len(), 5);
-        for (r, &expected) in batch.iter().enumerate() {
-            let row = Matrix::from_vec(1, 12, x.row(r).to_vec());
-            let mut single = Vec::new();
-            q.reconstruction_errors_into(&row, &mut ws, &mut single);
-            assert_eq!(single[0], expected, "row {r}: 1-row pass != batched");
-        }
-    }
-
-    #[test]
-    fn quant_ae_tracks_f32_reconstruction() {
-        // A trained-ish AE is not needed: any fixed network must
-        // reconstruct *similarly* at int8 — the drift is quantization
-        // noise, not a different function.
-        let ae = Autoencoder::new(&[16, 8, 16], 7);
-        let q = QuantAutoencoder::quantize(&ae);
-        let x = Matrix::from_fn(6, 16, |r, c| ((r * 16 + c) as f32 * 0.31).cos() * 0.9);
-        let f = ae.reconstruction_errors(&x);
-        let mut ws = AeWorkspace::new();
-        let mut qe = Vec::new();
-        q.reconstruction_errors_into(&x, &mut ws, &mut qe);
-        for (a, b) in f.iter().zip(&qe) {
-            assert!((a - b).abs() < 0.02, "drift too large: f32 {a} vs int8 {b}");
-        }
-    }
-
     /// One adversarially-inflated element in a long row must not stretch
     /// the activation grid: the clip planner saturates the spike to code
     /// 127 and keeps near-full resolution for the honest body.
@@ -1143,74 +810,5 @@ mod tests {
         let act = quantize_activations(&short, &mut qa);
         let min = short.iter().cloned().fold(f32::MAX, f32::min);
         assert_eq!(act.scale, (50.0 - min) / ACT_LEVELS);
-    }
-
-    /// Int8 twin of the f32 `step_batch` pin: batching B live flows
-    /// through one GEMM must be bitwise identical to stepping each flow
-    /// on its own.
-    #[test]
-    fn quant_step_batch_matches_per_flow_step_bitwise() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let cell = GruCell::new(6, 10, &mut rng);
-        let q = QuantPackedGru::quantize(&PackedGru::pack(&cell));
-        let mut scratch = GruStepScratch::new();
-        let mut batch_scratch = GruBatchScratch::new();
-        for b in [0usize, 1, 3, 4, 7, 16] {
-            // Per-flow reference: distinct mid-flow hidden states.
-            let mut xs = Matrix::zeros(b, 6);
-            let mut hs = Matrix::zeros(b, 10);
-            for f in 0..b {
-                for i in 0..6 {
-                    xs.set(f, i, ((f * 6 + i) as f32 * 0.29).cos());
-                }
-                for i in 0..10 {
-                    hs.set(f, i, ((f * 10 + i) as f32 * 0.13).sin() * 0.8);
-                }
-            }
-            let mut want_h = Vec::new();
-            let mut want_z = Vec::new();
-            let mut want_r = Vec::new();
-            for f in 0..b {
-                let mut h = hs.row(f).to_vec();
-                let mut z = vec![0.0f32; 10];
-                let mut r = vec![0.0f32; 10];
-                q.step(xs.row(f), &mut h, &mut scratch, &mut z, &mut r);
-                want_h.push(h);
-                want_z.push(z);
-                want_r.push(r);
-            }
-            let mut zs = Matrix::default();
-            let mut rs = Matrix::default();
-            q.step_batch(&xs, &mut hs, &mut batch_scratch, &mut zs, &mut rs);
-            for f in 0..b {
-                assert_eq!(hs.row(f), want_h[f].as_slice(), "h row {f} (b={b})");
-                assert_eq!(zs.row(f), want_z[f].as_slice(), "z row {f} (b={b})");
-                assert_eq!(rs.row(f), want_r[f].as_slice(), "r row {f} (b={b})");
-            }
-        }
-    }
-
-    #[test]
-    fn engines_report_their_mode() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let cell = GruCell::new(3, 4, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        assert_eq!(
-            GruEngine::from_packed(packed.clone(), QuantMode::Off).mode(),
-            QuantMode::Off
-        );
-        let int8 = GruEngine::from_packed(packed, QuantMode::Int8);
-        assert_eq!(int8.mode(), QuantMode::Int8);
-        assert_eq!(int8.hidden_size(), 4);
-        assert_eq!(int8.input_size(), 3);
-        let ae = Autoencoder::new(&[4, 2, 4], 1);
-        assert_eq!(
-            AeEngine::from_model(&ae, QuantMode::Off).mode(),
-            QuantMode::Off
-        );
-        assert_eq!(
-            AeEngine::from_model(&ae, QuantMode::Int8).mode(),
-            QuantMode::Int8
-        );
     }
 }

@@ -3,7 +3,7 @@
 //! Every dense kernel the scoring engine runs on — the dot products behind
 //! [`Matrix::matvec_into`]/[`Matrix::matmul_nt_into`], the axpy update
 //! behind the training GEMMs, the fused GRU gate block of
-//! [`PackedGru::run`]/[`PackedGru::step`], the dense layer's bias +
+//! [`PackedGru::step`]/[`PackedGru::step_batch`], the dense layer's bias +
 //! activation epilogue, the autoencoder's L1 error reduction, the f32
 //! engines' panel GEMV, and the int8 engine's panel GEMV and activation
 //! scan/encode/decode — is a function pointer in a [`KernelSet`]. Four sets
@@ -44,12 +44,13 @@
 //! SIMD results differ from scalar only by float reassociation, fused
 //! multiply-adds and the polynomial `exp` (all bounded to 1e-6 by the
 //! property tests); within one set the kernels are deterministic, which is
-//! what keeps step-by-step streaming bitwise identical to batched runs.
+//! what keeps a row scored in a batch bitwise identical to that row scored
+//! alone.
 //!
 //! [`Matrix::matvec_into`]: crate::Matrix::matvec_into
 //! [`Matrix::matmul_nt_into`]: crate::Matrix::matmul_nt_into
-//! [`PackedGru::run`]: crate::PackedGru::run
 //! [`PackedGru::step`]: crate::PackedGru::step
+//! [`PackedGru::step_batch`]: crate::PackedGru::step_batch
 
 use crate::dense::Activation;
 use crate::quant::ActQuant;

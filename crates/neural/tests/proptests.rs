@@ -1,10 +1,10 @@
 //! Property-based tests for the neural substrate.
 
 use neural::dense::Activation;
-use neural::quant::{self, ActQuant, QuantMatrix, QuantPackedGru};
+use neural::quant::{self, ActQuant, QuantMatrix, QuantMode};
 use neural::{
-    softmax_cross_entropy, softmax_inplace, Autoencoder, GruCell, GruWorkspace, KernelSet, Matrix,
-    PackedGru, PanelMatrix,
+    softmax_cross_entropy, softmax_inplace, Autoencoder, GruBatchScratch, GruCell, GruEngine,
+    GruStepScratch, KernelSet, Matrix, PackedGru, PanelMatrix,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -143,7 +143,8 @@ proptest! {
     }
 
     /// Fused-engine equivalence over random shapes and inputs: the packed
-    /// GRU reproduces the reference forward pass within 1e-6.
+    /// GRU, stepped packet by packet, reproduces the reference forward
+    /// pass within 1e-6.
     #[test]
     fn packed_gru_matches_reference(
         seed in 0u64..300,
@@ -157,48 +158,48 @@ proptest! {
             .map(|t| (0..input).map(|i| ((t * input + i) as f32 * 0.41 + seed as f32).sin()).collect())
             .collect();
         let trace = cell.forward(&xs);
-        let mut x = Matrix::zeros(steps, input);
-        for (t, row) in xs.iter().enumerate() {
-            x.row_mut(t).copy_from_slice(row);
-        }
+        prop_assert_eq!(trace.len(), steps);
         let packed = PackedGru::pack(&cell);
-        let mut ws = GruWorkspace::new();
-        packed.run(&x, &mut ws);
-        prop_assert_eq!(ws.len(), steps);
-        for t in 0..steps {
+        let mut scratch = GruStepScratch::new();
+        let (mut h, mut z, mut r) = (vec![0.0f32; hidden], vec![0.0f32; hidden], vec![0.0f32; hidden]);
+        for (t, x) in xs.iter().enumerate() {
+            packed.step(x, &mut h, &mut scratch, &mut z, &mut r);
             for i in 0..hidden {
-                prop_assert!((trace.hs[t][i] - ws.hs.get(t, i)).abs() < 1e-6);
-                prop_assert!((trace.zs[t][i] - ws.zs.get(t, i)).abs() < 1e-6);
-                prop_assert!((trace.rs[t][i] - ws.rs.get(t, i)).abs() < 1e-6);
+                prop_assert!((trace.hs[t][i] - h[i]).abs() < 1e-6);
+                prop_assert!((trace.zs[t][i] - z[i]).abs() < 1e-6);
+                prop_assert!((trace.rs[t][i] - r[i]).abs() < 1e-6);
             }
         }
     }
 
-    /// Workspace reuse across random mixes of sequence lengths never
-    /// changes results: every run through a shared arena is bitwise equal
-    /// to a run through a fresh one.
+    /// Scratch reuse across random mixes of sequence lengths never changes
+    /// results, at either precision: every sequence stepped through a
+    /// shared scratch is bitwise the sequence stepped through a fresh one.
     #[test]
-    fn gru_workspace_reuse_never_changes_results(
+    fn gru_scratch_reuse_never_changes_results(
         seed in 0u64..200,
+        int8 in any::<bool>(),
         lens in prop::collection::vec(0usize..24, 1..8),
     ) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x60);
         let cell = GruCell::new(5, 11, &mut rng);
-        let packed = PackedGru::pack(&cell);
-        let mut shared = GruWorkspace::new();
+        let mode = if int8 { QuantMode::Int8 } else { QuantMode::Off };
+        let gru = GruEngine::from_packed(PackedGru::pack(&cell), mode);
+        let mut shared = GruStepScratch::new();
         for (k, &len) in lens.iter().enumerate() {
-            let mut x = Matrix::zeros(len, 5);
+            let mut fresh = GruStepScratch::new();
+            let mut a = [vec![0.0f32; 11], vec![0.0f32; 11], vec![0.0f32; 11]];
+            let mut b = a.clone();
             for t in 0..len {
-                for i in 0..5 {
-                    x.set(t, i, ((t * 5 + i + k) as f32 * 0.29 + seed as f32 * 0.01).cos());
-                }
+                let x: Vec<f32> = (0..5)
+                    .map(|i| ((t * 5 + i + k) as f32 * 0.29 + seed as f32 * 0.01).cos())
+                    .collect();
+                let [h, z, r] = &mut a;
+                gru.step(&x, h, &mut shared, z, r);
+                let [h, z, r] = &mut b;
+                gru.step(&x, h, &mut fresh, z, r);
+                prop_assert_eq!(&a, &b, "len {} at position {}, t={}", len, k, t);
             }
-            packed.run(&x, &mut shared);
-            let mut fresh = GruWorkspace::new();
-            packed.run(&x, &mut fresh);
-            prop_assert_eq!(&shared.hs, &fresh.hs, "len {} at position {}", len, k);
-            prop_assert_eq!(&shared.zs, &fresh.zs);
-            prop_assert_eq!(&shared.rs, &fresh.rs);
         }
     }
 
@@ -474,36 +475,36 @@ proptest! {
         }
     }
 
-    /// Int8 streaming == int8 batch, the quantized twin of the PackedGru
-    /// invariant: stepping one packet at a time is bitwise identical to
-    /// one batched run, for any shape including remainder lanes.
+    /// Int8 batched stepping == int8 per-flow stepping, for any shape
+    /// including remainder lanes: every row of a `step_batch` is bitwise
+    /// the `step` of that flow alone, mid-flow hidden states included.
     #[test]
-    fn quant_gru_step_matches_run_bitwise(
+    fn quant_gru_step_batch_matches_step_bitwise(
         seed in 0u64..300,
         input in 1usize..9,
         hidden in 1usize..17,
-        steps in 1usize..12,
+        flows in 1usize..12,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cell = GruCell::new(input, hidden, &mut rng);
-        let q = QuantPackedGru::quantize(&PackedGru::pack(&cell));
-        let mut xs = Matrix::zeros(steps, input);
-        for t in 0..steps {
-            for i in 0..input {
-                xs.set(t, i, ((t * input + i) as f32 * 0.41 + seed as f32).sin());
-            }
+        let q = GruEngine::from_packed(PackedGru::pack(&cell), QuantMode::Int8);
+        let xs = Matrix::from_fn(flows, input, |f, i| ((f * input + i) as f32 * 0.41 + seed as f32).sin());
+        let mut hs = Matrix::from_fn(flows, hidden, |f, i| ((f * hidden + i) as f32 * 0.13).sin() * 0.8);
+        let mut scratch = GruStepScratch::new();
+        let mut want = Vec::new();
+        for f in 0..flows {
+            let mut h = hs.row(f).to_vec();
+            let mut z = vec![0.0f32; hidden];
+            let mut r = vec![0.0f32; hidden];
+            q.step(xs.row(f), &mut h, &mut scratch, &mut z, &mut r);
+            want.push([h, z, r]);
         }
-        let mut ws = GruWorkspace::new();
-        q.run(&xs, &mut ws);
-        let mut h = vec![0.0f32; hidden];
-        let mut z = vec![0.0f32; hidden];
-        let mut r = vec![0.0f32; hidden];
-        let mut scratch = neural::GruStepScratch::new();
-        for t in 0..steps {
-            q.step(xs.row(t), &mut h, &mut scratch, &mut z, &mut r);
-            prop_assert_eq!(h.as_slice(), ws.hs.row(t), "h diverged at t={}", t);
-            prop_assert_eq!(z.as_slice(), ws.zs.row(t), "z diverged at t={}", t);
-            prop_assert_eq!(r.as_slice(), ws.rs.row(t), "r diverged at t={}", t);
+        let (mut zs, mut rs) = (Matrix::default(), Matrix::default());
+        q.step_batch(&xs, &mut hs, &mut GruBatchScratch::new(), &mut zs, &mut rs);
+        for (f, [h, z, r]) in want.iter().enumerate() {
+            prop_assert_eq!(hs.row(f), h.as_slice(), "h diverged at flow {}", f);
+            prop_assert_eq!(zs.row(f), z.as_slice(), "z diverged at flow {}", f);
+            prop_assert_eq!(rs.row(f), r.as_slice(), "r diverged at flow {}", f);
         }
     }
 

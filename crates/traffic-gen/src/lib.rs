@@ -150,7 +150,7 @@ pub fn mixed_dataset(seed: u64, n: usize) -> Vec<Connection> {
 }
 
 /// Serializes connections into raw capture records `(timestamp, wire
-/// bytes)`, interleaved by timestamp — the shape [`net_packet::write_pcap_raw`]
+/// bytes)`, interleaved by timestamp — the shape [`net_packet::pcap::write_pcap_raw`]
 /// consumes. When `fragment_over` is set, IPv4 datagrams larger than that
 /// many wire bytes are split with [`net_packet::fragment_datagram`]; the
 /// fragments keep the datagram's capture timestamp plus a sub-microsecond

@@ -103,7 +103,10 @@ fn main() {
         f32_t.as_secs_f64() / i8_t.as_secs_f64(),
     );
 
-    // Large-batch GEMM (the concatenated score_batch shape).
+    // Large-batch GEMM. No scorer sends this shape (offline scoring goes
+    // packet by packet, the micro-batch flush sends ≤ 16 rows); it is the
+    // row-by-row figure a register-blocked M-row panel GEMM would be
+    // measured against.
     for (rows, cols, outs) in [
         (8000usize, 345usize, 192usize),
         (8000, 192, 96),

@@ -2,7 +2,7 @@
 //! localize loop, exercised exactly as a downstream user would.
 
 use clap_repro::baselines::{KitsuneConfig, KitsuneLite};
-use clap_repro::clap_core::{auc_roc, Clap, ClapConfig, StreamConfig};
+use clap_repro::clap_core::{auc_roc, Clap, ClapConfig, QuantMode, StreamConfig};
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
 use clap_repro::traffic_gen;
 
@@ -106,13 +106,13 @@ fn localization_finds_injected_packets() {
     );
 }
 
-/// The default (f32) engines three ways, on the quickstart model: packets
-/// pushed one at a time through a `StreamScorer`, whole connections through
-/// a `ClapScorer`, and the seed-era unfused reference. Stream and batch
-/// send every row alone through the same panel-GEMV call, so they agree
-/// bitwise; both stay within 1e-6 of the reference.
+/// Both engine precisions, on the quickstart model: packets pushed one at a
+/// time through a `StreamScorer` and whole connections through a
+/// `ClapScorer` run the same per-packet core, so they agree bitwise — what
+/// this pins is the flow table around it (orientation, padding, draining).
+/// The f32 engines also stay within 1e-6 of the seed-era unfused reference.
 #[test]
-fn f32_streaming_equals_batch_and_tracks_the_unfused_reference() {
+fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_unfused_reference() {
     let benign = traffic_gen::dataset(42, 120);
     let (clap, _) = Clap::train(&benign, &ClapConfig::ci());
     let unseen = traffic_gen::dataset(44, 5);
@@ -123,33 +123,39 @@ fn f32_streaming_equals_batch_and_tracks_the_unfused_reference() {
         .collect();
     assert!(!attacked.is_empty());
 
-    let mut batch = clap.scorer();
-    // An attacked connection keeps its victim's 4-tuple: one table each.
-    for conns in [&unseen, &attacked] {
-        let mut stream = clap.stream_scorer_with(StreamConfig {
-            // Score past teardown, like batch scoring of a full capture.
-            teardown_on_close: false,
-            ..StreamConfig::default()
-        });
-        for packet in conns.iter().flat_map(|c| &c.packets) {
-            stream.push(packet);
-        }
-        let closed = stream.finish();
-        assert_eq!(closed.len(), conns.len(), "one flow per connection");
-        for conn in conns {
-            let streamed = &closed.iter().find(|f| f.key == conn.key).unwrap().scored;
-            let batched = batch.score_connection(conn);
-            let bits = |errors: &[f32]| errors.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&streamed.window_errors), bits(&batched.window_errors));
-            assert_eq!(streamed.score.to_bits(), batched.score.to_bits());
-            assert_eq!(streamed.peak_packet, batched.peak_packet);
-
-            let unfused = clap.score_connection_unfused(conn);
-            assert_eq!(batched.window_errors.len(), unfused.window_errors.len());
-            for (b, u) in batched.window_errors.iter().zip(&unfused.window_errors) {
-                assert!((b - u).abs() <= 1e-6, "fused {b} vs unfused {u}");
+    for quant in [QuantMode::Off, QuantMode::Int8] {
+        let mut batch = clap.scorer_with(quant);
+        // An attacked connection keeps its victim's 4-tuple: one table each.
+        for conns in [&unseen, &attacked] {
+            let mut stream = clap.stream_scorer_with(StreamConfig {
+                // Score past teardown, like batch scoring of a full capture.
+                teardown_on_close: false,
+                quant,
+                ..StreamConfig::default()
+            });
+            for packet in conns.iter().flat_map(|c| &c.packets) {
+                stream.push(packet);
             }
-            assert!((batched.score - unfused.score).abs() <= 1e-6);
+            let closed = stream.finish();
+            assert_eq!(closed.len(), conns.len(), "one flow per connection");
+            for conn in conns {
+                let streamed = &closed.iter().find(|f| f.key == conn.key).unwrap().scored;
+                let batched = batch.score_connection(conn);
+                let bits = |errors: &[f32]| errors.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&streamed.window_errors), bits(&batched.window_errors));
+                assert_eq!(streamed.score.to_bits(), batched.score.to_bits());
+                assert_eq!(streamed.peak_packet, batched.peak_packet);
+                if quant != QuantMode::Off {
+                    continue;
+                }
+
+                let unfused = clap.score_connection_unfused(conn);
+                assert_eq!(batched.window_errors.len(), unfused.window_errors.len());
+                for (b, u) in batched.window_errors.iter().zip(&unfused.window_errors) {
+                    assert!((b - u).abs() <= 1e-6, "fused {b} vs unfused {u}");
+                }
+                assert!((batched.score - unfused.score).abs() <= 1e-6);
+            }
         }
     }
 }
