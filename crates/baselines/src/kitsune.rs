@@ -385,16 +385,6 @@ impl KitsuneLite {
         }
     }
 
-    /// Per-packet anomaly scores (output-AE reconstruction errors).
-    ///
-    /// Convenience wrapper building a fresh [`KitsuneScorer`]; loops
-    /// should create one via [`KitsuneLite::scorer`] and reuse it.
-    pub fn packet_scores(&self, conn: &Connection) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.scorer().packet_scores_into(conn, &mut out);
-        out
-    }
-
     /// Connection-level score via the same localize-and-estimate summary
     /// CLAP uses (fair comparison).
     pub fn score_connection(&self, conn: &Connection) -> ScoredConnection {

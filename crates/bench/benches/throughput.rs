@@ -34,13 +34,6 @@ fn bench_scoring(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    group.bench_function("clap_unfused", |b| {
-        b.iter_batched(
-            || corpus.clone(),
-            |conns| clap.score_connections_unfused(&conns),
-            BatchSize::LargeInput,
-        )
-    });
     group.bench_function("baseline1", |b| {
         b.iter_batched(
             || corpus.clone(),

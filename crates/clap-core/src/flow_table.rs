@@ -1,0 +1,877 @@
+//! The flow table — *which flows exist and when they leave*: key index,
+//! slab of per-flow [`Slot`]s, vacant-slot free list, expiry timers and
+//! capacity probe, built for millions of concurrent flows. It never
+//! scores and knows no neural type — a flow's GRU state lives in a
+//! parallel arena its owner ([`StreamScorer`](crate::StreamScorer))
+//! indexes by the same handle, which is why [`FlowTable::open`] says
+//! whether a handle is recycled or new, and why the table only *names*
+//! the flows to close ([`expired`](FlowTable::expired),
+//! [`probe_stalest`](FlowTable::probe_stalest)): the owner finalizes
+//! what it keeps for the handle, then calls [`FlowTable::remove`].
+//!
+//! **Slab + handle map.** Flow state lives in a dense `Vec<Slot>` slab
+//! addressed by a `u32` handle (216 bytes a slot on 64-bit targets,
+//! const-asserted below); the `CanonicalKey → handle` index is a std
+//! `HashMap` whose entry `(CanonicalKey, u32)` is **96 bytes** — a
+//! canonical key is two 16-byte-aligned `(u128 address, port)` pairs plus
+//! the protocol — which at hashbrown's 7/8 load factor and power-of-two
+//! bucket counts is 111–222 bytes per live flow (≈199 at the benchmark's
+//! 16 k-flow plateau). Departed slots go on an intrusive free list
+//! (reusing the wheel's `next` link) and are recycled in place — eviction
+//! and admission never reallocate at steady state, slab iteration is
+//! cache-linear, and [`FlowTable::slots`] is exactly the peak concurrent
+//! flow count. The slab grows by doubling, clamped to the configured
+//! table size so capacity never overshoots it by more than 2× below the
+//! cap and not at all at it.
+//!
+//! **Timing wheel.** Idle eviction and TIME_WAIT linger expiry share one
+//! hierarchical timing wheel: 4 levels × 64 slots, level `l` covering
+//! `64^(l+1)` ticks, one tick = `min(idle_timeout, time_wait)/512` seconds
+//! (clamped to `[1 ms, 60 s]`). A flow's timer is an intrusive
+//! doubly-linked node threaded through its own slab slot, so arming,
+//! re-arming (every packet) and cancelling are O(1) pointer splices, and
+//! re-arming into the unchanged wheel slot — the overwhelmingly common
+//! case, since a deadline moves only `granularity`-fraction per packet —
+//! is a no-op. Timers are *lazy*: a slot stores no deadline, it is
+//! recomputed from `last_seen` at fire time, so a timer that fires early
+//! (coarse high-level slots, stale same-slot re-arms) is simply re-armed
+//! at its true remaining delta. The wheel only advances when the owner
+//! asks what [`expired`](FlowTable::expired) (at its sweep boundaries, on
+//! the max-timestamp stream clock); each advance detaches every list the
+//! per-level cursors passed — at most one full revolution per level, so a
+//! multi-hour clock jump costs O(levels × 64), not O(elapsed) — plus the
+//! current tick's level-0 slot, which is how deadlines landing *inside*
+//! the current tick still get their exact `last_seen < clock − timeout`
+//! recheck at every boundary. Leaving a tick drains that tick's level-0
+//! slot as part of the advance: a timer re-armed *into* the current tick
+//! (its deadline already inside it) lives in a slot the per-level pass
+//! never revisits, and would otherwise sit out a full 64-tick revolution.
+//!
+//! **One expiry predicate.** [`EvictionMode::Wheel`] and the full-scan
+//! [`EvictionMode::Sweep`] reference differ only in where candidates come
+//! from — the timers the advance detached, or every live slot. Both feed
+//! the same `last_seen < clock − timeout` test, at the same boundaries,
+//! and a wheel timer that outlives an early fire is re-armed, never
+//! dropped; so the two report identical flow sets (pinned by proptest,
+//! here against a model of the table and in `tests/proptests.rs` through
+//! a whole scorer).
+//!
+//! **Per-flow memory** at Table-6 sizes (`H = 32`, `stack = 3`, 115-float
+//! profiles): 111–222 B of index, a 216 B slot, the flow's error log
+//! (4 B per window it has emitted), and — in the owner's arena — resident
+//! state of `32 + 2×115` floats = 1048 B at f32 or as many codes plus 3
+//! quant pairs = 286 B at int8. Measured at a churn plateau with slab and
+//! index at their clamped capacities: ≈1470 B/flow f32-resident, ≈720–740
+//! int8-resident. [`FlowTable::heap_bytes`] is the table's share of
+//! [`StreamScorer::mem_bytes`](crate::StreamScorer::mem_bytes).
+
+use crate::features::FeatureExtractor;
+use net_packet::{CanonicalKey, Direction, FlowKey, Packet};
+use std::collections::HashMap;
+use tcp_state::FlowTracker;
+
+/// How idle (and TIME_WAIT-linger) expiry walks the flow table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EvictionMode {
+    /// Hierarchical timing wheel: O(1) per-packet re-arm, each sweep
+    /// boundary touches only the flows whose timers fired.
+    #[default]
+    Wheel,
+    /// Full slab scan at every sweep boundary. O(live flows) per sweep —
+    /// the reference implementation the wheel is proptest-pinned against,
+    /// kept for that harness and for debugging, not for production use.
+    Sweep,
+}
+
+/// Null handle / list terminator for the slab's intrusive links.
+const NIL: u32 = u32::MAX;
+/// "Not armed" marker for [`Slot::wheel_pos`].
+const NIL_POS: u16 = u16::MAX;
+
+/// Slot flag: occupied by a live flow (clear = on the free list).
+const FLAG_LIVE: u8 = 1;
+/// Slot flag: flow reached TIME_WAIT and is lingering (its timer runs on
+/// the linger timeout instead of the idle timeout).
+const FLAG_LINGER: u8 = 1 << 1;
+
+/// How many slab entries the capacity evictor probes before naming the
+/// stalest (conntrack's `early_drop` idea: O(1) bounded work instead of a
+/// full LRU structure).
+const EVICT_PROBES: usize = 8;
+
+/// log2 of the wheel fan-out: 64 slots per level.
+const WHEEL_BITS: u32 = 6;
+const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
+/// 4 levels cover `64^4 ≈ 16.7M` ticks; later deadlines clamp into the
+/// top level and cascade on (early) fire.
+const WHEEL_LEVELS: usize = 4;
+
+/// Per-flow slab slot: a table-owned header (timer links, flags,
+/// `last_seen`) around the per-flow state the owner works on. The wheel
+/// links double as the free-list link when the slot is vacant.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot {
+    pub(crate) key: FlowKey,
+    pub(crate) extractor: FeatureExtractor,
+    pub(crate) tracker: FlowTracker,
+    /// Reconstruction error per emitted stacked window, in order.
+    pub(crate) window_errors: Vec<f32>,
+    /// Leading packets held back (with their arrival tags) while the
+    /// flow's orientation is still undecided (`Some` only for flows that
+    /// did not start with a pure SYN, until the owner's orient buffer
+    /// fills or a SYN lands). Boxed: the common case is `None` and the
+    /// slab stays dense — the extra indirection trades a pointer-sized
+    /// field here for 16 fewer bytes in every one of a million slots.
+    #[allow(clippy::box_collection)]
+    pub(crate) pending: Option<Box<Vec<(u64, Packet)>>>,
+    /// Arrival tag of this incarnation's first packet.
+    pub(crate) arrival: u64,
+    /// Capture timestamp of this incarnation's first packet (flow age in
+    /// the introspection dump is measured from here).
+    pub(crate) first_seen: f64,
+    last_seen: f64,
+    pub(crate) packets: u32,
+    /// Total wire bytes seen by this incarnation (conntrack-style
+    /// accounting for the flow dump).
+    pub(crate) bytes: u64,
+    /// Intrusive wheel list forward link; the free-list link when vacant.
+    wheel_next: u32,
+    wheel_prev: u32,
+    /// `level * 64 + slot` the timer is linked into, or [`NIL_POS`].
+    wheel_pos: u16,
+    flags: u8,
+}
+
+// The module docs, and every bytes-per-flow figure derived from them,
+// quote these sizes.
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    assert!(std::mem::size_of::<Slot>() == 216);
+    assert!(std::mem::size_of::<(CanonicalKey, u32)>() == 96);
+};
+
+impl Slot {
+    fn new(key: FlowKey, now: f64, arrival: u64) -> Slot {
+        let tracker = FlowTracker::for_proto(key.proto);
+        Slot {
+            key,
+            extractor: FeatureExtractor::new(),
+            tracker,
+            window_errors: Vec::new(),
+            pending: None,
+            arrival,
+            first_seen: now,
+            last_seen: now,
+            packets: 0,
+            bytes: 0,
+            wheel_next: NIL,
+            wheel_prev: NIL,
+            wheel_pos: NIL_POS,
+            flags: FLAG_LIVE,
+        }
+    }
+
+    fn live(&self) -> bool {
+        self.flags & FLAG_LIVE != 0
+    }
+
+    /// Whether the flow is in its TIME_WAIT linger
+    /// ([`FlowTable::set_linger`]).
+    pub(crate) fn lingering(&self) -> bool {
+        self.flags & FLAG_LINGER != 0
+    }
+
+    /// Stream-clock time of the flow's last [`FlowTable::touch`].
+    pub(crate) fn last_seen(&self) -> f64 {
+        self.last_seen
+    }
+
+    /// Books packet `p` to the flow — its direction under the flow's
+    /// orientation, one TCP/UDP tracker transition, its wire bytes — and
+    /// returns the direction for whoever extracts features next.
+    pub(crate) fn register(&mut self, p: &Packet) -> Direction {
+        // Same fallback as `Connection::direction`: packets matching
+        // neither orientation count as client→server.
+        let dir = self
+            .key
+            .direction_of(p)
+            .unwrap_or(Direction::ClientToServer);
+        self.tracker.process(p, dir);
+        self.bytes += p.wire_len() as u64;
+        dir
+    }
+}
+
+/// Hierarchical timing wheel over the slab (see the module docs' design
+/// note). Owns only the slot heads and the cursor; the list links live in
+/// the slab slots themselves.
+#[derive(Debug)]
+struct Wheel {
+    /// Seconds per level-0 tick.
+    granularity: f64,
+    /// `WHEEL_LEVELS × WHEEL_SLOTS` list heads, flattened.
+    heads: Vec<u32>,
+    /// Current level-0 tick (`floor(clock / granularity)` as of the last
+    /// advance).
+    cur: u64,
+    /// Number of armed timers, to short-circuit empty advances.
+    armed: usize,
+}
+
+impl Wheel {
+    fn new(granularity: f64) -> Wheel {
+        Wheel {
+            granularity,
+            heads: vec![NIL; WHEEL_LEVELS * WHEEL_SLOTS],
+            cur: 0,
+            armed: 0,
+        }
+    }
+
+    fn tick_of(&self, t: f64) -> u64 {
+        (t.max(0.0) / self.granularity) as u64
+    }
+
+    /// `level * 64 + slot` where a timer due at `tick` belongs, given the
+    /// current cursor: the level whose span covers the remaining delta,
+    /// indexed by the deadline's digit at that level. Deadlines beyond
+    /// the top level's span clamp into it (they fire early and cascade).
+    fn pos_for(&self, tick: u64) -> u16 {
+        let max_span = 1u64 << (WHEEL_BITS * WHEEL_LEVELS as u32);
+        let delta = tick.saturating_sub(self.cur).min(max_span - 1);
+        let eff = self.cur + delta;
+        let mut level = 0;
+        while level + 1 < WHEEL_LEVELS && delta >= (1u64 << (WHEEL_BITS * (level as u32 + 1))) {
+            level += 1;
+        }
+        let idx = ((eff >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
+        (level * WHEEL_SLOTS + idx) as u16
+    }
+
+    /// Links `handle` at `pos` (front of the list). Caller guarantees it
+    /// is not currently linked.
+    fn link(&mut self, slab: &mut [Slot], handle: u32, pos: u16) {
+        let head = self.heads[pos as usize];
+        {
+            let s = &mut slab[handle as usize];
+            debug_assert_eq!(s.wheel_pos, NIL_POS);
+            s.wheel_pos = pos;
+            s.wheel_prev = NIL;
+            s.wheel_next = head;
+        }
+        if head != NIL {
+            slab[head as usize].wheel_prev = handle;
+        }
+        self.heads[pos as usize] = handle;
+        self.armed += 1;
+    }
+
+    /// Splices `handle` out of its list; no-op if unarmed.
+    fn unlink(&mut self, slab: &mut [Slot], handle: u32) {
+        let (prev, next, pos) = {
+            let s = &slab[handle as usize];
+            (s.wheel_prev, s.wheel_next, s.wheel_pos)
+        };
+        if pos == NIL_POS {
+            return;
+        }
+        if prev == NIL {
+            self.heads[pos as usize] = next;
+        } else {
+            slab[prev as usize].wheel_next = next;
+        }
+        if next != NIL {
+            slab[next as usize].wheel_prev = prev;
+        }
+        let s = &mut slab[handle as usize];
+        s.wheel_pos = NIL_POS;
+        s.wheel_next = NIL;
+        s.wheel_prev = NIL;
+        self.armed -= 1;
+    }
+
+    /// Detaches every timer in list `pos` into `out`.
+    fn detach_list(&mut self, slab: &mut [Slot], pos: usize, out: &mut Vec<u32>) {
+        let mut handle = self.heads[pos];
+        self.heads[pos] = NIL;
+        while handle != NIL {
+            let s = &mut slab[handle as usize];
+            let next = s.wheel_next;
+            s.wheel_pos = NIL_POS;
+            s.wheel_next = NIL;
+            s.wheel_prev = NIL;
+            self.armed -= 1;
+            out.push(handle);
+            handle = next;
+        }
+    }
+
+    /// Moves the cursor to `to`, detaching into `out` every timer whose
+    /// slot a per-level cursor passed (capped at one revolution per
+    /// level) plus the destination tick's level-0 slot — the lazy
+    /// recheck for deadlines inside the current tick. The caller
+    /// exact-checks each detached timer and re-arms survivors.
+    fn advance(&mut self, slab: &mut [Slot], to: u64, out: &mut Vec<u32>) {
+        let to = to.max(self.cur);
+        if self.armed > 0 {
+            // Leaving the current tick: drain its level-0 slot first. It
+            // can only hold deadlines at tick ≤ `cur` (a delta of 1..=63
+            // indexes a different slot and 64+ a higher level), and the
+            // per-level pass below starts at `cur + 1`, so anything parked
+            // here by a within-tick re-arm would otherwise wait a full
+            // revolution.
+            if to > self.cur {
+                self.detach_list(slab, (self.cur & (WHEEL_SLOTS as u64 - 1)) as usize, out);
+            }
+            for level in 0..WHEEL_LEVELS {
+                let shift = WHEEL_BITS * level as u32;
+                let from_pos = self.cur >> shift;
+                let to_pos = to >> shift;
+                if from_pos == to_pos {
+                    break;
+                }
+                let steps = (to_pos - from_pos).min(WHEEL_SLOTS as u64);
+                for s in 1..=steps {
+                    let idx = ((from_pos + s) & (WHEEL_SLOTS as u64 - 1)) as usize;
+                    self.detach_list(slab, level * WHEEL_SLOTS + idx, out);
+                }
+            }
+            self.cur = to;
+            self.detach_list(slab, (to & (WHEEL_SLOTS as u64 - 1)) as usize, out);
+        } else {
+            self.cur = to;
+        }
+    }
+
+    /// Drops every armed timer (the slab is being cleared wholesale).
+    /// The cursor survives, like the stream clock it follows.
+    fn reset(&mut self) {
+        self.heads.fill(NIL);
+        self.armed = 0;
+    }
+}
+
+/// The flow table (see the module docs): key index, slab, free list,
+/// expiry timers and the capacity probe, addressed by `u32` handles.
+/// `table[h]` is the live flow at handle `h`.
+#[derive(Debug)]
+pub(crate) struct FlowTable {
+    /// `CanonicalKey → slab handle`.
+    index: HashMap<CanonicalKey, u32>,
+    slab: Vec<Slot>,
+    /// Head of the vacant-slot free list (threaded through `wheel_next`).
+    free_head: u32,
+    wheel: Wheel,
+    /// Rotating slab cursor for capacity-eviction probes, so victim
+    /// selection is unbiased across the table.
+    probe_cursor: u32,
+    idle_timeout: f64,
+    /// Linger timeout of a flow marked by [`set_linger`](Self::set_linger).
+    time_wait: f64,
+    max_flows: usize,
+    eviction: EvictionMode,
+}
+
+impl FlowTable {
+    /// An empty table that expires flows idle for `idle_timeout` seconds
+    /// (`time_wait` for lingering ones) and holds at most `max_flows`.
+    pub(crate) fn new(
+        idle_timeout: f64,
+        time_wait: f64,
+        max_flows: usize,
+        eviction: EvictionMode,
+    ) -> FlowTable {
+        // One tick ≈ timeout/512 keeps the shortest timeout within the
+        // bottom two wheel levels; the clamp guards degenerate configs.
+        let mut shortest = idle_timeout;
+        if time_wait > 0.0 {
+            shortest = shortest.min(time_wait);
+        }
+        let granularity = (shortest / 512.0).clamp(1e-3, 60.0);
+        FlowTable {
+            index: HashMap::new(),
+            slab: Vec::new(),
+            free_head: NIL,
+            wheel: Wheel::new(granularity),
+            probe_cursor: 0,
+            idle_timeout,
+            time_wait,
+            max_flows,
+            eviction,
+        }
+    }
+
+    /// Live flows.
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Slab slots ever allocated — the peak of [`len`](Self::len), since
+    /// a slot is only appended when the free list is empty.
+    pub(crate) fn slots(&self) -> usize {
+        self.slab.len()
+    }
+
+    /// Slots the slab has room for before it next grows; a parallel
+    /// per-slot arena reserves to the same figure.
+    pub(crate) fn capacity(&self) -> usize {
+        self.slab.capacity()
+    }
+
+    /// The live flow with this canonical key.
+    pub(crate) fn find(&self, ck: &CanonicalKey) -> Option<u32> {
+        self.index.get(ck).copied()
+    }
+
+    /// Handles of the live flows, in slab order.
+    pub(crate) fn live_handles(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.slab.len() as u32).filter(|&h| self.slab[h as usize].live())
+    }
+
+    /// Admits a flow first seen at `now` (recycling the free list before
+    /// growing the slab) and returns its handle, and whether that handle
+    /// is a slot appended by this call rather than a recycled one. Its
+    /// timer is not armed until the first [`touch`](Self::touch).
+    pub(crate) fn open(
+        &mut self,
+        ck: CanonicalKey,
+        key: FlowKey,
+        now: f64,
+        arrival: u64,
+    ) -> (u32, bool) {
+        let appended = self.free_head == NIL;
+        let h = if appended {
+            if self.slab.len() == self.slab.capacity() {
+                // Exact doubling clamped to the table cap, so slab (and
+                // arena) capacity never overshoots `max_flows`.
+                let target = (self.slab.capacity() * 2)
+                    .clamp(64, self.max_flows.max(64))
+                    .max(self.slab.len() + 1);
+                self.slab.reserve_exact(target - self.slab.len());
+            }
+            let h = self.slab.len() as u32;
+            self.slab.push(Slot::new(key, now, arrival));
+            h
+        } else {
+            let h = self.free_head;
+            let slot = &mut self.slab[h as usize];
+            self.free_head = slot.wheel_next;
+            *slot = Slot::new(key, now, arrival);
+            h
+        };
+        self.index.insert(ck, h);
+        (h, appended)
+    }
+
+    /// Records a packet at `now` on flow `h` and (re-)arms its timer.
+    pub(crate) fn touch(&mut self, h: u32, now: f64) {
+        self.slab[h as usize].last_seen = now;
+        self.arm(h);
+    }
+
+    /// Marks flow `h` as lingering: from here its timer runs on the
+    /// linger timeout instead of the idle timeout.
+    pub(crate) fn set_linger(&mut self, h: u32) {
+        self.slab[h as usize].flags |= FLAG_LINGER;
+        self.arm(h);
+    }
+
+    fn timeout_of(&self, slot: &Slot) -> f64 {
+        if slot.lingering() {
+            self.time_wait
+        } else {
+            self.idle_timeout
+        }
+    }
+
+    /// (Re-)arms a flow's expiry timer from its `last_seen` and active
+    /// timeout. A no-op in [`EvictionMode::Sweep`] and when the deadline
+    /// maps to the timer's current wheel slot (the common per-packet
+    /// case).
+    fn arm(&mut self, h: u32) {
+        if self.eviction != EvictionMode::Wheel {
+            return;
+        }
+        let slot = &self.slab[h as usize];
+        let pos = self
+            .wheel
+            .pos_for(self.wheel.tick_of(slot.last_seen + self.timeout_of(slot)));
+        if slot.wheel_pos == pos {
+            return;
+        }
+        self.wheel.unlink(&mut self.slab, h);
+        self.wheel.link(&mut self.slab, h, pos);
+    }
+
+    /// Fills `out` with the flows whose timeout (idle, or linger) has
+    /// run out at stream time `clock`, for the owner to close. The
+    /// candidates are the timers a wheel advance to `clock` detached —
+    /// or, in [`EvictionMode::Sweep`], every live flow, in slab order —
+    /// and both face the one `last_seen < clock − timeout` test; a wheel
+    /// candidate that passes it is re-armed at its true remaining delta.
+    pub(crate) fn expired(&mut self, clock: f64, out: &mut Vec<u32>) {
+        out.clear();
+        match self.eviction {
+            EvictionMode::Wheel => {
+                let to = self.wheel.tick_of(clock);
+                self.wheel.advance(&mut self.slab, to, out);
+            }
+            EvictionMode::Sweep => out.extend(self.live_handles()),
+        }
+        out.retain(|&h| {
+            let slot = &self.slab[h as usize];
+            debug_assert!(slot.live(), "wheel fired a vacant slot");
+            let due = slot.last_seen < clock - self.timeout_of(slot);
+            if !due {
+                self.arm(h);
+            }
+            due
+        });
+    }
+
+    /// Table-full eviction: probes a few slab entries past a rotating
+    /// cursor and names the stalest, for the owner to close.
+    pub(crate) fn probe_stalest(&mut self) -> Option<u32> {
+        let n = self.slab.len();
+        if n == 0 {
+            return None;
+        }
+        let mut cursor = self.probe_cursor as usize % n;
+        let mut victim: Option<(u32, f64)> = None;
+        let mut probed = 0;
+        let want = EVICT_PROBES.min(self.index.len());
+        for _ in 0..n {
+            if probed >= want {
+                break;
+            }
+            let slot = &self.slab[cursor];
+            if slot.live() {
+                probed += 1;
+                if victim.is_none_or(|(_, t)| slot.last_seen < t) {
+                    victim = Some((cursor as u32, slot.last_seen));
+                }
+            }
+            cursor = (cursor + 1) % n;
+        }
+        self.probe_cursor = cursor as u32;
+        victim.map(|(h, _)| h)
+    }
+
+    /// Forgets flow `h`: drops its index entry, cancels its timer and
+    /// returns its slot to the free list.
+    pub(crate) fn remove(&mut self, h: u32) {
+        // CanonicalKey is orientation-invariant, so a key re-oriented
+        // since `open` still maps back to the entry `open` created.
+        let ck = CanonicalKey::of_key(&self.slab[h as usize].key);
+        let removed = self.index.remove(&ck);
+        debug_assert_eq!(removed, Some(h), "index entry must match the slot");
+        self.wheel.unlink(&mut self.slab, h);
+        let slot = &mut self.slab[h as usize];
+        slot.flags = 0;
+        slot.pending = None;
+        slot.wheel_prev = NIL;
+        slot.wheel_next = self.free_head;
+        self.free_head = h;
+    }
+
+    /// Discards every flow without a word to the owner, keeping the
+    /// allocations. The wheel cursor survives, like the stream clock it
+    /// follows.
+    pub(crate) fn clear(&mut self) {
+        self.index.clear();
+        self.slab.clear();
+        self.free_head = NIL;
+        self.wheel.reset();
+        self.probe_cursor = 0;
+    }
+
+    /// Estimated heap footprint: index, slab, wheel and what the live
+    /// slots own (error logs, orient buffers). O(slab).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        // hashbrown resizes at 7/8 load; one ctrl byte per bucket.
+        let index = if self.index.capacity() == 0 {
+            0
+        } else {
+            (self.index.capacity() * 8 / 7).next_power_of_two()
+                * (size_of::<(CanonicalKey, u32)>() + 1)
+        };
+        let logs: usize = self
+            .slab
+            .iter()
+            .map(|s| {
+                s.window_errors.capacity() * size_of::<f32>()
+                    + s.pending.as_ref().map_or(0, |b| {
+                        size_of::<Vec<(u64, Packet)>>() + b.capacity() * size_of::<(u64, Packet)>()
+                    })
+            })
+            .sum();
+        index
+            + self.slab.capacity() * size_of::<Slot>()
+            + self.wheel.heads.capacity() * size_of::<u32>()
+            + logs
+    }
+}
+
+impl std::ops::Index<u32> for FlowTable {
+    type Output = Slot;
+
+    fn index(&self, h: u32) -> &Slot {
+        let slot = &self.slab[h as usize];
+        debug_assert!(slot.live(), "handle {h} names a vacant slot");
+        slot
+    }
+}
+
+impl std::ops::IndexMut<u32> for FlowTable {
+    fn index_mut(&mut self, h: u32) -> &mut Slot {
+        let slot = &mut self.slab[h as usize];
+        debug_assert!(slot.live(), "handle {h} names a vacant slot");
+        slot
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use net_packet::Endpoint;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+    use std::net::Ipv4Addr;
+
+    /// Distinct flows the random traffic draws from: enough to keep a
+    /// bounded table full, few enough that keys recur.
+    const KEYS: u16 = 48;
+
+    fn key(id: u16) -> FlowKey {
+        FlowKey::new(
+            Endpoint::new(Ipv4Addr::new(10, 0, 1, id as u8), 40_000 + id),
+            Endpoint::new(Ipv4Addr::new(192, 0, 2, 1), 443),
+        )
+    }
+
+    /// What the model knows of one live flow.
+    #[derive(Debug, Clone, Copy)]
+    struct Live {
+        handle: u32,
+        last_seen: f64,
+        lingering: bool,
+    }
+
+    /// A wheel table, a sweep table and the naive model of both, driven
+    /// through the same operations. The harness is the tables' owner: it
+    /// closes what they name, in handle order, so the two free lists —
+    /// and with them every later handle — stay comparable.
+    struct Harness {
+        tables: [FlowTable; 2],
+        live: BTreeMap<u16, Live>,
+        /// The free list as the model predicts it: a stack of handles.
+        free: Vec<u32>,
+        slots: u32,
+        idle_timeout: f64,
+        time_wait: f64,
+        max_flows: usize,
+        clock: f64,
+    }
+
+    impl Harness {
+        fn new(idle_timeout: f64, time_wait: f64, max_flows: usize) -> Harness {
+            let table = |mode| FlowTable::new(idle_timeout, time_wait, max_flows, mode);
+            Harness {
+                tables: [table(EvictionMode::Wheel), table(EvictionMode::Sweep)],
+                live: BTreeMap::new(),
+                free: Vec::new(),
+                slots: 0,
+                idle_timeout,
+                time_wait,
+                max_flows,
+                clock: 0.0,
+            }
+        }
+
+        /// One packet of flow `id` at the current clock: what `ingest`
+        /// does — make room, open, touch.
+        fn packet(&mut self, id: u16) {
+            let ck = CanonicalKey::of_key(&key(id));
+            let found = self.tables.each_ref().map(|t| t.find(&ck));
+            assert_eq!(found[0], found[1]);
+            assert_eq!(found[0], self.live.get(&id).map(|f| f.handle));
+            let h = match found[0] {
+                Some(h) => h,
+                None => {
+                    if self.live.len() >= self.max_flows {
+                        self.evict_stalest();
+                    }
+                    let want = self.free.pop().unwrap_or(self.slots);
+                    let appended = want == self.slots;
+                    self.slots += u32::from(appended);
+                    for t in &mut self.tables {
+                        let got = t.open(ck, key(id), self.clock, u64::from(id));
+                        assert_eq!(got, (want, appended), "free-list order");
+                        assert!(t.capacity() <= self.max_flows.max(64), "slab clamp");
+                    }
+                    want
+                }
+            };
+            for t in &mut self.tables {
+                t.touch(h, self.clock);
+            }
+            let flow = self.live.entry(id).or_insert(Live {
+                handle: h,
+                last_seen: 0.0,
+                lingering: false,
+            });
+            flow.last_seen = self.clock;
+        }
+
+        fn close(&mut self, h: u32) {
+            let id = *self
+                .live
+                .iter()
+                .find(|(_, f)| f.handle == h)
+                .expect("closing a flow the model holds")
+                .0;
+            self.live.remove(&id);
+            self.free.push(h);
+            for t in &mut self.tables {
+                t.remove(h);
+            }
+        }
+
+        fn evict_stalest(&mut self) {
+            let victims = self.tables.each_mut().map(FlowTable::probe_stalest);
+            assert_eq!(victims[0], victims[1], "probe order");
+            let Some(h) = victims[0] else {
+                assert!(self.live.is_empty());
+                return;
+            };
+            let seen = |f: &Live| f.last_seen;
+            let victim = self.live.values().find(|f| f.handle == h).map(seen);
+            assert!(victim.is_some(), "probe named a vacant slot");
+            if self.live.len() <= EVICT_PROBES {
+                // Every live flow was probed: the victim is the stalest.
+                let stalest = self.live.values().map(seen).min_by(f64::total_cmp);
+                assert_eq!(victim, stalest);
+            }
+            self.close(h);
+        }
+
+        fn set_linger(&mut self, id: u16) {
+            if let Some(flow) = self.live.get_mut(&id) {
+                flow.lingering = true;
+                for t in &mut self.tables {
+                    t.set_linger(flow.handle);
+                }
+            }
+        }
+
+        /// A sweep boundary: both tables and the model must name the same
+        /// expired set.
+        fn expire(&mut self) {
+            let mut want: Vec<u32> = self
+                .live
+                .values()
+                .filter(|f| {
+                    let timeout = if f.lingering {
+                        self.time_wait
+                    } else {
+                        self.idle_timeout
+                    };
+                    f.last_seen < self.clock - timeout
+                })
+                .map(|f| f.handle)
+                .collect();
+            want.sort_unstable();
+            for t in &mut self.tables {
+                let mut due = vec![u32::MAX];
+                t.expired(self.clock, &mut due);
+                due.sort_unstable();
+                assert_eq!(due, want, "{:?} at clock {}", t.eviction, self.clock);
+            }
+            for h in want {
+                self.close(h);
+            }
+        }
+
+        fn clear(&mut self) {
+            for t in &mut self.tables {
+                t.clear();
+            }
+            self.live.clear();
+            self.free.clear();
+            self.slots = 0;
+        }
+
+        fn check(&self) {
+            let mut handles: Vec<u32> = self.live.values().map(|f| f.handle).collect();
+            handles.sort_unstable();
+            for t in &self.tables {
+                assert_eq!(t.len(), self.live.len());
+                assert_eq!(t.slots(), self.slots as usize);
+                assert_eq!(t.live_handles().collect::<Vec<_>>(), handles);
+                for f in self.live.values() {
+                    let slot = &t[f.handle];
+                    assert_eq!(slot.last_seen(), f.last_seen);
+                    assert_eq!(slot.lingering(), f.lingering);
+                }
+                // Every live flow has been touched, so under the wheel it
+                // is armed — and nothing else is, in either mode.
+                let wheel = t.eviction == EvictionMode::Wheel;
+                for slot in &t.slab {
+                    assert_eq!(slot.wheel_pos != NIL_POS, wheel && slot.live());
+                }
+                assert_eq!(t.wheel.armed, if wheel { t.len() } else { 0 });
+            }
+        }
+    }
+
+    proptest! {
+        // No model to train and microseconds a case: ten times the cases
+        // of the whole-scorer `wheel_idle_eviction_matches_sweep`.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random open / touch / linger / clock-jump / expire / capacity
+        /// probe / teardown / clear sequences, through a wheel table, a
+        /// sweep table and a `BTreeMap`: the same expired set at every
+        /// boundary, the same handle from every `open`, the index as
+        /// large as the live set, and no timer on a vacant slot.
+        #[test]
+        fn table_matches_a_naive_model_in_both_eviction_modes(
+            seed in any::<u64>(),
+            idle_timeout in prop_oneof![Just(2.0f64), Just(30.0), Just(300.0)],
+            time_wait in prop_oneof![Just(0.5f64), Just(5.0), Just(120.0)],
+            max_flows in prop_oneof![Just(6usize), Just(24usize), Just(1usize << 20)],
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut h = Harness::new(idle_timeout, time_wait, max_flows);
+            for _ in 0..400 {
+                let id = rng.gen_range(0..KEYS);
+                match rng.gen_range(0..100) {
+                    0..=44 => h.packet(id),
+                    45..=64 => {
+                        // Mostly a fraction of the timeout, sometimes past
+                        // it, now and then hours (multi-level cascades,
+                        // and beyond the top level at a 1 ms tick).
+                        h.clock += match rng.gen_range(0..20) {
+                            0 => rng.gen_range(3_600.0..200_000.0),
+                            1..=4 => idle_timeout * rng.gen_range(0.5..2.0),
+                            _ => idle_timeout * rng.gen_range(0.0..0.2),
+                        };
+                    }
+                    65..=79 => h.expire(),
+                    80..=86 => h.set_linger(id),
+                    87..=93 => {
+                        if let Some(flow) = h.live.get(&id) {
+                            h.close(flow.handle);
+                        }
+                    }
+                    94..=98 => h.evict_stalest(),
+                    _ => h.clear(),
+                }
+                h.check();
+            }
+        }
+    }
+}

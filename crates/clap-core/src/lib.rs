@@ -26,9 +26,11 @@
 //! over reassembled connections ([`Clap::score_connections`], sharded
 //! across rayon workers, each looping the core over its connections),
 //! **online streaming** over an interleaved packet stream ([`stream`]:
-//! per-flow incremental state, bounded flow table, scores emitted as
-//! packets arrive — bitwise the batch path's wherever the flow table sees
-//! the same connections), and **sharded streaming** ([`shard`]: the
+//! the core composed with a bounded flow table — the crate-private
+//! `flow_table` module: key index, slab, timing wheel, no neural type —
+//! and the `resident` arena of per-flow state; scores emitted as packets
+//! arrive, bitwise the batch path's wherever the flow table sees the same
+//! connections), and **sharded streaming** ([`shard`]: the
 //! streaming engine fanned out across worker threads by a symmetric RSS
 //! hash of the 4-tuple, with bounded SPSC ingest queues and a
 //! deterministic merged verdict order — equivalent to the single-threaded
@@ -51,6 +53,7 @@
 //! ```
 
 pub mod features;
+pub(crate) mod flow_table;
 pub mod metrics;
 pub mod pipeline;
 pub mod profile;

@@ -3,7 +3,7 @@
 use crate::features::{extract_connection, FeatureExtractor, FeatureVector, RangeModel, NUM_BASE};
 use crate::profile::ProfileBuilder;
 use crate::resident::{ResidentArena, ResidentMode};
-use crate::score::{score_errors, ScoredConnection};
+use crate::score::ScoredConnection;
 use crate::scorer::{Flow, Scorer};
 use net_packet::Connection;
 use neural::{
@@ -202,34 +202,6 @@ impl Clap {
         self.scorer().score_connection(conn)
     }
 
-    /// Reference (unfused) scoring path, frozen at the seed
-    /// implementation: naive sequential-sum kernels, six matvecs per
-    /// packet, fresh buffers everywhere. Kept to prove the fused engine
-    /// equivalent and to measure the speedup; not used by production
-    /// scoring.
-    pub fn score_connection_unfused(&self, conn: &Connection) -> ScoredConnection {
-        let fvs = extract_connection(conn);
-        let builder = ProfileBuilder::new(self.config.stack);
-        let stacked = builder.stacked_profiles_unfused(&self.ranges, &self.rnn, &fvs);
-        let window_errors = self.ae.reconstruction_errors_unfused(&stacked);
-        let (peak_window, score) = score_errors(&window_errors, self.config.score_window);
-        ScoredConnection {
-            peak_packet: builder.window_center(peak_window, conn.len()),
-            peak_window,
-            window_errors,
-            score,
-        }
-    }
-
-    /// Parallel batch scoring over the unfused reference path (see
-    /// [`score_connection_unfused`](Self::score_connection_unfused)).
-    pub fn score_connections_unfused(&self, conns: &[Connection]) -> Vec<ScoredConnection> {
-        conns
-            .par_iter()
-            .map(|c| self.score_connection_unfused(c))
-            .collect()
-    }
-
     /// Scores a batch of connections, sharding them across rayon workers,
     /// each of which scores its shard through one [`ClapScorer`]. Scores
     /// on the f32 engine ([`QuantMode::Off`]).
@@ -388,6 +360,7 @@ impl ClapScorer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::score::score_errors;
 
     fn tiny_cfg() -> ClapConfig {
         let mut cfg = ClapConfig::ci();
@@ -471,36 +444,44 @@ mod tests {
         assert_eq!(a.peak_packet, b.peak_packet);
     }
 
-    /// The headline equivalence guarantee: the fused engine (packed GRU
+    /// The headline equivalence guarantee: the scoring engine (packed GRU
     /// and autoencoder panels, one packet at a time through the scoring
-    /// core) scores every connection identically (≤1e-6) to the unfused
-    /// reference path, via both the single and the sharded batch entry
-    /// points. On the f32 engine: the unfused reference is f32 by
-    /// construction (int8-vs-f32 drift is bounded separately by the
-    /// quantization parity tests).
+    /// core) scores every connection identically (≤1e-6) to the forward
+    /// pass the model was trained through — `GruCell::forward` and
+    /// `Dense::forward_into` on the row-major weights, whole connection at
+    /// a time — via both the single and the sharded batch entry points. On
+    /// the f32 engine: the training pass is f32 by construction (int8-vs-f32
+    /// drift is bounded separately by the quantization parity tests).
     #[test]
-    fn fused_engine_matches_unfused_reference() {
+    fn engine_matches_the_training_forward_pass() {
         let benign = traffic_gen::dataset(26, 25);
         let (clap, _) = Clap::train(&benign, &tiny_cfg());
         let corpus = traffic_gen::dataset(777, 30);
 
-        let reference = clap.score_connections_unfused(&corpus);
+        let builder = ProfileBuilder::new(clap.config.stack);
         let batched = clap.score_connections_with(&corpus, QuantMode::Off);
         let mut scorer = clap.scorer_with(QuantMode::Off);
-        assert_eq!(reference.len(), batched.len());
-        for (conn, (r, b)) in corpus.iter().zip(reference.iter().zip(&batched)) {
+        assert_eq!(corpus.len(), batched.len());
+        for (conn, b) in corpus.iter().zip(&batched) {
+            let stacked =
+                builder.stacked_profiles(&clap.ranges, &clap.rnn, &extract_connection(conn));
+            let window_errors = clap.ae.reconstruction_errors(&stacked);
+            let (peak_window, score) = score_errors(&window_errors, clap.config.score_window);
             let single = scorer.score_connection(conn);
-            for fused in [&single, b] {
+            for engine in [&single, b] {
                 assert!(
-                    (r.score - fused.score).abs() < 1e-6,
+                    (score - engine.score).abs() < 1e-6,
                     "score drift: {} vs {}",
-                    r.score,
-                    fused.score
+                    score,
+                    engine.score
                 );
-                assert_eq!(r.peak_window, fused.peak_window);
-                assert_eq!(r.peak_packet, fused.peak_packet);
-                assert_eq!(r.window_errors.len(), fused.window_errors.len());
-                for (x, y) in r.window_errors.iter().zip(&fused.window_errors) {
+                assert_eq!(peak_window, engine.peak_window);
+                assert_eq!(
+                    builder.window_center(peak_window, conn.len()),
+                    engine.peak_packet
+                );
+                assert_eq!(window_errors.len(), engine.window_errors.len());
+                for (x, y) in window_errors.iter().zip(&engine.window_errors) {
                     assert!((x - y).abs() < 1e-6, "window error drift: {x} vs {y}");
                 }
             }

@@ -82,44 +82,6 @@ impl ProfileBuilder {
         m
     }
 
-    /// Seed-era profile construction on the frozen naive kernels: one
-    /// `Vec` per profile row, per-packet feature vectors, unfused GRU.
-    /// The pre-fusion baseline for equivalence tests and benchmarks.
-    pub fn stacked_profiles_unfused(
-        &self,
-        ranges: &RangeModel,
-        rnn: &GruClassifier,
-        fvs: &[FeatureVector],
-    ) -> Matrix {
-        let rnn_inputs: Vec<&[f32]> = fvs.iter().map(|fv| fv.base.as_slice()).collect();
-        let trace = rnn.trace_unfused(&rnn_inputs);
-        let mut singles: Vec<Vec<f32>> = fvs
-            .iter()
-            .enumerate()
-            .map(|(t, fv)| {
-                let mut row = ranges.packet_features(fv);
-                row.extend_from_slice(&trace.zs[t]);
-                row.extend_from_slice(&trace.rs[t]);
-                row
-            })
-            .collect();
-        if singles.is_empty() {
-            return Matrix::zeros(0, self.stacked_len());
-        }
-        while singles.len() < self.stack {
-            singles.push(singles.last().unwrap().clone());
-        }
-        let rows = singles.len() - self.stack + 1;
-        let mut m = Matrix::zeros(rows, self.stacked_len());
-        for r in 0..rows {
-            let row = m.row_mut(r);
-            for (j, single) in singles[r..r + self.stack].iter().enumerate() {
-                row[j * PROFILE_LEN..(j + 1) * PROFILE_LEN].copy_from_slice(single);
-            }
-        }
-        m
-    }
-
     /// Maps a stacked-window index to the packet index CLAP reports when
     /// localizing: the window's center packet (clamped to the connection).
     pub fn window_center(&self, window_idx: usize, num_packets: usize) -> usize {

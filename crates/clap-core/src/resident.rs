@@ -17,8 +17,8 @@ use crate::profile::PROFILE_LEN;
 use neural::{dequantize_activations_into, quantize_activations, ActQuant};
 
 /// In-table representation of each flow's GRU hidden vector and profile
-/// ring (see the [`stream`](crate::stream) module docs' *Resident int8
-/// state* note).
+/// ring. Independent of [`QuantMode`](neural::QuantMode), which quantizes
+/// weights: this quantizes the state a flow carries between packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResidentMode {
     /// Exact f32 resident state — preserves every batch-equivalence

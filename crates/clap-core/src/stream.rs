@@ -6,15 +6,18 @@
 //! one interleaved packet stream over millions of concurrent flows and must
 //! emit verdicts as packets arrive. [`StreamScorer`] is that mode:
 //!
-//! * **A thin composition.** `StreamScorer` is a flow table (this
-//!   module: key index, slab, timing wheel, close policy) around the
-//!   crate's one per-packet scoring core (`scorer`: extract → GRU step →
-//!   window → autoencoder) and the arena that holds each flow's neural
-//!   state (`resident`).
+//! * **A thin composition.** `StreamScorer` is a flow table
+//!   (`flow_table`: key index, slab, timing wheel, capacity probe) around
+//!   the crate's one per-packet scoring core (`scorer`: extract → GRU step
+//!   → window → autoencoder) and the arena that holds each flow's neural
+//!   state (`resident`). This module is the policy between them:
+//!   orientation, when a flow closes and why, the verdict queue, and the
+//!   micro-batcher.
 //! * **Per-flow state, shared scratch.** Each live flow persists only what
 //!   the model mathematically needs: the incremental feature-extraction
-//!   anchors ([`FeatureExtractor`]), a [`FlowTracker`] for teardown
-//!   detection, the GRU hidden state (`H` floats, advanced by
+//!   anchors ([`FeatureExtractor`](crate::FeatureExtractor)), a
+//!   [`FlowTracker`](tcp_state::FlowTracker) for teardown detection,
+//!   the GRU hidden state (`H` floats, advanced by
 //!   [`PackedGru::step`]), the last `stack − 1` single-packet profiles,
 //!   and the flow's window-error log. Everything else — GRU step scratch,
 //!   the 1×345 window matrix, the autoencoder workspace, the current
@@ -31,7 +34,7 @@
 //!   teardown, padding, eviction.
 //! * **Bounded memory.** Flows are evicted on TCP teardown (RST, or an
 //!   orderly close reaching TIME_WAIT), on idle timeout (a hierarchical
-//!   timing wheel, see below), on a per-flow packet cap, and —
+//!   timing wheel), on a per-flow packet cap, and —
 //!   conntrack-`early_drop`-style — by probing a handful of slab entries
 //!   and dropping the stalest when the table is full. Every eviction
 //!   finalizes the flow and emits its [`ScoredConnection`].
@@ -106,83 +109,18 @@
 //! [`flush_pending`]: StreamScorer::flush_pending
 //! [`push`]: StreamScorer::push
 //!
-//! # Flow-table substrate
-//!
-//! The table is built for millions of concurrent flows: a dense slab with
-//! handle-based addressing, a hierarchical timing wheel for expiry, and an
-//! optionally int8-quantized *resident* form of the per-flow neural state.
-//!
-//! **Slab + handle map.** Flow state lives in a dense `Vec<Slot>` slab
-//! addressed by a `u32` handle; the `CanonicalKey → handle` hash map holds
-//! only 16-byte entries. Departed slots go on an intrusive free list
-//! (reusing the wheel's `next` link) and are recycled in place — eviction
-//! and admission never reallocate at steady state, slab iteration is
-//! cache-linear, and `slab.len()` is exactly the peak concurrent flow
-//! count. The slab grows by doubling, clamped to
-//! [`StreamConfig::max_flows`] so capacity never overshoots the
-//! configured table size by more than 2× below the cap and not at all at
-//! it.
-//!
-//! **Timing wheel.** Idle eviction and TIME_WAIT linger expiry share one
-//! hierarchical timing wheel: 4 levels × 64 slots, level `l` covering
-//! `64^(l+1)` ticks, one tick = `max(idle_timeout, …)/512` seconds
-//! (clamped to `[1 ms, 60 s]`). A flow's timer is an intrusive
-//! doubly-linked node threaded through its own slab slot, so arming,
-//! re-arming (every packet) and cancelling are O(1) pointer splices, and
-//! re-arming into the unchanged wheel slot — the overwhelmingly common
-//! case, since a deadline moves only `granularity`-fraction per packet —
-//! is a no-op. Timers are *lazy*: a slot stores no deadline, it is
-//! recomputed from `last_seen` at fire time, so a timer that fires early
-//! (coarse high-level slots, stale same-slot re-arms) is simply re-armed
-//! at its true remaining delta. The wheel only advances at sweep
-//! boundaries (every [`StreamConfig::sweep_interval`] packets, on the
-//! max-timestamp stream clock); each advance detaches every list the
-//! per-level cursors passed — at most one full revolution per level, so a
-//! multi-hour clock jump costs O(levels × 64), not O(elapsed) — plus the
-//! current tick's level-0 slot, which is how deadlines landing *inside*
-//! the current tick still get their exact `last_seen < clock − timeout`
-//! recheck at every boundary. Leaving a tick drains that tick's level-0
-//! slot as part of the advance: a timer re-armed *into* the current tick
-//! (its deadline already inside it) lives in a slot the per-level pass
-//! never revisits, and would otherwise sit out a full 64-tick revolution. That recheck is the same float expression
-//! the full-scan [`EvictionMode::Sweep`] reference uses, which is what
-//! makes wheel and sweep evict bitwise-identical flow sets (pinned by
-//! proptest): both fire at the same boundaries, both apply the same
-//! predicate, and a flow that outlives an early fire is re-armed, never
-//! dropped.
-//!
-//! **Resident int8 state.** [`ResidentMode::Int8`] stores each flow's GRU
-//! hidden vector and its profile ring in the 7-bit activation format of
-//! `neural::quant` (`quantize_activations`): codes plus one
-//! `(scale, min)` pair per row, dequantized into scorer scratch on step
-//! and requantized on store — ~4× shrink of the dominant per-flow arrays.
-//! Unlike [`StreamConfig::quant`] (which quantizes *weights* and keeps
-//! activations exact per GEMM), resident quantization round-trips state
-//! through the grid once per packet, so scores drift; the drift is
-//! bounded and calibrated by the same proptest harness that pins the PR 5
-//! activation path (grid step `(max−min)/127` of each stored row).
-//! Whichever mode, only the *last `stack − 1`* profiles are resident —
-//! the current packet's row is built in scorer scratch and enters the
-//! window from there, so the ring holds strictly the rows future windows
-//! will re-read.
+//! # Flow lifetime
 //!
 //! **TIME_WAIT linger.** With [`StreamConfig::time_wait`] > 0, a flow
 //! reaching TIME_WAIT is *not* finalized inline: it keeps scoring (FIN
-//! retransmits, stray ACKs stay attributed to it) and its wheel timer
+//! retransmits, stray ACKs stay attributed to it) and its expiry timer
 //! switches to the linger timeout. It finalizes (reason
 //! [`CloseReason::TcpClose`]) when the linger expires — or immediately,
 //! old incarnation first, when a fresh pure SYN reuses the 4-tuple. The
 //! default `0.0` keeps the historical finalize-at-TIME_WAIT behavior that
 //! the batch-equivalence guarantees are stated against.
 //!
-//! Per-flow memory at Table-6 sizes (`H = 32`, `stack = 3`, 115-float
-//! profiles): a 16-byte map entry, a ~176-byte slot (key, compact
-//! extractor/tracker, error-log Vec header, links), and resident state —
-//! f32: `32 + 2×115` floats ≈ 1048 B; int8: `32 + 2×115` codes + 3
-//! quant pairs ≈ 286 B. [`StreamScorer::mem_bytes`] reports the live
-//! estimate; `exp_throughput --preset scale` gates `bytes_per_flow` in CI.
-//!
-//! Orientation matches the offline reassembler for every realistic
+//! **Orientation** matches the offline reassembler for every realistic
 //! capture: a flow whose first packet is a pure SYN is oriented
 //! immediately (the SYN sender is the client); a flow that starts
 //! mid-capture buffers up to [`StreamConfig::orient_buffer`] leading
@@ -217,7 +155,9 @@
 //! [`PackedGru::step`]: neural::PackedGru::step
 //! [`ClapScorer::score_connection`]: crate::ClapScorer::score_connection
 
-use crate::features::{FeatureExtractor, NUM_PACKET};
+use crate::features::NUM_PACKET;
+pub use crate::flow_table::EvictionMode;
+use crate::flow_table::FlowTable;
 use crate::pipeline::Clap;
 use crate::profile::PROFILE_LEN;
 use crate::resident::ResidentArena;
@@ -226,23 +166,9 @@ use crate::score::{score_errors, ScoredConnection};
 use crate::scorer::{Flow, Scorer};
 use clap_telemetry::hist::Stage;
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
-use net_packet::{CanonicalKey, Direction, Endpoint, FlowKey, Packet, TcpFlags};
+use net_packet::{CanonicalKey, Endpoint, FlowKey, Packet, TcpFlags};
 use neural::{AeEngine, GruBatchScratch, GruEngine, Matrix, QuantMode};
-use std::collections::HashMap;
-use tcp_state::{FlowTracker, TcpState};
-
-/// How idle (and TIME_WAIT-linger) expiry walks the flow table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionMode {
-    /// Hierarchical timing wheel: O(1) per-packet re-arm, each sweep
-    /// boundary touches only the flows whose timers fired.
-    #[default]
-    Wheel,
-    /// Full slab scan at every sweep boundary. O(live flows) per sweep —
-    /// the reference implementation the wheel is proptest-pinned against,
-    /// kept for that harness and for debugging, not for production use.
-    Sweep,
-}
+use tcp_state::TcpState;
 
 /// Flow-table policy for a [`StreamScorer`].
 #[derive(Debug, Clone)]
@@ -405,251 +331,6 @@ pub struct FlowEntry {
     pub score: f32,
 }
 
-/// Null handle / list terminator for the slab's intrusive links.
-const NIL: u32 = u32::MAX;
-/// "Not armed" marker for [`Slot::wheel_pos`].
-const NIL_POS: u16 = u16::MAX;
-
-/// Slot flag: occupied by a live flow (clear = on the free list).
-const FLAG_LIVE: u8 = 1;
-/// Slot flag: flow reached TIME_WAIT and is lingering (timer runs on
-/// [`StreamConfig::time_wait`] instead of the idle timeout).
-const FLAG_LINGER: u8 = 1 << 1;
-/// Slot flag: the flow has at least one packet staged in the pending
-/// micro-batch. Consecutive packets chain (see [`PendItem::round`]);
-/// the flag marks that the flow's resident state is stale until the
-/// next flush.
-const FLAG_PENDING: u8 = 1 << 2;
-
-/// How many slab entries the capacity evictor probes before dropping the
-/// stalest (conntrack's `early_drop` idea: O(1) bounded work instead of a
-/// full LRU structure).
-const EVICT_PROBES: usize = 8;
-
-/// log2 of the wheel fan-out: 64 slots per level.
-const WHEEL_BITS: u32 = 6;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// 4 levels cover `64^4 ≈ 16.7M` ticks; later deadlines clamp into the
-/// top level and cascade on (early) fire.
-const WHEEL_LEVELS: usize = 4;
-
-/// Per-flow slab slot. The neural resident state (hidden vector, profile
-/// ring) lives in the parallel [`ResidentArena`], indexed by the same
-/// handle; the wheel links double as the free-list link when the slot is
-/// vacant.
-#[derive(Debug, Clone)]
-struct Slot {
-    key: FlowKey,
-    extractor: FeatureExtractor,
-    tracker: FlowTracker,
-    /// Reconstruction error per emitted stacked window, in order.
-    window_errors: Vec<f32>,
-    /// Leading packets held back (with their arrival tags) while the
-    /// flow's orientation is still undecided (`Some` only for flows that
-    /// did not start with a pure SYN, until
-    /// [`StreamConfig::orient_buffer`] fills or a SYN lands). Boxed: the
-    /// common case is `None` and the slab stays dense — the extra
-    /// indirection trades a pointer-sized field here for 16 fewer bytes
-    /// in every one of a million slots.
-    #[allow(clippy::box_collection)]
-    pending: Option<Box<Vec<(u64, Packet)>>>,
-    /// Arrival tag of this incarnation's first packet.
-    arrival: u64,
-    /// Capture timestamp of this incarnation's first packet (flow age in
-    /// the introspection dump is measured from here).
-    first_seen: f64,
-    last_seen: f64,
-    packets: u32,
-    /// Total wire bytes seen by this incarnation (conntrack-style
-    /// accounting for the flow dump).
-    bytes: u64,
-    /// Intrusive wheel list forward link; the free-list link when vacant.
-    wheel_next: u32,
-    wheel_prev: u32,
-    /// `level * 64 + slot` the timer is linked into, or [`NIL_POS`].
-    wheel_pos: u16,
-    flags: u8,
-}
-
-impl Slot {
-    fn new(key: FlowKey, now: f64, arrival: u64) -> Slot {
-        let tracker = FlowTracker::for_proto(key.proto);
-        Slot {
-            key,
-            extractor: FeatureExtractor::new(),
-            tracker,
-            window_errors: Vec::new(),
-            pending: None,
-            arrival,
-            first_seen: now,
-            last_seen: now,
-            packets: 0,
-            bytes: 0,
-            wheel_next: NIL,
-            wheel_prev: NIL,
-            wheel_pos: NIL_POS,
-            flags: FLAG_LIVE,
-        }
-    }
-
-    fn live(&self) -> bool {
-        self.flags & FLAG_LIVE != 0
-    }
-
-    fn lingering(&self) -> bool {
-        self.flags & FLAG_LINGER != 0
-    }
-}
-
-/// Hierarchical timing wheel over the slab (see the module docs' design
-/// note). Owns only the slot heads and the cursor; the list links live in
-/// the slab slots themselves.
-#[derive(Debug)]
-struct Wheel {
-    /// Seconds per level-0 tick.
-    granularity: f64,
-    /// `WHEEL_LEVELS × WHEEL_SLOTS` list heads, flattened.
-    heads: Vec<u32>,
-    /// Current level-0 tick (`floor(clock / granularity)` as of the last
-    /// advance).
-    cur: u64,
-    /// Number of armed timers, to short-circuit empty advances.
-    armed: usize,
-}
-
-impl Wheel {
-    fn new(granularity: f64) -> Wheel {
-        Wheel {
-            granularity,
-            heads: vec![NIL; WHEEL_LEVELS * WHEEL_SLOTS],
-            cur: 0,
-            armed: 0,
-        }
-    }
-
-    fn tick_of(&self, t: f64) -> u64 {
-        (t.max(0.0) / self.granularity) as u64
-    }
-
-    /// `level * 64 + slot` where a timer due at `tick` belongs, given the
-    /// current cursor: the level whose span covers the remaining delta,
-    /// indexed by the deadline's digit at that level. Deadlines beyond
-    /// the top level's span clamp into it (they fire early and cascade).
-    fn pos_for(&self, tick: u64) -> u16 {
-        let max_span = 1u64 << (WHEEL_BITS * WHEEL_LEVELS as u32);
-        let delta = tick.saturating_sub(self.cur).min(max_span - 1);
-        let eff = self.cur + delta;
-        let mut level = 0;
-        while level + 1 < WHEEL_LEVELS && delta >= (1u64 << (WHEEL_BITS * (level as u32 + 1))) {
-            level += 1;
-        }
-        let idx = ((eff >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-        (level * WHEEL_SLOTS + idx) as u16
-    }
-
-    /// Links `handle` at `pos` (front of the list). Caller guarantees it
-    /// is not currently linked.
-    fn link(&mut self, slab: &mut [Slot], handle: u32, pos: u16) {
-        let head = self.heads[pos as usize];
-        {
-            let s = &mut slab[handle as usize];
-            debug_assert_eq!(s.wheel_pos, NIL_POS);
-            s.wheel_pos = pos;
-            s.wheel_prev = NIL;
-            s.wheel_next = head;
-        }
-        if head != NIL {
-            slab[head as usize].wheel_prev = handle;
-        }
-        self.heads[pos as usize] = handle;
-        self.armed += 1;
-    }
-
-    /// Splices `handle` out of its list; no-op if unarmed.
-    fn unlink(&mut self, slab: &mut [Slot], handle: u32) {
-        let (prev, next, pos) = {
-            let s = &slab[handle as usize];
-            (s.wheel_prev, s.wheel_next, s.wheel_pos)
-        };
-        if pos == NIL_POS {
-            return;
-        }
-        if prev == NIL {
-            self.heads[pos as usize] = next;
-        } else {
-            slab[prev as usize].wheel_next = next;
-        }
-        if next != NIL {
-            slab[next as usize].wheel_prev = prev;
-        }
-        let s = &mut slab[handle as usize];
-        s.wheel_pos = NIL_POS;
-        s.wheel_next = NIL;
-        s.wheel_prev = NIL;
-        self.armed -= 1;
-    }
-
-    /// Detaches every timer in list `pos` into `out`.
-    fn detach_list(&mut self, slab: &mut [Slot], pos: usize, out: &mut Vec<u32>) {
-        let mut handle = self.heads[pos];
-        self.heads[pos] = NIL;
-        while handle != NIL {
-            let s = &mut slab[handle as usize];
-            let next = s.wheel_next;
-            s.wheel_pos = NIL_POS;
-            s.wheel_next = NIL;
-            s.wheel_prev = NIL;
-            self.armed -= 1;
-            out.push(handle);
-            handle = next;
-        }
-    }
-
-    /// Moves the cursor to `to`, detaching into `out` every timer whose
-    /// slot a per-level cursor passed (capped at one revolution per
-    /// level) plus the destination tick's level-0 slot — the lazy
-    /// recheck for deadlines inside the current tick. The caller
-    /// exact-checks each detached timer and re-arms survivors.
-    fn advance(&mut self, slab: &mut [Slot], to: u64, out: &mut Vec<u32>) {
-        let to = to.max(self.cur);
-        if self.armed > 0 {
-            // Leaving the current tick: drain its level-0 slot first. It
-            // can only hold deadlines at tick ≤ `cur` (a delta of 1..=63
-            // indexes a different slot and 64+ a higher level), and the
-            // per-level pass below starts at `cur + 1`, so anything parked
-            // here by a within-tick re-arm would otherwise wait a full
-            // revolution.
-            if to > self.cur {
-                self.detach_list(slab, (self.cur & (WHEEL_SLOTS as u64 - 1)) as usize, out);
-            }
-            for level in 0..WHEEL_LEVELS {
-                let shift = WHEEL_BITS * level as u32;
-                let from_pos = self.cur >> shift;
-                let to_pos = to >> shift;
-                if from_pos == to_pos {
-                    break;
-                }
-                let steps = (to_pos - from_pos).min(WHEEL_SLOTS as u64);
-                for s in 1..=steps {
-                    let idx = ((from_pos + s) & (WHEEL_SLOTS as u64 - 1)) as usize;
-                    self.detach_list(slab, level * WHEEL_SLOTS + idx, out);
-                }
-            }
-            self.cur = to;
-            self.detach_list(slab, (to & (WHEEL_SLOTS as u64 - 1)) as usize, out);
-        } else {
-            self.cur = to;
-        }
-    }
-
-    /// Drops every armed timer (the slab is being cleared wholesale).
-    /// The cursor survives, like the stream clock it follows.
-    fn reset(&mut self) {
-        self.heads.fill(NIL);
-        self.armed = 0;
-    }
-}
-
 /// One staged packet of one flow in the pending micro-batch.
 #[derive(Debug, Clone, Copy)]
 struct PendItem {
@@ -741,16 +422,10 @@ pub struct StreamScorer<'a> {
     config: StreamConfig,
     /// The per-packet scoring core: engines and flow-independent scratch.
     scorer: Scorer<'a>,
-    /// `CanonicalKey → slab handle`.
-    flows: HashMap<CanonicalKey, u32>,
-    slab: Vec<Slot>,
+    /// Which flows exist and when they leave.
+    table: FlowTable,
+    /// Each flow's hidden vector and profile ring, at its table handle.
     resident: ResidentArena,
-    /// Head of the vacant-slot free list (threaded through `wheel_next`).
-    free_head: u32,
-    wheel: Wheel,
-    /// Rotating slab cursor for capacity-eviction probes, so victim
-    /// selection is unbiased across the table.
-    probe_cursor: u32,
     /// Flows finalized since the last [`drain_closed`](Self::drain_closed).
     closed: Vec<ClosedFlow>,
     /// Flow-table counters, published through wait-free telemetry cells so
@@ -764,8 +439,8 @@ pub struct StreamScorer<'a> {
     /// Cross-flow micro-batch staging (inert when
     /// [`StreamConfig::microbatch`] < 2).
     mb: MicroBatcher,
-    /// Handles detached by the last wheel advance.
-    fired: Vec<u32>,
+    /// Scratch for the handles a sweep boundary found expired.
+    due: Vec<u32>,
     /// Max packet timestamp seen (the stream clock).
     clock: f64,
     packets_since_sweep: usize,
@@ -784,29 +459,23 @@ impl Clap {
 
     /// Builds a streaming per-flow scorer with an explicit table policy.
     pub fn stream_scorer_with(&self, config: StreamConfig) -> StreamScorer<'_> {
-        // One tick ≈ timeout/512 keeps the shortest timeout within the
-        // bottom two wheel levels; the clamp guards degenerate configs.
-        let mut shortest = config.idle_timeout;
-        if config.time_wait > 0.0 {
-            shortest = shortest.min(config.time_wait);
-        }
-        let granularity = (shortest / 512.0).clamp(1e-3, 60.0);
         let mb = MicroBatcher::new(config.microbatch, config.microbatch_wait);
         let gru = GruEngine::from_packed(self.rnn.packed(), config.quant);
         StreamScorer {
             resident: ResidentArena::new(config.resident, gru.hidden_size(), self.config.stack),
             scorer: Scorer::new(self, gru, AeEngine::from_model(&self.ae, config.quant)),
+            table: FlowTable::new(
+                config.idle_timeout,
+                config.time_wait,
+                config.max_flows,
+                config.eviction,
+            ),
             config,
-            flows: HashMap::new(),
-            slab: Vec::new(),
-            free_head: NIL,
-            wheel: Wheel::new(granularity),
-            probe_cursor: 0,
             closed: Vec::new(),
             cells: std::sync::Arc::new(StreamCells::default()),
             stages: StageRecorder::new(),
             mb,
-            fired: Vec::new(),
+            due: Vec::new(),
             clock: 0.0,
             packets_since_sweep: 0,
             auto_seq: 0,
@@ -870,11 +539,11 @@ impl StreamScorer<'_> {
         let ck = CanonicalKey::of(p);
         let is_pure_syn =
             p.tcp_flags().contains(TcpFlags::SYN) && !p.tcp_flags().contains(TcpFlags::ACK);
-        let mut handle = self.flows.get(&ck).copied();
+        let mut handle = self.table.find(&ck);
         if let Some(h) = handle {
             // 4-tuple reuse during a TIME_WAIT linger: the old
             // incarnation closes now, the SYN opens a fresh one.
-            if is_pure_syn && self.slab[h as usize].lingering() {
+            if is_pure_syn && self.table[h].lingering() {
                 self.close_flow(h, CloseReason::TcpClose);
                 handle = None;
             }
@@ -882,41 +551,39 @@ impl StreamScorer<'_> {
         let h = match handle {
             Some(h) => h,
             None => {
-                if self.flows.len() >= self.config.max_flows.max(1) {
-                    self.evict_stalest();
+                if self.table.len() >= self.config.max_flows.max(1) {
+                    if let Some(victim) = self.table.probe_stalest() {
+                        self.close_flow(victim, CloseReason::CapacityEvicted);
+                    }
                 }
                 // Orientation: a pure SYN identifies the initiator
                 // outright; anything else is provisionally
                 // first-packet-oriented and — with a non-zero orient
                 // buffer — held back so a late SYN can still re-orient it.
-                let key = FlowKey::new(
-                    Endpoint::new(p.src_addr(), p.src_port()),
-                    Endpoint::new(p.dst_addr(), p.dst_port()),
-                )
-                .with_proto(p.transport.protocol_number());
-                let h = self.alloc_slot(key, tag);
-                if !is_pure_syn && self.config.orient_buffer > 0 {
-                    self.slab[h as usize].pending = Some(Box::new(Vec::with_capacity(1)));
+                let (h, appended) = self.table.open(ck, sender_as_client(p), self.clock, tag);
+                if appended {
+                    // The arena tracks the slab's exact-growth policy.
+                    self.resident.reserve_slots(self.table.capacity());
+                    self.resident.push_slot();
+                } else {
+                    self.resident.clear_slot(h as usize);
                 }
-                self.flows.insert(ck, h);
+                if !is_pure_syn && self.config.orient_buffer > 0 {
+                    self.table[h].pending = Some(Box::new(Vec::with_capacity(1)));
+                }
                 self.cells
-                    .flow_opened(self.flows.len() as u64, self.slab.len() as u64);
+                    .flow_opened(self.table.len() as u64, self.table.slots() as u64);
                 h
             }
         };
 
-        self.slab[h as usize].last_seen = self.clock;
-        self.arm(h);
-        let slot = &mut self.slab[h as usize];
+        self.table.touch(h, self.clock);
+        let slot = &mut self.table[h];
         if let Some(buf) = slot.pending.as_mut() {
             if is_pure_syn {
                 // The SYN sender is the real client; re-orient before any
                 // packet of this flow has been scored, then replay.
-                slot.key = FlowKey::new(
-                    Endpoint::new(p.src_addr(), p.src_port()),
-                    Endpoint::new(p.dst_addr(), p.dst_port()),
-                )
-                .with_proto(p.transport.protocol_number());
+                slot.key = sender_as_client(p);
             } else if buf.len() < self.config.orient_buffer {
                 buf.push((tag, p.clone()));
                 return None;
@@ -947,10 +614,9 @@ impl StreamScorer<'_> {
             .chain(std::iter::once((current_tag, current)))
         {
             let oriented = self
-                .flows
-                .get(&ck)
-                .copied()
-                .filter(|&h| self.slab[h as usize].pending.is_none());
+                .table
+                .find(&ck)
+                .filter(|&h| self.table[h].pending.is_none());
             last = match oriented {
                 Some(h) => self.score_packet(h, q),
                 None => self.ingest(q, t),
@@ -967,17 +633,16 @@ impl StreamScorer<'_> {
     /// closes the flow, [`close_flow`](Self::close_flow) flushes the
     /// pending batch first, scoring this packet before finalization.
     fn score_packet(&mut self, h: u32, p: &Packet) -> Option<f32> {
-        let hi = h as usize;
         let emitted = if self.mb.enabled() {
-            self.enqueue_one(hi, p);
+            self.enqueue_one(h, p);
             if self.mb.items.len() >= self.mb.cap {
                 self.flush_batch();
             }
             None
         } else {
-            self.advance_one(hi, p)
+            self.advance_one(h, p)
         };
-        let slot = &self.slab[hi];
+        let slot = &self.table[h];
         let mut torn_down = false;
         let mut start_linger = false;
         if self.config.teardown_on_close {
@@ -993,7 +658,7 @@ impl StreamScorer<'_> {
                 _ => {}
             }
         }
-        let capped = self.slab[hi].packets as usize >= self.config.max_packets_per_flow;
+        let capped = slot.packets as usize >= self.config.max_packets_per_flow;
         if torn_down || capped {
             let reason = if torn_down {
                 CloseReason::TcpClose
@@ -1002,31 +667,24 @@ impl StreamScorer<'_> {
             };
             self.close_flow(h, reason);
         } else if start_linger {
-            self.slab[hi].flags |= FLAG_LINGER;
             // Switch the timer from the idle to the linger timeout.
-            self.arm(h);
+            self.table.set_linger(h);
         }
         emitted
     }
 
-    /// Advances one oriented flow by one packet: TCP tracking and byte
-    /// accounting here, everything neural in [`Scorer::advance`].
-    fn advance_one(&mut self, hi: usize, p: &Packet) -> Option<f32> {
+    /// Advances one oriented flow by one packet: the slot books it (TCP
+    /// tracking, byte accounting), everything neural is
+    /// [`Scorer::advance`].
+    fn advance_one(&mut self, h: u32, p: &Packet) -> Option<f32> {
         let mut clock = self.stages.sample();
-        let slot = &mut self.slab[hi];
-        // Same fallback as `Connection::direction`: packets matching
-        // neither orientation count as client→server.
-        let dir = slot
-            .key
-            .direction_of(p)
-            .unwrap_or(Direction::ClientToServer);
-        slot.tracker.process(p, dir);
-        slot.bytes += p.wire_len() as u64;
+        let slot = &mut self.table[h];
+        let dir = slot.register(p);
         let flow = Flow {
             extractor: &mut slot.extractor,
             packets: &mut slot.packets,
             resident: &mut self.resident,
-            slot: hi,
+            slot: h as usize,
         };
         let emitted = self.scorer.advance(flow, p, dir, &mut clock);
         slot.window_errors.extend(emitted);
@@ -1041,7 +699,7 @@ impl StreamScorer<'_> {
     /// [`Scorer::advance`] before the step. A flow
     /// that already has staged packets chains behind them (the scan for
     /// its chain depth is bounded by the batch capacity).
-    fn enqueue_one(&mut self, hi: usize, p: &Packet) {
+    fn enqueue_one(&mut self, h: u32, p: &Packet) {
         let Self {
             scorer:
                 Scorer {
@@ -1051,7 +709,7 @@ impl StreamScorer<'_> {
                     fv,
                     ..
                 },
-            slab,
+            table,
             mb,
             stages,
             ..
@@ -1059,22 +717,12 @@ impl StreamScorer<'_> {
         let mut clock = stages.sample();
         let stack = builder.stack;
 
-        let slot = &mut slab[hi];
-        let dir = slot
-            .key
-            .direction_of(p)
-            .unwrap_or(Direction::ClientToServer);
-        slot.tracker.process(p, dir);
+        let slot = &mut table[h];
+        let dir = slot.register(p);
         slot.extractor.push_into(p, dir, fv);
         let t = slot.packets as usize;
         slot.packets += 1;
-        slot.bytes += p.wire_len() as u64;
-        let round = if slot.flags & FLAG_PENDING != 0 {
-            mb.items.iter().filter(|it| it.handle == hi as u32).count() as u32
-        } else {
-            slot.flags |= FLAG_PENDING;
-            0
-        };
+        let round = mb.items.iter().filter(|it| it.handle == h).count() as u32;
 
         let b = mb.items.len();
         mb.rows.resize(b + 1, PROFILE_LEN);
@@ -1083,7 +731,7 @@ impl StreamScorer<'_> {
         mb.xs.resize(b + 1, gru.input_size());
         mb.xs.row_mut(b).copy_from_slice(&fv.base);
         mb.items.push(PendItem {
-            handle: hi as u32,
+            handle: h,
             t: t as u32,
             round,
             window: t + 1 >= stack,
@@ -1118,7 +766,7 @@ impl StreamScorer<'_> {
                     code_scratch,
                     ..
                 },
-            slab,
+            table,
             resident,
             mb,
             stages,
@@ -1212,13 +860,10 @@ impl StreamScorer<'_> {
         // Round-major distribution preserves each flow's packet order
         // (a flow's windows sit in consecutive rounds).
         for (k, &h) in win_flows.iter().enumerate() {
-            slab[h as usize].window_errors.push(err_scratch[k]);
+            table[h].window_errors.push(err_scratch[k]);
         }
         if let Some(c) = clock.as_mut() {
             c.lap(Stage::AeWindow);
-        }
-        for item in items.iter() {
-            slab[item.handle as usize].flags &= !FLAG_PENDING;
         }
         occupancy[items.len() - 1] += 1;
         items.clear();
@@ -1242,7 +887,7 @@ impl StreamScorer<'_> {
 
     /// Currently tracked (live) flows.
     pub fn live_flows(&self) -> usize {
-        self.flows.len()
+        self.table.len()
     }
 
     /// Dumps every live flow-table entry (conntrack-style list), ordered
@@ -1250,22 +895,16 @@ impl StreamScorer<'_> {
     /// flows); meant for operator introspection, not the hot path.
     pub fn flow_entries(&self) -> Vec<FlowEntry> {
         let mut out: Vec<FlowEntry> = self
-            .flows
-            .values()
-            .map(|&h| self.flow_entry_at(h))
+            .table
+            .live_handles()
+            .map(|h| self.flow_entry_at(h))
             .collect();
         out.sort_by_key(|e| e.arrival);
         out
     }
 
-    /// Looks up one live flow by its canonical (orientation-invariant)
-    /// key — conntrack's `get` analogue.
-    pub fn flow_entry(&self, key: &CanonicalKey) -> Option<FlowEntry> {
-        self.flows.get(key).map(|&h| self.flow_entry_at(h))
-    }
-
     fn flow_entry_at(&self, h: u32) -> FlowEntry {
-        let slot = &self.slab[h as usize];
+        let slot = &self.table[h];
         let (_, score) = score_errors(&slot.window_errors, self.scorer.clap.config.score_window);
         FlowEntry {
             key: slot.key,
@@ -1274,7 +913,7 @@ impl StreamScorer<'_> {
             packets: slot.packets as u64,
             bytes: slot.bytes,
             age: (self.clock - slot.first_seen).max(0.0),
-            idle: (self.clock - slot.last_seen).max(0.0),
+            idle: (self.clock - slot.last_seen()).max(0.0),
             arrival: slot.arrival,
             score,
         }
@@ -1314,7 +953,7 @@ impl StreamScorer<'_> {
     pub fn attach_telemetry(&mut self, cells: std::sync::Arc<StreamCells>) {
         self.cells = cells;
         self.cells
-            .flow_opened(self.flows.len() as u64, self.slab.len() as u64);
+            .flow_opened(self.table.len() as u64, self.table.slots() as u64);
     }
 
     /// Routes per-stage latency samples into caller-owned histograms:
@@ -1325,35 +964,14 @@ impl StreamScorer<'_> {
         self.stages.attach(hists);
     }
 
-    /// Estimated heap footprint of the flow table: handle map, slab,
+    /// Estimated heap footprint of the flow table: key index, slab,
     /// resident arenas, wheel and the live flows' error logs / orient
     /// buffers. O(slab) — meant for periodic sampling, not the hot path.
     /// Excludes the pending-verdict queue (drained by the caller) and the
     /// shared scratch, micro-batch staging included (constant-size —
     /// bounded by the batch capacity — and flow-independent).
     pub fn mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        // hashbrown resizes at 7/8 load; one ctrl byte per bucket.
-        let map = if self.flows.capacity() == 0 {
-            0
-        } else {
-            (self.flows.capacity() * 8 / 7).next_power_of_two()
-                * (size_of::<(CanonicalKey, u32)>() + 1)
-        };
-        let logs: usize = self
-            .slab
-            .iter()
-            .map(|s| {
-                s.window_errors.capacity() * size_of::<f32>()
-                    + s.pending.as_ref().map_or(0, |b| {
-                        size_of::<Vec<(u64, Packet)>>() + b.capacity() * size_of::<(u64, Packet)>()
-                    })
-            })
-            .sum();
-        map + self.slab.capacity() * size_of::<Slot>()
-            + self.resident.heap_bytes()
-            + self.wheel.heads.capacity() * size_of::<u32>()
-            + logs
+        self.table.heap_bytes() + self.resident.heap_bytes()
     }
 
     /// Takes every flow finalized since the last drain.
@@ -1366,15 +984,14 @@ impl StreamScorer<'_> {
     /// flows close as [`CloseReason::TcpClose`] (teardown was observed),
     /// everything else as [`CloseReason::Drained`].
     pub fn finish(&mut self) -> Vec<ClosedFlow> {
-        for hi in 0..self.slab.len() {
-            if self.slab[hi].live() {
-                let reason = if self.slab[hi].lingering() {
-                    CloseReason::TcpClose
-                } else {
-                    CloseReason::Drained
-                };
-                self.close_flow(hi as u32, reason);
-            }
+        let live: Vec<u32> = self.table.live_handles().collect();
+        for h in live {
+            let reason = if self.table[h].lingering() {
+                CloseReason::TcpClose
+            } else {
+                CloseReason::Drained
+            };
+            self.close_flow(h, reason);
         }
         self.drain_closed()
     }
@@ -1387,14 +1004,9 @@ impl StreamScorer<'_> {
     /// half-mutated by an unwinding `push_tagged` is dropped wholesale.
     /// [`StreamStats`] counters survive too (they are lifetime totals).
     pub fn reset(&mut self) {
-        self.flows.clear();
-        self.slab.clear();
+        self.table.clear();
         self.resident.clear();
-        self.free_head = NIL;
-        self.wheel.reset();
         self.closed.clear();
-        self.fired.clear();
-        self.probe_cursor = 0;
         self.packets_since_sweep = 0;
         // Staged micro-batch items reference slab handles that no longer
         // exist; drop them wholesale (the occupancy histogram survives,
@@ -1404,159 +1016,20 @@ impl StreamScorer<'_> {
         self.cells.live_sync(0);
     }
 
-    /// Allocates a slab slot (recycling the free list first) for a new
-    /// flow and tracks the peak.
-    fn alloc_slot(&mut self, key: FlowKey, arrival: u64) -> u32 {
-        let now = self.clock;
-        let h = if self.free_head != NIL {
-            let h = self.free_head;
-            let slot = &mut self.slab[h as usize];
-            self.free_head = slot.wheel_next;
-            *slot = Slot::new(key, now, arrival);
-            self.resident.clear_slot(h as usize);
-            h
-        } else {
-            if self.slab.len() == self.slab.capacity() {
-                // Exact doubling clamped to the table cap, so slab (and
-                // arena) capacity never overshoots `max_flows`.
-                let target = (self.slab.capacity() * 2)
-                    .clamp(64, self.config.max_flows.max(64))
-                    .max(self.slab.len() + 1);
-                self.slab.reserve_exact(target - self.slab.len());
-                self.resident.reserve_slots(target);
-            }
-            let h = self.slab.len() as u32;
-            self.slab.push(Slot::new(key, now, arrival));
-            self.resident.push_slot();
-            h
-        };
-        // The peak gauge advances in `ingest` (flow_opened), after the
-        // new flow is mapped — slab growth and the map insert land in one
-        // telemetry write section.
-        h
-    }
-
-    /// Returns a finalized slot to the free list.
-    fn free_slot(&mut self, h: u32) {
-        let slot = &mut self.slab[h as usize];
-        debug_assert_eq!(slot.wheel_pos, NIL_POS, "freed slot must be unarmed");
-        slot.flags = 0;
-        slot.pending = None;
-        slot.wheel_prev = NIL;
-        slot.wheel_next = self.free_head;
-        self.free_head = h;
-    }
-
-    /// (Re-)arms a flow's expiry timer from its `last_seen` and active
-    /// timeout. A no-op in [`EvictionMode::Sweep`] and when the deadline
-    /// maps to the timer's current wheel slot (the common per-packet
-    /// case).
-    fn arm(&mut self, h: u32) {
-        if self.config.eviction != EvictionMode::Wheel {
-            return;
-        }
-        let slot = &self.slab[h as usize];
-        let timeout = if slot.lingering() {
-            self.config.time_wait
-        } else {
-            self.config.idle_timeout
-        };
-        let pos = self
-            .wheel
-            .pos_for(self.wheel.tick_of(slot.last_seen + timeout));
-        if slot.wheel_pos == pos {
-            return;
-        }
-        self.wheel.unlink(&mut self.slab, h);
-        self.wheel.link(&mut self.slab, h, pos);
-    }
-
-    /// Expires idle and linger-complete flows at a sweep boundary. Both
-    /// modes apply the identical `last_seen < clock − timeout` predicate,
-    /// so they finalize identical flow sets — the wheel just skips
-    /// straight to the candidates its fired timers name.
+    /// Closes the flows whose idle timeout — or TIME_WAIT linger — has
+    /// run out at this sweep boundary.
     fn expire_due(&mut self) {
-        match self.config.eviction {
-            EvictionMode::Wheel => {
-                let to = self.wheel.tick_of(self.clock);
-                let mut fired = std::mem::take(&mut self.fired);
-                fired.clear();
-                self.wheel.advance(&mut self.slab, to, &mut fired);
-                for &h in &fired {
-                    let slot = &self.slab[h as usize];
-                    debug_assert!(slot.live(), "wheel fired a vacant slot");
-                    let lingering = slot.lingering();
-                    let timeout = if lingering {
-                        self.config.time_wait
-                    } else {
-                        self.config.idle_timeout
-                    };
-                    if slot.last_seen < self.clock - timeout {
-                        if lingering {
-                            self.cells.time_wait_expired();
-                            self.close_flow(h, CloseReason::TcpClose);
-                        } else {
-                            self.close_flow(h, CloseReason::IdleTimeout);
-                        }
-                    } else {
-                        self.arm(h);
-                    }
-                }
-                self.fired = fired;
-            }
-            EvictionMode::Sweep => {
-                for hi in 0..self.slab.len() {
-                    let slot = &self.slab[hi];
-                    if !slot.live() {
-                        continue;
-                    }
-                    let lingering = slot.lingering();
-                    let timeout = if lingering {
-                        self.config.time_wait
-                    } else {
-                        self.config.idle_timeout
-                    };
-                    if slot.last_seen < self.clock - timeout {
-                        if lingering {
-                            self.cells.time_wait_expired();
-                            self.close_flow(hi as u32, CloseReason::TcpClose);
-                        } else {
-                            self.close_flow(hi as u32, CloseReason::IdleTimeout);
-                        }
-                    }
-                }
+        let mut due = std::mem::take(&mut self.due);
+        self.table.expired(self.clock, &mut due);
+        for &h in &due {
+            if self.table[h].lingering() {
+                self.cells.time_wait_expired();
+                self.close_flow(h, CloseReason::TcpClose);
+            } else {
+                self.close_flow(h, CloseReason::IdleTimeout);
             }
         }
-    }
-
-    /// Table-full eviction: probe a few slab entries past a rotating
-    /// cursor, drop the stalest.
-    fn evict_stalest(&mut self) {
-        let n = self.slab.len();
-        if n == 0 {
-            return;
-        }
-        let mut cursor = self.probe_cursor as usize % n;
-        let mut victim: Option<(u32, f64)> = None;
-        let mut probed = 0;
-        let want = EVICT_PROBES.min(self.flows.len());
-        for _ in 0..n {
-            if probed >= want {
-                break;
-            }
-            let slot = &self.slab[cursor];
-            if slot.live() {
-                probed += 1;
-                if victim.is_none_or(|(_, t)| slot.last_seen < t) {
-                    victim = Some((cursor as u32, slot.last_seen));
-                }
-            }
-            cursor = (cursor + 1) % n;
-        }
-        self.probe_cursor = cursor as u32;
-        if let Some((h, _)) = victim {
-            self.close_flow(h, CloseReason::CapacityEvicted);
-        }
+        self.due = due;
     }
 
     /// Scores a departing flow, queues the result and recycles its slot.
@@ -1564,7 +1037,6 @@ impl StreamScorer<'_> {
     /// padding rule (repeat the final profile until one full window
     /// exists).
     fn close_flow(&mut self, h: u32, reason: CloseReason) {
-        let hi = h as usize;
         // Any pending micro-batched work — this flow's staged packets
         // included — scores before finalization, so verdict content and
         // timing never depend on batching.
@@ -1573,15 +1045,15 @@ impl StreamScorer<'_> {
         // packets now, under the provisional (first-packet) orientation —
         // the same key the offline reassembler would use for a capture
         // with no SYN.
-        if let Some(buffered) = self.slab[hi].pending.take() {
+        if let Some(buffered) = self.table[h].pending.take() {
             for (_, q) in buffered.iter() {
-                self.advance_one(hi, q);
+                self.advance_one(h, q);
             }
         }
-        let slot = &mut self.slab[hi];
+        let slot = &mut self.table[h];
         let packets = slot.packets as usize;
         slot.window_errors
-            .extend(self.scorer.pad(&self.resident, hi, packets));
+            .extend(self.scorer.pad(&self.resident, h as usize, packets));
         let scored = self
             .scorer
             .verdict(std::mem::take(&mut slot.window_errors), packets);
@@ -1599,15 +1071,18 @@ impl StreamScorer<'_> {
             CloseReason::LengthCapped => self.cells.length_capped(),
             CloseReason::Drained => self.cells.drained(),
         }
-        // CanonicalKey is orientation-invariant, so the re-oriented key
-        // still maps back to the entry `ingest` created.
-        let ck = CanonicalKey::of_key(&self.slab[hi].key);
-        let removed = self.flows.remove(&ck);
-        debug_assert_eq!(removed, Some(h), "map entry must match the slot");
-        self.cells.live_sync(self.flows.len() as u64);
-        self.wheel.unlink(&mut self.slab, h);
-        self.free_slot(h);
+        self.table.remove(h);
+        self.cells.live_sync(self.table.len() as u64);
     }
+}
+
+/// The flow key that takes `p`'s sender for the client.
+fn sender_as_client(p: &Packet) -> FlowKey {
+    FlowKey::new(
+        Endpoint::new(p.src_addr(), p.src_port()),
+        Endpoint::new(p.dst_addr(), p.dst_port()),
+    )
+    .with_proto(p.transport.protocol_number())
 }
 
 #[cfg(test)]

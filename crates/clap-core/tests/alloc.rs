@@ -11,10 +11,18 @@
 //! test pins those facts with a counting global allocator: allocations
 //! scale with flows closed or connections scored, not with packets.
 //!
-//! The whole file is one `#[test]` because the counter is process-global.
+//! The same allocator tracks *live* bytes, which is what
+//! [`StreamScorer::mem_bytes`] estimates from capacities: the benchmark's
+//! `bytes_per_flow` is that estimate divided by peak flows, so a table
+//! term it stopped counting would read as a memory gain. The third case
+//! holds the estimate to the allocator's own count.
+//!
+//! The whole file is one `#[test]` because the counters are
+//! process-global.
 //!
 //! [`ClosedFlow`]: clap_core::ClosedFlow
 //! [`ClapScorer`]: clap_core::ClapScorer
+//! [`StreamScorer::mem_bytes`]: clap_core::StreamScorer::mem_bytes
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,29 +32,38 @@ use clap_core::{
 };
 use traffic_gen::ChurnConfig;
 
-/// Counts every heap acquisition (alloc, alloc_zeroed, realloc).
-/// Deallocation is free and uncounted.
+/// Counts every heap acquisition (alloc, alloc_zeroed, realloc) in
+/// [`ALLOCS`] — deallocation is free and uncounted there — and the bytes
+/// currently held in [`LIVE`] (requested sizes: alloc − dealloc, a realloc
+/// by its difference).
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Wrapping: only differences between two reads are meaningful.
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -66,6 +83,7 @@ fn hot_paths_do_not_allocate_per_packet() {
     let clap = Clap::train(&benign, &cfg).0;
     steady_state_pushes_do_not_allocate_per_packet(&clap);
     offline_scoring_allocates_only_its_results(&clap, &benign);
+    mem_bytes_tracks_the_allocator(&clap);
 }
 
 fn steady_state_pushes_do_not_allocate_per_packet(clap: &Clap) {
@@ -157,6 +175,67 @@ fn offline_scoring_allocates_only_its_results(clap: &Clap, conns: &[net_packet::
             conns.len() as u64,
             "{mode:?}: {allocs} allocations for {} connections / {packets} packets",
             conns.len()
+        );
+    }
+}
+
+/// `mem_bytes()` is an estimate from capacities; the allocator knows the
+/// truth. Between the first packet and a 4 096-flow churn plateau (the
+/// benchmark's `churn_16k` shape, smaller) the two must grow by the same
+/// amount to within [`MEM_TOLERANCE`], at both resident precisions — so
+/// a table term that drops out of the estimate, or is counted twice,
+/// fails here instead of moving `bytes_per_flow`.
+fn mem_bytes_tracks_the_allocator(clap: &Clap) {
+    const FLOWS: usize = 4096;
+    // The benchmark's bound on `bytes_per_flow`; measured 0.1 % apart.
+    const MEM_TOLERANCE: f64 = 0.02;
+    let churn = ChurnConfig {
+        // 0.02 s of packet time: nothing idles out, flows leave by
+        // teardown and their slots are reused.
+        pps: 2e6,
+        ..ChurnConfig::new(0x3e3b, FLOWS, FLOWS * 10)
+    };
+    let packets: Vec<_> = traffic_gen::churn(&churn).collect();
+    for (quant, resident) in [
+        (QuantMode::Off, ResidentMode::F32),
+        (QuantMode::Int8, ResidentMode::Int8),
+    ] {
+        let mut scorer = clap.stream_scorer_with(StreamConfig {
+            quant,
+            resident,
+            idle_timeout: 30.0,
+            max_flows: FLOWS + FLOWS / 32,
+            ..StreamConfig::default()
+        });
+        scorer.push(&packets[0]);
+        let (live_before, mem_before) = (LIVE.load(Ordering::Relaxed), scorer.mem_bytes());
+        for (i, p) in packets.iter().enumerate().skip(1) {
+            scorer.push(p);
+            if i % 1024 == 0 {
+                // Verdicts belong to the caller, not to the table.
+                drop(scorer.drain_closed());
+            }
+        }
+        drop(scorer.drain_closed());
+        let live = LIVE.load(Ordering::Relaxed).wrapping_sub(live_before) as f64;
+        let mem = (scorer.mem_bytes() - mem_before) as f64;
+
+        let stats = scorer.stats();
+        assert!(
+            stats.flows_peak >= FLOWS && stats.closed_tcp > 1_000,
+            "{resident:?}: peak {} flows, {} closed — not a churn plateau",
+            stats.flows_peak,
+            stats.closed_tcp
+        );
+        eprintln!(
+            "{resident:?}: mem_bytes grew {mem:.0} B, the allocator {live:.0} B \
+             (ratio {:.4}, {:.1} B/flow estimated)",
+            mem / live,
+            mem / stats.flows_peak as f64
+        );
+        assert!(
+            (mem / live - 1.0).abs() <= MEM_TOLERANCE,
+            "{resident:?}: mem_bytes() grew {mem:.0} B where the allocator counted {live:.0} B"
         );
     }
 }

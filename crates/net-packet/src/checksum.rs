@@ -204,12 +204,6 @@ pub(crate) fn transport_checksum_ignoring_stored(
     }
 }
 
-/// TCP checksum for explicitly v4/TCP headers (legacy-shaped helper used
-/// by code that crafts raw segments).
-pub fn tcp_checksum(ip: &Ipv4Header, tcp: &TcpHeader, payload: &[u8]) -> u16 {
-    tcp_sum(&IpHeader::V4(ip.clone()), tcp, payload, tcp.checksum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

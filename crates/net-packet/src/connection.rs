@@ -1,7 +1,7 @@
 //! Connection-level containers shared across the workspace.
 
 use crate::ipv4::PROTO_TCP;
-use crate::{IpHeader, Packet, TcpFlags};
+use crate::{Packet, TcpFlags};
 use serde::{Deserialize, Serialize};
 use std::net::IpAddr;
 
@@ -182,19 +182,6 @@ impl Connection {
     /// Total payload bytes across the connection.
     pub fn total_payload(&self) -> usize {
         self.packets.iter().map(|p| p.payload.len()).sum()
-    }
-
-    /// Renumbers IP identification fields (IPv4 only; v6 has none) and
-    /// recomputes checksums for all packets. Preserving deliberately
-    /// corrupted fields is NOT done — this is a helper for generators
-    /// producing benign traffic only.
-    pub fn finalize_benign(&mut self) {
-        for (i, p) in self.packets.iter_mut().enumerate() {
-            if let IpHeader::V4(h) = &mut p.ip {
-                h.identification = i as u16;
-            }
-            p.fill_checksums();
-        }
     }
 }
 

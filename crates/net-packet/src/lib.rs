@@ -173,13 +173,6 @@ impl IpHeader {
             IpHeader::V4(_) => None,
         }
     }
-
-    pub fn v6_mut(&mut self) -> Option<&mut Ipv6Header> {
-        match self {
-            IpHeader::V6(h) => Some(h),
-            IpHeader::V4(_) => None,
-        }
-    }
 }
 
 /// Transport-layer header: TCP or UDP.

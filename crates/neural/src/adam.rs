@@ -30,16 +30,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Adjusts the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update: `params -= lr * m̂ / (sqrt(v̂) + eps)`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), self.m.len(), "parameter count changed");

@@ -156,31 +156,6 @@ impl Autoencoder {
         self.reconstruction_errors(&m)[0]
     }
 
-    /// Seed-era reconstruction path, frozen on the naive GEMM kernel with
-    /// one fresh matrix per layer — the pre-fusion baseline for
-    /// equivalence tests and before/after benchmarking.
-    pub fn reconstruction_errors_unfused(&self, x: &Matrix) -> Vec<f32> {
-        use crate::matrix::naive;
-        let mut cur = x.clone();
-        for layer in &self.layers {
-            let mut y = naive::matmul_nt(&cur, &layer.w);
-            for r in 0..y.rows {
-                let row = y.row_mut(r);
-                for (v, &bias) in row.iter_mut().zip(&layer.b) {
-                    *v = layer.activation.apply(*v + bias);
-                }
-            }
-            cur = y;
-        }
-        (0..x.rows)
-            .map(|r| {
-                let xr = x.row(r);
-                let yr = cur.row(r);
-                xr.iter().zip(yr).map(|(a, b)| (a - b).abs()).sum::<f32>() / x.cols as f32
-            })
-            .collect()
-    }
-
     /// Trains on `data` (rows = samples); returns the mean L1 loss per
     /// epoch.
     pub fn train(&mut self, data: &Matrix, cfg: &AutoencoderConfig) -> Vec<f32> {

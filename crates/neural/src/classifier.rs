@@ -77,10 +77,6 @@ impl GruClassifier {
         self.cell.hidden_size()
     }
 
-    pub fn num_classes(&self) -> usize {
-        self.wo.rows
-    }
-
     /// Runs the GRU over a sequence; the trace carries the gate activations
     /// CLAP fuses into context profiles. Borrows the rows — no cloning of
     /// caller feature storage is required.
@@ -92,11 +88,6 @@ impl GruClassifier {
     /// path; build once per scoring session and reuse.
     pub fn packed(&self) -> PackedGru {
         PackedGru::pack(&self.cell)
-    }
-
-    /// Seed-era trace on the frozen naive kernels (pre-fusion baseline).
-    pub fn trace_unfused<S: AsRef<[f32]>>(&self, xs: &[S]) -> GruTrace {
-        self.cell.forward_unfused(xs)
     }
 
     /// Class logits for one hidden state.

@@ -198,59 +198,6 @@ impl GruCell {
         trace
     }
 
-    /// The seed-era forward pass, frozen verbatim on the [`naive`] kernels:
-    /// six separate matvecs and ~10 fresh `Vec`s per step. This is the
-    /// pre-fusion baseline the fused engine is measured against; production
-    /// inference uses [`PackedGru::step`], training uses [`forward`].
-    ///
-    /// [`naive`]: crate::matrix::naive
-    /// [`forward`]: Self::forward
-    pub fn forward_unfused<S: AsRef<[f32]>>(&self, xs: &[S]) -> GruTrace {
-        use crate::matrix::naive;
-        let hidden = self.hidden_size();
-        let mut trace = GruTrace {
-            xs: xs.iter().map(|x| x.as_ref().to_vec()).collect(),
-            hs: Vec::with_capacity(xs.len()),
-            zs: Vec::with_capacity(xs.len()),
-            rs: Vec::with_capacity(xs.len()),
-            ns: Vec::with_capacity(xs.len()),
-            un_hs: Vec::with_capacity(xs.len()),
-        };
-        let mut h = vec![0.0f32; hidden];
-        for x in xs {
-            let x = x.as_ref();
-            let mut z = naive::matvec(&self.wz, x);
-            vecops::add_assign(&mut z, &naive::matvec(&self.uz, &h));
-            vecops::add_assign(&mut z, &self.bz);
-            z.iter_mut().for_each(|v| *v = sigmoid(*v));
-
-            let mut r = naive::matvec(&self.wr, x);
-            vecops::add_assign(&mut r, &naive::matvec(&self.ur, &h));
-            vecops::add_assign(&mut r, &self.br);
-            r.iter_mut().for_each(|v| *v = sigmoid(*v));
-
-            let un_h = naive::matvec(&self.un, &h);
-            let mut n = naive::matvec(&self.wn, x);
-            vecops::add_assign(&mut n, &self.bn);
-            for i in 0..hidden {
-                n[i] = (n[i] + r[i] * un_h[i]).tanh();
-            }
-
-            let mut h_new = vec![0.0f32; hidden];
-            for i in 0..hidden {
-                h_new[i] = (1.0 - z[i]) * n[i] + z[i] * h[i];
-            }
-
-            trace.zs.push(z);
-            trace.rs.push(r);
-            trace.ns.push(n);
-            trace.un_hs.push(un_h);
-            trace.hs.push(h_new.clone());
-            h = h_new;
-        }
-        trace
-    }
-
     /// Backpropagation through time.
     ///
     /// `dhs[t]` is ∂loss/∂h_t coming from outside the recurrence (e.g. the

@@ -15,9 +15,8 @@
 //! safe scalar reference otherwise — no `-C target-cpu=native` required.
 //! The 4-row register block in the nt-GEMM reuses each loaded slice of
 //! `A` against four rows of `B`; it reuses no loaded weight across rows of
-//! `A` (measured: a batch costs as much per row as one row alone), and the
-//! L2 tiling below only matters once `B` outgrows L2 — not at the ≈700 kB
-//! of the CLAP model.
+//! `A` (measured: a batch costs as much per row as one row alone), so the
+//! nt-GEMM is a plain loop of matvecs over the rows of `A`.
 
 use crate::simd::KernelSet;
 use rand::Rng;
@@ -31,64 +30,22 @@ use serde::{Deserialize, Serialize};
 /// threshold by orders of magnitude.
 const PAR_THRESHOLD: usize = 256 * 256;
 
-/// Bytes of `B` one nt-GEMM tile targets. Half a typical 256 KiB L2, so
-/// the tile plus the streamed rows of `A` and written rows of `C` stay
-/// resident while every row of the `A` block re-reads it.
-const NT_TILE_BYTES: usize = 128 * 1024;
-
-/// Rows of `A` (and `C`) one nt-GEMM task owns. Small enough that the
-/// block's `A` rows stay cached alongside the `B` tile; large enough that
-/// each `B` tile loaded from memory serves several rows before it is
-/// evicted.
-const NT_ROW_BLOCK: usize = 16;
-
-/// Rows of `B` per L2 tile for a given row width. Always a multiple of 4:
-/// the dot4 register blocking then groups exactly the same row quadruples
-/// as an untiled pass, which keeps the tiled GEMM **bitwise identical** to
-/// the untiled one (and therefore to row-by-row [`Matrix::matvec_into`]).
-fn nt_tile_rows(cols: usize) -> usize {
-    let rows = NT_TILE_BYTES / (cols.max(1) * std::mem::size_of::<f32>());
-    (rows & !3).max(4)
-}
-
-/// Dense dot product (`a·b`) through the dispatched kernel set.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    KernelSet::active().dot(a, b)
-}
-
 /// One output row of `C = A · Bᵀ`: `crow[j] = arow · b.row(j)`, blocked
 /// four rows of `B` at a time. Shared by [`Matrix::matvec_into`] and
 /// [`Matrix::matmul_nt_into`] so a one-row GEMM is bitwise identical to a
 /// matvec.
 #[inline]
 fn nt_row(ks: &KernelSet, arow: &[f32], b: &Matrix, crow: &mut [f32]) {
-    nt_row_span(ks, arow, b, 0, crow);
-}
-
-/// The `B`-rows `[j0, j0 + cseg.len())` slice of one output row:
-/// `cseg[j - j0] = arow · b.row(j)`. `j0` must be a multiple of 4 so the
-/// dot4 quadruples line up with the untiled grouping (see
-/// [`nt_tile_rows`]); [`nt_row`] is the `j0 = 0`, full-width case.
-#[inline]
-fn nt_row_span(ks: &KernelSet, arow: &[f32], b: &Matrix, j0: usize, cseg: &mut [f32]) {
-    debug_assert_eq!(j0 % 4, 0);
-    let len = cseg.len();
+    let len = crow.len();
     let mut j = 0;
     while j + 4 <= len {
-        let out = ks.dot4(
-            arow,
-            b.row(j0 + j),
-            b.row(j0 + j + 1),
-            b.row(j0 + j + 2),
-            b.row(j0 + j + 3),
-        );
-        cseg[j..j + 4].copy_from_slice(&out);
+        let out = ks.dot4(arow, b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
+        crow[j..j + 4].copy_from_slice(&out);
         j += 4;
     }
     let done = j;
-    for (j, cv) in cseg.iter_mut().enumerate().skip(done) {
-        *cv = ks.dot(arow, b.row(j0 + j));
+    for (j, cv) in crow.iter_mut().enumerate().skip(done) {
+        *cv = ks.dot(arow, b.row(j));
     }
 }
 
@@ -256,14 +213,9 @@ impl Matrix {
         c
     }
 
-    /// In-place `C = A · Bᵀ`, reusing `c`'s allocation. Register-blocked
-    /// (each loaded slice of `A` feeds four rows of `B`) and **L2-tiled**:
-    /// `B` is walked in `nt_tile_rows()`-row tiles with all rows of an
-    /// `NT_ROW_BLOCK`-row `A` block driven through each tile before the
-    /// next is touched, so a `B` larger than L2 is streamed from memory
-    /// once per block instead of once per row of `A`. Tiles are multiples
-    /// of 4 rows, which makes the tiled result bitwise identical to the
-    /// untiled (per-row matvec) order — pinned by the matrix proptests.
+    /// In-place `C = A · Bᵀ`, reusing `c`'s allocation: row `i` of `C` is
+    /// [`matvec_into`](Self::matvec_into) of row `i` of `A`, bitwise —
+    /// pinned by the matrix proptests.
     pub fn matmul_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
         assert_eq!(a.cols, b.cols, "nt shape mismatch");
         c.resize(a.rows, b.rows);
@@ -271,26 +223,11 @@ impl Matrix {
             return;
         }
         let ks = KernelSet::active();
-        let tile = nt_tile_rows(b.cols);
-        let kernel = |(block, cblock): (usize, &mut [f32])| {
-            let a0 = block * NT_ROW_BLOCK;
-            let mut j0 = 0;
-            while j0 < b.rows {
-                let j1 = (j0 + tile).min(b.rows);
-                for (di, crow) in cblock.chunks_mut(b.rows).enumerate() {
-                    nt_row_span(ks, a.row(a0 + di), b, j0, &mut crow[j0..j1]);
-                }
-                j0 = j1;
-            }
-        };
-        let block_elems = (b.rows * NT_ROW_BLOCK).max(1);
+        let kernel = |(i, crow): (usize, &mut [f32])| nt_row(ks, a.row(i), b, crow);
         if c.data.len() >= PAR_THRESHOLD {
-            c.data
-                .par_chunks_mut(block_elems)
-                .enumerate()
-                .for_each(kernel);
+            c.data.par_chunks_mut(b.rows).enumerate().for_each(kernel);
         } else {
-            c.data.chunks_mut(block_elems).enumerate().for_each(kernel);
+            c.data.chunks_mut(b.rows).enumerate().for_each(kernel);
         }
     }
 
@@ -332,37 +269,6 @@ impl Matrix {
     }
 }
 
-/// The seed-era kernels, frozen verbatim. These are the **pre-fusion
-/// baseline**: sequential-sum inner loops whose loop-carried dependency
-/// blocks vectorization. They exist so equivalence tests have an
-/// independent oracle and the criterion bench a baseline. Not used in
-/// production.
-pub mod naive {
-    use super::Matrix;
-
-    /// Seed implementation of `Matrix::matvec`.
-    pub fn matvec(m: &Matrix, x: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(x.len(), m.cols);
-        (0..m.rows)
-            .map(|r| m.row(r).iter().zip(x).map(|(a, b)| a * b).sum())
-            .collect()
-    }
-
-    /// Seed implementation of `Matrix::matmul_nt`.
-    pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols, b.cols, "nt shape mismatch");
-        let mut c = Matrix::zeros(a.rows, b.rows);
-        for i in 0..a.rows {
-            let arow = a.row(i);
-            let crow = c.row_mut(i);
-            for (j, cv) in crow.iter_mut().enumerate() {
-                *cv = arow.iter().zip(b.row(j)).map(|(x, y)| x * y).sum();
-            }
-        }
-        c
-    }
-}
-
 /// Elementwise vector helpers used by the recurrent cells.
 pub mod vecops {
     /// `a += b`.
@@ -375,11 +281,6 @@ pub mod vecops {
     /// Elementwise product into a new vector.
     pub fn hadamard(a: &[f32], b: &[f32]) -> Vec<f32> {
         a.iter().zip(b).map(|(x, y)| x * y).collect()
-    }
-
-    /// Dot product.
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
 }
 
@@ -461,27 +362,13 @@ mod tests {
         let _ = Matrix::from_vec(2, 2, vec![0.0; 3]);
     }
 
+    /// A row of the nt-GEMM must be **bitwise** a matvec: training runs
+    /// the GEMM, the row-major inference paths the matvec, on one set of
+    /// weights.
     #[test]
-    fn nt_tile_rows_is_a_multiple_of_four() {
-        for cols in [1usize, 3, 32, 64, 345, 1024, 100_000] {
-            let t = nt_tile_rows(cols);
-            assert_eq!(t % 4, 0, "cols {cols}: tile {t}");
-            assert!(t >= 4);
-        }
-        // Paper-scale AE widths produce tiles that genuinely subdivide B.
-        assert!(nt_tile_rows(345) < 192 + 345);
-    }
-
-    /// The L2-tiled nt-GEMM must be **bitwise** identical to the per-row
-    /// matvec order (the untiled formulation), on shapes whose `B` spans
-    /// several tiles.
-    #[test]
-    fn tiled_nt_gemm_is_bitwise_per_row_matvec() {
-        let cols = 345; // tile = 92 rows: a 210-row B crosses 3 tiles
-        assert!(nt_tile_rows(cols) < 210);
-        let a = Matrix::from_fn(NT_ROW_BLOCK + 3, cols, |r, c| {
-            ((r * cols + c) as f32 * 0.137).sin()
-        });
+    fn nt_gemm_row_is_bitwise_a_matvec() {
+        let cols = 345;
+        let a = Matrix::from_fn(19, cols, |r, c| ((r * cols + c) as f32 * 0.137).sin());
         let b = Matrix::from_fn(210, cols, |r, c| ((r * 31 + c * 7) as f32 * 0.071).cos());
         let mut c = Matrix::default();
         Matrix::matmul_nt_into(&a, &b, &mut c);

@@ -592,11 +592,6 @@ impl FlowTracker {
         }
     }
 
-    /// Tracker matching the packet's structural transport.
-    pub fn for_packet(p: &Packet) -> Self {
-        Self::for_proto(p.transport.protocol_number())
-    }
-
     /// Processes one packet, returning its 22-class label.
     pub fn process(&mut self, p: &Packet, dir: Direction) -> StateLabel {
         match self {

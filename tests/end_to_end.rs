@@ -2,7 +2,10 @@
 //! localize loop, exercised exactly as a downstream user would.
 
 use clap_repro::baselines::{KitsuneConfig, KitsuneLite};
-use clap_repro::clap_core::{auc_roc, Clap, ClapConfig, QuantMode, StreamConfig};
+use clap_repro::clap_core::{
+    auc_roc, extract_connection, score_errors, Clap, ClapConfig, ProfileBuilder, QuantMode,
+    StreamConfig,
+};
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
 use clap_repro::traffic_gen;
 
@@ -110,9 +113,11 @@ fn localization_finds_injected_packets() {
 /// time through a `StreamScorer` and whole connections through a
 /// `ClapScorer` run the same per-packet core, so they agree bitwise — what
 /// this pins is the flow table around it (orientation, padding, draining).
-/// The f32 engines also stay within 1e-6 of the seed-era unfused reference.
+/// The f32 engines also stay within 1e-6 of the forward pass the model was
+/// trained through (`GruCell::forward` + `Dense::forward_into` on the
+/// row-major weights, a whole connection at a time).
 #[test]
-fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_unfused_reference() {
+fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_training_forward_pass() {
     let benign = traffic_gen::dataset(42, 120);
     let (clap, _) = Clap::train(&benign, &ClapConfig::ci());
     let unseen = traffic_gen::dataset(44, 5);
@@ -149,12 +154,18 @@ fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_unfused_referenc
                     continue;
                 }
 
-                let unfused = clap.score_connection_unfused(conn);
-                assert_eq!(batched.window_errors.len(), unfused.window_errors.len());
-                for (b, u) in batched.window_errors.iter().zip(&unfused.window_errors) {
-                    assert!((b - u).abs() <= 1e-6, "fused {b} vs unfused {u}");
+                let stacked = ProfileBuilder::new(clap.config.stack).stacked_profiles(
+                    &clap.ranges,
+                    &clap.rnn,
+                    &extract_connection(conn),
+                );
+                let trained = clap.ae.reconstruction_errors(&stacked);
+                assert_eq!(batched.window_errors.len(), trained.len());
+                for (b, t) in batched.window_errors.iter().zip(&trained) {
+                    assert!((b - t).abs() <= 1e-6, "engine {b} vs training pass {t}");
                 }
-                assert!((batched.score - unfused.score).abs() <= 1e-6);
+                let (_, score) = score_errors(&trained, clap.config.score_window);
+                assert!((batched.score - score).abs() <= 1e-6);
             }
         }
     }
