@@ -110,9 +110,9 @@ struct ThroughputReport {
     extended_detection: Vec<ExtendedFamilyRow>,
 }
 
-/// One shard's slice of the measured sharded run: counter deltas across
-/// the timed pass only (the hub is lifetime-cumulative and the warm-up
-/// would otherwise double every number), plus per-stage latency
+/// One shard's slice of the measured sharded run: the timed pass's own
+/// counters ([`ShardStats`](clap_core::ShardStats) is already that run's
+/// delta of the lifetime-cumulative hub), plus per-stage latency
 /// summaries. The histograms cannot be delta'd — percentiles aren't
 /// subtractive — but warm-up and measured pass are the identical
 /// workload, so the cumulative distribution is the measured one.
@@ -350,14 +350,10 @@ fn main() {
     });
     // Warm-up: first run pays thread spawn + page faults.
     let warm = sharded_scorer.score_stream(stream.iter().copied());
-    // The hub is lifetime-cumulative; snapshotting around the timed run
-    // confines the reported counters to the measured pass.
-    let hub = sharded_scorer.telemetry();
-    let tel_base = hub.snapshot();
     let t = Instant::now();
     let run = sharded_scorer.score_stream(stream.iter().copied());
     let sharded = t.elapsed();
-    let tel_end = hub.snapshot();
+    let telemetry = sharded_scorer.telemetry().snapshot();
     ShardHealth::check_accounting(&run.stats).expect("per-shard accounting invariant");
     // The default `block` policy with no injected faults sheds nothing,
     // so every packet must come back inside a verdict.
@@ -376,22 +372,21 @@ fn main() {
         stalls
     );
     eprintln!("{}", bench::shard_stats_table(&run.stats));
-    let shard_telemetry: Vec<ShardTelemetryRow> = tel_end
-        .shards
+    let shard_telemetry: Vec<ShardTelemetryRow> = run
+        .stats
         .iter()
-        .zip(&tel_base.shards)
-        .enumerate()
-        .map(|(i, (e, b))| ShardTelemetryRow {
-            shard: i,
-            pushed: e.pushed - b.pushed,
-            scored: e.scored - b.scored,
-            dropped: e.dropped - b.dropped,
-            quarantined: e.quarantined - b.quarantined,
-            full_waits: e.full_waits - b.full_waits,
+        .zip(&telemetry.shards)
+        .map(|(st, snap)| ShardTelemetryRow {
+            shard: st.shard,
+            pushed: st.pushed,
+            scored: st.packets,
+            dropped: st.dropped,
+            quarantined: st.quarantined,
+            full_waits: st.full_waits,
             stages: Stage::ALL
                 .iter()
                 .map(|s| {
-                    let sum = e.stages[s.index()];
+                    let sum = snap.stages[s.index()];
                     StageLatencyRow {
                         stage: s.name(),
                         samples: sum.count,

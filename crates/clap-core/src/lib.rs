@@ -28,13 +28,16 @@
 //! **online streaming** over an interleaved packet stream ([`stream`]:
 //! the core composed with a bounded flow table — the crate-private
 //! `flow_table` module: key index, slab, timing wheel, no neural type —
-//! and the `resident` arena of per-flow state; scores emitted as packets
-//! arrive, bitwise the batch path's wherever the flow table sees the same
-//! connections), and **sharded streaming** ([`shard`]: the
-//! streaming engine fanned out across worker threads by a symmetric RSS
-//! hash of the 4-tuple, with bounded SPSC ingest queues and a
-//! deterministic merged verdict order — equivalent to the single-threaded
-//! stream within 1e-6).
+//! the `resident` arena of per-flow state and, when asked for, the
+//! `microbatch` module's cross-flow staging and chain-round flush;
+//! scores emitted as packets arrive, bitwise the batch path's wherever
+//! the flow table sees the same connections), and **sharded streaming**
+//! ([`shard`]: the streaming engine fanned out across worker threads by
+//! a symmetric RSS hash of the 4-tuple — `shard/dispatch.rs` owns the
+//! ring-full policy and watchdog, `shard/worker.rs` the supervised
+//! consume loop — with bounded SPSC ingest queues and a deterministic
+//! merged verdict order; bitwise the single-threaded stream's verdicts
+//! whenever no idle-timeout eviction fires).
 //!
 //! # Quick start
 //!
@@ -55,6 +58,7 @@
 pub mod features;
 pub(crate) mod flow_table;
 pub mod metrics;
+pub(crate) mod microbatch;
 pub mod pipeline;
 pub mod profile;
 pub(crate) mod resident;

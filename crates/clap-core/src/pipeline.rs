@@ -243,12 +243,6 @@ impl Clap {
         self.score_connection(conn).score > threshold
     }
 
-    /// Packet index of the most suspicious packet (first step of
-    /// localize-and-estimate).
-    pub fn localize(&self, conn: &Connection) -> usize {
-        self.score_connection(conn).peak_packet
-    }
-
     /// Suggests a detection threshold as a quantile of benign scores
     /// (e.g. `0.95` → ≈5% false-positive budget), scored on the f32
     /// engine ([`QuantMode::Off`]); thresholds should be calibrated at

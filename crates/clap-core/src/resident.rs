@@ -206,17 +206,16 @@ impl ResidentArena {
         }
     }
 
-    /// Writes the `stack − 1` profiles before the slot's packet `t`
-    /// (`t ≥ stack − 1`), oldest first, to the front of `window` — all of
-    /// the window packet `t` completes but `t`'s own row.
-    pub(crate) fn read_window_head(&self, slot: usize, t: usize, window: &mut [f32]) {
-        for j in 0..self.ring_rows {
-            self.read_profile(
-                slot,
-                t - self.ring_rows + j,
-                &mut window[j * PROFILE_LEN..(j + 1) * PROFILE_LEN],
-            );
+    /// Assembles the window the slot's packet `t` (`t ≥ stack − 1`)
+    /// completes: the `stack − 1` profiles before it from the ring, oldest
+    /// first, then `row` — `t`'s own, which is not resident yet (store it
+    /// after; the ring must still be "as of packet `t − 1`" here).
+    pub(crate) fn read_window(&self, slot: usize, t: usize, row: &[f32], window: &mut [f32]) {
+        let (head, last) = window.split_at_mut(self.ring_rows * PROFILE_LEN);
+        for (j, dst) in head.chunks_exact_mut(PROFILE_LEN).enumerate() {
+            self.read_profile(slot, t - self.ring_rows + j, dst);
         }
+        last.copy_from_slice(row);
     }
 
     /// Grows capacity to exactly `target_slots` (never Vec doubling), so

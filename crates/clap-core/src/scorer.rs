@@ -5,14 +5,14 @@
 //! This is the only inference path in the crate. [`StreamScorer`] calls
 //! [`Scorer::advance`] per packet on a flow-table slot; [`ClapScorer`]
 //! loops it over a connection on a one-slot arena — which is why online
-//! and offline scores agree bitwise. (The micro-batch flush in
-//! [`stream`](crate::stream) stages the same rows and sends them through
-//! the batched forms of the same two engine calls.)
+//! and offline scores agree bitwise. (`microbatch` stages the rows
+//! [`extract_row`] starts and sends them through the batched forms of the
+//! same two engine calls.)
 //!
 //! [`StreamScorer`]: crate::StreamScorer
 //! [`ClapScorer`]: crate::ClapScorer
 
-use crate::features::{FeatureExtractor, FeatureVector, NUM_PACKET};
+use crate::features::{FeatureExtractor, FeatureVector, RangeModel, NUM_PACKET};
 use crate::pipeline::Clap;
 use crate::profile::{ProfileBuilder, PROFILE_LEN};
 use crate::resident::ResidentArena;
@@ -100,19 +100,21 @@ impl<'a> Scorer<'a> {
             resident,
             slot,
         } = flow;
-        extractor.push_into(p, dir, &mut self.fv);
-        let t = *packets as usize;
-        *packets += 1;
-
-        // Packet `t`'s single-packet context profile, built in scratch:
-        // packet features ‖ update gates ‖ reset gates.
+        // Packet `t`'s single-packet context profile, built in scratch.
         self.row.resize(PROFILE_LEN, 0.0);
-        let (feat, gates) = self.row.split_at_mut(NUM_PACKET);
-        self.clap.ranges.write_packet_features(&self.fv, feat);
+        let t = extract_row(
+            &self.clap.ranges,
+            &mut self.fv,
+            extractor,
+            packets,
+            p,
+            dir,
+            &mut self.row,
+        );
         if let Some(c) = clock.as_mut() {
             c.lap(Stage::Extract);
         }
-        let (z, r) = gates.split_at_mut(hidden);
+        let (z, r) = self.row[NUM_PACKET..].split_at_mut(hidden);
         let (gru, x, gru_scratch) = (&self.gru, &self.fv.base, &mut self.gru_scratch);
         resident.step_hidden(slot, &mut self.h_scratch, &mut self.code_scratch, |h| {
             gru.step(x, h, gru_scratch, z, r)
@@ -127,9 +129,7 @@ impl<'a> Scorer<'a> {
         let mut emitted = None;
         if t + 1 >= stack {
             self.window.resize(1, stack * PROFILE_LEN);
-            let dst = self.window.row_mut(0);
-            resident.read_window_head(slot, t, dst);
-            dst[(stack - 1) * PROFILE_LEN..].copy_from_slice(&self.row);
+            resident.read_window(slot, t, &self.row, self.window.row_mut(0));
             emitted = Some(self.window_error());
             if let Some(c) = clock.as_mut() {
                 c.lap(Stage::AeWindow);
@@ -184,4 +184,25 @@ impl<'a> Scorer<'a> {
             score,
         }
     }
+}
+
+/// Extracts `p` as the next packet of a flow and starts its profile row
+/// (packet features ‖ update gates ‖ reset gates): the extractor and the
+/// packet count advance, the GRU input lands in `fv.base` and the feature
+/// third at the front of `row`; the gate two-thirds are the GRU step's to
+/// fill. Returns the packet's 0-based index in its flow.
+pub(crate) fn extract_row(
+    ranges: &RangeModel,
+    fv: &mut FeatureVector,
+    extractor: &mut FeatureExtractor,
+    packets: &mut u32,
+    p: &Packet,
+    dir: Direction,
+    row: &mut [f32],
+) -> usize {
+    extractor.push_into(p, dir, fv);
+    let t = *packets as usize;
+    *packets += 1;
+    ranges.write_packet_features(fv, &mut row[..NUM_PACKET]);
+    t
 }

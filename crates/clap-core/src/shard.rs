@@ -1,7 +1,7 @@
 //! RSS-sharded multi-queue streaming front end — the multi-core
 //! counterpart of [`StreamScorer`].
 //!
-//! PR 2's streaming engine is single-threaded by design: one flow table,
+//! The streaming engine is single-threaded by design: one flow table,
 //! one ingest thread. [`ShardedStreamScorer`] scales that engine across
 //! cores the way an RSS NIC scales a line-rate tap across receive queues:
 //!
@@ -12,7 +12,7 @@
 //!   flows outright. No flow state is ever shared between workers; the
 //!   per-shard engine is the unmodified [`StreamScorer`], which is what
 //!   makes the sharded path exactly as trustworthy as the single-threaded
-//!   one (and lets the property tests pin sharded == unsharded ≤1e-6).
+//!   one (and lets the property tests pin sharded == unsharded bitwise).
 //! * **Bounded SPSC ingest queues.** The dispatch thread pushes `(arrival
 //!   index, packet)` pairs into one bounded single-producer/single-consumer
 //!   ring per shard ([`spsc`]). What happens when a ring is full is the
@@ -54,8 +54,8 @@
 //! fails, sheds load deterministically when it cannot keep up, and
 //! accounts for every packet exactly once no matter what.
 //!
-//! * **Panic isolation.** Each worker scores packets inside
-//!   `catch_unwind`. A panic while scoring quarantines the offending
+//! * **Panic isolation.** Each worker scores packets inside an unwind
+//!   barrier. A panic while scoring quarantines the offending
 //!   packet ([`ShardedRun::quarantined`] logs shard, flow key and global
 //!   arrival index), rebuilds that shard's flow table from scratch
 //!   ([`StreamScorer::reset`], counted in [`ShardStats::restarts`]) and
@@ -120,94 +120,54 @@
 //! assert!(run.verdicts.iter().all(|v| v.flow.scored.score.is_finite()));
 //! assert!(run.stats.iter().all(|s| s.dropped == 0 && s.quarantined == 0));
 //! ```
+//!
+//! The module is three files: this one (configs, the run's result types
+//! and [`try_score_stream`](ShardedStreamScorer::try_score_stream), which
+//! reads spawn → offer each packet → join → stats → merge), `dispatch`
+//! (ring-full policy, watchdog) and `worker` (the supervised consume
+//! loop); neither of the two knows what the other does with a packet.
+//!
+//! [`StreamScorer`]: crate::StreamScorer
+//! [`StreamScorer::push_tagged`]: crate::StreamScorer::push_tagged
+//! [`StreamScorer::reset`]: crate::StreamScorer::reset
+//! [`CanonicalKey::shard_of`]: net_packet::CanonicalKey::shard_of
 
+mod dispatch;
 pub mod fault;
 pub mod spsc;
 pub mod supervise;
+mod worker;
 
 use crate::pipeline::Clap;
-use crate::stream::{ClosedFlow, FlowEntry, StreamConfig, StreamScorer, StreamStats};
+use crate::stream::{ClosedFlow, FlowEntry, StreamConfig, StreamStats};
 use clap_telemetry::hist::Stage;
-use clap_telemetry::{ShardCells, StageRecorder, TelemetryHub, WorkerCells};
+use clap_telemetry::{ShardSnapshot, StageRecorder, TelemetryHub};
+use dispatch::Dispatcher;
+pub use dispatch::OverloadPolicy;
 use fault::FaultPlan;
-use net_packet::{CanonicalKey, Packet};
-use std::collections::HashMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+// Only the tests name it here (through `super::*`).
+#[cfg(test)]
+use net_packet::CanonicalKey;
+use net_packet::Packet;
 use std::sync::Arc;
 use supervise::{Quarantined, ShardFailure, ShardFailureKind, ShardRunError};
-
-/// What the dispatcher does with a packet whose shard's ingest ring is
-/// full. See the module-level "Failure modes & overload policies"
-/// section for the guarantees each variant keeps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Spin (spin-then-yield) until the ring frees a slot. Zero loss and
-    /// bitwise determinism, at the price of unbounded dispatch latency
-    /// behind a slow shard. The pre-supervision behavior.
-    #[default]
-    Block,
-    /// Shed the packet that found the ring full (counted per shard in
-    /// [`ShardStats::dropped`]). Bounded dispatch latency, bounded loss.
-    DropNewest,
-    /// While the ring stays saturated, score one in `keep_one_in`
-    /// packets *per flow* (shedding the rest) so every flow keeps
-    /// producing verdicts under overload, just on thinner evidence.
-    /// Saturation episodes are counted in
-    /// [`ShardStats::degraded_windows`].
-    Degrade { keep_one_in: u32 },
-}
-
-impl OverloadPolicy {
-    /// Parses the `--overload-policy` CLI grammar: `block`,
-    /// `drop-newest` (or `drop`), `degrade` (1-in-8) or `degrade:K`.
-    pub fn parse(spec: &str) -> Result<OverloadPolicy, String> {
-        match spec {
-            "block" => Ok(OverloadPolicy::Block),
-            "drop-newest" | "drop" => Ok(OverloadPolicy::DropNewest),
-            "degrade" => Ok(OverloadPolicy::Degrade { keep_one_in: 8 }),
-            other => match other.strip_prefix("degrade:") {
-                Some(k) => {
-                    let keep_one_in: u32 = k
-                        .parse()
-                        .map_err(|_| format!("overload policy `{other}`: `{k}` is not a number"))?;
-                    if keep_one_in == 0 {
-                        return Err(format!("overload policy `{other}`: K must be ≥ 1"));
-                    }
-                    Ok(OverloadPolicy::Degrade { keep_one_in })
-                }
-                None => Err(format!(
-                    "unknown overload policy `{other}` (expected block/drop-newest/degrade[:K])"
-                )),
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for OverloadPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OverloadPolicy::Block => write!(f, "block"),
-            OverloadPolicy::DropNewest => write!(f, "drop-newest"),
-            OverloadPolicy::Degrade { keep_one_in } => write!(f, "degrade:{keep_one_in}"),
-        }
-    }
-}
 
 /// Partitioning and supervision policy for a [`ShardedStreamScorer`].
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Number of worker shards (≥ 1). Each shard owns one ingest queue,
-    /// one [`StreamScorer`] flow table and one thread; the dispatch loop
-    /// runs on the calling thread, so `shards` worker cores plus one
-    /// dispatch core are busy at saturation.
+    /// one [`StreamScorer`](crate::StreamScorer) flow table and one
+    /// thread; the dispatch loop runs on the calling thread, so `shards`
+    /// worker cores plus one dispatch core are busy at saturation.
     pub shards: usize,
     /// Capacity of each shard's SPSC ingest ring, in packets. Smaller
     /// rings bound ingest memory and latency tighter but backpressure the
     /// dispatcher sooner; correctness is unaffected either way.
     pub queue_capacity: usize,
     /// Flow-table policy applied *per shard* (each worker runs its own
-    /// [`StreamScorer`] under this config). Note `max_flows` is therefore
-    /// a per-shard bound: total tracked flows ≤ `shards × max_flows`.
+    /// [`StreamScorer`](crate::StreamScorer) under this config). Note
+    /// `max_flows` is therefore a per-shard bound: total tracked flows ≤
+    /// `shards × max_flows`.
     /// `microbatch` likewise batches *within* each shard; an idle shard
     /// flushes its pending batch immediately, and end-of-stream drain
     /// flushes before finalizing, so batching never changes verdicts.
@@ -284,6 +244,35 @@ pub struct ShardStats {
     pub stream: StreamStats,
 }
 
+impl ShardStats {
+    /// One run's accounting for `shard`: what its hub counters gained
+    /// between the snapshot taken before any worker started (`b`) and the
+    /// one taken after every worker joined (`e`).
+    fn delta(shard: usize, b: &ShardSnapshot, e: &ShardSnapshot) -> ShardStats {
+        ShardStats {
+            shard,
+            pushed: e.dispatched - b.dispatched,
+            packets: e.scored - b.scored,
+            flows_closed: e.flows_closed - b.flows_closed,
+            full_waits: e.full_waits - b.full_waits,
+            dropped: e.dropped - b.dropped,
+            degraded_windows: e.degraded_windows - b.degraded_windows,
+            quarantined: e.quarantined - b.quarantined,
+            restarts: e.restarts - b.restarts,
+            stream: StreamStats {
+                // A high-water mark, not a rate: reported raw.
+                flows_peak: e.flows_peak as usize,
+                evicted_idle: e.evicted_idle - b.evicted_idle,
+                evicted_capacity: e.evicted_capacity - b.evicted_capacity,
+                closed_tcp: e.closed_tcp - b.closed_tcp,
+                length_capped: e.length_capped - b.length_capped,
+                drained: e.drained - b.drained,
+                time_wait_expired: e.time_wait_expired - b.time_wait_expired,
+            },
+        }
+    }
+}
+
 /// One merged verdict: which shard scored the flow, the global arrival
 /// index of the flow's first packet (the merge sort key), and the same
 /// [`ClosedFlow`] the unsharded engine would have produced.
@@ -317,7 +306,8 @@ pub struct ShardedRun {
 }
 
 /// RSS-sharded scoring session: a hash-partitioned fan-out of
-/// [`StreamScorer`]s. Create via [`Clap::sharded_scorer`] (or
+/// [`StreamScorer`](crate::StreamScorer)s. Create via
+/// [`Clap::sharded_scorer`] (or
 /// [`Clap::sharded_scorer_with`] for explicit policy), then feed one
 /// interleaved packet stream to [`score_stream`](Self::score_stream) or
 /// [`try_score_stream`](Self::try_score_stream).
@@ -344,59 +334,6 @@ impl Clap {
             clap: self,
             config,
             hub,
-        }
-    }
-}
-
-/// Outcome of one blocking (policy `Block`, or a `Degrade` keeper) push.
-enum PushOutcome {
-    Delivered {
-        stalled: bool,
-    },
-    /// The worker terminated with its ring full — it will never drain.
-    WorkerDead,
-    /// Ring full and heartbeat frozen past the watchdog limit.
-    Stuck {
-        heartbeat: u64,
-    },
-}
-
-/// Pushes `item`, spinning while the ring is full; watches the worker's
-/// liveness (thread finished) and progress (heartbeat) while waiting. A
-/// *slow* worker keeps its heartbeat moving and resets the frozen count,
-/// so only a genuinely wedged shard ever trips `Stuck`.
-fn blocking_push<T>(
-    ring: &spsc::Ring<T>,
-    worker_finished: impl Fn() -> bool,
-    worker: &WorkerCells,
-    watchdog_limit: u64,
-    mut item: T,
-) -> PushOutcome {
-    let mut backoff = spsc::Backoff::new();
-    let mut stalled = false;
-    let mut beat = 0u64;
-    let mut frozen_iters = 0u64;
-    loop {
-        match ring.try_push(item) {
-            Ok(()) => return PushOutcome::Delivered { stalled },
-            Err(back) => {
-                item = back;
-                if worker_finished() {
-                    return PushOutcome::WorkerDead;
-                }
-                let now = worker.heartbeat();
-                if !stalled || now != beat {
-                    stalled = true;
-                    beat = now;
-                    frozen_iters = 0;
-                } else {
-                    frozen_iters += 1;
-                    if frozen_iters >= watchdog_limit {
-                        return PushOutcome::Stuck { heartbeat: now };
-                    }
-                }
-                backoff.snooze();
-            }
         }
     }
 }
@@ -435,41 +372,24 @@ impl ShardedStreamScorer<'_> {
     /// verdicts and every shard's stats.
     ///
     /// The calling thread runs the dispatch loop (hash → shard → SPSC
-    /// push under the configured [`OverloadPolicy`]); `shards` scoped
-    /// worker threads consume their rings into per-shard supervised
-    /// [`StreamScorer`]s. All live flows are finalized at end of stream,
-    /// exactly like [`StreamScorer::finish`].
+    /// push under the configured [`OverloadPolicy`]), pulling `packets`
+    /// one at a time while `shards` scoped worker threads consume their
+    /// rings into per-shard supervised
+    /// [`StreamScorer`](crate::StreamScorer)s — a lazily parsed capture
+    /// overlaps with scoring. All live flows are finalized at end of
+    /// stream, exactly like
+    /// [`StreamScorer::finish`](crate::StreamScorer::finish).
     pub fn try_score_stream<'p>(
         &self,
         packets: impl IntoIterator<Item = &'p Packet>,
     ) -> Result<ShardedRun, ShardRunError> {
-        let shards = self.shards();
-        let capacity = self.config.queue_capacity.max(1);
-        let policy = self.config.overload;
-        let watchdog_limit = self.config.watchdog_limit.max(1);
-        let plan = &self.config.faults;
-
-        // Malformed substitutes are owned packets; build them (and
-        // therefore collect the stream) before the worker scope so the
-        // rings can borrow them.
-        let stream: Vec<&'p Packet> = packets.into_iter().collect();
-        let mangled: HashMap<u64, Packet> = if plan.is_empty() {
-            HashMap::new()
-        } else {
-            stream
-                .iter()
-                .enumerate()
-                .filter(|(seq, _)| plan.malform_at(*seq as u64))
-                .map(|(seq, p)| (seq as u64, fault::malform(p)))
-                .collect()
-        };
-        let queues: Vec<spsc::Ring<(u64, &Packet)>> =
-            (0..shards).map(|_| spsc::Ring::new(capacity)).collect();
-        let hub = &self.hub;
+        let (config, hub) = (&self.config, &*self.hub);
+        let queues: Vec<spsc::Ring<(u64, &'p Packet)>> = (0..self.shards())
+            .map(|_| spsc::Ring::new(config.queue_capacity.max(1)))
+            .collect();
         // The hub is lifetime-cumulative; this run's ShardStats is the
         // delta against the baseline taken before any worker starts.
         let base = hub.snapshot();
-        let dump_flows = self.config.dump_flows;
 
         std::thread::scope(|s| {
             // Any unwind out of this closure — e.g. a panic inside the
@@ -479,105 +399,21 @@ impl ShardedStreamScorer<'_> {
             // normal path drops it (and thus closes the rings) before
             // joining.
             let close_rings = CloseRings(&queues);
-
             let handles: Vec<_> = queues
                 .iter()
                 .enumerate()
                 .map(|(i, ring)| {
-                    let stream_cfg = self.config.stream.clone();
                     let clap = self.clap;
-                    let cells = hub.shard(i);
-                    s.spawn(move || {
-                        shard_worker(clap, stream_cfg, i, ring, cells, plan, dump_flows)
-                    })
+                    s.spawn(move || worker::shard_worker(clap, config, i, ring, hub.shard(i)))
                 })
                 .collect();
 
-            let mut was_saturated = vec![false; shards];
-            let mut degrade_seq: Vec<HashMap<CanonicalKey, u64>> =
-                (0..shards).map(|_| HashMap::new()).collect();
-            let mut dead = vec![false; shards];
-            let mut failures: Vec<ShardFailure> = Vec::new();
-
-            for (seq, orig) in stream.iter().enumerate() {
-                let seq = seq as u64;
-                let ck = CanonicalKey::of(orig);
-                let shard = ck.shard_of(shards);
-                let cells = hub.shard(shard);
-                cells.dispatch.dispatched_inc();
-                if dead[shard] {
-                    cells.dispatch.shed();
-                    continue;
-                }
-                let p: &Packet = mangled.get(&seq).map_or(*orig, |m| m);
-                // A forced burst makes the ring *look* full to the policy
-                // without being full, so shed decisions are reproducible.
-                let forced = plan.forced_full(seq);
-                let deliver = match policy {
-                    OverloadPolicy::Block => {
-                        if forced {
-                            cells.dispatch.full_wait();
-                        }
-                        true
-                    }
-                    OverloadPolicy::DropNewest => {
-                        if forced {
-                            false
-                        } else {
-                            match queues[shard].try_push((seq, p)) {
-                                Ok(()) => continue,
-                                Err(_) => false,
-                            }
-                        }
-                    }
-                    OverloadPolicy::Degrade { keep_one_in } => {
-                        let saturated = forced || queues[shard].is_full();
-                        if saturated && !was_saturated[shard] {
-                            cells.dispatch.degraded_window();
-                        }
-                        was_saturated[shard] = saturated;
-                        if saturated {
-                            let count = degrade_seq[shard].entry(ck).or_insert(0);
-                            let keep = (*count).is_multiple_of(u64::from(keep_one_in.max(1)));
-                            *count += 1;
-                            keep
-                        } else {
-                            true
-                        }
-                    }
-                };
-                if !deliver {
-                    cells.dispatch.shed();
-                    continue;
-                }
-                match blocking_push(
-                    &queues[shard],
-                    || handles[shard].is_finished(),
-                    &cells.worker,
-                    watchdog_limit,
-                    (seq, p),
-                ) {
-                    PushOutcome::Delivered { stalled } => {
-                        if stalled {
-                            cells.dispatch.full_wait();
-                        }
-                    }
-                    PushOutcome::WorkerDead => {
-                        // The join below records the Died failure with
-                        // the actual panic message.
-                        dead[shard] = true;
-                        cells.dispatch.shed();
-                    }
-                    PushOutcome::Stuck { heartbeat } => {
-                        dead[shard] = true;
-                        cells.dispatch.shed();
-                        failures.push(ShardFailure {
-                            shard,
-                            kind: ShardFailureKind::Stuck { heartbeat },
-                        });
-                    }
-                }
+            let mut dispatcher =
+                Dispatcher::new(config, &queues, hub, |i| handles[i].is_finished());
+            for (seq, p) in packets.into_iter().enumerate() {
+                dispatcher.offer(seq as u64, p);
             }
+            let mut failures = dispatcher.finish();
             drop(close_rings);
 
             let mut verdicts = Vec::new();
@@ -610,35 +446,10 @@ impl ShardedStreamScorer<'_> {
                 }
             }
             // Every worker has joined and every leftover is accounted, so
-            // this cut has `dispatched == pushed` per shard; the delta
-            // against the run-start baseline is this run's stats.
+            // this cut has `dispatched == pushed` per shard.
             let end = hub.snapshot();
-            let stats: Vec<ShardStats> = (0..shards)
-                .map(|shard| {
-                    let b = &base.shards[shard];
-                    let e = &end.shards[shard];
-                    ShardStats {
-                        shard,
-                        pushed: e.dispatched - b.dispatched,
-                        packets: e.scored - b.scored,
-                        flows_closed: e.flows_closed - b.flows_closed,
-                        full_waits: e.full_waits - b.full_waits,
-                        dropped: e.dropped - b.dropped,
-                        degraded_windows: e.degraded_windows - b.degraded_windows,
-                        quarantined: e.quarantined - b.quarantined,
-                        restarts: e.restarts - b.restarts,
-                        stream: StreamStats {
-                            // A high-water mark, not a rate: reported raw.
-                            flows_peak: e.flows_peak as usize,
-                            evicted_idle: e.evicted_idle - b.evicted_idle,
-                            evicted_capacity: e.evicted_capacity - b.evicted_capacity,
-                            closed_tcp: e.closed_tcp - b.closed_tcp,
-                            length_capped: e.length_capped - b.length_capped,
-                            drained: e.drained - b.drained,
-                            time_wait_expired: e.time_wait_expired - b.time_wait_expired,
-                        },
-                    }
-                })
+            let stats = (base.shards.iter().zip(&end.shards).enumerate())
+                .map(|(shard, (b, e))| ShardStats::delta(shard, b, e))
                 .collect();
             // First-packet arrival indices are unique across flows (each
             // tags a distinct packet), so this order is total in
@@ -685,159 +496,6 @@ impl<T> Drop for CloseRings<'_, T> {
             ring.close();
         }
     }
-}
-
-/// What one (surviving) worker hands back at join.
-struct WorkerOutput {
-    verdicts: Vec<ShardVerdict>,
-    quarantined: Vec<Quarantined>,
-    /// End-of-stream flow-table dump (empty unless
-    /// [`ShardConfig::dump_flows`]).
-    flows: Vec<FlowEntry>,
-}
-
-/// One shard's supervised consume loop: pop packets from the ring into
-/// this shard's [`StreamScorer`] via [`StreamScorer::push_tagged`], each
-/// push wrapped in `catch_unwind` — a scoring panic quarantines the
-/// packet and rebuilds the flow table instead of killing the worker. The
-/// scorer itself carries each flow incarnation's first-packet arrival
-/// index (on [`ClosedFlow::arrival`]) — including across restarts inside
-/// a single push and through orient-buffer replays, where the buffered
-/// packets keep their original tags — so the worker does no per-flow
-/// bookkeeping at all: no shadow key→arrival map, no re-tag branch, no
-/// fallbacks.
-fn shard_worker<'p>(
-    clap: &Clap,
-    stream_cfg: StreamConfig,
-    shard: usize,
-    ring: &spsc::Ring<(u64, &'p Packet)>,
-    cells: &ShardCells,
-    plan: &FaultPlan,
-    dump_flows: bool,
-) -> WorkerOutput {
-    let mut scorer = clap.stream_scorer_with(stream_cfg);
-    // Re-home the scorer's flow-table counters and stage clocks onto the
-    // shard's hub slot, so they are visible to mid-run snapshots and
-    // survive this worker if it dies.
-    scorer.attach_telemetry(Arc::clone(&cells.stream));
-    scorer.attach_stages(Arc::clone(&cells.stages));
-    let telemetry = &cells.worker;
-    let mut out = WorkerOutput {
-        verdicts: Vec::new(),
-        quarantined: Vec::new(),
-        flows: Vec::new(),
-    };
-
-    let consume =
-        |scorer: &mut StreamScorer<'_>, out: &mut WorkerOutput, (seq, p): (u64, &Packet)| {
-            if let Some(millis) = plan.stall_at(seq) {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
-            }
-            if plan.kill_at(seq) {
-                // Deliberately outside the supervised region: models an
-                // unrecoverable failure that takes the whole worker down.
-                panic!(
-                    "{}: hard kill at arrival {seq} (shard {shard})",
-                    fault::INJECTED_TAG
-                );
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if plan.panic_at(seq) {
-                    panic!(
-                        "{}: scorer panic at arrival {seq} (shard {shard})",
-                        fault::INJECTED_TAG
-                    );
-                }
-                scorer.push_tagged(p, seq);
-            }));
-            match result {
-                Ok(_) => {
-                    telemetry.scored();
-                    for flow in scorer.drain_closed() {
-                        telemetry.flow_closed();
-                        out.verdicts.push(ShardVerdict {
-                            shard,
-                            arrival: flow.arrival,
-                            flow,
-                        });
-                    }
-                }
-                Err(payload) => {
-                    // Quarantine: log the packet, throw away whatever state
-                    // the unwinding push may have left half-mutated, keep
-                    // going on a fresh flow table.
-                    telemetry.quarantined();
-                    out.quarantined.push(Quarantined {
-                        shard,
-                        arrival: seq,
-                        key: CanonicalKey::of(p),
-                        panic: supervise::panic_message(payload.as_ref()),
-                    });
-                    scorer.reset();
-                }
-            }
-            telemetry.beat();
-        };
-    // A panic escaping `consume` (a hard kill, or a bug in the
-    // quarantine path itself) takes this thread down; account for the
-    // in-flight packet first so `pushed == packets + dropped +
-    // quarantined` stays exact even for a dead shard, then let it fly —
-    // the dispatcher picks the payload up at join.
-    let supervised =
-        |scorer: &mut StreamScorer<'_>, out: &mut WorkerOutput, item: (u64, &'p Packet)| {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| consume(scorer, out, item))) {
-                telemetry.dropped_in_flight();
-                resume_unwind(payload);
-            }
-        };
-
-    let mut backoff = spsc::Backoff::new();
-    loop {
-        while let Some(item) = ring.try_pop() {
-            supervised(&mut scorer, &mut out, item);
-            backoff.reset();
-        }
-        if ring.is_closed() {
-            // Pushes that raced the close flag: one final drain after the
-            // Acquire load of `closed` has ordered them before us.
-            while let Some(item) = ring.try_pop() {
-                supervised(&mut scorer, &mut out, item);
-            }
-            break;
-        }
-        // Going idle: score any pending micro-batched work now instead
-        // of letting it wait on further traffic (flushing never closes a
-        // flow, so there are no verdicts to drain here). Supervised like
-        // a push — a flush panic rebuilds the flow table.
-        if catch_unwind(AssertUnwindSafe(|| scorer.flush_pending())).is_err() {
-            telemetry.restart();
-            scorer.reset();
-        }
-        backoff.snooze();
-    }
-
-    // The conntrack-style dump captures the table as of end of stream —
-    // before the final drain below finalizes (and removes) every flow.
-    if dump_flows {
-        out.flows = scorer.flow_entries();
-    }
-
-    // End-of-stream flush, supervised like every per-packet push: a
-    // panicking flush costs the pending verdicts of this shard only.
-    match catch_unwind(AssertUnwindSafe(|| scorer.finish())) {
-        Ok(flows) => {
-            for flow in flows {
-                telemetry.flow_closed();
-                out.verdicts.push(ShardVerdict {
-                    shard,
-                    arrival: flow.arrival,
-                    flow,
-                });
-            }
-        }
-        Err(_) => telemetry.restart(),
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1194,8 +852,9 @@ mod tests {
                 .find(|f| f.key == v.flow.key && f.packets == v.flow.packets)
                 .expect("teardown flow exists in unsharded reference");
             assert_eq!(r.reason, CloseReason::TcpClose);
-            assert!(
-                (r.scored.score - v.flow.scored.score).abs() < 1e-6,
+            assert_eq!(
+                r.scored.score.to_bits(),
+                v.flow.scored.score.to_bits(),
                 "sharded teardown verdict diverged: {} vs {}",
                 v.flow.scored.score,
                 r.scored.score
@@ -1428,6 +1087,56 @@ mod tests {
             .score_stream(stream.iter().copied());
         assert_eq!(run.stats.len(), 1);
         assert_eq!(run.verdicts.len(), corpus.len());
+    }
+
+    /// The input is pulled inside the worker scope. So scoring overlaps
+    /// with it: when the iterator yields packet `n`, backpressure has
+    /// already forced all but a ring-full per shard of the packets before
+    /// it through the workers. And a panic in it unwinds out of the call
+    /// through the ring guard: every ring closed, every worker joined
+    /// (anything else hangs — hence the timeouts), every packet
+    /// dispatched before the panic consumed and accounted.
+    #[test]
+    fn shard_panicking_input_iterator_unwinds_with_workers_joined() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        fault::silence_injected_panics();
+        let config = cfg(3);
+        let in_rings = 3 * (config.queue_capacity as u64 + 1);
+        let (tx, rx) = channel();
+        let run = std::thread::spawn(move || {
+            let corpus = traffic_gen::dataset(877, 10);
+            let stream = interleave(&corpus);
+            let n = stream.len() / 2;
+            let sharded = model().sharded_scorer_with(config);
+            let hub = sharded.telemetry();
+            let input = stream.iter().copied().enumerate().map(|(i, p)| {
+                if i == n {
+                    let scored = hub.snapshot().total(|s| s.scored);
+                    tx.send((Arc::clone(&hub), n as u64, scored)).unwrap();
+                    panic!("{}: input iterator at packet {i}", fault::INJECTED_TAG);
+                }
+                p
+            });
+            sharded.try_score_stream(input).is_ok()
+        });
+        let wait = std::time::Duration::from_secs(120);
+        let (hub, n, scored_at_n) = rx.recv_timeout(wait).expect("the input reaches packet n");
+        assert!(
+            scored_at_n + in_rings >= n,
+            "only {scored_at_n} of {n} packets scored while the input was still being read"
+        );
+        // The sender dies with the thread: a disconnect is the unwind
+        // arriving at the top, a timeout a worker spinning on an open ring.
+        assert_eq!(
+            rx.recv_timeout(wait).err(),
+            Some(RecvTimeoutError::Disconnected)
+        );
+        let payload = run.join().expect_err("the iterator's panic propagates");
+        assert!(supervise::panic_message(payload.as_ref()).contains("input iterator"));
+        let snap = hub.snapshot();
+        snap.check_invariants().expect("coherent after the unwind");
+        assert_eq!(snap.total(|s| s.dispatched), n);
+        assert_eq!(snap.total(|s| s.scored), n, "every ring was drained");
     }
 
     /// An injected scoring panic quarantines exactly that packet,

@@ -20,9 +20,10 @@
 //!   policies (`DropNewest`, `Degrade`) are tested deterministically:
 //!   real ring occupancy depends on thread scheduling, a forced burst
 //!   does not.
-//! * [`Fault::MalformAt`] — the packet is replaced by [`malform`]'s
-//!   garbage-header mutation of itself before dispatch (4-tuple
-//!   preserved, so flow identity and shard assignment are unchanged).
+//! * [`Fault::MalformAt`] — the worker scores [`malform`]'s
+//!   garbage-header mutation of the packet in its place, inside the
+//!   supervised region (4-tuple preserved, so flow identity and shard
+//!   assignment are unchanged).
 //!
 //! Plans come from three constructors: [`FaultPlan::with`] (explicit,
 //! for targeted tests), [`FaultPlan::randomized`] (a seed-deterministic
@@ -53,7 +54,7 @@ pub enum Fault {
     /// Dispatcher treats the owning shard's ring as full for every
     /// arrival in `from..until`.
     FullBurst { from: u64, until: u64 },
-    /// Packet is replaced with [`malform`]'s mutation before dispatch.
+    /// Worker scores [`malform`]'s mutation of this packet in its place.
     MalformAt { arrival: u64 },
 }
 

@@ -11,8 +11,15 @@
 //!   the crate's one per-packet scoring core (`scorer`: extract → GRU step
 //!   → window → autoencoder) and the arena that holds each flow's neural
 //!   state (`resident`). This module is the policy between them:
-//!   orientation, when a flow closes and why, the verdict queue, and the
-//!   micro-batcher.
+//!   orientation, when a flow closes and why, and the verdict queue.
+//! * **Optional cross-flow micro-batching.** With
+//!   [`StreamConfig::microbatch`] ≥ 2 a packet's neural work is staged
+//!   and scored in batches across flows (the crate-private `microbatch`
+//!   module; this one only decides when to stage and when to flush).
+//!   Verdict content, order and timing are bitwise those of per-packet
+//!   scoring; the one observable difference is that
+//!   [`StreamScorer::push`] returns `None` for a window error that is
+//!   still pending (it surfaces in the flow's [`ClosedFlow`] log).
 //! * **Per-flow state, shared scratch.** Each live flow persists only what
 //!   the model mathematically needs: the incremental feature-extraction
 //!   anchors ([`FeatureExtractor`](crate::FeatureExtractor)), a
@@ -49,65 +56,6 @@
 //!   weights as f32 or as int8 (`neural::quant`); the engines, and so the
 //!   code that advances a flow, are the same either way, and within
 //!   either precision streaming equals batch scoring at that precision.
-//!
-//! # Cross-flow micro-batching
-//!
-//! With [`StreamConfig::microbatch`] ≥ 2 the scorer stops scoring each
-//! packet's GRU step / AE window immediately and instead *continuously
-//! batches* ready work across concurrent flows — the same trick
-//! inference servers use to fill GEMM lanes from many concurrent
-//! requests. Per packet, only the cheap per-flow bookkeeping runs
-//! inline (TCP tracking, feature extraction, timers — everything
-//! teardown and eviction decisions depend on); the packet's neural work
-//! is staged into a pending set keyed by slab handle: its GRU input
-//! row and the feature part of its profile row. A bursty flow may
-//! stage *several* consecutive packets — each item records its
-//! position (`round`) in its flow's chain. A **flush** then scores
-//! the whole set in chain rounds: round `r` gathers the hidden state
-//! of every item that is the `r`-th staged packet of its flow
-//! (dequantized from the resident arena under [`ResidentMode::Int8`]),
-//! runs one [`neural::PackedGru::step_batch`] over them and scatters
-//! the states back (requantized in int8 resident mode), so round
-//! `r + 1` reads exactly the states round `r` produced — the
-//! cross-packet GRU dependency runs *between* rounds, never inside a
-//! GEMM. Ring stores happen per item as its round completes, window
-//! rows accumulate across rounds, and one batched autoencoder pass
-//! scores every completed window at the end.
-//!
-//! **Flush policy.** The pending set flushes when it reaches
-//! [`StreamConfig::microbatch`] rows (batch full); when a pending
-//! set has aged [`StreamConfig::microbatch_wait`] stream packets
-//! (latency budget); always at the top of flow finalization (teardown,
-//! length cap, idle/capacity eviction, linger expiry, [`finish`]) so
-//! verdict timing and content never depend on batching; and on demand
-//! via [`flush_pending`] (the sharded engine calls it when a shard
-//! goes idle). Chaining means a same-flow *collision never forces a
-//! flush*: back-to-back packets of one flow — over a third of the ci
-//! corpus — queue behind each other and the set keeps filling to
-//! capacity.
-//!
-//! **Ordering / finalization invariants.** Tracker state, packet
-//! counts and `last_seen` advance at *enqueue* time, so teardown,
-//! length-cap and eviction decisions — and therefore the order of the
-//! closed-flow queue — are identical with batching on or off. Rounds
-//! replay each flow's staged packets in arrival order, and a chained
-//! item's window is assembled only after the previous round stored
-//! its predecessor's ring row, so the ring is exactly "as of packet
-//! `t − 1`" when packet `t`'s window forms and each flow's
-//! window-error log fills in packet order. Every batched row runs
-//! through the same per-row kernels as the per-packet path (a batch is
-//! one panel GEMV per row; per-row activation quantization at int8;
-//! hidden states round-trip through the resident arena between chained
-//! steps exactly as they do between per-packet steps), making micro-batched
-//! streaming **bitwise identical** to per-packet streaming at both
-//! precisions — pinned by proptests and a pcap regression test. The
-//! one observable difference: [`push`] returns `None` for a packet
-//! whose window error is still pending (the error surfaces in the
-//! flow's [`ClosedFlow`] log instead).
-//!
-//! [`finish`]: StreamScorer::finish
-//! [`flush_pending`]: StreamScorer::flush_pending
-//! [`push`]: StreamScorer::push
 //!
 //! # Flow lifetime
 //!
@@ -155,19 +103,17 @@
 //! [`PackedGru::step`]: neural::PackedGru::step
 //! [`ClapScorer::score_connection`]: crate::ClapScorer::score_connection
 
-use crate::features::NUM_PACKET;
 pub use crate::flow_table::EvictionMode;
 use crate::flow_table::FlowTable;
+use crate::microbatch::MicroBatcher;
 use crate::pipeline::Clap;
-use crate::profile::PROFILE_LEN;
 use crate::resident::ResidentArena;
 pub use crate::resident::ResidentMode;
 use crate::score::{score_errors, ScoredConnection};
 use crate::scorer::{Flow, Scorer};
-use clap_telemetry::hist::Stage;
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Endpoint, FlowKey, Packet, TcpFlags};
-use neural::{AeEngine, GruBatchScratch, GruEngine, Matrix, QuantMode};
+use neural::{AeEngine, GruEngine, QuantMode};
 use tcp_state::TcpState;
 
 /// Flow-table policy for a [`StreamScorer`].
@@ -217,9 +163,12 @@ pub struct StreamConfig {
     ///
     /// [`quant`]: StreamConfig::quant
     pub resident: ResidentMode,
-    /// Cross-flow micro-batch capacity (see the module docs' design
-    /// note): collect up to this many ready per-packet work items
-    /// across flows and flush them through one batched GEMM. `0` or
+    /// Cross-flow micro-batch capacity: collect up to this many ready
+    /// per-packet work items across flows and score them in one batched
+    /// pass, flushed when full, after
+    /// [`microbatch_wait`](StreamConfig::microbatch_wait) packets, before
+    /// any flow finalizes and on
+    /// [`flush_pending`](StreamScorer::flush_pending). `0` or
     /// `1` scores every packet immediately — the per-packet path, and
     /// the default (`0`).
     pub microbatch: usize,
@@ -331,89 +280,6 @@ pub struct FlowEntry {
     pub score: f32,
 }
 
-/// One staged packet of one flow in the pending micro-batch.
-#[derive(Debug, Clone, Copy)]
-struct PendItem {
-    /// Slab handle of the flow.
-    handle: u32,
-    /// The packet's 0-based index within its flow.
-    t: u32,
-    /// Position in its flow's pending chain: the `round`-th staged
-    /// packet of this flow. Flushes process rounds in order, so packet
-    /// `t`'s GRU step always consumes the state packet `t − 1`
-    /// produced.
-    round: u32,
-    /// Whether this packet completes a stacked window (`t + 1 ≥ stack`).
-    window: bool,
-}
-
-/// Cross-flow micro-batch staging (see the module docs' design note).
-/// All matrices grow one row per enqueue and truncate at the next
-/// cycle's first enqueue; steady-state batching allocates nothing.
-#[derive(Debug)]
-struct MicroBatcher {
-    /// Flush threshold ([`StreamConfig::microbatch`]; < 2 disables).
-    cap: usize,
-    /// Latency budget ([`StreamConfig::microbatch_wait`]).
-    wait: usize,
-    /// Stream packets pushed since the pending set became non-empty.
-    age: usize,
-    items: Vec<PendItem>,
-    /// Row `b`: item `b`'s GRU input (the packet's base features).
-    xs: Matrix,
-    /// Round-local GRU input gather: row `k` is the `k`-th item of the
-    /// round being flushed (items of one round are rarely contiguous
-    /// in `xs`, and the batched step wants a dense matrix).
-    rxs: Matrix,
-    /// Round-local hidden states, gathered from the resident arena at
-    /// flush time (the previous round's scatter already landed there),
-    /// updated in place by the batched step, scattered back.
-    hs: Matrix,
-    /// Update / reset gate outputs of the batched step, row per
-    /// round-local item.
-    zs: Matrix,
-    rs: Matrix,
-    /// Row `b`: item `b`'s profile row (features ‖ z ‖ r). The feature
-    /// part is written at enqueue, the gate part at flush.
-    rows: Matrix,
-    /// The stacked windows completed by the flushing batch, one row per
-    /// item with [`PendItem::window`] set, in round-major order.
-    windows: Matrix,
-    /// Slab handle owning each `windows` row, for distributing the
-    /// batched reconstruction errors after the rounds run.
-    win_flows: Vec<u32>,
-    scratch: GruBatchScratch,
-    /// Lifetime flush-size histogram: `occupancy[b − 1]` counts flushes
-    /// of exactly `b` rows. Survives [`StreamScorer::reset`], like
-    /// [`StreamStats`].
-    occupancy: Vec<u64>,
-}
-
-impl MicroBatcher {
-    fn new(cap: usize, wait: usize) -> MicroBatcher {
-        MicroBatcher {
-            cap,
-            wait: wait.max(1),
-            age: 0,
-            items: Vec::new(),
-            xs: Matrix::default(),
-            rxs: Matrix::default(),
-            hs: Matrix::default(),
-            zs: Matrix::default(),
-            rs: Matrix::default(),
-            rows: Matrix::default(),
-            windows: Matrix::default(),
-            win_flows: Vec::new(),
-            scratch: GruBatchScratch::new(),
-            occupancy: vec![0; cap],
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.cap >= 2
-    }
-}
-
 /// Online per-flow scoring session over one interleaved packet stream.
 /// Create via [`Clap::stream_scorer`] (or
 /// [`Clap::stream_scorer_with`] for a custom [`StreamConfig`]); one
@@ -516,13 +382,8 @@ impl StreamScorer<'_> {
     pub fn push_tagged(&mut self, p: &Packet, tag: u64) -> Option<f32> {
         self.auto_seq = self.auto_seq.max(tag.wrapping_add(1));
         self.clock = self.clock.max(p.timestamp);
-        if !self.mb.items.is_empty() {
-            // Latency budget: a pending micro-batch may wait at most
-            // `microbatch_wait` stream packets before scoring.
-            self.mb.age += 1;
-            if self.mb.age >= self.mb.wait {
-                self.flush_batch();
-            }
+        if self.mb.tick() {
+            self.flush_pending();
         }
         self.packets_since_sweep += 1;
         if self.packets_since_sweep >= self.config.sweep_interval.max(1) {
@@ -628,15 +489,16 @@ impl StreamScorer<'_> {
     /// Runs one packet of an oriented flow through the scoring engine
     /// (immediately, or staged into the pending micro-batch) and applies
     /// the teardown / length-cap / TIME_WAIT-linger policy. The policy
-    /// inputs — tracker state, packet count — advance at enqueue time,
+    /// inputs — tracker state, packet count — advance at staging time,
     /// so its decisions are identical with batching on or off; if it
     /// closes the flow, [`close_flow`](Self::close_flow) flushes the
     /// pending batch first, scoring this packet before finalization.
     fn score_packet(&mut self, h: u32, p: &Packet) -> Option<f32> {
         let emitted = if self.mb.enabled() {
-            self.enqueue_one(h, p);
-            if self.mb.items.len() >= self.mb.cap {
-                self.flush_batch();
+            self.mb
+                .stage(&mut self.scorer, &mut self.table, h, p, &mut self.stages);
+            if self.mb.full() {
+                self.flush_pending();
             }
             None
         } else {
@@ -691,198 +553,24 @@ impl StreamScorer<'_> {
         emitted
     }
 
-    /// Stages one packet of an oriented flow into the pending
-    /// micro-batch: TCP tracking and feature extraction run now (so
-    /// teardown and eviction decisions stay packet-exact); the GRU step
-    /// and the window's autoencoder pass run at the next flush. Mirrors
-    /// [`advance_one`](Self::advance_one) and the part of
-    /// [`Scorer::advance`] before the step. A flow
-    /// that already has staged packets chains behind them (the scan for
-    /// its chain depth is bounded by the batch capacity).
-    fn enqueue_one(&mut self, h: u32, p: &Packet) {
-        let Self {
-            scorer:
-                Scorer {
-                    clap,
-                    builder,
-                    gru,
-                    fv,
-                    ..
-                },
-            table,
-            mb,
-            stages,
-            ..
-        } = self;
-        let mut clock = stages.sample();
-        let stack = builder.stack;
-
-        let slot = &mut table[h];
-        let dir = slot.register(p);
-        slot.extractor.push_into(p, dir, fv);
-        let t = slot.packets as usize;
-        slot.packets += 1;
-        let round = mb.items.iter().filter(|it| it.handle == h).count() as u32;
-
-        let b = mb.items.len();
-        mb.rows.resize(b + 1, PROFILE_LEN);
-        let (feat, _) = mb.rows.row_mut(b).split_at_mut(NUM_PACKET);
-        clap.ranges.write_packet_features(fv, feat);
-        mb.xs.resize(b + 1, gru.input_size());
-        mb.xs.row_mut(b).copy_from_slice(&fv.base);
-        mb.items.push(PendItem {
-            handle: h,
-            t: t as u32,
-            round,
-            window: t + 1 >= stack,
-        });
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::Extract);
-        }
-    }
-
-    /// Scores every pending micro-batched item in chain rounds: round
-    /// `r` gathers the hidden state of each flow's `r`-th staged packet
-    /// from the resident arena (round `r − 1`'s scatter already landed
-    /// there), runs one batched GRU step over the gathered rows,
-    /// scatters the states back and does the per-item gate copy, window
-    /// assembly and ring store; one batched autoencoder pass then
-    /// scores every completed window across all rounds. Every row
-    /// reproduces the per-packet path bitwise (see the module design
-    /// note); never closes a flow, so it is safe to call from
-    /// [`close_flow`](Self::close_flow).
-    fn flush_batch(&mut self) {
-        if self.mb.items.is_empty() {
-            return;
-        }
-        let Self {
-            scorer:
-                Scorer {
-                    gru,
-                    ae,
-                    builder,
-                    ae_ws,
-                    err_scratch,
-                    code_scratch,
-                    ..
-                },
-            table,
-            resident,
-            mb,
-            stages,
-            ..
-        } = self;
-        // Batched work amortizes across flows, so time the whole flush
-        // (per-stage) rather than sampling individual packets.
-        let mut clock = stages.start();
-        let stack = builder.stack;
-        let hidden = gru.hidden_size();
-        let MicroBatcher {
-            age,
-            items,
-            xs,
-            rxs,
-            hs,
-            zs,
-            rs,
-            rows,
-            windows,
-            win_flows,
-            scratch,
-            occupancy,
-            ..
-        } = mb;
-
-        windows.resize(0, stack * PROFILE_LEN);
-        win_flows.clear();
-        let mut round = 0u32;
-        let mut remaining = items.len();
-        while remaining > 0 {
-            // Gather this round's items into dense matrices. The scans
-            // are bounded by the batch capacity, and chains deeper than
-            // one round exist only for flows that sent back-to-back
-            // packets since the last flush.
-            let b = items.iter().filter(|it| it.round == round).count();
-            rxs.resize(b, gru.input_size());
-            hs.resize(b, hidden);
-            let mut k = 0;
-            for (i, item) in items.iter().enumerate() {
-                if item.round != round {
-                    continue;
-                }
-                let hi = item.handle as usize;
-                rxs.row_mut(k).copy_from_slice(xs.row(i));
-                resident.read_hidden(hi, hs.row_mut(k));
-                k += 1;
-            }
-
-            gru.step_batch(rxs, hs, scratch, zs, rs);
-
-            let mut k = 0;
-            for (i, item) in items.iter().enumerate() {
-                if item.round != round {
-                    continue;
-                }
-                let hi = item.handle as usize;
-                resident.store_hidden(hi, hs.row(k), code_scratch);
-                let row = rows.row_mut(i);
-                let (_, gates) = row.split_at_mut(NUM_PACKET);
-                let (z, r) = gates.split_at_mut(hidden);
-                z.copy_from_slice(zs.row(k));
-                r.copy_from_slice(rs.row(k));
-                let t = item.t as usize;
-                if item.window {
-                    // The flow's ring is exactly "as of packet t − 1"
-                    // here (its previous packet, if staged, stored its
-                    // row in the previous round), so assemble the
-                    // window before storing row t.
-                    let w = windows.rows;
-                    windows.resize(w + 1, stack * PROFILE_LEN);
-                    let dst = windows.row_mut(w);
-                    resident.read_window_head(hi, t, dst);
-                    dst[(stack - 1) * PROFILE_LEN..].copy_from_slice(rows.row(i));
-                    win_flows.push(item.handle);
-                }
-                resident.store_profile(hi, t, rows.row(i), code_scratch);
-                k += 1;
-            }
-            remaining -= b;
-            round += 1;
-        }
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::Gru);
-        }
-
-        err_scratch.clear();
-        if windows.rows > 0 {
-            ae.reconstruction_errors_into(windows, ae_ws, err_scratch);
-        }
-        // Round-major distribution preserves each flow's packet order
-        // (a flow's windows sit in consecutive rounds).
-        for (k, &h) in win_flows.iter().enumerate() {
-            table[h].window_errors.push(err_scratch[k]);
-        }
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::AeWindow);
-        }
-        occupancy[items.len() - 1] += 1;
-        items.clear();
-        *age = 0;
-    }
-
     /// Flushes any pending micro-batched work immediately — a no-op when
     /// micro-batching is off or nothing is pending. The sharded engine
     /// calls this when a shard's ingest ring goes idle, so staged
     /// packets never wait on further traffic to be scored.
     pub fn flush_pending(&mut self) {
-        self.flush_batch();
+        self.mb.flush(
+            &mut self.scorer,
+            &mut self.table,
+            &mut self.resident,
+            &mut self.stages,
+        );
     }
 
     /// Lifetime micro-batch flush-size histogram: entry `b` counts
     /// flushes of exactly `b + 1` rows. Empty when micro-batching is
     /// off.
     pub fn batch_occupancy(&self) -> &[u64] {
-        &self.mb.occupancy
+        self.mb.occupancy()
     }
 
     /// Currently tracked (live) flows.
@@ -1009,10 +697,8 @@ impl StreamScorer<'_> {
         self.closed.clear();
         self.packets_since_sweep = 0;
         // Staged micro-batch items reference slab handles that no longer
-        // exist; drop them wholesale (the occupancy histogram survives,
-        // like the stats).
-        self.mb.items.clear();
-        self.mb.age = 0;
+        // exist (the occupancy histogram survives, like the stats).
+        self.mb.discard();
         self.cells.live_sync(0);
     }
 
@@ -1040,7 +726,7 @@ impl StreamScorer<'_> {
         // Any pending micro-batched work — this flow's staged packets
         // included — scores before finalization, so verdict content and
         // timing never depend on batching.
-        self.flush_batch();
+        self.flush_pending();
         // A flow evicted while still orientation-buffering scores its held
         // packets now, under the provisional (first-packet) orientation —
         // the same key the offline reassembler would use for a capture
@@ -1125,8 +811,9 @@ mod tests {
     }
 
     fn assert_scored_eq(stream: &ScoredConnection, batch: &ScoredConnection) {
-        assert!(
-            (stream.score - batch.score).abs() < 1e-6,
+        assert_eq!(
+            stream.score.to_bits(),
+            batch.score.to_bits(),
             "score drift: stream {} vs batch {}",
             stream.score,
             batch.score
@@ -1135,7 +822,7 @@ mod tests {
         assert_eq!(stream.peak_packet, batch.peak_packet);
         assert_eq!(stream.window_errors.len(), batch.window_errors.len());
         for (s, b) in stream.window_errors.iter().zip(&batch.window_errors) {
-            assert!((s - b).abs() < 1e-6, "window error drift: {s} vs {b}");
+            assert_eq!(s.to_bits(), b.to_bits(), "window error drift: {s} vs {b}");
         }
     }
 
