@@ -9,14 +9,26 @@
 //! [`probe_stalest`](FlowTable::probe_stalest)): the owner finalizes
 //! what it keeps for the handle, then calls [`FlowTable::remove`].
 //!
-//! **Slab + handle map.** Flow state lives in a dense `Vec<Slot>` slab
+//! **Slab + key index.** Flow state lives in a dense `Vec<Slot>` slab
 //! addressed by a `u32` handle (216 bytes a slot on 64-bit targets,
-//! const-asserted below); the `CanonicalKey → handle` index is a std
-//! `HashMap` whose entry `(CanonicalKey, u32)` is **96 bytes** — a
-//! canonical key is two 16-byte-aligned `(u128 address, port)` pairs plus
-//! the protocol — which at hashbrown's 7/8 load factor and power-of-two
-//! bucket counts is 111–222 bytes per live flow (≈199 at the benchmark's
-//! 16 k-flow plateau). Departed slots go on an intrusive free list
+//! const-asserted below). The `CanonicalKey → handle` index is an
+//! open-addressed, power-of-two array of **8-byte** `(tag, handle)`
+//! buckets, linearly probed from `tag & mask` at load ≤ 1/2 — 16–32 bytes
+//! per live flow, 16.4 at the benchmark's 16 k-flow plateau, where the
+//! whole index is 256 KiB. A bucket holds no key: the flow's slot already
+//! stores one (a canonical key is 80 bytes, two 16-byte-aligned
+//! `(u128 address, port)` pairs plus the protocol), so a probe compares
+//! the 32-bit tag and confirms a hit against the slot, a line the packet
+//! is about to touch anyway. Deletion shifts the rest of the probe run
+//! back instead of leaving a tombstone, so churn never lengthens probes.
+//! The tag is the low half of a per-table randomly keyed SipHash
+//! (`RandomState`, what std's own map uses): keys are chosen by whoever
+//! sends the traffic, and an unkeyed or linear hash — the dispatcher's
+//! Toeplitz `rss_hash` included — would let them pile flows onto one
+//! probe run. A key is hashed once, in [`FlowTable::lookup`]; the hash
+//! rides to [`open`](FlowTable::open) and the tag is kept in the slot, so
+//! `remove`, `clear` and growth (which re-places buckets by their stored
+//! tags) hash nothing. Departed slots go on an intrusive free list
 //! (reusing the wheel's `next` link) and are recycled in place — eviction
 //! and admission never reallocate at steady state, slab iteration is
 //! cache-linear, and [`FlowTable::slots`] is exactly the peak concurrent
@@ -57,17 +69,18 @@
 //! a whole scorer).
 //!
 //! **Per-flow memory** at Table-6 sizes (`H = 32`, `stack = 3`, 115-float
-//! profiles): 111–222 B of index, a 216 B slot, the flow's error log
+//! profiles): 16–32 B of index, a 216 B slot, the flow's error log
 //! (4 B per window it has emitted), and — in the owner's arena — resident
 //! state of `32 + 2×115` floats = 1048 B at f32 or as many codes plus 3
-//! quant pairs = 286 B at int8. Measured at a churn plateau with slab and
-//! index at their clamped capacities: ≈1470 B/flow f32-resident, ≈720–740
-//! int8-resident. [`FlowTable::heap_bytes`] is the table's share of
+//! quant pairs = 286 B at int8. Measured at the benchmark's 16 k-flow
+//! churn plateau, slab and index at their clamped capacities: 559 B/flow
+//! int8-resident; f32-resident state is 762 B more.
+//! [`FlowTable::heap_bytes`] is the table's share of
 //! [`StreamScorer::mem_bytes`](crate::StreamScorer::mem_bytes).
 
 use crate::features::FeatureExtractor;
 use net_packet::{CanonicalKey, Direction, FlowKey, Packet};
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use tcp_state::FlowTracker;
 
 /// How idle (and TIME_WAIT-linger) expiry walks the flow table.
@@ -140,6 +153,9 @@ pub(crate) struct Slot {
     /// `level * 64 + slot` the timer is linked into, or [`NIL_POS`].
     wheel_pos: u16,
     flags: u8,
+    /// The key's hash as [`open`](FlowTable::open) received it: where the
+    /// flow's index bucket probes from, so `remove` hashes nothing.
+    hash: KeyHash,
 }
 
 // The module docs, and every bytes-per-flow figure derived from them,
@@ -147,11 +163,11 @@ pub(crate) struct Slot {
 #[cfg(target_pointer_width = "64")]
 const _: () = {
     assert!(std::mem::size_of::<Slot>() == 216);
-    assert!(std::mem::size_of::<(CanonicalKey, u32)>() == 96);
+    assert!(std::mem::size_of::<Bucket>() == 8);
 };
 
 impl Slot {
-    fn new(key: FlowKey, now: f64, arrival: u64) -> Slot {
+    fn new(hash: KeyHash, key: FlowKey, now: f64, arrival: u64) -> Slot {
         let tracker = FlowTracker::for_proto(key.proto);
         Slot {
             key,
@@ -168,6 +184,7 @@ impl Slot {
             wheel_prev: NIL,
             wheel_pos: NIL_POS,
             flags: FLAG_LIVE,
+            hash,
         }
     }
 
@@ -351,13 +368,123 @@ impl Wheel {
     }
 }
 
+/// A canonical key's hash under one table's hasher, as
+/// [`FlowTable::lookup`] computed it: the owner carries it from a miss to
+/// [`FlowTable::open`] so the key is hashed once per packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct KeyHash(u32);
+
+/// One index bucket: a key's hash and the handle of the slot holding the
+/// key itself. Empty when `handle == NIL`.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    tag: u32,
+    handle: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    tag: 0,
+    handle: NIL,
+};
+
+/// The `CanonicalKey → handle` index (see the module docs): open
+/// addressing over a power-of-two bucket array at load ≤ 1/2, so every
+/// probe run ends at an empty bucket. It never hashes — callers bring the
+/// tag — and stores no key: a tag match is confirmed in the slab.
+#[derive(Debug, Default)]
+struct Index {
+    buckets: Vec<Bucket>,
+    len: usize,
+}
+
+impl Index {
+    fn find(&self, slab: &[Slot], tag: u32, ck: &CanonicalKey) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let b = self.buckets[i];
+            if b.handle == NIL {
+                return None;
+            }
+            // CanonicalKey is orientation-invariant, so a slot key
+            // re-oriented since `open` still compares equal.
+            if b.tag == tag && CanonicalKey::of_key(&slab[b.handle as usize].key) == *ck {
+                return Some(b.handle);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Adds a key the index does not hold.
+    fn insert(&mut self, tag: u32, handle: u32) {
+        if (self.len + 1) * 2 > self.buckets.len() {
+            // Growth re-places the live buckets by their stored tags: no
+            // key is hashed and the slab is not read.
+            let doubled = vec![EMPTY; (self.buckets.len() * 2).max(8)];
+            for b in std::mem::replace(&mut self.buckets, doubled) {
+                if b.handle != NIL {
+                    self.place(b);
+                }
+            }
+        }
+        self.place(Bucket { tag, handle });
+        self.len += 1;
+    }
+
+    fn place(&mut self, b: Bucket) {
+        let mask = self.buckets.len() - 1;
+        let mut i = b.tag as usize & mask;
+        while self.buckets[i].handle != NIL {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = b;
+    }
+
+    /// Drops `handle`'s bucket and closes the gap: each later bucket of
+    /// the probe run moves back into the hole unless that would put it
+    /// before its home, so no run is ever broken by an empty bucket.
+    fn remove(&mut self, tag: u32, handle: u32) {
+        let mask = self.buckets.len() - 1;
+        let mut hole = tag as usize & mask;
+        while self.buckets[hole].handle != handle {
+            assert!(self.buckets[hole].handle != NIL, "flow {handle} is indexed");
+            hole = (hole + 1) & mask;
+        }
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let b = self.buckets[i];
+            if b.handle == NIL {
+                break;
+            }
+            let home = b.tag as usize & mask;
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = b;
+                hole = i;
+            }
+        }
+        self.buckets[hole] = EMPTY;
+        self.len -= 1;
+    }
+
+    fn clear(&mut self) {
+        self.buckets.fill(EMPTY);
+        self.len = 0;
+    }
+}
+
 /// The flow table (see the module docs): key index, slab, free list,
 /// expiry timers and the capacity probe, addressed by `u32` handles.
 /// `table[h]` is the live flow at handle `h`.
 #[derive(Debug)]
-pub(crate) struct FlowTable {
+pub(crate) struct FlowTable<S = RandomState> {
     /// `CanonicalKey → slab handle`.
-    index: HashMap<CanonicalKey, u32>,
+    index: Index,
+    /// Keyed at random per table (`S` is anything else only in tests).
+    hasher: S,
     slab: Vec<Slot>,
     /// Head of the vacant-slot free list (threaded through `wheel_next`).
     free_head: u32,
@@ -372,7 +499,7 @@ pub(crate) struct FlowTable {
     eviction: EvictionMode,
 }
 
-impl FlowTable {
+impl<S: BuildHasher + Default> FlowTable<S> {
     /// An empty table that expires flows idle for `idle_timeout` seconds
     /// (`time_wait` for lingering ones) and holds at most `max_flows`.
     pub(crate) fn new(
@@ -380,7 +507,7 @@ impl FlowTable {
         time_wait: f64,
         max_flows: usize,
         eviction: EvictionMode,
-    ) -> FlowTable {
+    ) -> FlowTable<S> {
         // One tick ≈ timeout/512 keeps the shortest timeout within the
         // bottom two wheel levels; the clamp guards degenerate configs.
         let mut shortest = idle_timeout;
@@ -389,7 +516,8 @@ impl FlowTable {
         }
         let granularity = (shortest / 512.0).clamp(1e-3, 60.0);
         FlowTable {
-            index: HashMap::new(),
+            index: Index::default(),
+            hasher: S::default(),
             slab: Vec::new(),
             free_head: NIL,
             wheel: Wheel::new(granularity),
@@ -403,7 +531,7 @@ impl FlowTable {
 
     /// Live flows.
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.index.len
     }
 
     /// Slab slots ever allocated — the peak of [`len`](Self::len), since
@@ -418,9 +546,17 @@ impl FlowTable {
         self.slab.capacity()
     }
 
-    /// The live flow with this canonical key.
-    pub(crate) fn find(&self, ck: &CanonicalKey) -> Option<u32> {
-        self.index.get(ck).copied()
+    /// Hashes `ck` — the only place a key is hashed — and
+    /// [`find`](Self::find)s it.
+    pub(crate) fn lookup(&self, ck: &CanonicalKey) -> (KeyHash, Option<u32>) {
+        let hash = KeyHash(self.hasher.hash_one(ck) as u32);
+        (hash, self.find(hash, ck))
+    }
+
+    /// The live flow with canonical key `ck`, whose hash (from
+    /// [`lookup`](Self::lookup)) is `hash`.
+    pub(crate) fn find(&self, hash: KeyHash, ck: &CanonicalKey) -> Option<u32> {
+        self.index.find(&self.slab, hash.0, ck)
     }
 
     /// Handles of the live flows, in slab order.
@@ -430,11 +566,13 @@ impl FlowTable {
 
     /// Admits a flow first seen at `now` (recycling the free list before
     /// growing the slab) and returns its handle, and whether that handle
-    /// is a slot appended by this call rather than a recycled one. Its
-    /// timer is not armed until the first [`touch`](Self::touch).
+    /// is a slot appended by this call rather than a recycled one. `hash`
+    /// is what [`lookup`](Self::lookup) returned when it missed `key`'s
+    /// canonical key. The flow's timer is not armed until the first
+    /// [`touch`](Self::touch).
     pub(crate) fn open(
         &mut self,
-        ck: CanonicalKey,
+        hash: KeyHash,
         key: FlowKey,
         now: f64,
         arrival: u64,
@@ -450,16 +588,16 @@ impl FlowTable {
                 self.slab.reserve_exact(target - self.slab.len());
             }
             let h = self.slab.len() as u32;
-            self.slab.push(Slot::new(key, now, arrival));
+            self.slab.push(Slot::new(hash, key, now, arrival));
             h
         } else {
             let h = self.free_head;
             let slot = &mut self.slab[h as usize];
             self.free_head = slot.wheel_next;
-            *slot = Slot::new(key, now, arrival);
+            *slot = Slot::new(hash, key, now, arrival);
             h
         };
-        self.index.insert(ck, h);
+        self.index.insert(hash.0, h);
         (h, appended)
     }
 
@@ -539,7 +677,7 @@ impl FlowTable {
         let mut cursor = self.probe_cursor as usize % n;
         let mut victim: Option<(u32, f64)> = None;
         let mut probed = 0;
-        let want = EVICT_PROBES.min(self.index.len());
+        let want = EVICT_PROBES.min(self.index.len);
         for _ in 0..n {
             if probed >= want {
                 break;
@@ -560,11 +698,7 @@ impl FlowTable {
     /// Forgets flow `h`: drops its index entry, cancels its timer and
     /// returns its slot to the free list.
     pub(crate) fn remove(&mut self, h: u32) {
-        // CanonicalKey is orientation-invariant, so a key re-oriented
-        // since `open` still maps back to the entry `open` created.
-        let ck = CanonicalKey::of_key(&self.slab[h as usize].key);
-        let removed = self.index.remove(&ck);
-        debug_assert_eq!(removed, Some(h), "index entry must match the slot");
+        self.index.remove(self.slab[h as usize].hash.0, h);
         self.wheel.unlink(&mut self.slab, h);
         let slot = &mut self.slab[h as usize];
         slot.flags = 0;
@@ -585,17 +719,10 @@ impl FlowTable {
         self.probe_cursor = 0;
     }
 
-    /// Estimated heap footprint: index, slab, wheel and what the live
-    /// slots own (error logs, orient buffers). O(slab).
+    /// Heap footprint: index, slab, wheel and what the live slots own
+    /// (error logs, orient buffers). O(slab).
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        // hashbrown resizes at 7/8 load; one ctrl byte per bucket.
-        let index = if self.index.capacity() == 0 {
-            0
-        } else {
-            (self.index.capacity() * 8 / 7).next_power_of_two()
-                * (size_of::<(CanonicalKey, u32)>() + 1)
-        };
         let logs: usize = self
             .slab
             .iter()
@@ -606,14 +733,14 @@ impl FlowTable {
                     })
             })
             .sum();
-        index
+        self.index.buckets.capacity() * size_of::<Bucket>()
             + self.slab.capacity() * size_of::<Slot>()
             + self.wheel.heads.capacity() * size_of::<u32>()
             + logs
     }
 }
 
-impl std::ops::Index<u32> for FlowTable {
+impl<S> std::ops::Index<u32> for FlowTable<S> {
     type Output = Slot;
 
     fn index(&self, h: u32) -> &Slot {
@@ -623,7 +750,7 @@ impl std::ops::Index<u32> for FlowTable {
     }
 }
 
-impl std::ops::IndexMut<u32> for FlowTable {
+impl<S> std::ops::IndexMut<u32> for FlowTable<S> {
     fn index_mut(&mut self, h: u32) -> &mut Slot {
         let slot = &mut self.slab[h as usize];
         debug_assert!(slot.live(), "handle {h} names a vacant slot");
@@ -638,7 +765,9 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::collections::BTreeMap;
+    use std::cell::Cell;
+    use std::collections::{BTreeMap, HashMap};
+    use std::hash::{DefaultHasher, Hasher};
     use std::net::Ipv4Addr;
 
     /// Distinct flows the random traffic draws from: enough to keep a
@@ -695,10 +824,12 @@ mod tests {
         /// does — make room, open, touch.
         fn packet(&mut self, id: u16) {
             let ck = CanonicalKey::of_key(&key(id));
-            let found = self.tables.each_ref().map(|t| t.find(&ck));
-            assert_eq!(found[0], found[1]);
-            assert_eq!(found[0], self.live.get(&id).map(|f| f.handle));
-            let h = match found[0] {
+            // Each table keys its own hasher: the hashes differ, the
+            // answers must not.
+            let found = self.tables.each_ref().map(|t| t.lookup(&ck));
+            assert_eq!(found[0].1, found[1].1);
+            assert_eq!(found[0].1, self.live.get(&id).map(|f| f.handle));
+            let h = match found[0].1 {
                 Some(h) => h,
                 None => {
                     if self.live.len() >= self.max_flows {
@@ -707,8 +838,8 @@ mod tests {
                     let want = self.free.pop().unwrap_or(self.slots);
                     let appended = want == self.slots;
                     self.slots += u32::from(appended);
-                    for t in &mut self.tables {
-                        let got = t.open(ck, key(id), self.clock, u64::from(id));
+                    for (t, (hash, _)) in self.tables.iter_mut().zip(found) {
+                        let got = t.open(hash, key(id), self.clock, u64::from(id));
                         assert_eq!(got, (want, appended), "free-list order");
                         assert!(t.capacity() <= self.max_flows.max(64), "slab clamp");
                     }
@@ -873,5 +1004,201 @@ mod tests {
                 h.check();
             }
         }
+
+        /// Random open / find / re-orient / remove / clear sequences
+        /// through the table's index and a `HashMap` oracle, under std's
+        /// hasher and the two rigged ones.
+        #[test]
+        fn index_matches_a_hashmap_oracle(seed in any::<u64>(), regime in 0..3u8) {
+            match regime {
+                0 => index_against_oracle::<RandomState>(seed),
+                1 => index_against_oracle::<OneRun>(seed),
+                _ => index_against_oracle::<LastTwoHomes>(seed),
+            }
+        }
+    }
+
+    thread_local! {
+        /// Keys this thread's [`Rigged`] hashers have been asked to hash
+        /// (the test harness runs each test on a thread of its own).
+        static HASHED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// SipHash under fixed keys, forced to `(hash & AND) | OR`, counting
+    /// every key hashed in [`HASHED`].
+    #[derive(Debug, Default)]
+    struct Rigged<const AND: u64, const OR: u64>;
+
+    struct RiggedHasher<const AND: u64, const OR: u64>(DefaultHasher);
+
+    impl<const AND: u64, const OR: u64> BuildHasher for Rigged<AND, OR> {
+        type Hasher = RiggedHasher<AND, OR>;
+
+        fn build_hasher(&self) -> Self::Hasher {
+            HASHED.set(HASHED.get() + 1);
+            RiggedHasher(DefaultHasher::new())
+        }
+    }
+
+    impl<const AND: u64, const OR: u64> Hasher for RiggedHasher<AND, OR> {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.write(bytes);
+        }
+
+        fn finish(&self) -> u64 {
+            (self.0.finish() & AND) | OR
+        }
+    }
+
+    /// An honest hash, counted.
+    type Counted = Rigged<{ u64::MAX }, 0>;
+    /// Every key gets one hash: the whole index is a single probe run
+    /// of equal tags, so only the key comparison in the slab can tell a
+    /// hit from a miss.
+    type OneRun = Rigged<0, 7>;
+    /// Every tag is all-ones or all-ones-but-the-last-bit: whatever the
+    /// array's size, homes are its last two buckets, so every probe run
+    /// — and every backward shift — wraps around its end.
+    type LastTwoHomes = Rigged<1, { u64::MAX << 1 }>;
+
+    fn ck(id: u16) -> CanonicalKey {
+        CanonicalKey::of_key(&key(id))
+    }
+
+    fn table_with<S: BuildHasher + Default>() -> FlowTable<S> {
+        FlowTable::new(30.0, 5.0, 1 << 20, EvictionMode::Wheel)
+    }
+
+    /// What `ingest` does with a packet of flow `id`: one lookup, and on
+    /// a miss `open` with the hash the lookup made.
+    fn packet<S: BuildHasher + Default>(t: &mut FlowTable<S>, id: u16) -> u32 {
+        let (hash, found) = t.lookup(&ck(id));
+        let h = found.unwrap_or_else(|| t.open(hash, key(id), 0.0, u64::from(id)).0);
+        t.touch(h, 0.0);
+        h
+    }
+
+    /// The index's own invariants: a power-of-two array at load ≤ 1/2,
+    /// one bucket per live flow carrying the tag its slot stores, and
+    /// every bucket reachable from its home without crossing an empty one.
+    fn check_index<S: BuildHasher + Default>(t: &FlowTable<S>) {
+        let buckets = &t.index.buckets;
+        if buckets.is_empty() {
+            assert_eq!(t.index.len, 0);
+            return;
+        }
+        assert!(buckets.len().is_power_of_two());
+        assert!(t.index.len * 2 <= buckets.len(), "load above 1/2");
+        let mask = buckets.len() - 1;
+        let mut handles = Vec::new();
+        for (i, b) in buckets.iter().enumerate().filter(|(_, b)| b.handle != NIL) {
+            handles.push(b.handle);
+            assert_eq!(t[b.handle].hash, KeyHash(b.tag));
+            let mut at = b.tag as usize & mask;
+            while at != i {
+                assert!(
+                    buckets[at].handle != NIL,
+                    "bucket {i} is cut off from its home"
+                );
+                at = (at + 1) & mask;
+            }
+        }
+        handles.sort_unstable();
+        assert_eq!(handles, t.live_handles().collect::<Vec<_>>());
+        assert_eq!(handles.len(), t.index.len);
+    }
+
+    fn index_against_oracle<S: BuildHasher + Default>(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = table_with::<S>();
+        let mut oracle: HashMap<CanonicalKey, u32> = HashMap::new();
+        for _ in 0..300 {
+            let id = rng.gen_range(0..KEYS);
+            match rng.gen_range(0..100) {
+                0..=49 => {
+                    let h = packet(&mut t, id);
+                    assert_eq!(*oracle.entry(ck(id)).or_insert(h), h);
+                }
+                50..=59 => {
+                    // A late SYN re-orients the slot's key; the canonical
+                    // key it is found by does not move.
+                    if let Some(&h) = oracle.get(&ck(id)) {
+                        let k = t[h].key;
+                        t[h].key = FlowKey::new(k.server, k.client).with_proto(k.proto);
+                    }
+                }
+                60..=98 => {
+                    if let Some(h) = oracle.remove(&ck(id)) {
+                        t.remove(h);
+                    }
+                }
+                _ => {
+                    t.clear();
+                    oracle.clear();
+                }
+            }
+            assert_eq!(t.len(), oracle.len());
+            for id in 0..KEYS {
+                assert_eq!(
+                    t.lookup(&ck(id)).1,
+                    oracle.get(&ck(id)).copied(),
+                    "key {id}"
+                );
+            }
+            check_index(&t);
+        }
+    }
+
+    /// One hash per packet — established flow or new — and none in
+    /// `remove`, `clear` or the growth that 1 000 opens force.
+    #[test]
+    fn only_lookup_hashes() {
+        let mut t = table_with::<Counted>();
+        let handles: Vec<u32> = (0..1_000).map(|id| packet(&mut t, id)).collect();
+        assert_eq!(
+            HASHED.get(),
+            1_000,
+            "one hash per flow opened, none to grow"
+        );
+        assert!(t.index.buckets.len() >= 2_000);
+        check_index(&t);
+        for (id, &h) in handles.iter().enumerate() {
+            assert_eq!(packet(&mut t, id as u16), h, "growth kept the mapping");
+        }
+        assert_eq!(HASHED.get(), 2_000, "one hash per packet of a live flow");
+        for &h in handles.iter().step_by(2) {
+            t.remove(h);
+        }
+        check_index(&t);
+        t.clear();
+        assert_eq!(HASHED.get(), 2_000, "remove and clear hash nothing");
+        assert_eq!((t.len(), t.lookup(&ck(1)).1), (0, None));
+    }
+
+    /// 4 096 distinct keys with one tag — the probe run an attacker
+    /// would want — cost time, never a wrong answer.
+    #[test]
+    fn one_home_for_every_key_stays_correct() {
+        let mut t = table_with::<OneRun>();
+        let handles: Vec<u32> = (0..4_096).map(|id| packet(&mut t, id)).collect();
+        for &h in handles.iter().step_by(2) {
+            t.remove(h);
+        }
+        check_index(&t);
+        for (id, &h) in handles.iter().enumerate() {
+            let found = t.lookup(&ck(id as u16)).1;
+            assert_eq!(found, (id % 2 == 1).then_some(h), "key {id}");
+        }
+    }
+
+    /// The production hasher is keyed per table: nothing learnt from one
+    /// table's collisions carries over to another's.
+    #[test]
+    fn two_tables_hash_one_key_differently() {
+        let hashes = |t: &FlowTable| -> Vec<KeyHash> {
+            let of = |id| t.lookup(&ck(id)).0;
+            (0..4).map(of).collect()
+        };
+        assert_ne!(hashes(&table_with()), hashes(&table_with()));
     }
 }

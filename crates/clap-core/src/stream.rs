@@ -104,7 +104,7 @@
 //! [`ClapScorer::score_connection`]: crate::ClapScorer::score_connection
 
 pub use crate::flow_table::EvictionMode;
-use crate::flow_table::FlowTable;
+use crate::flow_table::{FlowTable, KeyHash};
 use crate::microbatch::MicroBatcher;
 use crate::pipeline::Clap;
 use crate::resident::ResidentArena;
@@ -400,7 +400,7 @@ impl StreamScorer<'_> {
         let ck = CanonicalKey::of(p);
         let is_pure_syn =
             p.tcp_flags().contains(TcpFlags::SYN) && !p.tcp_flags().contains(TcpFlags::ACK);
-        let mut handle = self.table.find(&ck);
+        let (hash, mut handle) = self.table.lookup(&ck);
         if let Some(h) = handle {
             // 4-tuple reuse during a TIME_WAIT linger: the old
             // incarnation closes now, the SYN opens a fresh one.
@@ -421,7 +421,7 @@ impl StreamScorer<'_> {
                 // outright; anything else is provisionally
                 // first-packet-oriented and — with a non-zero orient
                 // buffer — held back so a late SYN can still re-orient it.
-                let (h, appended) = self.table.open(ck, sender_as_client(p), self.clock, tag);
+                let (h, appended) = self.table.open(hash, sender_as_client(p), self.clock, tag);
                 if appended {
                     // The arena tracks the slab's exact-growth policy.
                     self.resident.reserve_slots(self.table.capacity());
@@ -451,7 +451,7 @@ impl StreamScorer<'_> {
             }
             // Buffer full (no SYN showed up) or SYN-resolved: flush.
             let buffered = slot.pending.take().expect("pending checked above");
-            return self.replay(ck, &buffered, p, tag);
+            return self.replay(hash, ck, &buffered, p, tag);
         }
         self.score_packet(h, p)
     }
@@ -463,6 +463,7 @@ impl StreamScorer<'_> {
     /// as they would have live.
     fn replay(
         &mut self,
+        hash: KeyHash,
         ck: CanonicalKey,
         buffered: &[(u64, Packet)],
         current: &Packet,
@@ -476,7 +477,7 @@ impl StreamScorer<'_> {
         {
             let oriented = self
                 .table
-                .find(&ck)
+                .find(hash, &ck)
                 .filter(|&h| self.table[h].pending.is_none());
             last = match oriented {
                 Some(h) => self.score_packet(h, q),

@@ -31,7 +31,10 @@ pub struct PanelMatrix {
 }
 
 impl PanelMatrix {
-    /// Packs a row-major matrix.
+    /// Packs a row-major matrix. Its weights must be finite: the GEMV
+    /// skips every `k` whose activation is zero, which equals multiplying
+    /// by it only while `0 · w` is `0` — an infinite or NaN weight would
+    /// poison its row in one case and not the other.
     pub fn pack(m: &Matrix) -> PanelMatrix {
         let blocks = m.rows.div_ceil(PANEL_LANES);
         let mut lines = vec![PanelLine([0.0; PANEL_LANES]); blocks * m.cols];
@@ -175,6 +178,39 @@ mod tests {
                         "{} {rows}x{cols}: wrote past the last row",
                         ks.name
                     );
+                }
+            }
+        }
+    }
+
+    /// The kernels skip a zero activation; the chain that multiplies by
+    /// it gives the same bits, in the hot window shape and a ragged one,
+    /// for `+0`, `−0` and an all-zero row (a flow's first GRU step).
+    #[test]
+    fn skipping_zero_activations_changes_no_bit() {
+        for (rows, cols) in [(192, 345), (40, 33)] {
+            let m = wavy(rows, cols);
+            let p = PanelMatrix::pack(&m);
+            let sparse = |k: usize| match k % 3 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (k as f32 * 0.61).cos() * 1.7,
+            };
+            for x in [(0..cols).map(sparse).collect(), vec![0.0f32; cols]] {
+                for ks in KernelSet::available() {
+                    let fused = ks.name != "scalar";
+                    let mut y = vec![f32::NAN; rows];
+                    ks.panel_gemv_f32(p.lines(), cols, &x, &mut y);
+                    for (r, got) in y.iter().enumerate() {
+                        let unskipped = x.iter().enumerate().fold(0.0f32, |acc, (k, &xv)| {
+                            if fused {
+                                xv.mul_add(m.get(r, k), acc)
+                            } else {
+                                acc + xv * m.get(r, k)
+                            }
+                        });
+                        assert_eq!(got.to_bits(), unskipped.to_bits(), "{} row {r}", ks.name);
+                    }
                 }
             }
         }

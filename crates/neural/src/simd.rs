@@ -265,6 +265,14 @@ impl KernelSet {
     /// depends on how many rows a caller batches, which keeps a batch of
     /// rows bitwise equal to the same rows one at a time.
     ///
+    /// A `k` with `x[k] == ±0.0` is skipped in every set, its weights
+    /// unread. With finite weights ([`crate::PanelMatrix::pack`]'s
+    /// contract) that is the same arithmetic: the skipped term is `±0`,
+    /// and adding `±0` leaves a non-zero accumulator alone and a `+0` one
+    /// at `+0`, which is where every accumulator starts. (Only a fused
+    /// product that underflowed, `|x·w| < 2⁻¹⁴⁹`, can leave an accumulator
+    /// at `−0`; the skip then differs in the sign of a zero.)
+    ///
     /// `x` may be longer than `cols`; the excess is not read.
     #[inline]
     pub fn panel_gemv_f32(&self, w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
@@ -564,6 +572,9 @@ fn panel_gemv_f32_scalar(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32])
     for (b, yb) in y.chunks_mut(PANEL_LANES).enumerate() {
         let mut acc = [0.0f32; PANEL_LANES];
         for (line, &xv) in w[b * cols..(b + 1) * cols].iter().zip(x) {
+            if xv == 0.0 {
+                continue;
+            }
             for (a, &wv) in acc.iter_mut().zip(&line.0) {
                 *a += xv * wv;
             }
@@ -1411,7 +1422,11 @@ mod x86 {
     // zero accumulator, whatever the register width and however the
     // blocks are grouped — which is why the two kernels agree bit for bit.
     // The blocks of a group are independent chains; enough of them in
-    // flight cover the FMA latency.
+    // flight cover the FMA latency. Every kernel, the scalar one included,
+    // skips a `k` whose activation is exactly zero (about a third of a
+    // stacked profile window: absent TCP options and flags), sparing the
+    // weight column's lines; `KernelSet::panel_gemv_f32` says why that
+    // changes no output.
 
     /// Row blocks per group of the AVX-512 kernel: eight zmm chains cover a
     /// 4-cycle FMA at two issues a cycle.
@@ -1439,7 +1454,11 @@ mod x86 {
         let mut lo = [_mm256_setzero_ps(); NB];
         let mut hi = [_mm256_setzero_ps(); NB];
         for k in 0..cols {
-            let xv = _mm256_set1_ps(*px.add(k));
+            let xk = *px.add(k);
+            if xk == 0.0 {
+                continue;
+            }
+            let xv = _mm256_set1_ps(xk);
             for j in 0..NB {
                 let line = pw.add((j * cols + k) * PANEL_LANES);
                 lo[j] = _mm256_fmadd_ps(xv, _mm256_load_ps(line), lo[j]);
@@ -1500,7 +1519,11 @@ mod x86 {
         let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
         let mut acc = [_mm512_setzero_ps(); NB];
         for k in 0..cols {
-            let xv = _mm512_set1_ps(*px.add(k));
+            let xk = *px.add(k);
+            if xk == 0.0 {
+                continue;
+            }
+            let xv = _mm512_set1_ps(xk);
             for (j, a) in acc.iter_mut().enumerate() {
                 let line = pw.add((j * cols + k) * PANEL_LANES);
                 *a = _mm512_fmadd_ps(xv, _mm512_load_ps(line), *a);

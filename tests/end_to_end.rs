@@ -3,11 +3,13 @@
 
 use clap_repro::baselines::{KitsuneConfig, KitsuneLite};
 use clap_repro::clap_core::{
-    auc_roc, extract_connection, score_errors, Clap, ClapConfig, ProfileBuilder, QuantMode,
-    StreamConfig,
+    auc_roc, extract_connection, score_errors, Clap, ClapConfig, ClosedFlow, EvictionMode,
+    ProfileBuilder, QuantMode, ResidentMode, StreamConfig,
 };
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
-use clap_repro::traffic_gen;
+use clap_repro::traffic_gen::{self, ChurnConfig};
+use net_packet::{CanonicalKey, Packet};
+use std::collections::HashMap;
 
 fn trained() -> (Clap, Vec<net_packet::Connection>, Vec<f32>) {
     let benign = traffic_gen::dataset(0xe2e, 80);
@@ -169,6 +171,129 @@ fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_training_forward
             }
         }
     }
+}
+
+/// Every path through the flow table — open, slab growth, slot recycling,
+/// capacity eviction, TIME_WAIT 4-tuple reuse, linger and idle expiry —
+/// at int8 weights and int8 resident state, through the public API: the
+/// timing wheel and the full-scan reference close the same flows with the
+/// same bits, and every packet pushed is in exactly one verdict.
+///
+/// The stream has two acts because the two modes may only be compared
+/// while handles cannot matter. A capacity victim is chosen by slab
+/// position, and two flows that expire at one sweep boundary are closed —
+/// so their slots are recycled — in wheel order or in slab order. Act one
+/// therefore overfills the 64-flow table inside 30 ms of packet time,
+/// before any timer can fire; act two, three seconds later, stays under
+/// the cap and lets the timers run.
+#[test]
+fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
+    let mut model = ClapConfig::ci();
+    model.ae.epochs = 8; // the scores must be equal, not good
+    let (clap, _) = Clap::train(&traffic_gen::dataset(0xe2e, 20), &model);
+    let scorer = |eviction| {
+        clap.stream_scorer_with(StreamConfig {
+            max_flows: 64,
+            idle_timeout: 2.0,
+            time_wait: 0.5,
+            sweep_interval: 16,
+            quant: QuantMode::Int8,
+            resident: ResidentMode::Int8,
+            eviction,
+            ..StreamConfig::default()
+        })
+    };
+
+    // Act one: 56 concurrent flows and everyone who has hung up since,
+    // into 64 slots.
+    let mut burst = ChurnConfig::new(0xc4a, 56, 3_000);
+    burst.pps = 1e5;
+    let mut packets: Vec<Packet> = traffic_gen::churn(&burst).collect();
+    let syn_of: HashMap<CanonicalKey, Packet> = packets
+        .iter()
+        .filter(|p| p.tcp_flags() == net_packet::TcpFlags::SYN)
+        .map(|p| (CanonicalKey::of(p), p.clone()))
+        .collect();
+    // Whoever is in TIME_WAIT when it ends dials the same 4-tuple again.
+    let mut scout = scorer(EvictionMode::Wheel);
+    for p in &packets {
+        scout.push(p);
+    }
+    let act_one_evictions = scout.stats().evicted_capacity;
+    assert!(act_one_evictions > 0);
+    let now = packets.last().unwrap().timestamp;
+    let redials: Vec<Packet> = scout
+        .flow_entries()
+        .iter()
+        .filter(|e| e.lingering)
+        .map(|e| Packet {
+            timestamp: now,
+            ..syn_of[&CanonicalKey::of_key(&e.key)].clone()
+        })
+        .collect();
+    assert!(!redials.is_empty(), "no flow lingers at the end of act one");
+    let first_redial = packets.len();
+    packets.extend(redials.iter().cloned());
+
+    // Act two: 24 concurrent flows, a fifth of them abandoned mid-transfer.
+    let mut trickle = ChurnConfig::new(0xc4b, 24, 2_000);
+    trickle.pps = 200.0;
+    trickle.p_abandon = 0.2;
+    let act_two: Vec<Packet> = traffic_gen::churn(&trickle).collect();
+    let shift = now + 3.0 - act_two[0].timestamp;
+    packets.extend(act_two.into_iter().map(|p| Packet {
+        timestamp: p.timestamp + shift,
+        ..p
+    }));
+
+    let run = |eviction| {
+        let mut s = scorer(eviction);
+        for p in &packets {
+            s.push(p);
+        }
+        let mut closed = s.finish();
+        closed.sort_by_key(|f| f.arrival);
+        (closed, s.stats())
+    };
+    let (wheel, wheel_stats) = run(EvictionMode::Wheel);
+    let (sweep, sweep_stats) = run(EvictionMode::Sweep);
+
+    assert_eq!(wheel_stats, sweep_stats);
+    assert!(wheel_stats.evicted_idle > 0 && wheel_stats.time_wait_expired > 0);
+    assert_eq!(wheel_stats.flows_peak, 64, "the slab stops at the cap");
+    assert_eq!(
+        wheel_stats.evicted_capacity, act_one_evictions,
+        "act two must stay under the cap"
+    );
+    // Plain `push` tags a flow with its first packet's stream position: a
+    // redial that opened a flow, not one booked to the lingering one.
+    for tag in first_redial..first_redial + redials.len() {
+        assert!(
+            wheel.iter().any(|f| f.arrival == tag as u64),
+            "redial {tag}"
+        );
+    }
+    let pushed: usize = wheel.iter().map(|f| f.packets).sum();
+    assert_eq!(
+        pushed,
+        packets.len(),
+        "a packet was dropped or counted twice"
+    );
+    let bits = |f: &ClosedFlow| {
+        let errors: Vec<u32> = f.scored.window_errors.iter().map(|e| e.to_bits()).collect();
+        (
+            f.key,
+            f.packets,
+            f.reason,
+            f.arrival,
+            errors,
+            f.scored.score.to_bits(),
+        )
+    };
+    assert_eq!(
+        wheel.iter().map(bits).collect::<Vec<_>>(),
+        sweep.iter().map(bits).collect::<Vec<_>>()
+    );
 }
 
 #[test]
