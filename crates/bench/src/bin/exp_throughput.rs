@@ -94,7 +94,7 @@ struct ThroughputReport {
     bytes_per_flow: f64,
     /// Churn-phase packets pushed.
     scale_packets: u64,
-    /// Flows reclaimed by idle (timer-wheel) expiry during the churn
+    /// Flows reclaimed by idle-timeout expiry during the churn
     /// phase.
     scale_evicted_idle: u64,
     /// Flows evicted at the `max_flows` capacity wall during the churn

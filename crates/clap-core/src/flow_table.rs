@@ -1,9 +1,9 @@
 //! The flow table — *which flows exist and when they leave*: key index,
-//! slab of per-flow [`Slot`]s, vacant-slot free list, expiry timers and
-//! capacity probe, built for millions of concurrent flows. It never
-//! scores and knows no neural type — a flow's GRU state lives in a
-//! parallel arena its owner ([`StreamScorer`](crate::StreamScorer))
-//! indexes by the same handle, which is why [`FlowTable::open`] says
+//! slab of per-flow [`Slot`]s, vacant-slot free list and expiry queues,
+//! built for millions of concurrent flows. It never scores and knows no
+//! neural type — a flow's GRU state lives in a parallel arena its owner
+//! ([`StreamScorer`](crate::StreamScorer)) indexes by the same handle,
+//! which is why [`FlowTable::open`] says
 //! whether a handle is recycled or new, and why the table only *names*
 //! the flows to close ([`expired`](FlowTable::expired),
 //! [`probe_stalest`](FlowTable::probe_stalest)): the owner finalizes
@@ -29,44 +29,38 @@
 //! rides to [`open`](FlowTable::open) and the tag is kept in the slot, so
 //! `remove`, `clear` and growth (which re-places buckets by their stored
 //! tags) hash nothing. Departed slots go on an intrusive free list
-//! (reusing the wheel's `next` link) and are recycled in place — eviction
-//! and admission never reallocate at steady state, slab iteration is
+//! (reusing the expiry queues' `next` link) and are recycled in place —
+//! eviction and admission never reallocate at steady state, slab iteration is
 //! cache-linear, and [`FlowTable::slots`] is exactly the peak concurrent
 //! flow count. The slab grows by doubling, clamped to the configured
 //! table size so capacity never overshoots it by more than 2× below the
 //! cap and not at all at it.
 //!
-//! **Timing wheel.** Idle eviction and TIME_WAIT linger expiry share one
-//! hierarchical timing wheel: 4 levels × 64 slots, level `l` covering
-//! `64^(l+1)` ticks, one tick = `min(idle_timeout, time_wait)/512` seconds
-//! (clamped to `[1 ms, 60 s]`). A flow's timer is an intrusive
-//! doubly-linked node threaded through its own slab slot, so arming,
-//! re-arming (every packet) and cancelling are O(1) pointer splices, and
-//! re-arming into the unchanged wheel slot — the overwhelmingly common
-//! case, since a deadline moves only `granularity`-fraction per packet —
-//! is a no-op. Timers are *lazy*: a slot stores no deadline, it is
-//! recomputed from `last_seen` at fire time, so a timer that fires early
-//! (coarse high-level slots, stale same-slot re-arms) is simply re-armed
-//! at its true remaining delta. The wheel only advances when the owner
-//! asks what [`expired`](FlowTable::expired) (at its sweep boundaries, on
-//! the max-timestamp stream clock); each advance detaches every list the
-//! per-level cursors passed — at most one full revolution per level, so a
-//! multi-hour clock jump costs O(levels × 64), not O(elapsed) — plus the
-//! current tick's level-0 slot, which is how deadlines landing *inside*
-//! the current tick still get their exact `last_seen < clock − timeout`
-//! recheck at every boundary. Leaving a tick drains that tick's level-0
-//! slot as part of the advance: a timer re-armed *into* the current tick
-//! (its deadline already inside it) lives in a slot the per-level pass
-//! never revisits, and would otherwise sit out a full 64-tick revolution.
+//! **Expiry queues.** A flow leaves `idle_timeout` seconds after its last
+//! packet, or `time_wait` seconds after it once it lingers in TIME_WAIT:
+//! two timeout classes, each one constant, on a stream clock that never
+//! runs backwards — so within a class deadline order *is* `last_seen`
+//! order, and an ordered list is all a timer needs (Varghese & Lauck's
+//! Scheme 2 with equal intervals). Each class is one intrusive
+//! doubly-linked queue threaded through the slab slots, stalest flow at
+//! the head. A packet moves its flow to the tail of its class — nothing
+//! to do when it is the tail already, back-to-back packets of one flow —
+//! and [`set_linger`](FlowTable::set_linger) moves it from the idle queue
+//! to the linger queue. A flow is linked behind the last flow no fresher
+//! than it, which is the tail itself for every caller on a monotone
+//! clock, so the order is the table's invariant and not its caller's
+//! promise. What has [`expired`](FlowTable::expired) is the run of
+//! `last_seen < clock − timeout` at each head — exact, O(expired)
+//! whatever the clock jumped by — and the flow to drop when the table is
+//! full ([`probe_stalest`](FlowTable::probe_stalest)) is the staler of
+//! the two heads.
 //!
 //! **One expiry predicate.** [`EvictionMode::Wheel`] and the full-scan
 //! [`EvictionMode::Sweep`] reference differ only in where candidates come
-//! from — the timers the advance detached, or every live slot. Both feed
-//! the same `last_seen < clock − timeout` test, at the same boundaries,
-//! and a wheel timer that outlives an early fire is re-armed, never
-//! dropped; so the two report identical flow sets (pinned by proptest,
-//! here against a model of the table and in `tests/proptests.rs` through
-//! a whole scorer).
+//! from — the heads of the queues, or every live slot. Both feed the same
+//! `last_seen < clock − timeout` test, at the same boundaries, so the two
+//! report identical flow sets (pinned by proptest, here against a model
+//! of the table and in `tests/proptests.rs` through a whole scorer).
 //!
 //! **Per-flow memory** at Table-6 sizes (`H = 32`, `stack = 3`, 115-float
 //! profiles): 16–32 B of index, a 216 B slot, the flow's error log
@@ -86,41 +80,30 @@ use tcp_state::FlowTracker;
 /// How idle (and TIME_WAIT-linger) expiry walks the flow table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionMode {
-    /// Hierarchical timing wheel: O(1) per-packet re-arm, each sweep
-    /// boundary touches only the flows whose timers fired.
+    /// Per-timeout expiry queues in `last_seen` order: O(1) per packet,
+    /// and each sweep boundary reads only the expired flows off the queue
+    /// heads. (Once a timing wheel; the name stayed because `benchmark/`,
+    /// frozen between PRs, spells it.)
     #[default]
     Wheel,
     /// Full slab scan at every sweep boundary. O(live flows) per sweep —
-    /// the reference implementation the wheel is proptest-pinned against,
-    /// kept for that harness and for debugging, not for production use.
+    /// the reference implementation the queues are proptest-pinned
+    /// against, kept for that harness and for debugging, not for
+    /// production use.
     Sweep,
 }
 
 /// Null handle / list terminator for the slab's intrusive links.
 const NIL: u32 = u32::MAX;
-/// "Not armed" marker for [`Slot::wheel_pos`].
-const NIL_POS: u16 = u16::MAX;
 
 /// Slot flag: occupied by a live flow (clear = on the free list).
 const FLAG_LIVE: u8 = 1;
-/// Slot flag: flow reached TIME_WAIT and is lingering (its timer runs on
-/// the linger timeout instead of the idle timeout).
+/// Slot flag: flow reached TIME_WAIT and is lingering (it waits on the
+/// linger queue and timeout instead of the idle ones).
 const FLAG_LINGER: u8 = 1 << 1;
 
-/// How many slab entries the capacity evictor probes before naming the
-/// stalest (conntrack's `early_drop` idea: O(1) bounded work instead of a
-/// full LRU structure).
-const EVICT_PROBES: usize = 8;
-
-/// log2 of the wheel fan-out: 64 slots per level.
-const WHEEL_BITS: u32 = 6;
-const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// 4 levels cover `64^4 ≈ 16.7M` ticks; later deadlines clamp into the
-/// top level and cascade on (early) fire.
-const WHEEL_LEVELS: usize = 4;
-
-/// Per-flow slab slot: a table-owned header (timer links, flags,
-/// `last_seen`) around the per-flow state the owner works on. The wheel
+/// Per-flow slab slot: a table-owned header (queue links, flags,
+/// `last_seen`) around the per-flow state the owner works on. The queue
 /// links double as the free-list link when the slot is vacant.
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
@@ -147,11 +130,11 @@ pub(crate) struct Slot {
     /// Total wire bytes seen by this incarnation (conntrack-style
     /// accounting for the flow dump).
     pub(crate) bytes: u64,
-    /// Intrusive wheel list forward link; the free-list link when vacant.
-    wheel_next: u32,
-    wheel_prev: u32,
-    /// `level * 64 + slot` the timer is linked into, or [`NIL_POS`].
-    wheel_pos: u16,
+    /// The next fresher flow of its expiry queue; the free-list link
+    /// when vacant.
+    queue_next: u32,
+    /// The next staler flow of its expiry queue.
+    queue_prev: u32,
     flags: u8,
     /// The key's hash as [`open`](FlowTable::open) received it: where the
     /// flow's index bucket probes from, so `remove` hashes nothing.
@@ -180,9 +163,8 @@ impl Slot {
             last_seen: now,
             packets: 0,
             bytes: 0,
-            wheel_next: NIL,
-            wheel_prev: NIL,
-            wheel_pos: NIL_POS,
+            queue_next: NIL,
+            queue_prev: NIL,
             flags: FLAG_LIVE,
             hash,
         }
@@ -196,6 +178,11 @@ impl Slot {
     /// ([`FlowTable::set_linger`]).
     pub(crate) fn lingering(&self) -> bool {
         self.flags & FLAG_LINGER != 0
+    }
+
+    /// Which of [`FlowTable::queues`] the flow waits on.
+    fn class(&self) -> usize {
+        usize::from(self.lingering())
     }
 
     /// Stream-clock time of the flow's last [`FlowTable::touch`].
@@ -219,154 +206,18 @@ impl Slot {
     }
 }
 
-/// Hierarchical timing wheel over the slab (see the module docs' design
-/// note). Owns only the slot heads and the cursor; the list links live in
-/// the slab slots themselves.
-#[derive(Debug)]
-struct Wheel {
-    /// Seconds per level-0 tick.
-    granularity: f64,
-    /// `WHEEL_LEVELS × WHEEL_SLOTS` list heads, flattened.
-    heads: Vec<u32>,
-    /// Current level-0 tick (`floor(clock / granularity)` as of the last
-    /// advance).
-    cur: u64,
-    /// Number of armed timers, to short-circuit empty advances.
-    armed: usize,
+/// One timeout class's expiry queue (see the module docs): the stalest
+/// flow at `head`, the freshest at `tail`, the links in the slab slots.
+#[derive(Debug, Clone, Copy)]
+struct Queue {
+    head: u32,
+    tail: u32,
 }
 
-impl Wheel {
-    fn new(granularity: f64) -> Wheel {
-        Wheel {
-            granularity,
-            heads: vec![NIL; WHEEL_LEVELS * WHEEL_SLOTS],
-            cur: 0,
-            armed: 0,
-        }
-    }
-
-    fn tick_of(&self, t: f64) -> u64 {
-        (t.max(0.0) / self.granularity) as u64
-    }
-
-    /// `level * 64 + slot` where a timer due at `tick` belongs, given the
-    /// current cursor: the level whose span covers the remaining delta,
-    /// indexed by the deadline's digit at that level. Deadlines beyond
-    /// the top level's span clamp into it (they fire early and cascade).
-    fn pos_for(&self, tick: u64) -> u16 {
-        let max_span = 1u64 << (WHEEL_BITS * WHEEL_LEVELS as u32);
-        let delta = tick.saturating_sub(self.cur).min(max_span - 1);
-        let eff = self.cur + delta;
-        let mut level = 0;
-        while level + 1 < WHEEL_LEVELS && delta >= (1u64 << (WHEEL_BITS * (level as u32 + 1))) {
-            level += 1;
-        }
-        let idx = ((eff >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS as u64 - 1)) as usize;
-        (level * WHEEL_SLOTS + idx) as u16
-    }
-
-    /// Links `handle` at `pos` (front of the list). Caller guarantees it
-    /// is not currently linked.
-    fn link(&mut self, slab: &mut [Slot], handle: u32, pos: u16) {
-        let head = self.heads[pos as usize];
-        {
-            let s = &mut slab[handle as usize];
-            debug_assert_eq!(s.wheel_pos, NIL_POS);
-            s.wheel_pos = pos;
-            s.wheel_prev = NIL;
-            s.wheel_next = head;
-        }
-        if head != NIL {
-            slab[head as usize].wheel_prev = handle;
-        }
-        self.heads[pos as usize] = handle;
-        self.armed += 1;
-    }
-
-    /// Splices `handle` out of its list; no-op if unarmed.
-    fn unlink(&mut self, slab: &mut [Slot], handle: u32) {
-        let (prev, next, pos) = {
-            let s = &slab[handle as usize];
-            (s.wheel_prev, s.wheel_next, s.wheel_pos)
-        };
-        if pos == NIL_POS {
-            return;
-        }
-        if prev == NIL {
-            self.heads[pos as usize] = next;
-        } else {
-            slab[prev as usize].wheel_next = next;
-        }
-        if next != NIL {
-            slab[next as usize].wheel_prev = prev;
-        }
-        let s = &mut slab[handle as usize];
-        s.wheel_pos = NIL_POS;
-        s.wheel_next = NIL;
-        s.wheel_prev = NIL;
-        self.armed -= 1;
-    }
-
-    /// Detaches every timer in list `pos` into `out`.
-    fn detach_list(&mut self, slab: &mut [Slot], pos: usize, out: &mut Vec<u32>) {
-        let mut handle = self.heads[pos];
-        self.heads[pos] = NIL;
-        while handle != NIL {
-            let s = &mut slab[handle as usize];
-            let next = s.wheel_next;
-            s.wheel_pos = NIL_POS;
-            s.wheel_next = NIL;
-            s.wheel_prev = NIL;
-            self.armed -= 1;
-            out.push(handle);
-            handle = next;
-        }
-    }
-
-    /// Moves the cursor to `to`, detaching into `out` every timer whose
-    /// slot a per-level cursor passed (capped at one revolution per
-    /// level) plus the destination tick's level-0 slot — the lazy
-    /// recheck for deadlines inside the current tick. The caller
-    /// exact-checks each detached timer and re-arms survivors.
-    fn advance(&mut self, slab: &mut [Slot], to: u64, out: &mut Vec<u32>) {
-        let to = to.max(self.cur);
-        if self.armed > 0 {
-            // Leaving the current tick: drain its level-0 slot first. It
-            // can only hold deadlines at tick ≤ `cur` (a delta of 1..=63
-            // indexes a different slot and 64+ a higher level), and the
-            // per-level pass below starts at `cur + 1`, so anything parked
-            // here by a within-tick re-arm would otherwise wait a full
-            // revolution.
-            if to > self.cur {
-                self.detach_list(slab, (self.cur & (WHEEL_SLOTS as u64 - 1)) as usize, out);
-            }
-            for level in 0..WHEEL_LEVELS {
-                let shift = WHEEL_BITS * level as u32;
-                let from_pos = self.cur >> shift;
-                let to_pos = to >> shift;
-                if from_pos == to_pos {
-                    break;
-                }
-                let steps = (to_pos - from_pos).min(WHEEL_SLOTS as u64);
-                for s in 1..=steps {
-                    let idx = ((from_pos + s) & (WHEEL_SLOTS as u64 - 1)) as usize;
-                    self.detach_list(slab, level * WHEEL_SLOTS + idx, out);
-                }
-            }
-            self.cur = to;
-            self.detach_list(slab, (to & (WHEEL_SLOTS as u64 - 1)) as usize, out);
-        } else {
-            self.cur = to;
-        }
-    }
-
-    /// Drops every armed timer (the slab is being cleared wholesale).
-    /// The cursor survives, like the stream clock it follows.
-    fn reset(&mut self) {
-        self.heads.fill(NIL);
-        self.armed = 0;
-    }
-}
+const EMPTY_QUEUE: Queue = Queue {
+    head: NIL,
+    tail: NIL,
+};
 
 /// A canonical key's hash under one table's hasher, as
 /// [`FlowTable::lookup`] computed it: the owner carries it from a miss to
@@ -476,8 +327,8 @@ impl Index {
     }
 }
 
-/// The flow table (see the module docs): key index, slab, free list,
-/// expiry timers and the capacity probe, addressed by `u32` handles.
+/// The flow table (see the module docs): key index, slab, free list and
+/// expiry queues, addressed by `u32` handles.
 /// `table[h]` is the live flow at handle `h`.
 #[derive(Debug)]
 pub(crate) struct FlowTable<S = RandomState> {
@@ -486,12 +337,11 @@ pub(crate) struct FlowTable<S = RandomState> {
     /// Keyed at random per table (`S` is anything else only in tests).
     hasher: S,
     slab: Vec<Slot>,
-    /// Head of the vacant-slot free list (threaded through `wheel_next`).
+    /// Head of the vacant-slot free list (threaded through `queue_next`).
     free_head: u32,
-    wheel: Wheel,
-    /// Rotating slab cursor for capacity-eviction probes, so victim
-    /// selection is unbiased across the table.
-    probe_cursor: u32,
+    /// The idle queue and the linger queue, indexed by [`Slot::class`]:
+    /// every live flow is on exactly the one of its class.
+    queues: [Queue; 2],
     idle_timeout: f64,
     /// Linger timeout of a flow marked by [`set_linger`](Self::set_linger).
     time_wait: f64,
@@ -508,20 +358,12 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         max_flows: usize,
         eviction: EvictionMode,
     ) -> FlowTable<S> {
-        // One tick ≈ timeout/512 keeps the shortest timeout within the
-        // bottom two wheel levels; the clamp guards degenerate configs.
-        let mut shortest = idle_timeout;
-        if time_wait > 0.0 {
-            shortest = shortest.min(time_wait);
-        }
-        let granularity = (shortest / 512.0).clamp(1e-3, 60.0);
         FlowTable {
             index: Index::default(),
             hasher: S::default(),
             slab: Vec::new(),
             free_head: NIL,
-            wheel: Wheel::new(granularity),
-            probe_cursor: 0,
+            queues: [EMPTY_QUEUE; 2],
             idle_timeout,
             time_wait,
             max_flows,
@@ -568,8 +410,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// growing the slab) and returns its handle, and whether that handle
     /// is a slot appended by this call rather than a recycled one. `hash`
     /// is what [`lookup`](Self::lookup) returned when it missed `key`'s
-    /// canonical key. The flow's timer is not armed until the first
-    /// [`touch`](Self::touch).
+    /// canonical key.
     pub(crate) fn open(
         &mut self,
         hash: KeyHash,
@@ -593,134 +434,144 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         } else {
             let h = self.free_head;
             let slot = &mut self.slab[h as usize];
-            self.free_head = slot.wheel_next;
+            self.free_head = slot.queue_next;
             *slot = Slot::new(hash, key, now, arrival);
             h
         };
         self.index.insert(hash.0, h);
+        self.link(h);
         (h, appended)
     }
 
-    /// Records a packet at `now` on flow `h` and (re-)arms its timer.
+    /// Records a packet at `now` on flow `h`, which makes it the freshest
+    /// of its queue.
     pub(crate) fn touch(&mut self, h: u32, now: f64) {
-        self.slab[h as usize].last_seen = now;
-        self.arm(h);
+        let slot = &mut self.slab[h as usize];
+        // Back-to-back packets of one flow: it is the tail already.
+        let in_place = self.queues[slot.class()].tail == h && now >= slot.last_seen;
+        slot.last_seen = now;
+        if !in_place {
+            self.unlink(h);
+            self.link(h);
+        }
     }
 
-    /// Marks flow `h` as lingering: from here its timer runs on the
-    /// linger timeout instead of the idle timeout.
+    /// Marks flow `h` as lingering: from here it waits on the linger
+    /// queue, for the linger timeout instead of the idle timeout.
     pub(crate) fn set_linger(&mut self, h: u32) {
+        self.unlink(h);
         self.slab[h as usize].flags |= FLAG_LINGER;
-        self.arm(h);
+        self.link(h);
     }
 
-    fn timeout_of(&self, slot: &Slot) -> f64 {
-        if slot.lingering() {
+    /// Links flow `h` into the queue of its class behind the last flow no
+    /// fresher than it — the tail, unless the caller's clock ran backwards
+    /// or it lingers a flow other than the one it just touched.
+    fn link(&mut self, h: u32) {
+        let (class, seen) = {
+            let slot = &self.slab[h as usize];
+            (slot.class(), slot.last_seen)
+        };
+        let mut prev = self.queues[class].tail;
+        let mut next = NIL;
+        while prev != NIL && self.slab[prev as usize].last_seen > seen {
+            next = prev;
+            prev = self.slab[prev as usize].queue_prev;
+        }
+        let slot = &mut self.slab[h as usize];
+        slot.queue_prev = prev;
+        slot.queue_next = next;
+        match prev {
+            NIL => self.queues[class].head = h,
+            _ => self.slab[prev as usize].queue_next = h,
+        }
+        match next {
+            NIL => self.queues[class].tail = h,
+            _ => self.slab[next as usize].queue_prev = h,
+        }
+    }
+
+    /// Takes flow `h` out of the queue of its class.
+    fn unlink(&mut self, h: u32) {
+        let slot = &self.slab[h as usize];
+        let (class, prev, next) = (slot.class(), slot.queue_prev, slot.queue_next);
+        match prev {
+            NIL => self.queues[class].head = next,
+            _ => self.slab[prev as usize].queue_next = next,
+        }
+        match next {
+            NIL => self.queues[class].tail = prev,
+            _ => self.slab[next as usize].queue_prev = prev,
+        }
+    }
+
+    fn due(&self, slot: &Slot, clock: f64) -> bool {
+        let timeout = if slot.lingering() {
             self.time_wait
         } else {
             self.idle_timeout
-        }
-    }
-
-    /// (Re-)arms a flow's expiry timer from its `last_seen` and active
-    /// timeout. A no-op in [`EvictionMode::Sweep`] and when the deadline
-    /// maps to the timer's current wheel slot (the common per-packet
-    /// case).
-    fn arm(&mut self, h: u32) {
-        if self.eviction != EvictionMode::Wheel {
-            return;
-        }
-        let slot = &self.slab[h as usize];
-        let pos = self
-            .wheel
-            .pos_for(self.wheel.tick_of(slot.last_seen + self.timeout_of(slot)));
-        if slot.wheel_pos == pos {
-            return;
-        }
-        self.wheel.unlink(&mut self.slab, h);
-        self.wheel.link(&mut self.slab, h, pos);
+        };
+        slot.last_seen < clock - timeout
     }
 
     /// Fills `out` with the flows whose timeout (idle, or linger) has
-    /// run out at stream time `clock`, for the owner to close. The
-    /// candidates are the timers a wheel advance to `clock` detached —
-    /// or, in [`EvictionMode::Sweep`], every live flow, in slab order —
-    /// and both face the one `last_seen < clock − timeout` test; a wheel
-    /// candidate that passes it is re-armed at its true remaining delta.
-    pub(crate) fn expired(&mut self, clock: f64, out: &mut Vec<u32>) {
+    /// run out at stream time `clock`, for the owner to close: the run of
+    /// due flows at the head of each queue, stalest first — or, in
+    /// [`EvictionMode::Sweep`], every live flow that is due, in slab
+    /// order. Both apply the one `last_seen < clock − timeout` test.
+    pub(crate) fn expired(&self, clock: f64, out: &mut Vec<u32>) {
         out.clear();
         match self.eviction {
             EvictionMode::Wheel => {
-                let to = self.wheel.tick_of(clock);
-                self.wheel.advance(&mut self.slab, to, out);
-            }
-            EvictionMode::Sweep => out.extend(self.live_handles()),
-        }
-        out.retain(|&h| {
-            let slot = &self.slab[h as usize];
-            debug_assert!(slot.live(), "wheel fired a vacant slot");
-            let due = slot.last_seen < clock - self.timeout_of(slot);
-            if !due {
-                self.arm(h);
-            }
-            due
-        });
-    }
-
-    /// Table-full eviction: probes a few slab entries past a rotating
-    /// cursor and names the stalest, for the owner to close.
-    pub(crate) fn probe_stalest(&mut self) -> Option<u32> {
-        let n = self.slab.len();
-        if n == 0 {
-            return None;
-        }
-        let mut cursor = self.probe_cursor as usize % n;
-        let mut victim: Option<(u32, f64)> = None;
-        let mut probed = 0;
-        let want = EVICT_PROBES.min(self.index.len);
-        for _ in 0..n {
-            if probed >= want {
-                break;
-            }
-            let slot = &self.slab[cursor];
-            if slot.live() {
-                probed += 1;
-                if victim.is_none_or(|(_, t)| slot.last_seen < t) {
-                    victim = Some((cursor as u32, slot.last_seen));
+                for queue in &self.queues {
+                    let mut h = queue.head;
+                    while h != NIL && self.due(&self.slab[h as usize], clock) {
+                        out.push(h);
+                        h = self.slab[h as usize].queue_next;
+                    }
                 }
             }
-            cursor = (cursor + 1) % n;
+            EvictionMode::Sweep => {
+                let due = |&h: &u32| self.due(&self.slab[h as usize], clock);
+                out.extend(self.live_handles().filter(due));
+            }
         }
-        self.probe_cursor = cursor as u32;
-        victim.map(|(h, _)| h)
     }
 
-    /// Forgets flow `h`: drops its index entry, cancels its timer and
-    /// returns its slot to the free list.
+    /// Table-full eviction: names the stalest flow — the staler of the
+    /// two queue heads — for the owner to close.
+    pub(crate) fn probe_stalest(&self) -> Option<u32> {
+        let heads = self.queues.iter().map(|q| q.head).filter(|&h| h != NIL);
+        heads.min_by(|&a, &b| {
+            let seen = |h: u32| self.slab[h as usize].last_seen;
+            seen(a).total_cmp(&seen(b))
+        })
+    }
+
+    /// Forgets flow `h`: drops its index entry, takes it off its queue
+    /// and returns its slot to the free list.
     pub(crate) fn remove(&mut self, h: u32) {
         self.index.remove(self.slab[h as usize].hash.0, h);
-        self.wheel.unlink(&mut self.slab, h);
+        self.unlink(h);
         let slot = &mut self.slab[h as usize];
         slot.flags = 0;
         slot.pending = None;
-        slot.wheel_prev = NIL;
-        slot.wheel_next = self.free_head;
+        slot.queue_prev = NIL;
+        slot.queue_next = self.free_head;
         self.free_head = h;
     }
 
     /// Discards every flow without a word to the owner, keeping the
-    /// allocations. The wheel cursor survives, like the stream clock it
-    /// follows.
+    /// allocations.
     pub(crate) fn clear(&mut self) {
         self.index.clear();
         self.slab.clear();
         self.free_head = NIL;
-        self.wheel.reset();
-        self.probe_cursor = 0;
+        self.queues = [EMPTY_QUEUE; 2];
     }
 
-    /// Heap footprint: index, slab, wheel and what the live slots own
-    /// (error logs, orient buffers). O(slab).
+    /// Heap footprint: index, slab and what the live slots own (error
+    /// logs, orient buffers). O(slab).
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let logs: usize = self
@@ -735,7 +586,6 @@ impl<S: BuildHasher + Default> FlowTable<S> {
             .sum();
         self.index.buckets.capacity() * size_of::<Bucket>()
             + self.slab.capacity() * size_of::<Slot>()
-            + self.wheel.heads.capacity() * size_of::<u32>()
             + logs
     }
 }
@@ -789,7 +639,7 @@ mod tests {
         lingering: bool,
     }
 
-    /// A wheel table, a sweep table and the naive model of both, driven
+    /// A queue table, a sweep table and the naive model of both, driven
     /// through the same operations. The harness is the tables' owner: it
     /// closes what they name, in handle order, so the two free lists —
     /// and with them every later handle — stay comparable.
@@ -820,9 +670,9 @@ mod tests {
             }
         }
 
-        /// One packet of flow `id` at the current clock: what `ingest`
-        /// does — make room, open, touch.
-        fn packet(&mut self, id: u16) {
+        /// One packet of flow `id` stamped `now`: what `ingest` does —
+        /// make room, open, touch.
+        fn packet(&mut self, id: u16, now: f64) {
             let ck = CanonicalKey::of_key(&key(id));
             // Each table keys its own hasher: the hashes differ, the
             // answers must not.
@@ -839,7 +689,7 @@ mod tests {
                     let appended = want == self.slots;
                     self.slots += u32::from(appended);
                     for (t, (hash, _)) in self.tables.iter_mut().zip(found) {
-                        let got = t.open(hash, key(id), self.clock, u64::from(id));
+                        let got = t.open(hash, key(id), now, u64::from(id));
                         assert_eq!(got, (want, appended), "free-list order");
                         assert!(t.capacity() <= self.max_flows.max(64), "slab clamp");
                     }
@@ -847,14 +697,14 @@ mod tests {
                 }
             };
             for t in &mut self.tables {
-                t.touch(h, self.clock);
+                t.touch(h, now);
             }
             let flow = self.live.entry(id).or_insert(Live {
                 handle: h,
                 last_seen: 0.0,
                 lingering: false,
             });
-            flow.last_seen = self.clock;
+            flow.last_seen = now;
         }
 
         fn close(&mut self, h: u32) {
@@ -872,20 +722,17 @@ mod tests {
         }
 
         fn evict_stalest(&mut self) {
-            let victims = self.tables.each_mut().map(FlowTable::probe_stalest);
-            assert_eq!(victims[0], victims[1], "probe order");
+            let victims = self.tables.each_ref().map(FlowTable::probe_stalest);
+            assert_eq!(victims[0], victims[1], "queue order");
             let Some(h) = victims[0] else {
                 assert!(self.live.is_empty());
                 return;
             };
             let seen = |f: &Live| f.last_seen;
             let victim = self.live.values().find(|f| f.handle == h).map(seen);
-            assert!(victim.is_some(), "probe named a vacant slot");
-            if self.live.len() <= EVICT_PROBES {
-                // Every live flow was probed: the victim is the stalest.
-                let stalest = self.live.values().map(seen).min_by(f64::total_cmp);
-                assert_eq!(victim, stalest);
-            }
+            assert!(victim.is_some(), "named a vacant slot");
+            let stalest = self.live.values().map(seen).min_by(f64::total_cmp);
+            assert_eq!(victim, stalest);
             self.close(h);
         }
 
@@ -947,13 +794,26 @@ mod tests {
                     assert_eq!(slot.last_seen(), f.last_seen);
                     assert_eq!(slot.lingering(), f.lingering);
                 }
-                // Every live flow has been touched, so under the wheel it
-                // is armed — and nothing else is, in either mode.
-                let wheel = t.eviction == EvictionMode::Wheel;
-                for slot in &t.slab {
-                    assert_eq!(slot.wheel_pos != NIL_POS, wheel && slot.live());
+                // Both modes keep the queues: every live flow is on exactly
+                // the one of its class, nothing vacant is on either, the
+                // links agree both ways and `last_seen` never falls from
+                // head to tail.
+                let mut linked = 0;
+                for (class, queue) in t.queues.iter().enumerate() {
+                    let (mut prev, mut h) = (NIL, queue.head);
+                    while h != NIL {
+                        let slot = &t.slab[h as usize];
+                        assert!(slot.live(), "vacant slot {h} on queue {class}");
+                        assert_eq!((slot.class(), slot.queue_prev), (class, prev));
+                        if prev != NIL {
+                            assert!(t.slab[prev as usize].last_seen <= slot.last_seen);
+                        }
+                        linked += 1;
+                        (prev, h) = (h, slot.queue_next);
+                    }
+                    assert_eq!(queue.tail, prev);
                 }
-                assert_eq!(t.wheel.armed, if wheel { t.len() } else { 0 });
+                assert_eq!(linked, t.len());
             }
         }
     }
@@ -964,10 +824,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random open / touch / linger / clock-jump / expire / capacity
-        /// probe / teardown / clear sequences, through a wheel table, a
-        /// sweep table and a `BTreeMap`: the same expired set at every
-        /// boundary, the same handle from every `open`, the index as
-        /// large as the live set, and no timer on a vacant slot.
+        /// eviction / teardown / clear sequences, through a queue table,
+        /// a sweep table and a `BTreeMap`: the same expired set at every
+        /// boundary, the model's stalest flow from every capacity
+        /// eviction, the same handle from every `open`, the index as
+        /// large as the live set, and both queues sorted and complete.
         #[test]
         fn table_matches_a_naive_model_in_both_eviction_modes(
             seed in any::<u64>(),
@@ -980,11 +841,13 @@ mod tests {
             for _ in 0..400 {
                 let id = rng.gen_range(0..KEYS);
                 match rng.gen_range(0..100) {
-                    0..=44 => h.packet(id),
+                    0..=39 => h.packet(id, h.clock),
+                    // A caller whose clock ran backwards: the queues stay
+                    // sorted all the same.
+                    40..=44 => h.packet(id, h.clock - idle_timeout * rng.gen_range(0.0..1.5)),
                     45..=64 => {
                         // Mostly a fraction of the timeout, sometimes past
-                        // it, now and then hours (multi-level cascades,
-                        // and beyond the top level at a 1 ms tick).
+                        // it, now and then hours.
                         h.clock += match rng.gen_range(0..20) {
                             0 => rng.gen_range(3_600.0..200_000.0),
                             1..=4 => idle_timeout * rng.gen_range(0.5..2.0),

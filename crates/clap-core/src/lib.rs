@@ -27,7 +27,7 @@
 //! across rayon workers, each looping the core over its connections),
 //! **online streaming** over an interleaved packet stream ([`stream`]:
 //! the core composed with a bounded flow table — the crate-private
-//! `flow_table` module: key index, slab, timing wheel, no neural type —
+//! `flow_table` module: key index, slab, expiry queues, no neural type —
 //! the `resident` arena of per-flow state and, when asked for, the
 //! `microbatch` module's cross-flow staging and chain-round flush;
 //! scores emitted as packets arrive, bitwise the batch path's wherever

@@ -7,7 +7,7 @@
 //! emit verdicts as packets arrive. [`StreamScorer`] is that mode:
 //!
 //! * **A thin composition.** `StreamScorer` is a flow table
-//!   (`flow_table`: key index, slab, timing wheel, capacity probe) around
+//!   (`flow_table`: key index, slab, expiry queues) around
 //!   the crate's one per-packet scoring core (`scorer`: extract → GRU step
 //!   → window → autoencoder) and the arena that holds each flow's neural
 //!   state (`resident`). This module is the policy between them:
@@ -40,11 +40,10 @@
 //!   property tests pin is therefore the flow table — orientation,
 //!   teardown, padding, eviction.
 //! * **Bounded memory.** Flows are evicted on TCP teardown (RST, or an
-//!   orderly close reaching TIME_WAIT), on idle timeout (a hierarchical
-//!   timing wheel), on a per-flow packet cap, and —
-//!   conntrack-`early_drop`-style — by probing a handful of slab entries
-//!   and dropping the stalest when the table is full. Every eviction
-//!   finalizes the flow and emits its [`ScoredConnection`].
+//!   orderly close reaching TIME_WAIT), on idle timeout (a queue in
+//!   last-seen order), on a per-flow packet cap, and by dropping the
+//!   stalest flow when the table is full. Every eviction finalizes the
+//!   flow and emits its [`ScoredConnection`].
 //! * **Arrival tags.** Every packet carries an arrival tag — the scorer's
 //!   own 0-based counter under [`StreamScorer::push`], or a
 //!   caller-supplied index under [`StreamScorer::push_tagged`] — and each
@@ -123,8 +122,8 @@ pub struct StreamConfig {
     /// the maximum packet timestamp seen, so replayed captures age flows
     /// at capture speed, not wall-clock speed.
     pub idle_timeout: f64,
-    /// Hard cap on concurrently tracked flows; at capacity the stalest of
-    /// a small probe set is evicted to admit a new flow.
+    /// Hard cap on concurrently tracked flows; at capacity the stalest
+    /// flow is evicted to admit a new one.
     pub max_flows: usize,
     /// Finalize a flow when its tracker reaches `CLOSE` (RST) or
     /// `TIME_WAIT` (orderly close). Disable to score past teardown — e.g.
@@ -142,8 +141,8 @@ pub struct StreamConfig {
     /// bounding per-flow memory (the error log grows one `f32` per packet
     /// past the stack depth). Subsequent packets start a fresh flow.
     pub max_packets_per_flow: usize,
-    /// Advance the expiry machinery every this many packets. With
-    /// [`EvictionMode::Wheel`] each boundary costs O(timers fired); with
+    /// Close the expired flows every this many packets. With
+    /// [`EvictionMode::Wheel`] each boundary costs O(expired flows); with
     /// [`EvictionMode::Sweep`] it costs O(live flows).
     pub sweep_interval: usize,
     /// A flow that does **not** begin with a pure SYN (a mid-capture
@@ -155,8 +154,8 @@ pub struct StreamConfig {
     /// ([`QuantMode::Int8`] runs the int8 quantized kernels). Defaults to
     /// [`QuantMode::Off`], exact f32.
     pub quant: QuantMode,
-    /// Expiry mechanism — wheel by default, full-scan sweep as the
-    /// equivalence-test reference.
+    /// Expiry mechanism — last-seen-ordered queues by default, full-scan
+    /// sweep as the equivalence-test reference.
     pub eviction: EvictionMode,
     /// Per-flow resident-state precision. Independent of [`quant`]
     /// (weights vs state); defaults to exact f32.
@@ -251,7 +250,7 @@ pub struct StreamStats {
     pub length_capped: u64,
     /// Flows flushed by [`StreamScorer::finish`].
     pub drained: u64,
-    /// Subset of `closed_tcp` whose TIME_WAIT linger expired on the wheel.
+    /// Subset of `closed_tcp` whose TIME_WAIT linger ran out.
     pub time_wait_expired: u64,
 }
 
@@ -530,7 +529,7 @@ impl StreamScorer<'_> {
             };
             self.close_flow(h, reason);
         } else if start_linger {
-            // Switch the timer from the idle to the linger timeout.
+            // Switch from the idle to the linger queue and timeout.
             self.table.set_linger(h);
         }
         emitted
@@ -654,8 +653,7 @@ impl StreamScorer<'_> {
     }
 
     /// Estimated heap footprint of the flow table: key index, slab,
-    /// resident arenas, wheel and the live flows' error logs / orient
-    /// buffers. O(slab) — meant for periodic sampling, not the hot path.
+    /// resident arenas and the live flows' error logs / orient buffers. O(slab) — meant for periodic sampling, not the hot path.
     /// Excludes the pending-verdict queue (drained by the caller) and the
     /// shared scratch, micro-batch staging included (constant-size —
     /// bounded by the batch capacity — and flow-independent).
@@ -1122,6 +1120,31 @@ mod tests {
         assert_eq!(stats.flows_peak, 2, "slab never outgrew max_flows");
     }
 
+    /// A full table gives up its stalest flow wherever that sits in the
+    /// slab (here past the first eight slots, all of them fresher).
+    #[test]
+    fn capacity_eviction_closes_the_stalest_flow() {
+        let clap = model();
+        let mut scorer = clap.stream_scorer_with(StreamConfig {
+            max_flows: 32,
+            teardown_on_close: false,
+            ..StreamConfig::default()
+        });
+        let flow = |i: u8, at: f64| raw_packet((i + 1, 4000 + u16::from(i)), (100, 80), at);
+        for i in 0..32u8 {
+            scorer.push(&flow(i, f64::from(i)));
+        }
+        for i in 0..20u8 {
+            scorer.push(&flow(i, 40.0 + f64::from(i)));
+        }
+        scorer.push(&flow(32, 60.0));
+        let closed = scorer.drain_closed();
+        assert_eq!(closed.len(), 1);
+        assert_eq!(closed[0].reason, CloseReason::CapacityEvicted);
+        assert_eq!(closed[0].arrival, 20, "flow 20 was last seen at t = 20");
+        assert_eq!(scorer.live_flows(), 32);
+    }
+
     #[test]
     fn length_capped_flows_restart() {
         let clap = model();
@@ -1225,10 +1248,10 @@ mod tests {
     }
 
     /// `time_wait > 0`: an orderly close lingers (still counted live),
-    /// then expires on the wheel as a TcpClose; a pure SYN reusing the
-    /// tuple during the linger closes the old incarnation immediately.
+    /// then expires after `time_wait` as a TcpClose; a pure SYN reusing
+    /// the tuple during the linger closes the old incarnation immediately.
     #[test]
-    fn time_wait_linger_expires_on_the_wheel() {
+    fn time_wait_linger_expires_as_tcp_close() {
         let clap = model();
         let conn = &traffic_gen::dataset(931, 1)[0];
         for eviction in [EvictionMode::Wheel, EvictionMode::Sweep] {
@@ -1400,10 +1423,10 @@ mod tests {
         assert!(closed.iter().all(|c| c.scored.score.is_finite()));
     }
 
-    /// The wheel survives huge clock jumps (multi-level cascades) and
-    /// still evicts exactly the idle flows, matching the sweep reference.
+    /// A sweep boundary after a clock jump of seconds, hours or days
+    /// evicts exactly the idle flows, matching the sweep reference.
     #[test]
-    fn wheel_handles_large_clock_jumps() {
+    fn idle_expiry_is_exact_after_multi_hour_clock_jumps() {
         let clap = model();
         let run = |eviction| {
             let mut scorer = clap.stream_scorer_with(StreamConfig {

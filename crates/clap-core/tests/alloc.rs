@@ -108,7 +108,7 @@ fn steady_state_pushes_do_not_allocate_per_packet(clap: &Clap) {
     scorer.attach_stages(std::sync::Arc::new(StageHists::default()));
 
     // Warmup: reach the churn plateau so the slab, resident arena, key
-    // map, wheel lists and every scratch buffer are at their steady size.
+    // map and every scratch buffer are at their steady size.
     for p in &packets[..WARMUP_PACKETS] {
         scorer.push(p);
     }

@@ -639,17 +639,17 @@ const RESIDENT_INT8_REL_DRIFT: f32 = 0.05;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The timing wheel's headline guarantee: for random interleaved
-    /// traffic re-timed with randomized idle gaps — under randomized
-    /// sweep cadences, teardown on/off and TIME_WAIT lingers — the wheel
-    /// finalizes the *identical* flow set as the O(n)-scan reference
+    /// The expiry queues' headline guarantee (`EvictionMode::Wheel`, by
+    /// its historical name): for random interleaved traffic re-timed with
+    /// randomized idle gaps — under randomized sweep cadences, teardown
+    /// on/off and TIME_WAIT lingers — they finalize the *identical* flow
+    /// set as the O(n)-scan reference
     /// (`EvictionMode::Sweep`): same identities, close reasons,
     /// localization, scores within 1e-6, and identical lifetime counters.
     /// Both modes fire at sweep boundaries through the same exact
-    /// `last_seen < clock − timeout` predicate; the wheel only narrows
-    /// *which flows get checked*, so any divergence is a wheel bug
-    /// (a slot never re-armed, an entry stranded on a higher level, a
-    /// linger timer lost).
+    /// `last_seen < clock − timeout` predicate; the queues only narrow
+    /// *which flows get checked*, so any divergence is a queue bug
+    /// (a flow out of `last_seen` order, or left off the linger queue).
     #[test]
     fn wheel_idle_eviction_matches_sweep(
         seed in 0u64..10_000,

@@ -437,7 +437,7 @@ impl StreamCells {
         self.seq.write(|| self.drained.add(1));
     }
 
-    /// One TIME_WAIT linger expired on the wheel.
+    /// One TIME_WAIT linger ran out.
     #[inline]
     pub fn time_wait_expired(&self) {
         self.seq.write(|| self.time_wait_expired.add(1));

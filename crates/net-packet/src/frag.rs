@@ -4,13 +4,15 @@
 //! transport packet (see [`crate::wire::ParseError::Fragment`]); the raw
 //! bytes are routed here instead. The reassembler keeps a bounded per-key
 //! cache — keyed by (src, dst, identification, protocol) per RFC 791 —
-//! with timing-wheel expiry, and applies a **first-received-wins** overlap
-//! policy: bytes already accepted for a range are never replaced, and a
-//! later fragment that overlaps them is recorded as `overlapped` (plus
-//! `conflicting` when the overlapping bytes actually differ). Overlap is a
-//! classic DPI-evasion vector — different OSes resolve it differently — so
-//! the verdict-relevant outcome is surfaced on the reassembled packet via
-//! [`ReassemblyInfo`] and folded into the feature vector downstream.
+//! that drops a datagram `timeout` seconds after its last fragment (when
+//! full, the one whose last fragment is oldest), and applies a
+//! **first-received-wins** overlap policy: bytes already accepted for a
+//! range are never replaced, and a later fragment that overlaps them is
+//! recorded as `overlapped` (plus `conflicting` when the overlapping
+//! bytes actually differ). Overlap is a classic DPI-evasion vector —
+//! different OSes resolve it differently — so the verdict-relevant outcome
+//! is surfaced on the reassembled packet via [`ReassemblyInfo`] and folded
+//! into the feature vector downstream.
 //!
 //! When a datagram completes, the initial fragment's header bytes are
 //! patched (MF cleared, offset zeroed, `total_length` set to the true
@@ -22,7 +24,7 @@ use crate::checksum::{finalize, ones_complement_sum};
 use crate::ipv4::FLAG_MF;
 use crate::{wire, Packet};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// How a reassembled packet came to be, attached as
 /// [`crate::Packet::reassembly`].
@@ -42,7 +44,7 @@ pub struct ReassemblyInfo {
 /// protocol, taken from the raw v4 header bytes.
 type Key = ([u8; 4], [u8; 4], u16, u8);
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Entry {
     /// Header bytes (fixed part + options) of the offset-0 fragment;
     /// empty until the initial fragment arrives.
@@ -55,10 +57,16 @@ struct Entry {
     fragments: u16,
     overlapped: bool,
     conflicting: bool,
-    expires_at: f64,
+    /// [`Reassembler::pushes`] as of the datagram's latest fragment.
+    touched: u64,
 }
 
 impl Entry {
+    /// Whether fragment number `push` is still the datagram's latest.
+    fn touched_at(entries: &HashMap<Key, Entry>, key: &Key, push: u64) -> bool {
+        entries.get(key).is_some_and(|e| e.touched == push)
+    }
+
     fn complete(&self) -> bool {
         let Some(total) = self.total_len else {
             return false;
@@ -77,22 +85,22 @@ impl Entry {
     }
 }
 
-const WHEEL_SLOTS: usize = 64;
-
-/// Bounded IPv4 fragment reassembler with timing-wheel expiry.
+/// Bounded IPv4 fragment reassembler.
 #[derive(Debug)]
 pub struct Reassembler {
     entries: HashMap<Key, Entry>,
     capacity: usize,
     timeout: f64,
-    /// Timing wheel: each slot holds the keys whose deadline falls in that
-    /// slot's window. Entries are checked lazily on drain (a key may have
-    /// been re-armed to a later deadline, or already removed).
-    wheel: Vec<Vec<Key>>,
-    slot_width: f64,
-    cur_slot: usize,
-    cur_time: f64,
-    started: bool,
+    /// The latest timestamp pushed; it never runs backwards.
+    clock: f64,
+    /// Fragments accepted so far.
+    pushes: u64,
+    /// `(deadline, push, key)` for every fragment that left its datagram
+    /// incomplete, in arrival order — which is deadline order, the timeout
+    /// being one constant on a monotone clock. A pair is *live* while
+    /// `push` is its datagram's latest fragment; a datagram has exactly
+    /// one live pair, the rest wait to be popped or compacted away.
+    deadlines: VecDeque<(f64, u64, Key)>,
     expired: u64,
     evicted: u64,
 }
@@ -119,11 +127,9 @@ impl Reassembler {
             entries: HashMap::new(),
             capacity,
             timeout,
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            slot_width: timeout / WHEEL_SLOTS as f64,
-            cur_slot: 0,
-            cur_time: 0.0,
-            started: false,
+            clock: f64::NEG_INFINITY,
+            pushes: 0,
+            deadlines: VecDeque::new(),
             expired: 0,
             evicted: 0,
         }
@@ -144,67 +150,22 @@ impl Reassembler {
         self.evicted
     }
 
-    fn schedule(&mut self, key: Key, expires_at: f64) {
-        let delta = ((expires_at - self.cur_time) / self.slot_width).ceil();
-        let delta = (delta as usize).clamp(1, WHEEL_SLOTS - 1);
-        self.wheel[(self.cur_slot + delta) % WHEEL_SLOTS].push(key);
-    }
-
-    /// Advances the wheel to `now`, expiring entries whose deadline passed.
-    fn tick(&mut self, now: f64) {
-        if !self.started {
-            self.started = true;
-            self.cur_time = now;
-            return;
-        }
-        // Cap the walk at one full revolution: after WHEEL_SLOTS steps every
-        // slot has been drained once and older deadlines are all behind us.
-        let mut steps = 0;
-        while self.cur_time + self.slot_width <= now && steps < WHEEL_SLOTS {
-            self.cur_time += self.slot_width;
-            self.cur_slot = (self.cur_slot + 1) % WHEEL_SLOTS;
-            steps += 1;
-            let due = std::mem::take(&mut self.wheel[self.cur_slot]);
-            for key in due {
-                match self.entries.get(&key) {
-                    Some(e) if e.expires_at <= self.cur_time => {
-                        self.entries.remove(&key);
-                        self.expired += 1;
-                    }
-                    // Re-armed to a later deadline: put it back on the wheel.
-                    Some(e) => {
-                        let at = e.expires_at;
-                        self.schedule(key, at);
-                    }
-                    None => {}
-                }
+    /// Pops deadline pairs off the front while `more` says so of the
+    /// front deadline, drops the datagram of each live pair popped —
+    /// stalest first — and returns how many datagrams that was.
+    fn drop_stalest_while(&mut self, more: impl Fn(&Reassembler, f64) -> bool) -> u64 {
+        let mut dropped = 0;
+        while let Some(&(deadline, push, key)) = self.deadlines.front() {
+            if !more(self, deadline) {
+                break;
+            }
+            self.deadlines.pop_front();
+            if Entry::touched_at(&self.entries, &key, push) {
+                self.entries.remove(&key);
+                dropped += 1;
             }
         }
-        if self.cur_time + self.slot_width <= now {
-            // More than a full revolution elapsed; everything pending is
-            // older than the timeout.
-            self.expired += self.entries.len() as u64;
-            self.entries.clear();
-            self.cur_time = now;
-        }
-    }
-
-    fn evict_if_full(&mut self) {
-        while self.entries.len() >= self.capacity {
-            // Linear scan is fine at the default capacity of 256.
-            let victim = self
-                .entries
-                .iter()
-                .min_by(|a, b| a.1.expires_at.total_cmp(&b.1.expires_at))
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    self.entries.remove(&k);
-                    self.evicted += 1;
-                }
-                None => break,
-            }
-        }
+        dropped
     }
 
     /// Feeds one raw IPv4 fragment. Returns the fully reassembled packet
@@ -214,7 +175,8 @@ impl Reassembler {
     /// carries the completing fragment's timestamp and a
     /// [`ReassemblyInfo`].
     pub fn push(&mut self, timestamp: f64, raw: &[u8]) -> Option<Packet> {
-        self.tick(timestamp);
+        self.clock = self.clock.max(timestamp);
+        self.expired += self.drop_stalest_while(|r, deadline| deadline <= r.clock);
 
         if raw.len() < 20 || raw[0] >> 4 == 6 {
             return None;
@@ -242,23 +204,13 @@ impl Reassembler {
         );
 
         if !self.entries.contains_key(&key) {
-            self.evict_if_full();
-            self.entries.insert(
-                key,
-                Entry {
-                    header: Vec::new(),
-                    ranges: Vec::new(),
-                    total_len: None,
-                    fragments: 0,
-                    overlapped: false,
-                    conflicting: false,
-                    expires_at: 0.0,
-                },
-            );
+            // Every datagram has a live pair, so this ends below capacity.
+            self.evicted += self.drop_stalest_while(|r, _| r.entries.len() >= r.capacity);
         }
-        let entry = self.entries.get_mut(&key).expect("just inserted");
+        let entry = self.entries.entry(key).or_default();
         entry.fragments = entry.fragments.saturating_add(1);
-        entry.expires_at = timestamp + self.timeout;
+        self.pushes += 1;
+        entry.touched = self.pushes;
 
         if offset == 0 && entry.header.is_empty() {
             entry.header = raw[..ip_hdr_len].to_vec();
@@ -299,7 +251,17 @@ impl Reassembler {
         entry.ranges.sort_by_key(|(off, _)| *off);
 
         if !entry.complete() {
-            self.schedule(key, timestamp + self.timeout);
+            self.deadlines
+                .push_back((self.clock + self.timeout, self.pushes, key));
+            // A flood of fragments for few datagrams (duplicates are
+            // accepted) leaves mostly dead pairs: keep the ≤ `capacity`
+            // live ones, so the queue stays O(capacity) at amortised O(1).
+            if self.deadlines.len() > 4 * self.capacity + 64 {
+                let entries = &self.entries;
+                self.deadlines
+                    .retain(|(_, push, key)| Entry::touched_at(entries, key, *push));
+                debug_assert!(self.deadlines.len() <= self.capacity);
+            }
             return None;
         }
 
@@ -486,7 +448,7 @@ mod tests {
         let mut r = Reassembler::with_limits(16, 5.0);
         assert!(r.push(0.0, &frags[0]).is_none());
         assert_eq!(r.pending(), 1);
-        // An unrelated fragment far in the future drives the wheel forward.
+        // An unrelated fragment far in the future moves the clock.
         let (_, other) = datagram(64);
         let mut other_frags = fragment_datagram(&other, 24);
         other_frags[0][4..6].copy_from_slice(&0x9999u16.to_be_bytes());
@@ -507,6 +469,25 @@ mod tests {
         }
         assert_eq!(r.pending(), 4);
         assert_eq!(r.evicted(), 2);
+    }
+
+    /// A flood of duplicates of one fragment (each is accepted, as an
+    /// overlap) costs the deadline queue O(capacity), not a pair apiece.
+    #[test]
+    fn duplicate_flood_keeps_the_deadline_queue_bounded() {
+        let (orig, bytes) = datagram(48);
+        let frags = fragment_datagram(&bytes, 40);
+        let mut r = Reassembler::with_limits(4, 30.0);
+        for _ in 0..100_000 {
+            assert!(r.push(7.0, &frags[0]).is_none());
+            assert!(r.deadlines.len() <= 4 * 4 + 64);
+        }
+        assert_eq!((r.pending(), r.expired(), r.evicted()), (1, 0, 0));
+        let p = r.push(7.0, &frags[1]).expect("complete");
+        assert_eq!(p.payload, orig.payload);
+        let info = p.reassembly.unwrap();
+        assert!(info.overlapped && !info.conflicting);
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]

@@ -230,6 +230,91 @@ proptest! {
         }
     }
 
+    /// Random fragment / duplicate / completion sequences over 12
+    /// three-fragment datagrams, on timestamps that creep, stall, jump
+    /// past the timeout and run backwards: after every push the
+    /// reassembler and a naive list of `(id, last clock)` agree on what
+    /// is pending, what the timeout and the capacity bound have dropped
+    /// (the stalest first), and which datagram completes, from how many
+    /// fragments. Expiry is exact, so the model has no slack term.
+    #[test]
+    fn reassembler_matches_a_naive_model(
+        capacity in 1usize..=8,
+        timeout in prop_oneof![Just(0.5f64), Just(5.0), Just(30.0)],
+        pushes in prop::collection::vec((0u16..12, 0usize..3, 0u8..20, 0.0f64..1.0), 1..300),
+    ) {
+        #[derive(Default)]
+        struct Pending {
+            id: u16,
+            last: f64,
+            got: [bool; 3],
+            fragments: u16,
+            overlapped: bool,
+        }
+        let datagrams: Vec<(Vec<u8>, Vec<Vec<u8>>)> = (0..12u16)
+            .map(|id| {
+                let mut ip =
+                    Ipv4Header::new(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), 64);
+                ip.identification = id;
+                let mut tcp = TcpHeader::new(40000, 80, 1, 2);
+                tcp.flags = TcpFlags::ACK;
+                let payload: Vec<u8> = (0..44u16).map(|i| (i * 12 + id) as u8).collect();
+                let bytes = Packet::new(0.0, ip, tcp, payload.clone()).to_bytes();
+                (payload, fragment_datagram(&bytes, 24))
+            })
+            .collect();
+        let mut r = Reassembler::with_limits(capacity, timeout);
+        let mut model: Vec<Pending> = Vec::new();
+        let (mut expired, mut evicted) = (0u64, 0u64);
+        let (mut ts, mut clock) = (1_000.0f64, f64::NEG_INFINITY);
+        for (id, frag, pace, x) in pushes {
+            ts += match pace {
+                0 => timeout * (1.0 + 3.0 * x),
+                1 => timeout,
+                2..=4 => -timeout * x,
+                5..=8 => 0.0,
+                _ => timeout * 0.2 * x,
+            };
+            clock = clock.max(ts);
+            let before = model.len();
+            model.retain(|d| d.last + timeout > clock);
+            expired += (before - model.len()) as u64;
+            let mut d = match model.iter().position(|d| d.id == id) {
+                Some(at) => model.remove(at),
+                None => {
+                    while model.len() >= capacity {
+                        let stalest = (0..model.len())
+                            .min_by(|&a, &b| model[a].last.total_cmp(&model[b].last))
+                            .expect("capacity is at least one");
+                        model.remove(stalest);
+                        evicted += 1;
+                    }
+                    Pending { id, ..Pending::default() }
+                }
+            };
+            d.last = clock;
+            d.fragments += 1;
+            d.overlapped |= d.got[frag];
+            d.got[frag] = true;
+            let (payload, frags) = &datagrams[id as usize];
+            prop_assert_eq!(frags.len(), 3);
+            let done = r.push(ts, &frags[frag]);
+            if d.got == [true; 3] {
+                let p = done.expect("the model has every fragment");
+                prop_assert_eq!(&p.payload, payload);
+                let info = p.reassembly.expect("reassembled");
+                prop_assert_eq!((info.fragments, info.overlapped), (d.fragments, d.overlapped));
+            } else {
+                prop_assert!(done.is_none());
+                // Kept in order of last touch, so equally stale datagrams
+                // leave in that order.
+                model.push(d);
+            }
+            prop_assert_eq!(r.pending(), model.len());
+            prop_assert_eq!((r.expired(), r.evicted()), (expired, evicted));
+        }
+    }
+
     /// Arbitrary bytes through the option parser never panic and always
     /// terminate.
     #[test]

@@ -21,7 +21,7 @@
 //! * **Abandonment.** A [`ChurnConfig::p_abandon`] fraction of flows stop
 //!   mid-transfer without a FIN. The generator forgets them immediately,
 //!   but a downstream flow table only reclaims them via idle eviction —
-//!   this is what exercises timer-wheel expiry at scale.
+//!   this is what exercises idle expiry at scale.
 //! * **Interleaving.** Each emitted packet advances one uniformly random
 //!   live flow, so packets of different flows interleave heavily and the
 //!   per-flow inter-packet gap is `concurrent_flows / pps` seconds on

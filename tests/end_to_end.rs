@@ -176,16 +176,16 @@ fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_training_forward
 /// Every path through the flow table — open, slab growth, slot recycling,
 /// capacity eviction, TIME_WAIT 4-tuple reuse, linger and idle expiry —
 /// at int8 weights and int8 resident state, through the public API: the
-/// timing wheel and the full-scan reference close the same flows with the
-/// same bits, and every packet pushed is in exactly one verdict.
+/// expiry queues (`EvictionMode::Wheel`) and the full-scan reference close
+/// the same flows with the same bits, and every packet pushed is in
+/// exactly one verdict.
 ///
 /// The stream has two acts because the two modes may only be compared
-/// while handles cannot matter. A capacity victim is chosen by slab
-/// position, and two flows that expire at one sweep boundary are closed —
-/// so their slots are recycled — in wheel order or in slab order. Act one
-/// therefore overfills the 64-flow table inside 30 ms of packet time,
-/// before any timer can fire; act two, three seconds later, stays under
-/// the cap and lets the timers run.
+/// while handles cannot matter: two flows that expire at one sweep
+/// boundary are closed — so their slots are recycled — in queue order or
+/// in slab order. Act one therefore overfills the 64-flow table inside
+/// 30 ms of packet time, before any timeout can run out; act two, three
+/// seconds later, stays under the cap and lets them.
 #[test]
 fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
     let mut model = ClapConfig::ci();
