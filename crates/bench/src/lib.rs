@@ -62,7 +62,11 @@ impl Preset {
         p
     }
 
-    /// Paper-scale (Table 4/Table 6 sizes). Hours of CPU time.
+    /// Paper-scale (Table 4/Table 6 sizes). An estimate, never run: ≈24
+    /// stacked profiles per training connection make ≈740 k autoencoder
+    /// rows, and 1 000 epochs over them at the ≈54 k rows·epochs/s that
+    /// `examples/profile_kernels` measures for `Autoencoder::train` on one
+    /// AVX-512 core come to ≈4 h — nearly all of the preset's training.
     pub fn paper() -> Self {
         let mut p = Self::quick();
         p.name = "paper".into();

@@ -17,6 +17,10 @@
 //! term it stopped counting would read as a memory gain. The third case
 //! holds the estimate to the allocator's own count.
 //!
+//! Training has the same discipline per batch: `Autoencoder::train` sizes
+//! its workspace on the first batch and reuses it, so a longer run costs
+//! no extra allocation (the fourth case).
+//!
 //! The whole file is one `#[test]` because the counters are
 //! process-global.
 //!
@@ -30,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use clap_core::{
     Clap, ClapConfig, EvictionMode, QuantMode, ResidentMode, StageHists, StreamCells, StreamConfig,
 };
+use neural::{Autoencoder, AutoencoderConfig, Matrix};
 use traffic_gen::ChurnConfig;
 
 /// Counts every heap acquisition (alloc, alloc_zeroed, realloc) in
@@ -84,6 +89,7 @@ fn hot_paths_do_not_allocate_per_packet() {
     steady_state_pushes_do_not_allocate_per_packet(&clap);
     offline_scoring_allocates_only_its_results(&clap, &benign);
     mem_bytes_tracks_the_allocator(&clap);
+    autoencoder_training_allocates_per_run_not_per_batch();
 }
 
 fn steady_state_pushes_do_not_allocate_per_packet(clap: &Clap) {
@@ -238,4 +244,31 @@ fn mem_bytes_tracks_the_allocator(clap: &Clap) {
             "{resident:?}: mem_bytes() grew {mem:.0} B where the allocator counted {live:.0} B"
         );
     }
+}
+
+/// Every batch of `Autoencoder::train` runs through buffers the first one
+/// sized — the gathered rows, each layer's output, the gradients — so 6
+/// epochs allocate exactly as often as 2. 150 rows at batch 32 end every
+/// epoch on a ragged 22-row batch, which must shrink into the buffers and
+/// the next epoch's first batch grow back without reallocating.
+fn autoencoder_training_allocates_per_run_not_per_batch() {
+    let data = Matrix::from_fn(150, 24, |r, c| ((r * 24 + c) as f32 * 0.37).sin());
+    let allocs = |epochs| {
+        let cfg = AutoencoderConfig {
+            layer_sizes: vec![24, 12, 6, 12, 24],
+            epochs,
+            batch_size: 32,
+            learning_rate: 1e-3,
+            seed: 3,
+        };
+        let mut ae = Autoencoder::new(&cfg.layer_sizes, cfg.seed);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let losses = ae.train(&data, &cfg);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(losses.len(), epochs);
+        allocs
+    };
+    let (short, long) = (allocs(2), allocs(6));
+    eprintln!("Autoencoder::train: {short} allocations at 2 epochs, {long} at 6");
+    assert_eq!(short, long, "training allocates per batch or per epoch");
 }

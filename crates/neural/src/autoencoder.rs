@@ -1,6 +1,6 @@
 //! Dense autoencoder trained with L1 reconstruction loss (paper Eq. 3).
 
-use crate::dense::{Activation, Dense, DenseGrads, DenseTrace};
+use crate::dense::{Activation, Dense, DenseGrads};
 use crate::quant::{PackedWeights, QuantMode};
 use crate::simd::{KernelSet, GEMM_ROWS};
 use crate::{Adam, Matrix};
@@ -104,6 +104,11 @@ impl Autoencoder {
         self.layers[0].input_size()
     }
 
+    /// The dense layers, input side first.
+    pub fn layers(&self) -> &[Dense] {
+        &self.layers
+    }
+
     /// Reconstruction for a batch (rows = samples).
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut ws = AeWorkspace::new();
@@ -158,7 +163,9 @@ impl Autoencoder {
     }
 
     /// Trains on `data` (rows = samples); returns the mean L1 loss per
-    /// epoch.
+    /// epoch. Every batch runs through one private workspace — the gathered
+    /// batch, each layer's output, two gradient buffers and the parameter
+    /// gradients — so only the first batch allocates.
     pub fn train(&mut self, data: &Matrix, cfg: &AutoencoderConfig) -> Vec<f32> {
         assert_eq!(data.cols, self.input_size(), "training data width mismatch");
         // Shuffling RNG decorrelated from weight-init RNG, still deterministic.
@@ -177,18 +184,21 @@ impl Autoencoder {
         let n = data.rows;
         let mut order: Vec<usize> = (0..n).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+        let mut ws = TrainWorkspace::new(self.layers.len());
 
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
             let mut total_loss = 0.0f64;
             let mut batches = 0usize;
             for chunk in order.chunks(cfg.batch_size.max(1)) {
-                let batch = gather_rows(data, chunk);
-                let (loss, grads) = self.batch_grads(&batch);
-                total_loss += loss as f64;
+                ws.batch.resize(chunk.len(), data.cols);
+                for (dst, &r) in ws.batch.data.chunks_exact_mut(data.cols).zip(chunk) {
+                    dst.copy_from_slice(data.row(r));
+                }
+                total_loss += self.batch_grads(&mut ws) as f64;
                 batches += 1;
                 for ((layer, (ow, ob)), g) in
-                    self.layers.iter_mut().zip(opts.iter_mut()).zip(&grads)
+                    self.layers.iter_mut().zip(opts.iter_mut()).zip(&ws.grads)
                 {
                     let (wp, bp) = layer.params_mut();
                     ow.step(wp, &g.dw.data);
@@ -200,36 +210,69 @@ impl Autoencoder {
         epoch_losses
     }
 
-    /// Forward + backward for one batch under L1 loss; returns the mean
-    /// loss and per-layer gradients.
-    fn batch_grads(&self, batch: &Matrix) -> (f32, Vec<DenseGrads>) {
-        let mut traces: Vec<DenseTrace> = Vec::with_capacity(self.layers.len());
-        let mut cur = batch.clone();
-        for layer in &self.layers {
-            let tr = layer.forward_trace(&cur);
-            cur = tr.output.clone();
-            traces.push(tr);
+    /// Forward + backward for the batch in `ws.batch` under L1 loss:
+    /// returns the mean loss and leaves each layer's gradients in
+    /// `ws.grads`.
+    fn batch_grads(&self, ws: &mut TrainWorkspace) -> f32 {
+        let TrainWorkspace {
+            batch,
+            acts,
+            dy,
+            dx,
+            grads,
+        } = ws;
+        // Layer `i` reads layer `i − 1`'s output in place.
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(i);
+            layer.forward_into(done.last().unwrap_or(batch), &mut rest[0]);
         }
         // L1 loss: mean |out - in|; gradient = sign / (rows * cols).
-        let out = &traces.last().unwrap().output;
+        let out = acts.last().expect("an autoencoder has layers");
         let scale = 1.0 / (batch.rows * batch.cols) as f32;
         let mut loss = 0.0f32;
-        let mut dy = Matrix::zeros(out.rows, out.cols);
-        for i in 0..out.data.len() {
-            let diff = out.data[i] - batch.data[i];
+        dy.resize(out.rows, out.cols);
+        for ((d, &o), &x) in dy.data.iter_mut().zip(&out.data).zip(&batch.data) {
+            let diff = o - x;
             loss += diff.abs();
-            dy.data[i] = diff.signum() * scale;
+            *d = diff.signum() * scale;
         }
         loss *= scale;
 
-        let mut grads = vec![None; self.layers.len()];
-        let mut grad_in = dy;
+        // The first layer's input gradient has no reader: it is not formed.
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let (dx, g) = layer.backward(&traces[i], grad_in);
-            grads[i] = Some(g);
-            grad_in = dx;
+            let x = if i == 0 { &*batch } else { &acts[i - 1] };
+            layer.backward(x, &acts[i], dy, &mut grads[i], (i > 0).then_some(&mut *dx));
+            std::mem::swap(dy, dx);
         }
-        (loss, grads.into_iter().map(Option::unwrap).collect())
+        loss
+    }
+}
+
+/// The buffers one training batch runs through, sized by the first batch
+/// and reused by every later one.
+#[derive(Debug)]
+struct TrainWorkspace {
+    /// The batch's rows, gathered from the training data.
+    batch: Matrix,
+    /// Each layer's activated output — the next layer's input.
+    acts: Vec<Matrix>,
+    /// The gradient flowing into the current layer's output, and the one
+    /// it passes to its input; they trade places per layer.
+    dy: Matrix,
+    dx: Matrix,
+    /// Each layer's parameter gradients.
+    grads: Vec<DenseGrads>,
+}
+
+impl TrainWorkspace {
+    fn new(layers: usize) -> Self {
+        TrainWorkspace {
+            batch: Matrix::default(),
+            acts: vec![Matrix::default(); layers],
+            dy: Matrix::default(),
+            dx: Matrix::default(),
+            grads: vec![DenseGrads::default(); layers],
+        }
     }
 }
 
@@ -316,15 +359,6 @@ impl<'a> PackedAutoencoder<'a> {
             r0 += g;
         }
     }
-}
-
-/// Collects the given rows of `data` into a new matrix.
-pub fn gather_rows(data: &Matrix, rows: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), data.cols);
-    for (i, &r) in rows.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(data.row(r));
-    }
-    out
 }
 
 #[cfg(test)]

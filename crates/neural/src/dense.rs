@@ -50,16 +50,8 @@ pub struct Dense {
     pub activation: Activation,
 }
 
-/// Cached activations from a forward pass, needed for backward.
-pub struct DenseTrace {
-    /// Layer input (batch × in).
-    pub input: Matrix,
-    /// Layer output after activation (batch × out).
-    pub output: Matrix,
-}
-
 /// Parameter gradients for one layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DenseGrads {
     pub dw: Matrix,
     pub db: Vec<f32>,
@@ -100,30 +92,33 @@ impl Dense {
         }
     }
 
-    /// Forward pass that also returns the trace for backprop.
-    pub fn forward_trace(&self, x: &Matrix) -> DenseTrace {
-        let output = self.forward(x);
-        DenseTrace {
-            input: x.clone(),
-            output,
-        }
-    }
-
-    /// Backward pass: given `dl/dy`, returns (`dl/dx`, parameter grads).
-    pub fn backward(&self, trace: &DenseTrace, mut dy: Matrix) -> (Matrix, DenseGrads) {
-        // Fold the activation derivative into dy.
-        for (dv, &yv) in dy.data.iter_mut().zip(&trace.output.data) {
+    /// Backward pass for the batch `x` (batch × in) whose activated output
+    /// was `y` (batch × out): folds the activation derivative into `dy`
+    /// (`dl/dy` on entry, `dl/d(pre-activation)` on return), writes the
+    /// parameter gradients into `grads` and, when asked, `dl/dx` into `dx`.
+    /// Every buffer keeps its allocation across calls.
+    pub fn backward(
+        &self,
+        x: &Matrix,
+        y: &Matrix,
+        dy: &mut Matrix,
+        grads: &mut DenseGrads,
+        dx: Option<&mut Matrix>,
+    ) {
+        for (dv, &yv) in dy.data.iter_mut().zip(&y.data) {
             *dv *= self.activation.derivative_from_output(yv);
         }
-        let dw = Matrix::matmul_tn(&dy, &trace.input);
-        let mut db = vec![0.0; self.output_size()];
+        Matrix::matmul_tn_into(dy, x, &mut grads.dw);
+        grads.db.clear();
+        grads.db.resize(self.output_size(), 0.0);
         for r in 0..dy.rows {
-            for (acc, &v) in db.iter_mut().zip(dy.row(r)) {
+            for (acc, &v) in grads.db.iter_mut().zip(dy.row(r)) {
                 *acc += v;
             }
         }
-        let dx = Matrix::matmul_nn(&dy, &self.w);
-        (dx, DenseGrads { dw, db })
+        if let Some(dx) = dx {
+            Matrix::matmul_nn_into(dy, &self.w, dx);
+        }
     }
 
     /// Flattens parameters into `(weights, biases)` mutable views for the
@@ -179,9 +174,10 @@ mod tests {
             // Loss = sum(y).
             let loss = |layer: &Dense, x: &Matrix| layer.forward(x).data.iter().sum::<f32>();
 
-            let trace = layer.forward_trace(&x);
-            let dy = Matrix::from_vec(2, 2, vec![1.0; 4]);
-            let (dx, grads) = layer.backward(&trace, dy);
+            let y = layer.forward(&x);
+            let mut dy = Matrix::from_vec(2, 2, vec![1.0; 4]);
+            let (mut grads, mut dx) = (DenseGrads::default(), Matrix::default());
+            layer.backward(&x, &y, &mut dy, &mut grads, Some(&mut dx));
 
             let eps = 1e-2f32;
             // Weight grads.

@@ -6,8 +6,8 @@
 //! estimation. This crate implements exactly the pieces those models need,
 //! from scratch:
 //!
-//! * [`Matrix`] — row-major `f32` matrices with the three GEMM variants the
-//!   backward passes require, parallelized with rayon where it pays;
+//! * [`Matrix`] — row-major `f32` matrices with the three GEMM variants
+//!   training requires, each one register-blocked kernel call;
 //! * [`PanelMatrix`] — the same weights packed as output-stationary panels
 //!   for the f32 inference engines;
 //! * [`GruCell`] / [`GruClassifier`] — a gated recurrent unit with full
@@ -95,11 +95,14 @@
 //! # Kernel dispatch
 //!
 //! The dense inner loops — the f32 and int8 panel GEMVs of the inference
-//! engines, the dot products behind the training-side
-//! [`Matrix::matvec_into`]/`matmul_nt_into`, the axpy updates behind the
-//! training GEMMs, the fused GRU gate block, the dense bias+activation
-//! epilogue and the autoencoder's L1 error reduction — are function
-//! pointers in a [`simd::KernelSet`], selected **once per process**:
+//! engines, the training GEMMs behind [`Matrix`] (the nt-GEMM
+//! [`simd::KernelSet::gemm_nt_f32`] of the forward pass and of
+//! [`Matrix::matvec_into`], the rank-update GEMM
+//! [`simd::KernelSet::gemm_rank_f32`] of both backward products, and the
+//! `dot` / `dot4` / `axpy` chains each output of them is bitwise equal to),
+//! the fused GRU gate block, the dense bias+activation epilogue and the
+//! autoencoder's L1 error reduction — are function pointers in a
+//! [`simd::KernelSet`], selected **once per process**:
 //!
 //! * **Feature detection.** [`simd::KernelSet::active`] probes the CPU
 //!   with `is_x86_feature_detected!` and picks the widest supported set:
@@ -118,20 +121,20 @@
 //!   ([`simd::KernelSet::scalar`], `avx2()`, `avx512()`,
 //!   `avx512vnni()`) and call its kernels directly without affecting
 //!   the process-wide choice.
-//! * **Adding an ISA.** Implement the twelve kernel functions (dot, dot4,
-//!   axpy, bias_act, gru_gates, sum_abs_diff, panel_gemv_f32,
-//!   panel_gemm_f32, plus the
-//!   int8 kernels panel_gemv_i8, act_range, act_encode and act_decode) for
-//!   the new instruction set — the f32 and int8 weight panels are each one
-//!   layout for every set, so a new panel GEMV reads the bytes the others
-//!   read — add a
-//!   `static` `KernelSet` naming them, and extend the
-//!   `select()` ladder in `simd.rs` behind the right
+//! * **Adding an ISA.** Implement the fourteen kernel functions (dot,
+//!   dot4, axpy, gemm_nt_f32, gemm_rank_f32, bias_act, gru_gates,
+//!   sum_abs_diff, panel_gemv_f32, panel_gemm_f32, plus the int8 kernels
+//!   panel_gemv_i8, act_range, act_encode and act_decode) for the new
+//!   instruction set — the f32 and int8 weight panels are each one layout
+//!   for every set, so a new panel GEMV reads the bytes the others read,
+//!   and the two training GEMMs must keep the new set's own dot4 / dot /
+//!   axpy chains per output — add a `static` `KernelSet` naming them, and
+//!   extend the `select()` ladder in `simd.rs` behind the right
 //!   `is_x86_feature_detected!`/`cfg` guard. The property tests in
 //!   `tests/proptests.rs` automatically cover any set reported by
 //!   [`simd::KernelSet::available`], pinning it to the scalar reference
 //!   within 1e-6 across randomized (including non-multiple-of-lane)
-//!   shapes.
+//!   shapes, and its training GEMMs to its own loops bitwise.
 //!
 //! SIMD results may differ from the scalar reference by float
 //! reassociation, fused multiply-adds and the polynomial `exp` used for

@@ -8,46 +8,25 @@
 //! GEMV, which is about twice as fast per row as [`Matrix::matvec_into`]
 //! at the paper's layer sizes.
 //!
-//! The inner loops (the dot products behind [`Matrix::matvec_into`] /
-//! [`Matrix::matmul_nt_into`], the axpy updates behind the nn/tn GEMMs)
-//! all route through the runtime-dispatched [`KernelSet`]: explicit
-//! AVX2+FMA / AVX-512 intrinsic kernels where the CPU supports them, a
-//! safe scalar reference otherwise — no `-C target-cpu=native` required.
-//! The 4-row register block in the nt-GEMM reuses each loaded slice of
-//! `A` against four rows of `B`; it reuses no loaded weight across rows of
-//! `A` (measured: a batch costs as much per row as one row alone), so the
-//! nt-GEMM is a plain loop of matvecs over the rows of `A`.
+//! Each GEMM is one call into the runtime-dispatched [`KernelSet`]
+//! (explicit AVX2+FMA / AVX-512 intrinsic kernels where the CPU supports
+//! them, a safe scalar reference otherwise — no `-C target-cpu=native`
+//! required), register-blocked so that a batch reuses what it loads:
+//! [`Matrix::matmul_nt_into`] (the forward `X · Wᵀ`, and
+//! [`Matrix::matvec_into`] as its one-row case) runs
+//! [`KernelSet::gemm_nt_f32`], which takes two rows of `A` through each
+//! group of four rows of `B` on avx512; [`Matrix::matmul_nn_into`] (`dY ·
+//! W`) and [`Matrix::matmul_tn_into`] (`dYᵀ · X`) run
+//! [`KernelSet::gemm_rank_f32`], which keeps four rows of `C` in registers
+//! while it streams `B`. Neither changes a bit of what the row loops they
+//! replaced computed: an output of the nt-GEMM is its row's `dot4` / `dot`,
+//! and an output of the rank GEMMs the `axpy` chain, on every kernel set.
+//! Only the vector products [`Matrix::matvec_t`] and [`Matrix::add_outer`]
+//! still loop over `axpy`.
 
 use crate::simd::KernelSet;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Minimum number of output elements before a GEMM is worth parallelizing.
-/// A sub-millisecond kernel call cannot amortize fan-out (the stand-in
-/// pool spawns scoped threads per call, and even a real pool allocates
-/// job state). Training batches run thousands of rows and clear this
-/// threshold by orders of magnitude.
-const PAR_THRESHOLD: usize = 256 * 256;
-
-/// One output row of `C = A · Bᵀ`: `crow[j] = arow · b.row(j)`, blocked
-/// four rows of `B` at a time. Shared by [`Matrix::matvec_into`] and
-/// [`Matrix::matmul_nt_into`] so a one-row GEMM is bitwise identical to a
-/// matvec.
-#[inline]
-fn nt_row(ks: &KernelSet, arow: &[f32], b: &Matrix, crow: &mut [f32]) {
-    let len = crow.len();
-    let mut j = 0;
-    while j + 4 <= len {
-        let out = ks.dot4(arow, b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-        crow[j..j + 4].copy_from_slice(&out);
-        j += 4;
-    }
-    let done = j;
-    for (j, cv) in crow.iter_mut().enumerate().skip(done) {
-        *cv = ks.dot(arow, b.row(j));
-    }
-}
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -139,11 +118,15 @@ impl Matrix {
     }
 
     /// In-place matrix–vector product `y = self · x` (self: m×n, x: n,
-    /// y: m); no allocation.
+    /// y: m); no allocation. The one-row case of
+    /// [`matmul_nt_into`](Self::matmul_nt_into), so a row of that GEMM is
+    /// bitwise this matvec.
     pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.cols);
-        debug_assert_eq!(y.len(), self.rows);
-        nt_row(KernelSet::active(), x, self, y);
+        assert!(
+            x.len() == self.cols && y.len() == self.rows,
+            "matvec shape mismatch"
+        );
+        KernelSet::active().gemm_nt_f32(x, &self.data, y, self.cols);
     }
 
     /// Transposed matrix–vector product `y = selfᵀ · x` (self: m×n, x: m).
@@ -174,41 +157,22 @@ impl Matrix {
 
     /// `C = A · B` (A: m×k, B: k×n).
     pub fn matmul_nn(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut c = Matrix::zeros(a.rows, b.cols);
+        let mut c = Matrix::default();
         Matrix::matmul_nn_into(a, b, &mut c);
         c
     }
 
-    /// In-place `C = A · B`, reusing `c`'s allocation.
+    /// In-place `C = A · B`, reusing `c`'s allocation — the input gradient
+    /// `dY · W`.
     pub fn matmul_nn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
         assert_eq!(a.cols, b.rows, "nn shape mismatch");
         c.resize(a.rows, b.cols);
-        let ks = KernelSet::active();
-        let kernel = |(i, crow): (usize, &mut [f32])| {
-            crow.fill(0.0);
-            for k in 0..a.cols {
-                let aik = a.get(i, k);
-                if aik != 0.0 {
-                    ks.axpy(crow, b.row(k), aik);
-                }
-            }
-        };
-        if c.data.len() >= PAR_THRESHOLD {
-            c.data
-                .par_chunks_mut(b.cols.max(1))
-                .enumerate()
-                .for_each(kernel);
-        } else {
-            c.data
-                .chunks_mut(b.cols.max(1))
-                .enumerate()
-                .for_each(kernel);
-        }
+        KernelSet::active().gemm_rank_f32(&a.data, [1, a.cols], &b.data, &mut c.data, b.cols);
     }
 
     /// `C = A · Bᵀ` (A: m×k, B: n×k) — the forward pass `X · Wᵀ`.
     pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut c = Matrix::zeros(a.rows, b.rows);
+        let mut c = Matrix::default();
         Matrix::matmul_nt_into(a, b, &mut c);
         c
     }
@@ -219,33 +183,22 @@ impl Matrix {
     pub fn matmul_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
         assert_eq!(a.cols, b.cols, "nt shape mismatch");
         c.resize(a.rows, b.rows);
-        if c.data.is_empty() {
-            return;
-        }
-        let ks = KernelSet::active();
-        let kernel = |(i, crow): (usize, &mut [f32])| nt_row(ks, a.row(i), b, crow);
-        if c.data.len() >= PAR_THRESHOLD {
-            c.data.par_chunks_mut(b.rows).enumerate().for_each(kernel);
-        } else {
-            c.data.chunks_mut(b.rows).enumerate().for_each(kernel);
-        }
+        KernelSet::active().gemm_nt_f32(&a.data, &b.data, &mut c.data, a.cols);
     }
 
-    /// `C = Aᵀ · B` (A: k×m, B: k×n) — the weight gradient `dYᵀ · X`.
+    /// `C = Aᵀ · B` (A: k×m, B: k×n).
     pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.rows, b.rows, "tn shape mismatch");
-        let ks = KernelSet::active();
-        let mut c = Matrix::zeros(a.cols, b.cols);
-        for k in 0..a.rows {
-            let arow = a.row(k);
-            let brow = b.row(k);
-            for (i, &av) in arow.iter().enumerate() {
-                if av != 0.0 {
-                    ks.axpy(c.row_mut(i), brow, av);
-                }
-            }
-        }
+        let mut c = Matrix::default();
+        Matrix::matmul_tn_into(a, b, &mut c);
         c
+    }
+
+    /// In-place `C = Aᵀ · B`, reusing `c`'s allocation — the weight
+    /// gradient `dYᵀ · X`.
+    pub fn matmul_tn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+        assert_eq!(a.rows, b.rows, "tn shape mismatch");
+        c.resize(a.cols, b.cols);
+        KernelSet::active().gemm_rank_f32(&a.data, [a.cols, 1], &b.data, &mut c.data, b.cols);
     }
 
     /// Adds another matrix elementwise.
@@ -331,10 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn large_gemm_parallel_path_matches_serial() {
+    fn large_gemm_matches_naive() {
         let a = Matrix::from_fn(80, 70, |r, c| ((r * 7 + c * 13) % 11) as f32 - 5.0);
         let b = Matrix::from_fn(70, 90, |r, c| ((r * 3 + c * 5) % 7) as f32 - 3.0);
-        let c = Matrix::matmul_nn(&a, &b); // hits the parallel path
+        let c = Matrix::matmul_nn(&a, &b); // ragged row and column tiles
         for &(i, j) in &[(0, 0), (79, 89), (40, 45), (13, 71)] {
             let expect: f32 = (0..70).map(|k| a.get(i, k) * b.get(k, j)).sum();
             assert!((c.get(i, j) - expect).abs() < 1e-3);

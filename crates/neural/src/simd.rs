@@ -1,14 +1,24 @@
-//! Runtime-dispatched SIMD kernels for the inference hot path.
+//! Runtime-dispatched SIMD kernels for the inference and training hot
+//! paths.
 //!
-//! Every dense kernel the scoring engine runs on — the dot products behind
-//! [`Matrix::matvec_into`]/[`Matrix::matmul_nt_into`], the axpy update
-//! behind the training GEMMs, the fused GRU gate block of
-//! [`PackedGru::step`]/[`PackedGru::step_batch`], the dense layer's bias +
-//! activation epilogue, the autoencoder's L1 error reduction, the f32
-//! engines' panel GEMV and its [`GEMM_ROWS`]-row panel GEMM, and the int8
-//! engine's panel GEMV and activation
-//! scan/encode/decode — is a function pointer in a [`KernelSet`]. Four sets
-//! exist:
+//! Every dense kernel the scoring engines and training run on is a
+//! function pointer in a [`KernelSet`]:
+//!
+//! * inference — the fused GRU gate block of
+//!   [`PackedGru::step`]/[`PackedGru::step_batch`], the f32 engines' panel
+//!   GEMV and its [`GEMM_ROWS`]-row panel GEMM, and the int8 engine's panel
+//!   GEMV and activation scan/encode/decode;
+//! * training — the batch GEMMs of [`Matrix`]: the nt-GEMM behind
+//!   [`Matrix::matmul_nt_into`] (the forward `X · Wᵀ`, and
+//!   [`Matrix::matvec_into`] as its one-row case), bitwise a loop of the
+//!   `dot` / `dot4` products it is built on, and the rank-update GEMM
+//!   behind [`Matrix::matmul_nn_into`] / [`Matrix::matmul_tn_into`] (`dY ·
+//!   W`, `dYᵀ · X`), bitwise a loop of `axpy`s; `axpy` itself, behind the
+//!   GRU's vector products;
+//! * both — the dense layer's bias + activation epilogue and the
+//!   autoencoder's L1 error reduction.
+//!
+//! Four sets exist:
 //!
 //! * **scalar** — safe reference implementations written with plain
 //!   multiply/add (no `mul_add`, so they never lower to a slow `fmaf` libm
@@ -18,13 +28,16 @@
 //!   fused multiply-add: it keeps `mul_add` so that it stays bit-identical
 //!   to the SIMD sets' hardware `vfmadd`.
 //! * **avx2** — explicit `std::arch::x86_64` AVX2+FMA intrinsics: 8-lane
-//!   FMA dot kernels with register blocking, the f32 panel GEMV and GEMM, a
-//!   polynomial `exp` (Cephes `expf` constants, ≈2 ulp) powering
-//!   vectorized sigmoid/tanh for the gate block and dense activations,
-//!   and the 256-bit `maddubs`+`madd` int8 panel GEMV.
-//! * **avx512** — the f32 kernels widened to 16 lanes with masked tails,
-//!   used where AVX-512F is available; the int8 panel GEMV stays on the
-//!   avx2 `maddubs` kernel (AVX-512F has no byte-granular multiply).
+//!   FMA dot kernels with register blocking, the f32 panel GEMV and GEMM,
+//!   the 4-row × 16-column rank-update GEMM tile, a polynomial `exp`
+//!   (Cephes `expf` constants, ≈2 ulp) powering vectorized sigmoid/tanh
+//!   for the gate block and dense activations, and the 256-bit
+//!   `maddubs`+`madd` int8 panel GEMV.
+//! * **avx512** — the f32 kernels widened to 16 lanes with masked tails
+//!   (the rank-update tile to 4 rows × 64 columns, and the nt-GEMM taking
+//!   two rows per pass), used where AVX-512F is available; the int8 panel
+//!   GEMV stays on the avx2 `maddubs` kernel (AVX-512F has no
+//!   byte-granular multiply).
 //! * **avx512vnni** — the avx512 f32 kernels plus the 512-bit `vpdpbusd`
 //!   int8 panel GEMV (u8×i8 quads accumulated straight into i32 lanes).
 //!
@@ -46,10 +59,14 @@
 //! multiply-adds and the polynomial `exp` (all bounded to 1e-6 by the
 //! property tests); within one set the kernels are deterministic, which is
 //! what keeps a row scored in a batch bitwise identical to that row scored
-//! alone.
+//! alone, and trained weights a pure function of the training data on
+//! each set.
 //!
+//! [`Matrix`]: crate::Matrix
 //! [`Matrix::matvec_into`]: crate::Matrix::matvec_into
 //! [`Matrix::matmul_nt_into`]: crate::Matrix::matmul_nt_into
+//! [`Matrix::matmul_nn_into`]: crate::Matrix::matmul_nn_into
+//! [`Matrix::matmul_tn_into`]: crate::Matrix::matmul_tn_into
 //! [`PackedGru::step`]: crate::PackedGru::step
 //! [`PackedGru::step_batch`]: crate::PackedGru::step_batch
 
@@ -57,8 +74,15 @@ use crate::dense::Activation;
 use crate::quant::ActQuant;
 use std::sync::OnceLock;
 
+/// `dot(a, b)` — one dot product.
+type DotFn = fn(&[f32], &[f32]) -> f32;
 /// `dot4(a, b0, b1, b2, b3)` — four dot products sharing one `a`.
 type Dot4Fn = fn(&[f32], &[f32], &[f32], &[f32], &[f32]) -> [f32; 4];
+/// `gemm_nt_f32(a, b, c, k)` — `C = A · Bᵀ` over rows `k` long.
+type GemmNtF32Fn = fn(&[f32], &[f32], &mut [f32], usize);
+/// `gemm_rank_f32(a, strides, b, c, n)` — the rank-update GEMM over rows
+/// of `B` and `C` `n` long.
+type GemmRankF32Fn = fn(&[f32], [usize; 2], &[f32], &mut [f32], usize);
 /// `gru_gates(xp, up, h, z, r)` — the fused gate block over a 3H slab.
 type GruGatesFn = fn(&[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
 /// `panel_gemv_i8(w, qa, act, y)` — the int8 panel GEMV with its
@@ -129,9 +153,11 @@ pub struct KernelSet {
     /// Kernel family name: `"scalar"`, `"avx2"`, `"avx512"` or
     /// `"avx512vnni"`.
     pub name: &'static str,
-    dot: fn(&[f32], &[f32]) -> f32,
+    dot: DotFn,
     dot4: Dot4Fn,
     axpy: fn(&mut [f32], &[f32], f32),
+    gemm_nt_f32: GemmNtF32Fn,
+    gemm_rank_f32: GemmRankF32Fn,
     bias_act: fn(&mut [f32], &[f32], Activation),
     gru_gates: GruGatesFn,
     sum_abs_diff: fn(&[f32], &[f32]) -> f32,
@@ -179,6 +205,89 @@ impl KernelSet {
     pub fn axpy(&self, dst: &mut [f32], src: &[f32], alpha: f32) {
         assert_eq!(dst.len(), src.len(), "axpy length mismatch");
         (self.axpy)(dst, src, alpha)
+    }
+
+    /// `C = A · Bᵀ` — a training batch's forward product `X · Wᵀ`, and a
+    /// row-major matvec as its one-row case. `A` is `m × k`, `B` is `n × k`
+    /// and `C` is `m × n`, each row-major; `C` is overwritten.
+    ///
+    /// Every output is bitwise the dot product this set's
+    /// [`dot4`](Self::dot4) returns for its row of `A` against its group of
+    /// four rows of `B` — or, for the `n % 4` trailing columns, that
+    /// [`dot`](Self::dot) returns — with the same accumulators, steps and
+    /// final reduction, however many rows of `A` share a pass. The avx512
+    /// sets take two rows of `A` through each group of four rows of `B`, so
+    /// every loaded chunk of the group serves both; the avx2 and scalar sets
+    /// run one row at a time (two rows' eight `dot4` accumulator pairs do
+    /// not fit in sixteen ymm registers).
+    #[inline]
+    pub fn gemm_nt_f32(&self, a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
+        if k == 0 {
+            // Empty dot products: every output is `+0`, as `dot` returns.
+            return c.fill(0.0);
+        }
+        assert!(
+            a.len().is_multiple_of(k)
+                && b.len().is_multiple_of(k)
+                && Some(c.len()) == (a.len() / k).checked_mul(b.len() / k),
+            "gemm_nt shape mismatch"
+        );
+        if !c.is_empty() {
+            (self.gemm_nt_f32)(a, b, c, k)
+        }
+    }
+
+    /// Rank-update GEMM — a training batch's backward products:
+    ///
+    /// ```text
+    /// C[r][j] = Σ_k a(k, r) · B[k][j],    a(k, r) = a[k·ks + r·rs]
+    /// ```
+    ///
+    /// with `B` `K × n` and `C` `m × n` row-major (`C` is overwritten) and
+    /// `A` read through `strides = [ks, rs]`. With `a` the `K × m` output
+    /// gradient `dY`, strides `[m, 1]` give the weight gradient `dYᵀ · X`;
+    /// with `a` the `m × K` `dY`, strides `[1, K]` give the input gradient
+    /// `dY · W`.
+    ///
+    /// Every output runs exactly the chain this set's [`axpy`](Self::axpy)
+    /// runs on it when row `r` of `C` is built one `k` at a time:
+    /// `c = a(k, r) · B[k][j] + c`, `k` ascending from `+0`, fused on the
+    /// SIMD sets (the avx2 axpy's `mul_add` tail is fused too) and rounded
+    /// twice on scalar, and a `k` whose `a(k, r)` is `±0` is skipped for
+    /// that row alone, as the axpy loops skip it. So the result is bitwise
+    /// the axpy loop's, whatever the tile. The SIMD sets keep a tile of four
+    /// rows of `C` by 64 (avx512) or 16 (avx2) columns in registers for the
+    /// whole of `K`: each loaded line of `B` feeds four rows, and `C` is
+    /// written once.
+    #[inline]
+    pub fn gemm_rank_f32(
+        &self,
+        a: &[f32],
+        strides: [usize; 2],
+        b: &[f32],
+        c: &mut [f32],
+        n: usize,
+    ) {
+        if c.is_empty() {
+            return;
+        }
+        assert!(
+            n > 0 && b.len().is_multiple_of(n) && c.len().is_multiple_of(n),
+            "gemm_rank shape mismatch"
+        );
+        let (kdim, m) = (b.len() / n, c.len() / n);
+        if kdim == 0 {
+            return c.fill(0.0);
+        }
+        let [ks, rs] = strides;
+        let last = (kdim - 1)
+            .checked_mul(ks)
+            .and_then(|k| (m - 1).checked_mul(rs)?.checked_add(k));
+        assert!(
+            last.is_some_and(|i| i < a.len()),
+            "gemm_rank operand out of bounds"
+        );
+        (self.gemm_rank_f32)(a, strides, b, c, n)
     }
 
     /// Fused bias add + activation over one output row:
@@ -489,6 +598,8 @@ static SCALAR: KernelSet = KernelSet {
     dot: dot_scalar,
     dot4: dot4_scalar,
     axpy: axpy_scalar,
+    gemm_nt_f32: gemm_nt_f32_scalar,
+    gemm_rank_f32: gemm_rank_f32_scalar,
     bias_act: bias_act_scalar,
     gru_gates: gru_gates_scalar,
     sum_abs_diff: sum_abs_diff_scalar,
@@ -561,6 +672,44 @@ fn axpy_scalar(dst: &mut [f32], src: &[f32], alpha: f32) {
     debug_assert_eq!(dst.len(), src.len());
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += alpha * s;
+    }
+}
+
+/// `C = A · Bᵀ` one row of `A` at a time: per row, four rows of `B` per
+/// `dot4` and the `n % 4` trailing ones through `dot`. The body of the sets
+/// whose registers hold no multi-row block; `k > 0` and `C` non-empty.
+#[inline(always)]
+fn gemm_nt_rows(a: &[f32], b: &[f32], c: &mut [f32], k: usize, dot4: Dot4Fn, dot: DotFn) {
+    let n = b.len() / k;
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        let mut groups = b.chunks_exact(4 * k);
+        for (out, g) in crow.chunks_exact_mut(4).zip(groups.by_ref()) {
+            let (b01, b23) = g.split_at(2 * k);
+            let ((b0, b1), (b2, b3)) = (b01.split_at(k), b23.split_at(k));
+            out.copy_from_slice(&dot4(arow, b0, b1, b2, b3));
+        }
+        let tail = groups.remainder().chunks_exact(k);
+        for (out, brow) in crow[n / 4 * 4..].iter_mut().zip(tail) {
+            *out = dot(arow, brow);
+        }
+    }
+}
+
+fn gemm_nt_f32_scalar(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
+    gemm_nt_rows(a, b, c, k, dot4_scalar, dot_scalar)
+}
+
+/// Reference rank-update GEMM: row by row, `axpy_scalar`'s multiply then
+/// add per `k`, skipping a zero `a(k, r)`.
+fn gemm_rank_f32_scalar(a: &[f32], [ks, rs]: [usize; 2], b: &[f32], c: &mut [f32], n: usize) {
+    for (r, crow) in c.chunks_exact_mut(n).enumerate() {
+        crow.fill(0.0);
+        for (k, brow) in b.chunks_exact(n).enumerate() {
+            let av = a[k * ks + r * rs];
+            if av != 0.0 {
+                axpy_scalar(crow, brow, av);
+            }
+        }
     }
 }
 
@@ -737,7 +886,9 @@ fn sum_abs_diff_scalar(a: &[f32], b: &[f32]) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{ActQuant, Activation, KernelSet, PanelLine, Panels, GEMM_ROWS, PANEL_LANES};
+    use super::{
+        gemm_nt_rows, ActQuant, Activation, KernelSet, PanelLine, Panels, GEMM_ROWS, PANEL_LANES,
+    };
     use std::arch::x86_64::*;
 
     pub(super) static AVX2: KernelSet = KernelSet {
@@ -745,6 +896,8 @@ mod x86 {
         dot: dot_avx2,
         dot4: dot4_avx2,
         axpy: axpy_avx2,
+        gemm_nt_f32: gemm_nt_f32_avx2,
+        gemm_rank_f32: gemm_rank_f32_avx2,
         bias_act: bias_act_avx2,
         gru_gates: gru_gates_avx2,
         sum_abs_diff: sum_abs_diff_avx2,
@@ -761,6 +914,8 @@ mod x86 {
         dot: dot_avx512,
         dot4: dot4_avx512,
         axpy: axpy_avx512,
+        gemm_nt_f32: gemm_nt_f32_avx512,
+        gemm_rank_f32: gemm_rank_f32_avx512,
         bias_act: bias_act_avx512,
         gru_gates: gru_gates_avx512,
         sum_abs_diff: sum_abs_diff_avx512,
@@ -783,6 +938,8 @@ mod x86 {
         dot: dot_avx512,
         dot4: dot4_avx512,
         axpy: axpy_avx512,
+        gemm_nt_f32: gemm_nt_f32_avx512,
+        gemm_rank_f32: gemm_rank_f32_avx512,
         bias_act: bias_act_avx512,
         gru_gates: gru_gates_avx512,
         sum_abs_diff: sum_abs_diff_avx512,
@@ -1018,6 +1175,10 @@ mod x86 {
     fn axpy_avx2(dst: &mut [f32], src: &[f32], alpha: f32) {
         // SAFETY: reachable only through the detected AVX2 KernelSet.
         unsafe { axpy_avx2_impl(dst, src, alpha) }
+    }
+
+    fn gemm_nt_f32_avx2(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
+        gemm_nt_rows(a, b, c, k, dot4_avx2, dot_avx2)
     }
 
     /// # Safety
@@ -1256,68 +1417,119 @@ mod x86 {
         unsafe { dot_avx512_impl(a, b) }
     }
 
+    /// Dot products of `R` rows of `A` against four rows of `B`, all `n`
+    /// long, each loaded chunk of `B` serving all `R` rows. Per output two
+    /// accumulators: the 32-step fills both halves, a 16-step the first,
+    /// the masked tail the second; their sum is reduced. An output's chain
+    /// does not depend on `R`, so `R = 1` is `dot4` and a row of the
+    /// two-row GEMM block is bitwise its `dot4`.
+    ///
     /// # Safety
-    /// Requires AVX-512F.
+    /// Requires AVX-512F and every pointer valid for `n` reads.
     #[target_feature(enable = "avx512f")]
-    unsafe fn dot4_avx512_impl(
-        a: &[f32],
-        b0: &[f32],
-        b1: &[f32],
-        b2: &[f32],
-        b3: &[f32],
-    ) -> [f32; 4] {
-        let n = a.len();
-        let pa = a.as_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let mut a00 = _mm512_setzero_ps();
-        let mut a01 = _mm512_setzero_ps();
-        let mut a10 = _mm512_setzero_ps();
-        let mut a11 = _mm512_setzero_ps();
-        let mut a20 = _mm512_setzero_ps();
-        let mut a21 = _mm512_setzero_ps();
-        let mut a30 = _mm512_setzero_ps();
-        let mut a31 = _mm512_setzero_ps();
+    #[inline]
+    unsafe fn dot4_rows_avx512<const R: usize>(
+        pa: [*const f32; R],
+        pb: [*const f32; 4],
+        n: usize,
+    ) -> [[f32; 4]; R] {
+        let mut lo = [[_mm512_setzero_ps(); 4]; R];
+        let mut hi = [[_mm512_setzero_ps(); 4]; R];
         let mut i = 0;
         while i + 32 <= n {
-            let va0 = _mm512_loadu_ps(pa.add(i));
-            let va1 = _mm512_loadu_ps(pa.add(i + 16));
-            a00 = _mm512_fmadd_ps(va0, _mm512_loadu_ps(p0.add(i)), a00);
-            a01 = _mm512_fmadd_ps(va1, _mm512_loadu_ps(p0.add(i + 16)), a01);
-            a10 = _mm512_fmadd_ps(va0, _mm512_loadu_ps(p1.add(i)), a10);
-            a11 = _mm512_fmadd_ps(va1, _mm512_loadu_ps(p1.add(i + 16)), a11);
-            a20 = _mm512_fmadd_ps(va0, _mm512_loadu_ps(p2.add(i)), a20);
-            a21 = _mm512_fmadd_ps(va1, _mm512_loadu_ps(p2.add(i + 16)), a21);
-            a30 = _mm512_fmadd_ps(va0, _mm512_loadu_ps(p3.add(i)), a30);
-            a31 = _mm512_fmadd_ps(va1, _mm512_loadu_ps(p3.add(i + 16)), a31);
+            let v0 = pa.map(|p| _mm512_loadu_ps(p.add(i)));
+            let v1 = pa.map(|p| _mm512_loadu_ps(p.add(i + 16)));
+            for (q, p) in pb.iter().enumerate() {
+                let (w0, w1) = (_mm512_loadu_ps(p.add(i)), _mm512_loadu_ps(p.add(i + 16)));
+                for r in 0..R {
+                    lo[r][q] = _mm512_fmadd_ps(v0[r], w0, lo[r][q]);
+                    hi[r][q] = _mm512_fmadd_ps(v1[r], w1, hi[r][q]);
+                }
+            }
             i += 32;
         }
         if i + 16 <= n {
-            let va = _mm512_loadu_ps(pa.add(i));
-            a00 = _mm512_fmadd_ps(va, _mm512_loadu_ps(p0.add(i)), a00);
-            a10 = _mm512_fmadd_ps(va, _mm512_loadu_ps(p1.add(i)), a10);
-            a20 = _mm512_fmadd_ps(va, _mm512_loadu_ps(p2.add(i)), a20);
-            a30 = _mm512_fmadd_ps(va, _mm512_loadu_ps(p3.add(i)), a30);
+            let v = pa.map(|p| _mm512_loadu_ps(p.add(i)));
+            for (q, p) in pb.iter().enumerate() {
+                let w = _mm512_loadu_ps(p.add(i));
+                for (acc, &v) in lo.iter_mut().zip(&v) {
+                    acc[q] = _mm512_fmadd_ps(v, w, acc[q]);
+                }
+            }
             i += 16;
         }
         if i < n {
             let m: __mmask16 = (1u16 << (n - i)) - 1;
-            let va = _mm512_maskz_loadu_ps(m, pa.add(i));
-            a01 = _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, p0.add(i)), a01);
-            a11 = _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, p1.add(i)), a11);
-            a21 = _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, p2.add(i)), a21);
-            a31 = _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, p3.add(i)), a31);
+            let v = pa.map(|p| _mm512_maskz_loadu_ps(m, p.add(i)));
+            for (q, p) in pb.iter().enumerate() {
+                let w = _mm512_maskz_loadu_ps(m, p.add(i));
+                for (acc, &v) in hi.iter_mut().zip(&v) {
+                    acc[q] = _mm512_fmadd_ps(v, w, acc[q]);
+                }
+            }
         }
-        [
-            _mm512_reduce_add_ps(_mm512_add_ps(a00, a01)),
-            _mm512_reduce_add_ps(_mm512_add_ps(a10, a11)),
-            _mm512_reduce_add_ps(_mm512_add_ps(a20, a21)),
-            _mm512_reduce_add_ps(_mm512_add_ps(a30, a31)),
-        ]
+        let mut out = [[0.0f32; 4]; R];
+        for ((o, lo), hi) in out.iter_mut().zip(&lo).zip(&hi) {
+            for q in 0..4 {
+                o[q] = _mm512_reduce_add_ps(_mm512_add_ps(lo[q], hi[q]));
+            }
+        }
+        out
     }
 
     fn dot4_avx512(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        // SAFETY: reachable only through the detected AVX-512 KernelSet.
-        unsafe { dot4_avx512_impl(a, b0, b1, b2, b3) }
+        let pb = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
+        // SAFETY: reachable only through the detected AVX-512 KernelSet,
+        // and only through `KernelSet::dot4`, whose "dot4 length mismatch"
+        // assert makes all five slices `a.len()` long.
+        let [out] = unsafe { dot4_rows_avx512::<1>([a.as_ptr()], pb, a.len()) };
+        out
+    }
+
+    /// Rows of `A` per pass of the AVX-512 nt-GEMM: two rows' sixteen
+    /// accumulators, their four chunk registers and a loaded pair of `B`
+    /// take 22 of the 32 zmm.
+    const NT_ROWS_AVX512: usize = 2;
+
+    /// # Safety
+    /// Requires AVX-512F and the shapes `KernelSet::gemm_nt_f32` asserts,
+    /// with `k ≥ 1` and `C` non-empty.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_nt_f32_avx512_impl(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
+        let (m, n) = (a.len() / k, b.len() / k);
+        let rows = |s: &[f32], r: usize| s[r * k..(r + 1) * k].as_ptr();
+        // Groups of four rows of `B` outer: a group stays in L1 while every
+        // pair of rows of `A` passes it.
+        for j in (0..n / 4 * 4).step_by(4) {
+            let pb = [rows(b, j), rows(b, j + 1), rows(b, j + 2), rows(b, j + 3)];
+            let mut i = 0;
+            while i + NT_ROWS_AVX512 <= m {
+                let pa = [rows(a, i), rows(a, i + 1)];
+                let out = dot4_rows_avx512::<NT_ROWS_AVX512>(pa, pb, k);
+                for (r, o) in out.iter().enumerate() {
+                    c[(i + r) * n + j..][..4].copy_from_slice(o);
+                }
+                i += NT_ROWS_AVX512;
+            }
+            if i < m {
+                let [o] = dot4_rows_avx512::<1>([rows(a, i)], pb, k);
+                c[i * n + j..][..4].copy_from_slice(&o);
+            }
+        }
+        for j in n / 4 * 4..n {
+            let brow = &b[j * k..(j + 1) * k];
+            for (i, arow) in a.chunks_exact(k).enumerate() {
+                c[i * n + j] = dot_avx512_impl(arow, brow);
+            }
+        }
+    }
+
+    fn gemm_nt_f32_avx512(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
+        // SAFETY: reachable only through the detected AVX-512 KernelSets,
+        // and only through `KernelSet::gemm_nt_f32`, whose "gemm_nt shape
+        // mismatch" assert (and early returns for `k = 0` or an empty `C`)
+        // are the kernel's requirements.
+        unsafe { gemm_nt_f32_avx512_impl(a, b, c, k) }
     }
 
     /// # Safety
@@ -1850,6 +2062,221 @@ mod x86 {
                 _ => panel_gemm_rows_f32_avx2::<GEMM_ROWS>(w, cols, x, y),
             }
         }
+    }
+
+    // ---------------- f32 rank-update GEMM ----------------
+    //
+    // A tile of up to four rows of `C` by `NB` registers of columns lives
+    // in accumulators for the whole of `K`. Per `k`, the tile's slice of row
+    // `k` of `B` is loaded once (masked past the last live column, so a
+    // ragged tile reads and writes nothing beyond it), then each row whose
+    // `a(k, r)` is non-zero fuses it into that row's accumulators. Lane
+    // `(r, j)` therefore runs `c = fma(a(k, r), B[k][j], c)` over the same
+    // `k` as the axpy loop, from the same `+0`; `KernelSet::gemm_rank_f32`
+    // says why that is bitwise the loop.
+
+    /// Rows of `C` per rank-update tile, on both SIMD tiers.
+    const RANK_ROWS: usize = 4;
+
+    /// Where one rank-update tile's operands start and how they stride:
+    /// `a(k, i) = *pa.add(k·ks + i·rs)`, `B[k][j] = *pb.add(k·n + j)`,
+    /// `C[i][j] = *pc.add(i·n + j)`, for `k < kdim`, `i < rows`, `j <
+    /// live`. A tile holds [`RANK_ROWS`] rows of accumulators; a last tile
+    /// with fewer `rows` leaves the rest at zero and stores only its own.
+    #[derive(Clone, Copy)]
+    struct RankTile {
+        pa: *const f32,
+        strides: [usize; 2],
+        pb: *const f32,
+        pc: *mut f32,
+        n: usize,
+        kdim: usize,
+        rows: usize,
+        live: usize,
+    }
+
+    impl RankTile {
+        /// Hands `tile` every tile of the rank-update GEMM, with the number
+        /// of `lanes`-wide registers its `live` columns need: column groups
+        /// `cols` wide outer, so a group's `K`-line slice of `B` stays
+        /// cached while every row tile of `C` passes it.
+        ///
+        /// # Safety
+        /// The shapes `KernelSet::gemm_rank_f32` asserts, with `K ≥ 1` and
+        /// `C` non-empty.
+        #[inline(always)]
+        unsafe fn each(
+            a: &[f32],
+            strides: [usize; 2],
+            b: &[f32],
+            c: &mut [f32],
+            n: usize,
+            (cols, lanes): (usize, usize),
+            mut tile: impl FnMut(RankTile, usize),
+        ) {
+            let m = c.len() / n;
+            let (pa, pb, pc) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+            for j0 in (0..n).step_by(cols) {
+                let live = (n - j0).min(cols);
+                for r0 in (0..m).step_by(RANK_ROWS) {
+                    let t = RankTile {
+                        pa: pa.add(r0 * strides[1]),
+                        strides,
+                        pb: pb.add(j0),
+                        pc: pc.add(r0 * n + j0),
+                        n,
+                        kdim: b.len() / n,
+                        rows: (m - r0).min(RANK_ROWS),
+                        live,
+                    };
+                    tile(t, live.div_ceil(lanes));
+                }
+            }
+        }
+    }
+
+    /// One tile of `NB` ymm of columns of the AVX2 rank-update GEMM.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA, `(NB − 1) · 8 < t.live <= NB · 8`, and `t`'s
+    /// pointers valid at every `a(k, i)`, `B[k][j]` and `C[i][j]` it names.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn rank_tile_f32_avx2<const NB: usize>(t: RankTile) {
+        let [ks, rs] = t.strides;
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut mask = [lane; NB];
+        for (j, m) in mask.iter_mut().enumerate() {
+            *m = _mm256_cmpgt_epi32(_mm256_set1_epi32((t.live - 8 * j) as i32), lane);
+        }
+        let mut acc = [[_mm256_setzero_ps(); NB]; RANK_ROWS];
+        for k in 0..t.kdim {
+            let brow = t.pb.add(k * t.n);
+            let mut line = [_mm256_setzero_ps(); NB];
+            for (j, (v, &m)) in line.iter_mut().zip(&mask).enumerate() {
+                *v = _mm256_maskload_ps(brow.add(8 * j), m);
+            }
+            for (i, row) in acc.iter_mut().enumerate().take(t.rows) {
+                let av = *t.pa.add(k * ks + i * rs);
+                if av == 0.0 {
+                    continue;
+                }
+                let va = _mm256_set1_ps(av);
+                for (c, &b) in row.iter_mut().zip(&line) {
+                    *c = _mm256_fmadd_ps(va, b, *c);
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate().take(t.rows) {
+            for (j, (&c, &m)) in row.iter().zip(&mask).enumerate() {
+                _mm256_maskstore_ps(t.pc.add(i * t.n + 8 * j), m, c);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2+FMA and the shapes `KernelSet::gemm_rank_f32` asserts,
+    /// with `K ≥ 1` and `C` non-empty.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gemm_rank_f32_avx2_impl(
+        a: &[f32],
+        strides: [usize; 2],
+        b: &[f32],
+        c: &mut [f32],
+        n: usize,
+    ) {
+        RankTile::each(a, strides, b, c, n, (16, 8), |t, nb| match nb {
+            1 => rank_tile_f32_avx2::<1>(t),
+            _ => rank_tile_f32_avx2::<2>(t),
+        });
+    }
+
+    fn gemm_rank_f32_avx2(a: &[f32], strides: [usize; 2], b: &[f32], c: &mut [f32], n: usize) {
+        // SAFETY: reachable only through the detected AVX2 KernelSet, and
+        // only through `KernelSet::gemm_rank_f32`, whose "gemm_rank shape
+        // mismatch" and "gemm_rank operand out of bounds" asserts (and
+        // early returns for an empty `C` or `K = 0`) are the kernel's
+        // requirements.
+        unsafe { gemm_rank_f32_avx2_impl(a, strides, b, c, n) }
+    }
+
+    /// Columns per rank-update tile of the AVX-512 GEMM: four zmm per row,
+    /// so a 4-row tile is 16 accumulators beside four lines of `B`.
+    const RANK_COLS_AVX512: usize = 64;
+
+    /// One tile of `NB` zmm of columns of the AVX-512 rank-update GEMM.
+    ///
+    /// # Safety
+    /// Requires AVX-512F, `(NB − 1) · 16 < t.live <= NB · 16`, and `t`'s
+    /// pointers valid at every `a(k, i)`, `B[k][j]` and `C[i][j]` it names.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn rank_tile_f32_avx512<const NB: usize>(t: RankTile) {
+        let [ks, rs] = t.strides;
+        let mut mask = [0 as __mmask16; NB];
+        for (j, m) in mask.iter_mut().enumerate() {
+            let lanes = (t.live - 16 * j).min(16);
+            *m = ((1u32 << lanes) - 1) as __mmask16;
+        }
+        let mut acc = [[_mm512_setzero_ps(); NB]; RANK_ROWS];
+        for k in 0..t.kdim {
+            let brow = t.pb.add(k * t.n);
+            let mut line = [_mm512_setzero_ps(); NB];
+            for (j, (v, &m)) in line.iter_mut().zip(&mask).enumerate() {
+                *v = _mm512_maskz_loadu_ps(m, brow.add(16 * j));
+            }
+            for (i, row) in acc.iter_mut().enumerate().take(t.rows) {
+                let av = *t.pa.add(k * ks + i * rs);
+                if av == 0.0 {
+                    continue;
+                }
+                let va = _mm512_set1_ps(av);
+                for (c, &b) in row.iter_mut().zip(&line) {
+                    *c = _mm512_fmadd_ps(va, b, *c);
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate().take(t.rows) {
+            for (j, (&c, &m)) in row.iter().zip(&mask).enumerate() {
+                _mm512_mask_storeu_ps(t.pc.add(i * t.n + 16 * j), m, c);
+            }
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX-512F and the shapes `KernelSet::gemm_rank_f32` asserts,
+    /// with `K ≥ 1` and `C` non-empty.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_rank_f32_avx512_impl(
+        a: &[f32],
+        strides: [usize; 2],
+        b: &[f32],
+        c: &mut [f32],
+        n: usize,
+    ) {
+        RankTile::each(
+            a,
+            strides,
+            b,
+            c,
+            n,
+            (RANK_COLS_AVX512, 16),
+            |t, nb| match nb {
+                1 => rank_tile_f32_avx512::<1>(t),
+                2 => rank_tile_f32_avx512::<2>(t),
+                3 => rank_tile_f32_avx512::<3>(t),
+                _ => rank_tile_f32_avx512::<4>(t),
+            },
+        );
+    }
+
+    fn gemm_rank_f32_avx512(a: &[f32], strides: [usize; 2], b: &[f32], c: &mut [f32], n: usize) {
+        // SAFETY: reachable only through the detected AVX-512 KernelSets,
+        // and only through `KernelSet::gemm_rank_f32`, whose "gemm_rank
+        // shape mismatch" and "gemm_rank operand out of bounds" asserts
+        // (and early returns for an empty `C` or `K = 0`) are the kernel's
+        // requirements.
+        unsafe { gemm_rank_f32_avx512_impl(a, strides, b, c, n) }
     }
 
     // ---------------- int8 (AVX2 maddubs + AVX-512 VNNI) ----------------

@@ -17,6 +17,57 @@ fn kernel_input(len: usize, seed: u64, scale: f32) -> Vec<f32> {
         .collect()
 }
 
+/// `C = A · Bᵀ` (`A` m×k, `B` n×k) as the row loop the nt-GEMM kernel
+/// replaced: per row of `A`, four rows of `B` per `dot4`, the trailing
+/// `n % 4` through `dot`.
+fn nt_by_dots(ks: &KernelSet, a: &[f32], b: &[f32], k: usize) -> Vec<f32> {
+    let n = b.len() / k;
+    let brow = |j: usize| &b[j * k..(j + 1) * k];
+    let mut c = Vec::new();
+    for arow in a.chunks_exact(k) {
+        let mut j = 0;
+        while j + 4 <= n {
+            c.extend(ks.dot4(arow, brow(j), brow(j + 1), brow(j + 2), brow(j + 3)));
+            j += 4;
+        }
+        c.extend((j..n).map(|j| ks.dot(arow, brow(j))));
+    }
+    c
+}
+
+/// `C = Aᵀ · B` (`A` K×m, `B` K×n) as the axpy loop the rank-update kernel
+/// replaced in the weight gradient: row `k` of `B` into row `r` of `C` for
+/// every non-zero `A[k][r]`.
+fn tn_by_axpy(ks: &KernelSet, a: &[f32], m: usize, b: &[f32], n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for (arow, brow) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        for (r, &av) in arow.iter().enumerate() {
+            if av != 0.0 {
+                ks.axpy(&mut c[r * n..(r + 1) * n], brow, av);
+            }
+        }
+    }
+    c
+}
+
+/// `C = A · B` (`A` m×K, `B` K×n) as the axpy loop the rank-update kernel
+/// replaced in the input gradient: one row of `C` at a time.
+fn nn_by_axpy(ks: &KernelSet, a: &[f32], kdim: usize, b: &[f32], n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; a.len() / kdim * n];
+    for (arow, crow) in a.chunks_exact(kdim).zip(c.chunks_exact_mut(n)) {
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            if av != 0.0 {
+                ks.axpy(crow, brow, av);
+            }
+        }
+    }
+    c
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Tolerance for SIMD-vs-scalar drift: 1e-6 relative to the magnitude of
 /// the scalar result (absolute 1e-6 for results inside the unit range).
 /// SIMD kernels differ from the scalar reference only by reassociation
@@ -582,6 +633,74 @@ proptest! {
         for i in 0..arows {
             b.matvec_into(a.row(i), &mut row);
             prop_assert_eq!(c.row(i), row.as_slice(), "row {} diverged", i);
+        }
+    }
+
+    /// The training kernels are the loops they replaced, bit for bit, on
+    /// every kernel set. For a batch's forward product `X · Wᵀ`, weight
+    /// gradient `dYᵀ · X` and input gradient `dY · W`, every output of
+    /// `gemm_nt_f32` / `gemm_rank_f32` has the bits the set's own `dot4` /
+    /// `dot` / `axpy` loop gives it: at the six autoencoder layers at batch
+    /// 64 and at ragged shapes (1..=9 rows, widths off multiples of 8 and
+    /// 16, a single `k` for each product), with `+0`, `−0`, whole zero rows
+    /// and whole zero columns in `X`, `W` and `dY`, and optionally a NaN
+    /// or infinity in `X` and in `W` — which a skipped zero gradient must
+    /// not multiply, as the axpy loops never did.
+    #[test]
+    fn training_kernels_are_their_loops_bitwise(
+        shape in prop_oneof![
+            Just((64usize, 345usize, 192usize)),
+            Just((64usize, 192usize, 96usize)),
+            Just((64usize, 96usize, 40usize)),
+            Just((64usize, 40usize, 96usize)),
+            Just((64usize, 96usize, 192usize)),
+            Just((64usize, 192usize, 345usize)),
+            (1usize..=9, 1usize..=70, 1usize..=40),
+            (1usize..=9, 1usize..=70, 1usize..=40),
+            (1usize..=9, Just(1usize), 1usize..=40),
+            (Just(1usize), 1usize..=70, 1usize..=40),
+            (1usize..=9, 1usize..=70, Just(1usize)),
+        ],
+        seed in 0u64..1000,
+        poison in prop_oneof![Just(None), Just(Some(f32::NAN)), Just(Some(f32::INFINITY))],
+    ) {
+        let (batch, inp, out) = shape;
+        let s = seed as usize;
+        // Rows and columns whose every entry is a signed zero, and scattered
+        // `+0` / `−0` entries elsewhere.
+        let fill = |rows: usize, cols: usize, salt: usize| -> Vec<f32> {
+            (0..rows * cols)
+                .map(|i| {
+                    let (r, c) = (i / cols, i % cols);
+                    let zero = if (r + c + salt).is_multiple_of(2) { 0.0 } else { -0.0 };
+                    if (r + s + salt) % 5 == 4 || (c + s + salt) % 7 == 6 {
+                        return zero;
+                    }
+                    match (i * 7 + salt + s) % 6 {
+                        0 | 1 => zero,
+                        _ => (i as f32 * 0.37 + salt as f32 + seed as f32 * 0.01).sin(),
+                    }
+                })
+                .collect()
+        };
+        let (mut x, mut w, dy) = (fill(batch, inp, 1), fill(out, inp, 2), fill(batch, out, 3));
+        if let Some(v) = poison {
+            x[(batch - 1) * inp + inp / 2] = v;
+            w[(out - 1) * inp + inp / 3] = v;
+        }
+        for ks in KernelSet::available() {
+            let mut y = vec![f32::NAN; batch * out];
+            ks.gemm_nt_f32(&x, &w, &mut y, inp);
+            prop_assert_eq!(bits(&y), bits(&nt_by_dots(ks, &x, &w, inp)),
+                "{} forward {}x{}x{}", ks.name, batch, inp, out);
+            let mut dw = vec![f32::NAN; out * inp];
+            ks.gemm_rank_f32(&dy, [out, 1], &x, &mut dw, inp);
+            prop_assert_eq!(bits(&dw), bits(&tn_by_axpy(ks, &dy, out, &x, inp)),
+                "{} dW {}x{}x{}", ks.name, batch, inp, out);
+            let mut dx = vec![f32::NAN; batch * inp];
+            ks.gemm_rank_f32(&dy, [1, out], &w, &mut dx, inp);
+            prop_assert_eq!(bits(&dx), bits(&nn_by_axpy(ks, &dy, out, &w, inp)),
+                "{} dX {}x{}x{}", ks.name, batch, inp, out);
         }
     }
 

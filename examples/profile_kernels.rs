@@ -3,14 +3,17 @@
 //! matvec training runs on, the f32 panel GEMV the inference engines run on
 //! and the int8 matvec (plan + encode + panel GEMV) with its bare panel
 //! GEMV — each panel GEMV with the weight bytes it streams per nanosecond;
-//! then batched products, the f32 row loop next to the 4-row panel GEMM.
+//! then batched products, the f32 row loop next to the 4-row panel GEMM;
+//! then training: each autoencoder layer's three batch GEMMs through the
+//! training kernels next to the `dot4` / `dot` / `axpy` loops they
+//! replaced, and the wall time of a ci-shaped `Autoencoder::train`.
 //!
 //! ```text
 //! cargo run --release --example profile_kernels
 //! ```
 
 use neural::quant::{self, QuantMatrix};
-use neural::{KernelSet, Matrix, PanelMatrix};
+use neural::{Adam, Autoencoder, AutoencoderConfig, KernelSet, Matrix, PanelMatrix};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -122,5 +125,162 @@ fn main() {
     println!(
         "quantize_activations(345): {:.0} ns/row",
         t.elapsed().as_secs_f64() * 1e9 / 200_000.0
+    );
+
+    training(ks);
+}
+
+/// The autoencoder's layers as (inputs, outputs), input side first.
+const AE_LAYERS: [(usize, usize); 6] = [
+    (345, 192),
+    (192, 96),
+    (96, 40),
+    (40, 96),
+    (96, 192),
+    (192, 345),
+];
+/// Rows per training batch (`AutoencoderConfig::clap_paper`).
+const BATCH: usize = 64;
+
+/// `X · Wᵀ` a row at a time through the set's `dot4` / `dot` — the loop
+/// `KernelSet::gemm_nt_f32` replaced.
+fn loop_nt(ks: &KernelSet, x: &Matrix, w: &Matrix, c: &mut Matrix) {
+    c.resize(x.rows, w.rows);
+    for i in 0..x.rows {
+        let crow = c.row_mut(i);
+        let mut j = 0;
+        while j + 4 <= w.rows {
+            let out = ks.dot4(x.row(i), w.row(j), w.row(j + 1), w.row(j + 2), w.row(j + 3));
+            crow[j..j + 4].copy_from_slice(&out);
+            j += 4;
+        }
+        for (j, cv) in crow.iter_mut().enumerate().skip(j) {
+            *cv = ks.dot(x.row(i), w.row(j));
+        }
+    }
+}
+
+/// `dW = dYᵀ · X` as one axpy per non-zero gradient, batch row by batch
+/// row — the loop behind the replaced `matmul_tn`.
+fn loop_tn(ks: &KernelSet, dy: &Matrix, x: &Matrix, dw: &mut Matrix) {
+    dw.resize(dy.cols, x.cols);
+    dw.data.fill(0.0);
+    for k in 0..dy.rows {
+        for (i, &g) in dy.row(k).iter().enumerate() {
+            if g != 0.0 {
+                ks.axpy(dw.row_mut(i), x.row(k), g);
+            }
+        }
+    }
+}
+
+/// `dX = dY · W` as one axpy per non-zero gradient — the loop behind the
+/// replaced `matmul_nn`.
+fn loop_nn(ks: &KernelSet, dy: &Matrix, w: &Matrix, dx: &mut Matrix) {
+    dx.resize(dy.rows, w.cols);
+    for i in 0..dy.rows {
+        dx.row_mut(i).fill(0.0);
+        for (k, &g) in dy.row(i).iter().enumerate() {
+            if g != 0.0 {
+                ks.axpy(dx.row_mut(i), w.row(k), g);
+            }
+        }
+    }
+}
+
+/// Training: the three batch GEMMs of every autoencoder layer through the
+/// kernels and through the loops they replaced, then a ci-shaped
+/// `Autoencoder::train` end to end and the share of it Adam takes.
+fn training(ks: &KernelSet) {
+    println!(
+        "AE training GEMMs, batch {BATCH}, GFLOP/s kernel (loop): \
+         forward X·Wᵀ | dW = dYᵀ·X | dX = dY·W"
+    );
+    // A third of the features are zero, as in stacked profiles.
+    let features = |rows, cols| {
+        Matrix::from_fn(rows, cols, |r, c| {
+            if (r * 7 + c) % 3 == 0 {
+                0.0
+            } else {
+                ((r * cols + c) as f32 * 0.13).sin()
+            }
+        })
+    };
+    let mut c = Matrix::default();
+    for (inp, out) in AE_LAYERS {
+        let x = features(BATCH, inp);
+        let w = Matrix::from_fn(out, inp, |r, c| ((r * inp + c) as f32 * 0.29).cos() * 0.1);
+        let dy = Matrix::from_fn(BATCH, out, |r, c| {
+            ((r * out + c) as f32 * 0.71).sin() * 1e-3
+        });
+        let iters = (200_000_000 / (BATCH * inp * out)) as u32;
+        let gflops = |ns: f64| 2.0 * (BATCH * inp * out) as f64 / ns;
+        let mut pair = |kernel: &mut dyn FnMut(&mut Matrix),
+                        reference: &mut dyn FnMut(&mut Matrix)| {
+            let k = ns_per_call(iters, || kernel(&mut c));
+            let r = ns_per_call(iters, || reference(&mut c));
+            format!("{:>5.1} ({:>5.1})", gflops(k), gflops(r))
+        };
+        let fwd = pair(
+            &mut |c| Matrix::matmul_nt_into(black_box(&x), &w, c),
+            &mut |c| loop_nt(ks, black_box(&x), &w, c),
+        );
+        let dw = pair(
+            &mut |c| Matrix::matmul_tn_into(black_box(&dy), &x, c),
+            &mut |c| loop_tn(ks, black_box(&dy), &x, c),
+        );
+        let dx = pair(
+            &mut |c| Matrix::matmul_nn_into(black_box(&dy), &w, c),
+            &mut |c| loop_nn(ks, black_box(&dy), &w, c),
+        );
+        println!("{inp:>3} -> {out:<3} | {fwd} | {dw} | {dx}");
+    }
+
+    // `ClapConfig::ci()`'s autoencoder on the benchmark's training-set
+    // size: 1 427 stacked profiles, 15 epochs.
+    let (rows, epochs) = (1427, 15);
+    let data = features(rows, 345);
+    let cfg = AutoencoderConfig {
+        epochs,
+        ..AutoencoderConfig::clap_paper(345)
+    };
+    let mut ae = Autoencoder::new(&cfg.layer_sizes, cfg.seed);
+    let t = Instant::now();
+    black_box(ae.train(&data, &cfg));
+    let train_s = t.elapsed().as_secs_f64();
+    // Per row: forward and dW for every layer, dX for all but the first.
+    let macs: usize = AE_LAYERS.iter().map(|&(i, o)| 3 * i * o).sum::<usize>() - 345 * 192;
+    let flops = 2.0 * (macs * rows * epochs) as f64;
+    let row_epochs = (rows * epochs) as f64;
+    println!(
+        "Autoencoder::train {rows} x 345, {epochs} epochs, batch {BATCH}: {train_s:.3} s, \
+         {:.0} rows·epochs/s, {:.1} GFLOP/s over {:.1} GFLOP",
+        row_epochs / train_s,
+        flops / train_s / 1e9,
+        flops / 1e9,
+    );
+
+    // The same number of Adam steps on the same parameter tensors.
+    let mut params: Vec<(Vec<f32>, Adam)> = ae
+        .layers()
+        .iter()
+        .flat_map(|l| [l.w.data.clone(), l.b.clone()])
+        .map(|p| {
+            let len = p.len();
+            (p, Adam::new(len, cfg.learning_rate))
+        })
+        .collect();
+    let grads: Vec<Vec<f32>> = params.iter().map(|(p, _)| vec![1e-4; p.len()]).collect();
+    let steps = rows.div_ceil(BATCH) * epochs;
+    let t = Instant::now();
+    for _ in 0..steps {
+        for ((p, opt), g) in params.iter_mut().zip(&grads) {
+            opt.step(p, g);
+        }
+    }
+    let adam_s = t.elapsed().as_secs_f64();
+    println!(
+        "  of which Adam ({steps} steps): {adam_s:.3} s, {:.0} %",
+        100.0 * adam_s / train_s
     );
 }

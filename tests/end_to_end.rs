@@ -7,6 +7,7 @@ use clap_repro::clap_core::{
     ProfileBuilder, QuantMode, ResidentMode, StreamConfig,
 };
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
+use clap_repro::neural::KernelSet;
 use clap_repro::traffic_gen::{self, ChurnConfig};
 use net_packet::{CanonicalKey, Packet};
 use std::collections::HashMap;
@@ -294,6 +295,52 @@ fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
         wheel.iter().map(bits).collect::<Vec<_>>(),
         sweep.iter().map(bits).collect::<Vec<_>>()
     );
+}
+
+/// FNV-1a over the bits of every trained GRU and autoencoder weight and
+/// bias, then of the autoencoder's per-epoch losses.
+fn trained_bits_hash(clap: &Clap, ae_losses: &[f32]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |values: &[f32]| {
+        for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let cell = &clap.rnn.cell;
+    for m in [&cell.wz, &cell.uz, &cell.wr, &cell.ur, &cell.wn, &cell.un] {
+        eat(&m.data);
+    }
+    for b in [&cell.bz, &cell.br, &cell.bn] {
+        eat(b);
+    }
+    eat(&clap.rnn.wo.data);
+    eat(&clap.rnn.bo);
+    for layer in clap.ae.layers() {
+        eat(&layer.w.data);
+        eat(&layer.b);
+    }
+    eat(ae_losses);
+    hash
+}
+
+/// Training is a pure function of its input on each kernel tier: the
+/// benchmark's own training set (`benchmark/` trains `ClapConfig::ci()` on
+/// `dataset(seed ^ 0x7ea1, 60)` at seed `0xc1a9`) yields these weight bits
+/// and loss curve. A change to a training kernel that moves one bit on the
+/// tier it runs fails here. The avx512 and avx512vnni sets share their f32
+/// kernels, so they share a constant.
+#[test]
+fn training_reproduces_the_pinned_weight_bits() {
+    let benign = traffic_gen::dataset(0xc1a9 ^ 0x7ea1, 60);
+    let (clap, summary) = Clap::train(&benign, &ClapConfig::ci());
+    let got = trained_bits_hash(&clap, &summary.ae_losses);
+    let tier = KernelSet::active().name;
+    let want = match tier {
+        "scalar" => 0x0e99_4ca9_d49c_3580,
+        "avx2" => 0x9e52_d5c1_2e84_8a53,
+        _ => 0xeed9_e0b3_c533_0711,
+    };
+    assert_eq!(got, want, "{tier}: trained weights hash {got:#018x}");
 }
 
 #[test]
