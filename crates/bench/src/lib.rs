@@ -64,9 +64,11 @@ impl Preset {
 
     /// Paper-scale (Table 4/Table 6 sizes). An estimate, never run: ≈24
     /// stacked profiles per training connection make ≈740 k autoencoder
-    /// rows, and 1 000 epochs over them at the ≈54 k rows·epochs/s that
-    /// `examples/profile_kernels` measures for `Autoencoder::train` on one
-    /// AVX-512 core come to ≈4 h — nearly all of the preset's training.
+    /// rows, and 1 000 epochs over them at the ≈65 k rows·epochs/s that
+    /// `examples/profile_kernels` measures for `Autoencoder::train` on the
+    /// two training lanes of a 2-vCPU AVX-512 VM (≈1.6× one lane) come to
+    /// ≈3 h — nearly all of the preset's training; the GRU's 30 epochs
+    /// over ≈750 k packets add minutes.
     pub fn paper() -> Self {
         let mut p = Self::quick();
         p.name = "paper".into();

@@ -19,7 +19,7 @@
 //!
 //! Training has the same discipline per batch: `Autoencoder::train` sizes
 //! its workspace on the first batch and reuses it, so a longer run costs
-//! no extra allocation (the fourth case).
+//! no extra allocation, on any number of training lanes (the fourth case).
 //!
 //! The whole file is one `#[test]` because the counters are
 //! process-global.
@@ -247,10 +247,13 @@ fn mem_bytes_tracks_the_allocator(clap: &Clap) {
 }
 
 /// Every batch of `Autoencoder::train` runs through buffers the first one
-/// sized — the gathered rows, each layer's output, the gradients — so 6
-/// epochs allocate exactly as often as 2. 150 rows at batch 32 end every
-/// epoch on a ragged 22-row batch, which must shrink into the buffers and
-/// the next epoch's first batch grow back without reallocating.
+/// sized — the gathered rows, each layer's output and gradient, the
+/// parameter gradients, the lanes' table of them — so 6 epochs allocate
+/// exactly as often as 2, on one training lane and on the default number
+/// (whose helper threads are spawned once per call). 150 rows at batch 32
+/// end every epoch on a ragged 22-row batch, which must shrink into the
+/// buffers and the next epoch's first batch grow back without
+/// reallocating.
 fn autoencoder_training_allocates_per_run_not_per_batch() {
     let data = Matrix::from_fn(150, 24, |r, c| ((r * 24 + c) as f32 * 0.37).sin());
     let allocs = |epochs| {
@@ -268,7 +271,20 @@ fn autoencoder_training_allocates_per_run_not_per_batch() {
         assert_eq!(losses.len(), epochs);
         allocs
     };
-    let (short, long) = (allocs(2), allocs(6));
-    eprintln!("Autoencoder::train: {short} allocations at 2 epochs, {long} at 6");
-    assert_eq!(short, long, "training allocates per batch or per epoch");
+    let one_lane = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    for (lanes, (short, long)) in [
+        (1, one_lane.install(|| (allocs(2), allocs(6)))),
+        (rayon::current_num_threads(), (allocs(2), allocs(6))),
+    ] {
+        eprintln!(
+            "Autoencoder::train on {lanes} lanes: {short} allocations at 2 epochs, {long} at 6"
+        );
+        assert_eq!(
+            short, long,
+            "{lanes} lanes: training allocates per batch or per epoch"
+        );
+    }
 }

@@ -34,16 +34,56 @@ impl Adam {
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), self.m.len(), "parameter count changed");
         assert_eq!(grads.len(), self.m.len(), "gradient count mismatch");
+        let step = self.tick();
+        step.apply(params, grads, &mut self.m, &mut self.v);
+    }
+
+    /// Starts one update: advances the step count and returns the update
+    /// that [`AdamStep::apply`] then makes range by range — every range
+    /// of one step shares its `t`, so the ranges together are bitwise one
+    /// [`step`](Self::step).
+    pub(crate) fn tick(&mut self) -> AdamStep {
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..params.len() {
-            let g = grads[i];
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let mhat = self.m[i] / b1t;
-            let vhat = self.v[i] / b2t;
-            params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        AdamStep {
+            lr: self.lr,
+            beta1: self.beta1,
+            beta2: self.beta2,
+            eps: self.eps,
+            b1t: 1.0 - self.beta1.powi(self.t as i32),
+            b2t: 1.0 - self.beta2.powi(self.t as i32),
+        }
+    }
+
+    /// The first and second moment estimates, one per parameter.
+    pub(crate) fn moments_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.m, &mut self.v)
+    }
+}
+
+/// One Adam update at a fixed step count, from [`Adam::tick`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AdamStep {
+    lr: f32,
+    beta1: f32,
+    beta2: f32,
+    eps: f32,
+    /// The bias corrections `1 − βᵗ`.
+    b1t: f32,
+    b2t: f32,
+}
+
+impl AdamStep {
+    /// Updates a range of a tensor's parameters with their gradients and
+    /// their slices of the tensor's moments `m` and `v`.
+    pub(crate) fn apply(&self, params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32]) {
+        debug_assert!(grads.len() == params.len() && m.len() == params.len());
+        debug_assert_eq!(v.len(), params.len());
+        for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+            let mhat = *m / self.b1t;
+            let vhat = *v / self.b2t;
+            *p -= self.lr * mhat / (vhat.sqrt() + self.eps);
         }
     }
 }

@@ -1,6 +1,8 @@
 //! Dense autoencoder trained with L1 reconstruction loss (paper Eq. 3).
 
+use crate::adam::AdamStep;
 use crate::dense::{Activation, Dense, DenseGrads};
+use crate::lanes::{self, Block, Board, Lanes, Table};
 use crate::quant::{PackedWeights, QuantMode};
 use crate::simd::{KernelSet, GEMM_ROWS};
 use crate::{Adam, Matrix};
@@ -8,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Training configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -164,8 +167,17 @@ impl Autoencoder {
 
     /// Trains on `data` (rows = samples); returns the mean L1 loss per
     /// epoch. Every batch runs through one private workspace — the gathered
-    /// batch, each layer's output, two gradient buffers and the parameter
-    /// gradients — so only the first batch allocates.
+    /// batch, each layer's output and gradient, the parameter gradients —
+    /// so only the first batch allocates.
+    ///
+    /// A batch runs on the training lanes (`rayon::current_num_threads()`
+    /// of them, for this call only) in two phases, each output written by
+    /// one lane with the chain of operations it has on one: blocks of
+    /// batch rows run the forward pass, the L1 gradient and the row half
+    /// of every layer's backward pass; then blocks of each layer's output
+    /// neurons form their rows of `dW`, their `db` and their Adam update,
+    /// while the caller sums the loss in row order. The weights are
+    /// therefore bitwise the same on any number of lanes.
     pub fn train(&mut self, data: &Matrix, cfg: &AutoencoderConfig) -> Vec<f32> {
         assert_eq!(data.cols, self.input_size(), "training data width mismatch");
         // Shuffling RNG decorrelated from weight-init RNG, still deterministic.
@@ -184,68 +196,166 @@ impl Autoencoder {
         let n = data.rows;
         let mut order: Vec<usize> = (0..n).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-        let mut ws = TrainWorkspace::new(self.layers.len());
+        let mut ws = TrainWorkspace::new(&self.layers);
 
-        for _ in 0..cfg.epochs {
-            order.shuffle(&mut rng);
-            let mut total_loss = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                ws.batch.resize(chunk.len(), data.cols);
-                for (dst, &r) in ws.batch.data.chunks_exact_mut(data.cols).zip(chunk) {
-                    dst.copy_from_slice(data.row(r));
+        lanes::scope(|lanes| {
+            for _ in 0..cfg.epochs {
+                order.shuffle(&mut rng);
+                let mut total_loss = 0.0f64;
+                let mut batches = 0usize;
+                for chunk in order.chunks(cfg.batch_size.max(1)) {
+                    ws.batch.resize(chunk.len(), data.cols);
+                    for (dst, &r) in ws.batch.data.chunks_exact_mut(data.cols).zip(chunk) {
+                        dst.copy_from_slice(data.row(r));
+                    }
+                    total_loss += self.train_batch(lanes, &mut opts, &mut ws) as f64;
+                    batches += 1;
                 }
-                total_loss += self.batch_grads(&mut ws) as f64;
-                batches += 1;
-                for ((layer, (ow, ob)), g) in
-                    self.layers.iter_mut().zip(opts.iter_mut()).zip(&ws.grads)
-                {
-                    let (wp, bp) = layer.params_mut();
-                    ow.step(wp, &g.dw.data);
-                    ob.step(bp, &g.db);
-                }
+                epoch_losses.push((total_loss / batches.max(1) as f64) as f32);
             }
-            epoch_losses.push((total_loss / batches.max(1) as f64) as f32);
-        }
+        });
         epoch_losses
     }
 
-    /// Forward + backward for the batch in `ws.batch` under L1 loss:
-    /// returns the mean loss and leaves each layer's gradients in
-    /// `ws.grads`.
-    fn batch_grads(&self, ws: &mut TrainWorkspace) -> f32 {
+    /// One optimizer step on the batch in `ws.batch` under L1 loss; returns
+    /// the batch's mean loss.
+    fn train_batch(
+        &mut self,
+        lanes: &Lanes,
+        opts: &mut [(Adam, Adam)],
+        ws: &mut TrainWorkspace,
+    ) -> f32 {
         let TrainWorkspace {
             batch,
             acts,
-            dy,
-            dx,
+            dys,
             grads,
+            steps,
+            table,
         } = ws;
-        // Layer `i` reads layer `i − 1`'s output in place.
-        for (i, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = acts.split_at_mut(i);
-            layer.forward_into(done.last().unwrap_or(batch), &mut rest[0]);
+        let (rows, cols) = (batch.rows, batch.cols);
+        let depth = self.layers.len();
+        for ((layer, a), d) in self.layers.iter().zip(&mut *acts).zip(&mut *dys) {
+            a.resize(rows, layer.output_size());
+            d.resize(rows, layer.output_size());
         }
         // L1 loss: mean |out - in|; gradient = sign / (rows * cols).
-        let out = acts.last().expect("an autoencoder has layers");
-        let scale = 1.0 / (batch.rows * batch.cols) as f32;
-        let mut loss = 0.0f32;
-        dy.resize(out.rows, out.cols);
-        for ((d, &o), &x) in dy.data.iter_mut().zip(&out.data).zip(&batch.data) {
-            let diff = o - x;
-            loss += diff.abs();
-            *d = diff.signum() * scale;
-        }
-        loss *= scale;
+        let scale = 1.0 / (rows * cols) as f32;
 
-        // The first layer's input gradient has no reader: it is not formed.
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let x = if i == 0 { &*batch } else { &acts[i - 1] };
-            layer.backward(x, &acts[i], dy, &mut grads[i], (i > 0).then_some(&mut *dx));
-            std::mem::swap(dy, dx);
+        // Row phase. Parts `0..depth` are the layers' outputs, `depth..` the
+        // gradients at their pre-activations.
+        let row_macs: usize = self
+            .layers
+            .iter()
+            .map(|l| 2 * l.w.data.len())
+            .sum::<usize>()
+            - self.layers[0].w.data.len();
+        let mut board = Board::new(table);
+        board.group(rows, block(ROW_BLOCK, row_macs));
+        for m in acts.iter_mut().chain(dys.iter_mut()) {
+            board.part(&mut m.data, m.cols);
         }
-        loss
+        let layers = &self.layers;
+        let input = |r: Range<usize>| &batch.data[r.start * cols..r.end * cols];
+        let row_phase = |mut blk: Block| {
+            let x = input(blk.rows());
+            let [y] = blk.parts([0]);
+            layers[0].forward_rows(x, y);
+            for (i, layer) in layers.iter().enumerate().skip(1) {
+                let [x, y] = blk.parts([i - 1, i]);
+                layer.forward_rows(x, y);
+            }
+            let [out, dy] = blk.parts([depth - 1, 2 * depth - 1]);
+            for ((d, &o), &x) in dy.iter_mut().zip(&*out).zip(x) {
+                *d = (o - x).signum() * scale;
+            }
+            // The first layer's input gradient has no reader: it is not
+            // formed.
+            for (i, layer) in layers.iter().enumerate().rev() {
+                if i == 0 {
+                    let [y, dy] = blk.parts([0, depth]);
+                    layer.backward_rows(y, dy, None);
+                } else {
+                    let [y, dy, dx] = blk.parts([i, depth + i, depth + i - 1]);
+                    layer.backward_rows(y, dy, Some(dx));
+                }
+            }
+        };
+        lanes.each_block(&board, row_phase, || {});
+
+        // Parameter phase: one group per layer, whose parts are the
+        // weights, their gradient and Adam moments, then the same for the
+        // biases.
+        steps.clear();
+        steps.extend(opts.iter_mut().map(|(ow, ob)| (ow.tick(), ob.tick())));
+        let mut board = Board::new(table);
+        for ((layer, (ow, ob)), g) in self.layers.iter_mut().zip(opts).zip(&mut *grads) {
+            let (out, width) = (layer.output_size(), layer.input_size());
+            let Dense { w, b, .. } = layer;
+            let (mw, vw) = ow.moments_mut();
+            let (mb, vb) = ob.moments_mut();
+            board.group(out, block(PARAM_BLOCK, (rows + ADAM_MACS) * width));
+            for (buf, width) in [
+                (&mut w.data[..], width),
+                (&mut g.dw.data[..], width),
+                (mw, width),
+                (vw, width),
+                (&mut b[..], 1),
+                (&mut g.db[..], 1),
+                (mb, 1),
+                (vb, 1),
+            ] {
+                board.part(buf, width);
+            }
+        }
+        let (acts, dys, steps) = (&*acts, &*dys, &*steps);
+        let param_phase = |mut blk: Block| {
+            let (l, outs) = (blk.group(), blk.rows());
+            let x = if l == 0 {
+                &batch.data
+            } else {
+                &acts[l - 1].data
+            };
+            let dy = &dys[l];
+            let [w, dw, mw, vw, b, db, mb, vb] = blk.parts([0, 1, 2, 3, 4, 5, 6, 7]);
+            Dense::param_grads(x, &dy.data, dy.cols, outs, dw, db);
+            let (sw, sb) = steps[l];
+            sw.apply(w, dw, mw, vw);
+            sb.apply(b, db, mb, vb);
+        };
+        let mut loss = 0.0f32;
+        lanes.each_block(&board, param_phase, || {
+            for (&o, &x) in acts[depth - 1].data.iter().zip(&batch.data) {
+                loss += (o - x).abs();
+            }
+        });
+        loss * scale
     }
+}
+
+/// Batch rows per unit of the row phase, at least: a unit runs all layers,
+/// so a block streams every weight from L2 twice; 8 rows measured as fast
+/// as a whole 64-row batch on one lane, and gives two lanes 8 units of a
+/// 64-row batch to share.
+const ROW_BLOCK: usize = 2 * GEMM_ROWS;
+
+/// Output neurons per unit of the parameter phase, at least.
+const PARAM_BLOCK: usize = 4 * GEMM_ROWS;
+
+/// Multiply-adds a unit carries, at least: a unit another lane runs costs
+/// a claim and the cache lines of its rows, which must stay a small part
+/// of it. Below this a small layer, or a whole small model, is one unit a
+/// phase — and a phase of one unit runs on the caller.
+const UNIT_MACS: usize = 1 << 19;
+
+/// What an Adam update of one parameter costs, in multiply-adds: three
+/// divisions and a square root.
+const ADAM_MACS: usize = 40;
+
+/// Rows a unit takes: `min`, or more when a row costs less than
+/// `UNIT_MACS / min` multiply-adds. The split never changes a bit.
+fn block(min: usize, row_macs: usize) -> usize {
+    min.max(UNIT_MACS.div_ceil(row_macs.max(1)))
 }
 
 /// The buffers one training batch runs through, sized by the first batch
@@ -256,22 +366,31 @@ struct TrainWorkspace {
     batch: Matrix,
     /// Each layer's activated output — the next layer's input.
     acts: Vec<Matrix>,
-    /// The gradient flowing into the current layer's output, and the one
-    /// it passes to its input; they trade places per layer.
-    dy: Matrix,
-    dx: Matrix,
+    /// The loss gradient at each layer's pre-activation.
+    dys: Vec<Matrix>,
     /// Each layer's parameter gradients.
     grads: Vec<DenseGrads>,
+    /// Each layer's weight and bias Adam update for this batch.
+    steps: Vec<(AdamStep, AdamStep)>,
+    /// The lanes' table of the buffers a phase splits.
+    table: Table,
 }
 
 impl TrainWorkspace {
-    fn new(layers: usize) -> Self {
+    fn new(layers: &[Dense]) -> Self {
         TrainWorkspace {
             batch: Matrix::default(),
-            acts: vec![Matrix::default(); layers],
-            dy: Matrix::default(),
-            dx: Matrix::default(),
-            grads: vec![DenseGrads::default(); layers],
+            acts: vec![Matrix::default(); layers.len()],
+            dys: vec![Matrix::default(); layers.len()],
+            grads: layers
+                .iter()
+                .map(|l| DenseGrads {
+                    dw: Matrix::zeros(l.output_size(), l.input_size()),
+                    db: vec![0.0; l.output_size()],
+                })
+                .collect(),
+            steps: Vec::with_capacity(layers.len()),
+            table: Table::default(),
         }
     }
 }

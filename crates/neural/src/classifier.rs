@@ -5,13 +5,13 @@
 //! only a *training vehicle* — what CLAP actually consumes downstream are
 //! the gate activations in the [`GruTrace`].
 
-use crate::gru::PackedGru;
+use crate::gru::{GruGrads, PackedGru};
+use crate::lanes;
 use crate::matrix::vecops;
 use crate::{softmax_cross_entropy, softmax_inplace, Adam, GruCell, GruTrace, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for training the state-prediction RNN.
@@ -112,11 +112,7 @@ impl GruClassifier {
     }
 
     /// Mean loss + gradient contribution of one sequence.
-    fn sequence_grads<S: AsRef<[f32]>>(
-        &self,
-        xs: &[S],
-        labels: &[usize],
-    ) -> (f32, usize, crate::gru::GruGrads, Matrix, Vec<f32>) {
+    fn sequence_grads<S: AsRef<[f32]>>(&self, xs: &[S], labels: &[usize]) -> SequenceGrads {
         debug_assert_eq!(xs.len(), labels.len());
         let trace = self.trace(xs);
         let hidden = self.hidden_size();
@@ -136,13 +132,16 @@ impl GruClassifier {
             vecops::add_assign(&mut dbo, &dlogits);
             dhs[t] = self.wo.matvec_t(&dlogits);
         }
-        let (grads, _) = self.cell.backward(&trace, &dhs);
+        let grads = self.cell.backward(&trace, &dhs, None);
         (loss, correct, grads, dwo, dbo)
     }
 
-    /// Trains on labelled sequences; parallelizes gradient computation
-    /// across the sequences of each mini-batch with rayon. Sequences may
-    /// borrow their rows (`Vec<&[f32]>`) — feature storage is not cloned.
+    /// Trains on labelled sequences. The sequences of a mini-batch run on
+    /// the training lanes (`rayon::current_num_threads()` of them, for
+    /// this call only), each into its own slot, and the slots are summed
+    /// in batch order on the caller — so the weights are bitwise the same
+    /// on any number of lanes. Sequences may borrow their rows
+    /// (`Vec<&[f32]>`) — feature storage is not cloned.
     pub fn train<S: AsRef<[f32]> + Sync>(
         &mut self,
         data: &[(Vec<S>, Vec<usize>)],
@@ -152,7 +151,7 @@ impl GruClassifier {
         let mut report = TrainReport::default();
 
         let mut cell_opts: Vec<Adam> = {
-            let dummy = crate::gru::GruGrads::zeros(cfg.input, cfg.hidden);
+            let dummy = GruGrads::zeros(cfg.input, cfg.hidden);
             let sizes = [
                 dummy.dwz.data.len(),
                 dummy.duz.data.len(),
@@ -172,77 +171,87 @@ impl GruClassifier {
         let mut wo_opt = Adam::new(self.wo.data.len(), cfg.learning_rate);
         let mut bo_opt = Adam::new(self.bo.len(), cfg.learning_rate);
 
+        let batch_size = cfg.batch_size.max(1);
+        let mut slots: Vec<Option<SequenceGrads>> = vec![None; batch_size.min(data.len())];
         let mut order: Vec<usize> = (0..data.len()).collect();
-        for _ in 0..cfg.epochs {
-            order.shuffle(&mut rng);
-            let mut epoch_loss = 0.0f64;
-            let mut epoch_steps = 0usize;
-            let mut epoch_correct = 0usize;
+        lanes::scope(|lanes| {
+            for _ in 0..cfg.epochs {
+                order.shuffle(&mut rng);
+                let mut epoch_loss = 0.0f64;
+                let mut epoch_steps = 0usize;
+                let mut epoch_correct = 0usize;
 
-            for chunk in order.chunks(cfg.batch_size.max(1)) {
-                let results: Vec<_> = chunk
-                    .par_iter()
-                    .filter(|&&i| !data[i].0.is_empty())
-                    .map(|&i| self.sequence_grads(&data[i].0, &data[i].1))
-                    .collect();
-                if results.is_empty() {
-                    continue;
-                }
-                let mut acc = crate::gru::GruGrads::zeros(cfg.input, cfg.hidden);
-                let mut dwo = Matrix::zeros(self.wo.rows, self.wo.cols);
-                let mut dbo = vec![0.0f32; self.bo.len()];
-                let mut steps = 0usize;
-                for (l, c, g, dw, db) in results {
-                    epoch_loss += l as f64;
-                    epoch_correct += c;
-                    acc.add_assign(&g);
-                    dwo.add_assign(&dw);
-                    vecops::add_assign(&mut dbo, &db);
-                    steps += 1;
-                }
-                // Normalize by the number of sequences in the batch.
-                let scale = 1.0 / steps as f32;
-                acc.scale(scale);
-                dwo.scale(scale);
-                dbo.iter_mut().for_each(|v| *v *= scale);
-                epoch_steps += chunk.iter().map(|&i| data[i].0.len()).sum::<usize>();
+                for chunk in order.chunks(batch_size) {
+                    let this = &*self;
+                    lanes.each_mut(&mut slots[..chunk.len()], |j, slot| {
+                        let (xs, labels) = &data[chunk[j]];
+                        *slot = (!xs.is_empty()).then(|| this.sequence_grads(xs, labels));
+                    });
+                    let mut acc = GruGrads::zeros(cfg.input, cfg.hidden);
+                    let mut dwo = Matrix::zeros(self.wo.rows, self.wo.cols);
+                    let mut dbo = vec![0.0f32; self.bo.len()];
+                    let mut steps = 0usize;
+                    for (l, c, g, dw, db) in slots.iter_mut().filter_map(Option::take) {
+                        epoch_loss += l as f64;
+                        epoch_correct += c;
+                        acc.add_assign(&g);
+                        dwo.add_assign(&dw);
+                        vecops::add_assign(&mut dbo, &db);
+                        steps += 1;
+                    }
+                    if steps == 0 {
+                        continue;
+                    }
+                    // Normalize by the number of sequences in the batch.
+                    let scale = 1.0 / steps as f32;
+                    acc.scale(scale);
+                    dwo.scale(scale);
+                    dbo.iter_mut().for_each(|v| *v *= scale);
+                    epoch_steps += chunk.iter().map(|&i| data[i].0.len()).sum::<usize>();
 
-                for (opt, (param, grad)) in
-                    cell_opts.iter_mut().zip(self.cell.param_grad_pairs(&acc))
-                {
-                    opt.step(param, grad);
+                    for (opt, (param, grad)) in
+                        cell_opts.iter_mut().zip(self.cell.param_grad_pairs(&acc))
+                    {
+                        opt.step(param, grad);
+                    }
+                    wo_opt.step(&mut self.wo.data, &dwo.data);
+                    bo_opt.step(&mut self.bo, &dbo);
                 }
-                wo_opt.step(&mut self.wo.data, &dwo.data);
-                bo_opt.step(&mut self.bo, &dbo);
+
+                report
+                    .epoch_loss
+                    .push((epoch_loss / epoch_steps.max(1) as f64) as f32);
+                report
+                    .epoch_accuracy
+                    .push(epoch_correct as f32 / epoch_steps.max(1) as f32);
             }
-
-            report
-                .epoch_loss
-                .push((epoch_loss / epoch_steps.max(1) as f64) as f32);
-            report
-                .epoch_accuracy
-                .push(epoch_correct as f32 / epoch_steps.max(1) as f32);
-        }
+        });
         report
     }
 
-    /// Per-timestep accuracy over a labelled evaluation set.
+    /// Per-timestep accuracy over a labelled evaluation set; the sequences
+    /// run on the lanes `train` uses.
     pub fn accuracy<S: AsRef<[f32]> + Sync>(&self, data: &[(Vec<S>, Vec<usize>)]) -> f32 {
-        let (correct, total) = data
-            .par_iter()
-            .map(|(xs, labels)| {
+        let mut counts = vec![0usize; data.len()];
+        lanes::scope(|lanes| {
+            lanes.each_mut(&mut counts, |i, correct| {
+                let (xs, labels) = &data[i];
                 let preds = self.predict(xs);
-                let c = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-                (c, labels.len())
+                *correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
             })
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+        });
+        let total: usize = data.iter().map(|(_, labels)| labels.len()).sum();
         if total == 0 {
             0.0
         } else {
-            correct as f32 / total as f32
+            counts.iter().sum::<usize>() as f32 / total as f32
         }
     }
 }
+
+/// One sequence's loss, correct predictions, and cell, head-weight and
+/// head-bias gradients.
+type SequenceGrads = (f32, usize, GruGrads, Matrix, Vec<f32>);
 
 /// Index of the largest element.
 pub fn argmax(v: &[f32]) -> usize {

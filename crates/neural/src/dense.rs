@@ -1,8 +1,10 @@
 //! Fully-connected layer with batched forward/backward.
 
+use crate::simd::KernelSet;
 use crate::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Activation applied after the affine map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -85,10 +87,19 @@ impl Dense {
     /// allocation). The bias + activation epilogue runs on the dispatched
     /// kernel set (vectorized tanh/sigmoid on SIMD-capable CPUs).
     pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
-        Matrix::matmul_nt_into(x, &self.w, y);
-        let ks = crate::simd::KernelSet::active();
-        for r in 0..y.rows {
-            ks.bias_act(y.row_mut(r), &self.b, self.activation);
+        assert_eq!(x.cols, self.input_size(), "dense input width mismatch");
+        y.resize(x.rows, self.output_size());
+        self.forward_rows(&x.data, &mut y.data);
+    }
+
+    /// [`forward_into`](Self::forward_into) on bare row-major rows: `x` is
+    /// rows × in, `y` rows × out. Each row of `y` depends on its row of
+    /// `x` alone, bitwise, however the rows of a batch are split.
+    pub fn forward_rows(&self, x: &[f32], y: &mut [f32]) {
+        let ks = KernelSet::active();
+        ks.gemm_nt_f32(x, &self.w.data, y, self.input_size());
+        for row in y.chunks_exact_mut(self.output_size()) {
+            ks.bias_act(row, &self.b, self.activation);
         }
     }
 
@@ -96,7 +107,9 @@ impl Dense {
     /// was `y` (batch × out): folds the activation derivative into `dy`
     /// (`dl/dy` on entry, `dl/d(pre-activation)` on return), writes the
     /// parameter gradients into `grads` and, when asked, `dl/dx` into `dx`.
-    /// Every buffer keeps its allocation across calls.
+    /// Every buffer keeps its allocation across calls. The composition of
+    /// its row half, [`backward_rows`](Self::backward_rows), and its
+    /// parameter half, [`param_grads`](Self::param_grads).
     pub fn backward(
         &self,
         x: &Matrix,
@@ -105,26 +118,66 @@ impl Dense {
         grads: &mut DenseGrads,
         dx: Option<&mut Matrix>,
     ) {
-        for (dv, &yv) in dy.data.iter_mut().zip(&y.data) {
+        let (out, input) = (self.output_size(), self.input_size());
+        let dx = dx.map(|dx| {
+            dx.resize(dy.rows, input);
+            &mut dx.data[..]
+        });
+        self.backward_rows(&y.data, &mut dy.data, dx);
+        grads.dw.resize(out, input);
+        grads.db.resize(out, 0.0);
+        Dense::param_grads(
+            &x.data,
+            &dy.data,
+            out,
+            0..out,
+            &mut grads.dw.data,
+            &mut grads.db,
+        );
+    }
+
+    /// The row half of [`backward`](Self::backward) over some rows of a
+    /// batch: folds the activation derivative (from the output rows `y`)
+    /// into `dy` and, when asked, writes `dx = dy · W`. Each row depends on
+    /// its own rows alone.
+    pub fn backward_rows(&self, y: &[f32], dy: &mut [f32], dx: Option<&mut [f32]>) {
+        for (dv, &yv) in dy.iter_mut().zip(y) {
             *dv *= self.activation.derivative_from_output(yv);
         }
-        Matrix::matmul_tn_into(dy, x, &mut grads.dw);
-        grads.db.clear();
-        grads.db.resize(self.output_size(), 0.0);
-        for r in 0..dy.rows {
-            for (acc, &v) in grads.db.iter_mut().zip(dy.row(r)) {
-                *acc += v;
-            }
-        }
         if let Some(dx) = dx {
-            Matrix::matmul_nn_into(dy, &self.w, dx);
+            let out = self.output_size();
+            let ks = KernelSet::active();
+            ks.gemm_rank_f32(dy, [1, out], &self.w.data, dx, self.input_size());
         }
     }
 
-    /// Flattens parameters into `(weights, biases)` mutable views for the
-    /// optimizer.
-    pub fn params_mut(&mut self) -> (&mut [f32], &mut [f32]) {
-        (&mut self.w.data, &mut self.b)
+    /// The parameter half of [`backward`](Self::backward) for the output
+    /// neurons `outs` of a layer: from the whole batch's inputs `x` (batch
+    /// × in) and folded gradients `dy` (batch × out), writes their rows of
+    /// `dW = dyᵀ · x` into `dw` (`outs.len()` × in) and their `db` (the
+    /// column sums of `dy`, batch row by batch row); `out` is the layer's
+    /// width. Each output is the chain the whole layer's product runs for
+    /// it, so splitting the neurons does not move a bit.
+    pub fn param_grads(
+        x: &[f32],
+        dy: &[f32],
+        out: usize,
+        outs: Range<usize>,
+        dw: &mut [f32],
+        db: &mut [f32],
+    ) {
+        assert!(
+            !outs.is_empty() && outs.end <= out,
+            "output neurons out of range"
+        );
+        let ks = KernelSet::active();
+        ks.gemm_rank_f32(&dy[outs.start..], [out, 1], x, dw, dw.len() / outs.len());
+        db.fill(0.0);
+        for row in dy.chunks_exact(out) {
+            for (acc, &v) in db.iter_mut().zip(&row[outs.clone()]) {
+                *acc += v;
+            }
+        }
     }
 }
 

@@ -201,15 +201,25 @@ impl GruCell {
     /// Backpropagation through time.
     ///
     /// `dhs[t]` is ∂loss/∂h_t coming from outside the recurrence (e.g. the
-    /// per-timestep classification head). Returns parameter gradients and
-    /// ∂loss/∂x_t for each step.
-    pub fn backward(&self, trace: &GruTrace, dhs: &[Vec<f32>]) -> (GruGrads, Vec<Vec<f32>>) {
+    /// per-timestep classification head). Returns the parameter gradients
+    /// and, when asked, writes ∂loss/∂x_t for each step into `dxs` (a
+    /// caller that only trains the cell passes `None` and skips three of
+    /// the six transposed products per step).
+    pub fn backward(
+        &self,
+        trace: &GruTrace,
+        dhs: &[Vec<f32>],
+        mut dxs: Option<&mut Vec<Vec<f32>>>,
+    ) -> GruGrads {
         let hidden = self.hidden_size();
         let input = self.input_size();
         let steps = trace.len();
         assert_eq!(dhs.len(), steps, "dh per timestep required");
         let mut grads = GruGrads::zeros(input, hidden);
-        let mut dxs = vec![vec![0.0f32; input]; steps];
+        if let Some(dxs) = dxs.as_deref_mut() {
+            dxs.clear();
+            dxs.resize(steps, vec![0.0f32; input]);
+        }
         let zero = vec![0.0f32; hidden];
         let mut dh_next = vec![0.0f32; hidden]; // carried from t+1
 
@@ -247,7 +257,9 @@ impl GruCell {
             let dn_pre_r = vecops::hadamard(&dn_pre, r);
             grads.dun.add_outer(&dn_pre_r, h_prev, 1.0);
             vecops::add_assign(&mut dh_prev, &self.un.matvec_t(&dn_pre_r));
-            vecops::add_assign(&mut dxs[t], &self.wn.matvec_t(&dn_pre));
+            if let Some(dxs) = dxs.as_deref_mut() {
+                vecops::add_assign(&mut dxs[t], &self.wn.matvec_t(&dn_pre));
+            }
             let dr = vecops::hadamard(&dn_pre, un_h);
 
             // z = σ(pre_z)
@@ -259,7 +271,9 @@ impl GruCell {
             grads.duz.add_outer(&dz_pre, h_prev, 1.0);
             vecops::add_assign(&mut grads.dbz, &dz_pre);
             vecops::add_assign(&mut dh_prev, &self.uz.matvec_t(&dz_pre));
-            vecops::add_assign(&mut dxs[t], &self.wz.matvec_t(&dz_pre));
+            if let Some(dxs) = dxs.as_deref_mut() {
+                vecops::add_assign(&mut dxs[t], &self.wz.matvec_t(&dz_pre));
+            }
 
             // r = σ(pre_r)
             let mut dr_pre = vec![0.0f32; hidden];
@@ -270,11 +284,13 @@ impl GruCell {
             grads.dur.add_outer(&dr_pre, h_prev, 1.0);
             vecops::add_assign(&mut grads.dbr, &dr_pre);
             vecops::add_assign(&mut dh_prev, &self.ur.matvec_t(&dr_pre));
-            vecops::add_assign(&mut dxs[t], &self.wr.matvec_t(&dr_pre));
+            if let Some(dxs) = dxs.as_deref_mut() {
+                vecops::add_assign(&mut dxs[t], &self.wr.matvec_t(&dr_pre));
+            }
 
             dh_next = dh_prev;
         }
-        (grads, dxs)
+        grads
     }
 
     /// Flat views over all parameter buffers, paired with matching
@@ -582,7 +598,8 @@ mod tests {
 
         let trace = cell.forward(&xs);
         let dhs: Vec<Vec<f32>> = (0..trace.len()).map(|_| vec![1.0f32; 4]).collect();
-        let (grads, dxs) = cell.backward(&trace, &dhs);
+        let mut dxs = Vec::new();
+        let grads = cell.backward(&trace, &dhs, Some(&mut dxs));
 
         let eps = 1e-2f32;
         let tol = 3e-2f32;
@@ -846,7 +863,7 @@ mod tests {
         let xs = toy_inputs(3, 2);
         let trace = cell.forward(&xs);
         let dhs: Vec<Vec<f32>> = (0..3).map(|_| vec![1.0f32; 3]).collect();
-        let (g1, _) = cell.backward(&trace, &dhs);
+        let g1 = cell.backward(&trace, &dhs, None);
         let mut acc = GruGrads::zeros(2, 3);
         acc.add_assign(&g1);
         acc.add_assign(&g1);

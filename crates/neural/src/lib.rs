@@ -92,6 +92,45 @@
 //!     scorer micro-batch packets across flows without perturbing a
 //!     single score.
 //!
+//! # Threads
+//!
+//! Training is the one part of the crate that runs threads of its own.
+//! [`Autoencoder::train`], [`GruClassifier::train`] and
+//! [`GruClassifier::accuracy`] run on *training lanes*: the calling thread
+//! plus `rayon::current_num_threads() − 1` helpers, spawned when the call
+//! starts and joined before it returns, so no thread outlives a `train()`
+//! and scoring never shares a core with one. Inside
+//! `rayon::ThreadPool::install` the pool's size is the lane count
+//! (`install(1)` trains on the calling thread alone); on a rayon worker it
+//! is one. There is no other knob. Between the phases of a batch the
+//! helpers spin, then yield, and never park: a wake-up costs about a
+//! millisecond on an idle virtual CPU, and a phase is shorter than that.
+//!
+//! The lane count never shows in a result. Every activation, gradient and
+//! Adam update is computed by exactly one lane, with the chain of
+//! operations it has on one, and lanes claim their units of work one at a
+//! time from a shared counter:
+//!
+//! * An autoencoder batch splits twice. Blocks of batch rows run the
+//!   forward pass, the L1 gradient and every layer's row half of backward
+//!   ([`Dense::forward_rows`], [`Dense::backward_rows`]), with no sync
+//!   between layers. Then blocks of each layer's output neurons form their
+//!   rows of `dW` and their `db` ([`Dense::param_grads`]) and apply their
+//!   slice of the layer's Adam step, while the caller sums the loss in row
+//!   order.
+//! * A GRU batch runs one sequence per unit, each into its own gradient
+//!   slot, and the caller sums the slots in batch order.
+//!
+//! An autoencoder unit carries at least about half a million
+//! multiply-adds, so a small layer is one unit and a small model's row
+//! phase (Baseline #1's, Kitsune's) is one unit, which runs on the caller
+//! without waking anyone. How the units fall never changes a bit.
+//!
+//! Trained weights are therefore a pure function of the data, the config
+//! and the kernel set. `tests/lanes.rs` trains on 1 to 4 lanes and compares
+//! the bits; the workspace's end-to-end suite pins a hash of the
+//! benchmark's trained model on one lane and on the default count.
+//!
 //! # Kernel dispatch
 //!
 //! The dense inner loops — the f32 and int8 panel GEMVs of the inference
@@ -196,6 +235,7 @@ pub mod autoencoder;
 pub mod classifier;
 pub mod dense;
 pub mod gru;
+mod lanes;
 pub mod matrix;
 pub mod panel;
 pub mod quant;

@@ -6,14 +6,19 @@
 //! then batched products, the f32 row loop next to the 4-row panel GEMM;
 //! then training: each autoencoder layer's three batch GEMMs through the
 //! training kernels next to the `dot4` / `dot` / `axpy` loops they
-//! replaced, and the wall time of a ci-shaped `Autoencoder::train`.
+//! replaced, and the wall time of a ci-shaped `Autoencoder::train` and
+//! `GruClassifier::train`, each on one training lane and on all of them.
 //!
 //! ```text
 //! cargo run --release --example profile_kernels
 //! ```
 
+use neural::classifier::LabeledSequence;
 use neural::quant::{self, QuantMatrix};
-use neural::{Adam, Autoencoder, AutoencoderConfig, KernelSet, Matrix, PanelMatrix};
+use neural::{
+    Adam, Autoencoder, AutoencoderConfig, GruClassifier, GruClassifierConfig, KernelSet, Matrix,
+    PanelMatrix,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -237,31 +242,42 @@ fn training(ks: &KernelSet) {
     }
 
     // `ClapConfig::ci()`'s autoencoder on the benchmark's training-set
-    // size: 1 427 stacked profiles, 15 epochs.
+    // size: 1 427 stacked profiles, 15 epochs — on one training lane and
+    // on all of them (the weights are the same bits either way).
     let (rows, epochs) = (1427, 15);
     let data = features(rows, 345);
     let cfg = AutoencoderConfig {
         epochs,
         ..AutoencoderConfig::clap_paper(345)
     };
-    let mut ae = Autoencoder::new(&cfg.layer_sizes, cfg.seed);
-    let t = Instant::now();
-    black_box(ae.train(&data, &cfg));
-    let train_s = t.elapsed().as_secs_f64();
     // Per row: forward and dW for every layer, dX for all but the first.
     let macs: usize = AE_LAYERS.iter().map(|&(i, o)| 3 * i * o).sum::<usize>() - 345 * 192;
     let flops = 2.0 * (macs * rows * epochs) as f64;
     let row_epochs = (rows * epochs) as f64;
-    println!(
-        "Autoencoder::train {rows} x 345, {epochs} epochs, batch {BATCH}: {train_s:.3} s, \
-         {:.0} rows·epochs/s, {:.1} GFLOP/s over {:.1} GFLOP",
-        row_epochs / train_s,
-        flops / train_s / 1e9,
-        flops / 1e9,
-    );
+    let all = rayon::current_num_threads();
+    let mut train_s = 0.0;
+    for lanes in [1, all] {
+        let t = on_lanes(lanes, || {
+            let mut ae = Autoencoder::new(&cfg.layer_sizes, cfg.seed);
+            let t = Instant::now();
+            black_box(ae.train(&data, &cfg));
+            t.elapsed().as_secs_f64()
+        });
+        if lanes == 1 {
+            train_s = t;
+        }
+        println!(
+            "Autoencoder::train {rows} x 345, {epochs} epochs, batch {BATCH}, {lanes} lane(s): \
+             {t:.3} s, {:.0} rows·epochs/s, {:.1} GFLOP/s over {:.1} GFLOP ({:.2}x one lane)",
+            row_epochs / t,
+            flops / t / 1e9,
+            flops / 1e9,
+            train_s / t,
+        );
+    }
 
-    // The same number of Adam steps on the same parameter tensors.
-    let mut params: Vec<(Vec<f32>, Adam)> = ae
+    // The same number of Adam steps on tensors of the same shapes.
+    let mut params: Vec<(Vec<f32>, Adam)> = Autoencoder::new(&cfg.layer_sizes, cfg.seed)
         .layers()
         .iter()
         .flat_map(|l| [l.w.data.clone(), l.b.clone()])
@@ -280,7 +296,59 @@ fn training(ks: &KernelSet) {
     }
     let adam_s = t.elapsed().as_secs_f64();
     println!(
-        "  of which Adam ({steps} steps): {adam_s:.3} s, {:.0} %",
+        "  of which Adam ({steps} steps, one lane): {adam_s:.3} s, {:.0} %",
         100.0 * adam_s / train_s
     );
+
+    // `ClapConfig::ci()`'s GRU on sequences shaped like the benchmark's
+    // training set: 60 connections of 8–54 packets, 32 features each.
+    let sequences: Vec<LabeledSequence> = (0..60)
+        .map(|s| {
+            let len = 8 + (s * 17) % 47;
+            let xs = (0..len)
+                .map(|t| {
+                    (0..32)
+                        .map(|i| ((s * 131 + t * 32 + i) as f32 * 0.23).sin())
+                        .collect()
+                })
+                .collect();
+            (xs, (0..len).map(|t| (s + t) % 22).collect())
+        })
+        .collect();
+    let packets: usize = sequences.iter().map(|(xs, _)| xs.len()).sum();
+    let cfg = GruClassifierConfig {
+        epochs: 12,
+        batch_size: 8,
+        ..GruClassifierConfig::clap_paper(22)
+    };
+    let mut one = 0.0;
+    for lanes in [1, all] {
+        let t = on_lanes(lanes, || {
+            let mut clf = GruClassifier::new(&cfg);
+            let t = Instant::now();
+            black_box(clf.train(&sequences, &cfg));
+            t.elapsed().as_secs_f64()
+        });
+        if lanes == 1 {
+            one = t;
+        }
+        println!(
+            "GruClassifier::train {} sequences, {packets} steps, {} epochs, batch {}, {lanes} lane(s): \
+             {t:.3} s, {:.0} steps·epochs/s ({:.2}x one lane)",
+            sequences.len(),
+            cfg.epochs,
+            cfg.batch_size,
+            (packets * cfg.epochs) as f64 / t,
+            one / t,
+        );
+    }
+}
+
+/// Runs `f` with `lanes` training lanes.
+fn on_lanes<R>(lanes: usize, f: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(lanes)
+        .build()
+        .unwrap();
+    pool.install(f)
 }

@@ -326,21 +326,37 @@ fn trained_bits_hash(clap: &Clap, ae_losses: &[f32]) -> u64 {
 /// Training is a pure function of its input on each kernel tier: the
 /// benchmark's own training set (`benchmark/` trains `ClapConfig::ci()` on
 /// `dataset(seed ^ 0x7ea1, 60)` at seed `0xc1a9`) yields these weight bits
-/// and loss curve. A change to a training kernel that moves one bit on the
-/// tier it runs fails here. The avx512 and avx512vnni sets share their f32
-/// kernels, so they share a constant.
+/// and loss curve, on one training lane and on as many as the machine has.
+/// A change to a training kernel that moves one bit on the tier it runs,
+/// or that lets the lane count show, fails here. The avx512 and avx512vnni
+/// sets share their f32 kernels, so they share a constant.
 #[test]
 fn training_reproduces_the_pinned_weight_bits() {
     let benign = traffic_gen::dataset(0xc1a9 ^ 0x7ea1, 60);
-    let (clap, summary) = Clap::train(&benign, &ClapConfig::ci());
-    let got = trained_bits_hash(&clap, &summary.ae_losses);
+    let train = || {
+        let (clap, summary) = Clap::train(&benign, &ClapConfig::ci());
+        trained_bits_hash(&clap, &summary.ae_losses)
+    };
     let tier = KernelSet::active().name;
     let want = match tier {
         "scalar" => 0x0e99_4ca9_d49c_3580,
         "avx2" => 0x9e52_d5c1_2e84_8a53,
         _ => 0xeed9_e0b3_c533_0711,
     };
-    assert_eq!(got, want, "{tier}: trained weights hash {got:#018x}");
+    let one_lane = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let got = one_lane.install(train);
+    assert_eq!(
+        got, want,
+        "{tier}, 1 lane: trained weights hash {got:#018x}"
+    );
+    let (got, lanes) = (train(), rayon::current_num_threads());
+    assert_eq!(
+        got, want,
+        "{tier}, {lanes} lanes: trained weights hash {got:#018x}"
+    );
 }
 
 #[test]
