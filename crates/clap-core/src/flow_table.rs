@@ -9,10 +9,11 @@
 //! [`probe_stalest`](FlowTable::probe_stalest)): the owner finalizes
 //! what it keeps for the handle, then calls [`FlowTable::remove`].
 //!
-//! **Slab + key index.** Flow state lives in a dense `Vec<Slot>` slab
+//! **Slab + key index.** Flow state lives in a slab of [`Slot`]s
 //! addressed by a `u32` handle (216 bytes a slot on 64-bit targets,
-//! const-asserted below). The `CanonicalKey → handle` index is an
-//! open-addressed, power-of-two array of **8-byte** `(tag, handle)`
+//! const-asserted below), stored in fixed chunks (`crate::chunked`). The
+//! `CanonicalKey → handle` index is an open-addressed, power-of-two array
+//! of **8-byte** `(tag, handle)`
 //! buckets, linearly probed from `tag & mask` at load ≤ 1/2 — 16–32 bytes
 //! per live flow, 16.4 at the benchmark's 16 k-flow plateau, where the
 //! whole index is 256 KiB. A bucket holds no key: the flow's slot already
@@ -31,10 +32,14 @@
 //! tags) hash nothing. Departed slots go on an intrusive free list
 //! (reusing the expiry queues' `next` link) and are recycled in place —
 //! eviction and admission never reallocate at steady state, slab iteration is
-//! cache-linear, and [`FlowTable::slots`] is exactly the peak concurrent
-//! flow count. The slab grows by doubling, clamped to the configured
-//! table size so capacity never overshoots it by more than 2× below the
-//! cap and not at all at it.
+//! cache-linear within each chunk, and [`FlowTable::slots`] is exactly the
+//! peak concurrent flow count. The slab grows one chunk of 1 024 slots at
+//! a time (below one chunk it doubles from 64), and a chunk never moves:
+//! growth copies no flow's slot — nor, since the owner's resident arena
+//! grows the same way, its neural state — where a doubling slab copied
+//! every live flow, tens of MB and ≈10 ms in one push at 20 k flows.
+//! Capacity stays within one chunk of the peak and is clamped to the
+//! configured table size, the last chunk cut short.
 //!
 //! **Expiry queues.** A flow leaves `idle_timeout` seconds after its last
 //! packet, or `time_wait` seconds after it once it lingers in TIME_WAIT:
@@ -66,12 +71,16 @@
 //! profiles): 16–32 B of index, a 216 B slot, the flow's error log
 //! (4 B per window it has emitted), and — in the owner's arena — resident
 //! state of `32 + 2×115` floats = 1048 B at f32 or as many codes plus 3
-//! quant pairs = 286 B at int8. Measured at the benchmark's 16 k-flow
-//! churn plateau, slab and index at their clamped capacities: 559 B/flow
-//! int8-resident; f32-resident state is 762 B more.
+//! quant pairs = 286 B at int8, plus 24 B per chunk for each array's list
+//! of chunks. Measured by the benchmark: 558.8 B/flow int8-resident at
+//! `churn_16k`'s 16 000-flow plateau (16 chunks, 32 Ki index buckets);
+//! f32-resident, 1 317.5 B/flow at `syn_scan`'s 20 048 flows (20 chunks,
+//! 64 Ki buckets), where the doubling slab reserved 32 768 slots and read
+//! 2 092 B/flow.
 //! [`FlowTable::heap_bytes`] is the table's share of
 //! [`StreamScorer::mem_bytes`](crate::StreamScorer::mem_bytes).
 
+use crate::chunked::Chunked;
 use crate::features::FeatureExtractor;
 use net_packet::{CanonicalKey, Direction, FlowKey, Packet};
 use std::hash::{BuildHasher, RandomState};
@@ -238,6 +247,25 @@ const EMPTY: Bucket = Bucket {
     handle: NIL,
 };
 
+/// The slab: one [`Slot`] per row of a [`Chunked`] container, indexed by
+/// handle, so a slot never moves once its chunk is whole.
+#[derive(Debug)]
+struct Slab(Chunked<Slot>);
+
+impl std::ops::Index<u32> for Slab {
+    type Output = Slot;
+
+    fn index(&self, h: u32) -> &Slot {
+        self.0.get(h as usize)
+    }
+}
+
+impl std::ops::IndexMut<u32> for Slab {
+    fn index_mut(&mut self, h: u32) -> &mut Slot {
+        self.0.get_mut(h as usize)
+    }
+}
+
 /// The `CanonicalKey → handle` index (see the module docs): open
 /// addressing over a power-of-two bucket array at load ≤ 1/2, so every
 /// probe run ends at an empty bucket. It never hashes — callers bring the
@@ -249,7 +277,7 @@ struct Index {
 }
 
 impl Index {
-    fn find(&self, slab: &[Slot], tag: u32, ck: &CanonicalKey) -> Option<u32> {
+    fn find(&self, slab: &Slab, tag: u32, ck: &CanonicalKey) -> Option<u32> {
         if self.buckets.is_empty() {
             return None;
         }
@@ -262,7 +290,7 @@ impl Index {
             }
             // CanonicalKey is orientation-invariant, so a slot key
             // re-oriented since `open` still compares equal.
-            if b.tag == tag && CanonicalKey::of_key(&slab[b.handle as usize].key) == *ck {
+            if b.tag == tag && CanonicalKey::of_key(&slab[b.handle].key) == *ck {
                 return Some(b.handle);
             }
             i = (i + 1) & mask;
@@ -336,7 +364,7 @@ pub(crate) struct FlowTable<S = RandomState> {
     index: Index,
     /// Keyed at random per table (`S` is anything else only in tests).
     hasher: S,
-    slab: Vec<Slot>,
+    slab: Slab,
     /// Head of the vacant-slot free list (threaded through `queue_next`).
     free_head: u32,
     /// The idle queue and the linger queue, indexed by [`Slot::class`]:
@@ -345,7 +373,6 @@ pub(crate) struct FlowTable<S = RandomState> {
     idle_timeout: f64,
     /// Linger timeout of a flow marked by [`set_linger`](Self::set_linger).
     time_wait: f64,
-    max_flows: usize,
     eviction: EvictionMode,
 }
 
@@ -361,12 +388,11 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         FlowTable {
             index: Index::default(),
             hasher: S::default(),
-            slab: Vec::new(),
+            slab: Slab(Chunked::new(1, max_flows)),
             free_head: NIL,
             queues: [EMPTY_QUEUE; 2],
             idle_timeout,
             time_wait,
-            max_flows,
             eviction,
         }
     }
@@ -379,13 +405,13 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// Slab slots ever allocated — the peak of [`len`](Self::len), since
     /// a slot is only appended when the free list is empty.
     pub(crate) fn slots(&self) -> usize {
-        self.slab.len()
+        self.slab.0.len()
     }
 
-    /// Slots the slab has room for before it next grows; a parallel
-    /// per-slot arena reserves to the same figure.
-    pub(crate) fn capacity(&self) -> usize {
-        self.slab.capacity()
+    /// Slots the slab has room for before it next grows.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.slab.0.capacity()
     }
 
     /// Hashes `ck` — the only place a key is hashed — and
@@ -403,7 +429,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
 
     /// Handles of the live flows, in slab order.
     pub(crate) fn live_handles(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.slab.len() as u32).filter(|&h| self.slab[h as usize].live())
+        (0..self.slab.0.len() as u32).filter(|&h| self.slab[h].live())
     }
 
     /// Admits a flow first seen at `now` (recycling the free list before
@@ -420,20 +446,10 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     ) -> (u32, bool) {
         let appended = self.free_head == NIL;
         let h = if appended {
-            if self.slab.len() == self.slab.capacity() {
-                // Exact doubling clamped to the table cap, so slab (and
-                // arena) capacity never overshoots `max_flows`.
-                let target = (self.slab.capacity() * 2)
-                    .clamp(64, self.max_flows.max(64))
-                    .max(self.slab.len() + 1);
-                self.slab.reserve_exact(target - self.slab.len());
-            }
-            let h = self.slab.len() as u32;
-            self.slab.push(Slot::new(hash, key, now, arrival));
-            h
+            self.slab.0.push(Slot::new(hash, key, now, arrival)) as u32
         } else {
             let h = self.free_head;
-            let slot = &mut self.slab[h as usize];
+            let slot = &mut self.slab[h];
             self.free_head = slot.queue_next;
             *slot = Slot::new(hash, key, now, arrival);
             h
@@ -446,7 +462,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// Records a packet at `now` on flow `h`, which makes it the freshest
     /// of its queue.
     pub(crate) fn touch(&mut self, h: u32, now: f64) {
-        let slot = &mut self.slab[h as usize];
+        let slot = &mut self.slab[h];
         // Back-to-back packets of one flow: it is the tail already.
         let in_place = self.queues[slot.class()].tail == h && now >= slot.last_seen;
         slot.last_seen = now;
@@ -460,7 +476,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// queue, for the linger timeout instead of the idle timeout.
     pub(crate) fn set_linger(&mut self, h: u32) {
         self.unlink(h);
-        self.slab[h as usize].flags |= FLAG_LINGER;
+        self.slab[h].flags |= FLAG_LINGER;
         self.link(h);
     }
 
@@ -469,39 +485,39 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// or it lingers a flow other than the one it just touched.
     fn link(&mut self, h: u32) {
         let (class, seen) = {
-            let slot = &self.slab[h as usize];
+            let slot = &self.slab[h];
             (slot.class(), slot.last_seen)
         };
         let mut prev = self.queues[class].tail;
         let mut next = NIL;
-        while prev != NIL && self.slab[prev as usize].last_seen > seen {
+        while prev != NIL && self.slab[prev].last_seen > seen {
             next = prev;
-            prev = self.slab[prev as usize].queue_prev;
+            prev = self.slab[prev].queue_prev;
         }
-        let slot = &mut self.slab[h as usize];
+        let slot = &mut self.slab[h];
         slot.queue_prev = prev;
         slot.queue_next = next;
         match prev {
             NIL => self.queues[class].head = h,
-            _ => self.slab[prev as usize].queue_next = h,
+            _ => self.slab[prev].queue_next = h,
         }
         match next {
             NIL => self.queues[class].tail = h,
-            _ => self.slab[next as usize].queue_prev = h,
+            _ => self.slab[next].queue_prev = h,
         }
     }
 
     /// Takes flow `h` out of the queue of its class.
     fn unlink(&mut self, h: u32) {
-        let slot = &self.slab[h as usize];
+        let slot = &self.slab[h];
         let (class, prev, next) = (slot.class(), slot.queue_prev, slot.queue_next);
         match prev {
             NIL => self.queues[class].head = next,
-            _ => self.slab[prev as usize].queue_next = next,
+            _ => self.slab[prev].queue_next = next,
         }
         match next {
             NIL => self.queues[class].tail = prev,
-            _ => self.slab[next as usize].queue_prev = prev,
+            _ => self.slab[next].queue_prev = prev,
         }
     }
 
@@ -525,14 +541,14 @@ impl<S: BuildHasher + Default> FlowTable<S> {
             EvictionMode::Wheel => {
                 for queue in &self.queues {
                     let mut h = queue.head;
-                    while h != NIL && self.due(&self.slab[h as usize], clock) {
+                    while h != NIL && self.due(&self.slab[h], clock) {
                         out.push(h);
-                        h = self.slab[h as usize].queue_next;
+                        h = self.slab[h].queue_next;
                     }
                 }
             }
             EvictionMode::Sweep => {
-                let due = |&h: &u32| self.due(&self.slab[h as usize], clock);
+                let due = |&h: &u32| self.due(&self.slab[h], clock);
                 out.extend(self.live_handles().filter(due));
             }
         }
@@ -543,7 +559,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     pub(crate) fn probe_stalest(&self) -> Option<u32> {
         let heads = self.queues.iter().map(|q| q.head).filter(|&h| h != NIL);
         heads.min_by(|&a, &b| {
-            let seen = |h: u32| self.slab[h as usize].last_seen;
+            let seen = |h: u32| self.slab[h].last_seen;
             seen(a).total_cmp(&seen(b))
         })
     }
@@ -551,9 +567,9 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// Forgets flow `h`: drops its index entry, takes it off its queue
     /// and returns its slot to the free list.
     pub(crate) fn remove(&mut self, h: u32) {
-        self.index.remove(self.slab[h as usize].hash.0, h);
+        self.index.remove(self.slab[h].hash.0, h);
         self.unlink(h);
-        let slot = &mut self.slab[h as usize];
+        let slot = &mut self.slab[h];
         slot.flags = 0;
         slot.pending = None;
         slot.queue_prev = NIL;
@@ -565,28 +581,25 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     /// allocations.
     pub(crate) fn clear(&mut self) {
         self.index.clear();
-        self.slab.clear();
+        self.slab.0.clear();
         self.free_head = NIL;
         self.queues = [EMPTY_QUEUE; 2];
     }
 
-    /// Heap footprint: index, slab and what the live slots own (error
-    /// logs, orient buffers). O(slab).
+    /// Heap footprint: index, slab and what its slots own (error logs,
+    /// orient buffers). O(slab).
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let logs: usize = self
-            .slab
-            .iter()
-            .map(|s| {
+        let logs: usize = (0..self.slab.0.len() as u32)
+            .map(|h| {
+                let s = &self.slab[h];
                 s.window_errors.capacity() * size_of::<f32>()
                     + s.pending.as_ref().map_or(0, |b| {
                         size_of::<Vec<(u64, Packet)>>() + b.capacity() * size_of::<(u64, Packet)>()
                     })
             })
             .sum();
-        self.index.buckets.capacity() * size_of::<Bucket>()
-            + self.slab.capacity() * size_of::<Slot>()
-            + logs
+        self.index.buckets.capacity() * size_of::<Bucket>() + self.slab.0.heap_bytes() + logs
     }
 }
 
@@ -594,7 +607,7 @@ impl<S> std::ops::Index<u32> for FlowTable<S> {
     type Output = Slot;
 
     fn index(&self, h: u32) -> &Slot {
-        let slot = &self.slab[h as usize];
+        let slot = &self.slab[h];
         debug_assert!(slot.live(), "handle {h} names a vacant slot");
         slot
     }
@@ -602,7 +615,7 @@ impl<S> std::ops::Index<u32> for FlowTable<S> {
 
 impl<S> std::ops::IndexMut<u32> for FlowTable<S> {
     fn index_mut(&mut self, h: u32) -> &mut Slot {
-        let slot = &mut self.slab[h as usize];
+        let slot = &mut self.slab[h];
         debug_assert!(slot.live(), "handle {h} names a vacant slot");
         slot
     }
@@ -611,6 +624,7 @@ impl<S> std::ops::IndexMut<u32> for FlowTable<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::CHUNK;
     use net_packet::Endpoint;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -802,11 +816,11 @@ mod tests {
                 for (class, queue) in t.queues.iter().enumerate() {
                     let (mut prev, mut h) = (NIL, queue.head);
                     while h != NIL {
-                        let slot = &t.slab[h as usize];
+                        let slot = &t.slab[h];
                         assert!(slot.live(), "vacant slot {h} on queue {class}");
                         assert_eq!((slot.class(), slot.queue_prev), (class, prev));
                         if prev != NIL {
-                            assert!(t.slab[prev as usize].last_seen <= slot.last_seen);
+                            assert!(t.slab[prev].last_seen <= slot.last_seen);
                         }
                         linked += 1;
                         (prev, h) = (h, slot.queue_next);
@@ -1051,6 +1065,48 @@ mod tests {
         for (id, &h) in handles.iter().enumerate() {
             let found = t.lookup(&ck(id as u16)).1;
             assert_eq!(found, (id % 2 == 1).then_some(h), "key {id}");
+        }
+    }
+
+    /// Opening flows through four chunks, the slab reserves within one
+    /// chunk of its peak and never past the table's size — `max_flows =
+    /// CHUNK + 7` cuts the second chunk short — and once a slot's chunk
+    /// is whole, growth moves neither the slot nor what it holds.
+    #[test]
+    fn slab_reserves_a_chunk_at_a_time_and_never_moves_a_slot() {
+        for max_flows in [CHUNK + 7, 1 << 20] {
+            let mut t = FlowTable::<RandomState>::new(30.0, 5.0, max_flows, EvictionMode::Wheel);
+            let mut pinned: Vec<(u16, u32, *const Slot)> = Vec::new();
+            for id in 0..(4 * CHUNK + 1).min(max_flows) as u16 {
+                let before = t.capacity();
+                let h = packet(&mut t, id);
+                let bound = t.slots().next_multiple_of(CHUNK).min(max_flows);
+                assert!(
+                    t.capacity() <= bound,
+                    "{} slots reserved for {}",
+                    t.capacity(),
+                    t.slots()
+                );
+                if t.slots() == CHUNK {
+                    pinned = (0..CHUNK as u16)
+                        .map(|id| (id, u32::from(id), &t[u32::from(id)] as *const Slot))
+                        .collect();
+                } else if t.slots() > CHUNK {
+                    pinned.push((id, h, &t[h]));
+                }
+                if t.capacity() != before {
+                    for &(id, h, at) in &pinned {
+                        assert!(std::ptr::eq(&t[h], at), "slot {h} moved");
+                        assert_eq!(t[h].key, key(id));
+                    }
+                }
+            }
+            let reserved = if max_flows == CHUNK + 7 {
+                max_flows
+            } else {
+                5 * CHUNK
+            };
+            assert_eq!(t.capacity(), reserved);
         }
     }
 

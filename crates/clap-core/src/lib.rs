@@ -28,7 +28,8 @@
 //! **online streaming** over an interleaved packet stream ([`stream`]:
 //! the core composed with a bounded flow table — the crate-private
 //! `flow_table` module: key index, slab, expiry queues, no neural type —
-//! the `resident` arena of per-flow state and, when asked for, the
+//! the `resident` arena of per-flow state (both stored in the `chunked`
+//! module's fixed chunks, which never move) and, when asked for, the
 //! `microbatch` module's cross-flow staging and chain-round flush;
 //! scores emitted as packets arrive, bitwise the batch path's wherever
 //! the flow table sees the same connections), and **sharded streaming**
@@ -55,6 +56,7 @@
 //! assert!(scored.score.is_finite());
 //! ```
 
+pub(crate) mod chunked;
 pub mod features;
 pub(crate) mod flow_table;
 pub mod metrics;

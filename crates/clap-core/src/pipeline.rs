@@ -183,7 +183,7 @@ impl Clap {
     /// chunk.
     fn scorer_from_engines<'a>(&'a self, gru: GruEngine, ae: AeEngine<'a>) -> ClapScorer<'a> {
         let mut resident =
-            ResidentArena::new(ResidentMode::F32, gru.hidden_size(), self.config.stack);
+            ResidentArena::new(ResidentMode::F32, gru.hidden_size(), self.config.stack, 1);
         resident.push_slot();
         ClapScorer {
             scorer: Scorer::new(self, gru, ae),

@@ -1,6 +1,15 @@
 //! Resident per-flow neural state: the GRU hidden vector and the last
-//! `stack − 1` context profiles of every flow a scorer holds, in one dense
+//! `stack − 1` context profiles of every flow a scorer holds, in one
 //! arena indexed by the flow's slot.
+//!
+//! **Growth.** The arena grows one slot per slot the flow table appends,
+//! in the fixed chunks of [`crate::chunked`]: each per-slot array is
+//! clamped to the table's size, so it adds a chunk at the same push the
+//! slab does, with no capacity handed over between the two. A chunk
+//! never moves, so once the first chunk is whole (below that it doubles
+//! from 64 slots, copying at most half a chunk) growing the arena copies
+//! no flow's state, and what it reserves stays within one chunk of the
+//! peak flow count.
 //!
 //! A flow is addressed by packet index, not ring position: packet `t`'s
 //! profile lives in ring row `t % (stack − 1)`, and only this module knows
@@ -13,6 +22,7 @@
 //! dequantized on read and requantized on store — ~4× smaller, at the
 //! price of one round trip through the grid per packet.
 
+use crate::chunked::Chunked;
 use crate::profile::PROFILE_LEN;
 use neural::{dequantize_activations_into, quantize_activations, ActQuant};
 
@@ -30,11 +40,16 @@ pub enum ResidentMode {
     Int8,
 }
 
-/// Dense per-flow neural state: slot `s` owns `hidden` elements of the
-/// hidden-state arena and `stack − 1` rows of the profile-ring arena. One
-/// representation for the whole arena (not per flow), so the f32 path
+/// Per-flow neural state: slot `s` owns `hidden` elements of the
+/// hidden-state arrays and `stack − 1` rows of the profile-ring arrays.
+/// One representation for the whole arena (not per flow), so the f32 path
 /// stays branch-free per row and the int8 path adds no per-flow
 /// discriminant.
+///
+/// Every per-slot array is a [`Chunked`] container clamped to the same
+/// slot count as the owner's flow table, so the arena adds a chunk at the
+/// push the table adds its own, and a slot's rows never move once their
+/// chunk is whole (see [`crate::chunked`]).
 #[derive(Debug)]
 pub(crate) struct ResidentArena {
     hidden: usize,
@@ -45,14 +60,14 @@ pub(crate) struct ResidentArena {
 #[derive(Debug)]
 enum State {
     F32 {
-        h: Vec<f32>,
-        ring: Vec<f32>,
+        h: Chunked<f32>,
+        ring: Chunked<f32>,
     },
     Int8 {
-        h: Vec<u8>,
-        hq: Vec<ActQuant>,
-        ring: Vec<u8>,
-        ringq: Vec<ActQuant>,
+        h: Chunked<u8>,
+        hq: Chunked<ActQuant>,
+        ring: Chunked<u8>,
+        ringq: Chunked<ActQuant>,
     },
 }
 
@@ -65,49 +80,53 @@ const ZERO_Q: ActQuant = ActQuant {
 
 impl ResidentArena {
     /// An empty arena for flows of a `hidden`-wide GRU scored in windows
-    /// of `stack` profiles.
-    pub(crate) fn new(mode: ResidentMode, hidden: usize, stack: usize) -> ResidentArena {
+    /// of `stack` profiles, reserving room for at most `max_slots` slots
+    /// (the owner's flow-table size).
+    pub(crate) fn new(
+        mode: ResidentMode,
+        hidden: usize,
+        stack: usize,
+        max_slots: usize,
+    ) -> ResidentArena {
+        let ring_rows = stack - 1;
+        let ring = ring_rows * PROFILE_LEN;
         ResidentArena {
             hidden,
-            ring_rows: stack - 1,
+            ring_rows,
             state: match mode {
                 ResidentMode::F32 => State::F32 {
-                    h: Vec::new(),
-                    ring: Vec::new(),
+                    h: Chunked::new(hidden, max_slots),
+                    ring: Chunked::new(ring, max_slots),
                 },
                 ResidentMode::Int8 => State::Int8 {
-                    h: Vec::new(),
-                    hq: Vec::new(),
-                    ring: Vec::new(),
-                    ringq: Vec::new(),
+                    h: Chunked::new(hidden, max_slots),
+                    hq: Chunked::new(1, max_slots),
+                    ring: Chunked::new(ring, max_slots),
+                    ringq: Chunked::new(ring_rows, max_slots),
                 },
             },
         }
     }
 
-    fn hidden_span(&self, slot: usize) -> std::ops::Range<usize> {
-        slot * self.hidden..(slot + 1) * self.hidden
-    }
-
-    /// Arena row and element span of the profile of the slot's packet `t`.
-    fn profile_span(&self, slot: usize, t: usize) -> (usize, std::ops::Range<usize>) {
-        let r = slot * self.ring_rows + t % self.ring_rows;
+    /// Ring row of the slot's packet `t` and its element span in the
+    /// slot's ring.
+    fn ring_row(&self, t: usize) -> (usize, std::ops::Range<usize>) {
+        let r = t % self.ring_rows;
         (r, r * PROFILE_LEN..(r + 1) * PROFILE_LEN)
     }
 
     /// Appends one zeroed slot's worth of state.
     pub(crate) fn push_slot(&mut self) {
-        let (hidden, ring_rows) = (self.hidden, self.ring_rows);
         match &mut self.state {
             State::F32 { h, ring } => {
-                h.resize(h.len() + hidden, 0.0);
-                ring.resize(ring.len() + ring_rows * PROFILE_LEN, 0.0);
+                h.push(0.0);
+                ring.push(0.0);
             }
             State::Int8 { h, hq, ring, ringq } => {
-                h.resize(h.len() + hidden, 0);
+                h.push(0);
                 hq.push(ZERO_Q);
-                ring.resize(ring.len() + ring_rows * PROFILE_LEN, 0);
-                ringq.resize(ringq.len() + ring_rows, ZERO_Q);
+                ring.push(0);
+                ringq.push(ZERO_Q);
             }
         }
     }
@@ -117,12 +136,11 @@ impl ResidentArena {
     /// rows of the previous occupant are unreachable (pinned by the slab
     /// recycling test and the reused-`ClapScorer` test).
     pub(crate) fn clear_slot(&mut self, slot: usize) {
-        let span = self.hidden_span(slot);
         match &mut self.state {
-            State::F32 { h, .. } => h[span].fill(0.0),
+            State::F32 { h, .. } => h.row_mut(slot).fill(0.0),
             State::Int8 { h, hq, .. } => {
-                h[span].fill(0);
-                hq[slot] = ZERO_Q;
+                h.row_mut(slot).fill(0);
+                *hq.get_mut(slot) = ZERO_Q;
             }
         }
     }
@@ -130,22 +148,22 @@ impl ResidentArena {
     /// Copies (f32) or dequantizes (int8) the slot's hidden vector into
     /// `out`.
     pub(crate) fn read_hidden(&self, slot: usize, out: &mut [f32]) {
-        let span = self.hidden_span(slot);
         match &self.state {
-            State::F32 { h, .. } => out.copy_from_slice(&h[span]),
-            State::Int8 { h, hq, .. } => dequantize_activations_into(&h[span], hq[slot], out),
+            State::F32 { h, .. } => out.copy_from_slice(h.row(slot)),
+            State::Int8 { h, hq, .. } => {
+                dequantize_activations_into(h.row(slot), *hq.get(slot), out)
+            }
         }
     }
 
     /// Stores `row` as the slot's hidden vector (quantizing through
     /// `codes` scratch in int8 mode).
     pub(crate) fn store_hidden(&mut self, slot: usize, row: &[f32], codes: &mut Vec<u8>) {
-        let span = self.hidden_span(slot);
         match &mut self.state {
-            State::F32 { h, .. } => h[span].copy_from_slice(row),
+            State::F32 { h, .. } => h.row_mut(slot).copy_from_slice(row),
             State::Int8 { h, hq, .. } => {
-                hq[slot] = quantize_activations(row, codes);
-                h[span].copy_from_slice(codes);
+                *hq.get_mut(slot) = quantize_activations(row, codes);
+                h.row_mut(slot).copy_from_slice(codes);
             }
         }
     }
@@ -160,9 +178,8 @@ impl ResidentArena {
         codes: &mut Vec<u8>,
         step: impl FnOnce(&mut [f32]),
     ) {
-        let span = self.hidden_span(slot);
         if let State::F32 { h, .. } = &mut self.state {
-            step(&mut h[span]);
+            step(h.row_mut(slot));
         } else {
             scratch.resize(self.hidden, 0.0);
             self.read_hidden(slot, scratch);
@@ -174,11 +191,11 @@ impl ResidentArena {
     /// Copies (f32) or dequantizes (int8) the profile of the slot's packet
     /// `t` — one of its last `stack − 1` — into `out`.
     pub(crate) fn read_profile(&self, slot: usize, t: usize, out: &mut [f32]) {
-        let (r, span) = self.profile_span(slot, t);
+        let (r, span) = self.ring_row(t);
         match &self.state {
-            State::F32 { ring, .. } => out.copy_from_slice(&ring[span]),
+            State::F32 { ring, .. } => out.copy_from_slice(&ring.row(slot)[span]),
             State::Int8 { ring, ringq, .. } => {
-                dequantize_activations_into(&ring[span], ringq[r], out)
+                dequantize_activations_into(&ring.row(slot)[span], ringq.row(slot)[r], out)
             }
         }
     }
@@ -196,12 +213,12 @@ impl ResidentArena {
         if self.ring_rows == 0 {
             return;
         }
-        let (r, span) = self.profile_span(slot, t);
+        let (r, span) = self.ring_row(t);
         match &mut self.state {
-            State::F32 { ring, .. } => ring[span].copy_from_slice(row),
+            State::F32 { ring, .. } => ring.row_mut(slot)[span].copy_from_slice(row),
             State::Int8 { ring, ringq, .. } => {
-                ringq[r] = quantize_activations(row, codes);
-                ring[span].copy_from_slice(codes);
+                ringq.row_mut(slot)[r] = quantize_activations(row, codes);
+                ring.row_mut(slot)[span].copy_from_slice(codes);
             }
         }
     }
@@ -218,30 +235,7 @@ impl ResidentArena {
         last.copy_from_slice(row);
     }
 
-    /// Grows capacity to exactly `target_slots` (never Vec doubling), so
-    /// the arena tracks the flow table's own exact-growth policy.
-    pub(crate) fn reserve_slots(&mut self, target_slots: usize) {
-        fn up_to<T>(v: &mut Vec<T>, target: usize) {
-            if target > v.capacity() {
-                v.reserve_exact(target - v.len());
-            }
-        }
-        let (hidden, ring_rows) = (self.hidden, self.ring_rows);
-        match &mut self.state {
-            State::F32 { h, ring } => {
-                up_to(h, target_slots * hidden);
-                up_to(ring, target_slots * ring_rows * PROFILE_LEN);
-            }
-            State::Int8 { h, hq, ring, ringq } => {
-                up_to(h, target_slots * hidden);
-                up_to(hq, target_slots);
-                up_to(ring, target_slots * ring_rows * PROFILE_LEN);
-                up_to(ringq, target_slots * ring_rows);
-            }
-        }
-    }
-
-    /// Drops every slot, keeping the capacity.
+    /// Drops every slot, keeping the chunks.
     pub(crate) fn clear(&mut self) {
         match &mut self.state {
             State::F32 { h, ring } => {
@@ -258,13 +252,103 @@ impl ResidentArena {
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         match &self.state {
-            State::F32 { h, ring } => (h.capacity() + ring.capacity()) * size_of::<f32>(),
+            State::F32 { h, ring } => h.heap_bytes() + ring.heap_bytes(),
             State::Int8 { h, hq, ring, ringq } => {
-                h.capacity()
-                    + ring.capacity()
-                    + (hq.capacity() + ringq.capacity()) * size_of::<ActQuant>()
+                h.heap_bytes() + hq.heap_bytes() + ring.heap_bytes() + ringq.heap_bytes()
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chunked::CHUNK;
+
+    /// Where slot `s` lives: the address of its row in each array.
+    fn addresses(a: &ResidentArena, s: usize) -> Vec<usize> {
+        match &a.state {
+            State::F32 { h, ring } => {
+                vec![h.row(s).as_ptr() as usize, ring.row(s).as_ptr() as usize]
+            }
+            State::Int8 { h, hq, ring, ringq } => vec![
+                h.row(s).as_ptr() as usize,
+                hq.row(s).as_ptr() as usize,
+                ring.row(s).as_ptr() as usize,
+                ringq.row(s).as_ptr() as usize,
+            ],
+        }
+    }
+
+    /// Each array's capacity, in slots.
+    fn capacities(a: &ResidentArena) -> Vec<usize> {
+        match &a.state {
+            State::F32 { h, ring } => vec![h.capacity(), ring.capacity()],
+            State::Int8 { h, hq, ring, ringq } => {
+                vec![
+                    h.capacity(),
+                    hq.capacity(),
+                    ring.capacity(),
+                    ringq.capacity(),
+                ]
+            }
+        }
+    }
+
+    /// What slot `s` reads back, as bits: its hidden vector, then its
+    /// ring rows.
+    fn bits(a: &ResidentArena, s: usize) -> Vec<u32> {
+        let mut out = vec![0.0; a.hidden];
+        a.read_hidden(s, &mut out);
+        let mut row = [0.0; PROFILE_LEN];
+        for t in 0..a.ring_rows {
+            a.read_profile(s, t, &mut row);
+            out.extend_from_slice(&row);
+        }
+        out.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Driven as the stream scorer drives it — one `push_slot` per slot
+    /// the flow table appends, both clamped to one size — every array adds
+    /// its chunk at the push a one-wide container (the slab's shape) adds
+    /// its own, and across growth through four chunks a slot's rows keep
+    /// their address and read back the same bits, at both precisions.
+    #[test]
+    fn slot_rows_keep_their_address_and_bits_as_the_arena_grows() {
+        let (hidden, stack, max_slots) = (32, 3, 1 << 20);
+        for mode in [ResidentMode::F32, ResidentMode::Int8] {
+            let mut arena = ResidentArena::new(mode, hidden, stack, max_slots);
+            let mut slab = Chunked::<u8>::new(1, max_slots);
+            let mut codes = Vec::new();
+            let mut pinned = Vec::new();
+            for s in 0..4 * CHUNK + 1 {
+                let before = slab.capacity();
+                slab.push(0);
+                arena.push_slot();
+                assert!(capacities(&arena).iter().all(|&c| c == slab.capacity()));
+                let row = |t: usize| -> Vec<f32> {
+                    (0..PROFILE_LEN)
+                        .map(|i| ((s * 7 + t * 3 + i) as f32 * 0.37).sin())
+                        .collect()
+                };
+                arena.store_hidden(s, &row(stack)[..hidden], &mut codes);
+                for t in 0..stack - 1 {
+                    arena.store_profile(s, t, &row(t), &mut codes);
+                }
+                if s + 1 == CHUNK {
+                    pinned = (0..CHUNK)
+                        .map(|s| (s, addresses(&arena, s), bits(&arena, s)))
+                        .collect();
+                } else if s >= CHUNK {
+                    pinned.push((s, addresses(&arena, s), bits(&arena, s)));
+                }
+                if slab.capacity() != before {
+                    for (s, at, held) in &pinned {
+                        assert_eq!(addresses(&arena, *s), *at, "{mode:?}: slot {s} moved");
+                        assert_eq!(bits(&arena, *s), *held, "{mode:?}: slot {s} changed");
+                    }
+                }
             }
         }
     }

@@ -348,7 +348,12 @@ impl Clap {
         let mb = MicroBatcher::new(config.microbatch, config.microbatch_wait);
         let gru = GruEngine::from_packed(self.rnn.packed(), config.quant);
         StreamScorer {
-            resident: ResidentArena::new(config.resident, gru.hidden_size(), self.config.stack),
+            resident: ResidentArena::new(
+                config.resident,
+                gru.hidden_size(),
+                self.config.stack,
+                config.max_flows,
+            ),
             scorer: Scorer::new(self, gru, AeEngine::from_model(&self.ae, config.quant)),
             table: FlowTable::new(
                 config.idle_timeout,
@@ -444,8 +449,8 @@ impl StreamScorer<'_> {
                 // buffer — held back so a late SYN can still re-orient it.
                 let (h, appended) = self.table.open(hash, sender_as_client(p), self.clock, tag);
                 if appended {
-                    // The arena tracks the slab's exact-growth policy.
-                    self.resident.reserve_slots(self.table.capacity());
+                    // Clamped to the table's size, the arena adds its
+                    // chunks at the pushes the slab adds its own.
                     self.resident.push_slot();
                 } else {
                     self.resident.clear_slot(h as usize);
