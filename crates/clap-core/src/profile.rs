@@ -41,14 +41,14 @@ impl ProfileBuilder {
         rnn: &GruClassifier,
         fvs: &[FeatureVector],
     ) -> Vec<Vec<f32>> {
-        let rnn_inputs: Vec<Vec<f32>> = fvs.iter().map(|fv| fv.base.clone()).collect();
+        let rnn_inputs: Vec<&[f32]> = fvs.iter().map(|fv| fv.base.as_slice()).collect();
         let trace = rnn.trace(&rnn_inputs);
         fvs.iter()
             .enumerate()
             .map(|(t, fv)| {
                 let mut row = ranges.packet_features(fv);
-                row.extend_from_slice(&trace.zs[t]);
-                row.extend_from_slice(&trace.rs[t]);
+                row.extend_from_slice(trace.zs.row(t));
+                row.extend_from_slice(trace.rs.row(t));
                 debug_assert_eq!(row.len(), PROFILE_LEN);
                 row
             })

@@ -27,6 +27,8 @@
 //! Training has the same discipline per batch: `Autoencoder::train` sizes
 //! its workspace on the first batch and reuses it, so a longer run costs
 //! no extra allocation, on any number of training lanes (the fourth case).
+//! `GruClassifier::train` allocates per sequence, never per step, so
+//! longer sequences cost no extra allocation either (the sixth case).
 //!
 //! The whole file is one `#[test]` because the counters are
 //! process-global.
@@ -42,7 +44,7 @@ use clap_core::{
     Clap, ClapConfig, EvictionMode, QuantMode, ResidentMode, StageHists, StreamCells, StreamConfig,
     PROFILE_LEN,
 };
-use neural::{Autoencoder, AutoencoderConfig, Matrix};
+use neural::{Autoencoder, AutoencoderConfig, GruClassifier, GruClassifierConfig, Matrix};
 use traffic_gen::ChurnConfig;
 
 /// Counts every heap acquisition (alloc, alloc_zeroed, realloc) in
@@ -109,6 +111,7 @@ fn hot_paths_do_not_allocate_per_packet() {
     mem_bytes_tracks_the_allocator(&clap);
     autoencoder_training_allocates_per_run_not_per_batch();
     growth_allocates_a_chunk_at_a_time(&clap);
+    gru_training_allocates_per_sequence_not_per_step();
 }
 
 fn steady_state_pushes_do_not_allocate_per_packet(clap: &Clap) {
@@ -402,4 +405,56 @@ fn growth_allocates_a_chunk_at_a_time(clap: &Clap) {
         moved <= CHUNK / 2 * ring_row,
         "a reallocation moved {moved} B — more than half a chunk of profile rings"
     );
+}
+
+/// `GruClassifier::train` over the same 7 sequences (a ragged last batch
+/// of 3) allocates exactly as often at 64 steps a sequence as at 8, on one
+/// training lane and on the default number: the trace, the head's
+/// products and BPTT's buffers are sized once per sequence.
+fn gru_training_allocates_per_sequence_not_per_step() {
+    let cfg = GruClassifierConfig {
+        input: 5,
+        hidden: 8,
+        classes: 3,
+        epochs: 2,
+        batch_size: 4,
+        learning_rate: 1e-3,
+        seed: 5,
+    };
+    let allocs = |steps: usize| {
+        let data: Vec<(Vec<Vec<f32>>, Vec<usize>)> = (0..7)
+            .map(|s| {
+                let xs = (0..steps)
+                    .map(|t| {
+                        (0..cfg.input)
+                            .map(|i| ((s * 131 + t * 7 + i) as f32 * 0.29).sin())
+                            .collect()
+                    })
+                    .collect();
+                (xs, (0..steps).map(|t| (s + t) % cfg.classes).collect())
+            })
+            .collect();
+        let mut clf = GruClassifier::new(&cfg);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = clf.train(&data, &cfg);
+        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(report.epoch_loss.len(), cfg.epochs);
+        allocs
+    };
+    let one_lane = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    for (lanes, (short, long)) in [
+        (1, one_lane.install(|| (allocs(8), allocs(64)))),
+        (rayon::current_num_threads(), (allocs(8), allocs(64))),
+    ] {
+        eprintln!(
+            "GruClassifier::train on {lanes} lanes: {short} allocations at 8 steps, {long} at 64"
+        );
+        assert_eq!(
+            short, long,
+            "{lanes} lanes: GRU training allocates per step"
+        );
+    }
 }

@@ -159,12 +159,6 @@ impl Autoencoder {
         }
     }
 
-    /// Reconstruction error for a single vector.
-    pub fn reconstruction_error(&self, x: &[f32]) -> f32 {
-        let m = Matrix::from_vec(1, x.len(), x.to_vec());
-        self.reconstruction_errors(&m)[0]
-    }
-
     /// Trains on `data` (rows = samples); returns the mean L1 loss per
     /// epoch. Every batch runs through one private workspace — the gathered
     /// batch, each layer's output and gradient, the parameter gradients —
@@ -538,8 +532,8 @@ mod tests {
         let inlier_err: f32 =
             ae.reconstruction_errors(&data).iter().sum::<f32>() / data.rows as f32;
         // Off-manifold point: break the j%4 structure.
-        let anomaly = vec![1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-        let anom_err = ae.reconstruction_error(&anomaly);
+        let anomaly = Matrix::from_vec(1, 8, vec![1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]);
+        let anom_err = ae.reconstruction_errors(&anomaly)[0];
         assert!(
             anom_err > inlier_err * 2.0,
             "anomaly {anom_err} vs inlier {inlier_err}"
@@ -549,8 +543,8 @@ mod tests {
     #[test]
     fn reconstruction_error_nonnegative_and_finite() {
         let ae = Autoencoder::new(&[4, 3, 4], 1);
-        let e = ae.reconstruction_error(&[0.1, 0.2, 0.3, 0.4]);
-        assert!(e.is_finite() && e >= 0.0);
+        let e = ae.reconstruction_errors(&Matrix::from_vec(1, 4, vec![0.1, 0.2, 0.3, 0.4]));
+        assert!(e[0].is_finite() && e[0] >= 0.0);
     }
 
     #[test]
@@ -567,8 +561,8 @@ mod tests {
         ae.train(&data, &cfg);
         let json = serde_json::to_string(&ae).unwrap();
         let back: Autoencoder = serde_json::from_str(&json).unwrap();
-        let x = vec![0.3f32; 8];
-        assert_eq!(ae.reconstruction_error(&x), back.reconstruction_error(&x));
+        let x = Matrix::from_vec(1, 8, vec![0.3f32; 8]);
+        assert_eq!(ae.reconstruction_errors(&x), back.reconstruction_errors(&x));
     }
 
     /// A row's error never depends on what it was batched with, at either

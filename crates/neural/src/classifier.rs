@@ -90,49 +90,51 @@ impl GruClassifier {
         PackedGru::pack(&self.cell)
     }
 
-    /// Class logits for one hidden state.
-    pub fn logits(&self, h: &[f32]) -> Vec<f32> {
-        let mut out = self.wo.matvec(h);
-        vecops::add_assign(&mut out, &self.bo);
+    /// Class logits for every hidden state, one row each: `hs · Woᵀ + bo`.
+    pub fn logits(&self, hs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        Matrix::matmul_nt_into(hs, &self.wo, &mut out);
+        for t in 0..out.rows {
+            vecops::add_assign(out.row_mut(t), &self.bo);
+        }
         out
     }
 
     /// Predicted class per timestep.
     pub fn predict<S: AsRef<[f32]>>(&self, xs: &[S]) -> Vec<usize> {
-        let trace = self.trace(xs);
-        trace
-            .hs
-            .iter()
-            .map(|h| {
-                let mut l = self.logits(h);
-                softmax_inplace(&mut l);
-                argmax(&l)
+        let mut logits = self.logits(&self.trace(xs).hs);
+        (0..logits.rows)
+            .map(|t| {
+                let l = logits.row_mut(t);
+                softmax_inplace(l);
+                argmax(l)
             })
             .collect()
     }
 
-    /// Mean loss + gradient contribution of one sequence.
+    /// Summed loss + gradient contribution of one sequence: the head's
+    /// products run over every timestep at once (`dWo` over `t`
+    /// ascending), and each row of logits turns into its `dlogits` in
+    /// place.
     fn sequence_grads<S: AsRef<[f32]>>(&self, xs: &[S], labels: &[usize]) -> SequenceGrads {
         debug_assert_eq!(xs.len(), labels.len());
         let trace = self.trace(xs);
-        let hidden = self.hidden_size();
-        let mut dwo = Matrix::zeros(self.wo.rows, self.wo.cols);
+        let mut dlogits = self.logits(&trace.hs);
         let mut dbo = vec![0.0f32; self.bo.len()];
-        let mut dhs = vec![vec![0.0f32; hidden]; trace.len()];
         let mut loss = 0.0f32;
         let mut correct = 0usize;
-        for t in 0..trace.len() {
-            let logits = self.logits(&trace.hs[t]);
-            if argmax(&logits) == labels[t] {
+        for (t, &label) in labels.iter().enumerate() {
+            let row = dlogits.row_mut(t);
+            if argmax(row) == label {
                 correct += 1;
             }
-            let (l, dlogits) = softmax_cross_entropy(&logits, labels[t]);
-            loss += l;
-            dwo.add_outer(&dlogits, &trace.hs[t], 1.0);
-            vecops::add_assign(&mut dbo, &dlogits);
-            dhs[t] = self.wo.matvec_t(&dlogits);
+            loss += softmax_cross_entropy(row, label);
+            vecops::add_assign(&mut dbo, row);
         }
-        let grads = self.cell.backward(&trace, &dhs, None);
+        let (mut dwo, mut dhs) = (Matrix::default(), Matrix::default());
+        Matrix::matmul_tn_into(&dlogits, &trace.hs, &mut dwo);
+        Matrix::matmul_nn_into(&dlogits, &self.wo, &mut dhs);
+        let grads = self.cell.backward(xs, &trace, &dhs);
         (loss, correct, grads, dwo, dbo)
     }
 
@@ -150,24 +152,9 @@ impl GruClassifier {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0054_8111);
         let mut report = TrainReport::default();
 
-        let mut cell_opts: Vec<Adam> = {
-            let dummy = GruGrads::zeros(cfg.input, cfg.hidden);
-            let sizes = [
-                dummy.dwz.data.len(),
-                dummy.duz.data.len(),
-                dummy.dbz.len(),
-                dummy.dwr.data.len(),
-                dummy.dur.data.len(),
-                dummy.dbr.len(),
-                dummy.dwn.data.len(),
-                dummy.dun.data.len(),
-                dummy.dbn.len(),
-            ];
-            sizes
-                .iter()
-                .map(|&s| Adam::new(s, cfg.learning_rate))
-                .collect()
-        };
+        let cell = &self.cell;
+        let mut cell_opts = [cell.w.data.len(), cell.u.data.len(), cell.b.len()]
+            .map(|len| Adam::new(len, cfg.learning_rate));
         let mut wo_opt = Adam::new(self.wo.data.len(), cfg.learning_rate);
         let mut bo_opt = Adam::new(self.bo.len(), cfg.learning_rate);
 

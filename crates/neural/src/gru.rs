@@ -16,296 +16,251 @@
 
 use crate::matrix::vecops;
 use crate::quant::{PackedWeights, QuantMode};
+use crate::simd::KernelSet;
 use crate::{sigmoid, Matrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// GRU parameters. All matrices are `hidden × input` (W*) or
-/// `hidden × hidden` (U*).
+/// GRU parameters, gate-stacked in the order update, reset, candidate:
+/// the layout [`PackedGru`] packs as it is.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GruCell {
-    pub wz: Matrix,
-    pub uz: Matrix,
-    pub bz: Vec<f32>,
-    pub wr: Matrix,
-    pub ur: Matrix,
-    pub br: Vec<f32>,
-    pub wn: Matrix,
-    pub un: Matrix,
-    pub bn: Vec<f32>,
+    /// Input projections `[Wz; Wr; Wn]`: `3H×I`.
+    pub w: Matrix,
+    /// Recurrent projections `[Uz; Ur; Un]`: `3H×H`.
+    pub u: Matrix,
+    /// Biases `[bz; br; bn]`: `3H`.
+    pub b: Vec<f32>,
 }
 
 /// Everything the backward pass (and CLAP's feature fusion) needs from a
-/// forward run over one sequence.
+/// forward run over one sequence: `T×H` matrices, row `t` for timestep
+/// `t`.
 #[derive(Debug, Clone)]
 pub struct GruTrace {
-    /// Inputs, one per timestep.
-    pub xs: Vec<Vec<f32>>,
     /// Hidden states `h_1..h_T` (`h_0` is the zero vector).
-    pub hs: Vec<Vec<f32>>,
-    /// Update-gate activations `z_t` per timestep.
-    pub zs: Vec<Vec<f32>>,
-    /// Reset-gate activations `r_t` per timestep.
-    pub rs: Vec<Vec<f32>>,
+    pub hs: Matrix,
+    /// Update-gate activations `z_t`.
+    pub zs: Matrix,
+    /// Reset-gate activations `r_t`.
+    pub rs: Matrix,
     /// Candidate states `n_t`.
-    pub ns: Vec<Vec<f32>>,
+    pub ns: Matrix,
     /// Cached `Un · h_{t-1}` (needed for the reset-gate gradient).
-    pub un_hs: Vec<Vec<f32>>,
+    pub un_hs: Matrix,
 }
 
 impl GruTrace {
     pub fn len(&self) -> usize {
-        self.hs.len()
+        self.hs.rows
     }
 
     pub fn is_empty(&self) -> bool {
-        self.hs.is_empty()
+        self.hs.rows == 0
     }
 }
 
-/// Gradients for every GRU parameter, same shapes as [`GruCell`].
+/// Gradients for every GRU parameter, in [`GruCell`]'s layout.
 #[derive(Debug, Clone)]
 pub struct GruGrads {
-    pub dwz: Matrix,
-    pub duz: Matrix,
-    pub dbz: Vec<f32>,
-    pub dwr: Matrix,
-    pub dur: Matrix,
-    pub dbr: Vec<f32>,
-    pub dwn: Matrix,
-    pub dun: Matrix,
-    pub dbn: Vec<f32>,
+    pub dw: Matrix,
+    pub du: Matrix,
+    pub db: Vec<f32>,
 }
 
 impl GruGrads {
     pub fn zeros(input: usize, hidden: usize) -> Self {
         GruGrads {
-            dwz: Matrix::zeros(hidden, input),
-            duz: Matrix::zeros(hidden, hidden),
-            dbz: vec![0.0; hidden],
-            dwr: Matrix::zeros(hidden, input),
-            dur: Matrix::zeros(hidden, hidden),
-            dbr: vec![0.0; hidden],
-            dwn: Matrix::zeros(hidden, input),
-            dun: Matrix::zeros(hidden, hidden),
-            dbn: vec![0.0; hidden],
+            dw: Matrix::zeros(3 * hidden, input),
+            du: Matrix::zeros(3 * hidden, hidden),
+            db: vec![0.0; 3 * hidden],
         }
     }
 
     /// Accumulates another gradient set (used for batching across
     /// sequences).
     pub fn add_assign(&mut self, other: &GruGrads) {
-        self.dwz.add_assign(&other.dwz);
-        self.duz.add_assign(&other.duz);
-        vecops::add_assign(&mut self.dbz, &other.dbz);
-        self.dwr.add_assign(&other.dwr);
-        self.dur.add_assign(&other.dur);
-        vecops::add_assign(&mut self.dbr, &other.dbr);
-        self.dwn.add_assign(&other.dwn);
-        self.dun.add_assign(&other.dun);
-        vecops::add_assign(&mut self.dbn, &other.dbn);
+        self.dw.add_assign(&other.dw);
+        self.du.add_assign(&other.du);
+        vecops::add_assign(&mut self.db, &other.db);
     }
 
     /// Scales all gradients (e.g. by 1/batch).
     pub fn scale(&mut self, s: f32) {
-        self.dwz.scale(s);
-        self.duz.scale(s);
-        self.dbz.iter_mut().for_each(|v| *v *= s);
-        self.dwr.scale(s);
-        self.dur.scale(s);
-        self.dbr.iter_mut().for_each(|v| *v *= s);
-        self.dwn.scale(s);
-        self.dun.scale(s);
-        self.dbn.iter_mut().for_each(|v| *v *= s);
+        self.dw.scale(s);
+        self.du.scale(s);
+        self.db.iter_mut().for_each(|v| *v *= s);
     }
 }
 
 impl GruCell {
+    /// Xavier-initialised gates (each `H`-row block with its own bound,
+    /// drawn `Wz, Uz, Wr, Ur, Wn, Un`) and zero biases.
     pub fn new(input: usize, hidden: usize, rng: &mut impl Rng) -> Self {
+        let mut w = Matrix::zeros(3 * hidden, input);
+        let mut u = Matrix::zeros(3 * hidden, hidden);
+        for gate in 0..3 {
+            let rows = gate * hidden..(gate + 1) * hidden;
+            let wg = Matrix::xavier(hidden, input, rng);
+            w.data[rows.start * input..rows.end * input].copy_from_slice(&wg.data);
+            let ug = Matrix::xavier(hidden, hidden, rng);
+            u.data[rows.start * hidden..rows.end * hidden].copy_from_slice(&ug.data);
+        }
         GruCell {
-            wz: Matrix::xavier(hidden, input, rng),
-            uz: Matrix::xavier(hidden, hidden, rng),
-            bz: vec![0.0; hidden],
-            wr: Matrix::xavier(hidden, input, rng),
-            ur: Matrix::xavier(hidden, hidden, rng),
-            br: vec![0.0; hidden],
-            wn: Matrix::xavier(hidden, input, rng),
-            un: Matrix::xavier(hidden, hidden, rng),
-            bn: vec![0.0; hidden],
+            w,
+            u,
+            b: vec![0.0; 3 * hidden],
         }
     }
 
     pub fn input_size(&self) -> usize {
-        self.wz.cols
+        self.w.cols
     }
 
     pub fn hidden_size(&self) -> usize {
-        self.wz.rows
+        self.u.cols
     }
 
-    /// Runs the cell over a sequence, returning the full trace.
+    /// Runs the cell over a sequence, returning the full trace — the
+    /// training forward pass, and the oracle the equivalence tests hold
+    /// [`PackedGru`] to.
     ///
-    /// This is the **reference implementation**: six separate `matvec`s and
-    /// fresh buffers per step. Inference goes through [`PackedGru`], which
-    /// is proven equivalent to this path by the test suite; training keeps
-    /// using this trace because BPTT needs every intermediate.
+    /// Every step's input side is one nt-GEMM over the whole sequence
+    /// (`X · Wᵀ`, `T×3H`), and each step's recurrent side one one-row
+    /// product `U · h_{t-1}`; the trace is allocated once. Each gate keeps
+    /// its sums in the order `(W·x + U·h) + b` (the candidate
+    /// `(Wn·x + bn) + r ∘ (Un·h)`) with the scalar `sigmoid` / `tanh`. A
+    /// GEMM output is its row's `dot4` / `dot` over its group of four
+    /// rows of `W` or `U`, so with `H % 4 == 0` no group straddles two
+    /// gates and each gate's projections are bitwise those of its own
+    /// `H`-row matrix.
     ///
     /// Accepts any slice-of-rows shape (`&[Vec<f32>]`, `&[&[f32]]`), so
     /// callers can borrow feature storage instead of cloning it.
     pub fn forward<S: AsRef<[f32]>>(&self, xs: &[S]) -> GruTrace {
-        let hidden = self.hidden_size();
+        let (hidden, steps) = (self.hidden_size(), xs.len());
+        let mut x = Matrix::zeros(steps, self.input_size());
+        for (t, xt) in xs.iter().enumerate() {
+            x.row_mut(t).copy_from_slice(xt.as_ref());
+        }
+        let mut wx = Matrix::default();
+        Matrix::matmul_nt_into(&x, &self.w, &mut wx);
+
         let mut trace = GruTrace {
-            xs: xs.iter().map(|x| x.as_ref().to_vec()).collect(),
-            hs: Vec::with_capacity(xs.len()),
-            zs: Vec::with_capacity(xs.len()),
-            rs: Vec::with_capacity(xs.len()),
-            ns: Vec::with_capacity(xs.len()),
-            un_hs: Vec::with_capacity(xs.len()),
+            hs: Matrix::zeros(steps, hidden),
+            zs: Matrix::zeros(steps, hidden),
+            rs: Matrix::zeros(steps, hidden),
+            ns: Matrix::zeros(steps, hidden),
+            un_hs: Matrix::zeros(steps, hidden),
         };
+        let (bz, br, bn) = (
+            &self.b[..hidden],
+            &self.b[hidden..2 * hidden],
+            &self.b[2 * hidden..],
+        );
         let mut h = vec![0.0f32; hidden];
-        for x in xs {
-            let x = x.as_ref();
-            debug_assert_eq!(x.len(), self.input_size());
-            let mut z = self.wz.matvec(x);
-            vecops::add_assign(&mut z, &self.uz.matvec(&h));
-            vecops::add_assign(&mut z, &self.bz);
-            z.iter_mut().for_each(|v| *v = sigmoid(*v));
-
-            let mut r = self.wr.matvec(x);
-            vecops::add_assign(&mut r, &self.ur.matvec(&h));
-            vecops::add_assign(&mut r, &self.br);
-            r.iter_mut().for_each(|v| *v = sigmoid(*v));
-
-            let un_h = self.un.matvec(&h);
-            let mut n = self.wn.matvec(x);
-            vecops::add_assign(&mut n, &self.bn);
+        let mut uh = vec![0.0f32; 3 * hidden];
+        for t in 0..steps {
+            self.u.matvec_into(&h, &mut uh);
+            let (wx_z, wx_rn) = wx.row(t).split_at(hidden);
+            let (wx_r, wx_n) = wx_rn.split_at(hidden);
+            let (uh_z, uh_rn) = uh.split_at(hidden);
+            let (uh_r, uh_n) = uh_rn.split_at(hidden);
+            let (z, r) = (trace.zs.row_mut(t), trace.rs.row_mut(t));
+            let (n, un_h) = (trace.ns.row_mut(t), trace.un_hs.row_mut(t));
             for i in 0..hidden {
-                n[i] = (n[i] + r[i] * un_h[i]).tanh();
+                z[i] = sigmoid((wx_z[i] + uh_z[i]) + bz[i]);
+                r[i] = sigmoid((wx_r[i] + uh_r[i]) + br[i]);
+                un_h[i] = uh_n[i];
+                n[i] = ((wx_n[i] + bn[i]) + r[i] * un_h[i]).tanh();
+                h[i] = (1.0 - z[i]) * n[i] + z[i] * h[i];
             }
-
-            let mut h_new = vec![0.0f32; hidden];
-            for i in 0..hidden {
-                h_new[i] = (1.0 - z[i]) * n[i] + z[i] * h[i];
-            }
-
-            trace.zs.push(z);
-            trace.rs.push(r);
-            trace.ns.push(n);
-            trace.un_hs.push(un_h);
-            trace.hs.push(h_new.clone());
-            h = h_new;
+            trace.hs.row_mut(t).copy_from_slice(&h);
         }
         trace
     }
 
-    /// Backpropagation through time.
+    /// Backpropagation through time over the sequence `xs` that produced
+    /// `trace`. Row `t` of `dhs` is ∂loss/∂h_t coming from outside the
+    /// recurrence (e.g. the per-timestep classification head).
     ///
-    /// `dhs[t]` is ∂loss/∂h_t coming from outside the recurrence (e.g. the
-    /// per-timestep classification head). Returns the parameter gradients
-    /// and, when asked, writes ∂loss/∂x_t for each step into `dxs` (a
-    /// caller that only trains the cell passes `None` and skips three of
-    /// the six transposed products per step).
-    pub fn backward(
-        &self,
-        trace: &GruTrace,
-        dhs: &[Vec<f32>],
-        mut dxs: Option<&mut Vec<Vec<f32>>>,
-    ) -> GruGrads {
-        let hidden = self.hidden_size();
-        let input = self.input_size();
-        let steps = trace.len();
-        assert_eq!(dhs.len(), steps, "dh per timestep required");
-        let mut grads = GruGrads::zeros(input, hidden);
-        if let Some(dxs) = dxs.as_deref_mut() {
-            dxs.clear();
-            dxs.resize(steps, vec![0.0f32; input]);
+    /// Each step forms its gate gradients and `dh_{t-1}`: three one-row
+    /// transposed products, `Unᵀ(dn_pre ∘ r)`, `Uzᵀ·dz_pre`, `Urᵀ·dr_pre`,
+    /// each from `+0` and added in that order. The gate gradients are
+    /// kept newest step first, beside the inputs and `h_{t-1}` in the same
+    /// order, so that `dW` and `dU` are one rank GEMM each after the loop
+    /// and each of their outputs accumulates over time descending, with
+    /// the axpy chain's zero skip, as a per-step rank-1 update would.
+    pub fn backward<S: AsRef<[f32]>>(&self, xs: &[S], trace: &GruTrace, dhs: &Matrix) -> GruGrads {
+        let (input, hidden, steps) = (self.input_size(), self.hidden_size(), trace.len());
+        assert!(
+            xs.len() == steps && dhs.rows == steps,
+            "one input and one dh per timestep required"
+        );
+        let ks = KernelSet::active();
+        let u_block =
+            |gate: usize| &self.u.data[gate * hidden * hidden..(gate + 1) * hidden * hidden];
+        // Row k is step `steps − 1 − k`.
+        let mut x_rev = Matrix::zeros(steps, input);
+        let mut h_prev_rev = Matrix::zeros(steps, hidden);
+        // `[dz_pre; dr_pre; dn_pre]`, the factors of dW and db, and the
+        // same with `dn_pre ∘ r`, the factors of dU.
+        let mut dg = Matrix::zeros(steps, 3 * hidden);
+        let mut dgu = Matrix::zeros(steps, 3 * hidden);
+        let mut dh_next = vec![0.0f32; hidden];
+        let mut dh_prev = vec![0.0f32; hidden];
+        let mut back = vec![0.0f32; hidden];
+
+        for k in 0..steps {
+            let t = steps - 1 - k;
+            x_rev.row_mut(k).copy_from_slice(xs[t].as_ref());
+            if t > 0 {
+                h_prev_rev.row_mut(k).copy_from_slice(trace.hs.row(t - 1));
+            }
+            let h_prev = h_prev_rev.row(k);
+            let (z, r) = (trace.zs.row(t), trace.rs.row(t));
+            let (n, un_h) = (trace.ns.row(t), trace.un_hs.row(t));
+            let (dz_pre, drn) = dg.row_mut(k).split_at_mut(hidden);
+            let (dr_pre, dn_pre) = drn.split_at_mut(hidden);
+            let (du_zr, dn_pre_r) = dgu.row_mut(k).split_at_mut(2 * hidden);
+            for i in 0..hidden {
+                // Total gradient flowing into h_t; h_t = (1-z) n + z h_prev.
+                let dh = dhs.get(t, i) + dh_next[i];
+                let dz = dh * (h_prev[i] - n[i]);
+                let dn = dh * (1.0 - z[i]);
+                dh_prev[i] = dh * z[i];
+                // n = tanh(pre_n); pre_n = Wn x + bn + r ∘ (Un h_prev)
+                dn_pre[i] = dn * (1.0 - n[i] * n[i]);
+                dn_pre_r[i] = dn_pre[i] * r[i];
+                let dr = dn_pre[i] * un_h[i];
+                dz_pre[i] = dz * z[i] * (1.0 - z[i]);
+                dr_pre[i] = dr * r[i] * (1.0 - r[i]);
+            }
+            du_zr[..hidden].copy_from_slice(dz_pre);
+            du_zr[hidden..].copy_from_slice(dr_pre);
+            for (gate, dpre) in [(2, &*dn_pre_r), (0, &*dz_pre), (1, &*dr_pre)] {
+                ks.gemm_rank_f32(dpre, [1, hidden], u_block(gate), &mut back, hidden);
+                vecops::add_assign(&mut dh_prev, &back);
+            }
+            std::mem::swap(&mut dh_next, &mut dh_prev);
         }
-        let zero = vec![0.0f32; hidden];
-        let mut dh_next = vec![0.0f32; hidden]; // carried from t+1
 
-        for t in (0..steps).rev() {
-            let h_prev = if t == 0 { &zero } else { &trace.hs[t - 1] };
-            let (z, r, n, un_h, x) = (
-                &trace.zs[t],
-                &trace.rs[t],
-                &trace.ns[t],
-                &trace.un_hs[t],
-                &trace.xs[t],
-            );
-
-            // Total gradient flowing into h_t.
-            let mut dh = dhs[t].clone();
-            vecops::add_assign(&mut dh, &dh_next);
-
-            // h_t = (1-z) n + z h_prev
-            let mut dz = vec![0.0f32; hidden];
-            let mut dn = vec![0.0f32; hidden];
-            let mut dh_prev = vec![0.0f32; hidden];
-            for i in 0..hidden {
-                dz[i] = dh[i] * (h_prev[i] - n[i]);
-                dn[i] = dh[i] * (1.0 - z[i]);
-                dh_prev[i] = dh[i] * z[i];
-            }
-
-            // n = tanh(pre_n); pre_n = Wn x + bn + r ∘ (Un h_prev)
-            let mut dn_pre = vec![0.0f32; hidden];
-            for i in 0..hidden {
-                dn_pre[i] = dn[i] * (1.0 - n[i] * n[i]);
-            }
-            grads.dwn.add_outer(&dn_pre, x, 1.0);
-            vecops::add_assign(&mut grads.dbn, &dn_pre);
-            let dn_pre_r = vecops::hadamard(&dn_pre, r);
-            grads.dun.add_outer(&dn_pre_r, h_prev, 1.0);
-            vecops::add_assign(&mut dh_prev, &self.un.matvec_t(&dn_pre_r));
-            if let Some(dxs) = dxs.as_deref_mut() {
-                vecops::add_assign(&mut dxs[t], &self.wn.matvec_t(&dn_pre));
-            }
-            let dr = vecops::hadamard(&dn_pre, un_h);
-
-            // z = σ(pre_z)
-            let mut dz_pre = vec![0.0f32; hidden];
-            for i in 0..hidden {
-                dz_pre[i] = dz[i] * z[i] * (1.0 - z[i]);
-            }
-            grads.dwz.add_outer(&dz_pre, x, 1.0);
-            grads.duz.add_outer(&dz_pre, h_prev, 1.0);
-            vecops::add_assign(&mut grads.dbz, &dz_pre);
-            vecops::add_assign(&mut dh_prev, &self.uz.matvec_t(&dz_pre));
-            if let Some(dxs) = dxs.as_deref_mut() {
-                vecops::add_assign(&mut dxs[t], &self.wz.matvec_t(&dz_pre));
-            }
-
-            // r = σ(pre_r)
-            let mut dr_pre = vec![0.0f32; hidden];
-            for i in 0..hidden {
-                dr_pre[i] = dr[i] * r[i] * (1.0 - r[i]);
-            }
-            grads.dwr.add_outer(&dr_pre, x, 1.0);
-            grads.dur.add_outer(&dr_pre, h_prev, 1.0);
-            vecops::add_assign(&mut grads.dbr, &dr_pre);
-            vecops::add_assign(&mut dh_prev, &self.ur.matvec_t(&dr_pre));
-            if let Some(dxs) = dxs.as_deref_mut() {
-                vecops::add_assign(&mut dxs[t], &self.wr.matvec_t(&dr_pre));
-            }
-
-            dh_next = dh_prev;
+        let mut grads = GruGrads::zeros(input, hidden);
+        Matrix::matmul_tn_into(&dg, &x_rev, &mut grads.dw);
+        Matrix::matmul_tn_into(&dgu, &h_prev_rev, &mut grads.du);
+        for k in 0..steps {
+            vecops::add_assign(&mut grads.db, dg.row(k));
         }
         grads
     }
 
-    /// Flat views over all parameter buffers, paired with matching
-    /// gradient buffers — convenient for driving one optimizer per tensor.
-    pub fn param_grad_pairs<'a>(&'a mut self, g: &'a GruGrads) -> Vec<(&'a mut [f32], &'a [f32])> {
-        vec![
-            (&mut self.wz.data[..], &g.dwz.data[..]),
-            (&mut self.uz.data[..], &g.duz.data[..]),
-            (&mut self.bz[..], &g.dbz[..]),
-            (&mut self.wr.data[..], &g.dwr.data[..]),
-            (&mut self.ur.data[..], &g.dur.data[..]),
-            (&mut self.br[..], &g.dbr[..]),
-            (&mut self.wn.data[..], &g.dwn.data[..]),
-            (&mut self.un.data[..], &g.dun.data[..]),
-            (&mut self.bn[..], &g.dbn[..]),
+    /// The parameter buffers paired with their gradient buffers, one pair
+    /// per tensor — for driving one optimizer each.
+    pub fn param_grad_pairs<'a>(&'a mut self, g: &'a GruGrads) -> [(&'a mut [f32], &'a [f32]); 3] {
+        [
+            (&mut self.w.data[..], &g.dw.data[..]),
+            (&mut self.u.data[..], &g.du.data[..]),
+            (&mut self.b[..], &g.db[..]),
         ]
     }
 }
@@ -316,11 +271,10 @@ impl GruCell {
 
 /// Gate-packed GRU weights for inference, at either precision.
 ///
-/// The three input projections `Wz/Wr/Wn` are stacked into one `3H×I`
-/// matrix and the recurrent projections `Uz/Ur/Un` into one `3H×H` matrix,
-/// so each step's input side and recurrent side are one fused matvec each
-/// instead of three. Both are stored as output-stationary panels — f32
-/// ([`crate::PanelMatrix`]) from [`pack`](Self::pack), int8
+/// The cell's gate-stacked input projections (`3H×I`) and recurrent
+/// projections (`3H×H`) make each step's input side and recurrent side
+/// one fused matvec each. Both are stored as output-stationary panels —
+/// f32 ([`crate::PanelMatrix`]) from [`pack`](Self::pack), int8
 /// ([`crate::QuantMatrix`]) after [`from_packed`](Self::from_packed) with
 /// [`QuantMode::Int8`] — and every product, a step or a row of a
 /// cross-flow batch, is one call of the same panel GEMV; biases, gate
@@ -387,31 +341,14 @@ impl GruBatchScratch {
 }
 
 impl PackedGru {
-    /// Packs a cell's nine parameter tensors into the fused f32 layout.
+    /// Packs a cell's gate-stacked `w`, `u` and `b` into the fused f32
+    /// layout.
     pub fn pack(cell: &GruCell) -> PackedGru {
-        let hidden = cell.hidden_size();
-        let input = cell.input_size();
-        let mut w = Matrix::zeros(3 * hidden, input);
-        let mut u = Matrix::zeros(3 * hidden, hidden);
-        let mut b = vec![0.0f32; 3 * hidden];
-        for (block, (wsrc, usrc, bsrc)) in [
-            (&cell.wz, &cell.uz, &cell.bz),
-            (&cell.wr, &cell.ur, &cell.br),
-            (&cell.wn, &cell.un, &cell.bn),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let lo = block * hidden;
-            w.data[lo * input..(lo + hidden) * input].copy_from_slice(&wsrc.data);
-            u.data[lo * hidden..(lo + hidden) * hidden].copy_from_slice(&usrc.data);
-            b[lo..lo + hidden].copy_from_slice(bsrc);
-        }
         PackedGru {
-            w: PackedWeights::pack(&w, QuantMode::Off),
-            u: PackedWeights::pack(&u, QuantMode::Off),
-            b,
-            hidden,
+            w: PackedWeights::pack(&cell.w, QuantMode::Off),
+            u: PackedWeights::pack(&cell.u, QuantMode::Off),
+            b: cell.b.clone(),
+            hidden: cell.hidden_size(),
         }
     }
 
@@ -557,10 +494,10 @@ mod tests {
         let trace = cell.forward(&xs);
         assert_eq!(trace.len(), 5);
         for t in 0..5 {
-            assert_eq!(trace.hs[t].len(), 6);
-            assert!(trace.zs[t].iter().all(|&v| (0.0..=1.0).contains(&v)));
-            assert!(trace.rs[t].iter().all(|&v| (0.0..=1.0).contains(&v)));
-            assert!(trace.hs[t].iter().all(|&v| (-1.0..=1.0).contains(&v)));
+            assert_eq!(trace.hs.row(t).len(), 6);
+            assert!(trace.zs.row(t).iter().all(|&v| (0.0..=1.0).contains(&v)));
+            assert!(trace.rs.row(t).iter().all(|&v| (0.0..=1.0).contains(&v)));
+            assert!(trace.hs.row(t).iter().all(|&v| (-1.0..=1.0).contains(&v)));
         }
     }
 
@@ -583,7 +520,7 @@ mod tests {
     }
 
     /// The heavyweight correctness test: full BPTT against central finite
-    /// differences, for every parameter tensor and the inputs.
+    /// differences, for every parameter tensor.
     #[test]
     fn bptt_matches_finite_differences() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -593,13 +530,12 @@ mod tests {
         // Loss = sum over timesteps of sum(h_t) — exercises the recurrence.
         fn loss(cell: &GruCell, xs: &[Vec<f32>]) -> f32 {
             let tr = cell.forward(xs);
-            tr.hs.iter().map(|h| h.iter().sum::<f32>()).sum()
+            tr.hs.data.iter().sum()
         }
 
         let trace = cell.forward(&xs);
-        let dhs: Vec<Vec<f32>> = (0..trace.len()).map(|_| vec![1.0f32; 4]).collect();
-        let mut dxs = Vec::new();
-        let grads = cell.backward(&trace, &dhs, Some(&mut dxs));
+        let dhs = Matrix::from_fn(trace.len(), 4, |_, _| 1.0);
+        let grads = cell.backward(&xs, &trace, &dhs);
 
         let eps = 1e-2f32;
         let tol = 3e-2f32;
@@ -628,34 +564,9 @@ mod tests {
             };
         }
 
-        check_tensor!(cell.wz.data, grads.dwz.data, "Wz");
-        check_tensor!(cell.uz.data, grads.duz.data, "Uz");
-        check_tensor!(cell.bz, grads.dbz, "bz");
-        check_tensor!(cell.wr.data, grads.dwr.data, "Wr");
-        check_tensor!(cell.ur.data, grads.dur.data, "Ur");
-        check_tensor!(cell.br, grads.dbr, "br");
-        check_tensor!(cell.wn.data, grads.dwn.data, "Wn");
-        check_tensor!(cell.un.data, grads.dun.data, "Un");
-        check_tensor!(cell.bn, grads.dbn, "bn");
-
-        // Input gradients.
-        let mut xs2 = xs.clone();
-        for t in 0..xs2.len() {
-            for i in 0..xs2[t].len() {
-                let orig = xs2[t][i];
-                xs2[t][i] = orig + eps;
-                let lp = loss(&cell, &xs2);
-                xs2[t][i] = orig - eps;
-                let lm = loss(&cell, &xs2);
-                xs2[t][i] = orig;
-                let fd = (lp - lm) / (2.0 * eps);
-                assert!(
-                    (fd - dxs[t][i]).abs() < tol,
-                    "dx[{t}][{i}]: finite-diff {fd} vs analytic {}",
-                    dxs[t][i]
-                );
-            }
-        }
+        check_tensor!(cell.w.data, grads.dw.data, "W");
+        check_tensor!(cell.u.data, grads.du.data, "U");
+        check_tensor!(cell.b, grads.db, "b");
     }
 
     const MODES: [QuantMode; 2] = [QuantMode::Off, QuantMode::Int8];
@@ -702,9 +613,9 @@ mod tests {
             assert_eq!(stepped.len(), seq);
             for (t, [h, z, r]) in stepped.iter().enumerate() {
                 for i in 0..12 {
-                    assert!((trace.hs[t][i] - h[i]).abs() < 1e-6);
-                    assert!((trace.zs[t][i] - z[i]).abs() < 1e-6);
-                    assert!((trace.rs[t][i] - r[i]).abs() < 1e-6);
+                    assert!((trace.hs.get(t, i) - h[i]).abs() < 1e-6);
+                    assert!((trace.zs.get(t, i) - z[i]).abs() < 1e-6);
+                    assert!((trace.rs.get(t, i) - r[i]).abs() < 1e-6);
                 }
             }
         }
@@ -862,13 +773,13 @@ mod tests {
         let cell = GruCell::new(2, 3, &mut rng);
         let xs = toy_inputs(3, 2);
         let trace = cell.forward(&xs);
-        let dhs: Vec<Vec<f32>> = (0..3).map(|_| vec![1.0f32; 3]).collect();
-        let g1 = cell.backward(&trace, &dhs, None);
+        let dhs = Matrix::from_fn(3, 3, |_, _| 1.0);
+        let g1 = cell.backward(&xs, &trace, &dhs);
         let mut acc = GruGrads::zeros(2, 3);
         acc.add_assign(&g1);
         acc.add_assign(&g1);
         acc.scale(0.5);
-        for (a, b) in acc.dwz.data.iter().zip(&g1.dwz.data) {
+        for (a, b) in acc.dw.data.iter().zip(&g1.dw.data) {
             assert!((a - b).abs() < 1e-6);
         }
     }

@@ -25,12 +25,15 @@
 //! # The fused inference engine
 //!
 //! Training wants per-step intermediates; scoring wants throughput. The
-//! crate therefore keeps two forward implementations and proves them
-//! equivalent in the test suite:
+//! crate therefore keeps two forward implementations over one weight
+//! layout and proves them equivalent in the test suite:
 //!
 //! * **Reference path** — [`GruCell::forward`] / [`Autoencoder::forward`]:
-//!   readable, row-major [`Matrix`] GEMMs, used by training, by the small
-//!   baseline autoencoders and as the oracle in equivalence tests.
+//!   row-major [`Matrix`] GEMMs, used by training, by the small baseline
+//!   autoencoders and as the oracle in equivalence tests. The GRU runs a
+//!   whole sequence's input side as one GEMM and each step's recurrent
+//!   side as a one-row product, on the gate-stacked weights the fused
+//!   path packs.
 //! * **Fused path** — the inference engines, [`PackedGru`] (alias
 //!   [`GruEngine`]) and [`PackedAutoencoder`] (alias [`AeEngine`]). Each
 //!   is **one body for both precisions**: precision is a property of the
@@ -39,9 +42,9 @@
 //!   caller asks for int8 — and everything around the matvec (biases,
 //!   gates, activations, the error reduction) is f32 either way. The
 //!   pieces:
-//!   * *Packed gates* ([`PackedGru`]): `Wz/Wr/Wn` stacked into one `3H×I`
-//!     matrix and `Uz/Ur/Un` into one `3H×H` matrix, so each step's input
-//!     side and recurrent side are one fused matvec each instead of three.
+//!   * *Packed gates* ([`PackedGru`]): the cell's `[Wz; Wr; Wn]` (`3H×I`)
+//!     and `[Uz; Ur; Un]` (`3H×H`), packed as they are stored, so each
+//!     step's input side and recurrent side are one fused matvec each.
 //!   * *Weight panels* ([`PanelMatrix`], [`QuantMatrix`]): every inference
 //!     weight matrix is repacked once per scorer into output-stationary
 //!     panels — at f32 `[row block of 16][k][output lane]`, 64-byte-aligned
@@ -269,14 +272,13 @@ pub fn softmax_inplace(logits: &mut [f32]) {
 
 /// Softmax + cross-entropy against a one-hot target class.
 ///
-/// Returns `(loss, dlogits)` where `dlogits = softmax(logits) - onehot`.
-pub fn softmax_cross_entropy(logits: &[f32], target: usize) -> (f32, Vec<f32>) {
-    let mut probs = logits.to_vec();
-    softmax_inplace(&mut probs);
-    let p = probs[target].max(1e-12);
-    let loss = -p.ln();
-    probs[target] -= 1.0;
-    (loss, probs)
+/// Returns the loss and overwrites `logits` with its gradient
+/// `softmax(logits) - onehot`.
+pub fn softmax_cross_entropy(logits: &mut [f32], target: usize) -> f32 {
+    softmax_inplace(logits);
+    let loss = -logits[target].max(1e-12).ln();
+    logits[target] -= 1.0;
+    loss
 }
 
 /// Logistic sigmoid.
@@ -308,7 +310,8 @@ mod tests {
 
     #[test]
     fn cross_entropy_gradient_shape() {
-        let (loss, grad) = softmax_cross_entropy(&[0.0, 0.0, 10.0], 2);
+        let mut grad = [0.0, 0.0, 10.0];
+        let loss = softmax_cross_entropy(&mut grad, 2);
         assert!(loss < 0.01);
         assert!(grad[2] < 0.0); // pushes the target logit up
         assert!(grad[0] > 0.0 && grad[1] > 0.0);
@@ -318,7 +321,7 @@ mod tests {
 
     #[test]
     fn cross_entropy_wrong_prediction_is_costly() {
-        let (loss, _) = softmax_cross_entropy(&[10.0, 0.0], 1);
+        let loss = softmax_cross_entropy(&mut [10.0, 0.0], 1);
         assert!(loss > 5.0);
     }
 

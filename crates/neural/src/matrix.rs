@@ -1,5 +1,5 @@
-//! Row-major `f32` matrices with the GEMM variants training needs, in
-//! allocating and allocation-free `*_into` forms.
+//! Row-major `f32` matrices with the GEMM variants training needs, each
+//! writing into a caller's matrix.
 //!
 //! This is the trainable, serialized weight format and the forward /
 //! backward path of training (and of the small Kitsune / Baseline #1
@@ -21,8 +21,9 @@
 //! while it streams `B`. Neither changes a bit of what the row loops they
 //! replaced computed: an output of the nt-GEMM is its row's `dot4` / `dot`,
 //! and an output of the rank GEMMs the `axpy` chain, on every kernel set.
-//! Only the vector products [`Matrix::matvec_t`] and [`Matrix::add_outer`]
-//! still loop over `axpy`.
+//! Nothing here loops over `axpy`: the autoencoder's layers and the GRU
+//! classifier (its input side over a whole sequence, `dW`, `dU` and the
+//! head) train on these three products alone.
 
 use crate::simd::KernelSet;
 use rand::Rng;
@@ -110,13 +111,6 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// Matrix–vector product `y = self · x` (self: m×n, x: n).
-    pub fn matvec(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
     /// In-place matrix–vector product `y = self · x` (self: m×n, x: n,
     /// y: m); no allocation. The one-row case of
     /// [`matmul_nt_into`](Self::matmul_nt_into), so a row of that GEMM is
@@ -129,52 +123,12 @@ impl Matrix {
         KernelSet::active().gemm_nt_f32(x, &self.data, y, self.cols);
     }
 
-    /// Transposed matrix–vector product `y = selfᵀ · x` (self: m×n, x: m).
-    pub fn matvec_t(&self, x: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(x.len(), self.rows);
-        let ks = KernelSet::active();
-        let mut y = vec![0.0; self.cols];
-        for (r, &xv) in x.iter().enumerate() {
-            if xv != 0.0 {
-                ks.axpy(&mut y, self.row(r), xv);
-            }
-        }
-        y
-    }
-
-    /// Rank-1 update `self += alpha · u · vᵀ` (u: rows, v: cols).
-    pub fn add_outer(&mut self, u: &[f32], v: &[f32], alpha: f32) {
-        debug_assert_eq!(u.len(), self.rows);
-        debug_assert_eq!(v.len(), self.cols);
-        let ks = KernelSet::active();
-        for (r, &uv) in u.iter().enumerate() {
-            let s = alpha * uv;
-            if s != 0.0 {
-                ks.axpy(self.row_mut(r), v, s);
-            }
-        }
-    }
-
-    /// `C = A · B` (A: m×k, B: k×n).
-    pub fn matmul_nn(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut c = Matrix::default();
-        Matrix::matmul_nn_into(a, b, &mut c);
-        c
-    }
-
     /// In-place `C = A · B`, reusing `c`'s allocation — the input gradient
     /// `dY · W`.
     pub fn matmul_nn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
         assert_eq!(a.cols, b.rows, "nn shape mismatch");
         c.resize(a.rows, b.cols);
         KernelSet::active().gemm_rank_f32(&a.data, [1, a.cols], &b.data, &mut c.data, b.cols);
-    }
-
-    /// `C = A · Bᵀ` (A: m×k, B: n×k) — the forward pass `X · Wᵀ`.
-    pub fn matmul_nt(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut c = Matrix::default();
-        Matrix::matmul_nt_into(a, b, &mut c);
-        c
     }
 
     /// In-place `C = A · Bᵀ`, reusing `c`'s allocation: row `i` of `C` is
@@ -184,13 +138,6 @@ impl Matrix {
         assert_eq!(a.cols, b.cols, "nt shape mismatch");
         c.resize(a.rows, b.rows);
         KernelSet::active().gemm_nt_f32(&a.data, &b.data, &mut c.data, a.cols);
-    }
-
-    /// `C = Aᵀ · B` (A: k×m, B: k×n).
-    pub fn matmul_tn(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut c = Matrix::default();
-        Matrix::matmul_tn_into(a, b, &mut c);
-        c
     }
 
     /// In-place `C = Aᵀ · B`, reusing `c`'s allocation — the weight
@@ -230,11 +177,6 @@ pub mod vecops {
             *x += y;
         }
     }
-
-    /// Elementwise product into a new vector.
-    pub fn hadamard(a: &[f32], b: &[f32]) -> Vec<f32> {
-        a.iter().zip(b).map(|(x, y)| x * y).collect()
-    }
 }
 
 #[cfg(test)]
@@ -245,18 +187,29 @@ mod tests {
         Matrix::from_vec(rows, cols, v.to_vec())
     }
 
+    /// One of the `*_into` products into a fresh matrix.
+    fn product(f: fn(&Matrix, &Matrix, &mut Matrix), a: &Matrix, b: &Matrix) -> Matrix {
+        let mut c = Matrix::default();
+        f(a, b, &mut c);
+        c
+    }
+
     #[test]
     fn matvec_small() {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
-        assert_eq!(a.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
+        let mut y = [0.0; 2];
+        a.matvec_into(&[1.0, 0.0, -1.0], &mut y);
+        assert_eq!(y, [-2.0, -2.0]);
+        let ones = m(2, 1, &[1.0, 1.0]);
+        let yt = product(Matrix::matmul_tn_into, &a, &ones);
+        assert_eq!(yt.data, vec![5.0, 7.0, 9.0]);
     }
 
     #[test]
     fn gemm_variants_agree_with_naive() {
         let a = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.5 - 2.0);
         let b = Matrix::from_fn(3, 5, |r, c| (r as f32 - c as f32) * 0.25);
-        let c = Matrix::matmul_nn(&a, &b);
+        let c = product(Matrix::matmul_nn_into, &a, &b);
         for i in 0..4 {
             for j in 0..5 {
                 let expect: f32 = (0..3).map(|k| a.get(i, k) * b.get(k, j)).sum();
@@ -265,7 +218,7 @@ mod tests {
         }
         // nt: A (4x3) · Bt where B (5x3)
         let b2 = Matrix::from_fn(5, 3, |r, c| (r + 2 * c) as f32 * 0.1);
-        let c2 = Matrix::matmul_nt(&a, &b2);
+        let c2 = product(Matrix::matmul_nt_into, &a, &b2);
         for i in 0..4 {
             for j in 0..5 {
                 let expect: f32 = (0..3).map(|k| a.get(i, k) * b2.get(j, k)).sum();
@@ -274,7 +227,7 @@ mod tests {
         }
         // tn: At (3x4) · B3 (4x2)
         let b3 = Matrix::from_fn(4, 2, |r, c| (r as f32 + 1.0) * (c as f32 - 0.5));
-        let c3 = Matrix::matmul_tn(&a, &b3);
+        let c3 = product(Matrix::matmul_tn_into, &a, &b3);
         for i in 0..3 {
             for j in 0..2 {
                 let expect: f32 = (0..4).map(|k| a.get(k, i) * b3.get(k, j)).sum();
@@ -287,17 +240,21 @@ mod tests {
     fn large_gemm_matches_naive() {
         let a = Matrix::from_fn(80, 70, |r, c| ((r * 7 + c * 13) % 11) as f32 - 5.0);
         let b = Matrix::from_fn(70, 90, |r, c| ((r * 3 + c * 5) % 7) as f32 - 3.0);
-        let c = Matrix::matmul_nn(&a, &b); // ragged row and column tiles
+        let c = product(Matrix::matmul_nn_into, &a, &b); // ragged row and column tiles
         for &(i, j) in &[(0, 0), (79, 89), (40, 45), (13, 71)] {
             let expect: f32 = (0..70).map(|k| a.get(i, k) * b.get(k, j)).sum();
             assert!((c.get(i, j) - expect).abs() < 1e-3);
         }
     }
 
+    /// A one-row rank GEMM is the outer product `uᵀ · v`.
     #[test]
-    fn outer_product_update() {
-        let mut w = Matrix::zeros(2, 3);
-        w.add_outer(&[1.0, 2.0], &[3.0, 4.0, 5.0], 0.5);
+    fn outer_product() {
+        let w = product(
+            Matrix::matmul_tn_into,
+            &m(1, 2, &[0.5, 1.0]),
+            &m(1, 3, &[3.0, 4.0, 5.0]),
+        );
         assert_eq!(w.data, vec![1.5, 2.0, 2.5, 3.0, 4.0, 5.0]);
     }
 

@@ -178,7 +178,8 @@ mod tests {
                 if let Some(v) = poison {
                     x[cols / 2] = v;
                 }
-                let want = m.matvec(&x[..cols]);
+                let mut want = vec![0.0; rows];
+                m.matvec_into(&x[..cols], &mut want);
                 for ks in KernelSet::available() {
                     y.fill(-7.0);
                     ks.panel_gemv_f32(p.lines(), cols, &x, &mut y[..rows]);

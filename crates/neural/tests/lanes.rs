@@ -116,12 +116,10 @@ fn train_gru(batch_size: usize) -> Vec<u32> {
     let report = clf.train(&sequences, &cfg);
     let cell = &clf.cell;
     let mut out = Vec::new();
-    for m in [
-        &cell.wz, &cell.uz, &cell.wr, &cell.ur, &cell.wn, &cell.un, &clf.wo,
-    ] {
+    for m in [&cell.w, &cell.u, &clf.wo] {
         out.extend(bits(&m.data));
     }
-    for b in [&cell.bz, &cell.br, &cell.bn, &clf.bo] {
+    for b in [&cell.b, &clf.bo] {
         out.extend(bits(b));
     }
     out.extend(bits(&report.epoch_loss));

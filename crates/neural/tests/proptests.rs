@@ -10,6 +10,13 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One of the `Matrix::*_into` products into a fresh matrix.
+fn product(f: fn(&Matrix, &Matrix, &mut Matrix), a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::default();
+    f(a, b, &mut c);
+    c
+}
+
 /// Deterministic pseudo-random fill for kernel-equivalence tests.
 fn kernel_input(len: usize, seed: u64, scale: f32) -> Vec<f32> {
     (0..len)
@@ -94,7 +101,8 @@ proptest! {
         t in 0usize..15,
     ) {
         let target = t % v.len();
-        let (loss, grad) = softmax_cross_entropy(&v, target);
+        let mut grad = v.clone();
+        let loss = softmax_cross_entropy(&mut grad, target);
         prop_assert!(loss >= 0.0);
         prop_assert!(grad[target] <= 0.0);
         let sum: f32 = grad.iter().sum();
@@ -110,10 +118,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Matrix::xavier(m, k, &mut rng);
         let b = Matrix::xavier(k, n, &mut rng);
-        let c_nn = Matrix::matmul_nn(&a, &b);
+        let c_nn = product(Matrix::matmul_nn_into, &a, &b);
         // nt: A · (Bᵀ)ᵀ — build Bᵀ explicitly.
         let bt = Matrix::from_fn(n, k, |r, c| b.get(c, r));
-        let c_nt = Matrix::matmul_nt(&a, &bt);
+        let c_nt = product(Matrix::matmul_nt_into, &a, &bt);
         for i in 0..m {
             for j in 0..n {
                 prop_assert!((c_nn.get(i, j) - c_nt.get(i, j)).abs() < 1e-4);
@@ -121,7 +129,7 @@ proptest! {
         }
         // tn: (Aᵀ)ᵀ · B.
         let at = Matrix::from_fn(k, m, |r, c| a.get(c, r));
-        let c_tn = Matrix::matmul_tn(&at, &b);
+        let c_tn = product(Matrix::matmul_tn_into, &at, &b);
         for i in 0..m {
             for j in 0..n {
                 prop_assert!((c_nn.get(i, j) - c_tn.get(i, j)).abs() < 1e-4);
@@ -135,8 +143,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = Matrix::xavier(rows, cols, &mut rng);
         let x = Matrix::xavier(cols, 1, &mut rng);
-        let y1 = w.matvec(&x.data);
-        let y2 = Matrix::matmul_nn(&w, &x);
+        let mut y1 = vec![0.0; rows];
+        w.matvec_into(&x.data, &mut y1);
+        let y2 = product(Matrix::matmul_nn_into, &w, &x);
         for (i, v) in y1.iter().enumerate() {
             prop_assert!((v - y2.get(i, 0)).abs() < 1e-5);
         }
@@ -157,9 +166,9 @@ proptest! {
             .collect();
         let trace = cell.forward(&xs);
         for t in 0..seq_len {
-            prop_assert!(trace.hs[t].iter().all(|v| v.abs() <= 1.0 + 1e-5));
-            prop_assert!(trace.zs[t].iter().all(|v| (0.0..=1.0).contains(v)));
-            prop_assert!(trace.rs[t].iter().all(|v| (0.0..=1.0).contains(v)));
+            prop_assert!(trace.hs.row(t).iter().all(|v| v.abs() <= 1.0 + 1e-5));
+            prop_assert!(trace.zs.row(t).iter().all(|v| (0.0..=1.0).contains(v)));
+            prop_assert!(trace.rs.row(t).iter().all(|v| (0.0..=1.0).contains(v)));
         }
     }
 
@@ -175,8 +184,8 @@ proptest! {
         let full = cell.forward(&xs);
         let prefix = cell.forward(&xs[..5]);
         for t in 0..5 {
-            prop_assert_eq!(&full.hs[t], &prefix.hs[t]);
-            prop_assert_eq!(&full.zs[t], &prefix.zs[t]);
+            prop_assert_eq!(full.hs.row(t), prefix.hs.row(t));
+            prop_assert_eq!(full.zs.row(t), prefix.zs.row(t));
         }
     }
 
@@ -188,7 +197,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let ae = Autoencoder::new(&[6, 3, 6], seed);
-        let e = ae.reconstruction_error(&v);
+        let e = ae.reconstruction_errors(&Matrix::from_vec(1, 6, v))[0];
         prop_assert!(e.is_finite());
         prop_assert!(e >= 0.0);
     }
@@ -216,9 +225,9 @@ proptest! {
         for (t, x) in xs.iter().enumerate() {
             packed.step(x, &mut h, &mut scratch, &mut z, &mut r);
             for i in 0..hidden {
-                prop_assert!((trace.hs[t][i] - h[i]).abs() < 1e-6);
-                prop_assert!((trace.zs[t][i] - z[i]).abs() < 1e-6);
-                prop_assert!((trace.rs[t][i] - r[i]).abs() < 1e-6);
+                prop_assert!((trace.hs.get(t, i) - h[i]).abs() < 1e-6);
+                prop_assert!((trace.zs.get(t, i) - z[i]).abs() < 1e-6);
+                prop_assert!((trace.rs.get(t, i) - r[i]).abs() < 1e-6);
             }
         }
     }
@@ -566,7 +575,8 @@ proptest! {
         let amax = x.iter().fold(0.0f32, |a, v| a.max(v.abs()));
         let mut y = vec![0.0f32; rows];
         q.matvec_into(&x, &mut qa, &mut y);
-        let reference = m.matvec(&x);
+        let mut reference = vec![0.0f32; rows];
+        m.matvec_into(&x, &mut reference);
         for r in 0..rows {
             let sr = q.scale(r);
             let per_term = 127.0 * sr * act.scale * 0.5 + amax * sr * 0.5 + sr * act.scale * 0.25;

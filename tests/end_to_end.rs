@@ -3,8 +3,9 @@
 
 use clap_repro::baselines::{KitsuneConfig, KitsuneLite};
 use clap_repro::clap_core::{
-    auc_roc, extract_connection, score_errors, Clap, ClapConfig, ClosedFlow, EvictionMode,
-    ProfileBuilder, QuantMode, ResidentMode, StreamConfig,
+    auc_roc, extract_connection, score_errors, Clap, ClapConfig, ClosedFlow, EvictionMode, Fault,
+    FaultPlan, OverloadPolicy, ProfileBuilder, QuantMode, ResidentMode, ShardConfig, ShardHealth,
+    StreamConfig,
 };
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
 use clap_repro::neural::KernelSet;
@@ -297,6 +298,91 @@ fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
     );
 }
 
+/// The sharded engine accounts for every packet under faults, and without
+/// them equals one scorer. Three shards score an interleaved held-out
+/// stream that spans less than `idle_timeout`, so no shard's own clock
+/// expires a flow. Under `DropNewest`, one injected panic and a forced
+/// 16-arrival ring-full burst leave `pushed == scored + dropped +
+/// quarantined` on every shard, the whole stream pushed, one packet
+/// quarantined and the burst shed. Under `Block` with no faults, the
+/// verdicts in arrival order are bitwise a single `StreamScorer`'s.
+#[test]
+fn sharded_scoring_accounts_for_every_packet_and_matches_one_scorer() {
+    clap_repro::clap_core::shard::fault::silence_injected_panics();
+    let mut model = ClapConfig::ci();
+    model.ae.epochs = 8; // the scores must be equal, not good
+    let (clap, _) = Clap::train(&traffic_gen::dataset(0xe2e, 20), &model);
+    let held_out = traffic_gen::dataset(0x5a4d, 12);
+    let mut stream: Vec<&Packet> = held_out.iter().flat_map(|c| &c.packets).collect();
+    stream.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
+    let stream_cfg = StreamConfig::default();
+    let span = stream.last().unwrap().timestamp - stream[0].timestamp;
+    assert!(span < stream_cfg.idle_timeout, "the stream spans {span} s");
+    let sharded = |overload, faults| {
+        let config = ShardConfig {
+            shards: 3,
+            // Rings that hold the whole stream never fill on their own,
+            // so only the plan's burst sheds.
+            queue_capacity: stream.len(),
+            stream: stream_cfg.clone(),
+            overload,
+            faults,
+            ..ShardConfig::default()
+        };
+        clap.sharded_scorer_with(config)
+            .try_score_stream(stream.iter().copied())
+            .expect("recoverable faults must not fail the run")
+    };
+
+    let n = stream.len() as u64;
+    let burst = n / 2..n / 2 + 16;
+    let faults = FaultPlan::none()
+        .with(Fault::PanicAt { arrival: n / 4 })
+        .with(Fault::FullBurst {
+            from: burst.start,
+            until: burst.end,
+        });
+    let faulted = sharded(OverloadPolicy::DropNewest, faults);
+    ShardHealth::check_accounting(&faulted.stats).unwrap();
+    let health = ShardHealth::of(&faulted.stats);
+    assert_eq!(health.pushed, n, "every packet dispatched");
+    assert_eq!(health.quarantined, 1);
+    assert_eq!(faulted.quarantined.len(), 1);
+    assert_eq!(faulted.quarantined[0].arrival, n / 4);
+    assert_eq!(health.dropped, burst.end - burst.start, "the burst is shed");
+
+    let clean = sharded(OverloadPolicy::Block, FaultPlan::none());
+    let mut single = clap.stream_scorer_with(stream_cfg.clone());
+    for p in &stream {
+        single.push(p);
+    }
+    let mut reference = single.finish();
+    reference.sort_by_key(|f| f.arrival);
+    assert!(
+        reference.len() >= held_out.len(),
+        "a verdict per connection"
+    );
+    let bits = |f: &ClosedFlow| {
+        let errors: Vec<u32> = f.scored.window_errors.iter().map(|e| e.to_bits()).collect();
+        (
+            f.key,
+            f.packets,
+            f.reason,
+            f.arrival,
+            errors,
+            f.scored.score.to_bits(),
+        )
+    };
+    assert_eq!(
+        clean
+            .verdicts
+            .iter()
+            .map(|v| bits(&v.flow))
+            .collect::<Vec<_>>(),
+        reference.iter().map(bits).collect::<Vec<_>>()
+    );
+}
+
 /// FNV-1a over the bits of every trained GRU and autoencoder weight and
 /// bias, then of the autoencoder's per-epoch losses.
 fn trained_bits_hash(clap: &Clap, ae_losses: &[f32]) -> u64 {
@@ -306,13 +392,15 @@ fn trained_bits_hash(clap: &Clap, ae_losses: &[f32]) -> u64 {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
         }
     };
+    // The cell's gate-stacked tensors, walked Wz, Uz, Wr, Ur, Wn, Un, then
+    // bz, br, bn.
     let cell = &clap.rnn.cell;
-    for m in [&cell.wz, &cell.uz, &cell.wr, &cell.ur, &cell.wn, &cell.un] {
-        eat(&m.data);
+    let (w_gate, u_gate) = (cell.w.data.len() / 3, cell.u.data.len() / 3);
+    for gate in 0..3 {
+        eat(&cell.w.data[gate * w_gate..(gate + 1) * w_gate]);
+        eat(&cell.u.data[gate * u_gate..(gate + 1) * u_gate]);
     }
-    for b in [&cell.bz, &cell.br, &cell.bn] {
-        eat(b);
-    }
+    eat(&cell.b);
     eat(&clap.rnn.wo.data);
     eat(&clap.rnn.bo);
     for layer in clap.ae.layers() {
