@@ -19,6 +19,14 @@
 //! two-phase: [`extract_connection`] computes base features plus the raw
 //! numeric values; the trained [`RangeModel`] then materializes the final
 //! 51-dim packet-feature vector.
+//!
+//! **Indicators.** 33 of the 51 are one-bit indicators, named by
+//! [`INDICATOR_MASK`]: direction (#1), the nine TCP flags (#5–#13), both
+//! checksum validities (#15, #29), MD5 presence (#23), anomalous IP
+//! options (#32), the 18 out-of-range flags (#33–#50) and the length
+//! equivalence (#51). Each is written as `bool as u8 as f32` — exactly
+//! `0.0` or `1.0` — so a flow's resident profiles keep it as one bit. The
+//! other 18 are the scaled numeric features.
 
 use net_packet::{Connection, Direction, IpHeader, Packet, TcpFlags};
 use serde::{Deserialize, Serialize};
@@ -257,7 +265,7 @@ fn extract_packet_into(
 
     out.base.clear();
     let base = &mut out.base;
-    base.push(dir.index() as f32); // #1 direction
+    base.push((dir == Direction::ServerToClient) as u8 as f32); // #1 direction
     base.push(log_scale(r_seq, u32::MAX as f32)); // #2
     base.push(log_scale(r_ack, u32::MAX as f32)); // #3
     base.push(data_offset as f32 / 15.0); // #4
@@ -367,7 +375,8 @@ impl RangeModel {
 
     /// Allocation-free variant of [`packet_features`](Self::packet_features):
     /// writes the 51 values into a caller-owned slice (e.g. a profile-matrix
-    /// row), so the scoring hot path reuses one buffer per worker.
+    /// row), so the scoring hot path reuses one buffer per worker. The
+    /// slots of [`INDICATOR_MASK`] read exactly `0.0` or `1.0`.
     pub fn write_packet_features(&self, fv: &FeatureVector, out: &mut [f32]) {
         debug_assert_eq!(out.len(), NUM_PACKET);
         out[..NUM_BASE].copy_from_slice(&fv.base);
@@ -377,6 +386,21 @@ impl RangeModel {
         out[NUM_PACKET - 1] = fv.equiv_ok as u8 as f32;
     }
 }
+
+/// The packet-feature slots [`RangeModel::write_packet_features`] writes
+/// as one-bit indicators (`bool as u8 as f32`), bit `i` for slot `i`:
+/// direction (0), the TCP flags (4–12), the transport checksum validity
+/// (14), MD5 presence (22), the IP checksum validity (28), anomalous IP
+/// options (31), the out-of-range flags (32–49) and the length
+/// equivalence (50).
+pub const INDICATOR_MASK: u64 =
+    1 | 0x1ff << 4 | 1 << 14 | 1 << 22 | 1 << 28 | 1 << 31 | ((1 << (NUM_RAW + 1)) - 1) << NUM_BASE;
+/// How many slots [`INDICATOR_MASK`] names.
+pub const NUM_INDICATORS: usize = 33;
+const _: () = assert!(
+    INDICATOR_MASK.count_ones() as usize == NUM_INDICATORS && INDICATOR_MASK >> NUM_PACKET == 0,
+    "33 indicator slots, all packet features"
+);
 
 #[cfg(test)]
 mod tests {

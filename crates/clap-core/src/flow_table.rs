@@ -67,16 +67,19 @@
 //! report identical flow sets (pinned by proptest, here against a model
 //! of the table and in `tests/proptests.rs` through a whole scorer).
 //!
-//! **Per-flow memory** at Table-6 sizes (`H = 32`, `stack = 3`, 115-float
+//! **Per-flow memory** at Table-6 sizes (`H = 32`, `stack = 3`, 115-value
 //! profiles): 16–32 B of index, a 216 B slot, the flow's error log
 //! (4 B per window it has emitted), and — in the owner's arena — resident
-//! state of `32 + 2×115` floats = 1048 B at f32 or as many codes plus 3
-//! quant pairs = 286 B at int8, plus 24 B per chunk for each array's list
-//! of chunks. Measured by the benchmark: 558.8 B/flow int8-resident at
-//! `churn_16k`'s 16 000-flow plateau (16 chunks, 32 Ki index buckets);
-//! f32-resident, 1 317.5 B/flow at `syn_scan`'s 20 048 flows (20 chunks,
-//! 64 Ki buckets), where the doubling slab reserved 32 768 slots and read
-//! 2 092 B/flow.
+//! state: the hidden vector and two packed profile rows, each the
+//! profile's 82 dense values and an 8 B word of its 33 indicator bits
+//! (the owner's resident arena packs them). That is `4×32 + 2×(4×82 + 8)` = 800 B at
+//! f32, or `32 + 2×(82 + 8)` B of codes and words plus 3 quant pairs =
+//! 236 B at int8, plus 24 B per chunk for each array's list of chunks. A
+//! TCP flow picked up mid-stream also holds its first packets, and what
+//! they own, until its orientation resolves. Measured by the benchmark:
+//! 507.6 B/flow int8-resident at `churn_16k`'s 16 000-flow plateau (16
+//! chunks, 32 Ki index buckets); f32-resident, 1 064.2 B/flow at
+//! `syn_scan`'s 20 048 flows (20 chunks, 64 Ki buckets).
 //! [`FlowTable::heap_bytes`] is the table's share of
 //! [`StreamScorer::mem_bytes`](crate::StreamScorer::mem_bytes).
 
@@ -122,8 +125,8 @@ pub(crate) struct Slot {
     /// Reconstruction error per emitted stacked window, in order.
     pub(crate) window_errors: Vec<f32>,
     /// Leading packets held back (with their arrival tags) while the
-    /// flow's orientation is still undecided (`Some` only for flows that
-    /// did not start with a pure SYN, until the owner's orient buffer
+    /// flow's orientation is still undecided (`Some` only for TCP flows
+    /// that did not start with a pure SYN, until the owner's orient buffer
     /// fills or a SYN lands). Boxed: the common case is `None` and the
     /// slab stays dense — the extra indirection trades a pointer-sized
     /// field here for 16 fewer bytes in every one of a million slots.
@@ -587,7 +590,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     }
 
     /// Heap footprint: index, slab and what its slots own (error logs,
-    /// orient buffers). O(slab).
+    /// orient buffers and the heap of each packet they hold). O(slab).
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let logs: usize = (0..self.slab.0.len() as u32)
@@ -595,7 +598,9 @@ impl<S: BuildHasher + Default> FlowTable<S> {
                 let s = &self.slab[h];
                 s.window_errors.capacity() * size_of::<f32>()
                     + s.pending.as_ref().map_or(0, |b| {
-                        size_of::<Vec<(u64, Packet)>>() + b.capacity() * size_of::<(u64, Packet)>()
+                        size_of::<Vec<(u64, Packet)>>()
+                            + b.capacity() * size_of::<(u64, Packet)>()
+                            + b.iter().map(|(_, p)| p.heap_bytes()).sum::<usize>()
                     })
             })
             .sum();

@@ -70,7 +70,8 @@ pub mod shard;
 pub mod stream;
 
 pub use features::{
-    extract_connection, FeatureExtractor, FeatureVector, RangeModel, NUM_BASE, NUM_PACKET, NUM_RAW,
+    extract_connection, FeatureExtractor, FeatureVector, RangeModel, INDICATOR_MASK, NUM_BASE,
+    NUM_INDICATORS, NUM_PACKET, NUM_RAW,
 };
 pub use metrics::{auc_roc, equal_error_rate, roc_curve, top_n_hit, RocPoint, ShardHealth};
 pub use neural::QuantMode;

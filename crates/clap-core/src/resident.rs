@@ -17,12 +17,24 @@
 //! it in scratch and it enters the window from there — so the ring holds
 //! strictly the rows future windows will re-read.
 //!
-//! [`ResidentMode::Int8`] stores both in the 7-bit activation format of
-//! `neural::quant` (codes plus one `(scale, min)` pair per row),
-//! dequantized on read and requantized on store — ~4× smaller, at the
-//! price of one round trip through the grid per packet.
+//! **Ring rows.** A profile is 115 values, and 33 of them are the one-bit
+//! indicators of [`INDICATOR_MASK`]. A ring row stores the other 82 — the
+//! 18 numeric packet features and the 64 gate activations — densely, and
+//! after them, in the same row, one `u64` holding the 33 indicator bits:
+//! 336 B a row at f32. Reading a row expands it back, bitwise the profile
+//! that was stored, so every window the autoencoder sees is the one the
+//! scorer built.
+//!
+//! [`ResidentMode::Int8`] stores the hidden vector and each ring row in
+//! the 7-bit activation format of `neural::quant` (codes plus one
+//! `(scale, min)` pair per row, the whole 115-wide row quantized as one),
+//! dequantized on read and requantized on store. A ring row then keeps
+//! the 82 dense codes, and its word holds, above the indicator bits, the
+//! two codes the row's `0.0` and `1.0` quantized to: 98 B a row with its
+//! pair, at the price of one round trip through the grid per packet.
 
 use crate::chunked::Chunked;
+use crate::features::{INDICATOR_MASK, NUM_INDICATORS, NUM_PACKET};
 use crate::profile::PROFILE_LEN;
 use neural::{dequantize_activations_into, quantize_activations, ActQuant};
 
@@ -35,13 +47,13 @@ pub enum ResidentMode {
     /// guarantee bit for bit.
     #[default]
     F32,
-    /// 7-bit quantized resident state (~4× smaller). Scores drift within
+    /// 7-bit quantized resident state (~3× smaller). Scores drift within
     /// the calibrated resident-quantization bound.
     Int8,
 }
 
 /// Per-flow neural state: slot `s` owns `hidden` elements of the
-/// hidden-state arrays and `stack − 1` rows of the profile-ring arrays.
+/// hidden-state arrays and `stack − 1` rows of the profile ring.
 /// One representation for the whole arena (not per flow), so the f32 path
 /// stays branch-free per row and the int8 path adds no per-flow
 /// discriminant.
@@ -61,12 +73,12 @@ pub(crate) struct ResidentArena {
 enum State {
     F32 {
         h: Chunked<f32>,
-        ring: Chunked<f32>,
+        ring: Ring<f32>,
     },
     Int8 {
         h: Chunked<u8>,
         hq: Chunked<ActQuant>,
-        ring: Chunked<u8>,
+        ring: Ring<u8>,
         ringq: Chunked<ActQuant>,
     },
 }
@@ -77,6 +89,194 @@ const ZERO_Q: ActQuant = ActQuant {
     scale: 0.0,
     min: 0.0,
 };
+
+/// Values a ring row keeps densely: every profile slot but the
+/// indicators.
+const DENSE_LEN: usize = PROFILE_LEN - NUM_INDICATORS;
+
+/// Whether profile slot `s` is one of the [`INDICATOR_MASK`] bits.
+const fn is_indicator(s: usize) -> bool {
+    s < NUM_PACKET && INDICATOR_MASK >> s & 1 == 1
+}
+
+/// The profile's maximal runs of dense slots, `(first slot, length)` in
+/// slot order; a ring row's dense values are their concatenation.
+const DENSE_RUNS: &[(usize, usize)] = {
+    let (runs, n) = &const { dense_runs() };
+    runs.split_at(*n).0
+};
+
+/// [`DENSE_RUNS`] in the front of a profile-wide table, and their count.
+const fn dense_runs() -> ([(usize, usize); PROFILE_LEN], usize) {
+    let mut runs = [(0, 0); PROFILE_LEN];
+    let (mut s, mut n) = (0, 0);
+    while s < PROFILE_LEN {
+        if !is_indicator(s) {
+            if s == 0 || is_indicator(s - 1) {
+                runs[n] = (s, 0);
+                n += 1;
+            }
+            runs[n - 1].1 += 1;
+        }
+        s += 1;
+    }
+    (runs, n)
+}
+
+/// The indicator slots in bit order: bit `b` of a row's word is slot
+/// `INDICATORS[b]`.
+const INDICATORS: [usize; NUM_INDICATORS] = {
+    let mut out = [0; NUM_INDICATORS];
+    let (mut s, mut b) = (0, 0);
+    while s < NUM_PACKET {
+        if is_indicator(s) {
+            out[b] = s;
+            b += 1;
+        }
+        s += 1;
+    }
+    out
+};
+
+/// Where an int8 row's word keeps the codes its `0.0` and `1.0`
+/// quantized to, one byte each above the indicator bits.
+const UNLIT_CODE: u32 = NUM_INDICATORS as u32;
+const LIT_CODE: u32 = UNLIT_CODE + 8;
+
+/// Copies the dense slots of the profile-wide `full` into `dense`.
+fn gather<T: Copy>(full: &[T], dense: &mut [T]) {
+    let mut at = 0;
+    for &(s, n) in DENSE_RUNS {
+        dense[at..at + n].copy_from_slice(&full[s..s + n]);
+        at += n;
+    }
+}
+
+/// The indicator bits of a profile, which must hold exactly `0.0` or
+/// `1.0` in every indicator slot.
+fn indicator_bits(profile: &[f32]) -> u64 {
+    let mut word = 0;
+    for (b, &s) in INDICATORS.iter().enumerate() {
+        let v = profile[s];
+        debug_assert!(
+            v.to_bits() == 0 || v.to_bits() == 1f32.to_bits(),
+            "profile slot {s} is an indicator but holds {v:?}"
+        );
+        word |= u64::from(v == 1.0) << b;
+    }
+    word
+}
+
+/// The word of an int8 row: the profile's indicator bits, and the codes
+/// its unlit and lit indicators quantized to (`codes` is the whole row's).
+fn int8_word(profile: &[f32], codes: &[u8]) -> u64 {
+    let bits = indicator_bits(profile);
+    let mut by_bit = [0u8; 2];
+    for (b, &s) in INDICATORS.iter().enumerate() {
+        by_bit[(bits >> b & 1) as usize] = codes[s];
+    }
+    bits | u64::from(by_bit[0]) << UNLIT_CODE | u64::from(by_bit[1]) << LIT_CODE
+}
+
+/// Expands a packed row into the profile-wide `full`: the dense values to
+/// their slots, and indicator `b` as `lit[1]` when bit `b` of `word` is
+/// set, else `lit[0]`.
+fn scatter<T: Copy>(dense: &[T], word: u64, lit: [T; 2], full: &mut [T]) {
+    let mut at = 0;
+    for &(s, n) in DENSE_RUNS {
+        full[s..s + n].copy_from_slice(&dense[at..at + n]);
+        at += n;
+    }
+    for (b, &s) in INDICATORS.iter().enumerate() {
+        full[s] = lit[(word >> b & 1) as usize];
+    }
+}
+
+/// The codes an int8 row's word says its unlit and lit indicators hold.
+fn lit_codes(word: u64) -> [u8; 2] {
+    [(word >> UNLIT_CODE) as u8, (word >> LIT_CODE) as u8]
+}
+
+/// What a ring row is made of: f32 values, or int8 codes.
+trait Lane: Copy {
+    /// Lanes a row's word takes, after its dense values.
+    const WORD_LANES: usize;
+    fn store_word(word: u64, lanes: &mut [Self]);
+    fn load_word(lanes: &[Self]) -> u64;
+}
+
+/// The word's halves as two f32 bit patterns: a copy keeps every bit,
+/// NaN patterns included, as it does for the dense values.
+impl Lane for f32 {
+    const WORD_LANES: usize = 2;
+
+    fn store_word(word: u64, lanes: &mut [f32]) {
+        lanes[0] = f32::from_bits(word as u32);
+        lanes[1] = f32::from_bits((word >> 32) as u32);
+    }
+
+    fn load_word(lanes: &[f32]) -> u64 {
+        u64::from(lanes[0].to_bits()) | u64::from(lanes[1].to_bits()) << 32
+    }
+}
+
+impl Lane for u8 {
+    const WORD_LANES: usize = 8;
+
+    fn store_word(word: u64, lanes: &mut [u8]) {
+        lanes.copy_from_slice(&word.to_le_bytes());
+    }
+
+    fn load_word(lanes: &[u8]) -> u64 {
+        u64::from_le_bytes(lanes.try_into().expect("a word is 8 code lanes"))
+    }
+}
+
+/// Each slot's `stack − 1` packed profile rows, one after another: per
+/// row, the dense values and then the word, in lanes of `T` — one array,
+/// so a row's word shares its cache lines.
+#[derive(Debug)]
+struct Ring<T> {
+    rows: Chunked<T>,
+}
+
+impl<T: Lane> Ring<T> {
+    /// Lanes of one packed row.
+    const ROW: usize = DENSE_LEN + T::WORD_LANES;
+
+    fn new(rows: usize, max_slots: usize) -> Ring<T> {
+        Ring {
+            rows: Chunked::new(rows * Self::ROW, max_slots),
+        }
+    }
+
+    fn push(&mut self, zero: T) {
+        self.rows.push(zero);
+    }
+
+    /// The dense values and the word of the slot's row `r`.
+    fn row(&self, slot: usize, r: usize) -> (&[T], u64) {
+        let row = &self.rows.row(slot)[r * Self::ROW..(r + 1) * Self::ROW];
+        let (dense, word) = row.split_at(DENSE_LEN);
+        (dense, T::load_word(word))
+    }
+
+    /// Stores the dense slots of `full` and `word` as the slot's row `r`.
+    fn store(&mut self, slot: usize, r: usize, full: &[T], word: u64) {
+        let row = &mut self.rows.row_mut(slot)[r * Self::ROW..(r + 1) * Self::ROW];
+        let (dense, lanes) = row.split_at_mut(DENSE_LEN);
+        gather(full, dense);
+        T::store_word(word, lanes);
+    }
+
+    fn clear(&mut self) {
+        self.rows.clear();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.rows.heap_bytes()
+    }
+}
 
 impl ResidentArena {
     /// An empty arena for flows of a `hidden`-wide GRU scored in windows
@@ -89,30 +289,22 @@ impl ResidentArena {
         max_slots: usize,
     ) -> ResidentArena {
         let ring_rows = stack - 1;
-        let ring = ring_rows * PROFILE_LEN;
         ResidentArena {
             hidden,
             ring_rows,
             state: match mode {
                 ResidentMode::F32 => State::F32 {
                     h: Chunked::new(hidden, max_slots),
-                    ring: Chunked::new(ring, max_slots),
+                    ring: Ring::new(ring_rows, max_slots),
                 },
                 ResidentMode::Int8 => State::Int8 {
                     h: Chunked::new(hidden, max_slots),
                     hq: Chunked::new(1, max_slots),
-                    ring: Chunked::new(ring, max_slots),
+                    ring: Ring::new(ring_rows, max_slots),
                     ringq: Chunked::new(ring_rows, max_slots),
                 },
             },
         }
-    }
-
-    /// Ring row of the slot's packet `t` and its element span in the
-    /// slot's ring.
-    fn ring_row(&self, t: usize) -> (usize, std::ops::Range<usize>) {
-        let r = t % self.ring_rows;
-        (r, r * PROFILE_LEN..(r + 1) * PROFILE_LEN)
     }
 
     /// Appends one zeroed slot's worth of state.
@@ -188,14 +380,20 @@ impl ResidentArena {
         }
     }
 
-    /// Copies (f32) or dequantizes (int8) the profile of the slot's packet
-    /// `t` — one of its last `stack − 1` — into `out`.
+    /// Expands (f32) or expands and dequantizes (int8) the profile of the
+    /// slot's packet `t` — one of its last `stack − 1` — into `out`.
     pub(crate) fn read_profile(&self, slot: usize, t: usize, out: &mut [f32]) {
-        let (r, span) = self.ring_row(t);
+        let r = t % self.ring_rows;
         match &self.state {
-            State::F32 { ring, .. } => out.copy_from_slice(&ring.row(slot)[span]),
+            State::F32 { ring, .. } => {
+                let (dense, word) = ring.row(slot, r);
+                scatter(dense, word, [0.0, 1.0], out);
+            }
             State::Int8 { ring, ringq, .. } => {
-                dequantize_activations_into(&ring.row(slot)[span], ringq.row(slot)[r], out)
+                let (dense, word) = ring.row(slot, r);
+                let mut codes = [0; PROFILE_LEN];
+                scatter(dense, word, lit_codes(word), &mut codes);
+                dequantize_activations_into(&codes, ringq.row(slot)[r], out)
             }
         }
     }
@@ -213,12 +411,12 @@ impl ResidentArena {
         if self.ring_rows == 0 {
             return;
         }
-        let (r, span) = self.ring_row(t);
+        let r = t % self.ring_rows;
         match &mut self.state {
-            State::F32 { ring, .. } => ring.row_mut(slot)[span].copy_from_slice(row),
+            State::F32 { ring, .. } => ring.store(slot, r, row, indicator_bits(row)),
             State::Int8 { ring, ringq, .. } => {
                 ringq.row_mut(slot)[r] = quantize_activations(row, codes);
-                ring.row_mut(slot)[span].copy_from_slice(codes);
+                ring.store(slot, r, codes, int8_word(row, codes));
             }
         }
     }
@@ -265,18 +463,20 @@ impl ResidentArena {
 mod tests {
     use super::*;
     use crate::chunked::CHUNK;
+    use proptest::prelude::*;
 
     /// Where slot `s` lives: the address of its row in each array.
     fn addresses(a: &ResidentArena, s: usize) -> Vec<usize> {
+        fn at<T>(row: &[T]) -> usize {
+            row.as_ptr() as usize
+        }
         match &a.state {
-            State::F32 { h, ring } => {
-                vec![h.row(s).as_ptr() as usize, ring.row(s).as_ptr() as usize]
-            }
+            State::F32 { h, ring } => vec![at(h.row(s)), at(ring.rows.row(s))],
             State::Int8 { h, hq, ring, ringq } => vec![
-                h.row(s).as_ptr() as usize,
-                hq.row(s).as_ptr() as usize,
-                ring.row(s).as_ptr() as usize,
-                ringq.row(s).as_ptr() as usize,
+                at(h.row(s)),
+                at(hq.row(s)),
+                at(ring.rows.row(s)),
+                at(ringq.row(s)),
             ],
         }
     }
@@ -284,16 +484,116 @@ mod tests {
     /// Each array's capacity, in slots.
     fn capacities(a: &ResidentArena) -> Vec<usize> {
         match &a.state {
-            State::F32 { h, ring } => vec![h.capacity(), ring.capacity()],
-            State::Int8 { h, hq, ring, ringq } => {
-                vec![
-                    h.capacity(),
-                    hq.capacity(),
-                    ring.capacity(),
-                    ringq.capacity(),
-                ]
+            State::F32 { h, ring } => vec![h.capacity(), ring.rows.capacity()],
+            State::Int8 { h, hq, ring, ringq } => vec![
+                h.capacity(),
+                hq.capacity(),
+                ring.rows.capacity(),
+                ringq.capacity(),
+            ],
+        }
+    }
+
+    /// A profile holding `dense` in its dense slots, in slot order, and
+    /// lighting indicator `b` when bit `b` of `bits` is set — built from
+    /// the mask alone, not from the codec's tables.
+    fn profile(dense: &[f32], bits: u64) -> Vec<f32> {
+        let (mut dense, mut b) = (dense.iter(), 0);
+        let full = (0..PROFILE_LEN)
+            .map(|s| {
+                if s < NUM_PACKET && INDICATOR_MASK >> s & 1 == 1 {
+                    b += 1;
+                    (bits >> (b - 1) & 1 == 1) as u8 as f32
+                } else {
+                    *dense.next().expect("one dense value per dense slot")
+                }
+            })
+            .collect();
+        assert!(dense.next().is_none(), "one dense value per dense slot");
+        full
+    }
+
+    fn to_bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Dense values the codec must carry bit for bit: NaNs with payloads
+    /// of either sign, ±0.0, subnormals, ±inf and the extremes, beside
+    /// arbitrary bit patterns and ordinary activations.
+    fn value() -> impl Strategy<Value = f32> {
+        const SPECIAL: [u32; 12] = [
+            0x7fc0_0000, // NaN
+            0x7fc0_1234, // quiet NaN, payload
+            0xffa0_0001, // negative signalling NaN, payload
+            0x8000_0000, // −0.0
+            0x0000_0000, // +0.0
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest negative subnormal
+            0x7f80_0000, // +inf
+            0xff80_0000, // −inf
+            0x7f7f_ffff, // f32::MAX
+            0xff7f_ffff, // f32::MIN
+            0x3f80_0000, // 1.0
+        ];
+        prop_oneof![
+            (0..SPECIAL.len()).prop_map(|i| f32::from_bits(SPECIAL[i])),
+            any::<u32>().prop_map(f32::from_bits),
+            0.0f32..1.0,
+            -3.0f32..3.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Packing a profile into a ring row and expanding it back is the
+        /// identity by bits at f32, and at int8 is bitwise the round trip
+        /// through the whole 115-wide row's codes: the same codes, so the
+        /// same dequantized profile.
+        #[test]
+        fn a_ring_row_expands_to_the_profile_it_packed(
+            dense in prop::collection::vec(value(), DENSE_LEN),
+            bits in prop_oneof![any::<u64>(), Just(0u64), Just(u64::MAX)],
+            t in 0usize..6,
+        ) {
+            let row = profile(&dense, bits);
+            let (mut codes, mut out) = (Vec::new(), vec![0.0; PROFILE_LEN]);
+            for mode in [ResidentMode::F32, ResidentMode::Int8] {
+                let mut arena = ResidentArena::new(mode, 4, 3, 2);
+                arena.push_slot();
+                arena.push_slot();
+                arena.store_profile(1, t, &row, &mut codes);
+                arena.read_profile(1, t, &mut out);
+                let want = match &arena.state {
+                    State::F32 { .. } => row.clone(),
+                    State::Int8 { ring, .. } => {
+                        let q = quantize_activations(&row, &mut codes);
+                        let (dense, word) = ring.row(1, t % 2);
+                        let mut expanded = [0; PROFILE_LEN];
+                        scatter(dense, word, lit_codes(word), &mut expanded);
+                        prop_assert_eq!(&expanded[..], &codes[..]);
+                        let mut want = vec![0.0; PROFILE_LEN];
+                        dequantize_activations_into(&codes, q, &mut want);
+                        want
+                    }
+                };
+                prop_assert_eq!(to_bits(&out), to_bits(&want), "{:?}", mode);
             }
         }
+    }
+
+    /// The codec's tables partition the profile: 82 dense slots in 6 runs
+    /// and the 33 indicators, each slot once, in slot order.
+    #[test]
+    fn dense_runs_and_indicators_cover_every_slot_once() {
+        let mut slots: Vec<usize> = DENSE_RUNS.iter().flat_map(|&(s, n)| s..s + n).collect();
+        assert_eq!(slots.len(), DENSE_LEN);
+        assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        assert!(INDICATORS.windows(2).all(|w| w[0] < w[1]));
+        slots.extend(INDICATORS);
+        slots.sort_unstable();
+        assert_eq!(slots, (0..PROFILE_LEN).collect::<Vec<_>>());
+        assert_eq!(DENSE_RUNS.len(), 6);
     }
 
     /// What slot `s` reads back, as bits: its hidden vector, then its
@@ -328,9 +628,13 @@ mod tests {
                 arena.push_slot();
                 assert!(capacities(&arena).iter().all(|&c| c == slab.capacity()));
                 let row = |t: usize| -> Vec<f32> {
-                    (0..PROFILE_LEN)
+                    let dense: Vec<f32> = (0..DENSE_LEN)
                         .map(|i| ((s * 7 + t * 3 + i) as f32 * 0.37).sin())
-                        .collect()
+                        .collect();
+                    profile(
+                        &dense,
+                        ((s * 7 + t * 3) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    )
                 };
                 arena.store_hidden(s, &row(stack)[..hidden], &mut codes);
                 for t in 0..stack - 1 {

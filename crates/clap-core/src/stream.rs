@@ -81,11 +81,12 @@
 //!
 //! **Orientation** matches the offline reassembler for every realistic
 //! capture: a flow whose first packet is a pure SYN is oriented
-//! immediately (the SYN sender is the client); a flow that starts
-//! mid-capture buffers up to [`StreamConfig::orient_buffer`] leading
-//! packets *unprocessed*, so a pure SYN arriving among them can
-//! retroactively re-orient the flow before any feature is extracted —
-//! exactly what [`net_packet::assemble_connections`] does offline. Only a
+//! immediately (the SYN sender is the client), as is every UDP flow (its
+//! first sender is); a TCP flow that starts mid-capture buffers up to
+//! [`StreamConfig::orient_buffer`] leading packets *unprocessed*, so a
+//! pure SYN arriving among them can retroactively re-orient the flow
+//! before any feature is extracted — exactly what
+//! [`net_packet::assemble_connections`] does offline. Only a
 //! pure SYN arriving *after* the buffer has flushed diverges (the offline
 //! reassembler re-orients at any depth; a streaming scorer cannot rewrite
 //! already-scored history). The remaining divergence by design: a
@@ -158,10 +159,11 @@ pub struct StreamConfig {
     /// [`EvictionMode::Wheel`] each boundary costs O(expired flows); with
     /// [`EvictionMode::Sweep`] it costs O(live flows).
     pub sweep_interval: usize,
-    /// A flow that does **not** begin with a pure SYN (a mid-capture
+    /// A TCP flow that does **not** begin with a pure SYN (a mid-capture
     /// start) buffers up to this many leading packets before anything is
     /// scored, so a late pure SYN among them re-orients the flow exactly
-    /// like the offline reassembler. `0` restores first-packet pinning.
+    /// like the offline reassembler. A UDP flow has no SYN to wait for and
+    /// scores from its first packet. `0` restores first-packet pinning.
     pub orient_buffer: usize,
     /// Engine precision for this scorer's GRU and autoencoder
     /// ([`QuantMode::Int8`] runs the int8 quantized kernels). Defaults to
@@ -445,8 +447,9 @@ impl StreamScorer<'_> {
                 }
                 // Orientation: a pure SYN identifies the initiator
                 // outright; anything else is provisionally
-                // first-packet-oriented and — with a non-zero orient
-                // buffer — held back so a late SYN can still re-orient it.
+                // first-packet-oriented and — for TCP, with a non-zero
+                // orient buffer — held back so a late SYN can still
+                // re-orient it. A UDP flow never sees a SYN.
                 let (h, appended) = self.table.open(hash, sender_as_client(p), self.clock, tag);
                 if appended {
                     // Clamped to the table's size, the arena adds its
@@ -455,7 +458,7 @@ impl StreamScorer<'_> {
                 } else {
                     self.resident.clear_slot(h as usize);
                 }
-                if !is_pure_syn && self.config.orient_buffer > 0 {
+                if !is_pure_syn && p.transport.tcp().is_some() && self.config.orient_buffer > 0 {
                     self.table[h].pending = Some(Box::new(Vec::with_capacity(1)));
                 }
                 self.cells
@@ -1102,6 +1105,43 @@ mod tests {
         assert_eq!(closed[0].packets, 2);
         assert_eq!(closed[0].scored.window_errors.len(), 1, "padded window");
         assert!(closed[0].scored.score.is_finite());
+    }
+
+    /// A UDP flow has no SYN to wait for, so it opens no orient buffer:
+    /// `push` returns each window error as the packet completing it
+    /// arrives, and the closed flow is bitwise what first-packet pinning
+    /// (`orient_buffer: 0`) and the batch path give — the verdict a
+    /// buffered flow flushed unchanged.
+    #[test]
+    fn udp_flows_score_from_their_first_packet() {
+        let clap = model();
+        let stack = clap.config.stack;
+        let conn = traffic_gen::mixed_dataset(923, 40)
+            .into_iter()
+            .find(|c| c.packets[0].transport.udp().is_some() && c.len() > stack + 3)
+            .expect("the mixed corpus holds multi-packet UDP flows");
+        let batch = clap.score_connection(&conn);
+        let mut closed = Vec::new();
+        for orient_buffer in [StreamConfig::default().orient_buffer, 0] {
+            let mut scorer = clap.stream_scorer_with(StreamConfig {
+                orient_buffer,
+                ..no_teardown()
+            });
+            for (i, p) in conn.packets.iter().enumerate() {
+                let want = (i + 1 >= stack).then(|| batch.window_errors[i + 1 - stack]);
+                assert_eq!(
+                    scorer.push(p).map(f32::to_bits),
+                    want.map(f32::to_bits),
+                    "orient_buffer {orient_buffer}, packet {i}"
+                );
+            }
+            let flow = scorer.finish().pop().expect("one flow");
+            assert_scored_eq(&flow.scored, &batch);
+            closed.push(flow);
+        }
+        let id = |c: &ClosedFlow| (c.key, c.packets, c.reason, c.arrival);
+        assert_eq!(id(&closed[0]), id(&closed[1]));
+        assert_scored_eq(&closed[0].scored, &closed[1].scored);
     }
 
     fn raw_packet_flags(src: (u8, u16), dst: (u8, u16), flags: TcpFlags, ts: f64) -> Packet {

@@ -42,9 +42,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use clap_core::{
     Clap, ClapConfig, EvictionMode, QuantMode, ResidentMode, StageHists, StreamCells, StreamConfig,
-    PROFILE_LEN,
+    NUM_INDICATORS, PROFILE_LEN,
 };
+use net_packet::{Ipv4Header, Packet, TcpFlags, TcpHeader, TcpOption};
 use neural::{Autoencoder, AutoencoderConfig, GruClassifier, GruClassifierConfig, Matrix};
+use std::net::Ipv4Addr;
 use traffic_gen::ChurnConfig;
 
 /// Counts every heap acquisition (alloc, alloc_zeroed, realloc) in
@@ -218,7 +220,9 @@ fn offline_scoring_allocates_only_its_results(clap: &Clap, conns: &[net_packet::
 /// resident arrays reserve whole chunks — so its bytes per flow exceed
 /// the clamped table's by less than one chunk of per-slot cost. The
 /// plateau is 4½ chunks: 5 120 slots reserved, where doubling would
-/// reserve 8 192.
+/// reserve 8 192. A last run opens 4 608 flows mid-stream and stops while
+/// each still holds its first packets for orientation, so the estimate
+/// must count what those packets own.
 fn mem_bytes_tracks_the_allocator(clap: &Clap) {
     const FLOWS: usize = 4608;
     // The benchmark's bound on `bytes_per_flow`; measured 0.1 % apart.
@@ -230,21 +234,22 @@ fn mem_bytes_tracks_the_allocator(clap: &Clap) {
         ..ChurnConfig::new(0x3e3b, FLOWS, FLOWS * 10)
     };
     let packets: Vec<_> = traffic_gen::churn(&churn).collect();
-    // Slot plus resident state: the hidden vector and `stack − 1` profile
-    // rows, as f32 or as codes with one quant pair per row.
+    // Slot plus resident state: the hidden vector and `stack − 1` packed
+    // profile rows — each the profile's dense values and one word of
+    // indicator bits — as f32, or as codes with one quant pair per row.
     let (hidden, stack) = (clap.config.rnn.hidden, clap.config.stack);
-    let ring = (stack - 1) * PROFILE_LEN;
-    let pair = std::mem::size_of::<neural::ActQuant>();
+    let (rows, dense) = (stack - 1, PROFILE_LEN - NUM_INDICATORS);
+    let (word, pair) = (8, std::mem::size_of::<neural::ActQuant>());
     for (quant, resident, slot_bytes) in [
         (
             QuantMode::Off,
             ResidentMode::F32,
-            SLOT_BYTES + 4 * (hidden + ring),
+            SLOT_BYTES + 4 * hidden + rows * (4 * dense + word),
         ),
         (
             QuantMode::Int8,
             ResidentMode::Int8,
-            SLOT_BYTES + hidden + ring + stack * pair,
+            SLOT_BYTES + hidden + pair + rows * (dense + word + pair),
         ),
     ] {
         let mut clamped_per_flow = None;
@@ -298,6 +303,52 @@ fn mem_bytes_tracks_the_allocator(clap: &Clap) {
             }
         }
     }
+
+    // Flows picked up mid-stream: each opens on a data segment and holds
+    // its first packets — payload, TCP options and all — in its orient
+    // buffer until a SYN or a full buffer decides its orientation. At the
+    // measurement every flow still holds two, so the estimate must count
+    // what each buffered packet owns.
+    let mid_stream: Vec<Packet> = (0..2 * FLOWS)
+        .map(|i| {
+            let flow = (i % FLOWS) as u32;
+            let src = Ipv4Addr::from(0x0a01_0000 + flow);
+            let ip = Ipv4Header::new(src, Ipv4Addr::new(10, 0, 0, 1), 64);
+            let mut tcp = TcpHeader::new(40_000, 443, 7 + i as u32, 99);
+            tcp.flags = TcpFlags::ACK | TcpFlags::PSH;
+            tcp.options = vec![
+                TcpOption::Nop,
+                TcpOption::Nop,
+                TcpOption::Timestamps {
+                    tsval: i as u32,
+                    tsecr: 5,
+                },
+                TcpOption::Sack(vec![(1, 2)]),
+            ];
+            Packet::new(i as f64 * 1e-6, ip, tcp, vec![0x5a; 64 + i % 512])
+        })
+        .collect();
+    let mut scorer = clap.stream_scorer_with(StreamConfig {
+        idle_timeout: 30.0,
+        ..StreamConfig::default()
+    });
+    scorer.push(&mid_stream[0]);
+    let (live_before, mem_before) = (LIVE.load(Ordering::Relaxed), scorer.mem_bytes());
+    for p in &mid_stream[1..] {
+        assert_eq!(scorer.push(p), None, "a buffering flow scores nothing");
+    }
+    let live = LIVE.load(Ordering::Relaxed).wrapping_sub(live_before) as f64;
+    let mem = (scorer.mem_bytes() - mem_before) as f64;
+    eprintln!(
+        "mid-stream, {FLOWS} buffering flows: mem_bytes grew {mem:.0} B, the allocator {live:.0} B \
+         (ratio {:.4})",
+        mem / live
+    );
+    assert_eq!(scorer.stats().flows_peak, FLOWS);
+    assert!(
+        (mem / live - 1.0).abs() <= MEM_TOLERANCE,
+        "mid-stream flows: mem_bytes() grew {mem:.0} B where the allocator counted {live:.0} B"
+    );
 }
 
 /// Every batch of `Autoencoder::train` runs through buffers the first one
@@ -352,9 +403,6 @@ fn autoencoder_training_allocates_per_run_not_per_batch() {
 /// widest array. A table that doubled would move 4 096 flows' profile
 /// rings, ≈3.8 MB, at its last growth.
 fn growth_allocates_a_chunk_at_a_time(clap: &Clap) {
-    use net_packet::{Ipv4Header, Packet, TcpFlags, TcpHeader};
-    use std::net::Ipv4Addr;
-
     const FLOWS: usize = 5 * CHUNK;
     let syns: Vec<Packet> = (0..FLOWS)
         .map(|i| {
@@ -391,7 +439,8 @@ fn growth_allocates_a_chunk_at_a_time(clap: &Clap) {
     let first_chunk_doublings = (CHUNK / 64).trailing_zeros() as usize;
     let index_growths = (2 * FLOWS).next_power_of_two().trailing_zeros() as usize - 2;
     let budget = arrays * (FLOWS / CHUNK + first_chunk_doublings + 3) + index_growths + 16;
-    let ring_row = (clap.config.stack - 1) * PROFILE_LEN * 4;
+    // A packed ring row: the dense values and the indicator word.
+    let ring_row = (clap.config.stack - 1) * ((PROFILE_LEN - NUM_INDICATORS) * 4 + 8);
     eprintln!(
         "{FLOWS} SYNs into a fresh scorer: {allocs} allocations (budget {budget}), \
          largest reallocation {moved} B"

@@ -392,6 +392,43 @@ impl Packet {
         self.transport.dst_port()
     }
 
+    /// Bytes this packet owns on the heap beyond its own size: payload,
+    /// trailer, IPv4 options or the IPv6 extension chain, and the TCP
+    /// options — what a clone of it allocates.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let ip = match &self.ip {
+            IpHeader::V4(h) => h.options.capacity(),
+            IpHeader::V6(h) => {
+                h.ext.capacity() * size_of::<Ipv6ExtHeader>()
+                    + h.ext.iter().map(|e| e.data.capacity()).sum::<usize>()
+            }
+        };
+        let transport = match &self.transport {
+            Transport::Tcp(t) => {
+                t.options.capacity() * size_of::<TcpOption>()
+                    + t.options
+                        .iter()
+                        .map(|o| match o {
+                            TcpOption::Sack(blocks) => blocks.capacity() * size_of::<(u32, u32)>(),
+                            TcpOption::Unknown { data, .. } | TcpOption::Raw(data) => {
+                                data.capacity()
+                            }
+                            TcpOption::Mss(_)
+                            | TcpOption::WindowScale(_)
+                            | TcpOption::SackPermitted
+                            | TcpOption::Timestamps { .. }
+                            | TcpOption::Md5(_)
+                            | TcpOption::UserTimeout(_)
+                            | TcpOption::Nop => 0,
+                        })
+                        .sum::<usize>()
+            }
+            Transport::Udp(_) => 0,
+        };
+        self.payload.capacity() + self.trailer.capacity() + ip + transport
+    }
+
     /// TCP flags, or the empty set for non-TCP packets — so flag tests
     /// (`is this a pure SYN?`) stay branch-free at call sites.
     pub fn tcp_flags(&self) -> TcpFlags {

@@ -161,14 +161,7 @@ fn clip_upper(x: &[f32], min: f32, max: f32) -> f32 {
     // Dense rows (all benign traffic, in practice) exit here, which is
     // what keeps calibration off the int8 hot path's critical ~20%;
     // only genuinely gappy rows pay for the full quantile scan.
-    let gate_bin = (CLIP_BINS - CLIP_BINS / 4) as f32;
-    let mut n = 0u32;
-    let mut top = 0u32;
-    for &v in x {
-        let finite = v.is_finite();
-        n += u32::from(finite);
-        top += u32::from(finite && (v - min) * inv >= gate_bin);
-    }
+    let (n, top) = gate_counts(x, min, inv, (CLIP_BINS - CLIP_BINS / 4) as f32);
     let allow = (n / 64).max(1);
     if top > allow {
         return max;
@@ -200,6 +193,35 @@ fn clip_upper(x: &[f32], min: f32, max: f32) -> f32 {
     } else {
         max
     }
+}
+
+/// Lanes of [`gate_counts`]' chunked loop.
+const GATE_LANES: usize = 16;
+
+/// How many elements of `x` are finite, and how many of those land at
+/// or above bin `gate_bin` of the histogram `(v − min)·inv` bins. The
+/// counts run in [`GATE_LANES`] per-lane accumulators over whole chunks
+/// (a branchless body LLVM vectorizes), then the tail; integer sums, so
+/// the result is exactly the one-element-at-a-time loop's.
+fn gate_counts(x: &[f32], min: f32, inv: f32, gate_bin: f32) -> (u32, u32) {
+    let mut n = [0u32; GATE_LANES];
+    let mut top = [0u32; GATE_LANES];
+    let count = |n: &mut u32, top: &mut u32, v: f32| {
+        let finite = v.is_finite();
+        *n += u32::from(finite);
+        *top += u32::from(finite & ((v - min) * inv >= gate_bin));
+    };
+    let chunks = x.chunks_exact(GATE_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for l in 0..GATE_LANES {
+            count(&mut n[l], &mut top[l], chunk[l]);
+        }
+    }
+    for (l, &v) in tail.iter().enumerate() {
+        count(&mut n[l], &mut top[l], v);
+    }
+    (n.iter().sum(), top.iter().sum())
 }
 
 /// The shared first half of activation quantization: range scan (with
@@ -510,6 +532,51 @@ impl PackedWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Row elements that stress the pre-gate's counts: NaNs, ±inf, ±0.0,
+    /// subnormals, the extremes, arbitrary bit patterns and plain values.
+    fn element() -> impl Strategy<Value = f32> {
+        const SPECIAL: [u32; 10] = [
+            0x7fc0_0000,
+            0xffc0_0001,
+            0x7f80_0000,
+            0xff80_0000,
+            0x8000_0000,
+            0x0000_0000,
+            0x0000_0001,
+            0x807f_ffff,
+            0x7f7f_ffff,
+            0xff7f_ffff,
+        ];
+        prop_oneof![
+            (0..SPECIAL.len()).prop_map(|i| f32::from_bits(SPECIAL[i])),
+            any::<u32>().prop_map(f32::from_bits),
+            -2.0f32..2.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The chunked pre-gate counts what the one-element loop counts,
+        /// on rows of every length around the chunk width.
+        #[test]
+        fn gate_counts_match_the_scalar_loop(
+            x in prop::collection::vec(element(), 0..80),
+            min in -2.0f32..1.0,
+            width in prop_oneof![0.5f32..4.0, Just(f32::MIN_POSITIVE), Just(1e30f32)],
+        ) {
+            let (inv, gate_bin) = (CLIP_BINS as f32 / width, 96.0);
+            let (mut n, mut top) = (0u32, 0u32);
+            for &v in &x {
+                let finite = v.is_finite();
+                n += u32::from(finite);
+                top += u32::from(finite && (v - min) * inv >= gate_bin);
+            }
+            prop_assert_eq!(gate_counts(&x, min, inv, gate_bin), (n, top));
+        }
+    }
 
     #[test]
     fn activation_quantization_round_trips_within_half_step() {
