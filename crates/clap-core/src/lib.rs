@@ -30,7 +30,7 @@
 //! `flow_table` module: key index, slab, expiry queues, no neural type —
 //! the `resident` arena of per-flow state (both stored in the `chunked`
 //! module's fixed chunks, which never move) and, when asked for, the
-//! `microbatch` module's cross-flow staging and chain-round flush;
+//! `microbatch` module's cross-flow staging and batched window pass;
 //! scores emitted as packets arrive, bitwise the batch path's wherever
 //! the flow table sees the same connections), and **sharded streaming**
 //! ([`shard`]: the streaming engine fanned out across worker threads by

@@ -6,10 +6,12 @@
 //! [`Scorer::advance`] per packet on a flow-table slot; [`ClapScorer`]
 //! loops it over a connection on a one-slot arena — which is why online
 //! and offline scores agree bitwise. (`microbatch` stages the rows
-//! [`extract_row`] starts and sends them through the batched forms of the
-//! same two engine calls.) A flow shorter than the window stack is scored
-//! at close on one padded window, staged in a [`PadStage`] and scored with
-//! up to three others through the autoencoder's batched form.
+//! [`extract_row`] starts, replays each through [`Scorer::step_profile`]
+//! — the GRU half of `advance` — in staging order, and scores the windows
+//! they complete in one batched autoencoder pass.) A flow shorter than
+//! the window stack is scored at close on one padded window, staged in a
+//! [`PadStage`] and scored with up to three others through the
+//! autoencoder's batched form.
 //!
 //! [`StreamScorer`]: crate::StreamScorer
 //! [`ClapScorer`]: crate::ClapScorer
@@ -47,19 +49,20 @@ pub(crate) struct Scorer<'a> {
     pub(crate) ae: AeEngine<'a>,
     gru_scratch: GruStepScratch,
     pub(crate) ae_ws: AeWorkspace,
+    /// The current packet's GRU input (`base`), among its other features.
     pub(crate) fv: FeatureVector,
-    /// 1×stacked_len window staged for the autoencoder.
-    window: Matrix,
+    /// 1×stacked_len window the current packet completed.
+    pub(crate) window: Matrix,
     pub(crate) err_scratch: Vec<f32>,
     /// Closing flows' padded windows awaiting their batched pass.
     pads: PadStage,
     /// The current packet's profile row (features ‖ z ‖ r), built here
     /// and copied into the flow's ring after the window uses it.
-    row: Vec<f32>,
+    pub(crate) row: Vec<f32>,
     /// Dequantized hidden state staging for int8 resident state.
     h_scratch: Vec<f32>,
     /// Activation-code staging for int8 resident stores.
-    pub(crate) code_scratch: Vec<u8>,
+    code_scratch: Vec<u8>,
 }
 
 impl<'a> Scorer<'a> {
@@ -76,20 +79,21 @@ impl<'a> Scorer<'a> {
                 raw: Vec::new(),
                 equiv_ok: false,
             },
-            window: Matrix::default(),
+            window: Matrix::zeros(1, clap.config.stack * PROFILE_LEN),
             err_scratch: Vec::new(),
             pads: PadStage::new(clap.config.stack),
-            row: Vec::new(),
+            row: vec![0.0; PROFILE_LEN],
             h_scratch: Vec::new(),
             code_scratch: Vec::new(),
         }
     }
 
     /// Advances `flow` by packet `p`, travelling in direction `dir`:
-    /// incremental feature extraction, one resumable GRU step, the
-    /// profile-ring store and — once the flow has a full stack of profiles
-    /// — the reconstruction error of the window this packet completes,
-    /// which is returned. `clock`, when sampling, laps each stage.
+    /// incremental feature extraction, the GRU step and profile-ring store
+    /// of [`step_profile`](Self::step_profile) and — once the flow has a
+    /// full stack of profiles — the reconstruction error of the window
+    /// this packet completes, which is returned. `clock`, when sampling,
+    /// laps each stage.
     pub(crate) fn advance(
         &mut self,
         flow: Flow<'_>,
@@ -97,16 +101,12 @@ impl<'a> Scorer<'a> {
         dir: Direction,
         clock: &mut Option<LapClock<'_>>,
     ) -> Option<f32> {
-        let stack = self.builder.stack;
-        let hidden = self.gru.hidden_size();
         let Flow {
             extractor,
             packets,
             resident,
             slot,
         } = flow;
-        // Packet `t`'s single-packet context profile, built in scratch.
-        self.row.resize(PROFILE_LEN, 0.0);
         let t = extract_row(
             &self.clap.ranges,
             &mut self.fv,
@@ -119,7 +119,34 @@ impl<'a> Scorer<'a> {
         if let Some(c) = clock.as_mut() {
             c.lap(Stage::Extract);
         }
-        let (z, r) = self.row[NUM_PACKET..].split_at_mut(hidden);
+        if !self.step_profile(resident, slot, t, clock) {
+            return None;
+        }
+        self.err_scratch.clear();
+        self.ae
+            .reconstruction_errors_into(&self.window, &mut self.ae_ws, &mut self.err_scratch);
+        if let Some(c) = clock.as_mut() {
+            c.lap(Stage::AeWindow);
+        }
+        Some(self.err_scratch[0])
+    }
+
+    /// The GRU half of packet `t` of the flow at `slot`, whose GRU input
+    /// [`extract_row`] left in `fv.base` and whose features it left at the
+    /// front of `row`: one resumable GRU step on the flow's resident
+    /// hidden state fills the row's gates (`clock` laps it); a packet
+    /// that completes a window — the previous `stack − 1` profiles from
+    /// the flow's ring, this packet's from `row` — copies it into `window`
+    /// and returns `true`; the row is then stored in the ring. Every
+    /// packet's GRU step runs here, scored at once or staged.
+    pub(crate) fn step_profile(
+        &mut self,
+        resident: &mut ResidentArena,
+        slot: usize,
+        t: usize,
+        clock: &mut Option<LapClock<'_>>,
+    ) -> bool {
+        let (z, r) = self.row[NUM_PACKET..].split_at_mut(self.gru.hidden_size());
         let (gru, x, gru_scratch) = (&self.gru, &self.fv.base, &mut self.gru_scratch);
         resident.step_hidden(slot, &mut self.h_scratch, &mut self.code_scratch, |h| {
             gru.step(x, h, gru_scratch, z, r)
@@ -127,27 +154,13 @@ impl<'a> Scorer<'a> {
         if let Some(c) = clock.as_mut() {
             c.lap(Stage::Gru);
         }
-
-        // A full stack of profiles completes one sliding window: the
-        // previous `stack − 1` rows from the flow's ring, packet `t`'s
-        // from scratch.
-        let mut emitted = None;
-        if t + 1 >= stack {
-            self.window.resize(1, stack * PROFILE_LEN);
+        // The ring must still be "as of packet `t − 1`" here.
+        let complete = t + 1 >= self.builder.stack;
+        if complete {
             resident.read_window(slot, t, &self.row, self.window.row_mut(0));
-            self.err_scratch.clear();
-            self.ae.reconstruction_errors_into(
-                &self.window,
-                &mut self.ae_ws,
-                &mut self.err_scratch,
-            );
-            emitted = Some(self.err_scratch[0]);
-            if let Some(c) = clock.as_mut() {
-                c.lap(Stage::AeWindow);
-            }
         }
         resident.store_profile(slot, t, &self.row, &mut self.code_scratch);
-        emitted
+        complete
     }
 
     /// Stages the padded window of the flow at `slot` for the next

@@ -168,9 +168,10 @@ pub struct ShardConfig {
     /// [`StreamScorer`](crate::StreamScorer) under this config). Note
     /// `max_flows` is therefore a per-shard bound: total tracked flows ≤
     /// `shards × max_flows`.
-    /// `microbatch` likewise batches *within* each shard; an idle shard
-    /// flushes its pending batch immediately, and end-of-stream drain
-    /// flushes before finalizing, so batching never changes verdicts.
+    /// `microbatch` likewise stages packets *within* each shard; an idle
+    /// shard flushes its pending batch immediately, end-of-stream drain
+    /// flushes before finalizing, and a flush replays each packet's GRU
+    /// step in staging order, so batching never changes verdicts.
     pub stream: StreamConfig,
     /// What to do with a packet whose shard's ring is full.
     pub overload: OverloadPolicy,

@@ -13,9 +13,11 @@
 //!   state (`resident`). This module is the policy between them:
 //!   orientation, when a flow closes and why, and the verdict queue.
 //! * **Optional cross-flow micro-batching.** With
-//!   [`StreamConfig::microbatch`] ≥ 2 a packet's neural work is staged
-//!   and scored in batches across flows (the crate-private `microbatch`
-//!   module; this one only decides when to stage and when to flush).
+//!   [`StreamConfig::microbatch`] ≥ 2 a packet's neural work is staged;
+//!   a flush replays each staged packet's GRU step in staging order and
+//!   scores the windows they complete across flows in one batched
+//!   autoencoder pass (the crate-private `microbatch` module; this one
+//!   only decides when to stage and when to flush).
 //!   Verdict content, order and timing are bitwise those of per-packet
 //!   scoring; the one observable difference is that
 //!   [`StreamScorer::push`] returns `None` for a window error that is
@@ -177,14 +179,15 @@ pub struct StreamConfig {
     ///
     /// [`quant`]: StreamConfig::quant
     pub resident: ResidentMode,
-    /// Cross-flow micro-batch capacity: collect up to this many ready
-    /// per-packet work items across flows and score them in one batched
-    /// pass, flushed when full, after
+    /// Cross-flow micro-batch capacity: stage up to this many packets
+    /// across flows, then replay their GRU steps in staging order and
+    /// score the windows they complete in one batched autoencoder pass —
+    /// flushed when full, after
     /// [`microbatch_wait`](StreamConfig::microbatch_wait) packets, before
     /// any flow finalizes and on
     /// [`flush_pending`](StreamScorer::flush_pending). `0` or
     /// `1` scores every packet immediately — the per-packet path, and
-    /// the default (`0`).
+    /// the default (`0`); `usize::MAX` flushes only by age.
     pub microbatch: usize,
     /// Latency budget: flush a non-empty micro-batch after this many
     /// subsequent stream packets even if it never fills. Ignored when
@@ -1544,6 +1547,55 @@ mod tests {
         let closed = lazy.finish();
         assert_eq!(closed.len(), 3);
         assert!(closed.iter().all(|c| c.scored.score.is_finite()));
+
+        // Below two rows batching is off: no flush, no histogram.
+        let mut off = clap.stream_scorer_with(StreamConfig {
+            microbatch: 1,
+            ..StreamConfig::default()
+        });
+        off.push(&raw_packet((1, 1000), (99, 80), 0.0));
+        off.flush_pending();
+        assert!(off.batch_occupancy().is_empty());
+
+        // No capacity bound at all: the scorer builds, the batch flushes by
+        // age alone, the histogram grows to the largest flush, and every
+        // verdict is the per-packet one, bitwise.
+        let run = |microbatch: usize| {
+            let mut s = clap.stream_scorer_with(StreamConfig {
+                microbatch,
+                microbatch_wait: 5,
+                teardown_on_close: false,
+                ..StreamConfig::default()
+            });
+            for i in 0..12u8 {
+                let f = i % 3 + 1;
+                s.push(&raw_packet(
+                    (f, 1000 + u16::from(f)),
+                    (99, 80),
+                    0.1 * f64::from(i),
+                ));
+            }
+            let occupancy = s.batch_occupancy().to_vec();
+            (s.finish(), occupancy)
+        };
+        let (base, _) = run(0);
+        let (unbounded, occupancy) = run(usize::MAX);
+        assert_eq!(
+            occupancy,
+            [0, 0, 0, 0, 2],
+            "two age-budget flushes of 5 rows"
+        );
+        assert_eq!(base.len(), 3);
+        assert_eq!(base.len(), unbounded.len());
+        for (a, b) in base.iter().zip(&unbounded) {
+            assert_eq!((a.key, a.packets, a.reason), (b.key, b.packets, b.reason));
+            assert!(!a.scored.window_errors.is_empty());
+            let bits = |c: &ClosedFlow| -> Vec<u32> {
+                c.scored.window_errors.iter().map(|e| e.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b));
+            assert_eq!(a.scored.score.to_bits(), b.scored.score.to_bits());
+        }
     }
 
     /// A scanner's probe `i`: a pure SYN, and the target's RST|ACK.

@@ -402,7 +402,7 @@ impl TrainWorkspace {
 /// through all layers before the next starts: per layer one product, then
 /// the dispatched bias + activation epilogue per row. At f32 the product
 /// is one panel GEMM, which streams the layer's weights from L2 once for
-/// the group (a 1-row group is the panel GEMV). At int8, whose GEMV is not
+/// the group, one row or four. At int8, whose GEMV is not
 /// weight-bound, it is one panel GEMV per row, each on an activation row
 /// re-quantized on its own grid so depth does not compound the activation
 /// error. Activations never leave L1, and a batched pass is bitwise the

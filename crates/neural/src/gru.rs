@@ -276,11 +276,11 @@ impl GruCell {
 /// one fused matvec each. Both are stored as output-stationary panels —
 /// f32 ([`crate::PanelMatrix`]) from [`pack`](Self::pack), int8
 /// ([`crate::QuantMatrix`]) after [`from_packed`](Self::from_packed) with
-/// [`QuantMode::Int8`] — and every product, a step or a row of a
-/// cross-flow batch, is one call of the same panel GEMV; biases, gate
-/// sigmoids and the hidden-state update are f32 either way. Built from a
-/// [`GruCell`] on demand (typically once per scoring session); not
-/// serialized — the cell remains the source of truth.
+/// [`QuantMode::Int8`] — and each product of a step is one row through
+/// the panel kernel of that precision; biases, gate sigmoids and the
+/// hidden-state update are f32 either way. Built from a [`GruCell`] on
+/// demand (typically once per scoring session); not serialized — the cell
+/// remains the source of truth.
 #[derive(Debug, Clone)]
 pub struct PackedGru {
     /// `[Wz; Wr; Wn]` stacked row-wise: `3H×I`.
@@ -313,28 +313,6 @@ pub struct GruStepScratch {
 }
 
 impl GruStepScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Scratch buffers for the cross-flow batched [`PackedGru::step_batch`]
-/// API: the input and recurrent projections of one micro-batch of
-/// *independent* flows, each advancing by one timestep. Like
-/// [`GruStepScratch`] this is flow-independent and reusable; it grows to
-/// the largest batch seen and allocates nothing afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct GruBatchScratch {
-    /// Input-side projections `X·Wᵀ + b`, one row per flow (`B×3H`).
-    xp: Matrix,
-    /// Recurrent projections `H·Uᵀ`, one row per flow (`B×3H`).
-    up: Matrix,
-    /// Activation codes of the row being multiplied; stays empty on an
-    /// f32 engine.
-    qa: Vec<u8>,
-}
-
-impl GruBatchScratch {
     pub fn new() -> Self {
         Self::default()
     }
@@ -403,70 +381,18 @@ impl PackedGru {
         scratch.xp.resize(3 * hidden, 0.0);
         scratch.up.resize(3 * hidden, 0.0);
 
-        self.w.matvec_into(x, &mut scratch.qa, &mut scratch.xp);
+        self.w
+            .matmul_rows_into(1, x, &mut scratch.qa, &mut scratch.xp);
         for (v, &bv) in scratch.xp.iter_mut().zip(&self.b) {
             *v += bv;
         }
-        self.u.matvec_into(h, &mut scratch.qa, &mut scratch.up);
+        self.u
+            .matmul_rows_into(1, h, &mut scratch.qa, &mut scratch.up);
 
         // The dispatched gate kernel computes z/r and the new hidden
         // state over the packed 3H slab (vectorized sigmoid/tanh on SIMD
         // sets).
         crate::simd::KernelSet::active().gru_gates(&scratch.xp, &scratch.up, h, z, r);
-    }
-
-    /// Advances a micro-batch of **independent** flows by one timestep
-    /// each — the cross-flow continuous-batching core of the streaming
-    /// scorer.
-    ///
-    /// `xs` holds one input row per flow (`B×I`) and `hs` the matching
-    /// hidden rows (`B×H`, gathered from per-flow storage by the caller
-    /// and updated in place); `zs`/`rs` are resized to `B×H` and receive
-    /// the gate activations row-for-row. Flows never interact: row `i` of
-    /// every matrix belongs to the same flow throughout.
-    ///
-    /// Row for row the same as `B` separate [`step`](Self::step) calls: at
-    /// f32 a batch runs the panel GEMM, each row of which equals its
-    /// `step`'s GEMV up to the sign of a zero; at int8 each row goes
-    /// through the same panel GEMV call as the matvec, quantized on its
-    /// own, bitwise. The bias add is the same per-row scalar loop, and the
-    /// gate block runs the same dispatched kernel per row. The test suite
-    /// pins this.
-    pub fn step_batch(
-        &self,
-        xs: &Matrix,
-        hs: &mut Matrix,
-        scratch: &mut GruBatchScratch,
-        zs: &mut Matrix,
-        rs: &mut Matrix,
-    ) {
-        let hidden = self.hidden;
-        let b = xs.rows;
-        debug_assert_eq!(xs.cols, self.input_size());
-        debug_assert_eq!(hs.rows, b);
-        debug_assert_eq!(hs.cols, hidden);
-
-        self.w.matmul_nt_into(xs, &mut scratch.qa, &mut scratch.xp);
-        for r in 0..b {
-            let row = scratch.xp.row_mut(r);
-            for (v, &bv) in row.iter_mut().zip(&self.b) {
-                *v += bv;
-            }
-        }
-        self.u.matmul_nt_into(hs, &mut scratch.qa, &mut scratch.up);
-
-        zs.resize(b, hidden);
-        rs.resize(b, hidden);
-        let ks = crate::simd::KernelSet::active();
-        for i in 0..b {
-            ks.gru_gates(
-                scratch.xp.row(i),
-                scratch.up.row(i),
-                hs.row_mut(i),
-                zs.row_mut(i),
-                rs.row_mut(i),
-            );
-        }
     }
 }
 
@@ -655,45 +581,6 @@ mod tests {
         }
     }
 
-    /// Streaming invariant: `B` flows advanced together, one `step_batch`
-    /// round per timestep with the hidden rows carried between rounds, get
-    /// bitwise the trajectories each has stepping alone — the foundation
-    /// of micro-batched per-flow scoring.
-    #[test]
-    fn step_matches_batched_rounds_bitwise() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let packed = PackedGru::pack(&GruCell::new(6, 10, &mut rng));
-        for mode in MODES {
-            let gru = GruEngine::from_packed(packed.clone(), mode);
-            let flows: Vec<Vec<Vec<f32>>> = (0..5)
-                .map(|f| {
-                    toy_inputs(9, 6)
-                        .into_iter()
-                        .map(|x| x.into_iter().map(|v| v * (1.0 - 0.3 * f as f32)).collect())
-                        .collect()
-                })
-                .collect();
-            let alone: Vec<_> = flows.iter().map(|xs| step_alone(&gru, xs)).collect();
-
-            let mut scratch = GruBatchScratch::new();
-            let mut hs = Matrix::zeros(flows.len(), 10);
-            let (mut zs, mut rs) = (Matrix::default(), Matrix::default());
-            for t in 0..9 {
-                let mut xs = Matrix::zeros(flows.len(), 6);
-                for (f, flow) in flows.iter().enumerate() {
-                    xs.row_mut(f).copy_from_slice(&flow[t]);
-                }
-                gru.step_batch(&xs, &mut hs, &mut scratch, &mut zs, &mut rs);
-                for (f, want) in alone.iter().enumerate() {
-                    let [h, z, r] = &want[t];
-                    assert_eq!(hs.row(f), h.as_slice(), "{mode:?} h, flow {f} t={t}");
-                    assert_eq!(zs.row(f), z.as_slice(), "{mode:?} z, flow {f} t={t}");
-                    assert_eq!(rs.row(f), r.as_slice(), "{mode:?} r, flow {f} t={t}");
-                }
-            }
-        }
-    }
-
     /// One shared scratch across interleaved flows must not leak state
     /// between them: only the per-flow hidden vector matters.
     #[test]
@@ -720,49 +607,6 @@ mod tests {
                 assert_eq!(ha, expect_a[t][0], "{mode:?}");
                 gru.step(&xs_b[t], &mut hb, &mut scratch, &mut z, &mut r);
                 assert_eq!(hb, expect_b[t][0], "{mode:?}");
-            }
-        }
-    }
-
-    /// Cross-flow batching invariant: one `step_batch` over B independent
-    /// flows reproduces B separate `step` calls bitwise — hidden states
-    /// and both gate rows — for every batch size including 0 and 1, at
-    /// both precisions.
-    #[test]
-    fn step_batch_matches_per_flow_step_bitwise() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let packed = PackedGru::pack(&GruCell::new(6, 10, &mut rng));
-        for mode in MODES {
-            let gru = GruEngine::from_packed(packed.clone(), mode);
-            let mut scratch = GruStepScratch::new();
-            let mut batch_scratch = GruBatchScratch::new();
-            for b in [0usize, 1, 3, 4, 7, 16] {
-                // Distinct mid-flow hidden states per flow.
-                let xs = Matrix::from_fn(b, 6, |f, i| ((f * 6 + i) as f32 * 0.29).cos());
-                let mut hs =
-                    Matrix::from_fn(b, 10, |f, i| ((f * 10 + i) as f32 * 0.13).sin() * 0.8);
-
-                // Reference: per-flow steps.
-                let mut hs_ref: Vec<Vec<f32>> = (0..b).map(|f| hs.row(f).to_vec()).collect();
-                let mut zs_ref = vec![vec![0.0f32; 10]; b];
-                let mut rs_ref = vec![vec![0.0f32; 10]; b];
-                for f in 0..b {
-                    gru.step(
-                        xs.row(f),
-                        &mut hs_ref[f],
-                        &mut scratch,
-                        &mut zs_ref[f],
-                        &mut rs_ref[f],
-                    );
-                }
-
-                let (mut zs, mut rs) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-                gru.step_batch(&xs, &mut hs, &mut batch_scratch, &mut zs, &mut rs);
-                for f in 0..b {
-                    assert_eq!(hs.row(f), hs_ref[f].as_slice(), "{mode:?} h, b={b} f={f}");
-                    assert_eq!(zs.row(f), zs_ref[f].as_slice(), "{mode:?} z, b={b} f={f}");
-                    assert_eq!(rs.row(f), rs_ref[f].as_slice(), "{mode:?} r, b={b} f={f}");
-                }
             }
         }
     }

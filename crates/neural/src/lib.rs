@@ -49,15 +49,16 @@
 //!     weight matrix is repacked once per scorer into output-stationary
 //!     panels — at f32 `[row block of 16][k][output lane]`, 64-byte-aligned
 //!     lines, rows zero-padded to whole blocks — and **one kernel per
-//!     precision, the panel GEMV** ([`KernelSet::panel_gemv_f32`],
-//!     [`KernelSet::panel_gemv_i8`]), sits under every inference matvec
-//!     (at f32 a batch of rows runs its M-row form, the panel GEMM): it
-//!     broadcasts one activation (four, at int8) per `k` against a block
-//!     of outputs, so each output lane owns one accumulator, with no
-//!     horizontal reduction, no k-tail and one sequential aligned weight
-//!     stream per block. The packing is never cached inside a trainable
-//!     model (it could go stale under `train`); the row-major [`Matrix`]
-//!     stays the source of truth.
+//!     precision** sits under every inference product: at f32 the panel
+//!     GEMM ([`KernelSet::panel_gemm_f32`]) over `m = 1..=`[`simd::GEMM_ROWS`]
+//!     rows — a GRU step and a lone window are its `m = 1` case — and at
+//!     int8 the panel GEMV ([`KernelSet::panel_gemv_i8`]), once per row.
+//!     Each broadcasts one activation (four, at int8) per row and `k`
+//!     against a block of outputs, so each output lane owns one
+//!     accumulator, with no horizontal reduction, no k-tail and one
+//!     sequential aligned weight stream per block. The packing is never
+//!     cached inside a trainable model (it could go stale under `train`);
+//!     the row-major [`Matrix`] stays the source of truth.
 //!   * *Resumable stepping* ([`PackedGru::step`] + [`GruStepScratch`]):
 //!     one timestep at a time with the hidden state carried by the caller,
 //!     so a scorer persists an `H`-float state per live flow and advances
@@ -70,30 +71,15 @@
 //!     activations stay in L1. At f32 each layer's weights stream from L2
 //!     once per group, through the register-blocked panel GEMM
 //!     ([`KernelSet::panel_gemm_f32`]: ≈1.75× the 1-row rate per window on
-//!     avx512, where the GEMV is weight-bound; parity on avx2, where it is
-//!     FMA-bound; a 1-row group is the GEMV). At int8 a group's rows run
-//!     one GEMV each. A row's result never depends on what it was batched
-//!     with: each runs its GEMV's chain.
-//!   * *Scratch* ([`GruStepScratch`], [`GruBatchScratch`],
-//!     [`AeWorkspace`]): grow-only, flow-independent buffers threaded
-//!     through the hot path (the projections of the current step, the
-//!     activations of the current row and, at int8, its activation
-//!     codes); steady-state inference performs zero heap allocation.
-//!   * *Cross-flow batched stepping* ([`PackedGru::step_batch`] +
-//!     [`GruBatchScratch`]): one timestep for `B` *independent* flows at
-//!     once. **Gather layout:** the caller packs row `i` of the `B×I`
-//!     input matrix with flow `i`'s feature vector and row `i` of the
-//!     `B×H` hidden matrix with flow `i`'s resident state (gathered from
-//!     wherever it lives — `clap-core` copies f32 resident rows directly
-//!     and dequantizes int8-resident rows first); the step updates the
-//!     hidden rows in place and fills `B×H` gate matrices, and the caller
-//!     scatters row `i` back to flow `i`'s slot. Because each row of a
-//!     batch runs its matvec's chain — through the panel GEMM at f32, up
-//!     to the sign of a zero, and quantized on its own grid at int8 —
-//!     **row `i` is identical to a separate `step` call for that flow** —
-//!     at both precisions — which is what lets a streaming
-//!     scorer micro-batch packets across flows without perturbing a
-//!     single score.
+//!     avx512, where one row is weight-bound; parity on avx2, where it is
+//!     FMA-bound). At int8 a group's rows run one GEMV each. A row's
+//!     result never depends on what it was batched with: each runs its
+//!     1-row chain.
+//!   * *Scratch* ([`GruStepScratch`], [`AeWorkspace`]): grow-only,
+//!     flow-independent buffers threaded through the hot path (the
+//!     projections of the current step, the activations of the current
+//!     rows and, at int8, their activation codes); steady-state inference
+//!     performs zero heap allocation.
 //!
 //! # Threads
 //!
@@ -136,8 +122,8 @@
 //!
 //! # Kernel dispatch
 //!
-//! The dense inner loops — the f32 and int8 panel GEMVs of the inference
-//! engines, the training GEMMs behind [`Matrix`] (the nt-GEMM
+//! The dense inner loops — the f32 panel GEMM and the int8 panel GEMV of
+//! the inference engines, the training GEMMs behind [`Matrix`] (the nt-GEMM
 //! [`simd::KernelSet::gemm_nt_f32`] of the forward pass and of
 //! [`Matrix::matvec_into`], the rank-update GEMM
 //! [`simd::KernelSet::gemm_rank_f32`] of both backward products, and the
@@ -163,12 +149,14 @@
 //!   ([`simd::KernelSet::scalar`], `avx2()`, `avx512()`,
 //!   `avx512vnni()`) and call its kernels directly without affecting
 //!   the process-wide choice.
-//! * **Adding an ISA.** Implement the fourteen kernel functions (dot,
+//! * **Adding an ISA.** Implement the thirteen kernel functions (dot,
 //!   dot4, axpy, gemm_nt_f32, gemm_rank_f32, bias_act, gru_gates,
-//!   sum_abs_diff, panel_gemv_f32, panel_gemm_f32, plus the int8 kernels
-//!   panel_gemv_i8, act_range, act_encode and act_decode) for the new
-//!   instruction set — the f32 and int8 weight panels are each one layout
-//!   for every set, so a new panel GEMV reads the bytes the others read,
+//!   sum_abs_diff, panel_gemm_f32, plus the int8 kernels panel_gemv_i8,
+//!   act_range, act_encode and act_decode) for the new instruction set —
+//!   one panel kernel per precision, `panel_gemm_f32` for `m = 1..=4`
+//!   rows and `panel_gemv_i8`; the f32 and int8 weight panels are each one
+//!   layout for every set, so a new panel kernel reads the bytes the
+//!   others read,
 //!   and the two training GEMMs must keep the new set's own dot4 / dot /
 //!   axpy chains per output — add a `static` `KernelSet` naming them, and
 //!   extend the `select()` ladder in `simd.rs` behind the right
@@ -181,11 +169,11 @@
 //! SIMD results may differ from the scalar reference by float
 //! reassociation, fused multiply-adds and the polynomial `exp` used for
 //! vectorized sigmoid/tanh; all are bounded to 1e-6 by the test suite (the
-//! f32 panel GEMV and GEMM run the same per-lane FMA chain on avx2 and
-//! avx512, so those two agree bitwise). Within one kernel set results are
-//! deterministic, and a row of a batch is bitwise its matvec up to the
-//! sign of a zero — which is what keeps streaming (step-at-a-time) scoring
-//! exactly equal to batched scoring.
+//! f32 panel GEMM runs the same per-lane FMA chain on avx2 and avx512, so
+//! those two agree bitwise). Within one kernel set results are
+//! deterministic, and a row of a batch is bitwise that row scored alone up
+//! to the sign of a zero — which is what keeps streaming
+//! (step-at-a-time) scoring exactly equal to batched scoring.
 //!
 //! # Int8 quantized inference (`quant`)
 //!
@@ -230,7 +218,7 @@
 //!   scorer runs int8 when the caller that builds it passes
 //!   [`QuantMode::Int8`], which packs the very same engines over
 //!   [`QuantMatrix`] weights. Per-row activation quantization keeps a row
-//!   of a batch bitwise its matvec, so the micro-batched/sharded
+//!   of a batch bitwise that row scored alone, so the batch/sharded
 //!   equivalence guarantees hold at either precision.
 
 pub mod adam;
@@ -248,7 +236,7 @@ pub use adam::Adam;
 pub use autoencoder::{AeEngine, AeWorkspace, Autoencoder, AutoencoderConfig, PackedAutoencoder};
 pub use classifier::{GruClassifier, GruClassifierConfig, TrainReport};
 pub use dense::Dense;
-pub use gru::{GruBatchScratch, GruCell, GruEngine, GruStepScratch, GruTrace, PackedGru};
+pub use gru::{GruCell, GruEngine, GruStepScratch, GruTrace, PackedGru};
 pub use matrix::Matrix;
 pub use panel::PanelMatrix;
 pub use quant::{

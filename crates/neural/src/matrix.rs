@@ -5,7 +5,7 @@
 //! backward path of training (and of the small Kitsune / Baseline #1
 //! autoencoders). The scoring engines do **not** run on it: they repack
 //! their weights as [`crate::PanelMatrix`] panels and go through the panel
-//! GEMV, which is about twice as fast per row as [`Matrix::matvec_into`]
+//! GEMM, which is about twice as fast per row as [`Matrix::matvec_into`]
 //! at the paper's layer sizes.
 //!
 //! Each GEMM is one call into the runtime-dispatched [`KernelSet`]

@@ -39,7 +39,7 @@
 //!   costs *itself* its resolution instead of stretching the grid —
 //!   and flattening every honest value — across the whole row. The
 //!   clip decision is a pure function of the row, applied by the shared
-//!   planner behind every matvec *and* every GEMM row, so it never
+//!   planner behind every row of every product, so it never
 //!   perturbs the streaming == batch equivalences below.
 //! * **Dequantization**: with `R_r = Σ_k q[r][k]` precomputed,
 //!   `y[r] = s_r · (s_a · acc[r] + m · R_r)` — the per-row zero-point
@@ -50,11 +50,12 @@
 //!   on the dispatched f32 [`KernelSet`].
 //!
 //! Because each activation row is quantized independently, a row of a
-//! GEMM is bitwise identical to its matvec — the same invariant the f32
-//! panels have — so a row's int8 score never depends on what it was
-//! batched with, and the int8-vs-f32 drift is pure quantization error
-//! (bounded by the property tests; end-to-end score drift and verdict-flip
-//! rate are pinned by the clap-core calibration harness).
+//! batch is bitwise identical to that row scored alone — the same
+//! invariant the f32 panels have — so a row's int8 score never depends
+//! on what it was batched with, and the int8-vs-f32 drift is pure
+//! quantization error (bounded by the property tests; end-to-end score
+//! drift and verdict-flip rate are pinned by the clap-core calibration
+//! harness).
 //!
 //! Saturation behavior: weights are clamped to `-127..=127` (−128 is never
 //! emitted) and activations to `0..=127`; values beyond the row maximum
@@ -390,41 +391,31 @@ impl QuantMatrix {
         })
     }
 
-    /// `y = self · x`: quantizes `x` into `qa` and runs the int8 panel
-    /// GEMV on the dispatched kernel set. `qa` grows to the padded `K`
+    /// `Y = X · selfᵀ` over `m` rows laid out back to back (`x` at stride
+    /// `cols`, `y` at stride `rows`): each row is quantized into `qa` on
+    /// its own grid and runs one int8 panel GEMV on the dispatched kernel
+    /// set (the int8 GEMV is not weight-bound, so it has no GEMM). A row's
+    /// output therefore never depends on its batch-mates — the invariant
+    /// behind int8 streaming == int8 batch. `qa` grows to the padded `K`
     /// once and is then reused; bytes past `cols` are whatever an earlier
     /// call left there, and meet only zero weights.
-    pub fn matvec_into(&self, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
-        self.score_row(KernelSet::active(), x, qa, y)
-    }
-
-    /// `C = A · selfᵀ`, quantizing each row of `A` independently through
-    /// the very same per-row path as [`matvec_into`](Self::matvec_into) —
-    /// which makes every row of the GEMM bitwise identical to its matvec,
-    /// the invariant behind int8 streaming == int8 batch (and micro-batched
-    /// == per-packet streaming).
-    pub fn matmul_nt_into(&self, a: &Matrix, qa: &mut Vec<u8>, c: &mut Matrix) {
-        assert_eq!(a.cols, self.cols, "quant nt shape mismatch");
-        c.resize(a.rows, self.rows);
-        self.matmul_rows_into(a.rows, &a.data, qa, &mut c.data);
-    }
-
-    /// [`matmul_nt_into`](Self::matmul_nt_into) over `m` rows laid out
-    /// back to back: `x` at stride `cols`, `y` at stride `rows`.
-    pub(crate) fn matmul_rows_into(&self, m: usize, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
+    pub fn matmul_rows_into(&self, m: usize, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
         assert!(
             x.len() == m * self.cols && y.len() == m * self.rows,
             "quant matmul shape mismatch"
         );
         let ks = KernelSet::active();
-        for (xr, yr) in x.chunks_exact(self.cols).zip(y.chunks_exact_mut(self.rows)) {
+        for i in 0..m {
+            let (xr, yr) = (
+                &x[i * self.cols..][..self.cols],
+                &mut y[i * self.rows..][..self.rows],
+            );
             self.score_row(ks, xr, qa, yr);
         }
     }
 
-    /// Plan, encode, one panel GEMV — the shared body of
-    /// [`matvec_into`](Self::matvec_into) and each
-    /// [`matmul_nt_into`](Self::matmul_nt_into) row.
+    /// Plan, encode, one panel GEMV — one row of
+    /// [`matmul_rows_into`](Self::matmul_rows_into).
     fn score_row(&self, ks: &KernelSet, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "quant matvec input length mismatch");
         assert_eq!(y.len(), self.rows, "quant matvec output length mismatch");
@@ -447,9 +438,10 @@ impl QuantMatrix {
 }
 
 /// One inference weight matrix at the precision its engine was built for:
-/// f32 panels or int8 panels behind one `matvec_into`, so [`PackedGru`] and
-/// [`PackedAutoencoder`] each have one body for both. [`QuantMode`] picks
-/// the variant when the engine is built; nothing switches it afterwards.
+/// f32 panels or int8 panels behind one `matmul_rows_into`, so
+/// [`PackedGru`] and [`PackedAutoencoder`] each have one body for both.
+/// [`QuantMode`] picks the variant when the engine is built; nothing
+/// switches it afterwards.
 ///
 /// [`PackedGru`]: crate::PackedGru
 /// [`PackedAutoencoder`]: crate::PackedAutoencoder
@@ -499,28 +491,10 @@ impl PackedWeights {
         }
     }
 
-    /// `y = self · x`. `qa` holds the activation codes at int8 (see
-    /// [`QuantMatrix::matvec_into`]) and is left alone at f32.
-    pub(crate) fn matvec_into(&self, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
-        match self {
-            PackedWeights::F32(p) => p.matvec_into(x, y),
-            PackedWeights::Int8(q) => q.matvec_into(x, qa, y),
-        }
-    }
-
-    /// `C = A · selfᵀ`, each row bitwise (up to the sign of a zero) what
-    /// [`matvec_into`](Self::matvec_into) makes of it alone.
-    pub(crate) fn matmul_nt_into(&self, a: &Matrix, qa: &mut Vec<u8>, c: &mut Matrix) {
-        match self {
-            PackedWeights::F32(p) => p.matmul_nt_into(a, c),
-            PackedWeights::Int8(q) => q.matmul_nt_into(a, qa, c),
-        }
-    }
-
-    /// [`matmul_nt_into`](Self::matmul_nt_into) over `m` rows laid out
-    /// back to back: f32 rows in groups through the panel GEMM, int8 rows
-    /// one matvec each (the int8 GEMV is not weight-bound, so it has no
-    /// GEMM).
+    /// `Y = X · selfᵀ` over `m` rows laid out back to back: f32 rows in
+    /// groups through the panel GEMM, int8 rows one GEMV each. `qa` holds
+    /// the activation codes at int8 (see
+    /// [`QuantMatrix::matmul_rows_into`]) and is left alone at f32.
     pub(crate) fn matmul_rows_into(&self, m: usize, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
         match self {
             PackedWeights::F32(p) => p.matmul_rows_into(m, x, y),
@@ -637,7 +611,7 @@ mod tests {
         let m = Matrix::from_fn(3, 4, |r, c| ((r * 4 + c) as f32 * 0.3).sin());
         let q = QuantMatrix::quantize(&m);
         let mut y = vec![f32::NAN; 3];
-        q.matvec_into(&x, &mut qa, &mut y);
+        q.matmul_rows_into(1, &x, &mut qa, &mut y);
         assert_eq!(y, vec![0.0; 3], "degenerate row contributes exact zeros");
     }
 
@@ -667,7 +641,7 @@ mod tests {
         let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
         let mut qa = Vec::new();
         let mut y = vec![f32::NAN; 4];
-        q.matvec_into(&x, &mut qa, &mut y);
+        q.matmul_rows_into(1, &x, &mut qa, &mut y);
         assert_eq!(y[2], 0.0);
         assert!(y.iter().all(|v| v.is_finite()));
     }
@@ -682,7 +656,7 @@ mod tests {
         let x: Vec<f32> = (0..21).map(|i| ((i as f32) * 0.43).sin() * 1.3).collect();
         let mut qa = Vec::new();
         let mut y = vec![0.0f32; 9];
-        q.matvec_into(&x, &mut qa, &mut y);
+        q.matmul_rows_into(1, &x, &mut qa, &mut y);
 
         let act = quantize_activations(&x, &mut qa);
         for (r, &yr) in y.iter().enumerate() {
@@ -840,17 +814,23 @@ mod tests {
         }
     }
 
+    /// Each row of a batch is quantized on its own grid, so it is bitwise
+    /// the row scored alone through a fresh `qa`.
     #[test]
-    fn quant_one_row_gemm_is_bitwise_matvec() {
+    fn quant_batched_rows_are_their_one_row_products() {
         let m = Matrix::from_fn(10, 33, |r, c| ((r + 3 * c) as f32 * 0.29).sin());
         let q = QuantMatrix::quantize(&m);
-        let x = Matrix::from_fn(1, 33, |_, c| ((c as f32) * 0.61).cos());
+        let x = Matrix::from_fn(5, 33, |r, c| {
+            ((r * 33 + c) as f32 * 0.61).cos() * (r + 1) as f32
+        });
         let mut qa = Vec::new();
-        let mut c = Matrix::default();
-        q.matmul_nt_into(&x, &mut qa, &mut c);
+        let mut c = Matrix::zeros(5, 10);
+        q.matmul_rows_into(5, &x.data, &mut qa, &mut c.data);
         let mut y = vec![0.0f32; 10];
-        q.matvec_into(x.row(0), &mut qa, &mut y);
-        assert_eq!(c.row(0), y.as_slice());
+        for i in 0..x.rows {
+            q.matmul_rows_into(1, x.row(i), &mut Vec::new(), &mut y);
+            assert_eq!(c.row(i), y.as_slice(), "row {i}");
+        }
     }
 
     /// One adversarially-inflated element in a long row must not stretch

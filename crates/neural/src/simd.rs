@@ -4,10 +4,9 @@
 //! Every dense kernel the scoring engines and training run on is a
 //! function pointer in a [`KernelSet`]:
 //!
-//! * inference — the fused GRU gate block of
-//!   [`PackedGru::step`]/[`PackedGru::step_batch`], the f32 engines' panel
-//!   GEMV and its [`GEMM_ROWS`]-row panel GEMM, and the int8 engine's panel
-//!   GEMV and activation scan/encode/decode;
+//! * inference — the fused GRU gate block of [`PackedGru::step`], the
+//!   f32 engines' panel GEMM over 1..=[`GEMM_ROWS`] rows, and the int8
+//!   engine's panel GEMV and activation scan/encode/decode;
 //! * training — the batch GEMMs of [`Matrix`]: the nt-GEMM behind
 //!   [`Matrix::matmul_nt_into`] (the forward `X · Wᵀ`, and
 //!   [`Matrix::matvec_into`] as its one-row case), bitwise a loop of the
@@ -28,7 +27,7 @@
 //!   fused multiply-add: it keeps `mul_add` so that it stays bit-identical
 //!   to the SIMD sets' hardware `vfmadd`.
 //! * **avx2** — explicit `std::arch::x86_64` AVX2+FMA intrinsics: 8-lane
-//!   FMA dot kernels with register blocking, the f32 panel GEMV and GEMM,
+//!   FMA dot kernels with register blocking, the f32 panel GEMM,
 //!   the 4-row × 16-column rank-update GEMM tile, a polynomial `exp`
 //!   (Cephes `expf` constants, ≈2 ulp) powering vectorized sigmoid/tanh
 //!   for the gate block and dense activations, and the 256-bit
@@ -68,7 +67,6 @@
 //! [`Matrix::matmul_nn_into`]: crate::Matrix::matmul_nn_into
 //! [`Matrix::matmul_tn_into`]: crate::Matrix::matmul_tn_into
 //! [`PackedGru::step`]: crate::PackedGru::step
-//! [`PackedGru::step_batch`]: crate::PackedGru::step_batch
 
 use crate::dense::Activation;
 use crate::quant::ActQuant;
@@ -88,8 +86,6 @@ type GruGatesFn = fn(&[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
 /// `panel_gemv_i8(w, qa, act, y)` — the int8 panel GEMV with its
 /// dequantizing epilogue.
 type PanelGemvI8Fn = fn(&Panels<'_>, &[u8], ActQuant, &mut [f32]);
-/// `panel_gemv_f32(w, cols, x, y)` — the f32 panel GEMV.
-type PanelGemvF32Fn = fn(&[PanelLine], usize, &[f32], &mut [f32]);
 /// `panel_gemm_f32(w, cols, x, y, m)` — the f32 panel GEMM over `m` rows.
 type PanelGemmF32Fn = fn(&[PanelLine], usize, &[f32], &mut [f32], usize);
 
@@ -162,7 +158,6 @@ pub struct KernelSet {
     gru_gates: GruGatesFn,
     sum_abs_diff: fn(&[f32], &[f32]) -> f32,
     panel_gemv_i8: PanelGemvI8Fn,
-    panel_gemv_f32: PanelGemvF32Fn,
     panel_gemm_f32: PanelGemmF32Fn,
     act_range: fn(&[f32]) -> (f32, f32),
     act_encode: fn(&[f32], f32, f32, &mut [u8]),
@@ -369,58 +364,36 @@ impl KernelSet {
         (self.panel_gemv_i8)(w, qa, act, y)
     }
 
-    /// F32 panel GEMV — the one kernel under every f32 inference matvec
-    /// ([`crate::PanelMatrix`]): `y[r] = Σ_k x[k] · w[r][k]` over
-    /// `y.len()` output rows and `cols` inputs, with `w` the
-    /// `[row block][k]` [`PanelLine`]s of the matrix.
+    /// F32 panel GEMM — the one kernel under every f32 inference product
+    /// ([`crate::PanelMatrix`]): for `m` (1..=[`GEMM_ROWS`]) activation
+    /// rows, `y[i][r] = Σ_k x[i][k] · w[r][k]`, with `x` the rows back to
+    /// back at stride `cols`, `y` their outputs at stride `y.len() / m`
+    /// and `w` the `[row block][k]` [`PanelLine`]s of the matrix.
     ///
-    /// Each `k` broadcasts one activation against a whole block of output
-    /// lanes, so every lane owns one accumulator and runs the single chain
-    /// `acc = x[k]·w[k][lane] + acc`, `k` ascending from zero: there is no
-    /// horizontal reduction and no k-tail, and each block's weights are
-    /// read as one sequential aligned stream. The SIMD sets fuse the
-    /// multiply-add and differ only in how many lanes share a register, so
-    /// avx2 and avx512 return **bit-identical** rows; the scalar set
-    /// rounds the product first (no `mul_add`, see the module docs) and is
-    /// within the usual reassociation tolerance. An output row never
-    /// depends on how many rows a caller batches, which keeps a batch of
-    /// rows bitwise equal to the same rows one at a time.
+    /// Each `k` broadcasts the rows' activations against a whole block of
+    /// output lanes: the block's weight line is loaded once and fused into
+    /// all `m` rows' accumulators, so a group of rows streams the panels
+    /// once instead of once per row. Every lane owns one accumulator and
+    /// runs the single chain `acc = x[i][k]·w[k][lane] + acc`, `k`
+    /// ascending from zero: there is no horizontal reduction and no
+    /// k-tail, and each block's weights are read as one sequential aligned
+    /// stream. The SIMD sets fuse the multiply-add and differ only in how
+    /// many lanes share a register, so avx2 and avx512 return
+    /// **bit-identical** rows; the scalar set rounds the product first (no
+    /// `mul_add`, see the module docs) and is within the usual
+    /// reassociation tolerance.
     ///
-    /// A `k` with `x[k] == ±0.0` is skipped in every set, its weights
-    /// unread. With finite weights ([`crate::PanelMatrix::pack`]'s
+    /// A `k` whose activations are all `±0.0` is skipped in every set, its
+    /// weights unread. With finite weights ([`crate::PanelMatrix::pack`]'s
     /// contract) that is the same arithmetic: the skipped term is `±0`,
     /// and adding `±0` leaves a non-zero accumulator alone and a `+0` one
     /// at `+0`, which is where every accumulator starts. (Only a fused
     /// product that underflowed, `|x·w| < 2⁻¹⁴⁹`, can leave an accumulator
-    /// at `−0`; the skip then differs in the sign of a zero.)
-    ///
-    /// `x` may be longer than `cols`; the excess is not read.
-    #[inline]
-    pub fn panel_gemv_f32(&self, w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
-        assert!(
-            y.len().div_ceil(PANEL_LANES).checked_mul(cols) == Some(w.len()),
-            "panel shape mismatch"
-        );
-        assert!(x.len() >= cols, "panel activation row too short");
-        (self.panel_gemv_f32)(w, cols, x, y)
-    }
-
-    /// F32 panel GEMM — [`panel_gemv_f32`](Self::panel_gemv_f32) for `m`
-    /// (1..=[`GEMM_ROWS`]) activation rows in one pass over the weights:
-    /// `x` holds the rows back to back at stride `cols`, `y` their outputs
-    /// at stride `y.len() / m`. Per `k`, each block's weight line is
-    /// loaded once and fused into all `m` rows' accumulators, so a group
-    /// of rows streams the panels once instead of once per row.
-    ///
-    /// Every row runs exactly the chain its GEMV runs — `acc = x[k]·w +
-    /// acc`, `k` ascending from `+0`, fused in the SIMD sets — with one
-    /// difference: a `k` is skipped only when **all** `m` activations are
-    /// zero. A row whose own activation is `±0` then adds `±0·w = ±0`
-    /// (finite weights), which leaves a non-zero accumulator alone and can
-    /// move a zero one only from `−0` to `+0` — the sign-of-zero case the
-    /// GEMV's own skip already concedes. So each output row is bitwise its
-    /// GEMV's up to the sign of a zero, and a NaN or infinite activation
-    /// reaches no row but its own. One row is the GEMV itself, bitwise.
+    /// at `−0`; the skip then differs in the sign of a zero.) In a group
+    /// of rows a `k` runs when any row's activation is non-zero, so a row
+    /// whose own is `±0` adds that `±0` term, and each row of an `m`-row
+    /// product is bitwise its 1-row product up to that same sign of a
+    /// zero; a NaN or infinite activation reaches no row but its own.
     #[inline]
     pub fn panel_gemm_f32(&self, w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
         assert!(
@@ -431,9 +404,6 @@ impl KernelSet {
             m.checked_mul(cols) == Some(x.len()),
             "panel activation rows mismatch"
         );
-        if m == 1 {
-            return self.panel_gemv_f32(w, cols, x, y);
-        }
         assert!(
             (y.len() / m).div_ceil(PANEL_LANES).checked_mul(cols) == Some(w.len()),
             "panel shape mismatch"
@@ -604,7 +574,6 @@ static SCALAR: KernelSet = KernelSet {
     gru_gates: gru_gates_scalar,
     sum_abs_diff: sum_abs_diff_scalar,
     panel_gemv_i8: panel_gemv_i8_scalar,
-    panel_gemv_f32: panel_gemv_f32_scalar,
     panel_gemm_f32: panel_gemm_f32_scalar,
     act_range: act_range_scalar,
     act_encode: act_encode_scalar,
@@ -764,25 +733,8 @@ fn panel_gemv_i8_scalar(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32])
     }
 }
 
-/// Reference f32 panel GEMV: one block at a time, sixteen accumulators,
-/// multiply then add.
-fn panel_gemv_f32_scalar(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
-    for (b, yb) in y.chunks_mut(PANEL_LANES).enumerate() {
-        let mut acc = [0.0f32; PANEL_LANES];
-        for (line, &xv) in w[b * cols..(b + 1) * cols].iter().zip(x) {
-            if xv == 0.0 {
-                continue;
-            }
-            for (a, &wv) in acc.iter_mut().zip(&line.0) {
-                *a += xv * wv;
-            }
-        }
-        yb.copy_from_slice(&acc[..yb.len()]);
-    }
-}
-
 /// Reference f32 panel GEMM: one block at a time, sixteen accumulators per
-/// row, multiply then add — the GEMV's chain, row by row.
+/// row, multiply then add.
 fn panel_gemm_f32_scalar(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
     let n = y.len() / m;
     for b in 0..n.div_ceil(PANEL_LANES) {
@@ -902,7 +854,6 @@ mod x86 {
         gru_gates: gru_gates_avx2,
         sum_abs_diff: sum_abs_diff_avx2,
         panel_gemv_i8: panel_gemv_i8_avx2,
-        panel_gemv_f32: panel_gemv_f32_avx2,
         panel_gemm_f32: panel_gemm_f32_avx2,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
@@ -923,7 +874,6 @@ mod x86 {
         // int8 path on these CPUs is the 256-bit maddubs kernel (the set's
         // constructor also verifies AVX2).
         panel_gemv_i8: panel_gemv_i8_avx2,
-        panel_gemv_f32: panel_gemv_f32_avx512,
         panel_gemm_f32: panel_gemm_f32_avx512,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
@@ -944,7 +894,6 @@ mod x86 {
         gru_gates: gru_gates_avx512,
         sum_abs_diff: sum_abs_diff_avx512,
         panel_gemv_i8: panel_gemv_i8_vnni,
-        panel_gemv_f32: panel_gemv_f32_avx512,
         panel_gemm_f32: panel_gemm_f32_avx512,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
@@ -1701,184 +1650,37 @@ mod x86 {
         unsafe { sum_abs_diff_avx512_impl(a, b) }
     }
 
-    // ---------------- f32 panel GEMV ----------------
-    //
-    // Both kernels walk the row blocks in groups and keep one accumulator
-    // register per block (AVX-512) or two (AVX2) for the whole of `k`: per
-    // `k`, one broadcast of `x[k]` and one aligned 64-byte weight line per
-    // block, fused into the block's accumulators. A lane therefore runs
-    // the chain `acc = fma(x[k], w[k][lane], acc)`, `k` ascending from a
-    // zero accumulator, whatever the register width and however the
-    // blocks are grouped — which is why the two kernels agree bit for bit.
-    // The blocks of a group are independent chains; enough of them in
-    // flight cover the FMA latency. Every kernel, the scalar one included,
-    // skips a `k` whose activation is exactly zero (about a third of a
-    // stacked profile window: absent TCP options and flags), sparing the
-    // weight column's lines; `KernelSet::panel_gemv_f32` says why that
-    // changes no output.
-
-    /// Row blocks per group of the AVX-512 kernel: eight zmm chains cover a
-    /// 4-cycle FMA at two issues a cycle.
-    const BLOCKS_AVX512: usize = 8;
-    /// Row blocks per group of the AVX2 kernel: eight ymm chains again,
-    /// two to a block, and what sixteen registers hold without spilling.
-    const BLOCKS_AVX2: usize = 4;
-
-    /// `NB` row blocks of the AVX2 f32 panel GEMV: `w` holds the blocks'
-    /// `NB · cols` lines and `yb` their outputs (the last block may be
-    /// ragged).
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA, `w.len() == NB · cols`, `x.len() >= cols` and
-    /// `yb.len() <= NB · 16`.
-    #[target_feature(enable = "avx2,fma")]
-    #[inline]
-    unsafe fn panel_blocks_f32_avx2<const NB: usize>(
-        w: &[PanelLine],
-        cols: usize,
-        x: &[f32],
-        yb: &mut [f32],
-    ) {
-        let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
-        let mut lo = [_mm256_setzero_ps(); NB];
-        let mut hi = [_mm256_setzero_ps(); NB];
-        for k in 0..cols {
-            let xk = *px.add(k);
-            if xk == 0.0 {
-                continue;
-            }
-            let xv = _mm256_set1_ps(xk);
-            for j in 0..NB {
-                let line = pw.add((j * cols + k) * PANEL_LANES);
-                lo[j] = _mm256_fmadd_ps(xv, _mm256_load_ps(line), lo[j]);
-                hi[j] = _mm256_fmadd_ps(xv, _mm256_load_ps(line.add(8)), hi[j]);
-            }
-        }
-        // Only `yb.len()` outputs exist: the pad lanes of a ragged last
-        // block stay in `out`.
-        let mut out = [[0.0f32; PANEL_LANES]; NB];
-        for j in 0..NB {
-            _mm256_storeu_ps(out[j].as_mut_ptr(), lo[j]);
-            _mm256_storeu_ps(out[j].as_mut_ptr().add(8), hi[j]);
-        }
-        yb.copy_from_slice(&out.as_flattened()[..yb.len()]);
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA, `w.len() == y.len().div_ceil(16) · cols` and
-    /// `x.len() >= cols`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_gemv_f32_avx2_impl(mut w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
-        for yb in y.chunks_mut(BLOCKS_AVX2 * PANEL_LANES) {
-            let nb = yb.len().div_ceil(PANEL_LANES);
-            let (group, rest) = w.split_at(nb * cols);
-            w = rest;
-            match nb {
-                1 => panel_blocks_f32_avx2::<1>(group, cols, x, yb),
-                2 => panel_blocks_f32_avx2::<2>(group, cols, x, yb),
-                3 => panel_blocks_f32_avx2::<3>(group, cols, x, yb),
-                _ => panel_blocks_f32_avx2::<BLOCKS_AVX2>(group, cols, x, yb),
-            }
-        }
-    }
-
-    fn panel_gemv_f32_avx2(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
-        // SAFETY: reachable only through the detected AVX2 KernelSet, and
-        // only through `KernelSet::panel_gemv_f32`, whose "panel shape
-        // mismatch" and "panel activation row too short" asserts are the
-        // kernel's length requirements.
-        unsafe { panel_gemv_f32_avx2_impl(w, cols, x, y) }
-    }
-
-    /// `NB` row blocks of the AVX-512 f32 panel GEMV: `w` holds the
-    /// blocks' `NB · cols` lines and `yb` their outputs (the last block
-    /// may be ragged).
-    ///
-    /// # Safety
-    /// Requires AVX-512F, `w.len() == NB · cols`, `x.len() >= cols` and
-    /// `(NB − 1) · 16 < yb.len() <= NB · 16`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn panel_blocks_f32_avx512<const NB: usize>(
-        w: &[PanelLine],
-        cols: usize,
-        x: &[f32],
-        yb: &mut [f32],
-    ) {
-        let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
-        let mut acc = [_mm512_setzero_ps(); NB];
-        for k in 0..cols {
-            let xk = *px.add(k);
-            if xk == 0.0 {
-                continue;
-            }
-            let xv = _mm512_set1_ps(xk);
-            for (j, a) in acc.iter_mut().enumerate() {
-                let line = pw.add((j * cols + k) * PANEL_LANES);
-                *a = _mm512_fmadd_ps(xv, _mm512_load_ps(line), *a);
-            }
-        }
-        // Only `yb.len()` outputs exist: the pad lanes of a ragged last
-        // block are masked out of the store.
-        let py = yb.as_mut_ptr();
-        for (j, a) in acc.into_iter().enumerate() {
-            let live = (yb.len() - j * PANEL_LANES).min(PANEL_LANES);
-            let mask = ((1u32 << live) - 1) as __mmask16;
-            _mm512_mask_storeu_ps(py.add(j * PANEL_LANES), mask, a);
-        }
-    }
-
-    /// # Safety
-    /// Requires AVX-512F, `w.len() == y.len().div_ceil(16) · cols` and
-    /// `x.len() >= cols`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn panel_gemv_f32_avx512_impl(
-        mut w: &[PanelLine],
-        cols: usize,
-        x: &[f32],
-        y: &mut [f32],
-    ) {
-        for yb in y.chunks_mut(BLOCKS_AVX512 * PANEL_LANES) {
-            let nb = yb.len().div_ceil(PANEL_LANES);
-            let (group, rest) = w.split_at(nb * cols);
-            w = rest;
-            match nb {
-                1 => panel_blocks_f32_avx512::<1>(group, cols, x, yb),
-                2 => panel_blocks_f32_avx512::<2>(group, cols, x, yb),
-                3 => panel_blocks_f32_avx512::<3>(group, cols, x, yb),
-                4 => panel_blocks_f32_avx512::<4>(group, cols, x, yb),
-                5 => panel_blocks_f32_avx512::<5>(group, cols, x, yb),
-                6 => panel_blocks_f32_avx512::<6>(group, cols, x, yb),
-                7 => panel_blocks_f32_avx512::<7>(group, cols, x, yb),
-                _ => panel_blocks_f32_avx512::<BLOCKS_AVX512>(group, cols, x, yb),
-            }
-        }
-    }
-
-    fn panel_gemv_f32_avx512(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
-        // SAFETY: reachable only through the detected AVX-512 KernelSets,
-        // and only through `KernelSet::panel_gemv_f32`, whose "panel shape
-        // mismatch" and "panel activation row too short" asserts are the
-        // kernel's length requirements.
-        unsafe { panel_gemv_f32_avx512_impl(w, cols, x, y) }
-    }
-
     // ---------------- f32 panel GEMM ----------------
     //
-    // The GEMV's loop with a row dimension added: per `k`, the `M` rows'
-    // activations are read — the `k` is skipped only if all of them are
-    // zero — then each block's weight line is loaded once and fused into
-    // every row's accumulator for that block. A lane of row `i` runs its
-    // GEMV's chain plus a `±0` term wherever another row's activation is
-    // the non-zero one; `KernelSet::panel_gemm_f32` says why that moves no
-    // bit but the sign of a zero. The dispatch instantiates `M` = 2..=4;
-    // `KernelSet::panel_gemm_f32` sends one row to the GEMV.
+    // Both kernels walk the row blocks in groups and keep, per row, one
+    // accumulator register per block (AVX-512) or two (AVX2) for the whole
+    // of `k`. Per `k`, the `M` rows' activations are read — the `k` is
+    // skipped only if all of them are zero (about a third of a stacked
+    // profile window: absent TCP options and flags), sparing the weight
+    // column's lines — then each block's aligned 64-byte weight line is
+    // loaded once and fused into every row's accumulator for that block. A
+    // lane therefore runs the chain `acc = fma(x[i][k], w[k][lane], acc)`,
+    // `k` ascending from a zero accumulator, whatever the register width
+    // and however the blocks are grouped — which is why the two kernels
+    // agree bit for bit — plus a `±0` term wherever another row's
+    // activation is the non-zero one; `KernelSet::panel_gemm_f32` says why
+    // that moves no bit but the sign of a zero. The blocks of a group are
+    // independent chains; enough of them in flight cover the FMA latency,
+    // so one row takes more blocks per group than four do.
 
     const _: () = assert!(GEMM_ROWS == 4);
 
-    /// Row blocks per group of the AVX-512 GEMM: `GEMM_ROWS · 6` = 24 zmm
-    /// accumulators, leaving room for the row broadcasts and a line.
+    /// Row blocks per group of the AVX-512 GEMM at one row: eight zmm
+    /// chains cover a 4-cycle FMA at two issues a cycle.
+    const ONE_ROW_BLOCKS_AVX512: usize = 8;
+    /// Row blocks per group of the AVX-512 GEMM at two to four rows:
+    /// `GEMM_ROWS · 6` = 24 zmm accumulators, leaving room for the row
+    /// broadcasts and a line.
     const GEMM_BLOCKS_AVX512: usize = 6;
+    /// Row blocks per group of the AVX2 GEMM at one row: eight ymm chains
+    /// again, two to a block, and what sixteen registers hold without
+    /// spilling. At two to four rows a group is one block (`2 · M` ymm).
+    const ONE_ROW_BLOCKS_AVX2: usize = 4;
 
     /// `NB` row blocks of `M` rows of the AVX-512 f32 panel GEMM: `w` holds
     /// the blocks' `NB · cols` lines and `x` the rows at stride `cols`; row
@@ -1932,11 +1734,13 @@ mod x86 {
         }
     }
 
+    /// The AVX-512 GEMM of `M` rows in groups of up to `G` (1..=8) blocks.
+    ///
     /// # Safety
-    /// Requires AVX-512F, `x.len() == M · cols` and `w.len() == (y.len() /
-    /// M).div_ceil(16) · cols`.
+    /// Requires AVX-512F, `x.len() == M · cols` and
+    /// `w.len() == (y.len() / M).div_ceil(16) · cols`.
     #[target_feature(enable = "avx512f")]
-    unsafe fn panel_gemm_rows_f32_avx512<const M: usize>(
+    unsafe fn panel_gemm_rows_f32_avx512<const M: usize, const G: usize>(
         mut w: &[PanelLine],
         cols: usize,
         x: &[f32],
@@ -1946,7 +1750,7 @@ mod x86 {
         let py = y.as_mut_ptr();
         let mut r0 = 0;
         while r0 < stride {
-            let nb = (stride - r0).div_ceil(PANEL_LANES).min(GEMM_BLOCKS_AVX512);
+            let nb = (stride - r0).div_ceil(PANEL_LANES).min(G);
             let (group, rest) = w.split_at(nb * cols);
             w = rest;
             let (py, live) = (py.add(r0), (stride - r0).min(nb * PANEL_LANES));
@@ -1956,9 +1760,9 @@ mod x86 {
                 3 => panel_gemm_blocks_f32_avx512::<M, 3>(group, cols, x, py, stride, live),
                 4 => panel_gemm_blocks_f32_avx512::<M, 4>(group, cols, x, py, stride, live),
                 5 => panel_gemm_blocks_f32_avx512::<M, 5>(group, cols, x, py, stride, live),
-                _ => panel_gemm_blocks_f32_avx512::<M, GEMM_BLOCKS_AVX512>(
-                    group, cols, x, py, stride, live,
-                ),
+                6 => panel_gemm_blocks_f32_avx512::<M, 6>(group, cols, x, py, stride, live),
+                7 => panel_gemm_blocks_f32_avx512::<M, 7>(group, cols, x, py, stride, live),
+                _ => panel_gemm_blocks_f32_avx512::<M, G>(group, cols, x, py, stride, live),
             }
             r0 += nb * PANEL_LANES;
         }
@@ -1967,30 +1771,31 @@ mod x86 {
     fn panel_gemm_f32_avx512(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
         // SAFETY: reachable only through the detected AVX-512 KernelSets,
         // and only through `KernelSet::panel_gemm_f32`, whose "panel gemm
-        // row count" (m ≤ GEMM_ROWS = 4; m = 1 went to the GEMV), "panel
-        // shape mismatch" and "panel activation rows mismatch" asserts are
-        // the kernel's length requirements.
+        // row count" (1 ≤ m ≤ GEMM_ROWS = 4), "panel shape mismatch" and
+        // "panel activation rows mismatch" asserts are the kernel's length
+        // requirements.
         unsafe {
             match m {
-                2 => panel_gemm_rows_f32_avx512::<2>(w, cols, x, y),
-                3 => panel_gemm_rows_f32_avx512::<3>(w, cols, x, y),
-                _ => panel_gemm_rows_f32_avx512::<GEMM_ROWS>(w, cols, x, y),
+                1 => panel_gemm_rows_f32_avx512::<1, ONE_ROW_BLOCKS_AVX512>(w, cols, x, y),
+                2 => panel_gemm_rows_f32_avx512::<2, GEMM_BLOCKS_AVX512>(w, cols, x, y),
+                3 => panel_gemm_rows_f32_avx512::<3, GEMM_BLOCKS_AVX512>(w, cols, x, y),
+                _ => panel_gemm_rows_f32_avx512::<GEMM_ROWS, GEMM_BLOCKS_AVX512>(w, cols, x, y),
             }
         }
     }
 
-    /// One row block of `M` rows of the AVX2 f32 panel GEMM (two ymm per
-    /// row, 8 of the 16 registers): `w` holds the block's `cols` lines and
-    /// `x` the rows at stride `cols`; row `i`'s `live` outputs go to `py +
-    /// i · stride`.
+    /// `NB` row blocks of `M` rows of the AVX2 f32 panel GEMM (two ymm per
+    /// row and block): `w` holds the blocks' `NB · cols` lines and `x` the
+    /// rows at stride `cols`; row `i`'s `live` outputs for these blocks go
+    /// to `py + i · stride`.
     ///
     /// # Safety
-    /// Requires AVX2+FMA, `w.len() == cols`, `x.len() == M · cols`, `live
-    /// <= 16`, and `py` valid for `live` writes at each `i · stride`,
-    /// `i < M`.
+    /// Requires AVX2+FMA, `w.len() == NB · cols`, `x.len() == M · cols`,
+    /// `(NB − 1) · 16 < live <= NB · 16`, and `py` valid for `live` writes
+    /// at each `i · stride`, `i < M`.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn panel_gemm_block_f32_avx2<const M: usize>(
+    unsafe fn panel_gemm_blocks_f32_avx2<const M: usize, const NB: usize>(
         w: &[PanelLine],
         cols: usize,
         x: &[f32],
@@ -1999,8 +1804,9 @@ mod x86 {
         live: usize,
     ) {
         let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
-        // Row `i`'s block: lanes 0..8 in `acc[i][0]`, 8..16 in `acc[i][1]`.
-        let mut acc = [[_mm256_setzero_ps(); 2]; M];
+        // Row `i`, block `j`: lanes 0..8 in `acc[i][j][0]`, 8..16 in
+        // `acc[i][j][1]`.
+        let mut acc = [[[_mm256_setzero_ps(); 2]; NB]; M];
         for k in 0..cols {
             let mut xk = [0.0f32; M];
             let mut any = false;
@@ -2011,55 +1817,75 @@ mod x86 {
             if !any {
                 continue;
             }
-            let line = pw.add(k * PANEL_LANES);
-            let (wl, wh) = (_mm256_load_ps(line), _mm256_load_ps(line.add(8)));
-            for (a, &xi) in acc.iter_mut().zip(&xk) {
-                let xv = _mm256_set1_ps(xi);
-                a[0] = _mm256_fmadd_ps(xv, wl, a[0]);
-                a[1] = _mm256_fmadd_ps(xv, wh, a[1]);
+            let mut xv = [_mm256_setzero_ps(); M];
+            for (v, &xi) in xv.iter_mut().zip(&xk) {
+                *v = _mm256_set1_ps(xi);
+            }
+            for j in 0..NB {
+                let line = pw.add((j * cols + k) * PANEL_LANES);
+                let (wl, wh) = (_mm256_load_ps(line), _mm256_load_ps(line.add(8)));
+                for (row, &xi) in acc.iter_mut().zip(&xv) {
+                    row[j][0] = _mm256_fmadd_ps(xi, wl, row[j][0]);
+                    row[j][1] = _mm256_fmadd_ps(xi, wh, row[j][1]);
+                }
             }
         }
-        // Only `live` outputs exist: a ragged block's pad lanes stay in
-        // `out`.
-        for (i, [lo, hi]) in acc.into_iter().enumerate() {
-            let mut out = [0.0f32; PANEL_LANES];
-            _mm256_storeu_ps(out.as_mut_ptr(), lo);
-            _mm256_storeu_ps(out.as_mut_ptr().add(8), hi);
-            std::ptr::copy_nonoverlapping(out.as_ptr(), py.add(i * stride), live);
+        // Only `live` outputs exist: a ragged last block's pad lanes stay
+        // in `out`.
+        for (i, row) in acc.iter().enumerate() {
+            for (j, [lo, hi]) in row.iter().enumerate() {
+                let mut out = [0.0f32; PANEL_LANES];
+                _mm256_storeu_ps(out.as_mut_ptr(), *lo);
+                _mm256_storeu_ps(out.as_mut_ptr().add(8), *hi);
+                let lanes = (live - j * PANEL_LANES).min(PANEL_LANES);
+                let dst = py.add(i * stride + j * PANEL_LANES);
+                std::ptr::copy_nonoverlapping(out.as_ptr(), dst, lanes);
+            }
         }
     }
 
+    /// The AVX2 GEMM of `M` rows in groups of up to `G` (1..=4) blocks.
+    ///
     /// # Safety
     /// Requires AVX2+FMA, `x.len() == M · cols` and `w.len() == (y.len() /
     /// M).div_ceil(16) · cols`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_gemm_rows_f32_avx2<const M: usize>(
-        w: &[PanelLine],
+    unsafe fn panel_gemm_rows_f32_avx2<const M: usize, const G: usize>(
+        mut w: &[PanelLine],
         cols: usize,
         x: &[f32],
         y: &mut [f32],
     ) {
         let stride = y.len() / M;
         let py = y.as_mut_ptr();
-        for b in 0..stride.div_ceil(PANEL_LANES) {
-            let r0 = b * PANEL_LANES;
-            let block = &w[b * cols..(b + 1) * cols];
-            let live = (stride - r0).min(PANEL_LANES);
-            panel_gemm_block_f32_avx2::<M>(block, cols, x, py.add(r0), stride, live);
+        let mut r0 = 0;
+        while r0 < stride {
+            let nb = (stride - r0).div_ceil(PANEL_LANES).min(G);
+            let (group, rest) = w.split_at(nb * cols);
+            w = rest;
+            let (py, live) = (py.add(r0), (stride - r0).min(nb * PANEL_LANES));
+            match nb {
+                1 => panel_gemm_blocks_f32_avx2::<M, 1>(group, cols, x, py, stride, live),
+                2 => panel_gemm_blocks_f32_avx2::<M, 2>(group, cols, x, py, stride, live),
+                3 => panel_gemm_blocks_f32_avx2::<M, 3>(group, cols, x, py, stride, live),
+                _ => panel_gemm_blocks_f32_avx2::<M, G>(group, cols, x, py, stride, live),
+            }
+            r0 += nb * PANEL_LANES;
         }
     }
 
     fn panel_gemm_f32_avx2(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
         // SAFETY: reachable only through the detected AVX2 KernelSet, and
         // only through `KernelSet::panel_gemm_f32`, whose "panel gemm row
-        // count" (m ≤ GEMM_ROWS = 4; m = 1 went to the GEMV), "panel shape
-        // mismatch" and "panel activation rows mismatch" asserts are the
-        // kernel's length requirements.
+        // count" (1 ≤ m ≤ GEMM_ROWS = 4), "panel shape mismatch" and
+        // "panel activation rows mismatch" asserts are the kernel's length
+        // requirements.
         unsafe {
             match m {
-                2 => panel_gemm_rows_f32_avx2::<2>(w, cols, x, y),
-                3 => panel_gemm_rows_f32_avx2::<3>(w, cols, x, y),
-                _ => panel_gemm_rows_f32_avx2::<GEMM_ROWS>(w, cols, x, y),
+                1 => panel_gemm_rows_f32_avx2::<1, ONE_ROW_BLOCKS_AVX2>(w, cols, x, y),
+                2 => panel_gemm_rows_f32_avx2::<2, 1>(w, cols, x, y),
+                3 => panel_gemm_rows_f32_avx2::<3, 1>(w, cols, x, y),
+                _ => panel_gemm_rows_f32_avx2::<GEMM_ROWS, 1>(w, cols, x, y),
             }
         }
     }
@@ -2656,27 +2482,27 @@ mod tests {
         one_block_gemv(8, 17);
     }
 
-    /// One 16-lane f32 block of 8 inputs through the active set, with
-    /// `x_len` activations and `rows` outputs.
-    fn one_block_gemv_f32(x_len: usize, rows: usize) {
+    /// One 16-lane f32 block of 8 inputs through the active set's 1-row
+    /// GEMM, with `x_len` activations and `rows` outputs.
+    fn one_block_gemm_f32(x_len: usize, rows: usize) {
         let w = [PanelLine([1.0; PANEL_LANES]); 8];
-        KernelSet::active().panel_gemv_f32(&w, 8, &vec![1.0; x_len], &mut vec![0.0; rows]);
+        KernelSet::active().panel_gemm_f32(&w, 8, &vec![1.0; x_len], &mut vec![0.0; rows], 1);
     }
 
     #[test]
-    #[should_panic(expected = "panel activation row too short")]
+    #[should_panic(expected = "panel activation rows mismatch")]
     fn short_f32_panel_activations_panic_not_ub() {
-        // The SIMD bodies read `cols` activations through a raw pointer;
-        // the public wrapper must reject a shorter row in release builds
-        // too.
-        one_block_gemv_f32(7, 3);
+        // The SIMD bodies read `cols` activations per row through a raw
+        // pointer; the public wrapper must reject a shorter row in
+        // release builds too.
+        one_block_gemm_f32(7, 3);
     }
 
     #[test]
     #[should_panic(expected = "panel shape mismatch")]
     fn mismatched_f32_panel_shapes_panic_not_ub() {
         // 17 outputs need two blocks of weight lines.
-        one_block_gemv_f32(8, 17);
+        one_block_gemm_f32(8, 17);
     }
 
     /// Every set's range scan must agree with scalar — including rows

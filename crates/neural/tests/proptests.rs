@@ -3,8 +3,8 @@
 use neural::dense::Activation;
 use neural::quant::{self, ActQuant, QuantMatrix, QuantMode};
 use neural::{
-    softmax_cross_entropy, softmax_inplace, Autoencoder, GruBatchScratch, GruCell, GruEngine,
-    GruStepScratch, KernelSet, Matrix, PackedGru, PanelMatrix,
+    softmax_cross_entropy, softmax_inplace, Autoencoder, GruCell, GruEngine, GruStepScratch,
+    KernelSet, Matrix, PackedGru, PanelMatrix,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -428,14 +428,15 @@ proptest! {
         }
     }
 
-    /// The f32 panel GEMV against a naive row-major sum accumulated in
-    /// f64, on every kernel set and any shape — non-multiples of the
+    /// The 1-row f32 panel GEMM against a naive row-major sum accumulated
+    /// in f64, on every kernel set and any shape — non-multiples of the
     /// 16-lane block included. A k-ascending f32 chain of `cols` terms is
     /// within `cols · ε · Σ|x·w|` of the exact sum, fused or not. The SIMD
-    /// sets run the same per-lane FMA chain whatever their register width,
-    /// so avx2 and avx512 must agree **bitwise**.
+    /// sets run the same per-lane FMA chain whatever their register width
+    /// and block grouping (avx2 four two-ymm blocks, avx512 eight zmm), so
+    /// avx2 and avx512 must agree **bitwise**.
     #[test]
-    fn panel_gemv_f32_matches_row_major_sum(
+    fn panel_gemm_f32_one_row_matches_row_major_sum(
         rows in 1usize..400,
         cols in 1usize..400,
         seed in 0u64..1000,
@@ -449,7 +450,7 @@ proptest! {
         let mut simd_rows: Vec<(&str, Vec<u32>)> = Vec::new();
         for ks in KernelSet::available() {
             let mut y = vec![f32::NAN; rows];
-            ks.panel_gemv_f32(p.lines(), cols, &x, &mut y);
+            ks.panel_gemm_f32(p.lines(), cols, &x, &mut y, 1);
             for (r, &got) in y.iter().enumerate() {
                 let (mut exact, mut sum_abs) = (0.0f64, 0.0f64);
                 for (&xv, &wv) in x.iter().zip(m.row(r)) {
@@ -472,14 +473,14 @@ proptest! {
         }
     }
 
-    /// The f32 panel GEMM is its GEMV row by row, on every kernel set: for
-    /// 1..=4 rows, at the six autoencoder shapes and at ragged ones, with
-    /// `+0` and `−0` activations, an all-zero row and an optional NaN or
-    /// infinite activation in the last row, every output is bitwise that
-    /// row's `panel_gemv_f32` — two zeros may differ in sign, nothing else
-    /// may — so the poison reaches no batch-mate.
+    /// The f32 panel GEMM is its 1-row GEMM row by row, on every kernel
+    /// set: for 1..=4 rows, at the six autoencoder shapes and at ragged
+    /// ones, with `+0` and `−0` activations, an all-zero row and an
+    /// optional NaN or infinite activation in the last row, every output is
+    /// bitwise that row's 1-row product — two zeros may differ in sign,
+    /// nothing else may — so the poison reaches no batch-mate.
     #[test]
-    fn panel_gemm_f32_rows_are_their_gemv(
+    fn panel_gemm_f32_rows_are_their_one_row_gemm(
         shape in prop_oneof![
             Just((192usize, 345usize)),
             Just((96usize, 192usize)),
@@ -513,7 +514,7 @@ proptest! {
             ks.panel_gemm_f32(p.lines(), cols, &x, &mut y, m);
             let mut want = vec![f32::NAN; rows];
             for i in 0..m {
-                ks.panel_gemv_f32(p.lines(), cols, &x[i * cols..(i + 1) * cols], &mut want);
+                ks.panel_gemm_f32(p.lines(), cols, &x[i * cols..(i + 1) * cols], &mut want, 1);
                 for (r, (&got, &want)) in y[i * rows..(i + 1) * rows].iter().zip(&want).enumerate() {
                     prop_assert!(
                         got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
@@ -574,7 +575,7 @@ proptest! {
         let act = quant::quantize_activations(&x, &mut qa);
         let amax = x.iter().fold(0.0f32, |a, v| a.max(v.abs()));
         let mut y = vec![0.0f32; rows];
-        q.matvec_into(&x, &mut qa, &mut y);
+        q.matmul_rows_into(1, &x, &mut qa, &mut y);
         let mut reference = vec![0.0f32; rows];
         m.matvec_into(&x, &mut reference);
         for r in 0..rows {
@@ -585,39 +586,6 @@ proptest! {
                 (y[r] - reference[r]).abs() <= bound,
                 "row {}: int8 {} vs f32 {} (bound {})", r, y[r], reference[r], bound
             );
-        }
-    }
-
-    /// Int8 batched stepping == int8 per-flow stepping, for any shape
-    /// including remainder lanes: every row of a `step_batch` is bitwise
-    /// the `step` of that flow alone, mid-flow hidden states included.
-    #[test]
-    fn quant_gru_step_batch_matches_step_bitwise(
-        seed in 0u64..300,
-        input in 1usize..9,
-        hidden in 1usize..17,
-        flows in 1usize..12,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cell = GruCell::new(input, hidden, &mut rng);
-        let q = GruEngine::from_packed(PackedGru::pack(&cell), QuantMode::Int8);
-        let xs = Matrix::from_fn(flows, input, |f, i| ((f * input + i) as f32 * 0.41 + seed as f32).sin());
-        let mut hs = Matrix::from_fn(flows, hidden, |f, i| ((f * hidden + i) as f32 * 0.13).sin() * 0.8);
-        let mut scratch = GruStepScratch::new();
-        let mut want = Vec::new();
-        for f in 0..flows {
-            let mut h = hs.row(f).to_vec();
-            let mut z = vec![0.0f32; hidden];
-            let mut r = vec![0.0f32; hidden];
-            q.step(xs.row(f), &mut h, &mut scratch, &mut z, &mut r);
-            want.push([h, z, r]);
-        }
-        let (mut zs, mut rs) = (Matrix::default(), Matrix::default());
-        q.step_batch(&xs, &mut hs, &mut GruBatchScratch::new(), &mut zs, &mut rs);
-        for (f, [h, z, r]) in want.iter().enumerate() {
-            prop_assert_eq!(hs.row(f), h.as_slice(), "h diverged at flow {}", f);
-            prop_assert_eq!(zs.row(f), z.as_slice(), "z diverged at flow {}", f);
-            prop_assert_eq!(rs.row(f), r.as_slice(), "r diverged at flow {}", f);
         }
     }
 

@@ -1,9 +1,11 @@
 //! Raw kernel throughput at the eight hot matvec shapes (the six
 //! autoencoder layers and the GRU's two projections): the row-major f32
-//! matvec training runs on, the f32 panel GEMV the inference engines run on
-//! and the int8 matvec (plan + encode + panel GEMV) with its bare panel
-//! GEMV — each panel GEMV with the weight bytes it streams per nanosecond;
-//! then batched products, the f32 row loop next to the 4-row panel GEMM;
+//! matvec training runs on, the f32 panel product the inference engines
+//! run on — `PanelMatrix::matmul_rows_into(1, …)`, the panel GEMM at one
+//! row — and the int8 row (plan + encode + panel GEMV) with its bare panel
+//! GEMV, each panel kernel with the weight bytes it streams per
+//! nanosecond; then batched products, the f32 row loop of 1-row products
+//! next to the 4-row panel GEMM;
 //! then training: each autoencoder layer's three batch GEMMs through the
 //! training kernels next to the `dot4` / `dot` / `axpy` loops they
 //! replaced, and the wall time of a ci-shaped `Autoencoder::train` and
@@ -35,8 +37,8 @@ fn main() {
     let ks = KernelSet::active();
     println!("kernel set: {}", ks.name);
     println!(
-        "rows x cols | f32 row-major | f32 panel GEMV, weight bytes streamed | \
-         int8 matvec | int8 panel GEMV, weight bytes streamed"
+        "rows x cols | f32 row-major | f32 panel 1-row GEMM, weight bytes streamed | \
+         int8 row | int8 panel GEMV, weight bytes streamed"
     );
     let (mut row_major_total, mut panel_total) = (0.0, 0.0);
     for (rows, cols) in [
@@ -58,13 +60,13 @@ fn main() {
         let iters = (400_000_000 / (rows * cols)) as u32;
 
         let f32_ns = ns_per_call(iters, || w.matvec_into(black_box(&x), &mut y));
-        let panel_ns = ns_per_call(iters, || {
-            ks.panel_gemv_f32(pw.lines(), cols, black_box(&x), &mut y)
-        });
+        let panel_ns = ns_per_call(iters, || pw.matmul_rows_into(1, black_box(&x), &mut y));
         let panel_bytes = std::mem::size_of_val(pw.lines());
         row_major_total += f32_ns;
         panel_total += panel_ns;
-        let i8_ns = ns_per_call(iters, || qw.matvec_into(black_box(&x), &mut qa, &mut y));
+        let i8_ns = ns_per_call(iters, || {
+            qw.matmul_rows_into(1, black_box(&x), &mut qa, &mut y)
+        });
         // `qa` now holds this row's codes, padded to whole k-quads.
         let act = quant::quantize_activations(&x, &mut Vec::new());
         let panels = qw.panels();
@@ -83,9 +85,9 @@ fn main() {
         "all eight shapes: f32 row-major {row_major_total:.0} ns, f32 panel {panel_total:.0} ns"
     );
 
-    // Batched products: f32 one panel GEMV per row (the 1-row price ×
-    // rows), the f32 4-row panel GEMM `matmul_nt_into` runs, and int8 (one
-    // quantize + GEMV per row). 4 rows is the pad flush, 16 a micro-batch
+    // Batched products: f32 one 1-row panel GEMM per row (the 1-row price
+    // × rows), the f32 panel GEMM 4 rows at a time, and int8 (one quantize
+    // + GEMV per row). 4 rows is the pad flush, 16 a micro-batch
     // flush; 8000 rows is no scorer's shape, the large-batch bound.
     let mut qa = Vec::new();
     println!(
@@ -107,11 +109,15 @@ fn main() {
         let gmacs = |ns: f64| (rows * cols * outs) as f64 / ns;
         let row_loop = ns_per_call(iters, || {
             for i in 0..rows {
-                pw.matvec_into(black_box(a.row(i)), c.row_mut(i));
+                pw.matmul_rows_into(1, black_box(a.row(i)), c.row_mut(i));
             }
         });
-        let gemm = ns_per_call(iters, || pw.matmul_nt_into(black_box(&a), &mut c));
-        let int8 = ns_per_call(iters, || qw.matmul_nt_into(black_box(&a), &mut qa, &mut c));
+        let gemm = ns_per_call(iters, || {
+            pw.matmul_rows_into(rows, black_box(&a.data), &mut c.data)
+        });
+        let int8 = ns_per_call(iters, || {
+            qw.matmul_rows_into(rows, black_box(&a.data), &mut qa, &mut c.data)
+        });
         println!(
             "{rows:>5} x {cols} x {outs:<3} | {:>6.2} | {:>6.2} ({:.2}x) | {:>6.2}",
             gmacs(row_loop),
