@@ -208,7 +208,7 @@ fn main() {
         corpus.iter().flat_map(|c| c.packets.iter()).collect();
     stream.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
 
-    let (fused, quant, streaming, telem, b1, kitsune) = pool.install(|| {
+    let (fused, quant, streaming, pads, telem, b1, kitsune) = pool.install(|| {
         // Warm-up pass so one-time costs (page faults, lazy init) don't
         // skew the first measurement.
         let warm = models.clap.score_connections_with(&corpus, QuantMode::Off);
@@ -249,6 +249,7 @@ fn main() {
         }
         let closed = scorer.finish();
         let streaming = t.elapsed();
+        let pads = scorer.pad_windows();
         let streamed_packets: usize = closed.iter().map(|c| c.packets).sum();
         assert_eq!(
             streamed_packets, packets,
@@ -336,7 +337,7 @@ fn main() {
 
         assert_eq!(warm.len(), s_fused.len());
         assert_eq!(s_b1.len(), s_k.len());
-        (fused, quant, streaming, telem, b1, kitsune)
+        (fused, quant, streaming, pads, telem, b1, kitsune)
     });
 
     // The RSS-sharded streaming engine runs outside the pinned pool: its
@@ -567,6 +568,12 @@ fn main() {
         pps(streaming) / pps(fused),
         pps(streaming),
         pps(fused)
+    );
+    println!(
+        "streaming padded windows: {} scored, {} answered by the memo ({:.1}%)",
+        pads.scored,
+        pads.memo_hits,
+        100.0 * pads.memo_hits as f64 / pads.scored.max(1) as f64
     );
     println!(
         "shard scaling: {:.2}x over 1-thread streaming ({} shards: {:.1} pkt/s vs {:.1} pkt/s)",

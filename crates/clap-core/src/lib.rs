@@ -84,8 +84,8 @@ pub use shard::{
     OverloadPolicy, ShardConfig, ShardStats, ShardVerdict, ShardedRun, ShardedStreamScorer,
 };
 pub use stream::{
-    CloseReason, ClosedFlow, EvictionMode, FlowEntry, ResidentMode, StreamConfig, StreamScorer,
-    StreamStats,
+    CloseReason, ClosedFlow, EvictionMode, FlowEntry, PadCounts, ResidentMode, StreamConfig,
+    StreamScorer, StreamStats,
 };
 // The live telemetry plane (re-exported so callers need not depend on
 // `clap-telemetry` directly): wait-free counters + coherent snapshots,

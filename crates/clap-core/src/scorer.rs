@@ -13,6 +13,15 @@
 //! [`PadStage`] and scored with up to three others through the
 //! autoencoder's batched form.
 //!
+//! Padded windows are also memoised ([`PadMemo`]). A short flow's
+//! features are relative to its own anchors and name no address, port or
+//! ISN, and its GRU starts from `h = 0`, so the short flows one template
+//! sends — a scan's probes, a SYN flood, backscatter — stage the same
+//! window bit for bit. Each scorer keeps a small set-associative memo
+//! from a padded window's exact bits to its error, and only the windows
+//! it misses reach the autoencoder. Sliding windows are not memoised:
+//! they carry a flow's history and practically never repeat.
+//!
 //! [`StreamScorer`]: crate::StreamScorer
 //! [`ClapScorer`]: crate::ClapScorer
 
@@ -23,6 +32,7 @@ use crate::resident::ResidentArena;
 use crate::score::{score_errors, ScoredConnection};
 use clap_telemetry::hist::{LapClock, Stage};
 use net_packet::{Direction, Packet};
+use neural::simd::GEMM_ROWS;
 use neural::{AeEngine, AeWorkspace, GruEngine, GruStepScratch, Matrix};
 
 /// One flow's scoring state, borrowed for a call from wherever it lives: a
@@ -48,6 +58,7 @@ pub(crate) struct Scorer<'a> {
     pub(crate) gru: GruEngine,
     pub(crate) ae: AeEngine<'a>,
     gru_scratch: GruStepScratch,
+    /// The autoencoder's scratch, for packets' windows and padded ones.
     pub(crate) ae_ws: AeWorkspace,
     /// The current packet's GRU input (`base`), among its other features.
     pub(crate) fv: FeatureVector,
@@ -56,6 +67,16 @@ pub(crate) struct Scorer<'a> {
     pub(crate) err_scratch: Vec<f32>,
     /// Closing flows' padded windows awaiting their batched pass.
     pads: PadStage,
+    /// Live flows' padded windows for [`live_pad_errors`], kept apart
+    /// from the closing flows' `pads`.
+    ///
+    /// [`live_pad_errors`]: Self::live_pad_errors
+    live_pads: PadStage,
+    /// Padded-window errors by the window's exact bits, shared by both
+    /// stages.
+    memo: PadMemo,
+    /// Padded windows scored, and how many of them the memo answered.
+    pub(crate) pad_counts: PadCounts,
     /// The current packet's profile row (features ‖ z ‖ r), built here
     /// and copied into the flow's ring after the window uses it.
     pub(crate) row: Vec<f32>,
@@ -82,6 +103,9 @@ impl<'a> Scorer<'a> {
             window: Matrix::zeros(1, clap.config.stack * PROFILE_LEN),
             err_scratch: Vec::new(),
             pads: PadStage::new(clap.config.stack),
+            live_pads: PadStage::new(clap.config.stack),
+            memo: PadMemo::new(clap.config.stack * PROFILE_LEN),
+            pad_counts: PadCounts::default(),
             row: vec![0.0; PROFILE_LEN],
             h_scratch: Vec::new(),
             code_scratch: Vec::new(),
@@ -171,18 +195,64 @@ impl<'a> Scorer<'a> {
         slot: usize,
         packets: usize,
     ) -> bool {
-        self.pads.stage_pad(resident, slot, packets)
+        self.pads.stage_pad(resident, slot, packets, &self.memo)
     }
 
     /// Scores the windows [`stage_pad`](Self::stage_pad) staged — see
     /// [`PadStage::score_staged`].
     pub(crate) fn score_staged(&mut self, out: &mut [f32]) {
-        self.pads.score_staged(&self.ae, out)
+        let misses = self
+            .pads
+            .score_staged(&self.ae, &mut self.ae_ws, &mut self.memo, out);
+        self.pad_counts.add(out.len(), misses);
     }
 
-    /// Drops the staged windows unscored (a flow-table reset).
+    /// Drops the staged windows unscored (a flow-table reset). The memo
+    /// stays: it is a pure function of a window's bits, so no flow state
+    /// it holds can go stale.
     pub(crate) fn discard_staged(&mut self) {
         self.pads.clear();
+    }
+
+    /// The padded-window error of each live flow `(slot, packets)` of
+    /// `flows` that is shorter than the stack, handed to `f` with the
+    /// flow's index in `flows` — what the flow would score were it closed
+    /// now. The windows consult and fill the memo and go through a stage
+    /// of their own, one autoencoder pass per [`GEMM_ROWS`] memo misses,
+    /// so the closing flows' staged windows are left alone.
+    pub(crate) fn live_pad_errors(
+        &mut self,
+        resident: &ResidentArena,
+        flows: impl Iterator<Item = (usize, usize)>,
+        mut f: impl FnMut(usize, f32),
+    ) {
+        // A call that unwound part-way may have left windows staged.
+        self.live_pads.clear();
+        let (mut waiting, mut errs) = (Vec::new(), Vec::new());
+        let mut flows = flows.enumerate().peekable();
+        while let Some((i, (slot, packets))) = flows.next() {
+            if self
+                .live_pads
+                .stage_pad(resident, slot, packets, &self.memo)
+            {
+                waiting.push(i);
+            }
+            let full = self.live_pads.misses.rows == GEMM_ROWS;
+            if (full || flows.peek().is_none()) && !waiting.is_empty() {
+                errs.resize(waiting.len(), 0.0);
+                let misses = self.live_pads.score_staged(
+                    &self.ae,
+                    &mut self.ae_ws,
+                    &mut self.memo,
+                    &mut errs,
+                );
+                self.pad_counts.add(waiting.len(), misses);
+                for (&j, &err) in waiting.iter().zip(&errs) {
+                    f(j, err);
+                }
+                waiting.clear();
+            }
+        }
     }
 
     /// Summarizes a finished flow's window errors into its verdict.
@@ -203,68 +273,270 @@ impl<'a> Scorer<'a> {
 /// runs (a scan's RSTs, an expiry sweep, [`finish`]), so their windows
 /// are staged here and scored [`GEMM_ROWS`] at a time, one pass over the
 /// weights per group instead of per flow. [`Scorer`] owns the one the
-/// close path fills; an `&self` caller builds its own.
+/// close path fills and the one `flow_entries` fills.
+///
+/// Each window is looked up in the scorer's [`PadMemo`] as it is staged.
+/// A hit records the memoised error and gives the row back; so does a
+/// window bitwise equal to one staged earlier that missed. Only the
+/// misses go through the autoencoder, which scores each error bitwise as
+/// its window would score alone, whatever group it shares — the same
+/// invariant streaming == batch rests on — so a memoised error is the
+/// error, and no verdict bit depends on what the memo holds.
 ///
 /// [`finish`]: crate::StreamScorer::finish
-/// [`GEMM_ROWS`]: neural::simd::GEMM_ROWS
 #[derive(Debug)]
 pub(crate) struct PadStage {
     stack: usize,
-    /// Row `i`: the `i`-th staged window.
-    windows: Matrix,
-    ws: AeWorkspace,
+    /// Row `i`: the `i`-th staged window the memo could not answer.
+    misses: Matrix,
+    /// Row `i`'s [`window_hash`].
+    hashes: Vec<u64>,
+    /// Per staged window, in staging order: where its error comes from.
+    staged: Vec<Pad>,
     errs: Vec<f32>,
+}
+
+/// A staged window's error: known at staging, or row `r` of the misses.
+#[derive(Debug, Clone, Copy)]
+enum Pad {
+    Known(f32),
+    Row(usize),
 }
 
 impl PadStage {
     pub(crate) fn new(stack: usize) -> PadStage {
         PadStage {
             stack,
-            windows: Matrix::zeros(0, stack * PROFILE_LEN),
-            ws: AeWorkspace::new(),
+            misses: Matrix::zeros(0, stack * PROFILE_LEN),
+            hashes: Vec::new(),
+            staged: Vec::new(),
             errs: Vec::new(),
         }
     }
 
     /// Copies the padded window of the flow at `slot`, which has scored
-    /// `packets` packets, into the next staged row — the profiles are read
-    /// now, so the slot may be recycled before the window is scored.
-    /// `false`, staging nothing, for an empty flow and for one that has
-    /// had its windows.
+    /// `packets` packets, into the stage — the profiles are read now, so
+    /// the slot may be recycled before the window is scored — and looks
+    /// it up in `memo`. `false`, staging nothing, for an empty flow and
+    /// for one that has had its windows.
     pub(crate) fn stage_pad(
         &mut self,
         resident: &ResidentArena,
         slot: usize,
         packets: usize,
+        memo: &PadMemo,
     ) -> bool {
         let stack = self.stack;
         if packets == 0 || packets >= stack {
             return false;
         }
-        let row = self.windows.rows;
-        self.windows.resize(row + 1, stack * PROFILE_LEN);
+        let (row, cols) = (self.misses.rows, self.misses.cols);
+        self.misses.resize(row + 1, cols);
         // Packets 0..packets all still sit in the `stack − 1`-row ring.
-        let dst = self.windows.row_mut(row);
+        let dst = self.misses.row_mut(row);
         for (j, profile) in dst.chunks_exact_mut(PROFILE_LEN).enumerate() {
             resident.read_profile(slot, j.min(packets - 1), profile);
         }
+        let window = self.misses.row(row);
+        let hash = window_hash(window);
+        let earlier =
+            || (0..row).find(|&r| self.hashes[r] == hash && same_bits(self.misses.row(r), window));
+        let pad = match memo.get(hash, window) {
+            Some(err) => Pad::Known(err),
+            None => Pad::Row(earlier().unwrap_or(row)),
+        };
+        if let Pad::Row(row) = pad {
+            if row == self.hashes.len() {
+                self.hashes.push(hash);
+            }
+        }
+        // A window with its error in hand gives its row back.
+        self.misses.resize(self.hashes.len(), cols);
+        self.staged.push(pad);
         true
     }
 
-    /// Scores every staged window in one batched autoencoder pass, writes
-    /// the `i`-th staged window's error to `out[i]` and empties the stage.
-    /// Each error is bitwise the one the window scores on alone.
-    pub(crate) fn score_staged(&mut self, ae: &AeEngine<'_>, out: &mut [f32]) {
-        assert_eq!(out.len(), self.windows.rows, "one error per staged window");
+    /// Scores the staged windows the memo missed in one batched
+    /// autoencoder pass, memoises them, writes the `i`-th staged window's
+    /// error to `out[i]` and empties the stage. Returns the number of
+    /// windows the autoencoder scored.
+    pub(crate) fn score_staged(
+        &mut self,
+        ae: &AeEngine<'_>,
+        ws: &mut AeWorkspace,
+        memo: &mut PadMemo,
+        out: &mut [f32],
+    ) -> usize {
+        assert_eq!(out.len(), self.staged.len(), "one error per staged window");
+        let misses = self.misses.rows;
         self.errs.clear();
-        ae.reconstruction_errors_into(&self.windows, &mut self.ws, &mut self.errs);
-        out.copy_from_slice(&self.errs);
+        if misses > 0 {
+            ae.reconstruction_errors_into(&self.misses, ws, &mut self.errs);
+        }
+        for (r, (&hash, &err)) in self.hashes.iter().zip(&self.errs).enumerate() {
+            memo.insert(hash, self.misses.row(r), err);
+        }
+        for (o, &pad) in out.iter_mut().zip(&self.staged) {
+            *o = match pad {
+                Pad::Known(err) => err,
+                Pad::Row(r) => self.errs[r],
+            };
+        }
         self.clear();
+        misses
     }
 
     fn clear(&mut self) {
-        self.windows.resize(0, self.windows.cols);
+        self.misses.resize(0, self.misses.cols);
+        self.hashes.clear();
+        self.staged.clear();
     }
+}
+
+/// Padded windows a scorer has scored, and how many of them the memo (or
+/// an identical window staged beside them) answered without an
+/// autoencoder pass — see [`StreamScorer::pad_windows`].
+///
+/// [`StreamScorer::pad_windows`]: crate::StreamScorer::pad_windows
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PadCounts {
+    /// Padded windows scored.
+    pub scored: u64,
+    /// Of those, the ones that ran no autoencoder pass.
+    pub memo_hits: u64,
+}
+
+impl PadCounts {
+    fn add(&mut self, scored: usize, misses: usize) {
+        self.scored += scored as u64;
+        self.memo_hits += (scored - misses) as u64;
+    }
+}
+
+/// log₂ of the memo's sets.
+const MEMO_SET_BITS: u32 = 4;
+const MEMO_SETS: usize = 1 << MEMO_SET_BITS;
+/// Entries per set.
+const MEMO_WAYS: usize = 4;
+/// The memo's capacity: 64 windows.
+const MEMO_ENTRIES: usize = MEMO_SETS * MEMO_WAYS;
+/// The tag of an empty way; [`window_hash`] never returns it.
+const EMPTY: u64 = 0;
+
+/// A padded window's reconstruction error by the window's exact bits:
+/// [`MEMO_SETS`] sets of [`MEMO_WAYS`] ways, replaced round-robin within
+/// a set. The key is the window's `stack × PROFILE_LEN` values compared
+/// by [`f32::to_bits`] — `+0.0` and `−0.0` differ, NaN payloads compare
+/// exactly — and the tag is the key's [`window_hash`].
+///
+/// The hash is unkeyed, so an attacker can craft windows that share a
+/// set or a tag. That costs a miss, never a wrong score: every tag match
+/// is confirmed against the whole key, a probe is at most `MEMO_WAYS`
+/// compares, and a miss runs the autoencoder as an unmemoised scorer
+/// would — at worst today's price plus one hash. An entry is published
+/// tag-last (its tag is cleared before its key and error are written), so
+/// a write cut short — a panic the sharded engine's worker survives —
+/// leaves no entry that can match.
+///
+/// The ways, ≈ 87 KiB at the paper's 3 × 115-value window, are allocated
+/// at the first insert. The memo is a fixed cost per scorer, like the
+/// packed weights and the autoencoder workspace, not a cost per flow, so
+/// [`StreamScorer::mem_bytes`] leaves it out; and it is never cleared,
+/// because an error is a pure function of its window's bits.
+///
+/// [`StreamScorer::mem_bytes`]: crate::StreamScorer::mem_bytes
+#[derive(Debug)]
+pub(crate) struct PadMemo {
+    key_len: usize,
+    /// Way `e`'s tag (or [`EMPTY`]) and error; empty until the first
+    /// insert.
+    ways: Vec<(u64, f32)>,
+    /// Way `e`'s key, at `e · key_len`; empty until the first insert.
+    keys: Vec<f32>,
+    /// Per set: the way its next insert replaces.
+    next: [u8; MEMO_SETS],
+}
+
+impl PadMemo {
+    pub(crate) fn new(key_len: usize) -> PadMemo {
+        PadMemo {
+            key_len,
+            ways: Vec::new(),
+            keys: Vec::new(),
+            next: [0; MEMO_SETS],
+        }
+    }
+
+    /// The first way of `hash`'s set: its top [`MEMO_SET_BITS`] bits.
+    fn set_start(hash: u64) -> usize {
+        (hash >> (u64::BITS - MEMO_SET_BITS)) as usize * MEMO_WAYS
+    }
+
+    fn key(&self, e: usize) -> &[f32] {
+        &self.keys[e * self.key_len..(e + 1) * self.key_len]
+    }
+
+    /// The error memoised for `key`, whose hash is `hash`.
+    pub(crate) fn get(&self, hash: u64, key: &[f32]) -> Option<f32> {
+        if self.ways.is_empty() {
+            return None;
+        }
+        let start = Self::set_start(hash);
+        (start..start + MEMO_WAYS)
+            .find(|&e| self.ways[e].0 == hash && same_bits(self.key(e), key))
+            .map(|e| self.ways[e].1)
+    }
+
+    /// Memoises `err` for `key`, whose hash is `hash`, in the way its set
+    /// replaces next — unless `key` is already there.
+    pub(crate) fn insert(&mut self, hash: u64, key: &[f32], err: f32) {
+        assert!(hash != EMPTY && key.len() == self.key_len);
+        if self.get(hash, key).is_some() {
+            return;
+        }
+        if self.ways.is_empty() {
+            self.ways = vec![(EMPTY, 0.0); MEMO_ENTRIES];
+            self.keys = vec![0.0; MEMO_ENTRIES * self.key_len];
+        }
+        let set = Self::set_start(hash) / MEMO_WAYS;
+        let e = set * MEMO_WAYS + usize::from(self.next[set]);
+        self.next[set] = ((usize::from(self.next[set]) + 1) % MEMO_WAYS) as u8;
+        self.ways[e] = (EMPTY, err);
+        self.keys[e * self.key_len..(e + 1) * self.key_len].copy_from_slice(key);
+        self.ways[e].0 = hash;
+    }
+}
+
+/// An unkeyed word-fold of `window`'s bits: four independent lanes fold
+/// two words at a time (xor, multiply, rotate), then fold into one word
+/// and avalanche. Never [`EMPTY`].
+pub(crate) fn window_hash(window: &[f32]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(31);
+    let mut lanes = [0u64; 4];
+    let mut chunks = window.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
+            let word = u64::from(pair[0].to_bits()) | (u64::from(pair[1].to_bits()) << 32);
+            *lane = fold(*lane, word);
+        }
+    }
+    let h = lanes.into_iter().fold(window.len() as u64, fold);
+    let h = chunks
+        .remainder()
+        .iter()
+        .fold(h, |h, v| fold(h, u64::from(v.to_bits())));
+    let h = (h ^ (h >> 29)).wrapping_mul(K);
+    (h ^ (h >> 32)).max(1)
+}
+
+/// Whether `a` and `b` hold the same bits, value for value.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .fold(0, |d, (x, y)| d | (x.to_bits() ^ y.to_bits()))
+            == 0
 }
 
 /// Extracts `p` as the next packet of a flow and starts its profile row
@@ -286,4 +558,198 @@ pub(crate) fn extract_row(
     *packets += 1;
     ranges.write_packet_features(fv, &mut row[..NUM_PACKET]);
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::ClapConfig;
+    use crate::resident::ResidentMode;
+    use neural::QuantMode;
+    use std::sync::OnceLock;
+
+    fn model() -> &'static Clap {
+        static MODEL: OnceLock<Clap> = OnceLock::new();
+        MODEL.get_or_init(|| {
+            let benign = traffic_gen::dataset(95, 20);
+            let mut cfg = ClapConfig::ci();
+            cfg.ae.epochs = 8;
+            Clap::train(&benign, &cfg).0
+        })
+    }
+
+    fn scorer(clap: &Clap) -> Scorer<'_> {
+        Scorer::new(
+            clap,
+            GruEngine::from_packed(clap.rnn.packed(), QuantMode::Off),
+            AeEngine::from_model(&clap.ae, QuantMode::Off),
+        )
+    }
+
+    /// Short flows — the first one or two packets of benign connections —
+    /// scored into slots of their own, keeping those whose padded windows
+    /// differ: `(slot, packets, window)` each.
+    fn short_flows<'a>(
+        clap: &'a Clap,
+        scorer: &mut Scorer<'a>,
+    ) -> (ResidentArena, Vec<(usize, usize, Vec<f32>)>) {
+        let stack = clap.config.stack;
+        let conns = traffic_gen::dataset(96, 12);
+        let mut resident =
+            ResidentArena::new(ResidentMode::F32, scorer.gru.hidden_size(), stack, 64);
+        let mut flows: Vec<(usize, usize, Vec<f32>)> = Vec::new();
+        for (slot, (conn, take)) in conns.iter().flat_map(|c| [(c, 1), (c, 2)]).enumerate() {
+            resident.push_slot();
+            let (mut extractor, mut packets) = (FeatureExtractor::new(), 0u32);
+            for (i, p) in conn.packets[..take].iter().enumerate() {
+                let flow = Flow {
+                    extractor: &mut extractor,
+                    packets: &mut packets,
+                    resident: &mut resident,
+                    slot,
+                };
+                assert_eq!(scorer.advance(flow, p, conn.direction(i), &mut None), None);
+            }
+            let mut window = vec![0.0; stack * PROFILE_LEN];
+            for (j, profile) in window.chunks_exact_mut(PROFILE_LEN).enumerate() {
+                resident.read_profile(slot, j.min(take - 1), profile);
+            }
+            if flows.iter().all(|(.., w)| !same_bits(w, &window)) {
+                flows.push((slot, take, window));
+            }
+        }
+        assert!(
+            flows.len() >= 8,
+            "only {} distinct padded windows",
+            flows.len()
+        );
+        (resident, flows)
+    }
+
+    /// A tag match is only a candidate: the whole key must match bit for
+    /// bit. The same hash over `+0.0` and `−0.0`, over two NaN payloads,
+    /// or over keys one value apart (the last, so a key that stops short
+    /// misses it) is a miss.
+    #[test]
+    fn memo_same_tag_other_bits_is_a_miss() {
+        let len = 3 * PROFILE_LEN;
+        let hash = 0x5a5a_5a5a_5a5a_5a5a;
+        let mut memo = PadMemo::new(len);
+        let key: Vec<f32> = (0..len).map(|i| i as f32 * 0.25).collect();
+        let variants = |at: usize, a: f32, b: f32| {
+            let (mut x, mut y) = (key.clone(), key.clone());
+            (x[at], y[at]) = (a, b);
+            (x, y)
+        };
+        let nan_a = f32::from_bits(0x7fc0_0001);
+        let nan_b = f32::from_bits(0x7fc0_0002);
+        for (x, y) in [
+            variants(0, 0.0, -0.0),
+            variants(len / 2, nan_a, nan_b),
+            variants(len - 1, 1.0, 1.0 + f32::EPSILON),
+        ] {
+            memo.insert(hash, &x, 7.5);
+            assert_eq!(memo.get(hash, &x).map(f32::to_bits), Some(7.5f32.to_bits()));
+            assert_eq!(memo.get(hash, &y), None, "a tag-only match");
+            assert_eq!(memo.get(hash ^ 1, &x), None, "a key-only match");
+        }
+        assert_ne!(
+            window_hash(&variants(0, 0.0, -0.0).0),
+            window_hash(&variants(0, 0.0, -0.0).1)
+        );
+    }
+
+    /// Four ways a set: a fifth key in a full set replaces its oldest, the
+    /// next the one after; an evicted window scores again to the same
+    /// bits and is memoised again.
+    #[test]
+    fn memo_evicts_round_robin_and_recomputes_the_same_bits() {
+        let clap = model();
+        let mut scorer = scorer(clap);
+        let (resident, flows) = short_flows(clap, &mut scorer);
+        let (slot, packets, ref window) = flows[0];
+        let score = |scorer: &mut Scorer<'_>| {
+            assert!(scorer.stage_pad(&resident, slot, packets));
+            let mut err = [0.0];
+            scorer.score_staged(&mut err);
+            err[0].to_bits()
+        };
+        let first = score(&mut scorer);
+        let hash = window_hash(window);
+        assert_eq!(scorer.memo.get(hash, window).map(f32::to_bits), Some(first));
+        // Keys with their own tags in `window`'s set.
+        let set = hash & (u64::MAX << (u64::BITS - MEMO_SET_BITS));
+        let others: Vec<(u64, Vec<f32>)> = (1..=5u64)
+            .map(|i| (set | i, vec![i as f32; window.len()]))
+            .collect();
+        for (i, (tag, key)) in others.iter().enumerate() {
+            scorer.memo.insert(*tag, key, i as f32);
+            let present = |(t, k): &(u64, Vec<f32>)| scorer.memo.get(*t, k).is_some();
+            let held: Vec<bool> = others.iter().map(present).collect();
+            let window_held = scorer.memo.get(hash, window).is_some();
+            match i {
+                0..=2 => assert!(window_held && held[..=i].iter().all(|&h| h)),
+                3 => assert_eq!((window_held, &held[..4]), (false, &[true; 4][..])),
+                _ => assert_eq!(&held, &[false, true, true, true, true]),
+            }
+        }
+        let counts = scorer.pad_counts;
+        assert_eq!(score(&mut scorer), first, "recomputed after eviction");
+        assert_eq!(scorer.pad_counts.memo_hits, counts.memo_hits, "a miss");
+        assert_eq!(score(&mut scorer), first);
+        assert_eq!(
+            scorer.pad_counts.memo_hits,
+            counts.memo_hits + 1,
+            "memoised again"
+        );
+    }
+
+    /// Four distinct windows scored as one 4-row group memoise the errors
+    /// they score alone, bit for bit; staged again with a fifth, and each
+    /// twice, they come back in staging order.
+    #[test]
+    fn memo_from_a_group_equals_the_one_row_score() {
+        let clap = model();
+        let mut scorer = scorer(clap);
+        let (resident, flows) = short_flows(clap, &mut scorer);
+        let alone = |window: &[f32]| {
+            let (mut ws, mut err) = (AeWorkspace::new(), Vec::new());
+            let x = Matrix::from_vec(1, window.len(), window.to_vec());
+            scorer.ae.reconstruction_errors_into(&x, &mut ws, &mut err);
+            err[0].to_bits()
+        };
+        let want: Vec<u32> = flows.iter().map(|(.., w)| alone(w)).collect();
+        for &(slot, packets, _) in &flows[..GEMM_ROWS] {
+            assert!(scorer.stage_pad(&resident, slot, packets));
+        }
+        assert_eq!(scorer.pads.misses.rows, GEMM_ROWS);
+        let mut errs = [0.0; GEMM_ROWS];
+        scorer.score_staged(&mut errs);
+        for (i, (.., window)) in flows[..GEMM_ROWS].iter().enumerate() {
+            assert_eq!(errs[i].to_bits(), want[i]);
+            let memoised = scorer.memo.get(window_hash(window), window);
+            assert_eq!(memoised.map(f32::to_bits), Some(want[i]), "window {i}");
+        }
+        // Hits and misses interleaved, each window twice: one miss a window
+        // the memo has not seen, the rest answered without a pass.
+        let order = [4, 0, 4, 1, 2, 5, 3, 5, 0];
+        for &i in &order {
+            let (slot, packets, _) = flows[i];
+            assert!(scorer.stage_pad(&resident, slot, packets));
+        }
+        assert_eq!(scorer.pads.misses.rows, 2, "windows 4 and 5 miss once each");
+        let mut errs = vec![0.0; order.len()];
+        let before = scorer.pad_counts;
+        scorer.score_staged(&mut errs);
+        let got: Vec<u32> = errs.iter().map(|e| e.to_bits()).collect();
+        let expected: Vec<u32> = order.iter().map(|&i| want[i]).collect();
+        assert_eq!(got, expected, "errors in staging order");
+        assert_eq!(
+            scorer.pad_counts,
+            PadCounts {
+                scored: before.scored + order.len() as u64,
+                memo_hits: before.memo_hits + order.len() as u64 - 2,
+            }
+        );
+    }
 }

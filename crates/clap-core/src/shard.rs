@@ -1077,6 +1077,73 @@ mod tests {
         }
     }
 
+    /// A templated scan — every probe pads to one of two windows, so each
+    /// worker's padded-window memo answers nearly all of them — scores
+    /// under `Block` exactly as one unsharded scorer does: the same
+    /// verdicts, reasons and score bits, at every shard count.
+    #[test]
+    fn shard_scan_with_memoised_pads_matches_unsharded() {
+        let clap = model();
+        let mut packets = Vec::new();
+        for i in 0..96u16 {
+            let [a, b] = i.to_be_bytes();
+            let client = (Ipv4Addr::new(10, 7, a, b), 20_000 + i);
+            let server = (Ipv4Addr::new(10, 8, 0, 1), 443);
+            let ts = 0.01 * f64::from(i);
+            let mut syn = TcpHeader::new(client.1, server.1, 77 + u32::from(i), 0);
+            syn.flags = TcpFlags::SYN;
+            let ip = Ipv4Header::new(client.0, server.0, 64);
+            packets.push(Packet::new(ts, ip, syn, Vec::new()));
+            if i % 4 != 0 {
+                let mut rst = TcpHeader::new(server.1, client.1, 0, 78 + u32::from(i));
+                rst.flags = TcpFlags::RST | TcpFlags::ACK;
+                let ip = Ipv4Header::new(server.0, client.0, 64);
+                packets.push(Packet::new(ts + 0.3, ip, rst, Vec::new()));
+            }
+        }
+        packets.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
+        let print = |flows: Vec<(u64, &crate::ClosedFlow)>| {
+            let mut print: Vec<_> = flows
+                .into_iter()
+                .map(|(arrival, f)| {
+                    (
+                        arrival,
+                        f.key,
+                        f.packets,
+                        f.reason,
+                        f.scored.score.to_bits(),
+                    )
+                })
+                .collect();
+            print.sort_by_key(|&(arrival, ..)| arrival);
+            print
+        };
+        let mut plain = clap.stream_scorer();
+        for p in &packets {
+            plain.push(p);
+        }
+        let reference = plain.finish();
+        let two_windows = crate::PadCounts {
+            scored: 96,
+            memo_hits: 94,
+        };
+        assert_eq!(plain.pad_windows(), two_windows);
+        let reference = print(reference.iter().map(|f| (f.arrival, f)).collect());
+        assert_eq!(reference.len(), 96);
+        for shards in [1, 2, 4] {
+            let run = clap
+                .sharded_scorer_with(ShardConfig {
+                    shards,
+                    queue_capacity: 8,
+                    overload: OverloadPolicy::Block,
+                    ..ShardConfig::default()
+                })
+                .score_stream(packets.iter());
+            let flows = run.verdicts.iter().map(|v| (v.arrival, &v.flow)).collect();
+            assert_eq!(print(flows), reference, "{shards} shards");
+        }
+    }
+
     /// Zero/one shard configurations degrade gracefully.
     #[test]
     fn shard_count_is_floored_at_one() {

@@ -57,7 +57,10 @@
 //!   verdicts are bitwise those of scoring each pad at close. The price
 //!   is latency: the closing packet that fills the stage pays for
 //!   `GEMM_ROWS` windows. A caller that drains after every push — the
-//!   sharded engine's worker does — scores its pads one at a time.
+//!   sharded engine's worker does — scores its pads one at a time. A
+//!   window the core has scored before — a scan's probes repeat one
+//!   bit for bit — is answered from its padded-window memo with no
+//!   autoencoder pass ([`StreamScorer::pad_windows`] counts them).
 //! * **Arrival tags.** Every packet carries an arrival tag — the scorer's
 //!   own 0-based counter under [`StreamScorer::push`], or a
 //!   caller-supplied index under [`StreamScorer::push_tagged`] — and each
@@ -124,7 +127,8 @@ use crate::pipeline::Clap;
 use crate::resident::ResidentArena;
 pub use crate::resident::ResidentMode;
 use crate::score::{score_errors, ScoredConnection};
-use crate::scorer::{Flow, PadStage, Scorer};
+pub use crate::scorer::PadCounts;
+use crate::scorer::{Flow, Scorer};
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Endpoint, FlowKey, Packet, TcpFlags};
 use neural::simd::GEMM_ROWS;
@@ -613,9 +617,11 @@ impl StreamScorer<'_> {
 
     /// Dumps every live flow-table entry (conntrack-style list), ordered
     /// by arrival tag — a stable, stream-deterministic order. O(live
-    /// flows), plus one autoencoder pass per [`GEMM_ROWS`] flows shorter
-    /// than the window stack (their [`FlowEntry::score`] is their padded
-    /// window's); meant for operator introspection, not the hot path.
+    /// flows), plus one autoencoder pass per [`GEMM_ROWS`] memo misses
+    /// among the flows shorter than the window stack (their
+    /// [`FlowEntry::score`] is their padded window's, looked up in and
+    /// added to the scorer's padded-window memo); meant for operator
+    /// introspection, not the hot path.
     ///
     /// First flushes pending micro-batched work
     /// ([`flush_pending`](Self::flush_pending), which closes no flow), so
@@ -625,24 +631,14 @@ impl StreamScorer<'_> {
         self.flush_pending();
         let live: Vec<u32> = self.table.live_handles().collect();
         let mut out: Vec<FlowEntry> = live.iter().map(|&h| self.flow_entry_at(h)).collect();
-        // The padded windows go through a stage of their own, so the
-        // closed flows' stage is left alone.
-        let mut pads = PadStage::new(self.scorer.builder.stack);
-        let (mut waiting, mut errs) = (Vec::with_capacity(GEMM_ROWS), [0.0f32; GEMM_ROWS]);
-        for (i, &h) in live.iter().enumerate() {
-            let packets = self.table[h].packets as usize;
-            if pads.stage_pad(&self.resident, h as usize, packets) {
-                waiting.push(i);
-            }
-            if waiting.len() == GEMM_ROWS || (i + 1 == live.len() && !waiting.is_empty()) {
-                let errs = &mut errs[..waiting.len()];
-                pads.score_staged(&self.scorer.ae, errs);
-                for (&j, &err) in waiting.iter().zip(errs.iter()) {
-                    out[j].score = score_errors(&[err], self.scorer.clap.config.score_window).1;
-                }
-                waiting.clear();
-            }
-        }
+        let score_window = self.scorer.clap.config.score_window;
+        let flows = live
+            .iter()
+            .map(|&h| (h as usize, self.table[h].packets as usize));
+        self.scorer
+            .live_pad_errors(&self.resident, flows, |i, err| {
+                out[i].score = score_errors(&[err], score_window).1;
+            });
         out.sort_by_key(|e| e.arrival);
         out
     }
@@ -666,6 +662,14 @@ impl StreamScorer<'_> {
     /// The engine precision this scorer runs at.
     pub fn quant_mode(&self) -> QuantMode {
         self.scorer.gru.mode()
+    }
+
+    /// Lifetime padded-window counters: the windows of flows shorter than
+    /// the stack this scorer has scored — at close and in
+    /// [`flow_entries`](Self::flow_entries) — and how many of them its
+    /// padded-window memo answered without an autoencoder pass.
+    pub fn pad_windows(&self) -> PadCounts {
+        self.scorer.pad_counts
     }
 
     /// Lifetime flow-table counters (a point-in-time read of the
@@ -709,12 +713,16 @@ impl StreamScorer<'_> {
     }
 
     /// Estimated heap footprint of the flow table: key index, slab,
-    /// resident arenas and the live flows' error logs / orient buffers. O(slab) — meant for periodic sampling, not the hot path.
+    /// resident arenas and the live flows' error logs / orient buffers.
+    /// O(slab) — meant for periodic sampling, not the hot path.
     /// Excludes the pending-verdict queue (drained by the caller) and the
-    /// shared scratch — micro-batch staging and the ≤ [`GEMM_ROWS`] padded
+    /// scoring core's fixed costs, which do not grow with flows: its
+    /// scratch — micro-batch staging and the ≤ [`GEMM_ROWS`] padded
     /// windows of closed flows awaiting their batched pass included
     /// (bounded by the batch capacity and by `GEMM_ROWS`, and
-    /// flow-independent: copies, not table state).
+    /// flow-independent: copies, not table state) — and its padded-window
+    /// memo (64 windows, ≈ 87 KiB at the paper's sizes, whatever the
+    /// number of flows).
     pub fn mem_bytes(&self) -> usize {
         self.table.heap_bytes() + self.resident.heap_bytes()
     }
@@ -1776,5 +1784,195 @@ mod tests {
             closed
         };
         assert_eq!(run(EvictionMode::Wheel), run(EvictionMode::Sweep));
+    }
+
+    /// A templated scan: probe `i` from its own 4-tuple — a pure SYN, and
+    /// when `answered` the target's RST|ACK half a second later.
+    fn probe(i: u16, answered: bool, ts: f64) -> Vec<Packet> {
+        let [a, b] = i.to_be_bytes();
+        let (client, server) = (Ipv4Addr::new(10, 3, a, b), Ipv4Addr::new(10, 4, 0, 1));
+        let port = 20_000 + i;
+        let mut syn = TcpHeader::new(port, 443, 1000 + u32::from(i), 0);
+        syn.flags = TcpFlags::SYN;
+        let mut packets = vec![Packet::new(
+            ts,
+            Ipv4Header::new(client, server, 64),
+            syn,
+            Vec::new(),
+        )];
+        if answered {
+            let mut rst = TcpHeader::new(443, port, 0, 1001 + u32::from(i));
+            rst.flags = TcpFlags::RST | TcpFlags::ACK;
+            let ip = Ipv4Header::new(server, client, 64);
+            packets.push(Packet::new(ts + 0.5, ip, rst, Vec::new()));
+        }
+        packets
+    }
+
+    /// Short flows no template repeats: one or two UDP datagrams, or a SYN
+    /// carrying data, each with a payload length of its own.
+    fn distinct_short_flows(ts: f64) -> Vec<Vec<Packet>> {
+        let host = |i: u8| Ipv4Addr::new(10, 5, 0, i);
+        let udp = |i: u8, len: usize, dt: f64| {
+            let ip = Ipv4Header::new(host(i), Ipv4Addr::new(10, 6, 0, 1), 64);
+            let udp = net_packet::UdpHeader::new(30_000 + u16::from(i), 53);
+            Packet::new_udp(ts + dt, ip, udp, vec![0x42; len])
+        };
+        let syn_data = |i: u8, len: usize| {
+            let ip = Ipv4Header::new(host(i), Ipv4Addr::new(10, 6, 0, 2), 64);
+            let mut tcp = TcpHeader::new(31_000 + u16::from(i), 80, 5, 0);
+            tcp.flags = TcpFlags::SYN;
+            Packet::new(ts, ip, tcp, vec![0x17; len])
+        };
+        vec![
+            vec![udp(1, 12, 0.0)],
+            vec![udp(2, 300, 0.0)],
+            vec![udp(3, 60, 0.0), udp(3, 700, 0.2)],
+            vec![syn_data(4, 20)],
+            vec![syn_data(5, 500)],
+        ]
+    }
+
+    /// A scan's probes pad to one of two windows bit for bit — SYN-only and
+    /// SYN → RST|ACK — so after the first of each, the memo answers them.
+    /// Interleaved with distinct short flows and long benign ones, every
+    /// verdict is bitwise a fresh scorer's for that flow alone (a fresh
+    /// `ClapScorer`, or a fresh stream scorer where the resident state is
+    /// int8, which a `ClapScorer` never keeps), and the memo answers every
+    /// padded window but the first of each distinct one: at f32, at int8
+    /// weights and at int8 resident state.
+    #[test]
+    fn templated_scan_pads_hit_the_memo_and_score_like_fresh_flows() {
+        let clap = model();
+        let stack = clap.config.stack;
+        let long = traffic_gen::dataset(931, 3);
+        let mut flows: Vec<Vec<Packet>> = long.iter().map(|c| c.packets.clone()).collect();
+        let short = distinct_short_flows(1.0);
+        flows.extend(short.iter().cloned());
+        flows.extend((0..40u16).map(|i| probe(i, i % 3 != 0, 0.1 * f64::from(i))));
+        // Round-robin, one packet of each flow at a time.
+        let longest = flows.iter().map(Vec::len).max().unwrap();
+        let stream: Vec<&Packet> = (0..longest)
+            .flat_map(|k| flows.iter().filter_map(move |f| f.get(k)))
+            .collect();
+        let packets_of = |key: &FlowKey| {
+            let key = CanonicalKey::of_key(key);
+            flows
+                .iter()
+                .find(|f| {
+                    let c = sender_as_client(&f[0]);
+                    CanonicalKey::of_key(&c) == key
+                })
+                .expect("a flow of the stream")
+        };
+        for (quant, resident) in [
+            (QuantMode::Off, ResidentMode::F32),
+            (QuantMode::Int8, ResidentMode::F32),
+            (QuantMode::Int8, ResidentMode::Int8),
+        ] {
+            let config = StreamConfig {
+                quant,
+                resident,
+                ..StreamConfig::default()
+            };
+            let mut scorer = clap.stream_scorer_with(config.clone());
+            for p in &stream {
+                scorer.push(p);
+            }
+            let closed = scorer.finish();
+            assert_eq!(closed.len(), flows.len());
+            for flow in &closed {
+                let packets = packets_of(&flow.key);
+                assert_eq!(flow.packets, packets.len());
+                let fresh = if resident == ResidentMode::F32 {
+                    let mut conn = Connection::new(flow.key);
+                    conn.packets = packets.clone();
+                    clap.scorer_with(quant).score_connection(&conn)
+                } else {
+                    let mut alone = clap.stream_scorer_with(config.clone());
+                    for p in packets {
+                        alone.push(p);
+                    }
+                    let mut closed = alone.finish();
+                    assert_eq!(closed.len(), 1);
+                    closed.pop().unwrap().scored
+                };
+                assert_scored_eq(&flow.scored, &fresh);
+            }
+            let pads: Vec<u32> = closed
+                .iter()
+                .filter(|c| c.packets < stack)
+                .map(|c| c.scored.score.to_bits())
+                .collect();
+            let mut distinct = pads.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 2 + short.len(), "{quant:?}, {resident:?}");
+            assert_eq!(
+                scorer.pad_windows(),
+                PadCounts {
+                    scored: pads.len() as u64,
+                    memo_hits: (pads.len() - distinct.len()) as u64,
+                },
+                "{quant:?}, {resident:?}"
+            );
+        }
+    }
+
+    /// `flow_entries` consults and fills the same memo: live short flows
+    /// report the scores they close with whether the memo is cold, warmed
+    /// by the dump itself or warmed by a scan closing around them — and a
+    /// dump taken while closed flows' pads are staged leaves them to score
+    /// as they would have.
+    #[test]
+    fn flow_entries_scores_are_unchanged_after_the_memo_warms() {
+        let clap = model();
+        let mut offline = clap.scorer();
+        let mut scorer = clap.stream_scorer();
+        let live: Vec<Vec<Packet>> = (0..3u16)
+            .map(|i| probe(1000 + i, false, 0.0))
+            .chain(distinct_short_flows(0.0))
+            .collect();
+        for p in live.iter().flatten() {
+            scorer.push(p);
+        }
+        let scores = |scorer: &mut StreamScorer<'_>| -> Vec<(FlowKey, u32)> {
+            let entries = scorer.flow_entries();
+            entries.iter().map(|e| (e.key, e.score.to_bits())).collect()
+        };
+        let cold = scores(&mut scorer);
+        assert_eq!(cold.len(), live.len());
+        for ((key, score), packets) in cold.iter().zip(&live) {
+            let mut conn = Connection::new(*key);
+            conn.packets = packets.clone();
+            assert_eq!(*score, offline.score_connection(&conn).score.to_bits());
+        }
+        let after_dump = scorer.pad_windows();
+        assert_eq!(after_dump.scored, live.len() as u64);
+        assert_eq!(after_dump.memo_hits, 2, "three probes, one window");
+        assert_eq!(scores(&mut scorer), cold, "warmed by the dump");
+        // Two closed probes wait on the stage through the dump.
+        let scan: Vec<Vec<Packet>> = (0..12u16).map(|i| probe(i, i < 10, 1.0)).collect();
+        for p in scan
+            .iter()
+            .flat_map(|f| &f[..1])
+            .chain(scan.iter().flat_map(|f| &f[1..]))
+        {
+            scorer.push(p);
+        }
+        assert_eq!(scorer.pads_waiting.len(), 10 % GEMM_ROWS);
+        let warm = scores(&mut scorer);
+        assert_eq!(warm[..cold.len()], cold, "warmed by a scan");
+        // The two unanswered probes pad to the live probes' window.
+        assert!(warm[cold.len()..].iter().all(|&(_, s)| s == cold[0].1));
+        assert_eq!(warm.len(), cold.len() + 2);
+        assert_eq!(scorer.pads_waiting.len(), 10 % GEMM_ROWS);
+        let closed = scorer.drain_closed();
+        assert_eq!(closed.len(), 10);
+        for (flow, packets) in closed.iter().zip(&scan) {
+            let mut conn = Connection::new(flow.key);
+            conn.packets = packets.clone();
+            assert_scored_eq(&flow.scored, &offline.score_connection(&conn));
+        }
     }
 }
