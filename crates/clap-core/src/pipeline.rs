@@ -346,11 +346,7 @@ impl ClapScorer<'_> {
             };
             window_errors.extend(self.scorer.advance(flow, p, conn.direction(i), &mut None));
         }
-        if self.scorer.stage_pad(&self.resident, 0, conn.len()) {
-            let mut err = [0.0];
-            self.scorer.score_staged(&mut err);
-            window_errors.extend(err);
-        }
+        window_errors.extend(self.scorer.pad_error(&self.resident, 0, conn.len()));
         self.scorer.verdict(window_errors, conn.len())
     }
 }

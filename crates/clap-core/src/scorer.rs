@@ -9,14 +9,13 @@
 //! [`extract_row`] starts, replays each through [`Scorer::step_profile`]
 //! — the GRU half of `advance` — in staging order, and scores the windows
 //! they complete in one batched autoencoder pass.) A flow shorter than
-//! the window stack is scored at close on one padded window, staged in a
-//! [`PadStage`] and scored with up to three others through the
-//! autoencoder's batched form.
+//! the window stack is scored when it closes on one padded window
+//! ([`Scorer::pad_error`]), through the same 1-row autoencoder pass.
 //!
 //! Padded windows are also memoised ([`PadMemo`]). A short flow's
 //! features are relative to its own anchors and name no address, port or
 //! ISN, and its GRU starts from `h = 0`, so the short flows one template
-//! sends — a scan's probes, a SYN flood, backscatter — stage the same
+//! sends — a scan's probes, a SYN flood, backscatter — pad to the same
 //! window bit for bit. Each scorer keeps a small set-associative memo
 //! from a padded window's exact bits to its error, and only the windows
 //! it misses reach the autoencoder. Sliding windows are not memoised:
@@ -32,7 +31,6 @@ use crate::resident::ResidentArena;
 use crate::score::{score_errors, ScoredConnection};
 use clap_telemetry::hist::{LapClock, Stage};
 use net_packet::{Direction, Packet};
-use neural::simd::GEMM_ROWS;
 use neural::{AeEngine, AeWorkspace, GruEngine, GruStepScratch, Matrix};
 
 /// One flow's scoring state, borrowed for a call from wherever it lives: a
@@ -62,18 +60,11 @@ pub(crate) struct Scorer<'a> {
     pub(crate) ae_ws: AeWorkspace,
     /// The current packet's GRU input (`base`), among its other features.
     pub(crate) fv: FeatureVector,
-    /// 1×stacked_len window the current packet completed.
+    /// 1×stacked_len window the current packet completed, or the padded
+    /// window [`pad_error`](Self::pad_error) scores.
     pub(crate) window: Matrix,
     pub(crate) err_scratch: Vec<f32>,
-    /// Closing flows' padded windows awaiting their batched pass.
-    pads: PadStage,
-    /// Live flows' padded windows for [`live_pad_errors`], kept apart
-    /// from the closing flows' `pads`.
-    ///
-    /// [`live_pad_errors`]: Self::live_pad_errors
-    live_pads: PadStage,
-    /// Padded-window errors by the window's exact bits, shared by both
-    /// stages.
+    /// Padded-window errors by the window's exact bits.
     memo: PadMemo,
     /// Padded windows scored, and how many of them the memo answered.
     pub(crate) pad_counts: PadCounts,
@@ -102,8 +93,6 @@ impl<'a> Scorer<'a> {
             },
             window: Matrix::zeros(1, clap.config.stack * PROFILE_LEN),
             err_scratch: Vec::new(),
-            pads: PadStage::new(clap.config.stack),
-            live_pads: PadStage::new(clap.config.stack),
             memo: PadMemo::new(clap.config.stack * PROFILE_LEN),
             pad_counts: PadCounts::default(),
             row: vec![0.0; PROFILE_LEN],
@@ -187,72 +176,39 @@ impl<'a> Scorer<'a> {
         complete
     }
 
-    /// Stages the padded window of the flow at `slot` for the next
-    /// [`score_staged`](Self::score_staged) — see [`PadStage::stage_pad`].
-    pub(crate) fn stage_pad(
+    /// The padded-window error of the flow at `slot`, which has scored
+    /// `packets` packets: its profiles, the last repeated until the window
+    /// is full, copied into `window`. A window the memo holds is answered
+    /// from it; a miss runs the 1-row autoencoder pass a packet's window
+    /// runs and is memoised. `None` for an empty flow and for one that has
+    /// had its windows.
+    pub(crate) fn pad_error(
         &mut self,
         resident: &ResidentArena,
         slot: usize,
         packets: usize,
-    ) -> bool {
-        self.pads.stage_pad(resident, slot, packets, &self.memo)
-    }
-
-    /// Scores the windows [`stage_pad`](Self::stage_pad) staged — see
-    /// [`PadStage::score_staged`].
-    pub(crate) fn score_staged(&mut self, out: &mut [f32]) {
-        let misses = self
-            .pads
-            .score_staged(&self.ae, &mut self.ae_ws, &mut self.memo, out);
-        self.pad_counts.add(out.len(), misses);
-    }
-
-    /// Drops the staged windows unscored (a flow-table reset). The memo
-    /// stays: it is a pure function of a window's bits, so no flow state
-    /// it holds can go stale.
-    pub(crate) fn discard_staged(&mut self) {
-        self.pads.clear();
-    }
-
-    /// The padded-window error of each live flow `(slot, packets)` of
-    /// `flows` that is shorter than the stack, handed to `f` with the
-    /// flow's index in `flows` — what the flow would score were it closed
-    /// now. The windows consult and fill the memo and go through a stage
-    /// of their own, one autoencoder pass per [`GEMM_ROWS`] memo misses,
-    /// so the closing flows' staged windows are left alone.
-    pub(crate) fn live_pad_errors(
-        &mut self,
-        resident: &ResidentArena,
-        flows: impl Iterator<Item = (usize, usize)>,
-        mut f: impl FnMut(usize, f32),
-    ) {
-        // A call that unwound part-way may have left windows staged.
-        self.live_pads.clear();
-        let (mut waiting, mut errs) = (Vec::new(), Vec::new());
-        let mut flows = flows.enumerate().peekable();
-        while let Some((i, (slot, packets))) = flows.next() {
-            if self
-                .live_pads
-                .stage_pad(resident, slot, packets, &self.memo)
-            {
-                waiting.push(i);
-            }
-            let full = self.live_pads.misses.rows == GEMM_ROWS;
-            if (full || flows.peek().is_none()) && !waiting.is_empty() {
-                errs.resize(waiting.len(), 0.0);
-                let misses = self.live_pads.score_staged(
-                    &self.ae,
-                    &mut self.ae_ws,
-                    &mut self.memo,
-                    &mut errs,
-                );
-                self.pad_counts.add(waiting.len(), misses);
-                for (&j, &err) in waiting.iter().zip(&errs) {
-                    f(j, err);
-                }
-                waiting.clear();
-            }
+    ) -> Option<f32> {
+        if packets == 0 || packets >= self.builder.stack {
+            return None;
         }
+        // Packets 0..packets all still sit in the `stack − 1`-row ring.
+        let window = self.window.row_mut(0);
+        for (j, profile) in window.chunks_exact_mut(PROFILE_LEN).enumerate() {
+            resident.read_profile(slot, j.min(packets - 1), profile);
+        }
+        let window = self.window.row(0);
+        let hash = window_hash(window);
+        let memoised = self.memo.get(hash, window);
+        self.pad_counts.add(memoised.is_some());
+        if memoised.is_some() {
+            return memoised;
+        }
+        self.err_scratch.clear();
+        self.ae
+            .reconstruction_errors_into(&self.window, &mut self.ae_ws, &mut self.err_scratch);
+        let err = self.err_scratch[0];
+        self.memo.insert(hash, self.window.row(0), err);
+        Some(err)
     }
 
     /// Summarizes a finished flow's window errors into its verdict.
@@ -267,135 +223,8 @@ impl<'a> Scorer<'a> {
     }
 }
 
-/// Padded windows awaiting one batched autoencoder pass. A flow that ends
-/// with fewer than `stack` packets is scored on one window — its profiles,
-/// the last repeated until the window is full — and closing flows come in
-/// runs (a scan's RSTs, an expiry sweep, [`finish`]), so their windows
-/// are staged here and scored [`GEMM_ROWS`] at a time, one pass over the
-/// weights per group instead of per flow. [`Scorer`] owns the one the
-/// close path fills and the one `flow_entries` fills.
-///
-/// Each window is looked up in the scorer's [`PadMemo`] as it is staged.
-/// A hit records the memoised error and gives the row back; so does a
-/// window bitwise equal to one staged earlier that missed. Only the
-/// misses go through the autoencoder, which scores each error bitwise as
-/// its window would score alone, whatever group it shares — the same
-/// invariant streaming == batch rests on — so a memoised error is the
-/// error, and no verdict bit depends on what the memo holds.
-///
-/// [`finish`]: crate::StreamScorer::finish
-#[derive(Debug)]
-pub(crate) struct PadStage {
-    stack: usize,
-    /// Row `i`: the `i`-th staged window the memo could not answer.
-    misses: Matrix,
-    /// Row `i`'s [`window_hash`].
-    hashes: Vec<u64>,
-    /// Per staged window, in staging order: where its error comes from.
-    staged: Vec<Pad>,
-    errs: Vec<f32>,
-}
-
-/// A staged window's error: known at staging, or row `r` of the misses.
-#[derive(Debug, Clone, Copy)]
-enum Pad {
-    Known(f32),
-    Row(usize),
-}
-
-impl PadStage {
-    pub(crate) fn new(stack: usize) -> PadStage {
-        PadStage {
-            stack,
-            misses: Matrix::zeros(0, stack * PROFILE_LEN),
-            hashes: Vec::new(),
-            staged: Vec::new(),
-            errs: Vec::new(),
-        }
-    }
-
-    /// Copies the padded window of the flow at `slot`, which has scored
-    /// `packets` packets, into the stage — the profiles are read now, so
-    /// the slot may be recycled before the window is scored — and looks
-    /// it up in `memo`. `false`, staging nothing, for an empty flow and
-    /// for one that has had its windows.
-    pub(crate) fn stage_pad(
-        &mut self,
-        resident: &ResidentArena,
-        slot: usize,
-        packets: usize,
-        memo: &PadMemo,
-    ) -> bool {
-        let stack = self.stack;
-        if packets == 0 || packets >= stack {
-            return false;
-        }
-        let (row, cols) = (self.misses.rows, self.misses.cols);
-        self.misses.resize(row + 1, cols);
-        // Packets 0..packets all still sit in the `stack − 1`-row ring.
-        let dst = self.misses.row_mut(row);
-        for (j, profile) in dst.chunks_exact_mut(PROFILE_LEN).enumerate() {
-            resident.read_profile(slot, j.min(packets - 1), profile);
-        }
-        let window = self.misses.row(row);
-        let hash = window_hash(window);
-        let earlier =
-            || (0..row).find(|&r| self.hashes[r] == hash && same_bits(self.misses.row(r), window));
-        let pad = match memo.get(hash, window) {
-            Some(err) => Pad::Known(err),
-            None => Pad::Row(earlier().unwrap_or(row)),
-        };
-        if let Pad::Row(row) = pad {
-            if row == self.hashes.len() {
-                self.hashes.push(hash);
-            }
-        }
-        // A window with its error in hand gives its row back.
-        self.misses.resize(self.hashes.len(), cols);
-        self.staged.push(pad);
-        true
-    }
-
-    /// Scores the staged windows the memo missed in one batched
-    /// autoencoder pass, memoises them, writes the `i`-th staged window's
-    /// error to `out[i]` and empties the stage. Returns the number of
-    /// windows the autoencoder scored.
-    pub(crate) fn score_staged(
-        &mut self,
-        ae: &AeEngine<'_>,
-        ws: &mut AeWorkspace,
-        memo: &mut PadMemo,
-        out: &mut [f32],
-    ) -> usize {
-        assert_eq!(out.len(), self.staged.len(), "one error per staged window");
-        let misses = self.misses.rows;
-        self.errs.clear();
-        if misses > 0 {
-            ae.reconstruction_errors_into(&self.misses, ws, &mut self.errs);
-        }
-        for (r, (&hash, &err)) in self.hashes.iter().zip(&self.errs).enumerate() {
-            memo.insert(hash, self.misses.row(r), err);
-        }
-        for (o, &pad) in out.iter_mut().zip(&self.staged) {
-            *o = match pad {
-                Pad::Known(err) => err,
-                Pad::Row(r) => self.errs[r],
-            };
-        }
-        self.clear();
-        misses
-    }
-
-    fn clear(&mut self) {
-        self.misses.resize(0, self.misses.cols);
-        self.hashes.clear();
-        self.staged.clear();
-    }
-}
-
-/// Padded windows a scorer has scored, and how many of them the memo (or
-/// an identical window staged beside them) answered without an
-/// autoencoder pass — see [`StreamScorer::pad_windows`].
+/// Padded windows a scorer has scored, and how many of them the memo
+/// answered without an autoencoder pass — see [`StreamScorer::pad_windows`].
 ///
 /// [`StreamScorer::pad_windows`]: crate::StreamScorer::pad_windows
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -407,9 +236,9 @@ pub struct PadCounts {
 }
 
 impl PadCounts {
-    fn add(&mut self, scored: usize, misses: usize) {
-        self.scored += scored as u64;
-        self.memo_hits += (scored - misses) as u64;
+    fn add(&mut self, hit: bool) {
+        self.scored += 1;
+        self.memo_hits += u64::from(hit);
     }
 }
 
@@ -669,10 +498,8 @@ mod tests {
         let (resident, flows) = short_flows(clap, &mut scorer);
         let (slot, packets, ref window) = flows[0];
         let score = |scorer: &mut Scorer<'_>| {
-            assert!(scorer.stage_pad(&resident, slot, packets));
-            let mut err = [0.0];
-            scorer.score_staged(&mut err);
-            err[0].to_bits()
+            let err = scorer.pad_error(&resident, slot, packets);
+            err.expect("a short flow").to_bits()
         };
         let first = score(&mut scorer);
         let hash = window_hash(window);
@@ -704,11 +531,11 @@ mod tests {
         );
     }
 
-    /// Four distinct windows scored as one 4-row group memoise the errors
-    /// they score alone, bit for bit; staged again with a fifth, and each
-    /// twice, they come back in staging order.
+    /// Windows asked for in an interleaved order, hits among misses: each
+    /// error is bitwise the window's lone 1-row score and is memoised, and
+    /// the memo answers every window but the first of each distinct one.
     #[test]
-    fn memo_from_a_group_equals_the_one_row_score() {
+    fn memo_equals_the_one_row_score() {
         let clap = model();
         let mut scorer = scorer(clap);
         let (resident, flows) = short_flows(clap, &mut scorer);
@@ -719,37 +546,22 @@ mod tests {
             err[0].to_bits()
         };
         let want: Vec<u32> = flows.iter().map(|(.., w)| alone(w)).collect();
-        for &(slot, packets, _) in &flows[..GEMM_ROWS] {
-            assert!(scorer.stage_pad(&resident, slot, packets));
-        }
-        assert_eq!(scorer.pads.misses.rows, GEMM_ROWS);
-        let mut errs = [0.0; GEMM_ROWS];
-        scorer.score_staged(&mut errs);
-        for (i, (.., window)) in flows[..GEMM_ROWS].iter().enumerate() {
-            assert_eq!(errs[i].to_bits(), want[i]);
+        let before = scorer.pad_counts;
+        let order = [0, 1, 2, 3, 4, 0, 4, 1, 2, 5, 3, 5, 0];
+        for (k, &i) in order.iter().enumerate() {
+            let (slot, packets, ref window) = flows[i];
+            let err = scorer.pad_error(&resident, slot, packets);
+            assert_eq!(err.map(f32::to_bits), Some(want[i]), "ask {k}, window {i}");
             let memoised = scorer.memo.get(window_hash(window), window);
             assert_eq!(memoised.map(f32::to_bits), Some(want[i]), "window {i}");
         }
-        // Hits and misses interleaved, each window twice: one miss a window
-        // the memo has not seen, the rest answered without a pass.
-        let order = [4, 0, 4, 1, 2, 5, 3, 5, 0];
-        for &i in &order {
-            let (slot, packets, _) = flows[i];
-            assert!(scorer.stage_pad(&resident, slot, packets));
-        }
-        assert_eq!(scorer.pads.misses.rows, 2, "windows 4 and 5 miss once each");
-        let mut errs = vec![0.0; order.len()];
-        let before = scorer.pad_counts;
-        scorer.score_staged(&mut errs);
-        let got: Vec<u32> = errs.iter().map(|e| e.to_bits()).collect();
-        let expected: Vec<u32> = order.iter().map(|&i| want[i]).collect();
-        assert_eq!(got, expected, "errors in staging order");
         assert_eq!(
             scorer.pad_counts,
             PadCounts {
                 scored: before.scored + order.len() as u64,
-                memo_hits: before.memo_hits + order.len() as u64 - 2,
-            }
+                memo_hits: before.memo_hits + order.len() as u64 - 6,
+            },
+            "six windows, one miss each"
         );
     }
 }

@@ -34,10 +34,8 @@ pub(super) struct WorkerOutput {
 /// push and the drain after it wrapped in `catch_unwind` — a scoring
 /// panic quarantines the packet and rebuilds the flow table instead of
 /// killing the worker. Draining after every push means the scorer never
-/// holds more than one push's closed flows, so it scores their padded
-/// windows as they close, one at a time (the batching `drain_closed`
-/// allows waits for bursts to reach a worker — ROADMAP 4(c)). The
-/// scorer itself carries each flow incarnation's first-packet arrival
+/// holds more than one push's closed flows, each scored as it closed.
+/// The scorer itself carries each flow incarnation's first-packet arrival
 /// index (on [`ClosedFlow::arrival`]) — including across restarts inside
 /// a single push and through orient-buffer replays, where the buffered
 /// packets keep their original tags — so the worker does no per-flow
@@ -87,9 +85,9 @@ pub(super) fn shard_worker<'p>(
                     fault::INJECTED_TAG
                 );
             }
-            // The drain is inside the barrier too: it scores the padded
-            // windows of the flows this push closed (model code), so a
-            // panic there quarantines the packet like one in the push.
+            // The push scores every flow it closes, padded windows
+            // included, so the drain is a plain take of finished verdicts;
+            // a panic in the push leaves its queued verdicts to `reset`.
             let result = catch_unwind(AssertUnwindSafe(|| {
                 if plan.panic_at(seq) {
                     panic!(

@@ -46,21 +46,10 @@
 //!   last-seen order), on a per-flow packet cap, and by dropping the
 //!   stalest flow when the table is full. Every eviction finalizes the
 //!   flow and emits its [`ScoredConnection`].
-//! * **Padded windows score in groups.** A flow that closes shorter than
-//!   the window stack is scored on one padded window. Closing flows come
-//!   in runs (a scan's RSTs, an expiry sweep, [`StreamScorer::finish`]),
-//!   so the scoring core stages those windows and scores
-//!   [`GEMM_ROWS`] at a time through the autoencoder's panel GEMM; this
-//!   module only remembers which queued verdicts wait on them, and
-//!   completes them when the stage fills and at the top of
-//!   [`StreamScorer::drain_closed`] — before any caller sees them, so
-//!   verdicts are bitwise those of scoring each pad at close. The price
-//!   is latency: the closing packet that fills the stage pays for
-//!   `GEMM_ROWS` windows. A caller that drains after every push — the
-//!   sharded engine's worker does — scores its pads one at a time. A
-//!   window the core has scored before — a scan's probes repeat one
-//!   bit for bit — is answered from its padded-window memo with no
-//!   autoencoder pass ([`StreamScorer::pad_windows`] counts them).
+//! * **Padded windows score at close.** A flow that closes shorter than
+//!   the window stack is scored then on one padded window, answered from
+//!   the scoring core's memo when a flow before it padded to the same
+//!   bits ([`StreamScorer::pad_windows`] counts them).
 //! * **Arrival tags.** Every packet carries an arrival tag — the scorer's
 //!   own 0-based counter under [`StreamScorer::push`], or a
 //!   caller-supplied index under [`StreamScorer::push_tagged`] — and each
@@ -131,7 +120,6 @@ pub use crate::scorer::PadCounts;
 use crate::scorer::{Flow, Scorer};
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Endpoint, FlowKey, Packet, TcpFlags};
-use neural::simd::GEMM_ROWS;
 use neural::{AeEngine, GruEngine, QuantMode};
 use tcp_state::TcpState;
 
@@ -319,10 +307,6 @@ pub struct StreamScorer<'a> {
     resident: ResidentArena,
     /// Flows finalized since the last [`drain_closed`](Self::drain_closed).
     closed: Vec<ClosedFlow>,
-    /// Indices into `closed` of the verdicts whose padded window is staged
-    /// in the scoring core, awaiting one batched pass (at most
-    /// [`GEMM_ROWS`]).
-    pads_waiting: Vec<usize>,
     /// Flow-table counters, published through wait-free telemetry cells so
     /// any thread can snapshot them mid-run (see
     /// [`attach_telemetry`](Self::attach_telemetry)). A scorer built
@@ -372,7 +356,6 @@ impl Clap {
             ),
             config,
             closed: Vec::new(),
-            pads_waiting: Vec::with_capacity(GEMM_ROWS),
             cells: std::sync::Arc::new(StreamCells::default()),
             stages: StageRecorder::new(),
             mb,
@@ -617,11 +600,11 @@ impl StreamScorer<'_> {
 
     /// Dumps every live flow-table entry (conntrack-style list), ordered
     /// by arrival tag — a stable, stream-deterministic order. O(live
-    /// flows), plus one autoencoder pass per [`GEMM_ROWS`] memo misses
-    /// among the flows shorter than the window stack (their
+    /// flows), plus one autoencoder pass per padded-window memo miss among
+    /// the flows shorter than the window stack (their
     /// [`FlowEntry::score`] is their padded window's, looked up in and
-    /// added to the scorer's padded-window memo); meant for operator
-    /// introspection, not the hot path.
+    /// added to the memo); meant for operator introspection, not the hot
+    /// path.
     ///
     /// First flushes pending micro-batched work
     /// ([`flush_pending`](Self::flush_pending), which closes no flow), so
@@ -630,22 +613,21 @@ impl StreamScorer<'_> {
     pub fn flow_entries(&mut self) -> Vec<FlowEntry> {
         self.flush_pending();
         let live: Vec<u32> = self.table.live_handles().collect();
-        let mut out: Vec<FlowEntry> = live.iter().map(|&h| self.flow_entry_at(h)).collect();
-        let score_window = self.scorer.clap.config.score_window;
-        let flows = live
-            .iter()
-            .map(|&h| (h as usize, self.table[h].packets as usize));
-        self.scorer
-            .live_pad_errors(&self.resident, flows, |i, err| {
-                out[i].score = score_errors(&[err], score_window).1;
-            });
+        let mut out: Vec<FlowEntry> = live.into_iter().map(|h| self.flow_entry_at(h)).collect();
         out.sort_by_key(|e| e.arrival);
         out
     }
 
-    fn flow_entry_at(&self, h: u32) -> FlowEntry {
+    fn flow_entry_at(&mut self, h: u32) -> FlowEntry {
         let slot = &self.table[h];
-        let (_, score) = score_errors(&slot.window_errors, self.scorer.clap.config.score_window);
+        let pad = self
+            .scorer
+            .pad_error(&self.resident, h as usize, slot.packets as usize);
+        let errors = match &pad {
+            Some(err) => std::slice::from_ref(err),
+            None => &slot.window_errors[..],
+        };
+        let (_, score) = score_errors(errors, self.scorer.clap.config.score_window);
         FlowEntry {
             key: slot.key,
             state: slot.tracker.tcp_state(),
@@ -667,7 +649,8 @@ impl StreamScorer<'_> {
     /// Lifetime padded-window counters: the windows of flows shorter than
     /// the stack this scorer has scored — at close and in
     /// [`flow_entries`](Self::flow_entries) — and how many of them its
-    /// padded-window memo answered without an autoencoder pass.
+    /// padded-window memo answered; each of the others took one 1-row
+    /// autoencoder pass.
     pub fn pad_windows(&self) -> PadCounts {
         self.scorer.pad_counts
     }
@@ -717,20 +700,17 @@ impl StreamScorer<'_> {
     /// O(slab) — meant for periodic sampling, not the hot path.
     /// Excludes the pending-verdict queue (drained by the caller) and the
     /// scoring core's fixed costs, which do not grow with flows: its
-    /// scratch — micro-batch staging and the ≤ [`GEMM_ROWS`] padded
-    /// windows of closed flows awaiting their batched pass included
-    /// (bounded by the batch capacity and by `GEMM_ROWS`, and
-    /// flow-independent: copies, not table state) — and its padded-window
-    /// memo (64 windows, ≈ 87 KiB at the paper's sizes, whatever the
-    /// number of flows).
+    /// scratch — micro-batch staging included (bounded by the batch
+    /// capacity, and flow-independent: copies, not table state) — and its
+    /// padded-window memo (64 windows, ≈ 87 KiB at the paper's sizes,
+    /// whatever the number of flows).
     pub fn mem_bytes(&self) -> usize {
         self.table.heap_bytes() + self.resident.heap_bytes()
     }
 
-    /// Takes every flow finalized since the last drain (first scoring the
-    /// padded windows still staged).
+    /// Takes every flow finalized since the last drain; each verdict was
+    /// complete when its flow closed.
     pub fn drain_closed(&mut self) -> Vec<ClosedFlow> {
-        self.score_pads();
         std::mem::take(&mut self.closed)
     }
 
@@ -762,8 +742,6 @@ impl StreamScorer<'_> {
         self.table.clear();
         self.resident.clear();
         self.closed.clear();
-        self.pads_waiting.clear();
-        self.scorer.discard_staged();
         self.packets_since_sweep = 0;
         // Staged micro-batch items reference slab handles that no longer
         // exist (the occupancy histogram survives, like the stats).
@@ -807,13 +785,11 @@ impl StreamScorer<'_> {
         }
         let slot = &mut self.table[h];
         let packets = slot.packets as usize;
-        // A flow shorter than the stack has no window yet: its padded one
-        // is staged (copied out of the slot, which is recycled below) and
-        // its verdict completed when the stage is scored.
-        let padded = self.scorer.stage_pad(&self.resident, h as usize, packets);
-        let scored = self
-            .scorer
-            .verdict(std::mem::take(&mut slot.window_errors), packets);
+        // A flow shorter than the stack has no window yet: it is scored on
+        // its padded one.
+        let mut window_errors = std::mem::take(&mut slot.window_errors);
+        window_errors.extend(self.scorer.pad_error(&self.resident, h as usize, packets));
+        let scored = self.scorer.verdict(window_errors, packets);
         self.closed.push(ClosedFlow {
             key: slot.key,
             packets,
@@ -821,9 +797,6 @@ impl StreamScorer<'_> {
             arrival: slot.arrival,
             scored,
         });
-        if padded {
-            self.pads_waiting.push(self.closed.len() - 1);
-        }
         match reason {
             CloseReason::TcpClose => self.cells.closed_tcp(),
             CloseReason::IdleTimeout => self.cells.evicted_idle(),
@@ -833,28 +806,6 @@ impl StreamScorer<'_> {
         }
         self.table.remove(h);
         self.cells.live_sync(self.table.len() as u64);
-        if self.pads_waiting.len() == GEMM_ROWS {
-            self.score_pads();
-        }
-    }
-
-    /// Scores the staged padded windows in one batch and completes the
-    /// verdicts waiting on them — before any caller can see those
-    /// verdicts, so content, order and score bits are those of scoring
-    /// each pad at close.
-    fn score_pads(&mut self) {
-        let n = self.pads_waiting.len();
-        if n == 0 {
-            return;
-        }
-        let mut errs = [0.0f32; GEMM_ROWS];
-        self.scorer.score_staged(&mut errs[..n]);
-        for (&i, &err) in self.pads_waiting.iter().zip(&errs) {
-            // A flow shorter than the stack had no window of its own.
-            let flow = &mut self.closed[i];
-            flow.scored = self.scorer.verdict(vec![err], flow.packets);
-        }
-        self.pads_waiting.clear();
     }
 }
 
@@ -1625,16 +1576,14 @@ mod tests {
         ]
     }
 
-    /// Closing flows' padded windows are staged and scored four at a time,
-    /// completed when the stage fills and when verdicts are drained — so
-    /// *when* a caller drains changes nothing. 1..=9 two-packet flows
-    /// closed by RST, then one unanswered SYN left for `finish`, drained
-    /// after every push, every third push or only at `finish`: the same
-    /// keys, packets, reasons, order and score bits, each flow's equal to
-    /// scoring its connection offline. A `reset` with windows staged drops
-    /// them with their verdicts.
+    /// A closing flow's padded window is scored at close, so *when* a
+    /// caller drains changes nothing. 1..=9 two-packet flows closed by
+    /// RST, then one unanswered SYN left for `finish`, drained after every
+    /// push, every third push or only at `finish`: the same keys, packets,
+    /// reasons, order and score bits, each flow's equal to scoring its
+    /// connection offline. A `reset` drops the queued verdicts.
     #[test]
-    fn staged_pads_score_the_same_whenever_drained() {
+    fn pads_score_the_same_whenever_drained() {
         let clap = model();
         let mut offline = clap.scorer();
         for n in 1..=9u8 {
@@ -1694,13 +1643,49 @@ mod tests {
         assert_scored_eq(&closed[0].scored, &offline.score_connection(&conn));
     }
 
+    /// A verdict is final when it is queued: three SYN → RST|ACK probes,
+    /// each answered after a delay of its own so that they pad to distinct
+    /// windows, closed and not drained, already hold their one padded
+    /// window's error and the score bits of scoring them offline.
+    #[test]
+    fn a_queued_verdict_is_final() {
+        let clap = model();
+        let mut offline = clap.scorer();
+        let mut scorer = clap.stream_scorer();
+        let probes: Vec<[Packet; 2]> = (0..3u8)
+            .map(|i| {
+                let [syn, mut rst] = syn_then_rst(i, f64::from(i));
+                rst.timestamp = syn.timestamp + 0.25 * f64::from(i + 1);
+                [syn, rst]
+            })
+            .collect();
+        for p in probes.iter().flatten() {
+            scorer.push(p);
+        }
+        assert_eq!(scorer.closed.len(), probes.len());
+        for (flow, packets) in scorer.closed.iter().zip(&probes) {
+            assert_eq!(flow.scored.window_errors.len(), 1);
+            let mut conn = Connection::new(flow.key);
+            conn.packets = packets.to_vec();
+            assert_scored_eq(&flow.scored, &offline.score_connection(&conn));
+        }
+        assert_eq!(
+            scorer.pad_windows(),
+            PadCounts {
+                scored: 3,
+                memo_hits: 0
+            },
+            "three distinct windows"
+        );
+    }
+
     /// A live flow shorter than the stack has no window error yet; its
     /// `FlowEntry::score` is the padded window's it would close with — five
-    /// 1-packet flows and a 2-packet one, so the dump scores a full group
-    /// of four and a ragged one. A flow still orientation-buffering has
-    /// scored nothing and reports 0. Micro-batched, the dump comes while
-    /// every packet is still staged, in slots that earlier flows' profiles
-    /// left behind: the dump must flush before it pads.
+    /// 1-packet flows and a 2-packet one. A flow still
+    /// orientation-buffering has scored nothing and reports 0.
+    /// Micro-batched, the dump comes while every packet is still staged, in
+    /// slots that earlier flows' profiles left behind: the dump must flush
+    /// before it pads.
     #[test]
     fn flow_entries_score_short_flows_like_closing_them() {
         let clap = model();
@@ -1922,8 +1907,8 @@ mod tests {
     /// `flow_entries` consults and fills the same memo: live short flows
     /// report the scores they close with whether the memo is cold, warmed
     /// by the dump itself or warmed by a scan closing around them — and a
-    /// dump taken while closed flows' pads are staged leaves them to score
-    /// as they would have.
+    /// dump taken while closed flows' verdicts are queued leaves them as
+    /// they were.
     #[test]
     fn flow_entries_scores_are_unchanged_after_the_memo_warms() {
         let clap = model();
@@ -1951,7 +1936,7 @@ mod tests {
         assert_eq!(after_dump.scored, live.len() as u64);
         assert_eq!(after_dump.memo_hits, 2, "three probes, one window");
         assert_eq!(scores(&mut scorer), cold, "warmed by the dump");
-        // Two closed probes wait on the stage through the dump.
+        // Ten closed probes' verdicts stay queued through the dump.
         let scan: Vec<Vec<Packet>> = (0..12u16).map(|i| probe(i, i < 10, 1.0)).collect();
         for p in scan
             .iter()
@@ -1960,13 +1945,11 @@ mod tests {
         {
             scorer.push(p);
         }
-        assert_eq!(scorer.pads_waiting.len(), 10 % GEMM_ROWS);
         let warm = scores(&mut scorer);
         assert_eq!(warm[..cold.len()], cold, "warmed by a scan");
         // The two unanswered probes pad to the live probes' window.
         assert!(warm[cold.len()..].iter().all(|&(_, s)| s == cold[0].1));
         assert_eq!(warm.len(), cold.len() + 2);
-        assert_eq!(scorer.pads_waiting.len(), 10 % GEMM_ROWS);
         let closed = scorer.drain_closed();
         assert_eq!(closed.len(), 10);
         for (flow, packets) in closed.iter().zip(&scan) {
