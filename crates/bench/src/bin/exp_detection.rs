@@ -25,7 +25,11 @@ fn main() {
     let models = train_all(&preset);
     let benign = benign_scores(&models);
 
-    eprintln!("[{}] evaluating all 73 strategies…", preset.name);
+    eprintln!(
+        "[{}] evaluating all {} strategies…",
+        preset.name,
+        registry().len()
+    );
     let rows: Vec<DetectionRow> = registry()
         .iter()
         .enumerate()
@@ -69,46 +73,45 @@ fn source_rows(rows: &[DetectionRow], source: AttackSource) -> Vec<&DetectionRow
     rows.iter().filter(|r| r.source == tag).collect()
 }
 
+/// The paper's 73 strategies: every row but the Extended families'.
+fn paper_rows(rows: &[DetectionRow]) -> Vec<&DetectionRow> {
+    let extended = format!("{:?}", AttackSource::Extended);
+    rows.iter().filter(|r| r.source != extended).collect()
+}
+
+/// The mean AUC and EER over `rs` of the first `models` models (CLAP,
+/// Baseline #1, Baseline #2), as table cells.
+fn mean_cells(rs: &[&DetectionRow], models: usize) -> Vec<String> {
+    let col = |f: &dyn Fn(&DetectionRow) -> f32| {
+        format!("{:.3}", mean(&rs.iter().map(|r| f(r)).collect::<Vec<_>>()))
+    };
+    (0..models)
+        .flat_map(|m| [col(&|r| r.auc[m]), col(&|r| r.eer[m])])
+        .collect()
+}
+
 fn print_table1(rows: &[DetectionRow]) {
     println!("\n== Table 1: mean detection performance per attack source ==");
     println!("   (paper: CLAP 0.953/0.072 [23], 0.952/0.082 [10], 0.988/0.024 [4];");
     println!("    Baseline #1 ≈ 0.8–0.9 AUC, Baseline #2 ≈ 0.5 AUC)");
-    let mut table = Vec::new();
-    for (source, label) in [
-        (AttackSource::SymTcp, "SymTCP [23]"),
-        (AttackSource::Liberate, "Liberate [10]"),
-        (AttackSource::Geneva, "Geneva [4]"),
-    ] {
-        let rs = source_rows(rows, source);
-        let col =
-            |f: &dyn Fn(&DetectionRow) -> f32| mean(&rs.iter().map(|r| f(r)).collect::<Vec<_>>());
-        table.push(vec![
-            label.to_string(),
-            format!("{:.3}", col(&|r| r.auc[0])),
-            format!("{:.3}", col(&|r| r.eer[0])),
-            format!("{:.3}", col(&|r| r.auc[1])),
-            format!("{:.3}", col(&|r| r.eer[1])),
-            format!("{:.3}", col(&|r| r.auc[2])),
-            format!("{:.3}", col(&|r| r.eer[2])),
-        ]);
-    }
-    let overall = |m: usize, metric: usize| {
-        mean(
-            &rows
-                .iter()
-                .map(|r| if metric == 0 { r.auc[m] } else { r.eer[m] })
-                .collect::<Vec<_>>(),
-        )
-    };
-    table.push(vec![
-        "ALL (73)".into(),
-        format!("{:.3}", overall(0, 0)),
-        format!("{:.3}", overall(0, 1)),
-        format!("{:.3}", overall(1, 0)),
-        format!("{:.3}", overall(1, 1)),
-        format!("{:.3}", overall(2, 0)),
-        format!("{:.3}", overall(2, 1)),
-    ]);
+    let paper = paper_rows(rows);
+    let extended = source_rows(rows, AttackSource::Extended);
+    let table: Vec<Vec<String>> = [
+        (
+            "SymTCP [23]".to_string(),
+            source_rows(rows, AttackSource::SymTcp),
+        ),
+        (
+            "Liberate [10]".into(),
+            source_rows(rows, AttackSource::Liberate),
+        ),
+        ("Geneva [4]".into(), source_rows(rows, AttackSource::Geneva)),
+        (format!("ALL ({})", paper.len()), paper),
+        (format!("Extended ({})", extended.len()), extended),
+    ]
+    .into_iter()
+    .map(|(label, rs)| [vec![label], mean_cells(&rs, 3)].concat())
+    .collect();
     println!(
         "{}",
         render_table(
@@ -118,38 +121,27 @@ fn print_table1(rows: &[DetectionRow]) {
     );
 }
 
+/// Table 2 over the paper's 73 strategies; the Extended families are
+/// Table 1's last row.
 fn print_table2(rows: &[DetectionRow]) {
     println!("\n== Table 2: inter- vs intra-packet context violations (CLAP vs B1) ==");
     println!(
         "   (paper: inter 0.925/0.109 vs B1 0.672/0.364; intra 0.980/0.039 vs B1 0.923/0.123)"
     );
+    let paper = paper_rows(rows);
     let mut table = Vec::new();
-    for (cat, label) in [
-        (ContextCategory::InterPacket, "Inter-packet (24)"),
-        (ContextCategory::IntraPacket, "Intra-packet (49)"),
+    for (cat, name) in [
+        (ContextCategory::InterPacket, "Inter-packet"),
+        (ContextCategory::IntraPacket, "Intra-packet"),
     ] {
         let tag = format!("{cat:?}");
-        let rs: Vec<&DetectionRow> = rows.iter().filter(|r| r.category == tag).collect();
-        table.push(vec![
-            label.to_string(),
-            format!("{}", rs.len()),
-            format!(
-                "{:.3}",
-                mean(&rs.iter().map(|r| r.auc[0]).collect::<Vec<_>>())
-            ),
-            format!(
-                "{:.3}",
-                mean(&rs.iter().map(|r| r.eer[0]).collect::<Vec<_>>())
-            ),
-            format!(
-                "{:.3}",
-                mean(&rs.iter().map(|r| r.auc[1]).collect::<Vec<_>>())
-            ),
-            format!(
-                "{:.3}",
-                mean(&rs.iter().map(|r| r.eer[1]).collect::<Vec<_>>())
-            ),
-        ]);
+        let rs: Vec<&DetectionRow> = paper
+            .iter()
+            .copied()
+            .filter(|r| r.category == tag)
+            .collect();
+        let label = vec![format!("{name} ({})", rs.len()), rs.len().to_string()];
+        table.push([label, mean_cells(&rs, 2)].concat());
     }
     println!(
         "{}",

@@ -84,7 +84,7 @@ pub use shard::{
     OverloadPolicy, ShardConfig, ShardStats, ShardVerdict, ShardedRun, ShardedStreamScorer,
 };
 pub use stream::{
-    CloseReason, ClosedFlow, EvictionMode, FlowEntry, PadCounts, ResidentMode, StreamConfig,
+    CloseReason, ClosedFlow, EvictionMode, FlowEntry, MemoCounts, ResidentMode, StreamConfig,
     StreamScorer, StreamStats,
 };
 // The live telemetry plane (re-exported so callers need not depend on

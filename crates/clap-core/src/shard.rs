@@ -1123,7 +1123,7 @@ mod tests {
             plain.push(p);
         }
         let reference = plain.finish();
-        let two_windows = crate::PadCounts {
+        let two_windows = crate::MemoCounts {
             scored: 96,
             memo_hits: 94,
         };

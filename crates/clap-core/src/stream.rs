@@ -49,7 +49,10 @@
 //! * **Padded windows score at close.** A flow that closes shorter than
 //!   the window stack is scored then on one padded window, answered from
 //!   the scoring core's memo when a flow before it padded to the same
-//!   bits ([`StreamScorer::pad_windows`] counts them).
+//!   bits ([`StreamScorer::pad_windows`] counts them). The GRU steps of a
+//!   flow's first `stack − 1` packets are answered the same way when a
+//!   flow before it stepped through the same bits
+//!   ([`StreamScorer::prefix_steps`]).
 //! * **Arrival tags.** Every packet carries an arrival tag — the scorer's
 //!   own 0-based counter under [`StreamScorer::push`], or a
 //!   caller-supplied index under [`StreamScorer::push_tagged`] — and each
@@ -116,7 +119,7 @@ use crate::pipeline::Clap;
 use crate::resident::ResidentArena;
 pub use crate::resident::ResidentMode;
 use crate::score::{score_errors, ScoredConnection};
-pub use crate::scorer::PadCounts;
+pub use crate::scorer::MemoCounts;
 use crate::scorer::{Flow, Scorer};
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Endpoint, FlowKey, Packet, TcpFlags};
@@ -651,8 +654,16 @@ impl StreamScorer<'_> {
     /// [`flow_entries`](Self::flow_entries) — and how many of them its
     /// padded-window memo answered; each of the others took one 1-row
     /// autoencoder pass.
-    pub fn pad_windows(&self) -> PadCounts {
+    pub fn pad_windows(&self) -> MemoCounts {
         self.scorer.pad_counts
+    }
+
+    /// Lifetime prefix-step counters: the GRU steps of flows' first
+    /// `stack − 1` packets this scorer has taken, and how many of them its
+    /// step memo answered; each of the others ran the step. Later packets'
+    /// steps are never looked up.
+    pub fn prefix_steps(&self) -> MemoCounts {
+        self.scorer.step_counts
     }
 
     /// Lifetime flow-table counters (a point-in-time read of the
@@ -702,8 +713,9 @@ impl StreamScorer<'_> {
     /// scoring core's fixed costs, which do not grow with flows: its
     /// scratch — micro-batch staging included (bounded by the batch
     /// capacity, and flow-independent: copies, not table state) — and its
-    /// padded-window memo (64 windows, ≈ 87 KiB at the paper's sizes,
-    /// whatever the number of flows).
+    /// two exact-bits memos (64 entries each, ≈ 87 KiB of padded windows
+    /// and ≈ 40 KiB of prefix steps at the paper's sizes, whatever the
+    /// number of flows).
     pub fn mem_bytes(&self) -> usize {
         self.table.heap_bytes() + self.resident.heap_bytes()
     }
@@ -821,6 +833,7 @@ fn sender_as_client(p: &Packet) -> FlowKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::FeatureVector;
     use crate::pipeline::ClapConfig;
     use net_packet::{Connection, Ipv4Header, TcpFlags, TcpHeader};
     use std::net::Ipv4Addr;
@@ -1671,7 +1684,7 @@ mod tests {
         }
         assert_eq!(
             scorer.pad_windows(),
-            PadCounts {
+            MemoCounts {
                 scored: 3,
                 memo_hits: 0
             },
@@ -1825,7 +1838,9 @@ mod tests {
     /// `ClapScorer`, or a fresh stream scorer where the resident state is
     /// int8, which a `ClapScorer` never keeps), and the memo answers every
     /// padded window but the first of each distinct one: at f32, at int8
-    /// weights and at int8 resident state.
+    /// weights and at int8 resident state. Likewise each flow's first
+    /// `stack − 1` GRU steps — no later one — are looked up in the step
+    /// memo, which answers all but the first step of each distinct prefix.
     #[test]
     fn templated_scan_pads_hit_the_memo_and_score_like_fresh_flows() {
         let clap = model();
@@ -1850,6 +1865,30 @@ mod tests {
                 })
                 .expect("a flow of the stream")
         };
+        // A flow's prefixes: the GRU inputs of its first one, …,
+        // `stack − 1` packets, each a step the memo is asked for.
+        let mut prefixes: Vec<Vec<u32>> = Vec::new();
+        for f in &flows {
+            let mut conn = Connection::new(sender_as_client(&f[0]));
+            conn.packets = f.clone();
+            let mut extractor = crate::FeatureExtractor::new();
+            let mut fv = FeatureVector {
+                base: Vec::new(),
+                raw: Vec::new(),
+                equiv_ok: false,
+            };
+            let mut prefix = Vec::new();
+            for (i, p) in f.iter().enumerate().take(stack - 1) {
+                extractor.push_into(p, conn.direction(i), &mut fv);
+                prefix.extend(fv.base.iter().map(|v| v.to_bits()));
+                prefixes.push(prefix.clone());
+            }
+        }
+        let steps = prefixes.len() as u64;
+        let want: usize = flows.iter().map(|f| f.len().min(stack - 1)).sum();
+        assert_eq!(steps, want as u64);
+        prefixes.sort_unstable();
+        prefixes.dedup();
         for (quant, resident) in [
             (QuantMode::Off, ResidentMode::F32),
             (QuantMode::Int8, ResidentMode::F32),
@@ -1895,9 +1934,17 @@ mod tests {
             assert_eq!(distinct.len(), 2 + short.len(), "{quant:?}, {resident:?}");
             assert_eq!(
                 scorer.pad_windows(),
-                PadCounts {
+                MemoCounts {
                     scored: pads.len() as u64,
                     memo_hits: (pads.len() - distinct.len()) as u64,
+                },
+                "{quant:?}, {resident:?}"
+            );
+            assert_eq!(
+                scorer.prefix_steps(),
+                MemoCounts {
+                    scored: steps,
+                    memo_hits: steps - prefixes.len() as u64,
                 },
                 "{quant:?}, {resident:?}"
             );
