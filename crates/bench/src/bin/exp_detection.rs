@@ -7,6 +7,11 @@
 //! ```
 //!
 //! With no artifact flag, everything is printed.
+//!
+//! The `ci` preset scores 24 benign test connections, so its EER moves in
+//! steps of 1/24 ≈ 0.042 (the interpolation between ROC points aside): an
+//! EER difference smaller than that at `ci` is one benign connection, not
+//! a finding. `quick` scores 80 (steps of 0.0125).
 
 use bench::{
     benign_scores, evaluate_strategy, has_flag, mean, render_table, train_all, DetectionRow, Preset,

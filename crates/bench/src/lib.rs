@@ -90,13 +90,23 @@ impl Preset {
         p
     }
 
-    /// Parses `--preset <name>` from CLI args; defaults to quick.
+    /// Parses `--preset quick|ci|paper|scale` from CLI args; `quick` when
+    /// the flag is absent.
+    ///
+    /// # Panics
+    ///
+    /// If `--preset` has no value or names no preset, so that a typo
+    /// cannot run another preset and exit 0.
     pub fn from_args(args: &[String]) -> Preset {
+        if !has_flag(args, "--preset") {
+            return Preset::quick();
+        }
         match arg_value(args, "--preset").as_deref() {
-            Some("paper") => Preset::paper(),
+            Some("quick") => Preset::quick(),
             Some("ci") => Preset::ci(),
+            Some("paper") => Preset::paper(),
             Some("scale") => Preset::scale(),
-            _ => Preset::quick(),
+            other => panic!("--preset {other:?} names no preset; expected quick|ci|paper|scale"),
         }
     }
 }
@@ -618,6 +628,28 @@ mod tests {
         assert!(has_flag(&args, "--table1"));
         assert!(!has_flag(&args, "--table2"));
         assert_eq!(Preset::from_args(&args).name, "ci");
+    }
+
+    /// An absent `--preset` is `quick`; a name that is not a preset, or a
+    /// flag with no value, panics naming the four instead of running
+    /// `quick`.
+    #[test]
+    fn preset_names_are_checked() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<String>>();
+        assert_eq!(Preset::from_args(&args(&["--threads", "1"])).name, "quick");
+        for name in ["quick", "ci", "paper", "scale"] {
+            assert_eq!(Preset::from_args(&args(&["--preset", name])).name, name);
+        }
+        for bad in [
+            &["--preset", "pape"][..],
+            &["--preset"],
+            &["--preset", "--threads", "1"],
+        ] {
+            let err = std::panic::catch_unwind(|| Preset::from_args(&args(bad)))
+                .expect_err("an unknown preset must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("quick|ci|paper|scale"), "{bad:?}: {msg}");
+        }
     }
 
     #[test]

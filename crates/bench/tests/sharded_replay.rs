@@ -13,7 +13,9 @@
 //! `cargo test -p bench --test sharded_replay -- --ignored regenerate`
 //! after an intentional traffic-generator change, and commit the result.
 
-use clap_core::{Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, ShardConfig, StreamConfig};
+use clap_core::{
+    Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, StreamConfig,
+};
 use net_packet::pcap::{read_pcap, write_pcap, write_pcap_raw};
 use net_packet::Packet;
 use std::sync::OnceLock;
@@ -52,14 +54,17 @@ fn load_capture() -> Vec<Packet> {
 }
 
 /// The full `--shards N` replay path of `exp_stream_pcap`: sharded
-/// scoring with default stream policy, rendered through the shared
-/// deterministic verdict table.
-fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize) -> String {
+/// scoring with default stream policy at engine precision `quant`,
+/// rendered through the shared deterministic verdict table.
+fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMode) -> String {
     let run = clap
         .sharded_scorer_with(ShardConfig {
             shards,
             queue_capacity: 1024,
-            stream: StreamConfig::default(),
+            stream: StreamConfig {
+                quant,
+                ..StreamConfig::default()
+            },
             ..ShardConfig::default()
         })
         .score_stream(packets.iter());
@@ -67,96 +72,44 @@ fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize) -> String {
     bench::verdict_table(&closed, usize::MAX)
 }
 
+/// The plain single-threaded engine (the `exp_stream_pcap --shards 1`
+/// default path) at engine precision `quant`, rendered the same way.
+fn plain_table(clap: &Clap, packets: &[Packet], quant: QuantMode) -> String {
+    let mut plain = clap.stream_scorer_with(StreamConfig {
+        quant,
+        ..StreamConfig::default()
+    });
+    for p in packets {
+        plain.push(p);
+    }
+    let mut closed = plain.drain_closed();
+    closed.extend(plain.finish());
+    bench::verdict_table(&closed, usize::MAX)
+}
+
 /// `exp_stream_pcap --shards 4` emits byte-identical verdict tables
 /// across two runs (scheduling independence) and against `--shards 1`
-/// and the plain single-threaded engine (shard-count independence).
+/// and the plain single-threaded engine (shard-count independence), at
+/// f32 and at int8 weights.
 #[test]
 fn sharded_pcap_replay_is_byte_identical() {
     let clap = model();
     let packets = load_capture();
     assert!(!packets.is_empty());
 
-    let four_a = sharded_table(clap, &packets, 4);
-    let four_b = sharded_table(clap, &packets, 4);
-    assert_eq!(
-        four_a, four_b,
-        "two --shards 4 replays must render identical bytes"
-    );
-
-    let one = sharded_table(clap, &packets, 1);
-    assert_eq!(four_a, one, "--shards 4 must equal --shards 1");
-
-    // The unsharded engine (the exp_stream_pcap --shards 1 default path).
-    let mut plain = clap.stream_scorer();
-    for p in &packets {
-        plain.push(p);
-    }
-    let mut closed = plain.drain_closed();
-    closed.extend(plain.finish());
-    let unsharded = bench::verdict_table(&closed, usize::MAX);
-    assert_eq!(four_a, unsharded, "sharded must equal the plain engine");
-}
-
-/// Cross-flow micro-batching must be invisible in the rendered output:
-/// over the checked-in capture, the verdict table is **byte-identical**
-/// with batching on vs off — through both the plain engine and the
-/// sharded front end, at f32 and at int8 — for several flush budgets.
-#[test]
-fn microbatched_pcap_replay_is_byte_identical() {
-    let clap = model();
-    let packets = load_capture();
-    assert!(!packets.is_empty());
-
-    let table = |quant: clap_core::QuantMode, microbatch: usize, shards: usize| {
-        let stream = StreamConfig {
-            quant,
-            microbatch,
-            ..StreamConfig::default()
-        };
-        let closed = if shards == 0 {
-            let mut s = clap.stream_scorer_with(stream);
-            for p in &packets {
-                s.push(p);
-            }
-            let mut closed = s.drain_closed();
-            closed.extend(s.finish());
-            closed
-        } else {
-            clap.sharded_scorer_with(ShardConfig {
-                shards,
-                queue_capacity: 1024,
-                stream,
-                ..ShardConfig::default()
-            })
-            .score_stream(packets.iter())
-            .verdicts
-            .into_iter()
-            .map(|v| v.flow)
-            .collect()
-        };
-        bench::verdict_table(&closed, usize::MAX)
-    };
-
-    for quant in [clap_core::QuantMode::Off, clap_core::QuantMode::Int8] {
-        let per_packet = table(quant, 0, 0);
-        for cap in [2usize, 16, 64] {
-            assert_eq!(
-                per_packet,
-                table(quant, cap, 0),
-                "plain engine diverged at {quant:?} with microbatch {cap}"
-            );
-        }
-        for shards in [1usize, 4] {
-            assert_eq!(
-                table(quant, 0, shards),
-                table(quant, 16, shards),
-                "sharded engine diverged at {quant:?} with {shards} shards"
-            );
-        }
+    for quant in [QuantMode::Off, QuantMode::Int8] {
+        let four_a = sharded_table(clap, &packets, 4, quant);
+        let four_b = sharded_table(clap, &packets, 4, quant);
         assert_eq!(
-            per_packet,
-            table(quant, 16, 4),
-            "micro-batched sharded run diverged from the plain per-packet engine at {quant:?}"
+            four_a, four_b,
+            "two --shards 4 replays must render identical bytes at {quant:?}"
+        );
+        let one = sharded_table(clap, &packets, 1, quant);
+        assert_eq!(four_a, one, "--shards 4 must equal --shards 1 at {quant:?}");
+        assert_eq!(
+            four_a,
+            plain_table(clap, &packets, quant),
+            "sharded must equal the plain engine at {quant:?}"
         );
     }
 }
@@ -291,22 +244,15 @@ fn protocol_mixed_pcap_replay_is_byte_identical() {
         "mixed capture must contain reassembled fragments"
     );
 
-    let four_a = sharded_table(clap, &packets, 4);
-    let four_b = sharded_table(clap, &packets, 4);
+    let four_a = sharded_table(clap, &packets, 4, QuantMode::Off);
+    let four_b = sharded_table(clap, &packets, 4, QuantMode::Off);
     assert_eq!(
         four_a, four_b,
         "two --shards 4 mixed replays must render identical bytes"
     );
-    let one = sharded_table(clap, &packets, 1);
+    let one = sharded_table(clap, &packets, 1, QuantMode::Off);
     assert_eq!(four_a, one, "--shards 4 must equal --shards 1");
-
-    let mut plain = clap.stream_scorer();
-    for p in &packets {
-        plain.push(p);
-    }
-    let mut closed = plain.drain_closed();
-    closed.extend(plain.finish());
-    let unsharded = bench::verdict_table(&closed, usize::MAX);
+    let unsharded = plain_table(clap, &packets, QuantMode::Off);
     assert_eq!(four_a, unsharded, "sharded must equal the plain engine");
 }
 

@@ -28,11 +28,10 @@
 //! **online streaming** over an interleaved packet stream ([`stream`]:
 //! the core composed with a bounded flow table — the crate-private
 //! `flow_table` module: key index, slab, expiry queues, no neural type —
-//! the `resident` arena of per-flow state (both stored in the `chunked`
-//! module's fixed chunks, which never move) and, when asked for, the
-//! `microbatch` module's cross-flow staging and batched window pass;
-//! scores emitted as packets arrive, bitwise the batch path's wherever
-//! the flow table sees the same connections), and **sharded streaming**
+//! and the `resident` arena of per-flow state, both stored in the `chunked`
+//! module's fixed chunks, which never move; each packet's score emitted
+//! as it arrives, bitwise the batch path's wherever the flow table sees
+//! the same connections), and **sharded streaming**
 //! ([`shard`]: the streaming engine fanned out across worker threads by
 //! a symmetric RSS hash of the 4-tuple — `shard/dispatch.rs` owns the
 //! ring-full policy and watchdog, `shard/worker.rs` the supervised
@@ -60,7 +59,6 @@ pub(crate) mod chunked;
 pub mod features;
 pub(crate) mod flow_table;
 pub mod metrics;
-pub(crate) mod microbatch;
 pub mod pipeline;
 pub mod profile;
 pub(crate) mod resident;

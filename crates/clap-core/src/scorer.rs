@@ -5,11 +5,8 @@
 //! This is the only inference path in the crate. [`StreamScorer`] calls
 //! [`Scorer::advance`] per packet on a flow-table slot; [`ClapScorer`]
 //! loops it over a connection on a one-slot arena — which is why online
-//! and offline scores agree bitwise. (`microbatch` stages the rows
-//! [`extract_row`] starts, replays each through [`Scorer::step_profile`]
-//! — the GRU half of `advance` — in staging order, and scores the windows
-//! they complete in one batched autoencoder pass.) A flow shorter than
-//! the window stack is scored when it closes on one padded window
+//! and offline scores agree bitwise. A flow shorter than the window
+//! stack is scored when it closes on one padded window
 //! ([`Scorer::pad_error`]), through the same 1-row autoencoder pass.
 //!
 //! Padded windows are also memoised. A short flow's features are
@@ -31,7 +28,7 @@
 //! [`StreamScorer`]: crate::StreamScorer
 //! [`ClapScorer`]: crate::ClapScorer
 
-use crate::features::{FeatureExtractor, FeatureVector, RangeModel, NUM_PACKET};
+use crate::features::{FeatureExtractor, FeatureVector, NUM_PACKET};
 use crate::pipeline::Clap;
 use crate::profile::{ProfileBuilder, PROFILE_LEN};
 use crate::resident::ResidentArena;
@@ -61,16 +58,16 @@ pub(crate) struct Scorer<'a> {
     pub(crate) clap: &'a Clap,
     pub(crate) builder: ProfileBuilder,
     pub(crate) gru: GruEngine,
-    pub(crate) ae: AeEngine<'a>,
+    ae: AeEngine<'a>,
     gru_scratch: GruStepScratch,
     /// The autoencoder's scratch, for packets' windows and padded ones.
-    pub(crate) ae_ws: AeWorkspace,
+    ae_ws: AeWorkspace,
     /// The current packet's GRU input (`base`), among its other features.
-    pub(crate) fv: FeatureVector,
+    fv: FeatureVector,
     /// 1×stacked_len window the current packet completed, or the padded
     /// window [`pad_error`](Self::pad_error) scores.
-    pub(crate) window: Matrix,
-    pub(crate) err_scratch: Vec<f32>,
+    window: Matrix,
+    err_scratch: Vec<f32>,
     /// Padded-window errors by the window's exact bits.
     pads: BitsMemo,
     /// Prefix steps' `h′ ‖ z ‖ r` by the exact bits of their GRU input
@@ -84,7 +81,7 @@ pub(crate) struct Scorer<'a> {
     pub(crate) step_counts: MemoCounts,
     /// The current packet's profile row (features ‖ z ‖ r), built here
     /// and copied into the flow's ring after the window uses it.
-    pub(crate) row: Vec<f32>,
+    row: Vec<f32>,
     /// Dequantized hidden state staging for int8 resident state.
     h_scratch: Vec<f32>,
     /// Activation-code staging for int8 resident stores.
@@ -119,12 +116,18 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Advances `flow` by packet `p`, travelling in direction `dir`:
-    /// incremental feature extraction, the GRU step and profile-ring store
-    /// of [`step_profile`](Self::step_profile) and — once the flow has a
-    /// full stack of profiles — the reconstruction error of the window
-    /// this packet completes, which is returned. `clock`, when sampling,
-    /// laps each stage.
+    /// Advances `flow` by packet `p`, travelling in direction `dir`, and
+    /// returns the reconstruction error of the window `p` completes, if
+    /// any. Incremental feature extraction leaves the GRU input in
+    /// `fv.base` and the packet features at the front of `row`; one
+    /// resumable GRU step on the flow's resident hidden state fills the
+    /// row's gates. A prefix step (`t + 1 < stack`) the step memo holds is
+    /// answered from it — `h′` into the hidden state, `z`/`r` into the row;
+    /// a missed one runs and is memoised. Once the flow has a full stack of
+    /// profiles — the previous `stack − 1` from its ring, this packet's
+    /// from `row` — the window is scored in one 1-row autoencoder pass, and
+    /// the row is stored in the ring. `clock`, when sampling, laps each
+    /// stage.
     pub(crate) fn advance(
         &mut self,
         flow: Flow<'_>,
@@ -138,48 +141,16 @@ impl<'a> Scorer<'a> {
             resident,
             slot,
         } = flow;
-        let t = extract_row(
-            &self.clap.ranges,
-            &mut self.fv,
-            extractor,
-            packets,
-            p,
-            dir,
-            &mut self.row,
-        );
+        extractor.push_into(p, dir, &mut self.fv);
+        let t = *packets as usize;
+        *packets += 1;
+        self.clap
+            .ranges
+            .write_packet_features(&self.fv, &mut self.row[..NUM_PACKET]);
         if let Some(c) = clock.as_mut() {
             c.lap(Stage::Extract);
         }
-        if !self.step_profile(resident, slot, t, clock) {
-            return None;
-        }
-        self.err_scratch.clear();
-        self.ae
-            .reconstruction_errors_into(&self.window, &mut self.ae_ws, &mut self.err_scratch);
-        if let Some(c) = clock.as_mut() {
-            c.lap(Stage::AeWindow);
-        }
-        Some(self.err_scratch[0])
-    }
 
-    /// The GRU half of packet `t` of the flow at `slot`, whose GRU input
-    /// [`extract_row`] left in `fv.base` and whose features it left at the
-    /// front of `row`: one resumable GRU step on the flow's resident
-    /// hidden state fills the row's gates (`clock` laps it); a packet
-    /// that completes a window — the previous `stack − 1` profiles from
-    /// the flow's ring, this packet's from `row` — copies it into `window`
-    /// and returns `true`; the row is then stored in the ring. Every
-    /// packet's GRU step runs here, scored at once or staged. A prefix
-    /// step (`t + 1 < stack`) the step memo holds is answered from it —
-    /// `h′` into the hidden state, `z`/`r` into the row; a missed one runs
-    /// and is memoised.
-    pub(crate) fn step_profile(
-        &mut self,
-        resident: &mut ResidentArena,
-        slot: usize,
-        t: usize,
-        clock: &mut Option<LapClock<'_>>,
-    ) -> bool {
         let hidden = self.gru.hidden_size();
         let (z, r) = self.row[NUM_PACKET..].split_at_mut(hidden);
         let (gru, x, gru_scratch) = (&self.gru, &self.fv.base, &mut self.gru_scratch);
@@ -212,7 +183,16 @@ impl<'a> Scorer<'a> {
             resident.read_window(slot, t, &self.row, self.window.row_mut(0));
         }
         resident.store_profile(slot, t, &self.row, &mut self.code_scratch);
-        complete
+        if !complete {
+            return None;
+        }
+        self.err_scratch.clear();
+        self.ae
+            .reconstruction_errors_into(&self.window, &mut self.ae_ws, &mut self.err_scratch);
+        if let Some(c) = clock.as_mut() {
+            c.lap(Stage::AeWindow);
+        }
+        Some(self.err_scratch[0])
     }
 
     /// The padded-window error of the flow at `slot`, which has scored
@@ -424,27 +404,6 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
             .zip(b)
             .fold(0, |d, (x, y)| d | (x.to_bits() ^ y.to_bits()))
             == 0
-}
-
-/// Extracts `p` as the next packet of a flow and starts its profile row
-/// (packet features ‖ update gates ‖ reset gates): the extractor and the
-/// packet count advance, the GRU input lands in `fv.base` and the feature
-/// third at the front of `row`; the gate two-thirds are the GRU step's to
-/// fill. Returns the packet's 0-based index in its flow.
-pub(crate) fn extract_row(
-    ranges: &RangeModel,
-    fv: &mut FeatureVector,
-    extractor: &mut FeatureExtractor,
-    packets: &mut u32,
-    p: &Packet,
-    dir: Direction,
-    row: &mut [f32],
-) -> usize {
-    extractor.push_into(p, dir, fv);
-    let t = *packets as usize;
-    *packets += 1;
-    ranges.write_packet_features(fv, &mut row[..NUM_PACKET]);
-    t
 }
 
 #[cfg(test)]
@@ -682,26 +641,36 @@ mod tests {
                 let (mut after, mut want_after) = (h.clone(), h.clone());
                 // Every step's (input, hidden state) bits.
                 let mut keys: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+                let mut fv = FeatureVector {
+                    base: Vec::new(),
+                    raw: Vec::new(),
+                    equiv_ok: false,
+                };
                 for (slot, (conn, packets)) in flows.iter().enumerate() {
                     resident.push_slot();
                     fresh.push_slot();
                     let (mut extractor, mut n) = (FeatureExtractor::new(), 0u32);
                     for (i, p) in packets.iter().enumerate() {
-                        let (fv, row) = (&mut scorer.fv, &mut scorer.row);
                         let dir = conn.direction(i);
-                        let t = extract_row(&clap.ranges, fv, &mut extractor, &mut n, p, dir, row);
+                        // The step's input, from a copy of the flow's anchors.
+                        extractor.clone().push_into(p, dir, &mut fv);
                         resident.read_hidden(slot, &mut h);
-                        keys.push((bits(&scorer.fv.base), bits(&h)));
-                        let key: Vec<f32> = scorer.fv.base.iter().chain(&h).copied().collect();
+                        keys.push((bits(&fv.base), bits(&h)));
+                        let key: Vec<f32> = fv.base.iter().chain(&h).copied().collect();
                         let held = scorer.steps.get(window_hash(&key), &key).is_some();
                         let before = scorer.step_counts;
                         scorer.row[NUM_PACKET..].fill(f32::NAN);
-                        scorer.step_profile(&mut resident, slot, t, &mut None);
+                        let flow = Flow {
+                            extractor: &mut extractor,
+                            packets: &mut n,
+                            resident: &mut resident,
+                            slot,
+                        };
+                        assert_eq!(scorer.advance(flow, p, dir, &mut None), None);
+                        assert_eq!(bits(&scorer.fv.base), bits(&fv.base));
                         // The same step, computed.
                         let (z, r) = zr.split_at_mut(hidden);
-                        scorer
-                            .gru
-                            .step(&scorer.fv.base, &mut h, &mut gru_scratch, z, r);
+                        scorer.gru.step(&fv.base, &mut h, &mut gru_scratch, z, r);
                         let at = format!("{quant:?} {mode:?}, flow {slot} packet {i}");
                         assert_eq!(bits(&scorer.row[NUM_PACKET..]), bits(&zr), "{at}");
                         fresh.store_hidden(slot, &h, &mut codes);

@@ -168,10 +168,6 @@ pub struct ShardConfig {
     /// [`StreamScorer`](crate::StreamScorer) under this config). Note
     /// `max_flows` is therefore a per-shard bound: total tracked flows ≤
     /// `shards × max_flows`.
-    /// `microbatch` likewise stages packets *within* each shard; an idle
-    /// shard flushes its pending batch immediately, end-of-stream drain
-    /// flushes before finalizing, and a flush replays each packet's GRU
-    /// step in staging order, so batching never changes verdicts.
     pub stream: StreamConfig,
     /// What to do with a packet whose shard's ring is full.
     pub overload: OverloadPolicy,
@@ -236,7 +232,8 @@ pub struct ShardStats {
     /// Packets quarantined after a supervised scoring panic.
     pub quarantined: u64,
     /// Times this shard's flow table was rebuilt from scratch (one per
-    /// quarantine, plus one if the end-of-stream flush panicked).
+    /// quarantine, plus one each if the end-of-stream flow dump or flush
+    /// panicked).
     pub restarts: u64,
     /// This shard's flow-table counters ([`StreamStats`]): peak live
     /// flows, eviction breakdown by cause. The counters live in the
@@ -329,7 +326,13 @@ impl Clap {
     }
 
     /// Builds a sharded streaming scorer with an explicit [`ShardConfig`].
+    ///
+    /// # Panics
+    ///
+    /// If `config.stream.microbatch` ≥ 2, as
+    /// [`Clap::stream_scorer_with`] does — here, on the caller's thread.
     pub fn sharded_scorer_with(&self, config: ShardConfig) -> ShardedStreamScorer<'_> {
+        config.stream.assert_per_packet();
         let hub = Arc::new(TelemetryHub::new(config.shards.max(1)));
         ShardedStreamScorer {
             clap: self,

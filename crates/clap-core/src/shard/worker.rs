@@ -149,21 +149,13 @@ pub(super) fn shard_worker<'p>(
             }
             break;
         }
-        // Going idle: score any pending micro-batched work now instead
-        // of letting it wait on further traffic (flushing never closes a
-        // flow, so there are no verdicts to drain here). Supervised like
-        // a push — a flush panic rebuilds the flow table.
-        if catch_unwind(AssertUnwindSafe(|| scorer.flush_pending())).is_err() {
-            telemetry.restart();
-            scorer.reset();
-        }
         backoff.snooze();
     }
 
     // The conntrack-style dump captures the table as of end of stream —
     // before the final drain below finalizes (and removes) every flow. It
-    // runs model code (the micro-batch flush, short flows' padded
-    // windows), so it is supervised like a flush.
+    // runs model code (short flows' padded windows), so it is supervised
+    // like a push.
     if config.dump_flows {
         match catch_unwind(AssertUnwindSafe(|| scorer.flow_entries())) {
             Ok(flows) => out.flows = flows,

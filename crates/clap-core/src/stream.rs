@@ -12,16 +12,10 @@
 //!   → window → autoencoder) and the arena that holds each flow's neural
 //!   state (`resident`). This module is the policy between them:
 //!   orientation, when a flow closes and why, and the verdict queue.
-//! * **Optional cross-flow micro-batching.** With
-//!   [`StreamConfig::microbatch`] ≥ 2 a packet's neural work is staged;
-//!   a flush replays each staged packet's GRU step in staging order and
-//!   scores the windows they complete across flows in one batched
-//!   autoencoder pass (the crate-private `microbatch` module; this one
-//!   only decides when to stage and when to flush).
-//!   Verdict content, order and timing are bitwise those of per-packet
-//!   scoring; the one observable difference is that
-//!   [`StreamScorer::push`] returns `None` for a window error that is
-//!   still pending (it surfaces in the flow's [`ClosedFlow`] log).
+//! * **One verdict per packet, as it arrives.** Each packet is scored
+//!   through the core before [`StreamScorer::push`] returns, and the
+//!   window error it returns is the one the flow's [`ClosedFlow`] log
+//!   records; nothing is staged across flows or scored later.
 //! * **Per-flow state, shared scratch.** Each live flow persists only what
 //!   the model mathematically needs: the incremental feature-extraction
 //!   anchors ([`FeatureExtractor`](crate::FeatureExtractor)), a
@@ -114,7 +108,6 @@
 
 pub use crate::flow_table::EvictionMode;
 use crate::flow_table::{FlowTable, KeyHash};
-use crate::microbatch::MicroBatcher;
 use crate::pipeline::Clap;
 use crate::resident::ResidentArena;
 pub use crate::resident::ResidentMode;
@@ -174,19 +167,11 @@ pub struct StreamConfig {
     ///
     /// [`quant`]: StreamConfig::quant
     pub resident: ResidentMode,
-    /// Cross-flow micro-batch capacity: stage up to this many packets
-    /// across flows, then replay their GRU steps in staging order and
-    /// score the windows they complete in one batched autoencoder pass —
-    /// flushed when full, after
-    /// [`microbatch_wait`](StreamConfig::microbatch_wait) packets, before
-    /// any flow finalizes and on
-    /// [`flush_pending`](StreamScorer::flush_pending). `0` or
-    /// `1` scores every packet immediately — the per-packet path, and
-    /// the default (`0`); `usize::MAX` flushes only by age.
+    /// Kept only so `benchmark/`, which spells out every field, compiles; ≥ 2 panics.
+    #[doc(hidden)]
     pub microbatch: usize,
-    /// Latency budget: flush a non-empty micro-batch after this many
-    /// subsequent stream packets even if it never fills. Ignored when
-    /// [`microbatch`](StreamConfig::microbatch) is off.
+    /// Kept only so `benchmark/`, which spells out every field, compiles; read by nothing.
+    #[doc(hidden)]
     pub microbatch_wait: usize,
 }
 
@@ -206,6 +191,19 @@ impl Default for StreamConfig {
             microbatch: 0,
             microbatch_wait: 64,
         }
+    }
+}
+
+impl StreamConfig {
+    /// Panics on a cross-flow micro-batch capacity (`microbatch` ≥ 2): the
+    /// engine scores every packet as it arrives and has no batched mode.
+    pub(crate) fn assert_per_packet(&self) {
+        assert!(
+            self.microbatch < 2,
+            "StreamConfig::microbatch = {}: the engine has no cross-flow \
+             micro-batching, it scores every packet as it arrives (set it to 0)",
+            self.microbatch
+        );
     }
 }
 
@@ -318,9 +316,6 @@ pub struct StreamScorer<'a> {
     /// Per-stage latency clocks (inert unless a [`StageHists`] sink is
     /// attached).
     stages: StageRecorder,
-    /// Cross-flow micro-batch staging (inert when
-    /// [`StreamConfig::microbatch`] < 2).
-    mb: MicroBatcher,
     /// Scratch for the handles a sweep boundary found expired.
     due: Vec<u32>,
     /// Max packet timestamp seen (the stream clock).
@@ -340,8 +335,13 @@ impl Clap {
     }
 
     /// Builds a streaming per-flow scorer with an explicit table policy.
+    ///
+    /// # Panics
+    ///
+    /// If `config.microbatch` ≥ 2: every packet is scored as it arrives,
+    /// and there is no cross-flow batched mode.
     pub fn stream_scorer_with(&self, config: StreamConfig) -> StreamScorer<'_> {
-        let mb = MicroBatcher::new(config.microbatch, config.microbatch_wait);
+        config.assert_per_packet();
         let gru = GruEngine::from_packed(self.rnn.packed(), config.quant);
         StreamScorer {
             resident: ResidentArena::new(
@@ -361,7 +361,6 @@ impl Clap {
             closed: Vec::new(),
             cells: std::sync::Arc::new(StreamCells::default()),
             stages: StageRecorder::new(),
-            mb,
             due: Vec::new(),
             clock: 0.0,
             packets_since_sweep: 0,
@@ -383,10 +382,8 @@ impl StreamScorer<'_> {
     /// order once orientation resolves, and the error returned is that of
     /// the latest completed window. Flows torn down by this packet (TCP
     /// close, length cap) are finalized and queued for
-    /// [`drain_closed`](Self::drain_closed). Under micro-batching
-    /// ([`StreamConfig::microbatch`] ≥ 2) the window error is usually
-    /// still pending when `push` returns, so this returns `None` and the
-    /// error surfaces in the flow's [`ClosedFlow`] log instead.
+    /// [`drain_closed`](Self::drain_closed). Every error returned is the
+    /// one the flow's [`ClosedFlow`] log records, in the same order.
     pub fn push(&mut self, p: &Packet) -> Option<f32> {
         let tag = self.auto_seq;
         self.push_tagged(p, tag)
@@ -403,9 +400,6 @@ impl StreamScorer<'_> {
     pub fn push_tagged(&mut self, p: &Packet, tag: u64) -> Option<f32> {
         self.auto_seq = self.auto_seq.max(tag.wrapping_add(1));
         self.clock = self.clock.max(p.timestamp);
-        if self.mb.tick() {
-            self.flush_pending();
-        }
         self.packets_since_sweep += 1;
         if self.packets_since_sweep >= self.config.sweep_interval.max(1) {
             self.packets_since_sweep = 0;
@@ -509,24 +503,10 @@ impl StreamScorer<'_> {
         last
     }
 
-    /// Runs one packet of an oriented flow through the scoring engine
-    /// (immediately, or staged into the pending micro-batch) and applies
-    /// the teardown / length-cap / TIME_WAIT-linger policy. The policy
-    /// inputs — tracker state, packet count — advance at staging time,
-    /// so its decisions are identical with batching on or off; if it
-    /// closes the flow, [`close_flow`](Self::close_flow) flushes the
-    /// pending batch first, scoring this packet before finalization.
+    /// Runs one packet of an oriented flow through the scoring engine and
+    /// applies the teardown / length-cap / TIME_WAIT-linger policy.
     fn score_packet(&mut self, h: u32, p: &Packet) -> Option<f32> {
-        let emitted = if self.mb.enabled() {
-            self.mb
-                .stage(&mut self.scorer, &mut self.table, h, p, &mut self.stages);
-            if self.mb.full() {
-                self.flush_pending();
-            }
-            None
-        } else {
-            self.advance_one(h, p)
-        };
+        let emitted = self.advance_one(h, p);
         let slot = &self.table[h];
         let mut torn_down = false;
         let mut start_linger = false;
@@ -576,26 +556,6 @@ impl StreamScorer<'_> {
         emitted
     }
 
-    /// Flushes any pending micro-batched work immediately — a no-op when
-    /// micro-batching is off or nothing is pending. The sharded engine
-    /// calls this when a shard's ingest ring goes idle, so staged
-    /// packets never wait on further traffic to be scored.
-    pub fn flush_pending(&mut self) {
-        self.mb.flush(
-            &mut self.scorer,
-            &mut self.table,
-            &mut self.resident,
-            &mut self.stages,
-        );
-    }
-
-    /// Lifetime micro-batch flush-size histogram: entry `b` counts
-    /// flushes of exactly `b + 1` rows. Empty when micro-batching is
-    /// off.
-    pub fn batch_occupancy(&self) -> &[u64] {
-        self.mb.occupancy()
-    }
-
     /// Currently tracked (live) flows.
     pub fn live_flows(&self) -> usize {
         self.table.len()
@@ -608,13 +568,7 @@ impl StreamScorer<'_> {
     /// [`FlowEntry::score`] is their padded window's, looked up in and
     /// added to the memo); meant for operator introspection, not the hot
     /// path.
-    ///
-    /// First flushes pending micro-batched work
-    /// ([`flush_pending`](Self::flush_pending), which closes no flow), so
-    /// every packet a flow has counted has written its profile and window
-    /// error before they are read.
     pub fn flow_entries(&mut self) -> Vec<FlowEntry> {
-        self.flush_pending();
         let live: Vec<u32> = self.table.live_handles().collect();
         let mut out: Vec<FlowEntry> = live.into_iter().map(|h| self.flow_entry_at(h)).collect();
         out.sort_by_key(|e| e.arrival);
@@ -711,11 +665,9 @@ impl StreamScorer<'_> {
     /// O(slab) — meant for periodic sampling, not the hot path.
     /// Excludes the pending-verdict queue (drained by the caller) and the
     /// scoring core's fixed costs, which do not grow with flows: its
-    /// scratch — micro-batch staging included (bounded by the batch
-    /// capacity, and flow-independent: copies, not table state) — and its
-    /// two exact-bits memos (64 entries each, ≈ 87 KiB of padded windows
-    /// and ≈ 40 KiB of prefix steps at the paper's sizes, whatever the
-    /// number of flows).
+    /// scratch and its two exact-bits memos (64 entries each, ≈ 87 KiB of
+    /// padded windows and ≈ 40 KiB of prefix steps at the paper's sizes,
+    /// whatever the number of flows).
     pub fn mem_bytes(&self) -> usize {
         self.table.heap_bytes() + self.resident.heap_bytes()
     }
@@ -755,9 +707,6 @@ impl StreamScorer<'_> {
         self.resident.clear();
         self.closed.clear();
         self.packets_since_sweep = 0;
-        // Staged micro-batch items reference slab handles that no longer
-        // exist (the occupancy histogram survives, like the stats).
-        self.mb.discard();
         self.cells.live_sync(0);
     }
 
@@ -782,10 +731,6 @@ impl StreamScorer<'_> {
     /// padding rule (repeat the final profile until one full window
     /// exists).
     fn close_flow(&mut self, h: u32, reason: CloseReason) {
-        // Any pending micro-batched work — this flow's staged packets
-        // included — scores before finalization, so verdict content and
-        // timing never depend on batching.
-        self.flush_pending();
         // A flow evicted while still orientation-buffering scores its held
         // packets now, under the provisional (first-packet) orientation —
         // the same key the offline reassembler would use for a capture
@@ -858,8 +803,8 @@ mod tests {
     }
 
     /// The default is a constant of the source, not of the process: f32
-    /// engines, per-packet scoring. A caller that wants int8 or batching
-    /// writes it in the config it builds.
+    /// engines, per-packet scoring. A caller that wants int8 writes it in
+    /// the config it builds.
     #[test]
     fn default_config_is_f32_per_packet() {
         let cfg = StreamConfig::default();
@@ -1406,168 +1351,76 @@ mod tests {
         assert_eq!(scorer.live_flows(), 1, "the SYN opened incarnation 2");
     }
 
-    /// Micro-batched streaming must be *byte-identical* to per-packet
-    /// streaming: same closed-flow order, reasons and arrivals, bitwise
-    /// equal window errors and scores — at f32 weights, int8 weights and
-    /// int8 resident state, across batch capacities.
+    /// `push` returns each window error as the packet completing it
+    /// arrives: over interleaved benign and attacked flows, a flow's
+    /// `Some` returns, in order, are its closed verdict's window errors
+    /// bit for bit — at f32, at int8 weights and at int8 weights with int8
+    /// resident state.
     #[test]
-    fn microbatched_streaming_is_bitwise_per_packet() {
+    fn push_returns_what_the_closed_flow_logs() {
         let clap = model();
-        let corpus = traffic_gen::dataset(937, 10);
-        let run = |microbatch: usize, quant, resident| {
-            let mut scorer = clap.stream_scorer_with(StreamConfig {
-                microbatch,
-                microbatch_wait: 7,
-                quant,
-                resident,
-                ..StreamConfig::default()
-            });
-            let longest = corpus.iter().map(Connection::len).max().unwrap();
-            for i in 0..longest {
-                for conn in &corpus {
-                    if let Some(p) = conn.packets.get(i) {
-                        scorer.push(p);
-                    }
-                }
-            }
-            scorer.finish()
-        };
+        let mut corpus = traffic_gen::dataset(937, 10);
+        let strategy = &dpi_attacks::registry()[0];
+        let base = traffic_gen::dataset(938, 3);
+        let attacked = dpi_attacks::build_adversarial_set(strategy, &base, 7);
+        corpus.extend(attacked.into_iter().map(|r| r.connection));
+        let longest = corpus.iter().map(Connection::len).max().unwrap();
         for (quant, resident) in [
             (QuantMode::Off, ResidentMode::F32),
             (QuantMode::Int8, ResidentMode::F32),
             (QuantMode::Int8, ResidentMode::Int8),
         ] {
-            let base = run(0, quant, resident);
-            for cap in [2usize, 4, 16] {
-                let batched = run(cap, quant, resident);
-                assert_eq!(base.len(), batched.len(), "cap {cap}");
-                for (a, b) in base.iter().zip(&batched) {
-                    assert_eq!(a.key, b.key, "close order (cap {cap})");
-                    assert_eq!(a.packets, b.packets);
-                    assert_eq!(a.reason, b.reason);
-                    assert_eq!(a.arrival, b.arrival);
-                    assert_eq!(
-                        a.scored.window_errors, b.scored.window_errors,
-                        "window errors must be bitwise equal (cap {cap})"
-                    );
-                    assert_eq!(a.scored.score.to_bits(), b.scored.score.to_bits());
-                    assert_eq!(a.scored.peak_window, b.scored.peak_window);
-                    assert_eq!(a.scored.peak_packet, b.scored.peak_packet);
+            let mut scorer = clap.stream_scorer_with(StreamConfig {
+                quant,
+                resident,
+                teardown_on_close: false,
+                ..StreamConfig::default()
+            });
+            let mut returned: Vec<Vec<f32>> = vec![Vec::new(); corpus.len()];
+            for i in 0..longest {
+                for (c, conn) in corpus.iter().enumerate() {
+                    if let Some(err) = conn.packets.get(i).and_then(|p| scorer.push(p)) {
+                        returned[c].push(err);
+                    }
                 }
+            }
+            let closed = scorer.finish();
+            assert_eq!(closed.len(), corpus.len(), "{quant:?}, {resident:?}");
+            let bits = |errs: &[f32]| errs.iter().map(|e| e.to_bits()).collect::<Vec<u32>>();
+            for (conn, got) in corpus.iter().zip(&returned) {
+                let flow = closed.iter().find(|c| c.key == conn.key).unwrap();
+                assert!(conn.len() < clap.config.stack || !got.is_empty());
+                assert_eq!(
+                    bits(got),
+                    bits(&flow.scored.window_errors),
+                    "{quant:?}, {resident:?}"
+                );
             }
         }
     }
 
-    /// The flush triggers: capacity, the latency budget and
-    /// `flush_pending` — and the *non*-trigger: a same-flow burst
-    /// chains instead of flushing. All visible through the occupancy
-    /// histogram.
+    /// A cross-flow micro-batch capacity is refused, not ignored.
     #[test]
-    fn microbatch_flush_triggers_and_occupancy() {
-        let clap = model();
-        let mut scorer = clap.stream_scorer_with(StreamConfig {
-            microbatch: 4,
-            microbatch_wait: 100,
-            teardown_on_close: false,
+    #[should_panic(expected = "StreamConfig::microbatch = 2")]
+    fn a_microbatch_stream_config_is_refused() {
+        let _ = model().stream_scorer_with(StreamConfig {
+            microbatch: 2,
             ..StreamConfig::default()
         });
-        // Three distinct flows: under capacity, everything stays pending.
-        for i in 0..3u8 {
-            scorer.push(&raw_packet(
-                (i + 1, 1000 + u16::from(i)),
-                (99, 80),
-                0.1 * f64::from(i),
-            ));
-        }
-        assert_eq!(scorer.batch_occupancy().iter().sum::<u64>(), 0);
-        scorer.flush_pending();
-        assert_eq!(scorer.batch_occupancy()[2], 1, "one flush of 3 rows");
-        // Back-to-back packets of one flow chain instead of flushing:
-        // nothing drains until the explicit flush, which replays the
-        // chain in packet order as one 2-row batch.
-        scorer.push(&raw_packet((1, 1000), (99, 80), 1.0));
-        scorer.push(&raw_packet((1, 1000), (99, 80), 1.1));
-        assert_eq!(
-            scorer.batch_occupancy()[0],
-            0,
-            "a same-flow burst must not force a flush"
-        );
-        scorer.flush_pending();
-        assert_eq!(scorer.batch_occupancy()[1], 1, "chained flush of 2 rows");
-        // Capacity flush: 4 more distinct flows fill the batch.
-        for i in 10..14u8 {
-            scorer.push(&raw_packet(
-                (i + 1, 2000 + u16::from(i)),
-                (99, 80),
-                2.0 + 0.1 * f64::from(i),
-            ));
-        }
-        assert_eq!(scorer.batch_occupancy()[3], 1, "capacity flush of 4 rows");
-        // Latency budget: one pending row flushes after `wait` packets.
-        let mut lazy = clap.stream_scorer_with(StreamConfig {
-            microbatch: 64,
-            microbatch_wait: 2,
-            teardown_on_close: false,
-            ..StreamConfig::default()
-        });
-        lazy.push(&raw_packet((1, 1000), (99, 80), 0.0));
-        lazy.push(&raw_packet((2, 1001), (99, 80), 0.1));
-        assert_eq!(lazy.batch_occupancy().iter().sum::<u64>(), 0);
-        lazy.push(&raw_packet((3, 1002), (99, 80), 0.2));
-        assert_eq!(lazy.batch_occupancy()[1], 1, "age-budget flush of 2 rows");
-        // Finalization drains everything pending.
-        let closed = lazy.finish();
-        assert_eq!(closed.len(), 3);
-        assert!(closed.iter().all(|c| c.scored.score.is_finite()));
+    }
 
-        // Below two rows batching is off: no flush, no histogram.
-        let mut off = clap.stream_scorer_with(StreamConfig {
-            microbatch: 1,
-            ..StreamConfig::default()
-        });
-        off.push(&raw_packet((1, 1000), (99, 80), 0.0));
-        off.flush_pending();
-        assert!(off.batch_occupancy().is_empty());
-
-        // No capacity bound at all: the scorer builds, the batch flushes by
-        // age alone, the histogram grows to the largest flush, and every
-        // verdict is the per-packet one, bitwise.
-        let run = |microbatch: usize| {
-            let mut s = clap.stream_scorer_with(StreamConfig {
-                microbatch,
-                microbatch_wait: 5,
-                teardown_on_close: false,
+    /// The sharded engine refuses it on the caller's thread, before any
+    /// worker starts.
+    #[test]
+    #[should_panic(expected = "StreamConfig::microbatch = 2")]
+    fn a_microbatch_shard_config_is_refused() {
+        let _ = model().sharded_scorer_with(crate::ShardConfig {
+            stream: StreamConfig {
+                microbatch: 2,
                 ..StreamConfig::default()
-            });
-            for i in 0..12u8 {
-                let f = i % 3 + 1;
-                s.push(&raw_packet(
-                    (f, 1000 + u16::from(f)),
-                    (99, 80),
-                    0.1 * f64::from(i),
-                ));
-            }
-            let occupancy = s.batch_occupancy().to_vec();
-            (s.finish(), occupancy)
-        };
-        let (base, _) = run(0);
-        let (unbounded, occupancy) = run(usize::MAX);
-        assert_eq!(
-            occupancy,
-            [0, 0, 0, 0, 2],
-            "two age-budget flushes of 5 rows"
-        );
-        assert_eq!(base.len(), 3);
-        assert_eq!(base.len(), unbounded.len());
-        for (a, b) in base.iter().zip(&unbounded) {
-            assert_eq!((a.key, a.packets, a.reason), (b.key, b.packets, b.reason));
-            assert!(!a.scored.window_errors.is_empty());
-            let bits = |c: &ClosedFlow| -> Vec<u32> {
-                c.scored.window_errors.iter().map(|e| e.to_bits()).collect()
-            };
-            assert_eq!(bits(a), bits(b));
-            assert_eq!(a.scored.score.to_bits(), b.scored.score.to_bits());
-        }
+            },
+            ..crate::ShardConfig::default()
+        });
     }
 
     /// A scanner's probe `i`: a pure SYN, and the target's RST|ACK.
@@ -1694,60 +1547,43 @@ mod tests {
 
     /// A live flow shorter than the stack has no window error yet; its
     /// `FlowEntry::score` is the padded window's it would close with — five
-    /// 1-packet flows and a 2-packet one. A flow still
-    /// orientation-buffering has scored nothing and reports 0.
-    /// Micro-batched, the dump comes while every packet is still staged, in
-    /// slots that earlier flows' profiles left behind: the dump must flush
-    /// before it pads.
+    /// 1-packet flows and a 2-packet one, in slots that earlier flows'
+    /// profiles left behind. A flow still orientation-buffering has scored
+    /// nothing and reports 0.
     #[test]
     fn flow_entries_score_short_flows_like_closing_them() {
         let clap = model();
-        for microbatch in [0, 16] {
-            let mut scorer = clap.stream_scorer_with(StreamConfig {
-                microbatch,
-                ..StreamConfig::default()
-            });
-            // Six flows come and go, leaving their profiles in the slots
-            // the flows under test take over.
-            for i in 0..6u8 {
-                for p in &syn_then_rst(i, f64::from(i)) {
-                    scorer.push(p);
-                }
+        let mut scorer = clap.stream_scorer();
+        // Six flows come and go, leaving their profiles in the slots the
+        // flows under test take over.
+        for i in 0..6u8 {
+            for p in &syn_then_rst(i, f64::from(i)) {
+                scorer.push(p);
             }
-            assert_eq!(scorer.finish().len(), 6);
-            let staged_before = scorer.batch_occupancy().iter().sum::<u64>();
-            for i in 0..5u8 {
-                scorer.push(&raw_packet_flags(
-                    (i + 1, 1000),
-                    (50, 80),
-                    TcpFlags::SYN,
-                    10.0,
-                ));
-            }
-            scorer.push(&raw_packet_flags((9, 2000), (50, 80), TcpFlags::SYN, 10.1));
-            let synack = TcpFlags::SYN | TcpFlags::ACK;
-            scorer.push(&raw_packet_flags((50, 80), (9, 2000), synack, 10.2));
-            scorer.push(&raw_packet_flags((60, 80), (70, 3000), TcpFlags::ACK, 10.3));
-            assert_eq!(
-                scorer.batch_occupancy().iter().sum::<u64>(),
-                staged_before,
-                "microbatch {microbatch}: a flush before the dump"
-            );
-            let live = scorer.flow_entries();
-            assert_eq!(live.len(), 7);
-            let buffering = live.iter().find(|e| e.key.client.port == 80).unwrap();
-            assert_eq!((buffering.packets, buffering.score), (0, 0.0));
-            let closed = scorer.finish();
-            for entry in live.iter().filter(|e| e.packets > 0) {
-                let flow = closed.iter().find(|c| c.key == entry.key).unwrap();
-                assert_eq!(entry.packets as usize, flow.packets);
-                assert!(entry.score > 0.0);
-                assert_eq!(
-                    entry.score.to_bits(),
-                    flow.scored.score.to_bits(),
-                    "microbatch {microbatch}"
-                );
-            }
+        }
+        assert_eq!(scorer.finish().len(), 6);
+        for i in 0..5u8 {
+            scorer.push(&raw_packet_flags(
+                (i + 1, 1000),
+                (50, 80),
+                TcpFlags::SYN,
+                10.0,
+            ));
+        }
+        scorer.push(&raw_packet_flags((9, 2000), (50, 80), TcpFlags::SYN, 10.1));
+        let synack = TcpFlags::SYN | TcpFlags::ACK;
+        scorer.push(&raw_packet_flags((50, 80), (9, 2000), synack, 10.2));
+        scorer.push(&raw_packet_flags((60, 80), (70, 3000), TcpFlags::ACK, 10.3));
+        let live = scorer.flow_entries();
+        assert_eq!(live.len(), 7);
+        let buffering = live.iter().find(|e| e.key.client.port == 80).unwrap();
+        assert_eq!((buffering.packets, buffering.score), (0, 0.0));
+        let closed = scorer.finish();
+        for entry in live.iter().filter(|e| e.packets > 0) {
+            let flow = closed.iter().find(|c| c.key == entry.key).unwrap();
+            assert_eq!(entry.packets as usize, flow.packets);
+            assert!(entry.score > 0.0);
+            assert_eq!(entry.score.to_bits(), flow.scored.score.to_bits());
         }
     }
 

@@ -35,25 +35,20 @@ fn stream_for(seed: u64) -> Vec<net_packet::Packet> {
     stream
 }
 
-/// Engine precision × cross-flow micro-batch capacity, drawn per case:
-/// the properties below must hold in every engine mode, not only in the
-/// one `StreamConfig::default()` names.
-fn engine_modes() -> impl Strategy<Value = (QuantMode, usize)> {
-    (
-        prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)],
-        prop_oneof![Just(0usize), Just(16usize)],
-    )
+/// Engine precision, drawn per case: the properties below must hold in
+/// every engine mode, not only in the one `StreamConfig::default()`
+/// names.
+fn engine_modes() -> impl Strategy<Value = QuantMode> {
+    prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)]
 }
 
-fn config(shards: usize, queue_capacity: usize, engine: (QuantMode, usize)) -> ShardConfig {
-    let (quant, microbatch) = engine;
+fn config(shards: usize, queue_capacity: usize, quant: QuantMode) -> ShardConfig {
     ShardConfig {
         shards,
         queue_capacity,
         stream: StreamConfig {
             teardown_on_close: false,
             quant,
-            microbatch,
             ..StreamConfig::default()
         },
         ..ShardConfig::default()
@@ -97,11 +92,11 @@ proptest! {
             Just(OverloadPolicy::DropNewest),
             Just(OverloadPolicy::Degrade { keep_one_in: 3 }),
         ],
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(shards, queue_capacity, engine);
+        let mut cfg = config(shards, queue_capacity, quant);
         cfg.overload = policy;
         cfg.faults = FaultPlan::randomized(seed, stream.len() as u64);
         let run = clap
@@ -133,7 +128,7 @@ proptest! {
         seed in 0u64..10_000,
         arrival_pick in 0usize..1_000,
         queue_capacity in 1usize..16,
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
@@ -142,10 +137,10 @@ proptest! {
         let victim = CanonicalKey::of(&stream[arrival as usize]).shard_of(shards);
 
         let clean = clap
-            .sharded_scorer_with(config(shards, queue_capacity, engine))
+            .sharded_scorer_with(config(shards, queue_capacity, quant))
             .try_score_stream(stream.iter())
             .expect("fault-free run succeeds");
-        let mut cfg = config(shards, queue_capacity, engine);
+        let mut cfg = config(shards, queue_capacity, quant);
         cfg.faults = FaultPlan::none().with(Fault::PanicAt { arrival });
         let faulted = clap
             .sharded_scorer_with(cfg)
@@ -183,11 +178,11 @@ proptest! {
             Just(OverloadPolicy::DropNewest),
             Just(OverloadPolicy::Degrade { keep_one_in: 2 }),
         ],
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(4, stream.len().max(1), engine);
+        let mut cfg = config(4, stream.len().max(1), quant);
         cfg.overload = policy;
         cfg.faults = FaultPlan::randomized(seed, stream.len() as u64);
         let run = |c: ShardConfig| {

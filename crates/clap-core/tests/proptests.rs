@@ -44,14 +44,11 @@ fn f32_threshold() -> f32 {
     })
 }
 
-/// Engine precision × cross-flow micro-batch capacity, drawn per case by
-/// the equivalence properties below: each must hold in every engine mode,
-/// not only in the one `StreamConfig::default()` names.
-fn engine_modes() -> impl Strategy<Value = (QuantMode, usize)> {
-    (
-        prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)],
-        prop_oneof![Just(0usize), Just(16usize)],
-    )
+/// Engine precision, drawn per case by the equivalence properties below:
+/// each must hold in every engine mode, not only in the one
+/// `StreamConfig::default()` names.
+fn engine_modes() -> impl Strategy<Value = QuantMode> {
+    prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)]
 }
 
 proptest! {
@@ -159,18 +156,16 @@ proptest! {
     /// packets one at a time — with flows interleaved through one shared
     /// scorer — yields **bitwise** the scores of the offline batch path, on
     /// arbitrary generated traffic with and without injected adversarial
-    /// packets (the paper's Bad-Checksum-RST), at either engine precision
-    /// and with or without cross-flow micro-batching: every engine scores a
-    /// row through one kernel call that never sees its neighbours, so how
-    /// rows are grouped cannot move a bit.
+    /// packets (the paper's Bad-Checksum-RST), at either engine precision:
+    /// every engine scores a row through one kernel call that never sees
+    /// its neighbours, so how flows interleave cannot move a bit.
     #[test]
     fn streaming_scores_match_batch(
         seed in 0u64..10_000,
         corrupt in any::<bool>(),
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
-        let (quant, microbatch) = engine;
         let mut conns = traffic_gen::dataset(seed ^ 0x57ab, 2);
         if corrupt {
             for conn in &mut conns {
@@ -190,7 +185,6 @@ proptest! {
             // Score past teardown, like batch scoring of a full capture.
             teardown_on_close: false,
             quant,
-            microbatch,
             ..StreamConfig::default()
         });
         let longest = conns.iter().map(Connection::len).max().unwrap();
@@ -229,10 +223,9 @@ proptest! {
     fn late_syn_streaming_matches_reassembled_batch(
         seed in 0u64..5_000,
         lead in 1usize..4,
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
-        let (quant, microbatch) = engine;
         let conn = &traffic_gen::dataset(seed ^ 0x0a1e, 1)[0];
         // Move up to `lead` server→client packets in front of the SYN,
         // simulating a capture that starts mid-connection.
@@ -264,7 +257,6 @@ proptest! {
         let mut scorer = clap.stream_scorer_with(StreamConfig {
             teardown_on_close: false,
             quant,
-            microbatch,
             ..StreamConfig::default()
         });
         for p in &stream_pkts {
@@ -403,10 +395,9 @@ proptest! {
         sweep_interval in prop_oneof![Just(1usize), Just(7usize), Just(4096usize)],
         teardown in any::<bool>(),
         corrupt in any::<bool>(),
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
-        let (quant, microbatch) = engine;
         let mut conns = traffic_gen::dataset(seed ^ 0x5a4d, 6);
         if corrupt {
             // Inject a bad-checksum RST (the paper's flagship evasion)
@@ -432,7 +423,6 @@ proptest! {
             teardown_on_close: teardown,
             sweep_interval,
             quant,
-            microbatch,
             ..StreamConfig::default()
         };
 
@@ -466,116 +456,6 @@ proptest! {
                     "score drift at {} shards: {} vs {}", shards, g.4, e.4
                 );
             }
-        }
-    }
-
-    /// Cross-flow micro-batching is a pure scheduling change: for random
-    /// interleaved corrupted+benign traffic and *random flush budgets*
-    /// (capacity and packet-count age), the micro-batched engine closes
-    /// the same flows in the same order with the same reasons and
-    /// arrival tags as the per-packet engine — bitwise-identical errors
-    /// and scores at either precision — and the sharded front end's
-    /// verdict table is byte-identical with batching on vs off at a
-    /// random shard count.
-    #[test]
-    fn microbatched_matches_per_packet(
-        seed in 0u64..10_000,
-        cap in prop_oneof![Just(2usize), Just(3usize), Just(5usize), Just(16usize), Just(64usize)],
-        wait in prop_oneof![Just(1usize), Just(3usize), Just(17usize), Just(64usize)],
-        shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize), Just(7usize)],
-        teardown in any::<bool>(),
-        corrupt in any::<bool>(),
-        mode in prop_oneof![
-            Just((QuantMode::Off, ResidentMode::F32)),
-            Just((QuantMode::Int8, ResidentMode::F32)),
-            Just((QuantMode::Int8, ResidentMode::Int8)),
-        ],
-    ) {
-        let clap = model();
-        let (quant, resident) = mode;
-        let mut conns = traffic_gen::dataset(seed ^ 0x6b1c, 5);
-        if corrupt {
-            for conn in conns.iter_mut().step_by(2) {
-                if let Some(idx) = conn.first_index_after_handshake() {
-                    let at = idx.min(conn.len() - 1);
-                    let mut rst = conn.packets[at].clone();
-                    rst.tcp_mut().flags = TcpFlags::RST;
-                    rst.payload.clear();
-                    rst.fill_checksums();
-                    rst.tcp_mut().checksum ^= 0x0bad;
-                    conn.packets.insert(at, rst);
-                }
-            }
-        }
-        let mut stream: Vec<&net_packet::Packet> =
-            conns.iter().flat_map(|c| c.packets.iter()).collect();
-        stream.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
-
-        let cfg = |microbatch: usize| StreamConfig {
-            teardown_on_close: teardown,
-            quant,
-            resident,
-            microbatch,
-            microbatch_wait: wait,
-            ..StreamConfig::default()
-        };
-
-        // One scorer, per-packet vs micro-batched: identical close
-        // stream, packet for packet.
-        let run = |microbatch: usize| {
-            let mut s = clap.stream_scorer_with(cfg(microbatch));
-            for p in &stream {
-                s.push(p);
-            }
-            let mut closed = s.drain_closed();
-            closed.extend(s.finish());
-            closed
-        };
-        let base = run(0);
-        let batched = run(cap);
-        prop_assert_eq!(base.len(), batched.len(), "closed flow count");
-        for (a, b) in base.iter().zip(&batched) {
-            prop_assert_eq!(&a.key, &b.key, "close order / identity");
-            prop_assert_eq!(a.packets, b.packets);
-            prop_assert_eq!(a.reason, b.reason);
-            prop_assert_eq!(a.arrival, b.arrival);
-            prop_assert_eq!(a.scored.peak_window, b.scored.peak_window);
-            prop_assert_eq!(a.scored.peak_packet, b.scored.peak_packet);
-            prop_assert_eq!(
-                a.scored.score.to_bits(),
-                b.scored.score.to_bits(),
-                "micro-batching must be bitwise"
-            );
-            prop_assert_eq!(
-                error_bits(&a.scored.window_errors),
-                error_bits(&b.scored.window_errors)
-            );
-        }
-
-        // Sharded front end: verdict-for-verdict byte identity.
-        let sharded = |microbatch: usize| {
-            clap.sharded_scorer_with(ShardConfig {
-                shards,
-                queue_capacity: 8,
-                stream: cfg(microbatch),
-                ..ShardConfig::default()
-            })
-            .score_stream(stream.iter().copied())
-        };
-        let off = sharded(0);
-        let on = sharded(cap);
-        prop_assert_eq!(off.verdicts.len(), on.verdicts.len(), "sharded verdict count");
-        for (a, b) in off.verdicts.iter().zip(&on.verdicts) {
-            prop_assert_eq!(a.shard, b.shard);
-            prop_assert_eq!(a.arrival, b.arrival);
-            prop_assert_eq!(&a.flow.key, &b.flow.key);
-            prop_assert_eq!(a.flow.packets, b.flow.packets);
-            prop_assert_eq!(a.flow.reason, b.flow.reason);
-            prop_assert_eq!(
-                a.flow.scored.score.to_bits(),
-                b.flow.scored.score.to_bits(),
-                "sharded verdict table must be byte-identical with batching on/off"
-            );
         }
     }
 
@@ -658,10 +538,9 @@ proptest! {
         teardown in any::<bool>(),
         time_wait in prop_oneof![Just(0.0f64), Just(3.0)],
         gap_seed in 0u64..1_000,
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
-        let (quant, microbatch) = engine;
         let conns = traffic_gen::dataset(seed ^ 0x37ee, 5);
         let mut pkts: Vec<net_packet::Packet> = conns
             .iter()
@@ -693,7 +572,6 @@ proptest! {
                 teardown_on_close: teardown,
                 time_wait,
                 quant,
-                microbatch,
                 ..StreamConfig::default()
             });
             for p in &pkts {

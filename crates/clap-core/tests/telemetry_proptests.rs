@@ -38,25 +38,20 @@ fn stream_for(seed: u64) -> Vec<net_packet::Packet> {
     stream
 }
 
-/// Engine precision × cross-flow micro-batch capacity, drawn per case:
-/// the properties below must hold in every engine mode, not only in the
-/// one `StreamConfig::default()` names.
-fn engine_modes() -> impl Strategy<Value = (QuantMode, usize)> {
-    (
-        prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)],
-        prop_oneof![Just(0usize), Just(16usize)],
-    )
+/// Engine precision, drawn per case: the properties below must hold in
+/// every engine mode, not only in the one `StreamConfig::default()`
+/// names.
+fn engine_modes() -> impl Strategy<Value = QuantMode> {
+    prop_oneof![Just(QuantMode::Off), Just(QuantMode::Int8)]
 }
 
-fn config(shards: usize, queue_capacity: usize, engine: (QuantMode, usize)) -> ShardConfig {
-    let (quant, microbatch) = engine;
+fn config(shards: usize, queue_capacity: usize, quant: QuantMode) -> ShardConfig {
     ShardConfig {
         shards,
         queue_capacity,
         stream: StreamConfig {
             teardown_on_close: false,
             quant,
-            microbatch,
             ..StreamConfig::default()
         },
         ..ShardConfig::default()
@@ -80,11 +75,11 @@ proptest! {
             Just(OverloadPolicy::DropNewest),
             Just(OverloadPolicy::Degrade { keep_one_in: 3 }),
         ],
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(shards, queue_capacity, engine);
+        let mut cfg = config(shards, queue_capacity, quant);
         cfg.overload = policy;
         cfg.faults = FaultPlan::randomized(seed, stream.len() as u64);
         let scorer = clap.sharded_scorer_with(cfg);
@@ -148,11 +143,11 @@ proptest! {
     fn telemetry_flow_dump_is_consistent(
         seed in 0u64..10_000,
         shards in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
-        engine in engine_modes(),
+        quant in engine_modes(),
     ) {
         let clap = model();
         let stream = stream_for(seed);
-        let mut cfg = config(shards, stream.len().max(1), engine);
+        let mut cfg = config(shards, stream.len().max(1), quant);
         cfg.dump_flows = true;
         // Keep flows alive to the end so the dump is non-trivial.
         cfg.stream.idle_timeout = 1e9;

@@ -43,7 +43,7 @@ pub enum Stage {
     Parse = 0,
     /// Per-packet feature extraction + TCP state tracking.
     Extract = 1,
-    /// GRU recurrence step (per packet, or replayed in a micro-batch flush).
+    /// GRU recurrence step (per packet).
     Gru = 2,
     /// Autoencoder window reconstruction + error scoring.
     AeWindow = 3,

@@ -308,7 +308,7 @@ impl WorkerCells {
     }
 
     /// One flow-table rebuild *not* tied to a quarantined packet (the
-    /// end-of-stream flush panicked).
+    /// end-of-stream flow dump or flush panicked).
     #[inline]
     pub fn restart(&self) {
         self.seq.write(|| self.restarts.add(1));

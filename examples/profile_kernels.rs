@@ -87,8 +87,9 @@ fn main() {
 
     // Batched products: f32 one 1-row panel GEMM per row (the 1-row price
     // × rows), the f32 panel GEMM 4 rows at a time, and int8 (one quantize
-    // + GEMV per row). 4 rows is the pad flush, 16 a micro-batch
-    // flush; 8000 rows is no scorer's shape, the large-batch bound.
+    // + GEMV per row). The scorers score each window alone (1 row), so
+    // these are no scorer's shapes: 4 rows is the GEMM's register block,
+    // 16 four of them, 8000 rows the large-batch bound.
     let mut qa = Vec::new();
     println!(
         "batch GEMM rows x cols x outs | f32 row loop | f32 4-row GEMM | int8 row loop (GMAC/s)"
