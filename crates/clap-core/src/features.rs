@@ -360,6 +360,11 @@ impl RangeModel {
         RangeModel { mins, maxs }
     }
 
+    /// The learned `[mins, maxs]`, one entry per raw slot.
+    pub(crate) fn bounds(&self) -> [&[f32]; 2] {
+        [&self.mins, &self.maxs]
+    }
+
     /// True when raw slot `i` is outside the benign range.
     pub fn out_of_range(&self, i: usize, v: f32) -> bool {
         v < self.mins[i] || v > self.maxs[i]

@@ -298,9 +298,54 @@ impl Clap {
         serde_json::to_string(self)
     }
 
-    /// Restores a detector from [`Clap::to_json`] output.
+    /// Restores a detector from [`Clap::to_json`] output. A parameter the
+    /// engines cannot score is an error here rather than a panic or a
+    /// poisoned score later: a weight, bias or range that is not finite
+    /// (JSON `null` reads as NaN, `1e39` as +inf; the panels' zero-skip
+    /// needs finite weights) or a matrix whose data does not fill its
+    /// shape.
     pub fn from_json(json: &str) -> serde_json::Result<Clap> {
-        serde_json::from_str(json)
+        let clap: Clap = serde_json::from_str(json)?;
+        clap.check_parameters().map_err(serde_json::Error::custom)?;
+        Ok(clap)
+    }
+
+    /// Names the first matrix whose data does not fill its shape, or else
+    /// the first parameter that is not finite.
+    fn check_parameters(&self) -> Result<(), String> {
+        let (rnn, [mins, maxs]) = (&self.rnn, self.ranges.bounds());
+        let mut matrices = vec![
+            ("rnn.cell.w".to_string(), &rnn.cell.w),
+            ("rnn.cell.u".to_string(), &rnn.cell.u),
+            ("rnn.wo".to_string(), &rnn.wo),
+        ];
+        let mut vectors = vec![
+            ("ranges.mins".to_string(), mins),
+            ("ranges.maxs".to_string(), maxs),
+            ("rnn.cell.b".to_string(), &rnn.cell.b[..]),
+            ("rnn.bo".to_string(), &rnn.bo[..]),
+        ];
+        for (i, layer) in self.ae.layers().iter().enumerate() {
+            matrices.push((format!("ae.layers[{i}].w"), &layer.w));
+            vectors.push((format!("ae.layers[{i}].b"), &layer.b[..]));
+        }
+        for (name, m) in matrices {
+            if m.rows.checked_mul(m.cols) != Some(m.data.len()) {
+                return Err(format!(
+                    "{name} holds {} values for its {}x{} shape",
+                    m.data.len(),
+                    m.rows,
+                    m.cols
+                ));
+            }
+            vectors.push((name, &m.data[..]));
+        }
+        for (name, v) in vectors {
+            if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+                return Err(format!("{name}[{i}] is {}, not a finite number", v[i]));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -436,6 +481,68 @@ mod tests {
         let b = back.score_connection(&benign[3]);
         assert_eq!(a.score, b.score);
         assert_eq!(a.peak_packet, b.peak_packet);
+    }
+
+    /// A small trained detector's JSON, which loads.
+    fn model_json() -> String {
+        let (clap, _) = Clap::train(&traffic_gen::dataset(24, 15), &tiny_cfg());
+        let json = clap.to_json().unwrap();
+        assert!(Clap::from_json(&json).is_ok());
+        json
+    }
+
+    /// The index just past the first `key` in `json` at or after `from`.
+    fn after(json: &str, from: usize, key: &str) -> usize {
+        from + json[from..].find(key).unwrap() + key.len()
+    }
+
+    /// Where the data of the first autoencoder weight matrix starts.
+    fn first_ae_weight(json: &str) -> usize {
+        after(json, after(json, 0, r#""layers":["#), r#""data":["#)
+    }
+
+    /// `json` with the value starting at `at` replaced by `with`, loaded:
+    /// the error's message.
+    fn load_with(json: &str, at: usize, with: &str) -> String {
+        let mut bad = json.to_string();
+        let end = at + json[at..].find([',', ']']).unwrap();
+        bad.replace_range(at..end, with);
+        Clap::from_json(&bad).expect_err(with).to_string()
+    }
+
+    /// JSON `null` reads as NaN: in a weight or a range bound it loads as
+    /// an error naming the parameter, not as a detector that scores NaN.
+    #[test]
+    fn from_json_rejects_a_null_parameter() {
+        let json = model_json();
+        let err = load_with(&json, first_ae_weight(&json), "null");
+        assert!(err.starts_with("ae.layers[0].w[0] is NaN"), "{err}");
+        let err = load_with(&json, after(&json, 0, r#""mins":["#), "null");
+        assert!(err.starts_with("ranges.mins[0] is NaN"), "{err}");
+    }
+
+    /// `1e39` overflows f32 to +inf: in a bias it loads as an error.
+    #[test]
+    fn from_json_rejects_an_overflowing_parameter() {
+        let json = model_json();
+        // The GRU is written before the autoencoder: its bias is the
+        // first `b`.
+        let err = load_with(&json, after(&json, 0, r#""b":["#), "1e39");
+        assert!(err.starts_with("rnn.cell.b[0] is inf"), "{err}");
+    }
+
+    /// A weight matrix one value short of its shape loads as an error, not
+    /// as a detector whose scorer panics when it packs the weights.
+    #[test]
+    fn from_json_rejects_a_truncated_matrix() {
+        let json = model_json();
+        let w0 = first_ae_weight(&json);
+        let end = w0 + json[w0..].find(']').unwrap();
+        let last = w0 + json[w0..end].rfind(',').unwrap();
+        let mut short = json.clone();
+        short.replace_range(last..end, "");
+        let err = Clap::from_json(&short).expect_err("short").to_string();
+        assert!(err.starts_with("ae.layers[0].w holds "), "{err}");
     }
 
     /// The headline equivalence guarantee: the scoring engine (packed GRU

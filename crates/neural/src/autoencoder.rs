@@ -4,7 +4,7 @@ use crate::adam::AdamStep;
 use crate::dense::{Activation, Dense, DenseGrads};
 use crate::lanes::{self, Block, Board, Lanes, Table};
 use crate::quant::{PackedWeights, QuantMode};
-use crate::simd::{KernelSet, GEMM_ROWS};
+use crate::simd::KernelSet;
 use crate::{Adam, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -58,8 +58,8 @@ pub struct Autoencoder {
 
 /// Ping-pong activation buffers for [`Autoencoder::forward_into`] and
 /// [`PackedAutoencoder`]. Reuse one per scoring session; buffers grow to
-/// the largest batch (or, for the packed engine, [`GEMM_ROWS`] rows of the
-/// widest layer) seen.
+/// the largest batch (or, for the packed engine, one row of the widest
+/// layer) seen.
 #[derive(Debug, Clone, Default)]
 pub struct AeWorkspace {
     bufs: [Matrix; 2],
@@ -331,10 +331,12 @@ impl Autoencoder {
 /// so a block streams every weight from L2 twice; 8 rows measured as fast
 /// as a whole 64-row batch on one lane, and gives two lanes 8 units of a
 /// 64-row batch to share.
-const ROW_BLOCK: usize = 2 * GEMM_ROWS;
+const ROW_BLOCK: usize = 8;
 
-/// Output neurons per unit of the parameter phase, at least.
-const PARAM_BLOCK: usize = 4 * GEMM_ROWS;
+/// Output neurons per unit of the parameter phase, at least: four of the
+/// rank-update GEMM's 4-row tiles, so a unit's rows of `dW` end on a whole
+/// tile.
+const PARAM_BLOCK: usize = 16;
 
 /// Multiply-adds a unit carries, at least: a unit another lane runs costs
 /// a claim and the cache lines of its rows, which must stay a small part
@@ -398,16 +400,12 @@ impl TrainWorkspace {
 /// sizes), and never cached in the trainable model, where it could go
 /// stale under [`Autoencoder::train`].
 ///
-/// A batch is scored up to [`GEMM_ROWS`] rows at a time, each group
-/// through all layers before the next starts: per layer one product, then
-/// the dispatched bias + activation epilogue per row. At f32 the product
-/// is one panel GEMM, which streams the layer's weights from L2 once for
-/// the group, one row or four. At int8, whose GEMV is not
-/// weight-bound, it is one panel GEMV per row, each on an activation row
+/// A row is scored alone, through all layers before the next row starts:
+/// per layer one panel GEMV — f32, or int8 on an activation row
 /// re-quantized on its own grid so depth does not compound the activation
-/// error. Activations never leave L1, and a batched pass is bitwise the
-/// same rows scored alone: a row's error does not depend on its
-/// batch-mates.
+/// error — then the dispatched bias + activation epilogue. Activations
+/// never leave L1, and a batch is a loop of single rows: a row's error
+/// does not depend on the rows around it.
 #[derive(Debug, Clone)]
 pub struct PackedAutoencoder<'a> {
     model: &'a Autoencoder,
@@ -445,31 +443,19 @@ impl<'a> PackedAutoencoder<'a> {
         let ks = KernelSet::active();
         let AeWorkspace { bufs: [a, b], qa } = ws;
         out.reserve(x.rows);
-        // One group of `g` rows through one layer: the group's product,
-        // then bias + activation per row.
-        let mut layer = |i: usize, g: usize, src: &[f32], dst: &mut Matrix| {
-            let dense = &self.model.layers[i];
-            dst.resize(g, self.w[i].rows());
-            self.w[i].matmul_rows_into(g, src, qa, &mut dst.data);
-            for r in 0..g {
-                ks.bias_act(dst.row_mut(r), &dense.b, dense.activation);
-            }
-        };
-        let mut r0 = 0;
-        while r0 < x.rows {
-            let g = (x.rows - r0).min(GEMM_ROWS);
+        for r in 0..x.rows {
             // The references trade places, not the buffers: each buffer
-            // serves the same layers pass after pass.
+            // serves the same layers row after row.
             let (mut cur, mut next) = (&mut *a, &mut *b);
-            layer(0, g, &x.data[r0 * x.cols..(r0 + g) * x.cols], cur);
-            for i in 1..self.w.len() {
-                layer(i, g, &cur.data, next);
+            let mut src = x.row(r);
+            for (w, dense) in self.w.iter().zip(&self.model.layers) {
+                next.resize(1, w.rows());
+                w.matvec_into(src, qa, &mut next.data);
+                ks.bias_act(&mut next.data, &dense.b, dense.activation);
                 std::mem::swap(&mut cur, &mut next);
+                src = &cur.data;
             }
-            for r in 0..g {
-                out.push(ks.sum_abs_diff(x.row(r0 + r), cur.row(r)) / x.cols as f32);
-            }
-            r0 += g;
+            out.push(ks.sum_abs_diff(x.row(r), src) / x.cols as f32);
         }
     }
 }
@@ -566,10 +552,9 @@ mod tests {
     }
 
     /// A row's error never depends on what it was batched with, at either
-    /// precision (at f32 the 4-row panel GEMM runs each row's GEMV chain,
-    /// at int8 each row quantizes on its own grid): at the paper's shape,
-    /// for batches of 1..=9 rows — whole groups, ragged tails, a lone row —
-    /// with zero features and an all-zero row among them.
+    /// precision (a batch is a loop of 1-row passes, and at int8 each row
+    /// quantizes on its own grid): at the paper's shape, for batches of
+    /// 1..=9 rows, with zero features and an all-zero row among them.
     #[test]
     fn packed_single_rows_match_batch_bitwise() {
         let ae = Autoencoder::new(&[345, 192, 96, 40, 96, 192, 345], 3);

@@ -381,13 +381,11 @@ impl PackedGru {
         scratch.xp.resize(3 * hidden, 0.0);
         scratch.up.resize(3 * hidden, 0.0);
 
-        self.w
-            .matmul_rows_into(1, x, &mut scratch.qa, &mut scratch.xp);
+        self.w.matvec_into(x, &mut scratch.qa, &mut scratch.xp);
         for (v, &bv) in scratch.xp.iter_mut().zip(&self.b) {
             *v += bv;
         }
-        self.u
-            .matmul_rows_into(1, h, &mut scratch.qa, &mut scratch.up);
+        self.u.matvec_into(h, &mut scratch.qa, &mut scratch.up);
 
         // The dispatched gate kernel computes z/r and the new hidden
         // state over the packed 3H slab (vectorized sigmoid/tanh on SIMD

@@ -49,14 +49,13 @@
 //!     weight matrix is repacked once per scorer into output-stationary
 //!     panels — at f32 `[row block of 16][k][output lane]`, 64-byte-aligned
 //!     lines, rows zero-padded to whole blocks — and **one kernel per
-//!     precision** sits under every inference product: at f32 the panel
-//!     GEMM ([`KernelSet::panel_gemm_f32`]) over `m = 1..=`[`simd::GEMM_ROWS`]
-//!     rows — a GRU step and a lone window are its `m = 1` case — and at
-//!     int8 the panel GEMV ([`KernelSet::panel_gemv_i8`]), once per row.
-//!     Each broadcasts one activation (four, at int8) per row and `k`
-//!     against a block of outputs, so each output lane owns one
-//!     accumulator, with no horizontal reduction, no k-tail and one
-//!     sequential aligned weight stream per block. The packing is never
+//!     precision** sits under every inference product, each taking one
+//!     activation row: the f32 panel GEMV ([`KernelSet::panel_gemv_f32`])
+//!     and the int8 panel GEMV ([`KernelSet::panel_gemv_i8`]). Each
+//!     broadcasts one activation (four, at int8) per `k` against a block
+//!     of outputs, so each output lane owns one accumulator, with no
+//!     horizontal reduction, no k-tail and one sequential aligned weight
+//!     stream per block. The packing is never
 //!     cached inside a trainable model (it could go stale under `train`);
 //!     the row-major [`Matrix`] stays the source of truth.
 //!   * *Resumable stepping* ([`PackedGru::step`] + [`GruStepScratch`]):
@@ -65,16 +64,11 @@
 //!     it as packets arrive. This is the only way a sequence runs — an
 //!     offline scorer loops it over a connection — which is what makes
 //!     online scores match offline ones exactly.
-//!   * *Four rows at a time* ([`PackedAutoencoder`] + [`AeWorkspace`]):
-//!     the autoencoder takes each group of up to [`simd::GEMM_ROWS`] rows
-//!     of a batch through all its layers before the next, so the group's
-//!     activations stay in L1. At f32 each layer's weights stream from L2
-//!     once per group, through the register-blocked panel GEMM
-//!     ([`KernelSet::panel_gemm_f32`]: ≈1.75× the 1-row rate per window on
-//!     avx512, where one row is weight-bound; parity on avx2, where it is
-//!     FMA-bound). At int8 a group's rows run one GEMV each. A row's
-//!     result never depends on what it was batched with: each runs its
-//!     1-row chain.
+//!   * *One row per window* ([`PackedAutoencoder`] + [`AeWorkspace`]):
+//!     a stream scores each packet's stacked window as the packet arrives,
+//!     so the autoencoder takes one row through all its layers, one panel
+//!     GEMV a layer, and its activations stay in L1. A batch is a loop of
+//!     such rows, so a row's result never depends on the rows around it.
 //!   * *Scratch* ([`GruStepScratch`], [`AeWorkspace`]): grow-only,
 //!     flow-independent buffers threaded through the hot path (the
 //!     projections of the current step, the activations of the current
@@ -122,7 +116,7 @@
 //!
 //! # Kernel dispatch
 //!
-//! The dense inner loops — the f32 panel GEMM and the int8 panel GEMV of
+//! The dense inner loops — the f32 and the int8 panel GEMV of
 //! the inference engines, the training GEMMs behind [`Matrix`] (the nt-GEMM
 //! [`simd::KernelSet::gemm_nt_f32`] of the forward pass and of
 //! [`Matrix::matvec_into`], the rank-update GEMM
@@ -151,12 +145,11 @@
 //!   the process-wide choice.
 //! * **Adding an ISA.** Implement the thirteen kernel functions (dot,
 //!   dot4, axpy, gemm_nt_f32, gemm_rank_f32, bias_act, gru_gates,
-//!   sum_abs_diff, panel_gemm_f32, plus the int8 kernels panel_gemv_i8,
+//!   sum_abs_diff, panel_gemv_f32, plus the int8 kernels panel_gemv_i8,
 //!   act_range, act_encode and act_decode) for the new instruction set —
-//!   one panel kernel per precision, `panel_gemm_f32` for `m = 1..=4`
-//!   rows and `panel_gemv_i8`; the f32 and int8 weight panels are each one
-//!   layout for every set, so a new panel kernel reads the bytes the
-//!   others read,
+//!   one one-row panel kernel per precision, `panel_gemv_f32` and
+//!   `panel_gemv_i8`; the f32 and int8 weight panels are each one layout
+//!   for every set, so a new panel kernel reads the bytes the others read,
 //!   and the two training GEMMs must keep the new set's own dot4 / dot /
 //!   axpy chains per output — add a `static` `KernelSet` naming them, and
 //!   extend the `select()` ladder in `simd.rs` behind the right
@@ -169,10 +162,10 @@
 //! SIMD results may differ from the scalar reference by float
 //! reassociation, fused multiply-adds and the polynomial `exp` used for
 //! vectorized sigmoid/tanh; all are bounded to 1e-6 by the test suite (the
-//! f32 panel GEMM runs the same per-lane FMA chain on avx2 and avx512, so
+//! f32 panel GEMV runs the same per-lane FMA chain on avx2 and avx512, so
 //! those two agree bitwise). Within one kernel set results are
-//! deterministic, and a row of a batch is bitwise that row scored alone up
-//! to the sign of a zero — which is what keeps streaming
+//! deterministic, and a batch is a loop of single rows, so a row of a
+//! batch is bitwise that row scored alone — which is what keeps streaming
 //! (step-at-a-time) scoring exactly equal to batched scoring.
 //!
 //! # Int8 quantized inference (`quant`)
@@ -185,7 +178,7 @@
 //! * **Row-scale scheme.** Weights quantize per *output row*, symmetric:
 //!   `q = round(w / s_r)`, `s_r = max|row| / 127` ([`QuantMatrix`]), so
 //!   each row spends its full int8 range regardless of other rows.
-//!   Activations quantize per GEMM call to 7-bit unsigned over the row's
+//!   Activations quantize per GEMV call to 7-bit unsigned over the row's
 //!   empirical `[min, max]` (asymmetric — one-sided data like profile
 //!   features and gate activations in `[0, 1]` gets double resolution);
 //!   the offset folds back through precomputed row sums at dequant time.

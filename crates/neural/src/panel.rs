@@ -4,13 +4,13 @@
 //! A row-major matvec takes one dot product per output: rows whose length
 //! is not a multiple of a cache line straddle lines, and every output ends
 //! in a horizontal reduction. A [`PanelMatrix`] stores the same weights as
-//! `[row block of 16][k][output lane]`, so [`KernelSet::panel_gemm_f32`]
-//! broadcasts one activation per row and `k` against an aligned 64-byte
-//! line of sixteen outputs: each output lane owns one accumulator, there
-//! is no reduction and no k-tail, and a block's weights are one
-//! sequential stream, read once for up to [`GEMM_ROWS`] rows. One row —
-//! a GRU step, a lone window — is that kernel at `m = 1`. The int8
-//! engine's [`crate::QuantMatrix`] is the same idea at four `k` per lane.
+//! `[row block of 16][k][output lane]`, so [`KernelSet::panel_gemv_f32`]
+//! broadcasts one activation per `k` against an aligned 64-byte line of
+//! sixteen outputs: each output lane owns one accumulator, there is no
+//! reduction and no k-tail, and a block's weights are one sequential
+//! stream. Every f32 inference product — a GRU projection, one layer of a
+//! window — is one such row. The int8 engine's [`crate::QuantMatrix`] is
+//! the same idea at four `k` per lane.
 //!
 //! Packing is a pure relayout done once per scorer; the trainable
 //! row-major [`Matrix`] stays the source of truth and nothing here is
@@ -18,7 +18,7 @@
 //! `train`).
 
 use crate::matrix::Matrix;
-use crate::simd::{KernelSet, PanelLine, GEMM_ROWS, PANEL_LANES};
+use crate::simd::{KernelSet, PanelLine, PANEL_LANES};
 
 /// An f32 matrix packed for `y = W·x`: see the module docs for the layout.
 /// Rows are zero-padded to whole [`PANEL_LANES`] blocks; `k` is not
@@ -32,8 +32,8 @@ pub struct PanelMatrix {
 }
 
 impl PanelMatrix {
-    /// Packs a row-major matrix. Its weights must be finite: the GEMM
-    /// skips every `k` whose activations are zero, which equals multiplying
+    /// Packs a row-major matrix. Its weights must be finite: the GEMV
+    /// skips every `k` whose activation is zero, which equals multiplying
     /// by it only while `0 · w` is `0` — an infinite or NaN weight would
     /// poison its row in one case and not the other.
     pub fn pack(m: &Matrix) -> PanelMatrix {
@@ -52,7 +52,7 @@ impl PanelMatrix {
         }
     }
 
-    /// The lines as the GEMM kernel consumes them.
+    /// The lines as the GEMV kernel consumes them.
     pub fn lines(&self) -> &[PanelLine] {
         &self.lines
     }
@@ -69,31 +69,14 @@ impl PanelMatrix {
         Matrix::from_fn(self.rows, self.cols, |r, c| self.get(r, c))
     }
 
-    /// `Y = X · selfᵀ` over `m` rows laid out back to back: `x` at stride
-    /// `cols`, `y` at stride `rows`. The rows go in groups of
-    /// [`GEMM_ROWS`] through [`KernelSet::panel_gemm_f32`], which streams
-    /// the panels once per group rather than once per row (a 16-row batch
-    /// of paper-shaped windows costs ≈ 1/1.7 the 1-row price per row on
-    /// avx512); the last group takes what is left, down to one row. Every
-    /// row of `Y` is bitwise the 1-row product of that row up to the sign
-    /// of a zero — the invariant behind streaming == batch scoring.
-    pub fn matmul_rows_into(&self, m: usize, x: &[f32], y: &mut [f32]) {
-        let (cols, rows) = (self.cols, self.rows);
+    /// `y = self · x` for one activation row: [`KernelSet::panel_gemv_f32`]
+    /// on the dispatched set.
+    pub fn matvec_into(&self, x: &[f32], y: &mut [f32]) {
         assert!(
-            x.len() == m * cols && y.len() == m * rows,
-            "panel matmul shape mismatch"
+            x.len() == self.cols && y.len() == self.rows,
+            "panel matvec shape mismatch"
         );
-        let ks = KernelSet::active();
-        let mut i = 0;
-        while i < m {
-            let g = (m - i).min(GEMM_ROWS);
-            let (xs, ys) = (
-                &x[i * cols..(i + g) * cols],
-                &mut y[i * rows..(i + g) * rows],
-            );
-            ks.panel_gemm_f32(&self.lines, cols, xs, ys, g);
-            i += g;
-        }
+        KernelSet::active().panel_gemv_f32(&self.lines, self.cols, x, y);
     }
 }
 
@@ -135,7 +118,7 @@ mod tests {
         }
     }
 
-    /// A NaN or +inf activation gives every kernel set's 1-row GEMM the
+    /// A NaN or +inf activation gives every kernel set's GEMV the
     /// non-finite outputs of the row-major matvec (NaN everywhere; ±inf or
     /// NaN by the sign of the weight it meets), and nothing else leaks:
     /// pad lanes (inf · 0 = NaN there) are never stored past the last
@@ -169,7 +152,7 @@ mod tests {
                 m.matvec_into(&x[..cols], &mut want);
                 for ks in KernelSet::available() {
                     y.fill(-7.0);
-                    ks.panel_gemm_f32(p.lines(), cols, &x[..cols], &mut y[..rows], 1);
+                    ks.panel_gemv_f32(p.lines(), cols, &x[..cols], &mut y[..rows]);
                     for (r, (&got, &want)) in y.iter().zip(&want).enumerate() {
                         let same = if want.is_finite() {
                             (got - want).abs() <= 1e-4
@@ -205,7 +188,7 @@ mod tests {
                 for ks in KernelSet::available() {
                     let fused = ks.name != "scalar";
                     let mut y = vec![f32::NAN; rows];
-                    ks.panel_gemm_f32(p.lines(), cols, &x, &mut y, 1);
+                    ks.panel_gemv_f32(p.lines(), cols, &x, &mut y);
                     for (r, got) in y.iter().enumerate() {
                         let unskipped = x.iter().enumerate().fold(0.0f32, |acc, (k, &xv)| {
                             if fused {
@@ -221,29 +204,13 @@ mod tests {
         }
     }
 
-    /// Five rows go as a group of four and a lone one; each is its 1-row
-    /// product.
-    #[test]
-    fn batched_rows_are_their_one_row_products() {
-        let p = PanelMatrix::pack(&wavy(40, 33));
-        let a = Matrix::from_fn(5, 33, |r, c| ((r * 33 + c) as f32 * 0.61).cos());
-        let mut c = Matrix::zeros(5, 40);
-        p.matmul_rows_into(5, &a.data, &mut c.data);
-        let mut y = vec![0.0f32; 40];
-        for i in 0..a.rows {
-            p.matmul_rows_into(1, a.row(i), &mut y);
-            assert_eq!(c.row(i), y.as_slice(), "row {i}");
-        }
-    }
-
     #[test]
     fn empty_shapes_are_fine() {
         let p = PanelMatrix::pack(&Matrix::zeros(0, 5));
-        p.matmul_rows_into(1, &[1.0; 5], &mut []);
+        p.matvec_into(&[1.0; 5], &mut []);
         let p = PanelMatrix::pack(&Matrix::zeros(3, 0));
         let mut y = [f32::NAN; 3];
-        p.matmul_rows_into(1, &[], &mut y);
+        p.matvec_into(&[], &mut y);
         assert_eq!(y, [0.0; 3]);
-        p.matmul_rows_into(0, &[], &mut []);
     }
 }

@@ -18,7 +18,7 @@
 //!   output lane owns one i32 accumulator; there is no horizontal
 //!   reduction, no k-tail, and the weights are read as one sequential
 //!   stream.
-//! * **Activations**: quantized **on the fly, one row per GEMM call**, to
+//! * **Activations**: quantized **on the fly, one row per GEMV call**, to
 //!   7-bit unsigned over the row's *actual* range (asymmetric):
 //!   `qa[k] = clamp(round((x[k] − m) / s_a), 0, 127)` with
 //!   `m = min_k x[k]` and `s_a = (max_k x[k] − m) / 127`. Using the
@@ -391,31 +391,19 @@ impl QuantMatrix {
         })
     }
 
-    /// `Y = X · selfᵀ` over `m` rows laid out back to back (`x` at stride
-    /// `cols`, `y` at stride `rows`): each row is quantized into `qa` on
-    /// its own grid and runs one int8 panel GEMV on the dispatched kernel
-    /// set (the int8 GEMV is not weight-bound, so it has no GEMM). A row's
-    /// output therefore never depends on its batch-mates — the invariant
-    /// behind int8 streaming == int8 batch. `qa` grows to the padded `K`
-    /// once and is then reused; bytes past `cols` are whatever an earlier
-    /// call left there, and meet only zero weights.
-    pub fn matmul_rows_into(&self, m: usize, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
-        assert!(
-            x.len() == m * self.cols && y.len() == m * self.rows,
-            "quant matmul shape mismatch"
-        );
-        let ks = KernelSet::active();
-        for i in 0..m {
-            let (xr, yr) = (
-                &x[i * self.cols..][..self.cols],
-                &mut y[i * self.rows..][..self.rows],
-            );
-            self.score_row(ks, xr, qa, yr);
-        }
+    /// `y = self · x` for one activation row: the row is quantized into
+    /// `qa` on its own grid (plan, encode) and runs one int8 panel GEMV on
+    /// the dispatched kernel set, so a row's output never depends on what
+    /// was scored before it — the invariant behind int8 streaming == int8
+    /// batch. `qa` grows to the padded `K` once and is then reused; bytes
+    /// past `cols` are whatever an earlier call left there, and meet only
+    /// zero weights.
+    pub fn matvec_into(&self, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
+        self.score_row(KernelSet::active(), x, qa, y)
     }
 
-    /// Plan, encode, one panel GEMV — one row of
-    /// [`matmul_rows_into`](Self::matmul_rows_into).
+    /// [`matvec_into`](Self::matvec_into) on a given kernel set: plan,
+    /// encode, one panel GEMV.
     fn score_row(&self, ks: &KernelSet, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "quant matvec input length mismatch");
         assert_eq!(y.len(), self.rows, "quant matvec output length mismatch");
@@ -438,7 +426,7 @@ impl QuantMatrix {
 }
 
 /// One inference weight matrix at the precision its engine was built for:
-/// f32 panels or int8 panels behind one `matmul_rows_into`, so
+/// f32 panels or int8 panels behind one `matvec_into`, so
 /// [`PackedGru`] and [`PackedAutoencoder`] each have one body for both.
 /// [`QuantMode`] picks the variant when the engine is built; nothing
 /// switches it afterwards.
@@ -491,14 +479,13 @@ impl PackedWeights {
         }
     }
 
-    /// `Y = X · selfᵀ` over `m` rows laid out back to back: f32 rows in
-    /// groups through the panel GEMM, int8 rows one GEMV each. `qa` holds
-    /// the activation codes at int8 (see
-    /// [`QuantMatrix::matmul_rows_into`]) and is left alone at f32.
-    pub(crate) fn matmul_rows_into(&self, m: usize, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
+    /// `y = self · x` for one activation row. `qa` holds the activation
+    /// codes at int8 (see [`QuantMatrix::matvec_into`]) and is left alone
+    /// at f32.
+    pub(crate) fn matvec_into(&self, x: &[f32], qa: &mut Vec<u8>, y: &mut [f32]) {
         match self {
-            PackedWeights::F32(p) => p.matmul_rows_into(m, x, y),
-            PackedWeights::Int8(q) => q.matmul_rows_into(m, x, qa, y),
+            PackedWeights::F32(p) => p.matvec_into(x, y),
+            PackedWeights::Int8(q) => q.matvec_into(x, qa, y),
         }
     }
 }
@@ -611,7 +598,7 @@ mod tests {
         let m = Matrix::from_fn(3, 4, |r, c| ((r * 4 + c) as f32 * 0.3).sin());
         let q = QuantMatrix::quantize(&m);
         let mut y = vec![f32::NAN; 3];
-        q.matmul_rows_into(1, &x, &mut qa, &mut y);
+        q.matvec_into(&x, &mut qa, &mut y);
         assert_eq!(y, vec![0.0; 3], "degenerate row contributes exact zeros");
     }
 
@@ -641,7 +628,7 @@ mod tests {
         let x: Vec<f32> = (0..8).map(|i| i as f32 * 0.3 - 1.0).collect();
         let mut qa = Vec::new();
         let mut y = vec![f32::NAN; 4];
-        q.matmul_rows_into(1, &x, &mut qa, &mut y);
+        q.matvec_into(&x, &mut qa, &mut y);
         assert_eq!(y[2], 0.0);
         assert!(y.iter().all(|v| v.is_finite()));
     }
@@ -656,7 +643,7 @@ mod tests {
         let x: Vec<f32> = (0..21).map(|i| ((i as f32) * 0.43).sin() * 1.3).collect();
         let mut qa = Vec::new();
         let mut y = vec![0.0f32; 9];
-        q.matmul_rows_into(1, &x, &mut qa, &mut y);
+        q.matvec_into(&x, &mut qa, &mut y);
 
         let act = quantize_activations(&x, &mut qa);
         for (r, &yr) in y.iter().enumerate() {
@@ -811,25 +798,6 @@ mod tests {
                     assert_eq!(got, want, "{} {rows}x{cols}", ks.name);
                 }
             }
-        }
-    }
-
-    /// Each row of a batch is quantized on its own grid, so it is bitwise
-    /// the row scored alone through a fresh `qa`.
-    #[test]
-    fn quant_batched_rows_are_their_one_row_products() {
-        let m = Matrix::from_fn(10, 33, |r, c| ((r + 3 * c) as f32 * 0.29).sin());
-        let q = QuantMatrix::quantize(&m);
-        let x = Matrix::from_fn(5, 33, |r, c| {
-            ((r * 33 + c) as f32 * 0.61).cos() * (r + 1) as f32
-        });
-        let mut qa = Vec::new();
-        let mut c = Matrix::zeros(5, 10);
-        q.matmul_rows_into(5, &x.data, &mut qa, &mut c.data);
-        let mut y = vec![0.0f32; 10];
-        for i in 0..x.rows {
-            q.matmul_rows_into(1, x.row(i), &mut Vec::new(), &mut y);
-            assert_eq!(c.row(i), y.as_slice(), "row {i}");
         }
     }
 

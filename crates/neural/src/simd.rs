@@ -5,8 +5,8 @@
 //! function pointer in a [`KernelSet`]:
 //!
 //! * inference — the fused GRU gate block of [`PackedGru::step`], the
-//!   f32 engines' panel GEMM over 1..=[`GEMM_ROWS`] rows, and the int8
-//!   engine's panel GEMV and activation scan/encode/decode;
+//!   f32 engines' panel GEMV, and the int8 engine's panel GEMV and
+//!   activation scan/encode/decode;
 //! * training — the batch GEMMs of [`Matrix`]: the nt-GEMM behind
 //!   [`Matrix::matmul_nt_into`] (the forward `X · Wᵀ`, and
 //!   [`Matrix::matvec_into`] as its one-row case), bitwise a loop of the
@@ -27,7 +27,7 @@
 //!   fused multiply-add: it keeps `mul_add` so that it stays bit-identical
 //!   to the SIMD sets' hardware `vfmadd`.
 //! * **avx2** — explicit `std::arch::x86_64` AVX2+FMA intrinsics: 8-lane
-//!   FMA dot kernels with register blocking, the f32 panel GEMM,
+//!   FMA dot kernels with register blocking, the f32 panel GEMV,
 //!   the 4-row × 16-column rank-update GEMM tile, a polynomial `exp`
 //!   (Cephes `expf` constants, ≈2 ulp) powering vectorized sigmoid/tanh
 //!   for the gate block and dense activations, and the 256-bit
@@ -86,16 +86,8 @@ type GruGatesFn = fn(&[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
 /// `panel_gemv_i8(w, qa, act, y)` — the int8 panel GEMV with its
 /// dequantizing epilogue.
 type PanelGemvI8Fn = fn(&Panels<'_>, &[u8], ActQuant, &mut [f32]);
-/// `panel_gemm_f32(w, cols, x, y, m)` — the f32 panel GEMM over `m` rows.
-type PanelGemmF32Fn = fn(&[PanelLine], usize, &[f32], &mut [f32], usize);
-
-/// Activation rows the f32 panel GEMM takes through one pass over the
-/// weights. Tied to the register block, not a tuning knob: four rows of
-/// six 16-lane blocks are 24 of the 32 zmm accumulators AVX-512 has, four
-/// rows of one block 8 of the 16 ymm AVX2 has, and measured on avx512 the
-/// per-row cost stops falling past four rows (3.59 µs a paper-shaped
-/// window at 4 rows, 3.57 at 8, 3.53 at 16, against 6.25 at one).
-pub const GEMM_ROWS: usize = 4;
+/// `panel_gemv_f32(w, cols, x, y)` — the f32 panel GEMV.
+type PanelGemvF32Fn = fn(&[PanelLine], usize, &[f32], &mut [f32]);
 
 /// Output lanes per weight panel block. The layout is defined in lanes,
 /// not registers: a block's i32 accumulators are one zmm, two ymm or a
@@ -158,7 +150,7 @@ pub struct KernelSet {
     gru_gates: GruGatesFn,
     sum_abs_diff: fn(&[f32], &[f32]) -> f32,
     panel_gemv_i8: PanelGemvI8Fn,
-    panel_gemm_f32: PanelGemmF32Fn,
+    panel_gemv_f32: PanelGemvF32Fn,
     act_range: fn(&[f32]) -> (f32, f32),
     act_encode: fn(&[f32], f32, f32, &mut [u8]),
     act_decode: fn(&[u8], ActQuant, &mut [f32]),
@@ -364,51 +356,36 @@ impl KernelSet {
         (self.panel_gemv_i8)(w, qa, act, y)
     }
 
-    /// F32 panel GEMM — the one kernel under every f32 inference product
-    /// ([`crate::PanelMatrix`]): for `m` (1..=[`GEMM_ROWS`]) activation
-    /// rows, `y[i][r] = Σ_k x[i][k] · w[r][k]`, with `x` the rows back to
-    /// back at stride `cols`, `y` their outputs at stride `y.len() / m`
-    /// and `w` the `[row block][k]` [`PanelLine`]s of the matrix.
+    /// F32 panel GEMV — the one kernel under every f32 inference product
+    /// ([`crate::PanelMatrix`]): `y[r] = Σ_k x[k] · w[r][k]`, with `x` one
+    /// activation row `cols` long, `y` its outputs and `w` the
+    /// `[row block][k]` [`PanelLine`]s of the matrix.
     ///
-    /// Each `k` broadcasts the rows' activations against a whole block of
-    /// output lanes: the block's weight line is loaded once and fused into
-    /// all `m` rows' accumulators, so a group of rows streams the panels
-    /// once instead of once per row. Every lane owns one accumulator and
-    /// runs the single chain `acc = x[i][k]·w[k][lane] + acc`, `k`
-    /// ascending from zero: there is no horizontal reduction and no
-    /// k-tail, and each block's weights are read as one sequential aligned
-    /// stream. The SIMD sets fuse the multiply-add and differ only in how
-    /// many lanes share a register, so avx2 and avx512 return
-    /// **bit-identical** rows; the scalar set rounds the product first (no
-    /// `mul_add`, see the module docs) and is within the usual
-    /// reassociation tolerance.
+    /// Each `k` broadcasts the activation against a whole block of output
+    /// lanes. Every lane owns one accumulator and runs the single chain
+    /// `acc = x[k]·w[k][lane] + acc`, `k` ascending from zero: there is no
+    /// horizontal reduction and no k-tail, and each block's weights are
+    /// read as one sequential aligned stream. The SIMD sets fuse the
+    /// multiply-add and differ only in how many lanes share a register, so
+    /// avx2 and avx512 return **bit-identical** rows; the scalar set
+    /// rounds the product first (no `mul_add`, see the module docs) and is
+    /// within the usual reassociation tolerance.
     ///
-    /// A `k` whose activations are all `±0.0` is skipped in every set, its
+    /// A `k` whose activation is `±0.0` is skipped in every set, its
     /// weights unread. With finite weights ([`crate::PanelMatrix::pack`]'s
     /// contract) that is the same arithmetic: the skipped term is `±0`,
     /// and adding `±0` leaves a non-zero accumulator alone and a `+0` one
     /// at `+0`, which is where every accumulator starts. (Only a fused
     /// product that underflowed, `|x·w| < 2⁻¹⁴⁹`, can leave an accumulator
-    /// at `−0`; the skip then differs in the sign of a zero.) In a group
-    /// of rows a `k` runs when any row's activation is non-zero, so a row
-    /// whose own is `±0` adds that `±0` term, and each row of an `m`-row
-    /// product is bitwise its 1-row product up to that same sign of a
-    /// zero; a NaN or infinite activation reaches no row but its own.
+    /// at `−0`; the skip then differs in the sign of a zero.)
     #[inline]
-    pub fn panel_gemm_f32(&self, w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
+    pub fn panel_gemv_f32(&self, w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), cols, "panel activation row mismatch");
         assert!(
-            (1..=GEMM_ROWS).contains(&m) && y.len().is_multiple_of(m),
-            "panel gemm row count"
-        );
-        assert!(
-            m.checked_mul(cols) == Some(x.len()),
-            "panel activation rows mismatch"
-        );
-        assert!(
-            (y.len() / m).div_ceil(PANEL_LANES).checked_mul(cols) == Some(w.len()),
+            y.len().div_ceil(PANEL_LANES).checked_mul(cols) == Some(w.len()),
             "panel shape mismatch"
         );
-        (self.panel_gemm_f32)(w, cols, x, y, m)
+        (self.panel_gemv_f32)(w, cols, x, y)
     }
 
     /// `(min, max)` of an activation row — the range scan behind
@@ -574,7 +551,7 @@ static SCALAR: KernelSet = KernelSet {
     gru_gates: gru_gates_scalar,
     sum_abs_diff: sum_abs_diff_scalar,
     panel_gemv_i8: panel_gemv_i8_scalar,
-    panel_gemm_f32: panel_gemm_f32_scalar,
+    panel_gemv_f32: panel_gemv_f32_scalar,
     act_range: act_range_scalar,
     act_encode: act_encode_scalar,
     act_decode: act_decode_scalar,
@@ -733,28 +710,20 @@ fn panel_gemv_i8_scalar(w: &Panels<'_>, qa: &[u8], act: ActQuant, y: &mut [f32])
     }
 }
 
-/// Reference f32 panel GEMM: one block at a time, sixteen accumulators per
-/// row, multiply then add.
-fn panel_gemm_f32_scalar(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
-    let n = y.len() / m;
-    for b in 0..n.div_ceil(PANEL_LANES) {
-        let mut acc = [[0.0f32; PANEL_LANES]; GEMM_ROWS];
-        for (k, line) in w[b * cols..(b + 1) * cols].iter().enumerate() {
-            if (0..m).all(|i| x[i * cols + k] == 0.0) {
+/// Reference f32 panel GEMV: one block at a time, sixteen accumulators,
+/// multiply then add.
+fn panel_gemv_f32_scalar(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+    for (b, yb) in y.chunks_mut(PANEL_LANES).enumerate() {
+        let mut acc = [0.0f32; PANEL_LANES];
+        for (line, &xv) in w[b * cols..(b + 1) * cols].iter().zip(x) {
+            if xv == 0.0 {
                 continue;
             }
-            for (i, row) in acc[..m].iter_mut().enumerate() {
-                let xv = x[i * cols + k];
-                for (a, &wv) in row.iter_mut().zip(&line.0) {
-                    *a += xv * wv;
-                }
+            for (a, &wv) in acc.iter_mut().zip(&line.0) {
+                *a += xv * wv;
             }
         }
-        let r0 = b * PANEL_LANES;
-        let live = (n - r0).min(PANEL_LANES);
-        for (i, row) in acc[..m].iter().enumerate() {
-            y[i * n + r0..][..live].copy_from_slice(&row[..live]);
-        }
+        yb.copy_from_slice(&acc[..yb.len()]);
     }
 }
 
@@ -838,9 +807,7 @@ fn sum_abs_diff_scalar(a: &[f32], b: &[f32]) -> f32 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{
-        gemm_nt_rows, ActQuant, Activation, KernelSet, PanelLine, Panels, GEMM_ROWS, PANEL_LANES,
-    };
+    use super::{gemm_nt_rows, ActQuant, Activation, KernelSet, PanelLine, Panels, PANEL_LANES};
     use std::arch::x86_64::*;
 
     pub(super) static AVX2: KernelSet = KernelSet {
@@ -854,7 +821,7 @@ mod x86 {
         gru_gates: gru_gates_avx2,
         sum_abs_diff: sum_abs_diff_avx2,
         panel_gemv_i8: panel_gemv_i8_avx2,
-        panel_gemm_f32: panel_gemm_f32_avx2,
+        panel_gemv_f32: panel_gemv_f32_avx2,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
         act_decode: act_decode_avx2,
@@ -874,7 +841,7 @@ mod x86 {
         // int8 path on these CPUs is the 256-bit maddubs kernel (the set's
         // constructor also verifies AVX2).
         panel_gemv_i8: panel_gemv_i8_avx2,
-        panel_gemm_f32: panel_gemm_f32_avx512,
+        panel_gemv_f32: panel_gemv_f32_avx512,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
         act_decode: act_decode_avx2,
@@ -894,7 +861,7 @@ mod x86 {
         gru_gates: gru_gates_avx512,
         sum_abs_diff: sum_abs_diff_avx512,
         panel_gemv_i8: panel_gemv_i8_vnni,
-        panel_gemm_f32: panel_gemm_f32_avx512,
+        panel_gemv_f32: panel_gemv_f32_avx512,
         act_range: act_range_avx2,
         act_encode: act_encode_avx2,
         act_decode: act_decode_avx2,
@@ -1650,244 +1617,174 @@ mod x86 {
         unsafe { sum_abs_diff_avx512_impl(a, b) }
     }
 
-    // ---------------- f32 panel GEMM ----------------
+    // ---------------- f32 panel GEMV ----------------
     //
-    // Both kernels walk the row blocks in groups and keep, per row, one
-    // accumulator register per block (AVX-512) or two (AVX2) for the whole
-    // of `k`. Per `k`, the `M` rows' activations are read — the `k` is
-    // skipped only if all of them are zero (about a third of a stacked
-    // profile window: absent TCP options and flags), sparing the weight
-    // column's lines — then each block's aligned 64-byte weight line is
-    // loaded once and fused into every row's accumulator for that block. A
-    // lane therefore runs the chain `acc = fma(x[i][k], w[k][lane], acc)`,
-    // `k` ascending from a zero accumulator, whatever the register width
-    // and however the blocks are grouped — which is why the two kernels
-    // agree bit for bit — plus a `±0` term wherever another row's
-    // activation is the non-zero one; `KernelSet::panel_gemm_f32` says why
-    // that moves no bit but the sign of a zero. The blocks of a group are
-    // independent chains; enough of them in flight cover the FMA latency,
-    // so one row takes more blocks per group than four do.
+    // Both kernels walk the row blocks in groups and keep one accumulator
+    // register per block (AVX-512) or two (AVX2) for the whole of `k`. Per
+    // `k` the activation is read, and the `k` is skipped if it is zero
+    // (about a third of a stacked profile window: absent TCP options and
+    // flags), sparing the weight column's lines; otherwise each block's
+    // aligned 64-byte weight line is loaded and fused into that block's
+    // accumulator. A lane therefore runs the chain `acc = fma(x[k],
+    // w[k][lane], acc)`, `k` ascending from a zero accumulator, whatever
+    // the register width and however the blocks are grouped — which is
+    // why the two kernels agree bit for bit. The blocks of a group are
+    // independent chains; enough of them in flight cover the FMA latency.
 
-    const _: () = assert!(GEMM_ROWS == 4);
+    /// Row blocks per group of the AVX-512 GEMV: eight zmm chains cover a
+    /// 4-cycle FMA at two issues a cycle.
+    const BLOCKS_AVX512: usize = 8;
+    /// Row blocks per group of the AVX2 GEMV: eight ymm chains again, two
+    /// to a block, and what sixteen registers hold without spilling.
+    const BLOCKS_AVX2: usize = 4;
 
-    /// Row blocks per group of the AVX-512 GEMM at one row: eight zmm
-    /// chains cover a 4-cycle FMA at two issues a cycle.
-    const ONE_ROW_BLOCKS_AVX512: usize = 8;
-    /// Row blocks per group of the AVX-512 GEMM at two to four rows:
-    /// `GEMM_ROWS · 6` = 24 zmm accumulators, leaving room for the row
-    /// broadcasts and a line.
-    const GEMM_BLOCKS_AVX512: usize = 6;
-    /// Row blocks per group of the AVX2 GEMM at one row: eight ymm chains
-    /// again, two to a block, and what sixteen registers hold without
-    /// spilling. At two to four rows a group is one block (`2 · M` ymm).
-    const ONE_ROW_BLOCKS_AVX2: usize = 4;
-
-    /// `NB` row blocks of `M` rows of the AVX-512 f32 panel GEMM: `w` holds
-    /// the blocks' `NB · cols` lines and `x` the rows at stride `cols`; row
-    /// `i`'s `live` outputs for these blocks go to `py + i · stride`.
+    /// `NB` row blocks of the AVX-512 f32 panel GEMV: `w` holds the
+    /// blocks' `NB · cols` lines and `x` the activation row; the blocks'
+    /// `live` outputs go to `py`.
     ///
     /// # Safety
-    /// Requires AVX-512F, `w.len() == NB · cols`, `x.len() == M · cols`,
-    /// `(NB − 1) · 16 < live <= NB · 16`, and `py` valid for `live` writes
-    /// at each `i · stride`, `i < M`.
+    /// Requires AVX-512F, `w.len() == NB · cols`, `x.len() == cols`,
+    /// `(NB − 1) · 16 < live <= NB · 16`, and `py` valid for `live` writes.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn panel_gemm_blocks_f32_avx512<const M: usize, const NB: usize>(
+    unsafe fn panel_gemv_blocks_f32_avx512<const NB: usize>(
         w: &[PanelLine],
-        cols: usize,
         x: &[f32],
         py: *mut f32,
-        stride: usize,
         live: usize,
     ) {
-        let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
-        let mut acc = [[_mm512_setzero_ps(); NB]; M];
-        for k in 0..cols {
-            let mut xk = [0.0f32; M];
-            let mut any = false;
-            for (i, v) in xk.iter_mut().enumerate() {
-                *v = *px.add(i * cols + k);
-                any |= *v != 0.0;
-            }
-            if !any {
+        let (pw, cols) = (w.as_ptr() as *const f32, x.len());
+        let mut acc = [_mm512_setzero_ps(); NB];
+        for (k, &xk) in x.iter().enumerate() {
+            if xk == 0.0 {
                 continue;
             }
-            let mut xv = [_mm512_setzero_ps(); M];
-            for (v, &xi) in xv.iter_mut().zip(&xk) {
-                *v = _mm512_set1_ps(xi);
-            }
-            for j in 0..NB {
+            let xv = _mm512_set1_ps(xk);
+            for (j, a) in acc.iter_mut().enumerate() {
                 let line = _mm512_load_ps(pw.add((j * cols + k) * PANEL_LANES));
-                for (row, &xi) in acc.iter_mut().zip(&xv) {
-                    row[j] = _mm512_fmadd_ps(xi, line, row[j]);
-                }
+                *a = _mm512_fmadd_ps(xv, line, *a);
             }
         }
         // Only `live` outputs exist: the pad lanes of a ragged last block
         // are masked out of the store.
-        for j in 0..NB {
+        for (j, a) in acc.iter().enumerate() {
             let lanes = (live - j * PANEL_LANES).min(PANEL_LANES);
             let mask = ((1u32 << lanes) - 1) as __mmask16;
-            for (i, row) in acc.iter().enumerate() {
-                _mm512_mask_storeu_ps(py.add(i * stride + j * PANEL_LANES), mask, row[j]);
-            }
+            _mm512_mask_storeu_ps(py.add(j * PANEL_LANES), mask, *a);
         }
     }
 
-    /// The AVX-512 GEMM of `M` rows in groups of up to `G` (1..=8) blocks.
+    /// The AVX-512 GEMV in groups of up to `BLOCKS_AVX512` blocks.
     ///
     /// # Safety
-    /// Requires AVX-512F, `x.len() == M · cols` and
-    /// `w.len() == (y.len() / M).div_ceil(16) · cols`.
+    /// Requires AVX-512F, `x.len() == cols` and `w.len() ==
+    /// y.len().div_ceil(16) · cols`.
     #[target_feature(enable = "avx512f")]
-    unsafe fn panel_gemm_rows_f32_avx512<const M: usize, const G: usize>(
+    unsafe fn panel_gemv_f32_avx512_impl(
         mut w: &[PanelLine],
         cols: usize,
         x: &[f32],
         y: &mut [f32],
     ) {
-        let stride = y.len() / M;
-        let py = y.as_mut_ptr();
+        let (n, py) = (y.len(), y.as_mut_ptr());
         let mut r0 = 0;
-        while r0 < stride {
-            let nb = (stride - r0).div_ceil(PANEL_LANES).min(G);
+        while r0 < n {
+            let nb = (n - r0).div_ceil(PANEL_LANES).min(BLOCKS_AVX512);
             let (group, rest) = w.split_at(nb * cols);
             w = rest;
-            let (py, live) = (py.add(r0), (stride - r0).min(nb * PANEL_LANES));
+            let (py, live) = (py.add(r0), (n - r0).min(nb * PANEL_LANES));
             match nb {
-                1 => panel_gemm_blocks_f32_avx512::<M, 1>(group, cols, x, py, stride, live),
-                2 => panel_gemm_blocks_f32_avx512::<M, 2>(group, cols, x, py, stride, live),
-                3 => panel_gemm_blocks_f32_avx512::<M, 3>(group, cols, x, py, stride, live),
-                4 => panel_gemm_blocks_f32_avx512::<M, 4>(group, cols, x, py, stride, live),
-                5 => panel_gemm_blocks_f32_avx512::<M, 5>(group, cols, x, py, stride, live),
-                6 => panel_gemm_blocks_f32_avx512::<M, 6>(group, cols, x, py, stride, live),
-                7 => panel_gemm_blocks_f32_avx512::<M, 7>(group, cols, x, py, stride, live),
-                _ => panel_gemm_blocks_f32_avx512::<M, G>(group, cols, x, py, stride, live),
+                1 => panel_gemv_blocks_f32_avx512::<1>(group, x, py, live),
+                2 => panel_gemv_blocks_f32_avx512::<2>(group, x, py, live),
+                3 => panel_gemv_blocks_f32_avx512::<3>(group, x, py, live),
+                4 => panel_gemv_blocks_f32_avx512::<4>(group, x, py, live),
+                5 => panel_gemv_blocks_f32_avx512::<5>(group, x, py, live),
+                6 => panel_gemv_blocks_f32_avx512::<6>(group, x, py, live),
+                7 => panel_gemv_blocks_f32_avx512::<7>(group, x, py, live),
+                _ => panel_gemv_blocks_f32_avx512::<BLOCKS_AVX512>(group, x, py, live),
             }
             r0 += nb * PANEL_LANES;
         }
     }
 
-    fn panel_gemm_f32_avx512(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
+    fn panel_gemv_f32_avx512(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
         // SAFETY: reachable only through the detected AVX-512 KernelSets,
-        // and only through `KernelSet::panel_gemm_f32`, whose "panel gemm
-        // row count" (1 ≤ m ≤ GEMM_ROWS = 4), "panel shape mismatch" and
-        // "panel activation rows mismatch" asserts are the kernel's length
-        // requirements.
-        unsafe {
-            match m {
-                1 => panel_gemm_rows_f32_avx512::<1, ONE_ROW_BLOCKS_AVX512>(w, cols, x, y),
-                2 => panel_gemm_rows_f32_avx512::<2, GEMM_BLOCKS_AVX512>(w, cols, x, y),
-                3 => panel_gemm_rows_f32_avx512::<3, GEMM_BLOCKS_AVX512>(w, cols, x, y),
-                _ => panel_gemm_rows_f32_avx512::<GEMM_ROWS, GEMM_BLOCKS_AVX512>(w, cols, x, y),
-            }
-        }
+        // and only through `KernelSet::panel_gemv_f32`, whose "panel
+        // activation row mismatch" and "panel shape mismatch" asserts are
+        // the kernel's length requirements.
+        unsafe { panel_gemv_f32_avx512_impl(w, cols, x, y) }
     }
 
-    /// `NB` row blocks of `M` rows of the AVX2 f32 panel GEMM (two ymm per
-    /// row and block): `w` holds the blocks' `NB · cols` lines and `x` the
-    /// rows at stride `cols`; row `i`'s `live` outputs for these blocks go
-    /// to `py + i · stride`.
+    /// `NB` row blocks of the AVX2 f32 panel GEMV (two ymm per block): `w`
+    /// holds the blocks' `NB · cols` lines and `x` the activation row; the
+    /// blocks' `live` outputs go to `py`.
     ///
     /// # Safety
-    /// Requires AVX2+FMA, `w.len() == NB · cols`, `x.len() == M · cols`,
-    /// `(NB − 1) · 16 < live <= NB · 16`, and `py` valid for `live` writes
-    /// at each `i · stride`, `i < M`.
+    /// Requires AVX2+FMA, `w.len() == NB · cols`, `x.len() == cols`,
+    /// `(NB − 1) · 16 < live <= NB · 16`, and `py` valid for `live` writes.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn panel_gemm_blocks_f32_avx2<const M: usize, const NB: usize>(
+    unsafe fn panel_gemv_blocks_f32_avx2<const NB: usize>(
         w: &[PanelLine],
-        cols: usize,
         x: &[f32],
         py: *mut f32,
-        stride: usize,
         live: usize,
     ) {
-        let (pw, px) = (w.as_ptr() as *const f32, x.as_ptr());
-        // Row `i`, block `j`: lanes 0..8 in `acc[i][j][0]`, 8..16 in
-        // `acc[i][j][1]`.
-        let mut acc = [[[_mm256_setzero_ps(); 2]; NB]; M];
-        for k in 0..cols {
-            let mut xk = [0.0f32; M];
-            let mut any = false;
-            for (i, v) in xk.iter_mut().enumerate() {
-                *v = *px.add(i * cols + k);
-                any |= *v != 0.0;
-            }
-            if !any {
+        let (pw, cols) = (w.as_ptr() as *const f32, x.len());
+        // Block `j`: lanes 0..8 in `acc[j][0]`, 8..16 in `acc[j][1]`.
+        let mut acc = [[_mm256_setzero_ps(); 2]; NB];
+        for (k, &xk) in x.iter().enumerate() {
+            if xk == 0.0 {
                 continue;
             }
-            let mut xv = [_mm256_setzero_ps(); M];
-            for (v, &xi) in xv.iter_mut().zip(&xk) {
-                *v = _mm256_set1_ps(xi);
-            }
-            for j in 0..NB {
+            let xv = _mm256_set1_ps(xk);
+            for (j, [lo, hi]) in acc.iter_mut().enumerate() {
                 let line = pw.add((j * cols + k) * PANEL_LANES);
-                let (wl, wh) = (_mm256_load_ps(line), _mm256_load_ps(line.add(8)));
-                for (row, &xi) in acc.iter_mut().zip(&xv) {
-                    row[j][0] = _mm256_fmadd_ps(xi, wl, row[j][0]);
-                    row[j][1] = _mm256_fmadd_ps(xi, wh, row[j][1]);
-                }
+                *lo = _mm256_fmadd_ps(xv, _mm256_load_ps(line), *lo);
+                *hi = _mm256_fmadd_ps(xv, _mm256_load_ps(line.add(8)), *hi);
             }
         }
         // Only `live` outputs exist: a ragged last block's pad lanes stay
         // in `out`.
-        for (i, row) in acc.iter().enumerate() {
-            for (j, [lo, hi]) in row.iter().enumerate() {
-                let mut out = [0.0f32; PANEL_LANES];
-                _mm256_storeu_ps(out.as_mut_ptr(), *lo);
-                _mm256_storeu_ps(out.as_mut_ptr().add(8), *hi);
-                let lanes = (live - j * PANEL_LANES).min(PANEL_LANES);
-                let dst = py.add(i * stride + j * PANEL_LANES);
-                std::ptr::copy_nonoverlapping(out.as_ptr(), dst, lanes);
-            }
+        for (j, [lo, hi]) in acc.iter().enumerate() {
+            let mut out = [0.0f32; PANEL_LANES];
+            _mm256_storeu_ps(out.as_mut_ptr(), *lo);
+            _mm256_storeu_ps(out.as_mut_ptr().add(8), *hi);
+            let lanes = (live - j * PANEL_LANES).min(PANEL_LANES);
+            std::ptr::copy_nonoverlapping(out.as_ptr(), py.add(j * PANEL_LANES), lanes);
         }
     }
 
-    /// The AVX2 GEMM of `M` rows in groups of up to `G` (1..=4) blocks.
+    /// The AVX2 GEMV in groups of up to `BLOCKS_AVX2` blocks.
     ///
     /// # Safety
-    /// Requires AVX2+FMA, `x.len() == M · cols` and `w.len() == (y.len() /
-    /// M).div_ceil(16) · cols`.
+    /// Requires AVX2+FMA, `x.len() == cols` and `w.len() ==
+    /// y.len().div_ceil(16) · cols`.
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn panel_gemm_rows_f32_avx2<const M: usize, const G: usize>(
-        mut w: &[PanelLine],
-        cols: usize,
-        x: &[f32],
-        y: &mut [f32],
-    ) {
-        let stride = y.len() / M;
-        let py = y.as_mut_ptr();
+    unsafe fn panel_gemv_f32_avx2_impl(mut w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
+        let (n, py) = (y.len(), y.as_mut_ptr());
         let mut r0 = 0;
-        while r0 < stride {
-            let nb = (stride - r0).div_ceil(PANEL_LANES).min(G);
+        while r0 < n {
+            let nb = (n - r0).div_ceil(PANEL_LANES).min(BLOCKS_AVX2);
             let (group, rest) = w.split_at(nb * cols);
             w = rest;
-            let (py, live) = (py.add(r0), (stride - r0).min(nb * PANEL_LANES));
+            let (py, live) = (py.add(r0), (n - r0).min(nb * PANEL_LANES));
             match nb {
-                1 => panel_gemm_blocks_f32_avx2::<M, 1>(group, cols, x, py, stride, live),
-                2 => panel_gemm_blocks_f32_avx2::<M, 2>(group, cols, x, py, stride, live),
-                3 => panel_gemm_blocks_f32_avx2::<M, 3>(group, cols, x, py, stride, live),
-                _ => panel_gemm_blocks_f32_avx2::<M, G>(group, cols, x, py, stride, live),
+                1 => panel_gemv_blocks_f32_avx2::<1>(group, x, py, live),
+                2 => panel_gemv_blocks_f32_avx2::<2>(group, x, py, live),
+                3 => panel_gemv_blocks_f32_avx2::<3>(group, x, py, live),
+                _ => panel_gemv_blocks_f32_avx2::<BLOCKS_AVX2>(group, x, py, live),
             }
             r0 += nb * PANEL_LANES;
         }
     }
 
-    fn panel_gemm_f32_avx2(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32], m: usize) {
+    fn panel_gemv_f32_avx2(w: &[PanelLine], cols: usize, x: &[f32], y: &mut [f32]) {
         // SAFETY: reachable only through the detected AVX2 KernelSet, and
-        // only through `KernelSet::panel_gemm_f32`, whose "panel gemm row
-        // count" (1 ≤ m ≤ GEMM_ROWS = 4), "panel shape mismatch" and
-        // "panel activation rows mismatch" asserts are the kernel's length
-        // requirements.
-        unsafe {
-            match m {
-                1 => panel_gemm_rows_f32_avx2::<1, ONE_ROW_BLOCKS_AVX2>(w, cols, x, y),
-                2 => panel_gemm_rows_f32_avx2::<2, 1>(w, cols, x, y),
-                3 => panel_gemm_rows_f32_avx2::<3, 1>(w, cols, x, y),
-                _ => panel_gemm_rows_f32_avx2::<GEMM_ROWS, 1>(w, cols, x, y),
-            }
-        }
+        // only through `KernelSet::panel_gemv_f32`, whose "panel activation
+        // row mismatch" and "panel shape mismatch" asserts are the
+        // kernel's length requirements.
+        unsafe { panel_gemv_f32_avx2_impl(w, cols, x, y) }
     }
 
     // ---------------- f32 rank-update GEMM ----------------
@@ -2482,27 +2379,27 @@ mod tests {
         one_block_gemv(8, 17);
     }
 
-    /// One 16-lane f32 block of 8 inputs through the active set's 1-row
-    /// GEMM, with `x_len` activations and `rows` outputs.
-    fn one_block_gemm_f32(x_len: usize, rows: usize) {
+    /// One 16-lane f32 block of 8 inputs through the active set's GEMV,
+    /// with `x_len` activations and `rows` outputs.
+    fn one_block_gemv_f32(x_len: usize, rows: usize) {
         let w = [PanelLine([1.0; PANEL_LANES]); 8];
-        KernelSet::active().panel_gemm_f32(&w, 8, &vec![1.0; x_len], &mut vec![0.0; rows], 1);
+        KernelSet::active().panel_gemv_f32(&w, 8, &vec![1.0; x_len], &mut vec![0.0; rows]);
     }
 
     #[test]
-    #[should_panic(expected = "panel activation rows mismatch")]
+    #[should_panic(expected = "panel activation row mismatch")]
     fn short_f32_panel_activations_panic_not_ub() {
-        // The SIMD bodies read `cols` activations per row through a raw
-        // pointer; the public wrapper must reject a shorter row in
-        // release builds too.
-        one_block_gemm_f32(7, 3);
+        // The SIMD bodies read `cols` activations through a raw pointer;
+        // the public wrapper must reject a shorter row in release builds
+        // too.
+        one_block_gemv_f32(7, 3);
     }
 
     #[test]
     #[should_panic(expected = "panel shape mismatch")]
     fn mismatched_f32_panel_shapes_panic_not_ub() {
         // 17 outputs need two blocks of weight lines.
-        one_block_gemm_f32(8, 17);
+        one_block_gemv_f32(8, 17);
     }
 
     /// Every set's range scan must agree with scalar — including rows

@@ -428,15 +428,15 @@ proptest! {
         }
     }
 
-    /// The 1-row f32 panel GEMM against a naive row-major sum accumulated
-    /// in f64, on every kernel set and any shape — non-multiples of the
+    /// The f32 panel GEMV against a naive row-major sum accumulated in
+    /// f64, on every kernel set and any shape — non-multiples of the
     /// 16-lane block included. A k-ascending f32 chain of `cols` terms is
     /// within `cols · ε · Σ|x·w|` of the exact sum, fused or not. The SIMD
     /// sets run the same per-lane FMA chain whatever their register width
     /// and block grouping (avx2 four two-ymm blocks, avx512 eight zmm), so
     /// avx2 and avx512 must agree **bitwise**.
     #[test]
-    fn panel_gemm_f32_one_row_matches_row_major_sum(
+    fn panel_gemv_f32_matches_row_major_sum(
         rows in 1usize..400,
         cols in 1usize..400,
         seed in 0u64..1000,
@@ -450,7 +450,7 @@ proptest! {
         let mut simd_rows: Vec<(&str, Vec<u32>)> = Vec::new();
         for ks in KernelSet::available() {
             let mut y = vec![f32::NAN; rows];
-            ks.panel_gemm_f32(p.lines(), cols, &x, &mut y, 1);
+            ks.panel_gemv_f32(p.lines(), cols, &x, &mut y);
             for (r, &got) in y.iter().enumerate() {
                 let (mut exact, mut sum_abs) = (0.0f64, 0.0f64);
                 for (&xv, &wv) in x.iter().zip(m.row(r)) {
@@ -470,58 +470,6 @@ proptest! {
         }
         for pair in simd_rows.windows(2) {
             prop_assert_eq!(&pair[0].1, &pair[1].1, "{} != {}", pair[0].0, pair[1].0);
-        }
-    }
-
-    /// The f32 panel GEMM is its 1-row GEMM row by row, on every kernel
-    /// set: for 1..=4 rows, at the six autoencoder shapes and at ragged
-    /// ones, with `+0` and `−0` activations, an all-zero row and an
-    /// optional NaN or infinite activation in the last row, every output is
-    /// bitwise that row's 1-row product — two zeros may differ in sign,
-    /// nothing else may — so the poison reaches no batch-mate.
-    #[test]
-    fn panel_gemm_f32_rows_are_their_one_row_gemm(
-        shape in prop_oneof![
-            Just((192usize, 345usize)),
-            Just((96usize, 192usize)),
-            Just((40usize, 96usize)),
-            Just((96usize, 40usize)),
-            Just((192usize, 96usize)),
-            Just((345usize, 192usize)),
-            (1usize..140, 1usize..60),
-        ],
-        m in 1usize..=4,
-        seed in 0u64..1000,
-        poison in prop_oneof![Just(None), Just(Some(f32::NAN)), Just(Some(f32::INFINITY))],
-    ) {
-        let (rows, cols) = shape;
-        let w = Matrix::from_fn(rows, cols, |r, c| {
-            ((r * cols + c) as f32 * 0.2713 + seed as f32 * 0.071).sin()
-        });
-        let p = PanelMatrix::pack(&w);
-        let mut x: Vec<f32> = (0..m * cols)
-            .map(|j| match (j / cols, (j + seed as usize) % 5) {
-                (1, _) | (_, 0) => 0.0,
-                (_, 1) => -0.0,
-                _ => (j as f32 * 0.61 + seed as f32).cos() * 1.7,
-            })
-            .collect();
-        if let Some(v) = poison {
-            x[(m - 1) * cols + cols / 2] = v;
-        }
-        for ks in KernelSet::available() {
-            let mut y = vec![f32::NAN; m * rows];
-            ks.panel_gemm_f32(p.lines(), cols, &x, &mut y, m);
-            let mut want = vec![f32::NAN; rows];
-            for i in 0..m {
-                ks.panel_gemm_f32(p.lines(), cols, &x[i * cols..(i + 1) * cols], &mut want, 1);
-                for (r, (&got, &want)) in y[i * rows..(i + 1) * rows].iter().zip(&want).enumerate() {
-                    prop_assert!(
-                        got.to_bits() == want.to_bits() || (got == 0.0 && want == 0.0),
-                        "{} {}x{} m={} row {} out {}: {} vs {}", ks.name, rows, cols, m, i, r, got, want
-                    );
-                }
-            }
         }
     }
 
@@ -575,7 +523,7 @@ proptest! {
         let act = quant::quantize_activations(&x, &mut qa);
         let amax = x.iter().fold(0.0f32, |a, v| a.max(v.abs()));
         let mut y = vec![0.0f32; rows];
-        q.matmul_rows_into(1, &x, &mut qa, &mut y);
+        q.matvec_into(&x, &mut qa, &mut y);
         let mut reference = vec![0.0f32; rows];
         m.matvec_into(&x, &mut reference);
         for r in 0..rows {

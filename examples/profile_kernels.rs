@@ -1,12 +1,9 @@
 //! Raw kernel throughput at the eight hot matvec shapes (the six
 //! autoencoder layers and the GRU's two projections): the row-major f32
-//! matvec training runs on, the f32 panel product the inference engines
-//! run on — `PanelMatrix::matmul_rows_into(1, …)`, the panel GEMM at one
-//! row — and the int8 row (plan + encode + panel GEMV) with its bare panel
-//! GEMV, each panel kernel with the weight bytes it streams per
-//! nanosecond; then batched products, the f32 row loop of 1-row products
-//! next to the 4-row panel GEMM;
-//! then training: each autoencoder layer's three batch GEMMs through the
+//! matvec training runs on, the f32 panel GEMV the inference engines run
+//! on (`PanelMatrix::matvec_into`) and the int8 row (plan + encode + panel
+//! GEMV) with its bare panel GEMV, each panel kernel with the weight bytes
+//! it streams per nanosecond; then training: each autoencoder layer's three batch GEMMs through the
 //! training kernels next to the `dot4` / `dot` / `axpy` loops they
 //! replaced, and the wall time of a ci-shaped `Autoencoder::train` and
 //! `GruClassifier::train`, each on one training lane and on all of them.
@@ -37,7 +34,7 @@ fn main() {
     let ks = KernelSet::active();
     println!("kernel set: {}", ks.name);
     println!(
-        "rows x cols | f32 row-major | f32 panel 1-row GEMM, weight bytes streamed | \
+        "rows x cols | f32 row-major | f32 panel GEMV, weight bytes streamed | \
          int8 row | int8 panel GEMV, weight bytes streamed"
     );
     let (mut row_major_total, mut panel_total) = (0.0, 0.0);
@@ -60,13 +57,11 @@ fn main() {
         let iters = (400_000_000 / (rows * cols)) as u32;
 
         let f32_ns = ns_per_call(iters, || w.matvec_into(black_box(&x), &mut y));
-        let panel_ns = ns_per_call(iters, || pw.matmul_rows_into(1, black_box(&x), &mut y));
+        let panel_ns = ns_per_call(iters, || pw.matvec_into(black_box(&x), &mut y));
         let panel_bytes = std::mem::size_of_val(pw.lines());
         row_major_total += f32_ns;
         panel_total += panel_ns;
-        let i8_ns = ns_per_call(iters, || {
-            qw.matmul_rows_into(1, black_box(&x), &mut qa, &mut y)
-        });
+        let i8_ns = ns_per_call(iters, || qw.matvec_into(black_box(&x), &mut qa, &mut y));
         // `qa` now holds this row's codes, padded to whole k-quads.
         let act = quant::quantize_activations(&x, &mut Vec::new());
         let panels = qw.panels();
@@ -85,50 +80,8 @@ fn main() {
         "all eight shapes: f32 row-major {row_major_total:.0} ns, f32 panel {panel_total:.0} ns"
     );
 
-    // Batched products: f32 one 1-row panel GEMM per row (the 1-row price
-    // × rows), the f32 panel GEMM 4 rows at a time, and int8 (one quantize
-    // + GEMV per row). The scorers score each window alone (1 row), so
-    // these are no scorer's shapes: 4 rows is the GEMM's register block,
-    // 16 four of them, 8000 rows the large-batch bound.
-    let mut qa = Vec::new();
-    println!(
-        "batch GEMM rows x cols x outs | f32 row loop | f32 4-row GEMM | int8 row loop (GMAC/s)"
-    );
-    for (rows, cols, outs) in [
-        (4usize, 345usize, 192usize),
-        (16, 345, 192),
-        (8000, 345, 192),
-        (8000, 192, 96),
-        (8000, 96, 40),
-    ] {
-        let a = Matrix::from_fn(rows, cols, |r, c| ((r * cols + c) as f32 * 0.13).sin());
-        let w = Matrix::from_fn(outs, cols, |r, c| ((r * cols + c) as f32 * 0.29).cos());
-        let pw = PanelMatrix::pack(&w);
-        let qw = QuantMatrix::quantize(&w);
-        let mut c = Matrix::zeros(rows, outs);
-        let iters = (50_000_000 / (rows * cols * outs)).max(3) as u32;
-        let gmacs = |ns: f64| (rows * cols * outs) as f64 / ns;
-        let row_loop = ns_per_call(iters, || {
-            for i in 0..rows {
-                pw.matmul_rows_into(1, black_box(a.row(i)), c.row_mut(i));
-            }
-        });
-        let gemm = ns_per_call(iters, || {
-            pw.matmul_rows_into(rows, black_box(&a.data), &mut c.data)
-        });
-        let int8 = ns_per_call(iters, || {
-            qw.matmul_rows_into(rows, black_box(&a.data), &mut qa, &mut c.data)
-        });
-        println!(
-            "{rows:>5} x {cols} x {outs:<3} | {:>6.2} | {:>6.2} ({:.2}x) | {:>6.2}",
-            gmacs(row_loop),
-            gmacs(gemm),
-            row_loop / gemm,
-            gmacs(int8),
-        );
-    }
-
     // Activation quantization alone, per 345-wide row.
+    let mut qa = Vec::new();
     let x: Vec<f32> = (0..345).map(|i| (i as f32 * 0.17).sin()).collect();
     let t = Instant::now();
     for _ in 0..200_000 {
