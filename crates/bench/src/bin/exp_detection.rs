@@ -12,6 +12,11 @@
 //! steps of 1/24 ≈ 0.042 (the interpolation between ROC points aside): an
 //! EER difference smaller than that at `ci` is one benign connection, not
 //! a finding. `quick` scores 80 (steps of 0.0125).
+//!
+//! The paper's 73 strategies are built on, and judged against, all-IPv4/TCP
+//! benign traffic. The three Extended families (Table 1's last row) need
+//! IPv6 or UDP flows, so theirs are mixed v4/v6/TCP/UDP traffic: at least
+//! 16 base connections per family and 32 benign ones.
 
 use bench::{
     benign_scores, evaluate_strategy, has_flag, mean, render_table, train_all, DetectionRow, Preset,
@@ -28,7 +33,7 @@ fn main() {
         || has_flag(&args, "--figure9"));
 
     let models = train_all(&preset);
-    let benign = benign_scores(&models);
+    let benign = benign_scores(&models, &preset);
 
     eprintln!(
         "[{}] evaluating all {} strategies…",

@@ -31,10 +31,7 @@
 //! non-zero. Whether a number moved since an earlier commit is judged by
 //! `benchmark/run.sh`, never here.
 
-use bench::{
-    arg_value, evaluate_extended_families, render_table, train_all, ExtendedFamilyRow, Preset,
-    GATES,
-};
+use bench::{arg_value, render_table, train_all, Preset, GATES};
 use clap_core::{
     QuantMode, ResidentMode, ShardConfig, ShardHealth, Stage, StageHists, StreamCells, StreamConfig,
 };
@@ -104,10 +101,6 @@ struct ThroughputReport {
     scale_closed_tcp: u64,
     /// Flows still live at the end of the churn phase (drained).
     scale_drained: u64,
-    /// Measured detection for the three Extended protocol-diversity attack
-    /// families (IPv6 ext-header corruption, UDP length/checksum games,
-    /// overlapping-fragment evasion) over mixed v4/v6/TCP/UDP traffic.
-    extended_detection: Vec<ExtendedFamilyRow>,
 }
 
 /// One shard's slice of the measured sharded run: the timed pass's own
@@ -164,28 +157,6 @@ fn main() {
         .expect("thread pool");
 
     let models = train_all(&preset);
-
-    // Detection for the Extended protocol-diversity families rides along
-    // with the throughput run (the paper's 73 are exp_detection's job):
-    // each family only applies to mixed v4/v6/TCP/UDP traffic, scored here
-    // against a mixed benign distribution.
-    let extended_detection = evaluate_extended_families(&models, &preset);
-    println!("\n== Extended families: detection over mixed v4/v6/TCP/UDP traffic ==");
-    println!(
-        "{}",
-        render_table(
-            &["Family", "Conns", "AUC", "Detect@5%FPR"],
-            &extended_detection
-                .iter()
-                .map(|r| vec![
-                    r.strategy_name.clone(),
-                    r.connections.to_string(),
-                    format!("{:.3}", r.auc),
-                    format!("{:.1}%", r.detection_rate * 100.0),
-                ])
-                .collect::<Vec<_>>(),
-        )
-    );
 
     // Adversarial corpus mirroring §4.4: a mixed bag across strategies.
     let mut corpus = Vec::new();
@@ -632,7 +603,6 @@ fn main() {
         scale_evicted_capacity: scale.as_ref().map_or(0, |(_, _, s, _)| s.evicted_capacity),
         scale_closed_tcp: scale.as_ref().map_or(0, |(_, _, s, _)| s.closed_tcp),
         scale_drained: scale.as_ref().map_or(0, |(_, _, s, _)| s.drained),
-        extended_detection,
     };
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&report).expect("serialize report");

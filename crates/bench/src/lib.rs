@@ -7,7 +7,7 @@
 //! recorded paper-vs-measured results.
 
 use baselines::{Baseline1, Baseline1Config, KitsuneConfig, KitsuneLite};
-use clap_core::{auc_roc, equal_error_rate, top_n_hit, Clap, ClapConfig};
+use clap_core::{auc_roc, equal_error_rate, top_n_hit, Clap, ClapConfig, ScoredConnection};
 use dpi_attacks::{build_adversarial_set, AttackResult, Strategy};
 use net_packet::Connection;
 use serde::{Deserialize, Serialize};
@@ -359,12 +359,17 @@ pub struct LocalizationRow {
 }
 
 /// Builds the adversarial test set for a strategy from held-out benign
-/// connections.
+/// connections: the all-IPv4/TCP corpus for the paper's strategies, a
+/// mixed v4/v6/TCP/UDP one (at least 16 connections) for the Extended
+/// families, which corrupt IPv6 extension headers, UDP lengths and IPv4
+/// fragments and so apply only to protocol-diverse traffic.
 pub fn adversarial_set(strategy: &Strategy, preset: &Preset) -> Vec<AttackResult> {
-    let base = traffic_gen::dataset(
-        preset.seed ^ 0xadb0 ^ dpi_attacks_hash(strategy.id),
-        preset.test_adv_per_strategy,
-    );
+    let seed = preset.seed ^ 0xadb0 ^ dpi_attacks_hash(strategy.id);
+    let base = if strategy.source.in_paper() {
+        traffic_gen::dataset(seed, preset.test_adv_per_strategy)
+    } else {
+        traffic_gen::mixed_dataset(seed, preset.test_adv_per_strategy.max(16))
+    };
     build_adversarial_set(strategy, &base, preset.seed)
 }
 
@@ -374,153 +379,71 @@ fn dpi_attacks_hash(s: &str) -> u64 {
     })
 }
 
-/// Evaluates detection for one strategy across all three models.
+/// Scores of `conns` under CLAP, Baseline #1 and Baseline #2, in that
+/// order.
+fn model_scores(models: &TrainedModels, conns: &[Connection]) -> [Vec<f32>; 3] {
+    let scores = |s: Vec<ScoredConnection>| s.iter().map(|s| s.score).collect();
+    [
+        scores(models.clap.score_connections(conns)),
+        scores(models.baseline1.score_connections(conns)),
+        scores(models.kitsune.score_connections(conns)),
+    ]
+}
+
+/// Evaluates detection for one strategy across all three models, against
+/// the benign split its adversarial corpus is drawn like.
+///
+/// # Panics
+///
+/// If the strategy applies to none of its base connections: an empty
+/// positive set would read as a chance-level AUC of 0.5.
 pub fn evaluate_strategy(
     models: &TrainedModels,
     strategy: &Strategy,
     preset: &Preset,
     benign_scores: &BenignScores,
 ) -> DetectionRow {
-    let adv = adversarial_set(strategy, preset);
-    let adv_conns: Vec<Connection> = adv.iter().map(|r| r.connection.clone()).collect();
-    let clap_scores: Vec<f32> = models
-        .clap
-        .score_connections(&adv_conns)
-        .iter()
-        .map(|s| s.score)
+    let adv_conns: Vec<Connection> = adversarial_set(strategy, preset)
+        .into_iter()
+        .map(|r| r.connection)
         .collect();
-    let b1_scores: Vec<f32> = models
-        .baseline1
-        .score_connections(&adv_conns)
-        .iter()
-        .map(|s| s.score)
-        .collect();
-    let b2_scores: Vec<f32> = models
-        .kitsune
-        .score_connections(&adv_conns)
-        .iter()
-        .map(|s| s.score)
-        .collect();
-
+    assert!(
+        !adv_conns.is_empty(),
+        "strategy {} built no adversarial connection from its corpus",
+        strategy.id
+    );
+    let adv = model_scores(models, &adv_conns);
+    let benign = if strategy.source.in_paper() {
+        &benign_scores.paper
+    } else {
+        &benign_scores.mixed
+    };
     DetectionRow {
         strategy_id: strategy.id.to_string(),
         strategy_name: strategy.name.to_string(),
         source: format!("{:?}", strategy.source),
         category: format!("{:?}", strategy.category),
-        auc: [
-            auc_roc(&benign_scores.clap, &clap_scores),
-            auc_roc(&benign_scores.baseline1, &b1_scores),
-            auc_roc(&benign_scores.kitsune, &b2_scores),
-        ],
-        eer: [
-            equal_error_rate(&benign_scores.clap, &clap_scores),
-            equal_error_rate(&benign_scores.baseline1, &b1_scores),
-            equal_error_rate(&benign_scores.kitsune, &b2_scores),
-        ],
+        auc: std::array::from_fn(|m| auc_roc(&benign[m], &adv[m])),
+        eer: std::array::from_fn(|m| equal_error_rate(&benign[m], &adv[m])),
     }
 }
 
-/// Benign score distributions per model (computed once, reused across
-/// strategies).
+/// Benign score distributions per model, CLAP, Baseline #1 and Baseline
+/// #2 in that order (computed once, reused across strategies).
 pub struct BenignScores {
-    pub clap: Vec<f32>,
-    pub baseline1: Vec<f32>,
-    pub kitsune: Vec<f32>,
+    /// Over the held-out all-IPv4/TCP split, for the paper's strategies.
+    pub paper: [Vec<f32>; 3],
+    /// Over a mixed v4/v6/TCP/UDP split (at least 32 connections), for the
+    /// Extended families.
+    pub mixed: [Vec<f32>; 3],
 }
 
-pub fn benign_scores(models: &TrainedModels) -> BenignScores {
+pub fn benign_scores(models: &TrainedModels, preset: &Preset) -> BenignScores {
+    let mixed = traffic_gen::mixed_dataset(preset.seed ^ 0x6e1, preset.test_benign.max(32));
     BenignScores {
-        clap: models
-            .clap
-            .score_connections(&models.test_benign)
-            .iter()
-            .map(|s| s.score)
-            .collect(),
-        baseline1: models
-            .baseline1
-            .score_connections(&models.test_benign)
-            .iter()
-            .map(|s| s.score)
-            .collect(),
-        kitsune: models
-            .kitsune
-            .score_connections(&models.test_benign)
-            .iter()
-            .map(|s| s.score)
-            .collect(),
+        paper: model_scores(models, &models.test_benign),
+        mixed: model_scores(models, &mixed),
     }
-}
-
-/// Detection summary for one Extended protocol-diversity family (IPv6
-/// extension-header corruption, UDP length/checksum games,
-/// overlapping-fragment evasion), measured against a *mixed*
-/// v4/v6/TCP/UDP benign distribution — the paper's 73 strategies are
-/// evaluated in `exp_detection` over the all-v4 corpus; these families
-/// only exist on protocol-diverse traffic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExtendedFamilyRow {
-    pub strategy_id: String,
-    pub strategy_name: String,
-    /// Adversarial connections the family applied to.
-    pub connections: usize,
-    /// CLAP AUC against the mixed benign score distribution.
-    pub auc: f32,
-    /// Fraction of adversarial connections scoring above the
-    /// 95th-percentile mixed-benign score (≈5% FPR operating point).
-    pub detection_rate: f32,
-}
-
-/// Score at the `q`-quantile (0..=1) of `scores`, by sorted rank.
-fn quantile(scores: &[f32], q: f32) -> f32 {
-    let mut sorted = scores.to_vec();
-    sorted.sort_by(f32::total_cmp);
-    if sorted.is_empty() {
-        return f32::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f32 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Evaluates CLAP detection for the three Extended protocol-diversity
-/// families over mixed v4/v6/TCP/UDP traffic. CLAP-only: the families are
-/// defined by protocol structure the baselines' feature sets do not model.
-pub fn evaluate_extended_families(
-    models: &TrainedModels,
-    preset: &Preset,
-) -> Vec<ExtendedFamilyRow> {
-    let benign = traffic_gen::mixed_dataset(preset.seed ^ 0x6e1, preset.test_benign.max(32));
-    let benign_scores: Vec<f32> = models
-        .clap
-        .score_connections(&benign)
-        .iter()
-        .map(|s| s.score)
-        .collect();
-    let threshold = quantile(&benign_scores, 0.95);
-    dpi_attacks::strategies_from(dpi_attacks::AttackSource::Extended)
-        .into_iter()
-        .map(|strat| {
-            let base = traffic_gen::mixed_dataset(
-                preset.seed ^ 0xadb0 ^ dpi_attacks_hash(strat.id),
-                preset.test_adv_per_strategy.max(16),
-            );
-            let adv = build_adversarial_set(strat, &base, preset.seed);
-            let conns: Vec<Connection> = adv.iter().map(|r| r.connection.clone()).collect();
-            let scores: Vec<f32> = models
-                .clap
-                .score_connections(&conns)
-                .iter()
-                .map(|s| s.score)
-                .collect();
-            let detected = scores.iter().filter(|&&s| s > threshold).count();
-            ExtendedFamilyRow {
-                strategy_id: strat.id.to_string(),
-                strategy_name: strat.name.to_string(),
-                connections: conns.len(),
-                auc: auc_roc(&benign_scores, &scores),
-                detection_rate: detected as f32 / scores.len().max(1) as f32,
-            }
-        })
-        .collect()
 }
 
 /// Evaluates CLAP's Top-1/3/5 localization for one strategy
@@ -663,6 +586,21 @@ mod tests {
         );
         let lines: Vec<&str> = t.lines().collect();
         assert!(lines.iter().all(|l| l.len() == lines[0].len()));
+    }
+
+    /// Every registry strategy, the Extended families included, applies to
+    /// at least one connection of its corpus, so no detection row averages
+    /// an empty positive set.
+    #[test]
+    fn every_strategy_builds_an_adversarial_set() {
+        let preset = Preset::ci();
+        for strategy in dpi_attacks::registry() {
+            assert!(
+                !adversarial_set(strategy, &preset).is_empty(),
+                "{} built no adversarial connection",
+                strategy.id
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The end-to-end CLAP pipeline: training (Figure 2) and testing (Figure 3).
 
-use crate::features::{extract_connection, FeatureExtractor, FeatureVector, RangeModel, NUM_BASE};
-use crate::profile::ProfileBuilder;
+use crate::features::{
+    extract_connection, FeatureExtractor, FeatureVector, RangeModel, NUM_BASE, NUM_RAW,
+};
+use crate::profile::{ProfileBuilder, GATE_FEATURES, PROFILE_LEN};
 use crate::resident::{ResidentArena, ResidentMode};
 use crate::score::ScoredConnection;
 use crate::scorer::{Flow, Scorer};
@@ -300,10 +302,12 @@ impl Clap {
 
     /// Restores a detector from [`Clap::to_json`] output. A parameter the
     /// engines cannot score is an error here rather than a panic or a
-    /// poisoned score later: a weight, bias or range that is not finite
-    /// (JSON `null` reads as NaN, `1e39` as +inf; the panels' zero-skip
-    /// needs finite weights) or a matrix whose data does not fill its
-    /// shape.
+    /// poisoned score later: a matrix whose data does not fill its shape, a
+    /// part whose shape disagrees with the parts it feeds or is fed by (the
+    /// GRU's gates and state head, the autoencoder's chain of layers from a
+    /// window back to one, the range model's raw features), or a weight,
+    /// bias or range that is not finite (JSON `null` reads as NaN, `1e39`
+    /// as +inf; the panels' zero-skip needs finite weights).
     pub fn from_json(json: &str) -> serde_json::Result<Clap> {
         let clap: Clap = serde_json::from_str(json)?;
         clap.check_parameters().map_err(serde_json::Error::custom)?;
@@ -311,7 +315,8 @@ impl Clap {
     }
 
     /// Names the first matrix whose data does not fill its shape, or else
-    /// the first parameter that is not finite.
+    /// the first part of the wrong shape, or else the first parameter that
+    /// is not finite.
     fn check_parameters(&self) -> Result<(), String> {
         let (rnn, [mins, maxs]) = (&self.rnn, self.ranges.bounds());
         let mut matrices = vec![
@@ -340,10 +345,76 @@ impl Clap {
             }
             vectors.push((name, &m.data[..]));
         }
+        self.check_shapes()?;
         for (name, v) in vectors {
             if let Some(i) = v.iter().position(|x| !x.is_finite()) {
                 return Err(format!("{name}[{i}] is {}, not a finite number", v[i]));
             }
+        }
+        Ok(())
+    }
+
+    /// Names the first part whose shape disagrees with what the pipeline
+    /// feeds it or reads from it:
+    ///
+    /// * the GRU's hidden size `H` is half of [`GATE_FEATURES`] (a profile
+    ///   holds its `z` and `r`): `rnn.cell.w` is `3H × NUM_BASE`, `u` is
+    ///   `3H × H` and `b` is `3H` long;
+    /// * the state head `rnn.wo` is `NUM_CLASSES × H` and `rnn.bo` is
+    ///   `NUM_CLASSES` long;
+    /// * `config.stack ≥ 1`, and the autoencoder maps a window of
+    ///   `stack · PROFILE_LEN` values back to as many: each layer's input
+    ///   is the previous layer's output, and its bias is as long as its
+    ///   output;
+    /// * `ranges.mins` and `ranges.maxs` bound the `NUM_RAW` raw features.
+    fn check_shapes(&self) -> Result<(), String> {
+        const HIDDEN: usize = GATE_FEATURES / 2;
+        let shape = |name: &str, m: &Matrix, rows: usize, cols: usize| {
+            if (m.rows, m.cols) == (rows, cols) {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{name} is {}x{}, not {rows}x{cols}",
+                    m.rows, m.cols
+                ))
+            }
+        };
+        let len = |name: &str, v: &[f32], want: usize| {
+            if v.len() == want {
+                Ok(())
+            } else {
+                Err(format!("{name} holds {} values, not {want}", v.len()))
+            }
+        };
+        let (cell, [mins, maxs]) = (&self.rnn.cell, self.ranges.bounds());
+        shape("rnn.cell.w", &cell.w, 3 * HIDDEN, NUM_BASE)?;
+        shape("rnn.cell.u", &cell.u, 3 * HIDDEN, HIDDEN)?;
+        len("rnn.cell.b", &cell.b, 3 * HIDDEN)?;
+        shape("rnn.wo", &self.rnn.wo, NUM_CLASSES, HIDDEN)?;
+        len("rnn.bo", &self.rnn.bo, NUM_CLASSES)?;
+        len("ranges.mins", mins, NUM_RAW)?;
+        len("ranges.maxs", maxs, NUM_RAW)?;
+        let stack = self.config.stack;
+        let Some(window) = stack.checked_mul(PROFILE_LEN).filter(|&w| w > 0) else {
+            return Err(format!(
+                "config.stack is {stack}, not a window's count of profiles"
+            ));
+        };
+        let layers = self.ae.layers();
+        if layers.is_empty() {
+            return Err("ae has no layers".into());
+        }
+        let mut width = window;
+        for (i, layer) in layers.iter().enumerate() {
+            shape(&format!("ae.layers[{i}].w"), &layer.w, layer.w.rows, width)?;
+            len(&format!("ae.layers[{i}].b"), &layer.b, layer.w.rows)?;
+            width = layer.w.rows;
+        }
+        if width != window {
+            return Err(format!(
+                "ae.layers[{}].w gives {width} outputs, not the window's {window}",
+                layers.len() - 1
+            ));
         }
         Ok(())
     }
@@ -531,18 +602,70 @@ mod tests {
         assert!(err.starts_with("rnn.cell.b[0] is inf"), "{err}");
     }
 
+    /// `json` with the last value of the array whose values start at `at`
+    /// dropped, loaded: the error's message.
+    fn load_one_short(json: &str, at: usize) -> String {
+        let end = at + json[at..].find(']').unwrap();
+        let last = at + json[at..end].rfind(',').unwrap();
+        let mut short = json.to_string();
+        short.replace_range(last..end, "");
+        Clap::from_json(&short)
+            .expect_err("one value short")
+            .to_string()
+    }
+
     /// A weight matrix one value short of its shape loads as an error, not
     /// as a detector whose scorer panics when it packs the weights.
     #[test]
     fn from_json_rejects_a_truncated_matrix() {
         let json = model_json();
-        let w0 = first_ae_weight(&json);
-        let end = w0 + json[w0..].find(']').unwrap();
-        let last = w0 + json[w0..end].rfind(',').unwrap();
-        let mut short = json.clone();
-        short.replace_range(last..end, "");
-        let err = Clap::from_json(&short).expect_err("short").to_string();
+        let err = load_one_short(&json, first_ae_weight(&json));
         assert!(err.starts_with("ae.layers[0].w holds "), "{err}");
+    }
+
+    /// A GRU bias one value short of `3H` loads as an error, not as a
+    /// detector whose last gate silently loses its bias.
+    #[test]
+    fn from_json_rejects_a_short_gru_bias() {
+        let json = model_json();
+        let err = load_one_short(&json, after(&json, 0, r#""b":["#));
+        assert!(
+            err.starts_with("rnn.cell.b holds 95 values, not 96"),
+            "{err}"
+        );
+    }
+
+    /// A range bound one value short of the raw features loads as an
+    /// error, not as a detector that panics on its first packet.
+    #[test]
+    fn from_json_rejects_a_short_range() {
+        let json = model_json();
+        let err = load_one_short(&json, after(&json, 0, r#""mins":["#));
+        assert!(
+            err.starts_with("ranges.mins holds 17 values, not 18"),
+            "{err}"
+        );
+    }
+
+    /// An autoencoder bias one value short of its layer's outputs loads as
+    /// an error, not as a detector that panics in its bias epilogue.
+    #[test]
+    fn from_json_rejects_a_short_autoencoder_bias() {
+        let json = model_json();
+        let layers = after(&json, 0, r#""layers":["#);
+        let err = load_one_short(&json, after(&json, layers, r#""b":["#));
+        assert!(err.starts_with("ae.layers[0].b holds "), "{err}");
+    }
+
+    /// A stack of zero profiles loads as an error that names the stack.
+    #[test]
+    fn from_json_rejects_a_zero_stack() {
+        let json = model_json();
+        assert_eq!(json.matches(r#""stack":3"#).count(), 1);
+        let err = Clap::from_json(&json.replace(r#""stack":3"#, r#""stack":0"#))
+            .expect_err("stack 0")
+            .to_string();
+        assert!(err.starts_with("config.stack is 0"), "{err}");
     }
 
     /// The headline equivalence guarantee: the scoring engine (packed GRU

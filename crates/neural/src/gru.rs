@@ -130,10 +130,11 @@ impl GruCell {
     /// product `U · h_{t-1}`; the trace is allocated once. Each gate keeps
     /// its sums in the order `(W·x + U·h) + b` (the candidate
     /// `(Wn·x + bn) + r ∘ (Un·h)`) with the scalar `sigmoid` / `tanh`. A
-    /// GEMM output is its row's `dot4` / `dot` over its group of four
-    /// rows of `W` or `U`, so with `H % 4 == 0` no group straddles two
-    /// gates and each gate's projections are bitwise those of its own
-    /// `H`-row matrix.
+    /// GEMM output depends only on its input row and its row of `W` or `U`,
+    /// and on whether that row sits in a group of four or among the
+    /// trailing rows, so with `H % 4 == 0` no group straddles two gates and
+    /// each gate's projections are bitwise those of its own `H`-row
+    /// matrix.
     ///
     /// Accepts any slice-of-rows shape (`&[Vec<f32>]`, `&[&[f32]]`), so
     /// callers can borrow feature storage instead of cloning it.
@@ -189,8 +190,8 @@ impl GruCell {
     /// each from `+0` and added in that order. The gate gradients are
     /// kept newest step first, beside the inputs and `h_{t-1}` in the same
     /// order, so that `dW` and `dU` are one rank GEMM each after the loop
-    /// and each of their outputs accumulates over time descending, with
-    /// the axpy chain's zero skip, as a per-step rank-1 update would.
+    /// and each of their outputs accumulates over time descending, skipping
+    /// a zero gate gradient, as a per-step rank-1 update would.
     pub fn backward<S: AsRef<[f32]>>(&self, xs: &[S], trace: &GruTrace, dhs: &Matrix) -> GruGrads {
         let (input, hidden, steps) = (self.input_size(), self.hidden_size(), trace.len());
         assert!(

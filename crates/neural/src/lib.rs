@@ -120,9 +120,8 @@
 //! the inference engines, the training GEMMs behind [`Matrix`] (the nt-GEMM
 //! [`simd::KernelSet::gemm_nt_f32`] of the forward pass and of
 //! [`Matrix::matvec_into`], the rank-update GEMM
-//! [`simd::KernelSet::gemm_rank_f32`] of both backward products, and the
-//! `dot` / `dot4` / `axpy` chains each output of them is bitwise equal to),
-//! the fused GRU gate block, the dense bias+activation epilogue and the
+//! [`simd::KernelSet::gemm_rank_f32`] of both backward products, each
+//! defined by the arithmetic its doc states), the fused GRU gate block, the dense bias+activation epilogue and the
 //! autoencoder's L1 error reduction — are function pointers in a
 //! [`simd::KernelSet`], selected **once per process**:
 //!
@@ -143,21 +142,23 @@
 //!   ([`simd::KernelSet::scalar`], `avx2()`, `avx512()`,
 //!   `avx512vnni()`) and call its kernels directly without affecting
 //!   the process-wide choice.
-//! * **Adding an ISA.** Implement the thirteen kernel functions (dot,
-//!   dot4, axpy, gemm_nt_f32, gemm_rank_f32, bias_act, gru_gates,
-//!   sum_abs_diff, panel_gemv_f32, plus the int8 kernels panel_gemv_i8,
-//!   act_range, act_encode and act_decode) for the new instruction set —
-//!   one one-row panel kernel per precision, `panel_gemv_f32` and
-//!   `panel_gemv_i8`; the f32 and int8 weight panels are each one layout
-//!   for every set, so a new panel kernel reads the bytes the others read,
-//!   and the two training GEMMs must keep the new set's own dot4 / dot /
-//!   axpy chains per output — add a `static` `KernelSet` naming them, and
+//! * **Adding an ISA.** Implement the ten kernel functions
+//!   (gemm_nt_f32, gemm_rank_f32, bias_act, gru_gates, sum_abs_diff,
+//!   panel_gemv_f32, plus the int8 kernels panel_gemv_i8, act_range,
+//!   act_encode and act_decode) for the new instruction set — one one-row
+//!   panel kernel per precision, `panel_gemv_f32` and `panel_gemv_i8`; the
+//!   f32 and int8 weight panels are each one layout for every set, so a
+//!   new panel kernel reads the bytes the others read, and the two
+//!   training GEMMs must keep their documented contracts (an nt-GEMM
+//!   output depends only on its own rows of `A` and `B`, a rank-GEMM
+//!   output is its stated multiply-add chain) — add a `static`
+//!   `KernelSet` naming them, and
 //!   extend the `select()` ladder in `simd.rs` behind the right
 //!   `is_x86_feature_detected!`/`cfg` guard. The property tests in
 //!   `tests/proptests.rs` automatically cover any set reported by
 //!   [`simd::KernelSet::available`], pinning it to the scalar reference
 //!   within 1e-6 across randomized (including non-multiple-of-lane)
-//!   shapes, and its training GEMMs to its own loops bitwise.
+//!   shapes, and its training GEMMs to their contracts bitwise.
 //!
 //! SIMD results may differ from the scalar reference by float
 //! reassociation, fused multiply-adds and the polynomial `exp` used for

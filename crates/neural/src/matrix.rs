@@ -18,12 +18,13 @@
 //! group of four rows of `B` on avx512; [`Matrix::matmul_nn_into`] (`dY ·
 //! W`) and [`Matrix::matmul_tn_into`] (`dYᵀ · X`) run
 //! [`KernelSet::gemm_rank_f32`], which keeps four rows of `C` in registers
-//! while it streams `B`. Neither changes a bit of what the row loops they
-//! replaced computed: an output of the nt-GEMM is its row's `dot4` / `dot`,
-//! and an output of the rank GEMMs the `axpy` chain, on every kernel set.
-//! Nothing here loops over `axpy`: the autoencoder's layers and the GRU
-//! classifier (its input side over a whole sequence, `dW`, `dU` and the
-//! head) train on these three products alone.
+//! while it streams `B`. Each is defined by its own arithmetic, on every
+//! kernel set: an output of the nt-GEMM depends only on its own rows of
+//! `A` and `B`, so a batch is bitwise a loop of one-row products, and an
+//! output of the rank GEMMs is one multiply-add chain over `k` that skips a
+//! zero coefficient. Nothing here loops over a vector kernel: the
+//! autoencoder's layers and the GRU classifier (its input side over a whole
+//! sequence, `dW`, `dU` and the head) train on these three products alone.
 
 use crate::simd::KernelSet;
 use rand::Rng;

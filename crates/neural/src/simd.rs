@@ -9,11 +9,11 @@
 //!   activation scan/encode/decode;
 //! * training — the batch GEMMs of [`Matrix`]: the nt-GEMM behind
 //!   [`Matrix::matmul_nt_into`] (the forward `X · Wᵀ`, and
-//!   [`Matrix::matvec_into`] as its one-row case), bitwise a loop of the
-//!   `dot` / `dot4` products it is built on, and the rank-update GEMM
-//!   behind [`Matrix::matmul_nn_into`] / [`Matrix::matmul_tn_into`] (`dY ·
-//!   W`, `dYᵀ · X`), bitwise a loop of `axpy`s; `axpy` itself, behind the
-//!   GRU's vector products;
+//!   [`Matrix::matvec_into`] as its one-row case), bitwise a loop of its
+//!   one-row products, and the rank-update GEMM behind
+//!   [`Matrix::matmul_nn_into`] / [`Matrix::matmul_tn_into`] (`dY · W`,
+//!   `dYᵀ · X`), every output of which is one multiply-add chain over `k`
+//!   that its doc spells out;
 //! * both — the dense layer's bias + activation epilogue and the
 //!   autoencoder's L1 error reduction.
 //!
@@ -141,9 +141,6 @@ pub struct KernelSet {
     /// Kernel family name: `"scalar"`, `"avx2"`, `"avx512"` or
     /// `"avx512vnni"`.
     pub name: &'static str,
-    dot: DotFn,
-    dot4: Dot4Fn,
-    axpy: fn(&mut [f32], &[f32], f32),
     gemm_nt_f32: GemmNtF32Fn,
     gemm_rank_f32: GemmRankF32Fn,
     bias_act: fn(&mut [f32], &[f32], Activation),
@@ -165,52 +162,24 @@ impl std::fmt::Debug for KernelSet {
 }
 
 impl KernelSet {
-    /// Dense dot product `a·b`. Lengths must match — checked here (not
-    /// per-set) because the SIMD bodies do raw-pointer loads sized by
-    /// `a.len()`; one compare is noise next to the kernel itself.
-    #[inline]
-    pub fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
-        assert_eq!(a.len(), b.len(), "dot length mismatch");
-        (self.dot)(a, b)
-    }
-
-    /// Four simultaneous dot products of `a` against `b0..b3` — the
-    /// register-blocked GEMM inner loop (each loaded chunk of `a` is
-    /// reused four times). All five slices must share one length.
-    #[inline]
-    pub fn dot4(&self, a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        let n = a.len();
-        assert!(
-            b0.len() == n && b1.len() == n && b2.len() == n && b3.len() == n,
-            "dot4 length mismatch"
-        );
-        (self.dot4)(a, b0, b1, b2, b3)
-    }
-
-    /// `dst += alpha · src` (the rank-1 / nn-GEMM inner loop).
-    #[inline]
-    pub fn axpy(&self, dst: &mut [f32], src: &[f32], alpha: f32) {
-        assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-        (self.axpy)(dst, src, alpha)
-    }
-
     /// `C = A · Bᵀ` — a training batch's forward product `X · Wᵀ`, and a
     /// row-major matvec as its one-row case. `A` is `m × k`, `B` is `n × k`
     /// and `C` is `m × n`, each row-major; `C` is overwritten.
     ///
-    /// Every output is bitwise the dot product this set's
-    /// [`dot4`](Self::dot4) returns for its row of `A` against its group of
-    /// four rows of `B` — or, for the `n % 4` trailing columns, that
-    /// [`dot`](Self::dot) returns — with the same accumulators, steps and
-    /// final reduction, however many rows of `A` share a pass. The avx512
-    /// sets take two rows of `A` through each group of four rows of `B`, so
-    /// every loaded chunk of the group serves both; the avx2 and scalar sets
-    /// run one row at a time (two rows' eight `dot4` accumulator pairs do
-    /// not fit in sixteen ymm registers).
+    /// Each output depends only on its own row of `A` and its own row of
+    /// `B` (and on whether that row of `B` falls in one of the `n / 4`
+    /// leading groups of four or among the `n % 4` trailing rows, which fix
+    /// its accumulators, steps and final reduction), never on another row
+    /// of `A`. So a multi-row product is bitwise a loop of one-row products,
+    /// however many rows of `A` share a pass. The avx512 sets take two rows
+    /// of `A` through each group of four rows of `B`, so every loaded chunk
+    /// of the group serves both; the avx2 and scalar sets run one row at a
+    /// time (two rows' eight accumulator pairs do not fit in sixteen ymm
+    /// registers).
     #[inline]
     pub fn gemm_nt_f32(&self, a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
         if k == 0 {
-            // Empty dot products: every output is `+0`, as `dot` returns.
+            // Empty dot products: every output is `+0`.
             return c.fill(0.0);
         }
         assert!(
@@ -236,13 +205,12 @@ impl KernelSet {
     /// with `a` the `m × K` `dY`, strides `[1, K]` give the input gradient
     /// `dY · W`.
     ///
-    /// Every output runs exactly the chain this set's [`axpy`](Self::axpy)
-    /// runs on it when row `r` of `C` is built one `k` at a time:
-    /// `c = a(k, r) · B[k][j] + c`, `k` ascending from `+0`, fused on the
-    /// SIMD sets (the avx2 axpy's `mul_add` tail is fused too) and rounded
-    /// twice on scalar, and a `k` whose `a(k, r)` is `±0` is skipped for
-    /// that row alone, as the axpy loops skip it. So the result is bitwise
-    /// the axpy loop's, whatever the tile. The SIMD sets keep a tile of four
+    /// Every output is the chain `c = a(k, r) · B[k][j] + c` with `k`
+    /// ascending from `c = +0`: each step is fused (one rounding) on the
+    /// SIMD sets and rounded twice (the product, then the sum) on scalar,
+    /// and a `k` whose `a(k, r)` is `±0` is skipped for that row alone, so
+    /// a NaN or infinity in `B` never meets a zero coefficient. The chain
+    /// is the same whatever the tile. The SIMD sets keep a tile of four
     /// rows of `C` by 64 (avx512) or 16 (avx2) columns in registers for the
     /// whole of `K`: each loaded line of `B` feeds four rows, and `C` is
     /// written once.
@@ -542,9 +510,6 @@ const LANES: usize = 8;
 
 static SCALAR: KernelSet = KernelSet {
     name: "scalar",
-    dot: dot_scalar,
-    dot4: dot4_scalar,
-    axpy: axpy_scalar,
     gemm_nt_f32: gemm_nt_f32_scalar,
     gemm_rank_f32: gemm_rank_f32_scalar,
     bias_act: bias_act_scalar,
@@ -812,9 +777,6 @@ mod x86 {
 
     pub(super) static AVX2: KernelSet = KernelSet {
         name: "avx2",
-        dot: dot_avx2,
-        dot4: dot4_avx2,
-        axpy: axpy_avx2,
         gemm_nt_f32: gemm_nt_f32_avx2,
         gemm_rank_f32: gemm_rank_f32_avx2,
         bias_act: bias_act_avx2,
@@ -829,9 +791,6 @@ mod x86 {
 
     pub(super) static AVX512: KernelSet = KernelSet {
         name: "avx512",
-        dot: dot_avx512,
-        dot4: dot4_avx512,
-        axpy: axpy_avx512,
         gemm_nt_f32: gemm_nt_f32_avx512,
         gemm_rank_f32: gemm_rank_f32_avx512,
         bias_act: bias_act_avx512,
@@ -852,9 +811,6 @@ mod x86 {
     /// lanes).
     pub(super) static AVX512VNNI: KernelSet = KernelSet {
         name: "avx512vnni",
-        dot: dot_avx512,
-        dot4: dot4_avx512,
-        axpy: axpy_avx512,
         gemm_nt_f32: gemm_nt_f32_avx512,
         gemm_rank_f32: gemm_rank_f32_avx512,
         bias_act: bias_act_avx512,
@@ -996,8 +952,10 @@ mod x86 {
     }
 
     fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: this fn is only reachable through the AVX2 KernelSet,
-        // which is handed out exclusively after feature detection.
+        // SAFETY: reachable only through the detected AVX2 KernelSet's
+        // `gemm_nt_f32`, whose "gemm_nt shape mismatch" assert makes `A`
+        // and `B` whole rows `k` long, and `gemm_nt_rows` hands this fn
+        // rows sliced exactly `k` long, so `b` is as long as `a`.
         unsafe { dot_avx2_impl(a, b) }
     }
 
@@ -1064,33 +1022,11 @@ mod x86 {
     }
 
     fn dot4_avx2(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        // SAFETY: reachable only through the detected AVX2 KernelSet.
+        // SAFETY: reachable only through the detected AVX2 KernelSet's
+        // `gemm_nt_f32`, whose "gemm_nt shape mismatch" assert makes `A`
+        // and `B` whole rows `k` long, and `gemm_nt_rows` hands this fn
+        // rows sliced exactly `k` long, so all five slices are `a.len()`.
         unsafe { dot4_avx2_impl(a, b0, b1, b2, b3) }
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn axpy_avx2_impl(dst: &mut [f32], src: &[f32], alpha: f32) {
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let va = _mm256_set1_ps(alpha);
-        let (pd, ps) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 8 <= n {
-            let d = _mm256_fmadd_ps(va, _mm256_loadu_ps(ps.add(i)), _mm256_loadu_ps(pd.add(i)));
-            _mm256_storeu_ps(pd.add(i), d);
-            i += 8;
-        }
-        while i < n {
-            dst[i] = alpha.mul_add(src[i], dst[i]);
-            i += 1;
-        }
-    }
-
-    fn axpy_avx2(dst: &mut [f32], src: &[f32], alpha: f32) {
-        // SAFETY: reachable only through the detected AVX2 KernelSet.
-        unsafe { axpy_avx2_impl(dst, src, alpha) }
     }
 
     fn gemm_nt_f32_avx2(a: &[f32], b: &[f32], c: &mut [f32], k: usize) {
@@ -1328,17 +1264,12 @@ mod x86 {
         _mm512_reduce_add_ps(acc)
     }
 
-    fn dot_avx512(a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: reachable only through the detected AVX-512 KernelSet.
-        unsafe { dot_avx512_impl(a, b) }
-    }
-
     /// Dot products of `R` rows of `A` against four rows of `B`, all `n`
     /// long, each loaded chunk of `B` serving all `R` rows. Per output two
     /// accumulators: the 32-step fills both halves, a 16-step the first,
     /// the masked tail the second; their sum is reduced. An output's chain
-    /// does not depend on `R`, so `R = 1` is `dot4` and a row of the
-    /// two-row GEMM block is bitwise its `dot4`.
+    /// does not depend on `R`, so a row of the two-row GEMM block is
+    /// bitwise the one-row block's.
     ///
     /// # Safety
     /// Requires AVX-512F and every pointer valid for `n` reads.
@@ -1393,15 +1324,6 @@ mod x86 {
         out
     }
 
-    fn dot4_avx512(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        let pb = [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()];
-        // SAFETY: reachable only through the detected AVX-512 KernelSet,
-        // and only through `KernelSet::dot4`, whose "dot4 length mismatch"
-        // assert makes all five slices `a.len()` long.
-        let [out] = unsafe { dot4_rows_avx512::<1>([a.as_ptr()], pb, a.len()) };
-        out
-    }
-
     /// Rows of `A` per pass of the AVX-512 nt-GEMM: two rows' sixteen
     /// accumulators, their four chunk registers and a loaded pair of `B`
     /// take 22 of the 32 zmm.
@@ -1446,36 +1368,6 @@ mod x86 {
         // mismatch" assert (and early returns for `k = 0` or an empty `C`)
         // are the kernel's requirements.
         unsafe { gemm_nt_f32_avx512_impl(a, b, c, k) }
-    }
-
-    /// # Safety
-    /// Requires AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_avx512_impl(dst: &mut [f32], src: &[f32], alpha: f32) {
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let va = _mm512_set1_ps(alpha);
-        let (pd, ps) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 16 <= n {
-            let d = _mm512_fmadd_ps(va, _mm512_loadu_ps(ps.add(i)), _mm512_loadu_ps(pd.add(i)));
-            _mm512_storeu_ps(pd.add(i), d);
-            i += 16;
-        }
-        if i < n {
-            let m: __mmask16 = (1u16 << (n - i)) - 1;
-            let d = _mm512_fmadd_ps(
-                va,
-                _mm512_maskz_loadu_ps(m, ps.add(i)),
-                _mm512_maskz_loadu_ps(m, pd.add(i)),
-            );
-            _mm512_mask_storeu_ps(pd.add(i), m, d);
-        }
-    }
-
-    fn axpy_avx512(dst: &mut [f32], src: &[f32], alpha: f32) {
-        // SAFETY: reachable only through the detected AVX-512 KernelSet.
-        unsafe { axpy_avx512_impl(dst, src, alpha) }
     }
 
     /// # Safety
@@ -1794,9 +1686,9 @@ mod x86 {
     // `k` of `B` is loaded once (masked past the last live column, so a
     // ragged tile reads and writes nothing beyond it), then each row whose
     // `a(k, r)` is non-zero fuses it into that row's accumulators. Lane
-    // `(r, j)` therefore runs `c = fma(a(k, r), B[k][j], c)` over the same
-    // `k` as the axpy loop, from the same `+0`; `KernelSet::gemm_rank_f32`
-    // says why that is bitwise the loop.
+    // `(r, j)` therefore runs `c = fma(a(k, r), B[k][j], c)` over `k`
+    // ascending from `+0`, the chain `KernelSet::gemm_rank_f32` documents,
+    // whatever the tile.
 
     /// Rows of `C` per rank-update tile, on both SIMD tiers.
     const RANK_ROWS: usize = 4;
@@ -2269,7 +2161,7 @@ mod tests {
         for i in (a.len() / LANES * LANES)..a.len() {
             expect += a[i] * b[i];
         }
-        assert_eq!(ks.dot(&a, &b), expect);
+        assert_eq!(dot_scalar(&a, &b), expect);
     }
 
     #[test]
@@ -2319,12 +2211,35 @@ mod tests {
         }
     }
 
+    // The SIMD GEMM bodies size raw-pointer loads by `k` and `n`; the
+    // public wrappers must reject a ragged operand in release builds too.
+
     #[test]
-    #[should_panic(expected = "dot length mismatch")]
-    fn mismatched_dot_lengths_panic_not_ub() {
-        // The SIMD bodies size raw-pointer loads by `a.len()`; the public
-        // wrapper must reject mismatches in release builds too.
-        let _ = KernelSet::active().dot(&[1.0; 16], &[1.0; 8]);
+    #[should_panic(expected = "gemm_nt shape mismatch")]
+    fn ragged_gemm_nt_operand_panics_not_ub() {
+        // `B` is one and a half rows of 16.
+        KernelSet::active().gemm_nt_f32(&[1.0; 16], &[1.0; 24], &mut [0.0; 1], 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_nt shape mismatch")]
+    fn short_gemm_nt_output_panics_not_ub() {
+        // 2 × 16 against 4 × 16 is 8 outputs, not 7.
+        KernelSet::active().gemm_nt_f32(&[1.0; 32], &[1.0; 64], &mut [0.0; 7], 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_rank shape mismatch")]
+    fn ragged_gemm_rank_operand_panics_not_ub() {
+        // `B` is one and a half rows of 16.
+        KernelSet::active().gemm_rank_f32(&[1.0; 4], [1, 1], &[1.0; 24], &mut [0.0; 16], 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_rank operand out of bounds")]
+    fn short_gemm_rank_coefficients_panic_not_ub() {
+        // Two rows of `C` over three `k` need `a(2, 1) = a[2·2 + 1]`.
+        KernelSet::active().gemm_rank_f32(&[1.0; 5], [2, 1], &[1.0; 48], &mut [0.0; 32], 16);
     }
 
     #[test]

@@ -24,51 +24,46 @@ fn kernel_input(len: usize, seed: u64, scale: f32) -> Vec<f32> {
         .collect()
 }
 
-/// `C = A · Bᵀ` (`A` m×k, `B` n×k) as the row loop the nt-GEMM kernel
-/// replaced: per row of `A`, four rows of `B` per `dot4`, the trailing
-/// `n % 4` through `dot`.
-fn nt_by_dots(ks: &KernelSet, a: &[f32], b: &[f32], k: usize) -> Vec<f32> {
+/// `C = A · Bᵀ` (`A` m×k, `B` n×k) as a loop of one-row products: the
+/// contract that each output depends only on its own row of `A` (on
+/// avx512 this checks the two-row block against the one-row block).
+fn nt_by_rows(ks: &KernelSet, a: &[f32], b: &[f32], k: usize) -> Vec<f32> {
     let n = b.len() / k;
-    let brow = |j: usize| &b[j * k..(j + 1) * k];
-    let mut c = Vec::new();
-    for arow in a.chunks_exact(k) {
-        let mut j = 0;
-        while j + 4 <= n {
-            c.extend(ks.dot4(arow, brow(j), brow(j + 1), brow(j + 2), brow(j + 3)));
-            j += 4;
-        }
-        c.extend((j..n).map(|j| ks.dot(arow, brow(j))));
+    let mut c = vec![f32::NAN; a.len() / k * n];
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        ks.gemm_nt_f32(arow, b, crow, k);
     }
     c
 }
 
-/// `C = Aᵀ · B` (`A` K×m, `B` K×n) as the axpy loop the rank-update kernel
-/// replaced in the weight gradient: row `k` of `B` into row `r` of `C` for
-/// every non-zero `A[k][r]`.
-fn tn_by_axpy(ks: &KernelSet, a: &[f32], m: usize, b: &[f32], n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    for (arow, brow) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        for (r, &av) in arow.iter().enumerate() {
-            if av != 0.0 {
-                ks.axpy(&mut c[r * n..(r + 1) * n], brow, av);
+/// The rank-update GEMM `C[r][j] = Σ_k a(k, r) · B[k][j]`, `a(k, r) =
+/// a[k·ks + r·rs]`, `C` `m × n`, spelled out one output at a time: `c = a ·
+/// b + c` per `k` ascending from `+0`, fused on the SIMD sets and rounded
+/// twice on scalar, a `±0` coefficient skipped.
+fn rank_by_chain(
+    set: &KernelSet,
+    a: &[f32],
+    [ks, rs]: [usize; 2],
+    b: &[f32],
+    m: usize,
+    n: usize,
+) -> Vec<f32> {
+    let chain = |r: usize, j: usize| {
+        let mut c = 0.0f32;
+        for (k, brow) in b.chunks_exact(n).enumerate() {
+            let av = a[k * ks + r * rs];
+            if av == 0.0 {
+                continue;
+            }
+            if set.name == "scalar" {
+                c += av * brow[j];
+            } else {
+                c = av.mul_add(brow[j], c);
             }
         }
-    }
-    c
-}
-
-/// `C = A · B` (`A` m×K, `B` K×n) as the axpy loop the rank-update kernel
-/// replaced in the input gradient: one row of `C` at a time.
-fn nn_by_axpy(ks: &KernelSet, a: &[f32], kdim: usize, b: &[f32], n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; a.len() / kdim * n];
-    for (arow, crow) in a.chunks_exact(kdim).zip(c.chunks_exact_mut(n)) {
-        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
-            if av != 0.0 {
-                ks.axpy(crow, brow, av);
-            }
-        }
-    }
-    c
+        c
+    };
+    (0..m * n).map(|i| chain(i / n, i % n)).collect()
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -264,8 +259,10 @@ proptest! {
     }
 
     /// Every dispatched SIMD kernel set reproduces the scalar reference
-    /// dot products within 1e-6 on randomized lengths, including
-    /// remainder lanes (lengths that are not multiples of 8/16/32).
+    /// dot products of a one-row nt-GEMM within 1e-6 on randomized lengths,
+    /// including remainder lanes (lengths that are not multiples of
+    /// 8/16/32): against one row of `B` (the trailing-row path) and against
+    /// a group of four.
     #[test]
     fn simd_dot_kernels_match_scalar(
         len in 0usize..134,
@@ -273,46 +270,33 @@ proptest! {
         scale in 0.1f32..3.0,
     ) {
         let a = kernel_input(len, seed, scale);
-        let b0 = kernel_input(len, seed ^ 1, scale);
-        let b1 = kernel_input(len, seed ^ 2, scale);
-        let b2 = kernel_input(len, seed ^ 3, scale);
-        let b3 = kernel_input(len, seed ^ 4, scale);
-        let scalar = KernelSet::scalar();
-        let want = scalar.dot(&a, &b0);
-        let want4 = scalar.dot4(&a, &b0, &b1, &b2, &b3);
-        for ks in KernelSet::available() {
-            let got = ks.dot(&a, &b0);
-            prop_assert!(close(got, want), "{} dot: {got} vs {want}", ks.name);
-            let got4 = ks.dot4(&a, &b0, &b1, &b2, &b3);
-            for j in 0..4 {
-                prop_assert!(
-                    close(got4[j], want4[j]),
-                    "{} dot4[{j}]: {} vs {}", ks.name, got4[j], want4[j]
-                );
+        let b: Vec<f32> = (1..=4).flat_map(|s| kernel_input(len, seed ^ s, scale)).collect();
+        for n in [1, 4] {
+            let b = &b[..n * len];
+            let mut want = vec![f32::NAN; n];
+            KernelSet::scalar().gemm_nt_f32(&a, b, &mut want, len);
+            for ks in KernelSet::available() {
+                let mut got = vec![f32::NAN; n];
+                ks.gemm_nt_f32(&a, b, &mut got, len);
+                for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(close(*g, *w), "{} n={n} [{j}]: {g} vs {w}", ks.name);
+                }
             }
         }
     }
 
-    /// SIMD axpy and the L1 error reduction match the scalar reference on
+    /// The SIMD L1 error reduction matches the scalar reference on
     /// randomized lengths including remainders.
     #[test]
-    fn simd_axpy_and_l1_match_scalar(
+    fn simd_l1_matches_scalar(
         len in 0usize..71,
         seed in 0u64..500,
-        alpha in -2.0f32..2.0,
     ) {
         let src = kernel_input(len, seed, 1.0);
         let base = kernel_input(len, seed ^ 7, 1.0);
         let scalar = KernelSet::scalar();
-        let mut want = base.clone();
-        scalar.axpy(&mut want, &src, alpha);
         let want_l1 = scalar.sum_abs_diff(&base, &src);
         for ks in KernelSet::available() {
-            let mut got = base.clone();
-            ks.axpy(&mut got, &src, alpha);
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!(close(*g, *w), "{} axpy: {g} vs {w}", ks.name);
-            }
             let got_l1 = ks.sum_abs_diff(&base, &src);
             prop_assert!(close(got_l1, want_l1), "{} l1: {got_l1} vs {want_l1}", ks.name);
         }
@@ -562,16 +546,17 @@ proptest! {
         }
     }
 
-    /// The training kernels are the loops they replaced, bit for bit, on
-    /// every kernel set. For a batch's forward product `X · Wᵀ`, weight
-    /// gradient `dYᵀ · X` and input gradient `dY · W`, every output of
-    /// `gemm_nt_f32` / `gemm_rank_f32` has the bits the set's own `dot4` /
-    /// `dot` / `axpy` loop gives it: at the six autoencoder layers at batch
-    /// 64 and at ragged shapes (1..=9 rows, widths off multiples of 8 and
-    /// 16, a single `k` for each product), with `+0`, `−0`, whole zero rows
-    /// and whole zero columns in `X`, `W` and `dY`, and optionally a NaN
-    /// or infinity in `X` and in `W` — which a skipped zero gradient must
-    /// not multiply, as the axpy loops never did.
+    /// The training kernels are the arithmetic their docs state, bit for
+    /// bit, on every kernel set. For a batch's forward product `X · Wᵀ`,
+    /// every output of `gemm_nt_f32` has the bits the loop of its one-row
+    /// products gives it; for the weight gradient `dYᵀ · X` and input
+    /// gradient `dY · W`, every output of `gemm_rank_f32` has the bits of
+    /// its multiply-add chain (`rank_by_chain`). At the six autoencoder layers
+    /// at batch 64 and at ragged shapes (1..=9 rows, widths off multiples
+    /// of 8 and 16, a single `k` for each product), with `+0`, `−0`, whole
+    /// zero rows and whole zero columns in `X`, `W` and `dY`, and
+    /// optionally a NaN or infinity in `X` and in `W` — which a skipped
+    /// zero gradient must not multiply.
     #[test]
     fn training_kernels_are_their_loops_bitwise(
         shape in prop_oneof![
@@ -617,15 +602,15 @@ proptest! {
         for ks in KernelSet::available() {
             let mut y = vec![f32::NAN; batch * out];
             ks.gemm_nt_f32(&x, &w, &mut y, inp);
-            prop_assert_eq!(bits(&y), bits(&nt_by_dots(ks, &x, &w, inp)),
+            prop_assert_eq!(bits(&y), bits(&nt_by_rows(ks, &x, &w, inp)),
                 "{} forward {}x{}x{}", ks.name, batch, inp, out);
             let mut dw = vec![f32::NAN; out * inp];
             ks.gemm_rank_f32(&dy, [out, 1], &x, &mut dw, inp);
-            prop_assert_eq!(bits(&dw), bits(&tn_by_axpy(ks, &dy, out, &x, inp)),
+            prop_assert_eq!(bits(&dw), bits(&rank_by_chain(ks, &dy, [out, 1], &x, out, inp)),
                 "{} dW {}x{}x{}", ks.name, batch, inp, out);
             let mut dx = vec![f32::NAN; batch * inp];
             ks.gemm_rank_f32(&dy, [1, out], &w, &mut dx, inp);
-            prop_assert_eq!(bits(&dx), bits(&nn_by_axpy(ks, &dy, out, &w, inp)),
+            prop_assert_eq!(bits(&dx), bits(&rank_by_chain(ks, &dy, [1, out], &w, batch, inp)),
                 "{} dX {}x{}x{}", ks.name, batch, inp, out);
         }
     }

@@ -3,10 +3,11 @@
 //! matvec training runs on, the f32 panel GEMV the inference engines run
 //! on (`PanelMatrix::matvec_into`) and the int8 row (plan + encode + panel
 //! GEMV) with its bare panel GEMV, each panel kernel with the weight bytes
-//! it streams per nanosecond; then training: each autoencoder layer's three batch GEMMs through the
-//! training kernels next to the `dot4` / `dot` / `axpy` loops they
-//! replaced, and the wall time of a ci-shaped `Autoencoder::train` and
-//! `GruClassifier::train`, each on one training lane and on all of them.
+//! it streams per nanosecond; then training: each autoencoder layer's
+//! three batch GEMMs through the training kernels
+//! (`KernelSet::gemm_nt_f32` / `gemm_rank_f32`), and the wall time of a
+//! ci-shaped `Autoencoder::train` and `GruClassifier::train`, each on one
+//! training lane and on all of them.
 //!
 //! ```text
 //! cargo run --release --example profile_kernels
@@ -92,7 +93,7 @@ fn main() {
         t.elapsed().as_secs_f64() * 1e9 / 200_000.0
     );
 
-    training(ks);
+    training();
 }
 
 /// The autoencoder's layers as (inputs, outputs), input side first.
@@ -107,58 +108,12 @@ const AE_LAYERS: [(usize, usize); 6] = [
 /// Rows per training batch (`AutoencoderConfig::clap_paper`).
 const BATCH: usize = 64;
 
-/// `X · Wᵀ` a row at a time through the set's `dot4` / `dot` — the loop
-/// `KernelSet::gemm_nt_f32` replaced.
-fn loop_nt(ks: &KernelSet, x: &Matrix, w: &Matrix, c: &mut Matrix) {
-    c.resize(x.rows, w.rows);
-    for i in 0..x.rows {
-        let crow = c.row_mut(i);
-        let mut j = 0;
-        while j + 4 <= w.rows {
-            let out = ks.dot4(x.row(i), w.row(j), w.row(j + 1), w.row(j + 2), w.row(j + 3));
-            crow[j..j + 4].copy_from_slice(&out);
-            j += 4;
-        }
-        for (j, cv) in crow.iter_mut().enumerate().skip(j) {
-            *cv = ks.dot(x.row(i), w.row(j));
-        }
-    }
-}
-
-/// `dW = dYᵀ · X` as one axpy per non-zero gradient, batch row by batch
-/// row — the loop behind the replaced `matmul_tn`.
-fn loop_tn(ks: &KernelSet, dy: &Matrix, x: &Matrix, dw: &mut Matrix) {
-    dw.resize(dy.cols, x.cols);
-    dw.data.fill(0.0);
-    for k in 0..dy.rows {
-        for (i, &g) in dy.row(k).iter().enumerate() {
-            if g != 0.0 {
-                ks.axpy(dw.row_mut(i), x.row(k), g);
-            }
-        }
-    }
-}
-
-/// `dX = dY · W` as one axpy per non-zero gradient — the loop behind the
-/// replaced `matmul_nn`.
-fn loop_nn(ks: &KernelSet, dy: &Matrix, w: &Matrix, dx: &mut Matrix) {
-    dx.resize(dy.rows, w.cols);
-    for i in 0..dy.rows {
-        dx.row_mut(i).fill(0.0);
-        for (k, &g) in dy.row(i).iter().enumerate() {
-            if g != 0.0 {
-                ks.axpy(dx.row_mut(i), w.row(k), g);
-            }
-        }
-    }
-}
-
-/// Training: the three batch GEMMs of every autoencoder layer through the
-/// kernels and through the loops they replaced, then a ci-shaped
-/// `Autoencoder::train` end to end and the share of it Adam takes.
-fn training(ks: &KernelSet) {
+/// Training: the three batch GEMMs of every autoencoder layer, then a
+/// ci-shaped `Autoencoder::train` end to end and the share of it Adam
+/// takes.
+fn training() {
     println!(
-        "AE training GEMMs, batch {BATCH}, GFLOP/s kernel (loop): \
+        "AE training GEMMs, batch {BATCH}, GFLOP/s: \
          forward X·Wᵀ | dW = dYᵀ·X | dX = dY·W"
     );
     // A third of the features are zero, as in stacked profiles.
@@ -180,25 +135,13 @@ fn training(ks: &KernelSet) {
         });
         let iters = (200_000_000 / (BATCH * inp * out)) as u32;
         let gflops = |ns: f64| 2.0 * (BATCH * inp * out) as f64 / ns;
-        let mut pair = |kernel: &mut dyn FnMut(&mut Matrix),
-                        reference: &mut dyn FnMut(&mut Matrix)| {
-            let k = ns_per_call(iters, || kernel(&mut c));
-            let r = ns_per_call(iters, || reference(&mut c));
-            format!("{:>5.1} ({:>5.1})", gflops(k), gflops(r))
+        let mut rate = |product: fn(&Matrix, &Matrix, &mut Matrix), a: &Matrix, b: &Matrix| {
+            gflops(ns_per_call(iters, || product(black_box(a), b, &mut c)))
         };
-        let fwd = pair(
-            &mut |c| Matrix::matmul_nt_into(black_box(&x), &w, c),
-            &mut |c| loop_nt(ks, black_box(&x), &w, c),
-        );
-        let dw = pair(
-            &mut |c| Matrix::matmul_tn_into(black_box(&dy), &x, c),
-            &mut |c| loop_tn(ks, black_box(&dy), &x, c),
-        );
-        let dx = pair(
-            &mut |c| Matrix::matmul_nn_into(black_box(&dy), &w, c),
-            &mut |c| loop_nn(ks, black_box(&dy), &w, c),
-        );
-        println!("{inp:>3} -> {out:<3} | {fwd} | {dw} | {dx}");
+        let fwd = rate(Matrix::matmul_nt_into, &x, &w);
+        let dw = rate(Matrix::matmul_tn_into, &dy, &x);
+        let dx = rate(Matrix::matmul_nn_into, &dy, &w);
+        println!("{inp:>3} -> {out:<3} | {fwd:>5.1} | {dw:>5.1} | {dx:>5.1}");
     }
 
     // `ClapConfig::ci()`'s autoencoder on the benchmark's training-set
