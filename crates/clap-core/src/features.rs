@@ -28,7 +28,7 @@
 //! `0.0` or `1.0` — so a flow's resident profiles keep it as one bit. The
 //! other 18 are the scaled numeric features.
 
-use net_packet::{Connection, Direction, IpHeader, Packet, TcpFlags};
+use net_packet::{Checksums, Connection, Direction, IpHeader, Packet, TcpFlags};
 use serde::{Deserialize, Serialize};
 
 /// Base (RNN-input) feature count — Table 7 features #1–#32.
@@ -87,18 +87,19 @@ fn rel_seq(value: u32, isn: Option<u32>) -> f32 {
 /// in capture order produces exactly the vectors `extract_connection`
 /// returns (same code path, so bitwise identical).
 ///
-/// The optional anchors live as raw values plus presence bits rather than
-/// `Option`s: sequence numbers and timestamps span the full `u32` range,
-/// so presence cannot be encoded in-band, and `Option` padding would
-/// nearly double this struct — which sits resident in every flow-table
-/// slot at million-flow scale.
+/// The optional anchors live as raw values plus presence bits rather
+/// than `Option`s: sequence numbers and timestamps span the full `u32`
+/// range, so presence cannot be encoded in-band, and `Option` padding
+/// would nearly double the state — which sits resident in every
+/// flow-table slot at million-flow scale. A slot keeps the 24 bytes of
+/// values and, in its own flags byte, the five presence bits, so no
+/// padding byte is spent on them; this struct pairs the two for everyone
+/// else.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureExtractor {
-    isn: [u32; 2],
-    prev_tsval: [u32; 2],
-    prev_time: f64,
-    /// Presence bits: 0–1 `isn[d]`, 2–3 `prev_tsval[d]`, 4 `prev_time`.
-    present: u8,
+    pub(crate) anchors: Anchors,
+    /// The anchors' presence bits.
+    pub(crate) present: u8,
 }
 
 impl FeatureExtractor {
@@ -106,39 +107,12 @@ impl FeatureExtractor {
         Self::default()
     }
 
-    fn get(&self, bit: u8, value: u32) -> Option<u32> {
-        (self.present & (1 << bit) != 0).then_some(value)
-    }
-
     /// Extracts the next packet's features into a caller-owned
     /// [`FeatureVector`], reusing its buffers — zero allocation once the
     /// vector has been through one call.
     pub fn push_into(&mut self, p: &Packet, dir: Direction, out: &mut FeatureVector) {
-        // The first sequence number seen per direction anchors relative
-        // SEQ/ACK (for SYNs this is the true ISN). UDP has no sequence
-        // space; its anchor stays 0 and the relative slots read 0.
-        let d = dir.index();
-        if self.present & (1 << d) == 0 {
-            self.isn[d] = p.transport.tcp().map_or(0, |t| t.seq);
-            self.present |= 1 << d;
-        }
-        let isn = [self.get(0, self.isn[0]), self.get(1, self.isn[1])];
-        let mut prev_tsval = [
-            self.get(2, self.prev_tsval[0]),
-            self.get(3, self.prev_tsval[1]),
-        ];
-        let mut prev_time = (self.present & (1 << 4) != 0).then_some(self.prev_time);
-        extract_packet_into(p, dir, isn, &mut prev_tsval, &mut prev_time, out);
-        for (d, v) in prev_tsval.iter().enumerate() {
-            if let Some(v) = v {
-                self.prev_tsval[d] = *v;
-                self.present |= 1 << (2 + d);
-            }
-        }
-        if let Some(t) = prev_time {
-            self.prev_time = t;
-            self.present |= 1 << 4;
-        }
+        self.anchors
+            .push_into(&mut self.present, p, dir, p.checksums(), out);
     }
 
     /// Allocating convenience wrapper around [`push_into`](Self::push_into).
@@ -150,6 +124,61 @@ impl FeatureExtractor {
         };
         self.push_into(p, dir, &mut fv);
         fv
+    }
+}
+
+/// The presence bits of a flow's [`Anchors`], in whatever byte holds
+/// them: 0–1 `isn[d]`, 2–3 `prev_tsval[d]`, 4 `prev_time`.
+/// [`Anchors::push_into`] only ever sets bits of this mask, so the byte's
+/// other bits are free for its owner's use.
+pub(crate) const PRESENT_MASK: u8 = 0x1f;
+
+/// A [`FeatureExtractor`]'s anchors without their presence bits: the
+/// first sequence number seen per direction, the previous timestamp
+/// value per direction and the previous capture time.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Anchors {
+    isn: [u32; 2],
+    prev_tsval: [u32; 2],
+    prev_time: f64,
+}
+
+impl Anchors {
+    /// [`FeatureExtractor::push_into`] for anchors whose presence bits
+    /// (see [`PRESENT_MASK`]) are kept in `present`, for packet `p` whose
+    /// checksum verdicts are `sums`.
+    pub(crate) fn push_into(
+        &mut self,
+        present: &mut u8,
+        p: &Packet,
+        dir: Direction,
+        sums: Checksums,
+        out: &mut FeatureVector,
+    ) {
+        // The first sequence number seen per direction anchors relative
+        // SEQ/ACK (for SYNs this is the true ISN). UDP has no sequence
+        // space; its anchor stays 0 and the relative slots read 0.
+        let d = dir.index();
+        if *present & (1 << d) == 0 {
+            self.isn[d] = p.transport.tcp().map_or(0, |t| t.seq);
+            *present |= 1 << d;
+        }
+        let bits = *present;
+        let get = |bit: u8, value: u32| (bits & (1 << bit) != 0).then_some(value);
+        let isn = [get(0, self.isn[0]), get(1, self.isn[1])];
+        let mut prev_tsval = [get(2, self.prev_tsval[0]), get(3, self.prev_tsval[1])];
+        let mut prev_time = (bits & (1 << 4) != 0).then_some(self.prev_time);
+        extract_packet_into(p, dir, sums, isn, &mut prev_tsval, &mut prev_time, out);
+        for (d, v) in prev_tsval.iter().enumerate() {
+            if let Some(v) = v {
+                self.prev_tsval[d] = *v;
+                *present |= 1 << (2 + d);
+            }
+        }
+        if let Some(t) = prev_time {
+            self.prev_time = t;
+            *present |= 1 << 4;
+        }
     }
 }
 
@@ -169,6 +198,7 @@ pub fn extract_connection(conn: &Connection) -> Vec<FeatureVector> {
 fn extract_packet_into(
     p: &Packet,
     dir: Direction,
+    sums: Checksums,
     isn: [Option<u32>; 2],
     prev_tsval: &mut [Option<u32>; 2],
     prev_time: &mut Option<f64>,
@@ -273,7 +303,7 @@ fn extract_packet_into(
         base.push(f.contains(flag) as u8 as f32); // #5..#13
     }
     base.push(window as f32 / 65_535.0); // #14
-    base.push(p.transport_checksum_valid() as u8 as f32); // #15
+    base.push(sums.transport as u8 as f32); // #15
     base.push(urgent as f32 / 65_535.0); // #16
     base.push((p.payload.len() as f32 / 1500.0).min(2.0) / 2.0); // #17
     base.push(mss as f32 / 1460.0); // #18
@@ -287,7 +317,7 @@ fn extract_packet_into(
     base.push((p.ip.total_length_field() as f32 / 1500.0).min(2.0) / 2.0); // #26
     base.push(p.ip.ttl() as f32 / 255.0); // #27
     base.push(claimed_ip_hdr_words / 15.0); // #28
-    base.push(p.ip_checksum_valid() as u8 as f32); // #29
+    base.push(sums.ip as u8 as f32); // #29
     base.push(p.ip.version_field() as f32 / 15.0); // #30
     base.push(tos as f32 / 255.0); // #31
     base.push(ip_anomalous_options as u8 as f32); // #32

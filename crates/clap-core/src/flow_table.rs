@@ -10,11 +10,17 @@
 //! what it keeps for the handle, then calls [`FlowTable::remove`].
 //!
 //! **Slab + key index.** Flow state lives in a slab of [`Slot`]s
-//! addressed by a `u32` handle (216 bytes a slot on 64-bit targets,
-//! const-asserted below), stored in fixed chunks (`crate::chunked`). The
-//! `CanonicalKey → handle` index is an open-addressed, power-of-two array
-//! of **8-byte** `(tag, handle)`
-//! buckets, linearly probed from `tag & mask` at load ≤ 1/2 — 16–32 bytes
+//! addressed by a `u32` handle (184 bytes a slot on 64-bit targets,
+//! const-asserted below), stored in fixed chunks (`crate::chunked`). A
+//! slot keeps only what a verdict, the expiry queues or the flow dump
+//! read: the 42 B key, a 44 B tracker with no packet counter, 24 B of
+//! feature anchors whose presence bits share the flags byte, and the
+//! error log as a 16 B boxed slice whose used length is the flow's window
+//! count. The header an index probe and an expiry re-queue touch —
+//! `last_seen`, key hash, queue links, key, flags — is its first 63
+//! bytes. The `CanonicalKey → handle` index is an open-addressed,
+//! power-of-two array of **8-byte** `(tag, handle)` buckets, linearly
+//! probed from `tag & mask` at load ≤ 1/2 — 16–32 bytes
 //! per live flow, 16.4 at the benchmark's 16 k-flow plateau, where the
 //! whole index is 256 KiB. A bucket holds no key: the flow's slot already
 //! stores one (a canonical key is 80 bytes, two 16-byte-aligned
@@ -68,8 +74,9 @@
 //! of the table and in `tests/proptests.rs` through a whole scorer).
 //!
 //! **Per-flow memory** at Table-6 sizes (`H = 32`, `stack = 3`, 115-value
-//! profiles): 16–32 B of index, a 216 B slot, the flow's error log
-//! (4 B per window it has emitted), and — in the owner's arena — resident
+//! profiles): 16–32 B of index, a 184 B slot, the flow's error log
+//! (4 B per window it has emitted, allocated as a `Vec` grows: 4, 8, 16,
+//! … entries), and — in the owner's arena — resident
 //! state: the hidden vector and two packed profile rows, each the
 //! profile's 82 dense values and an 8 B word of its 33 indicator bits
 //! (the owner's resident arena packs them). That is `4×32 + 2×(4×82 + 8)` = 800 B at
@@ -77,15 +84,16 @@
 //! 236 B at int8, plus 24 B per chunk for each array's list of chunks. A
 //! TCP flow picked up mid-stream also holds its first packets, and what
 //! they own, until its orientation resolves. Measured by the benchmark:
-//! 507.6 B/flow int8-resident at `churn_16k`'s 16 000-flow plateau (16
-//! chunks, 32 Ki index buckets); f32-resident, 1 064.2 B/flow at
-//! `syn_scan`'s 20 048 flows (20 chunks, 64 Ki buckets).
+//! 474.8 B/flow int8-resident at `churn_16k`'s 16 000-flow plateau (16
+//! chunks, 32 Ki index buckets); f32-resident, 1 031.5 B/flow at
+//! `syn_scan`'s 20 048 flows (20 chunks, 64 Ki buckets). (507.6 and
+//! 1 064.2 B with a 216 B slot.)
 //! [`FlowTable::heap_bytes`] is the table's share of
 //! [`StreamScorer::mem_bytes`](crate::StreamScorer::mem_bytes).
 
 use crate::chunked::Chunked;
-use crate::features::FeatureExtractor;
-use net_packet::{CanonicalKey, Direction, FlowKey, Packet};
+use crate::features::{Anchors, PRESENT_MASK};
+use net_packet::{CanonicalKey, Checksums, Direction, FlowKey, Packet};
 use std::hash::{BuildHasher, RandomState};
 use tcp_state::FlowTracker;
 
@@ -109,21 +117,45 @@ pub enum EvictionMode {
 const NIL: u32 = u32::MAX;
 
 /// Slot flag: occupied by a live flow (clear = on the free list).
-const FLAG_LIVE: u8 = 1;
+const FLAG_LIVE: u8 = 1 << 6;
 /// Slot flag: flow reached TIME_WAIT and is lingering (it waits on the
 /// linger queue and timeout instead of the idle ones).
-const FLAG_LINGER: u8 = 1 << 1;
+const FLAG_LINGER: u8 = 1 << 7;
+// The flags byte's low bits hold the flow's feature-anchor presence bits
+// (`Slot::scoring_state`), which the table's own flags must not overlap.
+const _: () = assert!((FLAG_LIVE | FLAG_LINGER) & PRESENT_MASK == 0);
 
-/// Per-flow slab slot: a table-owned header (queue links, flags,
-/// `last_seen`) around the per-flow state the owner works on. The queue
+/// Per-flow slab slot: a table-owned header (`last_seen`, key hash, queue
+/// links, flags) around the per-flow state the owner works on. The queue
 /// links double as the free-list link when the slot is vacant.
+///
+/// The fields are laid out in order (`repr(C)`): the header and the key —
+/// all that an index probe and an expiry re-queue read — fill the first 63
+/// bytes, and the 184-byte slot has no padding but the byte after them.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub(crate) struct Slot {
+    last_seen: f64,
+    /// The key's hash as [`open`](FlowTable::open) received it: where the
+    /// flow's index bucket probes from, so `remove` hashes nothing.
+    hash: KeyHash,
+    /// The next fresher flow of its expiry queue; the free-list link
+    /// when vacant.
+    queue_next: u32,
+    /// The next staler flow of its expiry queue.
+    queue_prev: u32,
     pub(crate) key: FlowKey,
-    pub(crate) extractor: FeatureExtractor,
+    /// `FLAG_*` bits, and in the low [`PRESENT_MASK`] bits the presence
+    /// bits of `anchors`.
+    flags: u8,
     pub(crate) tracker: FlowTracker,
+    /// Packets scored so far.
+    pub(crate) packets: u32,
+    /// Feature anchors (ISNs, previous timestamps); their presence bits
+    /// are in `flags`.
+    anchors: Anchors,
     /// Reconstruction error per emitted stacked window, in order.
-    pub(crate) window_errors: Vec<f32>,
+    pub(crate) window_errors: ErrorLog,
     /// Leading packets held back (with their arrival tags) while the
     /// flow's orientation is still undecided (`Some` only for TCP flows
     /// that did not start with a pure SYN, until the owner's orient buffer
@@ -137,48 +169,79 @@ pub(crate) struct Slot {
     /// Capture timestamp of this incarnation's first packet (flow age in
     /// the introspection dump is measured from here).
     pub(crate) first_seen: f64,
-    last_seen: f64,
-    pub(crate) packets: u32,
     /// Total wire bytes seen by this incarnation (conntrack-style
     /// accounting for the flow dump).
     pub(crate) bytes: u64,
-    /// The next fresher flow of its expiry queue; the free-list link
-    /// when vacant.
-    queue_next: u32,
-    /// The next staler flow of its expiry queue.
-    queue_prev: u32,
-    flags: u8,
-    /// The key's hash as [`open`](FlowTable::open) received it: where the
-    /// flow's index bucket probes from, so `remove` hashes nothing.
-    hash: KeyHash,
 }
 
 // The module docs, and every bytes-per-flow figure derived from them,
 // quote these sizes.
 #[cfg(target_pointer_width = "64")]
 const _: () = {
-    assert!(std::mem::size_of::<Slot>() == 216);
+    assert!(std::mem::size_of::<Slot>() == 184);
+    assert!(std::mem::offset_of!(Slot, flags) == 62);
     assert!(std::mem::size_of::<Bucket>() == 8);
 };
+
+/// A flow's reconstruction error per emitted window, in order: a boxed
+/// slice whose length is its capacity, grown exactly as a `Vec` grows (4,
+/// 8, 16, … entries), so it holds a `Vec`'s heap bytes in 16 slot bytes
+/// where a `Vec` takes 24. It does not store how many entries are in use:
+/// that is the flow's window count, which its owner derives from the
+/// flow's packets and the window stack.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ErrorLog(Box<[f32]>);
+
+impl ErrorLog {
+    /// Writes entry `at` — one past the last in use — growing the log
+    /// when it is full.
+    pub(crate) fn push(&mut self, at: usize, err: f32) {
+        if at == self.0.len() {
+            // `Vec`'s own amortised growth; filled to its capacity, the
+            // vector becomes a boxed slice without reallocating.
+            let mut grown = std::mem::take(&mut self.0).into_vec();
+            grown.reserve(1);
+            grown.resize(grown.capacity(), 0.0);
+            self.0 = grown.into_boxed_slice();
+        }
+        self.0[at] = err;
+    }
+
+    /// The first `used` entries.
+    pub(crate) fn errors(&self, used: usize) -> &[f32] {
+        &self.0[..used]
+    }
+
+    /// The first `used` entries as a `Vec` on the log's own allocation.
+    pub(crate) fn into_vec(self, used: usize) -> Vec<f32> {
+        let mut errors = self.0.into_vec();
+        errors.truncate(used);
+        errors
+    }
+
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.0)
+    }
+}
 
 impl Slot {
     fn new(hash: KeyHash, key: FlowKey, now: f64, arrival: u64) -> Slot {
         let tracker = FlowTracker::for_proto(key.proto);
         Slot {
+            last_seen: now,
+            hash,
+            queue_next: NIL,
+            queue_prev: NIL,
             key,
-            extractor: FeatureExtractor::new(),
+            flags: FLAG_LIVE,
             tracker,
-            window_errors: Vec::new(),
+            packets: 0,
+            anchors: Anchors::default(),
+            window_errors: ErrorLog::default(),
             pending: None,
             arrival,
             first_seen: now,
-            last_seen: now,
-            packets: 0,
             bytes: 0,
-            queue_next: NIL,
-            queue_prev: NIL,
-            flags: FLAG_LIVE,
-            hash,
         }
     }
 
@@ -197,22 +260,30 @@ impl Slot {
         usize::from(self.lingering())
     }
 
+    /// The flow's scoring state: its feature anchors, the byte holding
+    /// their presence bits — the flags, whose other bits the anchors never
+    /// touch — and its packet count.
+    pub(crate) fn scoring_state(&mut self) -> (&mut Anchors, &mut u8, &mut u32) {
+        (&mut self.anchors, &mut self.flags, &mut self.packets)
+    }
+
     /// Stream-clock time of the flow's last [`FlowTable::touch`].
     pub(crate) fn last_seen(&self) -> f64 {
         self.last_seen
     }
 
-    /// Books packet `p` to the flow — its direction under the flow's
-    /// orientation, one TCP/UDP tracker transition, its wire bytes — and
-    /// returns the direction for whoever extracts features next.
-    pub(crate) fn register(&mut self, p: &Packet) -> Direction {
+    /// Books packet `p`, whose checksum verdicts are `sums`, to the flow —
+    /// its direction under the flow's orientation, one TCP/UDP tracker
+    /// transition, its wire bytes — and returns the direction for whoever
+    /// extracts features next.
+    pub(crate) fn register(&mut self, p: &Packet, sums: Checksums) -> Direction {
         // Same fallback as `Connection::direction`: packets matching
         // neither orientation count as client→server.
         let dir = self
             .key
             .direction_of(p)
             .unwrap_or(Direction::ClientToServer);
-        self.tracker.process(p, dir);
+        self.tracker.process_with(p, dir, sums);
         self.bytes += p.wire_len() as u64;
         dir
     }
@@ -596,7 +667,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         let logs: usize = (0..self.slab.0.len() as u32)
             .map(|h| {
                 let s = &self.slab[h];
-                s.window_errors.capacity() * size_of::<f32>()
+                s.window_errors.heap_bytes()
                     + s.pending.as_ref().map_or(0, |b| {
                         size_of::<Vec<(u64, Packet)>>()
                             + b.capacity() * size_of::<(u64, Packet)>()

@@ -176,16 +176,22 @@ impl Clap {
         self.scorer_from_engines(
             GruEngine::from_packed(self.rnn.packed(), mode),
             AeEngine::from_model(&self.ae, mode),
+            ResidentMode::F32,
         )
     }
 
     /// Assembles a scorer around already-built engines, so batch entry
     /// points can pay weight packing (and quantization) once and hand each
     /// worker a clone (a memcpy) instead of re-deriving the engines per
-    /// chunk.
-    fn scorer_from_engines<'a>(&'a self, gru: GruEngine, ae: AeEngine<'a>) -> ClapScorer<'a> {
-        let mut resident =
-            ResidentArena::new(ResidentMode::F32, gru.hidden_size(), self.config.stack, 1);
+    /// chunk. Every public constructor keeps the scored connection's
+    /// state at f32 (`resident`); tests also build int8-resident ones.
+    pub(crate) fn scorer_from_engines<'a>(
+        &'a self,
+        gru: GruEngine,
+        ae: AeEngine<'a>,
+        resident: ResidentMode,
+    ) -> ClapScorer<'a> {
+        let mut resident = ResidentArena::new(resident, gru.hidden_size(), self.config.stack, 1);
         resident.push_slot();
         ClapScorer {
             scorer: Scorer::new(self, gru, ae),
@@ -233,7 +239,8 @@ impl Clap {
         let nested: Vec<Vec<ScoredConnection>> = conns
             .par_chunks(shard)
             .map(|chunk| {
-                let mut scorer = self.scorer_from_engines(gru.clone(), ae.clone());
+                let mut scorer =
+                    self.scorer_from_engines(gru.clone(), ae.clone(), ResidentMode::F32);
                 chunk.iter().map(|c| scorer.score_connection(c)).collect()
             })
             .collect();
@@ -427,8 +434,8 @@ impl Clap {
 /// connections.
 pub struct ClapScorer<'a> {
     scorer: Scorer<'a>,
-    /// One f32 slot: the hidden vector and profile ring of the connection
-    /// being scored.
+    /// One slot, f32 outside tests: the hidden vector and profile ring of
+    /// the connection being scored.
     resident: ResidentArena,
 }
 
@@ -455,12 +462,14 @@ impl ClapScorer<'_> {
         let mut window_errors = Vec::with_capacity(windows);
         for (i, p) in conn.packets.iter().enumerate() {
             let flow = Flow {
-                extractor: &mut extractor,
+                anchors: &mut extractor.anchors,
+                present: &mut extractor.present,
                 packets: &mut packets,
                 resident: &mut self.resident,
                 slot: 0,
             };
-            window_errors.extend(self.scorer.advance(flow, p, conn.direction(i), &mut None));
+            let (dir, sums) = (conn.direction(i), p.checksums());
+            window_errors.extend(self.scorer.advance(flow, p, dir, sums, &mut None));
         }
         window_errors.extend(self.scorer.pad_error(&self.resident, 0, conn.len()));
         self.scorer.verdict(window_errors, conn.len())

@@ -28,13 +28,13 @@
 //! [`StreamScorer`]: crate::StreamScorer
 //! [`ClapScorer`]: crate::ClapScorer
 
-use crate::features::{FeatureExtractor, FeatureVector, NUM_PACKET};
+use crate::features::{Anchors, FeatureVector, NUM_PACKET};
 use crate::pipeline::Clap;
 use crate::profile::{ProfileBuilder, PROFILE_LEN};
 use crate::resident::ResidentArena;
 use crate::score::{score_errors, ScoredConnection};
 use clap_telemetry::hist::{LapClock, Stage};
-use net_packet::{Direction, Packet};
+use net_packet::{Checksums, Direction, Packet};
 use neural::{AeEngine, AeWorkspace, GruEngine, GruStepScratch, Matrix};
 
 /// One flow's scoring state, borrowed for a call from wherever it lives: a
@@ -43,7 +43,9 @@ use neural::{AeEngine, AeWorkspace, GruEngine, GruStepScratch, Matrix};
 /// [`ClapScorer`]: crate::ClapScorer
 pub(crate) struct Flow<'s> {
     /// Feature anchors (ISNs, previous timestamps).
-    pub(crate) extractor: &'s mut FeatureExtractor,
+    pub(crate) anchors: &'s mut Anchors,
+    /// The byte that holds the anchors' presence bits.
+    pub(crate) present: &'s mut u8,
     /// Packets scored so far.
     pub(crate) packets: &'s mut u32,
     /// Holds the flow's hidden vector and profile ring, at `slot`.
@@ -116,12 +118,12 @@ impl<'a> Scorer<'a> {
         }
     }
 
-    /// Advances `flow` by packet `p`, travelling in direction `dir`, and
-    /// returns the reconstruction error of the window `p` completes, if
-    /// any. Incremental feature extraction leaves the GRU input in
-    /// `fv.base` and the packet features at the front of `row`; one
-    /// resumable GRU step on the flow's resident hidden state fills the
-    /// row's gates. A prefix step (`t + 1 < stack`) the step memo holds is
+    /// Advances `flow` by packet `p`, travelling in direction `dir` with
+    /// checksum verdicts `sums`, and returns the reconstruction error of
+    /// the window `p` completes, if any. Incremental feature extraction
+    /// leaves the GRU input in `fv.base` and the packet features at the
+    /// front of `row`; one resumable GRU step on the flow's resident
+    /// hidden state fills the row's gates. A prefix step (`t + 1 < stack`) the step memo holds is
     /// answered from it — `h′` into the hidden state, `z`/`r` into the row;
     /// a missed one runs and is memoised. Once the flow has a full stack of
     /// profiles — the previous `stack − 1` from its ring, this packet's
@@ -133,15 +135,17 @@ impl<'a> Scorer<'a> {
         flow: Flow<'_>,
         p: &Packet,
         dir: Direction,
+        sums: Checksums,
         clock: &mut Option<LapClock<'_>>,
     ) -> Option<f32> {
         let Flow {
-            extractor,
+            anchors,
+            present,
             packets,
             resident,
             slot,
         } = flow;
-        extractor.push_into(p, dir, &mut self.fv);
+        anchors.push_into(present, p, dir, sums, &mut self.fv);
         let t = *packets as usize;
         *packets += 1;
         self.clap
@@ -228,6 +232,12 @@ impl<'a> Scorer<'a> {
         let err = self.err_scratch[0];
         self.pads.insert(hash, self.window.row(0), &[&[err]]);
         Some(err)
+    }
+
+    /// How many windows a flow of `packets` packets has emitted: one per
+    /// packet from its `stack`-th on (a padded window is not one of them).
+    pub(crate) fn windows(&self, packets: u32) -> usize {
+        (packets as usize + 1).saturating_sub(self.builder.stack)
     }
 
     /// Summarizes a finished flow's window errors into its verdict.
@@ -409,7 +419,7 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::NUM_BASE;
+    use crate::features::{FeatureExtractor, NUM_BASE};
     use crate::pipeline::ClapConfig;
     use crate::resident::ResidentMode;
     use net_packet::{Connection, IpHeader};
@@ -451,12 +461,14 @@ mod tests {
             let (mut extractor, mut packets) = (FeatureExtractor::new(), 0u32);
             for (i, p) in conn.packets[..take].iter().enumerate() {
                 let flow = Flow {
-                    extractor: &mut extractor,
+                    anchors: &mut extractor.anchors,
+                    present: &mut extractor.present,
                     packets: &mut packets,
                     resident: &mut resident,
                     slot,
                 };
-                assert_eq!(scorer.advance(flow, p, conn.direction(i), &mut None), None);
+                let (dir, sums) = (conn.direction(i), p.checksums());
+                assert_eq!(scorer.advance(flow, p, dir, sums, &mut None), None);
             }
             let mut window = vec![0.0; stack * PROFILE_LEN];
             for (j, profile) in window.chunks_exact_mut(PROFILE_LEN).enumerate() {
@@ -661,12 +673,14 @@ mod tests {
                         let before = scorer.step_counts;
                         scorer.row[NUM_PACKET..].fill(f32::NAN);
                         let flow = Flow {
-                            extractor: &mut extractor,
+                            anchors: &mut extractor.anchors,
+                            present: &mut extractor.present,
                             packets: &mut n,
                             resident: &mut resident,
                             slot,
                         };
-                        assert_eq!(scorer.advance(flow, p, dir, &mut None), None);
+                        let sums = p.checksums();
+                        assert_eq!(scorer.advance(flow, p, dir, sums, &mut None), None);
                         assert_eq!(bits(&scorer.fv.base), bits(&fv.base));
                         // The same step, computed.
                         let (z, r) = zr.split_at_mut(hidden);

@@ -543,16 +543,23 @@ impl StreamScorer<'_> {
     /// [`Scorer::advance`].
     fn advance_one(&mut self, h: u32, p: &Packet) -> Option<f32> {
         let mut clock = self.stages.sample();
+        // Both the tracker and the features read the checksums.
+        let sums = p.checksums();
         let slot = &mut self.table[h];
-        let dir = slot.register(p);
+        let dir = slot.register(p, sums);
+        let (anchors, present, packets) = slot.scoring_state();
         let flow = Flow {
-            extractor: &mut slot.extractor,
-            packets: &mut slot.packets,
+            anchors,
+            present,
+            packets,
             resident: &mut self.resident,
             slot: h as usize,
         };
-        let emitted = self.scorer.advance(flow, p, dir, &mut clock);
-        slot.window_errors.extend(emitted);
+        let emitted = self.scorer.advance(flow, p, dir, sums, &mut clock);
+        if let Some(err) = emitted {
+            let at = self.scorer.windows(slot.packets) - 1;
+            slot.window_errors.push(at, err);
+        }
         emitted
     }
 
@@ -582,7 +589,7 @@ impl StreamScorer<'_> {
             .pad_error(&self.resident, h as usize, slot.packets as usize);
         let errors = match &pad {
             Some(err) => std::slice::from_ref(err),
-            None => &slot.window_errors[..],
+            None => slot.window_errors.errors(self.scorer.windows(slot.packets)),
         };
         let (_, score) = score_errors(errors, self.scorer.clap.config.score_window);
         FlowEntry {
@@ -744,7 +751,8 @@ impl StreamScorer<'_> {
         let packets = slot.packets as usize;
         // A flow shorter than the stack has no window yet: it is scored on
         // its padded one.
-        let mut window_errors = std::mem::take(&mut slot.window_errors);
+        let windows = self.scorer.windows(slot.packets);
+        let mut window_errors = std::mem::take(&mut slot.window_errors).into_vec(windows);
         window_errors.extend(self.scorer.pad_error(&self.resident, h as usize, packets));
         let scored = self.scorer.verdict(window_errors, packets);
         self.closed.push(ClosedFlow {
@@ -1396,6 +1404,58 @@ mod tests {
                     "{quant:?}, {resident:?}"
                 );
             }
+        }
+    }
+
+    /// A flow's error log is a boxed slice grown like a `Vec`, whose used
+    /// length the scorer derives from the flow's packets. Flows on each
+    /// side of every growth boundary (0 → 4 → 8 entries, and 32 → 64) —
+    /// and the padded short ones — close with the offline scorer's
+    /// errors, bit for bit, at both resident precisions: as many as the
+    /// flow has windows, on the allocation a `Vec` pushed as many times
+    /// would hold. One scorer per precision, so every flow after the
+    /// first reuses the slot (and log) the one before it left.
+    #[test]
+    fn closed_error_log_matches_the_offline_scorer_across_growth() {
+        let clap = model();
+        let stack = clap.config.stack;
+        let conn = traffic_gen::dataset(941, 20)
+            .into_iter()
+            .find(|c| c.len() >= 35)
+            .expect("a connection of 35 packets");
+        for resident in [ResidentMode::F32, ResidentMode::Int8] {
+            let mut scorer = clap.stream_scorer_with(StreamConfig {
+                resident,
+                teardown_on_close: false,
+                ..StreamConfig::default()
+            });
+            let mut offline = clap.scorer_from_engines(
+                GruEngine::from_packed(clap.rnn.packed(), QuantMode::Off),
+                AeEngine::from_model(&clap.ae, QuantMode::Off),
+                resident,
+            );
+            for take in [1, 2, 3, 4, 5, 6, 7, 34, 35] {
+                let mut flow = Connection::new(conn.key);
+                flow.packets = conn.packets[..take].to_vec();
+                for p in &flow.packets {
+                    scorer.push(p);
+                }
+                let closed = scorer.finish();
+                assert_eq!(closed.len(), 1);
+                let got = &closed[0].scored.window_errors;
+                let want = offline.score_connection(&flow).window_errors;
+                let at = format!("{resident:?}, {take} packets");
+                let windows = take.max(stack) + 1 - stack;
+                assert_eq!(got.len(), windows, "{at}");
+                let bits = |e: &[f32]| e.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(got), bits(&want), "{at}");
+                let mut pushed = Vec::new();
+                for w in 0..windows {
+                    pushed.push(w as f32);
+                }
+                assert_eq!(got.capacity(), pushed.capacity(), "{at}");
+            }
+            assert_eq!(scorer.stats().flows_peak, 1, "one slot, recycled");
         }
     }
 

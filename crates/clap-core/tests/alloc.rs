@@ -100,7 +100,7 @@ const PLATEAU_FLOWS: usize = 96;
 const CHUNK: usize = 1024;
 /// Bytes of one flow-table slot (const-asserted in clap-core's
 /// `flow_table.rs`).
-const SLOT_BYTES: usize = 216;
+const SLOT_BYTES: usize = 184;
 
 #[test]
 fn hot_paths_do_not_allocate_per_packet() {

@@ -254,7 +254,7 @@ mod tests {
     fn bad_checksum_invalidates_only_checksum() {
         let mut p = packet();
         Corruption::apply_all(&[Corruption::BadTcpChecksum], &mut p, &ctx(), &mut rng());
-        assert!(!p.tcp_checksum_valid());
+        assert!(!p.transport_checksum_valid());
         assert!(p.ip_checksum_valid());
         assert!(p.tcp().data_offset_consistent());
     }
@@ -294,7 +294,10 @@ mod tests {
             let mut p = packet();
             Corruption::apply_all(&[c], &mut p, &ctx(), &mut rng());
             assert!(p.tcp().data_offset_consistent(), "{c:?} broke data offset");
-            assert!(p.tcp_checksum_valid(), "{c:?} should keep checksum valid");
+            assert!(
+                p.transport_checksum_valid(),
+                "{c:?} should keep checksum valid"
+            );
         }
     }
 
@@ -317,7 +320,7 @@ mod tests {
             let mut p = packet();
             Corruption::apply_all(&[c], &mut p, &ctx(), &mut rng());
             assert!(
-                !TcpTracker::segment_acceptable(&p),
+                !TcpTracker::segment_acceptable(&p, p.checksums()),
                 "{c:?} should be endhost-dropped"
             );
         }
@@ -352,7 +355,7 @@ mod tests {
             &mut rng(),
         );
         assert!((1..=4).contains(&p.ipv4().ttl));
-        assert!(!p.tcp_checksum_valid());
+        assert!(!p.transport_checksum_valid());
         assert!(p.ip_checksum_valid());
     }
 }

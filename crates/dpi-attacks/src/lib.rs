@@ -254,7 +254,7 @@ mod tests {
             for r in &set {
                 for &i in &r.adversarial_indices {
                     let p = &r.connection.packets[i];
-                    let observable = !TcpTracker::segment_acceptable(p)
+                    let observable = !TcpTracker::segment_acceptable(p, p.checksums())
                         || p.reassembly.as_ref().is_some_and(|x| x.conflicting);
                     assert!(observable, "{}: packet {} looks benign", strat.id, i);
                 }

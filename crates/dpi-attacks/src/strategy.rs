@@ -587,7 +587,7 @@ mod tests {
                 let idx = r.adversarial_indices[0];
                 let injected = &r.connection.packets[idx];
                 assert!(injected.tcp().flags.contains(TcpFlags::RST));
-                assert!(!injected.tcp_checksum_valid());
+                assert!(!injected.transport_checksum_valid());
                 // Comes after the handshake-completing ACK.
                 assert!(idx >= 3);
             }
@@ -629,7 +629,7 @@ mod tests {
             let p = &r.connection.packets[idx];
             assert!(p.tcp().flags.contains(TcpFlags::SYN));
             assert_eq!(p.payload.len(), 32);
-            assert!(p.tcp_checksum_valid());
+            assert!(p.transport_checksum_valid());
         }
     }
 

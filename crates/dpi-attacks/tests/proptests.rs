@@ -99,7 +99,7 @@ proptest! {
             for &i in &result.adversarial_indices {
                 let p = &result.connection.packets[i];
                 let observable = !labels[i].in_window
-                    || !tcp_state::TcpTracker::segment_acceptable(p)
+                    || !tcp_state::TcpTracker::segment_acceptable(p, p.checksums())
                     // Conflicting fragment reassembly (frag-overlap family)
                     // is recorded in the packet metadata and breaks the
                     // semantic-equivalence feature (#51).

@@ -242,6 +242,16 @@ impl Transport {
     }
 }
 
+/// A packet's two checksum verdicts, as [`Packet::checksums`] computed
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checksums {
+    /// The IP header checksum matches (always, for IPv6).
+    pub ip: bool,
+    /// The TCP or UDP checksum matches.
+    pub transport: bool,
+}
+
 /// One captured packet: capture timestamp, network + transport headers and
 /// payload.
 ///
@@ -498,10 +508,18 @@ impl Packet {
         computed == stored
     }
 
-    /// Legacy name for [`Packet::transport_checksum_valid`] (predates UDP
-    /// support); validates whichever transport the packet carries.
-    pub fn tcp_checksum_valid(&self) -> bool {
-        self.transport_checksum_valid()
+    /// Both checksum verdicts at once — [`ip_checksum_valid`] and
+    /// [`transport_checksum_valid`] — for a caller that hands one packet
+    /// to several consumers (tracker, feature extractor), so each sum is
+    /// computed once a packet.
+    ///
+    /// [`ip_checksum_valid`]: Packet::ip_checksum_valid
+    /// [`transport_checksum_valid`]: Packet::transport_checksum_valid
+    pub fn checksums(&self) -> Checksums {
+        Checksums {
+            ip: self.ip_checksum_valid(),
+            transport: self.transport_checksum_valid(),
+        }
     }
 
     /// Total on-wire length implied by the *actual* structure (not the

@@ -185,7 +185,7 @@ proptest! {
     #[test]
     fn new_packets_are_well_formed(p in arb_packet()) {
         prop_assert!(p.ip_checksum_valid());
-        prop_assert!(p.tcp_checksum_valid());
+        prop_assert!(p.transport_checksum_valid());
         prop_assert!(p.ipv4().ihl_consistent());
         prop_assert!(p.tcp().data_offset_consistent());
         prop_assert_eq!(p.ipv4().total_length as usize, p.wire_len());
@@ -210,7 +210,7 @@ proptest! {
         let off = ip_len + candidates[which % candidates.len()];
         bytes[off] ^= 0x5a;
         let q = Packet::from_bytes(0.0, &bytes).unwrap();
-        prop_assert!(!q.tcp_checksum_valid());
+        prop_assert!(!q.transport_checksum_valid());
     }
 
     /// The parser never panics on arbitrary bytes.

@@ -18,6 +18,12 @@
 //!   them (this is the discrepancy many evasion attacks exploit).
 //!
 //! The tracker never panics on hostile input; every packet yields a label.
+//! It keeps only what a label reads — no packet counter — because a
+//! streaming detector holds one per live flow: a [`FlowTracker`] is 44
+//! bytes, and a UDP or generic flow's lifecycle holds nothing at all.
+//! A caller that also reads a packet's checksums elsewhere computes them
+//! once ([`net_packet::Packet::checksums`]) and hands the verdicts to
+//! [`FlowTracker::process_with`].
 
 pub mod tracker;
 

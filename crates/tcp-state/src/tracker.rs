@@ -1,6 +1,6 @@
 //! The conntrack-style tracker and window validator.
 
-use net_packet::{ipv4, Direction, IpHeader, Packet, TcpFlags, Transport};
+use net_packet::{ipv4, Checksums, Direction, IpHeader, Packet, TcpFlags, Transport};
 use serde::{Deserialize, Serialize};
 
 /// Master TCP connection states, following the alphabet of Linux
@@ -171,6 +171,9 @@ impl PeerState {
 /// validates checksums, header-structure consistency and sequence windows
 /// like an endhost — because CLAP's labels must reflect what the protocol
 /// actually does with a packet, not what a lenient DPI believes.
+///
+/// It keeps only what its labels read — no packet counter: whoever feeds
+/// it counts packets if it needs to (a flow-table slot does).
 #[derive(Debug, Clone)]
 pub struct TcpTracker {
     state: TcpState,
@@ -181,7 +184,6 @@ pub struct TcpTracker {
     peers: [PeerState; 2],
     /// Whether window scaling is active (both sides offered it).
     wscale_ok: bool,
-    packets_seen: usize,
 }
 
 impl Default for TcpTracker {
@@ -198,7 +200,6 @@ impl TcpTracker {
             fin_dir: None,
             peers: [PeerState::default(), PeerState::default()],
             wscale_ok: false,
-            packets_seen: 0,
         }
     }
 
@@ -207,17 +208,13 @@ impl TcpTracker {
         self.state
     }
 
-    /// Number of packets processed.
-    pub fn packets_seen(&self) -> usize {
-        self.packets_seen
-    }
-
     /// Structural acceptability: would a rigorous endhost even parse this
-    /// packet? Checks checksums, version, header-length and datagram-length
+    /// packet? Checks checksums (`sums`, the packet's
+    /// [`Packet::checksums`]), version, header-length and datagram-length
     /// consistency and (for TCP) illegal flag combinations. Unacceptable
     /// packets are dropped without any state change — precisely the
     /// discrepancy evasion attacks exploit against lenient DPIs.
-    pub fn segment_acceptable(p: &Packet) -> bool {
+    pub fn segment_acceptable(p: &Packet, sums: Checksums) -> bool {
         let ip_ok = match &p.ip {
             IpHeader::V4(h) => h.version == 4 && h.ihl_consistent(),
             // v6 has no IHL; the analogous structural lie is a malformed
@@ -237,8 +234,8 @@ impl TcpTracker {
         ip_ok
             && p.ip.total_length_field() == p.wire_len()
             && transport_ok
-            && p.ip_checksum_valid()
-            && p.transport_checksum_valid()
+            && sums.ip
+            && sums.transport
     }
 
     fn scaled_window(&self, dir: Direction) -> u32 {
@@ -314,9 +311,13 @@ impl TcpTracker {
 
     /// Processes one packet, returning its 22-class label.
     pub fn process(&mut self, p: &Packet, dir: Direction) -> StateLabel {
-        use TcpState::*;
-        self.packets_seen += 1;
+        self.process_with(p, dir, p.checksums())
+    }
 
+    /// [`process`](Self::process) with the packet's checksum verdicts
+    /// already computed.
+    pub fn process_with(&mut self, p: &Packet, dir: Direction, sums: Checksums) -> StateLabel {
+        use TcpState::*;
         if !p.is_tcp() {
             // A non-TCP packet on a TCP-tracked flow (e.g. a corrupted
             // protocol field steering a UDP datagram into the tuple) can
@@ -327,7 +328,7 @@ impl TcpTracker {
             };
         }
 
-        if !Self::segment_acceptable(p) {
+        if !Self::segment_acceptable(p, sums) {
             // A rigorous endhost drops the packet: no transition, and by
             // definition the packet does not belong in the window.
             return StateLabel {
@@ -354,7 +355,6 @@ impl TcpTracker {
                 // Open (or reopen after close/time-wait): reset everything.
                 let fresh_orig = dir;
                 *self = TcpTracker::new();
-                self.packets_seen = 1; // keep this packet counted
                 self.orig = Some(fresh_orig);
                 SynSent
             }
@@ -513,27 +513,20 @@ impl TcpTracker {
 /// There is never a transition to `Close`/`TimeWait` — eviction is the flow
 /// table's idle policy, not the tracker's.
 #[derive(Debug, Clone, Default)]
-pub struct UdpTracker {
-    packets_seen: usize,
-}
+pub struct UdpTracker;
 
 impl UdpTracker {
     pub fn new() -> Self {
-        UdpTracker::default()
+        UdpTracker
     }
 
-    /// Number of packets processed.
-    pub fn packets_seen(&self) -> usize {
-        self.packets_seen
-    }
-
-    /// Processes one datagram. A TCP segment arriving on a UDP-tracked flow
-    /// is a transport mismatch and never "belongs".
-    pub fn process(&mut self, p: &Packet, _dir: Direction) -> StateLabel {
-        self.packets_seen += 1;
+    /// Processes one datagram, whose checksum verdicts are `sums`. A TCP
+    /// segment arriving on a UDP-tracked flow is a transport mismatch and
+    /// never "belongs".
+    pub fn process_with(&mut self, p: &Packet, _dir: Direction, sums: Checksums) -> StateLabel {
         StateLabel {
             state: TcpState::Established,
-            in_window: p.is_udp() && TcpTracker::segment_acceptable(p),
+            in_window: p.is_udp() && TcpTracker::segment_acceptable(p, sums),
         }
     }
 }
@@ -546,25 +539,18 @@ impl UdpTracker {
 /// every packet. Mirrors the UDP idle-only lifecycle with the structural
 /// checks of whatever transport the packet actually carries.
 #[derive(Debug, Clone, Default)]
-pub struct GenericTracker {
-    packets_seen: usize,
-}
+pub struct GenericTracker;
 
 impl GenericTracker {
     pub fn new() -> Self {
-        GenericTracker::default()
+        GenericTracker
     }
 
-    /// Number of packets processed.
-    pub fn packets_seen(&self) -> usize {
-        self.packets_seen
-    }
-
-    pub fn process(&mut self, p: &Packet, _dir: Direction) -> StateLabel {
-        self.packets_seen += 1;
+    /// Processes one packet, whose checksum verdicts are `sums`.
+    pub fn process_with(&mut self, p: &Packet, _dir: Direction, sums: Checksums) -> StateLabel {
         StateLabel {
             state: TcpState::Established,
-            in_window: TcpTracker::segment_acceptable(p),
+            in_window: TcpTracker::segment_acceptable(p, sums),
         }
     }
 }
@@ -582,6 +568,14 @@ pub enum FlowTracker {
     Generic(GenericTracker),
 }
 
+// A flow-table slot holds one tracker per live flow: the UDP and generic
+// lifecycles keep nothing, and the enum's tag sits in a niche of
+// `TcpTracker`'s fields, so a tracker costs exactly its TCP state.
+const _: () = {
+    assert!(std::mem::size_of::<TcpTracker>() == 44);
+    assert!(std::mem::size_of::<FlowTracker>() == 44);
+};
+
 impl FlowTracker {
     /// Tracker for the given IP protocol number.
     pub fn for_proto(proto: u8) -> Self {
@@ -594,10 +588,16 @@ impl FlowTracker {
 
     /// Processes one packet, returning its 22-class label.
     pub fn process(&mut self, p: &Packet, dir: Direction) -> StateLabel {
+        self.process_with(p, dir, p.checksums())
+    }
+
+    /// [`process`](Self::process) with the packet's checksum verdicts
+    /// already computed, for a caller that reads them elsewhere too.
+    pub fn process_with(&mut self, p: &Packet, dir: Direction, sums: Checksums) -> StateLabel {
         match self {
-            FlowTracker::Tcp(t) => t.process(p, dir),
-            FlowTracker::Udp(t) => t.process(p, dir),
-            FlowTracker::Generic(t) => t.process(p, dir),
+            FlowTracker::Tcp(t) => t.process_with(p, dir, sums),
+            FlowTracker::Udp(t) => t.process_with(p, dir, sums),
+            FlowTracker::Generic(t) => t.process_with(p, dir, sums),
         }
     }
 
@@ -609,15 +609,6 @@ impl FlowTracker {
         match self {
             FlowTracker::Tcp(t) => Some(t.state()),
             FlowTracker::Udp(_) | FlowTracker::Generic(_) => None,
-        }
-    }
-
-    /// Number of packets processed.
-    pub fn packets_seen(&self) -> usize {
-        match self {
-            FlowTracker::Tcp(t) => t.packets_seen(),
-            FlowTracker::Udp(t) => t.packets_seen(),
-            FlowTracker::Generic(t) => t.packets_seen(),
         }
     }
 }
@@ -1174,7 +1165,6 @@ mod tests {
         assert!(!t.process(&bad, C2S).in_window);
         // Idle-only lifecycle: no TCP master state, never a teardown state.
         assert_eq!(t.tcp_state(), Option::None);
-        assert_eq!(t.packets_seen(), 5);
     }
 
     #[test]

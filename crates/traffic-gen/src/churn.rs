@@ -376,7 +376,7 @@ mod tests {
         };
         let mut sizes: HashMap<(std::net::IpAddr, u16), u32> = HashMap::new();
         for p in churn(&cfg) {
-            assert!(p.ip_checksum_valid() && p.tcp_checksum_valid());
+            assert!(p.ip_checksum_valid() && p.transport_checksum_valid());
             if !p.payload.is_empty() {
                 let src = p.src_addr();
                 *sizes.entry((src, p.src_port())).or_insert(0) += 1;

@@ -260,7 +260,7 @@ mod tests {
         for c in dataset(5, 50) {
             for p in &c.packets {
                 assert!(p.ip_checksum_valid());
-                assert!(p.tcp_checksum_valid());
+                assert!(p.transport_checksum_valid());
             }
         }
     }

@@ -50,7 +50,7 @@ proptest! {
         let conns = generate(&TrafficConfig::new(seed, 2));
         for conn in &conns {
             for p in &conn.packets {
-                prop_assert!(tcp_state::TcpTracker::segment_acceptable(p));
+                prop_assert!(tcp_state::TcpTracker::segment_acceptable(p, p.checksums()));
             }
             let labels = label_connection(conn);
             prop_assert!(labels.iter().any(|l| l.state == TcpState::Established));
