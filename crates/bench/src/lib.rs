@@ -362,16 +362,30 @@ pub struct LocalizationRow {
 /// connections: the all-IPv4/TCP corpus for the paper's strategies, a
 /// mixed v4/v6/TCP/UDP one (at least 16 connections) for the Extended
 /// families, which corrupt IPv6 extension headers, UDP lengths and IPv4
-/// fragments and so apply only to protocol-diverse traffic.
+/// fragments and so apply only to protocol-diverse traffic. A small
+/// mixed draw can hold no connection an Extended family applies to (no
+/// UDP flow for a UDP-length lie), so while the set is empty further
+/// bases are drawn from successive seeds, up to eight; a first draw that
+/// builds anything is used as it is.
 pub fn adversarial_set(strategy: &Strategy, preset: &Preset) -> Vec<AttackResult> {
     let seed = preset.seed ^ 0xadb0 ^ dpi_attacks_hash(strategy.id);
-    let base = if strategy.source.in_paper() {
-        traffic_gen::dataset(seed, preset.test_adv_per_strategy)
-    } else {
-        traffic_gen::mixed_dataset(seed, preset.test_adv_per_strategy.max(16))
-    };
-    build_adversarial_set(strategy, &base, preset.seed)
+    if strategy.source.in_paper() {
+        let base = traffic_gen::dataset(seed, preset.test_adv_per_strategy);
+        return build_adversarial_set(strategy, &base, preset.seed);
+    }
+    let n = preset.test_adv_per_strategy.max(16);
+    (0..EXTENDED_DRAWS)
+        .map(|draw| {
+            let base = traffic_gen::mixed_dataset(seed.wrapping_add(draw), n);
+            build_adversarial_set(strategy, &base, preset.seed)
+        })
+        .find(|set| !set.is_empty())
+        .unwrap_or_default()
 }
+
+/// Mixed base draws an Extended family's adversarial set may take before
+/// it is left empty (and [`evaluate_strategy`] panics).
+const EXTENDED_DRAWS: u64 = 8;
 
 fn dpi_attacks_hash(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -589,17 +603,22 @@ mod tests {
     }
 
     /// Every registry strategy, the Extended families included, applies to
-    /// at least one connection of its corpus, so no detection row averages
-    /// an empty positive set.
+    /// at least one connection of its corpus at every seed tried, so no
+    /// detection row averages an empty positive set.
     #[test]
     fn every_strategy_builds_an_adversarial_set() {
-        let preset = Preset::ci();
-        for strategy in dpi_attacks::registry() {
-            assert!(
-                !adversarial_set(strategy, &preset).is_empty(),
-                "{} built no adversarial connection",
-                strategy.id
-            );
+        for seed in 0..=8 {
+            let preset = Preset {
+                seed,
+                ..Preset::ci()
+            };
+            for strategy in dpi_attacks::registry() {
+                assert!(
+                    !adversarial_set(strategy, &preset).is_empty(),
+                    "{} built no adversarial connection at seed {seed}",
+                    strategy.id
+                );
+            }
         }
     }
 

@@ -22,15 +22,14 @@ fn model() -> &'static Clap {
 }
 
 /// Maximum relative int8-vs-f32 score drift the calibration harness
-/// tolerates. Measured drift on this model family sits around 1–2% for
-/// benign traffic. Corrupted packets used to push the worst connections
-/// toward ~10% by planting an outlier in a profile row and coarsening
-/// that row's on-the-fly activation grid; the outlier-aware clip in
-/// `neural::quant` now saturates such isolated spikes instead, and the
-/// measured tail over 300 randomized corrupted cases sits below 4%. The
-/// 5% bound keeps margin for the slightly different models each CI
-/// kernel-ISA leg trains, without letting a *different verdict function*
-/// masquerade as quantization noise.
+/// tolerates. Every activation row quantizes over its exact `[min, max]`;
+/// over 300 cases (150 seeds, benign and corrupted) the worst connection
+/// on this model drifts 1.1% at each of the avx512vnni, avx2 and scalar
+/// tiers. The 5% bound keeps margin for the slightly different models
+/// each CI kernel-ISA leg trains, without letting a *different verdict
+/// function* masquerade as quantization noise. This model's benign error
+/// is high, so a relative bound here is weak against a coarser grid;
+/// `int8_tracks_f32_on_representative_models` covers that.
 const INT8_REL_DRIFT: f32 = 0.05;
 
 /// A detection threshold for flip-rate checks, derived once from the f32
@@ -501,17 +500,51 @@ proptest! {
     }
 }
 
+/// The median per-connection relative int8-vs-f32 score drift a
+/// representative model may show on held-out benign traffic. The harness
+/// model above trains on 20 connections, and its benign error is high
+/// enough that a grid change can hide under the 5% bound. A model trained
+/// like the experiment binaries' (`ClapConfig::quick()` on 250
+/// connections) reconstructs benign windows closely, so its scores are
+/// small and any activation grid coarser than the row's `[min, max]`
+/// shows up as drift. On the exact grid the two seeds below read
+/// 3.3–5.0% at each of the avx512vnni, avx2 and scalar tiers.
+const REPRESENTATIVE_MEDIAN_DRIFT: f32 = 0.10;
+
+/// The int8 engine scores benign traffic like the f32 engine on models
+/// trained at the experiments' scale, not only on the harness model.
+#[test]
+fn int8_tracks_f32_on_representative_models() {
+    for seed in [0u64, 1] {
+        let mut cfg = ClapConfig::quick();
+        cfg.ae.epochs = 40;
+        let clap = Clap::train(&traffic_gen::dataset(seed, 250), &cfg).0;
+        let benign = traffic_gen::dataset(seed ^ 0x7e57, 80);
+        let f32_scores = clap.score_connections_with(&benign, QuantMode::Off);
+        let int8_scores = clap.score_connections_with(&benign, QuantMode::Int8);
+        let mut drift: Vec<f32> = f32_scores
+            .iter()
+            .zip(&int8_scores)
+            .map(|(f, q)| (q.score - f.score).abs() / f.score.abs().max(1e-3))
+            .collect();
+        drift.sort_by(f32::total_cmp);
+        let median = drift[drift.len() / 2];
+        assert!(
+            median <= REPRESENTATIVE_MEDIAN_DRIFT,
+            "seed {seed}: median benign int8 drift {:.1}%",
+            median * 100.0
+        );
+    }
+}
+
 /// Maximum relative drift the int8 *resident* form (quantized per-flow
 /// hidden state + profile ring, requantized on every store) may add over
-/// the f32 resident form. Calibrated over this suite's randomized traffic:
-/// observed drift sits in the low single-digit percents — repeated
-/// dequant/requant cycles do not compound, because each store re-derives
-/// the codes from full-precision values. Recalibrated alongside the
-/// outlier-aware activation clip (which also guards the resident codes):
-/// the measured tail over 300 randomized corrupted cases stays below 4%,
-/// so the bound matches the tightened int8 *weights* budget: resident
-/// quantization must behave like quantization noise, not like a
-/// different detector.
+/// the f32 resident form. Repeated dequant/requant cycles do not
+/// compound, because each store re-derives the codes from full-precision
+/// values: over 300 cases (150 seeds, benign and corrupted) the worst
+/// flow drifts 0.3% at each kernel tier. The bound matches the int8
+/// *weights* budget: resident quantization must behave like quantization
+/// noise, not like a different detector.
 const RESIDENT_INT8_REL_DRIFT: f32 = 0.05;
 
 // The eviction-equivalence cases run the corpus through two full engines

@@ -191,13 +191,6 @@
 //!   tier returns bit-identical results** (integer addition has no
 //!   reassociation drift). The proptests pin SIMD == scalar with `==`,
 //!   not a tolerance. Outliers cannot saturate the accumulators either.
-//!   For long activation rows (the autoencoder's) the quantization grid
-//!   is *outlier-clipped*: a histogram pass excludes an isolated extreme
-//!   tail (≲1/64 of samples, separated by a clear gap) from the scan
-//!   range, so one adversarially-inflated feature saturates to the top
-//!   code instead of coarsening the entire row's grid — shrinking the
-//!   int8-vs-f32 drift tail on corrupted traffic (still bounded by the
-//!   clap-core calibration harness).
 //! * **The int8 ladder.** One kernel sits under every quantized matvec
 //!   — the panel GEMV, in the same dispatched [`KernelSet`]:
 //!   `avx512vnni` (`vpdpbusd`, u8×i8 quads straight into i32 lanes) →

@@ -30,17 +30,6 @@
 //!   2·127·127 = 32258 < 32767 — saturation is *unreachable by
 //!   construction*, so all kernel tiers (scalar, AVX2 `maddubs`+`madd`,
 //!   512-bit `vpdpbusd`) produce the bit-identical i32.
-//!   For rows of at least `CLIP_MIN_LEN` (48) elements the scan range is
-//!   *outlier-clipped*: a 128-bin histogram pass finds the highest bin
-//!   whose upper tail holds at most ~1/64 of the samples, and if that
-//!   cut is separated from the raw maximum by a clear gap (≥25% of the
-//!   raw width) the grid covers only `[min, cut)` and everything above
-//!   saturates to code 127. One adversarially-inflated feature then
-//!   costs *itself* its resolution instead of stretching the grid —
-//!   and flattening every honest value — across the whole row. The
-//!   clip decision is a pure function of the row, applied by the shared
-//!   planner behind every row of every product, so it never
-//!   perturbs the streaming == batch equivalences below.
 //! * **Dequantization**: with `R_r = Σ_k q[r][k]` precomputed,
 //!   `y[r] = s_r · (s_a · acc[r] + m · R_r)` — the per-row zero-point
 //!   correction folds the activation offset back in exactly, as the
@@ -87,16 +76,6 @@ pub const ACT_LEVELS: f32 = 127.0;
 /// Weight quantization levels (symmetric int8, −128 never emitted).
 pub const WEIGHT_LEVELS: f32 = 127.0;
 
-/// Rows shorter than this skip outlier-aware calibration: the histogram
-/// scan isn't worth it, and short rows (the GRU's 37-wide inputs and
-/// 32-wide hidden state) have too few samples for a quantile to be
-/// meaningful. The autoencoder's ≥96-wide activation rows — where one
-/// adversarially-inflated feature would otherwise stretch the grid over
-/// the whole profile — are the target.
-const CLIP_MIN_LEN: usize = 48;
-/// Histogram resolution of the outlier scan.
-const CLIP_BINS: usize = 128;
-
 /// The affine parameters of one quantized activation row:
 /// `x[k] ≈ min + scale · qa[k]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,104 +110,9 @@ enum ActPlan {
     Encode { min: f32, inv: f32, scale: f32 },
 }
 
-/// Outlier-aware upper calibration bound: if a small tail (> the 63/64
-/// quantile) of the row sits far above the rest, return a clipped upper
-/// bound just above the body so the 7-bit grid resolves the body instead
-/// of stretching over the outliers (which saturate to code 127 via the
-/// encoder's cap — the same clamp that already guards rounding at the
-/// true maximum). Returns `max` unchanged when the row has no such gap,
-/// so benign data keeps the exact empirical range.
-///
-/// One 128-bin histogram over `[min, max]`: walk bins top-down
-/// accumulating the tail; the cut lands on the lowest bin whose dropped
-/// tail stays within 1/64 of the row. The clip only engages when it
-/// shaves at least a quarter of the span — a genuine body/outlier gap —
-/// which keeps dense-extreme rows (sine-shaped test data, uniform ramps)
-/// bit-identical to the unclipped scheme.
-fn clip_upper(x: &[f32], min: f32, max: f32) -> f32 {
-    let width = max - min;
-    if width <= 0.0 || !width.is_finite() {
-        return max;
-    }
-    let inv = CLIP_BINS as f32 / width;
-
-    // Branchless pre-gate, one auto-vectorizable pass: the clip can only
-    // engage when the cut lands at or below bin 3/4·BINS (the ≥25%-span
-    // gap gate), which bounds the population of bins [3/4·BINS, BINS) by
-    // the tail allowance. Count that population with the *identical* bin
-    // arithmetic the histogram uses (`(v−min)·inv`, so the boundary
-    // rounds the same way) and skip the scalar histogram pass — the
-    // expensive part of calibration — whenever the bound already fails.
-    // Dense rows (all benign traffic, in practice) exit here, which is
-    // what keeps calibration off the int8 hot path's critical ~20%;
-    // only genuinely gappy rows pay for the full quantile scan.
-    let (n, top) = gate_counts(x, min, inv, (CLIP_BINS - CLIP_BINS / 4) as f32);
-    let allow = (n / 64).max(1);
-    if top > allow {
-        return max;
-    }
-
-    let mut hist = [0u32; CLIP_BINS];
-    for &v in x {
-        if v.is_finite() {
-            let b = ((v - min) * inv) as usize;
-            hist[b.min(CLIP_BINS - 1)] += 1;
-        }
-    }
-    let mut tail = 0u32;
-    let mut cut = CLIP_BINS;
-    for b in (0..CLIP_BINS).rev() {
-        tail += hist[b];
-        if tail > allow {
-            break;
-        }
-        cut = b;
-    }
-    if cut >= CLIP_BINS {
-        return max;
-    }
-    let hi = min + cut as f32 * (width / CLIP_BINS as f32);
-    // Gap gate: only clip when the tail sits well above the body.
-    if hi > min && (max - hi) >= 0.25 * width {
-        hi
-    } else {
-        max
-    }
-}
-
-/// Lanes of [`gate_counts`]' chunked loop.
-const GATE_LANES: usize = 16;
-
-/// How many elements of `x` are finite, and how many of those land at
-/// or above bin `gate_bin` of the histogram `(v − min)·inv` bins. The
-/// counts run in [`GATE_LANES`] per-lane accumulators over whole chunks
-/// (a branchless body LLVM vectorizes), then the tail; integer sums, so
-/// the result is exactly the one-element-at-a-time loop's.
-fn gate_counts(x: &[f32], min: f32, inv: f32, gate_bin: f32) -> (u32, u32) {
-    let mut n = [0u32; GATE_LANES];
-    let mut top = [0u32; GATE_LANES];
-    let count = |n: &mut u32, top: &mut u32, v: f32| {
-        let finite = v.is_finite();
-        *n += u32::from(finite);
-        *top += u32::from(finite & ((v - min) * inv >= gate_bin));
-    };
-    let chunks = x.chunks_exact(GATE_LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for l in 0..GATE_LANES {
-            count(&mut n[l], &mut top[l], chunk[l]);
-        }
-    }
-    for (l, &v) in tail.iter().enumerate() {
-        count(&mut n[l], &mut top[l], v);
-    }
-    (n.iter().sum(), top.iter().sum())
-}
-
 /// The shared first half of activation quantization: range scan (with
-/// the non-finite filtering rescan), outlier-aware calibration, and the
-/// degenerate/overflow checks. Every kernel set computes the identical
-/// plan for the identical row.
+/// the non-finite filtering rescan) and the degenerate/overflow checks.
+/// Every kernel set computes the identical plan for the identical row.
 fn act_plan(ks: &KernelSet, x: &[f32]) -> ActPlan {
     // Vectorized range scan; a non-finite bound (a NaN/±inf element
     // reached a lane) reroutes to the filtering rescan, so every kernel
@@ -251,9 +135,6 @@ fn act_plan(ks: &KernelSet, x: &[f32]) -> ActPlan {
         let m = if min.is_finite() { min } else { 0.0 };
         return ActPlan::Degenerate(ActQuant { scale: 0.0, min: m });
     }
-    if x.len() >= CLIP_MIN_LEN {
-        max = clip_upper(x, min, max);
-    }
     let scale = (max - min) / ACT_LEVELS;
     if !scale.is_finite() {
         // A row straddling ±f32::MAX: the span overflows f32, so no f32
@@ -275,9 +156,6 @@ fn act_plan(ks: &KernelSet, x: &[f32]) -> ActPlan {
 /// constant or empty row — including all-zero — gets scale `0.0` and
 /// all-zero codes, dequantizing to exactly `min` everywhere; non-finite
 /// values are excluded from the range and clamp to its nearest edge.
-/// Rows of `CLIP_MIN_LEN` (48) or more elements get outlier-aware
-/// calibration: an isolated high tail saturates to code 127 instead of
-/// stretching the grid (see the module docs).
 pub fn quantize_activations(x: &[f32], qa: &mut Vec<u8>) -> ActQuant {
     let ks = KernelSet::active();
     match act_plan(ks, x) {
@@ -493,65 +371,32 @@ impl PackedWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// Row elements that stress the pre-gate's counts: NaNs, ±inf, ±0.0,
-    /// subnormals, the extremes, arbitrary bit patterns and plain values.
-    fn element() -> impl Strategy<Value = f32> {
-        const SPECIAL: [u32; 10] = [
-            0x7fc0_0000,
-            0xffc0_0001,
-            0x7f80_0000,
-            0xff80_0000,
-            0x8000_0000,
-            0x0000_0000,
-            0x0000_0001,
-            0x807f_ffff,
-            0x7f7f_ffff,
-            0xff7f_ffff,
-        ];
-        prop_oneof![
-            (0..SPECIAL.len()).prop_map(|i| f32::from_bits(SPECIAL[i])),
-            any::<u32>().prop_map(f32::from_bits),
-            -2.0f32..2.0,
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// The chunked pre-gate counts what the one-element loop counts,
-        /// on rows of every length around the chunk width.
-        #[test]
-        fn gate_counts_match_the_scalar_loop(
-            x in prop::collection::vec(element(), 0..80),
-            min in -2.0f32..1.0,
-            width in prop_oneof![0.5f32..4.0, Just(f32::MIN_POSITIVE), Just(1e30f32)],
-        ) {
-            let (inv, gate_bin) = (CLIP_BINS as f32 / width, 96.0);
-            let (mut n, mut top) = (0u32, 0u32);
-            for &v in &x {
-                let finite = v.is_finite();
-                n += u32::from(finite);
-                top += u32::from(finite && (v - min) * inv >= gate_bin);
-            }
-            prop_assert_eq!(gate_counts(&x, min, inv, gate_bin), (n, top));
-        }
-    }
 
     #[test]
     fn activation_quantization_round_trips_within_half_step() {
-        // Two-sided and one-sided rows; one-sided data must use the full
-        // 7-bit range (that is the point of the asymmetric grid).
+        // Two-sided and one-sided rows, short and autoencoder-long, one
+        // with an isolated spike; every row's grid spans its exact
+        // `[min, max]`, so one-sided data uses the full 7-bit range (that
+        // is the point of the asymmetric grid).
         for x in [
             (0..37)
                 .map(|i| ((i as f32) * 0.71).sin() * 2.5)
                 .collect::<Vec<f32>>(),
             (0..37).map(|i| (i as f32) / 36.0).collect(),
+            (0..96).map(|i| (i as f32) / 95.0).collect(),
+            (0..96)
+                .map(|i| match i {
+                    40 => 50.0,
+                    _ => ((i as f32) * 0.37).sin().abs(),
+                })
+                .collect(),
         ] {
             let mut qa = Vec::new();
             let act = quantize_activations(&x, &mut qa);
-            assert!(act.scale > 0.0);
+            let (min, max) = x
+                .iter()
+                .fold((f32::MAX, f32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            assert_eq!((act.min, act.scale), (min, (max - min) / ACT_LEVELS));
             assert_eq!(*qa.iter().min().unwrap(), 0, "min maps to code 0");
             assert_eq!(*qa.iter().max().unwrap(), 127, "max maps to code 127");
             for (&v, &q) in x.iter().zip(&qa) {
@@ -799,52 +644,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// One adversarially-inflated element in a long row must not stretch
-    /// the activation grid: the clip planner saturates the spike to code
-    /// 127 and keeps near-full resolution for the honest body.
-    #[test]
-    fn outlier_clip_engages_on_isolated_spike() {
-        let mut x: Vec<f32> = (0..96).map(|i| ((i as f32) * 0.37).sin().abs()).collect();
-        x[40] = 50.0;
-        let mut qa = Vec::new();
-        let act = quantize_activations(&x, &mut qa);
-        assert_eq!(qa[40], 127, "the spike saturates to the top code");
-        let unclipped = (50.0 - 0.0) / ACT_LEVELS;
-        assert!(
-            act.scale < unclipped * 0.1,
-            "grid step {} should be far below the unclipped {}",
-            act.scale,
-            unclipped
-        );
-        for (i, (&v, &q)) in x.iter().zip(&qa).enumerate() {
-            if i == 40 {
-                continue;
-            }
-            let back = act.min + f32::from(q) * act.scale;
-            assert!(
-                (back - v).abs() <= act.scale * 0.5 + 1e-6,
-                "body element {i}: {v} -> {q} -> {back} (scale {})",
-                act.scale
-            );
-        }
-    }
-
-    /// A dense ramp has no outlier gap: the clip gate must leave the raw
-    /// `[min, max]` grid untouched (bitwise — same scale computation).
-    #[test]
-    fn outlier_clip_skips_dense_rows() {
-        let x: Vec<f32> = (0..96).map(|i| i as f32 / 95.0).collect();
-        let mut qa = Vec::new();
-        let act = quantize_activations(&x, &mut qa);
-        assert_eq!(act.scale, (1.0 - 0.0) / ACT_LEVELS);
-        assert_eq!(qa[95], 127);
-        // Short rows never clip, whatever their shape.
-        let mut short: Vec<f32> = (0..37).map(|i| ((i as f32) * 0.37).sin().abs()).collect();
-        short[20] = 50.0;
-        let act = quantize_activations(&short, &mut qa);
-        let min = short.iter().cloned().fold(f32::MAX, f32::min);
-        assert_eq!(act.scale, (50.0 - min) / ACT_LEVELS);
     }
 }
