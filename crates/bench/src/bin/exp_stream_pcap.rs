@@ -49,11 +49,21 @@
 //!   conntrack-style table of every flow still live at end of stream
 //!   (state, age, idle, packets, bytes, current score), before the final
 //!   drain closes them.
-//! - `--telemetry-out PATH` exports the run over the binary introspection
-//!   wire format (`clap-telemetry::wire`): one snapshot frame, one
-//!   verdict frame per finalized flow, one flow frame per live
-//!   end-of-stream entry. The written bytes are parsed back before the
-//!   file is kept — a run never leaves behind an export it cannot read.
+//! - `--telemetry-out PATH` writes the run as one JSON document
+//!   ([`TelemetryExport`]) with three keys:
+//!   - `snapshot`: the final [`TelemetrySnapshot`]; `shards[i]` holds
+//!     shard `i`'s counters, and its `stages[j]` summarizes
+//!     `Stage::ALL[j]`;
+//!   - `verdicts`: one row per finalized flow: `key`, `arrival`,
+//!     `packets`, `reason`, `shard`, `score`, `peak_packet`;
+//!   - `flows`: the [`FlowEntry`] of every flow still live at end of
+//!     stream, the rows `--dump-flows` prints.
+//!
+//!   A non-finite float is written as `null`, which the vendored
+//!   `serde_json` reads back as NaN; no finalized flow's score is
+//!   non-finite. The text is parsed back and compared with what was
+//!   written before the file is kept, so a run never leaves behind an
+//!   export it cannot read.
 //! - `--render head-tail` hexdumps the first and last `--render-frames`
 //!   (default 4) records of the capture with their true file offsets and
 //!   a parse annotation per frame — the quickest "is this capture what I
@@ -61,15 +71,18 @@
 //!
 //! [`StreamScorer`]: clap_core::stream::StreamScorer
 //! [`TelemetryHub`]: clap_core::TelemetryHub
+//! [`TelemetrySnapshot`]: clap_core::TelemetrySnapshot
 
-use bench::{arg_value, render_table, shard_stats_table, verdict_table, Preset};
+use bench::{
+    arg_parsed, arg_value, render_table, shard_stats_table, verdict_table, Preset, TelemetryExport,
+    VerdictRow,
+};
 use clap_core::stream::CloseReason;
 use clap_core::{
     Clap, ClosedFlow, FaultPlan, FlowEntry, OverloadPolicy, ShardConfig, Stage, StageHists,
-    TelemetryHub, TelemetrySnapshot,
+    TelemetryHub,
 };
 use clap_telemetry::render::{hexdump, render_snapshot};
-use clap_telemetry::wire;
 use net_packet::pcap::{read_pcap, read_pcap_raw, write_pcap};
 use net_packet::Packet;
 use std::sync::Arc;
@@ -78,14 +91,13 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let preset = Preset::from_args(&args);
-    let top_n: usize = arg_value(&args, "--top")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let shards: usize = arg_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let top_n: usize = arg_parsed(&args, "--top", 10);
+    let shards: usize = arg_parsed(&args, "--shards", 1).max(1);
     let telemetry_out = arg_value(&args, "--telemetry-out");
+    let pcap = arg_value(&args, "--pcap");
+    let write_pcap = arg_value(&args, "--write-pcap");
+    let overload_policy = arg_value(&args, "--overload-policy");
+    let fault_plan = arg_value(&args, "--fault-plan");
     let dump_flows = args.iter().any(|a| a == "--dump-flows");
     let render_head_tail = match arg_value(&args, "--render").as_deref() {
         None => false,
@@ -95,12 +107,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let render_frames: usize = arg_value(&args, "--render-frames")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    // The flow dump is collected for the export too: a telemetry stream
-    // without the conntrack frames would be a partial picture.
+    let render_frames: usize = arg_parsed(&args, "--render-frames", 4).max(1);
+    // The flow dump is collected for the export too: an export without
+    // the live flows would be a partial picture.
     let want_flows = dump_flows || telemetry_out.is_some();
 
     // Train CLAP only — the baselines have no streaming mode.
@@ -111,7 +120,7 @@ fn main() {
     // The raw capture bytes are kept alongside the parsed packets: the
     // head/tail view and the parse-stage timing both consume what is on
     // disk, not the post-parse form.
-    let (packets, raw_capture) = match arg_value(&args, "--pcap") {
+    let (packets, raw_capture) = match pcap {
         Some(path) => {
             let bytes = std::fs::read(&path).unwrap_or_else(|e| {
                 eprintln!("cannot open {path}: {e}");
@@ -128,7 +137,7 @@ fn main() {
             );
             (packets, bytes)
         }
-        None => synthetic_capture(&preset, arg_value(&args, "--write-pcap").as_deref()),
+        None => synthetic_capture(&preset, write_pcap.as_deref()),
     };
     if packets.is_empty() {
         eprintln!("capture contains no scorable TCP packets");
@@ -139,14 +148,14 @@ fn main() {
         show_head_tail(&raw_capture, render_frames);
     }
 
-    let policy = match arg_value(&args, "--overload-policy") {
+    let policy = match overload_policy {
         Some(spec) => OverloadPolicy::parse(&spec).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         }),
         None => OverloadPolicy::Block,
     };
-    let plan = match arg_value(&args, "--fault-plan") {
+    let plan = match fault_plan {
         Some(spec) => FaultPlan::parse(&spec, packets.len() as u64).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
@@ -169,7 +178,7 @@ fn main() {
     let mut shard_report = String::new();
     let (closed, verdict_shards, live_flows, hub, inline_closes): (
         Vec<ClosedFlow>,
-        Vec<u16>,
+        Vec<usize>,
         Vec<FlowEntry>,
         Arc<TelemetryHub>,
         usize,
@@ -208,7 +217,7 @@ fn main() {
         for q in &run.quarantined {
             shard_report.push_str(&format!("quarantined: {q}\n"));
         }
-        let verdict_shards = run.verdicts.iter().map(|v| v.shard as u16).collect();
+        let verdict_shards = run.verdicts.iter().map(|v| v.shard).collect();
         let closed: Vec<ClosedFlow> = run.verdicts.into_iter().map(|v| v.flow).collect();
         (closed, verdict_shards, run.flows, hub, inline)
     } else {
@@ -239,7 +248,7 @@ fn main() {
             cells.worker.flow_closed();
         }
         let n = closed.len();
-        (closed, vec![0u16; n], live, hub, inline)
+        (closed, vec![0; n], live, hub, inline)
     };
     let elapsed = t.elapsed();
 
@@ -309,7 +318,29 @@ fn main() {
     }
 
     if let Some(path) = telemetry_out {
-        export_telemetry(&path, &snapshot, &closed, &verdict_shards, &live_flows);
+        let export = TelemetryExport {
+            snapshot,
+            verdicts: closed
+                .iter()
+                .zip(verdict_shards)
+                .map(|(c, shard)| VerdictRow::new(shard, c))
+                .collect(),
+            flows: live_flows,
+        };
+        let json = serde_json::to_string(&export).expect("serialize telemetry");
+        let back: TelemetryExport =
+            serde_json::from_str(&json).expect("self-written telemetry must parse back");
+        assert_eq!(back, export, "telemetry export must round-trip");
+        std::fs::write(&path, &json).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!(
+            "wrote {} verdicts and {} live flows ({} bytes) to {path}",
+            export.verdicts.len(),
+            export.flows.len(),
+            json.len()
+        );
     }
 }
 
@@ -449,94 +480,4 @@ fn flow_table(flows: &[FlowEntry]) -> String {
             })
             .collect::<Vec<_>>(),
     )
-}
-
-/// Splits a [`net_packet::FlowKey`] into the wire format's raw identity
-/// block: v6 flag, zero-padded 16-byte address blocks, ports.
-fn wire_identity(key: &net_packet::FlowKey) -> (bool, [u8; 16], u16, [u8; 16], u16) {
-    fn addr_block(addr: std::net::IpAddr) -> (bool, [u8; 16]) {
-        let mut block = [0u8; 16];
-        match addr {
-            std::net::IpAddr::V4(a) => {
-                block[..4].copy_from_slice(&a.octets());
-                (false, block)
-            }
-            std::net::IpAddr::V6(a) => {
-                block.copy_from_slice(&a.octets());
-                (true, block)
-            }
-        }
-    }
-    let (v6, client) = addr_block(key.client.addr);
-    let (_, server) = addr_block(key.server.addr);
-    (v6, client, key.client.port, server, key.server.port)
-}
-
-/// Writes the run over the introspection wire format — one snapshot
-/// frame, a verdict frame per finalized flow, a flow frame per live
-/// end-of-stream entry — and parses the bytes back before keeping the
-/// file, so an unreadable export can never be produced.
-fn export_telemetry(
-    path: &str,
-    snapshot: &TelemetrySnapshot,
-    closed: &[ClosedFlow],
-    verdict_shards: &[u16],
-    live_flows: &[FlowEntry],
-) {
-    let mut out = Vec::new();
-    wire::write_snapshot(&mut out, snapshot).expect("in-memory write");
-    for (c, &shard) in closed.iter().zip(verdict_shards) {
-        let (v6, client_addr, client_port, server_addr, server_port) = wire_identity(&c.key);
-        wire::write_verdict(
-            &mut out,
-            &wire::VerdictRecord {
-                v6,
-                proto: c.key.proto,
-                client_addr,
-                client_port,
-                server_addr,
-                server_port,
-                arrival: c.arrival,
-                packets: c.packets as u32,
-                reason: c.reason as u8,
-                shard,
-                score: c.scored.score,
-                peak_packet: c.scored.peak_packet as u32,
-            },
-        )
-        .expect("in-memory write");
-    }
-    for f in live_flows {
-        let (v6, client_addr, client_port, server_addr, server_port) = wire_identity(&f.key);
-        wire::write_flow(
-            &mut out,
-            &wire::FlowRecord {
-                v6,
-                proto: f.key.proto,
-                client_addr,
-                client_port,
-                server_addr,
-                server_port,
-                state: f.state.map(|s| s as u8).unwrap_or(255),
-                lingering: f.lingering,
-                age: f.age,
-                idle: f.idle,
-                packets: f.packets,
-                bytes: f.bytes,
-                score: f.score,
-                arrival: f.arrival,
-            },
-        )
-        .expect("in-memory write");
-    }
-    let frames = wire::read_frames(&out).expect("self-written telemetry must parse back");
-    std::fs::write(path, &out).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote {} telemetry frames ({} bytes) to {path}",
-        frames.len(),
-        out.len()
-    );
 }

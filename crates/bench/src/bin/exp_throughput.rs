@@ -31,7 +31,7 @@
 //! non-zero. Whether a number moved since an earlier commit is judged by
 //! `benchmark/run.sh`, never here.
 
-use bench::{arg_value, render_table, train_all, Preset, GATES};
+use bench::{arg_parsed, arg_value, render_table, train_all, Preset, GATES};
 use clap_core::{
     QuantMode, ResidentMode, ShardConfig, ShardHealth, Stage, StageHists, StreamCells, StreamConfig,
 };
@@ -140,13 +140,8 @@ const TELEM_PAIRS: usize = 21;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let preset = Preset::from_args(&args);
-    let threads: usize = arg_value(&args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let shards: usize = arg_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
+    let threads: usize = arg_parsed(&args, "--threads", 1);
+    let shards: usize = arg_parsed(&args, "--shards", 4).max(1);
     let json_path = arg_value(&args, "--json");
 
     // The paper constrains both pipelines to one logical core; a local

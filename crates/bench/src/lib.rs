@@ -7,9 +7,12 @@
 //! recorded paper-vs-measured results.
 
 use baselines::{Baseline1, Baseline1Config, KitsuneConfig, KitsuneLite};
-use clap_core::{auc_roc, equal_error_rate, top_n_hit, Clap, ClapConfig, ScoredConnection};
+use clap_core::{
+    auc_roc, equal_error_rate, top_n_hit, Clap, ClapConfig, CloseReason, ClosedFlow, FlowEntry,
+    ScoredConnection, TelemetrySnapshot,
+};
 use dpi_attacks::{build_adversarial_set, AttackResult, Strategy};
-use net_packet::Connection;
+use net_packet::{Connection, FlowKey};
 use serde::{Deserialize, Serialize};
 
 /// Scale preset for an experiment run.
@@ -98,10 +101,10 @@ impl Preset {
     /// If `--preset` has no value or names no preset, so that a typo
     /// cannot run another preset and exit 0.
     pub fn from_args(args: &[String]) -> Preset {
-        if !has_flag(args, "--preset") {
+        let Some(i) = args.iter().position(|a| a == "--preset") else {
             return Preset::quick();
-        }
-        match arg_value(args, "--preset").as_deref() {
+        };
+        match args.get(i + 1).map(String::as_str) {
             Some("quick") => Preset::quick(),
             Some("ci") => Preset::ci(),
             Some("paper") => Preset::paper(),
@@ -205,9 +208,9 @@ impl Gate {
 /// determinism regression tests, which assert the rendered bytes are
 /// identical across runs and shard counts — so this function must stay a
 /// pure function of the verdict *set* (never of arrival or thread order).
-pub fn verdict_table(closed: &[clap_core::ClosedFlow], top_n: usize) -> String {
+pub fn verdict_table(closed: &[ClosedFlow], top_n: usize) -> String {
     // Identity strings are formatted once per flow, not per comparison.
-    let mut flows: Vec<(String, &clap_core::ClosedFlow)> =
+    let mut flows: Vec<(String, &ClosedFlow)> =
         closed.iter().map(|c| (format!("{}", c.key), c)).collect();
     flows.sort_by(|(ka, a), (kb, b)| {
         b.scored
@@ -280,12 +283,73 @@ pub fn shard_stats_table(stats: &[clap_core::ShardStats]) -> String {
     )
 }
 
-/// Returns the value following a `--flag` argument.
+/// One finalized flow of a telemetry export: its identity, size, close
+/// reason, the shard that scored it, its score and its peak packet.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct VerdictRow {
+    pub key: FlowKey,
+    pub arrival: u64,
+    pub packets: usize,
+    pub reason: CloseReason,
+    pub shard: usize,
+    pub score: f32,
+    pub peak_packet: usize,
+}
+
+impl VerdictRow {
+    /// The row of `flow`, finalized on `shard`.
+    pub fn new(shard: usize, flow: &ClosedFlow) -> Self {
+        VerdictRow {
+            key: flow.key,
+            arrival: flow.arrival,
+            packets: flow.packets,
+            reason: flow.reason,
+            shard,
+            score: flow.scored.score,
+            peak_packet: flow.scored.peak_packet,
+        }
+    }
+}
+
+/// What `exp_stream_pcap --telemetry-out` writes, as one JSON document:
+/// the run's final snapshot, a row per finalized flow, and the flows still
+/// live when the capture ended.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TelemetryExport {
+    pub snapshot: TelemetrySnapshot,
+    pub verdicts: Vec<VerdictRow>,
+    pub flows: Vec<FlowEntry>,
+}
+
+/// Returns the value following a `--flag` argument; `None` when the flag
+/// is absent.
+///
+/// # Panics
+///
+/// If the flag is the last argument: a value flag with nothing after it
+/// must not read as absent and run the default.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let i = args.iter().position(|a| a == flag)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v.clone()),
+        None => panic!("{flag} needs a value"),
+    }
+}
+
+/// Parses the value following `--flag`; `default` when the flag is
+/// absent.
+///
+/// # Panics
+///
+/// If the value is missing or does not parse, so that `--shards four`
+/// cannot run one shard and exit 0.
+pub fn arg_parsed<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
+    match arg_value(args, flag) {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("invalid {flag} value `{v}`")),
+    }
 }
 
 /// True when `--flag` is present.
@@ -587,6 +651,29 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("a formatted message");
             assert!(msg.contains("quick|ci|paper|scale"), "{bad:?}: {msg}");
         }
+    }
+
+    /// A numeric flag parses its value or panics naming the flag, and a
+    /// value flag given last panics instead of reading as absent and
+    /// running the default.
+    #[test]
+    fn flag_values_are_checked() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<String>>();
+        assert_eq!(arg_parsed(&args(&["--shards", "4"]), "--shards", 1usize), 4);
+        assert_eq!(arg_parsed(&args(&["--top", "3"]), "--shards", 1usize), 1);
+        assert_eq!(arg_value(&args(&["--preset", "ci"]), "--pcap"), None);
+        for bad in [
+            &["--shards", "four"][..],
+            &["--shards", "-1"],
+            &["--preset", "ci", "--shards"],
+        ] {
+            let err = std::panic::catch_unwind(|| arg_parsed(&args(bad), "--shards", 1usize))
+                .expect_err("a bad or missing value must panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("--shards"), "{bad:?}: {msg}");
+        }
+        let trailing = args(&["--preset", "ci", "--pcap"]);
+        assert!(std::panic::catch_unwind(|| arg_value(&trailing, "--pcap")).is_err());
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! multi-queue scoring → rendered verdict table. The table must be
 //! **byte-identical** across repeated runs (thread scheduling must not
 //! leak into output) and across shard counts (the sharded engine must
-//! equal the single-threaded one, not merely approximate it).
+//! equal the single-threaded one, not merely approximate it). Every
+//! sharded replay also builds its `--telemetry-out` export and checks
+//! that the JSON reads back equal.
 //!
 //! Regenerate the capture with
 //! `cargo test -p bench --test sharded_replay -- --ignored regenerate`
 //! after an intentional traffic-generator change, and commit the result.
 
+use bench::{TelemetryExport, VerdictRow};
 use clap_core::{
     Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, StreamConfig,
 };
@@ -53,21 +56,45 @@ fn load_capture() -> Vec<Packet> {
     read_pcap(&bytes[..]).expect("checked-in capture parses")
 }
 
-/// The full `--shards N` replay path of `exp_stream_pcap`: sharded
-/// scoring with default stream policy at engine precision `quant`,
-/// rendered through the shared deterministic verdict table.
+/// The full `--shards N --telemetry-out` replay path of
+/// `exp_stream_pcap`: sharded scoring with default stream policy at engine
+/// precision `quant`, rendered through the shared deterministic verdict
+/// table. The run's export must read back equal, every verdict keeping its
+/// score's exact bits, and the parsed snapshot must account for every
+/// packet.
 fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMode) -> String {
-    let run = clap
-        .sharded_scorer_with(ShardConfig {
-            shards,
-            queue_capacity: 1024,
-            stream: StreamConfig {
-                quant,
-                ..StreamConfig::default()
-            },
-            ..ShardConfig::default()
-        })
-        .score_stream(packets.iter());
+    let scorer = clap.sharded_scorer_with(ShardConfig {
+        shards,
+        queue_capacity: 1024,
+        stream: StreamConfig {
+            quant,
+            ..StreamConfig::default()
+        },
+        dump_flows: true,
+        ..ShardConfig::default()
+    });
+    let run = scorer.score_stream(packets.iter());
+
+    let export = TelemetryExport {
+        snapshot: scorer.telemetry().snapshot(),
+        verdicts: run
+            .verdicts
+            .iter()
+            .map(|v| VerdictRow::new(v.shard, &v.flow))
+            .collect(),
+        flows: run.flows,
+    };
+    let json = serde_json::to_string(&export).expect("serialize export");
+    let back: TelemetryExport = serde_json::from_str(&json).expect("export parses back");
+    assert_eq!(back, export, "--shards {shards} export must round-trip");
+    for (row, v) in back.verdicts.iter().zip(&run.verdicts) {
+        assert_eq!(row.score.to_bits(), v.flow.scored.score.to_bits());
+    }
+    back.snapshot
+        .check_invariants()
+        .expect("parsed snapshot invariants");
+    assert_eq!(back.snapshot.total(|s| s.scored), packets.len() as u64);
+
     let closed: Vec<_> = run.verdicts.into_iter().map(|v| v.flow).collect();
     bench::verdict_table(&closed, usize::MAX)
 }

@@ -86,8 +86,8 @@ pub use stream::{
     StreamScorer, StreamStats,
 };
 // The live telemetry plane (re-exported so callers need not depend on
-// `clap-telemetry` directly): wait-free counters + coherent snapshots,
-// per-stage latency histograms, and the verdict/flow wire format.
+// `clap-telemetry` directly): wait-free counters, coherent snapshots and
+// per-stage latency histograms.
 pub use clap_telemetry::{
     self as telemetry, ShardSnapshot, Stage, StageHists, StageSummary, StreamCells, TelemetryHub,
     TelemetrySnapshot,

@@ -117,6 +117,7 @@ use crate::scorer::{Flow, Scorer};
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Endpoint, FlowKey, Packet, TcpFlags};
 use neural::{AeEngine, GruEngine, QuantMode};
+use serde::{Deserialize, Serialize};
 use tcp_state::TcpState;
 
 /// Flow-table policy for a [`StreamScorer`].
@@ -208,7 +209,7 @@ impl StreamConfig {
 }
 
 /// Why a flow left the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CloseReason {
     /// TCP teardown observed (RST, or orderly close reaching TIME_WAIT —
     /// after the [`StreamConfig::time_wait`] linger, if one is set).
@@ -268,7 +269,7 @@ pub struct StreamStats {
 /// Point-in-time view of one live flow-table entry — the conntrack-style
 /// introspection record behind [`StreamScorer::flow_entries`]. Everything
 /// here is a *current* value; the flow keeps scoring after the dump.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowEntry {
     /// The flow's oriented 5-tuple (client endpoint first).
     pub key: FlowKey,

@@ -29,6 +29,7 @@
 //! streaming throughput (`exp_throughput --max-telemetry-overhead`
 //! gates it at 2 %), which is why no build setting guards it.
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -179,7 +180,7 @@ impl Histogram {
 }
 
 /// Condensed view of one stage's histogram at a snapshot instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageSummary {
     /// Samples recorded.
     pub count: u64,

@@ -1,7 +1,8 @@
 //! Live telemetry plane for the CLAP engine: wait-free runtime counters
 //! with coherent mid-run snapshots, per-stage latency histograms
-//! ([`hist`]), a compact binary export format ([`wire`]) and
-//! human-readable renderers ([`render`]).
+//! ([`hist`]) and human-readable renderers ([`render`]). A
+//! [`TelemetrySnapshot`] is plain data with serde derives, so an export
+//! is its JSON.
 //!
 //! The engine's supervision and flow-table counters used to be plain
 //! integers readable only after a run finished. This crate re-homes them
@@ -97,10 +98,10 @@
 
 pub mod hist;
 pub mod render;
-pub mod wire;
 
 pub use hist::{LapClock, Stage, StageHists, StageRecorder, StageSummary};
 
+use serde::{Deserialize, Serialize};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -543,7 +544,7 @@ impl TelemetryHub {
 /// One shard's counters at a snapshot instant. All counters are
 /// lifetime-cumulative and monotone except the gauges `in_flight` and
 /// `live_flows`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardSnapshot {
     /// Packets fully accounted for: `scored + dropped + quarantined`,
     /// exactly, at every snapshot instant.
@@ -576,7 +577,7 @@ pub struct ShardSnapshot {
 
 impl ShardSnapshot {
     /// The monotone counters, name + value, in a fixed order (used by
-    /// the monotonicity check and the wire format; gauges excluded).
+    /// the monotonicity check; gauges excluded).
     pub fn counters(&self) -> [(&'static str, u64); 17] {
         [
             ("pushed", self.pushed),
@@ -601,7 +602,7 @@ impl ShardSnapshot {
 }
 
 /// A coherent cut of every shard's counters, taken mid-run or at rest.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Per-shard counters, indexed by shard.
     pub shards: Vec<ShardSnapshot>,

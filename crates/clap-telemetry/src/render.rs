@@ -1,6 +1,6 @@
 //! Human-readable renderers: a `top`-style text view of a
-//! [`TelemetrySnapshot`] and a classic hexdump, shared by the capture
-//! head/tail view and the exported-telemetry-stream dumper.
+//! [`TelemetrySnapshot`] and a classic hexdump for the capture head/tail
+//! view.
 
 use crate::hist::Stage;
 use crate::TelemetrySnapshot;
