@@ -48,7 +48,10 @@
 //! - `--dump-flows` prints the rendered telemetry snapshot plus a
 //!   conntrack-style table of every flow still live at end of stream
 //!   (state, age, idle, packets, bytes, current score), before the final
-//!   drain closes them.
+//!   drain closes them. A flow's age and idle time are measured against
+//!   the capture's last timestamp, so the table reads the same at every
+//!   `--shards` count. There is no TIME_WAIT linger: a flow that reaches
+//!   TIME_WAIT closed on that packet and is in the verdicts, not here.
 //! - `--telemetry-out PATH` writes the run as one JSON document
 //!   ([`TelemetryExport`]) with three keys:
 //!   - `snapshot`: the final [`TelemetrySnapshot`]; `shards[i]` holds
@@ -57,7 +60,8 @@
 //!   - `verdicts`: one row per finalized flow: `key`, `arrival`,
 //!     `packets`, `reason`, `shard`, `score`, `peak_packet`;
 //!   - `flows`: the [`FlowEntry`] of every flow still live at end of
-//!     stream, the rows `--dump-flows` prints.
+//!     stream, the rows `--dump-flows` prints, with its `first_seen` and
+//!     `last_seen` capture timestamps.
 //!
 //!   A non-finite float is written as `null`, which the vendored
 //!   `serde_json` reads back as NaN; no finalized flow's score is
@@ -314,7 +318,11 @@ fn main() {
             "\n== Flow table at end of stream ({} live flows) ==",
             live_flows.len()
         );
-        println!("{}", flow_table(&live_flows));
+        let end = packets
+            .iter()
+            .map(|p| p.timestamp)
+            .fold(f64::NEG_INFINITY, f64::max);
+        println!("{}", flow_table(&live_flows, end));
     }
 
     if let Some(path) = telemetry_out {
@@ -448,9 +456,8 @@ fn show_head_tail(raw_capture: &[u8], n: usize) {
 }
 
 /// Renders the conntrack-style flow table: one row per flow still live
-/// at end of stream. A trailing `*` on the state marks a TIME_WAIT
-/// linger.
-fn flow_table(flows: &[FlowEntry]) -> String {
+/// at end of stream, its age and idle time measured at capture time `end`.
+fn flow_table(flows: &[FlowEntry], end: f64) -> String {
     render_table(
         &[
             "Proto", "Client", "Server", "State", "Age (s)", "Idle (s)", "Pkts", "Bytes", "Score",
@@ -466,13 +473,9 @@ fn flow_table(flows: &[FlowEntry]) -> String {
                     },
                     f.key.client.to_string(),
                     f.key.server.to_string(),
-                    match f.state {
-                        Some(s) if f.lingering => format!("{s:?}*"),
-                        Some(s) => format!("{s:?}"),
-                        None => "-".to_string(),
-                    },
-                    format!("{:.3}", f.age),
-                    format!("{:.3}", f.idle),
+                    f.state.map_or("-".to_string(), |s| format!("{s:?}")),
+                    format!("{:.3}", end - f.first_seen),
+                    format!("{:.3}", end - f.last_seen),
                     f.packets.to_string(),
                     f.bytes.to_string(),
                     format!("{:.4}", f.score),

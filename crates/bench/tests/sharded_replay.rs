@@ -7,9 +7,10 @@
 //! multi-queue scoring → rendered verdict table. The table must be
 //! **byte-identical** across repeated runs (thread scheduling must not
 //! leak into output) and across shard counts (the sharded engine must
-//! equal the single-threaded one, not merely approximate it). Every
-//! sharded replay also builds its `--telemetry-out` export and checks
-//! that the JSON reads back equal.
+//! equal the single-threaded one, not merely approximate it). So must the
+//! end-of-stream flow dump (`--dump-flows`). Every sharded replay also
+//! builds its `--telemetry-out` export and checks that the JSON reads
+//! back equal.
 //!
 //! Regenerate the capture with
 //! `cargo test -p bench --test sharded_replay -- --ignored regenerate`
@@ -17,7 +18,8 @@
 
 use bench::{TelemetryExport, VerdictRow};
 use clap_core::{
-    Clap, ClapConfig, Fault, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, StreamConfig,
+    Clap, ClapConfig, Fault, FaultPlan, FlowEntry, OverloadPolicy, QuantMode, ShardConfig,
+    StreamConfig,
 };
 use net_packet::pcap::{read_pcap, write_pcap, write_pcap_raw};
 use net_packet::Packet;
@@ -56,13 +58,16 @@ fn load_capture() -> Vec<Packet> {
     read_pcap(&bytes[..]).expect("checked-in capture parses")
 }
 
+/// A replay's rendered verdict table and its end-of-stream flow dump.
+type Replay = (String, Vec<FlowEntry>);
+
 /// The full `--shards N --telemetry-out` replay path of
 /// `exp_stream_pcap`: sharded scoring with default stream policy at engine
 /// precision `quant`, rendered through the shared deterministic verdict
-/// table. The run's export must read back equal, every verdict keeping its
-/// score's exact bits, and the parsed snapshot must account for every
-/// packet.
-fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMode) -> String {
+/// table, with the flows still live at end of stream. The run's export
+/// must read back equal, every verdict keeping its score's exact bits, and
+/// the parsed snapshot must account for every packet.
+fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMode) -> Replay {
     let scorer = clap.sharded_scorer_with(ShardConfig {
         shards,
         queue_capacity: 1024,
@@ -82,7 +87,7 @@ fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMod
             .iter()
             .map(|v| VerdictRow::new(v.shard, &v.flow))
             .collect(),
-        flows: run.flows,
+        flows: run.flows.clone(),
     };
     let json = serde_json::to_string(&export).expect("serialize export");
     let back: TelemetryExport = serde_json::from_str(&json).expect("export parses back");
@@ -96,12 +101,12 @@ fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMod
     assert_eq!(back.snapshot.total(|s| s.scored), packets.len() as u64);
 
     let closed: Vec<_> = run.verdicts.into_iter().map(|v| v.flow).collect();
-    bench::verdict_table(&closed, usize::MAX)
+    (bench::verdict_table(&closed, usize::MAX), run.flows)
 }
 
 /// The plain single-threaded engine (the `exp_stream_pcap --shards 1`
 /// default path) at engine precision `quant`, rendered the same way.
-fn plain_table(clap: &Clap, packets: &[Packet], quant: QuantMode) -> String {
+fn plain_table(clap: &Clap, packets: &[Packet], quant: QuantMode) -> Replay {
     let mut plain = clap.stream_scorer_with(StreamConfig {
         quant,
         ..StreamConfig::default()
@@ -110,14 +115,15 @@ fn plain_table(clap: &Clap, packets: &[Packet], quant: QuantMode) -> String {
         plain.push(p);
     }
     let mut closed = plain.drain_closed();
+    let flows = plain.flow_entries();
     closed.extend(plain.finish());
-    bench::verdict_table(&closed, usize::MAX)
+    (bench::verdict_table(&closed, usize::MAX), flows)
 }
 
-/// `exp_stream_pcap --shards 4` emits byte-identical verdict tables
-/// across two runs (scheduling independence) and against `--shards 1`
-/// and the plain single-threaded engine (shard-count independence), at
-/// f32 and at int8 weights.
+/// `exp_stream_pcap --shards 4` emits byte-identical verdict tables and
+/// equal flow dumps across two runs (scheduling independence) and against
+/// `--shards 1` and the plain single-threaded engine (shard-count
+/// independence), at f32 and at int8 weights.
 #[test]
 fn sharded_pcap_replay_is_byte_identical() {
     let clap = model();
@@ -252,7 +258,8 @@ fn load_mixed_capture() -> Vec<Packet> {
 /// The mixed v4/v6/UDP (and fragmented) capture replays byte-identically
 /// across shard counts and against the plain single-threaded engine —
 /// the widened `FlowKey` must hash and route every protocol shape
-/// deterministically, exactly like the all-v4 capture above.
+/// deterministically, exactly like the all-v4 capture above. It ends with
+/// flows still open, so it also pins the flow dump across shard counts.
 #[test]
 fn protocol_mixed_pcap_replay_is_byte_identical() {
     let clap = model();
@@ -272,6 +279,9 @@ fn protocol_mixed_pcap_replay_is_byte_identical() {
     );
 
     let four_a = sharded_table(clap, &packets, 4, QuantMode::Off);
+    // Flows still open at the end, whose dump each shard's clock would
+    // skew if it held ages rather than capture timestamps.
+    assert!(four_a.1.len() > 1, "flows live at end of stream");
     let four_b = sharded_table(clap, &packets, 4, QuantMode::Off);
     assert_eq!(
         four_a, four_b,

@@ -1,5 +1,5 @@
 //! The flow table — *which flows exist and when they leave*: key index,
-//! slab of per-flow [`Slot`]s, vacant-slot free list and expiry queues,
+//! slab of per-flow [`Slot`]s, vacant-slot free list and expiry queue,
 //! built for millions of concurrent flows. It never scores and knows no
 //! neural type — a flow's GRU state lives in a parallel arena its owner
 //! ([`StreamScorer`](crate::StreamScorer)) indexes by the same handle,
@@ -12,7 +12,7 @@
 //! **Slab + key index.** Flow state lives in a slab of [`Slot`]s
 //! addressed by a `u32` handle (184 bytes a slot on 64-bit targets,
 //! const-asserted below), stored in fixed chunks (`crate::chunked`). A
-//! slot keeps only what a verdict, the expiry queues or the flow dump
+//! slot keeps only what a verdict, the expiry queue or the flow dump
 //! read: the 42 B key, a 44 B tracker with no packet counter, 24 B of
 //! feature anchors whose presence bits share the flags byte, and the
 //! error log as a 16 B boxed slice whose used length is the flow's window
@@ -36,7 +36,7 @@
 //! rides to [`open`](FlowTable::open) and the tag is kept in the slot, so
 //! `remove`, `clear` and growth (which re-places buckets by their stored
 //! tags) hash nothing. Departed slots go on an intrusive free list
-//! (reusing the expiry queues' `next` link) and are recycled in place —
+//! (reusing the expiry queue's `next` link) and are recycled in place —
 //! eviction and admission never reallocate at steady state, slab iteration is
 //! cache-linear within each chunk, and [`FlowTable::slots`] is exactly the
 //! peak concurrent flow count. The slab grows one chunk of 1 024 slots at
@@ -47,29 +47,28 @@
 //! Capacity stays within one chunk of the peak and is clamped to the
 //! configured table size, the last chunk cut short.
 //!
-//! **Expiry queues.** A flow leaves `idle_timeout` seconds after its last
-//! packet, or `time_wait` seconds after it once it lingers in TIME_WAIT:
-//! two timeout classes, each one constant, on a stream clock that never
-//! runs backwards — so within a class deadline order *is* `last_seen`
-//! order, and an ordered list is all a timer needs (Varghese & Lauck's
-//! Scheme 2 with equal intervals). Each class is one intrusive
-//! doubly-linked queue threaded through the slab slots, stalest flow at
-//! the head. A packet moves its flow to the tail of its class — nothing
-//! to do when it is the tail already, back-to-back packets of one flow —
-//! and [`set_linger`](FlowTable::set_linger) moves it from the idle queue
-//! to the linger queue. A flow is linked behind the last flow no fresher
-//! than it, which is the tail itself for every caller on a monotone
-//! clock, so the order is the table's invariant and not its caller's
-//! promise. What has [`expired`](FlowTable::expired) is the run of
-//! `last_seen < clock − timeout` at each head — exact, O(expired)
-//! whatever the clock jumped by — and the flow to drop when the table is
-//! full ([`probe_stalest`](FlowTable::probe_stalest)) is the staler of
-//! the two heads.
+//! **Expiry queue.** A flow leaves `idle_timeout` seconds after its last
+//! packet: one timeout class, one constant, on a stream clock that never
+//! runs backwards — so deadline order *is* `last_seen` order, and an
+//! ordered list is all a timer needs (Varghese & Lauck's Scheme 2 with
+//! equal intervals). The list is one intrusive doubly-linked queue
+//! threaded through the slab slots, stalest flow at the head. A packet
+//! moves its flow to the tail — nothing to do when it is the tail
+//! already, back-to-back packets of one flow. A flow is linked behind the
+//! last flow no fresher than it, which is the tail itself for every
+//! caller on a monotone clock, so the order is the table's invariant and
+//! not its caller's promise. What has [`expired`](FlowTable::expired) is
+//! the run of `last_seen < clock − idle_timeout` at the head — exact,
+//! O(expired) whatever the clock jumped by — and the flow to drop when
+//! the table is full ([`probe_stalest`](FlowTable::probe_stalest)) is the
+//! head itself. (A flow whose TCP tracker reaches TIME_WAIT is closed by
+//! its owner on that packet; the table has no second timeout class for
+//! it.)
 //!
 //! **One expiry predicate.** [`EvictionMode::Wheel`] and the full-scan
 //! [`EvictionMode::Sweep`] reference differ only in where candidates come
-//! from — the heads of the queues, or every live slot. Both feed the same
-//! `last_seen < clock − timeout` test, at the same boundaries, so the two
+//! from — the head of the queue, or every live slot. Both feed the same
+//! `last_seen < clock − idle_timeout` test, at the same boundaries, so the two
 //! report identical flow sets (pinned by proptest, here against a model
 //! of the table and in `tests/proptests.rs` through a whole scorer).
 //!
@@ -97,17 +96,17 @@ use net_packet::{CanonicalKey, Checksums, Direction, FlowKey, Packet};
 use std::hash::{BuildHasher, RandomState};
 use tcp_state::FlowTracker;
 
-/// How idle (and TIME_WAIT-linger) expiry walks the flow table.
+/// How idle expiry walks the flow table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionMode {
-    /// Per-timeout expiry queues in `last_seen` order: O(1) per packet,
-    /// and each sweep boundary reads only the expired flows off the queue
-    /// heads. (Once a timing wheel; the name stayed because `benchmark/`,
+    /// One expiry queue in `last_seen` order: O(1) per packet, and each
+    /// sweep boundary reads only the expired flows off the queue head.
+    /// (Once a timing wheel; the name stayed because `benchmark/`,
     /// frozen between PRs, spells it.)
     #[default]
     Wheel,
     /// Full slab scan at every sweep boundary. O(live flows) per sweep —
-    /// the reference implementation the queues are proptest-pinned
+    /// the reference implementation the queue is proptest-pinned
     /// against, kept for that harness and for debugging, not for
     /// production use.
     Sweep,
@@ -118,12 +117,9 @@ const NIL: u32 = u32::MAX;
 
 /// Slot flag: occupied by a live flow (clear = on the free list).
 const FLAG_LIVE: u8 = 1 << 6;
-/// Slot flag: flow reached TIME_WAIT and is lingering (it waits on the
-/// linger queue and timeout instead of the idle ones).
-const FLAG_LINGER: u8 = 1 << 7;
 // The flags byte's low bits hold the flow's feature-anchor presence bits
-// (`Slot::scoring_state`), which the table's own flags must not overlap.
-const _: () = assert!((FLAG_LIVE | FLAG_LINGER) & PRESENT_MASK == 0);
+// (`Slot::scoring_state`), which the table's own flag must not overlap.
+const _: () = assert!(FLAG_LIVE & PRESENT_MASK == 0);
 
 /// Per-flow slab slot: a table-owned header (`last_seen`, key hash, queue
 /// links, flags) around the per-flow state the owner works on. The queue
@@ -135,17 +131,19 @@ const _: () = assert!((FLAG_LIVE | FLAG_LINGER) & PRESENT_MASK == 0);
 #[derive(Debug, Clone)]
 #[repr(C)]
 pub(crate) struct Slot {
+    /// Stream-clock time of the flow's last packet: the expiry queue's
+    /// order.
     last_seen: f64,
     /// The key's hash as [`open`](FlowTable::open) received it: where the
     /// flow's index bucket probes from, so `remove` hashes nothing.
     hash: KeyHash,
-    /// The next fresher flow of its expiry queue; the free-list link
+    /// The next fresher flow of the expiry queue; the free-list link
     /// when vacant.
     queue_next: u32,
-    /// The next staler flow of its expiry queue.
+    /// The next staler flow of the expiry queue.
     queue_prev: u32,
     pub(crate) key: FlowKey,
-    /// `FLAG_*` bits, and in the low [`PRESENT_MASK`] bits the presence
+    /// [`FLAG_LIVE`], and in the low [`PRESENT_MASK`] bits the presence
     /// bits of `anchors`.
     flags: u8,
     pub(crate) tracker: FlowTracker,
@@ -166,8 +164,7 @@ pub(crate) struct Slot {
     pub(crate) pending: Option<Box<Vec<(u64, Packet)>>>,
     /// Arrival tag of this incarnation's first packet.
     pub(crate) arrival: u64,
-    /// Capture timestamp of this incarnation's first packet (flow age in
-    /// the introspection dump is measured from here).
+    /// Stream-clock time of this incarnation's first packet.
     pub(crate) first_seen: f64,
     /// Total wire bytes seen by this incarnation (conntrack-style
     /// accounting for the flow dump).
@@ -249,17 +246,6 @@ impl Slot {
         self.flags & FLAG_LIVE != 0
     }
 
-    /// Whether the flow is in its TIME_WAIT linger
-    /// ([`FlowTable::set_linger`]).
-    pub(crate) fn lingering(&self) -> bool {
-        self.flags & FLAG_LINGER != 0
-    }
-
-    /// Which of [`FlowTable::queues`] the flow waits on.
-    fn class(&self) -> usize {
-        usize::from(self.lingering())
-    }
-
     /// The flow's scoring state: its feature anchors, the byte holding
     /// their presence bits — the flags, whose other bits the anchors never
     /// touch — and its packet count.
@@ -289,8 +275,8 @@ impl Slot {
     }
 }
 
-/// One timeout class's expiry queue (see the module docs): the stalest
-/// flow at `head`, the freshest at `tail`, the links in the slab slots.
+/// The expiry queue (see the module docs): the stalest flow at `head`,
+/// the freshest at `tail`, the links in the slab slots.
 #[derive(Debug, Clone, Copy)]
 struct Queue {
     head: u32,
@@ -430,7 +416,7 @@ impl Index {
 }
 
 /// The flow table (see the module docs): key index, slab, free list and
-/// expiry queues, addressed by `u32` handles.
+/// expiry queue, addressed by `u32` handles.
 /// `table[h]` is the live flow at handle `h`.
 #[derive(Debug)]
 pub(crate) struct FlowTable<S = RandomState> {
@@ -441,32 +427,23 @@ pub(crate) struct FlowTable<S = RandomState> {
     slab: Slab,
     /// Head of the vacant-slot free list (threaded through `queue_next`).
     free_head: u32,
-    /// The idle queue and the linger queue, indexed by [`Slot::class`]:
-    /// every live flow is on exactly the one of its class.
-    queues: [Queue; 2],
+    /// Every live flow, in `last_seen` order.
+    queue: Queue,
     idle_timeout: f64,
-    /// Linger timeout of a flow marked by [`set_linger`](Self::set_linger).
-    time_wait: f64,
     eviction: EvictionMode,
 }
 
 impl<S: BuildHasher + Default> FlowTable<S> {
     /// An empty table that expires flows idle for `idle_timeout` seconds
-    /// (`time_wait` for lingering ones) and holds at most `max_flows`.
-    pub(crate) fn new(
-        idle_timeout: f64,
-        time_wait: f64,
-        max_flows: usize,
-        eviction: EvictionMode,
-    ) -> FlowTable<S> {
+    /// and holds at most `max_flows`.
+    pub(crate) fn new(idle_timeout: f64, max_flows: usize, eviction: EvictionMode) -> FlowTable<S> {
         FlowTable {
             index: Index::default(),
             hasher: S::default(),
             slab: Slab(Chunked::new(1, max_flows)),
             free_head: NIL,
-            queues: [EMPTY_QUEUE; 2],
+            queue: EMPTY_QUEUE,
             idle_timeout,
-            time_wait,
             eviction,
         }
     }
@@ -534,11 +511,11 @@ impl<S: BuildHasher + Default> FlowTable<S> {
     }
 
     /// Records a packet at `now` on flow `h`, which makes it the freshest
-    /// of its queue.
+    /// of the queue.
     pub(crate) fn touch(&mut self, h: u32, now: f64) {
         let slot = &mut self.slab[h];
         // Back-to-back packets of one flow: it is the tail already.
-        let in_place = self.queues[slot.class()].tail == h && now >= slot.last_seen;
+        let in_place = self.queue.tail == h && now >= slot.last_seen;
         slot.last_seen = now;
         if !in_place {
             self.unlink(h);
@@ -546,23 +523,11 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         }
     }
 
-    /// Marks flow `h` as lingering: from here it waits on the linger
-    /// queue, for the linger timeout instead of the idle timeout.
-    pub(crate) fn set_linger(&mut self, h: u32) {
-        self.unlink(h);
-        self.slab[h].flags |= FLAG_LINGER;
-        self.link(h);
-    }
-
-    /// Links flow `h` into the queue of its class behind the last flow no
-    /// fresher than it — the tail, unless the caller's clock ran backwards
-    /// or it lingers a flow other than the one it just touched.
+    /// Links flow `h` into the queue behind the last flow no fresher
+    /// than it — the tail, unless the caller's clock ran backwards.
     fn link(&mut self, h: u32) {
-        let (class, seen) = {
-            let slot = &self.slab[h];
-            (slot.class(), slot.last_seen)
-        };
-        let mut prev = self.queues[class].tail;
+        let seen = self.slab[h].last_seen;
+        let mut prev = self.queue.tail;
         let mut next = NIL;
         while prev != NIL && self.slab[prev].last_seen > seen {
             next = prev;
@@ -572,70 +537,58 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         slot.queue_prev = prev;
         slot.queue_next = next;
         match prev {
-            NIL => self.queues[class].head = h,
+            NIL => self.queue.head = h,
             _ => self.slab[prev].queue_next = h,
         }
         match next {
-            NIL => self.queues[class].tail = h,
+            NIL => self.queue.tail = h,
             _ => self.slab[next].queue_prev = h,
         }
     }
 
-    /// Takes flow `h` out of the queue of its class.
+    /// Takes flow `h` out of the queue.
     fn unlink(&mut self, h: u32) {
         let slot = &self.slab[h];
-        let (class, prev, next) = (slot.class(), slot.queue_prev, slot.queue_next);
+        let (prev, next) = (slot.queue_prev, slot.queue_next);
         match prev {
-            NIL => self.queues[class].head = next,
+            NIL => self.queue.head = next,
             _ => self.slab[prev].queue_next = next,
         }
         match next {
-            NIL => self.queues[class].tail = prev,
+            NIL => self.queue.tail = prev,
             _ => self.slab[next].queue_prev = prev,
         }
     }
 
-    fn due(&self, slot: &Slot, clock: f64) -> bool {
-        let timeout = if slot.lingering() {
-            self.time_wait
-        } else {
-            self.idle_timeout
-        };
-        slot.last_seen < clock - timeout
+    fn due(&self, h: u32, clock: f64) -> bool {
+        self.slab[h].last_seen < clock - self.idle_timeout
     }
 
-    /// Fills `out` with the flows whose timeout (idle, or linger) has
-    /// run out at stream time `clock`, for the owner to close: the run of
-    /// due flows at the head of each queue, stalest first — or, in
+    /// Fills `out` with the flows whose idle timeout has run out at
+    /// stream time `clock`, for the owner to close: the run of due flows
+    /// at the head of the queue, stalest first — or, in
     /// [`EvictionMode::Sweep`], every live flow that is due, in slab
-    /// order. Both apply the one `last_seen < clock − timeout` test.
+    /// order. Both apply the one `last_seen < clock − idle_timeout` test.
     pub(crate) fn expired(&self, clock: f64, out: &mut Vec<u32>) {
         out.clear();
         match self.eviction {
             EvictionMode::Wheel => {
-                for queue in &self.queues {
-                    let mut h = queue.head;
-                    while h != NIL && self.due(&self.slab[h], clock) {
-                        out.push(h);
-                        h = self.slab[h].queue_next;
-                    }
+                let mut h = self.queue.head;
+                while h != NIL && self.due(h, clock) {
+                    out.push(h);
+                    h = self.slab[h].queue_next;
                 }
             }
             EvictionMode::Sweep => {
-                let due = |&h: &u32| self.due(&self.slab[h], clock);
-                out.extend(self.live_handles().filter(due));
+                out.extend(self.live_handles().filter(|&h| self.due(h, clock)));
             }
         }
     }
 
-    /// Table-full eviction: names the stalest flow — the staler of the
-    /// two queue heads — for the owner to close.
+    /// Table-full eviction: names the stalest flow — the queue head — for
+    /// the owner to close.
     pub(crate) fn probe_stalest(&self) -> Option<u32> {
-        let heads = self.queues.iter().map(|q| q.head).filter(|&h| h != NIL);
-        heads.min_by(|&a, &b| {
-            let seen = |h: u32| self.slab[h].last_seen;
-            seen(a).total_cmp(&seen(b))
-        })
+        (self.queue.head != NIL).then_some(self.queue.head)
     }
 
     /// Forgets flow `h`: drops its index entry, takes it off its queue
@@ -657,7 +610,7 @@ impl<S: BuildHasher + Default> FlowTable<S> {
         self.index.clear();
         self.slab.0.clear();
         self.free_head = NIL;
-        self.queues = [EMPTY_QUEUE; 2];
+        self.queue = EMPTY_QUEUE;
     }
 
     /// Heap footprint: index, slab and what its slots own (error logs,
@@ -726,7 +679,6 @@ mod tests {
     struct Live {
         handle: u32,
         last_seen: f64,
-        lingering: bool,
     }
 
     /// A queue table, a sweep table and the naive model of both, driven
@@ -740,21 +692,19 @@ mod tests {
         free: Vec<u32>,
         slots: u32,
         idle_timeout: f64,
-        time_wait: f64,
         max_flows: usize,
         clock: f64,
     }
 
     impl Harness {
-        fn new(idle_timeout: f64, time_wait: f64, max_flows: usize) -> Harness {
-            let table = |mode| FlowTable::new(idle_timeout, time_wait, max_flows, mode);
+        fn new(idle_timeout: f64, max_flows: usize) -> Harness {
+            let table = |mode| FlowTable::new(idle_timeout, max_flows, mode);
             Harness {
                 tables: [table(EvictionMode::Wheel), table(EvictionMode::Sweep)],
                 live: BTreeMap::new(),
                 free: Vec::new(),
                 slots: 0,
                 idle_timeout,
-                time_wait,
                 max_flows,
                 clock: 0.0,
             }
@@ -792,7 +742,6 @@ mod tests {
             let flow = self.live.entry(id).or_insert(Live {
                 handle: h,
                 last_seen: 0.0,
-                lingering: false,
             });
             flow.last_seen = now;
         }
@@ -826,29 +775,13 @@ mod tests {
             self.close(h);
         }
 
-        fn set_linger(&mut self, id: u16) {
-            if let Some(flow) = self.live.get_mut(&id) {
-                flow.lingering = true;
-                for t in &mut self.tables {
-                    t.set_linger(flow.handle);
-                }
-            }
-        }
-
         /// A sweep boundary: both tables and the model must name the same
         /// expired set.
         fn expire(&mut self) {
             let mut want: Vec<u32> = self
                 .live
                 .values()
-                .filter(|f| {
-                    let timeout = if f.lingering {
-                        self.time_wait
-                    } else {
-                        self.idle_timeout
-                    };
-                    f.last_seen < self.clock - timeout
-                })
+                .filter(|f| f.last_seen < self.clock - self.idle_timeout)
                 .map(|f| f.handle)
                 .collect();
             want.sort_unstable();
@@ -882,27 +815,23 @@ mod tests {
                 for f in self.live.values() {
                     let slot = &t[f.handle];
                     assert_eq!(slot.last_seen(), f.last_seen);
-                    assert_eq!(slot.lingering(), f.lingering);
                 }
-                // Both modes keep the queues: every live flow is on exactly
-                // the one of its class, nothing vacant is on either, the
-                // links agree both ways and `last_seen` never falls from
-                // head to tail.
+                // Both modes keep the queue: every live flow is on it,
+                // nothing vacant is, the links agree both ways and
+                // `last_seen` never falls from head to tail.
                 let mut linked = 0;
-                for (class, queue) in t.queues.iter().enumerate() {
-                    let (mut prev, mut h) = (NIL, queue.head);
-                    while h != NIL {
-                        let slot = &t.slab[h];
-                        assert!(slot.live(), "vacant slot {h} on queue {class}");
-                        assert_eq!((slot.class(), slot.queue_prev), (class, prev));
-                        if prev != NIL {
-                            assert!(t.slab[prev].last_seen <= slot.last_seen);
-                        }
-                        linked += 1;
-                        (prev, h) = (h, slot.queue_next);
+                let (mut prev, mut h) = (NIL, t.queue.head);
+                while h != NIL {
+                    let slot = &t.slab[h];
+                    assert!(slot.live(), "vacant slot {h} on the queue");
+                    assert_eq!(slot.queue_prev, prev);
+                    if prev != NIL {
+                        assert!(t.slab[prev].last_seen <= slot.last_seen);
                     }
-                    assert_eq!(queue.tail, prev);
+                    linked += 1;
+                    (prev, h) = (h, slot.queue_next);
                 }
+                assert_eq!(t.queue.tail, prev);
                 assert_eq!(linked, t.len());
             }
         }
@@ -913,26 +842,25 @@ mod tests {
         // of the whole-scorer `wheel_idle_eviction_matches_sweep`.
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Random open / touch / linger / clock-jump / expire / capacity
-        /// eviction / teardown / clear sequences, through a queue table,
-        /// a sweep table and a `BTreeMap`: the same expired set at every
+        /// Random open / touch / clock-jump / expire / capacity eviction
+        /// / teardown / clear sequences, through a queue table, a sweep
+        /// table and a `BTreeMap`: the same expired set at every
         /// boundary, the model's stalest flow from every capacity
         /// eviction, the same handle from every `open`, the index as
-        /// large as the live set, and both queues sorted and complete.
+        /// large as the live set, and the queue sorted and complete.
         #[test]
         fn table_matches_a_naive_model_in_both_eviction_modes(
             seed in any::<u64>(),
             idle_timeout in prop_oneof![Just(2.0f64), Just(30.0), Just(300.0)],
-            time_wait in prop_oneof![Just(0.5f64), Just(5.0), Just(120.0)],
             max_flows in prop_oneof![Just(6usize), Just(24usize), Just(1usize << 20)],
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut h = Harness::new(idle_timeout, time_wait, max_flows);
+            let mut h = Harness::new(idle_timeout, max_flows);
             for _ in 0..400 {
                 let id = rng.gen_range(0..KEYS);
                 match rng.gen_range(0..100) {
                     0..=39 => h.packet(id, h.clock),
-                    // A caller whose clock ran backwards: the queues stay
+                    // A caller whose clock ran backwards: the queue stays
                     // sorted all the same.
                     40..=44 => h.packet(id, h.clock - idle_timeout * rng.gen_range(0.0..1.5)),
                     45..=64 => {
@@ -944,9 +872,8 @@ mod tests {
                             _ => idle_timeout * rng.gen_range(0.0..0.2),
                         };
                     }
-                    65..=79 => h.expire(),
-                    80..=86 => h.set_linger(id),
-                    87..=93 => {
+                    65..=82 => h.expire(),
+                    83..=93 => {
                         if let Some(flow) = h.live.get(&id) {
                             h.close(flow.handle);
                         }
@@ -1019,7 +946,7 @@ mod tests {
     }
 
     fn table_with<S: BuildHasher + Default>() -> FlowTable<S> {
-        FlowTable::new(30.0, 5.0, 1 << 20, EvictionMode::Wheel)
+        FlowTable::new(30.0, 1 << 20, EvictionMode::Wheel)
     }
 
     /// What `ingest` does with a packet of flow `id`: one lookup, and on
@@ -1151,7 +1078,7 @@ mod tests {
     #[test]
     fn slab_reserves_a_chunk_at_a_time_and_never_moves_a_slot() {
         for max_flows in [CHUNK + 7, 1 << 20] {
-            let mut t = FlowTable::<RandomState>::new(30.0, 5.0, max_flows, EvictionMode::Wheel);
+            let mut t = FlowTable::<RandomState>::new(30.0, max_flows, EvictionMode::Wheel);
             let mut pinned: Vec<(u16, u32, *const Slot)> = Vec::new();
             for id in 0..(4 * CHUNK + 1).min(max_flows) as u16 {
                 let before = t.capacity();

@@ -27,7 +27,7 @@
 //! across rayon workers, each looping the core over its connections),
 //! **online streaming** over an interleaved packet stream ([`stream`]:
 //! the core composed with a bounded flow table — the crate-private
-//! `flow_table` module: key index, slab, expiry queues, no neural type —
+//! `flow_table` module: key index, slab, expiry queue, no neural type —
 //! and the `resident` arena of per-flow state, both stored in the `chunked`
 //! module's fixed chunks, which never move; each packet's score emitted
 //! as it arrives, bitwise the batch path's wherever the flow table sees

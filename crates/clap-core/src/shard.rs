@@ -265,7 +265,6 @@ impl ShardStats {
                 closed_tcp: e.closed_tcp - b.closed_tcp,
                 length_capped: e.length_capped - b.length_capped,
                 drained: e.drained - b.drained,
-                time_wait_expired: e.time_wait_expired - b.time_wait_expired,
             },
         }
     }
@@ -329,8 +328,9 @@ impl Clap {
     ///
     /// # Panics
     ///
-    /// If `config.stream.microbatch` ≥ 2, as
-    /// [`Clap::stream_scorer_with`] does — here, on the caller's thread.
+    /// If `config.stream.microbatch` ≥ 2 or `config.stream.time_wait` is
+    /// not `0.0`, as [`Clap::stream_scorer_with`] does — here, on the
+    /// caller's thread.
     pub fn sharded_scorer_with(&self, config: ShardConfig) -> ShardedStreamScorer<'_> {
         config.stream.assert_per_packet();
         let hub = Arc::new(TelemetryHub::new(config.shards.max(1)));

@@ -7,7 +7,7 @@
 //! emit verdicts as packets arrive. [`StreamScorer`] is that mode:
 //!
 //! * **A thin composition.** `StreamScorer` is a flow table
-//!   (`flow_table`: key index, slab, expiry queues) around
+//!   (`flow_table`: key index, slab, expiry queue) around
 //!   the crate's one per-packet scoring core (`scorer`: extract → GRU step
 //!   → window → autoencoder) and the arena that holds each flow's neural
 //!   state (`resident`). This module is the policy between them:
@@ -61,14 +61,21 @@
 //!
 //! # Flow lifetime
 //!
-//! **TIME_WAIT linger.** With [`StreamConfig::time_wait`] > 0, a flow
-//! reaching TIME_WAIT is *not* finalized inline: it keeps scoring (FIN
-//! retransmits, stray ACKs stay attributed to it) and its expiry timer
-//! switches to the linger timeout. It finalizes (reason
-//! [`CloseReason::TcpClose`]) when the linger expires — or immediately,
-//! old incarnation first, when a fresh pure SYN reuses the 4-tuple. The
-//! default `0.0` keeps the historical finalize-at-TIME_WAIT behavior that
-//! the batch-equivalence guarantees are stated against.
+//! **Teardown finalizes inline.** With
+//! [`StreamConfig::teardown_on_close`] (the default), the packet that
+//! takes a flow's TCP tracker to CLOSE (an RST) or TIME_WAIT (an orderly
+//! close) finalizes the flow, reason [`CloseReason::TcpClose`], before
+//! [`StreamScorer::push`] returns: there is no linger. A later packet on
+//! the same 4-tuple — a FIN retransmit, a stray ACK or a fresh SYN
+//! reusing it — opens a new flow under its own arrival tag. The table
+//! has one timeout class, [`StreamConfig::idle_timeout`].
+//!
+//! For a fresh SYN that is the intent. For a post-teardown straggler it
+//! is an open defect, not a design choice: the straggler becomes a
+//! one-packet flow, often keyed server-as-client, scored on one padded
+//! window, and such flows can top a verdict table (ROADMAP item 15).
+//! Dropping such packets, or attributing them to the flow that just
+//! closed, would mend it without a second timeout class.
 //!
 //! **Orientation** matches the offline reassembler for every realistic
 //! capture: a flow whose first packet is a pure SYN is oriented
@@ -135,12 +142,9 @@ pub struct StreamConfig {
     /// when comparing against batch scoring of captures that keep packets
     /// after a close.
     pub teardown_on_close: bool,
-    /// Keep a flow that reached TIME_WAIT alive for this many seconds
-    /// after its last packet instead of finalizing it inline (`0.0`, the
-    /// default, finalizes at TIME_WAIT exactly as before). A lingering
-    /// flow still scores late packets; a fresh pure SYN on the same
-    /// 4-tuple closes it immediately and starts the new incarnation.
-    /// Only meaningful with `teardown_on_close`.
+    /// Kept only so `benchmark/`, which spells out every field, compiles;
+    /// anything but `0.0` panics.
+    #[doc(hidden)]
     pub time_wait: f64,
     /// Finalize a flow after this many packets regardless of TCP state,
     /// bounding per-flow memory (the error log grows one `f32` per packet
@@ -198,6 +202,8 @@ impl Default for StreamConfig {
 impl StreamConfig {
     /// Panics on a cross-flow micro-batch capacity (`microbatch` ≥ 2): the
     /// engine scores every packet as it arrives and has no batched mode.
+    /// Panics on a TIME_WAIT linger (`time_wait` ≠ 0): a flow closes on
+    /// the packet that takes it to TIME_WAIT.
     pub(crate) fn assert_per_packet(&self) {
         assert!(
             self.microbatch < 2,
@@ -205,14 +211,20 @@ impl StreamConfig {
              micro-batching, it scores every packet as it arrives (set it to 0)",
             self.microbatch
         );
+        assert!(
+            self.time_wait == 0.0,
+            "StreamConfig::time_wait = {}: the engine has no TIME_WAIT linger, \
+             a flow closes on the packet that takes it to TIME_WAIT (set it to 0.0)",
+            self.time_wait
+        );
     }
 }
 
 /// Why a flow left the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CloseReason {
-    /// TCP teardown observed (RST, or orderly close reaching TIME_WAIT —
-    /// after the [`StreamConfig::time_wait`] linger, if one is set).
+    /// TCP teardown observed: the flow's tracker reached CLOSE (an RST) or
+    /// TIME_WAIT (an orderly close) on its last packet.
     TcpClose,
     /// No packets for [`StreamConfig::idle_timeout`] seconds.
     IdleTimeout,
@@ -255,36 +267,39 @@ pub struct StreamStats {
     pub evicted_idle: u64,
     /// Flows evicted to admit new ones at [`StreamConfig::max_flows`].
     pub evicted_capacity: u64,
-    /// Flows finalized by TCP teardown (including expired TIME_WAIT
-    /// lingers).
+    /// Flows finalized by TCP teardown.
     pub closed_tcp: u64,
     /// Flows finalized at [`StreamConfig::max_packets_per_flow`].
     pub length_capped: u64,
     /// Flows flushed by [`StreamScorer::finish`].
     pub drained: u64,
-    /// Subset of `closed_tcp` whose TIME_WAIT linger ran out.
-    pub time_wait_expired: u64,
 }
 
 /// Point-in-time view of one live flow-table entry — the conntrack-style
 /// introspection record behind [`StreamScorer::flow_entries`]. Everything
-/// here is a *current* value; the flow keeps scoring after the dump.
+/// here is a *current* value; the flow keeps scoring after the dump. Its
+/// times are instants on the capture's clock, not durations: how old or
+/// idle a flow is depends on the instant it is measured against, which
+/// the reader picks (`exp_stream_pcap --dump-flows` takes the capture's
+/// last timestamp). On a capture in timestamp order they are packets' own
+/// timestamps, so a dump reads the same whichever scorer — or shard —
+/// holds the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowEntry {
     /// The flow's oriented 5-tuple (client endpoint first).
     pub key: FlowKey,
     /// TCP connection state, `None` for non-TCP flows.
     pub state: Option<TcpState>,
-    /// Whether the flow is in its TIME_WAIT linger window.
-    pub lingering: bool,
     /// Packets scored so far (this incarnation).
     pub packets: u64,
     /// Wire bytes seen so far (this incarnation).
     pub bytes: u64,
-    /// Seconds since the incarnation's first packet, on the stream clock.
-    pub age: f64,
-    /// Seconds since the flow's last packet, on the stream clock.
-    pub idle: f64,
+    /// The stream clock at the incarnation's first packet: the largest
+    /// capture timestamp seen up to it — the packet's own on a capture in
+    /// timestamp order.
+    pub first_seen: f64,
+    /// The stream clock at the flow's last packet (`≥ first_seen`).
+    pub last_seen: f64,
     /// Arrival tag of the incarnation's first packet.
     pub arrival: u64,
     /// The anomaly score the flow would close with right now — for a flow
@@ -340,7 +355,9 @@ impl Clap {
     /// # Panics
     ///
     /// If `config.microbatch` ≥ 2: every packet is scored as it arrives,
-    /// and there is no cross-flow batched mode.
+    /// and there is no cross-flow batched mode. If `config.time_wait` is
+    /// not `0.0`: a flow closes on the packet that takes it to TIME_WAIT,
+    /// and there is no linger.
     pub fn stream_scorer_with(&self, config: StreamConfig) -> StreamScorer<'_> {
         config.assert_per_packet();
         let gru = GruEngine::from_packed(self.rnn.packed(), config.quant);
@@ -352,12 +369,7 @@ impl Clap {
                 config.max_flows,
             ),
             scorer: Scorer::new(self, gru, AeEngine::from_model(&self.ae, config.quant)),
-            table: FlowTable::new(
-                config.idle_timeout,
-                config.time_wait,
-                config.max_flows,
-                config.eviction,
-            ),
+            table: FlowTable::new(config.idle_timeout, config.max_flows, config.eviction),
             config,
             closed: Vec::new(),
             cells: std::sync::Arc::new(StreamCells::default()),
@@ -416,15 +428,7 @@ impl StreamScorer<'_> {
         let ck = CanonicalKey::of(p);
         let is_pure_syn =
             p.tcp_flags().contains(TcpFlags::SYN) && !p.tcp_flags().contains(TcpFlags::ACK);
-        let (hash, mut handle) = self.table.lookup(&ck);
-        if let Some(h) = handle {
-            // 4-tuple reuse during a TIME_WAIT linger: the old
-            // incarnation closes now, the SYN opens a fresh one.
-            if is_pure_syn && self.table[h].lingering() {
-                self.close_flow(h, CloseReason::TcpClose);
-                handle = None;
-            }
-        }
+        let (hash, handle) = self.table.lookup(&ck);
         let h = match handle {
             Some(h) => h,
             None => {
@@ -505,36 +509,19 @@ impl StreamScorer<'_> {
     }
 
     /// Runs one packet of an oriented flow through the scoring engine and
-    /// applies the teardown / length-cap / TIME_WAIT-linger policy.
+    /// applies the teardown / length-cap policy.
     fn score_packet(&mut self, h: u32, p: &Packet) -> Option<f32> {
         let emitted = self.advance_one(h, p);
         let slot = &self.table[h];
-        let mut torn_down = false;
-        let mut start_linger = false;
-        if self.config.teardown_on_close {
-            match slot.tracker.tcp_state() {
-                Some(TcpState::Close) => torn_down = true,
-                Some(TcpState::TimeWait) => {
-                    if self.config.time_wait > 0.0 {
-                        start_linger = !slot.lingering();
-                    } else {
-                        torn_down = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let capped = slot.packets as usize >= self.config.max_packets_per_flow;
-        if torn_down || capped {
-            let reason = if torn_down {
-                CloseReason::TcpClose
-            } else {
-                CloseReason::LengthCapped
-            };
-            self.close_flow(h, reason);
-        } else if start_linger {
-            // Switch from the idle to the linger queue and timeout.
-            self.table.set_linger(h);
+        let torn_down = self.config.teardown_on_close
+            && matches!(
+                slot.tracker.tcp_state(),
+                Some(TcpState::Close | TcpState::TimeWait)
+            );
+        if torn_down {
+            self.close_flow(h, CloseReason::TcpClose);
+        } else if slot.packets as usize >= self.config.max_packets_per_flow {
+            self.close_flow(h, CloseReason::LengthCapped);
         }
         emitted
     }
@@ -596,11 +583,10 @@ impl StreamScorer<'_> {
         FlowEntry {
             key: slot.key,
             state: slot.tracker.tcp_state(),
-            lingering: slot.lingering(),
             packets: slot.packets as u64,
             bytes: slot.bytes,
-            age: (self.clock - slot.first_seen).max(0.0),
-            idle: (self.clock - slot.last_seen()).max(0.0),
+            first_seen: slot.first_seen,
+            last_seen: slot.last_seen(),
             arrival: slot.arrival,
             score,
         }
@@ -639,7 +625,6 @@ impl StreamScorer<'_> {
             closed_tcp: c.closed_tcp,
             length_capped: c.length_capped,
             drained: c.drained,
-            time_wait_expired: c.time_wait_expired,
         }
     }
 
@@ -686,19 +671,13 @@ impl StreamScorer<'_> {
         std::mem::take(&mut self.closed)
     }
 
-    /// Finalizes all remaining live flows and returns everything closed
-    /// since the last drain (end-of-capture flush). Lingering TIME_WAIT
-    /// flows close as [`CloseReason::TcpClose`] (teardown was observed),
-    /// everything else as [`CloseReason::Drained`].
+    /// Finalizes all remaining live flows, as [`CloseReason::Drained`],
+    /// and returns everything closed since the last drain (end-of-capture
+    /// flush).
     pub fn finish(&mut self) -> Vec<ClosedFlow> {
         let live: Vec<u32> = self.table.live_handles().collect();
         for h in live {
-            let reason = if self.table[h].lingering() {
-                CloseReason::TcpClose
-            } else {
-                CloseReason::Drained
-            };
-            self.close_flow(h, reason);
+            self.close_flow(h, CloseReason::Drained);
         }
         self.drain_closed()
     }
@@ -718,18 +697,13 @@ impl StreamScorer<'_> {
         self.cells.live_sync(0);
     }
 
-    /// Closes the flows whose idle timeout — or TIME_WAIT linger — has
-    /// run out at this sweep boundary.
+    /// Closes the flows whose idle timeout has run out at this sweep
+    /// boundary.
     fn expire_due(&mut self) {
         let mut due = std::mem::take(&mut self.due);
         self.table.expired(self.clock, &mut due);
         for &h in &due {
-            if self.table[h].lingering() {
-                self.cells.time_wait_expired();
-                self.close_flow(h, CloseReason::TcpClose);
-            } else {
-                self.close_flow(h, CloseReason::IdleTimeout);
-            }
+            self.close_flow(h, CloseReason::IdleTimeout);
         }
         self.due = due;
     }
@@ -1299,67 +1273,6 @@ mod tests {
         }
     }
 
-    /// `time_wait > 0`: an orderly close lingers (still counted live),
-    /// then expires after `time_wait` as a TcpClose; a pure SYN reusing
-    /// the tuple during the linger closes the old incarnation immediately.
-    #[test]
-    fn time_wait_linger_expires_as_tcp_close() {
-        let clap = model();
-        let conn = &traffic_gen::dataset(931, 1)[0];
-        for eviction in [EvictionMode::Wheel, EvictionMode::Sweep] {
-            let mut scorer = clap.stream_scorer_with(StreamConfig {
-                time_wait: 5.0,
-                sweep_interval: 1,
-                eviction,
-                ..StreamConfig::default()
-            });
-            for p in &conn.packets {
-                scorer.push(p);
-            }
-            assert_eq!(
-                scorer.live_flows(),
-                1,
-                "{eviction:?}: closed flow lingers in TIME_WAIT"
-            );
-            assert!(scorer.drain_closed().is_empty());
-            // An unrelated packet far past the linger deadline expires it.
-            let late = conn.packets.last().unwrap().timestamp + 60.0;
-            scorer.push(&raw_packet((9, 9999), (8, 80), late));
-            let closed = scorer.drain_closed();
-            assert_eq!(closed.len(), 1);
-            assert_eq!(closed[0].reason, CloseReason::TcpClose);
-            assert_eq!(closed[0].packets, conn.len());
-            assert_eq!(scorer.stats().time_wait_expired, 1);
-            assert_scored_eq(&closed[0].scored, &clap.score_connection(conn));
-        }
-
-        // Tuple reuse: a pure SYN during the linger starts incarnation 2.
-        let mut scorer = clap.stream_scorer_with(StreamConfig {
-            time_wait: 300.0,
-            sweep_interval: 1,
-            ..StreamConfig::default()
-        });
-        for p in &conn.packets {
-            scorer.push(p);
-        }
-        assert_eq!(scorer.live_flows(), 1);
-        let t = conn.packets.last().unwrap().timestamp + 1.0;
-        let v4 = |a: std::net::IpAddr| match a {
-            std::net::IpAddr::V4(x) => x,
-            std::net::IpAddr::V6(_) => unreachable!("test key is IPv4"),
-        };
-        let ip = Ipv4Header::new(v4(conn.key.client.addr), v4(conn.key.server.addr), 64);
-        let mut tcp = TcpHeader::new(conn.key.client.port, conn.key.server.port, 77, 0);
-        tcp.flags = TcpFlags::SYN;
-        let syn = Packet::new(t, ip, tcp, Vec::new());
-        scorer.push(&syn);
-        let closed = scorer.drain_closed();
-        assert_eq!(closed.len(), 1, "old incarnation closed by tuple reuse");
-        assert_eq!(closed[0].reason, CloseReason::TcpClose);
-        assert_eq!(closed[0].packets, conn.len());
-        assert_eq!(scorer.live_flows(), 1, "the SYN opened incarnation 2");
-    }
-
     /// `push` returns each window error as the packet completing it
     /// arrives: over interleaved benign and attacked flows, a flow's
     /// `Some` returns, in order, are its closed verdict's window errors
@@ -1460,28 +1373,59 @@ mod tests {
         }
     }
 
-    /// A cross-flow micro-batch capacity is refused, not ignored.
+    /// The configs of deleted modes — a cross-flow micro-batch capacity
+    /// and a TIME_WAIT linger — each with the panic message that names
+    /// its field.
+    fn refused_configs() -> [(StreamConfig, &'static str); 2] {
+        [
+            (
+                StreamConfig {
+                    microbatch: 2,
+                    ..StreamConfig::default()
+                },
+                "StreamConfig::microbatch = 2",
+            ),
+            (
+                StreamConfig {
+                    time_wait: 1.0,
+                    ..StreamConfig::default()
+                },
+                "StreamConfig::time_wait = 1",
+            ),
+        ]
+    }
+
+    /// Runs `build`, which must panic with a message containing `want`.
+    fn assert_refused(build: impl FnOnce(), want: &str) {
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+            .expect_err("the config must be refused");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains(want), "{message:?} does not name {want:?}");
+    }
+
+    /// A deleted mode's config is refused, not ignored.
     #[test]
-    #[should_panic(expected = "StreamConfig::microbatch = 2")]
     fn a_microbatch_stream_config_is_refused() {
-        let _ = model().stream_scorer_with(StreamConfig {
-            microbatch: 2,
-            ..StreamConfig::default()
-        });
+        for (config, want) in refused_configs() {
+            assert_refused(|| drop(model().stream_scorer_with(config)), want);
+        }
     }
 
     /// The sharded engine refuses it on the caller's thread, before any
     /// worker starts.
     #[test]
-    #[should_panic(expected = "StreamConfig::microbatch = 2")]
     fn a_microbatch_shard_config_is_refused() {
-        let _ = model().sharded_scorer_with(crate::ShardConfig {
-            stream: StreamConfig {
-                microbatch: 2,
-                ..StreamConfig::default()
-            },
-            ..crate::ShardConfig::default()
-        });
+        for (stream, want) in refused_configs() {
+            let config = crate::ShardConfig {
+                stream,
+                ..crate::ShardConfig::default()
+            };
+            assert_refused(|| drop(model().sharded_scorer_with(config)), want);
+        }
     }
 
     /// A scanner's probe `i`: a pure SYN, and the target's RST|ACK.

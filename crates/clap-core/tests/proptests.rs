@@ -552,24 +552,22 @@ const RESIDENT_INT8_REL_DRIFT: f32 = 0.05;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The expiry queues' headline guarantee (`EvictionMode::Wheel`, by
+    /// The expiry queue's headline guarantee (`EvictionMode::Wheel`, by
     /// its historical name): for random interleaved traffic re-timed with
-    /// randomized idle gaps — under randomized sweep cadences, teardown
-    /// on/off and TIME_WAIT lingers — they finalize the *identical* flow
-    /// set as the O(n)-scan reference
-    /// (`EvictionMode::Sweep`): same identities, close reasons,
+    /// randomized idle gaps — under randomized sweep cadences and teardown
+    /// on/off — it finalizes the *identical* flow set as the O(n)-scan
+    /// reference (`EvictionMode::Sweep`): same identities, close reasons,
     /// localization, scores within 1e-6, and identical lifetime counters.
     /// Both modes fire at sweep boundaries through the same exact
-    /// `last_seen < clock − timeout` predicate; the queues only narrow
-    /// *which flows get checked*, so any divergence is a queue bug
-    /// (a flow out of `last_seen` order, or left off the linger queue).
+    /// `last_seen < clock − idle_timeout` predicate; the queue only
+    /// narrows *which flows get checked*, so any divergence is a queue bug
+    /// (a flow out of `last_seen` order).
     #[test]
     fn wheel_idle_eviction_matches_sweep(
         seed in 0u64..10_000,
         sweep_interval in prop_oneof![Just(1usize), Just(7usize), Just(64usize)],
         idle_timeout in prop_oneof![Just(2.0f64), Just(8.0)],
         teardown in any::<bool>(),
-        time_wait in prop_oneof![Just(0.0f64), Just(3.0)],
         gap_seed in 0u64..1_000,
         quant in engine_modes(),
     ) {
@@ -603,7 +601,6 @@ proptest! {
                 idle_timeout,
                 sweep_interval,
                 teardown_on_close: teardown,
-                time_wait,
                 quant,
                 ..StreamConfig::default()
             });

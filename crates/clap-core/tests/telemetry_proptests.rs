@@ -164,7 +164,7 @@ proptest! {
         let scored: u64 = run.stats.iter().map(|s| s.packets).sum();
         prop_assert!(dumped_packets <= scored);
         for f in &run.flows {
-            prop_assert!(f.age >= 0.0 && f.idle >= 0.0 && f.age >= f.idle);
+            prop_assert!(f.first_seen <= f.last_seen);
             prop_assert!(f.score.is_finite());
             // A flow still orientation-buffering has scored nothing yet;
             // any flow with scored packets has accumulated their bytes.

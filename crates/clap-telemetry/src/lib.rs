@@ -371,7 +371,6 @@ pub struct StreamCells {
     closed_tcp: Counter,
     length_capped: Counter,
     drained: Counter,
-    time_wait_expired: Counter,
 }
 
 /// One consistent cut of a [`StreamCells`] region.
@@ -386,7 +385,6 @@ pub struct StreamCounts {
     pub closed_tcp: u64,
     pub length_capped: u64,
     pub drained: u64,
-    pub time_wait_expired: u64,
 }
 
 impl StreamCells {
@@ -438,12 +436,6 @@ impl StreamCells {
         self.seq.write(|| self.drained.add(1));
     }
 
-    /// One TIME_WAIT linger ran out.
-    #[inline]
-    pub fn time_wait_expired(&self) {
-        self.seq.write(|| self.time_wait_expired.add(1));
-    }
-
     /// Takes one consistent cut of this region.
     pub fn read(&self) -> StreamCounts {
         self.seq.read(|| StreamCounts {
@@ -454,7 +446,6 @@ impl StreamCells {
             closed_tcp: self.closed_tcp.get(),
             length_capped: self.length_capped.get(),
             drained: self.drained.get(),
-            time_wait_expired: self.time_wait_expired.get(),
         })
     }
 }
@@ -532,7 +523,6 @@ impl TelemetryHub {
                     closed_tcp: st.closed_tcp,
                     length_capped: st.length_capped,
                     drained: st.drained,
-                    time_wait_expired: st.time_wait_expired,
                     stages: c.stages.summaries(),
                 }
             })
@@ -570,7 +560,6 @@ pub struct ShardSnapshot {
     pub closed_tcp: u64,
     pub length_capped: u64,
     pub drained: u64,
-    pub time_wait_expired: u64,
     /// Per-stage latency summaries, indexed by [`Stage`] discriminant.
     pub stages: [StageSummary; hist::STAGES],
 }
@@ -578,7 +567,7 @@ pub struct ShardSnapshot {
 impl ShardSnapshot {
     /// The monotone counters, name + value, in a fixed order (used by
     /// the monotonicity check; gauges excluded).
-    pub fn counters(&self) -> [(&'static str, u64); 17] {
+    pub fn counters(&self) -> [(&'static str, u64); 16] {
         [
             ("pushed", self.pushed),
             ("scored", self.scored),
@@ -596,7 +585,6 @@ impl ShardSnapshot {
             ("closed_tcp", self.closed_tcp),
             ("length_capped", self.length_capped),
             ("drained", self.drained),
-            ("time_wait_expired", self.time_wait_expired),
         ]
     }
 }

@@ -3,15 +3,15 @@
 
 use clap_repro::baselines::{KitsuneConfig, KitsuneLite};
 use clap_repro::clap_core::{
-    auc_roc, extract_connection, score_errors, Clap, ClapConfig, ClosedFlow, EvictionMode, Fault,
-    FaultPlan, OverloadPolicy, ProfileBuilder, QuantMode, ResidentMode, ShardConfig, ShardHealth,
-    StreamConfig,
+    auc_roc, extract_connection, score_errors, Clap, ClapConfig, CloseReason, ClosedFlow,
+    EvictionMode, Fault, FaultPlan, OverloadPolicy, ProfileBuilder, QuantMode, ResidentMode,
+    ShardConfig, ShardHealth, StreamConfig,
 };
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
 use clap_repro::neural::KernelSet;
 use clap_repro::traffic_gen::{self, ChurnConfig};
 use net_packet::{CanonicalKey, Packet};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 fn trained() -> (Clap, Vec<net_packet::Connection>, Vec<f32>) {
     let benign = traffic_gen::dataset(0xe2e, 80);
@@ -176,9 +176,9 @@ fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_training_forward
 }
 
 /// Every path through the flow table — open, slab growth, slot recycling,
-/// capacity eviction, TIME_WAIT 4-tuple reuse, linger and idle expiry —
+/// capacity eviction, 4-tuple reuse after teardown and idle expiry —
 /// at int8 weights and int8 resident state, through the public API: the
-/// expiry queues (`EvictionMode::Wheel`) and the full-scan reference close
+/// expiry queue (`EvictionMode::Wheel`) and the full-scan reference close
 /// the same flows with the same bits, and every packet pushed is in
 /// exactly one verdict.
 ///
@@ -187,9 +187,11 @@ fn streaming_equals_batch_at_both_precisions_and_f32_tracks_the_training_forward
 /// boundary are closed — so their slots are recycled — in queue order or
 /// in slab order. Act one therefore overfills the 64-flow table inside
 /// 30 ms of packet time, before any timeout can run out; act two, three
-/// seconds later, stays under the cap and lets them.
+/// seconds later, opens its first flow after a sweep boundary has expired
+/// act one's, stays under the cap and lets its own time out.
 #[test]
 fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
+    const SWEEP: usize = 16;
     let mut model = ClapConfig::ci();
     model.ae.epochs = 8; // the scores must be equal, not good
     let (clap, _) = Clap::train(&traffic_gen::dataset(0xe2e, 20), &model);
@@ -197,8 +199,7 @@ fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
         clap.stream_scorer_with(StreamConfig {
             max_flows: 64,
             idle_timeout: 2.0,
-            time_wait: 0.5,
-            sweep_interval: 16,
+            sweep_interval: SWEEP,
             quant: QuantMode::Int8,
             resident: ResidentMode::Int8,
             eviction,
@@ -206,34 +207,52 @@ fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
         })
     };
 
-    // Act one: 56 concurrent flows and everyone who has hung up since,
-    // into 64 slots.
-    let mut burst = ChurnConfig::new(0xc4a, 56, 3_000);
+    // Act one: 80 concurrent flows into 64 slots, then `REDIALS` redials.
+    // Its packet budget leaves the stream one packet short of a sweep
+    // boundary, which act two's first packet then reaches.
+    const REDIALS: usize = 7;
+    let mut burst = ChurnConfig::new(0xc4a, 80, 188 * SWEEP - 1 - REDIALS);
     burst.pps = 1e5;
     let mut packets: Vec<Packet> = traffic_gen::churn(&burst).collect();
+    assert_eq!(packets.len(), burst.packets, "churn emits its whole budget");
     let syn_of: HashMap<CanonicalKey, Packet> = packets
         .iter()
         .filter(|p| p.tcp_flags() == net_packet::TcpFlags::SYN)
         .map(|p| (CanonicalKey::of(p), p.clone()))
         .collect();
-    // Whoever is in TIME_WAIT when it ends dials the same 4-tuple again.
+    // As act one ends, the last flows to hang up — whose 4-tuples no live
+    // flow holds — dial the same 4-tuple again.
     let mut scout = scorer(EvictionMode::Wheel);
     for p in &packets {
         scout.push(p);
     }
-    let act_one_evictions = scout.stats().evicted_capacity;
-    assert!(act_one_evictions > 0);
     let now = packets.last().unwrap().timestamp;
-    let redials: Vec<Packet> = scout
+    let mut taken: HashSet<CanonicalKey> = scout
         .flow_entries()
         .iter()
-        .filter(|e| e.lingering)
-        .map(|e| Packet {
+        .map(|e| CanonicalKey::of_key(&e.key))
+        .collect();
+    let redials: Vec<Packet> = scout
+        .drain_closed()
+        .iter()
+        .rev()
+        .filter(|f| f.reason == CloseReason::TcpClose && taken.insert(CanonicalKey::of_key(&f.key)))
+        .take(REDIALS)
+        .map(|f| Packet {
             timestamp: now,
-            ..syn_of[&CanonicalKey::of_key(&e.key)].clone()
+            ..syn_of[&CanonicalKey::of_key(&f.key)].clone()
         })
         .collect();
-    assert!(!redials.is_empty(), "no flow lingers at the end of act one");
+    assert_eq!(
+        redials.len(),
+        REDIALS,
+        "act one closed too few TcpClose flows with a free 4-tuple to redial"
+    );
+    for p in &redials {
+        scout.push(p);
+    }
+    let act_one_evictions = scout.stats().evicted_capacity;
+    assert!(act_one_evictions > 0);
     let first_redial = packets.len();
     packets.extend(redials.iter().cloned());
 
@@ -261,19 +280,24 @@ fn churn_through_a_small_table_closes_the_same_flows_under_wheel_and_sweep() {
     let (sweep, sweep_stats) = run(EvictionMode::Sweep);
 
     assert_eq!(wheel_stats, sweep_stats);
-    assert!(wheel_stats.evicted_idle > 0 && wheel_stats.time_wait_expired > 0);
+    assert!(wheel_stats.evicted_idle > 0);
     assert_eq!(wheel_stats.flows_peak, 64, "the slab stops at the cap");
     assert_eq!(
         wheel_stats.evicted_capacity, act_one_evictions,
         "act two must stay under the cap"
     );
-    // Plain `push` tags a flow with its first packet's stream position: a
-    // redial that opened a flow, not one booked to the lingering one.
-    for tag in first_redial..first_redial + redials.len() {
-        assert!(
-            wheel.iter().any(|f| f.arrival == tag as u64),
+    // Plain `push` tags a flow with its first packet's stream position:
+    // each redial opened a new incarnation of its 4-tuple under its own
+    // tag, and nothing else joined it before act two's idle sweep.
+    for (tag, redial) in (first_redial..).zip(&redials) {
+        let flow = wheel.iter().find(|f| f.arrival == tag as u64);
+        let flow = flow.unwrap_or_else(|| panic!("redial {tag} opened no flow"));
+        assert_eq!(
+            CanonicalKey::of_key(&flow.key),
+            CanonicalKey::of(redial),
             "redial {tag}"
         );
+        assert_eq!((flow.packets, flow.reason), (1, CloseReason::IdleTimeout));
     }
     let pushed: usize = wheel.iter().map(|f| f.packets).sum();
     assert_eq!(
