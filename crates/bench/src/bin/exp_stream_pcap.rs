@@ -1,11 +1,12 @@
 //! Streaming per-flow scoring of a pcap capture: `net_packet::pcap` →
-//! [`StreamScorer`] — the deployment shape of CLAP's online mode, where a
-//! capture file (or a tap writing one) drives the flow table directly.
+//! [`ShardedStreamScorer`] — the deployment shape of CLAP's online mode,
+//! where a capture file (or a tap writing one) drives the flow tables
+//! directly.
 //!
 //! ```text
 //! cargo run -p bench --release --bin exp_stream_pcap -- [--preset quick|ci|paper]
 //!     [--pcap CAPTURE.pcap] [--write-pcap PATH] [--top N] [--shards N]
-//!     [--overload-policy block|drop-newest|degrade[:K]] [--fault-plan SPEC]
+//!     [--overload-policy block|drop-newest] [--fault-plan SPEC]
 //!     [--telemetry-out PATH] [--dump-flows] [--render head-tail]
 //!     [--render-frames N]
 //! ```
@@ -18,32 +19,32 @@
 //! synthetic capture on disk for reuse with tcpdump/Wireshark or later
 //! runs.
 //!
-//! Packets are replayed in capture order through one [`StreamScorer`]
-//! flow table (`--shards 1`, the default) or through the RSS-sharded
-//! multi-queue front end (`--shards N`); every flow's verdict is emitted
-//! on TCP teardown, idle timeout or the end-of-capture flush, exactly as
-//! in a live deployment. The printed verdict table is deterministic: a
-//! pure function of (capture, shard count), byte-identical across runs —
-//! and byte-identical across shard counts too whenever no idle-timeout
-//! eviction fires (any capture shorter than the 300 s default
-//! `idle_timeout`; per-shard clocks may split longer-quiet flows
-//! differently). The sharded regression tests pin this.
+//! Packets are replayed in capture order through the RSS-sharded
+//! multi-queue engine at every shard count: `--shards N` workers, one
+//! [`StreamScorer`] flow table each (default 1). Every flow's verdict is
+//! emitted on TCP teardown, idle timeout or the end-of-capture flush,
+//! exactly as in a live deployment. The printed verdict table is
+//! deterministic: a pure function of (capture, shard count),
+//! byte-identical across runs — and byte-identical across shard counts
+//! too whenever no idle-timeout eviction fires (any capture shorter than
+//! the 300 s default `idle_timeout`; per-shard clocks may split
+//! longer-quiet flows differently). The sharded regression tests pin
+//! this.
 //!
-//! The sharded path runs the *supervised* engine: `--overload-policy`
-//! selects what happens on ring-full (default `block`), `--fault-plan`
-//! injects a deterministic fault schedule (`panic@N`, `kill@N`,
-//! `stall@N[:MS]`, `burst@A..B`, `malform@N`, `random@SEED` —
-//! comma-separated) so the failure paths can be exercised from the CLI.
+//! The engine is *supervised*: `--overload-policy` selects what happens
+//! on ring-full (default `block`), `--fault-plan` injects a deterministic
+//! fault schedule (`panic@N`, `kill@N`, `stall@N[:MS]`, `burst@A..B`,
+//! `malform@N`, `random@SEED` — comma-separated) so the failure paths can
+//! be exercised from the CLI.
 //! The per-shard supervision counters and any quarantined packets are
 //! printed after the verdict table.
 //!
 //! # Telemetry and introspection
 //!
-//! Either path feeds the live telemetry plane (a [`TelemetryHub`]; the
-//! single-table path gets a one-shard hub wired to the same counter
-//! cells), and the replay harness times the wire→packet **parse** stage
-//! from a 1-in-32 sample of the raw capture records — the scorer never
-//! sees wire bytes, so that stage belongs to the harness.
+//! The run feeds the engine's live telemetry plane (a [`TelemetryHub`]),
+//! and the replay harness times the wire→packet **parse** stage from a
+//! 1-in-32 sample of the raw capture records — the scorer never sees
+//! wire bytes, so that stage belongs to the harness.
 //!
 //! - `--dump-flows` prints the rendered telemetry snapshot plus a
 //!   conntrack-style table of every flow still live at end of stream
@@ -74,6 +75,7 @@
 //!   think it is" check.
 //!
 //! [`StreamScorer`]: clap_core::stream::StreamScorer
+//! [`ShardedStreamScorer`]: clap_core::ShardedStreamScorer
 //! [`TelemetryHub`]: clap_core::TelemetryHub
 //! [`TelemetrySnapshot`]: clap_core::TelemetrySnapshot
 
@@ -84,12 +86,10 @@ use bench::{
 use clap_core::stream::CloseReason;
 use clap_core::{
     Clap, ClosedFlow, FaultPlan, FlowEntry, OverloadPolicy, ShardConfig, Stage, StageHists,
-    TelemetryHub,
 };
 use clap_telemetry::render::{hexdump, render_snapshot};
 use net_packet::pcap::{read_pcap, read_pcap_raw, write_pcap};
 use net_packet::Packet;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -175,86 +175,47 @@ fn main() {
     // below) replaces the exact packet-count assert.
     let mut lossless = plan.is_empty() && policy == OverloadPolicy::Block;
 
-    // Replay in capture order — through one flow table, or hash-sharded
-    // across N worker queues; either way the arrival order per flow is
-    // what a line-rate tap would deliver.
+    // Replay in capture order, hash-sharded across `shards` worker
+    // queues: the arrival order per flow is what a line-rate tap would
+    // deliver.
     let t = Instant::now();
-    let mut shard_report = String::new();
-    let (closed, verdict_shards, live_flows, hub, inline_closes): (
-        Vec<ClosedFlow>,
-        Vec<usize>,
-        Vec<FlowEntry>,
-        Arc<TelemetryHub>,
-        usize,
-    ) = if shards > 1 {
-        let scorer = clap.sharded_scorer_with(ShardConfig {
-            shards,
-            overload: policy,
-            faults: plan.clone(),
-            dump_flows: want_flows,
-            ..ShardConfig::default()
-        });
-        let hub = scorer.telemetry();
-        let run = match scorer.try_score_stream(packets.iter()) {
-            Ok(run) => run,
-            Err(e) => {
-                // A dead or stuck shard degrades the run; the survivors'
-                // verdicts below are still exact for their flows.
-                eprintln!("[{}] DEGRADED RUN: {e}", preset.name);
-                lossless = false;
-                e.partial
-            }
-        };
-        clap_core::ShardHealth::check_accounting(&run.stats)
-            .expect("per-shard accounting invariant");
-        let inline = run
-            .verdicts
-            .iter()
-            .filter(|v| v.flow.reason != CloseReason::Drained)
-            .count();
-        let stalls: u64 = run.stats.iter().map(|s| s.full_waits).sum();
-        eprintln!(
-            "[{}] {} shards ({} policy), {} backpressure stalls",
-            preset.name, shards, policy, stalls
-        );
-        shard_report = shard_stats_table(&run.stats);
-        for q in &run.quarantined {
-            shard_report.push_str(&format!("quarantined: {q}\n"));
+    let scorer = clap.sharded_scorer_with(ShardConfig {
+        shards,
+        overload: policy,
+        faults: plan,
+        dump_flows: want_flows,
+        ..ShardConfig::default()
+    });
+    let hub = scorer.telemetry();
+    let run = match scorer.try_score_stream(packets.iter()) {
+        Ok(run) => run,
+        Err(e) => {
+            // A dead or stuck shard degrades the run; the survivors'
+            // verdicts below are still exact for their flows.
+            eprintln!("[{}] DEGRADED RUN: {e}", preset.name);
+            lossless = false;
+            e.partial
         }
-        let verdict_shards = run.verdicts.iter().map(|v| v.shard).collect();
-        let closed: Vec<ClosedFlow> = run.verdicts.into_iter().map(|v| v.flow).collect();
-        (closed, verdict_shards, run.flows, hub, inline)
-    } else {
-        // The single flow table gets a one-shard hub: the scorer's
-        // stream counters re-home onto the hub's cells, and the replay
-        // loop plays both dispatcher and worker for the packet ledger.
-        let hub = Arc::new(TelemetryHub::new(1));
-        let cells = hub.shard(0);
-        let mut scorer = clap.stream_scorer();
-        scorer.attach_telemetry(Arc::clone(&cells.stream));
-        scorer.attach_stages(Arc::clone(&cells.stages));
-        for p in &packets {
-            cells.dispatch.dispatched_inc();
-            scorer.push(p);
-            cells.worker.scored();
-        }
-        let mut closed = scorer.drain_closed();
-        let inline = closed.len();
-        // The conntrack view is cut *before* the final drain: these are
-        // the flows a live tap would still be tracking right now.
-        let live = if want_flows {
-            scorer.flow_entries()
-        } else {
-            Vec::new()
-        };
-        closed.extend(scorer.finish());
-        for _ in &closed {
-            cells.worker.flow_closed();
-        }
-        let n = closed.len();
-        (closed, vec![0; n], live, hub, inline)
     };
     let elapsed = t.elapsed();
+    clap_core::ShardHealth::check_accounting(&run.stats).expect("per-shard accounting invariant");
+    let inline_closes = run
+        .verdicts
+        .iter()
+        .filter(|v| v.flow.reason != CloseReason::Drained)
+        .count();
+    let stalls: u64 = run.stats.iter().map(|s| s.full_waits).sum();
+    eprintln!(
+        "[{}] {} shards ({} policy), {} backpressure stalls",
+        preset.name, shards, policy, stalls
+    );
+    let mut shard_report = shard_stats_table(&run.stats);
+    for q in &run.quarantined {
+        shard_report.push_str(&format!("quarantined: {q}\n"));
+    }
+    let verdict_shards: Vec<usize> = run.verdicts.iter().map(|v| v.shard).collect();
+    let closed: Vec<ClosedFlow> = run.verdicts.into_iter().map(|v| v.flow).collect();
+    let live_flows = run.flows;
 
     // Parse-stage latency, sampled from the raw capture bytes outside
     // the timed replay — the histograms are cumulative, so recording
@@ -305,11 +266,9 @@ fn main() {
     // renderer sorts internally and is deterministic across shard counts.
     println!("{}", verdict_table(&closed, top_n));
 
-    // Per-shard supervision counters (sharded runs only): the operator's
-    // view of backpressure, shedding, quarantines and restarts.
-    if !shard_report.is_empty() {
-        println!("{shard_report}");
-    }
+    // Per-shard supervision counters: the operator's view of
+    // backpressure, shedding, quarantines and restarts.
+    println!("{shard_report}");
 
     if dump_flows {
         println!("== Telemetry snapshot ==");

@@ -254,7 +254,6 @@ pub fn shard_stats_table(stats: &[clap_core::ShardStats]) -> String {
             s.dropped.to_string(),
             s.quarantined.to_string(),
             s.restarts.to_string(),
-            s.degraded_windows.to_string(),
         ]
     };
     let mut rows: Vec<Vec<String>> = stats.iter().map(|s| row(s.shard.to_string(), s)).collect();
@@ -272,12 +271,10 @@ pub fn shard_stats_table(stats: &[clap_core::ShardStats]) -> String {
         health.dropped.to_string(),
         health.quarantined.to_string(),
         health.restarts.to_string(),
-        health.degraded_windows.to_string(),
     ]);
     render_table(
         &[
             "Shard", "Pushed", "Scored", "Flows", "Waits", "Dropped", "Quar", "Restarts",
-            "Degraded",
         ],
         &rows,
     )

@@ -104,8 +104,9 @@ fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMod
     (bench::verdict_table(&closed, usize::MAX), run.flows)
 }
 
-/// The plain single-threaded engine (the `exp_stream_pcap --shards 1`
-/// default path) at engine precision `quant`, rendered the same way.
+/// The plain single-threaded engine at engine precision `quant`,
+/// rendered the same way: the reference the sharded engine is pinned to
+/// at every shard count.
 fn plain_table(clap: &Clap, packets: &[Packet], quant: QuantMode) -> Replay {
     let mut plain = clap.stream_scorer_with(StreamConfig {
         quant,
@@ -148,10 +149,11 @@ fn sharded_pcap_replay_is_byte_identical() {
 }
 
 /// The `--fault-plan` replay path of `exp_stream_pcap` is as
-/// deterministic as the fault-free one: the same seed-derived schedule
-/// (plus a supervised panic and forced burst under `degrade`) replayed
-/// twice over the checked-in capture renders byte-identical verdict
-/// tables and identical per-shard stats and quarantine logs.
+/// deterministic as the fault-free one, at one shard (the binary's
+/// default) and at four: the same seed-derived schedule (plus a
+/// supervised panic and forced burst under `drop-newest`) replayed twice
+/// over the checked-in capture renders byte-identical verdict tables and
+/// identical per-shard stats and quarantine logs.
 #[test]
 fn fault_plan_replay_is_byte_identical() {
     clap_core::shard::fault::silence_injected_panics();
@@ -164,36 +166,41 @@ fn fault_plan_replay_is_byte_identical() {
             from: mid + 1,
             until: (mid + 9).min(packets.len() as u64),
         });
-    let replay = || {
-        let run = clap
-            .sharded_scorer_with(ShardConfig {
-                shards: 4,
-                queue_capacity: packets.len().max(1),
-                overload: OverloadPolicy::Degrade { keep_one_in: 2 },
-                faults: plan.clone(),
-                ..ShardConfig::default()
-            })
-            .try_score_stream(packets.iter())
-            .expect("recoverable faults must not fail the run");
-        clap_core::ShardHealth::check_accounting(&run.stats).expect("accounting invariant");
-        let closed: Vec<_> = run.verdicts.iter().map(|v| v.flow.clone()).collect();
-        (bench::verdict_table(&closed, usize::MAX), run)
-    };
-    let (table_a, run_a) = replay();
-    let (table_b, run_b) = replay();
-    assert_eq!(
-        table_a, table_b,
-        "same fault plan must render identical bytes across runs"
-    );
-    assert_eq!(run_a.stats, run_b.stats, "per-shard stats diverged");
-    assert_eq!(
-        run_a.quarantined, run_b.quarantined,
-        "quarantine logs diverged"
-    );
-    assert!(
-        run_a.quarantined.iter().any(|q| q.arrival == mid),
-        "the injected panic must be quarantined"
-    );
+    for shards in [1, 4] {
+        let replay = || {
+            let run = clap
+                .sharded_scorer_with(ShardConfig {
+                    shards,
+                    queue_capacity: packets.len().max(1),
+                    overload: OverloadPolicy::DropNewest,
+                    faults: plan.clone(),
+                    ..ShardConfig::default()
+                })
+                .try_score_stream(packets.iter())
+                .expect("recoverable faults must not fail the run");
+            clap_core::ShardHealth::check_accounting(&run.stats).expect("accounting invariant");
+            let closed: Vec<_> = run.verdicts.iter().map(|v| v.flow.clone()).collect();
+            (bench::verdict_table(&closed, usize::MAX), run)
+        };
+        let (table_a, run_a) = replay();
+        let (table_b, run_b) = replay();
+        assert_eq!(
+            table_a, table_b,
+            "--shards {shards}: same fault plan must render identical bytes across runs"
+        );
+        assert_eq!(
+            run_a.stats, run_b.stats,
+            "--shards {shards}: per-shard stats diverged"
+        );
+        assert_eq!(
+            run_a.quarantined, run_b.quarantined,
+            "--shards {shards}: quarantine logs diverged"
+        );
+        assert!(
+            run_a.quarantined.iter().any(|q| q.arrival == mid),
+            "--shards {shards}: the injected panic must be quarantined"
+        );
+    }
 }
 
 /// The capture itself is pinned: if the traffic generator or pcap writer

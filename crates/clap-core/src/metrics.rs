@@ -121,8 +121,6 @@ pub struct ShardHealth {
     pub quarantined: u64,
     /// Flow-table rebuilds across all shards.
     pub restarts: u64,
-    /// Saturation episodes under the `Degrade` policy.
-    pub degraded_windows: u64,
     /// Stalled pushes (the backpressure signal).
     pub full_waits: u64,
 }
@@ -137,24 +135,9 @@ impl ShardHealth {
             h.dropped += s.dropped;
             h.quarantined += s.quarantined;
             h.restarts += s.restarts;
-            h.degraded_windows += s.degraded_windows;
             h.full_waits += s.full_waits;
         }
         h
-    }
-
-    /// Packets that did not reach a scorer (shed + quarantined).
-    pub fn shed(&self) -> u64 {
-        self.dropped + self.quarantined
-    }
-
-    /// Fraction of dispatched packets that did not reach a scorer.
-    pub fn shed_rate(&self) -> f64 {
-        if self.pushed == 0 {
-            0.0
-        } else {
-            self.shed() as f64 / self.pushed as f64
-        }
     }
 
     /// Verifies the exact accounting invariant
@@ -266,7 +249,6 @@ mod tests {
             flows_closed: 0,
             full_waits: 1,
             dropped,
-            degraded_windows: if dropped > 0 { 1 } else { 0 },
             quarantined: quar,
             restarts: quar,
             stream: crate::StreamStats::default(),
@@ -282,14 +264,10 @@ mod tests {
         assert_eq!(h.dropped, 1);
         assert_eq!(h.quarantined, 1);
         assert_eq!(h.restarts, 1);
-        assert_eq!(h.degraded_windows, 1);
         assert_eq!(h.full_waits, 2);
-        assert_eq!(h.shed(), 2);
-        assert!((h.shed_rate() - 2.0 / 15.0).abs() < 1e-12);
         assert!(ShardHealth::check_accounting(&stats).is_ok());
         let broken = [stat(0, 10, 8, 1, 0)];
         let err = ShardHealth::check_accounting(&broken).unwrap_err();
         assert!(err.contains("shard 0"), "{err}");
-        assert_eq!(ShardHealth::default().shed_rate(), 0.0);
     }
 }

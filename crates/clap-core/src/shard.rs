@@ -73,14 +73,11 @@
 //!   `Block` (default) spins until space frees — zero loss, bitwise
 //!   determinism, unbounded dispatch latency. `DropNewest` sheds the
 //!   packet that found the ring full — bounded latency, loss counted in
-//!   [`ShardStats::dropped`]. `Degrade { keep_one_in: k }` scores one in
-//!   k packets per flow while the ring stays saturated — every flow
-//!   keeps producing (degraded) verdicts; saturation episodes are
-//!   counted in [`ShardStats::degraded_windows`]. Under the shed
-//!   policies, *which* packets are shed depends on real ring occupancy,
-//!   i.e. on thread scheduling — only `Block` keeps bitwise run-to-run
-//!   determinism. (The fault harness's forced bursts are deterministic,
-//!   which is how the shed paths are tested; see [`fault`].)
+//!   [`ShardStats::dropped`]. Under `DropNewest`, *which* packets are
+//!   shed depends on real ring occupancy, i.e. on thread scheduling —
+//!   only `Block` keeps bitwise run-to-run determinism. (The fault
+//!   harness's forced bursts are deterministic, which is how the shed
+//!   path is tested; see [`fault`].)
 //! * **Accounting invariant.** For every shard, exactly:
 //!   `pushed == packets + dropped + quarantined`. Every packet the
 //!   dispatcher addressed to a shard is scored, shed, or quarantined —
@@ -226,9 +223,6 @@ pub struct ShardStats {
     /// a stuck shard, or lost to a dying worker (its in-flight packet
     /// and undrained ring).
     pub dropped: u64,
-    /// Saturation episodes under [`OverloadPolicy::Degrade`]: incremented
-    /// once per full→saturated transition, not per packet.
-    pub degraded_windows: u64,
     /// Packets quarantined after a supervised scoring panic.
     pub quarantined: u64,
     /// Times this shard's flow table was rebuilt from scratch (one per
@@ -254,7 +248,6 @@ impl ShardStats {
             flows_closed: e.flows_closed - b.flows_closed,
             full_waits: e.full_waits - b.full_waits,
             dropped: e.dropped - b.dropped,
-            degraded_windows: e.degraded_windows - b.degraded_windows,
             quarantined: e.quarantined - b.quarantined,
             restarts: e.restarts - b.restarts,
             stream: StreamStats {
@@ -369,7 +362,7 @@ impl ShardedStreamScorer<'_> {
     }
 
     /// Replays one interleaved packet stream through the supervised
-    /// sharded engine. On a clean (possibly degraded-by-policy) run,
+    /// sharded engine. On a clean (possibly load-shedding) run,
     /// returns the merged verdicts plus per-shard accounting; if any
     /// shard dies or is declared stuck, returns a [`ShardRunError`]
     /// naming the failed shards and carrying the surviving shards'
@@ -1406,50 +1399,6 @@ mod tests {
         assert_eq!(a.stats, b.stats, "forced bursts shed deterministically");
     }
 
-    /// Under `Degrade { keep_one_in: 2 }` with the ring forced saturated
-    /// for the whole stream, each flow keeps every other packet — all
-    /// flows keep producing verdicts, on thinner evidence.
-    #[test]
-    fn fault_degrade_keeps_one_in_k_per_flow() {
-        let clap = model();
-        let shards = 4;
-        let target = 2;
-        let ports = ports_on_shard(target, shards, 2);
-        // Two flows interleaved: A B A B A B (arrivals 0..6).
-        let mut packets = Vec::new();
-        for i in 0..3 {
-            for (j, &port) in ports.iter().enumerate() {
-                let flags = if i == 0 { TcpFlags::SYN } else { TcpFlags::ACK };
-                packets.push(raw_packet(
-                    (1, port),
-                    (2, 80),
-                    flags,
-                    f64::from(i) + 0.1 * j as f64,
-                ));
-            }
-        }
-        let mut config = cfg(shards);
-        config.overload = OverloadPolicy::Degrade { keep_one_in: 2 };
-        config.faults = FaultPlan::none().with(Fault::FullBurst {
-            from: 0,
-            until: packets.len() as u64,
-        });
-        let run = clap
-            .sharded_scorer_with(config)
-            .try_score_stream(packets.iter())
-            .expect("degrading is not a failure");
-        let st = &run.stats[target];
-        assert_eq!(st.pushed, 6);
-        assert_eq!(st.packets, 4, "each flow keeps packets 0 and 2 of 3");
-        assert_eq!(st.dropped, 2, "each flow sheds its middle packet");
-        assert_eq!(st.degraded_windows, 1, "one saturation episode");
-        assert_accounting(&run.stats);
-        assert_eq!(run.verdicts.len(), 2, "both flows still produce verdicts");
-        for v in &run.verdicts {
-            assert_eq!(v.flow.packets, 2, "each flow scored 2 of its 3 packets");
-        }
-    }
-
     /// A garbage-header packet must be *scored*, not crash the worker:
     /// the pipeline models invalid fields by design (attacks store them
     /// deliberately).
@@ -1495,7 +1444,6 @@ mod tests {
             assert_eq!(s.dropped, 0);
             assert_eq!(s.quarantined, 0);
             assert_eq!(s.restarts, 0);
-            assert_eq!(s.degraded_windows, 0);
         }
         assert!(run.quarantined.is_empty());
     }
@@ -1507,17 +1455,12 @@ mod tests {
             ("block", OverloadPolicy::Block),
             ("drop-newest", OverloadPolicy::DropNewest),
             ("drop", OverloadPolicy::DropNewest),
-            ("degrade", OverloadPolicy::Degrade { keep_one_in: 8 }),
-            ("degrade:3", OverloadPolicy::Degrade { keep_one_in: 3 }),
         ] {
             assert_eq!(OverloadPolicy::parse(spec), Ok(policy));
+            assert_eq!(OverloadPolicy::parse(&policy.to_string()), Ok(policy));
         }
-        assert_eq!(
-            OverloadPolicy::parse("degrade:3").unwrap().to_string(),
-            "degrade:3"
-        );
         assert_eq!(OverloadPolicy::default(), OverloadPolicy::Block);
-        for bad in ["", "shed", "degrade:0", "degrade:x"] {
+        for bad in ["", "shed", "degrade", "degrade:3"] {
             assert!(
                 OverloadPolicy::parse(bad).is_err(),
                 "`{bad}` must not parse"

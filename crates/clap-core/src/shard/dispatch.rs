@@ -2,20 +2,18 @@
 //! and what happens when that shard's ring is full.
 //!
 //! **What this module knows:** the [`OverloadPolicy`], the fault plan's
-//! forced-full bursts, the stuck-shard watchdog, and the per-shard
-//! cut-off / saturation / degrade-count state, all behind
-//! [`Dispatcher::offer`]. **What it must not:** what a worker does with a
-//! packet. It sees a worker only as a ring to push into, a heartbeat
-//! cell and an "is the thread finished" probe, and it never scores,
-//! supervises or unwinds anything — which is why it is tested against
-//! bare rings with no model in sight.
+//! forced-full bursts, the stuck-shard watchdog, and which shards are cut
+//! off, all behind [`Dispatcher::offer`]. **What it must not:** what a
+//! worker does with a packet. It sees a worker only as a ring to push
+//! into, a heartbeat cell and an "is the thread finished" probe, and it
+//! never scores, supervises or unwinds anything — which is why it is
+//! tested against bare rings with no model in sight.
 
 use super::spsc;
 use super::supervise::{ShardFailure, ShardFailureKind};
 use super::ShardConfig;
 use clap_telemetry::TelemetryHub;
 use net_packet::{CanonicalKey, Packet};
-use std::collections::HashMap;
 
 /// What the dispatcher does with a packet whose shard's ingest ring is
 /// full. See the [module-level](super) "Failure modes & overload
@@ -31,36 +29,18 @@ pub enum OverloadPolicy {
     /// [`ShardStats::dropped`](super::ShardStats::dropped)). Bounded
     /// dispatch latency, bounded loss.
     DropNewest,
-    /// While the ring stays saturated, score one in `keep_one_in`
-    /// packets *per flow* (shedding the rest) so every flow keeps
-    /// producing verdicts under overload, just on thinner evidence.
-    /// Saturation episodes are counted in
-    /// [`ShardStats::degraded_windows`](super::ShardStats::degraded_windows).
-    Degrade { keep_one_in: u32 },
 }
 
 impl OverloadPolicy {
-    /// Parses the `--overload-policy` CLI grammar: `block`,
-    /// `drop-newest` (or `drop`), `degrade` (1-in-8) or `degrade:K`.
+    /// Parses the `--overload-policy` CLI grammar: `block` or
+    /// `drop-newest` (or `drop`).
     pub fn parse(spec: &str) -> Result<OverloadPolicy, String> {
         match spec {
             "block" => Ok(OverloadPolicy::Block),
             "drop-newest" | "drop" => Ok(OverloadPolicy::DropNewest),
-            "degrade" => Ok(OverloadPolicy::Degrade { keep_one_in: 8 }),
-            other => match other.strip_prefix("degrade:") {
-                Some(k) => {
-                    let keep_one_in: u32 = k
-                        .parse()
-                        .map_err(|_| format!("overload policy `{other}`: `{k}` is not a number"))?;
-                    if keep_one_in == 0 {
-                        return Err(format!("overload policy `{other}`: K must be ≥ 1"));
-                    }
-                    Ok(OverloadPolicy::Degrade { keep_one_in })
-                }
-                None => Err(format!(
-                    "unknown overload policy `{other}` (expected block/drop-newest/degrade[:K])"
-                )),
-            },
+            other => Err(format!(
+                "unknown overload policy `{other}` (expected block/drop-newest)"
+            )),
         }
     }
 }
@@ -70,22 +50,8 @@ impl std::fmt::Display for OverloadPolicy {
         match self {
             OverloadPolicy::Block => write!(f, "block"),
             OverloadPolicy::DropNewest => write!(f, "drop-newest"),
-            OverloadPolicy::Degrade { keep_one_in } => write!(f, "degrade:{keep_one_in}"),
         }
     }
-}
-
-/// What the dispatcher remembers about one shard between packets.
-#[derive(Default)]
-struct ShardState {
-    /// Cut off — the worker died or was declared stuck; every further
-    /// packet addressed here is shed.
-    dead: bool,
-    /// `Degrade` only: whether the previous packet found the ring
-    /// saturated (a saturation episode is counted on the rising edge).
-    was_saturated: bool,
-    /// `Degrade` only: packets seen per flow while saturated.
-    degrade_seq: HashMap<CanonicalKey, u64>,
 }
 
 /// The dispatch loop's state for one run: one [`offer`](Self::offer) per
@@ -98,7 +64,9 @@ pub(super) struct Dispatcher<'q, 'p, F> {
     hub: &'q TelemetryHub,
     /// Whether shard `i`'s worker thread has terminated.
     worker_finished: F,
-    shards: Vec<ShardState>,
+    /// Per shard: cut off — the worker died or was declared stuck; every
+    /// further packet addressed there is shed.
+    dead: Vec<bool>,
     /// Shards the watchdog declared stuck, in the order it did.
     stuck: Vec<ShardFailure>,
 }
@@ -116,7 +84,7 @@ impl<'q, 'p, F: Fn(usize) -> bool> Dispatcher<'q, 'p, F> {
             queues,
             hub,
             worker_finished,
-            shards: queues.iter().map(|_| ShardState::default()).collect(),
+            dead: vec![false; queues.len()],
             stuck: Vec::new(),
         }
     }
@@ -127,51 +95,28 @@ impl<'q, 'p, F: Fn(usize) -> bool> Dispatcher<'q, 'p, F> {
     /// exactly once: counted `dispatched`, then pushed into the ring (the
     /// worker accounts for it from there) or counted shed.
     pub(super) fn offer(&mut self, seq: u64, p: &'p Packet) {
-        let ck = CanonicalKey::of(p);
-        let shard = ck.shard_of(self.queues.len());
+        let shard = CanonicalKey::of(p).shard_of(self.queues.len());
         let (ring, cells) = (&self.queues[shard], self.hub.shard(shard));
-        let state = &mut self.shards[shard];
         cells.dispatch.dispatched_inc();
-        if state.dead {
+        if self.dead[shard] {
             cells.dispatch.shed();
             return;
         }
         // A forced burst makes the ring *look* full to the policy
         // without being full, so shed decisions are reproducible.
         let forced = self.config.faults.forced_full(seq);
-        let deliver = match self.config.overload {
+        match self.config.overload {
             OverloadPolicy::Block => {
                 if forced {
                     cells.dispatch.full_wait();
                 }
-                true
+                self.deliver(shard, (seq, p));
             }
             OverloadPolicy::DropNewest => {
-                if !forced && ring.try_push((seq, p)).is_ok() {
-                    return;
-                }
-                false
-            }
-            OverloadPolicy::Degrade { keep_one_in } => {
-                let saturated = forced || ring.is_full();
-                if saturated && !state.was_saturated {
-                    cells.dispatch.degraded_window();
-                }
-                state.was_saturated = saturated;
-                if saturated {
-                    let count = state.degrade_seq.entry(ck).or_insert(0);
-                    let keep = (*count).is_multiple_of(u64::from(keep_one_in.max(1)));
-                    *count += 1;
-                    keep
-                } else {
-                    true
+                if forced || ring.try_push((seq, p)).is_err() {
+                    cells.dispatch.shed();
                 }
             }
-        };
-        if deliver {
-            self.deliver(shard, (seq, p));
-        } else {
-            cells.dispatch.shed();
         }
     }
 
@@ -219,7 +164,7 @@ impl<'q, 'p, F: Fn(usize) -> bool> Dispatcher<'q, 'p, F> {
             }
             backoff.snooze();
         }
-        self.shards[shard].dead = true;
+        self.dead[shard] = true;
         cells.dispatch.shed();
     }
 
@@ -293,9 +238,8 @@ mod tests {
     }
 
     /// For every policy, a forced burst sheds exactly the set the policy
-    /// defines — nothing (`Block`), the whole burst (`DropNewest`), all
-    /// but every k-th packet of each flow (`Degrade`) — and each shard's
-    /// `dispatched == delivered + shed`.
+    /// defines — nothing (`Block`), the whole burst (`DropNewest`) — and
+    /// each shard's `dispatched == delivered + shed`.
     #[test]
     fn dispatch_sheds_exactly_the_policys_set_of_a_forced_burst() {
         let packets = stream(5, 60);
@@ -306,30 +250,13 @@ mod tests {
                 until: burst.end,
             })
         };
-        let k = 3u64;
-        for policy in [
-            OverloadPolicy::Block,
-            OverloadPolicy::DropNewest,
-            OverloadPolicy::Degrade {
-                keep_one_in: k as u32,
-            },
-        ] {
+        for policy in [OverloadPolicy::Block, OverloadPolicy::DropNewest] {
             // The shed set, from the policy's definition.
-            let mut seen_in_burst = HashMap::new();
             let mut expect: Vec<Vec<u64>> = vec![Vec::new(); SHARDS];
             let mut addressed = [0u64; SHARDS];
             for (seq, p) in (0u64..).zip(&packets) {
                 addressed[shard_of(p)] += 1;
-                let shed = burst.contains(&seq)
-                    && match policy {
-                        OverloadPolicy::Block => false,
-                        OverloadPolicy::DropNewest => true,
-                        OverloadPolicy::Degrade { .. } => {
-                            let nth = seen_in_burst.entry(p.src_port()).or_insert(0u64);
-                            *nth += 1;
-                            (*nth - 1) % k != 0
-                        }
-                    };
+                let shed = burst.contains(&seq) && policy == OverloadPolicy::DropNewest;
                 if !shed {
                     expect[shard_of(p)].push(seq);
                 }
@@ -346,12 +273,6 @@ mod tests {
                     got[i].len() as u64 + s.dropped,
                     "{policy}: shard {i} dispatched == delivered + shed"
                 );
-                let degrading = matches!(policy, OverloadPolicy::Degrade { .. });
-                assert_eq!(
-                    s.degraded_windows,
-                    u64::from(degrading),
-                    "{policy}: episodes"
-                );
             }
             let forced_waits = snap.total(|s| s.full_waits);
             let blocked = if policy == OverloadPolicy::Block {
@@ -360,35 +281,6 @@ mod tests {
                 0
             };
             assert_eq!(forced_waits, blocked, "{policy}: full_waits");
-        }
-    }
-
-    /// `Degrade` counts a flow's packets across saturation episodes (it
-    /// keeps the 0th, k-th, 2k-th… seen while saturated), delivers
-    /// everything between episodes, and counts one `degraded_window` per
-    /// episode, on the shard that saturated only.
-    #[test]
-    fn dispatch_degrade_counts_per_flow_across_episodes() {
-        let packets = stream(1, 16);
-        let plan = FaultPlan::none()
-            .with(Fault::FullBurst { from: 0, until: 7 })
-            .with(Fault::FullBurst {
-                from: 10,
-                until: 14,
-            });
-        let hub = TelemetryHub::new(SHARDS);
-        let policy = OverloadPolicy::Degrade { keep_one_in: 3 };
-        let got = dispatch(&config(policy, plan), &hub, &packets);
-        let home = shard_of(&packets[0]);
-        // Saturated arrivals 0..7 are the flow's 0th..6th (keep 0, 3, 6),
-        // 10..14 its 7th..10th (keep the 9th: arrival 12).
-        assert_eq!(got[home], [0, 3, 6, 7, 8, 9, 12, 14, 15]);
-        let snap = hub.snapshot();
-        for (i, s) in snap.shards.iter().enumerate() {
-            let mine = u64::from(i == home);
-            assert_eq!(s.degraded_windows, 2 * mine);
-            assert_eq!(s.dropped, 7 * mine);
-            assert_eq!(s.dispatched, 16 * mine);
         }
     }
 

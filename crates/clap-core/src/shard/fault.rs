@@ -17,9 +17,8 @@
 //!   and, with a tight watchdog limit, trips the stuck-shard detector.
 //! * [`Fault::FullBurst`] — the dispatcher treats the owning shard's ring
 //!   as full for every push in an arrival range. This is how the shed
-//!   policies (`DropNewest`, `Degrade`) are tested deterministically:
-//!   real ring occupancy depends on thread scheduling, a forced burst
-//!   does not.
+//!   policy (`DropNewest`) is tested deterministically: real ring
+//!   occupancy depends on thread scheduling, a forced burst does not.
 //! * [`Fault::MalformAt`] — the worker scores [`malform`]'s
 //!   garbage-header mutation of the packet in its place, inside the
 //!   supervised region (4-tuple preserved, so flow identity and shard
@@ -85,14 +84,6 @@ impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// True when the plan contains a hard kill — the only fault kind
-    /// after which a run cannot complete cleanly.
-    pub fn has_kills(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::KillAt { .. }))
     }
 
     /// Should the worker panic (supervised) while scoring this arrival?
@@ -324,8 +315,6 @@ mod tests {
         assert!(plan.forced_full(10) && plan.forced_full(11));
         assert!(!plan.forced_full(12), "burst range is half-open");
         assert!(plan.malform_at(1) && !plan.malform_at(2));
-        assert!(plan.has_kills());
-        assert!(!FaultPlan::none().has_kills());
     }
 
     #[test]
@@ -334,7 +323,10 @@ mod tests {
         let b = FaultPlan::randomized(42, 500);
         assert_eq!(a, b, "same seed must yield the same plan");
         assert!(!a.is_empty());
-        assert!(!a.has_kills(), "randomized plans stay recoverable");
+        assert!(
+            !a.faults().iter().any(|f| matches!(f, Fault::KillAt { .. })),
+            "randomized plans stay recoverable"
+        );
         let c = FaultPlan::randomized(43, 500);
         assert_ne!(a, c, "different seeds should diverge");
     }

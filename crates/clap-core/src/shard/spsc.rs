@@ -99,12 +99,6 @@ impl<T> Ring<T> {
         self.len() == 0
     }
 
-    /// Producer side: true when the ring currently holds `capacity`
-    /// items (the saturation signal the `Degrade` policy keys on).
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.slots.len()
-    }
-
     /// The fixed capacity this ring was built with.
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -172,13 +166,10 @@ mod tests {
     fn fifo_order_and_capacity() {
         let ring: Ring<u32> = Ring::new(2);
         assert_eq!(ring.capacity(), 2);
-        assert!(!ring.is_full());
         assert!(ring.try_push(1).is_ok());
         assert!(ring.try_push(2).is_ok());
-        assert!(ring.is_full());
         assert_eq!(ring.try_push(3), Err(3), "full ring rejects");
         assert_eq!(ring.try_pop(), Some(1));
-        assert!(!ring.is_full());
         assert!(ring.try_push(3).is_ok());
         assert_eq!(ring.try_pop(), Some(2));
         assert_eq!(ring.try_pop(), Some(3));

@@ -90,7 +90,6 @@ proptest! {
         policy in prop_oneof![
             Just(OverloadPolicy::Block),
             Just(OverloadPolicy::DropNewest),
-            Just(OverloadPolicy::Degrade { keep_one_in: 3 }),
         ],
         quant in engine_modes(),
     ) {
@@ -176,7 +175,6 @@ proptest! {
         policy in prop_oneof![
             Just(OverloadPolicy::Block),
             Just(OverloadPolicy::DropNewest),
-            Just(OverloadPolicy::Degrade { keep_one_in: 2 }),
         ],
         quant in engine_modes(),
     ) {

@@ -25,7 +25,7 @@
 //! has exactly one writer thread at any time:
 //!
 //! * [`DispatchCells`] — written by the dispatch loop (packets addressed,
-//!   packets shed, backpressure stalls, degrade transitions).
+//!   packets shed, backpressure stalls).
 //! * [`WorkerCells`] — written by the shard's worker thread (packets
 //!   scored / quarantined / lost in flight, restarts, flows closed).
 //! * [`StreamCells`] — written by whichever thread owns the shard's
@@ -189,7 +189,6 @@ pub struct DispatchCells {
     pushed: Counter,
     dropped: Counter,
     full_waits: Counter,
-    degraded_windows: Counter,
 }
 
 /// One consistent cut of a [`DispatchCells`] region.
@@ -201,7 +200,6 @@ pub struct DispatchCounts {
     pub pushed: u64,
     pub dropped: u64,
     pub full_waits: u64,
-    pub degraded_windows: u64,
 }
 
 impl DispatchCells {
@@ -237,12 +235,6 @@ impl DispatchCells {
         self.seq.write(|| self.full_waits.add(1));
     }
 
-    /// One full→saturated transition under the degrade policy.
-    #[inline]
-    pub fn degraded_window(&self) {
-        self.seq.write(|| self.degraded_windows.add(1));
-    }
-
     /// Takes one consistent cut of this region.
     pub fn read(&self) -> DispatchCounts {
         self.seq.read(|| DispatchCounts {
@@ -250,7 +242,6 @@ impl DispatchCells {
             pushed: self.pushed.get(),
             dropped: self.dropped.get(),
             full_waits: self.full_waits.get(),
-            degraded_windows: self.degraded_windows.get(),
         })
     }
 }
@@ -514,7 +505,6 @@ impl TelemetryHub {
                     restarts: w.restarts,
                     flows_closed: w.flows_closed,
                     full_waits: d.full_waits,
-                    degraded_windows: d.degraded_windows,
                     heartbeat,
                     live_flows: st.live_flows,
                     flows_peak: st.flows_peak,
@@ -550,7 +540,6 @@ pub struct ShardSnapshot {
     pub restarts: u64,
     pub flows_closed: u64,
     pub full_waits: u64,
-    pub degraded_windows: u64,
     pub heartbeat: u64,
     /// Gauge: currently tracked flows.
     pub live_flows: u64,
@@ -567,7 +556,7 @@ pub struct ShardSnapshot {
 impl ShardSnapshot {
     /// The monotone counters, name + value, in a fixed order (used by
     /// the monotonicity check; gauges excluded).
-    pub fn counters(&self) -> [(&'static str, u64); 16] {
+    pub fn counters(&self) -> [(&'static str, u64); 15] {
         [
             ("pushed", self.pushed),
             ("scored", self.scored),
@@ -577,7 +566,6 @@ impl ShardSnapshot {
             ("restarts", self.restarts),
             ("flows_closed", self.flows_closed),
             ("full_waits", self.full_waits),
-            ("degraded_windows", self.degraded_windows),
             ("heartbeat", self.heartbeat),
             ("flows_peak", self.flows_peak),
             ("evicted_idle", self.evicted_idle),
