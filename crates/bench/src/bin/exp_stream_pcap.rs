@@ -36,28 +36,32 @@
 //! fault schedule (`panic@N`, `kill@N`, `stall@N[:MS]`, `burst@A..B`,
 //! `malform@N`, `random@SEED` — comma-separated) so the failure paths can
 //! be exercised from the CLI.
-//! The per-shard supervision counters and any quarantined packets are
-//! printed after the verdict table.
+//! After the verdict table comes one per-shard table, `render_snapshot`
+//! of the run's stats (a [`ShardSnapshot`] per shard: pushed, scored,
+//! dropped, quarantined, flow-table gauges, backpressure waits, restarts,
+//! then the sampled stage latencies), and a line per quarantined packet.
 //!
 //! # Telemetry and introspection
 //!
 //! The run feeds the engine's live telemetry plane (a [`TelemetryHub`]),
 //! and the replay harness times the wire→packet **parse** stage from a
 //! 1-in-32 sample of the raw capture records — the scorer never sees
-//! wire bytes, so that stage belongs to the harness.
+//! wire bytes, so that stage belongs to the harness. It is timed into
+//! shard 0's histograms before the replay, outside the timed region, so
+//! the run's stage summaries (taken raw, not subtracted) carry it.
 //!
-//! - `--dump-flows` prints the rendered telemetry snapshot plus a
-//!   conntrack-style table of every flow still live at end of stream
-//!   (state, age, idle, packets, bytes, current score), before the final
-//!   drain closes them. A flow's age and idle time are measured against
+//! - `--dump-flows` prints a conntrack-style table of every flow still
+//!   live at end of stream (state, age, idle, packets, bytes, current
+//!   score), before the final drain closes them. A flow's age and idle time are measured against
 //!   the capture's last timestamp, so the table reads the same at every
 //!   `--shards` count. There is no TIME_WAIT linger: a flow that reaches
 //!   TIME_WAIT closed on that packet and is in the verdicts, not here.
 //! - `--telemetry-out PATH` writes the run as one JSON document
 //!   ([`TelemetryExport`]) with three keys:
-//!   - `snapshot`: the final [`TelemetrySnapshot`]; `shards[i]` holds
-//!     shard `i`'s counters, and its `stages[j]` summarizes
-//!     `Stage::ALL[j]`;
+//!   - `snapshot`: the run's stats, an array with one [`ShardSnapshot`]
+//!     per shard: `snapshot[i]` holds shard `i`'s counters, its `stream`
+//!     the flow-table counters and gauges, and its `stages[j]`
+//!     summarizes `Stage::ALL[j]`;
 //!   - `verdicts`: one row per finalized flow: `key`, `arrival`,
 //!     `packets`, `reason`, `shard`, `score`, `peak_packet`;
 //!   - `flows`: the [`FlowEntry`] of every flow still live at end of
@@ -77,15 +81,15 @@
 //! [`StreamScorer`]: clap_core::stream::StreamScorer
 //! [`ShardedStreamScorer`]: clap_core::ShardedStreamScorer
 //! [`TelemetryHub`]: clap_core::TelemetryHub
-//! [`TelemetrySnapshot`]: clap_core::TelemetrySnapshot
+//! [`ShardSnapshot`]: clap_core::ShardSnapshot
 
 use bench::{
-    arg_parsed, arg_value, render_table, shard_stats_table, verdict_table, Preset, TelemetryExport,
-    VerdictRow,
+    arg_parsed, arg_value, render_table, verdict_table, Preset, TelemetryExport, VerdictRow,
 };
 use clap_core::stream::CloseReason;
 use clap_core::{
-    Clap, ClosedFlow, FaultPlan, FlowEntry, OverloadPolicy, ShardConfig, Stage, StageHists,
+    Clap, ClosedFlow, FaultPlan, FlowEntry, OverloadPolicy, ShardConfig, ShardSnapshot, Stage,
+    StageHists,
 };
 use clap_telemetry::render::{hexdump, render_snapshot};
 use net_packet::pcap::{read_pcap, read_pcap_raw, write_pcap};
@@ -178,7 +182,6 @@ fn main() {
     // Replay in capture order, hash-sharded across `shards` worker
     // queues: the arrival order per flow is what a line-rate tap would
     // deliver.
-    let t = Instant::now();
     let scorer = clap.sharded_scorer_with(ShardConfig {
         shards,
         overload: policy,
@@ -186,7 +189,11 @@ fn main() {
         dump_flows: want_flows,
         ..ShardConfig::default()
     });
-    let hub = scorer.telemetry();
+    // Parse-stage latency, sampled from the raw capture bytes outside
+    // the timed replay. The histograms are cumulative and a run's stage
+    // summaries are taken raw, so the run's stats carry these samples.
+    time_parse_stage(&scorer.telemetry().shard(0).stages, &raw_capture);
+    let t = Instant::now();
     let run = match scorer.try_score_stream(packets.iter()) {
         Ok(run) => run,
         Err(e) => {
@@ -198,33 +205,24 @@ fn main() {
         }
     };
     let elapsed = t.elapsed();
-    clap_core::ShardHealth::check_accounting(&run.stats).expect("per-shard accounting invariant");
+    ShardSnapshot::check_accounting(&run.stats).expect("per-shard accounting invariant");
     let inline_closes = run
         .verdicts
         .iter()
         .filter(|v| v.flow.reason != CloseReason::Drained)
         .count();
-    let stalls: u64 = run.stats.iter().map(|s| s.full_waits).sum();
+    let stalls = ShardSnapshot::total(&run.stats).full_waits;
     eprintln!(
         "[{}] {} shards ({} policy), {} backpressure stalls",
         preset.name, shards, policy, stalls
     );
-    let mut shard_report = shard_stats_table(&run.stats);
+    let mut shard_report = render_snapshot(&run.stats);
     for q in &run.quarantined {
         shard_report.push_str(&format!("quarantined: {q}\n"));
     }
     let verdict_shards: Vec<usize> = run.verdicts.iter().map(|v| v.shard).collect();
     let closed: Vec<ClosedFlow> = run.verdicts.into_iter().map(|v| v.flow).collect();
     let live_flows = run.flows;
-
-    // Parse-stage latency, sampled from the raw capture bytes outside
-    // the timed replay — the histograms are cumulative, so recording
-    // after the fact lands in the same snapshot.
-    time_parse_stage(&hub.shard(0).stages, &raw_capture);
-    let snapshot = hub.snapshot();
-    snapshot
-        .check_invariants()
-        .expect("telemetry snapshot invariant");
 
     let streamed: usize = closed.iter().map(|c| c.packets).sum();
     if lossless {
@@ -266,15 +264,13 @@ fn main() {
     // renderer sorts internally and is deterministic across shard counts.
     println!("{}", verdict_table(&closed, top_n));
 
-    // Per-shard supervision counters: the operator's view of
-    // backpressure, shedding, quarantines and restarts.
+    // Per-shard counters: the operator's view of backpressure,
+    // shedding, quarantines, restarts and where a packet's time goes.
     println!("{shard_report}");
 
     if dump_flows {
-        println!("== Telemetry snapshot ==");
-        print!("{}", render_snapshot(&snapshot));
         println!(
-            "\n== Flow table at end of stream ({} live flows) ==",
+            "== Flow table at end of stream ({} live flows) ==",
             live_flows.len()
         );
         let end = packets
@@ -286,7 +282,7 @@ fn main() {
 
     if let Some(path) = telemetry_out {
         let export = TelemetryExport {
-            snapshot,
+            snapshot: run.stats,
             verdicts: closed
                 .iter()
                 .zip(verdict_shards)

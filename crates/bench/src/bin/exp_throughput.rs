@@ -17,8 +17,11 @@
 //! `--preset scale` adds the churn phase: `traffic_gen::churn`'s
 //! elephant/mice workload at a plateau of one million concurrent flows,
 //! int8 weights and int8 resident state, reporting sustained pkt/s, peak
-//! flows and heap bytes per flow. `--json PATH` writes the record; without
-//! it no file is written.
+//! flows and heap bytes per flow (the record's `scale`, `null` without the
+//! churn phase). `--json PATH` writes the record; without it no file is
+//! written. The sharded run's per-shard counters and sampled stage
+//! latencies print as one `render_snapshot` table and go into the record
+//! as `shard_telemetry`, its `ShardSnapshot`s unchanged.
 //!
 //! The four gate options are `bench::GATES`: figures whose two sides come
 //! from this one process (int8 ÷ f32, sharded ÷ single stream, telemetry
@@ -33,8 +36,10 @@
 
 use bench::{arg_parsed, arg_value, render_table, train_all, Preset, GATES};
 use clap_core::{
-    QuantMode, ResidentMode, ShardConfig, ShardHealth, Stage, StageHists, StreamCells, StreamConfig,
+    QuantMode, ResidentMode, ShardConfig, ShardSnapshot, StageHists, StreamCells, StreamConfig,
+    StreamStats,
 };
+use clap_telemetry::render::render_snapshot;
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,59 +80,32 @@ struct ThroughputReport {
     /// Slightly negative under run-to-run noise. Gated by
     /// `--max-telemetry-overhead`.
     telemetry_overhead: f64,
-    /// Per-shard counter deltas and stage latency summaries of the
-    /// measured sharded run, straight from the telemetry hub.
-    shard_telemetry: Vec<ShardTelemetryRow>,
+    /// The measured sharded run's stats: per shard, what the timed pass
+    /// added to the counters, with the gauges and stage summaries as the
+    /// pass left them (the histograms are cumulative — percentiles do not
+    /// subtract — but warm-up and measured pass are the identical
+    /// workload, so the cumulative distribution is the measured one).
+    shard_telemetry: Vec<ShardSnapshot>,
     baseline1_pps: f64,
     kitsune_pps: f64,
-    /// Peak concurrently tracked flows of the churn phase; `0` (like the
-    /// other churn fields) when the run did not measure it.
-    flows_peak: u64,
-    /// Packets/second sustained by the churn phase; `0.0` when not
-    /// measured.
-    scale_pps: f64,
-    /// Measured flow-table heap bytes per peak live flow; `0.0` when not
-    /// measured. Gated by `--max-bytes-per-flow`.
+    /// The churn phase (`--preset scale` only; `null` otherwise).
+    scale: Option<ScaleReport>,
+}
+
+/// The churn phase of `--preset scale`: one `StreamScorer` pushed toward a
+/// million-flow plateau.
+#[derive(Debug, Serialize)]
+struct ScaleReport {
+    /// Packets/second sustained.
+    pps: f64,
+    /// Flow-table heap bytes per peak live flow, sampled at the plateau.
+    /// Gated by `--max-bytes-per-flow`.
     bytes_per_flow: f64,
-    /// Churn-phase packets pushed.
-    scale_packets: u64,
-    /// Flows reclaimed by idle-timeout expiry during the churn
-    /// phase.
-    scale_evicted_idle: u64,
-    /// Flows evicted at the `max_flows` capacity wall during the churn
-    /// phase.
-    scale_evicted_capacity: u64,
-    /// Flows finalized by observed TCP teardown during the churn phase.
-    scale_closed_tcp: u64,
-    /// Flows still live at the end of the churn phase (drained).
-    scale_drained: u64,
-}
-
-/// One shard's slice of the measured sharded run: the timed pass's own
-/// counters ([`ShardStats`](clap_core::ShardStats) is already that run's
-/// delta of the lifetime-cumulative hub), plus per-stage latency
-/// summaries. The histograms cannot be delta'd — percentiles aren't
-/// subtractive — but warm-up and measured pass are the identical
-/// workload, so the cumulative distribution is the measured one.
-#[derive(Debug, Serialize)]
-struct ShardTelemetryRow {
-    shard: usize,
-    pushed: u64,
-    scored: u64,
-    dropped: u64,
-    quarantined: u64,
-    full_waits: u64,
-    stages: Vec<StageLatencyRow>,
-}
-
-/// One pipeline stage's latency summary (log2-bucket lower bounds).
-#[derive(Debug, Serialize)]
-struct StageLatencyRow {
-    stage: &'static str,
-    samples: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    max_ns: u64,
+    /// Packets pushed.
+    packets: u64,
+    /// The scorer's flow-table counters after the final drain:
+    /// `flows_peak` and the close-reason breakdown.
+    stats: StreamStats,
 }
 
 /// Corpus replays per timed run of the telemetry-overhead pair.
@@ -323,8 +301,7 @@ fn main() {
     let t = Instant::now();
     let run = sharded_scorer.score_stream(stream.iter().copied());
     let sharded = t.elapsed();
-    let telemetry = sharded_scorer.telemetry().snapshot();
-    ShardHealth::check_accounting(&run.stats).expect("per-shard accounting invariant");
+    ShardSnapshot::check_accounting(&run.stats).expect("per-shard accounting invariant");
     // The default `block` policy with no injected faults sheds nothing,
     // so every packet must come back inside a verdict.
     let sharded_packets: usize = run.verdicts.iter().map(|v| v.flow.packets).sum();
@@ -333,7 +310,7 @@ fn main() {
         "sharded streaming must account for every packet"
     );
     assert_eq!(warm.verdicts.len(), run.verdicts.len());
-    let stalls: u64 = run.stats.iter().map(|s| s.full_waits).sum();
+    let stalls = ShardSnapshot::total(&run.stats).full_waits;
     eprintln!(
         "[{}] sharded run: {} shards, {} flows, {} backpressure stalls",
         preset.name,
@@ -341,59 +318,12 @@ fn main() {
         run.verdicts.len(),
         stalls
     );
-    eprintln!("{}", bench::shard_stats_table(&run.stats));
-    let shard_telemetry: Vec<ShardTelemetryRow> = run
-        .stats
-        .iter()
-        .zip(&telemetry.shards)
-        .map(|(st, snap)| ShardTelemetryRow {
-            shard: st.shard,
-            pushed: st.pushed,
-            scored: st.packets,
-            dropped: st.dropped,
-            quarantined: st.quarantined,
-            full_waits: st.full_waits,
-            stages: Stage::ALL
-                .iter()
-                .map(|s| {
-                    let sum = snap.stages[s.index()];
-                    StageLatencyRow {
-                        stage: s.name(),
-                        samples: sum.count,
-                        p50_ns: sum.p50_ns,
-                        p99_ns: sum.p99_ns,
-                        max_ns: sum.max_ns,
-                    }
-                })
-                .collect(),
-        })
-        .collect();
     // Sharded workers always attach stage histograms, so this is the
     // measured pass's latency profile; stages nothing sampled (`parse`:
     // the corpus arrives pre-parsed) are left out.
-    let rows: Vec<Vec<String>> = shard_telemetry
-        .iter()
-        .flat_map(|r| {
-            r.stages.iter().filter(|s| s.samples > 0).map(|s| {
-                vec![
-                    r.shard.to_string(),
-                    s.stage.to_string(),
-                    s.samples.to_string(),
-                    s.p50_ns.to_string(),
-                    s.p99_ns.to_string(),
-                    s.max_ns.to_string(),
-                ]
-            })
-        })
-        .collect();
-    println!("\n== Per-stage latency (sampled log2 histograms, bucket floors) ==");
-    println!(
-        "{}",
-        render_table(
-            &["Shard", "Stage", "Samples", "p50 (ns)", "p99 (ns)", "max (ns)"],
-            &rows
-        )
-    );
+    println!("\n== Sharded run: per-shard counters, sampled stage latencies ==");
+    print!("{}", render_snapshot(&run.stats));
+
     // The churn phase: a high-arrival-rate elephant/mice workload against
     // a million-flow table, measuring sustained pps and per-flow memory.
     // Runs for `--preset scale` only.
@@ -456,7 +386,7 @@ fn main() {
             "churn phase must account for every packet"
         );
         assert!(
-            stats.flows_peak >= churn_flows,
+            stats.flows_peak >= churn_flows as u64,
             "churn phase never reached the {churn_flows}-flow plateau (peak {})",
             stats.flows_peak
         );
@@ -487,7 +417,12 @@ fn main() {
                 ],
             )
         );
-        (scale_pps, bytes_per_flow, stats, pushed)
+        ScaleReport {
+            pps: scale_pps,
+            bytes_per_flow,
+            packets: pushed as u64,
+            stats,
+        }
     });
 
     let pps = |elapsed: std::time::Duration| packets as f64 / elapsed.as_secs_f64();
@@ -587,17 +522,10 @@ fn main() {
         clap_quant_pps: pps(quant),
         quant_speedup: pps(quant) / pps(fused),
         telemetry_overhead,
-        shard_telemetry,
+        shard_telemetry: run.stats,
         baseline1_pps: pps(b1),
         kitsune_pps: pps(kitsune),
-        flows_peak: scale.as_ref().map_or(0, |(_, _, s, _)| s.flows_peak as u64),
-        scale_pps: scale.as_ref().map_or(0.0, |(p, _, _, _)| *p),
-        bytes_per_flow: scale.as_ref().map_or(0.0, |(_, b, _, _)| *b),
-        scale_packets: scale.as_ref().map_or(0, |(_, _, _, n)| *n as u64),
-        scale_evicted_idle: scale.as_ref().map_or(0, |(_, _, s, _)| s.evicted_idle),
-        scale_evicted_capacity: scale.as_ref().map_or(0, |(_, _, s, _)| s.evicted_capacity),
-        scale_closed_tcp: scale.as_ref().map_or(0, |(_, _, s, _)| s.closed_tcp),
-        scale_drained: scale.as_ref().map_or(0, |(_, _, s, _)| s.drained),
+        scale,
     };
     if let Some(path) = json_path {
         let json = serde_json::to_string_pretty(&report).expect("serialize report");
@@ -612,7 +540,7 @@ fn main() {
         report.quant_speedup,
         report.shard_scaling,
         report.telemetry_overhead,
-        scale.as_ref().map_or(f64::NAN, |(_, b, _, _)| *b),
+        report.scale.as_ref().map_or(f64::NAN, |s| s.bytes_per_flow),
     ];
     let mut failed = false;
     for (gate, measured) in GATES.iter().zip(measured) {

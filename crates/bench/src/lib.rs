@@ -9,7 +9,7 @@
 use baselines::{Baseline1, Baseline1Config, KitsuneConfig, KitsuneLite};
 use clap_core::{
     auc_roc, equal_error_rate, top_n_hit, Clap, ClapConfig, CloseReason, ClosedFlow, FlowEntry,
-    ScoredConnection, TelemetrySnapshot,
+    ScoredConnection, ShardSnapshot,
 };
 use dpi_attacks::{build_adversarial_set, AttackResult, Strategy};
 use net_packet::{Connection, FlowKey};
@@ -85,8 +85,8 @@ impl Preset {
 
     /// Flow-table-scale preset: CI-sized models (training cost is not the
     /// point), but `exp_throughput` additionally runs the elephant/mice
-    /// churn phase against a million-flow table and records `flows_peak`,
-    /// `scale_pps` and `bytes_per_flow`.
+    /// churn phase against a million-flow table and records it as the
+    /// report's `scale` (sustained pps, bytes per flow, flow-table stats).
     pub fn scale() -> Self {
         let mut p = Self::ci();
         p.name = "scale".into();
@@ -240,46 +240,6 @@ pub fn verdict_table(closed: &[ClosedFlow], top_n: usize) -> String {
     )
 }
 
-/// Renders the per-shard supervision counters of a sharded run: one row
-/// per shard plus a totals row — the operator-facing health view of
-/// `exp_stream_pcap` and `exp_throughput`.
-pub fn shard_stats_table(stats: &[clap_core::ShardStats]) -> String {
-    let row = |label: String, s: &clap_core::ShardStats| {
-        vec![
-            label,
-            s.pushed.to_string(),
-            s.packets.to_string(),
-            s.flows_closed.to_string(),
-            s.full_waits.to_string(),
-            s.dropped.to_string(),
-            s.quarantined.to_string(),
-            s.restarts.to_string(),
-        ]
-    };
-    let mut rows: Vec<Vec<String>> = stats.iter().map(|s| row(s.shard.to_string(), s)).collect();
-    let health = clap_core::ShardHealth::of(stats);
-    rows.push(vec![
-        "total".to_string(),
-        health.pushed.to_string(),
-        health.scored.to_string(),
-        stats
-            .iter()
-            .map(|s| s.flows_closed)
-            .sum::<u64>()
-            .to_string(),
-        health.full_waits.to_string(),
-        health.dropped.to_string(),
-        health.quarantined.to_string(),
-        health.restarts.to_string(),
-    ]);
-    render_table(
-        &[
-            "Shard", "Pushed", "Scored", "Flows", "Waits", "Dropped", "Quar", "Restarts",
-        ],
-        &rows,
-    )
-}
-
 /// One finalized flow of a telemetry export: its identity, size, close
 /// reason, the shard that scored it, its score and its peak packet.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -309,11 +269,12 @@ impl VerdictRow {
 }
 
 /// What `exp_stream_pcap --telemetry-out` writes, as one JSON document:
-/// the run's final snapshot, a row per finalized flow, and the flows still
-/// live when the capture ended.
+/// the run's per-shard counters (an array, one [`ShardSnapshot`] per
+/// shard), a row per finalized flow, and the flows still live when the
+/// capture ended.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryExport {
-    pub snapshot: TelemetrySnapshot,
+    pub snapshot: Vec<ShardSnapshot>,
     pub verdicts: Vec<VerdictRow>,
     pub flows: Vec<FlowEntry>,
 }

@@ -19,7 +19,7 @@
 use bench::{TelemetryExport, VerdictRow};
 use clap_core::{
     Clap, ClapConfig, Fault, FaultPlan, FlowEntry, OverloadPolicy, QuantMode, ShardConfig,
-    StreamConfig,
+    ShardSnapshot, ShardedRun, StreamConfig,
 };
 use net_packet::pcap::{read_pcap, write_pcap, write_pcap_raw};
 use net_packet::Packet;
@@ -81,7 +81,7 @@ fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMod
     let run = scorer.score_stream(packets.iter());
 
     let export = TelemetryExport {
-        snapshot: scorer.telemetry().snapshot(),
+        snapshot: run.stats.clone(),
         verdicts: run
             .verdicts
             .iter()
@@ -95,10 +95,11 @@ fn sharded_table(clap: &Clap, packets: &[Packet], shards: usize, quant: QuantMod
     for (row, v) in back.verdicts.iter().zip(&run.verdicts) {
         assert_eq!(row.score.to_bits(), v.flow.scored.score.to_bits());
     }
-    back.snapshot
-        .check_invariants()
-        .expect("parsed snapshot invariants");
-    assert_eq!(back.snapshot.total(|s| s.scored), packets.len() as u64);
+    ShardSnapshot::check_accounting(&back.snapshot).expect("parsed snapshot invariants");
+    assert_eq!(
+        ShardSnapshot::total(&back.snapshot).scored,
+        packets.len() as u64
+    );
 
     let closed: Vec<_> = run.verdicts.into_iter().map(|v| v.flow).collect();
     (bench::verdict_table(&closed, usize::MAX), run.flows)
@@ -178,7 +179,7 @@ fn fault_plan_replay_is_byte_identical() {
                 })
                 .try_score_stream(packets.iter())
                 .expect("recoverable faults must not fail the run");
-            clap_core::ShardHealth::check_accounting(&run.stats).expect("accounting invariant");
+            ShardSnapshot::check_accounting(&run.stats).expect("accounting invariant");
             let closed: Vec<_> = run.verdicts.iter().map(|v| v.flow.clone()).collect();
             (bench::verdict_table(&closed, usize::MAX), run)
         };
@@ -188,8 +189,11 @@ fn fault_plan_replay_is_byte_identical() {
             table_a, table_b,
             "--shards {shards}: same fault plan must render identical bytes across runs"
         );
+        // Every counter agrees; the stage summaries are timings.
+        let counters = |r: &ShardedRun| r.stats.iter().map(|s| s.counters()).collect::<Vec<_>>();
         assert_eq!(
-            run_a.stats, run_b.stats,
+            counters(&run_a),
+            counters(&run_b),
             "--shards {shards}: per-shard stats diverged"
         );
         assert_eq!(

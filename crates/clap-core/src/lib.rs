@@ -78,17 +78,15 @@ pub use profile::{ProfileBuilder, GATE_FEATURES, PROFILE_LEN};
 pub use score::{score_errors, ScoredConnection};
 pub use shard::fault::{Fault, FaultPlan};
 pub use shard::supervise::{Quarantined, ShardFailure, ShardFailureKind, ShardRunError};
-pub use shard::{
-    OverloadPolicy, ShardConfig, ShardStats, ShardVerdict, ShardedRun, ShardedStreamScorer,
-};
+pub use shard::{OverloadPolicy, ShardConfig, ShardVerdict, ShardedRun, ShardedStreamScorer};
 pub use stream::{
     CloseReason, ClosedFlow, EvictionMode, FlowEntry, MemoCounts, ResidentMode, StreamConfig,
     StreamScorer, StreamStats,
 };
 // The live telemetry plane (re-exported so callers need not depend on
 // `clap-telemetry` directly): wait-free counters, coherent snapshots and
-// per-stage latency histograms.
+// per-stage latency histograms. `ShardSnapshot` is the one per-shard
+// counter record: a hub snapshot's and a sharded run's stats alike.
 pub use clap_telemetry::{
     self as telemetry, ShardSnapshot, Stage, StageHists, StageSummary, StreamCells, TelemetryHub,
-    TelemetrySnapshot,
 };

@@ -103,58 +103,14 @@ pub fn top_n_hit(identified: usize, truth: &[usize], n: usize) -> bool {
     truth.iter().any(|&t| identified.abs_diff(t) <= radius)
 }
 
-/// Whole-run health roll-up of the sharded engine's per-shard counters —
-/// the shape the bench binaries serialize and the CI gates check. Totals
-/// only; the per-shard breakdown stays on [`ShardStats`].
+/// The sharded engine's counter record under its roll-up name:
+/// `ShardHealth::of(&run.stats)` is [`ShardSnapshot::total`], and
+/// `ShardHealth::check_accounting` is
+/// [`ShardSnapshot::check_accounting`].
 ///
-/// [`ShardStats`]: crate::ShardStats
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardHealth {
-    /// Packets dispatched across all shards.
-    pub pushed: u64,
-    /// Packets scored across all shards.
-    pub scored: u64,
-    /// Packets shed (overload policy, watchdog cut-off, or a dying
-    /// worker's in-flight loss).
-    pub dropped: u64,
-    /// Packets quarantined after a supervised scoring panic.
-    pub quarantined: u64,
-    /// Flow-table rebuilds across all shards.
-    pub restarts: u64,
-    /// Stalled pushes (the backpressure signal).
-    pub full_waits: u64,
-}
-
-impl ShardHealth {
-    /// Sums one run's per-shard stats into the roll-up.
-    pub fn of(stats: &[crate::ShardStats]) -> ShardHealth {
-        let mut h = ShardHealth::default();
-        for s in stats {
-            h.pushed += s.pushed;
-            h.scored += s.packets;
-            h.dropped += s.dropped;
-            h.quarantined += s.quarantined;
-            h.restarts += s.restarts;
-            h.full_waits += s.full_waits;
-        }
-        h
-    }
-
-    /// Verifies the exact accounting invariant
-    /// `pushed == scored + dropped + quarantined` on every shard,
-    /// naming the first violating shard.
-    pub fn check_accounting(stats: &[crate::ShardStats]) -> Result<(), String> {
-        for s in stats {
-            if s.pushed != s.packets + s.dropped + s.quarantined {
-                return Err(format!(
-                    "shard {} accounting broken: pushed {} != scored {} + dropped {} + quarantined {}",
-                    s.shard, s.pushed, s.packets, s.dropped, s.quarantined
-                ));
-            }
-        }
-        Ok(())
-    }
-}
+/// [`ShardSnapshot::total`]: crate::ShardSnapshot::total
+/// [`ShardSnapshot::check_accounting`]: crate::ShardSnapshot::check_accounting
+pub type ShardHealth = crate::ShardSnapshot;
 
 #[cfg(test)]
 mod tests {
@@ -241,23 +197,22 @@ mod tests {
         assert!(!top_n_hit(5, &[], 5));
     }
 
-    fn stat(shard: usize, pushed: u64, scored: u64, dropped: u64, quar: u64) -> crate::ShardStats {
-        crate::ShardStats {
-            shard,
+    fn stat(pushed: u64, scored: u64, dropped: u64, quar: u64) -> ShardHealth {
+        ShardHealth {
             pushed,
-            packets: scored,
-            flows_closed: 0,
-            full_waits: 1,
+            scored,
             dropped,
             quarantined: quar,
+            dispatched: pushed,
             restarts: quar,
-            stream: crate::StreamStats::default(),
+            full_waits: 1,
+            ..ShardHealth::default()
         }
     }
 
     #[test]
     fn shard_health_rolls_up_and_checks_accounting() {
-        let stats = [stat(0, 10, 8, 1, 1), stat(1, 5, 5, 0, 0)];
+        let stats = [stat(10, 8, 1, 1), stat(5, 5, 0, 0)];
         let h = ShardHealth::of(&stats);
         assert_eq!(h.pushed, 15);
         assert_eq!(h.scored, 13);
@@ -266,7 +221,7 @@ mod tests {
         assert_eq!(h.restarts, 1);
         assert_eq!(h.full_waits, 2);
         assert!(ShardHealth::check_accounting(&stats).is_ok());
-        let broken = [stat(0, 10, 8, 1, 0)];
+        let broken = [stat(10, 8, 1, 0)];
         let err = ShardHealth::check_accounting(&broken).unwrap_err();
         assert!(err.contains("shard 0"), "{err}");
     }

@@ -18,7 +18,7 @@
 //!   ring per shard ([`spsc`]). What happens when a ring is full is the
 //!   configured [`OverloadPolicy`] (see below); the default `Block`
 //!   applies backpressure to the dispatcher (spin-then-yield, counted per
-//!   shard in [`ShardStats::full_waits`]) rather than dropping packets or
+//!   shard in [`ShardSnapshot::full_waits`]) rather than dropping packets or
 //!   growing without bound — the ingest path can stall, but it can never
 //!   lose a packet or exhaust memory.
 //! * **Per-shard policy, per-shard clocks.** Every shard runs its own
@@ -58,28 +58,31 @@
 //!   barrier. A panic while scoring quarantines the offending
 //!   packet ([`ShardedRun::quarantined`] logs shard, flow key and global
 //!   arrival index), rebuilds that shard's flow table from scratch
-//!   ([`StreamScorer::reset`], counted in [`ShardStats::restarts`]) and
+//!   ([`StreamScorer::reset`], counted in [`ShardSnapshot::restarts`]) and
 //!   the run completes. Because flows never span shards, the other
 //!   shards' verdicts are byte-identical to a fault-free run.
 //! * **Hard failures.** A panic that escapes the supervised region kills
 //!   the worker;
 //!   [`try_score_stream`](ShardedStreamScorer::try_score_stream) then
 //!   returns [`ShardRunError`] naming the dead shard and carrying the
-//!   surviving shards' verdicts and *every* shard's stats (the dead
-//!   shard's counters live in shared telemetry and survive it).
+//!   surviving shards' verdicts, *every* shard's stats (the dead
+//!   shard's counters live in shared telemetry and survive it) and every
+//!   quarantine, the dead shard's included (its log lives in a slot
+//!   this function owns, not in the thread's return value).
 //!   [`score_stream`](ShardedStreamScorer::score_stream) panics on hard
 //!   failures, preserving the pre-supervision contract.
 //! * **Overload policies** ([`OverloadPolicy`], consulted on ring-full):
 //!   `Block` (default) spins until space frees — zero loss, bitwise
 //!   determinism, unbounded dispatch latency. `DropNewest` sheds the
 //!   packet that found the ring full — bounded latency, loss counted in
-//!   [`ShardStats::dropped`]. Under `DropNewest`, *which* packets are
+//!   [`ShardSnapshot::dropped`]. Under `DropNewest`, *which* packets are
 //!   shed depends on real ring occupancy, i.e. on thread scheduling —
 //!   only `Block` keeps bitwise run-to-run determinism. (The fault
 //!   harness's forced bursts are deterministic, which is how the shed
 //!   path is tested; see [`fault`].)
 //! * **Accounting invariant.** For every shard, exactly:
-//!   `pushed == packets + dropped + quarantined`. Every packet the
+//!   `pushed == scored + dropped + quarantined`
+//!   ([`ShardSnapshot::check_accounting`]). Every packet the
 //!   dispatcher addressed to a shard is scored, shed, or quarantined —
 //!   including packets lost to a dying worker (its in-flight packet and
 //!   its undrained ring are counted into `dropped`).
@@ -91,6 +94,11 @@
 //!   shard keeps its heartbeat advancing and is never flagged. If a
 //!   stuck worker later recovers, its verdicts are still merged; the
 //!   failure report stands.
+//! * **One counter record.** [`ShardedRun::stats`] is one
+//!   [`ShardSnapshot`] per shard — the type a live
+//!   [`TelemetryHub::snapshot`] returns — holding what this run added to
+//!   the scorer's lifetime-cumulative hub ([`ShardSnapshot::since`] the
+//!   snapshot taken before any worker started).
 //! * **Fault injection.** [`fault::FaultPlan`] injects panics, hard
 //!   kills, stalls, forced ring-full bursts and malformed packets at
 //!   seed-deterministic arrivals — same plan, same stream, same outcome
@@ -120,7 +128,7 @@
 //!
 //! The module is three files: this one (configs, the run's result types
 //! and [`try_score_stream`](ShardedStreamScorer::try_score_stream), which
-//! reads spawn → offer each packet → join → stats → merge), `dispatch`
+//! reads spawn → offer each packet → join → merge → stats), `dispatch`
 //! (ring-full policy, watchdog) and `worker` (the supervised consume
 //! loop); neither of the two knows what the other does with a packet.
 //!
@@ -136,7 +144,7 @@ pub mod supervise;
 mod worker;
 
 use crate::pipeline::Clap;
-use crate::stream::{ClosedFlow, FlowEntry, StreamConfig, StreamStats};
+use crate::stream::{ClosedFlow, FlowEntry, StreamConfig};
 use clap_telemetry::hist::Stage;
 use clap_telemetry::{ShardSnapshot, StageRecorder, TelemetryHub};
 use dispatch::Dispatcher;
@@ -201,68 +209,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// Ingest/backpressure/supervision accounting for one shard of a
-/// finished run. The exact invariant, enforced under every policy and
-/// fault schedule: `pushed == packets + dropped + quarantined`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index (`0..shards`).
-    pub shard: usize,
-    /// Packets the dispatcher addressed to this shard (scored, shed or
-    /// quarantined — every one is accounted below).
-    pub pushed: u64,
-    /// Packets this shard scored.
-    pub packets: u64,
-    /// Flows this shard finalized (all close reasons).
-    pub flows_closed: u64,
-    /// Times the dispatcher found this shard's ingest ring full and had
-    /// to wait — the backpressure signal. Counted once per stalled push,
-    /// not per spin iteration.
-    pub full_waits: u64,
-    /// Packets shed: by the overload policy, by the watchdog cutting off
-    /// a stuck shard, or lost to a dying worker (its in-flight packet
-    /// and undrained ring).
-    pub dropped: u64,
-    /// Packets quarantined after a supervised scoring panic.
-    pub quarantined: u64,
-    /// Times this shard's flow table was rebuilt from scratch (one per
-    /// quarantine, plus one each if the end-of-stream flow dump or flush
-    /// panicked).
-    pub restarts: u64,
-    /// This shard's flow-table counters ([`StreamStats`]): peak live
-    /// flows, eviction breakdown by cause. The counters live in the
-    /// shared telemetry hub ([`ShardedStreamScorer::telemetry`]), so they
-    /// survive even a shard whose worker died mid-run.
-    pub stream: StreamStats,
-}
-
-impl ShardStats {
-    /// One run's accounting for `shard`: what its hub counters gained
-    /// between the snapshot taken before any worker started (`b`) and the
-    /// one taken after every worker joined (`e`).
-    fn delta(shard: usize, b: &ShardSnapshot, e: &ShardSnapshot) -> ShardStats {
-        ShardStats {
-            shard,
-            pushed: e.dispatched - b.dispatched,
-            packets: e.scored - b.scored,
-            flows_closed: e.flows_closed - b.flows_closed,
-            full_waits: e.full_waits - b.full_waits,
-            dropped: e.dropped - b.dropped,
-            quarantined: e.quarantined - b.quarantined,
-            restarts: e.restarts - b.restarts,
-            stream: StreamStats {
-                // A high-water mark, not a rate: reported raw.
-                flows_peak: e.flows_peak as usize,
-                evicted_idle: e.evicted_idle - b.evicted_idle,
-                evicted_capacity: e.evicted_capacity - b.evicted_capacity,
-                closed_tcp: e.closed_tcp - b.closed_tcp,
-                length_capped: e.length_capped - b.length_capped,
-                drained: e.drained - b.drained,
-            },
-        }
-    }
-}
-
 /// One merged verdict: which shard scored the flow, the global arrival
 /// index of the flow's first packet (the merge sort key), and the same
 /// [`ClosedFlow`] the unsharded engine would have produced.
@@ -284,8 +230,13 @@ pub struct ShardedRun {
     /// capacity and scheduling always; independent of shard count too
     /// unless idle-timeout evictions fire (see the module docs).
     pub verdicts: Vec<ShardVerdict>,
-    /// Per-shard ingest accounting, indexed by shard.
-    pub stats: Vec<ShardStats>,
+    /// What this run added to each shard's counters, indexed by shard:
+    /// the counters are [`ShardSnapshot::since`] the hub snapshot taken
+    /// before any worker started, the gauges and stage summaries are
+    /// those at the end of the run (after the merge). Satisfies
+    /// [`ShardSnapshot::check_accounting`] under every policy and fault
+    /// schedule, a dead shard's entry included.
+    pub stats: Vec<ShardSnapshot>,
     /// Every quarantined packet, sorted by arrival index (empty on a
     /// fault-free run).
     pub quarantined: Vec<Quarantined>,
@@ -306,7 +257,8 @@ pub struct ShardedStreamScorer<'a> {
     config: ShardConfig,
     /// Per-shard telemetry cells, shared with every thread that wants a
     /// live view: counters are lifetime-cumulative across runs of this
-    /// scorer; each run's [`ShardStats`] is the baseline-vs-end delta.
+    /// scorer; each run's [`ShardedRun::stats`] is the baseline-vs-end
+    /// delta.
     hub: Arc<TelemetryHub>,
 }
 
@@ -366,7 +318,7 @@ impl ShardedStreamScorer<'_> {
     /// returns the merged verdicts plus per-shard accounting; if any
     /// shard dies or is declared stuck, returns a [`ShardRunError`]
     /// naming the failed shards and carrying the surviving shards'
-    /// verdicts and every shard's stats.
+    /// verdicts, every shard's stats and every quarantined packet.
     ///
     /// The calling thread runs the dispatch loop (hash → shard → SPSC
     /// push under the configured [`OverloadPolicy`]), pulling `packets`
@@ -384,11 +336,15 @@ impl ShardedStreamScorer<'_> {
         let queues: Vec<spsc::Ring<(u64, &'p Packet)>> = (0..self.shards())
             .map(|_| spsc::Ring::new(config.queue_capacity.max(1)))
             .collect();
-        // The hub is lifetime-cumulative; this run's ShardStats is the
-        // delta against the baseline taken before any worker starts.
+        // Each worker logs its quarantines into its own slot here rather
+        // than into its return value, so a worker that dies keeps the
+        // log its counters count.
+        let mut quarantine_logs: Vec<Vec<Quarantined>> = vec![Vec::new(); self.shards()];
+        // The hub is lifetime-cumulative; this run's stats are the delta
+        // against the baseline taken before any worker starts.
         let base = hub.snapshot();
 
-        std::thread::scope(|s| {
+        let (mut verdicts, mut flows, mut failures) = std::thread::scope(|s| {
             // Any unwind out of this closure — e.g. a panic inside the
             // caller's `packets` iterator — must still close every ring,
             // or the scope's implicit join would hang on workers spinning
@@ -396,12 +352,10 @@ impl ShardedStreamScorer<'_> {
             // normal path drops it (and thus closes the rings) before
             // joining.
             let close_rings = CloseRings(&queues);
-            let handles: Vec<_> = queues
-                .iter()
-                .enumerate()
-                .map(|(i, ring)| {
+            let handles: Vec<_> = (queues.iter().zip(&mut quarantine_logs).enumerate())
+                .map(|(i, (ring, log))| {
                     let clap = self.clap;
-                    s.spawn(move || worker::shard_worker(clap, config, i, ring, hub.shard(i)))
+                    s.spawn(move || worker::shard_worker(clap, config, i, ring, hub.shard(i), log))
                 })
                 .collect();
 
@@ -414,13 +368,11 @@ impl ShardedStreamScorer<'_> {
             drop(close_rings);
 
             let mut verdicts = Vec::new();
-            let mut quarantined: Vec<Quarantined> = Vec::new();
             let mut flows: Vec<FlowEntry> = Vec::new();
             for (shard, handle) in handles.into_iter().enumerate() {
                 match handle.join() {
                     Ok(mut output) => {
                         verdicts.append(&mut output.verdicts);
-                        quarantined.append(&mut output.quarantined);
                         flows.append(&mut output.flows);
                     }
                     Err(payload) => {
@@ -442,43 +394,45 @@ impl ShardedStreamScorer<'_> {
                     }
                 }
             }
-            // Every worker has joined and every leftover is accounted, so
-            // this cut has `dispatched == pushed` per shard.
-            let end = hub.snapshot();
-            let stats = (base.shards.iter().zip(&end.shards).enumerate())
-                .map(|(shard, (b, e))| ShardStats::delta(shard, b, e))
-                .collect();
-            // First-packet arrival indices are unique across flows (each
-            // tags a distinct packet), so this order is total in
-            // practice; the stable sort makes even a pathological tie
-            // deterministic (tied verdicts share a tuple, hence a shard,
-            // and keep that shard's emission order, which is itself a
-            // pure function of the input).
-            let mut merge_rec = StageRecorder::new();
-            merge_rec.attach(Arc::clone(&hub.shard(0).stages));
-            let mut merge_clock = merge_rec.start();
-            verdicts.sort_by_key(|v| v.arrival);
-            quarantined.sort_by_key(|q| q.arrival);
-            flows.sort_by_key(|f| f.arrival);
-            if let Some(c) = merge_clock.as_mut() {
-                c.lap(Stage::Merge);
-            }
-            let run = ShardedRun {
-                verdicts,
-                stats,
-                quarantined,
-                flows,
-            };
-            if failures.is_empty() {
-                Ok(run)
-            } else {
-                failures.sort_by_key(|f| f.shard);
-                Err(ShardRunError {
-                    failures,
-                    partial: run,
-                })
-            }
-        })
+            (verdicts, flows, failures)
+        });
+        let mut quarantined: Vec<Quarantined> = quarantine_logs.into_iter().flatten().collect();
+
+        // First-packet arrival indices are unique across flows (each tags
+        // a distinct packet), so this order is total in practice; the
+        // stable sort makes even a pathological tie deterministic (tied
+        // verdicts share a tuple, hence a shard, and keep that shard's
+        // emission order, which is itself a pure function of the input).
+        let mut merge_rec = StageRecorder::new();
+        merge_rec.attach(Arc::clone(&hub.shard(0).stages));
+        let mut merge_clock = merge_rec.start();
+        verdicts.sort_by_key(|v| v.arrival);
+        quarantined.sort_by_key(|q| q.arrival);
+        flows.sort_by_key(|f| f.arrival);
+        if let Some(c) = merge_clock.as_mut() {
+            c.lap(Stage::Merge);
+        }
+        // Every worker has joined and every leftover is accounted, so
+        // this cut has `dispatched == pushed` per shard; it follows the
+        // merge, so the merge's latency sample is in the run's stats.
+        let stats = (hub.snapshot().iter().zip(&base))
+            .map(|(end, base)| end.since(base))
+            .collect();
+        let run = ShardedRun {
+            verdicts,
+            stats,
+            quarantined,
+            flows,
+        };
+        if failures.is_empty() {
+            Ok(run)
+        } else {
+            failures.sort_by_key(|f| f.shard);
+            Err(ShardRunError {
+                failures,
+                partial: run,
+            })
+        }
     }
 }
 
@@ -590,26 +544,10 @@ mod tests {
 
     /// Asserts the exact accounting invariant on every shard of a run,
     /// through the library-level checker
-    /// ([`TelemetrySnapshot::check_invariants`]) — the same one the
-    /// mid-run snapshot proptests apply while packets are still flowing.
-    fn assert_accounting(stats: &[ShardStats]) {
-        use clap_telemetry::{ShardSnapshot, TelemetrySnapshot};
-        let snap = TelemetrySnapshot {
-            shards: stats
-                .iter()
-                .map(|s| ShardSnapshot {
-                    pushed: s.pushed,
-                    scored: s.packets,
-                    dropped: s.dropped,
-                    quarantined: s.quarantined,
-                    // At end of run every dispatched packet is accounted.
-                    dispatched: s.pushed,
-                    flows_peak: s.stream.flows_peak as u64,
-                    ..ShardSnapshot::default()
-                })
-                .collect(),
-        };
-        if let Err(e) = snap.check_invariants() {
+    /// ([`ShardSnapshot::check_accounting`]) — the same one the mid-run
+    /// snapshot proptests apply while packets are still flowing.
+    fn assert_accounting(stats: &[ShardSnapshot]) {
+        if let Err(e) = ShardSnapshot::check_accounting(stats) {
             panic!("accounting invariant broken: {e}\nstats: {stats:?}");
         }
     }
@@ -672,7 +610,7 @@ mod tests {
             .sharded_scorer_with(config)
             .score_stream(stream.iter().copied());
         assert_eq!(run.stats.len(), 4);
-        let consumed: u64 = run.stats.iter().map(|s| s.packets).sum();
+        let consumed: u64 = run.stats.iter().map(|s| s.scored).sum();
         assert_eq!(consumed as usize, stream.len());
         let pushed: u64 = run.stats.iter().map(|s| s.pushed).sum();
         assert_eq!(pushed as usize, stream.len());
@@ -743,9 +681,9 @@ mod tests {
         assert_eq!(evicted(reference.iter().collect()), 4, "6 flows - 2 slots");
         for (shard, st) in run.stats.iter().enumerate() {
             if shard == target {
-                assert_eq!(st.packets as usize, packets.len());
+                assert_eq!(st.scored as usize, packets.len());
             } else {
-                assert_eq!(st.packets, 0, "idle shards see no traffic");
+                assert_eq!(st.scored, 0, "idle shards see no traffic");
                 assert_eq!(st.flows_closed, 0);
             }
         }
@@ -1175,7 +1113,7 @@ mod tests {
             let hub = sharded.telemetry();
             let input = stream.iter().copied().enumerate().map(|(i, p)| {
                 if i == n {
-                    let scored = hub.snapshot().total(|s| s.scored);
+                    let scored = ShardSnapshot::total(&hub.snapshot()).scored;
                     tx.send((Arc::clone(&hub), n as u64, scored)).unwrap();
                     panic!("{}: input iterator at packet {i}", fault::INJECTED_TAG);
                 }
@@ -1198,9 +1136,10 @@ mod tests {
         let payload = run.join().expect_err("the iterator's panic propagates");
         assert!(supervise::panic_message(payload.as_ref()).contains("input iterator"));
         let snap = hub.snapshot();
-        snap.check_invariants().expect("coherent after the unwind");
-        assert_eq!(snap.total(|s| s.dispatched), n);
-        assert_eq!(snap.total(|s| s.scored), n, "every ring was drained");
+        ShardSnapshot::check_accounting(&snap).expect("coherent after the unwind");
+        let total = ShardSnapshot::total(&snap);
+        assert_eq!(total.dispatched, n);
+        assert_eq!(total.scored, n, "every ring was drained");
     }
 
     /// An injected scoring panic quarantines exactly that packet,
@@ -1229,8 +1168,8 @@ mod tests {
         assert!(q.panic.contains(fault::INJECTED_TAG));
         assert_eq!(run.stats[victim].quarantined, 1);
         assert_eq!(run.stats[victim].restarts, 1);
-        for s in &run.stats {
-            if s.shard != victim {
+        for (shard, s) in run.stats.iter().enumerate() {
+            if shard != victim {
                 assert_eq!(s.quarantined, 0);
                 assert_eq!(s.restarts, 0);
             }
@@ -1278,7 +1217,9 @@ mod tests {
 
     /// A panic escaping the supervised region kills the worker: the run
     /// reports a typed error naming the dead shard, keeps the survivors'
-    /// verdicts and every shard's stats, and accounting stays exact.
+    /// verdicts, every shard's stats and the dead shard's quarantine log
+    /// (it quarantined a packet before it died), and accounting stays
+    /// exact.
     #[test]
     fn fault_kill_returns_shard_run_error_with_survivors() {
         fault::silence_injected_panics();
@@ -1287,8 +1228,15 @@ mod tests {
         let stream = interleave(&corpus);
         let arrival = (stream.len() / 2) as u64;
         let victim = CanonicalKey::of(stream[arrival as usize]).shard_of(4);
+        let quarantined = (0..arrival)
+            .find(|&a| CanonicalKey::of(stream[a as usize]).shard_of(4) == victim)
+            .expect("the victim shard sees a packet before the kill");
         let mut config = cfg(4);
-        config.faults = FaultPlan::none().with(Fault::KillAt { arrival });
+        config.faults = FaultPlan::none()
+            .with(Fault::PanicAt {
+                arrival: quarantined,
+            })
+            .with(Fault::KillAt { arrival });
         let err = clap
             .sharded_scorer_with(config)
             .try_score_stream(stream.iter().copied())
@@ -1306,6 +1254,15 @@ mod tests {
         let pushed: u64 = run.stats.iter().map(|s| s.pushed).sum();
         assert_eq!(pushed as usize, stream.len());
         assert!(run.stats[victim].dropped >= 1, "the in-flight packet");
+        assert_eq!(run.stats[victim].quarantined, 1);
+        assert_eq!(
+            run.quarantined
+                .iter()
+                .map(|q| q.arrival)
+                .collect::<Vec<_>>(),
+            [quarantined],
+            "the dead shard's quarantine log survives it"
+        );
         assert!(
             run.verdicts.iter().all(|v| v.shard != victim),
             "a dead shard contributes no verdicts"
@@ -1387,7 +1344,7 @@ mod tests {
         let st = &a.stats[target];
         assert_eq!(st.pushed, 5);
         assert_eq!(st.dropped, 2, "exactly the burst arrivals are shed");
-        assert_eq!(st.packets, 3);
+        assert_eq!(st.scored, 3);
         assert_eq!(st.quarantined, 0);
         assert_accounting(&a.stats);
         assert_eq!(a.verdicts.len(), 3, "shed single-packet flows never open");
@@ -1396,7 +1353,18 @@ mod tests {
             .try_score_stream(packets.iter())
             .expect("shedding is not a failure");
         assert_eq!(fingerprint(&a), fingerprint(&b));
-        assert_eq!(a.stats, b.stats, "forced bursts shed deterministically");
+        // Every counter agrees; the latency summaries are timings.
+        let counters = |r: &ShardedRun| {
+            r.stats
+                .iter()
+                .map(ShardSnapshot::counters)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            counters(&a),
+            counters(&b),
+            "forced bursts shed deterministically"
+        );
     }
 
     /// A garbage-header packet must be *scored*, not crash the worker:
@@ -1416,7 +1384,7 @@ mod tests {
             .expect("a malformed packet must not fail the run");
         assert_accounting(&run.stats);
         assert_eq!(run.quarantined.len(), 0, "malformed packets are scored");
-        let scored: u64 = run.stats.iter().map(|s| s.packets).sum();
+        let scored: u64 = run.stats.iter().map(|s| s.scored).sum();
         assert_eq!(scored as usize, stream.len(), "nothing is shed");
         let clean = clap
             .sharded_scorer_with(cfg(4))
@@ -1440,7 +1408,7 @@ mod tests {
             .expect("fault-free runs succeed");
         assert_accounting(&run.stats);
         for s in &run.stats {
-            assert_eq!(s.pushed, s.packets, "Block loses nothing");
+            assert_eq!(s.pushed, s.scored, "Block loses nothing");
             assert_eq!(s.dropped, 0);
             assert_eq!(s.quarantined, 0);
             assert_eq!(s.restarts, 0);

@@ -26,7 +26,7 @@ pub enum OverloadPolicy {
     #[default]
     Block,
     /// Shed the packet that found the ring full (counted per shard in
-    /// [`ShardStats::dropped`](super::ShardStats::dropped)). Bounded
+    /// [`ShardSnapshot::dropped`](crate::ShardSnapshot::dropped)). Bounded
     /// dispatch latency, bounded loss.
     DropNewest,
 }
@@ -178,6 +178,7 @@ impl<'q, 'p, F: Fn(usize) -> bool> Dispatcher<'q, 'p, F> {
 mod tests {
     use super::super::fault::{Fault, FaultPlan};
     use super::*;
+    use clap_telemetry::ShardSnapshot;
     use net_packet::{Ipv4Header, TcpHeader};
     use std::cell::Cell;
     use std::net::Ipv4Addr;
@@ -266,7 +267,7 @@ mod tests {
             let got = dispatch(&config(policy, plan()), &hub, &packets);
             assert_eq!(got, expect, "{policy}: delivered arrivals per shard");
             let snap = hub.snapshot();
-            for (i, s) in snap.shards.iter().enumerate() {
+            for (i, s) in snap.iter().enumerate() {
                 assert_eq!(s.dispatched, addressed[i], "{policy}: shard {i} dispatched");
                 assert_eq!(
                     s.dispatched,
@@ -274,7 +275,7 @@ mod tests {
                     "{policy}: shard {i} dispatched == delivered + shed"
                 );
             }
-            let forced_waits = snap.total(|s| s.full_waits);
+            let forced_waits = ShardSnapshot::total(&snap).full_waits;
             let blocked = if policy == OverloadPolicy::Block {
                 burst.end - burst.start
             } else {
@@ -317,7 +318,7 @@ mod tests {
             kind: ShardFailureKind::Stuck { heartbeat: 0 },
         };
         assert_eq!(d.finish(), [stuck]);
-        let s = hub.snapshot().shards[home];
+        let s = hub.snapshot()[home];
         assert_eq!((s.dispatched, s.dropped, s.full_waits), (3, 2, 0));
         assert_eq!(queues[home].len(), 1, "only arrival 0 was delivered");
 
@@ -338,7 +339,7 @@ mod tests {
         d.offer(1, &packets[1]);
         assert!(d.finish().is_empty(), "a slow shard is never flagged");
         assert_eq!(probes.get(), 20 * cfg.watchdog_limit);
-        let s = hub.snapshot().shards[home];
+        let s = hub.snapshot()[home];
         assert_eq!((s.dispatched, s.dropped, s.full_waits), (2, 0, 1));
         assert_eq!(queues[home].try_pop().map(|(seq, _)| seq), Some(1));
     }
@@ -357,7 +358,7 @@ mod tests {
             d.offer(seq, p);
         }
         assert!(d.finish().is_empty());
-        let s = hub.snapshot().shards[home];
+        let s = hub.snapshot()[home];
         assert_eq!((s.dispatched, s.dropped, s.full_waits), (5, 4, 0));
         assert_eq!(queues[home].try_pop().map(|(seq, _)| seq), Some(0));
         assert!(queues[home].is_empty());

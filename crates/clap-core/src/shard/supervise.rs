@@ -10,9 +10,12 @@
 //! the scoped worker — and the worker updates it wait-free as it goes.
 //! Any thread can take a coherent snapshot mid-run; joining the (dead or
 //! alive) worker synchronizes the final values, after which the
-//! dispatcher reads them into the final [`ShardStats`].
+//! dispatcher reads them into the run's stats ([`ShardedRun::stats`]).
+//! A dead worker's quarantine log survives the same way: it lives in a
+//! per-shard slot the dispatching thread owns, not on the worker's
+//! stack.
 //!
-//! [`ShardStats`]: super::ShardStats
+//! [`ShardedRun::stats`]: super::ShardedRun::stats
 //! [`ShardedStreamScorer`]: super::ShardedStreamScorer
 
 use net_packet::CanonicalKey;

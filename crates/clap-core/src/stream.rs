@@ -121,6 +121,7 @@ pub use crate::resident::ResidentMode;
 use crate::score::{score_errors, ScoredConnection};
 pub use crate::scorer::MemoCounts;
 use crate::scorer::{Flow, Scorer};
+pub use clap_telemetry::StreamStats;
 use clap_telemetry::{StageHists, StageRecorder, StreamCells};
 use net_packet::{CanonicalKey, Endpoint, FlowKey, Packet, TcpFlags};
 use neural::{AeEngine, GruEngine, QuantMode};
@@ -254,25 +255,6 @@ pub struct ClosedFlow {
     /// without any shadow bookkeeping.
     pub arrival: u64,
     pub scored: ScoredConnection,
-}
-
-/// Lifetime flow-table counters (they survive [`StreamScorer::reset`];
-/// `flows_peak` is the high-water mark of concurrently live flows).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Peak concurrently tracked flows (== slab size: slots are only
-    /// allocated when the free list is empty).
-    pub flows_peak: usize,
-    /// Flows evicted by the idle timeout.
-    pub evicted_idle: u64,
-    /// Flows evicted to admit new ones at [`StreamConfig::max_flows`].
-    pub evicted_capacity: u64,
-    /// Flows finalized by TCP teardown.
-    pub closed_tcp: u64,
-    /// Flows finalized at [`StreamConfig::max_packets_per_flow`].
-    pub length_capped: u64,
-    /// Flows flushed by [`StreamScorer::finish`].
-    pub drained: u64,
 }
 
 /// Point-in-time view of one live flow-table entry — the conntrack-style
@@ -614,18 +596,12 @@ impl StreamScorer<'_> {
         self.scorer.step_counts
     }
 
-    /// Lifetime flow-table counters (a point-in-time read of the
-    /// telemetry cells — see [`telemetry`](Self::telemetry)).
+    /// Lifetime flow-table counters and the live-flow gauge (a
+    /// point-in-time read of the telemetry cells — see
+    /// [`telemetry`](Self::telemetry)). The counters survive
+    /// [`reset`](Self::reset).
     pub fn stats(&self) -> StreamStats {
-        let c = self.cells.read();
-        StreamStats {
-            flows_peak: c.flows_peak as usize,
-            evicted_idle: c.evicted_idle,
-            evicted_capacity: c.evicted_capacity,
-            closed_tcp: c.closed_tcp,
-            length_capped: c.length_capped,
-            drained: c.drained,
-        }
+        self.cells.read()
     }
 
     /// The scorer's live flow-table telemetry cells: any thread holding

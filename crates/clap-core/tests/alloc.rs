@@ -276,7 +276,7 @@ fn mem_bytes_tracks_the_allocator(clap: &Clap) {
 
             let stats = scorer.stats();
             assert!(
-                stats.flows_peak >= FLOWS && stats.closed_tcp > 1_000,
+                stats.flows_peak >= FLOWS as u64 && stats.closed_tcp > 1_000,
                 "{resident:?}: peak {} flows, {} closed — not a churn plateau",
                 stats.flows_peak,
                 stats.closed_tcp
@@ -344,7 +344,7 @@ fn mem_bytes_tracks_the_allocator(clap: &Clap) {
          (ratio {:.4})",
         mem / live
     );
-    assert_eq!(scorer.stats().flows_peak, FLOWS);
+    assert_eq!(scorer.stats().flows_peak, FLOWS as u64);
     assert!(
         (mem / live - 1.0).abs() <= MEM_TOLERANCE,
         "mid-stream flows: mem_bytes() grew {mem:.0} B where the allocator counted {live:.0} B"

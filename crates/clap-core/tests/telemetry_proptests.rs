@@ -3,12 +3,12 @@
 //! sharded run under randomized fault injection — must be coherent at
 //! every instant: the exact shed/accounting invariant `pushed == scored +
 //! dropped + quarantined` holds in every sample, every monotone counter
-//! only moves forward between samples, and the end-of-run deltas agree
-//! with the run's own [`ShardStats`].
+//! only moves forward between samples, and at rest the hub's snapshot is
+//! the run's own stats.
 
 use clap_core::{
-    Clap, ClapConfig, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, StreamConfig,
-    TelemetrySnapshot,
+    Clap, ClapConfig, FaultPlan, OverloadPolicy, QuantMode, ShardConfig, ShardSnapshot,
+    StreamConfig,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -88,14 +88,14 @@ proptest! {
         let (run, samples) = std::thread::scope(|s| {
             let sampler = s.spawn(|| {
                 let mut taken = 0u64;
-                let mut prev: Option<TelemetrySnapshot> = None;
+                let mut prev: Option<Vec<ShardSnapshot>> = None;
                 // Snapshot, then test `stop`: a run that finishes before
                 // this thread is first scheduled still gets one sample.
                 loop {
                     let snap = hub.snapshot();
-                    snap.check_invariants()?;
+                    ShardSnapshot::check_accounting(&snap)?;
                     if let Some(p) = &prev {
-                        TelemetrySnapshot::check_monotonic(p, &snap)?;
+                        ShardSnapshot::check_monotonic(p, &snap)?;
                     }
                     prev = Some(snap);
                     taken += 1;
@@ -113,23 +113,16 @@ proptest! {
         let samples = samples.unwrap_or_else(|e| panic!("mid-run snapshot incoherent: {e}"));
         prop_assert!(samples > 0, "sampler never ran");
 
-        // At rest, the hub deltas are exactly the run's ShardStats: the
-        // wait-free cells and the classical accounting agree.
+        // At rest, this fresh hub's snapshot is the run's own stats (the
+        // delta against an all-zero baseline): one record, every packet
+        // accounted, nothing in flight, every flow drained.
         let end = hub.snapshot();
-        prop_assert!(end.check_invariants().is_ok());
-        for st in &run.stats {
-            let e = &end.shards[st.shard];
-            prop_assert_eq!(e.pushed, st.pushed);
-            prop_assert_eq!(e.dispatched, st.pushed);
-            prop_assert_eq!(e.scored, st.packets);
-            prop_assert_eq!(e.dropped, st.dropped);
-            prop_assert_eq!(e.quarantined, st.quarantined);
-            prop_assert_eq!(e.restarts, st.restarts);
-            prop_assert_eq!(e.flows_closed, st.flows_closed);
-            prop_assert_eq!(e.full_waits, st.full_waits);
+        prop_assert!(ShardSnapshot::check_accounting(&end).is_ok());
+        prop_assert_eq!(&end, &run.stats);
+        for e in &end {
+            prop_assert_eq!(e.dispatched, e.pushed);
             prop_assert_eq!(e.in_flight, 0u64, "nothing in flight at rest");
-            prop_assert_eq!(e.live_flows, 0u64, "final drain closed everything");
-            prop_assert_eq!(e.flows_peak as usize, st.stream.flows_peak);
+            prop_assert_eq!(e.stream.live_flows, 0u64, "final drain closed everything");
         }
     }
 
@@ -159,7 +152,7 @@ proptest! {
             "dump is sorted by arrival"
         );
         let dumped_packets: u64 = run.flows.iter().map(|f| f.packets).sum();
-        let scored: u64 = run.stats.iter().map(|s| s.packets).sum();
+        let scored: u64 = run.stats.iter().map(|s| s.scored).sum();
         prop_assert!(dumped_packets <= scored);
         for f in &run.flows {
             prop_assert!(f.first_seen <= f.last_seen);

@@ -1,21 +1,31 @@
 //! Live telemetry plane for the CLAP engine: wait-free runtime counters
 //! with coherent mid-run snapshots, per-stage latency histograms
-//! ([`hist`]) and human-readable renderers ([`render`]). A
-//! [`TelemetrySnapshot`] is plain data with serde derives, so an export
-//! is its JSON.
+//! ([`hist`]) and human-readable renderers ([`render`]).
 //!
 //! The engine's supervision and flow-table counters used to be plain
 //! integers readable only after a run finished. This crate re-homes them
 //! onto shared atomic cells that the dispatcher and workers update
 //! *wait-free* mid-run (plain relaxed stores, no RMW, no retry loop),
-//! while any other thread can take a [`TelemetrySnapshot`] that satisfies
-//! the exact accounting invariant
+//! while any other thread can take a [`TelemetryHub::snapshot`] that
+//! satisfies the exact accounting invariant
 //!
 //! ```text
 //! pushed == scored + dropped + quarantined      (per shard, every instant)
 //! ```
 //!
 //! at *every snapshot instant* — not just at teardown.
+//!
+//! # One counter record
+//!
+//! The three writer regions below feed one record, [`ShardSnapshot`]: a
+//! shard's dispatch and worker counters, its flow table's
+//! [`StreamStats`] and its stage summaries. A hub snapshot is a
+//! `Vec<ShardSnapshot>`; a sharded run's per-shard stats are the same
+//! type, the delta [`ShardSnapshot::since`] takes against the snapshot
+//! before the run; a single flow table's stats are the `StreamStats`
+//! alone. [`ShardSnapshot::check_accounting`] checks any of them,
+//! [`ShardSnapshot::total`] rolls them up, [`render::render_snapshot`]
+//! prints them, and serde derives make an export their JSON.
 //!
 //! # Design note: memory-ordering contract
 //!
@@ -67,7 +77,7 @@
 //! The check is *non-vacuous*: without the seqlock a reader could observe
 //! `scored` incremented but `pushed` not yet (they are distinct relaxed
 //! stores), and a missed or doubled bump anywhere breaks the equality —
-//! so [`TelemetrySnapshot::check_invariants`] genuinely validates both
+//! so [`ShardSnapshot::check_accounting`] genuinely validates both
 //! the snapshot protocol and the instrumentation.
 //!
 //! ## `dispatched ≥ pushed`: worker-before-dispatch read order
@@ -364,17 +374,25 @@ pub struct StreamCells {
     drained: Counter,
 }
 
-/// One consistent cut of a [`StreamCells`] region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamCounts {
-    /// Currently tracked flows (a gauge: published flow-table size).
+/// One consistent cut of a [`StreamCells`] region: a flow table's
+/// lifetime counters (they survive a scorer reset) and its two gauges.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StreamStats {
+    /// Gauge: currently tracked flows (the published flow-table size).
     pub live_flows: u64,
-    /// Peak concurrently tracked flows (monotone high-water mark).
+    /// Peak concurrently tracked flows (a monotone high-water mark; the
+    /// slab size, since slots are only allocated when the free list is
+    /// empty).
     pub flows_peak: u64,
+    /// Flows evicted by the idle timeout.
     pub evicted_idle: u64,
+    /// Flows evicted to admit new ones at the table's flow capacity.
     pub evicted_capacity: u64,
+    /// Flows finalized by TCP teardown.
     pub closed_tcp: u64,
+    /// Flows finalized at the per-flow length cap.
     pub length_capped: u64,
+    /// Flows flushed by the end-of-stream drain.
     pub drained: u64,
 }
 
@@ -428,8 +446,8 @@ impl StreamCells {
     }
 
     /// Takes one consistent cut of this region.
-    pub fn read(&self) -> StreamCounts {
-        self.seq.read(|| StreamCounts {
+    pub fn read(&self) -> StreamStats {
+        self.seq.read(|| StreamStats {
             live_flows: self.live_flows.get(),
             flows_peak: self.flows_peak.get(),
             evicted_idle: self.evicted_idle.get(),
@@ -456,8 +474,8 @@ pub struct ShardCells {
 }
 
 /// The process-wide telemetry plane: one [`ShardCells`] per shard,
-/// lifetime-cumulative (counters are never reset; per-run deltas are the
-/// caller's subtraction of two snapshots).
+/// lifetime-cumulative (counters are never reset; a run's delta is
+/// [`ShardSnapshot::since`] the snapshot taken before it).
 #[derive(Debug)]
 pub struct TelemetryHub {
     shards: Vec<ShardCells>,
@@ -481,19 +499,17 @@ impl TelemetryHub {
         &self.shards[i]
     }
 
-    /// Takes a coherent snapshot from any thread while packets flow.
-    /// Per shard, the worker region is read *before* the dispatch region
-    /// (see the module docs: this is what makes `dispatched ≥ pushed`
-    /// certain at every snapshot).
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let shards = self
-            .shards
+    /// Takes a coherent snapshot, one [`ShardSnapshot`] per shard, from
+    /// any thread while packets flow. Per shard, the worker region is
+    /// read *before* the dispatch region (see the module docs: this is
+    /// what makes `dispatched ≥ pushed` certain at every snapshot).
+    pub fn snapshot(&self) -> Vec<ShardSnapshot> {
+        self.shards
             .iter()
             .map(|c| {
                 let w = c.worker.read();
                 let heartbeat = c.worker.heartbeat();
                 let d = c.dispatch.read();
-                let st = c.stream.read();
                 let pushed = w.pushed + d.pushed;
                 ShardSnapshot {
                     pushed,
@@ -506,49 +522,46 @@ impl TelemetryHub {
                     flows_closed: w.flows_closed,
                     full_waits: d.full_waits,
                     heartbeat,
-                    live_flows: st.live_flows,
-                    flows_peak: st.flows_peak,
-                    evicted_idle: st.evicted_idle,
-                    evicted_capacity: st.evicted_capacity,
-                    closed_tcp: st.closed_tcp,
-                    length_capped: st.length_capped,
-                    drained: st.drained,
+                    stream: c.stream.read(),
                     stages: c.stages.summaries(),
                 }
             })
-            .collect();
-        TelemetrySnapshot { shards }
+            .collect()
     }
 }
 
-/// One shard's counters at a snapshot instant. All counters are
-/// lifetime-cumulative and monotone except the gauges `in_flight` and
-/// `live_flows`.
+/// One shard's counters: a hub snapshot's cut, or — through
+/// [`ShardSnapshot::since`] — what one run added to it. Every field is a
+/// monotone counter except the gauges `in_flight`, `stream.live_flows`
+/// and the high-water mark `stream.flows_peak`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardSnapshot {
     /// Packets fully accounted for: `scored + dropped + quarantined`,
     /// exactly, at every snapshot instant.
     pub pushed: u64,
     pub scored: u64,
+    /// Packets shed: by the overload policy, by the watchdog cutting off
+    /// a stuck shard, or lost to a dying worker (its in-flight packet
+    /// and undrained ring).
     pub dropped: u64,
+    /// Packets quarantined after a supervised scoring panic.
     pub quarantined: u64,
     /// Packets the dispatcher addressed to this shard (`≥ pushed`).
     pub dispatched: u64,
     /// Gauge: `dispatched - pushed` — packets in the ring or being
     /// scored right now.
     pub in_flight: u64,
+    /// Flow-table rebuilds: one per quarantine, plus one each if the
+    /// end-of-stream flow dump or flush panicked.
     pub restarts: u64,
+    /// Flows finalized (all close reasons).
     pub flows_closed: u64,
+    /// Times the dispatcher found the ring full and had to wait — the
+    /// backpressure signal, counted once per stalled push.
     pub full_waits: u64,
     pub heartbeat: u64,
-    /// Gauge: currently tracked flows.
-    pub live_flows: u64,
-    pub flows_peak: u64,
-    pub evicted_idle: u64,
-    pub evicted_capacity: u64,
-    pub closed_tcp: u64,
-    pub length_capped: u64,
-    pub drained: u64,
+    /// The shard's flow-table counters and gauges.
+    pub stream: StreamStats,
     /// Per-stage latency summaries, indexed by [`Stage`] discriminant.
     pub stages: [StageSummary; hist::STAGES],
 }
@@ -557,6 +570,7 @@ impl ShardSnapshot {
     /// The monotone counters, name + value, in a fixed order (used by
     /// the monotonicity check; gauges excluded).
     pub fn counters(&self) -> [(&'static str, u64); 15] {
+        let st = &self.stream;
         [
             ("pushed", self.pushed),
             ("scored", self.scored),
@@ -567,32 +581,84 @@ impl ShardSnapshot {
             ("flows_closed", self.flows_closed),
             ("full_waits", self.full_waits),
             ("heartbeat", self.heartbeat),
-            ("flows_peak", self.flows_peak),
-            ("evicted_idle", self.evicted_idle),
-            ("evicted_capacity", self.evicted_capacity),
-            ("closed_tcp", self.closed_tcp),
-            ("length_capped", self.length_capped),
-            ("drained", self.drained),
+            ("flows_peak", st.flows_peak),
+            ("evicted_idle", st.evicted_idle),
+            ("evicted_capacity", st.evicted_capacity),
+            ("closed_tcp", st.closed_tcp),
+            ("length_capped", st.length_capped),
+            ("drained", st.drained),
         ]
     }
-}
 
-/// A coherent cut of every shard's counters, taken mid-run or at rest.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TelemetrySnapshot {
-    /// Per-shard counters, indexed by shard.
-    pub shards: Vec<ShardSnapshot>,
-}
+    /// `f` applied to each pair of same-named counters and gauges of
+    /// `self` and `o`; the stage summaries are `self`'s.
+    fn zip_with(&self, o: &Self, f: impl Fn(u64, u64) -> u64) -> Self {
+        let (s, t) = (&self.stream, &o.stream);
+        ShardSnapshot {
+            pushed: f(self.pushed, o.pushed),
+            scored: f(self.scored, o.scored),
+            dropped: f(self.dropped, o.dropped),
+            quarantined: f(self.quarantined, o.quarantined),
+            dispatched: f(self.dispatched, o.dispatched),
+            in_flight: f(self.in_flight, o.in_flight),
+            restarts: f(self.restarts, o.restarts),
+            flows_closed: f(self.flows_closed, o.flows_closed),
+            full_waits: f(self.full_waits, o.full_waits),
+            heartbeat: f(self.heartbeat, o.heartbeat),
+            stream: StreamStats {
+                live_flows: f(s.live_flows, t.live_flows),
+                flows_peak: f(s.flows_peak, t.flows_peak),
+                evicted_idle: f(s.evicted_idle, t.evicted_idle),
+                evicted_capacity: f(s.evicted_capacity, t.evicted_capacity),
+                closed_tcp: f(s.closed_tcp, t.closed_tcp),
+                length_capped: f(s.length_capped, t.length_capped),
+                drained: f(s.drained, t.drained),
+            },
+            stages: self.stages,
+        }
+    }
 
-impl TelemetrySnapshot {
-    /// Verifies the accounting invariants every snapshot must satisfy,
-    /// mid-run or at rest:
+    /// What this shard gained since `base`, an earlier snapshot of the
+    /// same hub slot: the counters are subtracted; the gauges
+    /// (`in_flight`, `stream.live_flows`, `stream.flows_peak`) and the
+    /// stage summaries — percentiles do not subtract — are `self`'s.
+    pub fn since(&self, base: &Self) -> Self {
+        let base = ShardSnapshot {
+            in_flight: 0,
+            stream: StreamStats {
+                live_flows: 0,
+                flows_peak: 0,
+                ..base.stream
+            },
+            ..*base
+        };
+        self.zip_with(&base, |e, b| e - b)
+    }
+
+    /// Every counter and gauge summed across `shards`, with empty stage
+    /// summaries: the whole-run roll-up.
+    pub fn total(shards: &[Self]) -> Self {
+        shards
+            .iter()
+            .fold(Self::default(), |t, s| t.zip_with(s, |a, b| a + b))
+    }
+
+    /// [`ShardSnapshot::total`] under its roll-up name (`ShardHealth::of`
+    /// in `clap-core`).
+    pub fn of(shards: &[Self]) -> Self {
+        Self::total(shards)
+    }
+
+    /// Verifies, per shard, the invariants every snapshot — mid-run or
+    /// at rest — and every run's delta satisfies:
     ///
-    /// * `pushed == scored + dropped + quarantined` (exact, per shard);
+    /// * `pushed == scored + dropped + quarantined` (exact);
     /// * `dispatched ≥ pushed`;
     /// * `flows_peak ≥ live_flows`.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, s) in self.shards.iter().enumerate() {
+    ///
+    /// The error names the first violating shard.
+    pub fn check_accounting(shards: &[Self]) -> Result<(), String> {
+        for (i, s) in shards.iter().enumerate() {
             let outcomes = s.scored + s.dropped + s.quarantined;
             if s.pushed != outcomes {
                 return Err(format!(
@@ -606,10 +672,10 @@ impl TelemetrySnapshot {
                     s.dispatched, s.pushed
                 ));
             }
-            if s.flows_peak < s.live_flows {
+            if s.stream.flows_peak < s.stream.live_flows {
                 return Err(format!(
                     "shard {i}: flows_peak {} < live_flows {}",
-                    s.flows_peak, s.live_flows
+                    s.stream.flows_peak, s.stream.live_flows
                 ));
             }
         }
@@ -618,15 +684,15 @@ impl TelemetrySnapshot {
 
     /// Verifies that every monotone counter (gauges excluded) moved
     /// forward — or stood still — between two snapshots of the same hub.
-    pub fn check_monotonic(earlier: &Self, later: &Self) -> Result<(), String> {
-        if earlier.shards.len() != later.shards.len() {
+    pub fn check_monotonic(earlier: &[Self], later: &[Self]) -> Result<(), String> {
+        if earlier.len() != later.len() {
             return Err(format!(
                 "shard count changed: {} -> {}",
-                earlier.shards.len(),
-                later.shards.len()
+                earlier.len(),
+                later.len()
             ));
         }
-        for (i, (a, b)) in earlier.shards.iter().zip(&later.shards).enumerate() {
+        for (i, (a, b)) in earlier.iter().zip(later).enumerate() {
             for ((name, va), (_, vb)) in a.counters().iter().zip(b.counters().iter()) {
                 if vb < va {
                     return Err(format!("shard {i}: {name} went backwards: {va} -> {vb}"));
@@ -639,11 +705,6 @@ impl TelemetrySnapshot {
             }
         }
         Ok(())
-    }
-
-    /// Sums a counter across shards (convenience for renderers/benches).
-    pub fn total(&self, f: impl Fn(&ShardSnapshot) -> u64) -> u64 {
-        self.shards.iter().map(f).sum()
     }
 }
 
@@ -667,8 +728,8 @@ mod tests {
         c.worker.beat();
 
         let snap = hub.snapshot();
-        snap.check_invariants().expect("invariants");
-        let s = &snap.shards[0];
+        ShardSnapshot::check_accounting(&snap).expect("invariants");
+        let s = &snap[0];
         assert_eq!(s.dispatched, 3);
         assert_eq!(s.pushed, 3);
         assert_eq!(s.scored, 1);
@@ -679,7 +740,7 @@ mod tests {
         assert_eq!(s.full_waits, 1);
         assert_eq!(s.flows_closed, 1);
         assert_eq!(s.heartbeat, 1);
-        assert_eq!(snap.shards[1], ShardSnapshot::default());
+        assert_eq!(snap[1], ShardSnapshot::default());
     }
 
     #[test]
@@ -691,10 +752,59 @@ mod tests {
         st.closed_tcp();
         st.live_sync(1);
         let s = hub.snapshot();
-        s.check_invariants().expect("invariants");
-        assert_eq!(s.shards[0].live_flows, 1);
-        assert_eq!(s.shards[0].flows_peak, 2);
-        assert_eq!(s.shards[0].closed_tcp, 1);
+        ShardSnapshot::check_accounting(&s).expect("invariants");
+        assert_eq!(s[0].stream.live_flows, 1);
+        assert_eq!(s[0].stream.flows_peak, 2);
+        assert_eq!(s[0].stream.closed_tcp, 1);
+    }
+
+    #[test]
+    fn since_subtracts_counters_and_keeps_gauges_raw() {
+        let hub = TelemetryHub::new(1);
+        let c = hub.shard(0);
+        let st = &c.stream;
+        for _ in 0..3 {
+            c.dispatch.dispatched_inc();
+        }
+        c.worker.scored();
+        st.flow_opened(1, 1);
+        st.flow_opened(2, 2);
+        st.closed_tcp();
+        st.live_sync(1);
+        c.stages.record(Stage::Gru, 100);
+        let base = hub.snapshot()[0];
+        assert_eq!(base.in_flight, 2);
+
+        c.worker.scored();
+        c.dispatch.shed();
+        c.dispatch.full_wait();
+        c.worker.flow_closed();
+        st.closed_tcp();
+        st.live_sync(0);
+        c.stages.record(Stage::Gru, 300);
+        let end = hub.snapshot()[0];
+        let run = end.since(&base);
+
+        // Counters: what the second half added.
+        assert_eq!(run.dispatched, 0);
+        assert_eq!(run.pushed, 2);
+        assert_eq!(run.scored, 1);
+        assert_eq!(run.dropped, 1);
+        assert_eq!(run.full_waits, 1);
+        assert_eq!(run.flows_closed, 1);
+        assert_eq!(run.stream.closed_tcp, 1);
+        // Gauges, the high-water mark and the stage summaries: raw.
+        assert_eq!(run.in_flight, 0);
+        assert_eq!(run.stream.live_flows, 0);
+        assert_eq!(run.stream.flows_peak, 2);
+        assert_eq!(run.stages, end.stages);
+        assert_eq!(run.stages[Stage::Gru.index()].count, 2);
+
+        // A run's delta rolls up like any snapshot.
+        let total = ShardSnapshot::total(&[run, run]);
+        assert_eq!((total.pushed, total.scored, total.dropped), (4, 2, 2));
+        assert_eq!(total.stream.flows_peak, 4);
+        assert_eq!(ShardSnapshot::of(&[run, run]), total);
     }
 
     #[test]
@@ -708,25 +818,25 @@ mod tests {
         c.worker.scored();
         c.dispatch.shed();
         let s = hub.snapshot();
-        s.check_invariants().expect("invariants");
-        assert_eq!(s.shards[0].in_flight, 2);
+        ShardSnapshot::check_accounting(&s).expect("invariants");
+        assert_eq!(s[0].in_flight, 2);
     }
 
     #[test]
     fn invariant_check_rejects_cooked_books() {
-        let mut snap = TelemetrySnapshot {
-            shards: vec![ShardSnapshot::default()],
-        };
-        snap.shards[0].pushed = 1;
-        let err = snap.check_invariants().unwrap_err();
-        assert!(err.contains("pushed 1"), "{err}");
+        let mut snap = vec![ShardSnapshot::default(); 2];
+        snap[1].pushed = 1;
+        let err = ShardSnapshot::check_accounting(&snap).unwrap_err();
+        assert!(err.contains("shard 1: pushed 1"), "{err}");
 
-        snap.shards[0].scored = 1;
-        snap.shards[0].dispatched = 1;
-        snap.check_invariants().expect("books balance again");
+        snap[1].scored = 1;
+        let err = ShardSnapshot::check_accounting(&snap).unwrap_err();
+        assert!(err.contains("dispatched 0 < pushed 1"), "{err}");
+        snap[1].dispatched = 1;
+        ShardSnapshot::check_accounting(&snap).expect("books balance again");
 
-        snap.shards[0].live_flows = 3;
-        let err = snap.check_invariants().unwrap_err();
+        snap[1].stream.live_flows = 3;
+        let err = ShardSnapshot::check_accounting(&snap).unwrap_err();
         assert!(err.contains("flows_peak"), "{err}");
     }
 
@@ -736,8 +846,8 @@ mod tests {
         let a = hub.snapshot();
         hub.shard(0).worker.scored();
         let b = hub.snapshot();
-        TelemetrySnapshot::check_monotonic(&a, &b).expect("forward is fine");
-        let err = TelemetrySnapshot::check_monotonic(&b, &a).unwrap_err();
+        ShardSnapshot::check_monotonic(&a, &b).expect("forward is fine");
+        let err = ShardSnapshot::check_monotonic(&b, &a).unwrap_err();
         assert!(err.contains("went backwards"), "{err}");
     }
 
@@ -784,16 +894,16 @@ mod tests {
         let mut prev = hub.snapshot();
         for _ in 0..20_000 {
             let snap = hub.snapshot();
-            snap.check_invariants().expect("mid-run invariants");
-            TelemetrySnapshot::check_monotonic(&prev, &snap).expect("monotone");
+            ShardSnapshot::check_accounting(&snap).expect("mid-run invariants");
+            ShardSnapshot::check_monotonic(&prev, &snap).expect("monotone");
             prev = snap;
         }
         stop.store(true, Ordering::Relaxed);
         let total = writer.join().expect("writer");
 
         let fin = hub.snapshot();
-        fin.check_invariants().expect("final invariants");
-        assert_eq!(fin.shards[0].dispatched, total);
-        assert_eq!(fin.shards[0].pushed, total, "all packets accounted");
+        ShardSnapshot::check_accounting(&fin).expect("final invariants");
+        assert_eq!(fin[0].dispatched, total);
+        assert_eq!(fin[0].pushed, total, "all packets accounted");
     }
 }

@@ -1,15 +1,16 @@
-//! Human-readable renderers: a `top`-style text view of a
-//! [`TelemetrySnapshot`] and a classic hexdump for the capture head/tail
+//! Human-readable renderers: a `top`-style text view of per-shard
+//! [`ShardSnapshot`]s and a classic hexdump for the capture head/tail
 //! view.
 
 use crate::hist::Stage;
-use crate::TelemetrySnapshot;
+use crate::ShardSnapshot;
 use std::fmt::Write as _;
 
-/// Renders a snapshot as a fixed-width per-shard table with totals,
-/// followed by the non-empty stage-latency summaries — the `clap-top`
-/// view of a running engine.
-pub fn render_snapshot(snap: &TelemetrySnapshot) -> String {
+/// Renders per-shard counters — a hub snapshot or a run's stats — as a
+/// fixed-width table with a TOTAL row ([`ShardSnapshot::total`]) when
+/// there is more than one shard, followed by the non-empty stage-latency
+/// summaries: the `clap-top` view of a running engine.
+pub fn render_snapshot(shards: &[ShardSnapshot]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -26,7 +27,7 @@ pub fn render_snapshot(snap: &TelemetrySnapshot) -> String {
         "waits",
         "restarts"
     );
-    let mut row = |label: String, s: &crate::ShardSnapshot| {
+    let mut row = |label: String, s: &ShardSnapshot| {
         let _ = writeln!(
             out,
             "{:>5} {:>10} {:>10} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7} {:>6} {:>8}",
@@ -36,33 +37,22 @@ pub fn render_snapshot(snap: &TelemetrySnapshot) -> String {
             s.dropped,
             s.quarantined,
             s.in_flight,
-            s.live_flows,
-            s.flows_peak,
+            s.stream.live_flows,
+            s.stream.flows_peak,
             s.flows_closed,
             s.full_waits,
             s.restarts
         );
     };
-    let mut total = crate::ShardSnapshot::default();
-    for (i, s) in snap.shards.iter().enumerate() {
+    for (i, s) in shards.iter().enumerate() {
         row(i.to_string(), s);
-        total.pushed += s.pushed;
-        total.scored += s.scored;
-        total.dropped += s.dropped;
-        total.quarantined += s.quarantined;
-        total.in_flight += s.in_flight;
-        total.live_flows += s.live_flows;
-        total.flows_peak += s.flows_peak;
-        total.flows_closed += s.flows_closed;
-        total.full_waits += s.full_waits;
-        total.restarts += s.restarts;
     }
-    if snap.shards.len() > 1 {
-        row("TOTAL".to_string(), &total);
+    if shards.len() > 1 {
+        row("TOTAL".to_string(), &ShardSnapshot::total(shards));
     }
 
     let mut stage_lines = String::new();
-    for (i, s) in snap.shards.iter().enumerate() {
+    for (i, s) in shards.iter().enumerate() {
         for stage in Stage::ALL {
             let sum = s.stages[stage.index()];
             if sum.count == 0 {
@@ -124,21 +114,18 @@ pub fn hexdump(bytes: &[u8], base: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ShardSnapshot, TelemetrySnapshot};
 
     #[test]
     fn snapshot_render_has_rows_and_totals() {
-        let mut snap = TelemetrySnapshot {
-            shards: vec![ShardSnapshot::default(); 2],
-        };
-        snap.shards[0].pushed = 10;
-        snap.shards[0].scored = 10;
-        snap.shards[1].pushed = 5;
-        snap.shards[1].scored = 4;
-        snap.shards[1].dropped = 1;
-        snap.shards[1].stages[Stage::Gru.index()].count = 3;
-        snap.shards[1].stages[Stage::Gru.index()].sum_ns = 3000;
-        snap.shards[1].stages[Stage::Gru.index()].max_ns = 1500;
+        let mut snap = vec![ShardSnapshot::default(); 2];
+        snap[0].pushed = 10;
+        snap[0].scored = 10;
+        snap[1].pushed = 5;
+        snap[1].scored = 4;
+        snap[1].dropped = 1;
+        snap[1].stages[Stage::Gru.index()].count = 3;
+        snap[1].stages[Stage::Gru.index()].sum_ns = 3000;
+        snap[1].stages[Stage::Gru.index()].max_ns = 1500;
         let text = render_snapshot(&snap);
         assert!(text.contains("shard"), "{text}");
         assert!(text.contains("TOTAL"), "{text}");
@@ -149,10 +136,7 @@ mod tests {
 
     #[test]
     fn single_shard_render_skips_totals() {
-        let snap = TelemetrySnapshot {
-            shards: vec![ShardSnapshot::default()],
-        };
-        assert!(!render_snapshot(&snap).contains("TOTAL"));
+        assert!(!render_snapshot(&[ShardSnapshot::default()]).contains("TOTAL"));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use clap_repro::baselines::{KitsuneConfig, KitsuneLite};
 use clap_repro::clap_core::{
     auc_roc, extract_connection, score_errors, Clap, ClapConfig, CloseReason, ClosedFlow,
     EvictionMode, Fault, FaultPlan, OverloadPolicy, ProfileBuilder, QuantMode, ResidentMode,
-    ShardConfig, ShardHealth, StreamConfig,
+    ShardConfig, ShardSnapshot, StreamConfig,
 };
 use clap_repro::dpi_attacks::{self, registry, AttackSource};
 use clap_repro::neural::KernelSet;
@@ -367,8 +367,8 @@ fn sharded_scoring_accounts_for_every_packet_and_matches_one_scorer() {
             until: burst.end,
         });
     let faulted = sharded(OverloadPolicy::DropNewest, faults);
-    ShardHealth::check_accounting(&faulted.stats).unwrap();
-    let health = ShardHealth::of(&faulted.stats);
+    ShardSnapshot::check_accounting(&faulted.stats).unwrap();
+    let health = ShardSnapshot::total(&faulted.stats);
     assert_eq!(health.pushed, n, "every packet dispatched");
     assert_eq!(health.quarantined, 1);
     assert_eq!(faulted.quarantined.len(), 1);
