@@ -1,10 +1,14 @@
-//! Ablation study of CLAP's design choices (DESIGN.md §4):
+//! Ablation study of CLAP's design choices:
 //!
 //! * **no-stacking** — stacked window of 1 instead of 3 (how much does the
 //!   explicit temporal neighbourhood add on top of the gate features?);
 //! * **narrow score window** — adversarial-score window of 1 instead of 5
 //!   (is the paper's localize-and-estimate averaging actually better than
 //!   taking the raw maximum?).
+//!
+//! Training never reads `score_window`, so the narrow arm trains no third
+//! model: it rescores the full model's window errors with
+//! `score_errors(errors, 1)`.
 //!
 //! Baseline #1 (in `exp_detection`) is itself the paper's own ablation of
 //! the gate-weight features. Evaluated on a representative strategy
@@ -15,7 +19,7 @@
 //! ```
 
 use bench::{adversarial_set, mean, render_table, Preset};
-use clap_core::{auc_roc, Clap};
+use clap_core::{auc_roc, score_errors, Clap, ClapConfig, ScoredConnection};
 use net_packet::Connection;
 
 const STRATEGIES: [&str; 8] = [
@@ -34,49 +38,46 @@ fn main() {
     let preset = Preset::from_args(&args);
     let train = traffic_gen::dataset(preset.seed, preset.train_conns);
     let test_benign = traffic_gen::dataset(preset.seed ^ 0x7e57, preset.test_benign);
+    let adversarial: Vec<Vec<Connection>> = STRATEGIES
+        .iter()
+        .map(|id| {
+            let strat = dpi_attacks::strategy_by_id(id).expect("a registry strategy id");
+            adversarial_set(strat, &preset)
+                .into_iter()
+                .map(|r| r.connection)
+                .collect()
+        })
+        .collect();
 
-    // Variant A: the full pipeline.
-    let mut full_cfg = preset.clap.clone();
-    // Variant B: no profile stacking.
-    let mut nostack_cfg = preset.clap.clone();
-    nostack_cfg.stack = 1;
-    // Variant C: raw-max score instead of the 5-window mean.
-    let mut rawmax_cfg = preset.clap.clone();
-    rawmax_cfg.score_window = 1;
-    full_cfg.ae.seed ^= 0;
-
-    let variants: Vec<(&str, Clap)> = [
-        ("full (stack 3, window 5)", &full_cfg),
-        ("no stacking (stack 1)", &nostack_cfg),
-        ("raw max (window 1)", &rawmax_cfg),
-    ]
-    .into_iter()
-    .map(|(name, cfg)| {
+    // Each variant's scored benign split, then one scored set per strategy.
+    let scored = |name: &str, cfg: &ClapConfig| -> Vec<Vec<ScoredConnection>> {
         eprintln!("[{}] training variant: {name}", preset.name);
         let (clap, _) = Clap::train(&train, cfg);
-        (name, clap)
-    })
-    .collect();
+        std::iter::once(&test_benign)
+            .chain(&adversarial)
+            .map(|conns| clap.score_connections(conns))
+            .collect()
+    };
+    let full = scored("full (stack 3, window 5)", &preset.clap);
+    let mut nostack_cfg = preset.clap.clone();
+    nostack_cfg.stack = 1;
+    let nostack = scored("no stacking (stack 1)", &nostack_cfg);
 
+    type Score = fn(&ScoredConnection) -> f32;
+    let adjusted: Score = |s| s.score;
+    let raw_max: Score = |s| score_errors(&s.window_errors, 1).1;
     let mut rows = Vec::new();
-    for (name, clap) in &variants {
-        let benign_scores: Vec<f32> = clap
-            .score_connections(&test_benign)
+    for (name, sets, score) in [
+        ("full (stack 3, window 5)", &full, adjusted),
+        ("no stacking (stack 1)", &nostack, adjusted),
+        ("raw max (window 1)", &full, raw_max),
+    ] {
+        let scores: Vec<Vec<f32>> = sets
             .iter()
-            .map(|s| s.score)
+            .map(|set| set.iter().map(score).collect())
             .collect();
-        let mut aucs = Vec::new();
-        for id in STRATEGIES {
-            let strat = dpi_attacks::strategy_by_id(id).unwrap();
-            let adv = adversarial_set(strat, &preset);
-            let conns: Vec<Connection> = adv.iter().map(|r| r.connection.clone()).collect();
-            let adv_scores: Vec<f32> = clap
-                .score_connections(&conns)
-                .iter()
-                .map(|s| s.score)
-                .collect();
-            aucs.push(auc_roc(&benign_scores, &adv_scores));
-        }
+        let (benign, adv) = scores.split_first().expect("the benign set comes first");
+        let aucs: Vec<f32> = adv.iter().map(|a| auc_roc(benign, a)).collect();
         let mut row = vec![name.to_string(), format!("{:.3}", mean(&aucs))];
         row.extend(aucs.iter().map(|a| format!("{a:.3}")));
         rows.push(row);

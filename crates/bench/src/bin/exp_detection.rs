@@ -18,10 +18,8 @@
 //! IPv6 or UDP flows, so theirs are mixed v4/v6/TCP/UDP traffic: at least
 //! 16 base connections per family and 32 benign ones.
 
-use bench::{
-    benign_scores, evaluate_strategy, has_flag, mean, render_table, train_all, DetectionRow, Preset,
-};
-use dpi_attacks::{registry, AttackSource, ContextCategory};
+use bench::{has_flag, mean, render_table, DetectionRow, Evaluation, Preset};
+use dpi_attacks::{AttackSource, ContextCategory};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,29 +30,7 @@ fn main() {
         || has_flag(&args, "--figure8")
         || has_flag(&args, "--figure9"));
 
-    let models = train_all(&preset);
-    let benign = benign_scores(&models, &preset);
-
-    eprintln!(
-        "[{}] evaluating all {} strategies…",
-        preset.name,
-        registry().len()
-    );
-    let rows: Vec<DetectionRow> = registry()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            eprint!(
-                "\r[{}] strategy {}/{} {:<44}",
-                preset.name,
-                i + 1,
-                registry().len(),
-                s.id
-            );
-            evaluate_strategy(&models, s, &preset, &benign)
-        })
-        .collect();
-    eprintln!();
+    let rows = Evaluation::new(&preset).detection_rows();
 
     if all || has_flag(&args, "--table1") {
         print_table1(&rows);

@@ -10,7 +10,8 @@
 //!     [--strategy <id>]
 //! ```
 
-use bench::{arg_value, train_all, Preset};
+use bench::{arg_value, Preset};
+use clap_core::Clap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,7 +23,9 @@ fn main() {
     let strategy = dpi_attacks::strategy_by_id(&strategy_id)
         .unwrap_or_else(|| panic!("unknown strategy {strategy_id}"));
 
-    let models = train_all(&preset);
+    eprintln!("[{}] training CLAP…", preset.name);
+    let train = traffic_gen::dataset(preset.seed, preset.train_conns);
+    let (clap, _) = Clap::train(&train, &preset.clap);
 
     // Pick a held-out connection long enough to show a trend.
     let candidates = traffic_gen::dataset(preset.seed ^ 0xf16, 50);
@@ -33,7 +36,7 @@ fn main() {
         .find_map(|c| strategy.apply(c, &mut rng).map(|r| (c.clone(), r)))
         .expect("no applicable connection found");
 
-    let mut scorer = models.clap.scorer();
+    let mut scorer = clap.scorer();
     let benign_scored = scorer.score_connection(&conn);
     let adv_scored = scorer.score_connection(&attacked.connection);
 

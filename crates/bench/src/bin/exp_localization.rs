@@ -3,15 +3,17 @@
 //! paper's 73 strategies, beside which the Extended families get a line of
 //! their own.
 //!
+//! Each rate reads CLAP's peak packet off the adversarial connections that
+//! [`bench::Evaluation`] batch-scored, against the packet indices each
+//! attack injected — the same record `exp_detection` reads its AUCs from.
+//!
 //! ```text
 //! cargo run -p bench --release --bin exp_localization -- [--preset quick|ci|paper]
 //!     [--figure10] [--figure11] [--figure12] [--json out.json]
 //! ```
 
-use bench::{
-    evaluate_localization, has_flag, mean, render_table, train_all, LocalizationRow, Preset,
-};
-use dpi_attacks::{registry, AttackSource};
+use bench::{has_flag, mean, render_table, Evaluation, LocalizationRow, Preset};
+use dpi_attacks::AttackSource;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,27 +22,7 @@ fn main() {
         || has_flag(&args, "--figure11")
         || has_flag(&args, "--figure12"));
 
-    let models = train_all(&preset);
-    eprintln!(
-        "[{}] evaluating localization on all {} strategies…",
-        preset.name,
-        registry().len()
-    );
-    let rows: Vec<LocalizationRow> = registry()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            eprint!(
-                "\r[{}] strategy {}/{} {:<44}",
-                preset.name,
-                i + 1,
-                registry().len(),
-                s.id
-            );
-            evaluate_localization(&models, s, &preset)
-        })
-        .collect();
-    eprintln!();
+    let rows = Evaluation::new(&preset).localization_rows();
 
     for (flag, source, figure) in [
         ("--figure10", AttackSource::SymTcp, "Figure 10"),

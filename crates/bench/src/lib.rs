@@ -1,17 +1,16 @@
 //! Shared experiment harness for regenerating every table and figure of
 //! the CLAP paper. Each `exp_*` binary in `src/bin/` prints the rows of
-//! one artifact; this library holds the common machinery: presets,
-//! model training, per-strategy evaluation and table formatting.
-//!
-//! See `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for
-//! recorded paper-vs-measured results.
+//! one artifact, and its module doc says which and how to run it; this
+//! library holds the common machinery: presets, model training, the
+//! [`Evaluation`] record that the detection and localization artifacts
+//! are read from, and table formatting.
 
 use baselines::{Baseline1, Baseline1Config, KitsuneConfig, KitsuneLite};
 use clap_core::{
     auc_roc, equal_error_rate, top_n_hit, Clap, ClapConfig, CloseReason, ClosedFlow, FlowEntry,
     ScoredConnection, ShardSnapshot,
 };
-use dpi_attacks::{build_adversarial_set, AttackResult, Strategy};
+use dpi_attacks::{build_adversarial_set, registry, AttackResult, Strategy};
 use net_packet::{Connection, FlowKey};
 use serde::{Deserialize, Serialize};
 
@@ -315,14 +314,34 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// All three trained models plus the data splits they share.
+/// All three trained models plus the held-out benign split.
 pub struct TrainedModels {
     pub clap: Clap,
     pub baseline1: Baseline1,
     pub kitsune: KitsuneLite,
-    pub train: Vec<Connection>,
     pub test_benign: Vec<Connection>,
-    pub summary: clap_core::TrainSummary,
+}
+
+impl TrainedModels {
+    /// Scores `conns` under CLAP and both baselines; `injected` holds each
+    /// connection's injected packet indices, or nothing for a benign split.
+    fn score(&self, conns: &[Connection], mut injected: Vec<Vec<usize>>) -> Vec<Scored> {
+        injected.resize(conns.len(), Vec::new());
+        let b1 = self.baseline1.score_connections(conns);
+        let b2 = self.kitsune.score_connections(conns);
+        self.clap
+            .score_connections(conns)
+            .into_iter()
+            .zip(b1)
+            .zip(b2)
+            .zip(injected)
+            .map(|(((clap, b1), b2), injected)| Scored {
+                clap,
+                baselines: [b1.score, b2.score],
+                injected,
+            })
+            .collect()
+    }
 }
 
 /// Generates the benign splits and trains CLAP + both baselines.
@@ -352,13 +371,12 @@ pub fn train_all(preset: &Preset) -> TrainedModels {
         clap,
         baseline1,
         kitsune,
-        train,
         test_benign,
-        summary,
     }
 }
 
-/// Detection numbers for one (strategy, model) pair.
+/// Detection numbers for one strategy: the AUC and EER of CLAP, Baseline
+/// #1 and Baseline #2, in that order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetectionRow {
     pub strategy_id: String,
@@ -406,7 +424,7 @@ pub fn adversarial_set(strategy: &Strategy, preset: &Preset) -> Vec<AttackResult
 }
 
 /// Mixed base draws an Extended family's adversarial set may take before
-/// it is left empty (and [`evaluate_strategy`] panics).
+/// it is left empty (and [`Evaluation::new`] panics).
 const EXTENDED_DRAWS: u64 = 8;
 
 fn dpi_attacks_hash(s: &str) -> u64 {
@@ -415,98 +433,111 @@ fn dpi_attacks_hash(s: &str) -> u64 {
     })
 }
 
-/// Scores of `conns` under CLAP, Baseline #1 and Baseline #2, in that
-/// order.
-fn model_scores(models: &TrainedModels, conns: &[Connection]) -> [Vec<f32>; 3] {
-    let scores = |s: Vec<ScoredConnection>| s.iter().map(|s| s.score).collect();
-    [
-        scores(models.clap.score_connections(conns)),
-        scores(models.baseline1.score_connections(conns)),
-        scores(models.kitsune.score_connections(conns)),
-    ]
+/// One scored connection: CLAP's window-error log and verdict, the
+/// scores of Baseline #1 and Baseline #2, and the packet indices its
+/// attack injected (none for a benign connection).
+#[derive(Debug, Clone)]
+pub struct Scored {
+    pub clap: ScoredConnection,
+    pub baselines: [f32; 2],
+    pub injected: Vec<usize>,
 }
 
-/// Evaluates detection for one strategy across all three models, against
-/// the benign split its adversarial corpus is drawn like.
-///
-/// # Panics
-///
-/// If the strategy applies to none of its base connections: an empty
-/// positive set would read as a chance-level AUC of 0.5.
-pub fn evaluate_strategy(
-    models: &TrainedModels,
-    strategy: &Strategy,
-    preset: &Preset,
-    benign_scores: &BenignScores,
-) -> DetectionRow {
-    let adv_conns: Vec<Connection> = adversarial_set(strategy, preset)
-        .into_iter()
-        .map(|r| r.connection)
-        .collect();
-    assert!(
-        !adv_conns.is_empty(),
-        "strategy {} built no adversarial connection from its corpus",
-        strategy.id
-    );
-    let adv = model_scores(models, &adv_conns);
-    let benign = if strategy.source.in_paper() {
-        &benign_scores.paper
-    } else {
-        &benign_scores.mixed
-    };
-    DetectionRow {
-        strategy_id: strategy.id.to_string(),
-        strategy_name: strategy.name.to_string(),
-        source: format!("{:?}", strategy.source),
-        category: format!("{:?}", strategy.category),
-        auc: std::array::from_fn(|m| auc_roc(&benign[m], &adv[m])),
-        eer: std::array::from_fn(|m| equal_error_rate(&benign[m], &adv[m])),
-    }
+/// Everything the detection and localization artifacts (Tables 1–2,
+/// Figures 7–12) are computed from: every connection the three trained
+/// models scored, each scored once.
+pub struct Evaluation {
+    /// The held-out all-IPv4/TCP benign split, for the paper's strategies.
+    pub benign: Vec<Scored>,
+    /// A mixed v4/v6/TCP/UDP benign split (at least 32 connections), for
+    /// the Extended families.
+    pub benign_mixed: Vec<Scored>,
+    /// Every registry strategy's [`adversarial_set`], in registry order.
+    pub adversarial: Vec<(&'static Strategy, Vec<Scored>)>,
 }
 
-/// Benign score distributions per model, CLAP, Baseline #1 and Baseline
-/// #2 in that order (computed once, reused across strategies).
-pub struct BenignScores {
-    /// Over the held-out all-IPv4/TCP split, for the paper's strategies.
-    pub paper: [Vec<f32>; 3],
-    /// Over a mixed v4/v6/TCP/UDP split (at least 32 connections), for the
-    /// Extended families.
-    pub mixed: [Vec<f32>; 3],
-}
-
-pub fn benign_scores(models: &TrainedModels, preset: &Preset) -> BenignScores {
-    let mixed = traffic_gen::mixed_dataset(preset.seed ^ 0x6e1, preset.test_benign.max(32));
-    BenignScores {
-        paper: model_scores(models, &models.test_benign),
-        mixed: model_scores(models, &mixed),
-    }
-}
-
-/// Evaluates CLAP's Top-1/3/5 localization for one strategy
-/// (paper Figures 10–12).
-pub fn evaluate_localization(
-    models: &TrainedModels,
-    strategy: &Strategy,
-    preset: &Preset,
-) -> LocalizationRow {
-    let adv = adversarial_set(strategy, preset);
-    let mut hits = [0usize; 3];
-    let mut scorer = models.clap.scorer();
-    for r in &adv {
-        let scored = scorer.score_connection(&r.connection);
-        let identified = scored.peak_packet;
-        for (slot, n) in [(0, 1usize), (1, 3), (2, 5)] {
-            hits[slot] += usize::from(top_n_hit(identified, &r.adversarial_indices, n));
+impl Evaluation {
+    /// Trains the three models ([`train_all`]) and batch-scores both
+    /// benign splits and every registry strategy's adversarial set.
+    ///
+    /// # Panics
+    ///
+    /// If a strategy applies to none of its base connections: an empty
+    /// positive set would read as a chance-level AUC of 0.5.
+    pub fn new(preset: &Preset) -> Evaluation {
+        let models = train_all(preset);
+        let mixed = traffic_gen::mixed_dataset(preset.seed ^ 0x6e1, preset.test_benign.max(32));
+        let adversarial = registry()
+            .iter()
+            .map(|strategy| {
+                let (conns, injected): (Vec<Connection>, Vec<Vec<usize>>) =
+                    adversarial_set(strategy, preset)
+                        .into_iter()
+                        .map(|r| (r.connection, r.adversarial_indices))
+                        .unzip();
+                assert!(
+                    !conns.is_empty(),
+                    "strategy {} built no adversarial connection from its corpus",
+                    strategy.id
+                );
+                (strategy, models.score(&conns, injected))
+            })
+            .collect();
+        Evaluation {
+            benign: models.score(&models.test_benign, Vec::new()),
+            benign_mixed: models.score(&mixed, Vec::new()),
+            adversarial,
         }
     }
-    let total = adv.len().max(1) as f32;
-    LocalizationRow {
-        strategy_id: strategy.id.to_string(),
-        strategy_name: strategy.name.to_string(),
-        source: format!("{:?}", strategy.source),
-        top1: hits[0] as f32 / total,
-        top3: hits[1] as f32 / total,
-        top5: hits[2] as f32 / total,
+
+    /// Per strategy, each model's AUC and EER against the benign split its
+    /// adversarial corpus is drawn like.
+    pub fn detection_rows(&self) -> Vec<DetectionRow> {
+        let scores = |set: &[Scored]| -> [Vec<f32>; 3] {
+            let score = |s: &Scored, m: usize| [s.clap.score, s.baselines[0], s.baselines[1]][m];
+            std::array::from_fn(|m| set.iter().map(|s| score(s, m)).collect())
+        };
+        self.adversarial
+            .iter()
+            .map(|(strategy, adv)| {
+                let benign = scores(if strategy.source.in_paper() {
+                    &self.benign
+                } else {
+                    &self.benign_mixed
+                });
+                let adv = scores(adv);
+                DetectionRow {
+                    strategy_id: strategy.id.to_string(),
+                    strategy_name: strategy.name.to_string(),
+                    source: format!("{:?}", strategy.source),
+                    category: format!("{:?}", strategy.category),
+                    auc: std::array::from_fn(|m| auc_roc(&benign[m], &adv[m])),
+                    eer: std::array::from_fn(|m| equal_error_rate(&benign[m], &adv[m])),
+                }
+            })
+            .collect()
+    }
+
+    /// Per strategy, the share of adversarial connections whose CLAP peak
+    /// packet is within Top-1/3/5 of an injected one.
+    pub fn localization_rows(&self) -> Vec<LocalizationRow> {
+        self.adversarial
+            .iter()
+            .map(|(strategy, adv)| {
+                let rate = |n| {
+                    let hit = |s: &&Scored| top_n_hit(s.clap.peak_packet, &s.injected, n);
+                    adv.iter().filter(hit).count() as f32 / adv.len() as f32
+                };
+                LocalizationRow {
+                    strategy_id: strategy.id.to_string(),
+                    strategy_name: strategy.name.to_string(),
+                    source: format!("{:?}", strategy.source),
+                    top1: rate(1),
+                    top3: rate(3),
+                    top5: rate(5),
+                }
+            })
+            .collect()
     }
 }
 

@@ -13,9 +13,9 @@
 //! assert!(scored.score.is_finite());
 //! ```
 //!
-//! See `README.md` for the architecture overview, `DESIGN.md` for the
-//! paper → module mapping (and documented deviations), and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! `ROADMAP.md` holds the project's aims and open items, `CHANGES.md` its
+//! change log, and each `crates/bench` `exp_*` binary's module doc the
+//! paper artifact it regenerates and how to run it.
 
 pub use baselines;
 pub use clap_core;

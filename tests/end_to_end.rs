@@ -49,7 +49,8 @@ fn clap_separates_attacks_from_benign() {
             .collect();
         let auc = auc_roc(&benign_scores, &adv_scores);
         // CI-budget bound: the quick/paper presets score well above this
-        // (see EXPERIMENTS.md); at 15 AE epochs 0.75 is the safe floor.
+        // (`exp_detection` prints them); at 15 AE epochs 0.75 is the safe
+        // floor.
         assert!(auc > 0.75, "{id}: AUC {auc} too low for CLAP");
     }
 }
