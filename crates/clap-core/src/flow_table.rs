@@ -29,10 +29,11 @@
 //! is about to touch anyway. Deletion shifts the rest of the probe run
 //! back instead of leaving a tombstone, so churn never lengthens probes.
 //! The tag is the low half of a per-table randomly keyed SipHash
-//! (`RandomState`, what std's own map uses): keys are chosen by whoever
-//! sends the traffic, and an unkeyed or linear hash — the dispatcher's
-//! Toeplitz `rss_hash` included — would let them pile flows onto one
-//! probe run. A key is hashed once, in [`FlowTable::lookup`]; the hash
+//! (`RandomState`, what std's own map uses) over the key's 40 packed
+//! bytes, which `CanonicalKey`'s `Hash` hands it in one `write`: keys are
+//! chosen by whoever sends the traffic, and an unkeyed or linear hash —
+//! the dispatcher's Toeplitz `rss_hash` included — would let them pile
+//! flows onto one probe run. A key is hashed once, in [`FlowTable::lookup`]; the hash
 //! rides to [`open`](FlowTable::open) and the tag is kept in the slot, so
 //! `remove`, `clear` and growth (which re-places buckets by their stored
 //! tags) hash nothing. Departed slots go on an intrusive free list

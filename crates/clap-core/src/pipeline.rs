@@ -194,7 +194,7 @@ impl Clap {
         let mut resident = ResidentArena::new(resident, gru.hidden_size(), self.config.stack, 1);
         resident.push_slot();
         ClapScorer {
-            scorer: Scorer::new(self, gru, ae),
+            scorer: Scorer::new(self, gru, ae, resident.pad_key_len()),
             resident,
         }
     }

@@ -21,9 +21,14 @@
 //! indicators of [`INDICATOR_MASK`]. A ring row stores the other 82 — the
 //! 18 numeric packet features and the 64 gate activations — densely, and
 //! after them, in the same row, one `u64` holding the 33 indicator bits:
-//! 336 B a row at f32. Reading a row expands it back, bitwise the profile
-//! that was stored, so every window the autoencoder sees is the one the
-//! scorer built.
+//! 336 B a row at f32. Packing and expanding a row is straight-line code:
+//! one move per numeric feature from a constant slot table (`NUMERIC`),
+//! the gates as one fixed-length block, and the indicators by a walk of
+//! the constant mask that unrolls. Reading a row expands it back, bitwise
+//! the profile that was stored, so every window the autoencoder sees is
+//! the one the scorer built. A flow shorter than the stack is looked up in
+//! the scorer's padded-window memo by its rows as stored
+//! ([`ResidentArena::pad_key`]): only a miss expands them.
 //!
 //! [`ResidentMode::Int8`] stores the hidden vector and each ring row in
 //! the 7-bit activation format of `neural::quant` (codes plus one
@@ -99,71 +104,67 @@ const fn is_indicator(s: usize) -> bool {
     s < NUM_PACKET && INDICATOR_MASK >> s & 1 == 1
 }
 
-/// The profile's maximal runs of dense slots, `(first slot, length)` in
-/// slot order; a ring row's dense values are their concatenation.
-const DENSE_RUNS: &[(usize, usize)] = {
-    let (runs, n) = &const { dense_runs() };
-    runs.split_at(*n).0
-};
+/// Packet features a ring row keeps densely: all but the indicators.
+const NUMERIC_LEN: usize = NUM_PACKET - NUM_INDICATORS;
 
-/// [`DENSE_RUNS`] in the front of a profile-wide table, and their count.
-const fn dense_runs() -> ([(usize, usize); PROFILE_LEN], usize) {
-    let mut runs = [(0, 0); PROFILE_LEN];
-    let (mut s, mut n) = (0, 0);
-    while s < PROFILE_LEN {
-        if !is_indicator(s) {
-            if s == 0 || is_indicator(s - 1) {
-                runs[n] = (s, 0);
-                n += 1;
-            }
-            runs[n - 1].1 += 1;
-        }
-        s += 1;
-    }
-    (runs, n)
-}
-
-/// The indicator slots in bit order: bit `b` of a row's word is slot
-/// `INDICATORS[b]`.
-const INDICATORS: [usize; NUM_INDICATORS] = {
-    let mut out = [0; NUM_INDICATORS];
-    let (mut s, mut b) = (0, 0);
+/// The numeric packet-feature slots in lane order: lane `i < NUMERIC_LEN`
+/// of a ring row's dense values is profile slot `NUMERIC[i]`, and the
+/// gate activations (slots from [`NUM_PACKET`] on, never indicators)
+/// follow as they are.
+const NUMERIC: [usize; NUMERIC_LEN] = {
+    let mut out = [0; NUMERIC_LEN];
+    let (mut s, mut i) = (0, 0);
     while s < NUM_PACKET {
-        if is_indicator(s) {
-            out[b] = s;
-            b += 1;
+        if !is_indicator(s) {
+            out[i] = s;
+            i += 1;
         }
         s += 1;
     }
     out
 };
 
+/// Runs `f(b, s)` for each indicator in bit order: bit `b` of a row's
+/// word is profile slot `s`, the `b`-th set bit of [`INDICATOR_MASK`]. The
+/// walk of a constant mask unrolls into straight-line code.
+#[inline(always)]
+fn for_each_indicator(mut f: impl FnMut(usize, usize)) {
+    let (mut mask, mut b) = (INDICATOR_MASK, 0);
+    while mask != 0 {
+        f(b, mask.trailing_zeros() as usize);
+        (mask, b) = (mask & (mask - 1), b + 1);
+    }
+}
+
 /// Where an int8 row's word keeps the codes its `0.0` and `1.0`
 /// quantized to, one byte each above the indicator bits.
 const UNLIT_CODE: u32 = NUM_INDICATORS as u32;
 const LIT_CODE: u32 = UNLIT_CODE + 8;
 
-/// Copies the dense slots of the profile-wide `full` into `dense`.
-fn gather<T: Copy>(full: &[T], dense: &mut [T]) {
-    let mut at = 0;
-    for &(s, n) in DENSE_RUNS {
-        dense[at..at + n].copy_from_slice(&full[s..s + n]);
-        at += n;
+/// Copies the dense slots of the profile-wide `full` into `dense`: the
+/// numeric features one constant slot at a time, then the gates as one
+/// fixed-length block — straight-line code once inlined.
+#[inline(always)]
+fn gather<T: Copy>(full: &[T; PROFILE_LEN], dense: &mut [T; DENSE_LEN]) {
+    let (numeric, gates) = dense.split_at_mut(NUMERIC_LEN);
+    for (d, &s) in numeric.iter_mut().zip(&NUMERIC) {
+        *d = full[s];
     }
+    gates.copy_from_slice(&full[NUM_PACKET..]);
 }
 
 /// The indicator bits of a profile, which must hold exactly `0.0` or
 /// `1.0` in every indicator slot.
 fn indicator_bits(profile: &[f32]) -> u64 {
     let mut word = 0;
-    for (b, &s) in INDICATORS.iter().enumerate() {
+    for_each_indicator(|b, s| {
         let v = profile[s];
         debug_assert!(
             v.to_bits() == 0 || v.to_bits() == 1f32.to_bits(),
             "profile slot {s} is an indicator but holds {v:?}"
         );
         word |= u64::from(v == 1.0) << b;
-    }
+    });
     word
 }
 
@@ -172,30 +173,31 @@ fn indicator_bits(profile: &[f32]) -> u64 {
 fn int8_word(profile: &[f32], codes: &[u8]) -> u64 {
     let bits = indicator_bits(profile);
     let mut by_bit = [0u8; 2];
-    for (b, &s) in INDICATORS.iter().enumerate() {
-        by_bit[(bits >> b & 1) as usize] = codes[s];
-    }
+    for_each_indicator(|b, s| by_bit[(bits >> b & 1) as usize] = codes[s]);
     bits | u64::from(by_bit[0]) << UNLIT_CODE | u64::from(by_bit[1]) << LIT_CODE
 }
 
 /// Expands a packed row into the profile-wide `full`: the dense values to
 /// their slots, and indicator `b` as `lit[1]` when bit `b` of `word` is
 /// set, else `lit[0]`.
-fn scatter<T: Copy>(dense: &[T], word: u64, lit: [T; 2], full: &mut [T]) {
-    let mut at = 0;
-    for &(s, n) in DENSE_RUNS {
-        full[s..s + n].copy_from_slice(&dense[at..at + n]);
-        at += n;
+#[inline(always)]
+fn scatter<T: Copy>(dense: &[T; DENSE_LEN], word: u64, lit: [T; 2], full: &mut [T; PROFILE_LEN]) {
+    let (numeric, gates) = dense.split_at(NUMERIC_LEN);
+    for (&d, &s) in numeric.iter().zip(&NUMERIC) {
+        full[s] = d;
     }
-    for (b, &s) in INDICATORS.iter().enumerate() {
-        full[s] = lit[(word >> b & 1) as usize];
-    }
+    full[NUM_PACKET..].copy_from_slice(gates);
+    for_each_indicator(|b, s| full[s] = lit[(word >> b & 1) as usize]);
 }
 
 /// The codes an int8 row's word says its unlit and lit indicators hold.
 fn lit_codes(word: u64) -> [u8; 2] {
     [(word >> UNLIT_CODE) as u8, (word >> LIT_CODE) as u8]
 }
+
+/// Lanes an int8 ring row takes in a [`ResidentArena::pad_key`]: its
+/// codes and word four to a lane, then its `(scale, min)` pair.
+const INT8_KEY_ROW: usize = Ring::<u8>::ROW.div_ceil(4) + 2;
 
 /// What a ring row is made of: f32 values, or int8 codes.
 trait Lane: Copy {
@@ -255,18 +257,27 @@ impl<T: Lane> Ring<T> {
     }
 
     /// The dense values and the word of the slot's row `r`.
-    fn row(&self, slot: usize, r: usize) -> (&[T], u64) {
+    fn row(&self, slot: usize, r: usize) -> (&[T; DENSE_LEN], u64) {
         let row = &self.rows.row(slot)[r * Self::ROW..(r + 1) * Self::ROW];
         let (dense, word) = row.split_at(DENSE_LEN);
-        (dense, T::load_word(word))
+        (
+            dense.try_into().expect("a row's dense lanes"),
+            T::load_word(word),
+        )
     }
 
     /// Stores the dense slots of `full` and `word` as the slot's row `r`.
     fn store(&mut self, slot: usize, r: usize, full: &[T], word: u64) {
         let row = &mut self.rows.row_mut(slot)[r * Self::ROW..(r + 1) * Self::ROW];
         let (dense, lanes) = row.split_at_mut(DENSE_LEN);
-        gather(full, dense);
+        let full = full.try_into().expect("a profile-wide row");
+        gather(full, dense.try_into().expect("a row's dense lanes"));
         T::store_word(word, lanes);
+    }
+
+    /// The slot's first `n` packed rows, as stored.
+    fn packed(&self, slot: usize, n: usize) -> &[T] {
+        &self.rows.row(slot)[..n * Self::ROW]
     }
 
     fn clear(&mut self) {
@@ -387,6 +398,7 @@ impl ResidentArena {
         match &self.state {
             State::F32 { ring, .. } => {
                 let (dense, word) = ring.row(slot, r);
+                let out = out.try_into().expect("a profile-wide row");
                 scatter(dense, word, [0.0, 1.0], out);
             }
             State::Int8 { ring, ringq, .. } => {
@@ -418,6 +430,51 @@ impl ResidentArena {
                 ringq.row_mut(slot)[r] = quantize_activations(row, codes);
                 ring.store(slot, r, codes, int8_word(row, codes));
             }
+        }
+    }
+
+    /// Lanes of [`pad_key`](Self::pad_key): `stack − 1` rows' worth.
+    pub(crate) fn pad_key_len(&self) -> usize {
+        let row = match &self.state {
+            State::F32 { .. } => Ring::<f32>::ROW,
+            State::Int8 { .. } => INT8_KEY_ROW,
+        };
+        self.ring_rows * row
+    }
+
+    /// Writes into `key` ([`pad_key_len`](Self::pad_key_len) lanes) what
+    /// the padded window of a flow that has scored `packets` packets
+    /// (`1 ≤ packets ≤ stack − 1`) is a pure function of: the bits of
+    /// the slot's first `packets` ring rows as they are stored (at int8,
+    /// each row's codes and word four to a lane, then its `(scale, min)`
+    /// pair), the last repeated for the rows the flow never wrote, as the
+    /// window repeats its last profile. A recycled slot's stale rows never
+    /// enter it. At f32 a row is its profile's bits, so two keys are equal
+    /// exactly when their windows are; at int8 two rows may decode to one
+    /// profile, and their windows then share an error under two keys.
+    pub(crate) fn pad_key(&self, slot: usize, packets: usize, key: &mut [f32]) {
+        debug_assert!((1..=self.ring_rows).contains(&packets));
+        let lanes = key.len() / self.ring_rows;
+        let (held, repeated) = key.split_at_mut(lanes * packets);
+        match &self.state {
+            State::F32 { ring, .. } => held.copy_from_slice(ring.packed(slot, packets)),
+            State::Int8 { ring, ringq, .. } => {
+                let packed = ring.packed(slot, packets).chunks_exact(Ring::<u8>::ROW);
+                let rows = held.chunks_exact_mut(INT8_KEY_ROW).zip(packed);
+                for ((lanes, codes), q) in rows.zip(ringq.row(slot)) {
+                    let (quads, pair) = lanes.split_at_mut(INT8_KEY_ROW - 2);
+                    for (lane, quad) in quads.iter_mut().zip(codes.chunks(4)) {
+                        let mut bytes = [0; 4];
+                        bytes[..quad.len()].copy_from_slice(quad);
+                        *lane = f32::from_bits(u32::from_le_bytes(bytes));
+                    }
+                    pair.copy_from_slice(&[q.scale, q.min]);
+                }
+            }
+        }
+        let last = &held[held.len() - lanes..];
+        for row in repeated.chunks_exact_mut(lanes) {
+            row.copy_from_slice(last);
         }
     }
 
@@ -543,13 +600,40 @@ mod tests {
         ]
     }
 
+    /// A profile's packed row, slot by slot from the mask alone: the
+    /// dense lanes of `lanes` (the profile itself, or its codes) in slot
+    /// order, then the word — the indicator bits, and above them the
+    /// `code` of the last unlit and of the last lit indicator's lane
+    /// (`0` where there is none).
+    fn reference_row<T: Copy>(
+        profile: &[f32],
+        lanes: &[T],
+        code: impl Fn(T) -> u64,
+    ) -> (Vec<T>, u64) {
+        let (mut dense, mut word, mut b) = (Vec::new(), 0u64, 0);
+        let mut codes = [0u64; 2];
+        for (s, (&v, &lane)) in profile.iter().zip(lanes).enumerate() {
+            if s < NUM_PACKET && INDICATOR_MASK >> s & 1 == 1 {
+                let lit = v == 1.0;
+                word |= u64::from(lit) << b;
+                codes[usize::from(lit)] = code(lane);
+                b += 1;
+            } else {
+                dense.push(lane);
+            }
+        }
+        (dense, word | codes[0] << 33 | codes[1] << 41)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Packing a profile into a ring row and expanding it back is the
-        /// identity by bits at f32, and at int8 is bitwise the round trip
-        /// through the whole 115-wide row's codes: the same codes, so the
-        /// same dequantized profile.
+        /// A profile whose indicators are exactly `0.0` or `1.0` packs
+        /// into the ring row a slot-by-slot loop over the mask builds —
+        /// its dense values (f32) or dense codes (int8) in slot order,
+        /// then the word — and expands back bitwise: to the profile at
+        /// f32, and at int8 to the dequantized codes of the whole
+        /// 115-wide row.
         #[test]
         fn a_ring_row_expands_to_the_profile_it_packed(
             dense in prop::collection::vec(value(), DENSE_LEN),
@@ -565,13 +649,18 @@ mod tests {
                 arena.store_profile(1, t, &row, &mut codes);
                 arena.read_profile(1, t, &mut out);
                 let want = match &arena.state {
-                    State::F32 { .. } => row.clone(),
+                    State::F32 { ring, .. } => {
+                        let (dense, word) = ring.row(1, t % 2);
+                        let (want_dense, want_word) = reference_row(&row, &row, |_| 0);
+                        prop_assert_eq!(to_bits(dense), to_bits(&want_dense));
+                        prop_assert_eq!(word, want_word);
+                        row.clone()
+                    }
                     State::Int8 { ring, .. } => {
                         let q = quantize_activations(&row, &mut codes);
                         let (dense, word) = ring.row(1, t % 2);
-                        let mut expanded = [0; PROFILE_LEN];
-                        scatter(dense, word, lit_codes(word), &mut expanded);
-                        prop_assert_eq!(&expanded[..], &codes[..]);
+                        let want_row = reference_row(&row, &codes, u64::from);
+                        prop_assert_eq!((dense.to_vec(), word), want_row);
                         let mut want = vec![0.0; PROFILE_LEN];
                         dequantize_activations_into(&codes, q, &mut want);
                         want
@@ -580,20 +669,6 @@ mod tests {
                 prop_assert_eq!(to_bits(&out), to_bits(&want), "{:?}", mode);
             }
         }
-    }
-
-    /// The codec's tables partition the profile: 82 dense slots in 6 runs
-    /// and the 33 indicators, each slot once, in slot order.
-    #[test]
-    fn dense_runs_and_indicators_cover_every_slot_once() {
-        let mut slots: Vec<usize> = DENSE_RUNS.iter().flat_map(|&(s, n)| s..s + n).collect();
-        assert_eq!(slots.len(), DENSE_LEN);
-        assert!(slots.windows(2).all(|w| w[0] < w[1]));
-        assert!(INDICATORS.windows(2).all(|w| w[0] < w[1]));
-        slots.extend(INDICATORS);
-        slots.sort_unstable();
-        assert_eq!(slots, (0..PROFILE_LEN).collect::<Vec<_>>());
-        assert_eq!(DENSE_RUNS.len(), 6);
     }
 
     /// What slot `s` reads back, as bits: its hidden vector, then its

@@ -42,8 +42,9 @@
 //!   flow and emits its [`ScoredConnection`].
 //! * **Padded windows score at close.** A flow that closes shorter than
 //!   the window stack is scored then on one padded window, answered from
-//!   the scoring core's memo when a flow before it padded to the same
-//!   bits ([`StreamScorer::pad_windows`] counts them). The GRU steps of a
+//!   the scoring core's memo when a flow before it closed holding the same
+//!   packed ring rows — the bits its padded window is a function of
+//!   ([`StreamScorer::pad_windows`] counts them). The GRU steps of a
 //!   flow's first `stack − 1` packets are answered the same way when a
 //!   flow before it stepped through the same bits
 //!   ([`StreamScorer::prefix_steps`]).
@@ -343,14 +344,16 @@ impl Clap {
     pub fn stream_scorer_with(&self, config: StreamConfig) -> StreamScorer<'_> {
         config.assert_per_packet();
         let gru = GruEngine::from_packed(self.rnn.packed(), config.quant);
+        let resident = ResidentArena::new(
+            config.resident,
+            gru.hidden_size(),
+            self.config.stack,
+            config.max_flows,
+        );
+        let ae = AeEngine::from_model(&self.ae, config.quant);
         StreamScorer {
-            resident: ResidentArena::new(
-                config.resident,
-                gru.hidden_size(),
-                self.config.stack,
-                config.max_flows,
-            ),
-            scorer: Scorer::new(self, gru, AeEngine::from_model(&self.ae, config.quant)),
+            scorer: Scorer::new(self, gru, ae, resident.pad_key_len()),
+            resident,
             table: FlowTable::new(config.idle_timeout, config.max_flows, config.eviction),
             config,
             closed: Vec::new(),
@@ -632,19 +635,26 @@ impl StreamScorer<'_> {
     /// Estimated heap footprint of the flow table: key index, slab,
     /// resident arenas and the live flows' error logs / orient buffers.
     /// O(slab) — meant for periodic sampling, not the hot path.
-    /// Excludes the pending-verdict queue (drained by the caller) and the
-    /// scoring core's fixed costs, which do not grow with flows: its
-    /// scratch and its two exact-bits memos (64 entries each, ≈ 87 KiB of
-    /// padded windows and ≈ 40 KiB of prefix steps at the paper's sizes,
-    /// whatever the number of flows).
+    /// Excludes the pending-verdict queue (drained by the caller; a drain
+    /// leaves an empty one of the same capacity) and the scoring core's
+    /// fixed costs, which do not grow with flows: its scratch and its two
+    /// exact-bits memos (64 entries each — ≈ 43 KiB of padded-window keys
+    /// at f32 resident state, ≈ 13 KiB at int8, and ≈ 40 KiB of prefix
+    /// steps at the paper's sizes — whatever the number of flows).
     pub fn mem_bytes(&self) -> usize {
         self.table.heap_bytes() + self.resident.heap_bytes()
     }
 
     /// Takes every flow finalized since the last drain; each verdict was
-    /// complete when its flow closed.
+    /// complete when its flow closed. The scorer keeps an empty queue of
+    /// the same capacity, so the next closes do not regrow it; draining
+    /// an empty queue allocates nothing.
     pub fn drain_closed(&mut self) -> Vec<ClosedFlow> {
-        std::mem::take(&mut self.closed)
+        if self.closed.is_empty() {
+            return Vec::new();
+        }
+        let fresh = Vec::with_capacity(self.closed.capacity());
+        std::mem::replace(&mut self.closed, fresh)
     }
 
     /// Finalizes all remaining live flows, as [`CloseReason::Drained`],

@@ -8,6 +8,7 @@
 
 use crate::{Connection, Endpoint, FlowKey, Packet, TcpFlags};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
 
 /// Canonical (order-independent) form of a flow 5-tuple for hashing: both
@@ -16,12 +17,28 @@ use std::net::IpAddr;
 /// in `clap-core`. v4 addresses live in the low 32 bits of the `u128`
 /// slots; the `v6` discriminant keeps `::a.b.c.d` v6 flows distinct from
 /// the v4 flows they would otherwise alias.
-#[derive(Debug, PartialEq, Eq, Hash, Clone, Copy)]
+#[derive(Debug, PartialEq, Eq, Clone, Copy)]
 pub struct CanonicalKey {
     v6: bool,
     proto: u8,
     lo: (u128, u16),
     hi: (u128, u16),
+}
+
+/// One `write` of the key's 40 packed bytes — both addresses, both ports,
+/// the protocol and the `v6` flag at fixed offsets, so distinct keys
+/// write distinct bytes — where a derive would make six.
+impl Hash for CanonicalKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut bytes = [0u8; 40];
+        bytes[..16].copy_from_slice(&self.lo.0.to_le_bytes());
+        bytes[16..32].copy_from_slice(&self.hi.0.to_le_bytes());
+        bytes[32..34].copy_from_slice(&self.lo.1.to_le_bytes());
+        bytes[34..36].copy_from_slice(&self.hi.1.to_le_bytes());
+        bytes[36] = self.proto;
+        bytes[37] = u8::from(self.v6);
+        state.write(&bytes);
+    }
 }
 
 /// The Microsoft reference RSS hash key (the NDIS verification-suite
@@ -234,6 +251,47 @@ mod tests {
         let conns = assemble_connections(&packets);
         assert_eq!(conns.len(), 1);
         assert_eq!(conns[0].key.client.port, 40000, "SYN sender becomes client");
+    }
+
+    /// The key's `Hash`, under a fixed-key hasher: both directions of a
+    /// 4-tuple hash alike, and changing any one field — the `v6` flag (a
+    /// v4 `a.b.c.d` pair against the v6 `::a.b.c.d` pair it would
+    /// otherwise alias), the protocol, either port or either address —
+    /// changes the hash.
+    #[test]
+    fn key_hash_is_symmetric_and_sees_every_field() {
+        use std::hash::DefaultHasher;
+        let hash = |k: &CanonicalKey| {
+            let mut h = DefaultHasher::new();
+            k.hash(&mut h);
+            h.finish()
+        };
+        let (a, b) = ((IpAddr::V4(A.0), A.1), (IpAddr::V4(B.0), B.1));
+        let key = CanonicalKey::of_parts(a, b, 6);
+        assert_eq!(key, CanonicalKey::of_parts(b, a, 6));
+        assert_eq!(hash(&key), hash(&CanonicalKey::of_parts(b, a, 6)));
+        let mapped = |(ip, port): (IpAddr, u16)| (IpAddr::V6(Ipv6Addr::from(addr_bits(ip))), port);
+        let v6 = CanonicalKey::of_parts(mapped(a), mapped(b), 6);
+        assert_eq!((v6.v6, v6.proto, v6.lo, v6.hi), (true, 6, key.lo, key.hi));
+        let with = |lo, hi, proto| CanonicalKey {
+            lo,
+            hi,
+            proto,
+            ..key
+        };
+        let (lo, hi) = (key.lo, key.hi);
+        let variants = [
+            ("v6", v6),
+            ("proto", with(lo, hi, 17)),
+            ("lo port", with((lo.0, lo.1 ^ 1), hi, 6)),
+            ("hi port", with(lo, (hi.0, hi.1 ^ 1), 6)),
+            ("lo address", with((lo.0 ^ 1 << 100, lo.1), hi, 6)),
+            ("hi address", with(lo, (hi.0 ^ 1, hi.1), 6)),
+        ];
+        for (field, other) in variants {
+            assert_ne!(other, key, "{field}");
+            assert_ne!(hash(&other), hash(&key), "{field}");
+        }
     }
 
     #[test]
